@@ -5,8 +5,9 @@
 # cold/warm comparison into BENCH_plancache.json, the batched-vs-tuple
 # executor comparison into BENCH_batch.json and the value-index pushdown
 # comparison into BENCH_content.json. `make benchquick` smoke-runs the key
-# benchmarks at one iteration each (plus the allocs/op regression guard) —
-# a CI-friendly check that they still build, run and validate their counts.
+# benchmarks at one iteration each — the result-path and /query-encode
+# layer lanes included — plus the allocation regression guards: a
+# CI-friendly check that they still build, run and validate their counts.
 # `make loadbench` runs the open-loop corpus serving benchmark (Poisson
 # arrivals, p50/p95/p99 under load) into BENCH_corpus.json; `make loadquick`
 # is its short CI variant (run on the replicated, hedged path so routing
@@ -90,8 +91,9 @@ plannerquick:
 	$(GO) run ./cmd/xqbench -plannerquick -plannerout ""
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead' -benchtime=1x .
-	$(GO) test -run 'TestBatchedProbeAllocs' -v .
+	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
+	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs' -v .
 
 # Open-loop corpus serving benchmark: Poisson arrivals against a sharded
 # corpus, latency measured from arrival (queueing included), results into

@@ -182,16 +182,14 @@ func runWith(cfg runCfg) error {
 			fmt.Printf("... and %d more\n", len(res.Matches)-cfg.limit)
 			break
 		}
-		parts := make([]string, len(match))
+		var row []byte
 		for u, id := range match {
-			v := db.Value(id)
-			if v == "" {
-				parts[u] = fmt.Sprintf("%s#%d", db.TagName(id), id)
-			} else {
-				parts[u] = fmt.Sprintf("%s=%q", db.TagName(id), v)
+			if u > 0 {
+				row = append(row, ", "...)
 			}
+			row = sjos.AppendCell(row, db.TagName(id), db.Value(id), id)
 		}
-		fmt.Printf("  (%s)\n", strings.Join(parts, ", "))
+		fmt.Printf("  (%s)\n", row)
 	}
 	return nil
 }

@@ -318,23 +318,6 @@ func buildDatasetCorpus(name, dataset string, docs, shards, fold int, opts sjos.
 	return b.Build()
 }
 
-// queryResponse is the /query JSON payload.
-type queryResponse struct {
-	Count int `json:"count"`
-	// Matches renders each match as tag=value / tag#id strings, one slot
-	// per pattern node (omitted under count=1); Docs gives each match's
-	// document ID, index-parallel with Matches.
-	Matches [][]string `json:"matches,omitempty"`
-	Docs    []string   `json:"docs,omitempty"`
-	Plan    string     `json:"plan"`
-	Cached  bool       `json:"cached_plan"`
-	// OptimizeNs and ExecuteNs split the latency in nanoseconds.
-	OptimizeNs int64         `json:"optimize_ns"`
-	ExecuteNs  int64         `json:"execute_ns"`
-	Shards     int           `json:"shards_queried"`
-	Trace      *sjos.OpTrace `json:"trace,omitempty"`
-}
-
 // collectionInfo is one /collections list entry.
 type collectionInfo struct {
 	Name   string `json:"name"`
@@ -505,56 +488,40 @@ func serveQuery(w http.ResponseWriter, r *http.Request, c *sjos.Corpus, defaultM
 	}
 	opts.Trace = boolParam(r, "trace")
 	opts.NoValueIndex = boolParam(r, "novidx")
-	res, err := c.QueryContext(r.Context(), src, opts)
+	res, err := c.QuerySegments(r.Context(), src, opts)
 	if err != nil {
-		// Load shed and shutdown are retryable service conditions, not
-		// client errors.
-		if errors.Is(err, sjos.ErrOverloaded) || errors.Is(err, sjos.ErrShuttingDown) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeQueryError(w, r, err)
 		return
 	}
-	resp := &queryResponse{
-		Count:      res.Count,
-		Plan:       res.PlanText,
-		Cached:     res.CachedPlan,
-		OptimizeNs: res.OptimizeTime.Nanoseconds(),
-		ExecuteNs:  res.ExecuteTime.Nanoseconds(),
-		Shards:     res.ShardsQueried,
-		Trace:      res.Trace,
-	}
-	if !boolParam(r, "count") {
-		resp.Matches, resp.Docs = renderMatches(c, res.Matches)
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	if err := writeQueryBody(r.Context(), w, res, !boolParam(r, "count")); err != nil && r.Context().Err() == nil {
+		log.Printf("xqserve: writing /query response: %v", err)
+	}
+}
+
+// writeQueryError maps a failed query onto HTTP. A request whose own
+// context ended (the client went away) gets nothing; load shed and shutdown
+// are retryable service conditions; a recovered panic, a page that failed
+// verification or a poisoned write path is the server's fault; everything
+// else (bad pattern or method, oversized twig) is the client's.
+func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
+	var (
+		panicked *sjos.PanicError
+		corrupt  *sjos.CorruptPageError
+	)
+	switch {
+	case r.Context().Err() != nil:
+	case errors.Is(err, sjos.ErrOverloaded) || errors.Is(err, sjos.ErrShuttingDown):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.As(err, &panicked) || errors.As(err, &corrupt) || errors.Is(err, sjos.ErrBroken):
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	default:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
 }
 
 func boolParam(r *http.Request, name string) bool {
 	v := r.URL.Query().Get(name)
 	return v == "1" || v == "true" || v == "yes"
-}
-
-// renderMatches formats node bindings the way the CLI tools print them,
-// plus each match's document ID.
-func renderMatches(c *sjos.Corpus, matches []sjos.CorpusMatch) ([][]string, []string) {
-	out := make([][]string, len(matches))
-	docIDs := make([]string, len(matches))
-	for i, m := range matches {
-		docIDs[i] = m.DocID
-		row := make([]string, len(m.Nodes))
-		for u, id := range m.Nodes {
-			tag, _ := c.TagName(m.DocID, id)
-			if v, _ := c.Value(m.DocID, id); v != "" {
-				row[u] = fmt.Sprintf("%s=%q", tag, v)
-			} else {
-				row[u] = fmt.Sprintf("%s#%d", tag, id)
-			}
-		}
-		out[i] = row
-	}
-	return out, docIDs
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -148,6 +150,42 @@ func TestServeQueryErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestQueryErrorMapping is the status table of a failed /query: whose fault
+// the error is decides the class, and a request whose client has gone gets
+// no response at all.
+func TestQueryErrorMapping(t *testing.T) {
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		err  error
+		want int // 0 = nothing written
+	}{
+		{"overloaded", context.Background(), sjos.ErrOverloaded, http.StatusServiceUnavailable},
+		{"draining", context.Background(), fmt.Errorf("wrapped: %w", sjos.ErrShuttingDown), http.StatusServiceUnavailable},
+		{"recovered panic", context.Background(), fmt.Errorf("sjos: executing DPP plan on corpus: %w", &sjos.PanicError{Value: "boom"}), http.StatusInternalServerError},
+		{"corrupt page", context.Background(), fmt.Errorf("scan: %w", &sjos.CorruptPageError{Page: 3, Tag: "checksum"}), http.StatusInternalServerError},
+		{"poisoned write path", context.Background(), fmt.Errorf("shard 1: %w", sjos.ErrBroken), http.StatusInternalServerError},
+		{"bad pattern", context.Background(), errors.New("pattern: unexpected ["), http.StatusBadRequest},
+		{"client gone", gone, context.Canceled, 0},
+		{"client gone mid-shed", gone, sjos.ErrOverloaded, 0},
+	} {
+		rec := httptest.NewRecorder()
+		writeQueryError(rec, httptest.NewRequest("GET", "/query?q=//a", nil).WithContext(tc.ctx), tc.err)
+		switch {
+		case tc.want == 0:
+			if rec.Body.Len() != 0 || len(rec.Header()) != 0 {
+				t.Errorf("%s: wrote %d bytes, headers %v; want nothing", tc.name, rec.Body.Len(), rec.Header())
+			}
+		case rec.Code != tc.want:
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
+		case tc.want == http.StatusServiceUnavailable && rec.Header().Get("Retry-After") == "":
+			t.Errorf("%s: 503 without Retry-After", tc.name)
 		}
 	}
 }

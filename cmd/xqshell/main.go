@@ -259,16 +259,14 @@ func (sh *shell) runPattern(src string) {
 			fmt.Fprintf(sh.out, "... and %d more\n", len(res.Matches)-sh.limit)
 			break
 		}
-		parts := make([]string, len(m))
+		var row []byte
 		for u, id := range m {
-			tag := sh.db.TagName(id)
-			if v := sh.db.Value(id); v != "" {
-				parts[u] = fmt.Sprintf("%s=%q", tag, v)
-			} else {
-				parts[u] = fmt.Sprintf("%s#%d", tag, id)
+			if u > 0 {
+				row = append(row, ", "...)
 			}
+			row = sjos.AppendCell(row, sh.db.TagName(id), sh.db.Value(id), id)
 		}
-		fmt.Fprintf(sh.out, "  (%s)\n", strings.Join(parts, ", "))
+		fmt.Fprintf(sh.out, "  (%s)\n", row)
 	}
 }
 

@@ -106,14 +106,31 @@ type corpusShard struct {
 	rr atomic.Uint64
 	// ingest marks a write-enabled shard: its member bookkeeping lives in
 	// the replica Databases' published snapshots (pinned per query), and
-	// spans/docIdx/docIDs below stay nil.
+	// members below stays nil.
 	ingest bool
-	// spans[i] is member i's node range inside the merged document, in
-	// ascending First order (members were merged in insertion order).
-	spans []xmltree.DocSpan
-	// docIdx[i] / docIDs[i] are member i's global insertion index and ID.
-	docIdx []int
-	docIDs []string
+	// members[i] is static member i's document ID and node range inside the
+	// merged document, in ascending First order (members were merged in
+	// insertion order).
+	members []memberView
+}
+
+// membersOf returns the member table a run on sn is attributed against: the
+// pinned snapshot's for a write-enabled shard, the build-time one otherwise.
+func (sh *corpusShard) membersOf(sn *dbSnap) []memberView {
+	if sh.ingest {
+		return sn.members
+	}
+	return sh.members
+}
+
+// memberIndex finds a document's slot in membersOf(sn); ok is false when sn
+// does not hold the document (directory/snapshot skew under mutations).
+func (sh *corpusShard) memberIndex(sn *dbSnap, docID string, ref docRef) (int, bool) {
+	if sh.ingest {
+		mi, ok := sn.memberIdx[docID]
+		return mi, ok
+	}
+	return ref.member, true
 }
 
 // meta returns the shard's metadata replica: every replica shares the same
@@ -159,11 +176,6 @@ func (sh *corpusShard) routeOrder(now time.Time) []*corpusReplica {
 	order = append(order, suspect...)
 	order = append(order, probation...)
 	return order
-}
-
-// memberOf maps a merged-document node ID to the member that owns it.
-func (sh *corpusShard) memberOf(id NodeID) int {
-	return sort.Search(len(sh.spans), func(i int) bool { return sh.spans[i].First > id }) - 1
 }
 
 // corpusView is the corpus's membership directory — document IDs in global
@@ -379,11 +391,9 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sjos: merging shard %d: %w", s, err)
 			}
-			sh.spans = spans
-			sh.docIdx = groupIdx[s]
-			sh.docIDs = make([]string, len(groupIdx[s]))
+			sh.members = make([]memberView, len(spans))
 			for m, gi := range groupIdx[s] {
-				sh.docIDs[m] = cv.ids[gi]
+				sh.members[m] = memberView{id: cv.ids[gi], span: spans[m]}
 			}
 			for r := 0; r < rps; r++ {
 				db, err := fromDocument(merged, b.shardOptions(s, r))
@@ -493,9 +503,7 @@ func (db *Database) histStats() *histogram.Stats {
 func (db *Database) AsCorpus(docID string) *Corpus {
 	sh := &corpusShard{
 		replicas: []*corpusReplica{{db: db, health: replica.NewTracker(replica.Config{})}},
-		spans:    []xmltree.DocSpan{{First: 0, Nodes: db.view().doc.NumNodes()}},
-		docIdx:   []int{0},
-		docIDs:   []string{docID},
+		members:  []memberView{{id: docID, span: xmltree.DocSpan{First: 0, Nodes: db.view().doc.NumNodes()}}},
 	}
 	cs := &corpusState{
 		shards:       []*corpusShard{sh},
@@ -580,7 +588,7 @@ func (c *Corpus) ShardOf(docID string) (int, bool) {
 func (c *Corpus) Model() CostModel { return c.model }
 
 // resolve translates a (document ID, document-local node ID) pair into the
-// owning shard's pinned snapshot and the merged-document node ID.
+// owning shard's current snapshot and the merged-document node ID.
 func (c *Corpus) resolve(docID string, id NodeID) (*dbSnap, NodeID, bool) {
 	ref, ok := c.view().byID[docID]
 	if !ok {
@@ -588,23 +596,22 @@ func (c *Corpus) resolve(docID string, id NodeID) (*dbSnap, NodeID, bool) {
 	}
 	sh := c.shards[ref.shard]
 	sn := sh.meta().view()
-	var span xmltree.DocSpan
-	if sh.ingest {
-		mi, ok := sn.memberIdx[docID]
-		if !ok {
-			return nil, 0, false
-		}
-		span = sn.members[mi].span
-	} else {
-		span = sh.spans[ref.member]
+	mi, ok := sh.memberIndex(sn, docID, ref)
+	if !ok {
+		return nil, 0, false
 	}
+	span := sh.membersOf(sn)[mi].span
 	if int(id) >= span.Nodes {
 		return nil, 0, false
 	}
 	return sn, span.First + id, true
 }
 
-// TagName returns the element tag of a matched node of the given document.
+// TagName returns the element tag of a node of the given document, read
+// from the document's current version: after a Replace or Delete, node IDs
+// taken from an earlier result no longer describe it. To label the rows of a
+// result, use that result's segments (DocSegment.TagName), which stay on
+// the version the query ran on.
 func (c *Corpus) TagName(docID string, id NodeID) (string, bool) {
 	sn, gid, ok := c.resolve(docID, id)
 	if !ok {
@@ -613,8 +620,8 @@ func (c *Corpus) TagName(docID string, id NodeID) (string, bool) {
 	return sn.doc.TagName(sn.doc.Tag(gid)), true
 }
 
-// Value returns the text value of a matched node of the given document
-// ("" if none).
+// Value returns the text value of a node of the given document ("" if
+// none), read from the document's current version like TagName.
 func (c *Corpus) Value(docID string, id NodeID) (string, bool) {
 	sn, gid, ok := c.resolve(docID, id)
 	if !ok {
@@ -663,15 +670,64 @@ type CorpusMatch struct {
 	// DocID and Doc identify the document (ID and insertion index).
 	DocID string
 	Doc   int
-	// Nodes holds the matched document nodes, slot u = pattern node u.
+	// Nodes holds the matched document nodes, slot u = pattern node u. It
+	// aliases the result's flat backing array.
 	Nodes Match
+}
+
+// DocSegment is one document's run of matches in a corpus result. Its rows
+// are a sub-slice of the owning shard's flat match set, rebased to the
+// document's own node numbering, and it pins the shard snapshot the query
+// ran on: TagName and Value describe exactly the version the rows were
+// matched against, whatever Replace or Delete has committed since (and that
+// version stays reachable for as long as the segment is).
+type DocSegment struct {
+	// DocID and Doc identify the document (ID and insertion index).
+	DocID string
+	Doc   int
+
+	rows  exec.MatchSet
+	snap  *dbSnap
+	first NodeID // the document's first node inside snap.doc
+}
+
+// Len returns the number of matches in the segment.
+func (s *DocSegment) Len() int { return s.rows.Len() }
+
+// Row returns match i: slot u holds the node bound to pattern node u. The
+// slice aliases the result's backing array.
+func (s *DocSegment) Row(i int) Match { return s.rows.Row(i) }
+
+// TagName returns the element tag of a node of one of the segment's rows.
+func (s *DocSegment) TagName(id NodeID) string {
+	return s.snap.doc.TagName(s.snap.doc.Tag(s.first + id))
+}
+
+// Value returns the text value of a node of one of the segment's rows (""
+// if none).
+func (s *DocSegment) Value(id NodeID) string { return s.snap.doc.Value(s.first + id) }
+
+// corpusMatches builds the []CorpusMatch compatibility view of a segment
+// table: one header slice whose Nodes alias the segments' backing arrays.
+func corpusMatches(segs []DocSegment, count int) []CorpusMatch {
+	out := make([]CorpusMatch, 0, count)
+	for i := range segs {
+		seg := &segs[i]
+		for r, n := 0, seg.Len(); r < n; r++ {
+			out = append(out, CorpusMatch{DocID: seg.DocID, Doc: seg.Doc, Nodes: seg.Row(r)})
+		}
+	}
+	return out
 }
 
 // CorpusRunResult is the outcome of one Corpus.Run call.
 type CorpusRunResult struct {
-	// Matches holds the matches grouped by document in insertion order,
-	// and inside each document in that document's standalone match order
-	// (nil if CountOnly).
+	// Segments holds the matches as one entry per document that has any,
+	// in document insertion order; inside a segment the rows are in that
+	// document's standalone match order (nil if CountOnly).
+	Segments []DocSegment
+	// Matches is the same result as one CorpusMatch per row — a view whose
+	// Nodes alias the segments' rows (nil if CountOnly).
 	Matches []CorpusMatch
 	// Count is the number of matches produced.
 	Count int
@@ -698,7 +754,17 @@ var errCorpusLimit = errors.New("sjos: corpus limit satisfied")
 // and Run returns that error with no partial results, and under
 // opts.Limit the remaining shards are cancelled as soon as a document-order
 // prefix of gathered results satisfies the limit.
-func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (res *CorpusRunResult, err error) {
+func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
+	res, err := c.run(ctx, pat, p, opts)
+	if err == nil && !opts.CountOnly {
+		res.Matches = corpusMatches(res.Segments, res.Count)
+	}
+	return res, err
+}
+
+// run is Run without the []CorpusMatch view: the result carries Segments
+// only.
+func (c *Corpus) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (res *CorpusRunResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -726,14 +792,28 @@ func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions
 	return res, err
 }
 
+// rowRange is a half-open run of rows [lo, hi) of a match set.
+type rowRange struct{ lo, hi int }
+
 // shardOut is one shard's gathered output: the raw run result, the replica
-// snapshot it ran on, and its matches demultiplexed into per-document,
-// document-local form (keyed by document ID — member indices are only
-// stable within the pinned snapshot).
+// snapshot it ran on, and where each member document's rows lie in the
+// result's match set (indexed like membersOf(snap) — member indices are
+// only stable within the pinned snapshot; nil under pushed-down CountOnly).
 type shardOut struct {
-	res   *RunResult
-	snap  *dbSnap
-	byDoc map[string][]Match
+	res  *RunResult
+	snap *dbSnap
+	rows []rowRange
+}
+
+// segment returns the document's slice of the shard's output (empty when
+// the pinned snapshot does not hold the document).
+func (so *shardOut) segment(sh *corpusShard, id string, gi int, ref docRef) DocSegment {
+	seg := DocSegment{DocID: id, Doc: gi, snap: so.snap}
+	if mi, ok := sh.memberIndex(so.snap, id, ref); ok {
+		seg.first = sh.membersOf(so.snap)[mi].span.First
+		seg.rows = so.res.set.Slice(so.rows[mi].lo, so.rows[mi].hi)
+	}
+	return seg
 }
 
 // scatter is Run without the admission/metrics/recovery envelope.
@@ -790,7 +870,8 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 				return
 			}
 			if so := results[ref.shard]; so != nil {
-				total += len(so.byDoc[id])
+				seg := so.segment(c.shards[ref.shard], id, 0, ref)
+				total += seg.Len()
 			}
 			if total >= opts.Limit {
 				cancel(errCorpusLimit)
@@ -815,7 +896,7 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 		}
 		so := &shardOut{res: r, snap: sn}
 		if !shOpts.CountOnly {
-			so.byDoc = demux(sh, sn, r.Matches)
+			so.rows = demux(sh.membersOf(sn), r.set)
 		}
 		results[si] = so
 		checkLimit()
@@ -848,9 +929,10 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 		return nil, firstErr
 	}
 
-	// Gather: merge per-shard statistics and traces, then emit matches by
-	// walking documents in global insertion order — each document's matches
-	// come whole from its shard, already in standalone order.
+	// Gather: merge per-shard statistics and traces, then table the
+	// segments by walking documents in global insertion order — each
+	// document's rows come whole from its shard, already in standalone
+	// order, and are referenced where they lie, not copied.
 	for _, si := range live {
 		so := results[si]
 		if so == nil {
@@ -864,36 +946,35 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 				out.Trace.Merge(so.res.Trace)
 			}
 		}
+		if shOpts.CountOnly {
+			out.Count += so.res.Count
+		}
 	}
 	if shOpts.CountOnly {
-		for _, si := range live {
-			if so := results[si]; so != nil {
-				out.Count += so.res.Count
-			}
-		}
 		return out, nil
 	}
-	var matches []CorpusMatch
-gather:
+	segs := make([]DocSegment, 0, len(cv.ids))
 	for gi, id := range cv.ids {
 		ref := cv.byID[id]
 		so := results[ref.shard]
 		if so == nil {
 			continue
 		}
-		for _, m := range so.byDoc[id] {
-			matches = append(matches, CorpusMatch{DocID: id, Doc: gi, Nodes: m})
-			if opts.Limit > 0 && len(matches) >= opts.Limit {
-				break gather
-			}
+		seg := so.segment(c.shards[ref.shard], id, gi, ref)
+		if opts.Limit > 0 && out.Count+seg.Len() > opts.Limit {
+			seg.rows = seg.rows.Slice(0, opts.Limit-out.Count)
+		}
+		if seg.Len() == 0 {
+			continue
+		}
+		segs = append(segs, seg)
+		out.Count += seg.Len()
+		if opts.Limit > 0 && out.Count >= opts.Limit {
+			break
 		}
 	}
-	out.Count = len(matches)
 	if !opts.CountOnly {
-		if matches == nil {
-			matches = []CorpusMatch{}
-		}
-		out.Matches = matches
+		out.Segments = segs
 	}
 	return out, nil
 }
@@ -1019,39 +1100,39 @@ func (c *Corpus) runShardReplicated(ctx context.Context, sh *corpusShard, pat *P
 	}
 }
 
-// demux splits one shard's matches by member document and rebases every
-// binding into the member's own node numbering. Matches arrive in
-// document-position order; members occupy disjoint ascending ranges, so
-// each document's slice preserves its standalone order. Write-enabled
-// shards attribute against the pinned snapshot's member table (sn), static
-// shards against the build-time spans.
-func demux(sh *corpusShard, sn *dbSnap, ms []Match) map[string][]Match {
-	out := make(map[string][]Match)
-	for _, m := range ms {
-		var id string
-		var span xmltree.DocSpan
-		if sh.ingest {
-			mi := sort.Search(len(sn.members), func(i int) bool { return sn.members[i].span.First > m[0] }) - 1
-			if mi < 0 || !sn.members[mi].span.Contains(m[0]) {
-				continue // the synthetic forest root; no member owns it
-			}
-			id, span = sn.members[mi].id, sn.members[mi].span
-		} else {
-			mi := sh.memberOf(m[0])
-			id, span = sh.docIDs[mi], sh.spans[mi]
+// demux splits one shard's match set by member document and rebases every
+// binding into the member's own node numbering, in place. Any plan's output
+// is ordered by the document position of one of its columns and a match lies
+// wholly inside one member, so the members — which occupy ascending disjoint
+// node ranges — own consecutive runs of rows, in member order: one binary
+// search on the root column per member boundary finds them. Rows no member
+// owns (the synthetic forest root) fall between runs and are left out.
+func demux(members []memberView, set exec.MatchSet) []rowRange {
+	n, w := set.Len(), set.Width
+	// from returns the first row at or after lo whose root node is >= id.
+	from := func(lo int, id NodeID) int {
+		return lo + sort.Search(n-lo, func(k int) bool { return set.Nodes[(lo+k)*w] >= id })
+	}
+	out := make([]rowRange, len(members))
+	hi := 0
+	for m, mv := range members {
+		lo := from(hi, mv.span.First)
+		hi = from(lo, mv.span.First+NodeID(mv.span.Nodes))
+		out[m] = rowRange{lo, hi}
+		for i := lo * w; i < hi*w; i++ {
+			set.Nodes[i] -= mv.span.First
 		}
-		local := make(Match, len(m))
-		for i, nid := range m {
-			local[i] = nid - span.First
-		}
-		out[id] = append(out[id], local)
 	}
 	return out
 }
 
 // CorpusQueryResult is the outcome of a corpus Query/QueryContext call.
 type CorpusQueryResult struct {
-	// Matches holds the matches grouped by document in insertion order.
+	// Segments holds the matches as one entry per document that has any,
+	// in insertion order (see CorpusRunResult.Segments).
+	Segments []DocSegment
+	// Matches holds the matches grouped by document in insertion order — a
+	// per-row view over Segments, nil from QuerySegments.
 	Matches []CorpusMatch
 	// Count is the number of matches produced.
 	Count int
@@ -1095,8 +1176,29 @@ func (c *Corpus) QueryContext(ctx context.Context, src string, opts QueryOptions
 	return c.QueryPatternContext(ctx, pat, opts)
 }
 
+// QuerySegments is QueryContext without the per-row []CorpusMatch view: the
+// result's Matches is nil and its rows are read from Segments. It is the
+// entry point for callers that stream a large result (xqserve's /query).
+func (c *Corpus) QuerySegments(ctx context.Context, src string, opts QueryOptions) (*CorpusQueryResult, error) {
+	pat, err := ParsePattern(src)
+	if err != nil {
+		return nil, err
+	}
+	return c.queryPattern(ctx, pat, opts)
+}
+
 // QueryPatternContext is QueryContext for an already-built pattern.
 func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
+	res, err := c.queryPattern(ctx, pat, opts)
+	if err == nil {
+		res.Matches = corpusMatches(res.Segments, res.Count)
+	}
+	return res, err
+}
+
+// queryPattern optimizes pat through the plan cache and scatter-executes
+// the chosen plan; the result carries Segments only.
+func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -1116,7 +1218,7 @@ func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts Que
 	t1 := time.Now()
 	eo := opts.ExecOptions
 	eo.Trace = opts.Trace || thr > 0
-	rr, err := c.Run(ctx, pat, res.Plan, RunOptions{ExecOptions: eo})
+	rr, err := c.run(ctx, pat, res.Plan, RunOptions{ExecOptions: eo})
 	if err != nil {
 		return nil, fmt.Errorf("sjos: executing %v plan on corpus: %w", opts.Method, err)
 	}
@@ -1124,7 +1226,7 @@ func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts Que
 	c.svc.noteDrift(key, cached, eo, rr.Trace)
 	c.svc.maybeLogSlow(pat, opts.Method, thr, slowFn, optTime, execTime, rr.Count, rr.Stats, rr.Trace, cached)
 	return &CorpusQueryResult{
-		Matches:         rr.Matches,
+		Segments:        rr.Segments,
 		Count:           rr.Count,
 		Plan:            res.Plan,
 		PlanText:        res.Plan.Format(pat),
@@ -1191,17 +1293,10 @@ func (c *Corpus) Health() []ShardHealth {
 		if sh == nil {
 			continue
 		}
-		if sh.ingest {
-			sn := sh.meta().view()
-			out[i].Docs = len(sn.members)
-			for _, m := range sn.members {
-				out[i].Nodes += m.span.Nodes
-			}
-		} else {
-			out[i].Docs = len(sh.spans)
-			for _, sp := range sh.spans {
-				out[i].Nodes += sp.Nodes
-			}
+		members := sh.membersOf(sh.meta().view())
+		out[i].Docs = len(members)
+		for _, m := range members {
+			out[i].Nodes += m.span.Nodes
 		}
 		out[i].Content = sh.meta().ContentStats()
 		out[i].Content.ValueProbes = 0

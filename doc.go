@@ -32,6 +32,11 @@
 //	res, err := c.Query("//a//b", sjos.MethodDPP)
 //	for _, m := range res.Matches { fmt.Println(m.DocID, m.Nodes) }
 //
+// The rows themselves live in res.Segments — one DocSegment per document,
+// re-slicing the shards' flat match sets and pinned to the document version
+// the query ran on (seg.TagName, seg.Value); Matches is a per-row view over
+// them, and QuerySegments skips building it for callers that stream.
+//
 // A corpus answers exactly as the concatenation of standalone
 // per-document databases; Database.AsCorpus adapts a single document into
 // a one-shard corpus sharing its caches.

@@ -59,7 +59,7 @@ func (db *Database) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
 	ctx := &exec.Context{Doc: sn.doc, Store: sn.store}
 	// Analyze runs the batched path — the execution default — so the trace
 	// reports batches, rows and skip-ahead postings per operator.
-	n, err := exec.CountBatched(ctx, op)
+	n, err := exec.Count(ctx, op, true)
 	if err != nil {
 		return "", err
 	}

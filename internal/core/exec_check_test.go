@@ -30,26 +30,21 @@ func checkPlansProduceReference(t *testing.T, doc *xmltree.Document, pat *patter
 		if err := r.Plan.Validate(pat, true); err != nil {
 			t.Fatalf("%v: invalid plan: %v", m, err)
 		}
-		// The physical ordering promise: the root's OrderedBy column
-		// arrives sorted by document position.
-		op, err := exec.Build(pat, r.Plan)
-		if err != nil {
-			t.Fatalf("%v: build: %v", m, err)
-		}
-		ctx := &exec.Context{Doc: doc, Store: st}
-		raw, err := exec.Drain(ctx, op)
+		set, err := exec.Run(&exec.Context{Doc: doc, Store: st}, pat, r.Plan, false)
 		if err != nil {
 			t.Fatalf("%v: execution: %v", m, err)
 		}
-		if col, ok := op.Schema().Col(r.Plan.OrderedBy); ok {
-			for i := 1; i < len(raw); i++ {
-				if doc.Start(raw[i][col]) < doc.Start(raw[i-1][col]) {
+		got := set.Tuples()
+		// The physical ordering promise: the root's OrderedBy column
+		// arrives sorted by document position.
+		if col := r.Plan.OrderedBy; col >= 0 && col < pat.N() {
+			for i := 1; i < len(got); i++ {
+				if doc.Start(got[i][col]) < doc.Start(got[i-1][col]) {
 					t.Fatalf("%v: output not ordered by node %d at row %d\n%s",
 						m, r.Plan.OrderedBy, i, r.Plan.Format(pat))
 				}
 			}
 		}
-		got := exec.NormalizeAll(op.Schema(), pat.N(), raw)
 		exec.SortCanonical(got)
 		if len(got) == 0 && len(want) == 0 {
 			continue

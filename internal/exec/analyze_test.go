@@ -18,7 +18,7 @@ func TestAnalyzedExecutionCountsActuals(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := newCtx(t, doc)
-	n, err := Count(ctx, op)
+	n, err := Count(ctx, op, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAnalyzedMatchesPlainExecution(t *testing.T) {
 	pat := pattern.MustParse("//manager[.//employee]//name")
 	me := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoAnc)
 	men := plan.NewJoin(me, plan.NewIndexScan(2), 0, 2, pattern.Descendant, plan.AlgoAnc)
-	plain, err := RunCount(newCtx(t, doc), pat, men)
+	plain, err := RunCount(newCtx(t, doc), pat, men, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAnalyzedMatchesPlainExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := Count(newCtx(t, doc), op)
+	instr, err := Count(newCtx(t, doc), op, false)
 	if err != nil {
 		t.Fatal(err)
 	}

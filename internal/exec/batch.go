@@ -267,75 +267,3 @@ func (a *nodeArena) joined(l, r Tuple) Tuple {
 	copy(s[n:], r)
 	return Tuple(s)
 }
-
-// DrainBatched is Drain over the batched execution path: the plan is driven
-// with NextBatch at the root (operators batch recursively), and rows are
-// copied out of the reused batch into stable arena-backed tuples.
-func DrainBatched(ctx *Context, op Operator) ([]Tuple, error) {
-	bop := AsBatchOperator(op)
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	var (
-		out   []Tuple
-		arena nodeArena
-		b     = NewBatch(op.Schema().Width())
-	)
-	for {
-		if ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return nil, err
-			}
-		}
-		if err := bop.NextBatch(b); err != nil {
-			op.Close()
-			return nil, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		ctx.Stats.Batches++
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, arena.copyTuple(b.Row(i)))
-		}
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	ctx.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// CountBatched is Count over the batched execution path; it never touches
-// row contents, so counting costs one virtual call per batch.
-func CountBatched(ctx *Context, op Operator) (int, error) {
-	bop := AsBatchOperator(op)
-	if err := op.Open(ctx); err != nil {
-		return 0, err
-	}
-	n := 0
-	b := NewBatch(op.Schema().Width())
-	for {
-		if ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return 0, err
-			}
-		}
-		if err := bop.NextBatch(b); err != nil {
-			op.Close()
-			return 0, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		ctx.Stats.Batches++
-		n += b.Len()
-	}
-	if err := op.Close(); err != nil {
-		return 0, err
-	}
-	ctx.Stats.OutputTuples = n
-	return n, nil
-}

@@ -240,34 +240,36 @@ func TestJoinSkipAheadEndToEnd(t *testing.T) {
 }
 
 // TestAncReadyQueueReleasesSlots is the regression test for the ready-queue
-// retention fix: consuming the queue must nil out served slots and reset the
-// queue once drained, instead of re-slicing forward and pinning every served
-// tuple in the backing array.
+// retention fix: consuming the queue must drop each served tuple from its
+// node and recycle the node, instead of pinning every served tuple until the
+// operator dies.
 func TestAncReadyQueueReleasesSlots(t *testing.T) {
 	j := &StackTreeJoin{}
 	tuples := []Tuple{{1}, {2}, {3}}
-	j.ready = append(j.ready, tuples...)
+	for _, tp := range tuples {
+		j.addPair(&j.ready, tp)
+	}
 	for i, want := range tuples {
+		served := j.ready.head
 		got := j.popReady()
 		if got[0] != want[0] {
 			t.Fatalf("popReady #%d = %v, want %v", i, got, want)
 		}
-		if i < len(tuples)-1 {
-			if j.ready[i] != nil {
-				t.Fatalf("served slot %d still pins its tuple", i)
-			}
-			if j.readyHead != i+1 {
-				t.Fatalf("readyHead = %d, want %d", j.readyHead, i+1)
-			}
+		if j.pairs[served].t != nil {
+			t.Fatalf("served node %d still pins its tuple", served)
+		}
+		if j.freePairs != served {
+			t.Fatalf("served node %d not recycled (free list head %d)", served, j.freePairs)
 		}
 	}
-	if len(j.ready) != 0 || j.readyHead != 0 {
-		t.Fatalf("drained queue not reset: len=%d head=%d", len(j.ready), j.readyHead)
+	if j.ready != (pairList{}) {
+		t.Fatalf("drained queue not reset: %+v", j.ready)
 	}
-	// The reset queue must be reusable in place.
-	j.ready = append(j.ready, Tuple{4})
-	if got := j.popReady(); got[0] != 4 {
-		t.Fatalf("reused queue served %v, want [4]", got)
+	// The drained queue must be reusable without growing the slab.
+	slab := len(j.pairs)
+	j.addPair(&j.ready, Tuple{4})
+	if got := j.popReady(); got[0] != 4 || len(j.pairs) != slab {
+		t.Fatalf("reused queue served %v over a slab of %d (was %d)", got, len(j.pairs), slab)
 	}
 }
 
@@ -404,11 +406,11 @@ func TestBatchVsTupleBuiltPlans(t *testing.T) {
 		if err := tc.p.Validate(pat, false); err != nil {
 			t.Fatalf("%s: test plan invalid: %v", tc.src, err)
 		}
-		gotB, err := RunBatched(newCtx(t, doc), pat, tc.p)
+		gotB, err := tuples(Run(newCtx(t, doc), pat, tc.p, true))
 		if err != nil {
 			t.Fatalf("%s batched: %v", tc.src, err)
 		}
-		gotT, err := Run(newCtx(t, doc), pat, tc.p)
+		gotT, err := tuples(Run(newCtx(t, doc), pat, tc.p, false))
 		if err != nil {
 			t.Fatalf("%s tuple: %v", tc.src, err)
 		}
@@ -417,7 +419,7 @@ func TestBatchVsTupleBuiltPlans(t *testing.T) {
 			t.Fatalf("%s: batched %d, tuple %d, reference %d matches",
 				tc.src, len(gotB), len(gotT), len(want))
 		}
-		nb, err := RunCountBatched(newCtx(t, doc), pat, tc.p)
+		nb, err := RunCount(newCtx(t, doc), pat, tc.p, true)
 		if err != nil {
 			t.Fatalf("%s count batched: %v", tc.src, err)
 		}

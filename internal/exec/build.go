@@ -63,69 +63,24 @@ func buildWrapped(pat *pattern.Pattern, n *plan.Node, wrap wrapFn) (Operator, er
 	return op, nil
 }
 
-// Run compiles and executes a plan, returning the result tuples normalised
-// to pattern-node order (slot i = pattern node i), so results of different
-// plans for the same query are directly comparable.
-func Run(ctx *Context, pat *pattern.Pattern, p *plan.Node) ([]Tuple, error) {
+// Run compiles and executes a plan (batched or tuple-at-a-time), returning
+// the matches in pattern-node order (slot i = pattern node i), so results
+// of different plans for the same query are directly comparable.
+func Run(ctx *Context, pat *pattern.Pattern, p *plan.Node, batched bool) (MatchSet, error) {
 	op, err := Build(pat, p)
 	if err != nil {
-		return nil, err
+		return MatchSet{}, err
 	}
-	out, err := Drain(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	return NormalizeAll(op.Schema(), pat.N(), out), nil
+	return Collect(ctx, op, pat.N(), batched)
 }
 
 // RunCount compiles and executes a plan, returning only the match count.
-func RunCount(ctx *Context, pat *pattern.Pattern, p *plan.Node) (int, error) {
+func RunCount(ctx *Context, pat *pattern.Pattern, p *plan.Node, batched bool) (int, error) {
 	op, err := Build(pat, p)
 	if err != nil {
 		return 0, err
 	}
-	return Count(ctx, op)
-}
-
-// RunBatched is Run over the batched execution path.
-func RunBatched(ctx *Context, pat *pattern.Pattern, p *plan.Node) ([]Tuple, error) {
-	op, err := Build(pat, p)
-	if err != nil {
-		return nil, err
-	}
-	out, err := DrainBatched(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	return NormalizeAll(op.Schema(), pat.N(), out), nil
-}
-
-// RunCountBatched is RunCount over the batched execution path.
-func RunCountBatched(ctx *Context, pat *pattern.Pattern, p *plan.Node) (int, error) {
-	op, err := Build(pat, p)
-	if err != nil {
-		return 0, err
-	}
-	return CountBatched(ctx, op)
-}
-
-// Normalize reorders one tuple from the schema's slot layout to
-// pattern-node order.
-func Normalize(s *Schema, n int, t Tuple) Tuple {
-	out := make(Tuple, n)
-	for slot, pn := range s.Cols() {
-		out[pn] = t[slot]
-	}
-	return out
-}
-
-// NormalizeAll applies Normalize to every tuple.
-func NormalizeAll(s *Schema, n int, ts []Tuple) []Tuple {
-	out := make([]Tuple, len(ts))
-	for i, t := range ts {
-		out[i] = Normalize(s, n, t)
-	}
-	return out
+	return Count(ctx, op, batched)
 }
 
 // SortCanonical orders normalised tuples lexicographically — a canonical

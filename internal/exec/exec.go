@@ -32,18 +32,11 @@ type Tuple []xmltree.NodeID
 
 // Schema maps pattern nodes to tuple slots.
 type Schema struct {
-	cols []int       // slot -> pattern node
-	pos  map[int]int // pattern node -> slot
+	cols []int // slot -> pattern node
 }
 
 // NewSchema builds a schema with the given pattern-node-per-slot layout.
-func NewSchema(cols ...int) *Schema {
-	s := &Schema{cols: cols, pos: make(map[int]int, len(cols))}
-	for i, c := range cols {
-		s.pos[c] = i
-	}
-	return s
-}
+func NewSchema(cols ...int) *Schema { return &Schema{cols: cols} }
 
 // Concat returns the schema of a join output: left slots then right slots.
 func (s *Schema) Concat(t *Schema) *Schema {
@@ -55,8 +48,12 @@ func (s *Schema) Width() int { return len(s.cols) }
 
 // Col returns the slot holding the given pattern node.
 func (s *Schema) Col(patternNode int) (int, bool) {
-	c, ok := s.pos[patternNode]
-	return c, ok
+	for slot, pn := range s.cols {
+		if pn == patternNode {
+			return slot, true
+		}
+	}
+	return 0, false
 }
 
 // Cols returns the slot layout (pattern node per slot). Callers must not
@@ -127,66 +124,6 @@ type Operator interface {
 	Next() (t Tuple, ok bool, err error)
 	// Close releases resources; must be called exactly once after Open.
 	Close() error
-}
-
-// Drain runs op to completion, returning all output tuples.
-func Drain(ctx *Context, op Operator) ([]Tuple, error) {
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	var out []Tuple
-	for {
-		if len(out)&63 == 0 && ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return nil, err
-			}
-		}
-		t, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	ctx.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// Count runs op to completion, returning only the output cardinality.
-func Count(ctx *Context, op Operator) (int, error) {
-	if err := op.Open(ctx); err != nil {
-		return 0, err
-	}
-	n := 0
-	for {
-		if n&63 == 0 && ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return 0, err
-			}
-		}
-		_, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := op.Close(); err != nil {
-		return 0, err
-	}
-	ctx.Stats.OutputTuples = n
-	return n, nil
 }
 
 // errColumn builds the error for a pattern node missing from a schema; this

@@ -128,7 +128,7 @@ func TestParallelExecReleasesPinsOnFailure(t *testing.T) {
 			st := faultyStore(t, doc, failNth)
 			pe := &ParallelExec{Workers: 4, Partitions: 4, Batch: batch}
 			base := &Context{Doc: doc, Store: st}
-			out, err := pe.Run(context.Background(), base, pat, pln)
+			out, err := tuples(pe.Run(context.Background(), base, pat, pln))
 			if err == nil {
 				if len(out) != want {
 					t.Fatalf("batch=%v failNth=%d: %d matches, want %d", batch, failNth, len(out), want)

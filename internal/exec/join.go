@@ -38,23 +38,29 @@ type StackTreeJoin struct {
 	doc     *xmltree.Document
 	started bool
 
-	// Streaming state.
+	// Streaming state. Stack entries are values in one reusable slice, so a
+	// push allocates nothing once the stack has reached its working depth.
 	lTuple Tuple
 	lOK    bool
 	rTuple Tuple
 	rOK    bool
-	stack  []*stackEntry
+	stack  []stackEntry
 
-	// Desc emission state: matches of the current right tuple.
-	emit    []*stackEntry // stack snapshot (bottom..top) still to pair
-	emitIdx int
-	emitR   Tuple
+	// Desc emission state: the current right tuple still has to be paired
+	// with stack[emitIdx:emitEnd] (bottom..top). The stack does not change
+	// while an emission is pending — every driver drains it first.
+	emitIdx, emitEnd int
+	emitR            Tuple
 
-	// Anc emission state: released output, consumed from readyHead. The
-	// head index (instead of re-slicing ready forward) keeps the backing
-	// array reusable and lets emitted slots be released immediately.
-	ready     []Tuple
-	readyHead int
+	// Anc buffering state: output pairs wait in linked lists threaded
+	// through one node slab (pairs; index 0 is the nil sentinel, freePairs
+	// heads the recycled nodes), so appending a pair, handing a popped
+	// entry's lists to its parent and queueing them as ready output are all
+	// O(1) and allocation-free in steady state. ready is consumed from its
+	// head; a served node drops its tuple and returns to the free list.
+	pairs     []pairNode
+	freePairs int32
+	ready     pairList
 
 	// Batched-mode state: block readers over the inputs, an arena for
 	// tuples that outlive their input batch (stack copies, Anc buffered
@@ -69,8 +75,45 @@ type stackEntry struct {
 	end        xmltree.Pos
 	level      uint16
 	tuple      Tuple
-	selfList   []Tuple // Anc only
-	inheritLst []Tuple // Anc only
+	selfList   pairList // Anc only
+	inheritLst pairList // Anc only
+}
+
+// pairList is a FIFO of buffered output tuples: head and tail index the
+// join's pairs slab, 0 meaning empty.
+type pairList struct{ head, tail int32 }
+
+type pairNode struct {
+	t    Tuple
+	next int32
+}
+
+// addPair appends t to l.
+func (j *StackTreeJoin) addPair(l *pairList, t Tuple) {
+	n := j.freePairs
+	if n != 0 {
+		j.freePairs = j.pairs[n].next
+	} else {
+		if len(j.pairs) == 0 {
+			j.pairs = append(j.pairs, pairNode{}) // the nil sentinel
+		}
+		j.pairs = append(j.pairs, pairNode{})
+		n = int32(len(j.pairs) - 1)
+	}
+	j.pairs[n] = pairNode{t: t}
+	j.concat(l, pairList{head: n, tail: n})
+}
+
+// concat moves every tuple of src to the end of dst.
+func (j *StackTreeJoin) concat(dst *pairList, src pairList) {
+	switch {
+	case src.head == 0:
+	case dst.head == 0:
+		*dst = src
+	default:
+		j.pairs[dst.tail].next = src.head
+		dst.tail = src.tail
+	}
 }
 
 // NewStackTreeJoin joins left (ordered by pattern node anc) with right
@@ -182,10 +225,10 @@ func (j *StackTreeJoin) matches(e *stackEntry, dLevel uint16) bool {
 
 // push moves the current left tuple onto the stack (after expiring dead
 // entries) and advances the left input.
-func (j *StackTreeJoin) push(expireBefore xmltree.Pos, collect func(*stackEntry)) error {
-	j.expire(expireBefore, collect)
+func (j *StackTreeJoin) push(expireBefore xmltree.Pos) error {
+	j.expire(expireBefore)
 	a := j.lTuple[j.lCol]
-	j.stack = append(j.stack, &stackEntry{
+	j.stack = append(j.stack, stackEntry{
 		t:     a,
 		end:   j.doc.End(a),
 		level: j.doc.Level(a),
@@ -200,10 +243,10 @@ func (j *StackTreeJoin) push(expireBefore xmltree.Pos, collect func(*stackEntry)
 // pushBatch is push for the batched drivers: the left tuple aliases the left
 // reader's reusable batch, so the stack entry gets an arena copy, and the
 // input advances through the reader.
-func (j *StackTreeJoin) pushBatch(expireBefore xmltree.Pos, collect func(*stackEntry)) error {
-	j.expire(expireBefore, collect)
+func (j *StackTreeJoin) pushBatch(expireBefore xmltree.Pos) error {
+	j.expire(expireBefore)
 	a := j.lTuple[j.lCol]
-	j.stack = append(j.stack, &stackEntry{
+	j.stack = append(j.stack, stackEntry{
 		t:     a,
 		end:   j.doc.End(a),
 		level: j.doc.Level(a),
@@ -215,19 +258,22 @@ func (j *StackTreeJoin) pushBatch(expireBefore xmltree.Pos, collect func(*stackE
 	return err
 }
 
-// expire pops entries whose region ends before pos; collect (may be nil)
-// observes each popped entry in top-to-bottom order.
-func (j *StackTreeJoin) expire(pos xmltree.Pos, collect func(*stackEntry)) {
-	for len(j.stack) > 0 {
-		top := j.stack[len(j.stack)-1]
-		if top.end >= pos {
-			return
-		}
-		j.stack = j.stack[:len(j.stack)-1]
-		j.ctx.Stats.StackOps++
-		if collect != nil {
-			collect(top)
-		}
+// expire pops entries whose region ends before pos, top to bottom.
+func (j *StackTreeJoin) expire(pos xmltree.Pos) {
+	for len(j.stack) > 0 && j.stack[len(j.stack)-1].end < pos {
+		j.pop()
+	}
+}
+
+// pop removes the top entry; in the Anc variant its buffered output is
+// released.
+func (j *StackTreeJoin) pop() {
+	top := j.stack[len(j.stack)-1]
+	j.stack[len(j.stack)-1] = stackEntry{} // do not pin the tuple
+	j.stack = j.stack[:len(j.stack)-1]
+	j.ctx.Stats.StackOps++
+	if j.algo != plan.AlgoDesc {
+		j.release(top)
 	}
 }
 
@@ -235,32 +281,29 @@ func (j *StackTreeJoin) expire(pos xmltree.Pos, collect func(*stackEntry)) {
 func (j *StackTreeJoin) nextDesc() (Tuple, bool, error) {
 	for {
 		// Drain pending emissions for the current right tuple first.
-		for j.emitIdx < len(j.emit) {
-			e := j.emit[j.emitIdx]
+		for j.emitIdx < j.emitEnd {
+			e := &j.stack[j.emitIdx]
 			j.emitIdx++
 			if j.matches(e, j.doc.Level(j.emitR[j.rCol])) {
 				return j.joined(e, j.emitR), true, nil
 			}
 		}
-		// Keep emit's backing array: the next stack snapshot reuses it
-		// instead of allocating per right tuple.
-		j.emit, j.emitR = j.emit[:0], nil
+		j.emitR = nil
 
 		if !j.rOK {
 			return nil, false, nil // no right input left: join is done
 		}
 		dStart := j.doc.Start(j.rTuple[j.rCol])
 		if j.lOK && j.doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(j.doc.Start(j.lTuple[j.lCol]), nil); err != nil {
+			if err := j.push(j.doc.Start(j.lTuple[j.lCol])); err != nil {
 				return nil, false, err
 			}
 			continue
 		}
 		// Process the right tuple against the stack.
-		j.expire(dStart, nil)
+		j.expire(dStart)
 		if len(j.stack) > 0 {
-			j.emit = append(j.emit[:0], j.stack...)
-			j.emitIdx = 0
+			j.emitIdx, j.emitEnd = 0, len(j.stack)
 			j.emitR = j.rTuple
 		}
 		var err error
@@ -300,20 +343,20 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 	doc := j.doc
 	for {
 		// Drain pending emissions for the current right tuple first.
-		if j.emitIdx < len(j.emit) {
+		if j.emitIdx < j.emitEnd {
 			dLevel := doc.Level(j.emitR[j.rCol])
-			for j.emitIdx < len(j.emit) {
+			for j.emitIdx < j.emitEnd {
 				if b.Full() {
 					return nil
 				}
-				e := j.emit[j.emitIdx]
+				e := &j.stack[j.emitIdx]
 				j.emitIdx++
 				if j.matches(e, dLevel) {
 					b.AppendPair(e.tuple, j.emitR)
 				}
 			}
 		}
-		j.emit, j.emitR = j.emit[:0], nil
+		j.emitR = nil
 
 		if !j.rOK {
 			return nil // no right input left: join is done
@@ -323,7 +366,7 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol]), nil); err != nil {
+			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol])); err != nil {
 				return err
 			}
 			continue
@@ -336,11 +379,10 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 		// Process the right tuple against the stack. The emission snapshot
 		// must survive advancing the right reader (which may refill its
 		// batch), so the right tuple is copied into the join-owned buffer.
-		j.expire(dStart, nil)
+		j.expire(dStart)
 		if len(j.stack) > 0 {
 			j.emitRBuf = append(j.emitRBuf[:0], j.rTuple...)
-			j.emit = append(j.emit[:0], j.stack...)
-			j.emitIdx = 0
+			j.emitIdx, j.emitEnd = 0, len(j.stack)
 			j.emitR = j.emitRBuf
 		}
 		var err error
@@ -351,24 +393,23 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 	}
 }
 
-// popReady serves the head of the ready queue and releases its slot; once
-// the queue drains the backing array is reset for reuse, so neither it nor
-// the emitted tuples stay pinned.
+// popReady serves the head of the ready queue; its node drops the tuple (so
+// served output is not pinned) and goes back on the free list.
 func (j *StackTreeJoin) popReady() Tuple {
-	t := j.ready[j.readyHead]
-	j.ready[j.readyHead] = nil
-	j.readyHead++
-	if j.readyHead == len(j.ready) {
-		j.ready = j.ready[:0]
-		j.readyHead = 0
+	n := j.ready.head
+	t := j.pairs[n].t
+	if j.ready.head = j.pairs[n].next; j.ready.head == 0 {
+		j.ready.tail = 0
 	}
+	j.pairs[n] = pairNode{next: j.freePairs}
+	j.freePairs = n
 	return t
 }
 
 // nextAnc is the Stack-Tree-Anc driver.
 func (j *StackTreeJoin) nextAnc() (Tuple, bool, error) {
 	for {
-		if j.readyHead < len(j.ready) {
+		if j.ready.head != 0 {
 			return j.popReady(), true, nil
 		}
 		if !j.rOK {
@@ -376,10 +417,7 @@ func (j *StackTreeJoin) nextAnc() (Tuple, bool, error) {
 			// stack, bottom-most last (it owns the earliest output).
 			if len(j.stack) > 0 {
 				for len(j.stack) > 0 {
-					top := j.stack[len(j.stack)-1]
-					j.stack = j.stack[:len(j.stack)-1]
-					j.ctx.Stats.StackOps++
-					j.release(top)
+					j.pop()
 				}
 				continue
 			}
@@ -387,16 +425,16 @@ func (j *StackTreeJoin) nextAnc() (Tuple, bool, error) {
 		}
 		dStart := j.doc.Start(j.rTuple[j.rCol])
 		if j.lOK && j.doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(j.doc.Start(j.lTuple[j.lCol]), j.release); err != nil {
+			if err := j.push(j.doc.Start(j.lTuple[j.lCol])); err != nil {
 				return nil, false, err
 			}
 			continue
 		}
-		j.expire(dStart, j.release)
+		j.expire(dStart)
 		dLevel := j.doc.Level(j.rTuple[j.rCol])
-		for _, e := range j.stack {
-			if j.matches(e, dLevel) {
-				e.selfList = append(e.selfList, j.joined(e, j.rTuple))
+		for i := range j.stack {
+			if e := &j.stack[i]; j.matches(e, dLevel) {
+				j.addPair(&e.selfList, j.joined(e, j.rTuple))
 				j.ctx.Stats.BufferedPairs++
 			}
 		}
@@ -412,8 +450,8 @@ func (j *StackTreeJoin) nextAnc() (Tuple, bool, error) {
 func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 	doc := j.doc
 	for {
-		if j.readyHead < len(j.ready) {
-			for j.readyHead < len(j.ready) {
+		if j.ready.head != 0 {
+			for j.ready.head != 0 {
 				if b.Full() {
 					return nil
 				}
@@ -424,10 +462,7 @@ func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 		if !j.rOK {
 			if len(j.stack) > 0 {
 				for len(j.stack) > 0 {
-					top := j.stack[len(j.stack)-1]
-					j.stack = j.stack[:len(j.stack)-1]
-					j.ctx.Stats.StackOps++
-					j.release(top)
+					j.pop()
 				}
 				continue
 			}
@@ -438,7 +473,7 @@ func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol]), j.release); err != nil {
+			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol])); err != nil {
 				return err
 			}
 			continue
@@ -448,13 +483,13 @@ func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 		} else if skipped {
 			continue
 		}
-		j.expire(dStart, j.release)
+		j.expire(dStart)
 		dLevel := doc.Level(j.rTuple[j.rCol])
-		for _, e := range j.stack {
-			if j.matches(e, dLevel) {
+		for i := range j.stack {
+			if e := &j.stack[i]; j.matches(e, dLevel) {
 				// Buffered pairs outlive the right reader's batch, so they
 				// are built in the arena, not with per-pair allocations.
-				e.selfList = append(e.selfList, j.arena.joined(e.tuple, j.rTuple))
+				j.addPair(&e.selfList, j.arena.joined(e.tuple, j.rTuple))
 				j.ctx.Stats.BufferedPairs++
 			}
 		}
@@ -470,13 +505,12 @@ func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 // remains on the stack, the popped entry's output must wait for it (its
 // ancestor column starts earlier), so it is appended to that entry's
 // inherit list; otherwise the output is final and moves to the ready queue.
-func (j *StackTreeJoin) release(e *stackEntry) {
+func (j *StackTreeJoin) release(e stackEntry) {
 	out := e.selfList
-	out = append(out, e.inheritLst...)
+	j.concat(&out, e.inheritLst)
 	if len(j.stack) > 0 {
-		parent := j.stack[len(j.stack)-1]
-		parent.inheritLst = append(parent.inheritLst, out...)
+		j.concat(&j.stack[len(j.stack)-1].inheritLst, out)
 		return
 	}
-	j.ready = append(j.ready, out...)
+	j.concat(&j.ready, out)
 }

@@ -1,0 +1,186 @@
+package exec
+
+import (
+	"slices"
+
+	"sjos/internal/xmltree"
+)
+
+// MatchSet is a query result in flat form: row i is
+// Nodes[i*Width:(i+1)*Width], with slot u holding the node bound to pattern
+// node u. It is the one representation a match has between the root
+// operator and the caller: Collect fills it straight from operator output,
+// and everything above re-slices it instead of copying rows.
+type MatchSet struct {
+	Width int
+	Nodes []xmltree.NodeID
+}
+
+// Len returns the number of rows.
+func (m MatchSet) Len() int {
+	if m.Width == 0 {
+		return 0
+	}
+	return len(m.Nodes) / m.Width
+}
+
+// Row returns row i as a view into the backing array.
+func (m MatchSet) Row(i int) Tuple {
+	return Tuple(m.Nodes[i*m.Width : (i+1)*m.Width : (i+1)*m.Width])
+}
+
+// Slice returns rows [lo, hi) as a match set sharing m's backing array.
+func (m MatchSet) Slice(lo, hi int) MatchSet {
+	return MatchSet{Width: m.Width, Nodes: m.Nodes[lo*m.Width : hi*m.Width : hi*m.Width]}
+}
+
+// Tuples returns the rows as a []Tuple: one header slice whose elements
+// alias the backing array (the compatibility view of the pre-flat API).
+func (m MatchSet) Tuples() []Tuple {
+	out := make([]Tuple, m.Len())
+	for i := range out {
+		out[i] = m.Row(i)
+	}
+	return out
+}
+
+// collector fills a MatchSet from root-operator output, moving every value
+// from its schema slot to its pattern-node slot on the way in — the single
+// copy a result row gets.
+type collector struct {
+	set      MatchSet
+	perm     []int // schema slot -> pattern node
+	identity bool  // perm is 0..Width-1: rows can be copied in bulk
+}
+
+func newCollector(s *Schema, n int) *collector {
+	c := &collector{set: MatchSet{Width: n}, perm: s.Cols(), identity: s.Width() == n}
+	for slot, pn := range c.perm {
+		c.identity = c.identity && slot == pn
+	}
+	return c
+}
+
+// extend makes room for rows more rows and returns their (zeroed) storage.
+// Capacity at least doubles on growth, so a result is allocated O(log n)
+// times and at most ~3x its final size in total.
+func (c *collector) extend(rows int) []xmltree.NodeID {
+	base, n := len(c.set.Nodes), rows*c.set.Width
+	if base+n > cap(c.set.Nodes) {
+		c.set.Nodes = slices.Grow(c.set.Nodes, max(n, base))
+	}
+	c.set.Nodes = c.set.Nodes[:base+n]
+	return c.set.Nodes[base:]
+}
+
+func (c *collector) appendBatch(b *Batch) {
+	dst := c.extend(b.Len())
+	if c.identity {
+		copy(dst, b.buf)
+		return
+	}
+	w := c.set.Width
+	for i, n := 0, b.Len(); i < n; i++ {
+		row, out := b.Row(i), dst[i*w:(i+1)*w]
+		for slot, pn := range c.perm {
+			out[pn] = row[slot]
+		}
+	}
+}
+
+func (c *collector) appendTuple(t Tuple) {
+	out := c.extend(1)
+	for slot, pn := range c.perm {
+		out[pn] = t[slot]
+	}
+}
+
+// pullBatches opens op, hands every root batch to sink (valid only during
+// the call) and closes op, polling ctx.Interrupt once per batch.
+func pullBatches(ctx *Context, op Operator, sink func(*Batch)) error {
+	bop := AsBatchOperator(op)
+	if err := op.Open(ctx); err != nil {
+		return err
+	}
+	b := NewBatch(op.Schema().Width())
+	for {
+		if ctx.Interrupt != nil {
+			if err := ctx.Interrupt(); err != nil {
+				op.Close()
+				return err
+			}
+		}
+		if err := bop.NextBatch(b); err != nil {
+			op.Close()
+			return err
+		}
+		if b.Len() == 0 {
+			return op.Close()
+		}
+		ctx.Stats.Batches++
+		sink(b)
+	}
+}
+
+// pullTuples is pullBatches for the tuple-at-a-time contract, polling
+// ctx.Interrupt every 64 tuples.
+func pullTuples(ctx *Context, op Operator, sink func(Tuple)) error {
+	if err := op.Open(ctx); err != nil {
+		return err
+	}
+	for n := 0; ; n++ {
+		if n&63 == 0 && ctx.Interrupt != nil {
+			if err := ctx.Interrupt(); err != nil {
+				op.Close()
+				return err
+			}
+		}
+		t, ok, err := op.Next()
+		if err != nil {
+			op.Close()
+			return err
+		}
+		if !ok {
+			return op.Close()
+		}
+		sink(t)
+	}
+}
+
+// Collect runs op to completion and returns its output as a match set over
+// n pattern nodes, in pattern-node order. batched selects the execution
+// mode at the root: NextBatch through the whole tree, or Next per tuple.
+// Either way a row is copied exactly once, from operator output into the
+// set's backing array.
+func Collect(ctx *Context, op Operator, n int, batched bool) (MatchSet, error) {
+	c := newCollector(op.Schema(), n)
+	var err error
+	if batched {
+		err = pullBatches(ctx, op, c.appendBatch)
+	} else {
+		err = pullTuples(ctx, op, c.appendTuple)
+	}
+	if err != nil {
+		return MatchSet{}, err
+	}
+	ctx.Stats.OutputTuples = c.set.Len()
+	return c.set, nil
+}
+
+// Count runs op to completion, returning only the output cardinality; on
+// the batched path it never touches row contents, so counting costs one
+// virtual call per batch.
+func Count(ctx *Context, op Operator, batched bool) (int, error) {
+	n := 0
+	var err error
+	if batched {
+		err = pullBatches(ctx, op, func(b *Batch) { n += b.Len() })
+	} else {
+		err = pullTuples(ctx, op, func(Tuple) { n++ })
+	}
+	if err != nil {
+		return 0, err
+	}
+	ctx.Stats.OutputTuples = n
+	return n, nil
+}

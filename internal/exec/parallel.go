@@ -90,9 +90,9 @@ func (pe *ParallelExec) ranges(c *Context, pat *pattern.Pattern) []storage.Range
 }
 
 // Run executes p over disjoint partitions and returns the concatenated
-// result: the same tuples, in the same (document) order, as exec.Run. ctx
+// result: the same rows, in the same (document) order, as exec.Run. ctx
 // cancels in-flight partitions; base collects the merged statistics.
-func (pe *ParallelExec) Run(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node) ([]Tuple, error) {
+func (pe *ParallelExec) Run(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node) (MatchSet, error) {
 	return pe.run(ctx, base, pat, p, -1)
 }
 
@@ -100,7 +100,7 @@ func (pe *ParallelExec) Run(ctx context.Context, base *Context, pat *pattern.Pat
 // order). Each partition produces at most n tuples, and as soon as an
 // order-prefix of completed partitions holds n tuples the remaining
 // workers are cancelled — the parallel counterpart of Limit's early Close.
-func (pe *ParallelExec) RunLimit(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node, n int) ([]Tuple, error) {
+func (pe *ParallelExec) RunLimit(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node, n int) (MatchSet, error) {
 	if n < 0 {
 		n = 0
 	}
@@ -115,14 +115,8 @@ func (pe *ParallelExec) RunCount(ctx context.Context, base *Context, pat *patter
 		return pe.countSerial(base, pat, p)
 	}
 	counts := make([]int, len(parts))
-	err := pe.forEachPartition(ctx, base, pat, p, parts, func(cctx context.Context, i int, local *Context, root Operator) error {
-		var n int
-		var err error
-		if pe.Batch {
-			n, err = drainCountBatched(cctx, local, root)
-		} else {
-			n, err = drainCount(cctx, local, root)
-		}
+	err := pe.forEachPartition(ctx, base, pat, p, parts, func(i int, local *Context, root Operator) error {
+		n, err := Count(local, root, pe.Batch)
 		counts[i] = n
 		return err
 	})
@@ -142,10 +136,9 @@ func (pe *ParallelExec) RunCount(ctx context.Context, base *Context, pat *patter
 // cooperative cancel, not a failure.
 var errLimitSatisfied = errors.New("exec: parallel limit satisfied")
 
-// run is the shared tuple-collecting driver: limit < 0 collects
-// everything, limit >= 0 stops after the first limit tuples of the
-// concatenated output.
-func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node, limit int) ([]Tuple, error) {
+// run is the shared row-collecting driver: limit < 0 collects everything,
+// limit >= 0 stops after the first limit rows of the concatenated output.
+func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node, limit int) (MatchSet, error) {
 	parts := pe.ranges(base, pat)
 	if len(parts) == 1 {
 		// Degenerate split (K=1, unknown root tag, or a document whose
@@ -153,102 +146,77 @@ func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pat
 		return pe.runSerial(base, pat, p, limit)
 	}
 
-	outs := make([][]Tuple, len(parts))
+	outs := make([]MatchSet, len(parts))
 	done := make([]bool, len(parts))
-	var mu sync.Mutex // guards done and the prefix check
-	err := pe.forEachPartition(ctx, base, pat, p, parts, func(cctx context.Context, i int, local *Context, root Operator) error {
-		var rootOp Operator = root
+	var mu sync.Mutex // guards outs, done and the prefix check
+	err := pe.forEachPartition(ctx, base, pat, p, parts, func(i int, local *Context, root Operator) error {
 		if limit >= 0 {
-			// Each partition needs at most `limit` tuples: the final
+			// Each partition needs at most `limit` rows: the final
 			// answer is an order-prefix of the concatenation.
-			rootOp = NewLimit(root, limit)
+			root = NewLimit(root, limit)
 		}
-		var out []Tuple
-		var err error
-		if pe.Batch {
-			out, err = drainTuplesBatched(cctx, local, rootOp)
-		} else {
-			out, err = drainTuples(cctx, local, rootOp)
-		}
+		out, err := Collect(local, root, pat.N(), pe.Batch)
 		if err != nil {
 			return err
 		}
-		outs[i] = NormalizeAll(root.Schema(), pat.N(), out)
+		mu.Lock()
+		defer mu.Unlock()
+		outs[i], done[i] = out, true
 		if limit >= 0 {
-			mu.Lock()
-			done[i] = true
 			got := 0
 			for j := 0; j < len(parts) && done[j]; j++ {
-				got += len(outs[j])
+				got += outs[j].Len()
 			}
-			mu.Unlock()
 			if got >= limit {
 				return errLimitSatisfied
 			}
-		} else {
-			mu.Lock()
-			done[i] = true
-			mu.Unlock()
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return MatchSet{}, err
 	}
 
 	// Ordered append: partitions tile the position space in order, and
 	// every column of a match stays inside its partition's range, so
-	// concatenation preserves the plan's output order globally. Under a
-	// limit, only the complete prefix of partitions is consulted — later
-	// partitions may have been cancelled.
+	// concatenation — one bulk copy per partition — preserves the plan's
+	// output order globally. Under a limit, only the complete prefix of
+	// partitions is consulted — later partitions may have been cancelled.
 	total := 0
-	for i, out := range outs {
-		if !done[i] {
-			break
-		}
-		total += len(out)
+	for i := 0; i < len(parts) && done[i]; i++ {
+		total += outs[i].Len()
 	}
 	if limit >= 0 && total > limit {
 		total = limit
 	}
-	result := make([]Tuple, 0, total)
-	for _, out := range outs {
-		for _, t := range out {
-			if len(result) == total {
-				return finishRun(base, result), nil
-			}
-			result = append(result, t)
-		}
+	w := pat.N()
+	result := MatchSet{Width: w, Nodes: make([]xmltree.NodeID, 0, total*w)}
+	for i := 0; i < len(parts) && done[i]; i++ {
+		room := total*w - len(result.Nodes)
+		result.Nodes = append(result.Nodes, outs[i].Nodes[:min(room, len(outs[i].Nodes))]...)
 	}
-	return finishRun(base, result), nil
+	// Limit trimming may discard rows a partition already counted.
+	base.Stats.OutputTuples = total
+	return result, nil
 }
 
 // runSerial is the degenerate single-partition path of run. It carries the
 // same panic guarantee as the partitioned path: a panicking operator
 // surfaces as a *PanicError, never as a process crash.
-func (pe *ParallelExec) runSerial(base *Context, pat *pattern.Pattern, p *plan.Node, limit int) (out []Tuple, err error) {
+func (pe *ParallelExec) runSerial(base *Context, pat *pattern.Pattern, p *plan.Node, limit int) (out MatchSet, err error) {
 	defer func() {
 		if perr := RecoverPanic(recover()); perr != nil {
-			out, err = nil, perr
+			out, err = MatchSet{}, perr
 		}
 	}()
 	op, err := pe.build(pat, p)
 	if err != nil {
-		return nil, err
+		return MatchSet{}, err
 	}
-	var root Operator = op
 	if limit >= 0 {
-		root = NewLimit(op, limit)
+		op = NewLimit(op, limit)
 	}
-	if pe.Batch {
-		out, err = DrainBatched(base, root)
-	} else {
-		out, err = Drain(base, root)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return NormalizeAll(op.Schema(), pat.N(), out), nil
+	return Collect(base, op, pat.N(), pe.Batch)
 }
 
 // countSerial is runSerial for RunCount.
@@ -262,17 +230,7 @@ func (pe *ParallelExec) countSerial(base *Context, pat *pattern.Pattern, p *plan
 	if err != nil {
 		return 0, err
 	}
-	if pe.Batch {
-		return CountBatched(base, op)
-	}
-	return Count(base, op)
-}
-
-// finishRun fixes up the merged OutputTuples counter (limit trimming may
-// discard tuples a partition already counted).
-func finishRun(base *Context, result []Tuple) []Tuple {
-	base.Stats.OutputTuples = len(result)
-	return result
+	return Count(base, op, pe.Batch)
 }
 
 // forEachPartition runs body for every partition on a bounded worker pool.
@@ -286,7 +244,7 @@ func (pe *ParallelExec) forEachPartition(
 	pat *pattern.Pattern,
 	p *plan.Node,
 	parts []storage.Range,
-	body func(cctx context.Context, i int, local *Context, root Operator) error,
+	body func(i int, local *Context, root Operator) error,
 ) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -318,7 +276,7 @@ func (pe *ParallelExec) forEachPartition(
 					Ctx:       cctx,
 					Interrupt: cctx.Err,
 				}
-				err := pe.runPartition(pat, p, cctx, i, local, body)
+				err := pe.runPartition(pat, p, i, local, body)
 				mu.Lock()
 				base.Stats.Add(local.Stats)
 				switch {
@@ -348,10 +306,9 @@ func (pe *ParallelExec) forEachPartition(
 func (pe *ParallelExec) runPartition(
 	pat *pattern.Pattern,
 	p *plan.Node,
-	cctx context.Context,
 	i int,
 	local *Context,
-	body func(cctx context.Context, i int, local *Context, root Operator) error,
+	body func(i int, local *Context, root Operator) error,
 ) (err error) {
 	defer func() {
 		if perr := RecoverPanic(recover()); perr != nil {
@@ -362,132 +319,5 @@ func (pe *ParallelExec) runPartition(
 	if err != nil {
 		return err
 	}
-	return body(cctx, i, local, root)
-}
-
-// drainTuples runs root to completion on local, polling cctx between
-// batches of output tuples so cancelled queries stop promptly.
-func drainTuples(cctx context.Context, local *Context, root Operator) ([]Tuple, error) {
-	if err := root.Open(local); err != nil {
-		return nil, err
-	}
-	var out []Tuple
-	for {
-		if len(out)&63 == 0 {
-			if err := cctx.Err(); err != nil {
-				root.Close()
-				return nil, err
-			}
-		}
-		t, ok, err := root.Next()
-		if err != nil {
-			root.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := root.Close(); err != nil {
-		return nil, err
-	}
-	local.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// drainTuplesBatched is drainTuples over the batched path, polling cctx
-// once per batch; retained rows are copied out of the reusable batch.
-func drainTuplesBatched(cctx context.Context, local *Context, root Operator) ([]Tuple, error) {
-	bop := AsBatchOperator(root)
-	if err := root.Open(local); err != nil {
-		return nil, err
-	}
-	var (
-		out   []Tuple
-		arena nodeArena
-		b     = NewBatch(root.Schema().Width())
-	)
-	for {
-		if err := cctx.Err(); err != nil {
-			root.Close()
-			return nil, err
-		}
-		if err := bop.NextBatch(b); err != nil {
-			root.Close()
-			return nil, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		local.Stats.Batches++
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, arena.copyTuple(b.Row(i)))
-		}
-	}
-	if err := root.Close(); err != nil {
-		return nil, err
-	}
-	local.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// drainCountBatched is drainCount over the batched path.
-func drainCountBatched(cctx context.Context, local *Context, root Operator) (int, error) {
-	bop := AsBatchOperator(root)
-	if err := root.Open(local); err != nil {
-		return 0, err
-	}
-	n := 0
-	b := NewBatch(root.Schema().Width())
-	for {
-		if err := cctx.Err(); err != nil {
-			root.Close()
-			return 0, err
-		}
-		if err := bop.NextBatch(b); err != nil {
-			root.Close()
-			return 0, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		local.Stats.Batches++
-		n += b.Len()
-	}
-	if err := root.Close(); err != nil {
-		return 0, err
-	}
-	local.Stats.OutputTuples = n
-	return n, nil
-}
-
-// drainCount is drainTuples without materialisation.
-func drainCount(cctx context.Context, local *Context, root Operator) (int, error) {
-	if err := root.Open(local); err != nil {
-		return 0, err
-	}
-	n := 0
-	for {
-		if n&63 == 0 {
-			if err := cctx.Err(); err != nil {
-				root.Close()
-				return 0, err
-			}
-		}
-		_, ok, err := root.Next()
-		if err != nil {
-			root.Close()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := root.Close(); err != nil {
-		return 0, err
-	}
-	local.Stats.OutputTuples = n
-	return n, nil
+	return body(i, local, root)
 }

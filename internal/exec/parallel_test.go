@@ -62,14 +62,14 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 		doc := xmltree.Fold(base, 1+rng.Intn(5))
 		for pi, p := range plans {
 			serialCtx := newCtx(t, doc)
-			want, err := Run(serialCtx, pat, p)
+			want, err := tuples(Run(serialCtx, pat, p, false))
 			if err != nil {
 				t.Fatalf("trial %d plan %d serial: %v", trial, pi, err)
 			}
 			for _, k := range []int{1, 2, 3, 7} {
 				pe := &ParallelExec{Workers: k, Partitions: k}
 				pctx := newCtx(t, doc)
-				got, err := pe.Run(context.Background(), pctx, pat, p)
+				got, err := tuples(pe.Run(context.Background(), pctx, pat, p))
 				if err != nil {
 					t.Fatalf("trial %d plan %d k=%d: %v", trial, pi, k, err)
 				}
@@ -95,7 +95,7 @@ func TestParallelRunCountMatchesSerial(t *testing.T) {
 		base := xmltree.RandomDocument(rng, 2+rng.Intn(120), []string{"a", "b", "c", "d"})
 		doc := xmltree.Fold(base, 1+rng.Intn(4))
 		for pi, p := range plans {
-			want, err := RunCount(newCtx(t, doc), pat, p)
+			want, err := RunCount(newCtx(t, doc), pat, p, false)
 			if err != nil {
 				t.Fatalf("trial %d plan %d serial: %v", trial, pi, err)
 			}
@@ -126,14 +126,14 @@ func TestParallelRunLimitIsSerialPrefix(t *testing.T) {
 	base := xmltree.RandomDocument(rng, 90, []string{"a", "b", "c", "d"})
 	doc := xmltree.Fold(base, 6)
 	for pi, p := range parallelTestPlans() {
-		full, err := Run(newCtx(t, doc), pat, p)
+		full, err := tuples(Run(newCtx(t, doc), pat, p, false))
 		if err != nil {
 			t.Fatalf("plan %d serial: %v", pi, err)
 		}
 		for n := 0; n <= len(full)+2; n++ {
 			pe := &ParallelExec{Workers: 3, Partitions: 5}
 			pctx := newCtx(t, doc)
-			got, err := pe.RunLimit(context.Background(), pctx, pat, p, n)
+			got, err := tuples(pe.RunLimit(context.Background(), pctx, pat, p, n))
 			if err != nil {
 				t.Fatalf("plan %d limit %d: %v", pi, n, err)
 			}
@@ -173,12 +173,12 @@ func TestParallelRunDegenerate(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
 	p := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
-	want, err := Run(newCtx(t, doc), pat, p)
+	want, err := tuples(Run(newCtx(t, doc), pat, p, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pe := &ParallelExec{Workers: 1, Partitions: 1}
-	got, err := pe.Run(context.Background(), newCtx(t, doc), pat, p)
+	got, err := tuples(pe.Run(context.Background(), newCtx(t, doc), pat, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestParallelRunDegenerate(t *testing.T) {
 	missing := pattern.MustParse("//ghost//name")
 	mp := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
 	pe = &ParallelExec{Workers: 4, Partitions: 4}
-	out, err := pe.Run(context.Background(), newCtx(t, doc), missing, mp)
+	out, err := tuples(pe.Run(context.Background(), newCtx(t, doc), missing, mp))
 	if err != nil {
 		t.Fatal(err)
 	}

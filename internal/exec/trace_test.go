@@ -21,7 +21,7 @@ func TestTraceBuilderSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(newCtx(t, doc), op)
+	n, err := Count(newCtx(t, doc), op, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTraceBuilderMultipleClones(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := Count(newCtx(t, doc), op)
+		n, err := Count(newCtx(t, doc), op, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestTraceBuilderMatchesPlainExecution(t *testing.T) {
 	pat := pattern.MustParse("//manager[.//employee]//name")
 	me := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoAnc)
 	men := plan.NewJoin(me, plan.NewIndexScan(2), 0, 2, pattern.Descendant, plan.AlgoAnc)
-	plain, err := RunCount(newCtx(t, doc), pat, men)
+	plain, err := RunCount(newCtx(t, doc), pat, men, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTraceBuilderMatchesPlainExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(newCtx(t, doc), op)
+	n, err := Count(newCtx(t, doc), op, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sjos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"sjos/internal/histogram"
@@ -175,4 +176,23 @@ func (db *Database) RenderMatch(pat *Pattern, m Match) string {
 // "~" = substring containment) for callers building their own filters.
 func EvalPredicate(value string, op pattern.CmpOp, rhs string) bool {
 	return histogram.EvalPredicate(value, op, rhs)
+}
+
+// AppendCell appends the display form of one matched node to dst — tag="value"
+// (Go-quoted, as %q prints it) when the node has text, tag#id otherwise — and
+// returns the extended slice. It is the one cell format xqrun, xqshell and
+// xqserve print.
+func AppendCell(dst []byte, tag, value string, id NodeID) []byte {
+	dst = append(dst, tag...)
+	if value == "" {
+		return strconv.AppendUint(append(dst, '#'), uint64(id), 10)
+	}
+	dst = append(dst, '=')
+	for i := 0; i < len(value); i++ {
+		if b := value[i]; b < ' ' || b > '~' || b == '"' || b == '\\' {
+			return strconv.AppendQuote(dst, value)
+		}
+	}
+	// Printable ASCII with nothing to escape quotes to itself.
+	return append(append(append(dst, '"'), value...), '"')
 }

@@ -332,6 +332,10 @@ type RunResult struct {
 	// RunOptions.Trace was set). Under parallel execution the counters
 	// merge every partition clone of each operator.
 	Trace *OpTrace
+
+	// set is the flat match set the executor filled; Matches is a view
+	// whose rows alias it (see DESIGN.md, result path).
+	set exec.MatchSet
 }
 
 // Run executes a plan for pat under ctx. It is the single execution entry
@@ -405,7 +409,11 @@ func (s *service) recordPanic(pat *Pattern, perr error) {
 
 // run is Run without the metrics observation, on the current snapshot.
 func (db *Database) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
-	return db.runOn(ctx, db.view(), pat, p, opts)
+	res, err := db.runOn(ctx, db.view(), pat, p, opts)
+	if err == nil && !opts.CountOnly {
+		res.Matches = res.set.Tuples()
+	}
+	return res, err
 }
 
 // runOn executes a plan against one pinned snapshot: the whole run reads
@@ -440,80 +448,45 @@ func (db *Database) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan
 	}
 	ectx := &exec.Context{Ctx: ctx, Doc: sn.doc, Store: sn.store}
 	res := &RunResult{}
+	// A limited count still collects its (at most Limit) rows; only an
+	// unlimited count skips materialisation altogether.
+	countOnly := opts.CountOnly && opts.Limit <= 0
+	var err error
 	if workers > 0 {
-		pe := &exec.ParallelExec{Workers: workers, Batch: !opts.NoBatch}
-		if tb != nil {
-			pe.BuildOp = tb.Build
-		}
+		pe := &exec.ParallelExec{Workers: workers, Batch: !opts.NoBatch, BuildOp: buildOp}
 		switch {
+		case countOnly:
+			res.Count, err = pe.RunCount(ctx, ectx, pat, p)
 		case opts.Limit > 0:
-			out, err := pe.RunLimit(ctx, ectx, pat, p, opts.Limit)
-			if err != nil {
-				return nil, err
-			}
-			res.Count = len(out)
-			if !opts.CountOnly {
-				res.Matches = out
-			}
-		case opts.CountOnly:
-			n, err := pe.RunCount(ctx, ectx, pat, p)
-			if err != nil {
-				return nil, err
-			}
-			res.Count = n
+			res.set, err = pe.RunLimit(ctx, ectx, pat, p, opts.Limit)
 		default:
-			out, err := pe.Run(ctx, ectx, pat, p)
-			if err != nil {
-				return nil, err
+			res.set, err = pe.Run(ctx, ectx, pat, p)
+		}
+	} else {
+		if ctx.Done() != nil {
+			ectx.Interrupt = ctx.Err
+		}
+		var op exec.Operator
+		if op, err = buildOp(); err != nil {
+			return nil, err
+		}
+		// The driver picks the execution mode at the root (NextBatch
+		// through the whole tree, or Next per tuple); the operator tree
+		// itself is mode-agnostic.
+		if countOnly {
+			res.Count, err = exec.Count(ectx, op, !opts.NoBatch)
+		} else {
+			if opts.Limit > 0 {
+				op = exec.NewLimit(op, opts.Limit)
 			}
-			res.Matches, res.Count = out, len(out)
+			res.set, err = exec.Collect(ectx, op, pat.N(), !opts.NoBatch)
 		}
-		res.Stats = ectx.Stats
-		if tb != nil {
-			res.Trace = tb.Trace()
-		}
-		return res, nil
 	}
-	if ctx.Done() != nil {
-		ectx.Interrupt = ctx.Err
-	}
-	op, err := buildOp()
 	if err != nil {
 		return nil, err
 	}
-	// The driver picks the execution mode at the root: DrainBatched/
-	// CountBatched pull NextBatch through the whole tree, Drain/Count pull
-	// tuples. The operator tree itself is mode-agnostic.
-	drain := exec.Drain
-	count := exec.Count
-	if !opts.NoBatch {
-		drain = exec.DrainBatched
-		count = exec.CountBatched
-	}
-	switch {
-	case opts.Limit > 0:
-		out, err := drain(ectx, exec.NewLimit(op, opts.Limit))
-		if err != nil {
-			return nil, err
-		}
-		out = exec.NormalizeAll(op.Schema(), pat.N(), out)
-		res.Count = len(out)
-		if !opts.CountOnly {
-			res.Matches = out
-		}
-	case opts.CountOnly:
-		n, err := count(ectx, op)
-		if err != nil {
-			return nil, err
-		}
-		res.Count = n
-	default:
-		out, err := drain(ectx, op)
-		if err != nil {
-			return nil, err
-		}
-		res.Matches = exec.NormalizeAll(op.Schema(), pat.N(), out)
-		res.Count = len(res.Matches)
+	if !countOnly {
+		res.Count = res.set.Len()
 	}
 	res.Stats = ectx.Stats
 	if tb != nil {
