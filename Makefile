@@ -22,7 +22,8 @@
 # every WAL write ordinal, torn-tail recovery, and the corpus ingestion
 # suite, all under the race detector. `make churnbench` measures query
 # latency under concurrent WAL-committed document churn into
-# BENCH_churn.json; `make churnquick` is its CI smoke variant.
+# BENCH_churn.json; `make churnquick` is its CI smoke variant. `make loc`
+# prints the code-size table CHANGES.md quotes.
 #
 # BENCH selects the benchmark regexp (default: the partition-parallel
 # executor benches; use BENCH=. for the full table/figure suite — slow).
@@ -30,7 +31,7 @@
 GO    ?= go
 BENCH ?= Parallel
 
-.PHONY: all build test test-race vet check chaos replicachaos walchaos bench benchquick loadbench loadquick replicabench replicaquick plannerbench plannerquick churnbench churnquick clean
+.PHONY: all build test test-race vet check loc chaos replicachaos walchaos bench benchquick loadbench loadquick replicabench replicaquick plannerbench plannerquick churnbench churnquick clean
 
 all: build test
 
@@ -48,6 +49,13 @@ vet:
 
 check: vet test-race
 
+# Code size, one fixed pipeline: non-blank, non-comment-only lines of
+# non-test Go in the root package, internal/exec and cmd/xqserve.
+loc:
+	@for d in . internal/exec cmd/xqserve; do \
+		printf '%-14s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
+	done
+
 # Fault-injection differential suite under the race detector: every
 # optimizer method over an injected-fault store must return the exact
 # fault-free result or a typed error — never a wrong answer or a panic.
@@ -60,7 +68,7 @@ chaos:
 # fail over, recover through probation probes — all under the race detector,
 # with results compared byte-for-byte against a fault-free corpus.
 replicachaos:
-	$(GO) test -race -count=1 -run 'TestCorpusReplica|TestCorpusLimitErrorRace|TestAsCorpusRebuildStats' .
+	$(GO) test -race -count=1 -run 'TestCorpusReplica|TestCorpusLimitErrorRace' .
 	$(GO) test -race -count=1 ./internal/replica/
 
 # Write-path crash suite under the race detector: crash the process at

@@ -278,11 +278,13 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFl
 			return nil, err
 		}
 		defer f.Close()
-		db, err := sjos.LoadXML(f, &opts)
+		c, err := buildCorpus("default", shards, opts, rep, wr, func(b *sjos.CorpusBuilder) error {
+			return b.AddXML(xmlPath, f)
+		})
 		if err != nil {
 			return nil, err
 		}
-		cols.add("default", db.AsCorpus(xmlPath))
+		cols.add("default", c)
 		return cols, nil
 	}
 	c, err := buildDatasetCorpus("default", dataset, docs, shards, fold, opts, rep, wr)
@@ -293,13 +295,29 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFl
 	return cols, nil
 }
 
+// buildDatasetCorpus builds one collection of docs generated documents
+// (distinct seeds); a writable collection may start with none.
 func buildDatasetCorpus(name, dataset string, docs, shards, fold int, opts sjos.Options, rep replication, wr writeConfig) (*sjos.Corpus, error) {
+	if docs < 1 && !wr.enabled {
+		docs = 1
+	}
+	return buildCorpus(name, shards, opts, rep, wr, func(b *sjos.CorpusBuilder) error {
+		for i := 0; i < docs; i++ {
+			id := fmt.Sprintf("%s-%03d", dataset, i)
+			if err := b.AddDataset(id, dataset, 1, fold, int64(1+i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// buildCorpus builds one collection from the flag settings; fill adds its
+// initial documents.
+func buildCorpus(name string, shards int, opts sjos.Options, rep replication, wr writeConfig, fill func(*sjos.CorpusBuilder) error) (*sjos.Corpus, error) {
 	walFile, err := wr.walFileFunc(name)
 	if err != nil {
 		return nil, fmt.Errorf("collection %q: %w", name, err)
-	}
-	if docs < 1 && walFile == nil {
-		docs = 1
 	}
 	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{
 		Options:          opts,
@@ -309,11 +327,8 @@ func buildDatasetCorpus(name, dataset string, docs, shards, fold int, opts sjos.
 		DisableHedging:   rep.hedgeOff,
 		ShardWALFile:     walFile,
 	})
-	for i := 0; i < docs; i++ {
-		id := fmt.Sprintf("%s-%03d", dataset, i)
-		if err := b.AddDataset(id, dataset, 1, fold, int64(1+i)); err != nil {
-			return nil, fmt.Errorf("collection %q: %w", name, err)
-		}
+	if err := fill(b); err != nil {
+		return nil, fmt.Errorf("collection %q: %w", name, err)
 	}
 	return b.Build()
 }

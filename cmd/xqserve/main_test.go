@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,20 +17,32 @@ import (
 	"sjos"
 )
 
-func newServer(t *testing.T) (*sjos.Database, *httptest.Server) {
+// oneDocCorpus builds the read-only single-document collection `xqserve
+// -xml` serves.
+func oneDocCorpus(t *testing.T, id, src string, opts sjos.Options) *sjos.Corpus {
 	t.Helper()
-	db, err := sjos.LoadXMLString(`<db>
-	  <manager><name>alice</name><employee><name>bob</name></employee></manager>
-	  <manager><name>carol</name><department><name>ops</name></department></manager>
-	</db>`, nil)
+	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Options: opts})
+	if err := b.AddXMLString(id, src); err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+func newServer(t *testing.T) (*sjos.Corpus, *httptest.Server) {
+	t.Helper()
+	c := oneDocCorpus(t, "staff.xml", `<db>
+	  <manager><name>alice</name><employee><name>bob</name></employee></manager>
+	  <manager><name>carol</name><department><name>ops</name></department></manager>
+	</db>`, sjos.Options{})
 	cols := &collections{}
-	cols.add("default", db.AsCorpus("staff.xml"))
+	cols.add("default", c)
 	srv := httptest.NewServer(newMux(cols, sjos.MethodDPP))
 	t.Cleanup(srv.Close)
-	return db, srv
+	return c, srv
 }
 
 // newMultiServer serves two collections, the first of them multi-document.
@@ -269,8 +283,8 @@ func TestServeMetrics(t *testing.T) {
 }
 
 func TestServeSlow(t *testing.T) {
-	db, srv := newServer(t)
-	db.SetSlowQueryLog(time.Nanosecond, nil)
+	c, srv := newServer(t)
+	c.SetSlowQueryLog(time.Nanosecond, nil)
 	var r queryResponse
 	getJSON(t, srv.URL+"/query?q=//manager/name", &r)
 	var entries []sjos.SlowQueryEntry
@@ -286,19 +300,14 @@ func TestServeSlow(t *testing.T) {
 
 // TestServeShedsLoad: admission errors surface as 503 + Retry-After, not 400.
 func TestServeShedsLoad(t *testing.T) {
-	db, err := sjos.LoadXMLString(`<db><manager><name>alice</name></manager></db>`,
-		&sjos.Options{MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := oneDocCorpus(t, "solo", `<db><manager><name>alice</name></manager></db>`, sjos.Options{MaxInFlight: 1})
 	cols := &collections{}
-	cols.add("default", db.AsCorpus("solo"))
+	cols.add("default", c)
 	srv := httptest.NewServer(newMux(cols, sjos.MethodDPP))
 	t.Cleanup(srv.Close)
 	// Draining with nothing in flight completes instantly and flips every
-	// later arrival into the shed path — through the shared admission
-	// controller, the corpus view drains with the database.
-	if err := db.Drain(context.Background()); err != nil {
+	// later arrival into the shed path.
+	if err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(srv.URL + "/query?q=//manager/name")
@@ -469,16 +478,36 @@ func TestServeWriteErrors(t *testing.T) {
 	}
 
 	// A read-only collection refuses the method entirely.
-	db, err := sjos.LoadXMLString(`<db><a/></db>`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cols := &collections{}
-	cols.add("default", db.AsCorpus("ro"))
+	cols.add("default", oneDocCorpus(t, "ro", `<db><a/></db>`, sjos.Options{}))
 	ro := httptest.NewServer(newMux(cols, sjos.MethodDPP))
 	t.Cleanup(ro.Close)
 	if resp := do(t, "PUT", ro.URL+"/docs/x", `<db><a/></db>`, nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("read-only PUT: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServeXMLWritable: `-xml f.xml -writable` serves the file from a real
+// write path — a document PUT beside it is matched by the very next query,
+// rows from both documents in one result.
+func TestServeXMLWritable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.xml")
+	if err := os.WriteFile(path, []byte(`<r><x/></r>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := buildCollections("", path, "", 1, 0, 1, 0, 0, replication{perShard: 1}, writeConfig{enabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newMux(cols, sjos.MethodDPP))
+	t.Cleanup(srv.Close)
+	if resp := do(t, "PUT", srv.URL+"/docs/b", `<r><x/><x/></r>`, nil); resp.StatusCode != 200 {
+		t.Fatalf("PUT beside -xml document: status %d", resp.StatusCode)
+	}
+	var qr queryResponse
+	getJSON(t, srv.URL+"/query?q=//r/x", &qr)
+	if qr.Count != 3 || len(qr.Docs) != 3 || qr.Docs[0] != path || qr.Docs[2] != "b" {
+		t.Fatalf("after PUT: %+v, want 1 match in the -xml document and 2 in b", qr)
 	}
 }
 

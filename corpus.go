@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sjos/internal/admission"
 	"sjos/internal/core"
 	"sjos/internal/datagen"
 	"sjos/internal/exec"
@@ -23,26 +22,21 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// CorpusOptions configures corpus construction. The embedded Options apply
-// per shard (pool size, histogram grid, retry policy, value index, cost
-// model, plan-cache capacity) with three corpus-level exceptions:
-// MaxInFlight and QueueDepth bound concurrent queries across the whole
-// corpus (shards themselves admit unconditionally — the corpus is the
-// admission boundary), and DiskPath names a path prefix from which each
-// shard derives its own image file ("<path>.shard-NNN"). Options.PageFile
-// is ignored; use ShardPageFile to inject per-shard page files.
+// CorpusOptions configures corpus construction. Of the embedded Options,
+// the storage settings apply per shard (pool size, histogram grid, retry
+// policy, value index, compaction threshold) and the service settings to
+// the corpus as a whole (cost model, plan-cache capacity; MaxInFlight and
+// QueueDepth bound concurrent queries across the whole corpus — the corpus
+// is the admission boundary). DiskPath names a path prefix from which each
+// shard derives its own image file ("<path>.shard-NNN"). Options.PageFile,
+// WALFile and WALPath are ignored; use ShardPageFile and ShardWALFile to
+// inject per-shard files.
 type CorpusOptions struct {
 	Options
 
 	// Shards is the number of shards documents are distributed over by
 	// consistent hashing of their IDs. <= 0 selects min(#docs, GOMAXPROCS).
 	Shards int
-	// Replicas is the consistent-hash ring's virtual points per shard
-	// (<= 0 selects the default, see internal/shardring).
-	Replicas int
-	// ShardWorkers bounds how many shards one query fans out to
-	// concurrently (<= 0 selects min(#shards, GOMAXPROCS)).
-	ShardWorkers int
 	// ReplicasPerShard is the number of independent store copies built per
 	// shard (<= 0 selects 1). Replicas share the shard's merged forest and
 	// statistics but each has its own page file and buffer pool; queries
@@ -76,18 +70,11 @@ type CorpusOptions struct {
 	ShardWALFile func(shard int) PageFile
 }
 
-// docRef locates a document: the shard holding it and its member index
-// inside that shard's merged forest.
-type docRef struct {
-	shard  int
-	member int
-}
-
-// corpusReplica is one independent copy of a shard's store: its own page
-// file and buffer pool over the same merged forest, plus the health tracker
-// routing decisions consult.
+// corpusReplica is one independent copy of a shard's store: its own engine
+// (page file and buffer pool) over the same merged forest, plus the health
+// tracker routing decisions consult.
 type corpusReplica struct {
-	db     *Database
+	eng    *engine
 	health *replica.Tracker
 	// down marks a follower that failed to apply a committed mutation: its
 	// store has diverged from the shard, so routing skips it permanently
@@ -95,48 +82,24 @@ type corpusReplica struct {
 	down atomic.Bool
 }
 
-// corpusShard is one shard: one or more replica Databases over the merged
-// forest of its member documents, plus the bookkeeping to translate merged
-// node IDs back into per-document ones.
+// corpusShard is one shard: one or more replica engines over the merged
+// forest of its member documents. The bookkeeping to translate merged node
+// IDs back into per-document ones is the member table of each published
+// snapshot, pinned per query.
 type corpusShard struct {
 	id int
 	// replicas holds the shard's store copies; always at least one.
 	replicas []*corpusReplica
 	// rr rotates query routing among the healthy replicas.
 	rr atomic.Uint64
-	// ingest marks a write-enabled shard: its member bookkeeping lives in
-	// the replica Databases' published snapshots (pinned per query), and
-	// members below stays nil.
-	ingest bool
-	// members[i] is static member i's document ID and node range inside the
-	// merged document, in ascending First order (members were merged in
-	// insertion order).
-	members []memberView
-}
-
-// membersOf returns the member table a run on sn is attributed against: the
-// pinned snapshot's for a write-enabled shard, the build-time one otherwise.
-func (sh *corpusShard) membersOf(sn *dbSnap) []memberView {
-	if sh.ingest {
-		return sn.members
-	}
-	return sh.members
-}
-
-// memberIndex finds a document's slot in membersOf(sn); ok is false when sn
-// does not hold the document (directory/snapshot skew under mutations).
-func (sh *corpusShard) memberIndex(sn *dbSnap, docID string, ref docRef) (int, bool) {
-	if sh.ingest {
-		mi, ok := sn.memberIdx[docID]
-		return mi, ok
-	}
-	return ref.member, true
 }
 
 // meta returns the shard's metadata replica: every replica shares the same
-// merged document, tag dictionary and statistics, so replica 0 answers all
-// planning and node-resolution questions regardless of routing health.
-func (sh *corpusShard) meta() *Database { return sh.replicas[0].db }
+// merged document, tag dictionary and member table, and replica 0 is the
+// write path's primary — it owns the WAL and the histogram parts — so it
+// answers all planning and node-resolution questions regardless of routing
+// health.
+func (sh *corpusShard) meta() *engine { return sh.replicas[0].eng }
 
 // routeOrder ranks the shard's replicas for one query: a degraded replica
 // whose half-open probe is due goes first (the query IS the probe — its
@@ -182,12 +145,12 @@ func (sh *corpusShard) routeOrder(now time.Time) []*corpusReplica {
 // insertion order and their shard assignment. It is immutable; mutations
 // publish a fresh view, and every query pins exactly one (mirror of dbSnap).
 type corpusView struct {
-	ids  []string // global document insertion order
-	byID map[string]docRef
+	ids  []string       // global document insertion order
+	byID map[string]int // document ID → owning shard
 }
 
 // corpusState is the shared identity behind a Corpus and all of its
-// WithParallelism views — mirror of dbState.
+// WithParallelism views.
 type corpusState struct {
 	shards []*corpusShard // one per ring shard; nil when no document hashed there
 	ring   *shardring.Ring
@@ -195,13 +158,9 @@ type corpusState struct {
 	model  CostModel
 	svc    *service // corpus-level: merged stats, plan cache, metrics, admission
 	probe  core.ProbeEligibility
-	// shardWorkers bounds scatter fan-out (resolved at Build).
-	shardWorkers int
 
-	// ingest marks a write-enabled corpus (CorpusOptions.ShardWALFile);
-	// ingestMu serialises its mutations (queries never take it).
-	ingest   bool
-	ingestMu sync.Mutex
+	// ingest marks a write-enabled corpus (CorpusOptions.ShardWALFile).
+	ingest bool
 
 	// lat observes successful shard-replica execution latencies; its p95 is
 	// the adaptive hedged-read delay.
@@ -245,8 +204,7 @@ func (cs *corpusState) hedgeDelay() time.Duration {
 // stores its documents as one merged forest (reusing the paged, checksummed
 // store and all indexes), and queries scatter across shards and gather in
 // document order. The Corpus is the primary entry point for multi-document
-// workloads; Database remains the single-document convenience, and
-// Database.AsCorpus adapts one into the other.
+// workloads; Database remains the single-document convenience.
 //
 // Plans are optimized once per query against corpus-wide merged statistics
 // and executed unchanged on every shard — correct because no structural
@@ -336,8 +294,8 @@ func (b *CorpusBuilder) AddDataset(id, name string, scale float64, fold int, see
 func (b *CorpusBuilder) NumPending() int { return len(b.ids) }
 
 // Build assigns the added documents to shards, merges each shard's members
-// into one forest document, and constructs the per-shard stores, indexes
-// and statistics plus the corpus-wide merged statistics.
+// into one forest document, and constructs the per-shard engines plus the
+// corpus-wide service and its merged statistics.
 func (b *CorpusBuilder) Build() (*Corpus, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -350,174 +308,135 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	if shards <= 0 {
 		shards = min(max(len(b.docs), 1), runtime.GOMAXPROCS(0))
 	}
-	ring := shardring.New(shards, b.opts.Replicas)
-	shards = ring.Shards()
+	ring := shardring.New(shards, 0)
 
-	cs := &corpusState{ring: ring, ingest: writable}
+	cs := &corpusState{
+		shards:     make([]*corpusShard, ring.Shards()),
+		ring:       ring,
+		model:      b.opts.model(),
+		svc:        newService(&b.opts.Options),
+		ingest:     writable,
+		fixedHedge: b.opts.HedgeDelay,
+		hedgeOff:   b.opts.DisableHedging,
+	}
 	cv := &corpusView{
 		ids:  append([]string(nil), b.ids...),
-		byID: make(map[string]docRef, len(b.ids)),
+		byID: make(map[string]int, len(b.ids)),
 	}
 	// Group documents by owning shard, preserving global insertion order
 	// within each group.
-	groupDocs := make([][]*xmltree.Document, shards)
-	groupIdx := make([][]int, shards)
+	groups := make([][]seedDoc, len(cs.shards))
 	for gi, id := range b.ids {
 		s := ring.Shard(id)
-		cv.byID[id] = docRef{shard: s, member: len(groupDocs[s])}
-		groupDocs[s] = append(groupDocs[s], b.docs[gi])
-		groupIdx[s] = append(groupIdx[s], gi)
+		cv.byID[id] = s
+		groups[s] = append(groups[s], seedDoc{id: id, doc: b.docs[gi]})
 	}
 
-	rps := b.opts.ReplicasPerShard
-	if rps <= 0 {
-		rps = 1
-	}
+	cfg := b.opts.Options.engineConfig()
 	repCfg := replica.Config{ProbeInterval: b.opts.ReplicaProbeInterval}
-	cs.fixedHedge = b.opts.HedgeDelay
-	cs.hedgeOff = b.opts.DisableHedging
-
-	cs.shards = make([]*corpusShard, shards)
-	var parts []*histogram.Stats
-	for s := 0; s < shards; s++ {
+	for s, group := range groups {
 		// A write-enabled corpus pre-creates every ring shard — a later
 		// insert can hash anywhere; a static corpus skips empty ones.
-		if len(groupDocs[s]) == 0 && !writable {
+		if len(group) == 0 && !writable {
 			continue
 		}
-		sh := &corpusShard{id: s, ingest: writable}
+		sh := &corpusShard{id: s}
+		var merged *xmltree.Document
+		var table []memberView
 		if !writable {
-			merged, spans, err := xmltree.MergeDocuments(groupDocs[s])
-			if err != nil {
+			var err error
+			if merged, table, err = mergeMembers(group); err != nil {
 				return nil, fmt.Errorf("sjos: merging shard %d: %w", s, err)
 			}
-			sh.members = make([]memberView, len(spans))
-			for m, gi := range groupIdx[s] {
-				sh.members[m] = memberView{id: cv.ids[gi], span: spans[m]}
+		}
+		for r := 0; r < max(b.opts.ReplicasPerShard, 1); r++ {
+			file, err := b.shardFile(s, r)
+			var eng *engine
+			switch {
+			case err != nil:
+			case !writable:
+				eng, err = newStaticEngine(merged, table, file, cfg)
+			case r == 0:
+				eng, err = newForestEngine(group, b.opts.ShardWALFile(s), file, cfg)
+			default:
+				// A follower copies the primary's live members, which after
+				// a WAL recovery are not the builder's.
+				eng, err = newForestEngine(sh.meta().liveDocs(), nil, file, cfg)
 			}
-			for r := 0; r < rps; r++ {
-				db, err := fromDocument(merged, b.shardOptions(s, r))
-				if err != nil {
-					return nil, fmt.Errorf("sjos: building shard %d replica %d: %w", s, r, err)
-				}
-				sh.replicas = append(sh.replicas, &corpusReplica{
-					db:     db,
-					health: replica.NewTracker(repCfg),
-				})
+			if err != nil {
+				return nil, fmt.Errorf("sjos: building shard %d replica %d: %w", s, r, err)
 			}
-			parts = append(parts, sh.meta().histStats())
-		} else {
-			seeds := make([]seedDoc, len(groupDocs[s]))
-			for m, doc := range groupDocs[s] {
-				seeds[m] = seedDoc{id: cv.ids[groupIdx[s][m]], doc: doc}
-			}
-			for r := 0; r < rps; r++ {
-				opts := b.shardOptions(s, r)
-				var db *Database
-				var err error
-				if r == 0 {
-					opts.WALFile = b.opts.ShardWALFile(s)
-					db, err = buildIngestDatabase(seeds, opts)
-				} else {
-					db, err = newFollowerIngest(seeds, opts)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("sjos: building shard %d replica %d: %w", s, r, err)
-				}
-				sh.replicas = append(sh.replicas, &corpusReplica{
-					db:     db,
-					health: replica.NewTracker(repCfg),
-				})
-			}
-			parts = append(parts, sh.meta().statsParts()...)
+			sh.replicas = append(sh.replicas, &corpusReplica{eng: eng, health: replica.NewTracker(repCfg)})
 		}
 		cs.shards[s] = sh
-	}
 
-	if writable {
-		// Shards recovered from non-empty WALs hold members the builder
+		// A shard recovered from a non-empty WAL holds members the builder
 		// never saw; fold them into the membership directory. Their global
 		// order is reconstructed shard-grouped (per-shard insertion order
 		// is exact; the interleaving across shards is not logged).
-		seen := make(map[string]bool, len(cv.ids))
-		for _, id := range cv.ids {
-			seen[id] = true
-		}
-		for s, sh := range cs.shards {
-			for _, id := range sh.meta().MemberIDs() {
-				if !seen[id] {
-					seen[id] = true
-					cv.ids = append(cv.ids, id)
-					cv.byID[id] = docRef{shard: s}
-				}
+		for _, m := range sh.meta().view().members {
+			if _, seen := cv.byID[m.id]; !seen {
+				cv.ids = append(cv.ids, m.id)
+				cv.byID[m.id] = s
 			}
 		}
 	}
 
-	grid, cacheCap := b.opts.HistogramGrid, b.opts.PlanCacheCapacity
-	cs.svc = newService(histogram.Merge(parts), grid, cacheCap)
-	cs.svc.admit = admission.New(b.opts.MaxInFlight, b.opts.QueueDepth)
-	cs.model = b.opts.model()
 	cs.probe = corpusProbe{shards: cs.shards}
-	cs.shardWorkers = b.opts.ShardWorkers
 	cs.live.Store(cv)
-	return &Corpus{corpusState: cs}, nil
+	c := &Corpus{corpusState: cs}
+	c.refreshStats()
+	return c, nil
 }
 
-// shardOptions derives one replica's per-shard Options from the corpus
-// options: the corpus is the admission boundary (shards admit
-// unconditionally), and each replica gets its own page file.
-func (b *CorpusBuilder) shardOptions(s, r int) *Options {
-	sopts := b.opts.Options
-	sopts.MaxInFlight, sopts.QueueDepth = 0, 0
-	sopts.PageFile = nil
-	sopts.WALFile = nil
+// mergeMembers merges a static shard's documents into one forest document
+// and returns it with the member table locating each document inside it.
+func mergeMembers(group []seedDoc) (*xmltree.Document, []memberView, error) {
+	docs := make([]*xmltree.Document, len(group))
+	for m, sd := range group {
+		docs[m] = sd.doc
+	}
+	merged, spans, err := xmltree.MergeDocuments(docs)
+	if err != nil {
+		return nil, nil, err
+	}
+	table := make([]memberView, len(spans))
+	for m, span := range spans {
+		table[m] = memberView{id: group[m].id, span: span}
+	}
+	return merged, table, nil
+}
+
+// shardFile resolves the page file one replica's store lives on: an
+// injected ShardPageFile, a disk file derived from DiskPath, or memory.
+func (b *CorpusBuilder) shardFile(s, r int) (PageFile, error) {
+	var o Options
 	if b.opts.ShardPageFile != nil {
-		sopts.PageFile = b.opts.ShardPageFile(s, r)
-		sopts.DiskPath = ""
-	} else if sopts.DiskPath != "" {
+		o.PageFile = b.opts.ShardPageFile(s, r)
+	} else if b.opts.DiskPath != "" {
 		// Replica 0 keeps the PR 7 path layout so existing images stay
 		// addressable; extra replicas get their own files.
-		sopts.DiskPath = fmt.Sprintf("%s.shard-%03d", sopts.DiskPath, s)
+		o.DiskPath = fmt.Sprintf("%s.shard-%03d", b.opts.DiskPath, s)
 		if r > 0 {
-			sopts.DiskPath = fmt.Sprintf("%s.r%d", sopts.DiskPath, r)
+			o.DiskPath = fmt.Sprintf("%s.r%d", o.DiskPath, r)
 		}
 	}
-	return &sopts
+	return storeFile(&o)
 }
 
-// histStats returns the database's statistics when they are plain
-// single-document positional histograms (always true for databases built by
-// the constructors).
-func (db *Database) histStats() *histogram.Stats {
-	s, _ := db.svc.snapshot()
-	hs, _ := s.(*histogram.Stats)
-	return hs
-}
-
-// AsCorpus adapts a single-document Database into a one-shard Corpus under
-// the given document ID, sharing the database's state: store, statistics,
-// plan cache, metrics and admission control. Queries through either handle
-// observe the same caches and limits (corpus queries bypass only the
-// double admission a nested Database.Run would cost).
-func (db *Database) AsCorpus(docID string) *Corpus {
-	sh := &corpusShard{
-		replicas: []*corpusReplica{{db: db, health: replica.NewTracker(replica.Config{})}},
-		members:  []memberView{{id: docID, span: xmltree.DocSpan{First: 0, Nodes: db.view().doc.NumNodes()}}},
+// refreshStats re-merges the corpus-wide statistics from every shard's
+// histogram parts and installs them (bumping the stats version, which
+// invalidates the plan cache) — once per committed mutation, whatever the
+// replica count. Caller holds the write lock (or is still constructing the
+// corpus).
+func (c *Corpus) refreshStats() {
+	var parts []*histogram.Stats
+	for _, sh := range c.shards {
+		if sh != nil {
+			parts = append(parts, sh.meta().parts()...)
+		}
 	}
-	cs := &corpusState{
-		shards:       []*corpusShard{sh},
-		ring:         shardring.New(1, 0),
-		model:        db.model,
-		svc:          db.svc,
-		probe:        db.view().store,
-		shardWorkers: 1,
-	}
-	cs.live.Store(&corpusView{
-		ids:  []string{docID},
-		byID: map[string]docRef{docID: {}},
-	})
-	return &Corpus{corpusState: cs, parallelism: db.parallelism}
+	c.svc.setStats(histogram.Merge(parts))
 }
 
 // corpusProbe aggregates per-shard value-index eligibility for the corpus
@@ -580,8 +499,8 @@ func (c *Corpus) DocIDs() []string { return append([]string(nil), c.view().ids..
 
 // ShardOf reports which shard holds the document.
 func (c *Corpus) ShardOf(docID string) (int, bool) {
-	ref, ok := c.view().byID[docID]
-	return ref.shard, ok
+	s, ok := c.view().byID[docID]
+	return s, ok
 }
 
 // Model returns the corpus's cost model.
@@ -590,21 +509,16 @@ func (c *Corpus) Model() CostModel { return c.model }
 // resolve translates a (document ID, document-local node ID) pair into the
 // owning shard's current snapshot and the merged-document node ID.
 func (c *Corpus) resolve(docID string, id NodeID) (*dbSnap, NodeID, bool) {
-	ref, ok := c.view().byID[docID]
+	s, ok := c.view().byID[docID]
 	if !ok {
 		return nil, 0, false
 	}
-	sh := c.shards[ref.shard]
-	sn := sh.meta().view()
-	mi, ok := sh.memberIndex(sn, docID, ref)
-	if !ok {
+	sn := c.shards[s].meta().view()
+	mi, ok := sn.memberIdx[docID]
+	if !ok || int(id) >= sn.members[mi].span.Nodes {
 		return nil, 0, false
 	}
-	span := sh.membersOf(sn)[mi].span
-	if int(id) >= span.Nodes {
-		return nil, 0, false
-	}
-	return sn, span.First + id, true
+	return sn, sn.members[mi].span.First + id, true
 }
 
 // TagName returns the element tag of a node of the given document, read
@@ -632,7 +546,7 @@ func (c *Corpus) Value(docID string, id NodeID) (string, bool) {
 
 // WithParallelism returns a derived handle whose queries execute each
 // shard's plan through the partition-parallel driver with k workers, on top
-// of the cross-shard scatter (total concurrency ≈ ShardWorkers × k).
+// of the cross-shard scatter (total concurrency ≈ scatter workers × k).
 // k <= 0 selects runtime.GOMAXPROCS(0). Like Database.WithParallelism, the
 // derived handle shares all corpus state — plan cache, statistics, metrics
 // and admission control.
@@ -746,10 +660,10 @@ type CorpusRunResult struct {
 var errCorpusLimit = errors.New("sjos: corpus limit satisfied")
 
 // Run executes one plan on every populated shard and gathers the results
-// in document order. It mirrors Database.Run as the corpus's resilience
-// boundary: corpus-level admission control, metrics observation and panic
-// recovery wrap the scatter. Within the scatter, ShardWorkers shards
-// execute concurrently (each serial or partition-parallel per
+// in document order. Like Database.Run it is the resilience boundary: the
+// service's read envelope (admission control, metrics observation, panic
+// recovery) wraps the scatter. Within the scatter, min(#populated shards,
+// GOMAXPROCS) shards execute concurrently (each serial or partition-parallel per
 // WithParallelism / opts.Workers); the first shard error cancels the rest
 // and Run returns that error with no partial results, and under
 // opts.Limit the remaining shards are cancelled as soon as a document-order
@@ -762,34 +676,21 @@ func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions
 	return res, err
 }
 
-// run is Run without the []CorpusMatch view: the result carries Segments
-// only.
-func (c *Corpus) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (res *CorpusRunResult, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	release, aerr := c.svc.admit.Acquire(ctx)
-	if aerr != nil {
-		return nil, aerr
-	}
-	defer release()
-	c.svc.metrics.QueryStarted()
-	t0 := time.Now()
-	defer func() {
-		if perr := exec.RecoverPanic(recover()); perr != nil {
-			res, err = nil, perr
-			c.svc.recordPanic(pat, perr)
+// run is Run without the []CorpusMatch view: the scatter inside the read
+// envelope, its result carrying Segments only.
+func (c *Corpus) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
+	var res *CorpusRunResult
+	err := c.svc.read(ctx, pat, func(ctx context.Context) (*ExecStats, error) {
+		var err error
+		if res, err = c.scatter(ctx, pat, p, opts); err != nil {
+			return nil, err
 		}
-		c.svc.metrics.QueryFinished(time.Since(t0), err)
-		if res != nil {
-			c.svc.metrics.ExecBatched(res.Stats.Batches, res.Stats.SkippedTuples)
-		}
-	}()
-	if hook := c.svc.testHookRun; hook != nil {
-		hook()
+		return &res.Stats, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res, err = c.scatter(ctx, pat, p, opts)
-	return res, err
+	return res, nil
 }
 
 // rowRange is a half-open run of rows [lo, hi) of a match set.
@@ -797,8 +698,8 @@ type rowRange struct{ lo, hi int }
 
 // shardOut is one shard's gathered output: the raw run result, the replica
 // snapshot it ran on, and where each member document's rows lie in the
-// result's match set (indexed like membersOf(snap) — member indices are
-// only stable within the pinned snapshot; nil under pushed-down CountOnly).
+// result's match set (indexed like snap.members — member indices are only
+// stable within the pinned snapshot; nil under pushed-down CountOnly).
 type shardOut struct {
 	res  *RunResult
 	snap *dbSnap
@@ -806,11 +707,12 @@ type shardOut struct {
 }
 
 // segment returns the document's slice of the shard's output (empty when
-// the pinned snapshot does not hold the document).
-func (so *shardOut) segment(sh *corpusShard, id string, gi int, ref docRef) DocSegment {
+// the pinned snapshot does not hold the document — directory/snapshot skew
+// under mutations).
+func (so *shardOut) segment(id string, gi int) DocSegment {
 	seg := DocSegment{DocID: id, Doc: gi, snap: so.snap}
-	if mi, ok := sh.memberIndex(so.snap, id, ref); ok {
-		seg.first = sh.membersOf(so.snap)[mi].span.First
+	if mi, ok := so.snap.memberIdx[id]; ok {
+		seg.first = so.snap.members[mi].span.First
 		seg.rows = so.res.set.Slice(so.rows[mi].lo, so.rows[mi].hi)
 	}
 	return seg
@@ -865,12 +767,12 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 		}
 		total := 0
 		for _, id := range cv.ids {
-			ref := cv.byID[id]
-			if !done[ref.shard] {
+			si := cv.byID[id]
+			if !done[si] {
 				return
 			}
-			if so := results[ref.shard]; so != nil {
-				seg := so.segment(c.shards[ref.shard], id, 0, ref)
+			if so := results[si]; so != nil {
+				seg := so.segment(id, 0)
 				total += seg.Len()
 			}
 			if total >= opts.Limit {
@@ -880,8 +782,7 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 		}
 	}
 	runShard := func(si int) {
-		sh := c.shards[si]
-		r, sn, err := c.runShardReplicated(runCtx, sh, pat, p, shOpts)
+		r, sn, err := c.runShardReplicated(runCtx, c.shards[si], pat, p, shOpts)
 		mu.Lock()
 		defer mu.Unlock()
 		done[si] = true
@@ -896,19 +797,13 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 		}
 		so := &shardOut{res: r, snap: sn}
 		if !shOpts.CountOnly {
-			so.rows = demux(sh.membersOf(sn), r.set)
+			so.rows = demux(sn.members, r.set)
 		}
 		results[si] = so
 		checkLimit()
 	}
 
-	workers := c.shardWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(live) {
-		workers = len(live)
-	}
+	workers := min(len(live), runtime.GOMAXPROCS(0))
 	jobs := make(chan int)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -955,12 +850,11 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 	}
 	segs := make([]DocSegment, 0, len(cv.ids))
 	for gi, id := range cv.ids {
-		ref := cv.byID[id]
-		so := results[ref.shard]
+		so := results[cv.byID[id]]
 		if so == nil {
 			continue
 		}
-		seg := so.segment(c.shards[ref.shard], id, gi, ref)
+		seg := so.segment(id, gi)
 		if opts.Limit > 0 && out.Count+seg.Len() > opts.Limit {
 			seg.rows = seg.rows.Slice(0, opts.Limit-out.Count)
 		}
@@ -997,8 +891,8 @@ func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Pl
 	// Pin the replica's snapshot here and run on it explicitly: the
 	// scatter's demux must rebase matches against the exact member table
 	// the query saw, not whatever a concurrent mutation publishes next.
-	sn = rep.db.view()
-	r, err = rep.db.runOn(ctx, sn, pat, p, opts)
+	sn = rep.eng.view()
+	r, err = rep.eng.runOn(ctx, sn, pat, p, opts)
 	return r, sn, err
 }
 
@@ -1126,7 +1020,11 @@ func demux(members []memberView, set exec.MatchSet) []rowRange {
 	return out
 }
 
-// CorpusQueryResult is the outcome of a corpus Query/QueryContext call.
+// CorpusQueryResult is the outcome of a corpus Query/QueryContext call: the
+// matches plus the planned-query report (Plan, PlanText, EstCost,
+// CachedPlan, OptimizeTime, ExecuteTime, PlansConsidered, Exec, Trace — one
+// plan, optimized against the corpus-wide statistics, executed on every
+// shard).
 type CorpusQueryResult struct {
 	// Segments holds the matches as one entry per document that has any,
 	// in insertion order (see CorpusRunResult.Segments).
@@ -1136,25 +1034,7 @@ type CorpusQueryResult struct {
 	Matches []CorpusMatch
 	// Count is the number of matches produced.
 	Count int
-	// Plan is the executed plan (one plan, every shard); PlanText its
-	// rendering.
-	Plan     *Plan
-	PlanText string
-	// EstCost is the optimizer's corpus-wide estimate for the plan.
-	EstCost float64
-	// CachedPlan reports whether the plan came from the corpus plan cache.
-	CachedPlan bool
-	// OptimizeTime and ExecuteTime split the total latency; ExecuteTime
-	// covers the whole scatter-gather.
-	OptimizeTime time.Duration
-	ExecuteTime  time.Duration
-	// PlansConsidered is the optimizer's search effort.
-	PlansConsidered int
-	// Exec merges the physical work of every shard execution.
-	Exec ExecStats
-	// Trace is the merged per-operator trace (nil unless requested or a
-	// slow-query log is active).
-	Trace *OpTrace
+	planned
 	// ShardsQueried is the number of populated shards scattered to.
 	ShardsQueried int
 }
@@ -1199,46 +1079,20 @@ func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts Que
 // queryPattern optimizes pat through the plan cache and scatter-executes
 // the chosen plan; the result carries Segments only.
 func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	thr, slowFn := c.svc.slow.config()
-	if opts.SlowQueryThreshold > 0 {
-		thr = opts.SlowQueryThreshold
-	}
-	if opts.OnSlowQuery != nil {
-		slowFn = opts.OnSlowQuery
-	}
-	t0 := time.Now()
-	res, cached, key, err := c.svc.optimizePattern(ctx, pat, c.model, c.probe, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
+	res := &CorpusQueryResult{}
+	var err error
+	res.planned, err = c.svc.query(ctx, pat, c.model, c.probe, opts, func(p *Plan, eo ExecOptions) (int, ExecStats, *OpTrace, error) {
+		rr, err := c.run(ctx, pat, p, RunOptions{ExecOptions: eo})
+		if err != nil {
+			return 0, ExecStats{}, nil, err
+		}
+		res.Segments, res.Count, res.ShardsQueried = rr.Segments, rr.Count, rr.ShardsQueried
+		return rr.Count, rr.Stats, rr.Trace, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	optTime := time.Since(t0)
-	t1 := time.Now()
-	eo := opts.ExecOptions
-	eo.Trace = opts.Trace || thr > 0
-	rr, err := c.run(ctx, pat, res.Plan, RunOptions{ExecOptions: eo})
-	if err != nil {
-		return nil, fmt.Errorf("sjos: executing %v plan on corpus: %w", opts.Method, err)
-	}
-	execTime := time.Since(t1)
-	c.svc.noteDrift(key, cached, eo, rr.Trace)
-	c.svc.maybeLogSlow(pat, opts.Method, thr, slowFn, optTime, execTime, rr.Count, rr.Stats, rr.Trace, cached)
-	return &CorpusQueryResult{
-		Segments:        rr.Segments,
-		Count:           rr.Count,
-		Plan:            res.Plan,
-		PlanText:        res.Plan.Format(pat),
-		EstCost:         res.Cost,
-		CachedPlan:      cached,
-		OptimizeTime:    optTime,
-		ExecuteTime:     execTime,
-		PlansConsidered: res.Counters.PlansConsidered,
-		Exec:            rr.Stats,
-		Trace:           rr.Trace,
-		ShardsQueried:   rr.ShardsQueried,
-	}, nil
+	return res, nil
 }
 
 // ReplicaHealth is one replica's health snapshot inside a ShardHealth.
@@ -1293,15 +1147,16 @@ func (c *Corpus) Health() []ShardHealth {
 		if sh == nil {
 			continue
 		}
-		members := sh.membersOf(sh.meta().view())
-		out[i].Docs = len(members)
-		for _, m := range members {
+		sn := sh.meta().view()
+		out[i].Docs = len(sn.members)
+		for _, m := range sn.members {
 			out[i].Nodes += m.span.Nodes
 		}
-		out[i].Content = sh.meta().ContentStats()
+		out[i].Content = sn.store.ContentStats()
 		out[i].Content.ValueProbes = 0
 		out[i].Content.BlocksDecoded = 0
 		for r, rep := range sh.replicas {
+			store := rep.eng.view().store
 			hs := rep.health.Snapshot()
 			rh := ReplicaHealth{
 				Replica:             r,
@@ -1310,12 +1165,12 @@ func (c *Corpus) Health() []ShardHealth {
 				Failures:            hs.Failures,
 				Successes:           hs.Successes,
 				Down:                rep.down.Load(),
-				Pool:                rep.db.PoolStats(),
+				Pool:                store.PoolStats(),
 			}
-			if ff, ok := rep.db.view().store.File().(interface{ FaultsInjected() uint64 }); ok {
+			if ff, ok := store.File().(interface{ FaultsInjected() uint64 }); ok {
 				rh.FaultsInjected = ff.FaultsInjected()
 			}
-			cst := rep.db.ContentStats()
+			cst := store.ContentStats()
 			out[i].Content.ValueProbes += cst.ValueProbes
 			out[i].Content.BlocksDecoded += cst.BlocksDecoded
 			out[i].Pool.Hits += rh.Pool.Hits
@@ -1343,32 +1198,18 @@ func (c *Corpus) AdmissionStats() AdmissionStats { return c.svc.admit.Stats() }
 // in-flight query has finished (see Database.Drain).
 func (c *Corpus) Drain(ctx context.Context) error { return c.svc.admit.Drain(ctx) }
 
-// RebuildStats recomputes every shard's positional histograms and
-// re-merges them into fresh corpus-wide statistics, invalidating the
-// corpus plan cache.
-//
-// Each shard's fresh *Stats is derived directly from its document rather
-// than read back through the shard service's snapshot: on an AsCorpus
-// handle the shard shares the corpus service, so a concurrent rebuild could
-// have installed the merged *Multi there in between — reading it back as a
-// *Stats yielded nil and poisoned the merge.
+// RebuildStats recomputes every shard's histogram parts from their
+// documents and re-merges them into fresh corpus-wide statistics,
+// invalidating the corpus plan cache (see Database.RebuildStats).
 func (c *Corpus) RebuildStats() {
-	var parts []*histogram.Stats
+	c.svc.wmu.Lock()
+	defer c.svc.wmu.Unlock()
 	for _, sh := range c.shards {
-		if sh == nil {
-			continue
+		if sh != nil {
+			sh.meta().rebuildParts()
 		}
-		db := sh.meta()
-		if sh.ingest {
-			db.RebuildStats()
-			parts = append(parts, db.statsParts()...)
-			continue
-		}
-		hs := histogram.Build(db.view().doc, db.svc.grid)
-		db.svc.setStats(hs)
-		parts = append(parts, hs)
 	}
-	c.svc.setStats(histogram.Merge(parts))
+	c.refreshStats()
 }
 
 // SetSlowQueryLog configures the corpus's slow-query log (see

@@ -1,21 +1,19 @@
 package sjos
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"strings"
 
-	"sjos/internal/histogram"
-	"sjos/internal/xmltree"
+	"sjos/internal/storage"
 )
 
 // The corpus write path. A corpus built with CorpusOptions.ShardWALFile
 // routes each mutation to the owning shard (by consistent hashing of the
-// document ID, exactly like Build): the shard's primary replica commits it
-// through its own WAL, follower replicas apply the already-committed
+// document ID, exactly like Build): the shard's primary engine commits it
+// through its own WAL, follower engines apply the already-committed
 // mutation without logging, and the corpus then publishes a fresh
-// membership directory and re-merged statistics. Queries pin one directory
+// membership directory and re-merges the statistics — once, whatever the
+// replica count. Queries pin one directory
 // and one snapshot per shard, so they always observe committed states.
 //
 // Durability is per shard: recovering a crashed corpus means rebuilding it
@@ -30,11 +28,7 @@ func (c *Corpus) IngestEnabled() bool { return c.ingest }
 // owning shard. The document is visible to queries exactly when Insert
 // returns nil.
 func (c *Corpus) Insert(id string, r io.Reader) error {
-	doc, err := xmltree.Parse(r)
-	if err != nil {
-		return err
-	}
-	return c.mutate("insert", id, doc)
+	return c.mutate(storage.WALInsert, id, r)
 }
 
 // InsertString is Insert over a string.
@@ -44,17 +38,13 @@ func (c *Corpus) InsertString(id, src string) error {
 
 // Delete commits the removal of the document with the given id.
 func (c *Corpus) Delete(id string) error {
-	return c.mutate("delete", id, nil)
+	return c.mutate(storage.WALDelete, id, nil)
 }
 
 // Replace atomically substitutes the document under id (see
 // Database.Replace).
 func (c *Corpus) Replace(id string, r io.Reader) error {
-	doc, err := xmltree.Parse(r)
-	if err != nil {
-		return err
-	}
-	return c.mutate("replace", id, doc)
+	return c.mutate(storage.WALReplace, id, r)
 }
 
 // ReplaceString is Replace over a string.
@@ -62,101 +52,46 @@ func (c *Corpus) ReplaceString(id, src string) error {
 	return c.Replace(id, strings.NewReader(src))
 }
 
-// mutate routes one mutation to its shard and publishes the outcome.
-func (c *Corpus) mutate(op, id string, doc *xmltree.Document) error {
-	if !c.ingest {
-		return ErrNoWAL
-	}
-	if id == "" {
-		return fmt.Errorf("sjos: document needs a non-empty ID")
-	}
-	// Mutations pass the same admission gate as queries: MaxInFlight
-	// bounds them and Drain refuses them — the write endpoints shed load
-	// and shut down exactly like the read path.
-	release, err := c.svc.admit.Acquire(context.Background())
+// mutate routes one mutation to its shard through the write envelope and
+// publishes the outcome.
+func (c *Corpus) mutate(op storage.WALOp, id string, r io.Reader) error {
+	doc, err := parseMutation(r)
 	if err != nil {
 		return err
 	}
-	defer release()
-	c.ingestMu.Lock()
-	defer c.ingestMu.Unlock()
-	cv := c.view()
-	_, exists := cv.byID[id]
-	switch op {
-	case "insert":
-		if exists {
-			return fmt.Errorf("sjos: document %q already exists (use Replace)", id)
-		}
-	default:
-		if !exists {
-			return fmt.Errorf("sjos: no document %q", id)
-		}
-	}
+	var primary *engine
 	sh := c.shards[c.ring.Shard(id)]
-
-	apply := func(db *Database) error {
-		switch op {
-		case "insert":
-			return db.insertDoc(id, doc)
-		case "delete":
-			return db.Delete(id)
-		default:
-			return db.replaceDoc(id, doc)
-		}
+	if sh != nil {
+		primary = sh.meta()
 	}
 	// The primary decides the mutation's fate: until its WAL commit
 	// succeeds, nothing changed anywhere.
-	if err := apply(sh.replicas[0].db); err != nil {
-		return err
-	}
-	// Followers apply the committed mutation; one that cannot has diverged
-	// from the shard and leaves routing for good.
-	for _, rep := range sh.replicas[1:] {
-		if rep.down.Load() {
-			continue
-		}
-		if err := apply(rep.db); err != nil {
-			rep.down.Store(true)
-		}
-	}
-
-	// Publish the new membership directory. Views already pinned keep
-	// working: their per-shard snapshots were published by the replica
-	// mutations above, and demux tolerates directory/snapshot skew.
-	nv := &corpusView{byID: make(map[string]docRef, len(cv.byID)+1)}
-	switch op {
-	case "insert":
-		nv.ids = append(append([]string(nil), cv.ids...), id)
-	case "delete":
-		nv.ids = make([]string, 0, len(cv.ids)-1)
-		for _, d := range cv.ids {
-			if d != id {
-				nv.ids = append(nv.ids, d)
+	return c.svc.write(primary, func() error { return primary.apply(op, id, doc) }, func() {
+		// Followers apply the committed mutation; one that cannot has
+		// diverged from the shard and leaves routing for good.
+		for _, rep := range sh.replicas[1:] {
+			if !rep.down.Load() && rep.eng.apply(op, id, doc) != nil {
+				rep.down.Store(true)
 			}
 		}
-	default:
-		nv.ids = append([]string(nil), cv.ids...)
-	}
-	for _, d := range nv.ids {
-		nv.byID[d] = docRef{shard: c.ring.Shard(d)}
-	}
-	c.live.Store(nv)
-	c.refreshIngestStatsLocked()
-	return nil
-}
-
-// refreshIngestStatsLocked re-merges the corpus-wide statistics from every
-// shard's live member parts and installs them (bumping the corpus stats
-// version, which invalidates the corpus plan cache). Caller holds ingestMu.
-func (c *Corpus) refreshIngestStatsLocked() {
-	var parts []*histogram.Stats
-	for _, sh := range c.shards {
-		if sh == nil {
-			continue
+		// Publish the new membership directory. Views already pinned keep
+		// working: their per-shard snapshots were published by the replica
+		// mutations above, and the gather tolerates directory/snapshot skew.
+		cv := c.view()
+		nv := &corpusView{byID: make(map[string]int, len(cv.byID)+1)}
+		for _, d := range cv.ids {
+			if d != id || op != storage.WALDelete {
+				nv.ids = append(nv.ids, d)
+				nv.byID[d] = cv.byID[d]
+			}
 		}
-		parts = append(parts, sh.meta().statsParts()...)
-	}
-	c.svc.setStats(histogram.Merge(parts))
+		if op == storage.WALInsert {
+			nv.ids = append(nv.ids, id)
+			nv.byID[id] = sh.id
+		}
+		c.live.Store(nv)
+		c.refreshStats()
+	})
 }
 
 // CorpusIngestStats aggregates the write-path state across shards.
@@ -180,12 +115,14 @@ func (c *Corpus) IngestStats() CorpusIngestStats {
 	if !c.ingest {
 		return CorpusIngestStats{}
 	}
+	c.svc.wmu.Lock()
+	defer c.svc.wmu.Unlock()
 	st := CorpusIngestStats{Docs: c.NumDocs(), Shards: len(c.shards)}
 	for _, sh := range c.shards {
 		if sh == nil {
 			continue
 		}
-		ist := sh.meta().IngestStats()
+		ist := sh.meta().ingestStats()
 		st.Compactions += ist.Compactions
 		st.WALPages += ist.WALPages
 		if ist.Broken {

@@ -325,55 +325,50 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 	}
 }
 
-// TestAsCorpusRebuildStats covers the AsCorpus → RebuildStats → RebuildStats
-// path, sequentially and concurrently: the one-shard corpus shares its
-// service with the database, so rebuilds must re-derive per-shard stats
-// rather than read them back through the shared snapshot (which may hold the
-// merged view and used to poison histogram.Merge with a nil part).
-func TestAsCorpusRebuildStats(t *testing.T) {
-	_, docs := corpusFixtureDocs(t, 1)
-	db, err := fromDocument(docs[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := db.AsCorpus("solo")
-
-	query := func() {
-		t.Helper()
-		res, err := c.Query(`//article//author`, MethodDPP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Count == 0 {
-			t.Fatal("rebuilt corpus lost its matches")
-		}
-	}
-	c.RebuildStats()
-	c.RebuildStats()
-	query()
-
-	// Concurrent rebuilds through both handles interleave setStats calls on
-	// the one shared service; every interleaving must stay panic-free and
-	// leave usable statistics.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				if i%2 == 0 {
-					c.RebuildStats()
-				} else {
-					db.RebuildStats()
+// TestCorpusReplicaRebuildStatsRace storms RebuildStats from several
+// goroutines while queries (and, on the writable corpus, mutations) run:
+// every interleaving must stay race- and panic-free and never install nil
+// or partial statistics — each query in the storm still plans and matches.
+func TestCorpusReplicaRebuildStatsRace(t *testing.T) {
+	ids, docs := corpusFixtureDocs(t, 3)
+	for name, opts := range map[string]*CorpusOptions{
+		"static":   {Shards: 2, ReplicasPerShard: 2},
+		"writable": {Shards: 2, ReplicasPerShard: 2, ShardWALFile: func(int) PageFile { return NewMemPageFile() }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := buildTestCorpus(t, ids, docs, opts)
+			query := func() {
+				res, err := c.Query(`//article//author`, MethodDPP)
+				if err != nil || res.Count == 0 {
+					t.Errorf("query in rebuild storm: res=%v err=%v", res, err)
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	c.RebuildStats()
-	query()
-	if res, err := db.Query(`//article//author`, MethodDPP); err != nil || len(res.Matches) == 0 {
-		t.Fatalf("database view after rebuild storm: res=%v err=%v", res, err)
+			c.RebuildStats()
+			c.RebuildStats()
+			query()
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for j := 0; j < 25; j++ {
+						switch {
+						case i%2 == 0:
+							c.RebuildStats()
+						case c.IngestEnabled() && j%5 == 0:
+							if err := c.ReplaceString(ids[0], `<dblp><article><author>x</author></article></dblp>`); err != nil {
+								t.Errorf("replace in rebuild storm: %v", err)
+							}
+						default:
+							query()
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			c.RebuildStats()
+			query()
+		})
 	}
 }
 

@@ -8,6 +8,8 @@ package sjos
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -480,47 +482,50 @@ func TestCorpusAccessors(t *testing.T) {
 	}
 }
 
-func TestAsCorpus(t *testing.T) {
-	doc, err := datagen.Generate(datagen.Config{Name: "dblp", Scale: 0.02, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := fromDocument(doc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := db.AsCorpus("solo")
+// TestCorpusSingleDocument: a one-document corpus answers exactly as the
+// standalone database over the same document, in its node numbering.
+func TestCorpusSingleDocument(t *testing.T) {
+	ids, docs := corpusFixtureDocs(t, 1)
+	c := buildTestCorpus(t, ids, docs, nil)
 	if c.NumDocs() != 1 || c.NumShards() != 1 {
 		t.Fatalf("docs=%d shards=%d", c.NumDocs(), c.NumShards())
 	}
-	want, err := db.Query(`//article//author`, MethodDPP)
+	pat := MustParsePattern(`//article//author`)
+	want := standaloneResults(t, ids, docs, pat)
+	got, err := c.Query(pat.String(), MethodDPP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Query(`//article//author`, MethodDPP)
-	if err != nil {
-		t.Fatal(err)
+	if got.Count != len(want) || !sameCorpusMatches(got.Matches, want) {
+		t.Fatalf("one-document corpus: %d matches, standalone database %d", got.Count, len(want))
 	}
-	if got.Count != len(want.Matches) || len(got.Matches) != len(want.Matches) {
-		t.Fatalf("AsCorpus count = %d, database = %d", got.Count, len(want.Matches))
+}
+
+// TestCorpusStaticIgnoresWALOptions: Options.WALFile / WALPath configure a
+// Database's write path. A corpus takes its logs from ShardWALFile only, so
+// a static build with either set must succeed, stay read-only and touch
+// neither the file nor the path.
+func TestCorpusStaticIgnoresWALOptions(t *testing.T) {
+	ids, docs := corpusFixtureDocs(t, 4)
+	path := filepath.Join(t.TempDir(), "leak.wal")
+	wal := storage.NewMemFile()
+	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Options: Options{WALPath: path, WALFile: wal}, Shards: 2})
+	if c.IngestEnabled() {
+		t.Fatal("static corpus reports a write path")
 	}
-	for i := range got.Matches {
-		if got.Matches[i].DocID != "solo" || got.Matches[i].Doc != 0 {
-			t.Fatalf("match %d: %+v", i, got.Matches[i])
-		}
-		for u := range got.Matches[i].Nodes {
-			if got.Matches[i].Nodes[u] != want.Matches[i][u] {
-				t.Fatalf("match %d slot %d differs", i, u)
-			}
-		}
+	if err := c.InsertString("new", `<dblp/>`); !errors.Is(err, ErrNoWAL) {
+		t.Fatalf("Insert on a static corpus = %v, want ErrNoWAL", err)
 	}
-	// One shared plan cache: the corpus query warmed it for the database.
-	res, err := db.Query(`//article//author`, MethodDPP)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("static build touched WALPath %s (stat: %v)", path, err)
 	}
-	if !res.CachedPlan {
-		t.Fatal("AsCorpus does not share the database's plan cache")
+	if wal.NumPages() != 0 {
+		t.Fatalf("static build wrote %d pages to Options.WALFile", wal.NumPages())
+	}
+	pat := MustParsePattern(`//article//author`)
+	res, err := c.Query(pat.String(), MethodDPP)
+	if err != nil || !sameCorpusMatches(res.Matches, standaloneResults(t, ids, docs, pat)) {
+		t.Fatalf("static corpus with WAL options set: err=%v", err)
 	}
 }
 

@@ -38,8 +38,8 @@
 // them, and QuerySegments skips building it for callers that stream.
 //
 // A corpus answers exactly as the concatenation of standalone
-// per-document databases; Database.AsCorpus adapts a single document into
-// a one-shard corpus sharing its caches.
+// per-document databases: Database and Corpus are two facades over the same
+// storage engine and query service.
 //
 // # The six optimizers
 //

@@ -1,0 +1,605 @@
+package sjos
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
+
+	"sjos/internal/exec"
+	"sjos/internal/histogram"
+	"sjos/internal/storage"
+	"sjos/internal/xmltree"
+)
+
+// The storage engine: the one object that owns a stored document — behind a
+// Database, and behind every replica of every Corpus shard. It holds the
+// published snapshot, executes plans against a pinned snapshot, keeps the
+// histogram parts statistics are merged from, and (for a forest engine) runs
+// the commit protocol. It holds nothing a query service needs — no plan
+// cache, metrics, admission or merged statistics; those are one per facade
+// (see service).
+//
+// A forest engine stores its documents as members of an appendable forest
+// over a segmented store, and every mutation follows one commit protocol:
+//
+//  1. Stage: the new member is serialised into sealed page after-images
+//     without touching the store file (deletes stage nothing — they only
+//     flip a segment dead).
+//  2. Log: a WAL transaction (begin record with the member documents, the
+//     page after-images, a commit record) is appended and fsynced. The
+//     mutation is durable exactly when the commit record is; a torn or
+//     missing tail is discarded on recovery.
+//  3. Apply: the images are written to the store file and a new immutable
+//     (document, store) snapshot is published atomically. In-flight queries
+//     finish on the snapshot they pinned.
+//
+// A failure before the WAL commit leaves the engine unchanged and usable.
+// A failure after it (the apply could not complete, or the fsync outcome is
+// unknowable) poisons the write path — mutations fail with ErrBroken, reads
+// continue on the last published snapshot, and reopening from the WAL
+// recovers the exact committed state.
+
+// dbSnap is one immutable (document, store) version of an engine. A static
+// engine has exactly one; a forest engine publishes a fresh snapshot per
+// committed mutation, and every query pins one snapshot for its whole run —
+// readers never observe a half-applied write.
+type dbSnap struct {
+	doc   *xmltree.Document
+	store *storage.Store
+	// members lists the live member documents in node-range order, and
+	// memberIdx finds one by ID: the membership view consistent with exactly
+	// this store version (the corpus demux depends on that).
+	members   []memberView
+	memberIdx map[string]int
+}
+
+// memberView is one live member's identity and node range inside a snapshot.
+type memberView struct {
+	id   string
+	span xmltree.DocSpan
+}
+
+// memberState is the engine's bookkeeping for one independently-statted
+// document: the standalone document (statistics and snapshot re-logging need
+// it), its node span, its segment index in the store, and its statistics
+// part. A forest engine has one per member; dead members stay in the table
+// (spans stay allocated until compaction) but leave every published view. A
+// static engine has exactly one, spanning its whole stored document.
+type memberState struct {
+	id   string
+	doc  *xmltree.Document
+	span xmltree.DocSpan
+	seg  int
+	part *histogram.Stats
+	dead bool
+}
+
+// engineConfig is the construction-time settings an engine builds its
+// stores with; compaction and recovery rebuilds reuse them.
+type engineConfig struct {
+	grid       int
+	poolFrames int
+	sopts      storage.StoreOptions
+	retry      RetryPolicy
+	compactThr float64
+}
+
+func (o *Options) engineConfig() engineConfig {
+	cfg := engineConfig{
+		grid:       o.HistogramGrid,
+		poolFrames: o.PoolFrames,
+		sopts:      storage.StoreOptions{NoValueIndex: o.NoValueIndex},
+		retry:      o.Retry,
+		compactThr: o.CompactThreshold,
+	}
+	if cfg.compactThr == 0 {
+		cfg.compactThr = DefaultCompactThreshold
+	}
+	return cfg
+}
+
+type engine struct {
+	// snap is the current published snapshot; mutations replace it
+	// atomically after commit, so reads are lock-free.
+	snap atomic.Pointer[dbSnap]
+	engineConfig
+	// writable marks a forest engine — one with a write path (fixed at
+	// construction).
+	writable bool
+
+	// Everything below is the write path's state. The engine does no locking
+	// of its own: the owning facade's write lock (service.wmu) guards it —
+	// single writer; readers never touch it, they use the published snapshot.
+
+	// wal is the durable log; nil on static engines and on corpus replica
+	// followers, which apply the primary's already-committed mutations
+	// without logging.
+	wal *storage.WAL
+	// forest is the appendable document mutations extend.
+	forest *xmltree.Document
+	// members is append-only between compactions, in span order; byID
+	// indexes the live ones.
+	members []*memberState
+	byID    map[string]int
+	// broken poisons the write path (see ErrBroken).
+	broken      error
+	compactions int
+}
+
+// view returns the current snapshot. Callers that touch both the document
+// and the store of one logical version must call view once and use the
+// returned pair.
+func (e *engine) view() *dbSnap { return e.snap.Load() }
+
+// seedDoc is one (ID, document) pair a fresh forest engine starts with.
+type seedDoc struct {
+	id  string
+	doc *xmltree.Document
+}
+
+// newStaticEngine stores doc on file, read-only. table is the member view
+// its one snapshot carries — the documents doc was merged from; statistics
+// are kept for doc as a whole.
+func newStaticEngine(doc *xmltree.Document, table []memberView, file PageFile, cfg engineConfig) (*engine, error) {
+	store, err := storage.BuildStoreOnOpts(file, doc, cfg.poolFrames, cfg.sopts)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{engineConfig: cfg}
+	e.setRetry(store)
+	e.members = []*memberState{{
+		doc:  doc,
+		span: xmltree.DocSpan{Nodes: doc.NumNodes()},
+		part: histogram.Build(doc, cfg.grid),
+	}}
+	e.publish(doc, store, table)
+	return e, nil
+}
+
+// newForestEngine builds a write-enabled engine on the (fresh) store file.
+// With an empty WAL the seeds become the initial members and the log is
+// seeded with a base snapshot holding them; with a non-empty WAL the state
+// is recovered from the log instead, and seeds must be absent (the log is
+// self-contained; mixing both would be ambiguous). A nil walFile builds a
+// corpus replica follower: same members and store, no log of its own.
+func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) (*engine, error) {
+	e := &engine{engineConfig: cfg, writable: true}
+	var txns []storage.WALTxn
+	if walFile != nil {
+		var err error
+		if e.wal, txns, err = storage.OpenWAL(walFile); err != nil {
+			return nil, fmt.Errorf("sjos: opening WAL: %w", err)
+		}
+		if len(txns) > 0 && len(seeds) > 0 {
+			return nil, fmt.Errorf("sjos: WAL already holds %d committed transactions; open without documents (OpenDatabase) to recover", len(txns))
+		}
+	}
+	if file.NumPages() != 0 {
+		return nil, fmt.Errorf("sjos: ingestion store file must be fresh (the WAL is the durable state); got %d pages", file.NumPages())
+	}
+	var store *storage.Store
+	var err error
+	if len(txns) > 0 {
+		store, err = e.recover(txns, file)
+	} else {
+		store, err = e.bootstrap(seeds, file)
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.publishLive(store)
+	return e, nil
+}
+
+func (e *engine) setRetry(store *storage.Store) {
+	if e.retry != (RetryPolicy{}) {
+		store.Pool().SetRetryPolicy(e.retry)
+	}
+}
+
+// reset points the write-path state at an empty forest laid down on file.
+func (e *engine) reset(file PageFile) (*storage.Store, error) {
+	e.forest = xmltree.NewForest()
+	e.members, e.byID = nil, make(map[string]int)
+	store, err := storage.NewForestStore(file, e.forest, e.poolFrames, e.sopts)
+	if err != nil {
+		return nil, err
+	}
+	e.setRetry(store)
+	return store, nil
+}
+
+// grow appends one member through the staging path every store build
+// shares — live commit, initial build, recovery replay and compaction — so
+// the layout is a pure function of the append sequence. between runs after
+// the member is staged and before its pages are applied: the WAL append on
+// the live path, image verification on replay. A nil part is built from doc.
+// The write-path state changes only on success.
+func (e *engine) grow(store *storage.Store, id string, doc *xmltree.Document, part *histogram.Stats, between func(*storage.SegmentStage) error) (*storage.Store, error) {
+	forest, span, err := xmltree.AppendMember(e.forest, doc)
+	if err != nil {
+		return nil, err
+	}
+	stage, err := store.StageSegment(forest, span)
+	if err != nil {
+		return nil, err
+	}
+	if between != nil {
+		if err := between(stage); err != nil {
+			return nil, err
+		}
+	}
+	if store, err = store.CommitStage(stage); err != nil {
+		return nil, err
+	}
+	if part == nil {
+		part = histogram.Build(doc, e.grid)
+	}
+	e.forest = forest
+	e.byID[id] = len(e.members)
+	e.members = append(e.members, &memberState{id: id, doc: doc, span: span, seg: store.NumSegments() - 1, part: part})
+	return store, nil
+}
+
+// drop flips the member in slot dead. Its segment's postings leave every
+// index view; the pages are reclaimed by the next compaction.
+func (e *engine) drop(store *storage.Store, slot int) (*storage.Store, error) {
+	m := e.members[slot]
+	store, err := store.DropSegment(e.forest, m.seg)
+	if err != nil {
+		return nil, err
+	}
+	m.dead = true
+	// A replace has already pointed the ID at the new version's slot.
+	if e.byID[m.id] == slot {
+		delete(e.byID, m.id)
+	}
+	return store, nil
+}
+
+// bootstrap lays a fresh forest store down for the seed members and, when a
+// WAL is attached, seeds the log with a base snapshot holding them — the
+// record recovery replays from, making the WAL self-contained.
+func (e *engine) bootstrap(seeds []seedDoc, file PageFile) (*storage.Store, error) {
+	store, err := e.reset(file)
+	if err != nil {
+		return nil, err
+	}
+	for _, sd := range seeds {
+		if store, err = e.grow(store, sd.id, sd.doc, nil, nil); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.log(storage.WALSnapshot, e.liveDocs(), nil); err != nil {
+		return nil, fmt.Errorf("sjos: seeding WAL base snapshot: %w", err)
+	}
+	return store, nil
+}
+
+// recover rebuilds the state from the committed WAL transactions: the member
+// set of the last base snapshot is rebuilt through the ordinary staging
+// path, then each later transaction is replayed the same way — with the
+// recomputed page images verified byte-for-byte against the logged ones
+// before they are applied. The result is exactly the pre-crash committed
+// state.
+func (e *engine) recover(txns []storage.WALTxn, file PageFile) (*storage.Store, error) {
+	base := -1
+	for i, tx := range txns {
+		if tx.Op == storage.WALSnapshot {
+			base = i
+		}
+	}
+	if base < 0 {
+		return nil, fmt.Errorf("sjos: WAL holds no base snapshot; not a database log")
+	}
+	store, err := e.reset(file)
+	if err != nil {
+		return nil, err
+	}
+	add := func(wd storage.WALDoc, logged []storage.WALPageImage) error {
+		doc, err := xmltree.ReadImage(bytes.NewReader(wd.Image))
+		if err == nil {
+			store, err = e.grow(store, wd.ID, doc, nil, func(st *storage.SegmentStage) error {
+				if logged == nil {
+					return nil
+				}
+				return st.VerifyStage(logged)
+			})
+		}
+		if err != nil {
+			return fmt.Errorf("sjos: recovering document %q: %w", wd.ID, err)
+		}
+		return nil
+	}
+	for _, wd := range txns[base].Docs {
+		if err := add(wd, nil); err != nil {
+			return nil, err
+		}
+	}
+	for _, tx := range txns[base+1:] {
+		if tx.Op != storage.WALInsert && tx.Op != storage.WALDelete && tx.Op != storage.WALReplace {
+			return nil, fmt.Errorf("sjos: WAL replay: unexpected op %d", tx.Op)
+		}
+		wd := tx.Docs[0]
+		if tx.Op != storage.WALInsert {
+			slot, ok := e.byID[wd.ID]
+			if !ok {
+				return nil, fmt.Errorf("sjos: WAL replay: op %d of unknown document %q", tx.Op, wd.ID)
+			}
+			if store, err = e.drop(store, slot); err != nil {
+				return nil, err
+			}
+		}
+		if tx.Op != storage.WALDelete {
+			if err := add(wd, tx.Images); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return store, nil
+}
+
+// publish installs a new snapshot carrying the given member table.
+func (e *engine) publish(doc *xmltree.Document, store *storage.Store, table []memberView) {
+	idx := make(map[string]int, len(table))
+	for i, m := range table {
+		idx[m.id] = i
+	}
+	e.snap.Store(&dbSnap{doc: doc, store: store, members: table, memberIdx: idx})
+}
+
+// publishLive publishes the forest with its live members as the table.
+func (e *engine) publishLive(store *storage.Store) {
+	var table []memberView
+	for _, m := range e.members {
+		if !m.dead {
+			table = append(table, memberView{id: m.id, span: m.span})
+		}
+	}
+	e.publish(e.forest, store, table)
+}
+
+// liveDocs returns the live members as seeds for a copy of this engine.
+func (e *engine) liveDocs() []seedDoc {
+	var seeds []seedDoc
+	for _, m := range e.members {
+		if !m.dead {
+			seeds = append(seeds, seedDoc{id: m.id, doc: m.doc})
+		}
+	}
+	return seeds
+}
+
+// parts returns the live histogram parts, the unit statistics are merged
+// from — incremental maintenance: a mutation touches only the changed
+// member's part, and the facade re-merges (per-tag estimate arithmetic, not
+// a histogram rebuild).
+func (e *engine) parts() []*histogram.Stats {
+	var parts []*histogram.Stats
+	for _, m := range e.members {
+		if !m.dead {
+			parts = append(parts, m.part)
+		}
+	}
+	return parts
+}
+
+// rebuildParts recomputes every live part from its document — the ground
+// truth the incrementally maintained parts must match.
+func (e *engine) rebuildParts() {
+	for _, m := range e.members {
+		if !m.dead {
+			m.part = histogram.Build(m.doc, e.grid)
+		}
+	}
+}
+
+// brokenErr wraps the poisoning cause under ErrBroken.
+func (e *engine) brokenErr() error {
+	return fmt.Errorf("%w: %v", ErrBroken, e.broken)
+}
+
+// log makes one transaction durable, its documents serialised as images (a
+// no-op on a follower). ErrWALBroken means the commit's durability is
+// unknowable (poison); any other failure happened cleanly before the commit
+// record, leaving the engine unchanged and usable.
+func (e *engine) log(op storage.WALOp, docs []seedDoc, images []storage.WALPageImage) error {
+	if e.wal == nil {
+		return nil
+	}
+	wds := make([]storage.WALDoc, len(docs))
+	for i, sd := range docs {
+		wds[i].ID = sd.id
+		if sd.doc == nil {
+			continue // a delete logs the ID alone
+		}
+		var buf bytes.Buffer
+		if err := xmltree.WriteImage(sd.doc, &buf); err != nil {
+			return err
+		}
+		wds[i].Image = buf.Bytes()
+	}
+	_, err := e.wal.Append(op, wds, images)
+	if errors.Is(err, storage.ErrWALBroken) {
+		e.broken = err
+		return e.brokenErr()
+	}
+	return err
+}
+
+// apply runs the commit protocol for one mutation — stage, log, fsync,
+// apply, publish: WALInsert adds doc under a new id, WALReplace substitutes
+// it for the current version in one transaction (readers see either both
+// changes or neither), WALDelete removes the document.
+func (e *engine) apply(op storage.WALOp, id string, doc *xmltree.Document) error {
+	old, exists := e.byID[id]
+	switch {
+	case id == "":
+		return fmt.Errorf("sjos: document needs a non-empty ID")
+	case op == storage.WALInsert && exists:
+		return fmt.Errorf("sjos: document %q already exists (use Replace)", id)
+	case op != storage.WALInsert && !exists:
+		return fmt.Errorf("sjos: no document %q", id)
+	}
+	durable := false
+	commit := func(st *storage.SegmentStage) error {
+		var images []storage.WALPageImage
+		if st != nil {
+			images = st.Images()
+		}
+		err := e.log(op, []seedDoc{{id: id, doc: doc}}, images)
+		durable = err == nil
+		return err
+	}
+	store := e.view().store
+	var err error
+	if op == storage.WALDelete {
+		err = commit(nil)
+	} else {
+		store, err = e.grow(store, id, doc, nil, commit)
+	}
+	if err == nil && exists {
+		store, err = e.drop(store, old)
+	}
+	if err != nil {
+		if durable {
+			// Past the point of no return: the transaction is durable but
+			// the in-memory state is behind the log — poison the write path.
+			// (For a delete only a programming error can get here: dropping
+			// a segment does no I/O.)
+			e.broken = err
+			return e.brokenErr()
+		}
+		return err
+	}
+	e.publishLive(store)
+	if e.compactThr < 0 || store.DeadFraction() < e.compactThr {
+		return nil
+	}
+	return e.compact()
+}
+
+// compact rewrites the store without its dead segments: the live members are
+// re-logged as a fresh WAL base snapshot (bounding recovery replay), then
+// rebuilt onto a fresh in-memory file through the same staging path as
+// normal appends. Published snapshots in flight stay valid; the new
+// snapshot's member spans are renumbered.
+func (e *engine) compact() error {
+	// A snapshot changes no logical state: failing to append it leaves the
+	// previous log (and the live engine) fully intact.
+	if err := e.log(storage.WALSnapshot, e.liveDocs(), nil); err != nil {
+		return err
+	}
+	ne := &engine{engineConfig: e.engineConfig}
+	store, err := ne.reset(storage.NewMemFile())
+	for _, m := range e.members {
+		if err != nil {
+			break
+		}
+		if !m.dead {
+			store, err = ne.grow(store, m.id, m.doc, m.part, nil)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("sjos: compaction rebuild: %w", err)
+	}
+	e.forest, e.members, e.byID = ne.forest, ne.members, ne.byID
+	e.compactions++
+	e.publishLive(store)
+	return nil
+}
+
+// ingestStats reports the write path's state (StatsVersion is the
+// facade's to fill in).
+func (e *engine) ingestStats() IngestStats {
+	sn := e.view()
+	st := IngestStats{
+		Members:      len(sn.members),
+		DeadFraction: sn.store.DeadFraction(),
+		Compactions:  e.compactions,
+		Broken:       e.broken != nil,
+	}
+	if e.wal != nil {
+		st.WALPages = int(e.wal.Tail())
+	}
+	return st
+}
+
+// runOn executes a plan against one pinned snapshot: the whole run reads
+// exactly sn's document and store, so concurrent mutations (which publish
+// new snapshots) are invisible to it. Callers pin the snapshot themselves so
+// they can attribute matches with the matching member table. opts.Workers is
+// literal here: 0 runs serially, > 0 partition-parallel with that many
+// workers, < 0 with runtime.GOMAXPROCS(0).
+func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	workers := opts.Workers
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// With tracing on, operator trees (one per partition in parallel mode)
+	// are built through a TraceBuilder so every clone accumulates into one
+	// plan-shaped trace; with tracing off the plain compiler runs and
+	// execution carries zero instrumentation.
+	var tb *exec.TraceBuilder
+	buildOp := func() (exec.Operator, error) { return exec.Build(pat, p) }
+	if opts.Trace {
+		var err error
+		if tb, err = exec.NewTraceBuilder(pat, p); err != nil {
+			return nil, err
+		}
+		buildOp = tb.Build
+	}
+	ectx := &exec.Context{Ctx: ctx, Doc: sn.doc, Store: sn.store}
+	res := &RunResult{}
+	// A limited count still collects its (at most Limit) rows; only an
+	// unlimited count skips materialisation altogether.
+	countOnly := opts.CountOnly && opts.Limit <= 0
+	var err error
+	if workers > 0 {
+		pe := &exec.ParallelExec{Workers: workers, Batch: !opts.NoBatch, BuildOp: buildOp}
+		switch {
+		case countOnly:
+			res.Count, err = pe.RunCount(ctx, ectx, pat, p)
+		case opts.Limit > 0:
+			res.set, err = pe.RunLimit(ctx, ectx, pat, p, opts.Limit)
+		default:
+			res.set, err = pe.Run(ctx, ectx, pat, p)
+		}
+	} else {
+		if ctx.Done() != nil {
+			ectx.Interrupt = ctx.Err
+		}
+		var op exec.Operator
+		if op, err = buildOp(); err != nil {
+			return nil, err
+		}
+		// The driver picks the execution mode at the root (NextBatch
+		// through the whole tree, or Next per tuple); the operator tree
+		// itself is mode-agnostic.
+		if countOnly {
+			res.Count, err = exec.Count(ectx, op, !opts.NoBatch)
+		} else {
+			if opts.Limit > 0 {
+				op = exec.NewLimit(op, opts.Limit)
+			}
+			res.set, err = exec.Collect(ectx, op, pat.N(), !opts.NoBatch)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !countOnly {
+		res.Count = res.set.Len()
+	}
+	res.Stats = ectx.Stats
+	if tb != nil {
+		res.Trace = tb.Trace()
+	}
+	return res, nil
+}

@@ -54,7 +54,7 @@ func (db *Database) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sn := db.view()
+	sn := db.eng.view()
 	before := sn.store.PoolStats()
 	ctx := &exec.Context{Doc: sn.doc, Store: sn.store}
 	// Analyze runs the batched path — the execution default — so the trace

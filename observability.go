@@ -72,7 +72,7 @@ func (db *Database) Metrics() Metrics {
 	}
 	// A chaos-mode store reports its injected-fault count through this
 	// optional interface (satisfied by *faultfs.File).
-	store := db.view().store
+	store := db.eng.view().store
 	if ff, ok := store.File().(interface{ FaultsInjected() uint64 }); ok {
 		m.FaultsInjected = ff.FaultsInjected()
 	}

@@ -34,7 +34,10 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	want, err := db.run(context.Background(), pat, res.Plan, RunOptions{CountOnly: true})
+	raw := func(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
+		return db.eng.runOn(ctx, db.eng.view(), pat, p, opts)
+	}
+	want, err := raw(context.Background(), pat, res.Plan, RunOptions{CountOnly: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 		fn    func(context.Context, *Pattern, *Plan, RunOptions) (*RunResult, error)
 		admit *admission.Controller
 	}{
-		{"raw", RunOptions{CountOnly: true}, db.run, nil},
+		{"raw", RunOptions{CountOnly: true}, raw, nil},
 		{"disabled", RunOptions{CountOnly: true}, db.Run, nil},
 		{"admitted", RunOptions{CountOnly: true}, db.Run, admission.New(64, 64)},
 		{"traced", RunOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true}, db.Run, nil},

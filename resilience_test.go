@@ -14,75 +14,143 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// resilienceDB builds a small in-memory database with the given options.
-func resilienceDB(t *testing.T, seed int64, opts *Options) *Database {
+// envelopeFacade is the surface Database and Corpus share, as the envelope
+// tests drive it: both facades put the same service envelopes around their
+// own execution, so every case below runs against both and must observe
+// the same behaviour.
+type envelopeFacade struct {
+	svc       *service
+	run       func(context.Context) error // Run of a planned //a//b
+	query     func(context.Context) error // QueryPatternContext of //a//b
+	insert    func() error
+	drain     func(context.Context) error
+	metrics   func() Metrics
+	slow      func() []SlowQueryEntry
+	admission func() AdmissionStats
+}
+
+// forEachFacade runs fn against a writable Database and a writable 2-shard
+// Corpus built with the given service options.
+func forEachFacade(t *testing.T, opts Options, fn func(t *testing.T, f envelopeFacade)) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	doc := xmltree.RandomDocument(rng, 800, []string{"a", "b"})
-	db, err := fromDocument(doc, opts)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(21))
+	docs := []*xmltree.Document{
+		xmltree.RandomDocument(rng, 800, []string{"a", "b"}),
+		xmltree.RandomDocument(rng, 800, []string{"a", "b"}),
 	}
-	return db
+	pat := MustParsePattern("//a//b")
+	t.Run("database", func(t *testing.T) {
+		o := opts
+		o.WALFile = NewMemPageFile()
+		db, err := fromDocument(docs[0], &o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mustPlan(t, db, pat, MethodDP)
+		fn(t, envelopeFacade{
+			svc: db.svc,
+			run: func(ctx context.Context) error {
+				_, err := db.Run(ctx, pat, p, RunOptions{})
+				return err
+			},
+			query: func(ctx context.Context) error {
+				_, err := db.QueryPatternContext(ctx, pat, QueryOptions{})
+				return err
+			},
+			insert:    func() error { return db.InsertString("new", "<a><b/></a>") },
+			drain:     db.Drain,
+			metrics:   db.Metrics,
+			slow:      db.SlowQueries,
+			admission: db.AdmissionStats,
+		})
+	})
+	t.Run("corpus", func(t *testing.T) {
+		c := buildTestCorpus(t, []string{"d0", "d1"}, docs, &CorpusOptions{
+			Options:      opts,
+			Shards:       2,
+			ShardWALFile: func(int) PageFile { return NewMemPageFile() },
+		})
+		res, err := c.Optimize(pat, MethodDP, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, envelopeFacade{
+			svc: c.svc,
+			run: func(ctx context.Context) error {
+				_, err := c.Run(ctx, pat, res.Plan, RunOptions{})
+				return err
+			},
+			query: func(ctx context.Context) error {
+				_, err := c.QueryPatternContext(ctx, pat, QueryOptions{})
+				return err
+			},
+			insert:    func() error { return c.InsertString("new", "<a><b/></a>") },
+			drain:     c.Drain,
+			metrics:   c.Metrics,
+			slow:      c.SlowQueries,
+			admission: c.AdmissionStats,
+		})
+	})
 }
 
 // TestRunRecoversPanics: a panic under Run must surface as a *PanicError —
 // counted in metrics, recorded with its stack in the slow-query ring — and
-// leave the database fully usable.
+// leave the facade fully usable.
 func TestRunRecoversPanics(t *testing.T) {
-	db := resilienceDB(t, 21, nil)
-	pat := MustParsePattern("//a//b")
-	p := mustPlan(t, db, pat, MethodDP)
-	db.svc.testHookRun = func() { panic("injected facade panic") }
-	_, err := db.Run(context.Background(), pat, p, RunOptions{})
-	db.svc.testHookRun = nil
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Run returned %v, want *PanicError", err)
-	}
-	if len(pe.Stack) == 0 {
-		t.Fatal("PanicError carries no stack")
-	}
-	m := db.Metrics()
-	if m.Query.RecoveredPanics != 1 {
-		t.Fatalf("RecoveredPanics = %d, want 1", m.Query.RecoveredPanics)
-	}
-	if m.Query.Errors != 1 {
-		t.Fatalf("Errors = %d, want 1", m.Query.Errors)
-	}
-	if m.Query.InFlight != 0 {
-		t.Fatalf("InFlight = %d after recovery, want 0", m.Query.InFlight)
-	}
-	entries := db.SlowQueries()
-	if len(entries) == 0 {
-		t.Fatal("no slow-query entry for the recovered panic")
-	}
-	last := entries[len(entries)-1]
-	if !strings.Contains(last.Error, "injected facade panic") {
-		t.Fatalf("ring entry error = %q, want the panic message", last.Error)
-	}
-	if last.Stack == "" || last.Pattern == "" || last.Fingerprint == "" {
-		t.Fatalf("ring entry incomplete: stack=%d bytes, pattern=%q, fp=%q",
-			len(last.Stack), last.Pattern, last.Fingerprint)
-	}
-	// The database survives: the next query runs normally.
-	if _, err := db.Run(context.Background(), pat, p, RunOptions{}); err != nil {
-		t.Fatalf("query after recovered panic: %v", err)
-	}
+	forEachFacade(t, Options{}, func(t *testing.T, f envelopeFacade) {
+		f.svc.testHookRun = func() { panic("injected facade panic") }
+		err := f.run(context.Background())
+		f.svc.testHookRun = nil
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("Run returned %v, want *PanicError", err)
+		}
+		if len(pe.Stack) == 0 {
+			t.Fatal("PanicError carries no stack")
+		}
+		if m := f.metrics().Query; m.RecoveredPanics != 1 || m.Errors != 1 || m.Queries != 1 || m.InFlight != 0 {
+			t.Fatalf("after recovery: panics=%d errors=%d queries=%d inflight=%d, want 1/1/1/0",
+				m.RecoveredPanics, m.Errors, m.Queries, m.InFlight)
+		}
+		var buf bytes.Buffer
+		writeMetricsText(&buf, f.metrics())
+		if !strings.Contains(buf.String(), "sjos_recovered_panics_total 1") {
+			t.Fatalf("exposition does not count the recovered panic:\n%s", buf.String())
+		}
+		entries := f.slow()
+		if len(entries) == 0 {
+			t.Fatal("no slow-query entry for the recovered panic")
+		}
+		last := entries[len(entries)-1]
+		if !strings.Contains(last.Error, "injected facade panic") {
+			t.Fatalf("ring entry error = %q, want the panic message", last.Error)
+		}
+		if last.Stack == "" || last.Pattern == "" || last.Fingerprint == "" {
+			t.Fatalf("ring entry incomplete: stack=%d bytes, pattern=%q, fp=%q",
+				len(last.Stack), last.Pattern, last.Fingerprint)
+		}
+		// The facade survives: the next query runs normally, and the
+		// served/latency counters move with it.
+		if err := f.run(context.Background()); err != nil {
+			t.Fatalf("query after recovered panic: %v", err)
+		}
+		if m := f.metrics().Query; m.Queries != 2 || m.Errors != 1 || m.InFlight != 0 || m.TotalTime <= 0 || m.P50 <= 0 {
+			t.Fatalf("after the next query: queries=%d errors=%d inflight=%d total=%v p50=%v",
+				m.Queries, m.Errors, m.InFlight, m.TotalTime, m.P50)
+		}
+	})
 }
 
-// blockingDB installs a Run hook that parks queries on a channel, so tests
-// can hold execution slots open deterministically.
-func blockingDB(t *testing.T, opts *Options) (db *Database, entered chan struct{}, unblock chan struct{}) {
-	t.Helper()
-	db = resilienceDB(t, 22, opts)
+// blockRuns installs a read-envelope hook that parks queries on a channel,
+// so tests can hold execution slots open deterministically.
+func blockRuns(f envelopeFacade) (entered chan struct{}, unblock chan struct{}) {
 	entered = make(chan struct{}, 16)
 	unblock = make(chan struct{})
-	db.svc.testHookRun = func() {
+	f.svc.testHookRun = func() {
 		entered <- struct{}{}
 		<-unblock
 	}
-	return db, entered, unblock
+	return entered, unblock
 }
 
 // waitFor polls cond for up to 2s.
@@ -100,103 +168,105 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestAdmissionOverloadAndQueue: with MaxInFlight 1 and QueueDepth 1, the
 // second query waits its turn and the third is shed with ErrOverloaded.
 func TestAdmissionOverloadAndQueue(t *testing.T) {
-	db, entered, unblock := blockingDB(t, &Options{MaxInFlight: 1, QueueDepth: 1})
-	pat := MustParsePattern("//a//b")
-	p := mustPlan(t, db, pat, MethodDP)
-	first := make(chan error, 1)
-	go func() {
-		_, err := db.Run(context.Background(), pat, p, RunOptions{})
-		first <- err
-	}()
-	<-entered // first query holds the only slot
-	second := make(chan error, 1)
-	go func() {
-		_, err := db.Run(context.Background(), pat, p, RunOptions{})
-		second <- err
-	}()
-	waitFor(t, "second query to queue", func() bool { return db.AdmissionStats().Waiting == 1 })
-	// Queue full: the third arrival is shed immediately.
-	if _, err := db.Run(context.Background(), pat, p, RunOptions{}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third query error = %v, want ErrOverloaded", err)
-	}
-	close(unblock)
-	if err := <-first; err != nil {
-		t.Fatalf("first query: %v", err)
-	}
-	if err := <-second; err != nil {
-		t.Fatalf("queued query: %v", err)
-	}
-	st := db.AdmissionStats()
-	if st.Queued < 1 || st.Rejected < 1 {
-		t.Fatalf("stats = %+v, want Queued >= 1 and Rejected >= 1", st)
-	}
-	waitFor(t, "slots to release", func() bool { return db.AdmissionStats().InFlight == 0 })
+	forEachFacade(t, Options{MaxInFlight: 1, QueueDepth: 1}, func(t *testing.T, f envelopeFacade) {
+		entered, unblock := blockRuns(f)
+		first := make(chan error, 1)
+		go func() { first <- f.run(context.Background()) }()
+		<-entered // first query holds the only slot
+		if m := f.metrics().Query; m.InFlight != 1 {
+			t.Fatalf("InFlight = %d with one query running, want 1", m.InFlight)
+		}
+		second := make(chan error, 1)
+		go func() { second <- f.run(context.Background()) }()
+		waitFor(t, "second query to queue", func() bool { return f.admission().Waiting == 1 })
+		// Queue full: the third arrival is shed immediately.
+		if err := f.run(context.Background()); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("third query error = %v, want ErrOverloaded", err)
+		}
+		close(unblock)
+		if err := <-first; err != nil {
+			t.Fatalf("first query: %v", err)
+		}
+		if err := <-second; err != nil {
+			t.Fatalf("queued query: %v", err)
+		}
+		st := f.admission()
+		if st.Queued < 1 || st.Rejected < 1 {
+			t.Fatalf("stats = %+v, want Queued >= 1 and Rejected >= 1", st)
+		}
+		waitFor(t, "slots to release", func() bool { return f.admission().InFlight == 0 })
+		// Shed queries never reach the served counters.
+		if m := f.metrics().Query; m.Queries != 2 || m.Errors != 0 {
+			t.Fatalf("queries=%d errors=%d, want 2/0 (the shed one is not counted)", m.Queries, m.Errors)
+		}
+	})
 }
 
 // TestAdmissionHonorsCancellation: a caller waiting for a slot gives up when
 // its context expires.
 func TestAdmissionHonorsCancellation(t *testing.T) {
-	db, entered, unblock := blockingDB(t, &Options{MaxInFlight: 1, QueueDepth: 4})
-	defer close(unblock)
-	pat := MustParsePattern("//a//b")
-	p := mustPlan(t, db, pat, MethodDP)
-	go db.Run(context.Background(), pat, p, RunOptions{})
-	<-entered
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := db.Run(ctx, pat, p, RunOptions{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("waiting query error = %v, want DeadlineExceeded", err)
-	}
+	forEachFacade(t, Options{MaxInFlight: 1, QueueDepth: 4}, func(t *testing.T, f envelopeFacade) {
+		entered, unblock := blockRuns(f)
+		defer close(unblock)
+		go f.run(context.Background())
+		<-entered
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if err := f.run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("waiting query error = %v, want DeadlineExceeded", err)
+		}
+	})
 }
 
-// TestDrainGraceful: Drain stops new admissions (ErrShuttingDown), waits for
-// in-flight queries, honours its context deadline, and is resumable.
+// TestDrainGraceful: Drain stops new admissions — queries and mutations
+// alike fail with ErrShuttingDown — waits for in-flight queries, honours its
+// context deadline, and is resumable.
 func TestDrainGraceful(t *testing.T) {
-	db, entered, unblock := blockingDB(t, &Options{MaxInFlight: 2})
-	pat := MustParsePattern("//a//b")
-	p := mustPlan(t, db, pat, MethodDP)
-	running := make(chan error, 1)
-	go func() {
-		_, err := db.Run(context.Background(), pat, p, RunOptions{})
-		running <- err
-	}()
-	<-entered
-	// A query is still in flight: a bounded Drain times out...
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := db.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("bounded Drain = %v, want DeadlineExceeded", err)
-	}
-	// ...and new arrivals are already refused.
-	if _, err := db.Run(context.Background(), pat, p, RunOptions{}); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("query during drain = %v, want ErrShuttingDown", err)
-	}
-	close(unblock)
-	if err := <-running; err != nil {
-		t.Fatalf("in-flight query: %v", err)
-	}
-	// The retried Drain resumes and completes; repeating it is a no-op.
-	if err := db.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain after queries finished: %v", err)
-	}
-	if err := db.Drain(context.Background()); err != nil {
-		t.Fatalf("repeated Drain: %v", err)
-	}
+	forEachFacade(t, Options{MaxInFlight: 2}, func(t *testing.T, f envelopeFacade) {
+		entered, unblock := blockRuns(f)
+		running := make(chan error, 1)
+		go func() { running <- f.run(context.Background()) }()
+		<-entered
+		// A query is still in flight: a bounded Drain times out...
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if err := f.drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("bounded Drain = %v, want DeadlineExceeded", err)
+		}
+		// ...and new arrivals are already refused, on both envelopes.
+		if err := f.run(context.Background()); !errors.Is(err, ErrShuttingDown) {
+			t.Fatalf("query during drain = %v, want ErrShuttingDown", err)
+		}
+		if err := f.insert(); !errors.Is(err, ErrShuttingDown) {
+			t.Fatalf("Insert during drain = %v, want ErrShuttingDown", err)
+		}
+		close(unblock)
+		if err := <-running; err != nil {
+			t.Fatalf("in-flight query: %v", err)
+		}
+		// The retried Drain resumes and completes; repeating it is a no-op.
+		if err := f.drain(context.Background()); err != nil {
+			t.Fatalf("Drain after queries finished: %v", err)
+		}
+		if err := f.drain(context.Background()); err != nil {
+			t.Fatalf("repeated Drain: %v", err)
+		}
+	})
 }
 
 // TestQueryPathRespectsAdmission: the high-level Query entry points flow
 // through Run, so admission errors surface there too.
 func TestQueryPathRespectsAdmission(t *testing.T) {
-	db, entered, unblock := blockingDB(t, &Options{MaxInFlight: 1})
-	pat := MustParsePattern("//a//b")
-	go db.QueryPatternContext(context.Background(), pat, QueryOptions{})
-	<-entered
-	_, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{})
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("query error = %v, want ErrOverloaded", err)
-	}
-	close(unblock)
-	waitFor(t, "slot release", func() bool { return db.AdmissionStats().InFlight == 0 })
+	forEachFacade(t, Options{MaxInFlight: 1}, func(t *testing.T, f envelopeFacade) {
+		entered, unblock := blockRuns(f)
+		go f.query(context.Background())
+		<-entered
+		if err := f.query(context.Background()); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("query error = %v, want ErrOverloaded", err)
+		}
+		close(unblock)
+		waitFor(t, "slot release", func() bool { return f.admission().InFlight == 0 })
+	})
 }
 
 // TestWriteMetricsResilienceCounters: the Prometheus exposition carries the

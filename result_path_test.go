@@ -166,7 +166,7 @@ func TestDemuxRangeSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := sh.membersOf(sn)
+	members := sn.members
 	if len(members) != 5 || members[0].span.First == 0 {
 		t.Fatalf("fixture lost its gaps: %+v", members)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,24 +15,25 @@ import (
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
 	"sjos/internal/plancache"
-	"sjos/internal/xmltree"
 )
 
 // CacheStats is a snapshot of the plan cache's behaviour counters.
 type CacheStats = plancache.Stats
 
 // service is the shared query-service state behind a Database (and all of
-// its WithParallelism views) or a Corpus: the statistics (replaceable by
-// RebuildStats), the plan cache, metrics, the slow-query log and admission
-// control. Handles are copied by WithParallelism, so anything mutable must
-// live here, behind the shared pointer. The statistics are an abstract
-// StatsSource: a single document's positional histograms for a Database,
-// the merged corpus-wide view for a Corpus.
+// its WithParallelism views) or a Corpus — exactly one per facade, never per
+// shard or replica: the statistics queries are planned against (replaceable
+// by RebuildStats, re-merged from the engines' parts after every committed
+// mutation), the plan cache, metrics, the slow-query log, admission control
+// and the write lock. Handles are copied by WithParallelism, so anything
+// mutable must live here, behind the shared pointer. The statistics are an
+// abstract StatsSource: a single document's positional histograms for a
+// static Database, the merged view over members for a writable one or a
+// Corpus.
 type service struct {
 	mu           sync.RWMutex
 	stats        core.StatsSource
 	statsVersion uint64
-	grid         int
 
 	cache *plancache.Cache[cachedPlan]
 
@@ -47,6 +47,11 @@ type service struct {
 	// WithParallelism views so the limit is per database, not per view.
 	admit *admission.Controller
 
+	// wmu is the facade's write lock: it serialises mutations, RebuildStats
+	// and every other access to the write-path state of the engines under
+	// this service (queries never take it).
+	wmu sync.Mutex
+
 	// driftEvicted remembers cache keys already evicted once by the
 	// adaptive drift check (see noteDrift). Re-planning with unchanged
 	// statistics reproduces the same plan and the same drift, so without
@@ -56,7 +61,7 @@ type service struct {
 	// setStats — new statistics deserve a fresh verdict. Guarded by mu.
 	driftEvicted map[plancache.Key]struct{}
 
-	// testHookRun, when non-nil, runs inside every Run's recovery scope —
+	// testHookRun, when non-nil, runs inside every read's recovery scope —
 	// white-box tests use it to inject panics at the query boundary.
 	testHookRun func()
 }
@@ -71,11 +76,12 @@ type cachedPlan struct {
 	counters core.Counters
 }
 
-func newService(stats core.StatsSource, grid, cacheCapacity int) *service {
+// newService builds a facade's service from the service-level options. The
+// facade installs the statistics (setStats) once its engines exist.
+func newService(opts *Options) *service {
 	return &service{
-		stats: stats,
-		grid:  grid,
-		cache: plancache.New[cachedPlan](cacheCapacity),
+		cache: plancache.New[cachedPlan](opts.PlanCacheCapacity),
+		admit: admission.New(opts.MaxInFlight, opts.QueueDepth),
 	}
 }
 
@@ -100,28 +106,30 @@ func (s *service) setStats(stats core.StatsSource) {
 	s.cache.Clear()
 }
 
-// rebuild recomputes single-document statistics at the service's grid
-// resolution and installs them via setStats.
-func (s *service) rebuild(doc *xmltree.Document) {
-	s.setStats(histogram.Build(doc, s.grid))
+// RebuildStats recomputes the statistics from scratch and invalidates the
+// plan cache: every histogram part is rebuilt from its document (at the
+// construction-time grid resolution) and re-merged — the ground truth the
+// incrementally maintained statistics must match. Plans optimized before
+// the rebuild remain executable; they are simply no longer served from the
+// cache. Shared by all WithParallelism views.
+func (db *Database) RebuildStats() {
+	db.svc.wmu.Lock()
+	defer db.svc.wmu.Unlock()
+	db.eng.rebuildParts()
+	db.refreshStats()
 }
 
-// RebuildStats recomputes the statistics from scratch and invalidates the
-// plan cache: for a static database the positional histograms of its
-// document (at the construction-time grid resolution); for an
-// ingestion-enabled one, every live member's histograms rebuilt from its
-// document and re-merged — the ground truth the incrementally maintained
-// statistics must match. Plans optimized before the rebuild remain
-// executable; they are simply no longer served from the cache. Shared by
-// all WithParallelism views.
-func (db *Database) RebuildStats() {
-	if db.ingest != nil {
-		db.ingest.mu.Lock()
-		defer db.ingest.mu.Unlock()
-		db.rebuildIngestStatsLocked()
+// refreshStats installs the statistics of the engine's current parts: a
+// static database plans against its document's own histograms, a writable
+// one against the merge of its members'. Caller holds the write lock (or is
+// still constructing the database).
+func (db *Database) refreshStats() {
+	parts := db.eng.parts()
+	if !db.eng.writable {
+		db.svc.setStats(parts[0])
 		return
 	}
-	db.svc.rebuild(db.view().doc)
+	db.svc.setStats(histogram.Merge(parts))
 }
 
 // CacheStats returns a snapshot of the plan cache's counters (shared by all
@@ -355,35 +363,92 @@ type RunResult struct {
 // anywhere under Run — optimizer bug, corrupted operator state — is
 // recovered into a *PanicError (stack attached, counted in metrics and
 // recorded in the slow-query ring) instead of crashing the process.
-func (db *Database) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (res *RunResult, err error) {
+func (db *Database) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
+	if opts.Workers == 0 {
+		opts.Workers = db.parallelism
+	}
+	var res *RunResult
+	err := db.svc.read(ctx, pat, func(ctx context.Context) (*ExecStats, error) {
+		var err error
+		if res, err = db.eng.runOn(ctx, db.eng.view(), pat, p, opts); err != nil {
+			return nil, err
+		}
+		if !opts.CountOnly {
+			res.Matches = res.set.Tuples()
+		}
+		return &res.Stats, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// read is the one read envelope, the resilience boundary of both facades:
+// claim an admission slot, observe the run in the metrics registry, and
+// recover a panic anywhere under run into a *PanicError (counted, and
+// recorded with its stack in the slow-query ring). run is the facade's
+// part — one engine run for a Database, the scatter for a Corpus — and
+// reports the physical work it did. A nil ctx is context.Background().
+func (s *service) read(ctx context.Context, pat *Pattern, run func(context.Context) (*ExecStats, error)) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	release, aerr := db.svc.admit.Acquire(ctx)
+	release, aerr := s.admit.Acquire(ctx)
 	if aerr != nil {
 		// Shed load before it becomes work: rejected queries never reach
 		// the metrics' served/latency counters (they have no execution to
 		// measure); admission keeps its own rejected/queued counters.
-		return nil, aerr
+		return aerr
 	}
 	defer release()
-	db.svc.metrics.QueryStarted()
+	s.metrics.QueryStarted()
 	t0 := time.Now()
+	var stats *ExecStats
 	defer func() {
 		if perr := exec.RecoverPanic(recover()); perr != nil {
-			res, err = nil, perr
-			db.svc.recordPanic(pat, perr)
+			stats, err = nil, perr
+			s.recordPanic(pat, perr)
 		}
-		db.svc.metrics.QueryFinished(time.Since(t0), err)
-		if res != nil {
-			db.svc.metrics.ExecBatched(res.Stats.Batches, res.Stats.SkippedTuples)
+		s.metrics.QueryFinished(time.Since(t0), err)
+		if stats != nil {
+			s.metrics.ExecBatched(stats.Batches, stats.SkippedTuples)
 		}
 	}()
-	if hook := db.svc.testHookRun; hook != nil {
+	if hook := s.testHookRun; hook != nil {
 		hook()
 	}
-	res, err = db.run(ctx, pat, p, opts)
-	return res, err
+	stats, err = run(ctx)
+	return err
+}
+
+// write is the one mutation envelope. Mutations pass the same admission
+// gate as queries — MaxInFlight bounds them and Drain refuses them, so write
+// endpoints shed load and shut down exactly like the read path — then take
+// the facade's write lock. mutate runs the commit protocol on eng (nil or
+// static: there is no write path). Whenever it published a new snapshot —
+// even if it then failed, as a post-commit compaction can — publish lets the
+// facade follow it: re-merge the statistics, update its directory.
+func (s *service) write(eng *engine, mutate func() error, publish func()) error {
+	if eng == nil || !eng.writable {
+		return ErrNoWAL
+	}
+	release, err := s.admit.Acquire(context.Background())
+	if err != nil {
+		return err
+	}
+	defer release()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if eng.broken != nil {
+		return eng.brokenErr()
+	}
+	before := eng.view()
+	err = mutate()
+	if eng.view() != before {
+		publish()
+	}
+	return err
 }
 
 // recordPanic folds one recovered panic into the observability surfaces:
@@ -405,94 +470,6 @@ func (s *service) recordPanic(pat *Pattern, perr error) {
 		e.Fingerprint = fp
 	}
 	s.slow.record(e)
-}
-
-// run is Run without the metrics observation, on the current snapshot.
-func (db *Database) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
-	res, err := db.runOn(ctx, db.view(), pat, p, opts)
-	if err == nil && !opts.CountOnly {
-		res.Matches = res.set.Tuples()
-	}
-	return res, err
-}
-
-// runOn executes a plan against one pinned snapshot: the whole run reads
-// exactly sn's document and store, so concurrent mutations (which publish
-// new snapshots) are invisible to it. The corpus layer pins the snapshot
-// itself so it can demultiplex matches with the matching member table.
-func (db *Database) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = db.parallelism
-	} else if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// With tracing on, operator trees (one per partition in parallel mode)
-	// are built through a TraceBuilder so every clone accumulates into one
-	// plan-shaped trace; with tracing off the plain compiler runs and
-	// execution carries zero instrumentation.
-	var tb *exec.TraceBuilder
-	buildOp := func() (exec.Operator, error) { return exec.Build(pat, p) }
-	if opts.Trace {
-		var err error
-		if tb, err = exec.NewTraceBuilder(pat, p); err != nil {
-			return nil, err
-		}
-		buildOp = tb.Build
-	}
-	ectx := &exec.Context{Ctx: ctx, Doc: sn.doc, Store: sn.store}
-	res := &RunResult{}
-	// A limited count still collects its (at most Limit) rows; only an
-	// unlimited count skips materialisation altogether.
-	countOnly := opts.CountOnly && opts.Limit <= 0
-	var err error
-	if workers > 0 {
-		pe := &exec.ParallelExec{Workers: workers, Batch: !opts.NoBatch, BuildOp: buildOp}
-		switch {
-		case countOnly:
-			res.Count, err = pe.RunCount(ctx, ectx, pat, p)
-		case opts.Limit > 0:
-			res.set, err = pe.RunLimit(ctx, ectx, pat, p, opts.Limit)
-		default:
-			res.set, err = pe.Run(ctx, ectx, pat, p)
-		}
-	} else {
-		if ctx.Done() != nil {
-			ectx.Interrupt = ctx.Err
-		}
-		var op exec.Operator
-		if op, err = buildOp(); err != nil {
-			return nil, err
-		}
-		// The driver picks the execution mode at the root (NextBatch
-		// through the whole tree, or Next per tuple); the operator tree
-		// itself is mode-agnostic.
-		if countOnly {
-			res.Count, err = exec.Count(ectx, op, !opts.NoBatch)
-		} else {
-			if opts.Limit > 0 {
-				op = exec.NewLimit(op, opts.Limit)
-			}
-			res.set, err = exec.Collect(ectx, op, pat.N(), !opts.NoBatch)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !countOnly {
-		res.Count = res.set.Len()
-	}
-	res.Stats = ectx.Stats
-	if tb != nil {
-		res.Trace = tb.Trace()
-	}
-	return res, nil
 }
 
 // QueryOptions tunes one QueryContext call. The zero value optimizes with
@@ -528,10 +505,58 @@ func (db *Database) QueryContext(ctx context.Context, src string, opts QueryOpti
 // the query runs with per-operator tracing so a threshold-crossing entry
 // can attribute its time.
 func (db *Database) QueryPatternContext(ctx context.Context, pat *Pattern, opts QueryOptions) (*QueryResult, error) {
+	res := &QueryResult{}
+	var err error
+	res.planned, err = db.svc.query(ctx, pat, db.model, db.eng.view().store, opts, func(p *Plan, eo ExecOptions) (int, ExecStats, *OpTrace, error) {
+		rr, err := db.Run(ctx, pat, p, RunOptions{ExecOptions: eo})
+		if err != nil {
+			return 0, ExecStats{}, nil, err
+		}
+		res.Matches = rr.Matches
+		return rr.Count, rr.Stats, rr.Trace, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// planned is what every planned query reports, whichever facade ran it.
+type planned struct {
+	// Plan is the executed plan (one plan, every shard of a corpus);
+	// PlanText its rendering.
+	Plan     *Plan
+	PlanText string
+	// EstCost is the optimizer's estimate for the plan.
+	EstCost float64
+	// CachedPlan reports whether the plan came from the plan cache (or a
+	// coalesced in-flight optimization) instead of a fresh optimizer run.
+	CachedPlan bool
+	// OptimizeTime and ExecuteTime split the total latency the way the
+	// paper's Table 1 reports it; for a corpus ExecuteTime covers the whole
+	// scatter-gather.
+	OptimizeTime time.Duration
+	ExecuteTime  time.Duration
+	// PlansConsidered is the optimizer's search effort (Table 2).
+	PlansConsidered int
+	// Exec reports the physical work done (merged over every shard
+	// execution of a corpus).
+	Exec ExecStats
+	// Trace is the per-operator execution trace (nil unless
+	// QueryOptions.Trace was set or a slow-query log is active).
+	Trace *OpTrace
+}
+
+// query is the one planned-query core: resolve the slow-log configuration,
+// optimize pat through the plan cache against pe's probe eligibility, run
+// the chosen plan — exec is the facade's part, going through its read
+// envelope — then close the adaptive drift loop and apply the slow-query
+// policy.
+func (s *service) query(ctx context.Context, pat *Pattern, model CostModel, pe core.ProbeEligibility, opts QueryOptions, run func(*Plan, ExecOptions) (int, ExecStats, *OpTrace, error)) (planned, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	thr, slowFn := db.svc.slow.config()
+	thr, slowFn := s.slow.config()
 	if opts.SlowQueryThreshold > 0 {
 		thr = opts.SlowQueryThreshold
 	}
@@ -539,23 +564,22 @@ func (db *Database) QueryPatternContext(ctx context.Context, pat *Pattern, opts 
 		slowFn = opts.OnSlowQuery
 	}
 	t0 := time.Now()
-	res, cached, key, err := db.svc.optimizePattern(ctx, pat, db.model, db.view().store, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
+	res, cached, key, err := s.optimizePattern(ctx, pat, model, pe, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
 	if err != nil {
-		return nil, err
+		return planned{}, err
 	}
 	optTime := time.Since(t0)
 	t1 := time.Now()
 	eo := opts.ExecOptions
 	eo.Trace = opts.Trace || thr > 0
-	rr, err := db.Run(ctx, pat, res.Plan, RunOptions{ExecOptions: eo})
+	count, stats, trace, err := run(res.Plan, eo)
 	if err != nil {
-		return nil, fmt.Errorf("sjos: executing %v plan: %w", opts.Method, err)
+		return planned{}, fmt.Errorf("sjos: executing %v plan: %w", opts.Method, err)
 	}
 	execTime := time.Since(t1)
-	db.svc.noteDrift(key, cached, eo, rr.Trace)
-	db.svc.maybeLogSlow(pat, opts.Method, thr, slowFn, optTime, execTime, rr.Count, rr.Stats, rr.Trace, cached)
-	return &QueryResult{
-		Matches:         rr.Matches,
+	s.noteDrift(key, cached, eo, trace)
+	s.maybeLogSlow(pat, opts.Method, thr, slowFn, optTime, execTime, count, stats, trace, cached)
+	return planned{
 		Plan:            res.Plan,
 		PlanText:        res.Plan.Format(pat),
 		EstCost:         res.Cost,
@@ -563,7 +587,7 @@ func (db *Database) QueryPatternContext(ctx context.Context, pat *Pattern, opts 
 		OptimizeTime:    optTime,
 		ExecuteTime:     execTime,
 		PlansConsidered: res.Counters.PlansConsidered,
-		Exec:            rr.Stats,
-		Trace:           rr.Trace,
+		Exec:            stats,
+		Trace:           trace,
 	}, nil
 }

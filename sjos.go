@@ -6,15 +6,12 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"sjos/internal/admission"
 	"sjos/internal/core"
 	"sjos/internal/cost"
 	"sjos/internal/datagen"
 	"sjos/internal/exec"
-	"sjos/internal/histogram"
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
 	"sjos/internal/storage"
@@ -168,9 +165,6 @@ type Options struct {
 	// (0 selects DefaultCompactThreshold; negative disables auto-compaction;
 	// Compact can always be called explicitly). Ignored without WALFile.
 	CompactThreshold float64
-	// CompactFile supplies the fresh page file each compaction rebuilds the
-	// store onto (nil selects in-memory files). Ignored without WALFile.
-	CompactFile func() PageFile
 }
 
 func (o *Options) model() CostModel {
@@ -183,59 +177,19 @@ func (o *Options) model() CostModel {
 // CalibrateModel measures cost model factors on the current machine.
 func CalibrateModel() CostModel { return cost.Calibrate() }
 
-// dbSnap is one immutable (document, store) version of a database. Static
-// databases have exactly one; an ingestion-enabled database (Options.WALFile)
-// publishes a fresh snapshot per committed mutation, and every query pins one
-// snapshot for its whole run — readers never observe a half-applied write.
-type dbSnap struct {
-	doc   *xmltree.Document
-	store *storage.Store
-	// members lists the live member documents in node-range order, and
-	// memberIdx finds one by ID. Both are nil for static databases; for
-	// ingestion-enabled ones they are the membership view consistent with
-	// exactly this store version (the corpus demux depends on that).
-	members   []memberView
-	memberIdx map[string]int
-}
-
-// memberView is one live member's identity and node range inside a snapshot.
-type memberView struct {
-	id   string
-	span xmltree.DocSpan
-}
-
-// dbState is the immutable-identity core of a Database: the current
-// (document, store) snapshot and the shared service. Derived handles
-// (WithParallelism) share one dbState pointer, so cached plans, statistics,
-// metrics and admission control are one per database — a derived handle
-// differs only in its execution settings.
-type dbState struct {
-	// snap is the current published snapshot; mutations replace it
-	// atomically after commit, so reads are lock-free.
-	snap  atomic.Pointer[dbSnap]
-	model CostModel
-
-	// svc holds the mutable shared state — statistics (replaceable via
-	// RebuildStats), the plan cache, metrics, the slow-query log and
-	// admission control — behind one pointer.
-	svc *service
-
-	// ingest is the write path's state (WAL, forest, member table); nil for
-	// databases built without Options.WALFile.
-	ingest *ingestState
-}
-
-// view returns the current snapshot. Callers that touch both the document
-// and the store of one logical version must call view once and use the
-// returned pair.
-func (st *dbState) view() *dbSnap { return st.snap.Load() }
-
-// Database is a loaded, indexed XML document ready for querying. The
-// zero parallelism (the default for every constructor) executes plans
-// serially; see WithParallelism. For many documents behind one query
+// Database is a loaded, indexed XML document ready for querying: a thin
+// facade over one storage engine (the stored document, its snapshots and
+// its write path) and one query service (statistics, plan cache, metrics,
+// slow-query log, admission control). Derived handles (WithParallelism)
+// share both pointers, so cached plans, statistics, metrics and admission
+// control are one per database — a derived handle differs only in its
+// execution settings. The zero parallelism (the default for every
+// constructor) executes plans serially. For many documents behind one query
 // surface, see Corpus — Database is the single-document convenience.
 type Database struct {
-	*dbState
+	eng   *engine
+	svc   *service
+	model CostModel
 
 	// parallelism > 0 routes Run (and therefore Query) through the
 	// partition-parallel driver with that many workers. 0 = serial.
@@ -261,7 +215,7 @@ func LoadXMLString(s string, opts *Options) (*Database, error) {
 // back with OpenImage; indexes and statistics are rebuilt deterministically
 // on load.
 func (db *Database) SaveImage(w io.Writer) error {
-	return xmltree.WriteImage(db.view().doc, w)
+	return xmltree.WriteImage(db.eng.view().doc, w)
 }
 
 // SaveImageFile is SaveImage to a file path.
@@ -311,10 +265,10 @@ func GenerateDataset(name string, scale float64, fold int, opts *Options) (*Data
 // storeFile resolves the page file a database image lives on: an injected
 // PageFile, a fresh disk file at DiskPath, or memory.
 func storeFile(opts *Options) (PageFile, error) {
-	if opts != nil && opts.PageFile != nil {
+	if opts.PageFile != nil {
 		return opts.PageFile, nil
 	}
-	if opts != nil && opts.DiskPath != "" {
+	if opts.DiskPath != "" {
 		return storage.CreateDiskFile(opts.DiskPath)
 	}
 	return storage.NewMemFile(), nil
@@ -338,9 +292,6 @@ func OpenPageFile(path string) (PageFile, error) { return storage.OpenDiskFile(p
 // otherwise WALPath is opened if the file exists (recovery) or created
 // fresh. nil means no write path.
 func resolveWALFile(opts *Options) (PageFile, error) {
-	if opts == nil {
-		return nil, nil
-	}
 	if opts.WALFile != nil {
 		return opts.WALFile, nil
 	}
@@ -353,63 +304,55 @@ func resolveWALFile(opts *Options) (PageFile, error) {
 	return storage.CreateDiskFile(opts.WALPath)
 }
 
+// fromDocument builds a database over doc: with a WAL configured the
+// document becomes the first member of an appendable forest, under the
+// reserved seed ID (no doc: the forest starts empty, or is recovered from the
+// WAL — OpenDatabase); without one it is stored read-only.
 func fromDocument(doc *xmltree.Document, opts *Options) (*Database, error) {
+	if opts == nil {
+		opts = &Options{}
+	}
 	wal, err := resolveWALFile(opts)
 	if err != nil {
 		return nil, err
 	}
-	if wal != nil {
-		// Ingestion-enabled: the document becomes the first member of an
-		// appendable forest, under the reserved seed ID.
-		wopts := *opts
-		wopts.WALFile = wal
-		return buildIngestDatabase([]seedDoc{{id: SeedDocID, doc: doc}}, &wopts)
-	}
-	poolFrames, grid, cacheCap := 0, 0, 0
-	var retry RetryPolicy
-	maxInFlight, queueDepth := 0, 0
-	var sopts storage.StoreOptions
-	if opts != nil {
-		poolFrames, grid = opts.PoolFrames, opts.HistogramGrid
-		cacheCap = opts.PlanCacheCapacity
-		retry = opts.Retry
-		maxInFlight, queueDepth = opts.MaxInFlight, opts.QueueDepth
-		sopts.NoValueIndex = opts.NoValueIndex
-	}
-	pageFile, err := storeFile(opts)
+	file, err := storeFile(opts)
 	if err != nil {
 		return nil, err
 	}
-	store, err := storage.BuildStoreOnOpts(pageFile, doc, poolFrames, sopts)
+	var eng *engine
+	switch {
+	case wal == nil:
+		table := []memberView{{id: SeedDocID, span: xmltree.DocSpan{Nodes: doc.NumNodes()}}}
+		eng, err = newStaticEngine(doc, table, file, opts.engineConfig())
+	case doc == nil:
+		eng, err = newForestEngine(nil, wal, file, opts.engineConfig())
+	default:
+		eng, err = newForestEngine([]seedDoc{{id: SeedDocID, doc: doc}}, wal, file, opts.engineConfig())
+	}
 	if err != nil {
 		return nil, err
 	}
-	if retry != (RetryPolicy{}) {
-		store.Pool().SetRetryPolicy(retry)
-	}
-	svc := newService(histogram.Build(doc, grid), grid, cacheCap)
-	svc.admit = admission.New(maxInFlight, queueDepth)
-	db := &Database{
-		dbState: &dbState{
-			model: opts.model(),
-			svc:   svc,
-		},
-	}
-	db.snap.Store(&dbSnap{doc: doc, store: store})
-	return db, nil
+	return newDatabase(eng, opts), nil
+}
+
+func newDatabase(eng *engine, opts *Options) *Database {
+	db := &Database{eng: eng, svc: newService(opts), model: opts.model()}
+	db.refreshStats()
+	return db
 }
 
 // NumNodes returns the number of element nodes in the database.
-func (db *Database) NumNodes() int { return db.view().doc.NumNodes() }
+func (db *Database) NumNodes() int { return db.eng.view().doc.NumNodes() }
 
 // TagName returns the element tag of a matched node.
 func (db *Database) TagName(id NodeID) string {
-	doc := db.view().doc
+	doc := db.eng.view().doc
 	return doc.TagName(doc.Tag(id))
 }
 
 // Value returns the text value of a matched node ("" if none).
-func (db *Database) Value(id NodeID) string { return db.view().doc.Value(id) }
+func (db *Database) Value(id NodeID) string { return db.eng.view().doc.Value(id) }
 
 // Model returns the database's cost model.
 func (db *Database) Model() CostModel { return db.model }
@@ -428,7 +371,7 @@ func (db *Database) Optimize(pat *Pattern, m Method, te int) (*OptimizeResult, e
 // plan search (all algorithms poll it) and returns ctx's error.
 func (db *Database) OptimizeContext(ctx context.Context, pat *Pattern, m Method, te int) (*OptimizeResult, error) {
 	stats, _ := db.svc.snapshot()
-	return optimizeWith(ctx, pat, stats, db.model, m, te, db.view().store)
+	return optimizeWith(ctx, pat, stats, db.model, m, te, db.eng.view().store)
 }
 
 // OptimizeWithExactStats is Optimize with the oracle estimator: exact
@@ -437,7 +380,7 @@ func (db *Database) OptimizeContext(ctx context.Context, pat *Pattern, m Method,
 // effect of estimation error on plan choice (the A2 ablation in DESIGN.md)
 // and is too expensive for routine use.
 func (db *Database) OptimizeWithExactStats(pat *Pattern, m Method, te int) (*OptimizeResult, error) {
-	est, err := core.NewOracleEstimator(pat, db.view().doc)
+	est, err := core.NewOracleEstimator(pat, db.eng.view().doc)
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +413,7 @@ func (db *Database) WithParallelism(k int) *Database {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
 	}
-	return &Database{dbState: db.dbState, parallelism: k}
+	return &Database{eng: db.eng, svc: db.svc, model: db.model, parallelism: k}
 }
 
 // Parallelism reports the worker count queries run with (0 = serial).
@@ -478,12 +421,12 @@ func (db *Database) Parallelism() int { return db.parallelism }
 
 // PoolStats returns a snapshot of the buffer pool's cumulative hit/miss
 // counters for this database's store (shared by all parallelism views).
-func (db *Database) PoolStats() PoolStats { return db.view().store.PoolStats() }
+func (db *Database) PoolStats() PoolStats { return db.eng.view().store.PoolStats() }
 
 // ContentStats returns a snapshot of the store's content-index,
 // postings-compression and string-interning counters (shared by all
 // parallelism views).
-func (db *Database) ContentStats() ContentStats { return db.view().store.ContentStats() }
+func (db *Database) ContentStats() ContentStats { return db.eng.view().store.ContentStats() }
 
 // AdmissionStats returns the admission controller's counters (all zero when
 // no MaxInFlight was configured). Shared by all parallelism views.
@@ -501,7 +444,7 @@ func (db *Database) Drain(ctx context.Context) error { return db.svc.admit.Drain
 // alternative of Bruno et al. that the paper cites as future work), for
 // comparison against the structural-join plans.
 func (db *Database) TwigStack(pat *Pattern) ([]Match, error) {
-	ms, _, err := twigjoin.Run(db.view().doc, pat)
+	ms, _, err := twigjoin.Run(db.eng.view().doc, pat)
 	out := make([]Match, len(ms))
 	for i, m := range ms {
 		out[i] = Match(m)
@@ -509,29 +452,13 @@ func (db *Database) TwigStack(pat *Pattern) ([]Match, error) {
 	return out, err
 }
 
-// QueryResult is the outcome of a one-shot Query call.
+// QueryResult is the outcome of a one-shot Query call: the matches plus
+// the planned-query report (Plan, PlanText, EstCost, CachedPlan,
+// OptimizeTime, ExecuteTime, PlansConsidered, Exec, Trace).
 type QueryResult struct {
 	// Matches holds all pattern matches in pattern-node order.
 	Matches []Match
-	// Plan is the executed plan; PlanText its rendering.
-	Plan     *Plan
-	PlanText string
-	// EstCost is the optimizer's estimate for the plan.
-	EstCost float64
-	// CachedPlan reports whether the plan came from the plan cache (or a
-	// coalesced in-flight optimization) instead of a fresh optimizer run.
-	CachedPlan bool
-	// OptimizeTime and ExecuteTime split the total latency the way the
-	// paper's Table 1 reports it.
-	OptimizeTime time.Duration
-	ExecuteTime  time.Duration
-	// PlansConsidered is the optimizer's search effort (Table 2).
-	PlansConsidered int
-	// Exec reports the physical work done.
-	Exec ExecStats
-	// Trace is the per-operator execution trace (nil unless
-	// QueryOptions.Trace was set or a slow-query log is active).
-	Trace *OpTrace
+	planned
 }
 
 // Query parses src, optimizes it with method m and executes the chosen

@@ -2,6 +2,7 @@ package sjos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -41,9 +42,83 @@ var chaosStates = []struct {
 	{11, "[c b]"},
 }
 
+// chaosFacade is the write-and-count surface the matrix drives. Database
+// and Corpus commit through the same engine protocol, so both are inputs to
+// the same matrix — same ordinals, same verdicts.
+type chaosFacade interface {
+	InsertString(id, src string) error
+	ReplaceString(id, src string) error
+	Delete(id string) error
+	// count runs the probe query and returns its match count.
+	count(opts ExecOptions) (int, error)
+	// ids lists the live documents (node-range order after a recovery);
+	// broken reports a poisoned write path.
+	ids() []string
+	broken() bool
+}
+
+const chaosQuery = "//order//item/name"
+
+type chaosDatabase struct{ *Database }
+
+func (d chaosDatabase) count(opts ExecOptions) (int, error) {
+	res, err := d.QueryContext(context.Background(), chaosQuery, QueryOptions{ExecOptions: opts})
+	if err != nil {
+		return 0, err
+	}
+	return len(res.Matches), nil
+}
+func (d chaosDatabase) ids() []string { return d.MemberIDs() }
+func (d chaosDatabase) broken() bool  { return d.IngestStats().Broken }
+
+type chaosCorpus struct{ *Corpus }
+
+func (c chaosCorpus) count(opts ExecOptions) (int, error) {
+	res, err := c.QueryContext(context.Background(), chaosQuery, QueryOptions{ExecOptions: opts})
+	if err != nil {
+		return 0, err
+	}
+	return res.Count, nil
+}
+func (c chaosCorpus) ids() []string { return c.DocIDs() }
+func (c chaosCorpus) broken() bool  { return c.IngestStats().BrokenShards > 0 }
+
+// chaosOpen builds a handle logging to wal with its (primary) store on store
+// (nil: memory) — or, when wal already holds committed transactions, reopens
+// it: the recovery entry point.
+type chaosOpen func(wal, store PageFile, compactThr float64) (chaosFacade, error)
+
+// chaosFacades are the matrix inputs.
+var chaosFacades = []struct {
+	name string
+	open chaosOpen
+}{
+	{"database", func(wal, store PageFile, compactThr float64) (chaosFacade, error) {
+		db, err := OpenDatabase(&Options{WALFile: wal, PageFile: store, CompactThreshold: compactThr})
+		return chaosDatabase{db}, err
+	}},
+	// One shard, so the one WAL sees every mutation; two replicas, so the
+	// follower apply path rides along on every commit.
+	{"corpus-1x2", func(wal, store PageFile, compactThr float64) (chaosFacade, error) {
+		c, err := NewCorpusBuilder(&CorpusOptions{
+			Options:          Options{CompactThreshold: compactThr},
+			Shards:           1,
+			ReplicasPerShard: 2,
+			ShardWALFile:     func(int) PageFile { return wal },
+			ShardPageFile: func(_, replica int) PageFile {
+				if replica == 0 {
+					return store
+				}
+				return nil
+			},
+		}).Build()
+		return chaosCorpus{c}, err
+	}},
+}
+
 // applyChaosScript runs the script until the first error, returning how
 // many mutations reported success.
-func applyChaosScript(db *Database) int {
+func applyChaosScript(db chaosFacade) int {
 	for i, s := range chaosScript {
 		var err error
 		switch s.op {
@@ -72,44 +147,64 @@ func chaosStateOf(count int) int {
 	return -1
 }
 
-// verifyChaosState checks the database is exactly chaosStates[want] under
-// all five paper methods, each in batched and tuple-at-a-time execution.
-func verifyChaosState(t *testing.T, db *Database, want int, label string) {
+// chaosStateNow reads the handle's current history state off its count.
+func chaosStateNow(t *testing.T, db chaosFacade, label string) int {
 	t.Helper()
-	if got := fmt.Sprint(db.MemberIDs()); got != chaosStates[want].ids {
+	n, err := db.count(ExecOptions{Method: MethodDPP})
+	if err != nil {
+		t.Fatalf("%s: count query: %v", label, err)
+	}
+	return chaosStateOf(n)
+}
+
+// verifyChaosState checks the handle is exactly chaosStates[want] under all
+// five paper methods, each in batched and tuple-at-a-time execution.
+func verifyChaosState(t *testing.T, db chaosFacade, want int, label string) {
+	t.Helper()
+	if got := fmt.Sprint(db.ids()); got != chaosStates[want].ids {
 		t.Fatalf("%s: members %s, want %s", label, got, chaosStates[want].ids)
 	}
 	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP} {
 		for _, noBatch := range []bool{false, true} {
-			res, err := db.QueryContext(context.Background(), "//order//item/name",
-				QueryOptions{ExecOptions: ExecOptions{Method: m, NoBatch: noBatch}})
+			n, err := db.count(ExecOptions{Method: m, NoBatch: noBatch})
 			if err != nil {
 				t.Fatalf("%s: %v noBatch=%v: %v", label, m, noBatch, err)
 			}
-			if len(res.Matches) != chaosStates[want].count {
-				t.Fatalf("%s: %v noBatch=%v: %d matches, want %d",
-					label, m, noBatch, len(res.Matches), chaosStates[want].count)
+			if n != chaosStates[want].count {
+				t.Fatalf("%s: %v noBatch=%v: %d matches, want %d", label, m, noBatch, n, chaosStates[want].count)
 			}
 		}
 	}
 }
 
-// chaosWriteBudget measures how many WAL-file writes the full script costs,
-// so the matrix can enumerate every ordinal.
-func chaosWriteBudget(t *testing.T) int {
+// forEachChaosFacade runs one matrix against every facade.
+func forEachChaosFacade(t *testing.T, fn func(t *testing.T, open chaosOpen)) {
+	for _, f := range chaosFacades {
+		t.Run(f.name, func(t *testing.T) { fn(t, f.open) })
+	}
+}
+
+// chaosWriteBudget measures how many writes the full script costs the file
+// under test (the WAL, or with faultStore the store file), so a matrix can
+// enumerate every ordinal.
+func chaosWriteBudget(t *testing.T, open chaosOpen, faultStore bool) int {
 	t.Helper()
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	db, err := OpenDatabase(&Options{WALFile: ff, CompactThreshold: -1})
+	wal, store := PageFile(ff), PageFile(nil)
+	if faultStore {
+		wal, store = storage.NewMemFile(), ff
+	}
+	db, err := open(wal, store, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff.SetPolicy(faultfs.Policy{}) // reset counters past the bootstrap snapshot
+	ff.SetPolicy(faultfs.Policy{}) // reset counters past the bootstrap
 	if n := applyChaosScript(db); n != len(chaosScript) {
 		t.Fatalf("fault-free script stopped at %d", n)
 	}
 	w := int(ff.Stats().Writes)
 	if w == 0 {
-		t.Fatal("script wrote nothing to the WAL")
+		t.Fatal("script wrote nothing to the file under test")
 	}
 	return w
 }
@@ -120,45 +215,47 @@ func chaosWriteBudget(t *testing.T) int {
 // committed), and recovery must land exactly on the committed prefix —
 // either fully pre- or fully post-commit of the interrupted transaction.
 func TestWALChaosKillPointMatrix(t *testing.T) {
-	writes := chaosWriteBudget(t)
-	t.Logf("script costs %d WAL writes; crashing after each", writes)
-	for k := 1; k <= writes; k++ {
-		ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-		db, err := OpenDatabase(&Options{WALFile: ff, CompactThreshold: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff.SetPolicy(faultfs.Policy{CrashAfterNWrites: k})
-		committed := applyChaosScript(db)
-		label := fmt.Sprintf("kill-point %d (committed %d)", k, committed)
-		if committed == len(chaosScript) {
-			t.Fatalf("%s: script survived the crash", label)
-		}
+	forEachChaosFacade(t, func(t *testing.T, open chaosOpen) {
+		writes := chaosWriteBudget(t, open, false)
+		t.Logf("script costs %d WAL writes; crashing after each", writes)
+		for k := 1; k <= writes; k++ {
+			ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
+			db, err := open(ff, nil, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff.SetPolicy(faultfs.Policy{CrashAfterNWrites: k})
+			committed := applyChaosScript(db)
+			label := fmt.Sprintf("kill-point %d (committed %d)", k, committed)
+			if committed == len(chaosScript) {
+				t.Fatalf("%s: script survived the crash", label)
+			}
 
-		// The pre-crash handle must keep serving reads on its last
-		// published snapshot, whatever state the write path is in.
-		if got := chaosStateOf(countMatches(t, db, "//order//item/name")); got < committed || got > committed+1 {
-			t.Fatalf("%s: live handle shows state %d", label, got)
-		}
+			// The pre-crash handle must keep serving reads on its last
+			// published snapshot, whatever state the write path is in.
+			if got := chaosStateNow(t, db, label); got < committed || got > committed+1 {
+				t.Fatalf("%s: live handle shows state %d", label, got)
+			}
 
-		rec, err := OpenDatabase(&Options{WALFile: ff.Inner()})
-		if err != nil {
-			t.Fatalf("%s: recovery failed: %v", label, err)
-		}
-		got := chaosStateOf(countMatches(t, rec, "//order//item/name"))
-		if got != committed && got != committed+1 {
-			t.Fatalf("%s: recovered state %d, want %d or %d", label, got, committed, committed+1)
-		}
-		verifyChaosState(t, rec, got, label)
+			rec, err := open(ff.Inner(), nil, 0)
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", label, err)
+			}
+			got := chaosStateNow(t, rec, label)
+			if got != committed && got != committed+1 {
+				t.Fatalf("%s: recovered state %d, want %d or %d", label, got, committed, committed+1)
+			}
+			verifyChaosState(t, rec, got, label)
 
-		// The recovered database accepts new work.
-		if err := rec.InsertString("fresh", orderXML(2)); err != nil {
-			t.Fatalf("%s: post-recovery insert: %v", label, err)
+			// The recovered handle accepts new work.
+			if err := rec.InsertString("fresh", orderXML(2)); err != nil {
+				t.Fatalf("%s: post-recovery insert: %v", label, err)
+			}
+			if n, err := rec.count(ExecOptions{Method: MethodDPP}); err != nil || n != chaosStates[got].count+2 {
+				t.Fatalf("%s: post-recovery insert not visible (count %d, err %v)", label, n, err)
+			}
 		}
-		if n := countMatches(t, rec, "//order//item/name"); n != chaosStates[got].count+2 {
-			t.Fatalf("%s: post-recovery insert not visible", label)
-		}
-	}
+	})
 }
 
 // TestWALChaosTornWriteMatrix tears every WAL write ordinal in turn: the
@@ -166,82 +263,71 @@ func TestWALChaosKillPointMatrix(t *testing.T) {
 // never notices — recovery must detect the damage by checksum and land on
 // the longest intact committed prefix, never a torn blend.
 func TestWALChaosTornWriteMatrix(t *testing.T) {
-	writes := chaosWriteBudget(t)
-	for k := 1; k <= writes; k++ {
-		ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-		db, err := OpenDatabase(&Options{WALFile: ff, CompactThreshold: -1})
-		if err != nil {
-			t.Fatal(err)
+	forEachChaosFacade(t, func(t *testing.T, open chaosOpen) {
+		writes := chaosWriteBudget(t, open, false)
+		for k := 1; k <= writes; k++ {
+			ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
+			db, err := open(ff, nil, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff.SetPolicy(faultfs.Policy{TornWrite: k, Seed: int64(k)})
+			committed := applyChaosScript(db)
+			label := fmt.Sprintf("torn write %d (committed %d)", k, committed)
+			if committed != len(chaosScript) {
+				t.Fatalf("%s: torn write was visible to the writer", label)
+			}
+			rec, err := open(ff.Inner(), nil, 0)
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", label, err)
+			}
+			got := chaosStateNow(t, rec, label)
+			if got < 0 || got > committed {
+				t.Fatalf("%s: recovered state %d not a committed prefix", label, got)
+			}
+			verifyChaosState(t, rec, got, label)
 		}
-		ff.SetPolicy(faultfs.Policy{TornWrite: k, Seed: int64(k)})
-		committed := applyChaosScript(db)
-		label := fmt.Sprintf("torn write %d (committed %d)", k, committed)
-		if committed != len(chaosScript) {
-			t.Fatalf("%s: torn write was visible to the writer", label)
-		}
-		rec, err := OpenDatabase(&Options{WALFile: ff.Inner()})
-		if err != nil {
-			t.Fatalf("%s: recovery failed: %v", label, err)
-		}
-		got := chaosStateOf(countMatches(t, rec, "//order//item/name"))
-		if got < 0 || got > committed {
-			t.Fatalf("%s: recovered state %d not a committed prefix", label, got)
-		}
-		verifyChaosState(t, rec, got, label)
-	}
+	})
 }
 
-// TestWALChaosStoreCrash crashes the store file (not the WAL) at every
-// write ordinal: the WAL commit always precedes store writes, so the
+// TestWALChaosStoreCrash crashes the (primary) store file, not the WAL, at
+// every write ordinal: the WAL commit always precedes store writes, so the
 // failing mutation is durably committed but unapplied — the handle must
 // poison its write path (ErrBroken), keep serving the last snapshot, and
 // recovery must show the interrupted mutation applied.
 func TestWALChaosStoreCrash(t *testing.T) {
-	// Budget: store writes over the script (store file faulted, WAL clean).
-	wal := storage.NewMemFile()
-	sf := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	db, err := OpenDatabase(&Options{WALFile: wal, PageFile: sf, CompactThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.SetPolicy(faultfs.Policy{})
-	if n := applyChaosScript(db); n != len(chaosScript) {
-		t.Fatalf("fault-free script stopped at %d", n)
-	}
-	writes := int(sf.Stats().Writes)
-	if writes == 0 {
-		t.Fatal("script wrote nothing to the store")
-	}
+	forEachChaosFacade(t, func(t *testing.T, open chaosOpen) {
+		writes := chaosWriteBudget(t, open, true)
+		for k := 1; k <= writes; k++ {
+			wal := storage.NewMemFile()
+			sf := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
+			db, err := open(wal, sf, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sf.SetPolicy(faultfs.Policy{CrashAfterNWrites: k})
+			committed := applyChaosScript(db)
+			label := fmt.Sprintf("store kill-point %d (committed %d)", k, committed)
+			if committed == len(chaosScript) {
+				t.Fatalf("%s: script survived the crash", label)
+			}
+			if !db.broken() {
+				t.Fatalf("%s: write path not poisoned after post-commit failure", label)
+			}
+			if err := db.InsertString("more", orderXML(1)); !errors.Is(err, ErrBroken) {
+				t.Fatalf("%s: poisoned handle answered a mutation with %v, want ErrBroken", label, err)
+			}
 
-	for k := 1; k <= writes; k++ {
-		wal := storage.NewMemFile()
-		sf := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-		db, err := OpenDatabase(&Options{WALFile: wal, PageFile: sf, CompactThreshold: -1})
-		if err != nil {
-			t.Fatal(err)
+			rec, err := open(wal, nil, 0)
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", label, err)
+			}
+			got := chaosStateNow(t, rec, label)
+			if got != committed+1 {
+				t.Fatalf("%s: recovered state %d, want %d (the committed-but-unapplied mutation)",
+					label, got, committed+1)
+			}
+			verifyChaosState(t, rec, got, label)
 		}
-		sf.SetPolicy(faultfs.Policy{CrashAfterNWrites: k})
-		committed := applyChaosScript(db)
-		label := fmt.Sprintf("store kill-point %d (committed %d)", k, committed)
-		if committed == len(chaosScript) {
-			t.Fatalf("%s: script survived the crash", label)
-		}
-		if !db.IngestStats().Broken {
-			t.Fatalf("%s: write path not poisoned after post-commit failure", label)
-		}
-		if err := db.InsertString("more", orderXML(1)); err == nil {
-			t.Fatalf("%s: poisoned handle accepted a mutation", label)
-		}
-
-		rec, err := OpenDatabase(&Options{WALFile: wal})
-		if err != nil {
-			t.Fatalf("%s: recovery failed: %v", label, err)
-		}
-		got := chaosStateOf(countMatches(t, rec, "//order//item/name"))
-		if got != committed+1 {
-			t.Fatalf("%s: recovered state %d, want %d (the committed-but-unapplied mutation)",
-				label, got, committed+1)
-		}
-		verifyChaosState(t, rec, got, label)
-	}
+	})
 }
