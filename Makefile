@@ -14,7 +14,9 @@
 # stays covered). `make plannerbench` runs the planning-cost lane — optimize
 # time vs resulting execution time for every method, including the
 # statistics-free Greedy orderer — into BENCH_planner.json; `make
-# plannerquick` is its CI smoke variant. `make replicabench` compares hedged vs unhedged tail
+# plannerquick` is its CI smoke variant, followed by one iteration of the
+# optimizer-search layer lane (BenchmarkSearchPlanCold: ns/op, B/op, allocs/op
+# and plans/op for DP, DPP and the DPAPs on 12-13-node twigs). `make replicabench` compares hedged vs unhedged tail
 # latency with one slow replica per shard into BENCH_replica.json;
 # `make replicachaos` is the replica fault-injection suite under the race
 # detector (a dead replica per shard must never change query results).
@@ -50,9 +52,10 @@ vet:
 check: vet test-race
 
 # Code size, one fixed pipeline: non-blank, non-comment-only lines of
-# non-test Go in the root package, internal/exec and cmd/xqserve.
+# non-test Go in the root package, internal/core, internal/exec and
+# cmd/xqserve.
 loc:
-	@for d in . internal/exec cmd/xqserve; do \
+	@for d in . internal/core internal/exec cmd/xqserve; do \
 		printf '%-14s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
 	done
 
@@ -97,6 +100,7 @@ plannerbench:
 
 plannerquick:
 	$(GO) run ./cmd/xqbench -plannerquick -plannerout ""
+	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
 	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath' -benchtime=1x .

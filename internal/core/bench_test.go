@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-
 	"fmt"
 	"testing"
 
+	"sjos/internal/cost"
 	"sjos/internal/pattern"
 )
 
@@ -67,21 +67,47 @@ func BenchmarkAblationSpacePrimitives(b *testing.B) {
 	pat := chainPattern(8)
 	est := benchEstimator(b, pat)
 	sp := newSpace(pat, est, testModel())
-	s0 := sp.start()
+	s0 := *sp.at(sp.start())
 	b.Run("expand-start", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			n := 0
-			sp.expand(s0, moveOpts{}, func(candidate) { n++ })
+			sp.expand(s0, moveOpts{}, noBound)
 		}
 	})
-	b.Run("ubCost", func(b *testing.B) {
+	b.Run("record-fill", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sp.ubCost(uint32(i) & sp.allEdges)
+			if i&127 == 0 {
+				sp.start() // every mask of the 8-node chain, over and over
+			}
+			sp.record(uint32(i<<1) & sp.allEdges)
 		}
 	})
-	b.Run("hasMove", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp.hasMove(0, s0.orderMask)
+}
+
+// BenchmarkSearchPlanCold is the optimizer-search layer lane: one op is one
+// search, plan cache and statistics out of the picture, over the deep-chain,
+// wide-fan-out and bushy plan_cold twigs (12–13 nodes) with the pers
+// statistics of golden_test.go. plans/op is Table 2's "plans considered".
+func BenchmarkSearchPlanCold(b *testing.B) {
+	shapes := []struct {
+		name string
+		twig int
+	}{{"chain", 0}, {"fanout", 3}, {"bushy", 6}}
+	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD} {
+		for _, sh := range shapes {
+			pat := planColdTwig(b, sh.twig, 110000)
+			est := persEstimator(b, pat)
+			b.Run(fmt.Sprintf("%s/%s", m, sh.name), func(b *testing.B) {
+				b.ReportAllocs()
+				var plans int
+				for i := 0; i < b.N; i++ {
+					res, err := Optimize(context.Background(), pat, est, cost.DefaultModel(), m, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					plans = res.Counters.PlansConsidered
+				}
+				b.ReportMetric(float64(plans), "plans/op")
+			})
 		}
-	})
+	}
 }

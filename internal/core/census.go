@@ -47,39 +47,26 @@ func CensusSearchSpace(pat *pattern.Pattern) (*Census, error) {
 	sp := newSpace(pat, est, cost.DefaultModel())
 
 	c := &Census{PerLevel: make([]int, pat.NumEdges()+1)}
-	seen := make(map[uint64]bool)
-	s0 := sp.start()
-	frontier := []*status{s0}
-	seen[s0.key()] = true
-	for len(frontier) > 0 {
-		var next []*status
-		for _, s := range frontier {
-			c.Statuses++
-			c.PerLevel[s.level]++
-			if sp.isFinal(s) {
-				c.Finals++
-				continue
-			}
-			moved := false
-			sp.expand(s, moveOpts{}, func(cand candidate) {
-				moved = true
-				k := uint64(cand.edges) | uint64(cand.orderMask)<<MaxPatternNodes
-				if seen[k] {
-					return
-				}
-				seen[k] = true
-				next = append(next, &status{
-					edges:     cand.edges,
-					orderMask: cand.orderMask,
-					level:     s.level + 1,
-					heapIdx:   -1,
-				})
-			})
-			if !moved {
-				c.Deadends++
+	// Statuses are appended as they are first seen, so walking the slab in
+	// index order is the breadth-first traversal.
+	sp.start()
+	for si := int32(0); si < sp.count; si++ {
+		s := *sp.at(si)
+		c.Statuses++
+		c.PerLevel[popcount(s.edges)]++
+		if s.edges == sp.allEdges {
+			c.Finals++
+			continue
+		}
+		cands := sp.expand(s, moveOpts{}, noBound)
+		if len(cands) == 0 {
+			c.Deadends++
+		}
+		for _, cand := range cands {
+			if seen, at := sp.visited.find(cand.edges, cand.orderMask); seen < 0 {
+				sp.visited.put(at, cand.edges, cand.orderMask, sp.add(cand, si))
 			}
 		}
-		frontier = next
 	}
 	return c, nil
 }

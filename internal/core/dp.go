@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"slices"
 
 	"sjos/internal/cost"
 	"sjos/internal/pattern"
@@ -48,83 +49,55 @@ func dp(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Mo
 		return sp.singleNode("DP"), nil
 	}
 	var counters Counters
-	cur := map[uint64]*status{}
-	s0 := sp.start()
-	cur[s0.key()] = s0
+	// byKey orders statuses deterministically so equal-cost ties always
+	// break the same way.
+	byKey := func(a, b int32) int { return cmp.Compare(sp.at(a).key(), sp.at(b).key()) }
+	level := []int32{sp.start()} // the current level's statuses, by key
 	for lv := 0; lv < sp.numEdges; lv++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next := make(map[uint64]*status)
-		for _, s := range sortedStatuses(cur) {
+		first := sp.count // the next level is the slab from here on
+		for _, si := range level {
 			counters.StatusesExpanded++
 			if counters.StatusesExpanded%ctxCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			sp.expand(s, moveOpts{}, func(c candidate) {
+			for _, c := range sp.expand(*sp.at(si), moveOpts{}, noBound) {
 				counters.PlansConsidered++
-				k := uint64(c.edges) | uint64(c.orderMask)<<MaxPatternNodes
-				old, ok := next[k]
-				if ok && old.cost <= c.cost {
-					return
-				}
-				if !ok {
+				oi, at := sp.visited.find(c.edges, c.orderMask)
+				if oi < 0 {
 					counters.StatusesGenerated++
+					sp.visited.put(at, c.edges, c.orderMask, sp.add(c, si))
+				} else if old := sp.at(oi); !(old.cost <= c.cost) {
+					old.cost, old.prev, old.via = c.cost, si, c.via
 				}
-				next[k] = &status{
-					edges:     c.edges,
-					orderMask: c.orderMask,
-					cost:      c.cost,
-					level:     lv + 1,
-					prev:      s,
-					via:       c.mv,
-					heapIdx:   -1,
-				}
-			})
+			}
 		}
-		cur = next
+		level = level[:0]
+		for i := first; i < sp.count; i++ {
+			level = append(level, i)
+		}
+		slices.SortFunc(level, byKey)
 	}
-	best := pickBestFinal(sp, cur)
-	if best == nil {
+	// The last level holds the final statuses. Final-move generation already
+	// folded in any sort required by the query's OrderBy, so their costs are
+	// directly comparable.
+	if len(level) == 0 {
 		return nil, errNoPlan
+	}
+	best := level[0]
+	for _, si := range level[1:] {
+		if sp.at(si).cost < sp.at(best).cost {
+			best = si
+		}
 	}
 	return &Result{
 		Plan:      sp.finalize(best),
-		Cost:      best.cost,
+		Cost:      sp.at(best).cost,
 		Algorithm: "DP",
 		Counters:  counters,
 	}, nil
-}
-
-// sortedStatuses returns the map's statuses in deterministic (key) order so
-// equal-cost ties always break the same way.
-func sortedStatuses(m map[uint64]*status) []*status {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]*status, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
-}
-
-// pickBestFinal selects the cheapest final status from the last DP level.
-// Final-move generation already folded in any sort required by the query's
-// OrderBy, so costs are directly comparable.
-func pickBestFinal(sp *space, finals map[uint64]*status) *status {
-	var best *status
-	for _, s := range sortedStatuses(finals) {
-		if !sp.isFinal(s) {
-			continue
-		}
-		if best == nil || s.cost < best.cost {
-			best = s
-		}
-	}
-	return best
 }

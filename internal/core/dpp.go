@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -78,54 +77,26 @@ func DPAPLD(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, er
 	return dppSearch(context.Background(), pat, est, model, dppConfig{name: "DPAP-LD", lookahead: true, leftDeep: true})
 }
 
-// statusHeap is the DPP priority list: minimum Cost+ubCost first, with
-// deterministic tie-breaking on the status key.
-type statusHeap []*status
-
-func (h statusHeap) Len() int { return len(h) }
-func (h statusHeap) Less(i, j int) bool {
-	pi, pj := h[i].cost+h[i].ub, h[j].cost+h[j].ub
-	if pi != pj {
-		return pi < pj
-	}
-	return h[i].key() < h[j].key()
-}
-func (h statusHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *statusHeap) Push(x any) {
-	s := x.(*status)
-	s.heapIdx = len(*h)
-	*h = append(*h, s)
-}
-func (h *statusHeap) Pop() any {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	s.heapIdx = -1
-	*h = old[:n-1]
-	return s
-}
-
 func dppSearch(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model, cfg dppConfig) (*Result, error) {
 	sp := newSpace(pat, est, model)
 	if sp.numEdges == 0 {
 		return sp.singleNode(cfg.name), nil
 	}
 	var counters Counters
-	opts := moveOpts{leftDeepOnly: cfg.leftDeep, pipelineOnly: cfg.pipelineOnly}
+	// Candidates the search would only discard — deadends under the
+	// Lookahead Rule, and below those dead on arrival — are left out by
+	// expand itself, unless a trace wants to see each of them go.
+	opts := moveOpts{
+		leftDeepOnly: cfg.leftDeep,
+		pipelineOnly: cfg.pipelineOnly,
+		liveOnly:     cfg.lookahead && cfg.trace == nil,
+	}
 
-	visited := make(map[uint64]*status)
-	var pq statusHeap
-	s0 := sp.start()
-	s0.ub = sp.ubCost(s0.edges)
-	visited[s0.key()] = s0
-	heap.Push(&pq, s0)
+	// The priority list (kernel.queue): minimum Cost+ubCost first, with
+	// deterministic tie-breaking on the status key.
+	sp.enqueue(sp.start())
 
-	var bestFinal *status
+	bestFinal := int32(-1)
 	minCost := 0.0
 	haveMin := false
 
@@ -134,86 +105,80 @@ func dppSearch(ctx context.Context, pat *pattern.Pattern, est *Estimator, model 
 	saturated := -1 // highest level whose expansion bound was reached
 
 	pops := 0
-	for pq.Len() > 0 {
+	for len(sp.queue) > 0 {
 		pops++
 		if pops%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		s := heap.Pop(&pq).(*status)
+		si := sp.dequeue()
+		s := *sp.at(si)
+		level := popcount(s.edges)
 		if haveMin && s.cost >= minCost {
-			cfg.emit(TracePruneDead, s.edges, s.orderMask, s.level, s.cost)
+			cfg.emit(TracePruneDead, s.edges, s.orderMask, level, s.cost)
 			continue // "dead": cannot improve on the best full plan
 		}
-		if sp.isFinal(s) {
-			cfg.emit(TraceFinal, s.edges, s.orderMask, s.level, s.cost)
-			if bestFinal == nil || s.cost < bestFinal.cost {
-				bestFinal = s
+		if s.edges == sp.allEdges {
+			cfg.emit(TraceFinal, s.edges, s.orderMask, level, s.cost)
+			// The best final status's cost is read from the slab: a
+			// cheaper route may have lowered it since it set minCost.
+			if bestFinal < 0 || s.cost < sp.at(bestFinal).cost {
+				bestFinal = si
 				minCost, haveMin = s.cost, true
 			}
 			continue
 		}
 		if cfg.te > 0 {
-			if s.level < saturated || expandedAt[s.level] >= cfg.te {
+			if level < saturated || expandedAt[level] >= cfg.te {
 				continue
 			}
-			expandedAt[s.level]++
-			if expandedAt[s.level] == cfg.te && s.level > saturated {
-				saturated = s.level
+			expandedAt[level]++
+			if expandedAt[level] == cfg.te && level > saturated {
+				saturated = level
 			}
 		}
 		counters.StatusesExpanded++
-		s.expanded = true
-		cfg.emit(TraceExpand, s.edges, s.orderMask, s.level, s.cost)
-		sp.expand(s, opts, func(c candidate) {
+		cfg.emit(TraceExpand, s.edges, s.orderMask, level, s.cost)
+		bound := noBound
+		if haveMin && cfg.trace == nil {
+			bound = minCost
+		}
+		for _, c := range sp.expand(s, opts, bound) {
 			if haveMin && c.cost >= minCost {
-				cfg.emit(TracePruneDead, c.edges, c.orderMask, s.level+1, c.cost)
-				return // dead on arrival: pruned before being considered
+				cfg.emit(TracePruneDead, c.edges, c.orderMask, level+1, c.cost)
+				continue // dead on arrival: pruned before being considered
 			}
-			final := c.edges == sp.allEdges
-			if cfg.lookahead && !final && !sp.hasMove(c.edges, c.orderMask) {
-				cfg.emit(TraceDeadend, c.edges, c.orderMask, s.level+1, c.cost)
-				return // Lookahead Rule: the successor is a deadend
+			if cfg.lookahead && c.deadend {
+				cfg.emit(TraceDeadend, c.edges, c.orderMask, level+1, c.cost)
+				continue // Lookahead Rule: the successor is a deadend
 			}
-			k := uint64(c.edges) | uint64(c.orderMask)<<MaxPatternNodes
-			if old, ok := visited[k]; ok {
+			oi, at := sp.visited.find(c.edges, c.orderMask)
+			if oi >= 0 {
+				old := sp.at(oi)
 				if old.cost <= c.cost {
-					cfg.emit(TraceWorse, c.edges, c.orderMask, s.level+1, c.cost)
-					return
+					cfg.emit(TraceWorse, c.edges, c.orderMask, level+1, c.cost)
+					continue
 				}
-				cfg.emit(TraceImprove, c.edges, c.orderMask, s.level+1, c.cost)
+				cfg.emit(TraceImprove, c.edges, c.orderMask, level+1, c.cost)
 				// A cheaper route to a known status: update it in
 				// place. If it was already expanded it re-enters the
 				// queue so its successors are re-costed. The sub-plan
 				// counts as considered — it supersedes the best route.
 				counters.PlansConsidered++
-				old.cost, old.prev, old.via = c.cost, s, c.mv
-				if old.heapIdx >= 0 {
-					heap.Fix(&pq, old.heapIdx)
-				} else {
-					heap.Push(&pq, old)
-				}
-				return
+				old.cost, old.prev, old.via = c.cost, si, c.via
+				sp.enqueue(oi)
+				continue
 			}
 			counters.StatusesGenerated++
 			counters.PlansConsidered++
-			cfg.emit(TraceGenerate, c.edges, c.orderMask, s.level+1, c.cost)
-			ns := &status{
-				edges:     c.edges,
-				orderMask: c.orderMask,
-				cost:      c.cost,
-				level:     s.level + 1,
-				prev:      s,
-				via:       c.mv,
-				heapIdx:   -1,
-				ub:        sp.ubCost(c.edges),
-			}
-			visited[k] = ns
-			heap.Push(&pq, ns)
-		})
+			cfg.emit(TraceGenerate, c.edges, c.orderMask, level+1, c.cost)
+			ni := sp.add(c, si)
+			sp.visited.put(at, c.edges, c.orderMask, ni)
+			sp.enqueue(ni)
+		}
 	}
-	if bestFinal == nil {
+	if bestFinal < 0 {
 		if cfg.te > 0 {
 			// A very tight expansion bound can strand the search in
 			// deadends-at-depth before any full plan is reached. Fall
@@ -233,7 +198,7 @@ func dppSearch(ctx context.Context, pat *pattern.Pattern, est *Estimator, model 
 	}
 	return &Result{
 		Plan:      sp.finalize(bestFinal),
-		Cost:      bestFinal.cost,
+		Cost:      sp.at(bestFinal).cost,
 		Algorithm: cfg.name,
 		Counters:  counters,
 	}, nil

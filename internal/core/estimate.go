@@ -23,7 +23,6 @@ type Estimator struct {
 	scanCard []float64 // per pattern node, before predicate (full tag scan)
 	probe    []bool    // per pattern node: value-index probe available
 	edgeSel  []float64 // per edge id (1..n-1); [0] unused
-	memo     map[uint64]float64
 }
 
 // ProbeEligibility answers whether a value predicate on a tag can be
@@ -69,7 +68,6 @@ func NewEstimator(pat *pattern.Pattern, stats StatsSource) (*Estimator, error) {
 		scanCard: make([]float64, pat.N()),
 		probe:    make([]bool, pat.N()),
 		edgeSel:  make([]float64, pat.N()),
-		memo:     make(map[uint64]float64),
 	}
 	for u := 0; u < pat.N(); u++ {
 		nd := pat.Nodes[u]
@@ -118,7 +116,6 @@ func NewManualEstimator(pat *pattern.Pattern, nodeCard, edgeSel []float64) (*Est
 		scanCard: append([]float64(nil), nodeCard...),
 		probe:    make([]bool, pat.N()),
 		edgeSel:  append([]float64(nil), edgeSel...),
-		memo:     make(map[uint64]float64),
 	}, nil
 }
 
@@ -146,8 +143,6 @@ func (e *Estimator) EnableValueIndex(pe ProbeEligibility) {
 			}
 		}
 	}
-	// Cluster cardinalities depend on nodeCard; drop any memoised values.
-	e.memo = make(map[uint64]float64)
 }
 
 // NodeCard returns the estimated candidate count for pattern node u.
@@ -169,25 +164,18 @@ func (e *Estimator) EdgeSelectivity(v int) float64 { return e.edgeSel[v] }
 // node set is given as a bitmask. The mask must induce a connected
 // sub-pattern (as all status clusters do); the estimate multiplies node
 // candidate counts with the selectivities of all pattern edges internal to
-// the mask.
+// the mask, in increasing node order — the product's rounding, and with it
+// every plan cost, depends on that order. The searches call it once per
+// cluster of an edge mask (see space.record), so it is not memoised.
 func (e *Estimator) ClusterCard(mask uint64) float64 {
-	if c, ok := e.memo[mask]; ok {
-		return c
-	}
 	card := 1.0
-	for u := 0; u < e.pat.N(); u++ {
-		if mask&(1<<uint(u)) == 0 {
-			continue
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		u := bits.TrailingZeros64(m)
 		card *= e.nodeCard[u]
-		if u > 0 {
-			p := e.pat.Parent[u]
-			if mask&(1<<uint(p)) != 0 {
-				card *= e.edgeSel[u]
-			}
+		if u > 0 && mask&(1<<uint(e.pat.Parent[u])) != 0 {
+			card *= e.edgeSel[u]
 		}
 	}
-	e.memo[mask] = card
 	return card
 }
 

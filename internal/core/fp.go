@@ -62,6 +62,7 @@ type fpPlan struct {
 	node *plan.Node
 	cost float64 // cumulative: index accesses + joins of the subtree
 	mask uint64  // pattern nodes covered
+	card float64 // ClusterCard(mask)
 }
 
 type fpSearch struct {
@@ -105,7 +106,7 @@ func (f *fpSearch) subtree(v, from int) *fpPlan {
 		}
 	}
 	if len(kids) == 0 {
-		p := &fpPlan{node: leaf, cost: leaf.EstCost, mask: 1 << uint(v)}
+		p := &fpPlan{node: leaf, cost: leaf.EstCost, mask: 1 << uint(v), card: leaf.EstCard}
 		f.memo[key] = p
 		f.counters.StatusesGenerated++
 		return p
@@ -118,7 +119,7 @@ func (f *fpSearch) subtree(v, from int) *fpPlan {
 	permute(len(kids), func(order []int) {
 		f.counters.PlansConsidered++
 		acc := leaf
-		accMask := uint64(1) << uint(v)
+		accMask, accCard := uint64(1)<<uint(v), leaf.EstCard
 		total := leaf.EstCost
 		for _, idx := range order {
 			c := kids[idx]
@@ -126,27 +127,27 @@ func (f *fpSearch) subtree(v, from int) *fpPlan {
 			total += sub.cost
 			var j *plan.Node
 			var joinCost float64
-			cardAB := sp.est.ClusterCard(accMask | sub.mask)
+			// One estimate per join: its inputs' cardinalities are the
+			// previous join's output and the memoised subtree's.
+			accMask |= sub.mask
+			cardAB := sp.est.ClusterCard(accMask)
 			if e, _ := sp.pat.EdgeBetween(v, c); sp.pat.Parent[e] == v {
 				// v is the ancestor: Anc keeps the result ordered by v.
-				joinCost = sp.model.StackTreeAnc(
-					sp.est.ClusterCard(accMask), sp.est.ClusterCard(sub.mask), cardAB)
+				joinCost = sp.model.StackTreeAnc(accCard, sub.card, cardAB)
 				j = plan.NewJoin(acc, sub.node, v, c, sp.pat.Axis[e], plan.AlgoAnc)
 			} else {
 				// c is the ancestor: Desc output is ordered by the
 				// descendant v.
-				joinCost = sp.model.StackTreeDesc(
-					sp.est.ClusterCard(sub.mask), sp.est.ClusterCard(accMask), cardAB)
+				joinCost = sp.model.StackTreeDesc(sub.card, accCard, cardAB)
 				j = plan.NewJoin(sub.node, acc, c, v, sp.pat.Axis[v], plan.AlgoDesc)
 			}
 			total += joinCost
-			accMask |= sub.mask
-			j.EstCard = sp.est.ClusterCard(accMask)
+			j.EstCard = cardAB
 			j.EstCost = total
-			acc = j
+			acc, accCard = j, cardAB
 		}
 		if best == nil || total < best.cost {
-			best = &fpPlan{node: acc, cost: total, mask: accMask}
+			best = &fpPlan{node: acc, cost: total, mask: accMask, card: accCard}
 		}
 	})
 	f.counters.StatusesGenerated++

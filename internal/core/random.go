@@ -21,34 +21,19 @@ func RandomPlan(pat *pattern.Pattern, est *Estimator, model cost.Model, rng *ran
 	// can occasionally strand; restart until it completes. Theorem 3.1
 	// guarantees completing walks exist.
 	for attempt := 0; attempt < 1000; attempt++ {
-		s := sp.start()
-		for !sp.isFinal(s) {
-			var cands []candidate
-			sp.expand(s, moveOpts{}, func(c candidate) {
-				if c.edges != sp.allEdges && !sp.hasMove(c.edges, c.orderMask) {
-					return // avoid immediate deadends
-				}
-				cands = append(cands, c)
-			})
-			if len(cands) == 0 {
-				s = nil // stranded in a deeper trap; restart the walk
-				break
-			}
-			c := cands[rng.Intn(len(cands))]
-			s = &status{
-				edges:     c.edges,
-				orderMask: c.orderMask,
-				cost:      c.cost,
-				level:     s.level + 1,
-				prev:      s,
-				via:       c.mv,
-				heapIdx:   -1,
+		si := sp.start()
+		for si >= 0 && sp.at(si).edges != sp.allEdges {
+			live := sp.expand(*sp.at(si), moveOpts{liveOnly: true}, noBound) // avoid immediate deadends
+			if len(live) == 0 {
+				si = -1 // stranded in a deeper trap; restart the walk
+			} else {
+				si = sp.add(live[rng.Intn(len(live))], si)
 			}
 		}
-		if s != nil {
+		if si >= 0 {
 			return &Result{
-				Plan:      sp.finalize(s),
-				Cost:      s.cost,
+				Plan:      sp.finalize(si),
+				Cost:      sp.at(si).cost,
 				Algorithm: "Random",
 			}, nil
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"sjos/internal/cost"
@@ -9,11 +10,13 @@ import (
 )
 
 // space is the status search space for one (pattern, statistics, cost
-// model) triple, shared by all optimization algorithms.
+// model) triple, shared by all optimization algorithms. The status/move model
+// of §3 lives here; the storage it runs on is the embedded kernel.
 type space struct {
 	pat      *pattern.Pattern
 	est      *Estimator
 	model    cost.Model
+	n        int // pattern nodes
 	numEdges int
 	allEdges uint32  // bit e set for every edge id e (1..n-1)
 	scanCost float64 // Σ leaf access cost; paid by every plan
@@ -22,44 +25,14 @@ type space struct {
 	// probe of the predicate's postings, or a tag scan (+ filter). Leaf
 	// cost is paid by every plan, so the choice never changes the join
 	// order — but it changes the leaf operators and absolute plan cost.
-	leafCost  []float64
-	leafProbe []bool
+	leafCost  [MaxPatternNodes]float64
+	leafProbe [MaxPatternNodes]bool
 
-	compMemo map[uint32][]int8  // edge mask -> per-node cluster root
-	ubMemo   map[uint32]float64 // edge mask -> ubCost (order-independent)
-}
+	// incident[x] has bit e set for every edge with an endpoint at x: the
+	// children of x (an edge's id is its lower endpoint) and x itself.
+	incident [MaxPatternNodes]uint32
 
-// status is one node of the status graph: which edges are joined and, per
-// cluster, which pattern node orders its intermediate result (encoded as a
-// bitmask with exactly one set bit per cluster).
-type status struct {
-	edges     uint32
-	orderMask uint32
-	cost      float64 // accumulated Cost from the start status
-	ub        float64 // ubCost: estimated remaining cost (guides DPP)
-	level     int     // number of joined edges
-	prev      *status
-	via       move
-	expanded  bool
-	heapIdx   int // position in the DPP priority queue (-1 if absent)
-}
-
-// move is one alternative for evaluating an edge from some status
-// (Definition 4: (aN, dN, Algo, St, Cost)).
-type move struct {
-	edge     int       // edge id = descendant endpoint
-	algo     plan.Algo // Stack-Tree variant
-	sortBy   int       // pattern node the output is re-sorted by, or pattern.NoNode
-	joinCost float64
-	sortCost float64
-}
-
-func (m move) cost() float64 { return m.joinCost + m.sortCost }
-
-// key packs a status identity; two statuses with equal keys are the same
-// search state.
-func (s *status) key() uint64 {
-	return uint64(s.edges) | uint64(s.orderMask)<<MaxPatternNodes
+	kernel // empty until start; FP and Greedy never need one
 }
 
 // newSpace prepares the search space.
@@ -68,21 +41,20 @@ func newSpace(pat *pattern.Pattern, est *Estimator, model cost.Model) *space {
 		pat:      pat,
 		est:      est,
 		model:    model,
+		n:        pat.N(),
 		numEdges: pat.NumEdges(),
-		compMemo: make(map[uint32][]int8),
-		ubMemo:   make(map[uint32]float64),
 	}
-	for e := 1; e < pat.N(); e++ {
+	for e := 1; e < sp.n; e++ {
 		sp.allEdges |= 1 << uint(e)
+		sp.incident[e] |= 1 << uint(e)
+		sp.incident[pat.Parent[e]] |= 1 << uint(e)
 	}
 	// Leaf access-path selection (predicate pushdown). A node without a
 	// predicate scans its tag postings. A predicated node compares the full
 	// scan-and-filter (every tag posting passes through the index) with a
 	// value-index probe that retrieves only the NodeCard(u) matching
 	// postings, when the store offers one with identical semantics.
-	sp.leafCost = make([]float64, pat.N())
-	sp.leafProbe = make([]bool, pat.N())
-	for u := 0; u < pat.N(); u++ {
+	for u := 0; u < sp.n; u++ {
 		c := model.IndexAccess(est.ScanCard(u))
 		if est.ProbeOK(u) {
 			if probe := model.ValueProbe(est.NodeCard(u)); probe < c {
@@ -96,67 +68,124 @@ func newSpace(pat *pattern.Pattern, est *Estimator, model cost.Model) *space {
 	return sp
 }
 
-// start returns the start status S₀: no edges joined, every singleton
-// cluster ordered by its own node, cost = all index accesses.
-func (sp *space) start() *status {
-	return &status{
-		edges:     0,
-		orderMask: uint32((uint64(1) << uint(sp.pat.N())) - 1),
+// start empties the kernel and returns the index of the start status S₀: no
+// edges joined, every singleton cluster ordered by its own node, cost = all
+// index accesses.
+func (sp *space) start() int32 {
+	sp.reset(sp.n)
+	return sp.push(status{
+		orderMask: uint32(uint64(1)<<uint(sp.n) - 1),
 		cost:      sp.scanCost,
-		level:     0,
-		heapIdx:   -1,
-	}
+		prev:      -1,
+		rec:       sp.record(0),
+		heapPos:   -1,
+	})
 }
 
-// components returns, per pattern node, the root (minimum node id) of its
-// cluster under the given joined-edge set. Memoised per edge mask.
-func (sp *space) components(edges uint32) []int8 {
-	if c, ok := sp.compMemo[edges]; ok {
-		return c
+// add appends the successor status c describes, reached from status from,
+// and returns its index.
+func (sp *space) add(c candidate, from int32) int32 {
+	return sp.push(status{
+		edges:     c.edges,
+		orderMask: c.orderMask,
+		cost:      c.cost,
+		prev:      from,
+		rec:       sp.successor(sp.at(from), int(c.via.edge)),
+		heapPos:   -1,
+		via:       c.via,
+	})
+}
+
+// record returns the record of an edge mask, filling it on first use: per
+// unjoined edge the clusters it connects and the three costs its moves are
+// made of, and ubCost. Everything in it follows from which edges are joined
+// — cardinalities are per cluster — so one record serves every status with
+// that mask, however its clusters are ordered.
+//
+// ubCost estimates the cost still needed to reach a final status (§3.2): per
+// unjoined edge, a Desc join of the two clusters it connects. A
+// fully-pipelined completion (Desc joins, no sorts) always exists (Theorem
+// 3.1) and is usually close to the optimal completion, so it makes the
+// sharper priority estimate: DPP reaches its first full plan quickly and the
+// dead-status rule starts pruning early. It only influences DPP's expansion
+// order, never which plan is finally returned.
+func (sp *space) record(edges uint32) int32 {
+	r, at := sp.masks.find(edges, 0)
+	if r >= 0 {
+		return r
 	}
-	n := sp.pat.N()
-	comp := make([]int8, n)
-	for i := range comp {
-		comp[i] = int8(i)
-	}
-	// Edges point parent -> child with parent < child, so a single pass
-	// in increasing child order settles roots.
-	for v := 1; v < n; v++ {
+	r = int32(len(sp.ub))
+	sp.masks.put(at, edges, 0, r)
+	sp.first = append(grown(sp.first, sp.initial), int32(len(sp.moves)))
+
+	// Edges point parent -> child with parent < child, so one pass in
+	// increasing child order settles every node's cluster root (its minimum
+	// node id) and gathers the clusters' node masks at their roots.
+	var root [MaxPatternNodes]int8
+	var cluster [MaxPatternNodes]uint32 // per root
+	var card [MaxPatternNodes]float64   // per root
+	for v := 0; v < sp.n; v++ {
+		root[v] = int8(v)
 		if edges&(1<<uint(v)) != 0 {
-			comp[v] = comp[sp.pat.Parent[v]]
+			root[v] = root[sp.pat.Parent[v]]
+		}
+		cluster[root[v]] |= 1 << uint(v)
+	}
+	for v := 0; v < sp.n; v++ {
+		if int(root[v]) == v {
+			card[v] = sp.est.ClusterCard(uint64(cluster[v]))
 		}
 	}
-	sp.compMemo[edges] = comp
-	return comp
-}
-
-// clusterMask returns the node bitmask of root's cluster.
-func clusterMask(comp []int8, root int8) uint64 {
-	var m uint64
-	for i, r := range comp {
-		if r == root {
-			m |= 1 << uint(i)
-		}
+	ub := 0.0
+	for free := sp.allEdges &^ edges; free != 0; free &= free - 1 {
+		e := bits.TrailingZeros32(free)
+		ru, rv := root[sp.pat.Parent[e]], root[e]
+		cardM := sp.est.ClusterCard(uint64(cluster[ru] | cluster[rv]))
+		desc := sp.model.StackTreeDesc(card[ru], card[rv], cardM)
+		sp.moves = append(grown(sp.moves, sp.initial), edgeMove{
+			mu:       cluster[ru],
+			mv:       cluster[rv],
+			descCost: desc,
+			ancCost:  sp.model.StackTreeAnc(card[ru], card[rv], cardM),
+			sortCost: sp.model.Sort(cardM),
+		})
+		ub += desc
 	}
-	return m
+	sp.ub = append(grown(sp.ub, sp.initial), ub)
+	return r
 }
 
-// orderNode returns the pattern node ordering the cluster with the given
-// node mask (the unique set bit of orderMask within the cluster).
-func orderNode(orderMask uint32, cluster uint64) int {
-	m := uint64(orderMask) & cluster
-	return bits.TrailingZeros64(m)
+// move returns record rec's entry for edge e, unjoined in rec's mask edges:
+// entries are in edge order, so e's position is the number of unjoined edges
+// below it.
+func (sp *space) move(rec int32, edges uint32, e int) *edgeMove {
+	below := sp.allEdges &^ edges & (1<<uint(e) - 1)
+	return &sp.moves[int(sp.first[rec])+popcount(below)]
 }
 
-// isFinal reports whether all edges are joined.
-func (sp *space) isFinal(s *status) bool { return s.edges == sp.allEdges }
+// successor returns the record of status from's mask with edge e joined as
+// well, remembering it in from's move table.
+func (sp *space) successor(from *status, e int) int32 {
+	next := sp.move(from.rec, from.edges, e).next
+	if next == 0 {
+		next = sp.record(from.edges|1<<uint(e)) + 1 // may move sp.moves
+		sp.move(from.rec, from.edges, e).next = next
+	}
+	return next - 1
+}
+
+// noBound, as expand's bound, prunes nothing: no cost compares >= NaN.
+var noBound = math.NaN()
 
 // candidate is one possible successor produced by expanding a status.
 type candidate struct {
-	mv        move
 	edges     uint32
 	orderMask uint32
 	cost      float64 // successor's accumulated cost
+	via       move
+	// deadend: the successor is not final and no move is possible from it
+	// (Definition 6) — what DPP's Lookahead Rule refuses to generate.
+	deadend bool
 }
 
 // moveOpts restricts move generation for the DPAP variants and ablations.
@@ -166,11 +195,14 @@ type moveOpts struct {
 	// final OrderBy sort), restricting the space to exactly the
 	// fully-pipelined plans of §3.4.
 	pipelineOnly bool
+	// liveOnly leaves deadend successors out: the Lookahead Rule, applied
+	// before the candidate is written rather than after.
+	liveOnly bool
 }
 
-// expand enumerates every alternative move from s, invoking yield for each
-// resulting candidate successor. The enumeration implements §3's move
-// model:
+// expand enumerates every alternative move from s, returning the resulting
+// candidate successors (valid until the next call) in edge order. The
+// enumeration implements §3's move model:
 //
 //   - a move joins one unjoined edge (u,v) and requires cluster(u) ordered
 //     by u and cluster(v) ordered by v;
@@ -181,203 +213,168 @@ type moveOpts struct {
 //   - for the final move, only orderings that matter are generated: the
 //     query's OrderBy node if it has one, or the cheapest alternative if
 //     not (the paper's "we don't care about the ordering any more").
-func (sp *space) expand(s *status, opts moveOpts, yield func(candidate)) {
-	comp := sp.components(s.edges)
-	for e := 1; e < sp.pat.N(); e++ {
+//
+// Candidates whose cost reaches bound are left out — DPP's dead-on-arrival
+// rule, applied once to the equal-cost sorted variants of an edge rather
+// than to each; pass noBound to see every candidate.
+//
+// Per edge it is bit tests and reads of the mask's record. A node is its
+// cluster's order node exactly when its orderMask bit is set (the mask holds
+// one bit per cluster), and an unjoined edge always connects two distinct
+// clusters, so the edges that can move are those with both endpoint bits
+// set. The deadend test uses the same fact: after joining (u,v) with the
+// merged cluster ordered by w, the successor can move iff another movable
+// edge of s touches neither u nor v, or an unjoined edge at w leads to
+// another cluster's order node.
+func (sp *space) expand(s status, opts moveOpts, bound float64) []candidate {
+	out := sp.cands[:0]
+	parent := sp.pat.Parent
+
+	var movable uint32
+	for m := s.orderMask &^ s.edges &^ 1; m != 0; m &= m - 1 {
+		e := bits.TrailingZeros32(m)
+		if s.orderMask&(1<<uint(parent[e])) != 0 {
+			movable |= 1 << uint(e)
+		}
+	}
+	for m := movable; m != 0; m &= m - 1 {
+		e := bits.TrailingZeros32(m)
 		bit := uint32(1) << uint(e)
-		if s.edges&bit != 0 {
-			continue
-		}
-		u, v := sp.pat.Parent[e], e
-		if s.orderMask&(1<<uint(u)) == 0 || s.orderMask&bit == 0 {
-			continue // inputs not ordered by the join nodes
-		}
-		mu := clusterMask(comp, comp[u])
-		mv := clusterMask(comp, comp[v])
+		u, v := parent[e], e
+		mv := sp.move(s.rec, s.edges, e)
 		if opts.leftDeepOnly {
 			// §3.3.2: at most one cluster of the resulting status may
 			// hold multiple pattern nodes (the growing node). The move
-			// merges mu and mv into one multi-node cluster, so every
-			// other multi-node cluster must already be one of them.
-			multis := popcount(s.edges) // each joined edge grew some cluster
-			if bits.OnesCount64(mu) > 1 {
-				multis -= bits.OnesCount64(mu) - 1
-			}
-			if bits.OnesCount64(mv) > 1 {
-				multis -= bits.OnesCount64(mv) - 1
-			}
-			if multis != 0 {
+			// merges the clusters of u and v into one multi-node cluster,
+			// so every other multi-node cluster must already be one of
+			// them: each joined edge grew some cluster by one node.
+			grownU, grownV := popcount(mv.mu)-1, popcount(mv.mv)-1
+			if popcount(s.edges) != grownU+grownV {
 				continue // a multi-node cluster exists outside the inputs
 			}
-			if bits.OnesCount64(mu) > 1 && bits.OnesCount64(mv) > 1 {
+			if grownU > 0 && grownV > 0 {
 				continue // would merge two composites
 			}
 		}
-		merged := mu | mv
-		cardU := sp.est.ClusterCard(mu)
-		cardV := sp.est.ClusterCard(mv)
-		cardM := sp.est.ClusterCard(merged)
 		newEdges := s.edges | bit
-		baseOrder := s.orderMask &^ (uint32(1)<<uint(u) | uint32(1)<<uint(v))
-		emit := func(mv move, ord int) {
-			yield(candidate{
-				mv:        mv,
+		baseOrder := s.orderMask &^ (uint32(1)<<uint(u) | bit)
+		alive := movable&^(sp.incident[u]|sp.incident[v]) != 0
+		emit := func(algo plan.Algo, sortBy, ord int, cost float64) {
+			c := candidate{
 				edges:     newEdges,
 				orderMask: baseOrder | uint32(1)<<uint(ord),
-				cost:      s.cost + mv.cost(),
-			})
+				cost:      cost,
+				via:       move{edge: int8(e), algo: algo, sortBy: int8(sortBy)},
+			}
+			if !alive && newEdges != sp.allEdges {
+				// Unjoined edges at ord: down to a child that orders its
+				// cluster, or up to a parent that does.
+				down := sp.incident[ord] &^ (uint32(1) << uint(ord)) &^ newEdges & baseOrder
+				up := ord != 0 && newEdges&(1<<uint(ord)) == 0 && baseOrder&(1<<uint(parent[ord])) != 0
+				c.deadend = down == 0 && !up
+				if c.deadend && opts.liveOnly {
+					return
+				}
+			}
+			out = append(out, c)
 		}
-		descCost := sp.model.StackTreeDesc(cardU, cardV, cardM)
-		ancCost := sp.model.StackTreeAnc(cardU, cardV, cardM)
-		sortCost := sp.model.Sort(cardM)
+		descCost := s.cost + mv.descCost
+		ancCost := s.cost + mv.ancCost
+		sortedCost := s.cost + (mv.descCost + mv.sortCost)
 
 		if newEdges == sp.allEdges {
 			// Final move: ordering is only constrained by the query.
-			r := sp.pat.OrderBy
-			switch {
-			case r == pattern.NoNode:
-				emit(move{edge: e, algo: plan.AlgoDesc, sortBy: pattern.NoNode, joinCost: descCost}, v)
-			case r == v:
-				emit(move{edge: e, algo: plan.AlgoDesc, sortBy: pattern.NoNode, joinCost: descCost}, v)
+			switch r := sp.pat.OrderBy; {
+			case r == pattern.NoNode || r == v:
+				if !(descCost >= bound) {
+					emit(plan.AlgoDesc, pattern.NoNode, v, descCost)
+				}
 			case r == u:
-				emit(move{edge: e, algo: plan.AlgoAnc, sortBy: pattern.NoNode, joinCost: ancCost}, u)
-				if !opts.pipelineOnly {
-					emit(move{edge: e, algo: plan.AlgoDesc, sortBy: r, joinCost: descCost, sortCost: sortCost}, r)
+				if !(ancCost >= bound) {
+					emit(plan.AlgoAnc, pattern.NoNode, u, ancCost)
+				}
+				if !opts.pipelineOnly && !(sortedCost >= bound) {
+					emit(plan.AlgoDesc, r, r, sortedCost)
 				}
 			default:
-				if !opts.pipelineOnly {
-					emit(move{edge: e, algo: plan.AlgoDesc, sortBy: r, joinCost: descCost, sortCost: sortCost}, r)
+				if !opts.pipelineOnly && !(sortedCost >= bound) {
+					emit(plan.AlgoDesc, r, r, sortedCost)
 				}
 			}
 			continue
 		}
 
 		// Natural orderings.
-		emit(move{edge: e, algo: plan.AlgoDesc, sortBy: pattern.NoNode, joinCost: descCost}, v)
-		emit(move{edge: e, algo: plan.AlgoAnc, sortBy: pattern.NoNode, joinCost: ancCost}, u)
-		if opts.pipelineOnly {
+		if !(descCost >= bound) {
+			emit(plan.AlgoDesc, pattern.NoNode, v, descCost)
+		}
+		if !(ancCost >= bound) {
+			emit(plan.AlgoAnc, pattern.NoNode, u, ancCost)
+		}
+		if opts.pipelineOnly || sortedCost >= bound {
 			continue
 		}
 		// Sorted variants: re-order the (cheaper) Desc output by any
 		// other node of the merged cluster.
-		for w := 0; w < sp.pat.N(); w++ {
-			if merged&(1<<uint(w)) == 0 || w == v {
-				continue
-			}
-			emit(move{edge: e, algo: plan.AlgoDesc, sortBy: w, joinCost: descCost, sortCost: sortCost}, w)
+		for ws := (mv.mu | mv.mv) &^ bit; ws != 0; ws &= ws - 1 {
+			w := bits.TrailingZeros32(ws)
+			emit(plan.AlgoDesc, w, w, sortedCost)
 		}
 	}
-}
-
-// hasMove reports whether any move is possible from the given state — the
-// deadend test of Definition 6, used by DPP's Lookahead Rule. Two facts
-// make this a pure bit test: a node is its cluster's order node exactly
-// when its orderMask bit is set (the mask holds one bit per cluster), and
-// an unjoined edge always connects two distinct clusters (clusters are
-// connected sub-trees, so both endpoints in one cluster would mean the edge
-// is joined).
-func (sp *space) hasMove(edges, orderMask uint32) bool {
-	for e := 1; e < sp.pat.N(); e++ {
-		bit := uint32(1) << uint(e)
-		if edges&bit != 0 {
-			continue
-		}
-		if orderMask&bit != 0 && orderMask&(1<<uint(sp.pat.Parent[e])) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ubCost estimates the cost still needed to reach a final status from any
-// status with the given joined-edge set (§3.2): per unjoined edge, a Desc
-// join of the current cluster holding its ancestor endpoint plus —
-// pessimistically — a sort of the merged result. The estimate depends only
-// on the cluster structure (the edge mask), not on orderings, so it is
-// memoised per mask and effectively free. It only influences DPP's
-// expansion order, never which plan is finally returned.
-func (sp *space) ubCost(edges uint32) float64 {
-	if ub, ok := sp.ubMemo[edges]; ok {
-		return ub
-	}
-	comp := sp.components(edges)
-	total := 0.0
-	for e := 1; e < sp.pat.N(); e++ {
-		if edges&(1<<uint(e)) != 0 {
-			continue
-		}
-		u := sp.pat.Parent[e]
-		mu := clusterMask(comp, comp[u])
-		mv := clusterMask(comp, comp[e])
-		cardU := sp.est.ClusterCard(mu)
-		cardV := sp.est.ClusterCard(mv)
-		cardM := sp.est.ClusterCard(mu | mv)
-		// A fully-pipelined completion (Desc joins, no sorts) always
-		// exists (Theorem 3.1) and is usually close to the optimal
-		// completion, so it makes the sharper priority estimate: DPP
-		// reaches its first full plan quickly and the dead-status rule
-		// starts pruning early.
-		total += sp.model.StackTreeDesc(cardU, cardV, cardM)
-	}
-	sp.ubMemo[edges] = total
-	return total
+	sp.cands = out
+	return out
 }
 
 // finalize turns a reached final status into a Result plan tree by
-// replaying the move chain from the start status.
-func (sp *space) finalize(final *status) *plan.Node {
-	// Collect moves from start to final.
-	var chain []*status
-	for s := final; s.prev != nil; s = s.prev {
-		chain = append(chain, s)
+// replaying the move chain from the start status. A move's inputs are the
+// plans of the clusters of its edge's endpoints — kept at the cluster's
+// root, its minimum node id — and its costs are the predecessor's record's.
+func (sp *space) finalize(final int32) *plan.Node {
+	n := sp.n
+	var chain [MaxPatternNodes]int32 // final first
+	depth := 0
+	for i := final; sp.at(i).prev >= 0; i = sp.at(i).prev {
+		chain[depth] = i
+		depth++
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
+	// Leaves, joins and at most one sort per join, in one allocation.
+	nodes := make([]plan.Node, 0, 3*n)
+	keep := func(nd *plan.Node) *plan.Node {
+		nodes = append(nodes, *nd)
+		return &nodes[len(nodes)-1]
 	}
-
-	n := sp.pat.N()
-	comp := make([]int, n)
-	plans := make([]*plan.Node, n) // indexed by cluster root
+	var plans [MaxPatternNodes]*plan.Node // indexed by cluster root
 	for i := 0; i < n; i++ {
-		comp[i] = i
-		leaf := plan.NewIndexScan(i)
+		leaf := keep(plan.NewIndexScan(i))
 		leaf.ValueIndex = sp.leafProbe[i]
 		leaf.EstCard = sp.est.NodeCard(i)
 		leaf.EstCost = sp.leafCost[i]
 		plans[i] = leaf
 	}
-	find := func(x int) int {
-		for comp[x] != x {
-			comp[x] = comp[comp[x]]
-			x = comp[x]
-		}
-		return x
-	}
-	for _, st := range chain {
-		mv := st.via
-		e := mv.edge
+	for d := depth - 1; d >= 0; d-- {
+		st := sp.at(chain[d])
+		e := int(st.via.edge)
 		u, v := sp.pat.Parent[e], e
-		ru, rv := find(u), find(v)
-		j := plan.NewJoin(plans[ru], plans[rv], u, v, sp.pat.Axis[e], mv.algo)
-		maskU, maskV := plans[ru].Columns(), plans[rv].Columns()
-		j.EstCard = sp.est.ClusterCard(maskU | maskV)
-		j.EstCost = plans[ru].EstCost + plans[rv].EstCost + mv.joinCost
-		var top *plan.Node = j
-		if mv.sortBy != pattern.NoNode {
-			srt := plan.NewSort(j, mv.sortBy)
-			srt.EstCard = j.EstCard
-			srt.EstCost = j.EstCost + mv.sortCost
+		prev := sp.at(st.prev)
+		mv := sp.move(prev.rec, prev.edges, e)
+		left := plans[bits.TrailingZeros32(mv.mu)]
+		right := plans[bits.TrailingZeros32(mv.mv)]
+		joinCost := mv.descCost
+		if st.via.algo == plan.AlgoAnc {
+			joinCost = mv.ancCost
+		}
+		top := keep(plan.NewJoin(left, right, u, v, sp.pat.Axis[e], st.via.algo))
+		top.EstCard = sp.est.ClusterCard(uint64(mv.mu | mv.mv))
+		top.EstCost = left.EstCost + right.EstCost + joinCost
+		if w := int(st.via.sortBy); w != pattern.NoNode {
+			srt := keep(plan.NewSort(top, w))
+			srt.EstCard = top.EstCard
+			srt.EstCost = top.EstCost + mv.sortCost
 			top = srt
 		}
-		// Union: smaller root wins so roots stay minimal node ids.
-		root := ru
-		if rv < root {
-			root = rv
-		}
-		comp[ru], comp[rv] = root, root
-		plans[root] = top
+		plans[bits.TrailingZeros32(mv.mu|mv.mv)] = top
 	}
-	return plans[find(0)]
+	return plans[0]
 }
 
 // Counters reports how much work a search did; the paper's Table 2 compares

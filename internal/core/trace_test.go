@@ -53,8 +53,7 @@ func TestDPPTraceReplaysFigure4Narrative(t *testing.T) {
 		case TraceGenerate:
 			// Lookahead: every generated non-final status has a move.
 			if e.Edges != uint32(0b1110) { // not final (3 edges: bits 1..3)
-				sp := newSpace(pat, est, testModel())
-				if !sp.hasMove(e.Edges, e.OrderMask) {
+				if !refHasMove(pat, e.Edges, e.OrderMask) {
 					t.Fatalf("event %d: deadend status generated", i)
 				}
 			}

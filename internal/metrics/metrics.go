@@ -47,6 +47,10 @@ type Registry struct {
 	panics   atomic.Uint64
 	driftEv  atomic.Uint64
 
+	optCount atomic.Uint64
+	optSum   atomic.Int64 // nanoseconds
+	plans    atomic.Uint64
+
 	latCount atomic.Uint64
 	latSum   atomic.Int64 // nanoseconds
 	buckets  [numBuckets]atomic.Uint64
@@ -80,6 +84,15 @@ func (r *Registry) RecoveredPanic() { r.panics.Add(1) }
 // loop because its executed est-vs-actual drift crossed the threshold.
 func (r *Registry) DriftEviction() { r.driftEv.Add(1) }
 
+// Optimized records one optimizer search — a plan-cache miss or an uncached
+// run; hits and coalesced waits search nothing — with the time it took and
+// the alternative plans it considered (the paper's Table 2 effort counter).
+func (r *Registry) Optimized(d time.Duration, plansConsidered int) {
+	r.optCount.Add(1)
+	r.optSum.Add(int64(d))
+	r.plans.Add(uint64(plansConsidered))
+}
+
 // ExecBatched folds one execution's batched-path counters into the
 // registry: batches driven through the plan root and index postings
 // bypassed by skip-ahead seeks.
@@ -112,6 +125,12 @@ type Snapshot struct {
 	// DriftEvictions counts cached plans evicted by the adaptive feedback
 	// loop (executed est-vs-actual drift crossed the threshold).
 	DriftEvictions uint64
+	// Optimizations counts optimizer searches run for queries (plan-cache
+	// misses and uncached runs), OptimizeTime their summed duration and
+	// PlansConsidered their summed search effort.
+	Optimizations   uint64
+	OptimizeTime    time.Duration
+	PlansConsidered uint64
 	// TotalTime is the summed latency of all completed executions.
 	TotalTime time.Duration
 	// P50, P95 and P99 are latency quantiles (bucket upper bounds of the
@@ -132,6 +151,9 @@ func (r *Registry) Snapshot() Snapshot {
 		Skipped:         r.skipped.Load(),
 		RecoveredPanics: r.panics.Load(),
 		DriftEvictions:  r.driftEv.Load(),
+		Optimizations:   r.optCount.Load(),
+		OptimizeTime:    time.Duration(r.optSum.Load()),
+		PlansConsidered: r.plans.Load(),
 		TotalTime:       time.Duration(r.latSum.Load()),
 	}
 	for i := range s.buckets {
@@ -181,6 +203,9 @@ func (s Snapshot) WriteText(w io.Writer, prefix string) {
 	counter("exec_batches_total", "Tuple batches driven through plan roots.", s.Batches)
 	counter("exec_skipped_tuples_total", "Index postings bypassed by skip-ahead seeks.", s.Skipped)
 	counter("recovered_panics_total", "Panics recovered at query boundaries.", s.RecoveredPanics)
+	counter("plans_considered_total", "Alternative plans costed by optimizer searches (plan-cache misses only).", s.PlansConsidered)
+	fmt.Fprintf(w, "# HELP %s_optimize_seconds Optimizer search time (plan-cache misses only).\n# TYPE %s_optimize_seconds summary\n%s_optimize_seconds_sum %g\n%s_optimize_seconds_count %d\n",
+		prefix, prefix, prefix, s.OptimizeTime.Seconds(), prefix, s.Optimizations)
 	fmt.Fprintf(w, "# HELP %s_queries_in_flight Query executions currently running.\n# TYPE %s_queries_in_flight gauge\n%s_queries_in_flight %d\n",
 		prefix, prefix, prefix, s.InFlight)
 	fmt.Fprintf(w, "# HELP %s_query_latency_seconds Query latency distribution.\n# TYPE %s_query_latency_seconds summary\n", prefix, prefix)

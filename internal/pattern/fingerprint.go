@@ -1,9 +1,10 @@
 package pattern
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"bytes"
+	"cmp"
+	"slices"
+	"strconv"
 )
 
 // Fingerprint returns a canonical identity for the pattern — equal for any
@@ -28,58 +29,78 @@ import (
 // set is invariant under automorphisms.
 func Fingerprint(p *Pattern) (string, []int) {
 	n := p.N()
-	kids := make([][]int, n)
+	// kids holds every node's children, one parent's after another's:
+	// node u's are kids[first[u]:first[u+1]].
+	first := make([]int, n+2)
 	for v := 1; v < n; v++ {
-		kids[p.Parent[v]] = append(kids[p.Parent[v]], v)
+		first[p.Parent[v]+2]++
 	}
-	enc := make([]string, n)
-	var encode func(u int, root bool) string
-	encode = func(u int, root bool) string {
-		var sb strings.Builder
-		if root {
-			sb.WriteString("/")
+	for u := 2; u < n+2; u++ {
+		first[u] += first[u-1]
+	}
+	kids := make([]int, n)
+	for v := 1; v < n; v++ {
+		kids[first[p.Parent[v]+1]] = v
+		first[p.Parent[v]+1]++
+	}
+
+	// Every encoding is written once, into buf; enc[u] is where node u's
+	// lies. Children have higher numbers than their parent, so going down
+	// from n-1 finds each node's child encodings complete.
+	buf := make([]byte, 0, 64*n)
+	enc := make([][2]int, n)
+	at := func(u int) []byte { return buf[enc[u][0]:enc[u][1]] }
+	for u := n - 1; u >= 0; u-- {
+		// Children in canonical order: by encoding, equal encodings (an
+		// automorphism of the pattern) by node number.
+		mine := kids[first[u]:first[u+1]]
+		slices.SortFunc(mine, func(a, b int) int {
+			if c := bytes.Compare(at(a), at(b)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		start := len(buf)
+		if u == 0 {
+			buf = append(buf, '/')
 		} else {
-			sb.WriteString(p.Axis[u].String())
+			buf = append(buf, p.Axis[u].String()...)
 		}
-		fmt.Fprintf(&sb, "%q", p.Nodes[u].Tag)
+		buf = strconv.AppendQuote(buf, p.Nodes[u].Tag)
 		if p.Nodes[u].Op != CmpNone {
-			fmt.Fprintf(&sb, "[%d %q]", p.Nodes[u].Op, p.Nodes[u].Value)
+			buf = append(buf, '[')
+			buf = strconv.AppendInt(buf, int64(p.Nodes[u].Op), 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendQuote(buf, p.Nodes[u].Value)
+			buf = append(buf, ']')
 		}
 		if p.OrderBy == u {
-			sb.WriteString("#")
+			buf = append(buf, '#')
 		}
-		subs := make([]string, len(kids[u]))
-		for i, c := range kids[u] {
-			subs[i] = encode(c, false)
-		}
-		sort.Strings(subs)
-		sb.WriteString("(")
-		sb.WriteString(strings.Join(subs, ","))
-		sb.WriteString(")")
-		enc[u] = sb.String()
-		return enc[u]
-	}
-	fp := encode(0, true)
-
-	canon := make([]int, n)
-	next := 0
-	var assign func(u int)
-	assign = func(u int) {
-		canon[u] = next
-		next++
-		order := append([]int(nil), kids[u]...)
-		sort.Slice(order, func(i, j int) bool {
-			if enc[order[i]] != enc[order[j]] {
-				return enc[order[i]] < enc[order[j]]
+		buf = append(buf, '(')
+		for i, c := range mine {
+			if i > 0 {
+				buf = append(buf, ',')
 			}
-			return order[i] < order[j]
-		})
-		for _, c := range order {
-			assign(c)
+			buf = append(buf, at(c)...)
+		}
+		buf = append(buf, ')')
+		enc[u] = [2]int{start, len(buf)}
+	}
+
+	// Canonical indexes in preorder over the sorted children.
+	canon := make([]int, n)
+	todo := append(make([]int, 0, n), 0) // a stack: the next node on top
+	for next := 0; len(todo) > 0; next++ {
+		u := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		canon[u] = next
+		mine := kids[first[u]:first[u+1]]
+		for i := len(mine) - 1; i >= 0; i-- {
+			todo = append(todo, mine[i])
 		}
 	}
-	assign(0)
-	return fp, canon
+	return string(at(0)), canon
 }
 
 // InversePermutation inverts a permutation produced by Fingerprint:

@@ -1,6 +1,13 @@
 package pattern
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
 
 // buildFig1 builds the paper's Figure-1 pattern with children inserted in
 // the given sibling order, producing structurally identical patterns under
@@ -105,5 +112,139 @@ func TestFingerprintSingleNode(t *testing.T) {
 	fp, canon := Fingerprint(p)
 	if fp == "" || len(canon) != 1 || canon[0] != 0 {
 		t.Fatalf("single-node fingerprint: %q %v", fp, canon)
+	}
+}
+
+// fingerprintFmt is Fingerprint as it was first written — every node
+// formatted with fmt into its own strings.Builder. Plan-cache keys are
+// fingerprints, so the one-buffer rewrite is held to it byte for byte.
+func fingerprintFmt(p *Pattern) (string, []int) {
+	n := p.N()
+	kids := make([][]int, n)
+	for v := 1; v < n; v++ {
+		kids[p.Parent[v]] = append(kids[p.Parent[v]], v)
+	}
+	enc := make([]string, n)
+	var encode func(u int, root bool) string
+	encode = func(u int, root bool) string {
+		var sb strings.Builder
+		if root {
+			sb.WriteString("/")
+		} else {
+			sb.WriteString(p.Axis[u].String())
+		}
+		fmt.Fprintf(&sb, "%q", p.Nodes[u].Tag)
+		if p.Nodes[u].Op != CmpNone {
+			fmt.Fprintf(&sb, "[%d %q]", p.Nodes[u].Op, p.Nodes[u].Value)
+		}
+		if p.OrderBy == u {
+			sb.WriteString("#")
+		}
+		subs := make([]string, len(kids[u]))
+		for i, c := range kids[u] {
+			subs[i] = encode(c, false)
+		}
+		sort.Strings(subs)
+		sb.WriteString("(")
+		sb.WriteString(strings.Join(subs, ","))
+		sb.WriteString(")")
+		enc[u] = sb.String()
+		return enc[u]
+	}
+	fp := encode(0, true)
+
+	canon := make([]int, n)
+	next := 0
+	var assign func(u int)
+	assign = func(u int) {
+		canon[u] = next
+		next++
+		order := append([]int(nil), kids[u]...)
+		sort.Slice(order, func(i, j int) bool {
+			if enc[order[i]] != enc[order[j]] {
+				return enc[order[i]] < enc[order[j]]
+			}
+			return order[i] < order[j]
+		})
+		for _, c := range order {
+			assign(c)
+		}
+	}
+	assign(0)
+	return fp, canon
+}
+
+// fingerprintCorpus is every pattern the fingerprint tests use, the
+// benchmark's plan_cold twigs, and seeded random trees whose tags and
+// constants need every kind of quoting.
+func fingerprintCorpus() []*Pattern {
+	pats := []*Pattern{
+		buildFig1([2]string{"dept", "emp"}),
+		buildFig1([2]string{"emp", "dept"}),
+	}
+	for _, src := range []string{
+		"//manager//employee/name",
+		"//manager/employee/name",
+		"//manager//employee/salary",
+		"//manager//employee/name#",
+		`//manager//employee/name[. >= "x"]`,
+		"//manager//employee",
+		"//manager[.//employee]/name",
+		`//manager//employee/name[. = "x"]`,
+		`//a[b/c][.//d[. = "1"]]//e`,
+		"/doc",
+		"//a[b][b][b/c][b/c]", // identical siblings: canon breaks the tie by node number
+		planColdTwig,
+	} {
+		pats = append(pats, MustParse(src))
+	}
+	rng := rand.New(rand.NewSource(7))
+	tags := []string{"a", "b", "name", "é", `q"uote`, "tab\there", "\u2028", "sp ace", "b"}
+	for i := 0; i < 300; i++ {
+		n := 1 + rng.Intn(16)
+		b := NewBuilder(tags[rng.Intn(len(tags))])
+		for v := 1; v < n; v++ {
+			var h BuilderNode
+			if rng.Intn(2) == 0 {
+				h = b.Kid(BuilderNode(rng.Intn(v)), tags[rng.Intn(len(tags))])
+			} else {
+				h = b.Desc(BuilderNode(rng.Intn(v)), tags[rng.Intn(len(tags))])
+			}
+			if rng.Intn(3) == 0 {
+				b.Where(h, CmpOp(1+rng.Intn(6)), tags[rng.Intn(len(tags))])
+			}
+		}
+		if rng.Intn(2) == 0 {
+			b.OrderBy(BuilderNode(rng.Intn(n)))
+		}
+		pats = append(pats, b.Pattern())
+	}
+	return pats
+}
+
+const planColdTwig = `//manager[name][employee[name][salary>110000]][department[name]]//manager[name][employee[name]]/department`
+
+func TestFingerprintGolden(t *testing.T) {
+	for _, p := range fingerprintCorpus() {
+		fp, canon := Fingerprint(p)
+		wantFP, wantCanon := fingerprintFmt(p)
+		if fp != wantFP {
+			t.Errorf("%s: fingerprint\n got %s\nwant %s", p, fp, wantFP)
+		}
+		if !slices.Equal(canon, wantCanon) {
+			t.Errorf("%s: canon %v, want %v", p, canon, wantCanon)
+		}
+	}
+}
+
+// BenchmarkFingerprint is the pattern.fingerprint_us lane: one plan_cold twig
+// (12 nodes), as the plan cache keys it on every query.
+func BenchmarkFingerprint(b *testing.B) {
+	p := MustParse(planColdTwig)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if fp, _ := Fingerprint(p); fp == "" {
+			b.Fatal("empty fingerprint")
+		}
 	}
 }

@@ -12,9 +12,9 @@
 // Single-flight semantics: when N goroutines miss on the same key
 // simultaneously, exactly one (the leader) runs the compute function; the
 // others wait for its result. A leader failure is never cached. If the
-// leader fails because *its own* context was cancelled, waiting callers
-// whose contexts are still live retry the computation rather than
-// inheriting a cancellation that was not theirs.
+// leader fails because *its own* context was cancelled — or its compute
+// function panicked — waiting callers whose contexts are still live retry
+// the computation rather than inheriting a failure that was not theirs.
 package plancache
 
 import (
@@ -168,10 +168,11 @@ func (c *Cache[V]) GetOrCompute(ctx context.Context, k Key, compute func() (V, e
 				return cl.val, true, nil
 			}
 			// The leader failed. If it failed only because its own
-			// context died while ours is still live, try again (the
-			// retry either becomes the new leader or joins a newer
-			// flight); otherwise propagate the real failure.
-			if ctx.Err() == nil && isContextErr(cl.err) {
+			// context died or its compute panicked while our context is
+			// still live, try again (the retry either becomes the new
+			// leader or joins a newer flight); otherwise propagate the
+			// real failure.
+			if ctx.Err() == nil && (isContextErr(cl.err) || errors.Is(cl.err, ErrAbandoned)) {
 				continue
 			}
 			return zero, false, cl.err
@@ -181,7 +182,25 @@ func (c *Cache[V]) GetOrCompute(ctx context.Context, k Key, compute func() (V, e
 		c.misses++
 		c.mu.Unlock()
 
-		cl.val, cl.err = compute()
+		if err := c.lead(k, cl, compute); err != nil {
+			return zero, false, err
+		}
+		return cl.val, false, nil
+	}
+}
+
+// ErrAbandoned is what the waiters of a flight see when its leader's
+// compute function panicked: no value, no verdict on the key. They retry.
+var ErrAbandoned = errors.New("plancache: computation abandoned by its leader")
+
+// lead runs compute as the leader of flight cl and releases the flight —
+// whatever happens: a panic in compute unwinds through here to the caller's
+// recover (the read envelope's), and must not leave the key in flight with
+// done never closed, or every later query of that shape would block until
+// its own deadline.
+func (c *Cache[V]) lead(k Key, cl *call[V], compute func() (V, error)) error {
+	cl.err = ErrAbandoned // stands only if compute does not return
+	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, k)
 		if cl.err == nil {
@@ -189,11 +208,9 @@ func (c *Cache[V]) GetOrCompute(ctx context.Context, k Key, compute func() (V, e
 		}
 		c.mu.Unlock()
 		close(cl.done)
-		if cl.err != nil {
-			return zero, false, cl.err
-		}
-		return cl.val, false, nil
-	}
+	}()
+	cl.val, cl.err = compute()
+	return cl.err
 }
 
 // isContextErr reports whether err is a context cancellation or deadline.

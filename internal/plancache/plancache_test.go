@@ -166,6 +166,55 @@ func TestWaiterRetriesAfterLeaderCancelled(t *testing.T) {
 	}
 }
 
+// TestLeaderPanicReleasesFlight: a panicking compute unwinds to the caller's
+// recover, and the key must not stay in flight behind it — the waiter on that
+// flight retries as leader, and the shape stays servable afterwards.
+func TestLeaderPanicReleasesFlight(t *testing.T) {
+	c := New[int](8)
+	inCompute := make(chan struct{})
+	release := make(chan struct{})
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // leader: its compute panics; the envelope recovers
+		defer wg.Done()
+		defer func() {
+			if recover() == nil {
+				t.Error("leader's panic did not reach its caller")
+			}
+		}()
+		c.GetOrCompute(context.Background(), key("q"), func() (int, error) {
+			close(inCompute)
+			<-release
+			panic("optimizer fault")
+		})
+	}()
+	waiterDone := make(chan struct{})
+	go func() { // waiter on the doomed flight: must retry and succeed
+		defer wg.Done()
+		defer close(waiterDone)
+		<-inCompute
+		v, shared, err := c.GetOrCompute(context.Background(), key("q"), func() (int, error) { return 9, nil })
+		if err != nil || v != 9 || shared {
+			t.Errorf("waiter: %d, shared=%v, %v", v, shared, err)
+		}
+	}()
+	<-inCompute
+	for c.Stats().Coalesced == 0 { // until the waiter blocks on the flight
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case <-waiterDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter still blocked after the leader panicked: flight never released")
+	}
+	wg.Wait()
+	if v, hit, err := c.GetOrCompute(context.Background(), key("q"), func() (int, error) { return 0, errors.New("recomputed") }); err != nil || !hit || v != 9 {
+		t.Fatalf("after the fault: %d, hit=%v, %v", v, hit, err)
+	}
+}
+
 func TestWaiterContextCancelledWhileWaiting(t *testing.T) {
 	c := New[int](8)
 	inCompute := make(chan struct{})

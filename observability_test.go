@@ -97,6 +97,9 @@ func TestQueryMetrics(t *testing.T) {
 	if m.Cache.Misses != 1 || m.Cache.Hits != 2 {
 		t.Fatalf("cache counters not surfaced: %+v", m.Cache)
 	}
+	if m.Query.Optimizations != 1 || m.Query.OptimizeTime <= 0 || m.Query.PlansConsidered == 0 {
+		t.Fatalf("planning series must count the one search, not the two hits: %+v", m.Query)
+	}
 
 	// Failed executions count as errors. Run with a cancelled context so
 	// the failure happens inside Run (the metered section).
@@ -133,6 +136,9 @@ func TestWriteMetricsText(t *testing.T) {
 		`sjos_query_latency_seconds{quantile="0.95"}`,
 		"sjos_plancache_misses_total 1",
 		"sjos_plancache_entries 1",
+		"sjos_optimize_seconds_sum ",
+		"sjos_optimize_seconds_count 1",
+		"sjos_plans_considered_total ",
 		"sjos_pool_hits_total",
 		"sjos_pool_resident_pages",
 	} {

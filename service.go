@@ -157,7 +157,7 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostM
 		pe = nil
 	}
 	if noCache {
-		res, err := optimizeWith(ctx, pat, stats, model, m, te, pe)
+		res, err := s.search(ctx, pat, stats, model, m, te, pe)
 		return res, false, nil, err
 	}
 	fp, canon := pattern.Fingerprint(pat)
@@ -173,7 +173,7 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostM
 	}
 	k := plancache.Key{Fingerprint: fp, Method: int(m), Te: keyTe, StatsVersion: ver, NoVidx: noVidx}
 	cp, cached, err := s.cache.GetOrCompute(ctx, k, func() (cachedPlan, error) {
-		res, err := optimizeWith(ctx, pat, stats, model, m, te, pe)
+		res, err := s.search(ctx, pat, stats, model, m, te, pe)
 		if err != nil {
 			return cachedPlan{}, err
 		}
@@ -242,6 +242,18 @@ func (s *service) noteDrift(key *plancache.Key, cached bool, opts ExecOptions, t
 // resets wholesale (allowing rare double evictions) rather than growing
 // without bound across many distinct query shapes.
 const driftGuardCap = 4096
+
+// search is the metered optimizer run behind optimizePattern: only the
+// leader of a cache miss (or an uncached call) gets here, so the planning
+// series count searches done, not queries served.
+func (s *service) search(ctx context.Context, pat *Pattern, stats core.StatsSource, model CostModel, m Method, te int, pe core.ProbeEligibility) (*OptimizeResult, error) {
+	t0 := time.Now()
+	res, err := optimizeWith(ctx, pat, stats, model, m, te, pe)
+	if err == nil {
+		s.metrics.Optimized(time.Since(t0), res.Counters.PlansConsidered)
+	}
+	return res, err
+}
 
 // optimizeWith runs one optimizer pass against an explicit statistics
 // snapshot. pe, when non-nil, lets the estimator offer value-index probes
