@@ -6,8 +6,11 @@
 # executor comparison into BENCH_batch.json and the value-index pushdown
 # comparison into BENCH_content.json. `make benchquick` smoke-runs the key
 # benchmarks at one iteration each — the result-path and /query-encode
-# layer lanes included — plus the allocation regression guards: a
-# CI-friendly check that they still build, run and validate their counts.
+# layer lanes and the write-side lanes (XML parse, segment staging, store
+# version assembly, value probes at 2 and 256 segments, the four-write
+# corpus cycle on a disk WAL) included — plus the allocation regression
+# guards: a CI-friendly check that they still build, run and validate their
+# counts. `make fuzzquick` runs every Fuzz* target for ten seconds.
 # `make loadbench` runs the open-loop corpus serving benchmark (Poisson
 # arrivals, p50/p95/p99 under load) into BENCH_corpus.json; `make loadquick`
 # is its short CI variant (run on the replicated, hedged path so routing
@@ -33,7 +36,7 @@
 GO    ?= go
 BENCH ?= Parallel
 
-.PHONY: all build test test-race vet check loc chaos replicachaos walchaos bench benchquick loadbench loadquick replicabench replicaquick plannerbench plannerquick churnbench churnquick clean
+.PHONY: all build test test-race vet check loc chaos replicachaos walchaos bench benchquick fuzzquick loadbench loadquick replicabench replicaquick plannerbench plannerquick churnbench churnquick clean
 
 all: build test
 
@@ -103,9 +106,16 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath|CorpusWriteCycle' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
+	$(GO) test -run '^$$' -bench 'Parse$$' -benchtime=1x ./internal/xmltree/
+	$(GO) test -run '^$$' -bench 'StageSegment|StoreVersion|ForestProbe' -benchtime=1x ./internal/storage/
 	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs' -v .
+
+# Every fuzz target for ten seconds each (go test takes one -fuzz target and
+# one package a run): the XML parser against its encoding/xml oracle.
+fuzzquick:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/xmltree/
 
 # Open-loop corpus serving benchmark: Poisson arrivals against a sharded
 # corpus, latency measured from arrival (queueing included), results into

@@ -426,17 +426,23 @@ type writeResponse struct {
 	Docs int    `json:"docs"`
 }
 
+// maxDocBytes bounds one PUT body. The parser holds a document whole while
+// it scans it, so an unbounded body is unbounded memory; 32 MiB is some
+// three hundred times the documents the benchmarks load.
+const maxDocBytes = 32 << 20
+
 // servePut upserts the XML document in the request body: Insert when the ID
 // is new, Replace when it already exists.
 func servePut(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
 	id := r.PathValue("id")
+	body := http.MaxBytesReader(w, r.Body, maxDocBytes)
 	op := "insert"
 	var err error
 	if _, exists := c.ShardOf(id); exists {
 		op = "replace"
-		err = c.Replace(id, r.Body)
+		err = c.Replace(id, body)
 	} else {
-		err = c.Insert(id, r.Body)
+		err = c.Insert(id, body)
 	}
 	if err != nil {
 		writeMutationError(w, err)
@@ -462,10 +468,13 @@ func serveDelete(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
 
 // writeMutationError maps write-path failures onto HTTP: a read-only
 // collection refuses the method, load shed and drains are retryable, a
-// poisoned shard is a server fault, and everything else (bad XML, ID
-// conflicts) is the client's.
+// poisoned shard is a server fault, a body past maxDocBytes is too large,
+// and everything else (bad XML, ID conflicts) is the client's.
 func writeMutationError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("document larger than %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
 	case errors.Is(err, sjos.ErrNoWAL):
 		http.Error(w, "collection is read-only (start xqserve with -writable or -waldir)", http.StatusMethodNotAllowed)
 	case errors.Is(err, sjos.ErrOverloaded) || errors.Is(err, sjos.ErrShuttingDown):

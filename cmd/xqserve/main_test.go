@@ -402,6 +402,16 @@ func do(t *testing.T, method, url, body string, v any) *http.Response {
 	return resp
 }
 
+// endless is a reader of one byte, for ever.
+type endless byte
+
+func (e endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(e)
+	}
+	return len(p), nil
+}
+
 // newWritableServer serves one empty writable collection over in-memory WALs.
 func newWritableServer(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -475,6 +485,24 @@ func TestServeWriteErrors(t *testing.T) {
 	// Deleting a document that never existed is 404.
 	if resp := do(t, "DELETE", srv.URL+"/docs/ghost", "", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("DELETE ghost: status %d, want 404", resp.StatusCode)
+	}
+	// A body past the limit is refused as too large, not read to its end:
+	// this one would be well-formed if it ever got there.
+	huge := io.MultiReader(strings.NewReader("<r>"), io.LimitReader(endless('x'), maxDocBytes), strings.NewReader("</r>"))
+	req, err := http.NewRequest("PUT", srv.URL+"/docs/huge", huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized PUT: status %d, want 413", resp.StatusCode)
+	}
+	if resp := do(t, "DELETE", srv.URL+"/docs/huge", "", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("oversized PUT left a document behind: DELETE status %d", resp.StatusCode)
 	}
 
 	// A read-only collection refuses the method entirely.

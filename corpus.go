@@ -1236,6 +1236,8 @@ func (c *Corpus) Metrics() Metrics {
 	}
 	m.Replica.HedgedRequests = c.hedged.Load()
 	m.Replica.Failovers = c.failovers.Load()
+	ist := c.IngestStats()
+	m.Compactions, m.WALPages = ist.Compactions, ist.WALPages
 	for _, sh := range c.shards {
 		if sh == nil {
 			continue

@@ -66,7 +66,7 @@ func (c *Corpus) mutate(op storage.WALOp, id string, r io.Reader) error {
 	}
 	// The primary decides the mutation's fate: until its WAL commit
 	// succeeds, nothing changed anywhere.
-	return c.svc.write(primary, func() error { return primary.apply(op, id, doc) }, func() {
+	return c.svc.write(primary, op, func() error { return primary.apply(op, id, doc) }, func() {
 		// Followers apply the committed mutation; one that cannot has
 		// diverged from the shard and leaves routing for good.
 		for _, rep := range sh.replicas[1:] {

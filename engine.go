@@ -127,6 +127,9 @@ type engine struct {
 	// broken poisons the write path (see ErrBroken).
 	broken      error
 	compactions int
+	// images is where log serialises a transaction's documents, kept between
+	// transactions so an image is written into memory that is already there.
+	images bytes.Buffer
 }
 
 // view returns the current snapshot. Callers that touch both the document
@@ -411,16 +414,24 @@ func (e *engine) log(op storage.WALOp, docs []seedDoc, images []storage.WALPageI
 		return nil
 	}
 	wds := make([]storage.WALDoc, len(docs))
+	ends := make([]int, len(docs))
+	e.images.Reset()
 	for i, sd := range docs {
 		wds[i].ID = sd.id
-		if sd.doc == nil {
-			continue // a delete logs the ID alone
+		if sd.doc != nil { // a delete logs the ID alone
+			if err := xmltree.WriteImage(sd.doc, &e.images); err != nil {
+				return err
+			}
 		}
-		var buf bytes.Buffer
-		if err := xmltree.WriteImage(sd.doc, &buf); err != nil {
-			return err
+		ends[i] = e.images.Len()
+	}
+	// Sliced only now: the buffer may have moved while it grew.
+	all, start := e.images.Bytes(), 0
+	for i, end := range ends {
+		if end > start {
+			wds[i].Image = all[start:end]
 		}
-		wds[i].Image = buf.Bytes()
+		start = end
 	}
 	_, err := e.wal.Append(op, wds, images)
 	if errors.Is(err, storage.ErrWALBroken) {

@@ -62,7 +62,7 @@ func (db *Database) mutate(op storage.WALOp, id string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return db.svc.write(db.eng, func() error { return db.eng.apply(op, id, doc) }, db.refreshStats)
+	return db.svc.write(db.eng, op, func() error { return db.eng.apply(op, id, doc) }, db.refreshStats)
 }
 
 // Insert parses an XML document from r and commits it under id. The
@@ -102,7 +102,7 @@ func (db *Database) ReplaceString(id, src string) error {
 // appends. Published snapshots in flight stay valid; the new snapshot's
 // member spans are renumbered.
 func (db *Database) Compact() error {
-	return db.svc.write(db.eng, db.eng.compact, db.refreshStats)
+	return db.svc.write(db.eng, storage.WALSnapshot, db.eng.compact, db.refreshStats)
 }
 
 // IngestEnabled reports whether the database was built with a write path

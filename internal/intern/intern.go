@@ -15,8 +15,13 @@ type Table struct {
 }
 
 // New returns an empty intern table.
-func New() *Table {
-	return &Table{m: make(map[string]string)}
+func New() *Table { return NewSized(0) }
+
+// NewSized returns an empty intern table with room for n distinct strings,
+// for builders that can estimate their output: the table then fills without
+// rehashing.
+func NewSized(n int) *Table {
+	return &Table{m: make(map[string]string, n)}
 }
 
 // Intern returns the canonical copy of s, registering s itself on first

@@ -50,6 +50,10 @@ type Registry struct {
 	optCount atomic.Uint64
 	optSum   atomic.Int64 // nanoseconds
 	plans    atomic.Uint64
+	ingest   [len(ingestOps)]struct {
+		count atomic.Uint64
+		sum   atomic.Int64 // nanoseconds
+	}
 
 	latCount atomic.Uint64
 	latSum   atomic.Int64 // nanoseconds
@@ -93,6 +97,22 @@ func (r *Registry) Optimized(d time.Duration, plansConsidered int) {
 	r.plans.Add(uint64(plansConsidered))
 }
 
+// ingestOps are the document mutations the write path times, in the order
+// they are exported.
+var ingestOps = [...]string{"insert", "replace", "delete"}
+
+// Ingested records one committed document mutation of the named kind
+// (insert, replace or delete; anything else is not a document mutation and
+// is ignored) and the time it spent in the write envelope.
+func (r *Registry) Ingested(op string, d time.Duration) {
+	for i, name := range ingestOps {
+		if name == op {
+			r.ingest[i].count.Add(1)
+			r.ingest[i].sum.Add(int64(d))
+		}
+	}
+}
+
 // ExecBatched folds one execution's batched-path counters into the
 // registry: batches driven through the plan root and index postings
 // bypassed by skip-ahead seeks.
@@ -131,6 +151,9 @@ type Snapshot struct {
 	Optimizations   uint64
 	OptimizeTime    time.Duration
 	PlansConsidered uint64
+	// Ingest holds, per kind of document mutation (insert, replace, delete),
+	// how many were committed and the time they spent in the write envelope.
+	Ingest [len(ingestOps)]IngestSnapshot
 	// TotalTime is the summed latency of all completed executions.
 	TotalTime time.Duration
 	// P50, P95 and P99 are latency quantiles (bucket upper bounds of the
@@ -138,6 +161,13 @@ type Snapshot struct {
 	P50, P95, P99 time.Duration
 
 	buckets [numBuckets]uint64
+}
+
+// IngestSnapshot is one kind of document mutation's counters.
+type IngestSnapshot struct {
+	Op    string
+	Count uint64
+	Time  time.Duration
 }
 
 // Snapshot captures the current counters and derives the quantiles.
@@ -158,6 +188,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for i := range s.buckets {
 		s.buckets[i] = r.buckets[i].Load()
+	}
+	for i, op := range ingestOps {
+		s.Ingest[i] = IngestSnapshot{Op: op, Count: r.ingest[i].count.Load(), Time: time.Duration(r.ingest[i].sum.Load())}
 	}
 	s.P50 = s.Quantile(0.50)
 	s.P95 = s.Quantile(0.95)
@@ -206,6 +239,11 @@ func (s Snapshot) WriteText(w io.Writer, prefix string) {
 	counter("plans_considered_total", "Alternative plans costed by optimizer searches (plan-cache misses only).", s.PlansConsidered)
 	fmt.Fprintf(w, "# HELP %s_optimize_seconds Optimizer search time (plan-cache misses only).\n# TYPE %s_optimize_seconds summary\n%s_optimize_seconds_sum %g\n%s_optimize_seconds_count %d\n",
 		prefix, prefix, prefix, s.OptimizeTime.Seconds(), prefix, s.Optimizations)
+	fmt.Fprintf(w, "# HELP %s_ingest_seconds Time committed document mutations spent in the write envelope (admission, stage, WAL append, apply, publish; parsing excluded).\n# TYPE %s_ingest_seconds summary\n", prefix, prefix)
+	for _, in := range s.Ingest {
+		fmt.Fprintf(w, "%s_ingest_seconds_sum{op=%q} %g\n%s_ingest_seconds_count{op=%q} %d\n",
+			prefix, in.Op, in.Time.Seconds(), prefix, in.Op, in.Count)
+	}
 	fmt.Fprintf(w, "# HELP %s_queries_in_flight Query executions currently running.\n# TYPE %s_queries_in_flight gauge\n%s_queries_in_flight %d\n",
 		prefix, prefix, prefix, s.InFlight)
 	fmt.Fprintf(w, "# HELP %s_query_latency_seconds Query latency distribution.\n# TYPE %s_query_latency_seconds summary\n", prefix, prefix)

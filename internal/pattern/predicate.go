@@ -15,6 +15,18 @@ import (
 // Every component that decides "numeric vs lexicographic" must use this one
 // parse so they agree on edge cases (exponents, leading signs, "Inf", ...).
 func ParseNumeric(s string) (float64, bool) {
+	// A float starts with a digit, a sign, a point, or the i/n of inf and
+	// nan. Anything else ParseFloat would refuse too, but only after
+	// allocating the error that says so — and index builds and scan+filter
+	// ask this of every word in a document.
+	if s == "" {
+		return 0, false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return 0, false
+	}
 	f, err := strconv.ParseFloat(s, 64)
 	return f, err == nil
 }

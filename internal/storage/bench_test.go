@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"sjos/internal/datagen"
+	"sjos/internal/pattern"
 	"sjos/internal/xmltree"
 )
 
@@ -78,6 +81,109 @@ func BenchmarkBuildStore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildStore(doc, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchForest builds a forest store of n pers members (≈5k nodes and ≈3k
+// distinct values each — the repo benchmark's document) and returns the
+// forest, the spans and the store. The shard's distinct (tag, value) pairs
+// grow with n; a member's do not.
+func benchForest(b *testing.B, n int) (*xmltree.Document, []xmltree.DocSpan, *Store) {
+	b.Helper()
+	forest := xmltree.NewForest()
+	spans := make([]xmltree.DocSpan, n)
+	for i := range spans {
+		var err error
+		if forest, spans[i], err = xmltree.AppendMember(forest, datagen.Pers(1, int64(1+i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st, err := BuildForestStoreOn(NewMemFile(), forest, spans, 0, StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return forest, spans, st
+}
+
+// BenchmarkStageSegment is the per-document half of a write: one member's
+// node pages, tag postings and value index serialised into page images.
+func BenchmarkStageSegment(b *testing.B) {
+	forest, spans, st := benchForest(b, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.StageSegment(forest, spans[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreVersion is the per-shard half of a write: assembling the
+// successor version that adopts one staged segment, and the one that drops
+// it again, with 2 and with 256 segments already live.
+func BenchmarkStoreVersion(b *testing.B) {
+	for _, live := range []int{2, 256} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			forest, _, st := benchForest(b, live)
+			forest, span, err := xmltree.AppendMember(forest, datagen.Pers(1, 1000))
+			if err != nil {
+				b.Fatal(err)
+			}
+			stage, err := st.StageSegment(forest, span)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next := st.AdoptStage(stage)
+				if _, err := next.DropSegment(forest, next.NumSegments()-1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkForestProbe is the read side of the store-version trade: an
+// exact probe and a numeric range probe, resolved and drained, against 2
+// and 256 live segments.
+func BenchmarkForestProbe(b *testing.B) {
+	for _, live := range []int{2, 256} {
+		_, _, st := benchForest(b, live)
+		for _, p := range []struct {
+			name, tag string
+			op        pattern.CmpOp
+			val       string
+		}{
+			{"exact", "name", pattern.CmpEq, "mgr-0"},
+			{"range", "salary", pattern.CmpGt, "110000"},
+		} {
+			b.Run(fmt.Sprintf("%s/live=%d", p.name, live), func(b *testing.B) {
+				var ids [postingsBlockLen]xmltree.NodeID
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sc, ok := st.ProbeValue(p.tag, p.op, p.val)
+					if !ok {
+						b.Fatal("probe declined")
+					}
+					total := 0
+					for {
+						n, err := sc.NextBlock(ids[:])
+						if err != nil {
+							b.Fatal(err)
+						}
+						if n == 0 {
+							break
+						}
+						total += n
+					}
+					if total == 0 {
+						b.Fatal("probe found nothing")
+					}
+				}
+			})
 		}
 	}
 }

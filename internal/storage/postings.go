@@ -101,6 +101,10 @@ type postingsWriter struct {
 	dirty   bool
 	bytes   int // total encoded bytes, for compression accounting
 	scratch [maxBlockBytes]byte
+	// refs is the chunk the runs' block directories are cut from: a value
+	// index writes thousands of one-block runs, and a slice apiece would
+	// be most of a build's allocations.
+	refs []blockRef
 }
 
 func newPostingsWriter(file PageFile, first PageID) *postingsWriter {
@@ -112,7 +116,12 @@ func newPostingsWriter(file PageFile, first PageID) *postingsWriter {
 // position for the directory (document order is Start order, so a block's
 // firstStart orders the whole run).
 func (w *postingsWriter) writeRun(ids []xmltree.NodeID, start func(xmltree.NodeID) xmltree.Pos) (postingsRun, error) {
-	run := postingsRun{count: len(ids)}
+	nblocks := (len(ids) + postingsBlockLen - 1) / postingsBlockLen
+	if nblocks > cap(w.refs)-len(w.refs) {
+		w.refs = make([]blockRef, 0, max(nblocks, 512))
+	}
+	run := postingsRun{count: len(ids), blocks: w.refs[len(w.refs) : len(w.refs) : len(w.refs)+nblocks]}
+	w.refs = w.refs[:len(w.refs)+nblocks]
 	for i := 0; i < len(ids); i += postingsBlockLen {
 		blk := ids[i:]
 		if len(blk) > postingsBlockLen {

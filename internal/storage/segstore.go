@@ -24,10 +24,12 @@ import (
 //
 // Readers see one combined view per version: the per-tag postings runs of
 // the live segments concatenated in NodeID order (block directories are
-// in-memory, so concatenation is pointer work — no page I/O), and one
-// combined value index built the same way. Scan, skip-ahead, probe and
-// merge machinery is exactly the static store's; only the node-record
-// locator differs (see Store.nodeSlot).
+// in-memory, so concatenation is pointer work — no page I/O). The value
+// index is not combined: a version lists its live segments' indexes and a
+// probe asks each for the one key it wants, so assembling a version costs
+// tags × live segments and nothing per distinct value. Scan, skip-ahead,
+// probe and merge machinery is exactly the static store's; only the
+// node-record locator differs (see Store.nodeSlot).
 
 // segment is one contiguous NodeID slice of the forest and its pages.
 type segment struct {
@@ -96,9 +98,12 @@ func spanNodes(doc *xmltree.Document, t xmltree.TagID, span xmltree.DocSpan) []x
 // planSegment serialises one member span of the forest as a fresh segment
 // starting at page base, entirely into capture images.
 func planSegment(forest *xmltree.Document, span xmltree.DocSpan, base PageID, opts StoreOptions) (*SegmentStage, error) {
-	cf := &captureFile{base: base}
 	n := span.Nodes
 	nodePages := (n + nodesPerPage - 1) / nodesPerPage
+	// Compressed postings take about half the pages the node records do;
+	// a longer stage grows the slice, a shorter one is dropped after commit
+	// like any other.
+	cf := &captureFile{base: base, images: make([]WALPageImage, 0, nodePages+nodePages/2+2)}
 	var page Page
 	for p := 0; p < nodePages; p++ {
 		for i := 0; i < nodesPerPage; i++ {
@@ -325,14 +330,14 @@ func (s *Store) rebuildVersion(forest *xmltree.Document, segs []*segment, tail P
 		tags[t] = forest.TagName(xmltree.TagID(t))
 		byName[tags[t]] = xmltree.TagID(t)
 	}
-	dir, vx := combineSegments(segs, numTags, !s.opts.NoValueIndex)
+	dir, vix := combineSegments(segs, numTags, !s.opts.NoValueIndex)
 	return &Store{
 		doc:              &storeMeta{NumNodes: forest.NumNodes(), NumTags: numTags, Tags: tags},
 		file:             s.file,
 		pool:             s.pool,
 		tagDir:           dir,
 		tagByName:        byName,
-		vidx:             vx,
+		vix:              vix,
 		segs:             segs,
 		tailPage:         tail,
 		opts:             s.opts,
@@ -343,97 +348,52 @@ func (s *Store) rebuildVersion(forest *xmltree.Document, segs []*segment, tail P
 	}
 }
 
-// concatRun appends run b after run a: block directory entries keep their
-// pages and offsets, b's run-relative start indexes shift by a's count.
-// Correctness needs b's NodeIDs (and Start positions) strictly above a's —
-// guaranteed by concatenating segments in NodeID order.
-func concatRun(a, b postingsRun) postingsRun {
-	if a.count == 0 {
-		return b
+// append adds run's postings after r's. Block directory entries keep their
+// pages and offsets; only their run-relative start indexes shift, by the
+// postings now before them. Correctness needs run's NodeIDs (and Start
+// positions) strictly above r's — guaranteed when runs of different
+// segments are joined in segment order.
+func (r *postingsRun) append(run postingsRun) {
+	for _, ref := range run.blocks {
+		ref.startIdx += int32(r.count)
+		r.blocks = append(r.blocks, ref)
 	}
-	if b.count == 0 {
-		return a
-	}
-	blocks := make([]blockRef, 0, len(a.blocks)+len(b.blocks))
-	blocks = append(blocks, a.blocks...)
-	for _, ref := range b.blocks {
-		ref.startIdx += int32(a.count)
-		blocks = append(blocks, ref)
-	}
-	return postingsRun{count: a.count + b.count, blocks: blocks}
+	r.count += run.count
 }
 
-// combineSegments builds the combined per-version read view: one postings
-// run per tag and one value index, concatenated over the live segments in
-// segment (= NodeID) order. All work is over in-memory block directories.
-func combineSegments(segs []*segment, numTags int, withVidx bool) ([]postingsRun, *valueIndex) {
+// combineSegments builds the per-version read view over the live segments
+// in segment (= NodeID) order: one joined postings run per tag, and the list
+// of the segments' value indexes. All work is over in-memory block
+// directories, one pass to size each tag's directory and one to fill it.
+func combineSegments(segs []*segment, numTags int, withVidx bool) ([]postingsRun, []*valueIndex) {
 	dir := make([]postingsRun, numTags)
-	live := make([]*segment, 0, len(segs))
+	nblocks := make([]int, numTags)
+	var vix []*valueIndex
+	if withVidx {
+		vix = make([]*valueIndex, 0, len(segs))
+	}
 	for _, sg := range segs {
-		if !sg.dead {
-			live = append(live, sg)
+		if sg.dead {
+			continue
 		}
-	}
-	for _, sg := range live {
 		for t, run := range sg.dir {
-			if int(t) < numTags {
-				dir[t] = concatRun(dir[t], run)
-			}
+			nblocks[t] += len(run.blocks)
+		}
+		if withVidx {
+			vix = append(vix, sg.vix)
 		}
 	}
-	if !withVidx {
-		return dir, nil
-	}
-	vx := &valueIndex{
-		exact: make(map[valueKey]postingsRun),
-		nums:  make([]tagNumeric, numTags),
-	}
-	for _, sg := range live {
-		if sg.vix == nil {
+	for _, sg := range segs {
+		if sg.dead {
 			continue
 		}
-		vx.runs += sg.vix.runs
-		for k, run := range sg.vix.exact {
-			vx.exact[k] = concatRun(vx.exact[k], run)
+		for t, run := range sg.dir {
+			d := &dir[t]
+			if d.blocks == nil {
+				d.blocks = make([]blockRef, 0, nblocks[t])
+			}
+			d.append(run)
 		}
 	}
-	for t := 0; t < numTags; t++ {
-		tag := xmltree.TagID(t)
-		allNumeric := true
-		present := false
-		byNum := make(map[float64]postingsRun)
-		var keys []float64
-		for _, sg := range live {
-			if sg.dir[tag].count == 0 {
-				continue // segment has no nodes of this tag
-			}
-			present = true
-			var tn *tagNumeric
-			if sg.vix != nil && t < len(sg.vix.nums) {
-				tn = &sg.vix.nums[t]
-			}
-			if tn == nil || !tn.allNumeric {
-				allNumeric = false
-			}
-			if tn != nil {
-				for i, f := range tn.vals {
-					if _, seen := byNum[f]; !seen {
-						keys = append(keys, f)
-					}
-					byNum[f] = concatRun(byNum[f], tn.runs[i])
-				}
-			}
-		}
-		if !present || len(keys) == 0 {
-			vx.nums[t] = tagNumeric{}
-			continue
-		}
-		sort.Float64s(keys)
-		tn := tagNumeric{allNumeric: allNumeric, vals: keys, runs: make([]postingsRun, len(keys))}
-		for i, f := range keys {
-			tn.runs[i] = byNum[f]
-		}
-		vx.nums[t] = tn
-	}
-	return dir, vx
+	return dir, vix
 }

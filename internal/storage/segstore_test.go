@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"sjos/internal/pattern"
@@ -112,53 +115,139 @@ func TestForestStoreMatchesMergedStore(t *testing.T) {
 	}
 }
 
-// Value probes over the combined per-segment indexes must agree with the
-// static store's single index.
-func TestForestStoreValueProbes(t *testing.T) {
-	docs := memberDocs(t, 3)
-	_, _, segStore := buildForest(t, docs)
-	merged, _, err := xmltree.MergeDocuments(docs)
+// probeMember is member i of the value-probe forests: a "num" tag that is
+// numeric everywhere, with the spelling of a number changing from member to
+// member ("1" here, "1.0" or "01" there); a "flip" tag that is numeric in
+// every member but one; a "word" tag; and a "mixed" tag with empty values.
+func probeMember(t *testing.T, rng *rand.Rand, i, wordAt int) *xmltree.Document {
+	t.Helper()
+	spell := []string{"%d", "%d.0", "0%d"}[i%3]
+	var sb strings.Builder
+	sb.WriteString("<m>")
+	for k := 0; k < 40; k++ {
+		fmt.Fprintf(&sb, "<num>"+spell+"</num>", rng.Intn(9))
+		fmt.Fprintf(&sb, "<word>w%d</word>", rng.Intn(6))
+		fmt.Fprintf(&sb, "<flip>%d</flip>", rng.Intn(9))
+		if k%7 == 0 {
+			sb.WriteString("<mixed/>")
+		} else {
+			fmt.Fprintf(&sb, "<mixed>%d</mixed>", rng.Intn(4))
+		}
+	}
+	if i == wordAt {
+		sb.WriteString("<flip>seven</flip>")
+	}
+	sb.WriteString("</m>")
+	doc, err := xmltree.ParseString(sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := BuildStore(merged, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return doc
+}
 
-	ops := []pattern.CmpOp{pattern.CmpEq, pattern.CmpLt, pattern.CmpGe}
-	vals := []string{"1", "7", "13", "nope", "42"}
-	for _, tag := range []string{"a", "b", "c", "d"} {
-		for _, op := range ops {
-			for _, val := range vals {
-				wantN, wantOK := static.ProbeSelectivity(tag, op, val)
-				gotN, gotOK := segStore.ProbeSelectivity(tag, op, val)
-				if wantOK != gotOK || wantN != gotN {
-					t.Fatalf("probe %s %v %q: (%d,%v) vs (%d,%v)", tag, op, val, gotN, gotOK, wantN, wantOK)
-				}
-				if !wantOK {
-					continue
-				}
-				ws, _ := static.ProbeValue(tag, op, val)
-				gs, _ := segStore.ProbeValue(tag, op, val)
-				for {
-					wid, _, wok, err := ws.Next()
-					if err != nil {
-						t.Fatal(err)
-					}
-					gid, _, gok, err := gs.Next()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wok != gok || (wok && wid != gid) {
-						t.Fatalf("probe %s %v %q: stream diverged (%d,%v) vs (%d,%v)", tag, op, val, gid, gok, wid, wok)
-					}
-					if !wok {
-						break
+// Value probes resolve against the live segments' own indexes, one after
+// another. With 1, 2 and 17 live segments and a dead one between every two,
+// every eligible probe must produce exactly what scan+filter over the live
+// members produces — through Next, through SeekGE from every segment
+// boundary, and as a ProbeSelectivity count — numbers spelled differently in
+// different segments must meet in one answer, and range eligibility must
+// follow the live segments: lost while a member with a non-numeric value is
+// live, back once it is dropped.
+func TestForestStoreValueProbes(t *testing.T) {
+	ops := []pattern.CmpOp{pattern.CmpEq, pattern.CmpLt, pattern.CmpLe, pattern.CmpGt, pattern.CmpGe}
+	rhss := []string{"0", "1", "1.0", "01", "4", "4.5", "8", "9", "-1", "w3", "seven", "nope"}
+	for _, live := range []int{1, 2, 17} {
+		rng := rand.New(rand.NewSource(int64(live)))
+		// Members at even positions stay, the ones between them are dropped;
+		// one more at the end carries the non-numeric flip value.
+		n := 2*live - 1
+		docs := make([]*xmltree.Document, n+1)
+		for i := range docs {
+			docs[i] = probeMember(t, rng, i, n)
+		}
+		forest, spans, st := buildForest(t, docs)
+		var liveSpans []xmltree.DocSpan
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				liveSpans = append(liveSpans, spans[i])
+				continue
+			}
+			var err error
+			if st, err = st.DropSegment(forest, i+1); err != nil { // segment 0 is the root
+				t.Fatal(err)
+			}
+		}
+		check := func(st *Store, liveSpans []xmltree.DocSpan) {
+			t.Helper()
+			eligible := 0
+			for _, tag := range []string{"num", "flip", "word", "mixed"} {
+				for _, op := range ops {
+					for _, rhs := range rhss {
+						var want []xmltree.NodeID
+						for _, id := range scanFilterRef(forest, tag, op, rhs) {
+							for _, sp := range liveSpans {
+								if sp.Contains(id) {
+									want = append(want, id)
+								}
+							}
+						}
+						n, ok := st.ProbeSelectivity(tag, op, rhs)
+						if ok != st.ProbeEligible(tag, op, rhs) {
+							t.Fatalf("live=%d %s %v %q: ProbeSelectivity and ProbeEligible disagree", live, tag, op, rhs)
+						}
+						if !ok {
+							continue
+						}
+						eligible++
+						if n != len(want) {
+							t.Fatalf("live=%d %s %v %q: ProbeSelectivity = %d, scan+filter finds %d", live, tag, op, rhs, n, len(want))
+						}
+						vs, _ := st.ProbeValue(tag, op, rhs)
+						if got := drainProbe(t, vs); !slices.Equal(got, want) {
+							t.Fatalf("live=%d %s %v %q: probe %v, scan+filter %v", live, tag, op, rhs, got, want)
+						}
+						// Seek to each live segment's first node and one past it.
+						for _, sp := range liveSpans {
+							for _, pos := range []xmltree.Pos{forest.Start(sp.First), forest.Start(sp.First) + 1} {
+								vs, _ := st.ProbeValue(tag, op, rhs)
+								skipped, err := vs.SeekGE(pos)
+								if err != nil {
+									t.Fatal(err)
+								}
+								from := 0
+								for from < len(want) && forest.Start(want[from]) < pos {
+									from++
+								}
+								if got := drainProbe(t, vs); skipped != from || !slices.Equal(got, want[from:]) {
+									t.Fatalf("live=%d %s %v %q seek %d: skipped %d and got %v, want %d and %v",
+										live, tag, op, rhs, pos, skipped, got, from, want[from:])
+								}
+							}
+						}
 					}
 				}
 			}
+			if eligible == 0 {
+				t.Fatalf("live=%d: no eligible probe exercised", live)
+			}
 		}
+
+		// While the last member is live, flip has one non-numeric value.
+		if st.ProbeEligible("flip", pattern.CmpLt, "4") {
+			t.Fatalf("live=%d: range probe on flip eligible with a non-numeric value live", live)
+		}
+		check(st, append(liveSpans[:len(liveSpans):len(liveSpans)], spans[n]))
+		st, err := st.DropSegment(forest, n+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.ProbeEligible("flip", pattern.CmpLt, "4") || !st.ProbeEligible("num", pattern.CmpGe, "4") {
+			t.Fatalf("live=%d: range probes ineligible over all-numeric live segments", live)
+		}
+		if st.ProbeEligible("mixed", pattern.CmpLt, "4") || st.ProbeEligible("word", pattern.CmpLt, "4") {
+			t.Fatalf("live=%d: range probe eligible on a tag with empty or non-numeric values", live)
+		}
+		check(st, liveSpans)
 	}
 }
 

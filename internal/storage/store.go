@@ -47,9 +47,11 @@ type Store struct {
 	tagDir    []postingsRun
 	tagByName map[string]xmltree.TagID
 
-	// vidx is the (tag, value) content index; nil when the store was built
-	// with StoreOptions.NoValueIndex.
-	vidx *valueIndex
+	// vix is the (tag, value) content index: one valueIndex for a static
+	// store, the live segments' own indexes in segment order for a segmented
+	// one — a probe asks each in turn (see probeValue). nil when the store
+	// was built with StoreOptions.NoValueIndex.
+	vix []*valueIndex
 
 	// segs is non-nil for a segmented (appendable forest) store: one entry
 	// per contiguous NodeID slice, in NodeID order. A static build-once
@@ -145,14 +147,13 @@ func BuildStoreOnOpts(file PageFile, doc *xmltree.Document, poolFrames int, opts
 		rawBytes += rawPostingSize * len(nodes)
 	}
 
-	var vx *valueIndex
+	var vix []*valueIndex
 	if !opts.NoValueIndex {
-		var err error
-		var vxRaw int
-		vx, vxRaw, err = buildValueIndex(w, doc)
+		vx, vxRaw, err := buildValueIndex(w, doc)
 		if err != nil {
 			return nil, fmt.Errorf("storage: build value index: %w", err)
 		}
+		vix = []*valueIndex{vx}
 		rawBytes += vxRaw
 	}
 	if _, err := w.finish(); err != nil {
@@ -172,7 +173,7 @@ func BuildStoreOnOpts(file PageFile, doc *xmltree.Document, poolFrames int, opts
 		nodePages:        nodePages,
 		tagDir:           dir,
 		tagByName:        byName,
-		vidx:             vx,
+		vix:              vix,
 		opts:             opts,
 		postingsBytes:    w.bytes,
 		rawPostingsBytes: rawBytes,
@@ -337,19 +338,19 @@ type ContentStats struct {
 // ContentStats returns a snapshot of the store's content-index counters.
 func (s *Store) ContentStats() ContentStats {
 	cs := ContentStats{
-		ValueIndexed:     s.vidx != nil,
+		ValueIndexed:     s.vix != nil,
 		ValueProbes:      s.shared.probes.Load(),
 		BlocksDecoded:    s.shared.blocksDecoded.Load(),
 		PostingsBytes:    s.postingsBytes,
 		RawPostingsBytes: s.rawPostingsBytes,
 		Intern:           s.internStats,
 	}
-	if s.vidx != nil {
-		cs.ValueRuns = s.vidx.runs
-		for t := range s.vidx.nums {
-			if s.vidx.nums[t].allNumeric && len(s.vidx.nums[t].vals) > 0 {
-				cs.NumericTags++
-			}
+	for _, vx := range s.vix {
+		cs.ValueRuns += vx.runs
+	}
+	for t := range s.tagDir {
+		if s.rangeProbeable(xmltree.TagID(t)) {
+			cs.NumericTags++
 		}
 	}
 	return cs

@@ -1,16 +1,21 @@
 package storage
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
+	"slices"
 	"sort"
+	"strings"
 
 	"sjos/internal/pattern"
 	"sjos/internal/xmltree"
 )
 
 // The value (content) index: per tag, a postings list for every distinct
-// text value (exact-match lookups) and, over the distinct numeric values, a
-// sorted directory for range lookups. Postings live in the same compressed
+// text value under a directory sorted by value (exact-match lookups) and,
+// over the distinct numeric values, a directory sorted by number (numeric
+// equality and range lookups). Postings live in the same compressed
 // paged format as the tag index — one postingsWriter lays both segments out
 // during the build, so value-index reads flow through the buffer pool,
 // checksums and the retry path like every other page access.
@@ -20,7 +25,7 @@ import (
 //
 //   - CmpEq with a non-numeric rhs: byte-exact lookup. A numeric stored
 //     value can never equal a non-numeric rhs (equality would imply equal
-//     bytes, hence equal parseability), so the exact map suffices.
+//     bytes, hence equal parseability), so the value directory suffices.
 //   - CmpEq with a numeric rhs: numeric-group lookup, which merges
 //     byte-distinct spellings of one number ("1", "1.0"). Non-numeric
 //     stored values compare lexicographically against the rhs and byte
@@ -32,25 +37,47 @@ import (
 //   - Everything else (CmpNe, CmpContains, lexicographic ranges, empty
 //     rhs): not eligible; the executor falls back to scan+filter.
 type valueIndex struct {
-	exact map[valueKey]postingsRun
-	nums  []tagNumeric // indexed by TagID
-	runs  int          // postings lists persisted (exact groups + merged numeric groups)
+	tags []tagValues // indexed by TagID
+	runs int         // postings lists persisted (exact groups + merged numeric groups)
 }
 
-// valueKey identifies one (tag, value) postings list. Values are the
-// document's interned strings, so keys share the document's backing bytes.
-type valueKey struct {
-	tag xmltree.TagID
-	val string
-}
-
-// tagNumeric is one tag's numeric-range directory: the distinct numeric
-// values in ascending order, each with the postings of all nodes whose
-// value parses to that number (regardless of spelling).
-type tagNumeric struct {
-	allNumeric bool // every node of the tag has a non-empty numeric value
-	vals       []float64
+// tagValues is one tag's directory in one index. vals holds the tag's
+// distinct non-empty values in byte order, runs[i] the postings of vals[i]:
+// an exact probe is a binary search. nums holds the distinct numbers those
+// values parse to in ascending order, numRuns[i] the postings of all nodes
+// whose value parses to nums[i], whatever its spelling: a numeric-equality
+// probe is a binary search, a range probe a slice. A number with one
+// spelling shares that value's run. Values are the document's interned
+// strings, so vals costs no bytes of its own.
+type tagValues struct {
+	present    bool // the index covers nodes of this tag
+	allNumeric bool // every one of them has a non-empty numeric value
+	vals       []string
 	runs       []postingsRun
+	nums       []float64
+	numRuns    []postingsRun
+}
+
+// valueEntry is one (value, node) pair of the tag being indexed. key is the
+// value's first eight bytes as a big-endian number, zero-padded: it orders
+// as the bytes do, so most comparisons of a sort never reach the strings.
+type valueEntry struct {
+	key uint64
+	val string
+	id  xmltree.NodeID
+}
+
+func valueKey(v string) uint64 {
+	var b [8]byte
+	copy(b[:], v)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// numberEntry is one distinct value that parses as a number: the number and
+// the value's position in tagValues.vals.
+type numberEntry struct {
+	num float64
+	idx int
 }
 
 // buildValueIndex groups every tag's nodes by text value and writes the
@@ -63,111 +90,167 @@ func buildValueIndex(w *postingsWriter, doc *xmltree.Document) (*valueIndex, int
 // buildValueIndexOver is buildValueIndex with the per-tag node lists
 // supplied by nodesOf — the segment builder passes a span-restricted view so
 // one forest member gets its own self-contained index.
+//
+// A tag's groups come from one sort of its (value, node) pairs, and each
+// distinct value is parsed as a number once. The order runs are written in
+// is part of the page format (recovery compares staged pages with logged
+// ones byte for byte): tags ascending; within a tag the exact groups in
+// value byte order, then one merged run for every number spelled more than
+// one way, in ascending number order.
 func buildValueIndexOver(w *postingsWriter, doc *xmltree.Document, nodesOf func(xmltree.TagID) []xmltree.NodeID) (*valueIndex, int, error) {
-	vx := &valueIndex{
-		exact: make(map[valueKey]postingsRun),
-		nums:  make([]tagNumeric, doc.NumTags()),
-	}
+	vx := &valueIndex{tags: make([]tagValues, doc.NumTags())}
 	rawBytes := 0
-	for t := 0; t < doc.NumTags(); t++ {
-		tag := xmltree.TagID(t)
-		nodes := nodesOf(tag)
+	var (
+		entries []valueEntry
+		bounds  []int // entries[bounds[i]:bounds[i+1]] is the group of vals[i]
+		numbers []numberEntry
+		ids     []xmltree.NodeID
+	)
+	writeRun := func(ids []xmltree.NodeID) (postingsRun, error) {
+		vx.runs++
+		rawBytes += rawPostingSize * len(ids)
+		return w.writeRun(ids, doc.Start)
+	}
+	for t := range vx.tags {
+		nodes := nodesOf(xmltree.TagID(t))
 		if len(nodes) == 0 {
 			continue
 		}
-		// Group postings by exact value, in document order. Values are
-		// already interned by the document builder, so the map keys alias
-		// the document's strings — no new value allocations here.
-		groups := make(map[string][]xmltree.NodeID)
-		allNumeric := true
+		tv := &vx.tags[t]
+		tv.present, tv.allNumeric = true, true
+		entries = entries[:0]
 		for _, id := range nodes {
-			v := doc.Value(id)
-			if v == "" {
-				allNumeric = false
-				continue
+			if v := doc.Value(id); v != "" {
+				entries = append(entries, valueEntry{valueKey(v), v, id})
 			}
-			if _, ok := pattern.ParseNumeric(v); !ok {
-				allNumeric = false
+		}
+		if len(entries) < len(nodes) {
+			tv.allNumeric = false // empty values are not indexed
+		}
+		slices.SortFunc(entries, func(a, b valueEntry) int {
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
 			}
-			groups[v] = append(groups[v], id)
+			if c := strings.Compare(a.val, b.val); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id) // a group's postings in document order
+		})
+		distinct := 0
+		for i := range entries {
+			if i == 0 || entries[i].val != entries[i-1].val {
+				distinct++
+			}
 		}
-		if len(groups) == 0 {
-			continue
-		}
-		vals := make([]string, 0, len(groups))
-		for v := range groups {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals) // deterministic layout
-		for _, v := range vals {
-			run, err := w.writeRun(groups[v], doc.Start)
+		tv.vals, tv.runs = make([]string, 0, distinct), make([]postingsRun, 0, distinct)
+		bounds, numbers = bounds[:0], numbers[:0]
+		for lo := 0; lo < len(entries); {
+			hi := lo + 1
+			for hi < len(entries) && entries[hi].val == entries[lo].val {
+				hi++
+			}
+			ids = ids[:0]
+			for _, e := range entries[lo:hi] {
+				ids = append(ids, e.id)
+			}
+			run, err := writeRun(ids)
 			if err != nil {
 				return nil, 0, err
 			}
-			vx.exact[valueKey{tag, v}] = run
-			vx.runs++
-			rawBytes += rawPostingSize * len(groups[v])
-		}
-		// Numeric directory: distinct parsed numbers in ascending order.
-		// A number spelled one way reuses its exact run; byte-distinct
-		// spellings of the same number get one merged run.
-		byNum := make(map[float64][]string)
-		for _, v := range vals {
-			if f, ok := pattern.ParseNumeric(v); ok {
-				byNum[f] = append(byNum[f], v)
+			if f, ok := pattern.ParseNumeric(entries[lo].val); !ok {
+				tv.allNumeric = false
+			} else if f == f { // NaN orders against nothing: exact probes only
+				numbers = append(numbers, numberEntry{f, len(tv.vals)})
 			}
+			bounds = append(bounds, lo)
+			tv.vals = append(tv.vals, entries[lo].val)
+			tv.runs = append(tv.runs, run)
+			lo = hi
 		}
-		if len(byNum) == 0 {
-			vx.nums[t] = tagNumeric{allNumeric: false}
-			continue
-		}
-		nums := make([]float64, 0, len(byNum))
-		for f := range byNum {
-			nums = append(nums, f)
-		}
-		sort.Float64s(nums)
-		tn := tagNumeric{
-			allNumeric: allNumeric,
-			vals:       nums,
-			runs:       make([]postingsRun, len(nums)),
-		}
-		for i, f := range nums {
-			reps := byNum[f]
-			if len(reps) == 1 {
-				tn.runs[i] = vx.exact[valueKey{tag, reps[0]}]
-				continue
+		bounds = append(bounds, len(entries))
+		// Numeric directory: byte-distinct spellings of one number ("1",
+		// "1.0") become one merged run.
+		slices.SortFunc(numbers, func(a, b numberEntry) int { return cmp.Compare(a.num, b.num) })
+		for lo := 0; lo < len(numbers); {
+			hi := lo + 1
+			for hi < len(numbers) && numbers[hi].num == numbers[lo].num {
+				hi++
 			}
-			merged := mergeIDLists(groups, reps)
-			run, err := w.writeRun(merged, doc.Start)
-			if err != nil {
-				return nil, 0, err
+			run := tv.runs[numbers[lo].idx]
+			if hi-lo > 1 {
+				ids = ids[:0]
+				for _, n := range numbers[lo:hi] {
+					for _, e := range entries[bounds[n.idx]:bounds[n.idx+1]] {
+						ids = append(ids, e.id)
+					}
+				}
+				slices.Sort(ids)
+				var err error
+				if run, err = writeRun(ids); err != nil {
+					return nil, 0, err
+				}
 			}
-			tn.runs[i] = run
-			vx.runs++
-			rawBytes += rawPostingSize * len(merged)
+			tv.nums = append(tv.nums, numbers[lo].num)
+			tv.numRuns = append(tv.numRuns, run)
+			lo = hi
 		}
-		vx.nums[t] = tn
 	}
 	return vx, rawBytes, nil
 }
 
-// mergeIDLists merges the (sorted) id lists of the given group keys into
-// one sorted list.
-func mergeIDLists(groups map[string][]xmltree.NodeID, keys []string) []xmltree.NodeID {
-	total := 0
-	for _, k := range keys {
-		total += len(groups[k])
+// lookup returns the runs of this index an eligible probe of tag t reads,
+// as a slice of the tag's directory (empty for a value the index lacks, or
+// a tag it was built before). num is value parsed, when it is numeric.
+func (vx *valueIndex) lookup(t xmltree.TagID, op pattern.CmpOp, value string, num float64, numeric bool) []postingsRun {
+	if int(t) >= len(vx.tags) {
+		return nil
 	}
-	out := make([]xmltree.NodeID, 0, total)
-	for _, k := range keys {
-		out = append(out, groups[k]...)
+	tv := &vx.tags[t]
+	if op == pattern.CmpEq && !numeric {
+		if i, ok := slices.BinarySearch(tv.vals, value); ok {
+			return tv.runs[i : i+1]
+		}
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	lower := sort.SearchFloat64s(tv.nums, num) // first index with nums >= num
+	upper := lower
+	if upper < len(tv.nums) && tv.nums[upper] == num {
+		upper++ // first index with nums > num
+	}
+	switch op {
+	case pattern.CmpEq:
+		return tv.numRuns[lower:upper]
+	case pattern.CmpLt:
+		return tv.numRuns[:lower]
+	case pattern.CmpLe:
+		return tv.numRuns[:upper]
+	case pattern.CmpGt:
+		return tv.numRuns[upper:]
+	case pattern.CmpGe:
+		return tv.numRuns[lower:]
+	}
+	return nil
 }
 
 // HasValueIndex reports whether the store carries a content index.
-func (s *Store) HasValueIndex() bool { return s.vidx != nil }
+func (s *Store) HasValueIndex() bool { return s.vix != nil }
+
+// rangeProbeable reports whether every node of tag t in the store has a
+// non-empty numeric value — the condition under which the numeric directory
+// reproduces a range predicate (see the case analysis above).
+func (s *Store) rangeProbeable(t xmltree.TagID) bool {
+	present := false
+	for _, vx := range s.vix {
+		if int(t) >= len(vx.tags) || !vx.tags[t].present {
+			continue
+		}
+		if !vx.tags[t].allNumeric {
+			return false
+		}
+		present = true
+	}
+	return present
+}
 
 // ProbeEligible reports whether the value predicate (op, value) on the
 // given tag can be served by an index probe with semantics identical to
@@ -175,82 +258,47 @@ func (s *Store) HasValueIndex() bool { return s.vidx != nil }
 // optimizer consults this through the estimator; the executor re-checks it
 // when opening a ValueIndexScan.
 func (s *Store) ProbeEligible(tag string, op pattern.CmpOp, value string) bool {
-	if s.vidx == nil {
-		return false
+	_, _, _, ok := s.probeKey(tag, op, value)
+	return ok
+}
+
+// probeKey decides eligibility and, for an eligible probe, resolves what
+// every index is asked: the tag's ID and the value as a number when the
+// probe is numeric.
+func (s *Store) probeKey(tag string, op pattern.CmpOp, value string) (t xmltree.TagID, num float64, numeric, ok bool) {
+	if s.vix == nil {
+		return 0, 0, false, false
 	}
-	t, ok := s.tagByName[tag]
-	if !ok {
-		return false
+	if t, ok = s.tagByName[tag]; !ok {
+		return 0, 0, false, false
 	}
+	num, numeric = pattern.ParseNumeric(value)
 	switch op {
 	case pattern.CmpEq:
 		// Empty values are not indexed, and [. = ""] does match them.
-		return value != ""
+		return t, num, numeric, value != ""
 	case pattern.CmpLt, pattern.CmpLe, pattern.CmpGt, pattern.CmpGe:
-		if _, numeric := pattern.ParseNumeric(value); !numeric {
-			return false // lexicographic range: scan+filter
-		}
-		return s.vidx.nums[t].allNumeric
+		// A non-numeric bound is a lexicographic range: scan+filter.
+		return t, num, numeric, numeric && s.rangeProbeable(t)
 	}
-	return false
+	return 0, 0, false, false
 }
 
 // ProbeSelectivity returns the exact number of nodes an eligible probe
 // would produce, and whether the probe is eligible at all. The optimizer
 // uses it as a perfect cardinality for the indexed leaf.
 func (s *Store) ProbeSelectivity(tag string, op pattern.CmpOp, value string) (int, bool) {
-	runs, ok := s.probeRuns(tag, op, value)
+	t, num, numeric, ok := s.probeKey(tag, op, value)
 	if !ok {
 		return 0, false
 	}
 	n := 0
-	for _, r := range runs {
-		n += r.count
+	for _, vx := range s.vix {
+		for _, r := range vx.lookup(t, op, value, num, numeric) {
+			n += r.count
+		}
 	}
 	return n, true
-}
-
-// probeRuns resolves the postings runs an eligible probe reads (possibly
-// none, for a value absent from the document).
-func (s *Store) probeRuns(tag string, op pattern.CmpOp, value string) ([]postingsRun, bool) {
-	if !s.ProbeEligible(tag, op, value) {
-		return nil, false
-	}
-	t := s.tagByName[tag]
-	if op == pattern.CmpEq {
-		if f, numeric := pattern.ParseNumeric(value); numeric {
-			tn := &s.vidx.nums[t]
-			i := sort.SearchFloat64s(tn.vals, f)
-			if i < len(tn.vals) && tn.vals[i] == f {
-				return []postingsRun{tn.runs[i]}, true
-			}
-			return nil, true // value absent: empty probe
-		}
-		if run, ok := s.vidx.exact[valueKey{t, value}]; ok {
-			return []postingsRun{run}, true
-		}
-		return nil, true
-	}
-	// Numeric range: select the directory slice satisfying the bound.
-	f, _ := pattern.ParseNumeric(value)
-	tn := &s.vidx.nums[t]
-	lower := sort.SearchFloat64s(tn.vals, f) // first index with vals >= f
-	upper := lower
-	for upper < len(tn.vals) && tn.vals[upper] == f {
-		upper++ // first index with vals > f
-	}
-	var sel []postingsRun
-	switch op {
-	case pattern.CmpLt:
-		sel = tn.runs[:lower]
-	case pattern.CmpLe:
-		sel = tn.runs[:upper]
-	case pattern.CmpGt:
-		sel = tn.runs[upper:]
-	case pattern.CmpGe:
-		sel = tn.runs[lower:]
-	}
-	return sel, true
 }
 
 // ValueScanner streams the postings of a value-index probe in document
@@ -283,7 +331,7 @@ func (s *Store) ProbeValueRangeCtx(ctx context.Context, tag string, op pattern.C
 }
 
 func (s *Store) probeValue(ctx context.Context, tag string, op pattern.CmpOp, value string, bounded bool, lo, hi xmltree.Pos) (ValueScanner, bool) {
-	runs, ok := s.probeRuns(tag, op, value)
+	t, num, numeric, ok := s.probeKey(tag, op, value)
 	if !ok {
 		return nil, false
 	}
@@ -296,17 +344,108 @@ func (s *Store) probeValue(ctx context.Context, tag string, op pattern.CmpOp, va
 		}
 		return cur
 	}
-	switch len(runs) {
-	case 0:
-		return newCursor(postingsRun{}), true
-	case 1:
-		return newCursor(runs[0]), true
+	// Every index answers for its own nodes. The indexes are the live
+	// segments' in segment order, segments are contiguous NodeID ranges, and
+	// NodeIDs are assigned in document order: the per-index answers, one
+	// after another, are the answer in document order.
+	var hits [][]postingsRun
+	merges := false
+	for _, vx := range s.vix {
+		if runs := vx.lookup(t, op, value, num, numeric); len(runs) > 0 {
+			hits = append(hits, runs)
+			merges = merges || len(runs) > 1
+		}
 	}
-	m := &mergeScanner{store: s, ctx: ctx, kids: make([]mergeKid, len(runs))}
-	for i, r := range runs {
-		m.kids[i] = mergeKid{cur: newCursor(r), buf: make([]xmltree.NodeID, postingsBlockLen)}
+	if !merges {
+		// One run an index (an equality probe): joined, they are one run.
+		// No hit at all is the empty probe of a value the store lacks.
+		var run postingsRun
+		if len(hits) == 1 {
+			run = hits[0][0]
+		} else {
+			nblocks := 0
+			for _, h := range hits {
+				nblocks += len(h[0].blocks)
+			}
+			run.blocks = make([]blockRef, 0, nblocks)
+			for _, h := range hits {
+				run.append(h[0])
+			}
+		}
+		return newCursor(run), true
 	}
-	return m, true
+	parts := make(chainScanner, len(hits))
+	for i, runs := range hits {
+		if len(runs) == 1 {
+			parts[i] = newCursor(runs[0])
+			continue
+		}
+		m := &mergeScanner{store: s, ctx: ctx, kids: make([]mergeKid, len(runs))}
+		for k, r := range runs {
+			m.kids[k] = mergeKid{cur: newCursor(r), buf: make([]xmltree.NodeID, postingsBlockLen)}
+		}
+		parts[i] = m
+	}
+	if len(parts) == 1 {
+		return parts[0], true
+	}
+	return &parts, true
+}
+
+// chainScanner runs several scanners one after another; every posting of
+// one precedes, in document order, every posting of the next. Exhausted
+// scanners are dropped from the front.
+type chainScanner []ValueScanner
+
+// Next implements ValueScanner.
+func (c *chainScanner) Next() (xmltree.NodeID, NodeRecord, bool, error) {
+	for len(*c) > 0 {
+		if id, rec, ok, err := (*c)[0].Next(); ok || err != nil {
+			return id, rec, ok, err
+		}
+		*c = (*c)[1:]
+	}
+	return 0, NodeRecord{}, false, nil
+}
+
+// NextBlock implements ValueScanner.
+func (c *chainScanner) NextBlock(ids []xmltree.NodeID) (int, error) {
+	n := 0
+	for n < len(ids) && len(*c) > 0 {
+		k, err := (*c)[0].NextBlock(ids[n:])
+		n += k
+		if err != nil {
+			return n, err
+		}
+		if k == 0 {
+			*c = (*c)[1:]
+		}
+	}
+	return n, nil
+}
+
+// SeekGE implements ValueScanner: a scanner the seek leaves empty lay wholly
+// before pos, so the seek carries on into the next one.
+func (c *chainScanner) SeekGE(pos xmltree.Pos) (int, error) {
+	skipped := 0
+	for len(*c) > 0 {
+		k, err := (*c)[0].SeekGE(pos)
+		skipped += k
+		if err != nil || (*c)[0].Remaining() > 0 {
+			return skipped, err
+		}
+		*c = (*c)[1:]
+	}
+	return skipped, nil
+}
+
+// Remaining implements ValueScanner (an upper bound, as for TagScanner).
+func (c *chainScanner) Remaining() int {
+	n := 0
+	for _, sc := range *c {
+		n += sc.Remaining()
+	}
+	return n
 }
 
 // mergeScanner k-way merges several postings runs by NodeID (NodeIDs are

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // The write-ahead log makes document ingestion crash-safe. Every mutation is
@@ -115,6 +116,9 @@ type WAL struct {
 	epoch  uint32
 	nextTx uint64
 	broken bool
+	// frame holds one transaction's record stream between Appends: it is
+	// sized before it is filled, so a transaction's bytes are written once.
+	frame []byte
 }
 
 // OpenWAL opens (or creates, when the file is empty) a write-ahead log and
@@ -189,21 +193,55 @@ func (w *WAL) Append(op WALOp, docs []WALDoc, images []WALPageImage) (uint64, er
 	}
 	txid := w.nextTx
 
-	var buf []byte
-	buf = appendWALRecord(buf, walRecBegin, encodeWALBegin(txid, op, docs))
-	for i := range images {
-		buf = appendWALRecord(buf, walRecPageImage, encodeWALPageImage(txid, &images[i]))
+	// Record bodies are laid down in place, behind lengths worked out
+	// beforehand: no body is built apart and copied in.
+	begin := uvarintLen(txid) + 1 + uvarintLen(uint64(len(docs)))
+	for _, d := range docs {
+		begin += uvarintLen(uint64(len(d.ID))) + len(d.ID) + uvarintLen(uint64(len(d.Image))) + len(d.Image)
 	}
-	buf = appendWALRecord(buf, walRecCommit, binary.AppendUvarint(nil, txid))
+	total := 1 + uvarintLen(uint64(begin)) + begin + 2 + uvarintLen(txid)
+	imageBody := func(im *WALPageImage) int {
+		return uvarintLen(txid) + uvarintLen(uint64(im.Page)) + PageSize
+	}
+	for i := range images {
+		body := imageBody(&images[i])
+		total += 1 + uvarintLen(uint64(body)) + body
+	}
+	buf := slices.Grow(w.frame[:0], total)
+
+	buf = append(buf, walRecBegin)
+	buf = binary.AppendUvarint(buf, uint64(begin))
+	buf = binary.AppendUvarint(buf, txid)
+	buf = append(buf, byte(op))
+	buf = binary.AppendUvarint(buf, uint64(len(docs)))
+	for _, d := range docs {
+		buf = binary.AppendUvarint(buf, uint64(len(d.ID)))
+		buf = append(buf, d.ID...)
+		buf = binary.AppendUvarint(buf, uint64(len(d.Image)))
+		buf = append(buf, d.Image...)
+	}
+	for i := range images {
+		im := &images[i]
+		buf = append(buf, walRecPageImage)
+		buf = binary.AppendUvarint(buf, uint64(imageBody(im)))
+		buf = binary.AppendUvarint(buf, txid)
+		buf = binary.AppendUvarint(buf, uint64(im.Page))
+		buf = append(buf, im.Data[:]...)
+	}
+	buf = append(buf, walRecCommit)
+	buf = binary.AppendUvarint(buf, uint64(uvarintLen(txid)))
+	buf = binary.AppendUvarint(buf, txid)
+	w.frame = buf
 
 	// Split across fresh pages: committed bytes are never rewritten.
 	page := w.tail
+	var p Page // handed to the file by pointer, so it lives on the heap: one for all pages
 	for off := 0; off < len(buf); {
 		n := len(buf) - off
 		if n > walPageCap {
 			n = walPageCap
 		}
-		var p Page
+		p = Page{}
 		binary.LittleEndian.PutUint32(p[PageHeaderSize:], w.epoch)
 		binary.LittleEndian.PutUint16(p[PageHeaderSize+4:], uint16(n))
 		copy(p[PageHeaderSize+walPageHdr:], buf[off:off+n])
@@ -227,30 +265,13 @@ func (w *WAL) Append(op WALOp, docs []WALDoc, images []WALPageImage) (uint64, er
 	return txid, nil
 }
 
-// appendWALRecord frames one record onto buf.
-func appendWALRecord(buf []byte, typ byte, body []byte) []byte {
-	buf = append(buf, typ)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
-}
-
-func encodeWALBegin(txid uint64, op WALOp, docs []WALDoc) []byte {
-	b := binary.AppendUvarint(nil, txid)
-	b = append(b, byte(op))
-	b = binary.AppendUvarint(b, uint64(len(docs)))
-	for _, d := range docs {
-		b = binary.AppendUvarint(b, uint64(len(d.ID)))
-		b = append(b, d.ID...)
-		b = binary.AppendUvarint(b, uint64(len(d.Image)))
-		b = append(b, d.Image...)
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
 	}
-	return b
-}
-
-func encodeWALPageImage(txid uint64, im *WALPageImage) []byte {
-	b := binary.AppendUvarint(nil, txid)
-	b = binary.AppendUvarint(b, uint64(im.Page))
-	return append(b, im.Data[:]...)
+	return n
 }
 
 // walStream reads the record byte stream of one transaction across its

@@ -3,7 +3,6 @@ package xmltree
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -16,23 +15,6 @@ func BenchmarkBuilder(b *testing.B) {
 				RandomDocument(rng, n, []string{"a", "b", "c"})
 			}
 		})
-	}
-}
-
-// BenchmarkParse measures the XML text ingestion path.
-func BenchmarkParse(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	doc := RandomDocument(rng, 20000, []string{"a", "b", "c"})
-	text, err := SerializeString(doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(strings.NewReader(text)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -42,6 +42,29 @@ func NewBuilder() *Builder {
 // deferred text handling).
 func (b *Builder) InternValue(v []byte) string { return b.vals.InternBytes(v) }
 
+// reserve sizes an unused builder for about n nodes, for callers that can
+// estimate their output (the XML parser counts tags): the node columns then
+// fill without regrowing and carry no doubling slack into the finished
+// Document, and the value table without rehashing (half the nodes carrying
+// distinct values is generous for data, and costs a table build little).
+func (b *Builder) reserve(n int) {
+	if d := b.doc; n > 0 && len(d.start) == 0 {
+		d.start, d.end = make([]Pos, 0, n), make([]Pos, 0, n)
+		d.level, d.tag = make([]uint16, 0, n), make([]TagID, 0, n)
+		d.parent, d.value = make([]NodeID, 0, n), make([]string, 0, n)
+		b.vals = intern.NewSized(n / 2)
+	}
+}
+
+// tagBytes is Tag for a name held in a byte slice: a name seen before costs
+// no allocation.
+func (b *Builder) tagBytes(name []byte) TagID {
+	if t, ok := b.doc.tagByNm[string(name)]; ok {
+		return t
+	}
+	return b.Tag(string(name))
+}
+
 // Tag interns a tag name, returning its TagID. Repeated calls with the same
 // name return the same ID.
 func (b *Builder) Tag(name string) TagID {
@@ -64,6 +87,12 @@ func (b *Builder) Open(tag, value string) NodeID {
 
 // OpenTag is Open with a pre-interned TagID; useful in generator hot loops.
 func (b *Builder) OpenTag(t TagID, value string) NodeID {
+	return b.openNode(t, b.vals.Intern(value))
+}
+
+// openNode is OpenTag for a value that already went through the intern
+// table (InternValue), or is empty.
+func (b *Builder) openNode(t TagID, value string) NodeID {
 	d := b.doc
 	id := NodeID(len(d.start))
 	if len(b.stack) == 0 && id != 0 {
@@ -80,7 +109,7 @@ func (b *Builder) OpenTag(t TagID, value string) NodeID {
 	d.level = append(d.level, lvl)
 	d.tag = append(d.tag, t)
 	d.parent = append(d.parent, parent)
-	d.value = append(d.value, b.vals.Intern(value))
+	d.value = append(d.value, value)
 	d.byTag[t] = append(d.byTag[t], id)
 	b.nextNo++
 	b.stack = append(b.stack, id)

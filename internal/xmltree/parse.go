@@ -14,48 +14,22 @@ import (
 // attributes are exposed as child elements named "@attr" so that attribute
 // predicates can be expressed as ordinary pattern nodes, which is how Timber
 // models them in its tree algebra.
+//
+// The input is read whole and scanned once (see scanner); a failed read
+// surfaces wrapped, so callers can still match the reader's own error.
 func Parse(r io.Reader) (*Document, error) {
-	dec := xml.NewDecoder(bufio.NewReader(r))
-	b := NewBuilder()
-	depth := 0
-	pendingText := InvalidNode // node awaiting its first text chunk
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			id := b.Open(t.Name.Local, "")
-			pendingText = id
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				b.Leaf("@"+a.Name.Local, a.Value)
-			}
-			depth++
-		case xml.EndElement:
-			if depth == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
-			}
-			b.Close()
-			depth--
-			pendingText = InvalidNode
-		case xml.CharData:
-			if pendingText != InvalidNode && b.doc.value[pendingText] == "" {
-				// Trim and intern without materialising an intermediate
-				// string: repeated values cost no allocation at all.
-				if trimmed := bytes.TrimSpace(t); len(trimmed) != 0 {
-					b.doc.value[pendingText] = b.InternValue(trimmed)
-				}
-			}
-		}
+	var src bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		src.Grow(l.Len() + bytes.MinRead) // one allocation for an in-memory reader
 	}
-	return b.Finish()
+	if _, err := src.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	s := scanner{src: src.Bytes(), b: NewBuilder(), pending: InvalidNode}
+	if err := s.scan(); err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	return s.b.Finish()
 }
 
 // ParseString is Parse over an in-memory string.
@@ -79,7 +53,14 @@ func Serialize(d *Document, w io.Writer) error {
 		for _, c := range children {
 			cn := d.TagName(d.Tag(c))
 			if strings.HasPrefix(cn, "@") {
-				fmt.Fprintf(bw, " %s=%q", cn[1:], d.Value(c))
+				// Escaped as XML, like text: & < and the quote as references,
+				// tab, CR and LF as numeric ones (a parser would otherwise
+				// normalise them away).
+				fmt.Fprintf(bw, ` %s="`, cn[1:])
+				if err := xml.EscapeText(bw, []byte(d.Value(c))); err != nil {
+					return err
+				}
+				bw.WriteByte('"')
 			} else {
 				real = append(real, c)
 			}

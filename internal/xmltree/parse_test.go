@@ -1,6 +1,11 @@
 package xmltree
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/xml"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -46,12 +51,56 @@ func TestParseBasics(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{"", "<a><b></a></b>", "<a>", "text only"} {
-		if _, err := ParseString(bad); err == nil {
-			t.Errorf("ParseString(%q) succeeded, want error", bad)
+// ReferenceParse and SampleXML hand the oracle and the sample document to
+// the differential tests, which live in package xmltree_test because their
+// seeds come from internal/datagen (it imports this package).
+var ReferenceParse = referenceParse
+
+const SampleXML = sampleXML
+
+// referenceParse is the encoding/xml token loop Parse ran on before it
+// became a byte scanner, kept verbatim as the differential oracle: whatever
+// it accepts, Parse must accept with a byte-identical document.
+func referenceParse(r io.Reader) (*Document, error) {
+	dec := xml.NewDecoder(bufio.NewReader(r))
+	b := NewBuilder()
+	depth := 0
+	pendingText := InvalidNode // node awaiting its first text chunk
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("xmltree: parse: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			id := b.Open(t.Name.Local, "")
+			pendingText = id
+			for _, a := range t.Attr {
+				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
+					continue
+				}
+				b.Leaf("@"+a.Name.Local, a.Value)
+			}
+			depth++
+		case xml.EndElement:
+			if depth == 0 {
+				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
+			}
+			b.Close()
+			depth--
+			pendingText = InvalidNode
+		case xml.CharData:
+			if pendingText != InvalidNode && b.doc.value[pendingText] == "" {
+				if trimmed := bytes.TrimSpace(t); len(trimmed) != 0 {
+					b.doc.value[pendingText] = b.InternValue(trimmed)
+				}
+			}
 		}
 	}
+	return b.Finish()
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -89,11 +138,33 @@ func structurallyEqual(a, b *Document) bool {
 	return true
 }
 
+// trickyValues are attribute values Go's %q renders differently from XML:
+// Serialize wrote them with %q once, and none of them came back.
+var trickyValues = []string{`a&b`, `x<y`, `say "hi"`, `a\b`, "tab\there", "line\nfeed", "cr\rhere", `it's`, `]]>`, ``, ` padded `}
+
 func TestSerializeRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tags := []string{"alpha", "beta", "gamma"}
 	f := func(seed int64, size uint8) bool {
-		d := RandomDocument(rand.New(rand.NewSource(seed)), int(size%50)+1, tags)
+		// A random tree, rebuilt with attribute pseudo-children ahead of the
+		// real children of every node.
+		shape := RandomDocument(rand.New(rand.NewSource(seed)), int(size%50)+1, tags)
+		vrng := rand.New(rand.NewSource(seed))
+		b := NewBuilder()
+		for i := 0; i < shape.NumNodes(); i++ {
+			n := NodeID(i)
+			for b.Depth() > int(shape.Level(n)) {
+				b.Close()
+			}
+			b.Open(shape.TagName(shape.Tag(n)), "")
+			for k := vrng.Intn(3); k > 0; k-- {
+				b.Leaf("@"+tags[vrng.Intn(len(tags))], trickyValues[vrng.Intn(len(trickyValues))])
+			}
+		}
+		for b.Depth() > 0 {
+			b.Close()
+		}
+		d := b.MustFinish()
 		s, err := SerializeString(d)
 		if err != nil {
 			return false
@@ -128,6 +199,26 @@ func TestSerializeEscaping(t *testing.T) {
 	}
 	if d2.Value(0) != "a < b & c" {
 		t.Fatalf("value = %q", d2.Value(0))
+	}
+
+	// Attribute values: every tricky one comes back as it went in.
+	b = NewBuilder()
+	b.Open("r", "")
+	for i, v := range trickyValues {
+		b.Leaf(fmt.Sprintf("@k%d", i), v)
+	}
+	b.Close()
+	d = b.MustFinish()
+	if s, err = SerializeString(d); err != nil {
+		t.Fatal(err)
+	}
+	if d2, err = ParseString(s); err != nil {
+		t.Fatalf("reparse: %v\nserialized: %s", err, s)
+	}
+	for i, v := range trickyValues {
+		if got := d2.Value(NodeID(1 + i)); got != v {
+			t.Errorf("attribute %d: %q came back as %q\nserialized: %s", i, v, got, s)
+		}
 	}
 }
 

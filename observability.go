@@ -47,6 +47,12 @@ type Metrics struct {
 	// Replica holds the corpus replica-routing counters (all zero for a
 	// plain single-store Database).
 	Replica ReplicaMetrics
+	// Compactions and WALPages are the write path's store rewrites so far
+	// and its log length in pages, summed over a corpus's shards (zero
+	// without a write path). Per-operation mutation counts and times are
+	// in Query.Ingest.
+	Compactions int
+	WALPages    int
 }
 
 // ReplicaMetrics is the corpus's replica-routing counters.
@@ -77,6 +83,8 @@ func (db *Database) Metrics() Metrics {
 		m.FaultsInjected = ff.FaultsInjected()
 	}
 	m.Content = store.ContentStats()
+	ist := db.IngestStats()
+	m.Compactions, m.WALPages = ist.Compactions, ist.WALPages
 	return m
 }
 
@@ -124,6 +132,8 @@ func writeMetricsText(w io.Writer, m Metrics) {
 	if m.Content.ValueIndexed {
 		vidx = 1
 	}
+	counter("compactions_total", "Store rewrites that dropped dead segments (explicit and automatic).", uint64(m.Compactions))
+	gauge("wal_pages", "Write-ahead log length in pages, all shards.", int64(m.WALPages))
 	gauge("value_index_enabled", "Whether the (tag, value) content index was built.", vidx)
 	gauge("postings_bytes", "Encoded size of all postings (tag and value index).", int64(m.Content.PostingsBytes))
 	gauge("postings_raw_bytes", "Size the same postings would occupy uncompressed.", int64(m.Content.RawPostingsBytes))

@@ -3,6 +3,7 @@ package sjos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -145,6 +146,45 @@ func TestWriteMetricsText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteMetrics missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteMetricsIngest: the write envelope's series — mutations timed per
+// operation, compactions and log length — on a corpus, where they sum over
+// shards.
+func TestWriteMetricsIngest(t *testing.T) {
+	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 2, ShardWALFile: newWALMap().file}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		c.InsertString("a", orderXML(2)), c.InsertString("b", orderXML(3)),
+		c.ReplaceString("a", orderXML(4)), c.Delete("b"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.InsertString("a", orderXML(1)); err == nil {
+		t.Fatal("duplicate insert succeeded")
+	}
+	var b strings.Builder
+	c.WriteMetrics(&b)
+	out := b.String()
+	for _, want := range []string{
+		`sjos_ingest_seconds_count{op="insert"} 2`, // the refused duplicate is not an ingest
+		`sjos_ingest_seconds_count{op="replace"} 1`,
+		`sjos_ingest_seconds_count{op="delete"} 1`,
+		`sjos_ingest_seconds_sum{op="insert"} `,
+		fmt.Sprintf("sjos_compactions_total %d", c.IngestStats().Compactions),
+		fmt.Sprintf("sjos_wal_pages %d", c.IngestStats().WALPages),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("WriteMetrics missing %q\n%s", want, out)
+		}
+	}
+	if c.IngestStats().WALPages == 0 || c.IngestStats().Compactions == 0 {
+		t.Fatalf("history left %+v: want log pages and a compaction", c.IngestStats())
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
 	"sjos/internal/plancache"
+	"sjos/internal/storage"
 )
 
 // CacheStats is a snapshot of the plan cache's behaviour counters.
@@ -440,11 +441,13 @@ func (s *service) read(ctx context.Context, pat *Pattern, run func(context.Conte
 // the facade's write lock. mutate runs the commit protocol on eng (nil or
 // static: there is no write path). Whenever it published a new snapshot —
 // even if it then failed, as a post-commit compaction can — publish lets the
-// facade follow it: re-merge the statistics, update its directory.
-func (s *service) write(eng *engine, mutate func() error, publish func()) error {
+// facade follow it: re-merge the statistics, update its directory. A
+// mutation that succeeds is timed under op's name (sjos_ingest_seconds).
+func (s *service) write(eng *engine, op storage.WALOp, mutate func() error, publish func()) error {
 	if eng == nil || !eng.writable {
 		return ErrNoWAL
 	}
+	t0 := time.Now()
 	release, err := s.admit.Acquire(context.Background())
 	if err != nil {
 		return err
@@ -459,6 +462,9 @@ func (s *service) write(eng *engine, mutate func() error, publish func()) error 
 	err = mutate()
 	if eng.view() != before {
 		publish()
+	}
+	if err == nil {
+		s.metrics.Ingested(op.String(), time.Since(t0))
 	}
 	return err
 }
