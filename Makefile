@@ -6,9 +6,10 @@
 # executor comparison into BENCH_batch.json and the value-index pushdown
 # comparison into BENCH_content.json. `make benchquick` smoke-runs the key
 # benchmarks at one iteration each — the result-path and /query-encode
-# layer lanes and the write-side lanes (XML parse, segment staging, store
-# version assembly, value probes at 2 and 256 segments, the four-write
-# corpus cycle on a disk WAL) included — plus the allocation regression
+# layer lanes and the write-side lanes (XML parse, document image encode and
+# decode, segment staging, store version assembly, value probes at 2 and 256
+# segments, the four-write corpus cycle and a four-shard recovery on disk
+# WALs) included — plus the allocation regression
 # guards: a CI-friendly check that they still build, run and validate their
 # counts. `make fuzzquick` runs every Fuzz* target for ten seconds.
 # `make loadbench` runs the open-loop corpus serving benchmark (Poisson
@@ -106,16 +107,22 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath|CorpusWriteCycle' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
-	$(GO) test -run '^$$' -bench 'Parse$$' -benchtime=1x ./internal/xmltree/
+	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'StageSegment|StoreVersion|ForestProbe' -benchtime=1x ./internal/storage/
 	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs' -v .
 
 # Every fuzz target for ten seconds each (go test takes one -fuzz target and
-# one package a run): the XML parser against its encoding/xml oracle.
+# one package a run): the XML parser against its encoding/xml oracle, the
+# document image decoder (both format versions) and the WAL scan (both record
+# forms) on arbitrary bytes. The WAL target's inputs run to a page-image
+# record of 8 KB, and the default minute spent minimising each new one would
+# be its whole budget: it gets a second.
 fuzzquick:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/xmltree/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime=10s ./internal/xmltree/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage/
 
 # Open-loop corpus serving benchmark: Poisson arrivals against a sharded
 # corpus, latency measured from arrival (queueing included), results into

@@ -576,6 +576,71 @@ func TestServeWriteRecovery(t *testing.T) {
 	}
 }
 
+// TestServeRestartOnFragmentedLog: a log that ends in a fragment of a page —
+// the disk filled up, or the power went, while a commit was extending the
+// file — is by construction an uncommitted tail. The server restarts on it,
+// answers what it answered before the crash, and writes over the fragment.
+func TestServeRestartOnFragmentedLog(t *testing.T) {
+	dir := t.TempDir()
+	wr := writeConfig{enabled: true, dir: dir}
+	boot := func() *httptest.Server {
+		cols, err := buildCollections("", "", "", 1, 2, 1, 0, 0, replication{perShard: 1}, wr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(newMux(cols, sjos.MethodDPP))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	srv := boot()
+	for _, id := range []string{"a", "b", "c", "d"} {
+		do(t, "PUT", srv.URL+"/docs/"+id, `<db><manager><name>`+id+`</name></manager></db>`, nil)
+	}
+	var before queryResponse
+	getJSON(t, srv.URL+"/query?q=//manager/name", &before)
+	srv.Close()
+
+	logs, err := filepath.Glob(filepath.Join(dir, "default", "shard-*.wal"))
+	if err != nil || len(logs) != 2 {
+		t.Fatalf("shard logs %v, %v", logs, err)
+	}
+	for _, path := range logs {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv2 := boot()
+	var after queryResponse
+	getJSON(t, srv2.URL+"/query?q=//manager/name", &after)
+	if after.Count != 4 || after.Count != before.Count || len(after.Docs) != len(before.Docs) {
+		t.Fatalf("after the restart: %+v, before the crash: %+v", after, before)
+	}
+	var ist sjos.CorpusIngestStats
+	getJSON(t, srv2.URL+"/ingest", &ist)
+	if ist.Docs != 4 || ist.RecoveredTxns == 0 || ist.RecoverySeconds <= 0 {
+		t.Fatalf("/ingest after the restart: %+v", ist)
+	}
+	for _, id := range []string{"e", "f", "g", "h"} { // some land on each shard
+		if resp := do(t, "PUT", srv2.URL+"/docs/"+id, `<db><manager><name>`+id+`</name></manager></db>`, nil); resp.StatusCode != 200 {
+			t.Fatalf("PUT %s over the fragment: status %d", id, resp.StatusCode)
+		}
+	}
+	srv2.Close()
+	var third queryResponse
+	getJSON(t, boot().URL+"/query?q=//manager/name", &third)
+	if third.Count != 8 {
+		t.Fatalf("after writing over the fragment and restarting: count %d, want 8", third.Count)
+	}
+}
+
 // TestHealthzReplicas exercises the serving path against a replicated
 // collection: /healthz must expose every replica's routing state, and
 // queries must still produce correct results through hedged routing.

@@ -159,8 +159,11 @@ type corpusState struct {
 	svc    *service // corpus-level: merged stats, plan cache, metrics, admission
 	probe  core.ProbeEligibility
 
-	// ingest marks a write-enabled corpus (CorpusOptions.ShardWALFile).
-	ingest bool
+	// ingest marks a write-enabled corpus (CorpusOptions.ShardWALFile);
+	// recoverTook is how long Build spent bringing the shards back from
+	// their logs (they recover side by side), zero when every log was empty.
+	ingest      bool
+	recoverTook time.Duration
 
 	// lat observes successful shard-replica execution latencies; its p95 is
 	// the adaptive hedged-read delay.
@@ -334,30 +337,53 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 
 	cfg := b.opts.Options.engineConfig()
 	repCfg := replica.Config{ProbeInterval: b.opts.ReplicaProbeInterval}
+	replicas := max(b.opts.ReplicasPerShard, 1)
+
+	// The files are resolved here, in shard order on the caller's goroutine:
+	// ShardWALFile and ShardPageFile are the caller's code and were never
+	// promised concurrent calls. A write-enabled corpus pre-creates every
+	// ring shard — a later insert can hash anywhere; a static corpus skips
+	// empty ones.
+	type shardFiles struct {
+		wal    PageFile
+		stores []PageFile
+	}
+	files := make([]*shardFiles, len(groups))
 	for s, group := range groups {
-		// A write-enabled corpus pre-creates every ring shard — a later
-		// insert can hash anywhere; a static corpus skips empty ones.
 		if len(group) == 0 && !writable {
 			continue
 		}
+		files[s] = &shardFiles{}
+		for r := 0; r < replicas; r++ {
+			file, err := b.shardFile(s, r)
+			if err != nil {
+				return nil, fmt.Errorf("sjos: building shard %d replica %d: %w", s, r, err)
+			}
+			files[s].stores = append(files[s].stores, file)
+		}
+		if writable {
+			files[s].wal = b.opts.ShardWALFile(s)
+		}
+	}
+
+	buildShard := func(s int) (*corpusShard, error) {
 		sh := &corpusShard{id: s}
 		var merged *xmltree.Document
 		var table []memberView
 		if !writable {
 			var err error
-			if merged, table, err = mergeMembers(group); err != nil {
+			if merged, table, err = mergeMembers(groups[s]); err != nil {
 				return nil, fmt.Errorf("sjos: merging shard %d: %w", s, err)
 			}
 		}
-		for r := 0; r < max(b.opts.ReplicasPerShard, 1); r++ {
-			file, err := b.shardFile(s, r)
+		for r, file := range files[s].stores {
 			var eng *engine
+			var err error
 			switch {
-			case err != nil:
 			case !writable:
 				eng, err = newStaticEngine(merged, table, file, cfg)
 			case r == 0:
-				eng, err = newForestEngine(group, b.opts.ShardWALFile(s), file, cfg)
+				eng, err = newForestEngine(groups[s], files[s].wal, file, cfg)
 			default:
 				// A follower copies the primary's live members, which after
 				// a WAL recovery are not the builder's.
@@ -368,12 +394,48 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 			}
 			sh.replicas = append(sh.replicas, &corpusReplica{eng: eng, health: replica.NewTracker(repCfg)})
 		}
-		cs.shards[s] = sh
+		return sh, nil
+	}
 
-		// A shard recovered from a non-empty WAL holds members the builder
-		// never saw; fold them into the membership directory. Their global
-		// order is reconstructed shard-grouped (per-shard insertion order
-		// is exact; the interleaving across shards is not logged).
+	// Shards share nothing — own log, own store file — so their engines are
+	// built, and their logs recovered, side by side on up to GOMAXPROCS
+	// goroutines. Every build runs to its end; the first error in shard order
+	// is the corpus's, and no corpus is returned beside it.
+	began := time.Now()
+	errs := make([]error, len(groups))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for s := range groups {
+		if files[s] == nil {
+			continue
+		}
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer wg.Done()
+			cs.shards[s], errs[s] = buildShard(s)
+			<-slots
+		}()
+	}
+	wg.Wait()
+	took := time.Since(began)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// A shard recovered from a non-empty WAL holds members the builder
+	// never saw; fold them into the membership directory, in shard order.
+	// Their global order is reconstructed shard-grouped (per-shard insertion
+	// order is exact; the interleaving across shards is not logged).
+	for s, sh := range cs.shards {
+		if sh == nil {
+			continue
+		}
+		if sh.meta().recovered > 0 {
+			cs.recoverTook = took
+		}
 		for _, m := range sh.meta().view().members {
 			if _, seen := cv.byID[m.id]; !seen {
 				cv.ids = append(cv.ids, m.id)
@@ -1238,6 +1300,7 @@ func (c *Corpus) Metrics() Metrics {
 	m.Replica.Failovers = c.failovers.Load()
 	ist := c.IngestStats()
 	m.Compactions, m.WALPages = ist.Compactions, ist.WALPages
+	m.RecoveredTxns, m.RecoverySeconds = ist.RecoveredTxns, ist.RecoverySeconds
 	for _, sh := range c.shards {
 		if sh == nil {
 			continue

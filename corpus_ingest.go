@@ -107,6 +107,11 @@ type CorpusIngestStats struct {
 	// DownReplicas counts followers removed from routing.
 	BrokenShards int
 	DownReplicas int
+	// RecoveredTxns sums the logged transactions the shards replayed when
+	// the corpus was built (see IngestStats.RecoveredTxns); RecoverySeconds
+	// is how long the build took to bring all of them back, side by side.
+	RecoveredTxns   int
+	RecoverySeconds float64
 }
 
 // IngestStats returns the corpus write path's aggregated state (zero value
@@ -117,7 +122,7 @@ func (c *Corpus) IngestStats() CorpusIngestStats {
 	}
 	c.svc.wmu.Lock()
 	defer c.svc.wmu.Unlock()
-	st := CorpusIngestStats{Docs: c.NumDocs(), Shards: len(c.shards)}
+	st := CorpusIngestStats{Docs: c.NumDocs(), Shards: len(c.shards), RecoverySeconds: c.recoverTook.Seconds()}
 	for _, sh := range c.shards {
 		if sh == nil {
 			continue
@@ -125,6 +130,7 @@ func (c *Corpus) IngestStats() CorpusIngestStats {
 		ist := sh.meta().ingestStats()
 		st.Compactions += ist.Compactions
 		st.WALPages += ist.WALPages
+		st.RecoveredTxns += ist.RecoveredTxns
 		if ist.Broken {
 			st.BrokenShards++
 		}

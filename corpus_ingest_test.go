@@ -1,7 +1,10 @@
 package sjos
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -187,6 +190,86 @@ func TestCorpusIngestRecovery(t *testing.T) {
 	}
 	if got := countCorpus(t, rec, "//order//item/name"); got != want+4 {
 		t.Fatalf("post-recovery insert: %d matches, want %d", got, want+4)
+	}
+}
+
+// TestCorpusIngestConcurrentRecovery: shards recover side by side, and the
+// corpus that comes out — document order, per-shard state, what each shard
+// replayed — is the one a build on a single processor produces from the same
+// logs. A shard that cannot recover fails the build; no corpus is returned.
+func TestCorpusIngestConcurrentRecovery(t *testing.T) {
+	const shards = 4
+	wals := newWALMap()
+	opts := func() *CorpusOptions { return &CorpusOptions{Shards: shards, ShardWALFile: wals.file} }
+	c, err := NewCorpusBuilder(opts()).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 24; i++ {
+		if err := c.InsertString(fmt.Sprintf("doc%02d", i), orderXML(1+i%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 24; i += 5 {
+		if err := c.ReplaceString(fmt.Sprintf("doc%02d", i), orderXML(7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete("doc03"); err != nil {
+		t.Fatal(err)
+	}
+
+	recoverAt := func(procs int) (*Corpus, CorpusIngestStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rec, err := NewCorpusBuilder(opts()).Build()
+		if err != nil {
+			t.Fatalf("recovery on %d processors: %v", procs, err)
+		}
+		st := rec.IngestStats()
+		if st.RecoveredTxns == 0 || st.RecoverySeconds <= 0 {
+			t.Fatalf("recovery on %d processors reports %d transactions in %v s", procs, st.RecoveredTxns, st.RecoverySeconds)
+		}
+		st.RecoverySeconds = 0 // the one field that is a clock's
+		return rec, st
+	}
+	serial, serialStats := recoverAt(1)
+	for round := 0; round < 3; round++ {
+		rec, st := recoverAt(shards)
+		if got, want := rec.DocIDs(), serial.DocIDs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: concurrent recovery orders documents %v, serial %v", round, got, want)
+		}
+		if st != serialStats {
+			t.Fatalf("round %d: concurrent recovery stats %+v, serial %+v", round, st, serialStats)
+		}
+		if got, want := countCorpus(t, rec, "//order//item/name"), countCorpus(t, c, "//order//item/name"); got != want {
+			t.Fatalf("round %d: %d matches, want %d", round, got, want)
+		}
+	}
+	if got, want := len(serial.DocIDs()), c.NumDocs(); got != want {
+		t.Fatalf("recovered %d documents, want %d", got, want)
+	}
+
+	// One shard's log cannot be read: the build fails as a whole.
+	bad := opts()
+	bad.ShardWALFile = func(s int) PageFile {
+		if s == 2 {
+			return faultfs.Wrap(wals.file(s), faultfs.Policy{FailNthRead: 1})
+		}
+		return wals.file(s)
+	}
+	if rec, err := NewCorpusBuilder(bad).Build(); rec != nil || !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("build over an unreadable shard log returned %v, %v", rec, err)
+	}
+	// The same fault as a blip is retried away under the shards' retry policy.
+	bad.ShardWALFile = func(s int) PageFile {
+		return faultfs.Wrap(wals.file(s), faultfs.Policy{FailNthRead: 1 + s, Transient: true})
+	}
+	rec, err := NewCorpusBuilder(bad).Build()
+	if err != nil {
+		t.Fatalf("build over logs with one transient read failure each: %v", err)
+	}
+	if got, want := rec.DocIDs(), serial.DocIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the retries: documents %v, want %v", got, want)
 	}
 }
 

@@ -1,12 +1,12 @@
 package sjos
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"sjos/internal/exec"
 	"sjos/internal/histogram"
@@ -25,16 +25,27 @@ import (
 // A forest engine stores its documents as members of an appendable forest
 // over a segmented store, and every mutation follows one commit protocol:
 //
-//  1. Stage: the new member is serialised into sealed page after-images
-//     without touching the store file (deletes stage nothing — they only
-//     flip a segment dead).
-//  2. Log: a WAL transaction (begin record with the member documents, the
-//     page after-images, a commit record) is appended and fsynced. The
-//     mutation is durable exactly when the commit record is; a torn or
-//     missing tail is discarded on recovery.
-//  3. Apply: the images are written to the store file and a new immutable
-//     (document, store) snapshot is published atomically. In-flight queries
-//     finish on the snapshot they pinned.
+//  1. Stage: the new member is serialised into sealed pages without touching
+//     the store file (deletes stage nothing — they only flip a segment dead).
+//  2. Log: a WAL transaction (a begin record with the member document as an
+//     SJDOC2 image, the SHA-256 digest of the staged pages, a commit record)
+//     is appended and fsynced. The mutation is durable exactly when the
+//     commit record is; a torn or missing tail is discarded on recovery.
+//  3. Apply: the staged pages are written to the store file and a new
+//     immutable (document, store) snapshot is published atomically. In-flight
+//     queries finish on the snapshot they pinned.
+//
+// The log is logical redo: it carries each document once and no store page.
+// Recovery streams the log, keeps what follows the last base snapshot,
+// re-stages every logged document through the same grow path a live commit
+// takes, and holds each stage to the digest its transaction logged — so a
+// replay that would lay a document out differently from the commit that
+// logged it (the layout code changed under the log, or the logged document
+// did) fails loudly instead of serving different pages. Staging is a pure
+// function of the append sequence, which is what makes the digest as strong
+// a check as comparing the pages: equal digests are equal pages. Logs written
+// before stage digests carry the staged pages themselves; recovery reads
+// those too and compares them byte for byte. Nothing writes them any more.
 //
 // A failure before the WAL commit leaves the engine unchanged and usable.
 // A failure after it (the apply could not complete, or the fsync outcome is
@@ -129,7 +140,12 @@ type engine struct {
 	compactions int
 	// images is where log serialises a transaction's documents, kept between
 	// transactions so an image is written into memory that is already there.
-	images bytes.Buffer
+	images []byte
+	// recovered is how many logged transactions the open replayed (the last
+	// base snapshot and everything after it), recoverTook how long the open
+	// spent scanning the log and replaying them; both zero on a fresh log.
+	recovered   int
+	recoverTook time.Duration
 }
 
 // view returns the current snapshot. Callers that touch both the document
@@ -170,14 +186,15 @@ func newStaticEngine(doc *xmltree.Document, table []memberView, file PageFile, c
 // corpus replica follower: same members and store, no log of its own.
 func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) (*engine, error) {
 	e := &engine{engineConfig: cfg, writable: true}
-	var txns []storage.WALTxn
+	began := time.Now()
+	var replay []storage.WALTxn
 	if walFile != nil {
 		var err error
-		if e.wal, txns, err = storage.OpenWAL(walFile); err != nil {
+		if replay, err = e.openLog(walFile); err != nil {
 			return nil, fmt.Errorf("sjos: opening WAL: %w", err)
 		}
-		if len(txns) > 0 && len(seeds) > 0 {
-			return nil, fmt.Errorf("sjos: WAL already holds %d committed transactions; open without documents (OpenDatabase) to recover", len(txns))
+		if len(replay) > 0 && len(seeds) > 0 {
+			return nil, fmt.Errorf("sjos: WAL already holds committed transactions; open without documents (OpenDatabase) to recover")
 		}
 	}
 	if file.NumPages() != 0 {
@@ -185,8 +202,9 @@ func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) 
 	}
 	var store *storage.Store
 	var err error
-	if len(txns) > 0 {
-		store, err = e.recover(txns, file)
+	if len(replay) > 0 {
+		store, err = e.recover(replay, file)
+		e.recovered, e.recoverTook = len(replay), time.Since(began)
 	} else {
 		store, err = e.bootstrap(seeds, file)
 	}
@@ -195,6 +213,28 @@ func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) 
 	}
 	e.publishLive(store)
 	return e, nil
+}
+
+// openLog opens the WAL and returns the committed transactions a recovery
+// replays: the last base snapshot and everything after it. The scan streams —
+// whatever precedes a snapshot is dropped the moment the snapshot is seen —
+// so an open holds the log's live suffix, not its history. A transient read
+// failure restarts the scan under the engine's retry policy.
+func (e *engine) openLog(walFile PageFile) ([]storage.WALTxn, error) {
+	var replay []storage.WALTxn
+	err := e.retry.Do(context.TODO(), func() error {
+		replay = nil
+		var err error
+		e.wal, err = storage.ScanWAL(walFile, func(tx storage.WALTxn) error {
+			if tx.Op == storage.WALSnapshot {
+				replay = nil // nothing before a base snapshot is replayed
+			}
+			replay = append(replay, tx)
+			return nil
+		})
+		return err
+	})
+	return replay, err
 }
 
 func (e *engine) setRetry(store *storage.Store) {
@@ -219,7 +259,7 @@ func (e *engine) reset(file PageFile) (*storage.Store, error) {
 // shares — live commit, initial build, recovery replay and compaction — so
 // the layout is a pure function of the append sequence. between runs after
 // the member is staged and before its pages are applied: the WAL append on
-// the live path, image verification on replay. A nil part is built from doc.
+// the live path, stage verification on replay. A nil part is built from doc.
 // The write-path state changes only on success.
 func (e *engine) grow(store *storage.Store, id string, doc *xmltree.Document, part *histogram.Stats, between func(*storage.SegmentStage) error) (*storage.Store, error) {
 	forest, span, err := xmltree.AppendMember(e.forest, doc)
@@ -282,47 +322,36 @@ func (e *engine) bootstrap(seeds []seedDoc, file PageFile) (*storage.Store, erro
 	return store, nil
 }
 
-// recover rebuilds the state from the committed WAL transactions: the member
-// set of the last base snapshot is rebuilt through the ordinary staging
+// recover rebuilds the state from the log's live suffix (see openLog): the
+// member set of the base snapshot is rebuilt through the ordinary staging
 // path, then each later transaction is replayed the same way — with the
-// recomputed page images verified byte-for-byte against the logged ones
-// before they are applied. The result is exactly the pre-crash committed
-// state.
-func (e *engine) recover(txns []storage.WALTxn, file PageFile) (*storage.Store, error) {
-	base := -1
-	for i, tx := range txns {
-		if tx.Op == storage.WALSnapshot {
-			base = i
-		}
-	}
-	if base < 0 {
+// re-staged pages held to what the transaction logged about them (their
+// digest; in a log from before digests, the pages themselves) before they are
+// applied. The result is exactly the pre-crash committed state.
+func (e *engine) recover(replay []storage.WALTxn, file PageFile) (*storage.Store, error) {
+	if replay[0].Op != storage.WALSnapshot {
 		return nil, fmt.Errorf("sjos: WAL holds no base snapshot; not a database log")
 	}
 	store, err := e.reset(file)
 	if err != nil {
 		return nil, err
 	}
-	add := func(wd storage.WALDoc, logged []storage.WALPageImage) error {
-		doc, err := xmltree.ReadImage(bytes.NewReader(wd.Image))
+	add := func(wd storage.WALDoc, verify func(*storage.SegmentStage) error) error {
+		doc, err := xmltree.DecodeImage(wd.Image)
 		if err == nil {
-			store, err = e.grow(store, wd.ID, doc, nil, func(st *storage.SegmentStage) error {
-				if logged == nil {
-					return nil
-				}
-				return st.VerifyStage(logged)
-			})
+			store, err = e.grow(store, wd.ID, doc, nil, verify)
 		}
 		if err != nil {
 			return fmt.Errorf("sjos: recovering document %q: %w", wd.ID, err)
 		}
 		return nil
 	}
-	for _, wd := range txns[base].Docs {
+	for _, wd := range replay[0].Docs {
 		if err := add(wd, nil); err != nil {
 			return nil, err
 		}
 	}
-	for _, tx := range txns[base+1:] {
+	for _, tx := range replay[1:] {
 		if tx.Op != storage.WALInsert && tx.Op != storage.WALDelete && tx.Op != storage.WALReplace {
 			return nil, fmt.Errorf("sjos: WAL replay: unexpected op %d", tx.Op)
 		}
@@ -337,7 +366,14 @@ func (e *engine) recover(txns []storage.WALTxn, file PageFile) (*storage.Store, 
 			}
 		}
 		if tx.Op != storage.WALDelete {
-			if err := add(wd, tx.Images); err != nil {
+			var verify func(*storage.SegmentStage) error
+			switch {
+			case tx.Digest != nil:
+				verify = func(st *storage.SegmentStage) error { return st.VerifyDigest(*tx.Digest) }
+			case tx.Images != nil: // a log from before stage digests
+				verify = func(st *storage.SegmentStage) error { return st.VerifyStage(tx.Images) }
+			}
+			if err := add(wd, verify); err != nil {
 				return nil, err
 			}
 		}
@@ -405,35 +441,38 @@ func (e *engine) brokenErr() error {
 	return fmt.Errorf("%w: %v", ErrBroken, e.broken)
 }
 
-// log makes one transaction durable, its documents serialised as images (a
-// no-op on a follower). ErrWALBroken means the commit's durability is
+// log makes one transaction durable: its documents serialised as images, and
+// the digest of the pages the commit staged for them (nil when it staged
+// none). A no-op on a follower. ErrWALBroken means the commit's durability is
 // unknowable (poison); any other failure happened cleanly before the commit
 // record, leaving the engine unchanged and usable.
-func (e *engine) log(op storage.WALOp, docs []seedDoc, images []storage.WALPageImage) error {
+func (e *engine) log(op storage.WALOp, docs []seedDoc, digest *storage.StageDigest) error {
 	if e.wal == nil {
 		return nil
 	}
 	wds := make([]storage.WALDoc, len(docs))
 	ends := make([]int, len(docs))
-	e.images.Reset()
+	images := e.images[:0]
 	for i, sd := range docs {
 		wds[i].ID = sd.id
 		if sd.doc != nil { // a delete logs the ID alone
-			if err := xmltree.WriteImage(sd.doc, &e.images); err != nil {
+			var err error
+			if images, err = xmltree.AppendImage(images, sd.doc); err != nil {
 				return err
 			}
 		}
-		ends[i] = e.images.Len()
+		ends[i] = len(images)
 	}
+	e.images = images
 	// Sliced only now: the buffer may have moved while it grew.
-	all, start := e.images.Bytes(), 0
+	start := 0
 	for i, end := range ends {
 		if end > start {
-			wds[i].Image = all[start:end]
+			wds[i].Image = images[start:end]
 		}
 		start = end
 	}
-	_, err := e.wal.Append(op, wds, images)
+	_, err := e.wal.AppendLogical(op, wds, digest)
 	if errors.Is(err, storage.ErrWALBroken) {
 		e.broken = err
 		return e.brokenErr()
@@ -457,11 +496,12 @@ func (e *engine) apply(op storage.WALOp, id string, doc *xmltree.Document) error
 	}
 	durable := false
 	commit := func(st *storage.SegmentStage) error {
-		var images []storage.WALPageImage
+		var digest *storage.StageDigest
 		if st != nil {
-			images = st.Images()
+			d := st.Digest()
+			digest = &d
 		}
-		err := e.log(op, []seedDoc{{id: id, doc: doc}}, images)
+		err := e.log(op, []seedDoc{{id: id, doc: doc}}, digest)
 		durable = err == nil
 		return err
 	}
@@ -528,10 +568,12 @@ func (e *engine) compact() error {
 func (e *engine) ingestStats() IngestStats {
 	sn := e.view()
 	st := IngestStats{
-		Members:      len(sn.members),
-		DeadFraction: sn.store.DeadFraction(),
-		Compactions:  e.compactions,
-		Broken:       e.broken != nil,
+		Members:         len(sn.members),
+		DeadFraction:    sn.store.DeadFraction(),
+		Compactions:     e.compactions,
+		Broken:          e.broken != nil,
+		RecoveredTxns:   e.recovered,
+		RecoverySeconds: e.recoverTook.Seconds(),
 	}
 	if e.wal != nil {
 		st.WALPages = int(e.wal.Tail())

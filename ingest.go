@@ -164,6 +164,12 @@ type IngestStats struct {
 	StatsVersion uint64
 	// Broken reports a poisoned write path (see ErrBroken).
 	Broken bool
+	// RecoveredTxns is how many logged transactions the last open replayed —
+	// the last base snapshot and everything after it — and RecoverySeconds how
+	// long it spent reading the log and replaying them. Both are zero for a
+	// database opened on an empty log.
+	RecoveredTxns   int
+	RecoverySeconds float64
 }
 
 // IngestStats returns a snapshot of the write path's state (zero value for

@@ -27,7 +27,10 @@ func CreateDiskFile(path string) (*DiskFile, error) {
 	return &DiskFile{f: f}, nil
 }
 
-// OpenDiskFile opens an existing page file at path.
+// OpenDiskFile opens an existing page file at path. Bytes past the last
+// whole page — a write cut short by a full disk, or power lost while the
+// file was being extended — are no page: the file has size/PageSize pages,
+// and the next page written lands over the fragment.
 func OpenDiskFile(path string) (*DiskFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -37,10 +40,6 @@ func OpenDiskFile(path string) (*DiskFile, error) {
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("storage: stat disk file: %w", err)
-	}
-	if st.Size()%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s: size %d not page-aligned", path, st.Size())
 	}
 	return &DiskFile{f: f, pages: int(st.Size() / PageSize)}, nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -81,13 +82,87 @@ func TestOpenDiskFileErrors(t *testing.T) {
 	if _, err := OpenDiskFile(filepath.Join(t.TempDir(), "absent.db")); err == nil {
 		t.Fatal("opening a missing file should fail")
 	}
-	// Misaligned file.
-	path := filepath.Join(t.TempDir(), "bad.db")
-	if err := os.WriteFile(path, []byte("not a page"), 0o644); err != nil {
+}
+
+// appendFragment leaves 100 bytes behind the file's last page: what a write
+// cut short leaves.
+func appendFragment(t testing.TB, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDiskFile(path); err == nil {
-		t.Fatal("misaligned file accepted")
+	if _, err := f.Write(bytes.Repeat([]byte{0xEE}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenDiskFileShortTail: bytes past the last whole page — what a write
+// cut short by a full disk leaves — are not a page and do not stop the open;
+// the next page written goes over them.
+func TestOpenDiskFileShortTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "short.db")
+	d, err := CreateDiskFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Page
+	for i := 0; i < 2; i++ {
+		p[PageHeaderSize] = byte('a' + i)
+		SealPage(PageID(i), &p)
+		if err := d.WritePage(PageID(i), &p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendFragment(t, path)
+
+	d, err = OpenDiskFile(path)
+	if err != nil {
+		t.Fatalf("a file with a fragment behind its last page does not open: %v", err)
+	}
+	defer d.Close()
+	if d.NumPages() != 2 {
+		t.Fatalf("NumPages = %d, want 2 (the fragment is no page)", d.NumPages())
+	}
+	if err := d.ReadPage(2, &p); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("reading the fragment as a page: %v", err)
+	}
+	p[PageHeaderSize] = 'c'
+	SealPage(2, &p)
+	if err := d.WritePage(2, &p); err != nil {
+		t.Fatal(err)
+	}
+	var q Page
+	for i := 0; i < 3; i++ {
+		if err := d.ReadPage(PageID(i), &q); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyPage(PageID(i), &q); err != nil || q[PageHeaderSize] != byte('a'+i) {
+			t.Fatalf("page %d: %v, content %q", i, err, q[PageHeaderSize])
+		}
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != 3*PageSize {
+		t.Fatalf("file is %d bytes (%v), want three whole pages", st.Size(), err)
+	}
+
+	// A file shorter than one page is an empty page file.
+	tiny := filepath.Join(t.TempDir(), "tiny.db")
+	if err := os.WriteFile(tiny, []byte("not a page"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := OpenDiskFile(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if e.NumPages() != 0 {
+		t.Fatalf("NumPages = %d for a ten-byte file", e.NumPages())
 	}
 }
 

@@ -80,3 +80,20 @@ func sleep(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	}
 }
+
+// Do runs op until it succeeds, fails with an error that is not transient,
+// or has been tried MaxAttempts times, waiting out the policy's backoff
+// between attempts — the pool's treatment of a flaky page read, for an
+// operation that is more than one read (opening a log).
+func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
+	p = p.normalized()
+	for attempt := 1; ; attempt++ {
+		err := op()
+		if err == nil || !IsTransient(err) || attempt >= p.MaxAttempts {
+			return err
+		}
+		if serr := sleep(ctx, p.backoff(attempt)); serr != nil {
+			return serr
+		}
+	}
+}

@@ -2,6 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -13,9 +16,9 @@ import (
 // segments — the synthetic root, then one per member document — each with
 // its own node pages, tag postings and value index, laid out in one
 // contiguous page run. Store versions are immutable: a mutation stages a
-// new segment against a capture file (producing the page after-images the
-// WAL logs), and adopting the stage yields a NEW Store value that shares
-// the page file, buffer pool and counters with its predecessor. Because a
+// new segment against a capture file (producing the sealed pages whose
+// digest the WAL logs), and adopting the stage yields a NEW Store value that
+// shares the page file, buffer pool and counters with its predecessor. Because a
 // segment only ever appends pages past every older version's tail and a
 // delete touches no pages at all, published versions and the shared page
 // cache stay valid under concurrent readers — the ingestion layer swaps an
@@ -42,8 +45,8 @@ type segment struct {
 }
 
 // SegmentStage is a staged (not yet durable) segment append: the sealed
-// page after-images to log and apply, plus the metadata the adopting store
-// version takes over.
+// pages to apply (and to log the digest of), plus the metadata the adopting
+// store version takes over.
 type SegmentStage struct {
 	seg      *segment
 	forest   *xmltree.Document
@@ -53,9 +56,23 @@ type SegmentStage struct {
 	rawBytes int
 }
 
-// Images returns the stage's sealed page after-images — the WAL's physical
-// redo records.
-func (st *SegmentStage) Images() []WALPageImage { return st.images }
+// Digest is the SHA-256 over the stage's sealed pages in stage order, each as
+// its page id (little endian) followed by its bytes: what a commit logs about
+// the pages it is about to apply. Staging is a pure function of the append
+// sequence, so a replay that reaches the same digest has laid the document
+// out on the same pages with the same bytes, as surely as comparing the
+// pages themselves would show — short of a SHA-256 collision, which no
+// software fault or torn write produces.
+func (st *SegmentStage) Digest() StageDigest {
+	h := sha256.New()
+	var id [4]byte
+	for i := range st.images {
+		binary.LittleEndian.PutUint32(id[:], uint32(st.images[i].Page))
+		h.Write(id[:])
+		h.Write(st.images[i].Data[:])
+	}
+	return StageDigest(h.Sum(nil))
+}
 
 // captureFile collects sequential page writes in memory instead of touching
 // the real file: the staging path runs the ordinary store builders against
@@ -222,7 +239,7 @@ func (s *Store) IsSegmented() bool { return s.segs != nil }
 
 // StageSegment serialises the forest member at span as the store's next
 // segment without touching the store's file: the returned stage carries the
-// sealed page after-images for the WAL. forest must be the version that
+// sealed pages, whose digest the WAL logs. forest must be the version that
 // already contains the member.
 func (s *Store) StageSegment(forest *xmltree.Document, span xmltree.DocSpan) (*SegmentStage, error) {
 	if s.segs == nil {
@@ -256,15 +273,30 @@ func (s *Store) CommitStage(st *SegmentStage) (*Store, error) {
 	return s.AdoptStage(st), nil
 }
 
-// VerifyStage checks that the stage's computed images are byte-identical to
-// the WAL's logged images — the recovery pass's redo consistency check.
+// ErrStageMismatch marks a replay that staged a logged document onto
+// different pages than the commit that logged it: the code that lays
+// documents out has changed under the log, or the logged document has.
+var ErrStageMismatch = errors.New("storage: replayed stage differs from the logged one")
+
+// VerifyDigest checks the stage against the digest its transaction logged —
+// the recovery pass's redo consistency check.
+func (st *SegmentStage) VerifyDigest(logged StageDigest) error {
+	if got := st.Digest(); got != logged {
+		return fmt.Errorf("%w: stage digest %x over %d pages from page %d, logged %x", ErrStageMismatch, got[:8], len(st.images), st.seg.nodeBase, logged[:8])
+	}
+	return nil
+}
+
+// VerifyStage is the same check for a transaction that logged the staged
+// pages in full (logs from before stage digests): the computed pages must be
+// byte-identical to the logged ones.
 func (st *SegmentStage) VerifyStage(logged []WALPageImage) error {
 	if len(logged) != len(st.images) {
-		return fmt.Errorf("storage: recovery image count %d, staged %d", len(logged), len(st.images))
+		return fmt.Errorf("%w: %d pages logged, %d staged", ErrStageMismatch, len(logged), len(st.images))
 	}
 	for i := range logged {
 		if logged[i].Page != st.images[i].Page || !bytes.Equal(logged[i].Data[:], st.images[i].Data[:]) {
-			return fmt.Errorf("storage: recovery image mismatch at page %d", logged[i].Page)
+			return fmt.Errorf("%w: at logged page %d", ErrStageMismatch, logged[i].Page)
 		}
 	}
 	return nil

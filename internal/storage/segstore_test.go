@@ -312,7 +312,7 @@ func TestForestStoreStageAdopt(t *testing.T) {
 			t.Fatal(err)
 		}
 		pagesBefore := file.NumPages()
-		if len(stage.Images()) == 0 {
+		if len(stage.images) == 0 {
 			t.Fatal("stage produced no images")
 		}
 		if file.NumPages() != pagesBefore {

@@ -153,6 +153,9 @@ func (d *Document) Validate() error {
 	if n == 0 {
 		return nil
 	}
+	// open[l] is the latest node at level l: a node's parent must be on the
+	// open path of the node before it, or the nodes are not in pre-order.
+	var open []NodeID
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
 		if d.start[id] >= d.end[id] {
@@ -169,14 +172,23 @@ func (d *Document) Validate() error {
 			if d.level[id] != 0 {
 				return fmt.Errorf("root has level %d, want 0", d.level[id])
 			}
+			open = append(open, id)
 			continue
+		}
+		if p >= id {
+			return fmt.Errorf("node %d: parent %d does not precede it", id, p)
 		}
 		if !d.IsAncestor(p, id) {
 			return fmt.Errorf("node %d: region not contained in parent %d", id, p)
 		}
-		if d.level[p]+1 != d.level[id] {
+		lv := int(d.level[id])
+		if int(d.level[p])+1 != lv {
 			return fmt.Errorf("node %d: level %d, parent level %d", id, d.level[id], d.level[p])
 		}
+		if lv > len(open) || open[lv-1] != p {
+			return fmt.Errorf("node %d: parent %d is not on the open path (nodes not in pre-order)", id, p)
+		}
+		open = append(open[:lv], id)
 	}
 	for t, nodes := range d.byTag {
 		if !sort.SliceIsSorted(nodes, func(i, j int) bool { return nodes[i] < nodes[j] }) {

@@ -194,3 +194,34 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatalf("restored document invalid: %v", err)
 	}
 }
+
+// TestValidateNeedsPreorder: regions that nest and levels that add up are not
+// enough — a node hung under an earlier sibling's subtree that the node
+// before it already left is not a pre-order tree, and has no image.
+func TestValidateNeedsPreorder(t *testing.T) {
+	// Node 2 is a second child of the root whose region overlaps node 1's;
+	// node 3 claims node 1 as its parent after node 2 closed it.
+	d := &Document{
+		start:  []Pos{0, 1, 2, 3},
+		end:    []Pos{100, 50, 40, 30},
+		level:  []uint16{0, 1, 1, 2},
+		tag:    []TagID{0, 0, 0, 0},
+		parent: []NodeID{InvalidNode, 0, 0, 1},
+		value:  make([]string, 4),
+		tags:   []string{"a"},
+		byTag:  [][]NodeID{{0, 1, 2, 3}},
+	}
+	if err := d.Validate(); err == nil {
+		t.Error("Validate accepted nodes that are not in pre-order")
+	}
+	if img, err := AppendImage([]byte("kept"), d); err == nil || string(img) != "kept" {
+		t.Errorf("AppendImage wrote %q, %v for nodes that are not in pre-order", img, err)
+	}
+	d.parent[3], d.end[3] = 2, 30
+	if err := d.Validate(); err != nil {
+		t.Fatalf("pre-order document invalid: %v", err)
+	}
+	if _, err := AppendImage(nil, d); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -53,6 +53,11 @@ type Metrics struct {
 	// in Query.Ingest.
 	Compactions int
 	WALPages    int
+	// RecoveredTxns and RecoverySeconds are what the last open replayed from
+	// the write-ahead log and how long that took (see IngestStats); zero
+	// when it opened on an empty log.
+	RecoveredTxns   int
+	RecoverySeconds float64
 }
 
 // ReplicaMetrics is the corpus's replica-routing counters.
@@ -85,6 +90,7 @@ func (db *Database) Metrics() Metrics {
 	m.Content = store.ContentStats()
 	ist := db.IngestStats()
 	m.Compactions, m.WALPages = ist.Compactions, ist.WALPages
+	m.RecoveredTxns, m.RecoverySeconds = ist.RecoveredTxns, ist.RecoverySeconds
 	return m
 }
 
@@ -134,6 +140,8 @@ func writeMetricsText(w io.Writer, m Metrics) {
 	}
 	counter("compactions_total", "Store rewrites that dropped dead segments (explicit and automatic).", uint64(m.Compactions))
 	gauge("wal_pages", "Write-ahead log length in pages, all shards.", int64(m.WALPages))
+	gauge("recovered_transactions", "Logged transactions the last open replayed (from the last base snapshot on), all shards.", int64(m.RecoveredTxns))
+	fmt.Fprintf(w, "# HELP sjos_recovery_seconds Time the last open spent reading the write-ahead log and replaying it.\n# TYPE sjos_recovery_seconds gauge\nsjos_recovery_seconds %g\n", m.RecoverySeconds)
 	gauge("value_index_enabled", "Whether the (tag, value) content index was built.", vidx)
 	gauge("postings_bytes", "Encoded size of all postings (tag and value index).", int64(m.Content.PostingsBytes))
 	gauge("postings_raw_bytes", "Size the same postings would occupy uncompressed.", int64(m.Content.RawPostingsBytes))

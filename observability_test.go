@@ -153,7 +153,8 @@ func TestWriteMetricsText(t *testing.T) {
 // operation, compactions and log length — on a corpus, where they sum over
 // shards.
 func TestWriteMetricsIngest(t *testing.T) {
-	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 2, ShardWALFile: newWALMap().file}).Build()
+	wals := newWALMap()
+	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 2, ShardWALFile: wals.file}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +179,8 @@ func TestWriteMetricsIngest(t *testing.T) {
 		`sjos_ingest_seconds_sum{op="insert"} `,
 		fmt.Sprintf("sjos_compactions_total %d", c.IngestStats().Compactions),
 		fmt.Sprintf("sjos_wal_pages %d", c.IngestStats().WALPages),
+		"sjos_recovered_transactions 0", // opened on empty logs
+		"sjos_recovery_seconds 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteMetrics missing %q\n%s", want, out)
@@ -185,6 +188,21 @@ func TestWriteMetricsIngest(t *testing.T) {
 	}
 	if c.IngestStats().WALPages == 0 || c.IngestStats().Compactions == 0 {
 		t.Fatalf("history left %+v: want log pages and a compaction", c.IngestStats())
+	}
+
+	// Rebuilt from the same logs, the corpus says what it replayed.
+	rec, err := NewCorpusBuilder(&CorpusOptions{Shards: 2, ShardWALFile: wals.file}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	rec.WriteMetrics(&b)
+	ist := rec.IngestStats()
+	if want := fmt.Sprintf("sjos_recovered_transactions %d\n", ist.RecoveredTxns); ist.RecoveredTxns == 0 || !strings.Contains(b.String(), want) {
+		t.Errorf("WriteMetrics after a recovery missing %q", want)
+	}
+	if want := fmt.Sprintf("sjos_recovery_seconds %g\n", ist.RecoverySeconds); ist.RecoverySeconds <= 0 || !strings.Contains(b.String(), want) {
+		t.Errorf("WriteMetrics after a recovery missing %q", want)
 	}
 }
 

@@ -147,9 +147,9 @@ type Options struct {
 	NoValueIndex bool
 	// WALFile, when non-nil, enables the document-level write path (Insert,
 	// Delete, Replace, Compact) backed by a write-ahead log on this page
-	// file. Every mutation is logged as a redo transaction (begin, page
-	// after-images, commit) sealed with the store's page checksums and
-	// fsynced before it is applied, so a crash at any point leaves the
+	// file. Every mutation is logged as a redo transaction (begin with the
+	// document, a digest of the staged pages, commit) sealed with the store's
+	// page checksums and fsynced before it is applied, so a crash at any point leaves the
 	// database fully pre- or fully post-commit. Opening with a WAL that
 	// already holds committed transactions recovers the state from the log
 	// (see OpenDatabase); the store file is treated as a rebuildable cache

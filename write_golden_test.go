@@ -6,12 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sjos/internal/datagen"
@@ -20,9 +22,10 @@ import (
 )
 
 // updateWriteGolden rewrites testdata/write_golden.json and
-// testdata/parent_wal.bin.gz from the code under test. Pass it only from a
+// testdata/digest_wal.bin.gz from the code under test. Pass it only from a
 // commit whose write path you trust: the files are the reference later
-// commits' staged pages and log bytes are held to.
+// commits' staged pages and log bytes are held to. (testdata/parent_wal.bin.gz
+// is not rewritten by anything: no code writes its format any more.)
 var updateWriteGolden = flag.Bool("update-write-golden", false, "rewrite the write-path golden files")
 
 // writeGolden is what one replay of the fixed history leaves behind: the
@@ -95,12 +98,12 @@ func replayWriteHistory(t testing.TB, w writer) {
 	}
 }
 
-// TestWriteGolden holds the write path to bytes recorded on the commit
-// before the parser, the segment value index build and the store-version
-// assembly were rewritten: the same history must leave the same WAL files —
-// begin records (document images), staged page after-images and commit
-// records alike — and the same counters, on a Database and on a 4-shard
-// Corpus.
+// TestWriteGolden holds the write path to recorded bytes: the same history
+// must leave the same WAL files — begin records (SJDOC2 document images),
+// stage digests (so: the same staged pages) and commit records alike — and
+// the same counters, on a Database and on a 4-shard Corpus. The hashes were
+// re-recorded when the log went from page after-images to stage digests; the
+// counters other than WALPages are those of the commit before.
 func TestWriteGolden(t *testing.T) {
 	var got writeGoldenFile
 
@@ -169,51 +172,10 @@ var parentWALDocs = []struct{ op, id, xml string }{
 	{"insert", "d", `<r><n>1</n><w>alpha</w></r>`},
 }
 
-// TestRecoverParentWAL replays a log written by the parent commit. Recovery
-// re-stages every logged document and byte-compares the pages it computes
-// with the pages in the log (SegmentStage.VerifyStage), so this passes only
-// while the parser-independent half of the write path — image decode, the
-// segment's node pages, tag postings and value index — still lays a
-// document out exactly as the commit that wrote the log did.
-func TestRecoverParentWAL(t *testing.T) {
-	path := filepath.Join("testdata", "parent_wal.bin.gz")
-	if *updateWriteGolden {
-		wal := storage.NewMemFile()
-		db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range parentWALDocs {
-			switch m.op {
-			case "insert":
-				err = db.InsertString(m.id, m.xml)
-			case "replace":
-				err = db.ReplaceString(m.id, m.xml)
-			case "delete":
-				err = db.Delete(m.id)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		var out bytes.Buffer
-		zw := gzip.NewWriter(&out)
-		var p storage.Page
-		for i := 0; i < wal.NumPages(); i++ {
-			if err := wal.ReadPage(storage.PageID(i), &p); err != nil {
-				t.Fatal(err)
-			}
-			zw.Write(p[:])
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	zipped, err := os.ReadFile(path)
+// walFixture reads a gzipped log from testdata into a fresh memory file.
+func walFixture(t testing.TB, name string) *storage.MemFile {
+	t.Helper()
+	zipped, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +188,7 @@ func TestRecoverParentWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(raw) == 0 || len(raw)%storage.PageSize != 0 {
-		t.Fatalf("parent log is %d bytes, not whole pages", len(raw))
+		t.Fatalf("%s is %d bytes, not whole pages", name, len(raw))
 	}
 	wal := storage.NewMemFile()
 	for i := 0; i*storage.PageSize < len(raw); i++ {
@@ -236,10 +198,12 @@ func TestRecoverParentWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
-	if err != nil {
-		t.Fatalf("recovering the parent commit's log: %v", err)
-	}
+	return wal
+}
+
+// checkParentWALState is what the parentWALDocs history leaves behind.
+func checkParentWALState(t testing.TB, db *Database) {
+	t.Helper()
 	if got, want := db.MemberIDs(), []string{"c", "a", "d"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered members %v, want %v", got, want)
 	}
@@ -249,6 +213,213 @@ func TestRecoverParentWAL(t *testing.T) {
 	}
 	if len(res.Matches) != 2 {
 		t.Fatalf("n = 5 matched %d nodes after recovery, want 2 (both spellings)", len(res.Matches))
+	}
+}
+
+// walFormats reports what the transactions of a log that staged pages carry
+// about them (page images, stage digests) and which image format their
+// documents are in.
+func walFormats(t testing.TB, wal PageFile) (pageImages, digests int, docMagics map[string]int) {
+	t.Helper()
+	docMagics = map[string]int{}
+	if _, err := storage.ScanWAL(wal, func(tx storage.WALTxn) error {
+		if tx.Images != nil {
+			pageImages++
+		}
+		if tx.Digest != nil {
+			digests++
+		}
+		for _, d := range tx.Docs {
+			if len(d.Image) >= 6 {
+				docMagics[string(d.Image[:6])]++
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return pageImages, digests, docMagics
+}
+
+// TestRecoverParentWAL replays a log written by the commit before stage
+// digests and SJDOC2: its documents are SJDOC1 images and its transactions
+// carry their staged pages in full. Recovery re-stages every logged document
+// and byte-compares the pages it computes with the pages in the log
+// (SegmentStage.VerifyStage), so this passes only while both formats stay
+// readable and the parser-independent half of the write path — image decode,
+// the segment's node pages, tag postings and value index — still lays a
+// document out exactly as the commit that wrote the log did. The fixture is
+// frozen: nothing writes that format now, so nothing can re-record it.
+func TestRecoverParentWAL(t *testing.T) {
+	wal := walFixture(t, "parent_wal.bin.gz")
+	if images, digests, magics := walFormats(t, wal); images != 5 || digests != 0 || magics["SJDOC1"] != 5 || len(magics) != 1 {
+		t.Fatalf("parent log has %d page-image transactions, %d digests, documents %v: not the SJDOC1 + page-image fixture", images, digests, magics)
+	}
+	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	if err != nil {
+		t.Fatalf("recovering the parent commit's log: %v", err)
+	}
+	checkParentWALState(t, db)
+}
+
+// TestRecoverDigestWAL replays the same history from a log recorded by the
+// commit that introduced stage digests: SJDOC2 documents, one digest per
+// staging transaction, no page image. It passes only while a document is
+// still laid out on the same pages, byte for byte, as when the log was
+// written — the digest is over those pages.
+func TestRecoverDigestWAL(t *testing.T) {
+	const name = "digest_wal.bin.gz"
+	if *updateWriteGolden {
+		wal := storage.NewMemFile()
+		db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		applyParentWALDocs(t, db, parentWALDocs)
+		var out bytes.Buffer
+		zw := gzip.NewWriter(&out)
+		var p storage.Page
+		for i := 0; i < wal.NumPages(); i++ {
+			if err := wal.ReadPage(storage.PageID(i), &p); err != nil {
+				t.Fatal(err)
+			}
+			zw.Write(p[:])
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join("testdata", name), out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wal := walFixture(t, name)
+	if images, digests, magics := walFormats(t, wal); images != 0 || digests != 5 || magics["SJDOC2"] != 5 || len(magics) != 1 {
+		t.Fatalf("digest log has %d page-image transactions, %d digests, documents %v: not the SJDOC2 + digest fixture", images, digests, magics)
+	}
+	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	if err != nil {
+		t.Fatalf("recovering the recorded digest log: %v", err)
+	}
+	checkParentWALState(t, db)
+	if st := db.IngestStats(); st.RecoveredTxns != 1+len(parentWALDocs) || st.RecoverySeconds <= 0 {
+		t.Fatalf("recovery replayed %d transactions in %v s, want the snapshot and %d mutations", st.RecoveredTxns, st.RecoverySeconds, len(parentWALDocs))
+	}
+}
+
+func applyParentWALDocs(t testing.TB, db *Database, docs []struct{ op, id, xml string }) {
+	t.Helper()
+	for _, m := range docs {
+		var err error
+		switch m.op {
+		case "insert":
+			err = db.InsertString(m.id, m.xml)
+		case "replace":
+			err = db.ReplaceString(m.id, m.xml)
+		case "delete":
+			err = db.Delete(m.id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUpgradeInPlace: a log written in the old format is opened by this
+// code, extended with transactions in the new one, and — after a crash —
+// recovered whole: one file, page-image transactions first, digest
+// transactions behind them, each verified its own way.
+func TestUpgradeInPlace(t *testing.T) {
+	wal := walFixture(t, "parent_wal.bin.gz")
+	oldPages := wal.NumPages()
+	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyParentWALDocs(t, db, []struct{ op, id, xml string }{
+		{"insert", "e", `<r><n>5</n><w>epsilon</w></r>`},
+		{"replace", "c", `<s><n>5.00</n></s>`},
+		{"delete", "d", ""},
+	})
+	if images, digests, magics := walFormats(t, wal); images != 5 || digests != 2 || magics["SJDOC1"] != 5 || magics["SJDOC2"] != 2 {
+		t.Fatalf("upgraded log has %d page-image transactions, %d digests, documents %v", images, digests, magics)
+	}
+	var p storage.Page
+	for i, old := 0, walFixture(t, "parent_wal.bin.gz"); i < oldPages; i++ {
+		var q storage.Page
+		if err := wal.ReadPage(storage.PageID(i), &p); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.ReadPage(storage.PageID(i), &q); err != nil {
+			t.Fatal(err)
+		}
+		if p != q {
+			t.Fatalf("appending to the old log rewrote its page %d", i)
+		}
+	}
+
+	// Crash: nothing survives but the log.
+	rec, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	if err != nil {
+		t.Fatalf("recovering the upgraded log: %v", err)
+	}
+	if got, want := rec.MemberIDs(), []string{"a", "e", "c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered members %v, want %v", got, want)
+	}
+	for _, q := range []string{`//r/n[. = 5]`, `//s/n[. = 5]`, `//w`} {
+		want, err := db.Query(q, MethodDPP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.Query(q, MethodDPP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Matches, want.Matches) || len(got.Matches) == 0 {
+			t.Fatalf("%s: recovered %v, before the crash %v", q, got.Matches, want.Matches)
+		}
+	}
+}
+
+// TestRecoverDigestMismatch: a logged document that is not the document the
+// commit staged — one byte of one value differs, so the image still decodes
+// and validates — must fail recovery with the stage mismatch, not come back
+// as different data. The page is resealed after the flip: this is the fault
+// a checksum cannot see, a log whose content and whose digest disagree. (The
+// value is one of two equal ones: the digest is over the staged pages, which
+// hold postings, so what it catches is a change that moves a posting — here
+// one value's list becoming two — as the byte compare before it did.)
+func TestRecoverDigestMismatch(t *testing.T) {
+	wal := storage.NewMemFile()
+	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyParentWALDocs(t, db, parentWALDocs[:3])
+	var p storage.Page
+	flipped := false
+	for i := 0; i < wal.NumPages() && !flipped; i++ {
+		if err := wal.ReadPage(storage.PageID(i), &p); err != nil {
+			t.Fatal(err)
+		}
+		if at := bytes.Index(p[:], []byte("alpha")); at >= 0 {
+			p[at] = 'z' // document a's first <w> now says "zlpha"
+			storage.SealPage(storage.PageID(i), &p)
+			if err := wal.WritePage(storage.PageID(i), &p); err != nil {
+				t.Fatal(err)
+			}
+			flipped = true
+		}
+	}
+	if !flipped {
+		t.Fatal("value not found in the log")
+	}
+	_, err = OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	if !errors.Is(err, storage.ErrStageMismatch) {
+		t.Fatalf("recovering a log whose document disagrees with its digest: %v, want ErrStageMismatch", err)
+	}
+	if !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("the error does not name the document: %v", err)
 	}
 }
 
