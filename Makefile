@@ -16,8 +16,9 @@
 # arrivals, p50/p95/p99 under load) into BENCH_corpus.json; `make loadquick`
 # is its short CI variant (run on the replicated, hedged path so routing
 # stays covered). `make plannerbench` runs the planning-cost lane — optimize
-# time vs resulting execution time for every method, including the
-# statistics-free Greedy orderer — into BENCH_planner.json; `make
+# time vs resulting execution time and regret (execution time over the best
+# plan any method found) for every method, on the Table-3 workloads, two
+# stress shapes and the eight plan_cold twigs — into BENCH_planner.json; `make
 # plannerquick` is its CI smoke variant, followed by one iteration of the
 # optimizer-search layer lane (BenchmarkSearchPlanCold: ns/op, B/op, allocs/op
 # and plans/op for DP, DPP and the DPAPs on 12-13-node twigs). `make replicabench` compares hedged vs unhedged tail
@@ -95,10 +96,11 @@ bench: test-race
 	$(GO) run ./cmd/xqbench -loadbench
 	$(GO) run ./cmd/xqbench -churnbench
 
-# Planning-cost lane: optimize time and resulting execution time for every
-# optimizer method (DP, DPP, DPAP-EB, DPAP-LD, FP, Greedy) on the Table-3
-# workloads plus deep-chain/wide-fanout stress shapes, into
-# BENCH_planner.json. plannerquick is the CI smoke variant.
+# Planning-cost lane: optimize time, resulting execution time and regret for
+# every optimizer method (DP, DPP, DPAP-EB, DPAP-LD, FP, Greedy) on the
+# Table-3 workloads, deep-chain/wide-fanout stress shapes and the eight
+# plan_cold twigs, into BENCH_planner.json. plannerquick is the CI smoke
+# variant.
 plannerbench:
 	$(GO) run ./cmd/xqbench -plannerbench
 
@@ -116,13 +118,16 @@ benchquick:
 # Every fuzz target for ten seconds each (go test takes one -fuzz target and
 # one package a run): the XML parser against its encoding/xml oracle, the
 # document image decoder (both format versions) and the WAL scan (both record
-# forms) on arbitrary bytes. The WAL target's inputs run to a page-image
-# record of 8 KB, and the default minute spent minimising each new one would
-# be its whole budget: it gets a second.
+# forms) on arbitrary bytes, the pattern parser (what parses re-parses from
+# String() to the same Fingerprint) and the XQuery compiler. The WAL target's
+# inputs run to a page-image record of 8 KB, and the default minute spent
+# minimising each new one would be its whole budget: it gets a second.
 fuzzquick:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime=10s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime=10s ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseXQuery$$' -fuzztime=10s ./internal/xquery/
 
 # Open-loop corpus serving benchmark: Poisson arrivals against a sharded
 # corpus, latency measured from arrival (queueing included), results into

@@ -16,6 +16,9 @@ import (
 type queryTail struct {
 	Plan   string `json:"plan"`
 	Cached bool   `json:"cached_plan"`
+	// Algorithm is the algorithm that produced the plan: the server's
+	// -method default unless the request named one.
+	Algorithm string `json:"algorithm"`
 	// OptimizeNs and ExecuteNs split the latency in nanoseconds.
 	OptimizeNs int64         `json:"optimize_ns"`
 	ExecuteNs  int64         `json:"execute_ns"`
@@ -48,6 +51,7 @@ func writeQueryBody(ctx context.Context, w io.Writer, res *sjos.CorpusQueryResul
 	tail, err := json.Marshal(queryTail{
 		Plan:       res.PlanText,
 		Cached:     res.CachedPlan,
+		Algorithm:  res.Algorithm,
 		OptimizeNs: res.OptimizeTime.Nanoseconds(),
 		ExecuteNs:  res.ExecuteTime.Nanoseconds(),
 		Shards:     res.ShardsQueried,

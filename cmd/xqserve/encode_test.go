@@ -31,6 +31,7 @@ func referenceBody(t *testing.T, c *sjos.Corpus, res *sjos.CorpusQueryResult, ro
 	resp := &queryResponse{Count: res.Count, queryTail: queryTail{
 		Plan:       res.PlanText,
 		Cached:     res.CachedPlan,
+		Algorithm:  res.Algorithm,
 		OptimizeNs: res.OptimizeTime.Nanoseconds(),
 		ExecuteNs:  res.ExecuteTime.Nanoseconds(),
 		Shards:     res.ShardsQueried,

@@ -11,8 +11,9 @@
 //
 //	GET /query?q=//manager//name[&method=FP][&limit=10][&count=1][&trace=1][&novidx=1]
 //	    evaluate a tree pattern on the default (first) collection; JSON
-//	    response with matches, their documents, timings, the plan, and
-//	    (with trace=1) the merged per-operator trace
+//	    response with matches, their documents, timings, the plan, the
+//	    algorithm that produced it, and (with trace=1) the merged
+//	    per-operator trace
 //	GET /collections                     list collections (docs, shards, nodes)
 //	GET /collections/{name}/query        evaluate on a named collection
 //	GET /collections/{name}/metrics      that collection's Prometheus counters
@@ -34,6 +35,14 @@
 //
 // Mutations pass the same admission gate as queries: -maxinflight bounds
 // them and shutdown drains refuse them with 503.
+//
+// A query shape the plan cache has not seen is planned with DPAP-EB by
+// default (-method): near-optimal at a fraction of DPP's search, which on a
+// 12-13-node twig costs several executions of the plan it finds (DESIGN.md
+// §5a has the measurement that chose it, and the background re-planning that
+// was measured against it and not shipped). "algorithm" in the response names
+// the algorithm that produced the plan; -method, or method= on a request,
+// picks another one.
 //
 // A -slowquery threshold logs offending queries (fingerprint, method,
 // duration, per-operator trace) to stderr and retains them for /slow.
@@ -74,7 +83,7 @@ func main() {
 	replicas := flag.Int("replicas", 1, "store replicas per shard (>1 enables health-aware routing and hedged reads)")
 	hedge := flag.String("hedge", "auto", "hedged reads: auto (adaptive p95 delay), off, or a fixed delay like 2ms")
 	fold := flag.Int("fold", 1, "folding factor for generated data sets")
-	method := flag.String("method", "DPP", "default optimizer for /query")
+	method := flag.String("method", "DPAP-EB", "default optimizer for /query, run on every plan-cache miss (DP, DPP, DPAP-EB, DPAP-LD, FP, Greedy); method= on a request overrides it")
 	parallel := flag.Int("parallel", 0, "partition-parallel workers per shard (0 = serial, -1 = GOMAXPROCS)")
 	addr := flag.String("addr", ":8377", "listen address")
 	slowQuery := flag.Duration("slowquery", 0, "slow-query log threshold (0 = disabled)")

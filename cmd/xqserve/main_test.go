@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -128,6 +129,40 @@ func TestServeQuery(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("alice missing from matches: %+v", r.Matches)
+	}
+}
+
+// TestServeQueryAlgorithm: the response names the algorithm that produced
+// the plan — the server's default, or the one the request asked for, which
+// is planned and cached apart from it; the body still starts {"count":N.
+func TestServeQueryAlgorithm(t *testing.T) {
+	c := oneDocCorpus(t, "staff.xml", `<db><manager><name>alice</name><employee><name>bob</name></employee></manager></db>`, sjos.Options{})
+	cols := &collections{}
+	cols.add("default", c)
+	srv := httptest.NewServer(newMux(cols, sjos.MethodDPAPEB))
+	t.Cleanup(srv.Close)
+	url := srv.URL + "/query?q=//manager[name]/employee/name"
+
+	var r queryResponse
+	getJSON(t, url, &r)
+	if r.Count != 1 || r.Cached || r.Algorithm != "DPAP-EB" {
+		t.Fatalf("default method: %+v", r)
+	}
+	getJSON(t, url+"&method=DPP", &r)
+	if r.Count != 1 || r.Cached || r.Algorithm != "DPP" {
+		t.Fatalf("explicit method: %+v", r)
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(body, []byte(`{"count":1,`)) || !bytes.Contains(body, []byte(`"cached_plan":true,"algorithm":"DPAP-EB",`)) {
+		t.Fatalf("body: %s", body)
 	}
 }
 

@@ -68,7 +68,8 @@
 //
 // Patterns use a compact XPath-like twig syntax ("//" = ancestor-descendant,
 // "/" = parent-child, "[...]" = branch or predicate, "#" marks the node the
-// output must be ordered by):
+// output must be ordered by; in a quoted literal \" is a quote and \\ a
+// backslash, and every other byte stands for itself):
 //
 //	//manager[.//employee/name]//department/name
 //	/dblp/article[author = "author-7"][year >= 1990]/title

@@ -334,3 +334,41 @@ func TestChurnBenchSmoke(t *testing.T) {
 		t.Fatalf("render missing fields:\n%s", out)
 	}
 }
+
+// TestPlannerBenchRegret: the regret lane at its smallest budgets. Every
+// method's regret is a ratio against the best plan found (so at least one
+// cell reads exactly 1 and none reads less), the eight plan_cold twigs are
+// among the workloads, and the headline carries every method's maximum.
+func TestPlannerBenchRegret(t *testing.T) {
+	res, err := PlannerBench(PlannerConfig{Quick: true, OptBudget: time.Millisecond, EvalBudget: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planCold := 0
+	for _, r := range res.Rows {
+		if strings.HasPrefix(r.Workload.ID, "plan-cold-") {
+			planCold++
+		}
+		best := false
+		for name, c := range r.Cells {
+			if c.Regret < 1 {
+				t.Errorf("%s %s: regret %v < 1", r.Workload.ID, name, c.Regret)
+			}
+			best = best || c.Regret == 1
+		}
+		if !best {
+			t.Errorf("%s: no method has regret 1", r.Workload.ID)
+		}
+	}
+	if planCold != len(planColdTemplates) {
+		t.Errorf("%d plan_cold workloads, want %d", planCold, len(planColdTemplates))
+	}
+	for _, name := range methodNamesInOrder() {
+		if res.MaxRegret[name] < 1 {
+			t.Errorf("max regret of %s is %v", name, res.MaxRegret[name])
+		}
+	}
+	if !strings.Contains(RenderPlannerBench(res), "headline: max regret DP ") {
+		t.Error("headline missing")
+	}
+}

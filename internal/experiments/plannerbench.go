@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -37,10 +39,30 @@ type PlannerWorkload struct {
 	Table3 bool
 }
 
+// planColdTemplates are the eight 12-13-node twigs of the repository
+// benchmark's plan_cold workload (benchmark/inputs.go; $C is a salary bound)
+// — the shapes xqserve's default method (DPAP-EB) was chosen on, and so the
+// ones its regret must be measured on.
+var planColdTemplates = [...]string{
+	`//personnel//manager[department/name]//manager//manager[department/name]/manager[name]/employee[salary>$C]/name`,
+	`//manager[name]//manager[department/name][employee/name]//manager[employee[salary>$C]/name]/department/name`,
+	`//manager[name][department/name]/manager[name][employee[salary>$C][name]]/manager[name]/employee/name`,
+	`//manager[employee/name][department/name][manager/name][manager/employee[salary>$C]/name]/name`,
+	`//personnel/manager[name]//manager[name][department]//manager[name][employee[salary>$C]]//employee/name`,
+	`//manager[department/name]/manager[department/name]/manager[department/name]/manager[employee[salary>$C]]/name`,
+	`//manager[employee[name][salary>$C]][department/name]/manager[employee[name]][department[name]]/manager/name`,
+	`//manager[name][employee[name][salary>$C]][department[name]]//manager[name][employee[name]]/department`,
+}
+
+// planColdBound is the one salary bound the lane fixes each template at: the
+// middle of the range the benchmark draws its bounds from.
+const planColdBound = "110000"
+
 // plannerWorkloads returns the lane's workload list: Q.Pers.3.d at each
-// fold (the Table-3 configuration), plus a deep-chain and a wide-fanout
-// stress shape on the same vocabulary at fold ×1. The stress shapes stay at
-// 7 nodes so exhaustive DP remains tractable enough to time.
+// fold (the Table-3 configuration), a deep-chain and a wide-fanout stress
+// shape on the same vocabulary at fold ×1 — 7 nodes, so exhaustive DP is
+// quick — and the eight plan_cold twigs, where DP takes tens of
+// milliseconds and the optimize budget allows it a handful of runs.
 func plannerWorkloads(folds []int) ([]PlannerWorkload, error) {
 	q, err := QueryByID(PersQuery3)
 	if err != nil {
@@ -70,6 +92,14 @@ func plannerWorkloads(folds []int) ([]PlannerWorkload, error) {
 			Fold:    1,
 		},
 	)
+	for i, tmpl := range planColdTemplates {
+		ws = append(ws, PlannerWorkload{
+			ID:      fmt.Sprintf("plan-cold-%d@x1", i+1),
+			Dataset: "pers",
+			Source:  strings.ReplaceAll(tmpl, "$C", planColdBound),
+			Fold:    1,
+		})
+	}
 	return ws, nil
 }
 
@@ -87,6 +117,11 @@ type PlannerCell struct {
 	PlansConsidered int
 	// Matches is the plan's result count; all methods must agree.
 	Matches int
+	// Regret is Eval over the smallest Eval any method's plan achieved on
+	// this workload: what the method's plan choice costs at execution time,
+	// 1.0 for the best plan found. Methods that chose the same plan share
+	// one Eval measurement, so they also share their regret exactly.
+	Regret float64
 }
 
 // PlannerRow holds one workload's cells plus the two derived ratios the
@@ -116,6 +151,10 @@ type PlannerResult struct {
 	// latter.
 	MinOptSpeedupVsDP      float64
 	MaxGreedyTotalOverBest float64
+	// MaxRegret is, per method, the largest regret over all workloads: the
+	// most a server that plans every miss with that method gives away at
+	// execution time.
+	MaxRegret map[string]float64
 }
 
 // timeItBudget is timeIt with a wall-clock budget instead of a fixed count:
@@ -141,12 +180,52 @@ func timeItBudget(budget time.Duration, maxN int, f func() error) (time.Duration
 	return best, nil
 }
 
+// evaluated is one plan's execution measurement: best time and match count.
+type evaluated struct {
+	t time.Duration
+	n int
+}
+
+// evalInterleaved times the count-only execution of every plan, best of up
+// to plannerEvalMaxN rounds within budget per plan. A round runs each plan
+// once, in turn: regret is a ratio between plans, and whatever the machine
+// is doing — a busy neighbour, a frequency step — then falls on all of them
+// alike instead of on whichever was measured first. The collector is kept
+// out of the timed region (it runs, untimed, before every execution): a run
+// allocates megabytes, and on a heap as small as the fold ×1 data set's
+// whether the best of a few hundred runs ever escapes a concurrent mark
+// phase differed from process to process, by up to 2× and not equally for
+// every plan.
+func evalInterleaved(db *sjos.Database, pat *sjos.Pattern, plans map[string]*sjos.Plan, budget time.Duration) (map[string]evaluated, error) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	out := make(map[string]evaluated, len(plans))
+	var spent time.Duration
+	for round := 0; round < plannerEvalMaxN && spent < budget*time.Duration(len(plans)); round++ {
+		for text, p := range plans {
+			runtime.GC()
+			t0 := time.Now()
+			r, err := db.Run(context.Background(), pat, p, sjos.RunOptions{CountOnly: true})
+			if err != nil {
+				return nil, err
+			}
+			d := time.Since(t0)
+			spent += d
+			if ev, seen := out[text]; !seen || d < ev.t {
+				out[text] = evaluated{t: d, n: r.Count}
+			}
+		}
+	}
+	return out, nil
+}
+
 // Per-cell repetition caps for the budgeted timers: optimization cells are
-// microseconds (allow many reps inside the budget), execution cells are
-// milliseconds and up.
+// microseconds (allow many reps inside the budget). Execution cells run from
+// half a millisecond (the plan_cold twigs at fold ×1) to hundreds of
+// milliseconds (fold ×100, where the budget ends the rounds long before the
+// cap).
 const (
 	plannerOptMaxN  = 2000
-	plannerEvalMaxN = 25
+	plannerEvalMaxN = 400
 )
 
 // PlannerBench measures plan-search time and resulting plan-execution time
@@ -180,7 +259,7 @@ func PlannerBench(cfg PlannerConfig) (*PlannerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &PlannerResult{Config: cfg}
+	res := &PlannerResult{Config: cfg, MaxRegret: map[string]float64{}}
 	for _, w := range workloads {
 		db, err := Dataset(w.Dataset, w.Fold)
 		if err != nil {
@@ -191,7 +270,11 @@ func PlannerBench(cfg PlannerConfig) (*PlannerResult, error) {
 			return nil, fmt.Errorf("%s: %w", w.ID, err)
 		}
 		row := PlannerRow{Workload: w, Cells: map[string]PlannerCell{}}
-		matches := -1
+		// Search first, execute afterwards: one execution timing per
+		// distinct plan (methods that agree on the plan must not differ by
+		// the noise of two measurements of it), all taken together.
+		planTexts := map[sjos.Method]string{}
+		plans := map[string]*sjos.Plan{}
 		for _, m := range Methods() {
 			var opt *sjos.OptimizeResult
 			optT, err := timeItBudget(optBudget, plannerOptMaxN, func() error {
@@ -202,30 +285,34 @@ func PlannerBench(cfg PlannerConfig) (*PlannerResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s %v: optimize: %w", w.ID, m, err)
 			}
-			var n int
-			evalT, err := timeItBudget(evalBudget, plannerEvalMaxN, func() error {
-				r, e := db.Run(context.Background(), pat, opt.Plan, sjos.RunOptions{CountOnly: true})
-				if e == nil {
-					n = r.Count
-				}
-				return e
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s %v: execute: %w", w.ID, m, err)
+			planTexts[m] = opt.Plan.Format(pat)
+			plans[planTexts[m]] = opt.Plan
+			row.Cells[m.String()] = PlannerCell{Opt: optT, EstCost: opt.Cost, PlansConsidered: opt.Counters.PlansConsidered}
+		}
+		evalOf, err := evalInterleaved(db, pat, plans, evalBudget)
+		if err != nil {
+			return nil, fmt.Errorf("%s: execute: %w", w.ID, err)
+		}
+		matches := evalOf[planTexts[Methods()[0]]].n
+		for _, m := range Methods() {
+			ev := evalOf[planTexts[m]]
+			if ev.n != matches {
+				return nil, fmt.Errorf("%s: %v found %d matches, others %d", w.ID, m, ev.n, matches)
 			}
-			if matches == -1 {
-				matches = n
-			} else if n != matches {
-				return nil, fmt.Errorf("%s: %v found %d matches, others %d", w.ID, m, n, matches)
+			c := row.Cells[m.String()]
+			c.Eval, c.Total, c.Matches = ev.t, c.Opt+ev.t, ev.n
+			row.Cells[m.String()] = c
+		}
+		bestEval := time.Duration(0)
+		for _, ev := range evalOf {
+			if bestEval == 0 || ev.t < bestEval {
+				bestEval = ev.t
 			}
-			row.Cells[m.String()] = PlannerCell{
-				Opt:             optT,
-				Eval:            evalT,
-				Total:           optT + evalT,
-				EstCost:         opt.Cost,
-				PlansConsidered: opt.Counters.PlansConsidered,
-				Matches:         n,
-			}
+		}
+		for name, c := range row.Cells {
+			c.Regret = float64(c.Eval) / float64(bestEval)
+			row.Cells[name] = c
+			res.MaxRegret[name] = max(res.MaxRegret[name], c.Regret)
 		}
 		greedy := row.Cells[sjos.MethodGreedy.String()]
 		dp := row.Cells[sjos.MethodDP.String()]
@@ -261,13 +348,13 @@ func PlannerBench(cfg PlannerConfig) (*PlannerResult, error) {
 func RenderPlannerBench(res *PlannerResult) string {
 	var sb strings.Builder
 	sb.WriteString("Planner bench: plan-search time vs resulting execution time\n")
-	fmt.Fprintf(&sb, "%-18s %-8s %10s %10s %10s %12s %8s\n",
-		"Workload", "Method", "opt", "eval", "total", "est cost", "plans")
+	fmt.Fprintf(&sb, "%-18s %-8s %10s %10s %7s %10s %12s %8s\n",
+		"Workload", "Method", "opt", "eval", "regret", "total", "est cost", "plans")
 	for _, r := range res.Rows {
 		for _, name := range methodNamesInOrder() {
 			c := r.Cells[name]
-			fmt.Fprintf(&sb, "%-18s %-8s %10s %10s %10s %12.0f %8d\n",
-				r.Workload.ID, name, fmtDur(c.Opt), fmtDur(c.Eval), fmtDur(c.Total),
+			fmt.Fprintf(&sb, "%-18s %-8s %10s %10s %7.2f %10s %12.0f %8d\n",
+				r.Workload.ID, name, fmtDur(c.Opt), fmtDur(c.Eval), c.Regret, fmtDur(c.Total),
 				c.EstCost, c.PlansConsidered)
 		}
 		fmt.Fprintf(&sb, "%-18s ratios: Greedy optimizes %.0fx faster than DP; total %.2fx of best cost-based\n",
@@ -275,6 +362,11 @@ func RenderPlannerBench(res *PlannerResult) string {
 	}
 	fmt.Fprintf(&sb, "headline: Greedy opt >= %.0fx faster than DP on Table-3 workloads; total <= %.2fx of best cost-based everywhere\n",
 		res.MinOptSpeedupVsDP, res.MaxGreedyTotalOverBest)
+	sb.WriteString("headline: max regret")
+	for _, name := range methodNamesInOrder() {
+		fmt.Fprintf(&sb, " %s %.2f", name, res.MaxRegret[name])
+	}
+	sb.WriteString("\n")
 	return sb.String()
 }
 

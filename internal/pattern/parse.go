@@ -13,7 +13,8 @@ import (
 //	predicate  := "[" ( path | valuetest ) "]"
 //	valuetest  := ("." | "@" name) op literal
 //	op         := "=" | "!=" | "<" | "<=" | ">" | ">=" | "~"   ("~" = contains)
-//	literal    := '"' chars '"' | bareword
+//	literal    := '"' chars '"' | bareword     (in chars, \" is a quote and \\ a
+//	                                            backslash; see ScanLiteral)
 //	marker     := "#"    (at most one; requests the result be ordered by
 //	                      this node's document position)
 //
@@ -200,13 +201,12 @@ func (p *parser) valueTest(owner int) error {
 }
 
 func (p *parser) literal() (string, error) {
-	if p.eat(`"`) {
-		end := strings.IndexByte(p.in[p.pos:], '"')
-		if end < 0 {
-			return "", fmt.Errorf("unterminated string literal at offset %d", p.pos)
+	if p.peek(`"`) {
+		s, n, ok := ScanLiteral(p.in[p.pos:])
+		if !ok {
+			return "", fmt.Errorf("unterminated string literal at offset %d", p.pos+1)
 		}
-		s := p.in[p.pos : p.pos+end]
-		p.pos += end + 1
+		p.pos += n
 		return s, nil
 	}
 	start := p.pos
@@ -221,6 +221,37 @@ func (p *parser) literal() (string, error) {
 		return "", fmt.Errorf("expected literal at offset %d", p.pos)
 	}
 	return p.in[start:p.pos], nil
+}
+
+// QuoteLiteral renders v as the quoted literal that ScanLiteral reads back as
+// v: the bytes as they are, a backslash put before each quote and backslash.
+func QuoteLiteral(v string) string { return `"` + literalEscaper.Replace(v) + `"` }
+
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
+// ScanLiteral reads the quoted literal at the head of src (src[0] is its
+// opening quote) for both query front ends: it returns the value, the number
+// of bytes the literal spans, and whether its closing quote was found. \" is
+// a quote and \\ a backslash; every other byte — a backslash before anything
+// else included — stands for itself, so "C:\temp" and "a\d" mean what they
+// say.
+func ScanLiteral(src string) (v string, n int, ok bool) {
+	if end := strings.IndexByte(src[1:], '"'); end >= 0 && strings.IndexByte(src[1:1+end], '\\') < 0 {
+		return src[1 : 1+end], end + 2, true
+	}
+	var sb strings.Builder
+	for i := 1; i < len(src); i++ {
+		switch c := src[i]; {
+		case c == '"':
+			return sb.String(), i + 1, true
+		case c == '\\' && i+1 < len(src) && (src[i+1] == '"' || src[i+1] == '\\'):
+			i++
+			sb.WriteByte(src[i])
+		default:
+			sb.WriteByte(c)
+		}
+	}
+	return sb.String(), len(src), false
 }
 
 func (p *parser) peekOp() CmpOp {

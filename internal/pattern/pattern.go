@@ -170,7 +170,7 @@ func (p *Pattern) render(sb *strings.Builder, u int, isRoot bool) {
 		sb.WriteString("#")
 	}
 	if p.Nodes[u].Op != CmpNone {
-		fmt.Fprintf(sb, "[. %s %q]", p.Nodes[u].Op, p.Nodes[u].Value)
+		fmt.Fprintf(sb, "[. %s %s]", p.Nodes[u].Op, QuoteLiteral(p.Nodes[u].Value))
 	}
 	var kids []int
 	for _, c := range p.Children(u) {
@@ -179,7 +179,7 @@ func (p *Pattern) render(sb *strings.Builder, u int, isRoot bool) {
 			sb.WriteString("[")
 			sb.WriteString(p.Nodes[c].Tag)
 			if p.Nodes[c].Op != CmpNone {
-				fmt.Fprintf(sb, " %s %q", p.Nodes[c].Op, p.Nodes[c].Value)
+				fmt.Fprintf(sb, " %s %s", p.Nodes[c].Op, QuoteLiteral(p.Nodes[c].Value))
 			}
 			sb.WriteString("]")
 			continue

@@ -170,6 +170,38 @@ func TestParseBareLiteral(t *testing.T) {
 	}
 }
 
+// TestParseQuotedLiteral pins the quoted form: \" and \\ are the only
+// escapes, any other backslash (and a raw newline) stands for itself, and
+// String writes a form that reads back as the same value.
+func TestParseQuotedLiteral(t *testing.T) {
+	for src, want := range map[string]string{
+		`//a[. = "emp-7"]`:        "emp-7",
+		`//a[. = ""]`:             "",
+		`//a[. = "C:\temp"]`:      `C:\temp`,
+		`//a[. = "a\d"]`:          `a\d`,
+		`//a[. = "x\\y\"z"]`:      `x\y"z`,
+		`//a[. = "tail\\"]`:       `tail\`,
+		"//a[. = \"two\nlines\"]": "two\nlines",
+		`//a[. = x"y]`:            `x"y`,
+	} {
+		p, err := Parse(src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+			continue
+		}
+		if got := p.Nodes[0].Value; got != want {
+			t.Errorf("Parse(%q): value %q, want %q", src, got, want)
+		}
+		p2, err := Parse(p.String())
+		if err != nil || p2.Nodes[0].Value != want {
+			t.Errorf("Parse(%q) renders as %q, which reads back as %v (err %v)", src, p.String(), p2, err)
+		}
+	}
+	if _, err := Parse(`//a[. = "tail\"]`); err == nil {
+		t.Error(`a literal whose closing quote is escaped parsed`)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",

@@ -74,17 +74,11 @@ func lex(src string) []token {
 			toks = append(toks, token{kind: tokComma, text: ",", pos: i})
 			i++
 		case c == '"':
-			j := i + 1
-			for j < len(src) && src[j] != '"' {
-				j++
-			}
-			if j >= len(src) {
-				toks = append(toks, token{kind: tokString, text: src[i+1:], pos: i})
-				i = len(src)
-			} else {
-				toks = append(toks, token{kind: tokString, text: src[i+1 : j], pos: i})
-				i = j + 1
-			}
+			// The pattern syntax's literal, escapes and all; one that is
+			// never closed runs to the end of the query.
+			v, n, _ := pattern.ScanLiteral(src[i:])
+			toks = append(toks, token{kind: tokString, text: v, pos: i})
+			i += n
 		case strings.ContainsRune("=!<>~", rune(c)):
 			j := i + 1
 			if j < len(src) && src[j] == '=' {
@@ -128,7 +122,17 @@ type qparser struct {
 }
 
 func (p *qparser) peek() token { return p.toks[p.i] }
-func (p *qparser) next() token { t := p.toks[p.i]; p.i++; return t }
+
+// next consumes a token; the EOF token that ends every token list stays put,
+// so a query that stops short is read as EOF however often it is asked.
+func (p *qparser) next() token {
+	t := p.toks[p.i]
+	if t.kind != tokEOF {
+		p.i++
+	}
+	return t
+}
+
 func (p *qparser) word(s string) bool {
 	if p.peek().kind == tokWord && p.peek().text == s {
 		p.i++

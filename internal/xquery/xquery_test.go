@@ -86,6 +86,24 @@ func TestCompileStringLiteralAndContains(t *testing.T) {
 	}
 }
 
+// TestCompileLiteralEscapes: a quoted literal means here what it means in a
+// pattern (pattern.ScanLiteral).
+func TestCompileLiteralEscapes(t *testing.T) {
+	c, err := Compile(`for $a in //article where $a/title = "say \"hi\"" and $a/path = "C:\temp\\" return $a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, n := range c.Pattern.Nodes {
+		if n.Op != pattern.CmpNone {
+			got[n.Tag] = n.Value
+		}
+	}
+	if got["title"] != `say "hi"` || got["path"] != `C:\temp\` {
+		t.Fatalf("values: %q", got)
+	}
+}
+
 func TestCompileOrderBy(t *testing.T) {
 	c, err := Compile(`for $m in //manager order by $m return $m/name`)
 	if err != nil {

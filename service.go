@@ -547,6 +547,9 @@ type planned struct {
 	PlanText string
 	// EstCost is the optimizer's estimate for the plan.
 	EstCost float64
+	// Algorithm names the algorithm that produced the plan — for a client of
+	// a server whose default method it cannot see.
+	Algorithm string
 	// CachedPlan reports whether the plan came from the plan cache (or a
 	// coalesced in-flight optimization) instead of a fresh optimizer run.
 	CachedPlan bool
@@ -601,6 +604,7 @@ func (s *service) query(ctx context.Context, pat *Pattern, model CostModel, pe c
 		Plan:            res.Plan,
 		PlanText:        res.Plan.Format(pat),
 		EstCost:         res.Cost,
+		Algorithm:       res.Algorithm,
 		CachedPlan:      cached,
 		OptimizeTime:    optTime,
 		ExecuteTime:     execTime,
