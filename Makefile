@@ -5,8 +5,8 @@
 # cold/warm comparison into BENCH_plancache.json, the batched-vs-tuple
 # executor comparison into BENCH_batch.json and the value-index pushdown
 # comparison into BENCH_content.json. `make benchquick` smoke-runs the key
-# benchmarks at one iteration each — the result-path and /query-encode
-# layer lanes and the write-side lanes (XML parse, document image encode and
+# benchmarks at one iteration each — the result-path, /query-encode and
+# plan_cold-execution layer lanes and the write-side lanes (XML parse, document image encode and
 # decode, segment staging, store version assembly, value probes at 2 and 256
 # segments, the four-write corpus cycle and a four-shard recovery on disk
 # WALs) included — plus the allocation regression
@@ -92,6 +92,7 @@ bench: test-race
 	$(GO) test -run '^$$' -bench 'PlanCache' -benchmem -json . | tee BENCH_plancache.json
 	$(GO) test -run '^$$' -bench 'BatchExecute$$' -benchmem -json . | tee BENCH_batch.json
 	$(GO) test -run '^$$' -bench 'ContentIndex' -benchmem -json . | tee BENCH_content.json
+	$(GO) test -run '^$$' -bench 'ExecPlanColdTwig' -benchmem .
 	$(GO) run ./cmd/xqbench -plannerbench
 	$(GO) run ./cmd/xqbench -loadbench
 	$(GO) run ./cmd/xqbench -churnbench
@@ -109,11 +110,11 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'StageSegment|StoreVersion|ForestProbe' -benchtime=1x ./internal/storage/
-	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs' -v .
+	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs|TestExecScratchAllocs' -v .
 
 # Every fuzz target for ten seconds each (go test takes one -fuzz target and
 # one package a run): the XML parser against its encoding/xml oracle, the

@@ -514,6 +514,110 @@ func BenchmarkBatchExecuteMaterialize(b *testing.B) {
 	}
 }
 
+// planColdCorpus is the repository benchmark's corpus shape: eight pers
+// documents on four shards.
+func planColdCorpus(tb testing.TB) *sjos.Corpus {
+	tb.Helper()
+	cb := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Shards: 4})
+	for i := 0; i < 8; i++ {
+		if err := cb.AddDataset(fmt.Sprintf("pers-%03d", i), "pers", 1, 1, int64(1+i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	c, err := cb.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// planColdRun executes one plan_cold twig's DPAP-EB plan (what xqserve runs
+// on a plan-cache miss) once, count-only, over the benchmark-shaped corpus.
+type planColdRun struct {
+	id  string
+	run func(testing.TB)
+}
+
+// planColdRuns plans the eight 12-13-node twigs once and verifies each
+// execution's count against the first.
+func planColdRuns(tb testing.TB) []planColdRun {
+	tb.Helper()
+	c := planColdCorpus(tb)
+	ctx := context.Background()
+	var runs []planColdRun
+	for _, q := range experiments.PlanColdQueries() {
+		pat, err := sjos.ParsePattern(q.Source)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		opt, err := c.OptimizeContext(ctx, pat, sjos.MethodDPAPEB, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		want := -1
+		run := func(tb testing.TB) {
+			r, err := c.Run(ctx, pat, opt.Plan, sjos.RunOptions{CountOnly: true})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if want < 0 {
+				want = r.Count
+			}
+			if r.Count != want {
+				tb.Fatalf("%s counted %d, want %d", q.ID, r.Count, want)
+			}
+		}
+		run(tb) // pages resident, scratch at working size
+		runs = append(runs, planColdRun{q.ID, run})
+	}
+	return runs
+}
+
+// BenchmarkExecPlanColdTwig is the executor layer lane under plan_cold: one
+// op is one count-only scatter of a twig's plan, the plan built once outside
+// the timer. B/op and allocs/op are what the execution leaves for the
+// collector.
+func BenchmarkExecPlanColdTwig(b *testing.B) {
+	for _, r := range planColdRuns(b) {
+		b.Run(r.id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.run(b)
+			}
+		})
+	}
+}
+
+// Budgets for one steady-state batched execution of a plan_cold twig. Before
+// executions ran on a pooled scratch one cost 3.3-3.8 MB in 1 800-2 400
+// objects (reader batches and a 64 KB arena chunk per join and shard);
+// measured now: ~45 KB in ~330.
+const (
+	execScratchBytesBudget   = 600 << 10
+	execScratchObjectsBudget = 1200
+)
+
+// TestExecScratchAllocs is the regression guard for the pooled scratch: what
+// a repeated execution allocates is per-operator headers and buffer-pool
+// bookkeeping, not its working memory.
+func TestExecScratchAllocs(t *testing.T) {
+	if testing.Short() || raceBuild {
+		t.Skip("allocation counting is noisy under -short harnesses, and the race detector's sync.Pool forgets")
+	}
+	for _, r := range planColdRuns(t) {
+		const n = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects := testing.AllocsPerRun(n, func() { r.run(t) })
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (n + 1) // AllocsPerRun warms up with one more
+		if bytes > execScratchBytesBudget || objects > execScratchObjectsBudget {
+			t.Errorf("%s: %d B and %.0f objects per execution, budgets %d B and %d", r.id, bytes, objects, execScratchBytesBudget, execScratchObjectsBudget)
+		}
+		t.Logf("%s: %d B, %.0f objects per execution", r.id, bytes, objects)
+	}
+}
+
 // BenchmarkContentIndex measures value-index predicate pushdown against
 // the scan+filter escape hatch on selective-predicate queries over the
 // DBLP data set (the -contentbench workload). Each lane executes its own

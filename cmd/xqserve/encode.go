@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 
 	"sjos"
 )
@@ -26,13 +28,88 @@ type queryTail struct {
 	Trace      *sjos.OpTrace `json:"trace,omitempty"`
 }
 
-// encodeFlushAt is how many buffered bytes trigger a write to the client;
-// pooled buffers keep some slack past it so a row rarely forces growth.
-const encodeFlushAt = 32 << 10
+// encodeFlushAt is the write quantum: how many buffered bytes trigger a
+// write to the client. Each write is a chunk header, a copy into the kernel
+// and a wake-up of the reader, so at 32 KB the 15 MB body of a bulk query
+// spent an eighth of the server's CPU in write(2). Sized on bulk_results
+// (qps at 32 / 64 / 128 / 256 KB / 1 MB: 65 / 70 / 80 / 70 / 80, the last for
+// 8 MB more peak RSS): 128 KB is where the curve tops out (DESIGN.md §5i).
+// Pooled buffers keep some slack past it so a row rarely forces growth.
+const encodeFlushAt = 128 << 10
+
+// memoMinCells is the direct-render threshold: a segment with fewer cells
+// than this (a limit=3 point query) is rendered cell by cell, touching no
+// memo table — there is nothing to reuse and a fresh buffer would have to
+// grow the table to the document's size first.
+const memoMinCells = 64
+
+// memoMaxBytes bounds what a pooled encodeBuf may keep of its memo; past it
+// the table and the literals are dropped, so one huge document does not pin
+// its size in the pool.
+const memoMaxBytes = 4 << 20
 
 var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
 
-type encodeBuf struct{ out, cell []byte }
+// encodeBuf is the pooled state of one render: the output buffer, a cell
+// scratch buffer, and the memo of finished cells for the segment being
+// rendered.
+//
+// A bulk result repeats its nodes — Q.Pers.4.d's 134 k rows × 6 cells name
+// at most 40 k distinct nodes, ~20 renders a node — so a cell is labelled,
+// formatted and JSON-escaped once per distinct node per segment and copied
+// from lits afterwards. slots is indexed by the segment's document-local
+// NodeID (dense from 0, grown on demand) and stamped with the epoch of the
+// segment that filled it, so moving to the next segment clears nothing. The
+// memo never outlives a segment: two documents reuse node numbers with
+// different labels, and a segment pins its own snapshot.
+type encodeBuf struct {
+	out, cell []byte
+
+	epoch uint32
+	slots []memoSlot
+	lits  []byte // the current segment's finished cells, JSON-escaped and quoted
+}
+
+// memoSlot locates one node's literal in lits; it is valid when epoch is the
+// buffer's current one (0 is never current).
+type memoSlot struct {
+	off   int
+	n     uint32
+	epoch uint32
+}
+
+// nextSegment invalidates every memoized cell.
+func (eb *encodeBuf) nextSegment() {
+	eb.lits = eb.lits[:0]
+	if eb.epoch++; eb.epoch == 0 {
+		clear(eb.slots)
+		eb.epoch = 1
+	}
+}
+
+// literal returns node id's cell as a JSON string literal, rendering it on
+// the segment's first use of the node.
+func (eb *encodeBuf) literal(seg *sjos.DocSegment, id sjos.NodeID) []byte {
+	if int(id) >= len(eb.slots) {
+		eb.slots = slices.Grow(eb.slots, int(id)+1-len(eb.slots))
+		eb.slots = eb.slots[:cap(eb.slots)]
+	}
+	s := &eb.slots[id]
+	if s.epoch != eb.epoch {
+		off := len(eb.lits)
+		eb.lits = appendCellJSON(eb.lits, &eb.cell, seg, id)
+		*s = memoSlot{off: off, n: uint32(len(eb.lits) - off), epoch: eb.epoch}
+	}
+	return eb.lits[s.off : s.off+int(s.n)]
+}
+
+// appendCellJSON appends node id's cell — tag="value" or tag#id, labelled
+// through the segment, i.e. against the document version the query ran on —
+// to dst as a JSON string literal; cell is scratch space.
+func appendCellJSON(dst []byte, cell *[]byte, seg *sjos.DocSegment, id sjos.NodeID) []byte {
+	*cell = sjos.AppendCell((*cell)[:0], seg.TagName(id), seg.Value(id), id)
+	return appendJSONString(dst, *cell)
+}
 
 // writeQueryBody streams the /query JSON payload to w:
 //
@@ -42,11 +119,11 @@ type encodeBuf struct{ out, cell []byte }
 // pattern node, and "docs" gives each match's document ID, index-parallel
 // with it; both are omitted when rows is false or there are none. The bytes
 // are exactly what encoding/json produces for the same payload, but rows go
-// from the result's segments into a pooled buffer that is flushed every
+// from the result's segments into a pooled buffer that is written out every
 // encodeFlushAt bytes — no per-cell strings, no reflection, never the whole
-// body in memory. Cells are labelled through the segment, i.e. against the
-// document version the query ran on. ctx is polled between segments so a
-// disconnected client stops the render.
+// body in memory — and a node that recurs in a segment is rendered once
+// (encodeBuf). ctx is polled between segments and after every write, so a
+// disconnected client stops the render within one quantum.
 func writeQueryBody(ctx context.Context, w io.Writer, res *sjos.CorpusQueryResult, rows bool) error {
 	tail, err := json.Marshal(queryTail{
 		Plan:       res.PlanText,
@@ -61,19 +138,20 @@ func writeQueryBody(ctx context.Context, w io.Writer, res *sjos.CorpusQueryResul
 		return err
 	}
 	eb := encodeBufs.Get().(*encodeBuf)
-	out, cell := eb.out[:0], eb.cell
+	out := eb.out[:0]
 	defer func() {
-		eb.out, eb.cell = out, cell
+		eb.out = out
+		if cap(eb.slots)*int(unsafe.Sizeof(memoSlot{}))+cap(eb.lits) > memoMaxBytes {
+			eb.slots, eb.lits = nil, nil
+		}
 		encodeBufs.Put(eb)
 	}()
-	// flush hands the buffer to w once it is full enough.
-	flush := func() error {
-		if len(out) < encodeFlushAt {
-			return nil
+	// flush hands a full buffer to w and looks whether anyone still listens.
+	flush := func(out []byte) ([]byte, error) {
+		if _, err := w.Write(out); err != nil {
+			return out[:0], err
 		}
-		_, err := w.Write(out)
-		out = out[:0]
-		return err
+		return out[:0], ctx.Err()
 	}
 
 	out = strconv.AppendInt(append(out, `{"count":`...), int64(res.Count), 10)
@@ -85,16 +163,27 @@ func writeQueryBody(ctx context.Context, w io.Writer, res *sjos.CorpusQueryResul
 				return err
 			}
 			seg := &res.Segments[si]
-			for i, n := 0, seg.Len(); i < n; i++ {
+			n := seg.Len()
+			memo := n > 0 && n*len(seg.Row(0)) >= memoMinCells
+			if memo {
+				eb.nextSegment()
+			}
+			for i := 0; i < n; i++ {
 				out, sep = append(out, sep), ','
 				lead := byte('[')
 				for _, id := range seg.Row(i) {
-					cell = sjos.AppendCell(cell[:0], seg.TagName(id), seg.Value(id), id)
-					out, lead = appendJSONString(append(out, lead), cell), ','
+					out, lead = append(out, lead), ','
+					if memo {
+						out = append(out, eb.literal(seg, id)...)
+					} else {
+						out = appendCellJSON(out, &eb.cell, seg, id)
+					}
 				}
 				out = append(out, ']')
-				if err := flush(); err != nil {
-					return err
+				if len(out) >= encodeFlushAt {
+					if out, err = flush(out); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -105,11 +194,14 @@ func writeQueryBody(ctx context.Context, w io.Writer, res *sjos.CorpusQueryResul
 				return err
 			}
 			seg := &res.Segments[si]
-			cell = appendJSONString(cell[:0], []byte(seg.DocID))
+			// One document's matches are one ID n times over, escaped once.
+			eb.cell = appendJSONString(eb.cell[:0], []byte(seg.DocID))
 			for i, n := 0, seg.Len(); i < n; i++ {
-				out, sep = append(append(out, sep), cell...), ','
-				if err := flush(); err != nil {
-					return err
+				out, sep = append(append(out, sep), eb.cell...), ','
+				if len(out) >= encodeFlushAt {
+					if out, err = flush(out); err != nil {
+						return err
+					}
 				}
 			}
 		}

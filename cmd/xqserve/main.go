@@ -44,6 +44,13 @@
 // the algorithm that produced the plan; -method, or method= on a request,
 // picks another one.
 //
+// A /query body is streamed: each matched node is rendered once per document
+// and rows are assembled from the finished cells into a pooled buffer that
+// goes to the client 128 KB at a time, byte-identical to an encoding/json
+// rendering (encode.go; DESIGN.md §5i). /metrics adds what those responses
+// cost to the corpus's own counters: sjos_query_rows_total and
+// sjos_query_response_bytes_total.
+//
 // A -slowquery threshold logs offending queries (fingerprint, method,
 // duration, per-operator trace) to stderr and retains them for /slow.
 //
@@ -60,6 +67,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -67,6 +75,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -112,8 +121,7 @@ func main() {
 	for _, name := range cols.names {
 		c := cols.byName[name]
 		if *parallel != 0 {
-			c = c.WithParallelism(*parallel)
-			cols.byName[name] = c
+			c.Corpus = c.WithParallelism(*parallel)
 		}
 		if *slowQuery > 0 {
 			name := name
@@ -157,18 +165,40 @@ func main() {
 // order; the first is the default one behind the legacy top-level routes.
 type collections struct {
 	names  []string
-	byName map[string]*sjos.Corpus
+	byName map[string]*collection
+}
+
+// collection is one served corpus and what its /query responses have cost.
+type collection struct {
+	*sjos.Corpus
+	// rows counts the result rows of responses written whole, respBytes
+	// every body byte handed to a client, as writeQueryBody flushes it: with
+	// sjos_query_seconds they give render time and bytes per row from
+	// outside, the way the repository benchmark's traced run derives them.
+	rows, respBytes atomic.Uint64
 }
 
 func (c *collections) add(name string, corpus *sjos.Corpus) {
 	if c.byName == nil {
-		c.byName = make(map[string]*sjos.Corpus)
+		c.byName = make(map[string]*collection)
 	}
 	c.names = append(c.names, name)
-	c.byName[name] = corpus
+	c.byName[name] = &collection{Corpus: corpus}
 }
 
-func (c *collections) def() *sjos.Corpus { return c.byName[c.names[0]] }
+func (c *collections) def() *collection { return c.byName[c.names[0]] }
+
+// meteredWriter adds every byte written through it to n.
+type meteredWriter struct {
+	w io.Writer
+	n *atomic.Uint64
+}
+
+func (m meteredWriter) Write(p []byte) (int, error) {
+	n, err := m.w.Write(p)
+	m.n.Add(uint64(n))
+	return n, err
+}
 
 // replication carries the -replicas / -hedge flag settings into corpus
 // construction.
@@ -382,7 +412,7 @@ func newMux(cols *collections, defaultMethod sjos.Method) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(out)
 	})
-	named := func(pick func(*http.Request) (*sjos.Corpus, bool), h func(http.ResponseWriter, *http.Request, *sjos.Corpus)) http.HandlerFunc {
+	named := func(pick func(*http.Request) (*collection, bool), h func(http.ResponseWriter, *http.Request, *collection)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			c, ok := pick(r)
 			if !ok {
@@ -392,23 +422,25 @@ func newMux(cols *collections, defaultMethod sjos.Method) *http.ServeMux {
 			h(w, r, c)
 		}
 	}
-	defC := func(*http.Request) (*sjos.Corpus, bool) { return cols.def(), true }
-	byPath := func(r *http.Request) (*sjos.Corpus, bool) {
+	defC := func(*http.Request) (*collection, bool) { return cols.def(), true }
+	byPath := func(r *http.Request) (*collection, bool) {
 		c, ok := cols.byName[r.PathValue("name")]
 		return c, ok
 	}
-	metrics := func(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
+	metrics := func(w http.ResponseWriter, r *http.Request, c *collection) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		c.WriteMetrics(w)
+		fmt.Fprintf(w, "# HELP sjos_query_rows_total Result rows of /query responses written whole.\n# TYPE sjos_query_rows_total counter\nsjos_query_rows_total %d\n", c.rows.Load())
+		fmt.Fprintf(w, "# HELP sjos_query_response_bytes_total Body bytes of /query responses handed to clients.\n# TYPE sjos_query_response_bytes_total counter\nsjos_query_response_bytes_total %d\n", c.respBytes.Load())
 	}
-	slow := func(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
+	slow := func(w http.ResponseWriter, r *http.Request, c *collection) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(c.SlowQueries())
 	}
-	query := func(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
+	query := func(w http.ResponseWriter, r *http.Request, c *collection) {
 		serveQuery(w, r, c, defaultMethod)
 	}
-	ingest := func(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
+	ingest := func(w http.ResponseWriter, r *http.Request, c *collection) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(c.IngestStats())
 	}
@@ -442,7 +474,7 @@ const maxDocBytes = 32 << 20
 
 // servePut upserts the XML document in the request body: Insert when the ID
 // is new, Replace when it already exists.
-func servePut(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
+func servePut(w http.ResponseWriter, r *http.Request, c *collection) {
 	id := r.PathValue("id")
 	body := http.MaxBytesReader(w, r.Body, maxDocBytes)
 	op := "insert"
@@ -461,7 +493,7 @@ func servePut(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
 	json.NewEncoder(w).Encode(writeResponse{Doc: id, Op: op, Docs: c.NumDocs()})
 }
 
-func serveDelete(w http.ResponseWriter, r *http.Request, c *sjos.Corpus) {
+func serveDelete(w http.ResponseWriter, r *http.Request, c *collection) {
 	id := r.PathValue("id")
 	if _, exists := c.ShardOf(id); !exists && c.IngestEnabled() {
 		http.Error(w, "no such document", http.StatusNotFound)
@@ -496,7 +528,7 @@ func writeMutationError(w http.ResponseWriter, err error) {
 	}
 }
 
-func serveQuery(w http.ResponseWriter, r *http.Request, c *sjos.Corpus, defaultMethod sjos.Method) {
+func serveQuery(w http.ResponseWriter, r *http.Request, c *collection, defaultMethod sjos.Method) {
 	src := r.URL.Query().Get("q")
 	if src == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
@@ -527,8 +559,13 @@ func serveQuery(w http.ResponseWriter, r *http.Request, c *sjos.Corpus, defaultM
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := writeQueryBody(r.Context(), w, res, !boolParam(r, "count")); err != nil && r.Context().Err() == nil {
-		log.Printf("xqserve: writing /query response: %v", err)
+	rows := !boolParam(r, "count")
+	if err := writeQueryBody(r.Context(), meteredWriter{w, &c.respBytes}, res, rows); err != nil {
+		if r.Context().Err() == nil {
+			log.Printf("xqserve: writing /query response: %v", err)
+		}
+	} else if rows {
+		c.rows.Add(uint64(res.Count))
 	}
 }
 

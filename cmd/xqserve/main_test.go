@@ -295,8 +295,22 @@ func TestServeCollections(t *testing.T) {
 
 func TestServeMetrics(t *testing.T) {
 	_, srv := newServer(t)
+	// One response with rows and one without: both count their bytes, only
+	// the first its rows.
+	sent := 0
 	var r queryResponse
-	getJSON(t, srv.URL+"/query?q=//manager/name", &r)
+	for _, q := range []string{"/query?q=//manager/name", "/query?q=//manager/name&count=1"} {
+		resp, err := http.Get(srv.URL + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || json.Unmarshal(body, &r) != nil {
+			t.Fatalf("GET %s: %v: %s", q, err, body)
+		}
+		sent += len(body)
+	}
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +324,11 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(body)
-	for _, want := range []string{"sjos_queries_total 1", "sjos_plancache_misses_total 1", "sjos_pool_resident_pages"} {
+	for _, want := range []string{
+		"sjos_queries_total 2", "sjos_plancache_misses_total 1", "sjos_pool_resident_pages",
+		fmt.Sprintf("sjos_query_rows_total %d\n", r.Count),
+		fmt.Sprintf("sjos_query_response_bytes_total %d\n", sent),
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q\n%s", want, out)
 		}

@@ -149,11 +149,11 @@ func trySeek(op any, pos xmltree.Pos) (int, bool, error) {
 	}
 }
 
-// batchReader pulls one operator's output through a private batch, serving
-// rows with plain slice indexing instead of a virtual call per tuple. The
-// row returned by next is valid until the reader refills, which happens
-// only on the next-after-last row — so the consumer may hold the current
-// row across arbitrarily many of its own emissions.
+// batchReader pulls one operator's output through a batch borrowed from the
+// execution's scratch, serving rows with plain slice indexing instead of a
+// virtual call per tuple. The row returned by next is valid until the reader
+// refills, which happens only on the next-after-last row — so the consumer
+// may hold the current row across arbitrarily many of its own emissions.
 type batchReader struct {
 	bop   BatchOperator
 	batch *Batch
@@ -161,8 +161,9 @@ type batchReader struct {
 	eof   bool
 }
 
-func newBatchReader(op Operator) *batchReader {
-	return &batchReader{bop: AsBatchOperator(op), batch: NewBatch(op.Schema().Width())}
+// init binds the reader to op.
+func (r *batchReader) init(sc *scratch, op Operator) {
+	*r = batchReader{bop: AsBatchOperator(op), batch: sc.batch(op.Schema().Width())}
 }
 
 // next returns the next row of the stream.
@@ -228,42 +229,4 @@ func (r *batchReader) seekGE(pos xmltree.Pos, doc *xmltree.Document, col int) (T
 			return nil, false, nil
 		}
 	}
-}
-
-// nodeArena allocates tuple storage in large chunks, replacing one make per
-// retained tuple with one per ~16K node IDs. Allocations live until the
-// arena itself is garbage, so it suits the join's stack copies and buffered
-// pairs, whose lifetime is the operator's.
-type nodeArena struct {
-	chunk []xmltree.NodeID
-}
-
-const arenaChunk = 16 * 1024
-
-func (a *nodeArena) alloc(n int) []xmltree.NodeID {
-	if len(a.chunk)+n > cap(a.chunk) {
-		sz := arenaChunk
-		if n > sz {
-			sz = n
-		}
-		a.chunk = make([]xmltree.NodeID, 0, sz)
-	}
-	off := len(a.chunk)
-	a.chunk = a.chunk[:off+n]
-	return a.chunk[off : off+n : off+n]
-}
-
-// copyTuple clones t into the arena.
-func (a *nodeArena) copyTuple(t Tuple) Tuple {
-	s := a.alloc(len(t))
-	copy(s, t)
-	return Tuple(s)
-}
-
-// joined builds the concatenation of l and r in the arena.
-func (a *nodeArena) joined(l, r Tuple) Tuple {
-	s := a.alloc(len(l) + len(r))
-	n := copy(s, l)
-	copy(s[n:], r)
-	return Tuple(s)
 }

@@ -240,23 +240,20 @@ func TestJoinSkipAheadEndToEnd(t *testing.T) {
 }
 
 // TestAncReadyQueueReleasesSlots is the regression test for the ready-queue
-// retention fix: consuming the queue must drop each served tuple from its
-// node and recycle the node, instead of pinning every served tuple until the
-// operator dies.
+// retention fix: consuming the queue must recycle each served node, instead
+// of growing the pair slab by every pair the join ever buffered.
 func TestAncReadyQueueReleasesSlots(t *testing.T) {
-	j := &StackTreeJoin{}
+	sc := new(scratch)
+	j := &StackTreeJoin{sc: sc, joinState: sc.join(), schema: NewSchema(0)}
 	tuples := []Tuple{{1}, {2}, {3}}
 	for _, tp := range tuples {
-		j.addPair(&j.ready, tp)
+		j.addPair(&j.ready, sc.keep(tp))
 	}
 	for i, want := range tuples {
 		served := j.ready.head
 		got := j.popReady()
 		if got[0] != want[0] {
 			t.Fatalf("popReady #%d = %v, want %v", i, got, want)
-		}
-		if j.pairs[served].t != nil {
-			t.Fatalf("served node %d still pins its tuple", served)
 		}
 		if j.freePairs != served {
 			t.Fatalf("served node %d not recycled (free list head %d)", served, j.freePairs)
@@ -267,7 +264,7 @@ func TestAncReadyQueueReleasesSlots(t *testing.T) {
 	}
 	// The drained queue must be reusable without growing the slab.
 	slab := len(j.pairs)
-	j.addPair(&j.ready, Tuple{4})
+	j.addPair(&j.ready, sc.keep(Tuple{4}))
 	if got := j.popReady(); got[0] != 4 || len(j.pairs) != slab {
 		t.Fatalf("reused queue served %v over a slab of %d (was %d)", got, len(j.pairs), slab)
 	}
@@ -350,7 +347,8 @@ func TestBatchReaderSeekWithinBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r := newBatchReader(s)
+	var r batchReader
+	r.init(ctx.sc(), s)
 	first, ok, err := r.next()
 	if err != nil || !ok {
 		t.Fatalf("empty name scan: ok=%v err=%v", ok, err)

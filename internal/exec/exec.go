@@ -111,6 +111,11 @@ type Context struct {
 	// The parallel driver points it at the worker context's Err so
 	// cancelled queries stop scanning promptly.
 	Interrupt func() error
+
+	// scratch is the execution's working memory (see scratch): attached by
+	// pullBatches for the span of one batched execution, made privately on
+	// first use otherwise.
+	scratch *scratch
 }
 
 // Operator is the Volcano iterator contract. Usage: Open, repeated Next

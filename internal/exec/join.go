@@ -32,19 +32,18 @@ type StackTreeJoin struct {
 	left    Operator
 	right   Operator
 	lCol    int // ancestor column in left schema
+	lw      int // left schema width
 	rCol    int // descendant column in right schema
 	schema  *Schema
 	ctx     *Context
 	doc     *xmltree.Document
 	started bool
 
-	// Streaming state. Stack entries are values in one reusable slice, so a
-	// push allocates nothing once the stack has reached its working depth.
+	// Streaming state.
 	lTuple Tuple
 	lOK    bool
 	rTuple Tuple
 	rOK    bool
-	stack  []stackEntry
 
 	// Desc emission state: the current right tuple still has to be paired
 	// with stack[emitIdx:emitEnd] (bottom..top). The stack does not change
@@ -52,21 +51,35 @@ type StackTreeJoin struct {
 	emitIdx, emitEnd int
 	emitR            Tuple
 
-	// Anc buffering state: output pairs wait in linked lists threaded
-	// through one node slab (pairs; index 0 is the nil sentinel, freePairs
-	// heads the recycled nodes), so appending a pair, handing a popped
-	// entry's lists to its parent and queueing them as ready output are all
-	// O(1) and allocation-free in steady state. ready is consumed from its
-	// head; a served node drops its tuple and returns to the free list.
-	pairs     []pairNode
+	// Anc buffering state: freePairs heads the recycled nodes of the pairs
+	// slab; ready is the finished output, consumed from its head.
 	freePairs int32
 	ready     pairList
 
-	// Batched-mode state: block readers over the inputs, an arena for
-	// tuples that outlive their input batch (stack copies, Anc buffered
-	// pairs), and a reusable copy of the right tuple under emission.
-	lr, rr   *batchReader
-	arena    nodeArena
+	// sc is the execution's scratch: the slab every retained tuple (stack
+	// copies, Anc buffered pairs) lives in, addressed by handle, and the
+	// lender of the join's growable state.
+	sc *scratch
+	*joinState
+}
+
+// joinState is the part of a join that grows with its input, borrowed from
+// the scratch so a repeated execution finds it already at working size.
+type joinState struct {
+	// Stack entries are values in one reusable slice, so a push allocates
+	// nothing once the stack has reached its working depth.
+	stack []stackEntry
+
+	// Anc output pairs wait in linked lists threaded through one node slab
+	// (index 0 is the nil sentinel), so appending a pair, handing a popped
+	// entry's lists to its parent and queueing them as ready output are all
+	// O(1) and allocation-free in steady state; a served node returns to the
+	// free list.
+	pairs []pairNode
+
+	// Batched-mode state: block readers over the inputs and a copy of the
+	// right tuple under emission (the reader may refill under it).
+	lr, rr   batchReader
 	emitRBuf Tuple
 }
 
@@ -74,7 +87,7 @@ type stackEntry struct {
 	t          xmltree.NodeID // the ancestor node (cached from the tuple)
 	end        xmltree.Pos
 	level      uint16
-	tuple      Tuple
+	h          int32    // the left tuple, in the scratch slab
 	selfList   pairList // Anc only
 	inheritLst pairList // Anc only
 }
@@ -83,13 +96,11 @@ type stackEntry struct {
 // join's pairs slab, 0 meaning empty.
 type pairList struct{ head, tail int32 }
 
-type pairNode struct {
-	t    Tuple
-	next int32
-}
+// pairNode is one buffered output tuple (its slab handle) and its successor.
+type pairNode struct{ h, next int32 }
 
-// addPair appends t to l.
-func (j *StackTreeJoin) addPair(l *pairList, t Tuple) {
+// addPair appends the output tuple at handle h to l.
+func (j *StackTreeJoin) addPair(l *pairList, h int32) {
 	n := j.freePairs
 	if n != 0 {
 		j.freePairs = j.pairs[n].next
@@ -100,7 +111,7 @@ func (j *StackTreeJoin) addPair(l *pairList, t Tuple) {
 		j.pairs = append(j.pairs, pairNode{})
 		n = int32(len(j.pairs) - 1)
 	}
-	j.pairs[n] = pairNode{t: t}
+	j.pairs[n] = pairNode{h: h}
 	j.concat(l, pairList{head: n, tail: n})
 }
 
@@ -134,6 +145,7 @@ func NewStackTreeJoin(left, right Operator, anc, desc int, ax pattern.Axis, algo
 		left:   left,
 		right:  right,
 		lCol:   lCol,
+		lw:     left.Schema().Width(),
 		rCol:   rCol,
 		schema: left.Schema().Concat(right.Schema()),
 	}, nil
@@ -146,6 +158,8 @@ func (j *StackTreeJoin) Schema() *Schema { return j.schema }
 func (j *StackTreeJoin) Open(ctx *Context) error {
 	j.ctx = ctx
 	j.doc = ctx.Doc
+	j.sc = ctx.sc()
+	j.joinState = j.sc.join()
 	if err := j.left.Open(ctx); err != nil {
 		return err
 	}
@@ -190,8 +204,8 @@ func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	b.Reset()
 	if !j.started {
 		j.started = true
-		j.lr = newBatchReader(j.left)
-		j.rr = newBatchReader(j.right)
+		j.lr.init(j.sc, j.left)
+		j.rr.init(j.sc, j.right)
 		var err error
 		if j.lTuple, j.lOK, err = j.lr.next(); err != nil {
 			return err
@@ -206,15 +220,28 @@ func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	return j.nextBatchAnc(b)
 }
 
+// leftOf returns the left tuple a stack entry was pushed with.
+func (j *StackTreeJoin) leftOf(e *stackEntry) Tuple {
+	return j.sc.tuple(e.h, j.lw)
+}
+
 // joined builds the output tuple for (entry, right): one exact-size
 // allocation and two copies — this runs once per output tuple, so it is the
 // hottest allocation site in the tuple-at-a-time executor (the batched path
-// appends pairs into the output batch or an arena instead).
+// appends pairs into the output batch instead).
 func (j *StackTreeJoin) joined(e *stackEntry, r Tuple) Tuple {
-	out := make(Tuple, len(e.tuple)+len(r))
-	n := copy(out, e.tuple)
-	copy(out[n:], r)
+	l := j.leftOf(e)
+	out := make(Tuple, len(l)+len(r))
+	copy(out[copy(out, l):], r)
 	return out
+}
+
+// bufferPair is the Anc variant's output step: (entry, right) is built in the
+// slab — buffered pairs outlive the right input's current row — and appended
+// to the entry's self list.
+func (j *StackTreeJoin) bufferPair(e *stackEntry, r Tuple) {
+	j.addPair(&e.selfList, j.sc.keepPair(j.leftOf(e), r))
+	j.ctx.Stats.BufferedPairs++
 }
 
 // matches reports whether a stack entry satisfies the edge's axis with the
@@ -223,36 +250,33 @@ func (j *StackTreeJoin) matches(e *stackEntry, dLevel uint16) bool {
 	return j.axis == pattern.Descendant || e.level+1 == dLevel
 }
 
-// push moves the current left tuple onto the stack (after expiring dead
-// entries) and advances the left input.
-func (j *StackTreeJoin) push(expireBefore xmltree.Pos) error {
+// pushLeft moves the current left tuple onto the stack, after expiring dead
+// entries. The entry keeps a slab copy: on the batched path the tuple aliases
+// the left reader's reusable batch.
+func (j *StackTreeJoin) pushLeft(expireBefore xmltree.Pos) {
 	j.expire(expireBefore)
 	a := j.lTuple[j.lCol]
 	j.stack = append(j.stack, stackEntry{
 		t:     a,
 		end:   j.doc.End(a),
 		level: j.doc.Level(a),
-		tuple: j.lTuple,
+		h:     j.sc.keep(j.lTuple),
 	})
 	j.ctx.Stats.StackOps++
+}
+
+// push is pushLeft followed by advancing the left input a tuple.
+func (j *StackTreeJoin) push(expireBefore xmltree.Pos) error {
+	j.pushLeft(expireBefore)
 	var err error
 	j.lTuple, j.lOK, err = j.left.Next()
 	return err
 }
 
-// pushBatch is push for the batched drivers: the left tuple aliases the left
-// reader's reusable batch, so the stack entry gets an arena copy, and the
-// input advances through the reader.
+// pushBatch is push for the batched drivers: the input advances through the
+// reader.
 func (j *StackTreeJoin) pushBatch(expireBefore xmltree.Pos) error {
-	j.expire(expireBefore)
-	a := j.lTuple[j.lCol]
-	j.stack = append(j.stack, stackEntry{
-		t:     a,
-		end:   j.doc.End(a),
-		level: j.doc.Level(a),
-		tuple: j.arena.copyTuple(j.lTuple),
-	})
-	j.ctx.Stats.StackOps++
+	j.pushLeft(expireBefore)
 	var err error
 	j.lTuple, j.lOK, err = j.lr.next()
 	return err
@@ -269,7 +293,6 @@ func (j *StackTreeJoin) expire(pos xmltree.Pos) {
 // released.
 func (j *StackTreeJoin) pop() {
 	top := j.stack[len(j.stack)-1]
-	j.stack[len(j.stack)-1] = stackEntry{} // do not pin the tuple
 	j.stack = j.stack[:len(j.stack)-1]
 	j.ctx.Stats.StackOps++
 	if j.algo != plan.AlgoDesc {
@@ -352,7 +375,7 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 				e := &j.stack[j.emitIdx]
 				j.emitIdx++
 				if j.matches(e, dLevel) {
-					b.AppendPair(e.tuple, j.emitR)
+					b.AppendPair(j.leftOf(e), j.emitR)
 				}
 			}
 		}
@@ -393,11 +416,11 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 	}
 }
 
-// popReady serves the head of the ready queue; its node drops the tuple (so
-// served output is not pinned) and goes back on the free list.
+// popReady serves the head of the ready queue — a view of the slab, valid
+// for the life of the scratch — and puts its node back on the free list.
 func (j *StackTreeJoin) popReady() Tuple {
 	n := j.ready.head
-	t := j.pairs[n].t
+	t := j.sc.tuple(j.pairs[n].h, j.schema.Width())
 	if j.ready.head = j.pairs[n].next; j.ready.head == 0 {
 		j.ready.tail = 0
 	}
@@ -434,8 +457,7 @@ func (j *StackTreeJoin) nextAnc() (Tuple, bool, error) {
 		dLevel := j.doc.Level(j.rTuple[j.rCol])
 		for i := range j.stack {
 			if e := &j.stack[i]; j.matches(e, dLevel) {
-				j.addPair(&e.selfList, j.joined(e, j.rTuple))
-				j.ctx.Stats.BufferedPairs++
+				j.bufferPair(e, j.rTuple)
 			}
 		}
 		var err error
@@ -487,10 +509,7 @@ func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 		dLevel := doc.Level(j.rTuple[j.rCol])
 		for i := range j.stack {
 			if e := &j.stack[i]; j.matches(e, dLevel) {
-				// Buffered pairs outlive the right reader's batch, so they
-				// are built in the arena, not with per-pair allocations.
-				j.addPair(&e.selfList, j.arena.joined(e.tuple, j.rTuple))
-				j.ctx.Stats.BufferedPairs++
+				j.bufferPair(e, j.rTuple)
 			}
 		}
 		var err error

@@ -96,13 +96,24 @@ func (c *collector) appendTuple(t Tuple) {
 }
 
 // pullBatches opens op, hands every root batch to sink (valid only during
-// the call) and closes op, polling ctx.Interrupt once per batch.
+// the call) and closes op, polling ctx.Interrupt once per batch. The
+// execution runs on a pooled scratch, returned once op is closed whichever
+// way the run ended — except by panic, which abandons it.
 func pullBatches(ctx *Context, op Operator, sink func(*Batch)) error {
+	sc := scratchPool.Get().(*scratch)
+	ctx.scratch = sc
+	err := runBatches(ctx, op, sink)
+	ctx.scratch = nil
+	sc.release()
+	return err
+}
+
+func runBatches(ctx *Context, op Operator, sink func(*Batch)) error {
 	bop := AsBatchOperator(op)
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
-	b := NewBatch(op.Schema().Width())
+	b := ctx.scratch.batch(op.Schema().Width())
 	for {
 		if ctx.Interrupt != nil {
 			if err := ctx.Interrupt(); err != nil {

@@ -20,6 +20,7 @@ type IndexScan struct {
 	schema *Schema
 
 	ctx  *Context
+	pred pattern.Predicate // (op, value), compiled in Open
 	scan *storage.TagScanner
 	done bool
 	rows int              // scan-local row count; drives the interrupt poll stride
@@ -44,6 +45,7 @@ func (s *IndexScan) Schema() *Schema { return s.schema }
 // Open implements Operator.
 func (s *IndexScan) Open(ctx *Context) error {
 	s.ctx = ctx
+	s.pred = pattern.CompilePredicate(s.op, s.value)
 	tag, ok := ctx.Doc.LookupTag(s.tag)
 	if !ok {
 		s.done = true // unknown tag: empty candidate stream
@@ -85,8 +87,7 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 				return nil, false, err
 			}
 		}
-		if s.op != pattern.CmpNone &&
-			!pattern.EvalPredicate(s.ctx.Doc.Value(id), s.op, s.value) {
+		if s.op != pattern.CmpNone && !s.pred.Match(s.ctx.Doc.Value(id)) {
 			continue
 		}
 		return Tuple{id}, true, nil
@@ -103,7 +104,7 @@ func (s *IndexScan) NextBatch(b *Batch) error {
 		return nil
 	}
 	if s.blk == nil {
-		s.blk = make([]xmltree.NodeID, BatchRows)
+		s.blk = s.ctx.sc().ids(BatchRows)
 	}
 	for !b.Full() {
 		if s.ctx.Interrupt != nil {
@@ -126,7 +127,7 @@ func (s *IndexScan) NextBatch(b *Batch) error {
 		}
 		doc := s.ctx.Doc
 		for _, id := range s.blk[:n] {
-			if pattern.EvalPredicate(doc.Value(id), s.op, s.value) {
+			if s.pred.Match(doc.Value(id)) {
 				b.AppendID(id)
 			}
 		}

@@ -1,24 +1,41 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+
+	"sjos/internal/xmltree"
 )
 
 // Sort is the blocking re-order operator: it materialises its entire input,
 // sorts it by the document start position of one pattern node's column, and
 // then streams the result. It is the only blocking operator, so plans
 // without Sort nodes are fully pipelined.
+//
+// The input is copied into the execution's scratch slab and ordered through
+// an array of (key, handle) pairs: the comparison reads no tuple and the
+// array holds no pointer.
 type Sort struct {
 	input  Operator
 	by     int // pattern node to order by
 	col    int
 	schema *Schema
 
-	buf    []Tuple
+	sc     *scratch
+	st     *sortState
 	pos    int
 	loaded bool
 	err    error // latched load failure: every later Next returns it
 	ctx    *Context
+}
+
+// sortState is a sort's key/handle array, borrowed from the scratch.
+type sortState struct{ items []sortItem }
+
+// sortItem is one buffered tuple: its sort key and its slab handle.
+type sortItem struct {
+	key xmltree.Pos
+	h   int32
 }
 
 // NewSort builds a sort of input by pattern node u.
@@ -36,8 +53,13 @@ func (s *Sort) Schema() *Schema { return s.schema }
 // Open implements Operator.
 func (s *Sort) Open(ctx *Context) error {
 	s.ctx = ctx
+	s.sc = ctx.sc()
+	s.st = s.sc.sort()
 	return s.input.Open(ctx)
 }
+
+// row returns buffered tuple i: a view of the slab.
+func (s *Sort) row(i int) Tuple { return s.sc.tuple(s.st.items[i].h, s.schema.Width()) }
 
 // Next implements Operator.
 func (s *Sort) Next() (Tuple, bool, error) {
@@ -50,14 +72,13 @@ func (s *Sort) Next() (Tuple, bool, error) {
 			// output, so every subsequent Next must keep failing instead
 			// of serving the unsorted remnant.
 			s.err = err
-			s.buf = nil
 			return nil, false, err
 		}
 	}
-	if s.pos >= len(s.buf) {
+	if s.pos >= len(s.st.items) {
 		return nil, false, nil
 	}
-	t := s.buf[s.pos]
+	t := s.row(s.pos)
 	s.pos++
 	return t, true, nil
 }
@@ -73,15 +94,19 @@ func (s *Sort) NextBatch(b *Batch) error {
 	if !s.loaded {
 		if err := s.loadBatched(); err != nil {
 			s.err = err
-			s.buf = nil
 			return err
 		}
 	}
-	for s.pos < len(s.buf) && !b.Full() {
-		b.AppendRow(s.buf[s.pos])
+	for s.pos < len(s.st.items) && !b.Full() {
+		b.AppendRow(s.row(s.pos))
 		s.pos++
 	}
 	return nil
+}
+
+// buffer copies t into the slab and records its key.
+func (s *Sort) buffer(t Tuple) {
+	s.st.items = append(s.st.items, sortItem{key: s.ctx.Doc.Start(t[s.col]), h: s.sc.keep(t)})
 }
 
 func (s *Sort) load() error {
@@ -94,19 +119,17 @@ func (s *Sort) load() error {
 		if !ok {
 			break
 		}
-		s.buf = append(s.buf, t)
+		s.buffer(t)
 	}
 	s.sortBuf()
 	return nil
 }
 
-// loadBatched is load over the input's batched path; batch rows are
-// ephemeral, so retained tuples are copied into an arena.
+// loadBatched is load over the input's batched path.
 func (s *Sort) loadBatched() error {
 	s.loaded = true
 	bop := AsBatchOperator(s.input)
-	in := NewBatch(s.schema.Width())
-	var arena nodeArena
+	in := s.sc.batch(s.schema.Width())
 	for {
 		if err := bop.NextBatch(in); err != nil {
 			return err
@@ -115,7 +138,7 @@ func (s *Sort) loadBatched() error {
 			break
 		}
 		for i := 0; i < in.Len(); i++ {
-			s.buf = append(s.buf, arena.copyTuple(in.Row(i)))
+			s.buffer(in.Row(i))
 		}
 	}
 	s.sortBuf()
@@ -123,18 +146,11 @@ func (s *Sort) loadBatched() error {
 }
 
 func (s *Sort) sortBuf() {
-	s.ctx.Stats.SortedTuples += len(s.buf)
-	doc := s.ctx.Doc
-	col := s.col
+	s.ctx.Stats.SortedTuples += len(s.st.items)
 	// Stable, so equal keys keep their upstream order — deterministic
 	// output for result comparison across plans.
-	sort.SliceStable(s.buf, func(i, j int) bool {
-		return doc.Start(s.buf[i][col]) < doc.Start(s.buf[j][col])
-	})
+	slices.SortStableFunc(s.st.items, func(a, b sortItem) int { return cmp.Compare(a.key, b.key) })
 }
 
 // Close implements Operator.
-func (s *Sort) Close() error {
-	s.buf = nil
-	return s.input.Close()
-}
+func (s *Sort) Close() error { return s.input.Close() }

@@ -88,7 +88,7 @@ func (s *ValueIndexScan) NextBatch(b *Batch) error {
 		return nil
 	}
 	if s.blk == nil {
-		s.blk = make([]xmltree.NodeID, BatchRows)
+		s.blk = s.ctx.sc().ids(BatchRows)
 	}
 	for !b.Full() {
 		if s.ctx.Interrupt != nil {

@@ -92,15 +92,25 @@ func plannerWorkloads(folds []int) ([]PlannerWorkload, error) {
 			Fold:    1,
 		},
 	)
-	for i, tmpl := range planColdTemplates {
-		ws = append(ws, PlannerWorkload{
-			ID:      fmt.Sprintf("plan-cold-%d@x1", i+1),
-			Dataset: "pers",
-			Source:  strings.ReplaceAll(tmpl, "$C", planColdBound),
-			Fold:    1,
-		})
+	for _, q := range PlanColdQueries() {
+		ws = append(ws, PlannerWorkload{ID: q.ID + "@x1", Dataset: q.Dataset, Source: q.Source, Fold: 1})
 	}
 	return ws, nil
+}
+
+// PlanColdQueries returns the eight plan_cold twigs at planColdBound, named
+// plan-cold-1 … plan-cold-8: the shapes the planner lane, the executor golden
+// and the executor layer lane all run.
+func PlanColdQueries() []Query {
+	qs := make([]Query, len(planColdTemplates))
+	for i, tmpl := range planColdTemplates {
+		qs[i] = Query{
+			ID:      fmt.Sprintf("plan-cold-%d", i+1),
+			Dataset: "pers",
+			Source:  strings.ReplaceAll(tmpl, "$C", planColdBound),
+		}
+	}
+	return qs
 }
 
 // PlannerCell is one workload × method measurement.

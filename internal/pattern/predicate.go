@@ -31,31 +31,53 @@ func ParseNumeric(s string) (float64, bool) {
 	return f, err == nil
 }
 
-// EvalPredicate reports whether a node text value satisfies (op, rhs).
+// Predicate is a value predicate (op, rhs) with the constant's side of the
+// numeric-vs-lexicographic decision made once: a scan that filters a
+// million values parses rhs one time, not a million.
+type Predicate struct {
+	op      CmpOp
+	rhs     string
+	num     float64 // rhs as a number, when numeric
+	numeric bool
+}
+
+// CompilePredicate fixes (op, rhs) for repeated evaluation.
+func CompilePredicate(op CmpOp, rhs string) Predicate {
+	p := Predicate{op: op, rhs: rhs}
+	if op != CmpNone && op != CmpContains {
+		p.num, p.numeric = ParseNumeric(rhs)
+	}
+	return p
+}
+
+// Match reports whether a node text value satisfies the predicate.
 // Comparison is numeric when both sides parse as numbers (ParseNumeric) and
 // lexicographic otherwise; CmpContains is substring containment.
-func EvalPredicate(v string, op CmpOp, rhs string) bool {
-	switch op {
+func (p Predicate) Match(v string) bool {
+	switch p.op {
 	case CmpNone:
 		return true
 	case CmpContains:
-		return strings.Contains(v, rhs)
+		return strings.Contains(v, p.rhs)
 	}
-	var c int
-	if fa, ok := ParseNumeric(v); ok {
-		if fb, ok := ParseNumeric(rhs); ok {
+	if p.numeric {
+		if f, ok := ParseNumeric(v); ok {
+			var c int
 			switch {
-			case fa < fb:
+			case f < p.num:
 				c = -1
-			case fa > fb:
+			case f > p.num:
 				c = 1
 			}
-			return cmpHolds(c, op)
+			return cmpHolds(c, p.op)
 		}
 	}
-	c = strings.Compare(v, rhs)
-	return cmpHolds(c, op)
+	return cmpHolds(strings.Compare(v, p.rhs), p.op)
 }
+
+// EvalPredicate reports whether a node text value satisfies (op, rhs): one
+// evaluation of the compiled form.
+func EvalPredicate(v string, op CmpOp, rhs string) bool { return CompilePredicate(op, rhs).Match(v) }
 
 func cmpHolds(c int, op CmpOp) bool {
 	switch op {

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -21,6 +22,58 @@ func TestParseNumericMatchesParseFloat(t *testing.T) {
 		got, ok := ParseNumeric(w)
 		if ok != (err == nil) || (ok && got != want && (got == got || want == want)) {
 			t.Errorf("ParseNumeric(%q) = %v, %v; ParseFloat says %v, %v", w, got, ok, want, err)
+		}
+	}
+}
+
+// referenceEval is the predicate semantics as they were written before the
+// compiled form: both sides parsed at every evaluation.
+func referenceEval(v string, op CmpOp, rhs string) bool {
+	switch op {
+	case CmpNone:
+		return true
+	case CmpContains:
+		return strings.Contains(v, rhs)
+	}
+	if fa, ok := ParseNumeric(v); ok {
+		if fb, ok := ParseNumeric(rhs); ok {
+			c := 0
+			switch {
+			case fa < fb:
+				c = -1
+			case fa > fb:
+				c = 1
+			}
+			return cmpHolds(c, op)
+		}
+	}
+	return cmpHolds(strings.Compare(v, rhs), op)
+}
+
+// TestCompiledPredicateMatchesReference holds the compiled predicate, and the
+// EvalPredicate and MatchesValue wrappers over it, to the per-evaluation
+// semantics on every operator and every pairing of numeric, non-numeric,
+// inf/nan and empty operands.
+func TestCompiledPredicateMatchesReference(t *testing.T) {
+	words := []string{
+		"", "0", "7", "07", "7.0", "-3", "+4", "1e3", "1000", "110000", "99999", "0x1p-2",
+		"inf", "-Inf", "+INF", "nan", "NaN", "nano", "info",
+		"mgr-12", "emp-7", "a", "b", "ab", " 7", "7 ", "~", "a~b",
+	}
+	ops := []CmpOp{CmpNone, CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe, CmpContains}
+	for _, op := range ops {
+		for _, rhs := range words {
+			p := CompilePredicate(op, rhs)
+			nd := Node{Op: op, Value: rhs}
+			for _, v := range words {
+				want := referenceEval(v, op, rhs)
+				if got := p.Match(v); got != want {
+					t.Errorf("CompilePredicate(%v, %q).Match(%q) = %v, want %v", op, rhs, v, got, want)
+				}
+				if EvalPredicate(v, op, rhs) != want || nd.MatchesValue(v) != want {
+					t.Errorf("EvalPredicate/MatchesValue(%q %v %q) != %v", v, op, rhs, want)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -31,8 +30,8 @@ type BufferPool struct {
 	mu      sync.Mutex
 	retry   RetryPolicy
 	table   map[PageID]*frame
-	lru     *list.List // unpinned frames, front = least recently used
-	free    []*frame   // allocated frames whose page read failed, for reuse
+	lru     lruList  // unpinned frames, front = least recently used
+	free    []*frame // allocated frames whose page read failed, for reuse
 	hits    uint64
 	misses  uint64
 	evicted uint64
@@ -47,11 +46,42 @@ type frame struct {
 	page  Page
 	pins  int
 	dirty bool
-	elem  *list.Element // position in lru when pins == 0, else nil
+	// prev and next thread the frame into the pool's LRU list while it is
+	// resident and unpinned (inLRU); an intrusive list, so unpinning a page
+	// allocates nothing.
+	prev, next *frame
+	inLRU      bool
 	// loading is non-nil while the frame's page is being read in; it is
 	// closed when the load finishes (successfully or not). Loading frames
 	// hold the loader's pin, so they are never eviction victims.
 	loading chan struct{}
+}
+
+// lruList is a doubly linked list of frames through their prev/next fields.
+type lruList struct{ front, back *frame }
+
+func (l *lruList) pushBack(fr *frame) {
+	fr.prev, fr.next, fr.inLRU = l.back, nil, true
+	if l.back != nil {
+		l.back.next = fr
+	} else {
+		l.front = fr
+	}
+	l.back = fr
+}
+
+func (l *lruList) remove(fr *frame) {
+	if fr.prev != nil {
+		fr.prev.next = fr.next
+	} else {
+		l.front = fr.next
+	}
+	if fr.next != nil {
+		fr.next.prev = fr.prev
+	} else {
+		l.back = fr.prev
+	}
+	fr.prev, fr.next, fr.inLRU = nil, nil, false
 }
 
 // PoolStats is a snapshot of buffer pool counters.
@@ -82,7 +112,6 @@ func NewBufferPool(file PageFile, frames int) *BufferPool {
 		frames: frames,
 		retry:  DefaultRetryPolicy,
 		table:  make(map[PageID]*frame, frames),
-		lru:    list.New(),
 	}
 }
 
@@ -215,7 +244,7 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	fr.dirty = fr.dirty || dirty
 	fr.pins--
 	if fr.pins == 0 {
-		fr.elem = bp.lru.PushBack(fr)
+		bp.lru.pushBack(fr)
 	}
 }
 
@@ -269,9 +298,8 @@ func (bp *BufferPool) ResetStats() {
 func (bp *BufferPool) Frames() int { return bp.frames }
 
 func (bp *BufferPool) pinLocked(fr *frame) {
-	if fr.pins == 0 && fr.elem != nil {
-		bp.lru.Remove(fr.elem)
-		fr.elem = nil
+	if fr.inLRU {
+		bp.lru.remove(fr)
 	}
 	fr.pins++
 }
@@ -289,11 +317,10 @@ func (bp *BufferPool) allocFrameLocked() (fr *frame, evicted bool, err error) {
 	if len(bp.table) < bp.frames {
 		return &frame{}, false, nil
 	}
-	front := bp.lru.Front()
-	if front == nil {
+	fr = bp.lru.front
+	if fr == nil {
 		return nil, false, ErrPoolFull
 	}
-	fr = front.Value.(*frame)
 	if fr.dirty {
 		SealPage(fr.id, &fr.page)
 		if err := bp.file.WritePage(fr.id, &fr.page); err != nil {
@@ -303,8 +330,7 @@ func (bp *BufferPool) allocFrameLocked() (fr *frame, evicted bool, err error) {
 		}
 		fr.dirty = false
 	}
-	bp.lru.Remove(front)
-	fr.elem = nil
+	bp.lru.remove(fr)
 	delete(bp.table, fr.id)
 	return fr, true, nil
 }

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -329,4 +331,82 @@ func TestBufferPoolDoubleUnpinPanics(t *testing.T) {
 		}
 	}()
 	bp.Unpin(0, false)
+}
+
+// TestBufferPoolEvictionOrder pins the replacement policy itself: under a
+// random mix of nested pins and unpins, the pool's unpinned frames stay in
+// exactly the order of a slice-backed LRU model (front = next victim), every
+// eviction takes the model's victim, and the counters agree throughout.
+func TestBufferPoolEvictionOrder(t *testing.T) {
+	const frames, pages = 4, 10
+	f := NewMemFile()
+	writePages(t, f, pages)
+	bp := NewBufferPool(f, frames)
+
+	var lru []PageID // model: resident unpinned pages, least recently unpinned first
+	pins := map[PageID]int{}
+	var want PoolStats
+	drop := func(id PageID) {
+		for i, p := range lru {
+			if p == id {
+				lru = append(lru[:i], lru[i+1:]...)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 4000; step++ {
+		id := PageID(rng.Intn(pages))
+		if pins[id] > 0 && rng.Intn(2) == 0 {
+			bp.Unpin(id, false)
+			if pins[id]--; pins[id] == 0 {
+				lru = append(lru, id)
+			}
+			want.Pinned--
+		} else {
+			_, resident := pins[id]
+			_, err := bp.Get(id)
+			switch {
+			case resident:
+				want.Hits++
+				drop(id)
+			case len(pins) < frames:
+				want.Misses++
+			case len(lru) == 0:
+				want.Misses++
+				if !errors.Is(err, ErrPoolFull) {
+					t.Fatalf("step %d: Get(%d) with every frame pinned: err = %v", step, id, err)
+				}
+				continue
+			default:
+				want.Misses++
+				want.Evicted++
+				delete(pins, lru[0])
+				lru = lru[1:]
+			}
+			if err != nil {
+				t.Fatalf("step %d: Get(%d): %v", step, id, err)
+			}
+			pins[id]++
+			want.Pinned++
+		}
+		want.Resident = len(pins)
+		if got := bp.Stats(); got != want {
+			t.Fatalf("step %d: stats %+v, model %+v", step, got, want)
+		}
+		var got []PageID
+		for fr := bp.lru.front; fr != nil; fr = fr.next {
+			got = append(got, fr.id)
+		}
+		if !slices.Equal(got, lru) {
+			t.Fatalf("step %d: LRU order %v, model %v", step, got, lru)
+		}
+		for id := range pins {
+			if _, ok := bp.table[id]; !ok {
+				t.Fatalf("step %d: page %d resident in the model, not in the pool", step, id)
+			}
+		}
+	}
+	if want.Evicted == 0 || want.Hits == 0 {
+		t.Fatalf("walk exercised nothing: %+v", want)
+	}
 }
