@@ -2,8 +2,7 @@
 # go vet plus the full suite under the race detector. `make bench` runs the
 # tier-1 suite under the race detector first, then emits benchmark results
 # as streamed test2json events into BENCH_parallel.json, the plan-cache
-# cold/warm comparison into BENCH_plancache.json, the batched-vs-tuple
-# executor comparison into BENCH_batch.json and the value-index pushdown
+# cold/warm comparison into BENCH_plancache.json and the value-index pushdown
 # comparison into BENCH_content.json. `make benchquick` smoke-runs the key
 # benchmarks at one iteration each — the result-path, /query-encode and
 # plan_cold-execution layer lanes and the write-side lanes (XML parse, document image encode and
@@ -58,11 +57,12 @@ check: vet test-race
 
 # Code size, one fixed pipeline: non-blank, non-comment-only lines of
 # non-test Go in the root package, internal/core, internal/exec and
-# cmd/xqserve.
+# cmd/xqserve, then in the whole module (benchmark/ is its own).
 loc:
 	@for d in . internal/core internal/exec cmd/xqserve; do \
 		printf '%-14s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
 	done
+	@printf '%-14s %s\n' total $$(cat $$(ls *.go internal/*/*.go cmd/*/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)
 
 # Fault-injection differential suite under the race detector: every
 # optimizer method over an injected-fault store must return the exact
@@ -81,8 +81,8 @@ replicachaos:
 
 # Write-path crash suite under the race detector: crash the process at
 # every WAL write ordinal (and with a torn final write, and with a crashed
-# store file) across all five paper methods in batched and tuple-at-a-time
-# execution; recovery must land on a committed prefix every time.
+# store file) across all five paper methods; recovery must land on a
+# committed prefix every time.
 walchaos:
 	$(GO) test -race -count=1 -run 'TestWALChaos|TestWAL|TestIngest|TestOpenDatabase|TestCorpusIngest' .
 	$(GO) test -race -count=1 ./internal/storage/
@@ -90,7 +90,6 @@ walchaos:
 bench: test-race
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -json . | tee BENCH_parallel.json
 	$(GO) test -run '^$$' -bench 'PlanCache' -benchmem -json . | tee BENCH_plancache.json
-	$(GO) test -run '^$$' -bench 'BatchExecute$$' -benchmem -json . | tee BENCH_batch.json
 	$(GO) test -run '^$$' -bench 'ContentIndex' -benchmem -json . | tee BENCH_content.json
 	$(GO) test -run '^$$' -bench 'ExecPlanColdTwig' -benchmem .
 	$(GO) run ./cmd/xqbench -plannerbench
@@ -110,7 +109,7 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'StageSegment|StoreVersion|ForestProbe' -benchtime=1x ./internal/storage/
@@ -161,4 +160,4 @@ churnquick:
 	$(GO) run ./cmd/xqbench -churnquick -churnout ""
 
 clean:
-	rm -f BENCH_parallel.json BENCH_plancache.json BENCH_batch.json BENCH_content.json BENCH_corpus.json BENCH_replica.json BENCH_planner.json BENCH_churn.json
+	rm -f BENCH_parallel.json BENCH_plancache.json BENCH_content.json BENCH_corpus.json BENCH_replica.json BENCH_planner.json BENCH_churn.json

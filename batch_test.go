@@ -6,23 +6,18 @@ import (
 )
 
 // TestBatchedTupleDifferential is the acceptance differential for the
-// batched executor: for every optimizer's chosen plan, the batched path
-// (the default), the tuple-at-a-time path (NoBatch) and the
-// partition-parallel variants of both must produce identical match
-// multisets and counts on random documents and patterns.
+// executor: for every optimizer's chosen plan, serial and partition-parallel
+// execution must produce exactly the brute-force reference's multiset of
+// match tuples, and count it without materialising, on random documents and
+// patterns.
 func TestBatchedTupleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	tags := []string{"a", "b", "c", "d"}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
 	lanes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"batched", RunOptions{}},
-		{"tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}}},
-		{"batched-parallel", RunOptions{Workers: 3}},
-		{"tuple-parallel", RunOptions{ExecOptions: ExecOptions{NoBatch: true}, Workers: 3}},
-	}
+		name    string
+		workers int
+	}{{"serial", 0}, {"parallel", 3}}
 	for trial := 0; trial < 8; trial++ {
 		doc := randomXML(rng, 40+rng.Intn(300), tags)
 		db, err := LoadXMLString(doc, nil)
@@ -31,28 +26,23 @@ func TestBatchedTupleDifferential(t *testing.T) {
 		}
 		for q := 0; q < 4; q++ {
 			pat := randomTwig(rng, tags, 2+rng.Intn(4))
+			want := canonicalize(referenceMatches(db, pat))
 			for _, m := range methods {
 				res, err := db.Optimize(pat, m, 0)
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}
-				var want []string
 				for _, lane := range lanes {
-					r, err := db.Run(nil, pat, res.Plan, lane.opts)
+					r, err := db.Run(nil, pat, res.Plan, RunOptions{Workers: lane.workers})
 					if err != nil {
 						t.Fatalf("trial %d %v %s on %s: %v", trial, m, lane.name, pat, err)
 					}
-					got := canonicalize(r.Matches)
-					if lane.name == "batched" {
-						want = got
-						continue
-					}
-					if !equalStrings(got, want) {
-						t.Fatalf("trial %d: %v %s disagrees with batched on %s: %d vs %d matches",
+					if got := canonicalize(r.Matches); !equalStrings(got, want) {
+						t.Fatalf("trial %d: %v %s disagrees with the reference on %s: %d vs %d matches",
 							trial, m, lane.name, pat, len(got), len(want))
 					}
 					// CountOnly must agree without materialising.
-					rc, err := db.Run(nil, pat, res.Plan, RunOptions{ExecOptions: ExecOptions{NoBatch: lane.opts.NoBatch}, CountOnly: true, Workers: lane.opts.Workers})
+					rc, err := db.Run(nil, pat, res.Plan, RunOptions{CountOnly: true, Workers: lane.workers})
 					if err != nil {
 						t.Fatalf("trial %d %v %s count on %s: %v", trial, m, lane.name, pat, err)
 					}
@@ -66,8 +56,8 @@ func TestBatchedTupleDifferential(t *testing.T) {
 	}
 }
 
-// TestBatchedLimitAndStats checks the Limit run mode under batching and
-// that the batched path reports its root batches through RunResult.Stats.
+// TestBatchedLimitAndStats checks the Limit run mode and that an execution
+// reports its root batches through RunResult.Stats.
 func TestBatchedLimitAndStats(t *testing.T) {
 	db, err := GenerateDataset("pers", 1, 1, nil)
 	if err != nil {
@@ -83,37 +73,29 @@ func TestBatchedLimitAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if full.Stats.Batches == 0 {
-		t.Error("batched run reported zero root batches")
-	}
-	nb, err := db.Run(nil, pat, res.Plan, RunOptions{ExecOptions: ExecOptions{NoBatch: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb.Stats.Batches != 0 {
-		t.Errorf("tuple run reported %d batches", nb.Stats.Batches)
+		t.Error("run reported zero root batches")
 	}
 	if full.Count < 3 {
 		t.Fatalf("fixture too small: %d matches", full.Count)
 	}
 	for _, lim := range []int{1, 2, full.Count + 10} {
-		for _, noBatch := range []bool{false, true} {
-			r, err := db.Run(nil, pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Limit: lim, NoBatch: noBatch}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := lim
-			if want > full.Count {
-				want = full.Count
-			}
-			if r.Count != want {
-				t.Fatalf("limit %d nobatch=%v: got %d matches, want %d", lim, noBatch, r.Count, want)
-			}
+		r, err := db.Run(nil, pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Limit: lim}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lim
+		if want > full.Count {
+			want = full.Count
+		}
+		if r.Count != want {
+			t.Fatalf("limit %d: got %d matches, want %d", lim, r.Count, want)
 		}
 	}
 }
 
-// TestBatchedTraceReportsBatches checks traced batched execution populates
-// the per-operator batch counters in the trace.
+// TestBatchedTraceReportsBatches checks traced execution populates the
+// per-operator batch counters in the trace, and counts what the brute-force
+// reference counts.
 func TestBatchedTraceReportsBatches(t *testing.T) {
 	db, err := GenerateDataset("pers", 1, 1, nil)
 	if err != nil {
@@ -143,17 +125,13 @@ func TestBatchedTraceReportsBatches(t *testing.T) {
 	}
 	batches, rows := walk(r.Trace)
 	if batches == 0 {
-		t.Error("traced batched run recorded no batches in the operator trace")
+		t.Error("traced run recorded no batches in the operator trace")
 	}
 	if rows == 0 {
-		t.Error("traced batched run recorded no rows")
+		t.Error("traced run recorded no rows")
 	}
-	tuple, err := db.Run(nil, pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Trace: true, NoBatch: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuple.Count != r.Count {
-		t.Fatalf("traced lanes disagree: batched %d, tuple %d", r.Count, tuple.Count)
+	if want := len(referenceMatches(db, pat)); r.Count != want || r.Trace.Rows != int64(want) {
+		t.Fatalf("traced run: %d matches, %d root rows in the trace, reference %d", r.Count, r.Trace.Rows, want)
 	}
 }
 
@@ -168,6 +146,6 @@ func TestMetricsCountBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := db.Metrics().Query.Batches; got == 0 {
-		t.Error("metrics snapshot reports zero exec batches after a batched query")
+		t.Error("metrics snapshot reports zero exec batches after a query")
 	}
 }

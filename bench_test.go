@@ -445,75 +445,6 @@ func BenchmarkPlanCacheWarmOptimize(b *testing.B) {
 	b.ReportMetric(float64(opt.Nanoseconds())/float64(b.N), "optimize-ns/op")
 }
 
-// BenchmarkBatchExecute measures the batched (vectorized) executor against
-// the tuple-at-a-time executor on the Table-3 workload (Q.Pers.3.d,
-// CountOnly) across folding factors — the acceptance benchmark for the
-// batch execution path (target: >= 1.5x at fold 100).
-func BenchmarkBatchExecute(b *testing.B) {
-	q, err := experiments.QueryByID(experiments.PersQuery3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pat := mustPattern(b, q)
-	for _, fold := range []int{1, 10, 100} {
-		db := mustDataset(b, q.Dataset, fold)
-		res, err := db.Optimize(pat, sjos.MethodDPP, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		want, err := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, lane := range []struct {
-			name    string
-			noBatch bool
-		}{{"batched", false}, {"tuple", true}} {
-			b.Run(fmt.Sprintf("fold=%d/%s", fold, lane.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := db.Run(context.Background(), pat, res.Plan,
-						sjos.RunOptions{ExecOptions: sjos.ExecOptions{NoBatch: lane.noBatch}, CountOnly: true})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.Count != want.Count {
-						b.Fatalf("%s counted %d, want %d", lane.name, r.Count, want.Count)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkBatchExecuteMaterialize is BenchmarkBatchExecute with match
-// materialisation (the Drain path, exercising the output arena) at the
-// largest fold.
-func BenchmarkBatchExecuteMaterialize(b *testing.B) {
-	q, err := experiments.QueryByID(experiments.PersQuery3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pat := mustPattern(b, q)
-	db := mustDataset(b, q.Dataset, 100)
-	res, err := db.Optimize(pat, sjos.MethodDPP, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, lane := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"tuple", true}} {
-		b.Run(lane.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Run(context.Background(), pat, res.Plan,
-					sjos.RunOptions{ExecOptions: sjos.ExecOptions{NoBatch: lane.noBatch}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // planColdCorpus is the repository benchmark's corpus shape: eight pers
 // documents on four shards.
 func planColdCorpus(tb testing.TB) *sjos.Corpus {
@@ -588,7 +519,7 @@ func BenchmarkExecPlanColdTwig(b *testing.B) {
 	}
 }
 
-// Budgets for one steady-state batched execution of a plan_cold twig. Before
+// Budgets for one steady-state execution of a plan_cold twig. Before
 // executions ran on a pooled scratch one cost 3.3-3.8 MB in 1 800-2 400
 // objects (reader batches and a 64 KB arena chunk per join and shard);
 // measured now: ~45 KB in ~330.

@@ -9,9 +9,7 @@
 //	xqbench -figure 7           # Figure 7: DPAP-EB Te sweep, fold ×100
 //	xqbench -figure 8           # Figure 8: DPAP-EB Te sweep, fold ×1
 //	xqbench -cachebench         # plan cache: cold vs warm optimize phase
-//	xqbench -batchbench         # batched executor vs tuple-at-a-time, table 3 workload
 //	xqbench -contentbench       # value-index probes vs scan+filter, selective predicates
-//	xqbench -table 3 -nobatch   # run table 3 tuple-at-a-time (batching escape hatch)
 //	xqbench -chaos              # fault-injected runs: every result correct or typed error
 //	xqbench -loadbench          # open-loop corpus serving: p50/p95/p99 under Poisson load
 //	xqbench -replicabench       # hedged vs unhedged tails with a slow replica per shard
@@ -41,10 +39,8 @@ func main() {
 	census := flag.Bool("census", false, "print the status search-space census for the benchmark patterns (§3 complexity)")
 	parallel := flag.Int("parallel", 0, "run table 3 partition-parallel with this many workers (0 = serial, -1 = GOMAXPROCS)")
 	cachebench := flag.Bool("cachebench", false, "measure cold vs warm (plan-cached) optimize time per benchmark query")
-	batchbench := flag.Bool("batchbench", false, "measure batched vs tuple-at-a-time execution on the table 3 workload")
 	contentbench := flag.Bool("contentbench", false, "measure value-index predicate pushdown vs scan+filter")
-	nobatch := flag.Bool("nobatch", false, "run table 3 tuple-at-a-time instead of batched (escape hatch)")
-	method := flag.String("method", "DPP", "optimizer for -cachebench and -batchbench")
+	method := flag.String("method", "DPP", "optimizer for -cachebench, -contentbench and -churnbench")
 	chaos := flag.Bool("chaos", false, "drive all queries and methods over a fault-injecting store")
 	chaosIters := flag.Int("chaositers", 0, "fault iterations per query x method for -chaos (0 = default)")
 	chaosProb := flag.Float64("chaosprob", 0, "per-read transient fault probability for -chaos (0 = default)")
@@ -79,7 +75,7 @@ func main() {
 			return
 		}
 	}
-	if !*all && !*census && !*cachebench && !*batchbench && !*contentbench && !*chaos && !*loadbench && !*replicabench && !*plannerbench && !*plannerquick && !*churnbench && !*churnquick && *table == 0 && *figure == 0 {
+	if !*all && !*census && !*cachebench && !*contentbench && !*chaos && !*loadbench && !*replicabench && !*plannerbench && !*plannerquick && !*churnbench && !*churnquick && *table == 0 && *figure == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -125,7 +121,7 @@ func main() {
 			}
 			return nil
 		})
-		if !*all && !*plannerbench && !*plannerquick && !*loadbench && !*replicabench && !*chaos && !*cachebench && !*batchbench && !*contentbench && *table == 0 && *figure == 0 {
+		if !*all && !*plannerbench && !*plannerquick && !*loadbench && !*replicabench && !*chaos && !*cachebench && !*contentbench && *table == 0 && *figure == 0 {
 			return
 		}
 	}
@@ -148,7 +144,7 @@ func main() {
 			}
 			return nil
 		})
-		if !*all && !*loadbench && !*replicabench && !*chaos && !*cachebench && !*batchbench && !*contentbench && *table == 0 && *figure == 0 {
+		if !*all && !*loadbench && !*replicabench && !*chaos && !*cachebench && !*contentbench && *table == 0 && *figure == 0 {
 			return
 		}
 	}
@@ -191,7 +187,7 @@ func main() {
 			}
 			return nil
 		})
-		if !*all && !*replicabench && !*chaos && !*cachebench && !*batchbench && !*contentbench && *table == 0 && *figure == 0 {
+		if !*all && !*replicabench && !*chaos && !*cachebench && !*contentbench && *table == 0 && *figure == 0 {
 			return
 		}
 	}
@@ -232,7 +228,7 @@ func main() {
 			}
 			return nil
 		})
-		if !*all && !*chaos && !*cachebench && !*batchbench && !*contentbench && *table == 0 && *figure == 0 {
+		if !*all && !*chaos && !*cachebench && !*contentbench && *table == 0 && *figure == 0 {
 			return
 		}
 	}
@@ -246,7 +242,7 @@ func main() {
 			fmt.Print(experiments.RenderChaos(rows, cfg))
 			return nil
 		})
-		if !*all && !*cachebench && !*batchbench && !*contentbench && *table == 0 && *figure == 0 {
+		if !*all && !*cachebench && !*contentbench && *table == 0 && *figure == 0 {
 			return
 		}
 	}
@@ -261,27 +257,6 @@ func main() {
 				return err
 			}
 			fmt.Print(experiments.RenderCacheBench(rows))
-			return nil
-		})
-		if !*all && !*batchbench && !*contentbench && *table == 0 && *figure == 0 {
-			return
-		}
-	}
-	if *batchbench {
-		run("batchbench", func() error {
-			m, err := sjos.ParseMethod(*method)
-			if err != nil {
-				return err
-			}
-			folds := []int{1, 10, 100}
-			if *full {
-				folds = append(folds, 500)
-			}
-			rows, err := experiments.BatchBench(m, folds)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderBatchBench(rows, m))
 			return nil
 		})
 		if !*all && !*contentbench && *table == 0 && *figure == 0 {
@@ -337,14 +312,10 @@ func main() {
 			}
 			var rows []experiments.Table3Row
 			var err error
-			switch {
-			case *parallel != 0:
+			if *parallel != 0 {
 				fmt.Printf("(partition-parallel execution, %d workers)\n", *parallel)
 				rows, err = experiments.Table3Parallel(folds, *parallel)
-			case *nobatch:
-				fmt.Println("(tuple-at-a-time execution, -nobatch)")
-				rows, err = experiments.Table3NoBatch(folds)
-			default:
+			} else {
 				rows, err = experiments.Table3(folds)
 			}
 			if err != nil {

@@ -32,7 +32,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "partition-parallel workers (0 = serial, -1 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = none)")
 	noCache := flag.Bool("nocache", false, "bypass the plan cache")
-	noBatch := flag.Bool("nobatch", false, "disable the batched (vectorized) execution path")
 	noVidx := flag.Bool("novidx", false, "disable value-index probes (predicated leaves scan+filter)")
 	opTrace := flag.Bool("optrace", false, "print the per-operator execution trace")
 	flag.Parse()
@@ -53,7 +52,7 @@ func main() {
 		xmlPath: *xmlPath, dataset: *dataset, fold: *fold,
 		query: *query, method: *method, limit: *limit,
 		mode: mode, parallel: *parallel,
-		timeout: *timeout, noCache: *noCache, noBatch: *noBatch, noVidx: *noVidx, opTrace: *opTrace,
+		timeout: *timeout, noCache: *noCache, noVidx: *noVidx, opTrace: *opTrace,
 	}
 	if err := runWith(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "xqrun: %v\n", err)
@@ -79,7 +78,6 @@ type runCfg struct {
 	parallel         int
 	timeout          time.Duration
 	noCache          bool
-	noBatch          bool
 	noVidx           bool
 	opTrace          bool
 }
@@ -160,7 +158,7 @@ func runWith(cfg runCfg) error {
 		defer cancel()
 	}
 	res, err := db.QueryPatternContext(ctx, pat,
-		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: meth, NoCache: cfg.noCache, NoBatch: cfg.noBatch, NoValueIndex: cfg.noVidx, Trace: cfg.opTrace}})
+		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: meth, NoCache: cfg.noCache, NoValueIndex: cfg.noVidx, Trace: cfg.opTrace}})
 	if err != nil {
 		return err
 	}

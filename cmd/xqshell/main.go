@@ -14,7 +14,6 @@
 //	.trace <pattern>                  DPP search trace
 //	.method DPP|FP|Greedy|...         switch optimizer (bare .method lists valid names)
 //	.limit N                          rows to print (default 10)
-//	.batch on|off                     toggle batched (vectorized) execution
 //	.vidx on|off                      toggle value-index probes (predicate pushdown)
 //	.cache                            plan cache statistics
 //	.metrics                          process metrics (Prometheus text)
@@ -88,12 +87,11 @@ func main() {
 // shell holds the interactive session state; processLine is the unit the
 // tests drive.
 type shell struct {
-	db      *sjos.Database
-	method  sjos.Method
-	limit   int
-	nobatch bool
-	novidx  bool
-	out     io.Writer
+	db     *sjos.Database
+	method sjos.Method
+	limit  int
+	novidx bool
+	out    io.Writer
 }
 
 // processLine handles one input line; it returns false when the session
@@ -128,19 +126,6 @@ func (sh *shell) processLine(line string) bool {
 			return true
 		}
 		sh.limit = n
-		return true
-	case strings.HasPrefix(line, ".batch"):
-		arg := strings.TrimSpace(strings.TrimPrefix(line, ".batch"))
-		switch arg {
-		case "on":
-			sh.nobatch = false
-		case "off":
-			sh.nobatch = true
-		default:
-			fmt.Fprintln(sh.out, "error: .batch needs 'on' or 'off'")
-			return true
-		}
-		fmt.Fprintln(sh.out, "batched execution:", arg)
 		return true
 	case strings.HasPrefix(line, ".vidx"):
 		arg := strings.TrimSpace(strings.TrimPrefix(line, ".vidx"))
@@ -243,7 +228,7 @@ func (sh *shell) withPattern(line, cmd string, f func(*sjos.Pattern) (string, er
 
 func (sh *shell) runPattern(src string) {
 	res, err := sh.db.QueryContext(context.Background(), src,
-		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sh.method, NoBatch: sh.nobatch, NoValueIndex: sh.novidx}})
+		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sh.method, NoValueIndex: sh.novidx}})
 	if err != nil {
 		fmt.Fprintln(sh.out, "error:", err)
 		return

@@ -74,9 +74,9 @@ func randomValueTwig(rng *rand.Rand, tags []string, n int) *Pattern {
 
 // TestValueIndexDifferential is the acceptance differential for predicate
 // pushdown: for every optimizer, the value-index lane and the NoValueIndex
-// (scan+filter) lane must produce identical match multisets on random
-// documents and value-predicated patterns — through batched, tuple and
-// partition-parallel execution. Runs under -race in CI (make check).
+// (scan+filter) lane must produce exactly the brute-force reference's match
+// multiset on random documents and value-predicated patterns — through serial
+// and partition-parallel execution. Runs under -race in CI (make check).
 func TestValueIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	tags := []string{"a", "b", "c", "d"}
@@ -84,15 +84,12 @@ func TestValueIndexDifferential(t *testing.T) {
 	lanes := []struct {
 		name     string
 		novidx   bool
-		nobatch  bool
 		parallel bool
 	}{
-		{"vidx-batched", false, false, false},
-		{"vidx-tuple", false, true, false},
-		{"novidx-batched", true, false, false},
-		{"novidx-tuple", true, true, false},
-		{"vidx-parallel", false, false, true},
-		{"novidx-parallel", true, false, true},
+		{"vidx", false, false},
+		{"novidx", true, false},
+		{"vidx-parallel", false, true},
+		{"novidx-parallel", true, true},
 	}
 	totalProbes := 0
 	for trial := 0; trial < 6; trial++ {
@@ -104,29 +101,24 @@ func TestValueIndexDifferential(t *testing.T) {
 		dbp := db.WithParallelism(3)
 		for q := 0; q < 3; q++ {
 			pat := randomValueTwig(rng, tags, 2+rng.Intn(4))
+			want := canonicalize(referenceMatches(db, pat))
 			for _, m := range methods {
-				var want []string
 				for _, lane := range lanes {
 					target := db
 					if lane.parallel {
 						target = dbp
 					}
 					r, err := target.QueryPatternContext(context.Background(), pat,
-						QueryOptions{ExecOptions: ExecOptions{Method: m, NoValueIndex: lane.novidx, NoBatch: lane.nobatch}})
+						QueryOptions{ExecOptions: ExecOptions{Method: m, NoValueIndex: lane.novidx}})
 					if err != nil {
 						t.Fatalf("trial %d %v %s on %s: %v", trial, m, lane.name, pat, err)
 					}
 					if !lane.novidx {
 						totalProbes += r.Exec.ValueProbes
 					}
-					got := canonicalize(r.Matches)
-					if lane.name == lanes[0].name {
-						want = got
-						continue
-					}
-					if !equalStrings(got, want) {
-						t.Fatalf("trial %d: %v %s disagrees with %s on %s: %d vs %d matches",
-							trial, m, lane.name, lanes[0].name, pat, len(got), len(want))
+					if got := canonicalize(r.Matches); !equalStrings(got, want) {
+						t.Fatalf("trial %d: %v %s disagrees with the reference on %s: %d vs %d matches",
+							trial, m, lane.name, pat, len(got), len(want))
 					}
 				}
 			}

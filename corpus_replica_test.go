@@ -69,10 +69,8 @@ func TestCorpusReplicaChaos(t *testing.T) {
 		name string
 		opts RunOptions
 	}{
-		{"serial-batch", RunOptions{}},
-		{"serial-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}}},
-		{"parallel-batch", RunOptions{Workers: 2}},
-		{"parallel-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}, Workers: 2}},
+		{"serial", RunOptions{}},
+		{"parallel", RunOptions{Workers: 2}},
 	}
 	for _, m := range methods {
 		opt, err := c.Optimize(pat, m, 0)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -591,22 +590,18 @@ func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, o
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// With tracing on, operator trees (one per partition in parallel mode)
 	// are built through a TraceBuilder so every clone accumulates into one
 	// plan-shaped trace; with tracing off the plain compiler runs and
 	// execution carries zero instrumentation.
+	pe := &exec.ParallelExec{Workers: opts.Workers}
 	var tb *exec.TraceBuilder
-	buildOp := func() (exec.Operator, error) { return exec.Build(pat, p) }
 	if opts.Trace {
 		var err error
 		if tb, err = exec.NewTraceBuilder(pat, p); err != nil {
 			return nil, err
 		}
-		buildOp = tb.Build
+		pe.BuildOp = tb.Build
 	}
 	ectx := &exec.Context{Ctx: ctx, Doc: sn.doc, Store: sn.store}
 	res := &RunResult{}
@@ -614,35 +609,13 @@ func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, o
 	// unlimited count skips materialisation altogether.
 	countOnly := opts.CountOnly && opts.Limit <= 0
 	var err error
-	if workers > 0 {
-		pe := &exec.ParallelExec{Workers: workers, Batch: !opts.NoBatch, BuildOp: buildOp}
-		switch {
-		case countOnly:
-			res.Count, err = pe.RunCount(ctx, ectx, pat, p)
-		case opts.Limit > 0:
-			res.set, err = pe.RunLimit(ctx, ectx, pat, p, opts.Limit)
-		default:
-			res.set, err = pe.Run(ctx, ectx, pat, p)
-		}
-	} else {
-		if ctx.Done() != nil {
-			ectx.Interrupt = ctx.Err
-		}
-		var op exec.Operator
-		if op, err = buildOp(); err != nil {
-			return nil, err
-		}
-		// The driver picks the execution mode at the root (NextBatch
-		// through the whole tree, or Next per tuple); the operator tree
-		// itself is mode-agnostic.
-		if countOnly {
-			res.Count, err = exec.Count(ectx, op, !opts.NoBatch)
-		} else {
-			if opts.Limit > 0 {
-				op = exec.NewLimit(op, opts.Limit)
-			}
-			res.set, err = exec.Collect(ectx, op, pat.N(), !opts.NoBatch)
-		}
+	switch {
+	case countOnly:
+		res.Count, err = pe.RunCount(ctx, ectx, pat, p)
+	case opts.Limit > 0:
+		res.set, err = pe.RunLimit(ctx, ectx, pat, p, opts.Limit)
+	default:
+		res.set, err = pe.Run(ctx, ectx, pat, p)
 	}
 	if err != nil {
 		return nil, err

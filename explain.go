@@ -37,7 +37,7 @@ func (db *Database) Explain(pat *Pattern) (string, error) {
 
 // ExplainAnalyze optimizes pat with the given method, executes the chosen
 // plan with per-operator instrumentation, and renders the plan-shaped
-// trace: wall time, Next calls, and actual vs estimated output rows per
+// trace: wall time, batches, and actual vs estimated output rows per
 // operator (est/actual drift is the optimizer's core feedback signal) —
 // the library's EXPLAIN ANALYZE. It reports total matches and the
 // execution's buffer-pool and plan-cache behaviour alongside.
@@ -57,9 +57,7 @@ func (db *Database) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
 	sn := db.eng.view()
 	before := sn.store.PoolStats()
 	ctx := &exec.Context{Doc: sn.doc, Store: sn.store}
-	// Analyze runs the batched path — the execution default — so the trace
-	// reports batches, rows and skip-ahead postings per operator.
-	n, err := exec.Count(ctx, op, true)
+	n, err := exec.Count(ctx, op)
 	if err != nil {
 		return "", err
 	}

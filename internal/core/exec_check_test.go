@@ -30,7 +30,7 @@ func checkPlansProduceReference(t *testing.T, doc *xmltree.Document, pat *patter
 		if err := r.Plan.Validate(pat, true); err != nil {
 			t.Fatalf("%v: invalid plan: %v", m, err)
 		}
-		set, err := exec.Run(&exec.Context{Doc: doc, Store: st}, pat, r.Plan, false)
+		set, err := exec.Run(&exec.Context{Doc: doc, Store: st}, pat, r.Plan)
 		if err != nil {
 			t.Fatalf("%v: execution: %v", m, err)
 		}

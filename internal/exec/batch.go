@@ -7,7 +7,7 @@ import (
 )
 
 // BatchRows is the number of tuples one Batch holds: large enough to
-// amortise the per-call virtual dispatch of the Volcano contract over ~1K
+// amortise the per-call virtual dispatch of the iterator contract over ~1K
 // tuples, small enough that a batch of the widest plans stays well inside
 // the L2 cache.
 const BatchRows = 1024
@@ -15,9 +15,9 @@ const BatchRows = 1024
 // Batch is a reusable block of tuples with one flat backing array: row i is
 // the width-sized slice at offset i*width. Rows handed out by Row alias the
 // backing array, so they are valid only until the batch is reset or
-// refilled — consumers that retain tuples must copy them (see Drain's
-// batched path). The caller owns the batch it passes to NextBatch;
-// operators own the batches they use to read their children.
+// refilled — consumers that retain tuples must copy them. The caller owns
+// the batch it passes to NextBatch; operators own the batches they use to
+// read their children.
 type Batch struct {
 	width int
 	rows  int
@@ -54,8 +54,7 @@ func (b *Batch) AppendRow(t Tuple) {
 }
 
 // AppendPair copies a join output (left tuple then right tuple) into the
-// batch without materialising the concatenation anywhere else — this is
-// what replaces the tuple path's per-output allocation in joined.
+// batch without materialising the concatenation anywhere else.
 func (b *Batch) AppendPair(l, r Tuple) {
 	b.buf = append(append(b.buf, l...), r...)
 	b.rows++
@@ -81,50 +80,6 @@ func (b *Batch) Truncate(n int) {
 	}
 }
 
-// BatchOperator is the vectorized iterator contract: NextBatch fills b with
-// the next rows of the stream (after resetting it) and an empty batch marks
-// the end of the stream. Mixing NextBatch and Next calls on one operator
-// instance is not supported — the driver picks one mode at the root and the
-// tree follows. On error the batch's contents are undefined.
-type BatchOperator interface {
-	Operator
-	NextBatch(b *Batch) error
-}
-
-// batchFromTuples adapts a tuple-only operator to the batch contract by
-// pulling Next in a loop. It keeps Unwrap so the seek probe can still reach
-// a Seeker underneath.
-type batchFromTuples struct{ Operator }
-
-// NextBatch implements BatchOperator.
-func (a batchFromTuples) NextBatch(b *Batch) error {
-	b.Reset()
-	for !b.Full() {
-		t, ok, err := a.Operator.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.AppendRow(t)
-	}
-	return nil
-}
-
-// Unwrap exposes the adapted operator.
-func (a batchFromTuples) Unwrap() Operator { return a.Operator }
-
-// AsBatchOperator returns op itself if it is batch-native, or a
-// tuple-pulling adapter otherwise, so any operator can sit under a batched
-// consumer.
-func AsBatchOperator(op Operator) BatchOperator {
-	if bop, ok := op.(BatchOperator); ok {
-		return bop
-	}
-	return batchFromTuples{op}
-}
-
 // Seeker is the skip-ahead contract: SeekGE discards every pending output
 // row whose join-column Start position is below pos, without producing it.
 // ok is false when the operator cannot seek (then nothing was consumed);
@@ -134,19 +89,12 @@ type Seeker interface {
 	SeekGE(pos xmltree.Pos) (skipped int, ok bool, err error)
 }
 
-// trySeek probes op (unwrapping adapters) for skip-ahead support and seeks
-// if possible.
-func trySeek(op any, pos xmltree.Pos) (int, bool, error) {
-	for {
-		if s, ok := op.(Seeker); ok {
-			return s.SeekGE(pos)
-		}
-		u, ok := op.(interface{ Unwrap() Operator })
-		if !ok {
-			return 0, false, nil
-		}
-		op = u.Unwrap()
+// trySeek seeks op if it supports skip-ahead.
+func trySeek(op Operator, pos xmltree.Pos) (int, bool, error) {
+	if s, ok := op.(Seeker); ok {
+		return s.SeekGE(pos)
 	}
+	return 0, false, nil
 }
 
 // batchReader pulls one operator's output through a batch borrowed from the
@@ -155,7 +103,7 @@ func trySeek(op any, pos xmltree.Pos) (int, bool, error) {
 // refills, which happens only on the next-after-last row — so the consumer
 // may hold the current row across arbitrarily many of its own emissions.
 type batchReader struct {
-	bop   BatchOperator
+	op    Operator
 	batch *Batch
 	i     int
 	eof   bool
@@ -163,7 +111,7 @@ type batchReader struct {
 
 // init binds the reader to op.
 func (r *batchReader) init(sc *scratch, op Operator) {
-	*r = batchReader{bop: AsBatchOperator(op), batch: sc.batch(op.Schema().Width())}
+	*r = batchReader{op: op, batch: sc.batch(op.Schema().Width())}
 }
 
 // next returns the next row of the stream.
@@ -181,7 +129,7 @@ func (r *batchReader) refill() (Tuple, bool, error) {
 	if r.eof {
 		return nil, false, nil
 	}
-	if err := r.bop.NextBatch(r.batch); err != nil {
+	if err := r.op.NextBatch(r.batch); err != nil {
 		return nil, false, err
 	}
 	r.i = 0
@@ -215,12 +163,12 @@ func (r *batchReader) seekGE(pos xmltree.Pos, doc *xmltree.Document, col int) (T
 		if r.eof {
 			return nil, false, nil
 		}
-		if _, _, err := trySeek(r.bop, pos); err != nil {
+		if _, _, err := trySeek(r.op, pos); err != nil {
 			return nil, false, err
 		}
 		// Refill regardless of seek support; unsupported seeks fall back to
 		// discarding batch-wise in the loop above.
-		if err := r.bop.NextBatch(r.batch); err != nil {
+		if err := r.op.NextBatch(r.batch); err != nil {
 			return nil, false, err
 		}
 		r.i = 0

@@ -10,48 +10,11 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// runEdgeJoinBatched is runEdgeJoin driven through the batched path on a
-// freshly built tree (one mode per operator instance).
-func runEdgeJoinBatched(t *testing.T, doc *xmltree.Document, anc, desc string, ax pattern.Axis, algo plan.Algo) []Tuple {
-	t.Helper()
-	src := "//" + anc + "/" + desc
-	if ax == pattern.Descendant {
-		src = "//" + anc + "//" + desc
-	}
-	pat := pattern.MustParse(src)
-	j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, ax, algo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DrainBatched(newCtx(t, doc), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NormalizeAll(j.Schema(), 2, out)
-}
-
-// TestBatchMatchesTupleRandomDocs is the executor's core differential
-// property: on random documents, the batched path must produce exactly the
-// tuple path's multiset for both axes and both join algorithms.
-func TestBatchMatchesTupleRandomDocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	tags := []string{"a", "b", "c"}
-	for trial := 0; trial < 120; trial++ {
-		doc := xmltree.RandomDocument(rng, 2+rng.Intn(120), tags)
-		for _, ax := range []pattern.Axis{pattern.Child, pattern.Descendant} {
-			for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
-				a := tags[rng.Intn(len(tags))]
-				b := tags[rng.Intn(len(tags))]
-				got := runEdgeJoinBatched(t, doc, a, b, ax, algo)
-				want := runEdgeJoin(t, doc, a, b, ax, algo)
-				if !sortedEq(got, want) {
-					t.Fatalf("trial %d: %s %v %s via %v: batched %d, tuple %d",
-						trial, a, ax, b, algo, len(got), len(want))
-				}
-			}
-		}
-	}
-}
+// TestBatchMatchesTupleRandomDocs is TestStackTreeRandomDocs on the seed
+// that, until the tuple-at-a-time path was deleted, compared the two paths
+// with each other: same documents, same 120 trials, now held to the
+// brute-force reference's tuples.
+func TestBatchMatchesTupleRandomDocs(t *testing.T) { stackTreeRandomDocs(t, 41) }
 
 // TestBatchMultiJoinPipeline batches a join over join outputs (tuple
 // streams), plus a Sort and a Limit on top — the full operator zoo in one
@@ -71,7 +34,7 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 		return men
 	}
 	op := build()
-	got, err := DrainBatched(newCtx(t, doc), op)
+	got, err := Drain(newCtx(t, doc), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +47,7 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := DrainBatched(newCtx(t, doc), srt)
+	sorted, err := Drain(newCtx(t, doc), srt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +62,7 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 	}
 
 	for _, n := range []int{0, 1, 3, len(want), len(want) + 5} {
-		lim, err := DrainBatched(newCtx(t, doc), NewLimit(build(), n))
+		lim, err := Drain(newCtx(t, doc), NewLimit(build(), n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +87,9 @@ func TestBatchLimitNotSeekable(t *testing.T) {
 	}
 }
 
-// TestTrySeekUnwrapsAdapters checks the seek probe walks the adapter chain
-// down to the scan — the dynamic-dispatch hole Go embedding leaves is
-// bridged by explicit Unwrap methods.
+// TestTrySeekUnwrapsAdapters checks the seek probe reaches the scan through
+// the one wrapper a plan operator can sit under — the tracer — and that the
+// tracer records what the seek bypassed.
 func TestTrySeekUnwrapsAdapters(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
@@ -135,9 +98,13 @@ func TestTrySeekUnwrapsAdapters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var wrapped Operator = batchFromTuples{s}
-	if _, ok, err := trySeek(wrapped, 0); !ok || err != nil {
-		t.Fatalf("trySeek through adapter: ok=%v err=%v, want seekable", ok, err)
+	wrapped := &traced{inner: s}
+	nm, _ := doc.LookupTag("name")
+	names := doc.NodesWithTag(nm)
+	skipped, ok, err := trySeek(wrapped, doc.Start(names[2]))
+	if !ok || err != nil || skipped != 2 || wrapped.skipped != 2 {
+		t.Fatalf("trySeek through the tracer: skipped=%d (traced %d) ok=%v err=%v, want 2 postings skipped",
+			skipped, wrapped.skipped, ok, err)
 	}
 }
 
@@ -175,28 +142,23 @@ func TestIndexScanSkipAhead(t *testing.T) {
 	if ctx.Stats.SkippedTuples != 40 {
 		t.Fatalf("SkippedTuples = %d, want 40", ctx.Stats.SkippedTuples)
 	}
-	var rest int
-	for {
-		tup, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if doc.Start(tup[0]) < aStart {
+	b := NewBatch(1)
+	if err := s.NextBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < b.Len(); i++ {
+		if doc.Start(b.Row(i)[0]) < aStart {
 			t.Fatal("scan produced a row from the skipped region")
 		}
-		rest++
 	}
-	if rest != 2 {
-		t.Fatalf("post-seek scan produced %d rows, want 2", rest)
+	if b.Len() != 2 {
+		t.Fatalf("post-seek scan produced %d rows, want 2", b.Len())
 	}
 }
 
 // TestJoinSkipAheadEndToEnd drives the whole skip-ahead path: a sparse
 // ancestor stream over a dense descendant stream must trigger seeks (counted
-// in SkippedTuples) and still produce exactly the tuple path's result.
+// in SkippedTuples) and still produce exactly the reference result.
 func TestJoinSkipAheadEndToEnd(t *testing.T) {
 	// Dead regions of bs between sparse as; only bs inside as match. Each
 	// dead region is bigger than one Batch so the skip must reach the
@@ -222,7 +184,7 @@ func TestJoinSkipAheadEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := newCtx(t, doc)
-		got, err := DrainBatched(ctx, j)
+		got, err := Drain(ctx, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,6 +194,11 @@ func TestJoinSkipAheadEndToEnd(t *testing.T) {
 		}
 		if ctx.Stats.SkippedTuples == 0 {
 			t.Errorf("%v: no postings skipped on a workload built of dead regions", algo)
+		}
+		aTag, _ := doc.LookupTag("a")
+		bTag, _ := doc.LookupTag("b")
+		if postings := doc.TagCount(aTag) + doc.TagCount(bTag); ctx.Stats.ScannedTuples+ctx.Stats.SkippedTuples > postings {
+			t.Errorf("%v: scanned %d + skipped %d of %d postings", algo, ctx.Stats.ScannedTuples, ctx.Stats.SkippedTuples, postings)
 		}
 		if ctx.Stats.Batches == 0 {
 			t.Errorf("%v: Stats.Batches not counted", algo)
@@ -271,41 +238,44 @@ func TestAncReadyQueueReleasesSlots(t *testing.T) {
 }
 
 // TestIndexScanLocalInterruptCounter is the regression test for the
-// interrupt-poll stride: it must tick on a scan-local counter, not the
-// context's shared ScannedTuples (which other operators also bump, making
-// the stride drift under concurrent scans).
+// interrupt poll: a scan polls once before every posting block it reads —
+// the final, empty read included — whatever the context's shared
+// ScannedTuples counter (which other operators also bump) happens to hold.
 func TestIndexScanLocalInterruptCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	doc := xmltree.RandomDocument(rng, 9000, []string{"a"})
 	pat := pattern.MustParse("//a//a")
-	ctx := newCtx(t, doc)
-	polls := 0
-	ctx.Interrupt = func() error { polls++; return nil }
-	// Pre-poison the shared counter: a stride keyed off it would start
-	// mid-cycle, while the scan-local stride is unaffected.
-	ctx.Stats.ScannedTuples = 1<<20 + 17
-	s := NewIndexScan(pat, 0)
-	if err := s.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := s.Next()
-		if err != nil {
+	var polls [2]int
+	for run, shared := range []int{0, 1<<20 + 17} {
+		ctx := newCtx(t, doc)
+		ctx.Interrupt = func() error { polls[run]++; return nil }
+		ctx.Stats.ScannedTuples = shared
+		s := NewIndexScan(pat, 0)
+		if err := s.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		n, b := 0, NewBatch(1)
+		for {
+			if err := s.NextBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() == 0 {
+				break
+			}
+			n += b.Len()
 		}
-		n++
+		s.Close()
+		if n != 9000 || ctx.Stats.ScannedTuples != shared+n {
+			t.Fatalf("scan delivered %d rows and counted %d, want 9000", n, ctx.Stats.ScannedTuples-shared)
+		}
+		// At least one poll per full batch, plus the one before the read
+		// that found the end.
+		if min := n/BatchRows + 1; polls[run] < min {
+			t.Fatalf("interrupt polled %d times over %d rows, want at least %d", polls[run], n, min)
+		}
 	}
-	s.Close()
-	if s.rows != n {
-		t.Fatalf("scan-local row counter = %d after %d rows", s.rows, n)
-	}
-	if want := n / 0x1000; polls != want {
-		t.Fatalf("interrupt polled %d times over %d rows, want %d (scan-local 0x1000 stride)",
-			polls, n, want)
+	if polls[0] != polls[1] {
+		t.Fatalf("poll count follows the shared counter: %d vs %d", polls[0], polls[1])
 	}
 }
 
@@ -348,7 +318,7 @@ func TestBatchReaderSeekWithinBuffer(t *testing.T) {
 	}
 	defer s.Close()
 	var r batchReader
-	r.init(ctx.sc(), s)
+	r.init(ctx.scratch, s)
 	first, ok, err := r.next()
 	if err != nil || !ok {
 		t.Fatalf("empty name scan: ok=%v err=%v", ok, err)
@@ -378,8 +348,8 @@ func TestBatchReaderSeekWithinBuffer(t *testing.T) {
 }
 
 // TestBatchVsTupleBuiltPlans cross-checks complete built plans (via the
-// optimizer-facing Build/Run path) between the tuple and batched drivers,
-// against the brute-force reference, on left-deep and branching shapes.
+// optimizer-facing Build/Run path) against the brute-force reference's
+// tuples, on left-deep and branching shapes.
 func TestBatchVsTupleBuiltPlans(t *testing.T) {
 	doc := personnelDoc(t)
 	cases := []struct {
@@ -404,25 +374,20 @@ func TestBatchVsTupleBuiltPlans(t *testing.T) {
 		if err := tc.p.Validate(pat, false); err != nil {
 			t.Fatalf("%s: test plan invalid: %v", tc.src, err)
 		}
-		gotB, err := tuples(Run(newCtx(t, doc), pat, tc.p, true))
+		got, err := tuples(Run(newCtx(t, doc), pat, tc.p))
 		if err != nil {
-			t.Fatalf("%s batched: %v", tc.src, err)
-		}
-		gotT, err := tuples(Run(newCtx(t, doc), pat, tc.p, false))
-		if err != nil {
-			t.Fatalf("%s tuple: %v", tc.src, err)
+			t.Fatalf("%s: %v", tc.src, err)
 		}
 		want := ReferenceMatches(doc, pat)
-		if !sortedEq(gotB, want) || !sortedEq(gotT, want) {
-			t.Fatalf("%s: batched %d, tuple %d, reference %d matches",
-				tc.src, len(gotB), len(gotT), len(want))
+		if !sortedEq(got, want) {
+			t.Fatalf("%s: %d matches, reference %d", tc.src, len(got), len(want))
 		}
-		nb, err := RunCount(newCtx(t, doc), pat, tc.p, true)
+		n, err := RunCount(newCtx(t, doc), pat, tc.p)
 		if err != nil {
-			t.Fatalf("%s count batched: %v", tc.src, err)
+			t.Fatalf("%s count: %v", tc.src, err)
 		}
-		if nb != len(want) {
-			t.Fatalf("%s: CountBatched = %d, want %d", tc.src, nb, len(want))
+		if n != len(want) {
+			t.Fatalf("%s: RunCount = %d, want %d", tc.src, n, len(want))
 		}
 	}
 }

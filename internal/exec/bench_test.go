@@ -35,7 +35,7 @@ func BenchmarkStackTreeDesc(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := Count(&Context{Doc: doc, Store: st}, j, false); err != nil {
+				if _, err := Count(&Context{Doc: doc, Store: st}, j); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -56,7 +56,7 @@ func BenchmarkStackTreeAnc(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := Count(&Context{Doc: doc, Store: st}, j, false); err != nil {
+				if _, err := Count(&Context{Doc: doc, Store: st}, j); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func BenchmarkSortOperator(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := Count(&Context{Doc: doc, Store: st}, s, false); err != nil {
+				if _, err := Count(&Context{Doc: doc, Store: st}, s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +92,7 @@ func BenchmarkIndexScan(b *testing.B) {
 	pat := pattern.MustParse("//a")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Count(&Context{Doc: doc, Store: st}, NewIndexScan(pat, 0), false); err != nil {
+		if _, err := Count(&Context{Doc: doc, Store: st}, NewIndexScan(pat, 0)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,8 +16,8 @@ func Build(pat *pattern.Pattern, n *plan.Node) (Operator, error) {
 	return buildWrapped(pat, n, nil)
 }
 
-// wrapFn decorates one compiled operator; the tracing and analysis layers
-// use it to interpose instrumentation around every node of the tree.
+// wrapFn decorates one compiled operator; the tracing layer uses it to
+// interpose instrumentation around every node of the tree.
 type wrapFn func(n *plan.Node, op Operator) Operator
 
 // buildWrapped is the single plan-to-operator compiler: it builds the tree
@@ -63,24 +63,24 @@ func buildWrapped(pat *pattern.Pattern, n *plan.Node, wrap wrapFn) (Operator, er
 	return op, nil
 }
 
-// Run compiles and executes a plan (batched or tuple-at-a-time), returning
-// the matches in pattern-node order (slot i = pattern node i), so results
-// of different plans for the same query are directly comparable.
-func Run(ctx *Context, pat *pattern.Pattern, p *plan.Node, batched bool) (MatchSet, error) {
+// Run compiles and executes a plan, returning the matches in pattern-node
+// order (slot i = pattern node i), so results of different plans for the
+// same query are directly comparable.
+func Run(ctx *Context, pat *pattern.Pattern, p *plan.Node) (MatchSet, error) {
 	op, err := Build(pat, p)
 	if err != nil {
 		return MatchSet{}, err
 	}
-	return Collect(ctx, op, pat.N(), batched)
+	return Collect(ctx, op, pat.N())
 }
 
 // RunCount compiles and executes a plan, returning only the match count.
-func RunCount(ctx *Context, pat *pattern.Pattern, p *plan.Node, batched bool) (int, error) {
+func RunCount(ctx *Context, pat *pattern.Pattern, p *plan.Node) (int, error) {
 	op, err := Build(pat, p)
 	if err != nil {
 		return 0, err
 	}
-	return Count(ctx, op, batched)
+	return Count(ctx, op)
 }
 
 // SortCanonical orders normalised tuples lexicographically — a canonical

@@ -73,7 +73,7 @@ func TestBuildAndRunFullPlan(t *testing.T) {
 		t.Fatalf("test plan invalid: %v", err)
 	}
 	ctx := newCtx(t, doc)
-	got, err := tuples(Run(ctx, pat, full, false))
+	got, err := tuples(Run(ctx, pat, full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBuildAndRunFullPlan(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("test should produce matches")
 	}
-	n, err := RunCount(newCtx(t, doc), pat, full, false)
+	n, err := RunCount(newCtx(t, doc), pat, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPlansAgreeOnRandomDocuments(t *testing.T) {
 		doc := xmltree.RandomDocument(rng, 2+rng.Intn(150), []string{"a", "b", "c", "d"})
 		want := ReferenceMatches(doc, pat)
 		for i, p := range plans {
-			got, err := tuples(Run(newCtx(t, doc), pat, p, false))
+			got, err := tuples(Run(newCtx(t, doc), pat, p))
 			if err != nil {
 				t.Fatalf("trial %d plan %d: %v", trial, i, err)
 			}

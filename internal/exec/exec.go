@@ -1,4 +1,4 @@
-// Package exec is the physical query executor: a Volcano-style iterator
+// Package exec is the physical query executor: a batch-at-a-time iterator
 // interpreter for the plans of internal/plan, over the stores of
 // internal/storage.
 //
@@ -12,7 +12,7 @@
 //     partial matches ordered by the document position of its join column,
 //   - Sort — the only blocking operator; it materialises its input.
 //
-// Fully-pipelined plans therefore genuinely stream: the first result tuple
+// Fully-pipelined plans therefore genuinely stream: the first result batch
 // is produced before the inputs are exhausted, and no intermediate result
 // is ever materialised.
 package exec
@@ -26,8 +26,9 @@ import (
 )
 
 // Tuple is one partial match: a vector of document nodes. Which pattern
-// node each slot binds is described by the operator's Schema. Tuples
-// returned by Next are immutable and may be retained by the caller.
+// node each slot binds is described by the operator's Schema. The rows of
+// a Batch are views into its backing array, valid until the next NextBatch
+// on the operator that filled it; a consumer that retains one copies it.
 type Tuple []xmltree.NodeID
 
 // Schema maps pattern nodes to tuple slots.
@@ -68,7 +69,7 @@ type Stats struct {
 	BufferedPairs int // pairs written to Anc self/inherit lists (f_IO term)
 	SortedTuples  int // tuples materialised by Sort operators (f_s term)
 	OutputTuples  int // tuples produced by the plan root
-	Batches       int // root-level NextBatch calls on the batched path
+	Batches       int // non-empty batches the plan root delivered
 	SkippedTuples int // index postings bypassed by skip-ahead seeks
 	ValueProbes   int // value-index probes opened (predicate pushdown leaves)
 }
@@ -112,21 +113,22 @@ type Context struct {
 	// cancelled queries stop scanning promptly.
 	Interrupt func() error
 
-	// scratch is the execution's working memory (see scratch): attached by
-	// pullBatches for the span of one batched execution, made privately on
-	// first use otherwise.
+	// scratch is the execution's working memory (see scratch), attached by
+	// pullBatches for the span of one execution.
 	scratch *scratch
 }
 
-// Operator is the Volcano iterator contract. Usage: Open, repeated Next
-// until ok is false, Close. Operators are single-use.
+// Operator is the iterator contract. Usage: Open, repeated NextBatch until
+// it leaves the batch empty, Close. Operators are single-use.
 type Operator interface {
 	// Schema describes the operator's output layout; valid before Open.
 	Schema() *Schema
 	// Open prepares the operator (and its subtree) for iteration.
 	Open(ctx *Context) error
-	// Next returns the next output tuple; ok is false at end of stream.
-	Next() (t Tuple, ok bool, err error)
+	// NextBatch resets b and fills it with the next rows of the stream; an
+	// empty batch marks the end of the stream. The caller owns b; on error
+	// its contents are undefined.
+	NextBatch(b *Batch) error
 	// Close releases resources; must be called exactly once after Open.
 	Close() error
 }

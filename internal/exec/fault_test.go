@@ -16,7 +16,9 @@ import (
 // faultyStore builds a store whose page file starts failing permanently at
 // the failNth physical read (faultfs.Policy semantics: the Nth and every
 // later read fail). The buffer pool is sized at 1 frame so almost every
-// access is a physical read.
+// access is a physical read. Scans read posting pages only, and a page holds
+// thousands of compressed postings, so the documents below are sized for the
+// fault point to fall mid-stream.
 func faultyStore(t *testing.T, doc *xmltree.Document, failNth int) *storage.Store {
 	t.Helper()
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
@@ -39,8 +41,8 @@ func assertNoPins(t *testing.T, st *storage.Store) {
 
 func TestScanPropagatesStorageErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	doc := xmltree.RandomDocument(rng, 2000, []string{"a", "b"})
-	st := faultyStore(t, doc, 4)
+	doc := xmltree.RandomDocument(rng, 60000, []string{"a", "b"})
+	st := faultyStore(t, doc, 3)
 	pat := pattern.MustParse("//a")
 	ctx := &Context{Doc: doc, Store: st}
 	_, err := Drain(ctx, NewIndexScan(pat, 0))
@@ -52,7 +54,7 @@ func TestScanPropagatesStorageErrors(t *testing.T) {
 
 func TestJoinPropagatesStorageErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	doc := xmltree.RandomDocument(rng, 2000, []string{"a", "b"})
+	doc := xmltree.RandomDocument(rng, 20000, []string{"a", "b"})
 	pat := pattern.MustParse("//a//b")
 	for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
 		st := faultyStore(t, doc, 11)
@@ -71,7 +73,7 @@ func TestJoinPropagatesStorageErrors(t *testing.T) {
 
 func TestSortPropagatesStorageErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	doc := xmltree.RandomDocument(rng, 2000, []string{"a", "b"})
+	doc := xmltree.RandomDocument(rng, 20000, []string{"a", "b"})
 	st := faultyStore(t, doc, 6)
 	pat := pattern.MustParse("//a//b")
 	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
@@ -118,36 +120,34 @@ func TestParallelExecReleasesPinsOnFailure(t *testing.T) {
 	pln := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
 	want := len(ReferenceMatches(doc, pat))
 	failed := 0
-	for _, batch := range []bool{false, true} {
-		// A few fault points: early (during the first scans) and later
-		// (mid-join), so both open-time and next-time teardown run. A
-		// fault point past the mode's physical read count legitimately
-		// never fires (the batched path reads far fewer pages), so the
-		// contract is differential: correct result or the injected error.
-		for _, failNth := range []int{1, 5, 25, 100} {
-			st := faultyStore(t, doc, failNth)
-			pe := &ParallelExec{Workers: 4, Partitions: 4, Batch: batch}
-			base := &Context{Doc: doc, Store: st}
-			out, err := tuples(pe.Run(context.Background(), base, pat, pln))
-			if err == nil {
-				if len(out) != want {
-					t.Fatalf("batch=%v failNth=%d: %d matches, want %d", batch, failNth, len(out), want)
-				}
-			} else {
-				failed++
-				if !errors.Is(err, faultfs.ErrInjected) {
-					t.Fatalf("batch=%v failNth=%d: error = %v, want injected failure", batch, failNth, err)
-				}
+	// A few fault points: early (during the first scans) and later
+	// (mid-join), so both open-time and next-time teardown run. A fault
+	// point past the run's physical read count legitimately never fires,
+	// so the contract is differential: correct result or the injected
+	// error.
+	for _, failNth := range []int{1, 5, 25, 100} {
+		st := faultyStore(t, doc, failNth)
+		pe := &ParallelExec{Workers: 4, Partitions: 4}
+		base := &Context{Doc: doc, Store: st}
+		out, err := tuples(pe.Run(context.Background(), base, pat, pln))
+		if err == nil {
+			if len(out) != want {
+				t.Fatalf("failNth=%d: %d matches, want %d", failNth, len(out), want)
 			}
-			assertNoPins(t, st)
+		} else {
+			failed++
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("failNth=%d: error = %v, want injected failure", failNth, err)
+			}
 		}
+		assertNoPins(t, st)
 	}
 	if failed == 0 {
-		t.Fatal("no fault point fired in any mode — harness not exercising error paths")
+		t.Fatal("no fault point fired — harness not exercising error paths")
 	}
 }
 
-// panicOp panics a fixed number of Next calls into the stream.
+// panicOp panics a fixed number of NextBatch calls into the stream.
 type panicOp struct {
 	inner Operator
 	after int
@@ -157,12 +157,12 @@ type panicOp struct {
 func (p *panicOp) Schema() *Schema         { return p.inner.Schema() }
 func (p *panicOp) Open(ctx *Context) error { return p.inner.Open(ctx) }
 func (p *panicOp) Close() error            { return p.inner.Close() }
-func (p *panicOp) Next() (Tuple, bool, error) {
+func (p *panicOp) NextBatch(b *Batch) error {
 	p.n++
 	if p.n > p.after {
 		panic("injected operator panic")
 	}
-	return p.inner.Next()
+	return p.inner.NextBatch(b)
 }
 
 // TestParallelExecRecoversWorkerPanics: a panic inside a partition worker
@@ -185,7 +185,7 @@ func TestParallelExecRecoversWorkerPanics(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return &panicOp{inner: op, after: 3}, nil
+			return &panicOp{inner: op, after: 1}, nil
 		},
 	}
 	base := &Context{Doc: doc, Store: st}

@@ -1,21 +1,18 @@
 package exec
 
+import (
+	"testing"
+
+	"sjos/internal/pattern"
+	"sjos/internal/plan"
+)
+
 // Slot-order []Tuple helpers for the operator tests, which inspect raw
 // operator output rather than the pattern-order MatchSet Collect returns.
 
-// Drain runs op tuple-at-a-time and returns its output in schema order.
+// Drain runs op to completion and returns its output in schema order; rows
+// are copied out of the reused batch.
 func Drain(ctx *Context, op Operator) ([]Tuple, error) {
-	var out []Tuple
-	if err := pullTuples(ctx, op, func(t Tuple) { out = append(out, t) }); err != nil {
-		return nil, err
-	}
-	ctx.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// DrainBatched is Drain over the batched path; rows are copied out of the
-// reused batch.
-func DrainBatched(ctx *Context, op Operator) ([]Tuple, error) {
 	var out []Tuple
 	err := pullBatches(ctx, op, func(b *Batch) {
 		for i := 0; i < b.Len(); i++ {
@@ -27,6 +24,38 @@ func DrainBatched(ctx *Context, op Operator) ([]Tuple, error) {
 	}
 	ctx.Stats.OutputTuples = len(out)
 	return out, nil
+}
+
+// referenceRun is the in-order yardstick for tests that compare row
+// sequences (scratch reuse, the parallel driver): one execution of p on a
+// scratch of its own that was never in the pool and never goes back. A stale
+// alias needs memory that is used twice, so a first run on private memory
+// cannot have one. The run is itself held to ReferenceMatches as a multiset
+// and to the order p promises on its root's column.
+func referenceRun(t testing.TB, ctx *Context, pat *pattern.Pattern, p *plan.Node) []Tuple {
+	t.Helper()
+	op, err := Build(pat, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCollector(op.Schema(), pat.N())
+	ctx.scratch = new(scratch)
+	err = runBatches(ctx, op, c.appendBatch)
+	ctx.scratch = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.Stats.OutputTuples = c.set.Len()
+	rows := c.set.Tuples()
+	if ref := ReferenceMatches(ctx.Doc, pat); !sortedEq(append([]Tuple(nil), rows...), ref) {
+		t.Fatalf("reference run returned %d rows, brute force %d", len(rows), len(ref))
+	}
+	for i := 1; i < len(rows); i++ {
+		if ctx.Doc.Start(rows[i][p.OrderedBy]) < ctx.Doc.Start(rows[i-1][p.OrderedBy]) {
+			t.Fatalf("reference run out of order on $%d at row %d", p.OrderedBy, i)
+		}
+	}
+	return rows
 }
 
 // Normalize reorders one tuple from the schema's slot layout to

@@ -20,12 +20,10 @@ import (
 //     ancestor column). The buffering is what the cost model's
 //     2·|AB|·f_IO term charges for.
 //
-// The join runs in one of two modes, chosen by the first call it receives
-// and never mixed: tuple-at-a-time (Next) or batched (NextBatch). The
-// batched drivers additionally skip ahead: whenever the stack is empty and
-// the next ancestor starts past the current descendant, every right tuple
-// before that ancestor is provably dead, so the right input is seeked
-// (Seeker) rather than drained.
+// Both drivers skip ahead: whenever the stack is empty and the next
+// ancestor starts past the current descendant, every right tuple before
+// that ancestor is provably dead, so the right input is seeked (Seeker)
+// rather than drained.
 type StackTreeJoin struct {
 	algo    plan.Algo
 	axis    pattern.Axis
@@ -47,7 +45,7 @@ type StackTreeJoin struct {
 
 	// Desc emission state: the current right tuple still has to be paired
 	// with stack[emitIdx:emitEnd] (bottom..top). The stack does not change
-	// while an emission is pending — every driver drains it first.
+	// while an emission is pending — the driver drains it first.
 	emitIdx, emitEnd int
 	emitR            Tuple
 
@@ -77,8 +75,8 @@ type joinState struct {
 	// free list.
 	pairs []pairNode
 
-	// Batched-mode state: block readers over the inputs and a copy of the
-	// right tuple under emission (the reader may refill under it).
+	// Block readers over the inputs and a copy of the right tuple under
+	// emission (the reader may refill under it).
 	lr, rr   batchReader
 	emitRBuf Tuple
 }
@@ -158,7 +156,7 @@ func (j *StackTreeJoin) Schema() *Schema { return j.schema }
 func (j *StackTreeJoin) Open(ctx *Context) error {
 	j.ctx = ctx
 	j.doc = ctx.Doc
-	j.sc = ctx.sc()
+	j.sc = ctx.scratch
 	j.joinState = j.sc.join()
 	if err := j.left.Open(ctx); err != nil {
 		return err
@@ -179,27 +177,9 @@ func (j *StackTreeJoin) Close() error {
 	return err
 }
 
-// Next implements Operator.
-func (j *StackTreeJoin) Next() (Tuple, bool, error) {
-	if !j.started {
-		j.started = true
-		var err error
-		if j.lTuple, j.lOK, err = j.left.Next(); err != nil {
-			return nil, false, err
-		}
-		if j.rTuple, j.rOK, err = j.right.Next(); err != nil {
-			return nil, false, err
-		}
-	}
-	if j.algo == plan.AlgoDesc {
-		return j.nextDesc()
-	}
-	return j.nextAnc()
-}
-
-// NextBatch implements BatchOperator: the same Stack-Tree drivers, consuming
-// the inputs through block readers and producing whole batches, with
-// skip-ahead over dead regions of the right input.
+// NextBatch implements Operator: the Stack-Tree drivers consume the inputs
+// through block readers and produce whole batches, with skip-ahead over dead
+// regions of the right input.
 func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	b.Reset()
 	if !j.started {
@@ -215,25 +195,14 @@ func (j *StackTreeJoin) NextBatch(b *Batch) error {
 		}
 	}
 	if j.algo == plan.AlgoDesc {
-		return j.nextBatchDesc(b)
+		return j.nextDesc(b)
 	}
-	return j.nextBatchAnc(b)
+	return j.nextAnc(b)
 }
 
 // leftOf returns the left tuple a stack entry was pushed with.
 func (j *StackTreeJoin) leftOf(e *stackEntry) Tuple {
 	return j.sc.tuple(e.h, j.lw)
-}
-
-// joined builds the output tuple for (entry, right): one exact-size
-// allocation and two copies — this runs once per output tuple, so it is the
-// hottest allocation site in the tuple-at-a-time executor (the batched path
-// appends pairs into the output batch instead).
-func (j *StackTreeJoin) joined(e *stackEntry, r Tuple) Tuple {
-	l := j.leftOf(e)
-	out := make(Tuple, len(l)+len(r))
-	copy(out[copy(out, l):], r)
-	return out
 }
 
 // bufferPair is the Anc variant's output step: (entry, right) is built in the
@@ -250,10 +219,10 @@ func (j *StackTreeJoin) matches(e *stackEntry, dLevel uint16) bool {
 	return j.axis == pattern.Descendant || e.level+1 == dLevel
 }
 
-// pushLeft moves the current left tuple onto the stack, after expiring dead
-// entries. The entry keeps a slab copy: on the batched path the tuple aliases
-// the left reader's reusable batch.
-func (j *StackTreeJoin) pushLeft(expireBefore xmltree.Pos) {
+// push moves the current left tuple onto the stack, after expiring dead
+// entries, and advances the left input. The entry keeps a slab copy: the
+// tuple aliases the left reader's reusable batch.
+func (j *StackTreeJoin) push(expireBefore xmltree.Pos) error {
 	j.expire(expireBefore)
 	a := j.lTuple[j.lCol]
 	j.stack = append(j.stack, stackEntry{
@@ -263,20 +232,6 @@ func (j *StackTreeJoin) pushLeft(expireBefore xmltree.Pos) {
 		h:     j.sc.keep(j.lTuple),
 	})
 	j.ctx.Stats.StackOps++
-}
-
-// push is pushLeft followed by advancing the left input a tuple.
-func (j *StackTreeJoin) push(expireBefore xmltree.Pos) error {
-	j.pushLeft(expireBefore)
-	var err error
-	j.lTuple, j.lOK, err = j.left.Next()
-	return err
-}
-
-// pushBatch is push for the batched drivers: the input advances through the
-// reader.
-func (j *StackTreeJoin) pushBatch(expireBefore xmltree.Pos) error {
-	j.pushLeft(expireBefore)
 	var err error
 	j.lTuple, j.lOK, err = j.lr.next()
 	return err
@@ -297,43 +252,6 @@ func (j *StackTreeJoin) pop() {
 	j.ctx.Stats.StackOps++
 	if j.algo != plan.AlgoDesc {
 		j.release(top)
-	}
-}
-
-// nextDesc is the Stack-Tree-Desc driver.
-func (j *StackTreeJoin) nextDesc() (Tuple, bool, error) {
-	for {
-		// Drain pending emissions for the current right tuple first.
-		for j.emitIdx < j.emitEnd {
-			e := &j.stack[j.emitIdx]
-			j.emitIdx++
-			if j.matches(e, j.doc.Level(j.emitR[j.rCol])) {
-				return j.joined(e, j.emitR), true, nil
-			}
-		}
-		j.emitR = nil
-
-		if !j.rOK {
-			return nil, false, nil // no right input left: join is done
-		}
-		dStart := j.doc.Start(j.rTuple[j.rCol])
-		if j.lOK && j.doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(j.doc.Start(j.lTuple[j.lCol])); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		// Process the right tuple against the stack.
-		j.expire(dStart)
-		if len(j.stack) > 0 {
-			j.emitIdx, j.emitEnd = 0, len(j.stack)
-			j.emitR = j.rTuple
-		}
-		var err error
-		j.rTuple, j.rOK, err = j.right.Next()
-		if err != nil {
-			return nil, false, err
-		}
 	}
 }
 
@@ -361,8 +279,8 @@ func (j *StackTreeJoin) skipRight(dStart xmltree.Pos) (bool, error) {
 	return true, err
 }
 
-// nextBatchDesc is the Stack-Tree-Desc driver over batches.
-func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
+// nextDesc is the Stack-Tree-Desc driver.
+func (j *StackTreeJoin) nextDesc(b *Batch) error {
 	doc := j.doc
 	for {
 		// Drain pending emissions for the current right tuple first.
@@ -389,7 +307,7 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol])); err != nil {
+			if err := j.push(doc.Start(j.lTuple[j.lCol])); err != nil {
 				return err
 			}
 			continue
@@ -430,46 +348,7 @@ func (j *StackTreeJoin) popReady() Tuple {
 }
 
 // nextAnc is the Stack-Tree-Anc driver.
-func (j *StackTreeJoin) nextAnc() (Tuple, bool, error) {
-	for {
-		if j.ready.head != 0 {
-			return j.popReady(), true, nil
-		}
-		if !j.rOK {
-			// No more pairs can form; release everything still on the
-			// stack, bottom-most last (it owns the earliest output).
-			if len(j.stack) > 0 {
-				for len(j.stack) > 0 {
-					j.pop()
-				}
-				continue
-			}
-			return nil, false, nil
-		}
-		dStart := j.doc.Start(j.rTuple[j.rCol])
-		if j.lOK && j.doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(j.doc.Start(j.lTuple[j.lCol])); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		j.expire(dStart)
-		dLevel := j.doc.Level(j.rTuple[j.rCol])
-		for i := range j.stack {
-			if e := &j.stack[i]; j.matches(e, dLevel) {
-				j.bufferPair(e, j.rTuple)
-			}
-		}
-		var err error
-		j.rTuple, j.rOK, err = j.right.Next()
-		if err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// nextBatchAnc is the Stack-Tree-Anc driver over batches.
-func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
+func (j *StackTreeJoin) nextAnc(b *Batch) error {
 	doc := j.doc
 	for {
 		if j.ready.head != 0 {
@@ -495,7 +374,7 @@ func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol])); err != nil {
+			if err := j.push(doc.Start(j.lTuple[j.lCol])); err != nil {
 				return err
 			}
 			continue

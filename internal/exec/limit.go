@@ -9,7 +9,6 @@ package exec
 // computed, which blocking (sort-containing) plans cannot do.
 type Limit struct {
 	input     Operator
-	inputB    BatchOperator // lazily bound batched view of input
 	n         int
 	done      int
 	exhausted bool  // input ended before n tuples
@@ -31,45 +30,17 @@ func (l *Limit) Schema() *Schema { return l.input.Schema() }
 // Open implements Operator.
 func (l *Limit) Open(ctx *Context) error { return l.input.Open(ctx) }
 
-// Next implements Operator.
-func (l *Limit) Next() (Tuple, bool, error) {
-	if l.done >= l.n || l.exhausted {
-		// The stream is over; surface a latched early-Close failure once
-		// the cap was reached, otherwise plain end-of-stream.
-		return nil, false, l.closeErr
-	}
-	t, ok, err := l.input.Next()
-	if err != nil {
-		// Propagate exactly what the input produced: if it paired a tuple
-		// with the error, the tuple must not be silently dropped here —
-		// the caller decides what an (ok, err) pair means.
-		return t, ok, err
-	}
-	if !ok {
-		l.exhausted = true
-		return nil, false, nil
-	}
-	l.done++
-	if l.done >= l.n {
-		// Cap reached: stop pulling and release the upstream subtree now.
-		l.closed = true
-		l.closeErr = l.input.Close()
-	}
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator: whole batches are pulled until the
-// cap, the final batch is truncated to it, and the upstream subtree is
-// closed early exactly as on the tuple path.
+// NextBatch implements Operator: whole batches are pulled until the cap, the
+// final batch is truncated to it, and the upstream subtree is closed the
+// moment the cap is reached.
 func (l *Limit) NextBatch(b *Batch) error {
 	b.Reset()
 	if l.done >= l.n || l.exhausted {
+		// The stream is over; surface a latched early-Close failure once
+		// the cap was reached, otherwise plain end-of-stream.
 		return l.closeErr
 	}
-	if l.inputB == nil {
-		l.inputB = AsBatchOperator(l.input)
-	}
-	if err := l.inputB.NextBatch(b); err != nil {
+	if err := l.input.NextBatch(b); err != nil {
 		return err
 	}
 	if b.Len() == 0 {
@@ -89,7 +60,7 @@ func (l *Limit) NextBatch(b *Batch) error {
 }
 
 // Close implements Operator. If the cap was reached the input was already
-// closed by Next; Close then reports any latched early-Close failure
+// closed by NextBatch; Close then reports any latched early-Close failure
 // without closing the input a second time.
 func (l *Limit) Close() error {
 	if l.closed {

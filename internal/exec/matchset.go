@@ -88,13 +88,6 @@ func (c *collector) appendBatch(b *Batch) {
 	}
 }
 
-func (c *collector) appendTuple(t Tuple) {
-	out := c.extend(1)
-	for slot, pn := range c.perm {
-		out[pn] = t[slot]
-	}
-}
-
 // pullBatches opens op, hands every root batch to sink (valid only during
 // the call) and closes op, polling ctx.Interrupt once per batch. The
 // execution runs on a pooled scratch, returned once op is closed whichever
@@ -109,7 +102,6 @@ func pullBatches(ctx *Context, op Operator, sink func(*Batch)) error {
 }
 
 func runBatches(ctx *Context, op Operator, sink func(*Batch)) error {
-	bop := AsBatchOperator(op)
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
@@ -121,7 +113,7 @@ func runBatches(ctx *Context, op Operator, sink func(*Batch)) error {
 				return err
 			}
 		}
-		if err := bop.NextBatch(b); err != nil {
+		if err := op.NextBatch(b); err != nil {
 			op.Close()
 			return err
 		}
@@ -133,63 +125,23 @@ func runBatches(ctx *Context, op Operator, sink func(*Batch)) error {
 	}
 }
 
-// pullTuples is pullBatches for the tuple-at-a-time contract, polling
-// ctx.Interrupt every 64 tuples.
-func pullTuples(ctx *Context, op Operator, sink func(Tuple)) error {
-	if err := op.Open(ctx); err != nil {
-		return err
-	}
-	for n := 0; ; n++ {
-		if n&63 == 0 && ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return err
-			}
-		}
-		t, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return err
-		}
-		if !ok {
-			return op.Close()
-		}
-		sink(t)
-	}
-}
-
 // Collect runs op to completion and returns its output as a match set over
-// n pattern nodes, in pattern-node order. batched selects the execution
-// mode at the root: NextBatch through the whole tree, or Next per tuple.
-// Either way a row is copied exactly once, from operator output into the
-// set's backing array.
-func Collect(ctx *Context, op Operator, n int, batched bool) (MatchSet, error) {
+// n pattern nodes, in pattern-node order. A row is copied exactly once, from
+// operator output into the set's backing array.
+func Collect(ctx *Context, op Operator, n int) (MatchSet, error) {
 	c := newCollector(op.Schema(), n)
-	var err error
-	if batched {
-		err = pullBatches(ctx, op, c.appendBatch)
-	} else {
-		err = pullTuples(ctx, op, c.appendTuple)
-	}
-	if err != nil {
+	if err := pullBatches(ctx, op, c.appendBatch); err != nil {
 		return MatchSet{}, err
 	}
 	ctx.Stats.OutputTuples = c.set.Len()
 	return c.set, nil
 }
 
-// Count runs op to completion, returning only the output cardinality; on
-// the batched path it never touches row contents, so counting costs one
-// virtual call per batch.
-func Count(ctx *Context, op Operator, batched bool) (int, error) {
+// Count runs op to completion, returning only the output cardinality; it
+// never touches row contents, so counting costs one virtual call per batch.
+func Count(ctx *Context, op Operator) (int, error) {
 	n := 0
-	var err error
-	if batched {
-		err = pullBatches(ctx, op, func(b *Batch) { n += b.Len() })
-	} else {
-		err = pullTuples(ctx, op, func(Tuple) { n++ })
-	}
-	if err != nil {
+	if err := pullBatches(ctx, op, func(b *Batch) { n += b.Len() }); err != nil {
 		return 0, err
 	}
 	ctx.Stats.OutputTuples = n

@@ -5,15 +5,18 @@ import (
 	"testing"
 )
 
-// scriptedOp is a test operator: it serves a fixed tuple list and can be
-// scripted to fail at a given Next call, optionally pairing the error with
-// a tuple. It records how often it was pulled and closed.
+// scriptedOp is a test operator: it serves a fixed row list, per rows a
+// batch, and can be scripted to fail at a given NextBatch call after leaving
+// failRows rows in the batch — what IndexScan does when block k of a batch
+// fails with blocks 1…k−1 already appended. It records how often it was
+// pulled and closed, and its Close returns closeErr.
 type scriptedOp struct {
-	schema  *Schema
-	tuples  []Tuple
-	failAt  int   // Next index (0-based) that errors; -1 = never
-	failTup Tuple // tuple paired with the error (nil = bare error)
-	err     error
+	schema   *Schema
+	tuples   []Tuple
+	per      int // rows per batch
+	failAt   int // NextBatch index (0-based) that errors; -1 = never
+	failRows int // rows the failing call leaves in the batch
+	closeErr error
 
 	pos    int
 	nexts  int
@@ -22,37 +25,38 @@ type scriptedOp struct {
 
 var errScripted = errors.New("scripted operator failure")
 
-func newScriptedOp(tuples []Tuple, failAt int, failTup Tuple) *scriptedOp {
-	return &scriptedOp{
-		schema: NewSchema(0), tuples: tuples,
-		failAt: failAt, failTup: failTup, err: errScripted,
-	}
+func newScriptedOp(tuples []Tuple, per, failAt int) *scriptedOp {
+	return &scriptedOp{schema: NewSchema(0), tuples: tuples, per: per, failAt: failAt}
 }
 
 func (s *scriptedOp) Schema() *Schema         { return s.schema }
 func (s *scriptedOp) Open(ctx *Context) error { return nil }
-func (s *scriptedOp) Close() error            { s.closes++; return nil }
-func (s *scriptedOp) Next() (Tuple, bool, error) {
+func (s *scriptedOp) Close() error            { s.closes++; return s.closeErr }
+func (s *scriptedOp) NextBatch(b *Batch) error {
+	b.Reset()
 	i := s.nexts
 	s.nexts++
+	n := s.per
 	if s.failAt >= 0 && i == s.failAt {
-		return s.failTup, s.failTup != nil, s.err
+		n = s.failRows
 	}
-	if s.pos >= len(s.tuples) {
-		return nil, false, nil
+	for ; n > 0 && s.pos < len(s.tuples); n-- {
+		b.AppendRow(s.tuples[s.pos])
+		s.pos++
 	}
-	t := s.tuples[s.pos]
-	s.pos++
-	return t, true, nil
+	if s.failAt >= 0 && i == s.failAt {
+		return errScripted
+	}
+	return nil
 }
 
 // TestSortLatchesLoadError is the regression test for the mid-stream load
 // failure: a Sort whose input errors part-way through must keep returning
-// the error on every later Next instead of serving the partial, unsorted
+// the error on every later NextBatch instead of serving the partial, unsorted
 // buffer as if it were valid output.
 func TestSortLatchesLoadError(t *testing.T) {
 	doc := personnelDoc(t)
-	in := newScriptedOp([]Tuple{{3}, {1}}, 2, nil) // two tuples, then error
+	in := newScriptedOp([]Tuple{{3}, {1}}, 1, 2) // two one-row batches, then error
 	s, err := NewSort(in, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -61,88 +65,81 @@ func TestSortLatchesLoadError(t *testing.T) {
 	if err := s.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.Next(); !errors.Is(err, errScripted) || ok {
-		t.Fatalf("first Next: ok=%v err=%v, want the load error", ok, err)
+	b := NewBatch(1)
+	if err := s.NextBatch(b); !errors.Is(err, errScripted) {
+		t.Fatalf("first NextBatch: err=%v, want the load error", err)
 	}
 	// The old code set loaded=true on failure and then served the partial
 	// buffer here.
-	tup, ok, err := s.Next()
-	if !errors.Is(err, errScripted) || ok || tup != nil {
-		t.Fatalf("second Next after failed load: (%v, %v, %v), want latched error", tup, ok, err)
+	if err := s.NextBatch(b); !errors.Is(err, errScripted) || b.Len() != 0 {
+		t.Fatalf("second NextBatch after failed load: (%d rows, %v), want latched error", b.Len(), err)
+	}
+	if in.nexts != 3 {
+		t.Fatalf("failed input pulled %d times, want 3 (no pull after the failure)", in.nexts)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLimitDoesNotDropErrorTuple is the regression test for the Limit
-// error path: when the input pairs a tuple with its error, Limit must
-// propagate both instead of silently dropping the tuple.
-func TestLimitDoesNotDropErrorTuple(t *testing.T) {
-	in := newScriptedOp(nil, 0, Tuple{7})
-	l := NewLimit(in, 5)
-	if err := l.Open(newCtx(t, personnelDoc(t))); err != nil {
-		t.Fatal(err)
-	}
-	tup, ok, err := l.Next()
-	if !errors.Is(err, errScripted) {
-		t.Fatalf("err = %v, want scripted error", err)
-	}
-	if !ok || tup == nil || tup[0] != 7 {
-		t.Fatalf("(%v, %v) — the error's tuple was dropped", tup, ok)
-	}
-}
-
 // TestLimitClosesUpstreamEarly verifies the doc's early-termination claim:
-// the moment the n-th tuple is delivered, the upstream subtree is Closed —
-// and not Closed a second time by Limit.Close.
+// the moment the n-th tuple is delivered — alone in its batch, or as part of
+// a larger batch that gets truncated — the upstream subtree is Closed, and
+// not Closed a second time by Limit.Close. A failure of that early Close is
+// latched and surfaces at the end of the stream and from Close.
 func TestLimitClosesUpstreamEarly(t *testing.T) {
-	in := newScriptedOp([]Tuple{{1}, {2}, {3}}, -1, nil)
-	l := NewLimit(in, 2)
-	if err := l.Open(newCtx(t, personnelDoc(t))); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, ok, err := l.Next(); !ok || err != nil {
-			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
+	errClose := errors.New("scripted close failure")
+	for _, per := range []int{1, 3} {
+		in := newScriptedOp([]Tuple{{1}, {2}, {3}}, per, -1)
+		in.closeErr = errClose
+		l := NewLimit(in, 2)
+		if err := l.Open(newCtx(t, personnelDoc(t))); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if in.closes != 1 {
-		t.Fatalf("input closed %d times after the cap, want 1 (early close)", in.closes)
-	}
-	// No more pulls after the cap.
-	pulls := in.nexts
-	if _, ok, err := l.Next(); ok || err != nil {
-		t.Fatalf("Next past cap: ok=%v err=%v", ok, err)
-	}
-	if in.nexts != pulls {
-		t.Fatal("Limit kept pulling upstream past the cap")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if in.closes != 1 {
-		t.Fatalf("input closed %d times in total, want exactly 1", in.closes)
+		b := NewBatch(1)
+		for got := 0; got < 2; got += b.Len() {
+			if err := l.NextBatch(b); err != nil || b.Len() == 0 || got+b.Len() > 2 {
+				t.Fatalf("per=%d: NextBatch after %d rows: %d rows, err=%v", per, got, b.Len(), err)
+			}
+		}
+		if in.closes != 1 {
+			t.Fatalf("per=%d: input closed %d times after the cap, want 1 (early close)", per, in.closes)
+		}
+		// No more pulls after the cap; the early Close's failure ends the stream.
+		pulls := in.nexts
+		if err := l.NextBatch(b); !errors.Is(err, errClose) || b.Len() != 0 {
+			t.Fatalf("per=%d: NextBatch past cap: %d rows, err=%v, want the latched close failure", per, b.Len(), err)
+		}
+		if in.nexts != pulls {
+			t.Fatalf("per=%d: Limit kept pulling upstream past the cap", per)
+		}
+		if err := l.Close(); !errors.Is(err, errClose) {
+			t.Fatalf("per=%d: Close = %v, want the latched close failure", per, err)
+		}
+		if in.closes != 1 {
+			t.Fatalf("per=%d: input closed %d times in total, want exactly 1", per, in.closes)
+		}
 	}
 }
 
 // TestLimitExhaustedInputStopsPulling covers the short-input case: once the
 // input reports end of stream, Limit must not pull it again.
 func TestLimitExhaustedInputStopsPulling(t *testing.T) {
-	in := newScriptedOp([]Tuple{{1}}, -1, nil)
+	in := newScriptedOp([]Tuple{{1}}, 1, -1)
 	l := NewLimit(in, 5)
 	if err := l.Open(newCtx(t, personnelDoc(t))); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := l.Next(); !ok {
-		t.Fatal("first tuple missing")
+	b := NewBatch(1)
+	if err := l.NextBatch(b); err != nil || b.Len() != 1 {
+		t.Fatalf("first batch: %d rows, err=%v", b.Len(), err)
 	}
-	if _, ok, _ := l.Next(); ok {
-		t.Fatal("unexpected tuple past end")
+	if err := l.NextBatch(b); err != nil || b.Len() != 0 {
+		t.Fatalf("unexpected rows past end: %d, err=%v", b.Len(), err)
 	}
 	pulls := in.nexts
-	if _, ok, _ := l.Next(); ok {
-		t.Fatal("unexpected tuple past end")
+	if err := l.NextBatch(b); err != nil || b.Len() != 0 {
+		t.Fatalf("unexpected rows past end: %d, err=%v", b.Len(), err)
 	}
 	if in.nexts != pulls {
 		t.Fatal("Limit pulled an exhausted input again")
@@ -155,16 +152,17 @@ func TestLimitExhaustedInputStopsPulling(t *testing.T) {
 	}
 }
 
-// TestLimitZero keeps the degenerate cap working: no output, exactly one
-// upstream Close (via Limit.Close).
+// TestLimitZero keeps the degenerate cap working: no output, no pull,
+// exactly one upstream Close (via Limit.Close).
 func TestLimitZero(t *testing.T) {
-	in := newScriptedOp([]Tuple{{1}}, -1, nil)
+	in := newScriptedOp([]Tuple{{1}}, 1, -1)
 	l := NewLimit(in, 0)
 	if err := l.Open(newCtx(t, personnelDoc(t))); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := l.Next(); ok || err != nil {
-		t.Fatalf("Next on zero limit: ok=%v err=%v", ok, err)
+	b := NewBatch(1)
+	if err := l.NextBatch(b); err != nil || b.Len() != 0 || in.nexts != 0 {
+		t.Fatalf("NextBatch on zero limit: %d rows, %d pulls, err=%v", b.Len(), in.nexts, err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

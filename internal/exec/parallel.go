@@ -15,7 +15,8 @@ import (
 
 // ParallelExec drives one physical plan over K disjoint region partitions
 // of the document, executing an independent clone of the plan per partition
-// on a bounded worker pool.
+// on a bounded worker pool. K = 1 is serial execution: the same driver, one
+// clone, no pool.
 //
 // The region encoding makes the partitioning exact: every match of a tree
 // pattern lies entirely inside the region of the node bound to the pattern
@@ -37,7 +38,9 @@ import (
 // reach that point at different places.
 type ParallelExec struct {
 	// Workers bounds the number of concurrently executing plan clones.
-	// <= 0 means runtime.GOMAXPROCS(0).
+	// 0 is serial execution: one clone over the whole document, on the
+	// calling goroutine and the caller's Context. < 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Partitions is the number of region ranges the document is split
 	// into; <= 0 means Workers. More partitions than workers improve load
@@ -48,9 +51,6 @@ type ParallelExec struct {
 	// TraceBuilder so every clone accumulates into one shared
 	// plan-shaped trace.
 	BuildOp func() (Operator, error)
-	// Batch selects the batched execution path for every partition (and
-	// for the degenerate single-partition fallback).
-	Batch bool
 }
 
 // build compiles one operator tree for a partition, honouring BuildOp.
@@ -72,6 +72,9 @@ func (pe *ParallelExec) workers() int {
 // the pattern root's tag, weighted by the postings counts of every tag the
 // plan scans (with multiplicity — a tag scanned twice weighs twice).
 func (pe *ParallelExec) ranges(c *Context, pat *pattern.Pattern) []storage.Range {
+	if pe.Workers == 0 {
+		return []storage.Range{storage.FullRange(c.Doc)}
+	}
 	k := pe.Partitions
 	if k <= 0 {
 		k = pe.workers()
@@ -111,12 +114,9 @@ func (pe *ParallelExec) RunLimit(ctx context.Context, base *Context, pat *patter
 // match count.
 func (pe *ParallelExec) RunCount(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node) (int, error) {
 	parts := pe.ranges(base, pat)
-	if len(parts) == 1 {
-		return pe.countSerial(base, pat, p)
-	}
 	counts := make([]int, len(parts))
 	err := pe.forEachPartition(ctx, base, pat, p, parts, func(i int, local *Context, root Operator) error {
-		n, err := Count(local, root, pe.Batch)
+		n, err := Count(local, root)
 		counts[i] = n
 		return err
 	})
@@ -140,12 +140,6 @@ var errLimitSatisfied = errors.New("exec: parallel limit satisfied")
 // limit >= 0 stops after the first limit rows of the concatenated output.
 func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pattern, p *plan.Node, limit int) (MatchSet, error) {
 	parts := pe.ranges(base, pat)
-	if len(parts) == 1 {
-		// Degenerate split (K=1, unknown root tag, or a document whose
-		// root tag admits no cut): run the ordinary serial path.
-		return pe.runSerial(base, pat, p, limit)
-	}
-
 	outs := make([]MatchSet, len(parts))
 	done := make([]bool, len(parts))
 	var mu sync.Mutex // guards outs, done and the prefix check
@@ -155,7 +149,7 @@ func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pat
 			// answer is an order-prefix of the concatenation.
 			root = NewLimit(root, limit)
 		}
-		out, err := Collect(local, root, pat.N(), pe.Batch)
+		out, err := Collect(local, root, pat.N())
 		if err != nil {
 			return err
 		}
@@ -175,6 +169,9 @@ func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pat
 	})
 	if err != nil {
 		return MatchSet{}, err
+	}
+	if len(parts) == 1 {
+		return outs[0], nil // nothing to merge, and Limit already cut it
 	}
 
 	// Ordered append: partitions tile the position space in order, and
@@ -200,44 +197,16 @@ func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pat
 	return result, nil
 }
 
-// runSerial is the degenerate single-partition path of run. It carries the
-// same panic guarantee as the partitioned path: a panicking operator
-// surfaces as a *PanicError, never as a process crash.
-func (pe *ParallelExec) runSerial(base *Context, pat *pattern.Pattern, p *plan.Node, limit int) (out MatchSet, err error) {
-	defer func() {
-		if perr := RecoverPanic(recover()); perr != nil {
-			out, err = MatchSet{}, perr
-		}
-	}()
-	op, err := pe.build(pat, p)
-	if err != nil {
-		return MatchSet{}, err
-	}
-	if limit >= 0 {
-		op = NewLimit(op, limit)
-	}
-	return Collect(base, op, pat.N(), pe.Batch)
-}
-
-// countSerial is runSerial for RunCount.
-func (pe *ParallelExec) countSerial(base *Context, pat *pattern.Pattern, p *plan.Node) (n int, err error) {
-	defer func() {
-		if perr := RecoverPanic(recover()); perr != nil {
-			n, err = 0, perr
-		}
-	}()
-	op, err := pe.build(pat, p)
-	if err != nil {
-		return 0, err
-	}
-	return Count(base, op, pe.Batch)
-}
-
 // forEachPartition runs body for every partition on a bounded worker pool.
 // Each invocation gets a fresh clone of the plan's operator tree and a
 // partition-local Context whose Stats are merged into base as partitions
 // finish. The first real error cancels the remaining work and is returned;
 // errLimitSatisfied cancels the pool but reports success.
+//
+// A single partition (serial execution, an unknown root tag, or a document
+// whose root tag admits no cut) needs neither pool nor merge: body runs on
+// the calling goroutine with base itself, which polls ctx for cancellation
+// unless the caller installed an Interrupt of its own.
 func (pe *ParallelExec) forEachPartition(
 	ctx context.Context,
 	base *Context,
@@ -246,6 +215,16 @@ func (pe *ParallelExec) forEachPartition(
 	parts []storage.Range,
 	body func(i int, local *Context, root Operator) error,
 ) error {
+	if len(parts) == 1 {
+		if base.Interrupt == nil && ctx.Done() != nil {
+			base.Interrupt = ctx.Err
+		}
+		err := pe.runPartition(pat, p, 0, base, body)
+		if errors.Is(err, errLimitSatisfied) {
+			err = nil
+		}
+		return err
+	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

@@ -51,7 +51,8 @@ func exactEq(a, b []Tuple) bool {
 
 // TestParallelRunMatchesSerial checks the core promise on random folded
 // documents: for every plan shape and K ∈ {1,2,3,7}, ParallelExec.Run
-// returns exactly the serial result sequence, and the merged OutputTuples
+// returns exactly the serial result sequence (referenceRun: one run on
+// private memory, itself held to brute force), and the merged OutputTuples
 // counter matches.
 func TestParallelRunMatchesSerial(t *testing.T) {
 	pat := pattern.MustParse("//a[.//b/c]//d")
@@ -62,10 +63,7 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 		doc := xmltree.Fold(base, 1+rng.Intn(5))
 		for pi, p := range plans {
 			serialCtx := newCtx(t, doc)
-			want, err := tuples(Run(serialCtx, pat, p, false))
-			if err != nil {
-				t.Fatalf("trial %d plan %d serial: %v", trial, pi, err)
-			}
+			want := referenceRun(t, serialCtx, pat, p)
 			for _, k := range []int{1, 2, 3, 7} {
 				pe := &ParallelExec{Workers: k, Partitions: k}
 				pctx := newCtx(t, doc)
@@ -95,9 +93,9 @@ func TestParallelRunCountMatchesSerial(t *testing.T) {
 		base := xmltree.RandomDocument(rng, 2+rng.Intn(120), []string{"a", "b", "c", "d"})
 		doc := xmltree.Fold(base, 1+rng.Intn(4))
 		for pi, p := range plans {
-			want, err := RunCount(newCtx(t, doc), pat, p, false)
-			if err != nil {
-				t.Fatalf("trial %d plan %d serial: %v", trial, pi, err)
+			want, err := RunCount(newCtx(t, doc), pat, p)
+			if ref := len(ReferenceMatches(doc, pat)); err != nil || want != ref {
+				t.Fatalf("trial %d plan %d serial: count %d, brute force %d, err %v", trial, pi, want, ref, err)
 			}
 			for _, k := range []int{2, 5} {
 				pe := &ParallelExec{Workers: k, Partitions: k}
@@ -126,10 +124,7 @@ func TestParallelRunLimitIsSerialPrefix(t *testing.T) {
 	base := xmltree.RandomDocument(rng, 90, []string{"a", "b", "c", "d"})
 	doc := xmltree.Fold(base, 6)
 	for pi, p := range parallelTestPlans() {
-		full, err := tuples(Run(newCtx(t, doc), pat, p, false))
-		if err != nil {
-			t.Fatalf("plan %d serial: %v", pi, err)
-		}
+		full := referenceRun(t, newCtx(t, doc), pat, p)
 		for n := 0; n <= len(full)+2; n++ {
 			pe := &ParallelExec{Workers: 3, Partitions: 5}
 			pctx := newCtx(t, doc)
@@ -173,10 +168,7 @@ func TestParallelRunDegenerate(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
 	p := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
-	want, err := tuples(Run(newCtx(t, doc), pat, p, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceRun(t, newCtx(t, doc), pat, p)
 	pe := &ParallelExec{Workers: 1, Partitions: 1}
 	got, err := tuples(pe.Run(context.Background(), newCtx(t, doc), pat, p))
 	if err != nil {

@@ -23,8 +23,7 @@ type IndexScan struct {
 	pred pattern.Predicate // (op, value), compiled in Open
 	scan *storage.TagScanner
 	done bool
-	rows int              // scan-local row count; drives the interrupt poll stride
-	blk  []xmltree.NodeID // posting block for the batched path
+	blk  []xmltree.NodeID // posting block, borrowed from the scratch
 }
 
 // NewIndexScan builds a scan for pattern node u of pat.
@@ -59,52 +58,19 @@ func (s *IndexScan) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *IndexScan) Next() (Tuple, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	for {
-		id, _, ok, err := s.scan.Next()
-		if err != nil {
-			return nil, false, fmt.Errorf("exec: index scan of %q: %w", s.tag, err)
-		}
-		if !ok {
-			s.done = true
-			return nil, false, nil
-		}
-		s.ctx.Stats.ScannedTuples++
-		s.rows++
-		// Poll for cancellation on long scans (every 4096 rows) so a
-		// cancelled parallel query stops even inside a selective scan
-		// that produces no output for the driver's drain loop to observe.
-		// The stride counter is scan-local: the shared ScannedTuples stats
-		// counter advances for every scan in the query, so two interleaved
-		// scans could keep it permanently misaligned with any one scan's
-		// stride.
-		if s.ctx.Interrupt != nil && s.rows&0xfff == 0 {
-			if err := s.ctx.Interrupt(); err != nil {
-				return nil, false, err
-			}
-		}
-		if s.op != pattern.CmpNone && !s.pred.Match(s.ctx.Doc.Value(id)) {
-			continue
-		}
-		return Tuple{id}, true, nil
-	}
-}
-
-// NextBatch implements BatchOperator: postings are pulled a page-sized block
-// at a time straight off the index (no per-posting virtual dispatch, and —
-// for predicate-free scans — no node-record reads at all), then appended to
-// the batch in a tight loop.
+// NextBatch implements Operator: postings are pulled a page-sized block at a
+// time straight off the index (no per-posting virtual dispatch, and — for
+// predicate-free scans — no node-record reads at all), then appended to the
+// batch in a tight loop. Interrupt is polled once per block, so a cancelled
+// query stops even inside a selective scan that fills no batch for the
+// driver's own poll to observe.
 func (s *IndexScan) NextBatch(b *Batch) error {
 	b.Reset()
 	if s.done {
 		return nil
 	}
 	if s.blk == nil {
-		s.blk = s.ctx.sc().ids(BatchRows)
+		s.blk = s.ctx.scratch.ids(BatchRows)
 	}
 	for !b.Full() {
 		if s.ctx.Interrupt != nil {

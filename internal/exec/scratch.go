@@ -22,11 +22,6 @@ import (
 // is never scanned and a push or a buffered pair raises no write barrier.
 // Results are not scratch: a MatchSet's backing array outlives the execution
 // and is never pooled.
-//
-// A Context that no driver gave a scratch (the tuple-at-a-time path, tests
-// driving operators by hand) makes a private one on first use. It is never
-// pooled or reset, which is what lets Next hand out slab views the caller may
-// keep.
 type scratch struct {
 	chunks [][]xmltree.NodeID // the tuple slab, slabChunk IDs each
 	used   int                // chunks in use; the last one is being filled
@@ -56,15 +51,6 @@ const (
 )
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// sc returns the execution's scratch, making a private, never-pooled one if
-// no driver attached a pooled one.
-func (c *Context) sc() *scratch {
-	if c.scratch == nil {
-		c.scratch = new(scratch)
-	}
-	return c.scratch
-}
 
 // alloc reserves n node IDs in the slab and returns their handle and storage.
 // The storage holds whatever the previous execution left there.

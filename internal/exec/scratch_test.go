@@ -18,10 +18,11 @@ import (
 // pooled scratches, serially and eight ways at once, with every way an
 // execution can end mixed in — to completion, cut short by Limit's early
 // upstream Close, cancelled mid-scan, failed by a storage read error. Every
-// execution that completes must return exactly the tuple-at-a-time rows
-// (which are the reference matches), and no page may stay pinned. Race builds
-// poison a released scratch, so an operator that kept a view of one past its
-// execution fails here instead of returning the next execution's rows.
+// execution that completes must return exactly the rows, in order, of
+// referenceRun — one run on private memory, held to the brute-force matches —
+// and no page may stay pinned. Race builds poison a released scratch, so an
+// operator that kept a view of one past its execution fails here instead of
+// returning the next execution's rows.
 func TestScratchReuseAcrossExecutions(t *testing.T) {
 	pat := pattern.MustParse("//a[.//b/c]//d")
 	rng := rand.New(rand.NewSource(19))
@@ -31,14 +32,10 @@ func TestScratchReuseAcrossExecutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := parallelTestPlans() // Anc pipelines, Desc joins under a Sort, bushy composites
-	ref := ReferenceMatches(doc, pat)
 	want := make([][]Tuple, len(plans))
 	for i, p := range plans {
-		if want[i], err = tuples(Run(&Context{Doc: doc, Store: st}, pat, p, false)); err != nil {
-			t.Fatal(err)
-		}
-		if len(ref) < 2*BatchRows || !sortedEq(append([]Tuple(nil), want[i]...), append([]Tuple(nil), ref...)) {
-			t.Fatalf("plan %d: tuple path returned %d rows, reference has %d", i, len(want[i]), len(ref))
+		if want[i] = referenceRun(t, &Context{Doc: doc, Store: st}, pat, p); len(want[i]) < 2*BatchRows {
+			t.Fatalf("plan %d: %d rows, too few to span batches", i, len(want[i]))
 		}
 	}
 
@@ -48,9 +45,9 @@ func TestScratchReuseAcrossExecutions(t *testing.T) {
 		p, rows := plans[pi], want[pi]
 		switch step % 4 {
 		case 0: // to completion
-			got, err := tuples(Run(&Context{Doc: doc, Store: st}, pat, p, true))
+			got, err := tuples(Run(&Context{Doc: doc, Store: st}, pat, p))
 			if err != nil || !exactEq(got, rows) {
-				return errors.New("full run differs from the tuple path")
+				return errors.New("full run differs from the reference run")
 			}
 		case 1: // Limit closes the upstream tree early
 			op, err := Build(pat, p)
@@ -58,9 +55,9 @@ func TestScratchReuseAcrossExecutions(t *testing.T) {
 				return err
 			}
 			k := 1 + step%(BatchRows+7)
-			got, err := tuples(Collect(&Context{Doc: doc, Store: st}, NewLimit(op, k), pat.N(), true))
+			got, err := tuples(Collect(&Context{Doc: doc, Store: st}, NewLimit(op, k), pat.N()))
 			if err != nil || !exactEq(got, rows[:k]) {
-				return errors.New("limited run is not the tuple path's prefix")
+				return errors.New("limited run is not the reference run's prefix")
 			}
 		case 2: // cancelled on the third interrupt poll, inside the first scans
 			cctx, cancel := context.WithCancel(context.Background())
@@ -71,7 +68,7 @@ func TestScratchReuseAcrossExecutions(t *testing.T) {
 				}
 				return cctx.Err()
 			}}
-			if _, err := Run(ectx, pat, p, true); !errors.Is(err, context.Canceled) {
+			if _, err := Run(ectx, pat, p); !errors.Is(err, context.Canceled) {
 				return errors.New("cancelled run did not report context.Canceled")
 			}
 		case 3: // a read error, on a store of its own; a fault point past the run's reads never fires
@@ -81,10 +78,10 @@ func TestScratchReuseAcrossExecutions(t *testing.T) {
 				return err
 			}
 			ff.SetPolicy(faultfs.Policy{FailNthRead: 1 + step/4%3})
-			got, err := tuples(Run(&Context{Doc: doc, Store: fst}, pat, p, true))
+			got, err := tuples(Run(&Context{Doc: doc, Store: fst}, pat, p))
 			switch {
 			case err == nil && !exactEq(got, rows):
-				return errors.New("run on the faulty store differs from the tuple path")
+				return errors.New("run on the faulty store differs from the reference run")
 			case err != nil && !errors.Is(err, faultfs.ErrInjected):
 				return err
 			case err != nil:

@@ -25,7 +25,7 @@ type Sort struct {
 	st     *sortState
 	pos    int
 	loaded bool
-	err    error // latched load failure: every later Next returns it
+	err    error // latched load failure: every later NextBatch returns it
 	ctx    *Context
 }
 
@@ -53,7 +53,7 @@ func (s *Sort) Schema() *Schema { return s.schema }
 // Open implements Operator.
 func (s *Sort) Open(ctx *Context) error {
 	s.ctx = ctx
-	s.sc = ctx.sc()
+	s.sc = ctx.scratch
 	s.st = s.sc.sort()
 	return s.input.Open(ctx)
 }
@@ -61,38 +61,19 @@ func (s *Sort) Open(ctx *Context) error {
 // row returns buffered tuple i: a view of the slab.
 func (s *Sort) row(i int) Tuple { return s.sc.tuple(s.st.items[i].h, s.schema.Width()) }
 
-// Next implements Operator.
-func (s *Sort) Next() (Tuple, bool, error) {
-	if s.err != nil {
-		return nil, false, s.err
-	}
-	if !s.loaded {
-		if err := s.load(); err != nil {
-			// Latch the failure: a partially-loaded buffer is not valid
-			// output, so every subsequent Next must keep failing instead
-			// of serving the unsorted remnant.
-			s.err = err
-			return nil, false, err
-		}
-	}
-	if s.pos >= len(s.st.items) {
-		return nil, false, nil
-	}
-	t := s.row(s.pos)
-	s.pos++
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator: the input is materialised through its
-// own batched path (one virtual call per input batch), and the sorted
-// buffer is then served in batch-sized runs.
+// NextBatch implements Operator: the first call materialises the whole input
+// (one virtual call per input batch), and the sorted buffer is then served in
+// batch-sized runs.
 func (s *Sort) NextBatch(b *Batch) error {
 	b.Reset()
 	if s.err != nil {
 		return s.err
 	}
 	if !s.loaded {
-		if err := s.loadBatched(); err != nil {
+		if err := s.load(); err != nil {
+			// Latch the failure: a partially-loaded buffer is not valid
+			// output, so every later NextBatch must keep failing instead
+			// of serving the unsorted remnant.
 			s.err = err
 			return err
 		}
@@ -109,29 +90,12 @@ func (s *Sort) buffer(t Tuple) {
 	s.st.items = append(s.st.items, sortItem{key: s.ctx.Doc.Start(t[s.col]), h: s.sc.keep(t)})
 }
 
+// load drains the input into the slab and sorts it.
 func (s *Sort) load() error {
 	s.loaded = true
-	for {
-		t, ok, err := s.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.buffer(t)
-	}
-	s.sortBuf()
-	return nil
-}
-
-// loadBatched is load over the input's batched path.
-func (s *Sort) loadBatched() error {
-	s.loaded = true
-	bop := AsBatchOperator(s.input)
 	in := s.sc.batch(s.schema.Width())
 	for {
-		if err := bop.NextBatch(in); err != nil {
+		if err := s.input.NextBatch(in); err != nil {
 			return err
 		}
 		if in.Len() == 0 {

@@ -12,10 +12,10 @@ import (
 )
 
 // OpTrace is one operator's instrumentation record in a plan-shaped trace
-// tree: wall time split by iterator phase, Next-call and output-tuple
-// counts, and the optimizer's cardinality estimate for est-vs-actual drift
-// analysis (the paper's core feedback signal). Durations are cumulative —
-// an operator's Next time includes the Next time of its children, and under
+// tree: wall time split by iterator phase, batch and output-tuple counts,
+// and the optimizer's cardinality estimate for est-vs-actual drift analysis
+// (the paper's core feedback signal). Durations are cumulative — an
+// operator's NextBatch time includes that of its children, and under
 // partition-parallel execution the times of all clones are summed, so they
 // can exceed the query's wall-clock latency.
 type OpTrace struct {
@@ -27,13 +27,11 @@ type OpTrace struct {
 	// actual output tuple count.
 	EstRows float64 `json:"est_rows"`
 	Rows    int64   `json:"rows"`
-	// NextCalls counts Next invocations (Rows + one end-of-stream call per
-	// clone, fewer under an early-terminating Limit).
-	NextCalls int64 `json:"next_calls"`
-	// Batches counts NextBatch invocations on the batched path (0 under
-	// tuple-at-a-time execution); Skipped counts index postings the
-	// operator bypassed via skip-ahead seeks.
-	Batches int64 `json:"batches,omitempty"`
+	// Batches counts NextBatch invocations, each clone's final empty one
+	// included (an early-terminating Limit saves its input that one);
+	// Skipped counts index postings the operator bypassed via skip-ahead
+	// seeks.
+	Batches int64 `json:"batches"`
 	Skipped int64 `json:"skipped,omitempty"`
 	// Clones is the number of operator instances that fed this record: 1
 	// for serial execution, one per partition for parallel runs.
@@ -53,18 +51,15 @@ func (t *OpTrace) WallTime() time.Duration {
 }
 
 // Format renders the trace tree one operator per line, annotated with
-// estimated vs actual rows, the est/actual drift ratio, Next calls and
-// wall time — the body of EXPLAIN ANALYZE.
+// estimated vs actual rows, the est/actual drift ratio, batches and wall
+// time — the body of EXPLAIN ANALYZE.
 func (t *OpTrace) Format() string {
 	var sb strings.Builder
 	var walk func(n *OpTrace, depth int)
 	walk = func(n *OpTrace, depth int) {
-		fmt.Fprintf(&sb, "%s%s %s  [est≈%.0f actual=%d err=%s calls=%d",
+		fmt.Fprintf(&sb, "%s%s %s  [est≈%.0f actual=%d err=%s batches=%d",
 			strings.Repeat("  ", depth), n.Op, n.Detail,
-			n.EstRows, n.Rows, driftRatio(n.EstRows, n.Rows), n.NextCalls)
-		if n.Batches > 0 {
-			fmt.Fprintf(&sb, " batches=%d", n.Batches)
-		}
+			n.EstRows, n.Rows, driftRatio(n.EstRows, n.Rows), n.Batches)
 		if n.Skipped > 0 {
 			fmt.Fprintf(&sb, " skipped=%d", n.Skipped)
 		}
@@ -89,7 +84,6 @@ func (t *OpTrace) Merge(o *OpTrace) {
 		return
 	}
 	t.Rows += o.Rows
-	t.NextCalls += o.NextCalls
 	t.Batches += o.Batches
 	t.Skipped += o.Skipped
 	t.Clones += o.Clones
@@ -152,14 +146,13 @@ type traceAcc struct {
 	node        *plan.Node
 	left, right *traceAcc
 
-	rows      atomic.Int64
-	nextCalls atomic.Int64
-	batches   atomic.Int64
-	skipped   atomic.Int64
-	clones    atomic.Int64
-	openNs    atomic.Int64
-	nextNs    atomic.Int64
-	closeNs   atomic.Int64
+	rows    atomic.Int64
+	batches atomic.Int64
+	skipped atomic.Int64
+	clones  atomic.Int64
+	openNs  atomic.Int64
+	nextNs  atomic.Int64
+	closeNs atomic.Int64
 }
 
 // TraceBuilder compiles instrumented operator trees for one plan. Build may
@@ -230,7 +223,6 @@ func (tb *TraceBuilder) snapshot(a *traceAcc) *OpTrace {
 		Detail:    opDetail(tb.pat, a.node),
 		EstRows:   a.node.EstCard,
 		Rows:      a.rows.Load(),
-		NextCalls: a.nextCalls.Load(),
 		Batches:   a.batches.Load(),
 		Skipped:   a.skipped.Load(),
 		Clones:    a.clones.Load(),
@@ -283,21 +275,19 @@ func opDetail(pat *pattern.Pattern, n *plan.Node) string {
 }
 
 // traced wraps one operator instance with phase timers and output counters.
-// Counters stay clone-local (no synchronisation on the Next path) and are
-// flushed into the shared accumulator once, when the operator is Closed.
+// Counters stay clone-local (no synchronisation on the NextBatch path) and
+// are flushed into the shared accumulator once, when the operator is Closed.
 type traced struct {
-	inner  Operator
-	innerB BatchOperator // lazily bound batched view of inner
-	acc    *traceAcc
+	inner Operator
+	acc   *traceAcc
 
-	rows      int64
-	nextCalls int64
-	batches   int64
-	skipped   int64
-	openNs    int64
-	nextNs    int64
-	closeNs   int64
-	flushed   bool
+	rows    int64
+	batches int64
+	skipped int64
+	openNs  int64
+	nextNs  int64
+	closeNs int64
+	flushed bool
 }
 
 // Schema implements Operator.
@@ -311,30 +301,18 @@ func (t *traced) Open(ctx *Context) error {
 	return err
 }
 
-// Next implements Operator.
-func (t *traced) Next() (Tuple, bool, error) {
-	start := time.Now()
-	tup, ok, err := t.inner.Next()
-	t.nextNs += int64(time.Since(start))
-	t.nextCalls++
-	if ok {
-		t.rows++
-	}
-	return tup, ok, err
-}
-
-// NextBatch implements BatchOperator with one timing sample and one counter
-// update per batch rather than per tuple — this is what collapses tracing
-// overhead on the batched path.
+// NextBatch implements Operator with one timing sample and one counter
+// update per batch, which is what keeps tracing near-free. A failed call
+// delivered nothing — the batch's contents are undefined — so it counts as a
+// batch but adds no rows.
 func (t *traced) NextBatch(b *Batch) error {
-	if t.innerB == nil {
-		t.innerB = AsBatchOperator(t.inner)
-	}
 	start := time.Now()
-	err := t.innerB.NextBatch(b)
+	err := t.inner.NextBatch(b)
 	t.nextNs += int64(time.Since(start))
 	t.batches++
-	t.rows += int64(b.Len())
+	if err == nil {
+		t.rows += int64(b.Len())
+	}
 	return err
 }
 
@@ -364,7 +342,6 @@ func (t *traced) flush() {
 	}
 	t.flushed = true
 	t.acc.rows.Add(t.rows)
-	t.acc.nextCalls.Add(t.nextCalls)
 	t.acc.batches.Add(t.batches)
 	t.acc.skipped.Add(t.skipped)
 	t.acc.clones.Add(1)

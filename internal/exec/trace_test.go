@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestTraceBuilderSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(newCtx(t, doc), op, false)
+	n, err := Count(newCtx(t, doc), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +33,9 @@ func TestTraceBuilderSerial(t *testing.T) {
 	if tr.Rows != int64(n) {
 		t.Fatalf("root rows = %d, want %d", tr.Rows, n)
 	}
-	// Rows + one end-of-stream call in a full drain.
-	if tr.NextCalls != int64(n)+1 {
-		t.Fatalf("root next calls = %d, want %d", tr.NextCalls, n+1)
+	// The n rows fit one batch: one call delivers them, one finds the end.
+	if n == 0 || n > BatchRows || tr.Batches != 2 {
+		t.Fatalf("root batches = %d over %d rows, want 2", tr.Batches, n)
 	}
 	if tr.Clones != 1 {
 		t.Fatalf("root clones = %d, want 1", tr.Clones)
@@ -57,7 +58,7 @@ func TestTraceBuilderSerial(t *testing.T) {
 		}
 	}
 	out := tr.Format()
-	for _, want := range []string{"STJ-Desc", "IndexScan", "manager($0)", "name($1)", "est≈42", "actual=", "calls=", "time="} {
+	for _, want := range []string{"STJ-Desc", "IndexScan", "manager($0)", "name($1)", "est≈42", "actual=", "batches=2", "time="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format missing %q:\n%s", want, out)
 		}
@@ -81,7 +82,7 @@ func TestTraceBuilderMultipleClones(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := Count(newCtx(t, doc), op, false)
+		n, err := Count(newCtx(t, doc), op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func TestTraceBuilderMatchesPlainExecution(t *testing.T) {
 	pat := pattern.MustParse("//manager[.//employee]//name")
 	me := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoAnc)
 	men := plan.NewJoin(me, plan.NewIndexScan(2), 0, 2, pattern.Descendant, plan.AlgoAnc)
-	plain, err := RunCount(newCtx(t, doc), pat, men, false)
+	plain, err := RunCount(newCtx(t, doc), pat, men)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestTraceBuilderMatchesPlainExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(newCtx(t, doc), op, false)
+	n, err := Count(newCtx(t, doc), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +134,16 @@ func TestTraceBuilderRejectsBadPlans(t *testing.T) {
 }
 
 func TestTracedFlushOnce(t *testing.T) {
-	in := newScriptedOp([]Tuple{{1}, {2}}, -1, nil)
+	in := newScriptedOp([]Tuple{{1}, {2}}, 1, -1)
 	acc := &traceAcc{node: plan.NewIndexScan(0)}
 	tr := &traced{inner: in, acc: acc}
 	if err := tr.Open(newCtx(t, personnelDoc(t))); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, ok, err := tr.Next(); err != nil {
+	for b := NewBatch(1); ; {
+		if err := tr.NextBatch(b); err != nil {
 			t.Fatal(err)
-		} else if !ok {
+		} else if b.Len() == 0 {
 			break
 		}
 	}
@@ -151,7 +152,31 @@ func TestTracedFlushOnce(t *testing.T) {
 	if got := acc.rows.Load(); got != 2 {
 		t.Fatalf("acc rows = %d, want 2", got)
 	}
+	if got := acc.batches.Load(); got != 3 {
+		t.Fatalf("acc batches = %d, want 3 (two rows, one a batch, and the end)", got)
+	}
 	if got := acc.clones.Load(); got != 1 {
 		t.Fatalf("acc clones = %d, want 1", got)
+	}
+}
+
+// TestTracedFailedBatchIsNotRows is the regression test for the tracer's row
+// count: a NextBatch that fails has delivered nothing, whatever it left in the
+// batch (IndexScan returns the error of block k with blocks 1…k−1 still
+// appended), so the trace's Rows is what the consumer was actually handed.
+func TestTracedFailedBatchIsNotRows(t *testing.T) {
+	in := newScriptedOp([]Tuple{{1}, {2}, {3}, {4}, {5}}, 2, 1)
+	in.failRows = 1 // the second call leaves a row behind and fails
+	acc := &traceAcc{node: plan.NewIndexScan(0)}
+	delivered := 0
+	err := pullBatches(newCtx(t, personnelDoc(t)), &traced{inner: in, acc: acc}, func(b *Batch) { delivered += b.Len() })
+	if !errors.Is(err, errScripted) {
+		t.Fatalf("err = %v, want the scripted failure", err)
+	}
+	if got := acc.rows.Load(); delivered != 2 || got != 2 {
+		t.Fatalf("trace rows = %d with %d rows delivered, want 2 and 2", got, delivered)
+	}
+	if got := acc.batches.Load(); got != 2 {
+		t.Fatalf("trace batches = %d, want 2 (the failed call is still a call)", got)
 	}
 }

@@ -50,35 +50,9 @@ func (s *ValueIndexScan) Open(ctx *Context) error {
 	return s.IndexScan.Open(ctx)
 }
 
-// Next implements Operator. Probed postings satisfy the predicate by
-// construction, so no per-row evaluation happens here.
-func (s *ValueIndexScan) Next() (Tuple, bool, error) {
-	if s.probe == nil {
-		return s.IndexScan.Next()
-	}
-	if s.done {
-		return nil, false, nil
-	}
-	id, _, ok, err := s.probe.Next()
-	if err != nil {
-		return nil, false, fmt.Errorf("exec: value-index scan of %q: %w", s.tag, err)
-	}
-	if !ok {
-		s.done = true
-		return nil, false, nil
-	}
-	s.ctx.Stats.ScannedTuples++
-	s.rows++
-	if s.ctx.Interrupt != nil && s.rows&0xfff == 0 {
-		if err := s.ctx.Interrupt(); err != nil {
-			return nil, false, err
-		}
-	}
-	return Tuple{id}, true, nil
-}
-
-// NextBatch implements BatchOperator: the batch is filled straight from
-// decoded postings blocks — no predicate loop and no node-record reads.
+// NextBatch implements Operator: the batch is filled straight from decoded
+// postings blocks — probed postings satisfy the predicate by construction, so
+// there is no predicate loop and no node-record read.
 func (s *ValueIndexScan) NextBatch(b *Batch) error {
 	if s.probe == nil {
 		return s.IndexScan.NextBatch(b)
@@ -88,7 +62,7 @@ func (s *ValueIndexScan) NextBatch(b *Batch) error {
 		return nil
 	}
 	if s.blk == nil {
-		s.blk = s.ctx.sc().ids(BatchRows)
+		s.blk = s.ctx.scratch.ids(BatchRows)
 	}
 	for !b.Full() {
 		if s.ctx.Interrupt != nil {

@@ -161,7 +161,7 @@ type Table3Row struct {
 // algorithm's chosen plan for Q.Pers.3.d as the data set is folded. The
 // paper uses folds ×1, ×10, ×100 and ×500.
 func Table3(folds []int) ([]Table3Row, error) {
-	return table3(folds, 0, false)
+	return table3(folds, 0)
 }
 
 // Table3Parallel is Table 3 with every plan executed partition-parallel
@@ -171,18 +171,12 @@ func Table3Parallel(folds []int, k int) ([]Table3Row, error) {
 	if k <= 0 {
 		k = -1 // force WithParallelism's GOMAXPROCS default
 	}
-	return table3(folds, k, false)
-}
-
-// Table3NoBatch is Table 3 executed tuple-at-a-time (the pre-batching
-// executor) — xqbench's -nobatch escape hatch.
-func Table3NoBatch(folds []int) ([]Table3Row, error) {
-	return table3(folds, 0, true)
+	return table3(folds, k)
 }
 
 // table3 is the shared driver; parallel != 0 routes execution through
-// db.WithParallelism, noBatch disables the batched execution path.
-func table3(folds []int, parallel int, noBatch bool) ([]Table3Row, error) {
+// db.WithParallelism.
+func table3(folds []int, parallel int) ([]Table3Row, error) {
 	q, err := QueryByID(PersQuery3)
 	if err != nil {
 		return nil, err
@@ -214,7 +208,7 @@ func table3(folds []int, parallel int, noBatch bool) ([]Table3Row, error) {
 			}
 			eval, err := timeIt(evalRepeat, func() error {
 				_, e := db.Run(context.Background(), pat, res.Plan,
-					sjos.RunOptions{ExecOptions: sjos.ExecOptions{NoBatch: noBatch}, CountOnly: true})
+					sjos.RunOptions{CountOnly: true})
 				return e
 			})
 			if err != nil {

@@ -309,7 +309,7 @@ func TestExplainAnalyzeOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"est≈", "actual=", "err=", "calls=", "time=", "IndexScan"} {
+	for _, want := range []string{"est≈", "actual=", "err=", "batches=", "time=", "IndexScan"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ExplainAnalyze missing %q:\n%s", want, out)
 		}

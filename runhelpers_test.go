@@ -1,6 +1,10 @@
 package sjos
 
-import "context"
+import (
+	"context"
+
+	"sjos/internal/exec"
+)
 
 // Test-local conveniences over Run, replacing the removed Execute* wrappers:
 // the tests below exercise the Run API exclusively, these just keep the
@@ -53,4 +57,11 @@ func execParallelCount(db *Database, pat *Pattern, p *Plan, k int) (int, ExecSta
 		return 0, ExecStats{}, err
 	}
 	return res.Count, res.Stats, nil
+}
+
+// referenceMatches is the oracle of the differential suites: the brute-force
+// matcher over the handle's current document, which shares no code with the
+// planner or the executor.
+func referenceMatches(db *Database, pat *Pattern) []Match {
+	return exec.ReferenceMatches(db.eng.view().doc, pat)
 }

@@ -275,12 +275,11 @@ func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, mod
 
 // ExecOptions is the execution-tuning surface shared by every query entry
 // point — Database and Corpus take identical option shapes: RunOptions and
-// QueryOptions both embed it. Plan-execution entry points (Run) read Limit,
-// Trace and NoBatch and ignore the optimizer fields (Method, Te, NoCache,
+// QueryOptions both embed it. Plan-execution entry points (Run) read Limit
+// and Trace and ignore the optimizer fields (Method, Te, NoCache,
 // NoValueIndex), which only apply where a plan is being chosen
 // (QueryContext and friends). The zero value optimizes with DP, executes
-// without a limit, uses the plan cache, the batched executor and the value
-// index.
+// without a limit, uses the plan cache and the value index.
 type ExecOptions struct {
 	// Method selects the optimization algorithm (zero value: MethodDP).
 	// Ignored by Run, which executes an already-chosen plan.
@@ -291,23 +290,17 @@ type ExecOptions struct {
 	// Limit > 0 stops execution after that many matches — the online
 	// querying mode motivating the FP algorithm (§3.4). 0 means all.
 	Limit int
-	// Trace enables per-operator instrumentation: wall time, Next calls
-	// and output rows per plan operator, reported in the result. It costs
-	// two clock reads per operator per tuple; leave it off on hot paths
-	// (disabled tracing adds no per-operator work). On the batched path
-	// (the default) the instrumentation is per batch, so tracing there is
-	// near-free.
+	// Trace enables per-operator instrumentation: wall time, batches and
+	// output rows per plan operator, reported in the result. It costs two
+	// clock reads per operator per batch of up to 1024 rows; disabled
+	// tracing adds no per-operator work at all.
 	Trace bool
 	// NoCache bypasses the plan cache (no lookup, no insertion) — used by
 	// benchmarks that must measure a cold optimizer run. Ignored by Run.
 	NoCache bool
-	// NoBatch disables the batched (vectorized) execution path and runs
-	// the plan tuple-at-a-time. Batched execution produces identical
-	// results; this is an escape hatch for debugging and A/B measurement.
-	NoBatch bool
 	// NoValueIndex keeps the optimizer from choosing value-index probes:
 	// every predicated leaf scans its tag and filters. Escape hatch for
-	// debugging and A/B measurement, mirroring NoBatch. Ignored by Run.
+	// debugging and A/B measurement. Ignored by Run.
 	NoValueIndex bool
 	// AdaptiveDrift tunes the adaptive plan feedback loop. After a traced
 	// query served by a cached plan, the worst per-operator est-vs-actual
@@ -326,8 +319,8 @@ type ExecOptions struct {
 
 // RunOptions tunes one Run call. The zero value executes the whole plan
 // with the handle's configured parallelism and returns all matches. Of the
-// embedded ExecOptions, Run reads Limit, Trace and NoBatch; the optimizer
-// fields are ignored (the plan is already chosen).
+// embedded ExecOptions, Run reads Limit and Trace; the optimizer fields are
+// ignored (the plan is already chosen).
 type RunOptions struct {
 	ExecOptions
 	// Workers selects the execution mode: 0 uses the handle's configured

@@ -158,21 +158,19 @@ func chaosStateNow(t *testing.T, db chaosFacade, label string) int {
 }
 
 // verifyChaosState checks the handle is exactly chaosStates[want] under all
-// five paper methods, each in batched and tuple-at-a-time execution.
+// five paper methods.
 func verifyChaosState(t *testing.T, db chaosFacade, want int, label string) {
 	t.Helper()
 	if got := fmt.Sprint(db.ids()); got != chaosStates[want].ids {
 		t.Fatalf("%s: members %s, want %s", label, got, chaosStates[want].ids)
 	}
 	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP} {
-		for _, noBatch := range []bool{false, true} {
-			n, err := db.count(ExecOptions{Method: m, NoBatch: noBatch})
-			if err != nil {
-				t.Fatalf("%s: %v noBatch=%v: %v", label, m, noBatch, err)
-			}
-			if n != chaosStates[want].count {
-				t.Fatalf("%s: %v noBatch=%v: %d matches, want %d", label, m, noBatch, n, chaosStates[want].count)
-			}
+		n, err := db.count(ExecOptions{Method: m})
+		if err != nil {
+			t.Fatalf("%s: %v: %v", label, m, err)
+		}
+		if n != chaosStates[want].count {
+			t.Fatalf("%s: %v: %d matches, want %d", label, m, n, chaosStates[want].count)
 		}
 	}
 }
