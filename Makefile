@@ -5,12 +5,14 @@
 # cold/warm comparison into BENCH_plancache.json and the value-index pushdown
 # comparison into BENCH_content.json. `make benchquick` smoke-runs the key
 # benchmarks at one iteration each — the result-path, /query-encode and
-# plan_cold-execution layer lanes and the write-side lanes (XML parse, document image encode and
+# plan_cold-execution layer lanes, the lanes under them (Stack-Tree Desc/Anc
+# by input shape and axis, posting-block decode, numeric predicate parse)
+# and the write-side lanes (XML parse, document image encode and
 # decode, segment staging, store version assembly, value probes at 2 and 256
 # segments, the four-write corpus cycle and a four-shard recovery on disk
 # WALs) included — plus the allocation regression
 # guards: a CI-friendly check that they still build, run and validate their
-# counts. `make fuzzquick` runs every Fuzz* target for ten seconds.
+# counts. `make fuzzquick` runs the seven Fuzz* targets for ten seconds each.
 # `make loadbench` runs the open-loop corpus serving benchmark (Poisson
 # arrivals, p50/p95/p99 under load) into BENCH_corpus.json; `make loadquick`
 # is its short CI variant (run on the replicated, hedged path so routing
@@ -112,21 +114,27 @@ benchquick:
 	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
-	$(GO) test -run '^$$' -bench 'StageSegment|StoreVersion|ForestProbe' -benchtime=1x ./internal/storage/
+	$(GO) test -run '^$$' -bench 'StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/
+	$(GO) test -run '^$$' -bench 'StackTree' -benchtime=1x ./internal/exec/
+	$(GO) test -run '^$$' -bench 'ParseNumeric' -benchtime=1x ./internal/pattern/
 	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs|TestExecScratchAllocs' -v .
 
 # Every fuzz target for ten seconds each (go test takes one -fuzz target and
 # one package a run): the XML parser against its encoding/xml oracle, the
 # document image decoder (both format versions) and the WAL scan (both record
-# forms) on arbitrary bytes, the pattern parser (what parses re-parses from
-# String() to the same Fingerprint) and the XQuery compiler. The WAL target's
+# forms) on arbitrary bytes, posting-block decode against a plain
+# binary.Uvarint loop, the pattern parser (what parses re-parses from
+# String() to the same Fingerprint), numeric predicate values against
+# strconv.ParseFloat bit for bit, and the XQuery compiler. The WAL target's
 # inputs run to a page-image record of 8 KB, and the default minute spent
 # minimising each new one would be its whole budget: it gets a second.
 fuzzquick:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime=10s ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime=10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime=10s ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNumeric$$' -fuzztime=10s ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseXQuery$$' -fuzztime=10s ./internal/xquery/
 
 # Open-loop corpus serving benchmark: Poisson arrivals against a sharded

@@ -141,6 +141,23 @@ func (r *batchReader) refill() (Tuple, bool, error) {
 	return r.batch.Row(0), true, nil
 }
 
+// skipDead passes over the current row and the run of rows after it whose
+// col region ends before pos, and returns the first row that does not: the
+// join's dead ancestors, dismissed with one End lookup each.
+func (r *batchReader) skipDead(pos xmltree.Pos, doc *xmltree.Document, col int) (Tuple, bool, error) {
+	for {
+		buf, w := r.batch.buf, r.batch.width
+		for ; r.i < r.batch.rows; r.i++ {
+			if doc.End(buf[r.i*w+col]) >= pos {
+				return r.next()
+			}
+		}
+		if t, ok, err := r.refill(); !ok || err != nil || doc.End(t[col]) >= pos {
+			return t, ok, err
+		}
+	}
+}
+
 // seekGE advances the reader to the first row whose col Start position is
 // >= pos: buffered rows are skipped with a binary search (the stream is
 // ordered by col's Start), and once the buffer is exhausted the underlying

@@ -14,7 +14,7 @@ import (
 // that, until the tuple-at-a-time path was deleted, compared the two paths
 // with each other: same documents, same 120 trials, now held to the
 // brute-force reference's tuples.
-func TestBatchMatchesTupleRandomDocs(t *testing.T) { stackTreeRandomDocs(t, 41) }
+func TestBatchMatchesTupleRandomDocs(t *testing.T) { stackTreeRandomDocs(t, 41, "a", "b", "c") }
 
 // TestBatchMultiJoinPipeline batches a join over join outputs (tuple
 // streams), plus a Sort and a Limit on top — the full operator zoo in one

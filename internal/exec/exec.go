@@ -65,8 +65,8 @@ func (s *Schema) Cols() []int { return s.cols }
 // corresponds to a term of the paper's cost model.
 type Stats struct {
 	ScannedTuples int // index-scan outputs (f_I term)
-	StackOps      int // pushes + pops in Stack-Tree joins (f_st term)
-	BufferedPairs int // pairs written to Anc self/inherit lists (f_IO term)
+	StackOps      int // pushes + pops in Stack-Tree joins, dead ancestors passed over uncounted (f_st term)
+	BufferedPairs int // pairs an Anc join formed, output directly or buffered in self/inherit lists (f_IO term)
 	SortedTuples  int // tuples materialised by Sort operators (f_s term)
 	OutputTuples  int // tuples produced by the plan root
 	Batches       int // non-empty batches the plan root delivered

@@ -15,15 +15,20 @@ import (
 //
 //   - Desc emits each right tuple's matches immediately (output ordered by
 //     the descendant column) and never buffers output;
-//   - Anc buffers pairs in per-stack-entry self/inherit lists and releases
-//     them when the entry leaves an empty stack (output ordered by the
-//     ancestor column). The buffering is what the cost model's
-//     2·|AB|·f_IO term charges for.
+//   - Anc outputs the pairs of the stack's bottom entry as it forms them and
+//     buffers every other entry's in self/inherit lists, released when the
+//     entry leaves an empty stack (output ordered by the ancestor column).
+//     The bottom's own pairs precede everything it inherits, and nothing is
+//     ready while the stack is non-empty, so the direct rows are in place.
+//     The buffering is what the cost model's 2·|AB|·f_IO term charges for.
 //
 // Both drivers skip ahead: whenever the stack is empty and the next
 // ancestor starts past the current descendant, every right tuple before
 // that ancestor is provably dead, so the right input is seeked (Seeker)
-// rather than drained.
+// rather than drained. And both touch only left tuples that can still join:
+// one whose region ends before the current right tuple starts ends before
+// every later one too, and is passed over (skipDead), never pushed; on a `/`
+// edge only the top of the stack is probed (firstMatch).
 type StackTreeJoin struct {
 	algo    plan.Algo
 	axis    pattern.Axis
@@ -82,10 +87,10 @@ type joinState struct {
 }
 
 type stackEntry struct {
-	t          xmltree.NodeID // the ancestor node (cached from the tuple)
+	t          [1]xmltree.NodeID // the ancestor node: a width-1 left tuple (every index scan), whole
 	end        xmltree.Pos
 	level      uint16
-	h          int32    // the left tuple, in the scratch slab
+	h          int32    // a wider left tuple, copied to the scratch slab
 	selfList   pairList // Anc only
 	inheritLst pairList // Anc only
 }
@@ -200,39 +205,50 @@ func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	return j.nextAnc(b)
 }
 
-// leftOf returns the left tuple a stack entry was pushed with.
+// leftOf returns the left tuple a stack entry was pushed with; a width-1
+// tuple is a view of the entry itself, valid while the entry is on the stack.
 func (j *StackTreeJoin) leftOf(e *stackEntry) Tuple {
+	if j.lw == 1 {
+		return e.t[:]
+	}
 	return j.sc.tuple(e.h, j.lw)
 }
 
-// bufferPair is the Anc variant's output step: (entry, right) is built in the
-// slab — buffered pairs outlive the right input's current row — and appended
-// to the entry's self list.
-func (j *StackTreeJoin) bufferPair(e *stackEntry, r Tuple) {
-	j.addPair(&e.selfList, j.sc.keepPair(j.leftOf(e), r))
-	j.ctx.Stats.BufferedPairs++
+// firstMatch returns the lowest stack entry that satisfies the edge's axis
+// with a right node at dLevel; every entry above it does too. All entries
+// already contain the node structurally, so on a `/` edge its parents are the
+// run of top entries one level above it: levels never fall from bottom to
+// top, and are equal only where a tuple stream repeats an ancestor node.
+func (j *StackTreeJoin) firstMatch(dLevel uint16) int {
+	if j.axis == pattern.Descendant {
+		return 0
+	}
+	i := len(j.stack)
+	for i > 0 && j.stack[i-1].level+1 == dLevel {
+		i--
+	}
+	return i
 }
 
-// matches reports whether a stack entry satisfies the edge's axis with the
-// current right node (all stack entries already contain it structurally).
-func (j *StackTreeJoin) matches(e *stackEntry, dLevel uint16) bool {
-	return j.axis == pattern.Descendant || e.level+1 == dLevel
-}
-
-// push moves the current left tuple onto the stack, after expiring dead
-// entries, and advances the left input. The entry keeps a slab copy: the
-// tuple aliases the left reader's reusable batch.
-func (j *StackTreeJoin) push(expireBefore xmltree.Pos) error {
-	j.expire(expireBefore)
+// advanceLeft consumes the current left tuple, which starts before the
+// current right tuple at dStart: a tuple that also ends before it can join
+// nothing from here on and is passed over with the dead run behind it;
+// otherwise it is pushed, after expiring what ended before it. A wide tuple
+// aliases the left reader's reusable batch, so its entry keeps a slab copy.
+func (j *StackTreeJoin) advanceLeft(dStart xmltree.Pos) (err error) {
 	a := j.lTuple[j.lCol]
-	j.stack = append(j.stack, stackEntry{
-		t:     a,
-		end:   j.doc.End(a),
-		level: j.doc.Level(a),
-		h:     j.sc.keep(j.lTuple),
-	})
+	end := j.doc.End(a)
+	if end < dStart {
+		j.lTuple, j.lOK, err = j.lr.skipDead(dStart, j.doc, j.lCol)
+		return err
+	}
+	j.expire(j.doc.Start(a))
+	e := stackEntry{t: [1]xmltree.NodeID{a}, end: end, level: j.doc.Level(a)}
+	if j.lw > 1 {
+		e.h = j.sc.keep(j.lTuple)
+	}
+	j.stack = append(j.stack, e)
 	j.ctx.Stats.StackOps++
-	var err error
 	j.lTuple, j.lOK, err = j.lr.next()
 	return err
 }
@@ -247,10 +263,10 @@ func (j *StackTreeJoin) expire(pos xmltree.Pos) {
 // pop removes the top entry; in the Anc variant its buffered output is
 // released.
 func (j *StackTreeJoin) pop() {
-	top := j.stack[len(j.stack)-1]
+	top := &j.stack[len(j.stack)-1]
 	j.stack = j.stack[:len(j.stack)-1]
 	j.ctx.Stats.StackOps++
-	if j.algo != plan.AlgoDesc {
+	if top.selfList.head|top.inheritLst.head != 0 {
 		j.release(top)
 	}
 }
@@ -284,18 +300,11 @@ func (j *StackTreeJoin) nextDesc(b *Batch) error {
 	doc := j.doc
 	for {
 		// Drain pending emissions for the current right tuple first.
-		if j.emitIdx < j.emitEnd {
-			dLevel := doc.Level(j.emitR[j.rCol])
-			for j.emitIdx < j.emitEnd {
-				if b.Full() {
-					return nil
-				}
-				e := &j.stack[j.emitIdx]
-				j.emitIdx++
-				if j.matches(e, dLevel) {
-					b.AppendPair(j.leftOf(e), j.emitR)
-				}
+		for ; j.emitIdx < j.emitEnd; j.emitIdx++ {
+			if b.Full() {
+				return nil
 			}
+			b.AppendPair(j.leftOf(&j.stack[j.emitIdx]), j.emitR)
 		}
 		j.emitR = nil
 
@@ -307,7 +316,7 @@ func (j *StackTreeJoin) nextDesc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(doc.Start(j.lTuple[j.lCol])); err != nil {
+			if err := j.advanceLeft(dStart); err != nil {
 				return err
 			}
 			continue
@@ -321,9 +330,9 @@ func (j *StackTreeJoin) nextDesc(b *Batch) error {
 		// must survive advancing the right reader (which may refill its
 		// batch), so the right tuple is copied into the join-owned buffer.
 		j.expire(dStart)
-		if len(j.stack) > 0 {
+		if lo := j.firstMatch(doc.Level(j.rTuple[j.rCol])); lo < len(j.stack) {
 			j.emitRBuf = append(j.emitRBuf[:0], j.rTuple...)
-			j.emitIdx, j.emitEnd = 0, len(j.stack)
+			j.emitIdx, j.emitEnd = lo, len(j.stack)
 			j.emitR = j.emitRBuf
 		}
 		var err error
@@ -374,7 +383,7 @@ func (j *StackTreeJoin) nextAnc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(doc.Start(j.lTuple[j.lCol])); err != nil {
+			if err := j.advanceLeft(dStart); err != nil {
 				return err
 			}
 			continue
@@ -384,12 +393,20 @@ func (j *StackTreeJoin) nextAnc(b *Batch) error {
 		} else if skipped {
 			continue
 		}
+		// Pair the right tuple with the stack: the bottom's pair is output as
+		// it is (at most one row, and the batch was not full); a pair under
+		// any other entry is built in the slab — it outlives the right
+		// input's current row — and waits on that entry's self list.
 		j.expire(dStart)
-		dLevel := doc.Level(j.rTuple[j.rCol])
-		for i := range j.stack {
-			if e := &j.stack[i]; j.matches(e, dLevel) {
-				j.bufferPair(e, j.rTuple)
-			}
+		lo := j.firstMatch(doc.Level(j.rTuple[j.rCol]))
+		j.ctx.Stats.BufferedPairs += len(j.stack) - lo
+		if lo == 0 && len(j.stack) > 0 {
+			b.AppendPair(j.leftOf(&j.stack[0]), j.rTuple)
+			lo = 1
+		}
+		for i := lo; i < len(j.stack); i++ {
+			e := &j.stack[i]
+			j.addPair(&e.selfList, j.sc.keepPair(j.leftOf(e), j.rTuple))
 		}
 		var err error
 		j.rTuple, j.rOK, err = j.rr.next()
@@ -403,7 +420,7 @@ func (j *StackTreeJoin) nextAnc(b *Batch) error {
 // remains on the stack, the popped entry's output must wait for it (its
 // ancestor column starts earlier), so it is appended to that entry's
 // inherit list; otherwise the output is final and moves to the ready queue.
-func (j *StackTreeJoin) release(e stackEntry) {
+func (j *StackTreeJoin) release(e *stackEntry) {
 	out := e.selfList
 	j.concat(&out, e.inheritLst)
 	if len(j.stack) > 0 {

@@ -3,6 +3,7 @@ package exec
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sjos/internal/pattern"
@@ -36,24 +37,21 @@ const personnelXML = `<db>
   </manager>
 </db>`
 
-func personnelDoc(t testing.TB) *xmltree.Document {
-	t.Helper()
-	d, err := xmltree.ParseString(personnelXML)
-	if err != nil {
-		t.Fatal(err)
+func personnelDoc(t testing.TB) *xmltree.Document { return mustParseDoc(t, personnelXML) }
+
+// edgePattern is the 2-node pattern "anc axis desc".
+func edgePattern(anc, desc string, ax pattern.Axis) *pattern.Pattern {
+	if ax == pattern.Descendant {
+		return pattern.MustParse("//" + anc + "//" + desc)
 	}
-	return d
+	return pattern.MustParse("//" + anc + "/" + desc)
 }
 
 // runEdgeJoin joins the 2-node pattern "anc axis desc" with the given
 // algorithm and returns normalised, canonically sorted results.
 func runEdgeJoin(t *testing.T, doc *xmltree.Document, anc, desc string, ax pattern.Axis, algo plan.Algo) []Tuple {
 	t.Helper()
-	src := "//" + anc + "/" + desc
-	if ax == pattern.Descendant {
-		src = "//" + anc + "//" + desc
-	}
-	pat := pattern.MustParse(src)
+	pat := edgePattern(anc, desc, ax)
 	left := NewIndexScan(pat, 0)
 	right := NewIndexScan(pat, 1)
 	j, err := NewStackTreeJoin(left, right, 0, 1, ax, algo)
@@ -70,11 +68,7 @@ func runEdgeJoin(t *testing.T, doc *xmltree.Document, anc, desc string, ax patte
 }
 
 func refEdgeJoin(doc *xmltree.Document, anc, desc string, ax pattern.Axis) []Tuple {
-	src := "//" + anc + "/" + desc
-	if ax == pattern.Descendant {
-		src = "//" + anc + "//" + desc
-	}
-	return ReferenceMatches(doc, pattern.MustParse(src))
+	return ReferenceMatches(doc, edgePattern(anc, desc, ax))
 }
 
 func sortedEq(a, b []Tuple) bool {
@@ -158,24 +152,26 @@ func TestAncOutputOrderedByAncestor(t *testing.T) {
 }
 
 // TestStackTreeRandomDocs is the core property test: on random documents,
-// both join variants agree with brute force for both axes.
-func TestStackTreeRandomDocs(t *testing.T) { stackTreeRandomDocs(t, 77) }
+// both join variants agree with brute force, and deliver in the order they
+// promise, for both axes — over three tags, and over a recursive vocabulary
+// of one, where every ancestor candidate is a descendant candidate too and
+// same-level runs and nested same-tag stacks are the common case.
+func TestStackTreeRandomDocs(t *testing.T) {
+	stackTreeRandomDocs(t, 77, "a", "b", "c")
+	stackTreeRandomDocs(t, 78, "a")
+}
 
-func stackTreeRandomDocs(t *testing.T, seed int64) {
+func stackTreeRandomDocs(t *testing.T, seed int64, tags ...string) {
 	rng := rand.New(rand.NewSource(seed))
-	tags := []string{"a", "b", "c"}
 	for trial := 0; trial < 120; trial++ {
 		doc := xmltree.RandomDocument(rng, 2+rng.Intn(120), tags)
 		for _, ax := range []pattern.Axis{pattern.Child, pattern.Descendant} {
-			for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
-				a := tags[rng.Intn(len(tags))]
-				b := tags[rng.Intn(len(tags))]
-				got := runEdgeJoin(t, doc, a, b, ax, algo)
-				want := refEdgeJoin(doc, a, b, ax)
-				if !sortedEq(got, want) {
-					t.Fatalf("trial %d: %s %v %s via %v: got %d, want %d",
-						trial, a, ax, b, algo, len(got), len(want))
-				}
+			pat := edgePattern(tags[rng.Intn(len(tags))], tags[rng.Intn(len(tags))], ax)
+			checkJoin(t, doc, pat, func() (Operator, Operator) {
+				return NewIndexScan(pat, 0), NewIndexScan(pat, 1)
+			}, 0, 1, ax)
+			if t.Failed() {
+				t.Fatalf("seed %d trial %d: %s", seed, trial, pat)
 			}
 		}
 	}
@@ -250,6 +246,11 @@ func TestNewStackTreeJoinRejectsMissingColumns(t *testing.T) {
 // regions). Here both inputs fit one posting block, which a reader takes
 // whole before the join looks at a row: nothing is left to seek past or to
 // leave unread, and the sum is exactly 3 managers + 7 names, none skipped.
+// StackOps counts pushes and pops of ancestors that were live when their turn
+// came: alice is pushed, carol (nested, holding three names) is pushed, dan's
+// push first pops carol and alice, and Desc stops at the end of the right
+// input with dan still on the stack — three pushes and two pops. No manager
+// here is dead on arrival; TestJoinPassesOverDeadAncestors pins those at zero.
 func TestStatsCounters(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
@@ -265,8 +266,8 @@ func TestStatsCounters(t *testing.T) {
 	if postings != 10 || ctx.Stats.ScannedTuples+ctx.Stats.SkippedTuples != postings || ctx.Stats.SkippedTuples != 0 {
 		t.Errorf("ScannedTuples = %d, SkippedTuples = %d, want %d and 0", ctx.Stats.ScannedTuples, ctx.Stats.SkippedTuples, postings)
 	}
-	if ctx.Stats.StackOps == 0 {
-		t.Error("StackOps not counted")
+	if ctx.Stats.StackOps != 5 {
+		t.Errorf("StackOps = %d, want 3 pushes + 2 pops", ctx.Stats.StackOps)
 	}
 	if ctx.Stats.BufferedPairs != 0 {
 		t.Error("Desc join should buffer nothing")
@@ -277,5 +278,171 @@ func TestStatsCounters(t *testing.T) {
 	// One root batch carries all the output.
 	if ctx.Stats.Batches != 1 {
 		t.Errorf("Batches = %d, want 1", ctx.Stats.Batches)
+	}
+}
+
+// checkJoin runs one edge join — inputs built by mk, joined on pattern nodes
+// anc and desc — with both algorithms and holds each to brute force
+// (ReferenceMatches over pat, as a multiset) and to the order the variant
+// promises, row for row: Anc delivers in ancestor Start order with ties in
+// arrival order, which is the left-major nested loop over the two input
+// streams; Desc in descendant Start order, stack order within one
+// descendant, which is the right-major one. It returns each run's counters
+// for tests that pin them.
+func checkJoin(t *testing.T, doc *xmltree.Document, pat *pattern.Pattern, mk func() (left, right Operator), anc, desc int, ax pattern.Axis) map[plan.Algo]Stats {
+	t.Helper()
+	drain := func(op Operator) []Tuple {
+		out, err := Drain(newCtx(t, doc), op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	l, r := mk()
+	ls, rs := drain(l), drain(r)
+	lCol, _ := l.Schema().Col(anc)
+	rCol, _ := r.Schema().Col(desc)
+	pair := func(out []Tuple, lt, rt Tuple) []Tuple {
+		rel := doc.IsAncestor
+		if ax == pattern.Child {
+			rel = doc.IsParent
+		}
+		if rel(lt[lCol], rt[rCol]) {
+			out = append(out, append(append(Tuple(nil), lt...), rt...))
+		}
+		return out
+	}
+	want := map[plan.Algo][]Tuple{}
+	for _, lt := range ls {
+		for _, rt := range rs {
+			want[plan.AlgoAnc] = pair(want[plan.AlgoAnc], lt, rt)
+		}
+	}
+	for _, rt := range rs {
+		for _, lt := range ls {
+			want[plan.AlgoDesc] = pair(want[plan.AlgoDesc], lt, rt)
+		}
+	}
+	ref := ReferenceMatches(doc, pat)
+	stats := map[plan.Algo]Stats{}
+	for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
+		l, r := mk()
+		j, err := NewStackTreeJoin(l, r, anc, desc, ax, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := newCtx(t, doc)
+		got, err := Drain(ctx, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats[algo] = ctx.Stats
+		if norm := NormalizeAll(j.Schema(), pat.N(), got); !sortedEq(norm, append([]Tuple(nil), ref...)) {
+			t.Errorf("%s via %v: %d rows, brute force %d", pat, algo, len(got), len(ref))
+		}
+		if len(got) != len(want[algo]) {
+			t.Errorf("%s via %v: %d rows, nested loop %d", pat, algo, len(got), len(want[algo]))
+			continue
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[algo][i]) {
+				t.Errorf("%s via %v: row %d is %v, want %v", pat, algo, i, got[i], want[algo][i])
+				break
+			}
+		}
+	}
+	return stats
+}
+
+// checkEdge is checkJoin for "//anc//desc" and "//anc/desc" over two index
+// scans.
+func checkEdge(t *testing.T, doc *xmltree.Document, anc, desc string) map[pattern.Axis]map[plan.Algo]Stats {
+	t.Helper()
+	stats := map[pattern.Axis]map[plan.Algo]Stats{}
+	for _, ax := range []pattern.Axis{pattern.Descendant, pattern.Child} {
+		pat := edgePattern(anc, desc, ax)
+		stats[ax] = checkJoin(t, doc, pat, func() (Operator, Operator) {
+			return NewIndexScan(pat, 0), NewIndexScan(pat, 1)
+		}, 0, 1, ax)
+	}
+	return stats
+}
+
+func mustParseDoc(t testing.TB, src string) *xmltree.Document {
+	t.Helper()
+	d, err := xmltree.ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestJoinPassesOverDeadAncestors covers the left tuples the drivers never
+// push: a dead ancestor followed by a live one, both nested in a live one;
+// dead runs longer than a reader batch, under a live ancestor and on an empty
+// stack; dead ancestors left over when the right input ends, and a dead run
+// that ends the left input while right tuples remain.
+func TestJoinPassesOverDeadAncestors(t *testing.T) {
+	dead := strings.Repeat("<a/>", BatchRows+500)
+	for _, tc := range []struct {
+		name, xml string
+		// StackOps: a push and a pop for each live ancestor and nothing for a
+		// dead one — less, under Desc, the entry still on the stack when the
+		// right input ends (Desc stops there; Anc pops to release its lists).
+		ancOps, descOps int
+	}{
+		{"dead then live, nested in live", "<r><a><a/><a><b/></a><b/></a></r>", 4, 3},
+		{"dead runs across a refill", "<r><a>" + dead + "<b/></a>" + dead + "<a><b/></a></r>", 4, 3},
+		{"right ends before the dead", "<r><a><b/></a><a/><a/><a><a/></a></r>", 2, 1},
+		{"left ends in a dead run", "<r><a><b/></a>" + dead + "<b/><b/></r>", 2, 2},
+	} {
+		doc := mustParseDoc(t, tc.xml)
+		for ax, byAlgo := range checkEdge(t, doc, "a", "b") {
+			want := map[plan.Algo]int{plan.AlgoAnc: tc.ancOps, plan.AlgoDesc: tc.descOps}
+			for algo, st := range byAlgo {
+				if st.StackOps != want[algo] {
+					t.Errorf("%s, %v via %v: StackOps = %d, want %d", tc.name, ax, algo, st.StackOps, want[algo])
+				}
+			}
+		}
+	}
+}
+
+// TestJoinRepeatedBottomAncestor joins a tuple stream that repeats its
+// ancestor node — (a, c) pairs ordered by a — with b: the entries of one node
+// sit at one level, the bottom one's pairs are output directly and the
+// others' buffered, and the two must interleave into left-arrival order; on
+// the `/` edge the whole run of equal-level entries is the parent.
+func TestJoinRepeatedBottomAncestor(t *testing.T) {
+	doc := mustParseDoc(t, "<r><a><c/><c/><b/><a><c/><b/><b/></a><b/></a><a><b/><c/></a></r>")
+	for ax, src := range map[pattern.Axis]string{pattern.Descendant: "//a[.//c]//b", pattern.Child: "//a[.//c]/b"} {
+		pat := pattern.MustParse(src)
+		checkJoin(t, doc, pat, func() (Operator, Operator) {
+			ac, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pattern.Descendant, plan.AlgoAnc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ac, NewIndexScan(pat, 2)
+		}, 0, 2, ax)
+	}
+}
+
+// TestJoinSameTagRecursion is manager/manager nested four deep with a
+// sibling: on the `/` edge each node's parent is the top of the stack only.
+func TestJoinSameTagRecursion(t *testing.T) {
+	checkEdge(t, mustParseDoc(t, "<r><m><m><m><m/><m/></m></m><m/></m><m><m/></m></r>"), "m", "m")
+}
+
+// TestAncBatchFillsExactly puts the batch boundary on each kind of Anc row:
+// with BatchRows descendants under two nested ancestors the first batch
+// fills on the bottom's last direct pair and the second on the last ready
+// row; with a few more the boundary falls inside each run.
+func TestAncBatchFillsExactly(t *testing.T) {
+	for _, n := range []int{BatchRows, BatchRows + 500} {
+		doc := mustParseDoc(t, "<r><a><a>"+strings.Repeat("<b/>", n)+"</a></a></r>")
+		st := checkEdge(t, doc, "a", "b")[pattern.Descendant][plan.AlgoAnc]
+		if want := (2*n + BatchRows - 1) / BatchRows; st.Batches != want || st.BufferedPairs != 2*n {
+			t.Errorf("n=%d: %d batches, %d pairs formed; want %d full-to-the-row batches and %d pairs", n, st.Batches, st.BufferedPairs, want, 2*n)
+		}
 	}
 }

@@ -190,7 +190,7 @@ func (s *scratch) poison() {
 	for _, js := range s.joins[:s.joinsUsed] {
 		stack, pairs := js.stack[:cap(js.stack)], js.pairs[:cap(js.pairs)]
 		for i := range stack {
-			stack[i] = stackEntry{t: xmltree.InvalidNode, h: -1, selfList: pairList{-1, -1}, inheritLst: pairList{-1, -1}}
+			stack[i] = stackEntry{t: [1]xmltree.NodeID{xmltree.InvalidNode}, h: -1, selfList: pairList{-1, -1}, inheritLst: pairList{-1, -1}}
 		}
 		for i := range pairs {
 			pairs[i] = pairNode{h: -1, next: -1}

@@ -27,6 +27,18 @@ func ParseNumeric(s string) (float64, bool) {
 	default:
 		return 0, false
 	}
+	// One to fifteen plain digits — most numeric values in a document — are
+	// an integer below 2^53, which float64 holds exactly: accumulate it.
+	// Anything else (sign, point, exponent, "Inf", longer) is ParseFloat's.
+	if len(s) <= 15 {
+		n, i := uint64(0), 0
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
+			n = n*10 + uint64(s[i]-'0')
+		}
+		if i == len(s) {
+			return float64(n), true
+		}
+	}
 	f, err := strconv.ParseFloat(s, 64)
 	return f, err == nil
 }

@@ -1,29 +1,41 @@
 package pattern
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // ParseNumeric refuses by its first byte what strconv.ParseFloat would
-// refuse after allocating an error; the two must agree on everything.
+// refuse after allocating an error, and converts short digit strings itself;
+// the two must agree on everything.
 func TestParseNumericMatchesParseFloat(t *testing.T) {
-	words := []string{
-		"", "0", "7", "-3", "+4", ".5", "5.", "1e3", "1E-3", "0x1p-2", "0X1P2", "1_000", "0x_1p0", "_1",
-		"inf", "Inf", "+INF", "-infinity", "Infinity", "nan", "NaN", "NAN", "nano", "info", "i", "n",
-		"mgr-12", "emp-7", "dept-3", " 1", "1 ", "e5", "E5", "x1", "١", "１", "--1", "+-1", "-.5e+7", ".", "-", "+",
-	}
-	for c := 0; c < 256; c++ {
-		words = append(words, string([]byte{byte(c)}), string([]byte{byte(c), '1'}), string([]byte{byte(c), 'n', 'f'}))
-	}
-	for _, w := range words {
+	for _, w := range parseNumericWords() {
 		want, err := strconv.ParseFloat(w, 64)
 		got, ok := ParseNumeric(w)
 		if ok != (err == nil) || (ok && got != want && (got == got || want == want)) {
 			t.Errorf("ParseNumeric(%q) = %v, %v; ParseFloat says %v, %v", w, got, ok, want, err)
 		}
 	}
+}
+
+// parseNumericWords is the table of edge cases, shared with FuzzParseNumeric
+// as its seed corpus.
+func parseNumericWords() []string {
+	words := []string{
+		"", "0", "7", "-3", "+4", ".5", "5.", "1e3", "1E-3", "0x1p-2", "0X1P2", "1_000", "0x_1p0", "_1",
+		"inf", "Inf", "+INF", "-infinity", "Infinity", "nan", "NaN", "NAN", "nano", "info", "i", "n",
+		"mgr-12", "emp-7", "dept-3", " 1", "1 ", "e5", "E5", "x1", "١", "１", "--1", "+-1", "-.5e+7", ".", "-", "+",
+		// Around the digit fast path: leading zeros, the longest string it
+		// takes (15 digits), the first it leaves to ParseFloat (16, where
+		// float64 starts rounding), digits it must not take for ASCII ones.
+		"000123", "000000000000000", "999999999999999", "123456789012345", "1234567890123456", "9007199254740993", "12a", "１２",
+	}
+	for c := 0; c < 256; c++ {
+		words = append(words, string([]byte{byte(c)}), string([]byte{byte(c), '1'}), string([]byte{byte(c), 'n', 'f'}))
+	}
+	return words
 }
 
 // referenceEval is the predicate semantics as they were written before the
@@ -75,5 +87,38 @@ func TestCompiledPredicateMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzParseNumeric holds the digit fast path to strconv.ParseFloat bit for
+// bit: the same accept/refuse decision and, when accepted, the same float64.
+func FuzzParseNumeric(f *testing.F) {
+	for _, w := range parseNumericWords() {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := strconv.ParseFloat(s, 64)
+		got, ok := ParseNumeric(s)
+		if ok != (err == nil) || (ok && math.Float64bits(got) != math.Float64bits(want)) {
+			t.Fatalf("ParseNumeric(%q) = %v, %v; ParseFloat says %v, %v", s, got, ok, want, err)
+		}
+	})
+}
+
+// BenchmarkParseNumeric is the predicate layer lane: the words a salary or
+// name filter sees, per call.
+func BenchmarkParseNumeric(b *testing.B) {
+	for _, lane := range []struct{ name, word string }{
+		{"digits", "104250"},
+		{"decimal", "104250.5"},
+		{"non-numeric", "emp-104250"},
+	} {
+		b.Run(lane.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := ParseNumeric(lane.word); ok != (lane.name != "non-numeric") {
+					b.Fatal(lane.word)
+				}
+			}
+		})
 	}
 }

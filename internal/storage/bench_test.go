@@ -187,3 +187,43 @@ func BenchmarkForestProbe(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeBlock is the postings layer lane under every index scan:
+// full blocks decoded from one page payload, ns per posting, with deltas
+// that fit one byte (neighbouring nodes of a tag — nearly every delta of a
+// real list) and deltas that take two.
+func BenchmarkDecodeBlock(b *testing.B) {
+	for _, lane := range []struct {
+		name     string
+		min, max int
+	}{
+		{"one-byte", 1, 127},
+		{"two-byte", 128, 16383},
+	} {
+		b.Run(lane.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			var (
+				payload []byte
+				refs    []blockRef
+				enc     [maxBlockBytes]byte
+				ids     [postingsBlockLen]xmltree.NodeID
+			)
+			for len(payload)+maxBlockBytes <= PayloadSize {
+				id := xmltree.NodeID(rng.Intn(1 << 20))
+				for k := range ids {
+					id += xmltree.NodeID(lane.min + rng.Intn(lane.max-lane.min+1))
+					ids[k] = id
+				}
+				refs = append(refs, blockRef{off: uint16(len(payload)), n: postingsBlockLen})
+				payload = append(payload, enc[:encodeBlock(enc[:], ids[:])]...)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := decodeBlock(payload, refs[i%len(refs)], ids[:]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postingsBlockLen), "ns/posting")
+		})
+	}
+}

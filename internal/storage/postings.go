@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"sjos/internal/xmltree"
@@ -63,8 +64,14 @@ func encodeBlock(dst []byte, ids []xmltree.NodeID) int {
 
 // decodeBlock reads a block from a page payload into dst, validating the
 // count against the directory and the strict-increase invariant (a corrupt
-// but checksum-passing page must not produce garbage postings silently).
+// but checksum-passing page must not produce garbage postings silently): a
+// first ID or a delta that does not fit a NodeID, or carries the ID past the
+// largest one, is refused like a zero delta. Nearly every delta is one byte,
+// which is added as it stands; binary.Uvarint reads only the longer ones.
 func decodeBlock(payload []byte, ref blockRef, dst []xmltree.NodeID) error {
+	if int(ref.off) > len(payload) || ref.n == 0 || int(ref.n) > len(dst) {
+		return fmt.Errorf("storage: postings block on page %d: %d postings at offset %d of a %d-byte payload", ref.page, ref.n, ref.off, len(payload))
+	}
 	b := payload[ref.off:]
 	count, n := binary.Uvarint(b)
 	if n <= 0 || count != uint64(ref.n) {
@@ -72,19 +79,26 @@ func decodeBlock(payload []byte, ref blockRef, dst []xmltree.NodeID) error {
 	}
 	b = b[n:]
 	first, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || first > math.MaxUint32 {
 		return fmt.Errorf("storage: postings block on page %d: bad first id", ref.page)
 	}
-	b = b[n:]
+	b, dst = b[n:], dst[:ref.n]
 	id := xmltree.NodeID(first)
 	dst[0] = id
-	for k := 1; k < int(ref.n); k++ {
-		d, n := binary.Uvarint(b)
-		if n <= 0 || d == 0 {
+	i := 0
+	for k := 1; k < len(dst); k++ {
+		next := id
+		if i < len(b) && b[i] < 0x80 {
+			next += xmltree.NodeID(b[i])
+			i++
+		} else if d, n := binary.Uvarint(b[i:]); n > 0 && d <= uint64(^id) {
+			next += xmltree.NodeID(d)
+			i += n
+		}
+		if next <= id { // zero, wrapped, truncated, overlong or past the last NodeID
 			return fmt.Errorf("storage: postings block on page %d: bad delta at %d", ref.page, k)
 		}
-		b = b[n:]
-		id += xmltree.NodeID(d)
+		id = next
 		dst[k] = id
 	}
 	return nil

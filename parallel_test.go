@@ -67,13 +67,16 @@ func TestParallelExecuteProperty(t *testing.T) {
 
 // TestParallelStatsMatchSerial compares the merged parallel counters with
 // serial execution on the personnel benchmark workload. The semantic
-// counters (OutputTuples, BufferedPairs, SortedTuples) must match exactly:
-// they count real tuples, and the partitions produce exactly the serial
-// tuple set. ScannedTuples and StackOps measure physical work, which can
-// differ by a few units per partition boundary — a streaming join stops
-// consuming its left input when the right side exhausts, and serial and
-// partitioned runs reach that point at different places — so those are
-// held to a 1% tolerance.
+// counters (OutputTuples, SortedTuples) must match exactly: they count real
+// tuples, and the partitions produce exactly the serial tuple set.
+// ScannedTuples and StackOps measure physical work, which can differ by a
+// few units per partition boundary — a streaming join stops consuming its
+// left input when the right side exhausts, and serial and partitioned runs
+// reach that point at different places — so those are held to a 1%
+// tolerance. BufferedPairs is held with them: an Anc join hands the bottom
+// ancestor's pairs to its batch as it forms them, no longer a whole ancestor
+// ahead of demand, so how many it has formed when its consumer stops pulling
+// depends on where the batch boundaries fall, and a partition moves them.
 func TestParallelStatsMatchSerial(t *testing.T) {
 	db, err := GenerateDataset("pers", 1, 4, nil)
 	if err != nil {
@@ -100,7 +103,6 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 				t.Fatalf("%s k=%d: %v", src, k, err)
 			}
 			if par.OutputTuples != serial.OutputTuples ||
-				par.BufferedPairs != serial.BufferedPairs ||
 				par.SortedTuples != serial.SortedTuples {
 				t.Errorf("%s k=%d: semantic counters diverge: parallel %+v, serial %+v",
 					src, k, par, serial)
@@ -113,7 +115,8 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 				return d*100 <= want
 			}
 			if !within(par.ScannedTuples, serial.ScannedTuples) ||
-				!within(par.StackOps, serial.StackOps) {
+				!within(par.StackOps, serial.StackOps) ||
+				!within(par.BufferedPairs, serial.BufferedPairs) {
 				t.Errorf("%s k=%d: work counters off by >1%%: parallel %+v, serial %+v",
 					src, k, par, serial)
 			}
