@@ -551,10 +551,9 @@ func TestExecScratchAllocs(t *testing.T) {
 
 // BenchmarkContentIndex measures value-index predicate pushdown against
 // the scan+filter escape hatch on selective-predicate queries over the
-// DBLP data set (the -contentbench workload). Each lane executes its own
-// optimizer-chosen plan (ValueIndexScan vs IndexScan leaves) count-only,
-// isolating the access-path difference from match materialisation. The
-// probe lane should win by >=1.5x; results feed BENCH_content.json.
+// DBLP data set. Each lane executes its own optimizer-chosen plan
+// (ValueIndexScan vs IndexScan leaves) count-only, isolating the access-path
+// difference from match materialisation. The probe lane should win by >=1.5x.
 func BenchmarkContentIndex(b *testing.B) {
 	queries := []struct {
 		name string

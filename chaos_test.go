@@ -165,9 +165,8 @@ func TestChaosDifferential(t *testing.T) {
 	}
 }
 
-// TestChaosProbabilistic drives seeded random fault injection (the same
-// engine behind xqbench -chaos) across every method: with transient faults
-// and retries every run must come back correct.
+// TestChaosProbabilistic drives seeded random fault injection across every
+// method: with transient faults and retries every run must come back correct.
 func TestChaosProbabilistic(t *testing.T) {
 	db, ff := chaosDB(t, 43, 4000)
 	pat := MustParsePattern("//a//b")

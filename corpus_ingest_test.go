@@ -1,12 +1,14 @@
 package sjos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sjos/internal/faultfs"
 	"sjos/internal/storage"
@@ -368,8 +370,13 @@ func TestCorpusIngestFollowerReplicas(t *testing.T) {
 }
 
 // TestCorpusIngestConcurrentQueries hammers scatter-gather queries while
-// the corpus mutates: every observed count must be a committed multiple of
-// the per-document match count.
+// the corpus mutates — inserts, replaces and deletes — and every observed
+// count must be a committed multiple of the per-document match count. The
+// writer keeps a ledger of what it committed, and the end state is held to
+// it: the corpus lists exactly the ledger's documents, no shard's write path
+// is poisoned and no replica is down, a plan priced on the incrementally
+// merged statistics costs what it costs after a rebuild from scratch, and
+// the corpus drains.
 func TestCorpusIngestConcurrentQueries(t *testing.T) {
 	wals := newWALMap()
 	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 3, ShardWALFile: wals.file}).Build()
@@ -402,15 +409,24 @@ func TestCorpusIngestConcurrentQueries(t *testing.T) {
 			}
 		}()
 	}
+	ledger := map[string]bool{}
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("doc%d", i)
 		if err := c.InsertString(id, orderXML(items)); err != nil {
 			t.Fatal(err)
 		}
-		if i%4 == 3 {
-			if err := c.Delete(fmt.Sprintf("doc%d", i-2)); err != nil {
+		ledger[id] = true
+		if i%4 == 1 {
+			if err := c.ReplaceString(fmt.Sprintf("doc%d", i-1), orderXML(2*items)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if i%4 == 3 {
+			gone := fmt.Sprintf("doc%d", i-2)
+			if err := c.Delete(gone); err != nil {
+				t.Fatal(err)
+			}
+			delete(ledger, gone)
 		}
 	}
 	close(stop)
@@ -419,6 +435,38 @@ func TestCorpusIngestConcurrentQueries(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+
+	ids := c.DocIDs()
+	for _, id := range ids {
+		if !ledger[id] {
+			t.Errorf("corpus holds %s, which the writer deleted or never wrote", id)
+		}
+	}
+	if len(ids) != len(ledger) {
+		t.Errorf("corpus holds %d documents, the writer's ledger %d", len(ids), len(ledger))
+	}
+	if st := c.IngestStats(); st.BrokenShards != 0 || st.DownReplicas != 0 || st.Docs != len(ledger) || st.WALPages == 0 {
+		t.Errorf("end state: %+v", st)
+	}
+	pat := mustPattern(t, "//order//item/name")
+	before, err := c.Optimize(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RebuildStats()
+	after, err := c.Optimize(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Cost != after.Cost || before.Plan.Format(pat) != after.Plan.Format(pat) {
+		t.Errorf("incremental statistics plan\n%s at %f, rebuilt ones\n%s at %f",
+			before.Plan.Format(pat), before.Cost, after.Plan.Format(pat), after.Cost)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Drain(ctx); err != nil {
+		t.Errorf("drain: %v", err)
 	}
 }
 

@@ -59,10 +59,7 @@
 //
 // Per the paper's conclusions: use DPP when query execution time dominates,
 // FP when optimization time matters or results should stream; Greedy when
-// planning cost itself must be negligible — mis-plans from its heuristics
-// are caught by the adaptive feedback loop (ExecOptions.AdaptiveDrift),
-// which evicts cached plans whose runtime row counts drift from their
-// estimates.
+// planning cost itself must be negligible.
 //
 // # Pattern syntax
 //

@@ -67,12 +67,8 @@ func (db *Database) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
 		pat.String(), m, res.Cost, n)
 	trace := tb.Trace()
 	sb.WriteString(trace.Format())
-	// The drift summary makes adaptive evictions explainable from the CLI:
-	// the worst est-vs-actual ratio is exactly what noteDrift compares
-	// against the AdaptiveDrift threshold.
 	worst, at := trace.MaxDrift()
-	fmt.Fprintf(&sb, "max drift: %.2fx at %s %s (adaptive eviction threshold %.0fx)\n",
-		worst, at.Op, at.Detail, DefaultAdaptiveDrift)
+	fmt.Fprintf(&sb, "max drift: %.2fx at %s %s\n", worst, at.Op, at.Detail)
 	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 	rate := 0.0
 	if hits+misses > 0 {

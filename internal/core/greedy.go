@@ -37,7 +37,7 @@ import (
 // prefers. By Theorem 3.1 such a fully-pipelined plan always exists, so
 // greedy construction has no deadends and needs no backtracking: it costs
 // exactly one plan. Estimated cardinalities and costs are still annotated onto the
-// plan (they feed the adaptive est-vs-actual drift check), but they never
+// plan (EXPLAIN ANALYZE compares them with the observed rows), but they never
 // influence the join order.
 //
 // When some leaf's postings list is provably empty (a tag absent from the

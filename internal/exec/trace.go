@@ -101,9 +101,7 @@ func (t *OpTrace) Merge(o *OpTrace) {
 // tree and the operator it occurred at. Drift is symmetric — max(est/actual,
 // actual/est), with both sides floored at one row so empty operators
 // compare cleanly — making 1.0 a perfect estimate and either direction of
-// mis-estimation (over or under) count equally. It is the adaptive
-// feedback signal: a cached plan whose worst operator drifts past the
-// configured threshold is evicted and re-planned.
+// mis-estimation (over or under) count equally.
 func (t *OpTrace) MaxDrift() (float64, *OpTrace) {
 	worst, at := 1.0, t
 	var walk func(n *OpTrace)

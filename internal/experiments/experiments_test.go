@@ -270,67 +270,43 @@ func TestFoldingScalesAllQueries(t *testing.T) {
 	}
 }
 
-func TestReplicaBenchSmoke(t *testing.T) {
-	res, err := ReplicaBench(ReplicaBenchConfig{
-		Docs:        2,
-		Shards:      1,
-		Replicas:    2,
-		SlowLatency: 500 * time.Microsecond,
-		HedgeDelay:  time.Millisecond,
-		Rate:        150,
-		Duration:    400 * time.Millisecond,
-		Clients:     4,
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range []ReplicaBenchRun{res.Unhedged, res.Hedged} {
-		if run.Completed == 0 {
-			t.Fatalf("arm hedged=%v completed nothing: %+v", run.Hedged, run)
-		}
-		if run.Errors != 0 {
-			t.Fatalf("arm hedged=%v had %d errors — a slow replica must not fail queries", run.Hedged, run.Errors)
-		}
-	}
-	if res.Unhedged.HedgedRequests != 0 {
-		t.Fatalf("unhedged arm hedged %d requests", res.Unhedged.HedgedRequests)
-	}
-	if res.Hedged.HedgedRequests == 0 {
-		t.Fatal("hedged arm never hedged despite a slow replica and a 1ms delay")
-	}
-	if out := RenderReplicaBench(res); !strings.Contains(out, "hedged") || !strings.Contains(out, "p99") {
-		t.Fatalf("render missing fields:\n%s", out)
-	}
-}
-
-func TestChurnBenchSmoke(t *testing.T) {
-	res, err := ChurnBench(ChurnBenchConfig{
-		Docs:       2,
-		Shards:     2,
-		QueryRate:  40,
-		MutateRate: 25,
-		Duration:   400 * time.Millisecond,
-		Clients:    4,
-		Scale:      0.2,
-		Seed:       7,
-	})
+// TestLoadSmoke runs the load lane at its CI size — all three arms up a
+// two-step ladder — and holds it to the lane's own pass conditions: queries
+// completed on every step, none failed (a slow replica must not fail
+// queries), every corpus drained, the hedged arm hedged and the others did
+// not. Each step's accounting adds up and its latency split is reported.
+func TestLoadSmoke(t *testing.T) {
+	res, err := Load(true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Verify(); err != nil {
-		t.Fatalf("churn run inconsistent: %v\n%+v", err, res)
+		t.Fatalf("%v\n%s", err, RenderLoad(res))
 	}
-	if res.Queries == 0 {
-		t.Fatal("no queries completed under churn")
+	if len(res.Arms) != 3 || res.Nodes == 0 {
+		t.Fatalf("%d arms over %d nodes", len(res.Arms), res.Nodes)
 	}
-	if res.Inserts+res.Replaces+res.Deletes == 0 {
-		t.Fatal("no mutations committed")
+	for _, arm := range res.Arms {
+		if len(arm.Steps) != 2 {
+			t.Fatalf("%s: %d ladder steps, want 2", arm.Name, len(arm.Steps))
+		}
+		knee := 0.0
+		for _, s := range arm.Steps {
+			if s.Offered < s.Completed+s.Errors+s.Shed {
+				t.Errorf("%s at %.0f/s: offered %d < completed %d + errors %d + shed %d", arm.Name, s.Rate, s.Offered, s.Completed, s.Errors, s.Shed)
+			}
+			if s.ServiceP50 <= 0 || s.ServiceP50 > s.ServiceP99 || s.WaitP50 > s.WaitP99 || s.P50 < s.ServiceP50 {
+				t.Errorf("%s at %.0f/s: latency split out of order: %+v", arm.Name, s.Rate, s)
+			}
+			if s.sustained() {
+				knee = s.Rate
+			}
+		}
+		if arm.Knee != knee {
+			t.Errorf("%s: knee %v, steps say %v", arm.Name, arm.Knee, knee)
+		}
 	}
-	if res.WALPages == 0 {
-		t.Fatal("mutations committed but no WAL pages recorded")
-	}
-	if out := RenderChurnBench(res); !strings.Contains(out, "mutations:") || !strings.Contains(out, "stats consistent: true") {
+	if out := RenderLoad(res); !strings.Contains(out, "slow-replica/hedged") || !strings.Contains(out, "wait p99") {
 		t.Fatalf("render missing fields:\n%s", out)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"sjos"
 )
 
-// PlannerConfig tunes the planning-cost benchmark (xqbench -plannerbench).
+// PlannerConfig tunes the planning-cost benchmark (xqbench planner).
 type PlannerConfig struct {
 	// Folds are the folding factors for the Table-3 workload (0 = the
 	// paper's ×1, ×10, ×100).
@@ -149,7 +149,8 @@ type PlannerRow struct {
 	GreedyTotalOverBest float64
 }
 
-// PlannerResult is the planner lane's full output (BENCH_planner.json).
+// PlannerResult is the planner lane's full output (BENCH_planner.json's
+// result).
 type PlannerResult struct {
 	Config PlannerConfig
 	Rows   []PlannerRow

@@ -161,22 +161,6 @@ type Table3Row struct {
 // algorithm's chosen plan for Q.Pers.3.d as the data set is folded. The
 // paper uses folds ×1, ×10, ×100 and ×500.
 func Table3(folds []int) ([]Table3Row, error) {
-	return table3(folds, 0)
-}
-
-// Table3Parallel is Table 3 with every plan executed partition-parallel
-// with k workers (k <= 0 = GOMAXPROCS), for serial-vs-parallel comparisons
-// on the same plans and data.
-func Table3Parallel(folds []int, k int) ([]Table3Row, error) {
-	if k <= 0 {
-		k = -1 // force WithParallelism's GOMAXPROCS default
-	}
-	return table3(folds, k)
-}
-
-// table3 is the shared driver; parallel != 0 routes execution through
-// db.WithParallelism.
-func table3(folds []int, parallel int) ([]Table3Row, error) {
 	q, err := QueryByID(PersQuery3)
 	if err != nil {
 		return nil, err
@@ -194,9 +178,6 @@ func table3(folds []int, parallel int) ([]Table3Row, error) {
 		db, err := Dataset(q.Dataset, fold)
 		if err != nil {
 			return nil, err
-		}
-		if parallel != 0 {
-			db = db.WithParallelism(parallel)
 		}
 		for i, m := range Methods() {
 			// Optimize on the folded data (statistics change with

@@ -3,7 +3,8 @@
 // system under test completes work. Latency is measured from the arrival
 // instant — queueing delay included — so a saturated server shows its real
 // tail latency instead of the flattering closed-loop numbers a
-// think-time-per-client driver produces (coordinated omission).
+// think-time-per-client driver produces (coordinated omission). Each
+// request's latency is also reported split into queue wait and service time.
 package loadgen
 
 import (
@@ -11,7 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -48,20 +49,35 @@ type Result struct {
 	// P50/P95/P99/Max summarize the latency distribution, measured from
 	// each request's arrival instant (queueing included).
 	P50, P95, P99, Max time.Duration
+	// Latency split per request: wait is scheduled arrival to dequeue (time
+	// in the arrival queue, plus however late the dispatcher's timer fired),
+	// service is dequeue to completion (the do() call), and latency = wait +
+	// service.
+	WaitP50, WaitP99       time.Duration
+	ServiceP50, ServiceP99 time.Duration
 }
+
+// sample is one executed request's latency split.
+type sample struct{ wait, service time.Duration }
 
 // Run offers cfg.Rate arrivals per second for cfg.Duration, executing each
 // accepted arrival as one do() call on a worker pool, and reports the run's
 // accounting and latency quantiles. do must be safe for concurrent calls.
 func Run(cfg Config, do func() error) (Result, error) {
+	res, _, err := run(cfg, do)
+	return res, err
+}
+
+// run is Run, also returning every executed request's sample.
+func run(cfg Config, do func() error) (Result, []sample, error) {
 	if cfg.Rate <= 0 {
-		return Result{}, errors.New("loadgen: Rate must be > 0")
+		return Result{}, nil, errors.New("loadgen: Rate must be > 0")
 	}
 	if cfg.Duration <= 0 {
-		return Result{}, errors.New("loadgen: Duration must be > 0")
+		return Result{}, nil, errors.New("loadgen: Duration must be > 0")
 	}
 	if do == nil {
-		return Result{}, errors.New("loadgen: nil workload")
+		return Result{}, nil, errors.New("loadgen: nil workload")
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -74,7 +90,7 @@ func Run(cfg Config, do func() error) (Result, error) {
 
 	var res Result
 	queue := make(chan time.Time, queueCap)
-	lats := make([][]time.Duration, workers)
+	samples := make([][]sample, workers)
 	errCounts := make([]int, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -82,9 +98,9 @@ func Run(cfg Config, do func() error) (Result, error) {
 		go func(w int) {
 			defer wg.Done()
 			for arrived := range queue {
+				begun := time.Now()
 				err := do()
-				lat := time.Since(arrived)
-				lats[w] = append(lats[w], lat)
+				samples[w] = append(samples[w], sample{begun.Sub(arrived), time.Since(begun)})
 				if err != nil {
 					errCounts[w]++
 				}
@@ -117,23 +133,37 @@ func Run(cfg Config, do func() error) (Result, error) {
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 
-	var all []time.Duration
-	for w := range lats {
-		all = append(all, lats[w]...)
+	var all []sample
+	for w := range samples {
+		all = append(all, samples[w]...)
 		res.Errors += errCounts[w]
 	}
 	res.Completed = len(all) - res.Errors
 	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		res.P50 = percentile(all, 0.50)
-		res.P95 = percentile(all, 0.95)
-		res.P99 = percentile(all, 0.99)
-		res.Max = all[len(all)-1]
+		lat := sorted(all, func(s sample) time.Duration { return s.wait + s.service })
+		res.P50 = percentile(lat, 0.50)
+		res.P95 = percentile(lat, 0.95)
+		res.P99 = percentile(lat, 0.99)
+		res.Max = lat[len(lat)-1]
+		wait := sorted(all, func(s sample) time.Duration { return s.wait })
+		res.WaitP50, res.WaitP99 = percentile(wait, 0.50), percentile(wait, 0.99)
+		service := sorted(all, func(s sample) time.Duration { return s.service })
+		res.ServiceP50, res.ServiceP99 = percentile(service, 0.50), percentile(service, 0.99)
 	}
 	if s := res.Elapsed.Seconds(); s > 0 {
 		res.Throughput = float64(res.Completed) / s
 	}
-	return res, nil
+	return res, all, nil
+}
+
+// sorted returns one component of every sample in ascending order.
+func sorted(all []sample, of func(sample) time.Duration) []time.Duration {
+	ds := make([]time.Duration, len(all))
+	for i, s := range all {
+		ds[i] = of(s)
+	}
+	slices.Sort(ds)
+	return ds
 }
 
 // percentile picks the nearest-rank quantile of a sorted sample: the

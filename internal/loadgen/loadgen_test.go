@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,6 +59,46 @@ func TestRunShedsWhenSaturated(t *testing.T) {
 	if res.Started > res.Offered/2 {
 		t.Fatalf("started %d of %d offered — queue bound not enforced", res.Started, res.Offered)
 	}
+	// With the queue always full, a typical request waits out at least the
+	// service in progress: queueing, not service, is what grew.
+	if res.WaitP50 < res.ServiceP50/2 {
+		t.Fatalf("saturated run waited p50 %v against a service p50 of %v", res.WaitP50, res.ServiceP50)
+	}
+}
+
+// TestRunSplitsWaitAndService: per request, latency is queue wait plus
+// service time; the reported latency quantiles are those of the sums; and at
+// a rate far below capacity (8 workers at 20 ms serve 400/s, offered 50/s) a
+// request is dequeued as it arrives, so wait — which is counted from the
+// scheduled arrival and so includes the dispatcher's timer overshoot, around
+// a millisecond here — is noise beside service.
+func TestRunSplitsWaitAndService(t *testing.T) {
+	const service = 20 * time.Millisecond
+	res, samples, err := run(Config{Rate: 50, Duration: 400 * time.Millisecond, Workers: 8, Seed: 4},
+		func() error { time.Sleep(service); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) == 0 || len(samples) != res.Started || res.Shed != 0 {
+		t.Fatalf("%d samples for %d started, %d shed", len(samples), res.Started, res.Shed)
+	}
+	lat := make([]time.Duration, len(samples))
+	for i, s := range samples {
+		if s.wait < 0 || s.service < service {
+			t.Fatalf("request %d: wait %v, service %v under a %v workload", i, s.wait, s.service, service)
+		}
+		lat[i] = s.wait + s.service
+	}
+	slices.Sort(lat)
+	if res.P50 != percentile(lat, 0.50) || res.P99 != percentile(lat, 0.99) || res.Max != lat[len(lat)-1] {
+		t.Fatalf("reported latency %v/%v/%v is not that of wait + service per request", res.P50, res.P99, res.Max)
+	}
+	if res.ServiceP50 < service || res.ServiceP50 > res.ServiceP99 || res.WaitP50 > res.WaitP99 {
+		t.Fatalf("split quantiles out of order: %+v", res)
+	}
+	if res.WaitP50 > service/10 || res.WaitP99 > service/2 {
+		t.Fatalf("unloaded run queued: wait p50 %v p99 %v against service p50 %v", res.WaitP50, res.WaitP99, res.ServiceP50)
+	}
 }
 
 func TestRunCountsErrors(t *testing.T) {
@@ -107,10 +148,10 @@ func TestPercentileNearestRank(t *testing.T) {
 		{0.99, 100, 99},
 		{0.999, 100, 100}, // ceil(99.9) = 100; rounding gave 100
 		{0.95, 100, 95},
-		{0.95, 3, 3},  // ceil(2.85) = 3; rounding gave 3
-		{0.25, 3, 1},  // ceil(0.75) = 1; rounding gave 1
-		{0.10, 4, 1},  // ceil(0.4) = 1; rounding gave 0 → clamped to 1
-		{0.51, 2, 2},  // ceil(1.02) = 2; rounding gave 1
+		{0.95, 3, 3}, // ceil(2.85) = 3; rounding gave 3
+		{0.25, 3, 1}, // ceil(0.75) = 1; rounding gave 1
+		{0.10, 4, 1}, // ceil(0.4) = 1; rounding gave 0 → clamped to 1
+		{0.51, 2, 2}, // ceil(1.02) = 2; rounding gave 1
 		{0.50, 1, 1},
 		{1.00, 7, 7},
 	}

@@ -45,7 +45,6 @@ type Registry struct {
 	batches  atomic.Uint64
 	skipped  atomic.Uint64
 	panics   atomic.Uint64
-	driftEv  atomic.Uint64
 
 	optCount atomic.Uint64
 	optSum   atomic.Int64 // nanoseconds
@@ -83,10 +82,6 @@ func (r *Registry) SlowQuery() { r.slow.Add(1) }
 // RecoveredPanic counts one panic recovered at a query boundary and
 // converted into a typed error.
 func (r *Registry) RecoveredPanic() { r.panics.Add(1) }
-
-// DriftEviction counts one cached plan evicted by the adaptive feedback
-// loop because its executed est-vs-actual drift crossed the threshold.
-func (r *Registry) DriftEviction() { r.driftEv.Add(1) }
 
 // Optimized records one optimizer search — a plan-cache miss or an uncached
 // run; hits and coalesced waits search nothing — with the time it took and
@@ -142,9 +137,6 @@ type Snapshot struct {
 	// RecoveredPanics counts panics recovered at query boundaries (each one
 	// is a bug that became a typed error instead of a crash).
 	RecoveredPanics uint64
-	// DriftEvictions counts cached plans evicted by the adaptive feedback
-	// loop (executed est-vs-actual drift crossed the threshold).
-	DriftEvictions uint64
 	// Optimizations counts optimizer searches run for queries (plan-cache
 	// misses and uncached runs), OptimizeTime their summed duration and
 	// PlansConsidered their summed search effort.
@@ -180,7 +172,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Batches:         r.batches.Load(),
 		Skipped:         r.skipped.Load(),
 		RecoveredPanics: r.panics.Load(),
-		DriftEvictions:  r.driftEv.Load(),
 		Optimizations:   r.optCount.Load(),
 		OptimizeTime:    time.Duration(r.optSum.Load()),
 		PlansConsidered: r.plans.Load(),

@@ -218,24 +218,6 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Invalidate drops the entry for k, if cached, reporting whether an entry
-// was removed (counted as an invalidation). In-flight computations under k
-// are unaffected: they re-insert when they finish, exactly as with Clear.
-// The adaptive feedback loop uses this to evict one mis-estimated plan
-// without disturbing the rest of the cache.
-func (c *Cache[V]) Invalidate(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.items, k)
-	c.invalidations++
-	return true
-}
-
 // Clear drops every cached entry (in-flight computations are unaffected;
 // they re-insert under their own key when they finish). It returns the
 // number of entries removed.

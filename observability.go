@@ -114,7 +114,6 @@ func writeMetricsText(w io.Writer, m Metrics) {
 	counter("plancache_misses_total", "Plan cache misses.", uint64(m.Cache.Misses))
 	counter("plancache_coalesced_total", "Optimizations coalesced onto an in-flight run.", uint64(m.Cache.Coalesced))
 	counter("plancache_evictions_total", "Plan cache LRU evictions.", uint64(m.Cache.Evictions))
-	counter("plancache_drift_evictions_total", "Cached plans evicted by the adaptive est-vs-actual drift check.", m.Query.DriftEvictions)
 	fmt.Fprintf(w, "# HELP sjos_plancache_entries Plans currently cached.\n# TYPE sjos_plancache_entries gauge\nsjos_plancache_entries %d\n", m.Cache.Entries)
 	counter("pool_hits_total", "Buffer pool page hits.", m.Pool.Hits)
 	counter("pool_misses_total", "Buffer pool page misses.", m.Pool.Misses)

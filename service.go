@@ -53,15 +53,6 @@ type service struct {
 	// this service (queries never take it).
 	wmu sync.Mutex
 
-	// driftEvicted remembers cache keys already evicted once by the
-	// adaptive drift check (see noteDrift). Re-planning with unchanged
-	// statistics reproduces the same plan and the same drift, so without
-	// this guard every warm hit of a drifting shape would evict again and
-	// the cache would be effectively disabled for it; with it, each
-	// (fingerprint, stats version) is re-planned exactly once. Cleared by
-	// setStats — new statistics deserve a fresh verdict. Guarded by mu.
-	driftEvicted map[plancache.Key]struct{}
-
 	// testHookRun, when non-nil, runs inside every read's recovery scope —
 	// white-box tests use it to inject panics at the query boundary.
 	testHookRun func()
@@ -102,7 +93,6 @@ func (s *service) setStats(stats core.StatsSource) {
 	s.mu.Lock()
 	s.stats = stats
 	s.statsVersion++
-	s.driftEvicted = nil
 	s.mu.Unlock()
 	s.cache.Clear()
 }
@@ -146,10 +136,8 @@ func (db *Database) CacheStats() CacheStats {
 // node numbering) share one cache entry per (method, bound, statistics
 // version). Concurrent misses on the same key run the optimizer once. The
 // boolean reports whether the plan came from the cache (or from a coalesced
-// in-flight optimization) rather than a fresh optimizer run. The returned
-// key identifies the plan's cache entry (nil for uncached runs) so the
-// adaptive drift check can evict exactly this plan after execution.
-func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostModel, pe core.ProbeEligibility, m Method, te int, noCache, noVidx bool) (*OptimizeResult, bool, *plancache.Key, error) {
+// in-flight optimization) rather than a fresh optimizer run.
+func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostModel, pe core.ProbeEligibility, m Method, te int, noCache, noVidx bool) (*OptimizeResult, bool, error) {
 	stats, ver := s.snapshot()
 	// Predicate pushdown: unless disabled for this call, the optimizer may
 	// choose value-index probes for eligible predicated leaves. The store's
@@ -159,7 +147,7 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostM
 	}
 	if noCache {
 		res, err := s.search(ctx, pat, stats, model, m, te, pe)
-		return res, false, nil, err
+		return res, false, err
 	}
 	fp, canon := pattern.Fingerprint(pat)
 	keyTe := 0
@@ -186,7 +174,7 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostM
 		}, nil
 	})
 	if err != nil {
-		return nil, false, nil, err
+		return nil, false, err
 	}
 	// Remap the canonical plan into this caller's node numbering. The
 	// remap deep-copies, so cached plans are never shared mutably.
@@ -196,53 +184,8 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostM
 		Cost:      cp.cost,
 		Algorithm: cp.algo,
 		Counters:  cp.counters,
-	}, cached, &k, nil
+	}, cached, nil
 }
-
-// DefaultAdaptiveDrift is the est-vs-actual drift ratio past which a traced
-// cached plan is evicted and re-planned (see ExecOptions.AdaptiveDrift). A
-// worst operator off by under one order of magnitude rarely changes the
-// chosen join order, so the default only reacts to gross mis-estimates.
-const DefaultAdaptiveDrift = 8.0
-
-// noteDrift closes the adaptive loop after one executed query: when the run
-// was traced, served by a cached plan, and its worst per-operator
-// est-vs-actual drift reaches the threshold, the plan's cache entry is
-// evicted so the next arrival of this query shape re-plans. Each cache key
-// is evicted at most once per statistics version (see driftEvicted);
-// limited runs are skipped because early termination understates actual
-// row counts.
-func (s *service) noteDrift(key *plancache.Key, cached bool, opts ExecOptions, trace *OpTrace) {
-	if key == nil || !cached || trace == nil || opts.AdaptiveDrift < 0 || opts.Limit > 0 {
-		return
-	}
-	thr := opts.AdaptiveDrift
-	if thr < 1 {
-		thr = DefaultAdaptiveDrift
-	}
-	worst, _ := trace.MaxDrift()
-	if worst < thr {
-		return
-	}
-	s.mu.Lock()
-	if _, dup := s.driftEvicted[*key]; dup {
-		s.mu.Unlock()
-		return
-	}
-	if s.driftEvicted == nil || len(s.driftEvicted) >= driftGuardCap {
-		s.driftEvicted = make(map[plancache.Key]struct{})
-	}
-	s.driftEvicted[*key] = struct{}{}
-	s.mu.Unlock()
-	if s.cache.Invalidate(*key) {
-		s.metrics.DriftEviction()
-	}
-}
-
-// driftGuardCap bounds the once-per-key drift guard; past it the guard
-// resets wholesale (allowing rare double evictions) rather than growing
-// without bound across many distinct query shapes.
-const driftGuardCap = 4096
 
 // search is the metered optimizer run behind optimizePattern: only the
 // leader of a cache miss (or an uncached call) gets here, so the planning
@@ -302,19 +245,6 @@ type ExecOptions struct {
 	// every predicated leaf scans its tag and filters. Escape hatch for
 	// debugging and A/B measurement. Ignored by Run.
 	NoValueIndex bool
-	// AdaptiveDrift tunes the adaptive plan feedback loop. After a traced
-	// query served by a cached plan, the worst per-operator est-vs-actual
-	// drift ratio (see OpTrace.MaxDrift) is compared against this
-	// threshold; at or past it the plan's cache entry is evicted so the
-	// next arrival of the shape re-plans. 0 (the zero value) applies the
-	// default threshold DefaultAdaptiveDrift — the loop is on by default
-	// for cached plans; values in (0, 1) are treated as the default; < 0
-	// disables the check for this call. Untraced queries (tracing off and
-	// no slow-query log) and limited runs are never checked, so the
-	// default hot path pays nothing. Each cached entry is evicted at most
-	// once per statistics version, preventing evict/re-plan ping-pong when
-	// re-planning reproduces the same estimates. Ignored by Run.
-	AdaptiveDrift float64
 }
 
 // RunOptions tunes one Run call. The zero value executes the whole plan
@@ -564,8 +494,7 @@ type planned struct {
 // query is the one planned-query core: resolve the slow-log configuration,
 // optimize pat through the plan cache against pe's probe eligibility, run
 // the chosen plan — exec is the facade's part, going through its read
-// envelope — then close the adaptive drift loop and apply the slow-query
-// policy.
+// envelope — then apply the slow-query policy.
 func (s *service) query(ctx context.Context, pat *Pattern, model CostModel, pe core.ProbeEligibility, opts QueryOptions, run func(*Plan, ExecOptions) (int, ExecStats, *OpTrace, error)) (planned, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -578,7 +507,7 @@ func (s *service) query(ctx context.Context, pat *Pattern, model CostModel, pe c
 		slowFn = opts.OnSlowQuery
 	}
 	t0 := time.Now()
-	res, cached, key, err := s.optimizePattern(ctx, pat, model, pe, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
+	res, cached, err := s.optimizePattern(ctx, pat, model, pe, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
 	if err != nil {
 		return planned{}, err
 	}
@@ -591,7 +520,6 @@ func (s *service) query(ctx context.Context, pat *Pattern, model CostModel, pe c
 		return planned{}, fmt.Errorf("sjos: executing %v plan: %w", opts.Method, err)
 	}
 	execTime := time.Since(t1)
-	s.noteDrift(key, cached, eo, trace)
 	s.maybeLogSlow(pat, opts.Method, thr, slowFn, optTime, execTime, count, stats, trace, cached)
 	return planned{
 		Plan:            res.Plan,
