@@ -15,8 +15,9 @@
 # `make benchquick` smoke-runs the key benchmarks at one iteration each — the
 # result-path, /query-encode and plan_cold-execution layer lanes, the lanes
 # under them (Stack-Tree Desc/Anc by input shape and axis, posting-block
-# decode, numeric predicate parse) and the write-side lanes (XML parse,
-# document image encode and decode, segment staging, store version assembly,
+# decode, numeric predicate parse), the storage lanes (buffer-pool hit and
+# miss, store build) and the write-side lanes (XML parse, document image
+# encode and decode, segment staging, store version assembly,
 # value probes at 2 and 256 segments, the four-write corpus cycle and a
 # four-shard recovery on disk WALs) included — plus the allocation regression
 # guards: a CI-friendly check that they still build, run and validate their
@@ -51,13 +52,14 @@ vet:
 check: vet test-race
 
 # Code size, one fixed pipeline: non-blank, non-comment-only lines of
-# non-test Go in the root package, internal/core, internal/exec and
-# cmd/xqserve, then in the whole module (benchmark/ is its own).
+# non-test Go in the root package, internal/core, internal/exec,
+# cmd/xqserve, internal/storage and internal/xmltree, then in the whole
+# module (benchmark/ is its own).
 loc:
-	@for d in . internal/core internal/exec cmd/xqserve; do \
-		printf '%-14s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
+	@for d in . internal/core internal/exec cmd/xqserve internal/storage internal/xmltree; do \
+		printf '%-17s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
 	done
-	@printf '%-14s %s\n' total $$(cat $$(ls *.go internal/*/*.go cmd/*/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)
+	@printf '%-17s %s\n' total $$(cat $$(ls *.go internal/*/*.go cmd/*/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)
 
 # Fault-injection differential suite under the race detector: every
 # optimizer method over an injected-fault store must return the exact
@@ -102,7 +104,7 @@ benchquick:
 	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
-	$(GO) test -run '^$$' -bench 'StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/
+	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'StackTree' -benchtime=1x ./internal/exec/
 	$(GO) test -run '^$$' -bench 'ParseNumeric' -benchtime=1x ./internal/pattern/
 	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs|TestExecScratchAllocs' -v .

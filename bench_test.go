@@ -522,7 +522,9 @@ func BenchmarkExecPlanColdTwig(b *testing.B) {
 // Budgets for one steady-state execution of a plan_cold twig. Before
 // executions ran on a pooled scratch one cost 3.3-3.8 MB in 1 800-2 400
 // objects (reader batches and a 64 KB arena chunk per join and shard);
-// measured now: ~45 KB in ~330.
+// measured now: ~45 KB in ~330, except plan-cold-5 at ~340 KB in ~360 — its
+// range probe merges one cursor per distinct number in every member's value
+// index.
 const (
 	execScratchBytesBudget   = 600 << 10
 	execScratchObjectsBudget = 1200

@@ -38,10 +38,10 @@ type CorpusOptions struct {
 	// consistent hashing of their IDs. <= 0 selects min(#docs, GOMAXPROCS).
 	Shards int
 	// ReplicasPerShard is the number of independent store copies built per
-	// shard (<= 0 selects 1). Replicas share the shard's merged forest and
-	// statistics but each has its own page file and buffer pool; queries
-	// route to the healthiest replica, fail over on error, and hedge onto
-	// the next replica when the first is slow.
+	// shard (<= 0 selects 1). Replicas hold the same members and share the
+	// shard's statistics, but each has its own forest, page file and buffer
+	// pool; queries route to the healthiest replica, fail over on error, and
+	// hedge onto the next replica when the first is slow.
 	ReplicasPerShard int
 	// HedgeDelay fixes the hedged-read delay: how long a shard query waits
 	// on its first replica before re-issuing on the next. 0 (the default)
@@ -71,8 +71,8 @@ type CorpusOptions struct {
 }
 
 // corpusReplica is one independent copy of a shard's store: its own engine
-// (page file and buffer pool) over the same merged forest, plus the health
-// tracker routing decisions consult.
+// (forest, page file and buffer pool) over the shard's members, plus the
+// health tracker routing decisions consult.
 type corpusReplica struct {
 	eng    *engine
 	health *replica.Tracker
@@ -82,8 +82,8 @@ type corpusReplica struct {
 	down atomic.Bool
 }
 
-// corpusShard is one shard: one or more replica engines over the merged
-// forest of its member documents. The bookkeeping to translate merged node
+// corpusShard is one shard: one or more replica engines, each over a forest
+// of the shard's member documents. The bookkeeping to translate forest node
 // IDs back into per-document ones is the member table of each published
 // snapshot, pinned per query.
 type corpusShard struct {
@@ -94,8 +94,8 @@ type corpusShard struct {
 	rr atomic.Uint64
 }
 
-// meta returns the shard's metadata replica: every replica shares the same
-// merged document, tag dictionary and member table, and replica 0 is the
+// meta returns the shard's metadata replica: every replica holds the same
+// forest layout, tag dictionary and member table, and replica 0 is the
 // write path's primary — it owns the WAL and the histogram parts — so it
 // answers all planning and node-resolution questions regardless of routing
 // health.
@@ -204,7 +204,7 @@ func (cs *corpusState) hedgeDelay() time.Duration {
 
 // Corpus is many documents behind one query surface: documents are
 // distributed over shards by consistent hashing of their IDs, each shard
-// stores its documents as one merged forest (reusing the paged, checksummed
+// stores its documents as one forest (reusing the paged, checksummed
 // store and all indexes), and queries scatter across shards and gather in
 // document order. The Corpus is the primary entry point for multi-document
 // workloads; Database remains the single-document convenience.
@@ -296,9 +296,9 @@ func (b *CorpusBuilder) AddDataset(id, name string, scale float64, fold int, see
 // NumPending reports how many documents have been added so far.
 func (b *CorpusBuilder) NumPending() int { return len(b.ids) }
 
-// Build assigns the added documents to shards, merges each shard's members
-// into one forest document, and constructs the per-shard engines plus the
-// corpus-wide service and its merged statistics.
+// Build assigns the added documents to shards, appends each shard's members
+// to one forest per replica, and constructs the per-shard engines plus the
+// corpus-wide service and its statistics, merged from the members' parts.
 func (b *CorpusBuilder) Build() (*Corpus, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -366,29 +366,19 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		}
 	}
 
+	// Every shard is a forest engine, written through or not: the primary
+	// owns the shard's log when the corpus has a write path (a read-only
+	// shard has none), and a follower copies the primary's live members —
+	// which after a WAL recovery are not the builder's — without a log of its
+	// own.
 	buildShard := func(s int) (*corpusShard, error) {
 		sh := &corpusShard{id: s}
-		var merged *xmltree.Document
-		var table []memberView
-		if !writable {
-			var err error
-			if merged, table, err = mergeMembers(groups[s]); err != nil {
-				return nil, fmt.Errorf("sjos: merging shard %d: %w", s, err)
-			}
-		}
 		for r, file := range files[s].stores {
-			var eng *engine
-			var err error
-			switch {
-			case !writable:
-				eng, err = newStaticEngine(merged, table, file, cfg)
-			case r == 0:
-				eng, err = newForestEngine(groups[s], files[s].wal, file, cfg)
-			default:
-				// A follower copies the primary's live members, which after
-				// a WAL recovery are not the builder's.
-				eng, err = newForestEngine(sh.meta().liveDocs(), nil, file, cfg)
+			seeds, wal := groups[s], files[s].wal
+			if r > 0 {
+				seeds, wal = sh.meta().liveDocs(), nil
 			}
+			eng, err := newForestEngine(seeds, wal, file, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("sjos: building shard %d replica %d: %w", s, r, err)
 			}
@@ -449,24 +439,6 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	c := &Corpus{corpusState: cs}
 	c.refreshStats()
 	return c, nil
-}
-
-// mergeMembers merges a static shard's documents into one forest document
-// and returns it with the member table locating each document inside it.
-func mergeMembers(group []seedDoc) (*xmltree.Document, []memberView, error) {
-	docs := make([]*xmltree.Document, len(group))
-	for m, sd := range group {
-		docs[m] = sd.doc
-	}
-	merged, spans, err := xmltree.MergeDocuments(docs)
-	if err != nil {
-		return nil, nil, err
-	}
-	table := make([]memberView, len(spans))
-	for m, span := range spans {
-		table[m] = memberView{id: group[m].id, span: span}
-	}
-	return merged, table, nil
 }
 
 // shardFile resolves the page file one replica's store lives on: an
@@ -569,7 +541,7 @@ func (c *Corpus) ShardOf(docID string) (int, bool) {
 func (c *Corpus) Model() CostModel { return c.model }
 
 // resolve translates a (document ID, document-local node ID) pair into the
-// owning shard's current snapshot and the merged-document node ID.
+// owning shard's current snapshot and the forest node ID.
 func (c *Corpus) resolve(docID string, id NodeID) (*dbSnap, NodeID, bool) {
 	s, ok := c.view().byID[docID]
 	if !ok {

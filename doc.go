@@ -19,8 +19,8 @@
 //
 // Multi-document workloads use the Corpus, the collection-first entry
 // point: documents are distributed over shards by consistent hashing of
-// their IDs, each shard stores its members as one merged forest over the
-// same paged store, and queries are planned once against corpus-wide
+// their IDs, each shard stores its members as one forest over the same
+// paged store, and queries are planned once against corpus-wide
 // merged statistics, executed on every shard, and gathered in document
 // order with document-local node IDs:
 //

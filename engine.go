@@ -21,8 +21,9 @@ import (
 // cache, metrics, admission or merged statistics; those are one per facade
 // (see service).
 //
-// A forest engine stores its documents as members of an appendable forest
-// over a segmented store, and every mutation follows one commit protocol:
+// A forest engine stores its documents as members of an appendable forest,
+// one store segment per member, and every mutation follows one commit
+// protocol:
 //
 //  1. Stage: the new member is serialised into sealed pages without touching
 //     the store file (deletes stage nothing — they only flip a segment dead).
@@ -116,17 +117,15 @@ type engine struct {
 	// atomically after commit, so reads are lock-free.
 	snap atomic.Pointer[dbSnap]
 	engineConfig
-	// writable marks a forest engine — one with a write path (fixed at
-	// construction).
-	writable bool
 
 	// Everything below is the write path's state. The engine does no locking
 	// of its own: the owning facade's write lock (service.wmu) guards it —
 	// single writer; readers never touch it, they use the published snapshot.
 
-	// wal is the durable log; nil on static engines and on corpus replica
-	// followers, which apply the primary's already-committed mutations
-	// without logging.
+	// wal is the durable log, and an engine with one is the only kind a
+	// facade writes through. nil on static engines, on the shards of a
+	// read-only corpus, and on corpus replica followers, which apply the
+	// primary's already-committed mutations without logging.
 	wal *storage.WAL
 	// forest is the appendable document mutations extend.
 	forest *xmltree.Document
@@ -158,11 +157,11 @@ type seedDoc struct {
 	doc *xmltree.Document
 }
 
-// newStaticEngine stores doc on file, read-only. table is the member view
-// its one snapshot carries — the documents doc was merged from; statistics
-// are kept for doc as a whole.
-func newStaticEngine(doc *xmltree.Document, table []memberView, file PageFile, cfg engineConfig) (*engine, error) {
-	store, err := storage.BuildStoreOnOpts(file, doc, cfg.poolFrames, cfg.sopts)
+// newStaticEngine stores doc on file, read-only, in the document's own node
+// numbering: its one snapshot carries doc as the single member SeedDocID, and
+// statistics are kept for doc as a whole.
+func newStaticEngine(doc *xmltree.Document, file PageFile, cfg engineConfig) (*engine, error) {
+	store, err := storage.BuildStoreOn(file, doc, cfg.poolFrames, cfg.sopts)
 	if err != nil {
 		return nil, err
 	}
@@ -173,18 +172,19 @@ func newStaticEngine(doc *xmltree.Document, table []memberView, file PageFile, c
 		span: xmltree.DocSpan{Nodes: doc.NumNodes()},
 		part: histogram.Build(doc, cfg.grid),
 	}}
-	e.publish(doc, store, table)
+	e.publish(doc, store, []memberView{{id: SeedDocID, span: e.members[0].span}})
 	return e, nil
 }
 
-// newForestEngine builds a write-enabled engine on the (fresh) store file.
-// With an empty WAL the seeds become the initial members and the log is
-// seeded with a base snapshot holding them; with a non-empty WAL the state
-// is recovered from the log instead, and seeds must be absent (the log is
-// self-contained; mixing both would be ambiguous). A nil walFile builds a
-// corpus replica follower: same members and store, no log of its own.
+// newForestEngine builds a forest engine on the (fresh) store file. With an
+// empty WAL the seeds become the initial members and the log is seeded with
+// a base snapshot holding them; with a non-empty WAL the state is recovered
+// from the log instead, and seeds must be absent (the log is self-contained;
+// mixing both would be ambiguous). A nil walFile builds a log-less engine
+// over the seeds: the shard of a read-only corpus, or a corpus replica
+// follower, which applies its primary's committed mutations.
 func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) (*engine, error) {
-	e := &engine{engineConfig: cfg, writable: true}
+	e := &engine{engineConfig: cfg}
 	began := time.Now()
 	var replay []storage.WALTxn
 	if walFile != nil {
@@ -246,7 +246,7 @@ func (e *engine) setRetry(store *storage.Store) {
 func (e *engine) reset(file PageFile) (*storage.Store, error) {
 	e.forest = xmltree.NewForest()
 	e.members, e.byID = nil, make(map[string]int)
-	store, err := storage.NewForestStore(file, e.forest, e.poolFrames, e.sopts)
+	store, err := storage.BuildStoreOn(file, e.forest, e.poolFrames, e.sopts)
 	if err != nil {
 		return nil, err
 	}

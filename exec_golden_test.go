@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,5 +116,58 @@ func TestExecGolden(t *testing.T) {
 	}
 	if diffs != nil {
 		t.Fatalf("%d of %d executions differ from the golden:\n%s", len(diffs), len(got), strings.Join(diffs, "\n"))
+	}
+}
+
+// TestCorpusReadOnlyPlansLikeWritable: a read-only corpus and a writable one
+// over the same documents lay them down the same way and keep the same
+// statistics, so every query of the golden plans, estimates and executes
+// identically on both — the plans BenchmarkExecPlanColdTwig times are the
+// plans xqserve runs.
+func TestCorpusReadOnlyPlansLikeWritable(t *testing.T) {
+	build := func(walFile func(int) sjos.PageFile) *sjos.Corpus {
+		cb := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Shards: 4, ShardWALFile: walFile})
+		for i := 0; i < 8; i++ {
+			if err := cb.AddDataset(fmt.Sprintf("pers-%03d", i), "pers", 1, 1, int64(1+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := cb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	readOnly := build(nil)
+	writable := build(func(int) sjos.PageFile { return sjos.NewMemPageFile() })
+	if readOnly.IngestEnabled() || !writable.IngestEnabled() {
+		t.Fatal("write paths are not what the options asked for")
+	}
+	ctx := context.Background()
+	differ := 0
+	for _, q := range execGoldenQueries() {
+		for _, m := range execGoldenMethods {
+			opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: m, NoCache: true}}
+			a, err := readOnly.QueryContext(ctx, q.Source, opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", q.ID, m, err)
+			}
+			b, err := writable.QueryContext(ctx, q.Source, opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", q.ID, m, err)
+			}
+			same := a.PlanText == b.PlanText && a.EstCost == b.EstCost && a.Exec == b.Exec && len(a.Matches) == len(b.Matches)
+			for i := 0; same && i < len(a.Matches); i++ {
+				same = a.Matches[i].DocID == b.Matches[i].DocID && slices.Equal(a.Matches[i].Nodes, b.Matches[i].Nodes)
+			}
+			if !same {
+				differ++
+				t.Errorf("%s %v: read-only corpus plans\n%s(cost %g, %+v, %d rows)\nwritable corpus plans\n%s(cost %g, %+v, %d rows)",
+					q.ID, m, a.PlanText, a.EstCost, a.Exec, len(a.Matches), b.PlanText, b.EstCost, b.Exec, len(b.Matches))
+			}
+		}
+	}
+	if differ > 0 {
+		t.Logf("%d (query, method) cases differ", differ)
 	}
 }

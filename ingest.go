@@ -106,8 +106,8 @@ func (db *Database) Compact() error {
 }
 
 // IngestEnabled reports whether the database was built with a write path
-// (Options.WALFile).
-func (db *Database) IngestEnabled() bool { return db.eng.writable }
+// (Options.WALFile): whether its engine has a log.
+func (db *Database) IngestEnabled() bool { return db.eng.wal != nil }
 
 // NumMembers returns the number of live member documents (1 for a static
 // database — its single document).

@@ -169,24 +169,12 @@ func (s *Stats) bucketRange(b int) (float64, float64) {
 	return float64(b) * w, float64(b+1) * w
 }
 
-// Grid returns the histogram resolution.
-func (s *Stats) Grid() int { return s.grid }
-
 // TagCount returns the number of nodes with tag t.
 func (s *Stats) TagCount(t xmltree.TagID) float64 {
 	if int(t) >= len(s.byTag) {
 		return 0
 	}
 	return float64(s.byTag[t].count)
-}
-
-// TagCountName is TagCount by tag name; unknown tags have count 0.
-func (s *Stats) TagCountName(name string) float64 {
-	t, ok := s.tagByNm[name]
-	if !ok {
-		return 0
-	}
-	return s.TagCount(t)
 }
 
 // Lookup resolves a tag name.

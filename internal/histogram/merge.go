@@ -5,18 +5,19 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// Multi is a corpus-wide statistics view over per-shard Stats. It exposes
-// the same estimation surface as *Stats (tag counts, join selectivities,
-// predicate selectivities) against a union tag dictionary of its parts, so
-// a corpus planner can optimize one plan against merged statistics.
+// Multi is a collection-wide statistics view over per-member Stats: one part
+// per member document, whichever shard holds it. It exposes the same
+// estimation surface as *Stats (tag counts, join selectivities, predicate
+// selectivities) against a union tag dictionary of its parts, so a corpus
+// (or a writable database) planner can optimize one plan against merged
+// statistics.
 //
-// Because no structural relationship crosses a shard (each shard is a
-// disjoint forest of documents), the exact corpus-wide join count is the
-// SUM of the per-shard join counts — not an estimate over an overlaid
-// position space, where cross-shard cell pairs would contribute phantom
-// joins. Multi therefore merges at the estimate level: counts and join
-// estimates sum over parts, and predicate selectivities average weighted by
-// the tag's population per part.
+// Because no structural relationship crosses a member document, the exact
+// collection-wide join count is the SUM of the per-member join counts — not
+// an estimate over an overlaid position space, where cell pairs of
+// different members would contribute phantom joins. Multi therefore merges
+// at the estimate level: counts and join estimates sum over parts, and
+// predicate selectivities average weighted by the tag's population per part.
 //
 // The TagIDs Multi hands out index its own union dictionary; they are
 // unrelated to any part's TagIDs.
@@ -30,11 +31,11 @@ type Multi struct {
 	ok    [][]bool
 }
 
-// Merge builds the corpus-wide view over the given per-shard statistics.
+// Merge builds the collection-wide view over the given per-member statistics.
 // Union TagIDs are assigned deterministically: parts in order, and within a
-// part its local TagIDs in order. Nil parts are skipped — a shard whose
-// statistics are momentarily unavailable (e.g. a concurrent rebuild swapped
-// in a merged view) contributes nothing rather than crashing the merge.
+// part its local TagIDs in order. Nil parts are skipped — a part that is
+// momentarily unavailable contributes nothing rather than crashing the
+// merge.
 func Merge(parts []*Stats) *Multi {
 	live := make([]*Stats, 0, len(parts))
 	for _, p := range parts {
@@ -65,7 +66,7 @@ func Merge(parts []*Stats) *Multi {
 	return m
 }
 
-// Parts returns the number of merged per-shard statistics.
+// Parts returns the number of merged per-member statistics.
 func (m *Multi) Parts() int { return len(m.parts) }
 
 // Lookup resolves a tag name in the union dictionary.
@@ -74,7 +75,7 @@ func (m *Multi) Lookup(name string) (xmltree.TagID, bool) {
 	return t, ok
 }
 
-// TagCount returns the corpus-wide node count for union tag t.
+// TagCount returns the collection-wide node count for union tag t.
 func (m *Multi) TagCount(t xmltree.TagID) float64 {
 	if int(t) >= len(m.names) {
 		return 0
@@ -88,8 +89,9 @@ func (m *Multi) TagCount(t xmltree.TagID) float64 {
 	return total
 }
 
-// EstimateJoin sums the per-shard join estimates for (ta, tb, ax): joins
-// never cross shards, so the corpus total is exactly the per-shard sum.
+// EstimateJoin sums the per-member join estimates for (ta, tb, ax): joins
+// never cross members, so the collection total is exactly the per-member
+// sum.
 func (m *Multi) EstimateJoin(ta, tb xmltree.TagID, ax pattern.Axis) float64 {
 	if int(ta) >= len(m.names) || int(tb) >= len(m.names) {
 		return 0
@@ -103,11 +105,11 @@ func (m *Multi) EstimateJoin(ta, tb xmltree.TagID, ax pattern.Axis) float64 {
 	return total
 }
 
-// Selectivity is the corpus-wide edge selectivity: summed join estimate
-// over the corpus-wide Cartesian product. Note this is deliberately NOT the
-// average of per-shard selectivities — the denominator spans shard pairs
-// that can never join, which is exactly what makes a corpus plan favour
-// more selective join orders as the corpus grows.
+// Selectivity is the collection-wide edge selectivity: summed join estimate
+// over the collection-wide Cartesian product. Note this is deliberately NOT
+// the average of per-member selectivities — the denominator spans member
+// pairs that can never join, which is exactly what makes a corpus plan
+// favour more selective join orders as the corpus grows.
 func (m *Multi) Selectivity(ta, tb xmltree.TagID, ax pattern.Axis) float64 {
 	na, nb := m.TagCount(ta), m.TagCount(tb)
 	if na == 0 || nb == 0 {
@@ -116,7 +118,7 @@ func (m *Multi) Selectivity(ta, tb xmltree.TagID, ax pattern.Axis) float64 {
 	return m.EstimateJoin(ta, tb, ax) / (na * nb)
 }
 
-// PredicateSelectivity is the population-weighted average of the per-shard
+// PredicateSelectivity is the population-weighted average of the per-member
 // predicate selectivities for union tag t.
 func (m *Multi) PredicateSelectivity(t xmltree.TagID, op pattern.CmpOp, value string) float64 {
 	if int(t) >= len(m.names) {

@@ -14,6 +14,7 @@ import (
 func BenchmarkBufferPoolHit(b *testing.B) {
 	f := NewMemFile()
 	var p Page
+	SealPage(0, &p)
 	if err := f.WritePage(0, &p); err != nil {
 		b.Fatal(err)
 	}
@@ -33,6 +34,7 @@ func BenchmarkBufferPoolMiss(b *testing.B) {
 	f := NewMemFile()
 	var p Page
 	for i := 0; i < 2; i++ {
+		SealPage(PageID(i), &p)
 		if err := f.WritePage(PageID(i), &p); err != nil {
 			b.Fatal(err)
 		}
@@ -91,19 +93,11 @@ func BenchmarkBuildStore(b *testing.B) {
 // grow with n; a member's do not.
 func benchForest(b *testing.B, n int) (*xmltree.Document, []xmltree.DocSpan, *Store) {
 	b.Helper()
-	forest := xmltree.NewForest()
-	spans := make([]xmltree.DocSpan, n)
-	for i := range spans {
-		var err error
-		if forest, spans[i], err = xmltree.AppendMember(forest, datagen.Pers(1, int64(1+i))); err != nil {
-			b.Fatal(err)
-		}
+	docs := make([]*xmltree.Document, n)
+	for i := range docs {
+		docs[i] = datagen.Pers(1, int64(1+i))
 	}
-	st, err := BuildForestStoreOn(NewMemFile(), forest, spans, 0, StoreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return forest, spans, st
+	return buildForest(b, docs, 0)
 }
 
 // BenchmarkStageSegment is the per-document half of a write: one member's

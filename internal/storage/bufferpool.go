@@ -284,16 +284,6 @@ func (bp *BufferPool) Stats() PoolStats {
 	return s
 }
 
-// ResetStats zeroes the hit/miss/eviction/retry counters (resident pages
-// stay).
-func (bp *BufferPool) ResetStats() {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.hits, bp.misses, bp.evicted = 0, 0, 0
-	bp.retries.Store(0)
-	bp.checksumFails.Store(0)
-}
-
 // Frames returns the pool capacity in frames.
 func (bp *BufferPool) Frames() int { return bp.frames }
 

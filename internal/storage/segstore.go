@@ -11,36 +11,35 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// Segmented stores back the ingestion path. A segmented store holds an
-// appendable forest (xmltree.NewForest / AppendMember) as a sequence of
-// segments — the synthetic root, then one per member document — each with
-// its own node pages, tag postings and value index, laid out in one
-// contiguous page run. Store versions are immutable: a mutation stages a
-// new segment against a capture file (producing the sealed pages whose
-// digest the WAL logs), and adopting the stage yields a NEW Store value that
-// shares the page file, buffer pool and counters with its predecessor. Because a
-// segment only ever appends pages past every older version's tail and a
-// delete touches no pages at all, published versions and the shared page
-// cache stay valid under concurrent readers — the ingestion layer swaps an
-// atomic pointer and in-flight queries finish on the version they started
-// with.
+// Every store is a sequence of segments, each with its own node pages, tag
+// postings and value index, laid out in one contiguous page run. BuildStoreOn
+// lays the built document down as segment 0; a store over an appendable
+// forest (xmltree.NewForest / AppendMember) starts as the synthetic root and
+// gains one segment per member document. Store versions are immutable: a
+// mutation stages a new segment against a capture file (producing the sealed
+// pages whose digest the WAL logs), and adopting the stage yields a NEW Store
+// value that shares the page file, buffer pool and counters with its
+// predecessor. Because a segment only ever appends pages past every older
+// version's tail and a delete touches no pages at all, published versions
+// and the shared page cache stay valid under concurrent readers — the
+// ingestion layer swaps an atomic pointer and in-flight queries finish on the
+// version they started with.
 //
 // Readers see one combined view per version: the per-tag postings runs of
 // the live segments concatenated in NodeID order (block directories are
 // in-memory, so concatenation is pointer work — no page I/O). The value
 // index is not combined: a version lists its live segments' indexes and a
 // probe asks each for the one key it wants, so assembling a version costs
-// tags × live segments and nothing per distinct value. Scan, skip-ahead,
-// probe and merge machinery is exactly the static store's; only the
-// node-record locator differs (see Store.nodeSlot).
+// tags × live segments and nothing per distinct value.
 
-// segment is one contiguous NodeID slice of the forest and its pages.
+// segment is one contiguous NodeID slice of the stored document and its
+// pages.
 type segment struct {
 	first    xmltree.NodeID
 	count    int
-	nodeBase PageID // node records occupy [nodeBase, nodeBase+nodePages)
-	dir      map[xmltree.TagID]postingsRun
-	vix      *valueIndex // per-segment; nil with NoValueIndex
+	nodeBase PageID        // node records occupy [nodeBase, nodeBase+nodePages)
+	dir      []postingsRun // by TagID; a tag the segment lacks has an empty run
+	vix      *valueIndex   // per-segment; nil with NoValueIndex
 	dead     bool
 }
 
@@ -49,8 +48,8 @@ type segment struct {
 // store version takes over.
 type SegmentStage struct {
 	seg      *segment
-	forest   *xmltree.Document
-	images   []WALPageImage
+	doc      *xmltree.Document // the document version holding the segment
+	images   []WALPageImage    // nil for a build, which wrote its pages itself
 	endPage  PageID
 	encBytes int
 	rawBytes int
@@ -75,8 +74,8 @@ func (st *SegmentStage) Digest() StageDigest {
 }
 
 // captureFile collects sequential page writes in memory instead of touching
-// the real file: the staging path runs the ordinary store builders against
-// it, so live commit, initial build and recovery replay all share one
+// the real file: staging runs planSegment against it, the build against the
+// real file, so live commit, initial build and recovery replay all share one
 // layout-defining code path.
 type captureFile struct {
 	base   PageID
@@ -101,8 +100,8 @@ func (c *captureFile) ReadPage(id PageID, dst *Page) error {
 
 func (c *captureFile) NumPages() int { return int(c.base) + len(c.images) }
 
-// spanNodes returns the tag's postings restricted to one member span. The
-// forest's per-tag lists are in NodeID order, so the restriction is two
+// spanNodes returns the tag's postings restricted to one span. The
+// document's per-tag lists are in NodeID order, so the restriction is two
 // binary searches on the shared slice.
 func spanNodes(doc *xmltree.Document, t xmltree.TagID, span xmltree.DocSpan) []xmltree.NodeID {
 	all := doc.NodesWithTag(t)
@@ -112,15 +111,15 @@ func spanNodes(doc *xmltree.Document, t xmltree.TagID, span xmltree.DocSpan) []x
 	return all[lo:hi]
 }
 
-// planSegment serialises one member span of the forest as a fresh segment
-// starting at page base, entirely into capture images.
-func planSegment(forest *xmltree.Document, span xmltree.DocSpan, base PageID, opts StoreOptions) (*SegmentStage, error) {
+// nodePagesFor is how many pages n node records occupy.
+func nodePagesFor(n int) int { return (n + nodesPerPage - 1) / nodesPerPage }
+
+// planSegment serialises the span of doc as a fresh segment starting at page
+// base, writing its sealed pages to dst in page order: the store's own file
+// for a build, a capture file for a stage.
+func planSegment(dst PageFile, doc *xmltree.Document, span xmltree.DocSpan, base PageID, opts StoreOptions) (*SegmentStage, error) {
 	n := span.Nodes
-	nodePages := (n + nodesPerPage - 1) / nodesPerPage
-	// Compressed postings take about half the pages the node records do;
-	// a longer stage grows the slice, a shorter one is dropped after commit
-	// like any other.
-	cf := &captureFile{base: base, images: make([]WALPageImage, 0, nodePages+nodePages/2+2)}
+	nodePages := nodePagesFor(n)
 	var page Page
 	for p := 0; p < nodePages; p++ {
 		for i := 0; i < nodesPerPage; i++ {
@@ -128,39 +127,39 @@ func planSegment(forest *xmltree.Document, span xmltree.DocSpan, base PageID, op
 			if local >= n {
 				break
 			}
-			encodeNode(page[PageHeaderSize+i*nodeRecSize:], forest, span.First+xmltree.NodeID(local))
+			encodeNode(page[PageHeaderSize+i*nodeRecSize:], doc, span.First+xmltree.NodeID(local))
 		}
 		id := base + PageID(p)
 		SealPage(id, &page)
-		if err := cf.WritePage(id, &page); err != nil {
-			return nil, err
+		if err := dst.WritePage(id, &page); err != nil {
+			return nil, fmt.Errorf("storage: write node page %d: %w", id, err)
 		}
 		page = Page{}
 	}
 
-	nodesOf := func(t xmltree.TagID) []xmltree.NodeID { return spanNodes(forest, t, span) }
-	w := newPostingsWriter(cf, base+PageID(nodePages))
-	dir := make(map[xmltree.TagID]postingsRun)
+	nodesOf := func(t xmltree.TagID) []xmltree.NodeID { return spanNodes(doc, t, span) }
+	w := newPostingsWriter(dst, base+PageID(nodePages))
+	dir := make([]postingsRun, doc.NumTags())
 	rawBytes := 0
-	for t := 0; t < forest.NumTags(); t++ {
+	for t := 0; t < doc.NumTags(); t++ {
 		ids := nodesOf(xmltree.TagID(t))
 		if len(ids) == 0 {
 			continue
 		}
-		run, err := w.writeRun(ids, forest.Start)
+		run, err := w.writeRun(ids, doc.Start)
 		if err != nil {
-			return nil, fmt.Errorf("storage: stage segment postings: %w", err)
+			return nil, fmt.Errorf("storage: segment postings: %w", err)
 		}
-		dir[xmltree.TagID(t)] = run
+		dir[t] = run
 		rawBytes += rawPostingSize * len(ids)
 	}
 	var vx *valueIndex
 	if !opts.NoValueIndex {
 		var vxRaw int
 		var err error
-		vx, vxRaw, err = buildValueIndexOver(w, forest, nodesOf)
+		vx, vxRaw, err = buildValueIndexOver(w, doc, nodesOf)
 		if err != nil {
-			return nil, fmt.Errorf("storage: stage segment value index: %w", err)
+			return nil, fmt.Errorf("storage: segment value index: %w", err)
 		}
 		rawBytes += vxRaw
 	}
@@ -170,82 +169,33 @@ func planSegment(forest *xmltree.Document, span xmltree.DocSpan, base PageID, op
 	}
 	return &SegmentStage{
 		seg:      &segment{first: span.First, count: n, nodeBase: base, dir: dir, vix: vx},
-		forest:   forest,
-		images:   cf.images,
+		doc:      doc,
 		endPage:  end,
 		encBytes: w.bytes,
 		rawBytes: rawBytes,
 	}, nil
 }
 
-// NewForestStore lays the forest's synthetic root down on an empty file and
-// returns a segmented store with zero members. Members are added with
-// StageSegment / AdoptStage.
-func NewForestStore(file PageFile, forest *xmltree.Document, poolFrames int, opts StoreOptions) (*Store, error) {
-	if file.NumPages() != 0 {
-		return nil, fmt.Errorf("storage: NewForestStore needs an empty file, got %d pages", file.NumPages())
-	}
-	if !forest.IsForest() {
-		return nil, fmt.Errorf("storage: NewForestStore needs an appendable forest document")
-	}
-	s := &Store{
-		file:   file,
-		pool:   NewBufferPool(file, poolFrames),
-		segs:   []*segment{},
-		opts:   opts,
-		shared: &storeCounters{},
-	}
-	st, err := planSegment(forest, xmltree.DocSpan{First: 0, Nodes: 1}, 0, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.writeImages(st.images); err != nil {
-		return nil, err
-	}
-	return s.AdoptStage(st), nil
-}
-
-// BuildForestStoreOn builds a segmented store for a forest with existing
-// members (one segment per span, in order) on an empty file. The layout is
-// a pure function of (forest, spans): recovery rebuilds it bit-identically
-// by replaying the same appends.
-func BuildForestStoreOn(file PageFile, forest *xmltree.Document, spans []xmltree.DocSpan, poolFrames int, opts StoreOptions) (*Store, error) {
-	s, err := NewForestStore(file, forest, poolFrames, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, span := range spans {
-		st, err := s.StageSegment(forest, span)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.writeImages(st.images); err != nil {
-			return nil, err
-		}
-		s = s.AdoptStage(st)
-	}
-	return s, nil
-}
-
-// NumSegments returns the number of segments (the synthetic root counts);
-// the next StageSegment adds segment index NumSegments.
+// NumSegments returns the number of segments (a forest's synthetic root
+// counts); the next StageSegment adds segment index NumSegments.
 func (s *Store) NumSegments() int { return len(s.segs) }
-
-// TailPage returns the next free page of a segmented store.
-func (s *Store) TailPage() PageID { return s.tailPage }
-
-// IsSegmented reports whether the store is an appendable forest store.
-func (s *Store) IsSegmented() bool { return s.segs != nil }
 
 // StageSegment serialises the forest member at span as the store's next
 // segment without touching the store's file: the returned stage carries the
 // sealed pages, whose digest the WAL logs. forest must be the version that
 // already contains the member.
 func (s *Store) StageSegment(forest *xmltree.Document, span xmltree.DocSpan) (*SegmentStage, error) {
-	if s.segs == nil {
-		return nil, fmt.Errorf("storage: StageSegment on a static store")
+	// Compressed postings take about half the pages the node records do; a
+	// longer stage grows the slice, a shorter one is dropped after commit
+	// like any other.
+	nodePages := nodePagesFor(span.Nodes)
+	cf := &captureFile{base: s.tailPage, images: make([]WALPageImage, 0, nodePages+nodePages/2+2)}
+	st, err := planSegment(cf, forest, span, s.tailPage, s.opts)
+	if err != nil {
+		return nil, err
 	}
-	return planSegment(forest, span, s.tailPage, s.opts)
+	st.images = cf.images
+	return st, nil
 }
 
 // writeImages applies sealed page images to the store's file in order.
@@ -310,7 +260,7 @@ func (s *Store) AdoptStage(st *SegmentStage) *Store {
 	segs := make([]*segment, len(s.segs), len(s.segs)+1)
 	copy(segs, s.segs)
 	segs = append(segs, st.seg)
-	return s.rebuildVersion(st.forest, segs, st.endPage,
+	return s.rebuildVersion(st.doc, segs, st.endPage,
 		s.postingsBytes+st.encBytes, s.rawPostingsBytes+st.rawBytes)
 }
 
@@ -319,9 +269,6 @@ func (s *Store) AdoptStage(st *SegmentStage) *Store {
 // its nodes. No page is touched — the dead segment's pages are reclaimed by
 // compaction.
 func (s *Store) DropSegment(forest *xmltree.Document, idx int) (*Store, error) {
-	if s.segs == nil {
-		return nil, fmt.Errorf("storage: DropSegment on a static store")
-	}
 	if idx <= 0 || idx >= len(s.segs) {
 		return nil, fmt.Errorf("storage: DropSegment index %d of %d", idx, len(s.segs))
 	}
@@ -420,8 +367,15 @@ func combineSegments(segs []*segment, numTags int, withVidx bool) ([]postingsRun
 			continue
 		}
 		for t, run := range sg.dir {
+			if run.count == 0 {
+				continue
+			}
 			d := &dir[t]
 			if d.blocks == nil {
+				if len(run.blocks) == nblocks[t] {
+					*d = run // the tag's one live run: shared, not copied
+					continue
+				}
 				d.blocks = make([]blockRef, 0, nblocks[t])
 			}
 			d.append(run)

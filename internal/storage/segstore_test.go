@@ -11,24 +11,28 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// buildForest appends the docs to a fresh forest and returns the forest
-// document, the member spans, and the segmented store.
-func buildForest(t *testing.T, docs []*xmltree.Document) (*xmltree.Document, []xmltree.DocSpan, *Store) {
-	t.Helper()
+// buildForest lays a fresh forest down and appends the docs one segment
+// each, the way the engine's grow path does; it returns the forest document,
+// the member spans, and the store.
+func buildForest(tb testing.TB, docs []*xmltree.Document, poolFrames int) (*xmltree.Document, []xmltree.DocSpan, *Store) {
+	tb.Helper()
 	forest := xmltree.NewForest()
-	var spans []xmltree.DocSpan
-	for _, d := range docs {
-		var span xmltree.DocSpan
-		var err error
-		forest, span, err = xmltree.AppendMember(forest, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spans = append(spans, span)
-	}
-	st, err := BuildForestStoreOn(NewMemFile(), forest, spans, 64, StoreOptions{})
+	st, err := BuildStoreOn(NewMemFile(), forest, poolFrames, StoreOptions{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	spans := make([]xmltree.DocSpan, len(docs))
+	for i, d := range docs {
+		if forest, spans[i], err = xmltree.AppendMember(forest, d); err != nil {
+			tb.Fatal(err)
+		}
+		stage, err := st.StageSegment(forest, spans[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if st, err = st.CommitStage(stage); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return forest, spans, st
 }
@@ -59,58 +63,36 @@ func scanAll(t *testing.T, s *Store, tag xmltree.TagID) []xmltree.NodeID {
 	}
 }
 
-// The appendable forest store must read back exactly like the one-shot
-// merged store: AppendMember assigns the same node IDs and positions as
-// MergeDocuments, so tag scans agree ID for ID.
+// A forest store of one segment per member must read back exactly like a
+// store built in one segment over the final forest document: tag scans agree
+// ID for ID, node records agree node for node.
 func TestForestStoreMatchesMergedStore(t *testing.T) {
 	docs := memberDocs(t, 3)
-	forest, _, segStore := buildForest(t, docs)
-
-	merged, _, err := xmltree.MergeDocuments(docs)
+	forest, _, segStore := buildForest(t, docs, 64)
+	oneSeg, err := BuildStore(forest, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := BuildStore(merged, 64)
-	if err != nil {
-		t.Fatal(err)
+	if segStore.NumSegments() != 4 || oneSeg.NumSegments() != 1 {
+		t.Fatalf("%d and %d segments, want 4 and 1", segStore.NumSegments(), oneSeg.NumSegments())
 	}
-
-	if forest.NumNodes() != merged.NumNodes() {
-		t.Fatalf("forest %d nodes, merged %d", forest.NumNodes(), merged.NumNodes())
+	for tg := 0; tg < forest.NumTags(); tg++ {
+		want := scanAll(t, oneSeg, xmltree.TagID(tg))
+		if got := scanAll(t, segStore, xmltree.TagID(tg)); !slices.Equal(got, want) {
+			t.Fatalf("tag %q: segmented scan %v, one-segment scan %v", forest.TagName(xmltree.TagID(tg)), got, want)
+		}
 	}
-	for tg := 0; tg < merged.NumTags(); tg++ {
-		name := merged.TagName(xmltree.TagID(tg))
-		ft, ok := forest.LookupTag(name)
-		if !ok {
-			t.Fatalf("forest missing tag %q", name)
+	for id := xmltree.NodeID(0); int(id) < forest.NumNodes(); id++ {
+		a, err := segStore.Node(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := scanAll(t, static, xmltree.TagID(tg))
-		got := scanAll(t, segStore, ft)
-		if len(want) != len(got) {
-			t.Fatalf("tag %q: %d vs %d postings", name, len(got), len(want))
+		b, err := oneSeg.Node(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("tag %q posting %d: %d vs %d", name, i, got[i], want[i])
-			}
-		}
-		// Node records agree too. Node 0 is excluded: the forest root
-		// keeps the open-ended sentinel end, the merged root a real one.
-		for _, id := range got {
-			if id == 0 {
-				continue
-			}
-			a, err := segStore.Node(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := static.Node(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
-				t.Fatalf("node %d: %+v vs %+v", id, a, b)
-			}
+		if a != b {
+			t.Fatalf("node %d: %+v vs %+v", id, a, b)
 		}
 	}
 }
@@ -165,7 +147,7 @@ func TestForestStoreValueProbes(t *testing.T) {
 		for i := range docs {
 			docs[i] = probeMember(t, rng, i, n)
 		}
-		forest, spans, st := buildForest(t, docs)
+		forest, spans, st := buildForest(t, docs, 64)
 		var liveSpans []xmltree.DocSpan
 		for i := 0; i < n; i++ {
 			if i%2 == 0 {
@@ -255,7 +237,7 @@ func TestForestStoreValueProbes(t *testing.T) {
 // touching other members' IDs.
 func TestForestStoreDropSegment(t *testing.T) {
 	docs := memberDocs(t, 3)
-	forest, spans, segStore := buildForest(t, docs)
+	forest, spans, segStore := buildForest(t, docs, 64)
 
 	// Member 1 is segment 2 (segment 0 is the synthetic root).
 	dropped, err := segStore.DropSegment(forest, 2)
@@ -290,14 +272,15 @@ func TestForestStoreDropSegment(t *testing.T) {
 	}
 }
 
-// Staged appends only produce page images; adopting them after applying the
-// images must behave exactly like the all-at-once build.
+// Staged appends only produce page images; applying them and adopting the
+// stage must lay the store out exactly like committing it — the property
+// recovery's redo verification rests on.
 func TestForestStoreStageAdopt(t *testing.T) {
 	docs := memberDocs(t, 3)
 
 	forest := xmltree.NewForest()
 	file := NewMemFile()
-	st, err := NewForestStore(file, forest, 64, StoreOptions{})
+	st, err := BuildStoreOn(file, forest, 64, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,39 +290,32 @@ func TestForestStoreStageAdopt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pagesBefore := file.NumPages()
 		stage, err := st.StageSegment(forest, span)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pagesBefore := file.NumPages()
 		if len(stage.images) == 0 {
 			t.Fatal("stage produced no images")
 		}
 		if file.NumPages() != pagesBefore {
 			t.Fatal("staging touched the file")
 		}
-		st, err = st.CommitStage(stage)
-		if err != nil {
+		if err := st.writeImages(stage.images); err != nil {
 			t.Fatal(err)
 		}
+		st = st.AdoptStage(stage)
 	}
 
-	_, _, oneShot := buildForest(t, docs)
+	_, _, committed := buildForest(t, docs, 64)
 	for tg := 0; tg < forest.NumTags(); tg++ {
 		a := scanAll(t, st, xmltree.TagID(tg))
-		b := scanAll(t, oneShot, xmltree.TagID(tg))
-		if len(a) != len(b) {
-			t.Fatalf("tag %d: %d vs %d postings", tg, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("tag %d posting %d differs", tg, i)
-			}
+		b := scanAll(t, committed, xmltree.TagID(tg))
+		if !slices.Equal(a, b) {
+			t.Fatalf("tag %d: %v vs %v", tg, a, b)
 		}
 	}
-	// Determinism: the incremental file is byte-identical to the one-shot
-	// build — the property recovery's redo verification rests on.
-	other := oneShot.File().(*MemFile)
+	other := committed.File().(*MemFile)
 	if file.NumPages() != other.NumPages() {
 		t.Fatalf("page counts differ: %d vs %d", file.NumPages(), other.NumPages())
 	}
@@ -352,7 +328,7 @@ func TestForestStoreStageAdopt(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pa != pb {
-			t.Fatalf("page %d differs between incremental and one-shot build", i)
+			t.Fatalf("page %d differs between adopted and committed build", i)
 		}
 	}
 }

@@ -43,24 +43,22 @@ type Store struct {
 	file PageFile
 	pool *BufferPool
 
-	nodePages int // node records occupy pages [0, nodePages)
 	tagDir    []postingsRun
 	tagByName map[string]xmltree.TagID
 
-	// vix is the (tag, value) content index: one valueIndex for a static
-	// store, the live segments' own indexes in segment order for a segmented
-	// one — a probe asks each in turn (see probeValue). nil when the store
-	// was built with StoreOptions.NoValueIndex.
+	// vix is the (tag, value) content index: the live segments' own indexes
+	// in segment order — a probe asks each in turn (see probeValue). nil
+	// when the store was built with StoreOptions.NoValueIndex.
 	vix []*valueIndex
 
-	// segs is non-nil for a segmented (appendable forest) store: one entry
-	// per contiguous NodeID slice, in NodeID order. A static build-once
-	// store keeps segs nil and the arithmetic node-page layout. Mutations
-	// never modify a published Store — they derive a new version sharing
-	// file, pool and counters — so everything here is immutable after
-	// construction and safe for concurrent readers.
+	// segs lists the store's segments, one per contiguous NodeID slice, in
+	// NodeID order: the built document is segment 0, every appended forest
+	// member one more (see segstore.go). Mutations never modify a published
+	// Store — they derive a new version sharing file, pool and counters — so
+	// everything here is immutable after construction and safe for
+	// concurrent readers.
 	segs     []*segment
-	tailPage PageID // next free page (segmented stores only)
+	tailPage PageID // next free page
 	opts     StoreOptions
 
 	// Compression and probe accounting (see ContentStats).
@@ -97,89 +95,25 @@ type StoreOptions struct {
 // through a buffer pool with the given number of frames (DefaultPoolFrames
 // if <= 0).
 func BuildStore(doc *xmltree.Document, poolFrames int) (*Store, error) {
-	return BuildStoreOn(NewMemFile(), doc, poolFrames)
+	return BuildStoreOn(NewMemFile(), doc, poolFrames, StoreOptions{})
 }
 
-// BuildStoreOn serialises doc into the given (empty) page file — e.g. a
-// DiskFile for a persistent database image — and returns a Store reading
-// through a buffer pool with the given number of frames.
-func BuildStoreOn(file PageFile, doc *xmltree.Document, poolFrames int) (*Store, error) {
-	return BuildStoreOnOpts(file, doc, poolFrames, StoreOptions{})
-}
-
-// BuildStoreOnOpts is BuildStoreOn with construction options.
-func BuildStoreOnOpts(file PageFile, doc *xmltree.Document, poolFrames int, opts StoreOptions) (*Store, error) {
+// BuildStoreOn lays doc down as segment 0 of the given (empty) page file —
+// e.g. a DiskFile for a persistent database image — writing its pages
+// straight to the file, and returns a Store reading through a buffer pool
+// with the given number of frames. A fresh forest (xmltree.NewForest) is a
+// one-node document like any other: its store holds the synthetic root, and
+// members are appended with StageSegment / CommitStage.
+func BuildStoreOn(file PageFile, doc *xmltree.Document, poolFrames int, opts StoreOptions) (*Store, error) {
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: BuildStoreOn needs an empty file, got %d pages", file.NumPages())
 	}
-	n := doc.NumNodes()
-
-	// Node segment.
-	var page Page
-	nodePages := (n + nodesPerPage - 1) / nodesPerPage
-	for p := 0; p < nodePages; p++ {
-		for i := 0; i < nodesPerPage; i++ {
-			id := p*nodesPerPage + i
-			if id >= n {
-				break
-			}
-			encodeNode(page[PageHeaderSize+i*nodeRecSize:], doc, xmltree.NodeID(id))
-		}
-		SealPage(PageID(p), &page)
-		if err := file.WritePage(PageID(p), &page); err != nil {
-			return nil, fmt.Errorf("storage: build node segment: %w", err)
-		}
-		page = Page{}
-	}
-
-	// Postings segment: all tags' postings, compressed block-wise, followed
-	// by the value index's postings on the same writer.
-	w := newPostingsWriter(file, PageID(nodePages))
-	dir := make([]postingsRun, doc.NumTags())
-	rawBytes := 0
-	for t := 0; t < doc.NumTags(); t++ {
-		nodes := doc.NodesWithTag(xmltree.TagID(t))
-		run, err := w.writeRun(nodes, doc.Start)
-		if err != nil {
-			return nil, fmt.Errorf("storage: build postings: %w", err)
-		}
-		dir[t] = run
-		rawBytes += rawPostingSize * len(nodes)
-	}
-
-	var vix []*valueIndex
-	if !opts.NoValueIndex {
-		vx, vxRaw, err := buildValueIndex(w, doc)
-		if err != nil {
-			return nil, fmt.Errorf("storage: build value index: %w", err)
-		}
-		vix = []*valueIndex{vx}
-		rawBytes += vxRaw
-	}
-	if _, err := w.finish(); err != nil {
+	st, err := planSegment(file, doc, xmltree.DocSpan{Nodes: doc.NumNodes()}, 0, opts)
+	if err != nil {
 		return nil, err
 	}
-
-	tags := make([]string, doc.NumTags())
-	byName := make(map[string]xmltree.TagID, doc.NumTags())
-	for t := range tags {
-		tags[t] = doc.TagName(xmltree.TagID(t))
-		byName[tags[t]] = xmltree.TagID(t)
-	}
-	return &Store{
-		doc:              &storeMeta{NumNodes: n, NumTags: doc.NumTags(), Tags: tags},
-		file:             file,
-		pool:             NewBufferPool(file, poolFrames),
-		nodePages:        nodePages,
-		tagDir:           dir,
-		tagByName:        byName,
-		vix:              vix,
-		opts:             opts,
-		postingsBytes:    w.bytes,
-		rawPostingsBytes: rawBytes,
-		internStats:      doc.InternStats(),
-		shared:           &storeCounters{},
-	}, nil
+	empty := Store{file: file, pool: NewBufferPool(file, poolFrames), opts: opts, shared: &storeCounters{}}
+	return empty.AdoptStage(st), nil
 }
 
 func encodeNode(b []byte, doc *xmltree.Document, id xmltree.NodeID) {
@@ -230,11 +164,13 @@ func (s *Store) Node(id xmltree.NodeID) (NodeRecord, error) {
 }
 
 // nodeSlot locates node id's record: the page holding it and the byte
-// offset within the page. A static store lays records out contiguously; a
-// segmented store binary-searches its segment table (segments are in NodeID
-// order), with the single-segment case short-circuited.
+// offset within the page. Within a segment records lie contiguously from its
+// first node page. Segment 0 starts at node 0 on page 0 in every store — all
+// of a store built over one document, the root of a forest — so its records
+// are found by arithmetic alone; a node past it binary-searches the segment
+// table (segments are in NodeID order).
 func (s *Store) nodeSlot(id xmltree.NodeID) (PageID, int, error) {
-	if s.segs == nil {
+	if int(id) < s.segs[0].count {
 		return PageID(int(id) / nodesPerPage), PageHeaderSize + (int(id)%nodesPerPage)*nodeRecSize, nil
 	}
 	i := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].first > id }) - 1

@@ -80,16 +80,11 @@ type numberEntry struct {
 	idx int
 }
 
-// buildValueIndex groups every tag's nodes by text value and writes the
+// buildValueIndexOver groups every tag's nodes by text value and writes the
 // groups' postings through w. It returns the index and the raw
-// (uncompressed-equivalent) byte count of the lists written.
-func buildValueIndex(w *postingsWriter, doc *xmltree.Document) (*valueIndex, int, error) {
-	return buildValueIndexOver(w, doc, doc.NodesWithTag)
-}
-
-// buildValueIndexOver is buildValueIndex with the per-tag node lists
-// supplied by nodesOf — the segment builder passes a span-restricted view so
-// one forest member gets its own self-contained index.
+// (uncompressed-equivalent) byte count of the lists written. nodesOf supplies
+// the per-tag node lists: the segment builder passes a span-restricted view,
+// so every segment gets its own self-contained index.
 //
 // A tag's groups come from one sort of its (value, node) pairs, and each
 // distinct value is parsed as a number once. The order runs are written in
@@ -336,8 +331,7 @@ func (s *Store) probeValue(ctx context.Context, tag string, op pattern.CmpOp, va
 		return nil, false
 	}
 	s.shared.probes.Add(1)
-	newCursor := func(run postingsRun) *runCursor {
-		cur := &runCursor{}
+	open := func(cur *runCursor, run postingsRun) *runCursor {
 		cur.init(s, ctx, run)
 		if bounded {
 			cur.restrict(lo, hi)
@@ -372,17 +366,29 @@ func (s *Store) probeValue(ctx context.Context, tag string, op pattern.CmpOp, va
 				run.append(h[0])
 			}
 		}
-		return newCursor(run), true
+		return open(&runCursor{}, run), true
 	}
 	parts := make(chainScanner, len(hits))
 	for i, runs := range hits {
 		if len(runs) == 1 {
-			parts[i] = newCursor(runs[0])
+			parts[i] = open(&runCursor{}, runs[0])
 			continue
 		}
+		// A range probe merges one run per distinct number in every segment
+		// — hundreds over a shard of many members, most of a few postings —
+		// so the children's cursors and buffers are cut from one allocation
+		// each, a buffer no longer than its run.
 		m := &mergeScanner{store: s, ctx: ctx, kids: make([]mergeKid, len(runs))}
+		curs := make([]runCursor, len(runs))
+		total := 0
+		for _, r := range runs {
+			total += min(r.count, postingsBlockLen)
+		}
+		bufs := make([]xmltree.NodeID, total)
 		for k, r := range runs {
-			m.kids[k] = mergeKid{cur: newCursor(r), buf: make([]xmltree.NodeID, postingsBlockLen)}
+			n := min(r.count, postingsBlockLen)
+			m.kids[k] = mergeKid{cur: open(&curs[k], r), buf: bufs[:n:n]}
+			bufs = bufs[n:]
 		}
 		parts[i] = m
 	}

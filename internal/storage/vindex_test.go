@@ -313,7 +313,7 @@ func TestValueIndexCompressionAndStats(t *testing.T) {
 func TestNoValueIndexOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	doc := valueDoc(t, rng, 1000)
-	st, err := BuildStoreOnOpts(NewMemFile(), doc, 32, StoreOptions{NoValueIndex: true})
+	st, err := BuildStoreOn(NewMemFile(), doc, 32, StoreOptions{NoValueIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

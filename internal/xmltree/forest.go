@@ -7,14 +7,59 @@ import (
 	"sjos/internal/intern"
 )
 
-// forestRootEnd is the region end of an appendable forest's synthetic root.
-// A merged document built in one shot (MergeDocuments) can close its root
-// exactly, but an appendable forest grows: closing the root at the current
-// high-water mark would force a rewrite of node 0's record on every append,
-// racing concurrent readers of the shared column arrays and of the
-// persisted root page. Instead the root's region is "everything" — the
-// sentinel keeps containment trivially true for any member appended later —
-// and the real position high-water mark lives in Document.maxPos.
+// A forest is the per-shard layout of a multi-document collection: member
+// documents hung under a synthetic root carrying MergedRootTag. Every member
+// keeps its internal structure exactly: node IDs stay dense and in the
+// member's pre-order (shifted by a per-member offset, reported as a DocSpan),
+// positions shift uniformly, and levels shift by one (below the synthetic
+// root). Because member regions are disjoint, no structural relationship —
+// and therefore no pattern match — ever crosses a member boundary, and the
+// synthetic root's tag never matches a query node; a query against the
+// forest returns exactly the union of the per-member answers, in member
+// order.
+
+// MergedRootTag is the reserved tag of a forest's synthetic root. The NUL
+// byte cannot appear in an XML element name, so the tag can never collide
+// with a parsed document's tags and never matches a query pattern node.
+const MergedRootTag = "\x00doc-forest"
+
+// DocSpan locates one member document inside a forest: its nodes occupy the
+// dense NodeID range [First, First+Nodes), in the member's own pre-order.
+// Subtracting First converts a forest NodeID back into the member document's
+// standalone numbering.
+type DocSpan struct {
+	First NodeID
+	Nodes int
+}
+
+// Local converts a forest node ID into the member's standalone numbering.
+func (s DocSpan) Local(id NodeID) NodeID { return id - s.First }
+
+// Contains reports whether the forest node ID belongs to this member.
+func (s DocSpan) Contains(id NodeID) bool {
+	return id >= s.First && int(id-s.First) < s.Nodes
+}
+
+// DepthOverflowError reports a member that cannot be placed below the
+// synthetic root: one of its nodes already sits at the uint16 level ceiling,
+// so shifting every level by one would silently wrap to 0 and corrupt
+// level-sensitive execution (child-axis joins, level predicates).
+type DepthOverflowError struct {
+	// Depth is the offending node's level in the member's own numbering.
+	Depth int
+}
+
+func (e *DepthOverflowError) Error() string {
+	return fmt.Sprintf("xmltree: AppendMember: member has a node at depth %d; appending it below the synthetic root would overflow the uint16 level", e.Depth)
+}
+
+// forestRootEnd is the region end of a forest's synthetic root. A forest
+// grows: closing the root at the current high-water mark would force a
+// rewrite of node 0's record on every append, racing concurrent readers of
+// the shared column arrays and of the persisted root page. Instead the root's
+// region is "everything" — the sentinel keeps containment trivially true for
+// any member appended later — and the real position high-water mark lives in
+// Document.maxPos.
 const forestRootEnd = ^Pos(0)
 
 // NewForest returns an empty appendable forest: just the synthetic root
@@ -61,7 +106,7 @@ func AppendMember(f *Document, member *Document) (*Document, DocSpan, error) {
 	}
 	for _, lv := range member.level {
 		if lv == math.MaxUint16 {
-			return nil, DocSpan{}, &DepthOverflowError{Member: -1, Depth: int(lv)}
+			return nil, DocSpan{}, &DepthOverflowError{Depth: int(lv)}
 		}
 	}
 
@@ -119,4 +164,17 @@ func AppendMember(f *Document, member *Document) (*Document, DocSpan, error) {
 		BytesSaved: f.intern.BytesSaved + is.BytesSaved,
 	}
 	return nf, span, nil
+}
+
+// internTag adds a tag name to the forest's dictionary (or returns the
+// existing ID).
+func (d *Document) internTag(name string) TagID {
+	if t, ok := d.tagByNm[name]; ok {
+		return t
+	}
+	t := TagID(len(d.tags))
+	d.tags = append(d.tags, name)
+	d.tagByNm[name] = t
+	d.byTag = append(d.byTag, nil)
+	return t
 }

@@ -112,11 +112,11 @@ func (db *Database) RebuildStats() {
 
 // refreshStats installs the statistics of the engine's current parts: a
 // static database plans against its document's own histograms, a writable
-// one against the merge of its members'. Caller holds the write lock (or is
-// still constructing the database).
+// one (an engine with a log) against the merge of its members'. Caller holds
+// the write lock (or is still constructing the database).
 func (db *Database) refreshStats() {
 	parts := db.eng.parts()
-	if !db.eng.writable {
+	if db.eng.wal == nil {
 		db.svc.setStats(parts[0])
 		return
 	}
@@ -362,12 +362,13 @@ func (s *service) read(ctx context.Context, pat *Pattern, run func(context.Conte
 // gate as queries — MaxInFlight bounds them and Drain refuses them, so write
 // endpoints shed load and shut down exactly like the read path — then take
 // the facade's write lock. mutate runs the commit protocol on eng (nil or
-// static: there is no write path). Whenever it published a new snapshot —
-// even if it then failed, as a post-commit compaction can — publish lets the
-// facade follow it: re-merge the statistics, update its directory. A
-// mutation that succeeds is timed under op's name (sjos_ingest_seconds).
+// without a log: there is no write path). Whenever it published a new
+// snapshot — even if it then failed, as a post-commit compaction can —
+// publish lets the facade follow it: re-merge the statistics, update its
+// directory. A mutation that succeeds is timed under op's name
+// (sjos_ingest_seconds).
 func (s *service) write(eng *engine, op storage.WALOp, mutate func() error, publish func()) error {
-	if eng == nil || !eng.writable {
+	if eng == nil || eng.wal == nil {
 		return ErrNoWAL
 	}
 	t0 := time.Now()

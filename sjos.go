@@ -161,7 +161,7 @@ type Options struct {
 	// created fresh otherwise.
 	WALPath string
 	// CompactThreshold is the dead-node fraction past which a Delete or
-	// Replace triggers automatic compaction of the segmented store
+	// Replace triggers automatic compaction of the store
 	// (0 selects DefaultCompactThreshold; negative disables auto-compaction;
 	// Compact can always be called explicitly). Ignored without WALFile.
 	CompactThreshold float64
@@ -323,8 +323,7 @@ func fromDocument(doc *xmltree.Document, opts *Options) (*Database, error) {
 	var eng *engine
 	switch {
 	case wal == nil:
-		table := []memberView{{id: SeedDocID, span: xmltree.DocSpan{Nodes: doc.NumNodes()}}}
-		eng, err = newStaticEngine(doc, table, file, opts.engineConfig())
+		eng, err = newStaticEngine(doc, file, opts.engineConfig())
 	case doc == nil:
 		eng, err = newForestEngine(nil, wal, file, opts.engineConfig())
 	default:
