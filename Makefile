@@ -79,9 +79,10 @@ replicachaos:
 # Write-path crash suite under the race detector: crash the process at
 # every WAL write ordinal (and with a torn final write, and with a crashed
 # store file) across all five paper methods; recovery must land on a
-# committed prefix every time.
+# committed prefix every time. The corpus write-path tests, the write
+# golden and both recorded-log fixtures run with it.
 walchaos:
-	$(GO) test -race -count=1 -run 'TestWALChaos|TestWAL|TestIngest|TestOpenDatabase|TestCorpusIngest' .
+	$(GO) test -race -count=1 -run 'TestWAL|TestIngest|TestCorpusIngest|TestWriteGolden|TestRecover|TestUpgradeInPlace' .
 	$(GO) test -race -count=1 ./internal/storage/
 
 bench: test-race

@@ -24,13 +24,12 @@ import (
 
 // CorpusOptions configures corpus construction. Of the embedded Options,
 // the storage settings apply per shard (pool size, histogram grid, retry
-// policy, value index, compaction threshold) and the service settings to
-// the corpus as a whole (cost model, plan-cache capacity; MaxInFlight and
-// QueueDepth bound concurrent queries across the whole corpus — the corpus
-// is the admission boundary). DiskPath names a path prefix from which each
-// shard derives its own image file ("<path>.shard-NNN"). Options.PageFile,
-// WALFile and WALPath are ignored; use ShardPageFile and ShardWALFile to
-// inject per-shard files.
+// policy, value index) and the service settings to the corpus as a whole
+// (cost model, plan-cache capacity; MaxInFlight and QueueDepth bound
+// concurrent queries and writes across the whole corpus — the corpus is the
+// admission boundary). DiskPath names a path prefix from which each shard
+// derives its own image file ("<path>.shard-NNN"). Options.PageFile is
+// ignored; use ShardPageFile and ShardWALFile to inject per-shard files.
 type CorpusOptions struct {
 	Options
 
@@ -67,7 +66,20 @@ type CorpusOptions struct {
 	// replicas per shard follow the primary's committed mutations without a
 	// log of their own; a follower that fails to apply one is taken out of
 	// query routing permanently (see ReplicaHealth.Down).
+	//
+	// Every mutation is logged as a redo transaction (begin with the
+	// document, a digest of the staged pages, commit) in checksummed pages
+	// and fsynced before it is applied, so a crash at any point leaves the
+	// shard fully pre- or fully post-commit. A log that already holds
+	// committed transactions is recovered from (build with the same Shards
+	// and mapping, and no documents); the store files are rebuildable caches
+	// and must be fresh. A one-shard corpus is the single writable store.
 	ShardWALFile func(shard int) PageFile
+	// CompactThreshold is the dead-node fraction past which a Delete or
+	// Replace triggers automatic compaction of the shard's store (0 selects
+	// DefaultCompactThreshold; negative disables auto-compaction). Ignored
+	// without ShardWALFile.
+	CompactThreshold float64
 }
 
 // corpusReplica is one independent copy of a shard's store: its own engine
@@ -207,7 +219,8 @@ func (cs *corpusState) hedgeDelay() time.Duration {
 // stores its documents as one forest (reusing the paged, checksummed
 // store and all indexes), and queries scatter across shards and gather in
 // document order. The Corpus is the primary entry point for multi-document
-// workloads; Database remains the single-document convenience.
+// workloads and the only writable facade (CorpusOptions.ShardWALFile);
+// Database remains the read-only single-document surface.
 //
 // Plans are optimized once per query against corpus-wide merged statistics
 // and executed unchanged on every shard — correct because no structural
@@ -335,7 +348,11 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		groups[s] = append(groups[s], seedDoc{id: id, doc: b.docs[gi]})
 	}
 
-	cfg := b.opts.Options.engineConfig()
+	cfg := b.opts.engineConfig()
+	cfg.compactThr = b.opts.CompactThreshold
+	if cfg.compactThr == 0 {
+		cfg.compactThr = DefaultCompactThreshold
+	}
 	repCfg := replica.Config{ProbeInterval: b.opts.ReplicaProbeInterval}
 	replicas := max(b.opts.ReplicasPerShard, 1)
 

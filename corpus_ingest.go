@@ -1,24 +1,52 @@
 package sjos
 
 import (
+	"errors"
 	"io"
 	"strings"
 
 	"sjos/internal/storage"
+	"sjos/internal/xmltree"
 )
 
-// The corpus write path. A corpus built with CorpusOptions.ShardWALFile
-// routes each mutation to the owning shard (by consistent hashing of the
-// document ID, exactly like Build): the shard's primary engine commits it
-// through its own WAL, follower engines apply the already-committed
+// The write path. A corpus built with CorpusOptions.ShardWALFile routes
+// each mutation to the owning shard (by consistent hashing of the document
+// ID, exactly like Build): the shard's primary engine commits it through its
+// own WAL (see engine.go), follower engines apply the already-committed
 // mutation without logging, and the corpus then publishes a fresh
 // membership directory and re-merges the statistics — once, whatever the
-// replica count. Queries pin one directory
-// and one snapshot per shard, so they always observe committed states.
+// replica count; the stats-version bump invalidates every cached plan.
+// Queries pin one directory and one snapshot per shard, so they always
+// observe committed states. A one-shard corpus is the single writable store.
 //
 // Durability is per shard: recovering a crashed corpus means rebuilding it
 // with the same ShardWALFile mapping (and shard count — the hash ring must
 // route IDs identically), which replays every shard's committed log.
+
+// DefaultCompactThreshold is the dead-node fraction past which a delete or
+// replace triggers automatic compaction of a shard (see
+// CorpusOptions.CompactThreshold).
+const DefaultCompactThreshold = 0.5
+
+// ErrNoWAL is returned by the mutation entry points of a corpus built
+// without CorpusOptions.ShardWALFile.
+var ErrNoWAL = errors.New("sjos: write path disabled (corpus built without CorpusOptions.ShardWALFile)")
+
+// ErrBroken means a mutation failed after its WAL commit (or with an
+// unknowable fsync outcome): the shard's in-memory state may trail its
+// durable log, so its write path is poisoned. Reads continue on the last
+// published snapshot; rebuilding the corpus from its logs recovers the
+// committed state.
+var ErrBroken = errors.New("sjos: write path broken after a committed mutation; rebuild from the WAL to recover")
+
+// parseMutation parses the document a mutation carries (a delete carries
+// none: nil r).
+func parseMutation(r io.Reader) (*xmltree.Document, error) {
+	if r == nil {
+		return nil, nil
+	}
+	return xmltree.Parse(r)
+}
 
 // IngestEnabled reports whether the corpus was built with a write path
 // (CorpusOptions.ShardWALFile).
@@ -26,7 +54,8 @@ func (c *Corpus) IngestEnabled() bool { return c.ingest }
 
 // Insert parses an XML document from r and commits it under id on the
 // owning shard. The document is visible to queries exactly when Insert
-// returns nil.
+// returns nil; on error the corpus is unchanged (unless the error wraps
+// ErrBroken).
 func (c *Corpus) Insert(id string, r io.Reader) error {
 	return c.mutate(storage.WALInsert, id, r)
 }
@@ -36,13 +65,16 @@ func (c *Corpus) InsertString(id, src string) error {
 	return c.Insert(id, strings.NewReader(src))
 }
 
-// Delete commits the removal of the document with the given id.
+// Delete commits the removal of the document with the given id. Its
+// segment's postings leave every index view; the pages are reclaimed by the
+// shard's next compaction (past CorpusOptions.CompactThreshold).
 func (c *Corpus) Delete(id string) error {
 	return c.mutate(storage.WALDelete, id, nil)
 }
 
-// Replace atomically substitutes the document under id (see
-// Database.Replace).
+// Replace atomically substitutes the document under id: one committed
+// transaction removes the old version and inserts the new one — readers see
+// either both or neither.
 func (c *Corpus) Replace(id string, r io.Reader) error {
 	return c.mutate(storage.WALReplace, id, r)
 }
@@ -108,8 +140,9 @@ type CorpusIngestStats struct {
 	BrokenShards int
 	DownReplicas int
 	// RecoveredTxns sums the logged transactions the shards replayed when
-	// the corpus was built (see IngestStats.RecoveredTxns); RecoverySeconds
-	// is how long the build took to bring all of them back, side by side.
+	// the corpus was built (each shard's last base snapshot and everything
+	// after it); RecoverySeconds is how long the build took to bring all of
+	// them back, side by side. Both are zero when every log was empty.
 	RecoveredTxns   int
 	RecoverySeconds float64
 }
@@ -127,13 +160,7 @@ func (c *Corpus) IngestStats() CorpusIngestStats {
 		if sh == nil {
 			continue
 		}
-		ist := sh.meta().ingestStats()
-		st.Compactions += ist.Compactions
-		st.WALPages += ist.WALPages
-		st.RecoveredTxns += ist.RecoveredTxns
-		if ist.Broken {
-			st.BrokenShards++
-		}
+		sh.meta().addIngestStats(&st)
 		for _, rep := range sh.replicas[1:] {
 			if rep.down.Load() {
 				st.DownReplicas++

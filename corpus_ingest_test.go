@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -34,6 +35,28 @@ func (m *walMap) file(shard int) PageFile {
 	return f
 }
 
+// oneShardCorpus builds a one-shard corpus logging to wal — or, when wal
+// already holds committed transactions, recovers it: the single writable
+// store.
+func oneShardCorpus(wal PageFile, compactThr float64) (*Corpus, error) {
+	return NewCorpusBuilder(&CorpusOptions{
+		Shards:           1,
+		ShardWALFile:     func(int) PageFile { return wal },
+		CompactThreshold: compactThr,
+	}).Build()
+}
+
+// orderXML builds a little order document with n items; each item
+// contributes exactly one match to //order//item/name and one to
+// //item[qty >= 5]/name when its qty crosses the bound.
+func orderXML(n int) string {
+	s := "<order>"
+	for i := 0; i < n; i++ {
+		s += fmt.Sprintf("<item><name>w%d</name><qty>%d</qty></item>", i, i)
+	}
+	return s + "</order>"
+}
+
 func countCorpus(t testing.TB, c *Corpus, q string) int {
 	t.Helper()
 	res, err := c.Query(q, MethodDPP)
@@ -43,9 +66,15 @@ func countCorpus(t testing.TB, c *Corpus, q string) int {
 	return res.Count
 }
 
-func TestCorpusIngestInsertDeleteReplace(t *testing.T) {
+// Each write-path behaviour below runs on a sharded corpus (TestCorpusIngest*)
+// and on a one-shard corpus, the single writable store (TestIngest*).
+
+func TestCorpusIngestInsertDeleteReplace(t *testing.T) { testIngestInsertDeleteReplace(t, 3) }
+func TestIngestInsertDeleteReplace(t *testing.T)       { testIngestInsertDeleteReplace(t, 1) }
+
+func testIngestInsertDeleteReplace(t *testing.T, shards int) {
 	wals := newWALMap()
-	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 3, ShardWALFile: wals.file}).Build()
+	c, err := NewCorpusBuilder(&CorpusOptions{Shards: shards, ShardWALFile: wals.file}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +130,12 @@ func TestCorpusIngestInsertDeleteReplace(t *testing.T) {
 		t.Fatal("deleted document still routed")
 	}
 
+	// Value predicates keep working across mutations (a value index per
+	// segment): every document so far has qty 0..3, so none reach 5 until
+	// doc0's replacement brings qty 5 and 6.
+	if got := countCorpus(t, c, "//item[qty >= 5]/name"); got != 0 {
+		t.Fatalf("qty >= 5: %d matches, want 0", got)
+	}
 	if err := c.ReplaceString("doc0", orderXML(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +143,25 @@ func TestCorpusIngestInsertDeleteReplace(t *testing.T) {
 	if got := countCorpus(t, c, "//order//item/name"); got != total {
 		t.Fatalf("after replace: %d matches, want %d", got, total)
 	}
+	if got := countCorpus(t, c, "//item[qty >= 5]/name"); got != 2 {
+		t.Fatalf("qty >= 5 after replace: %d matches, want 2", got)
+	}
 
-	// Error paths.
+	// Error paths leave the corpus usable and unchanged.
 	if err := c.InsertString("doc0", orderXML(1)); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if err := c.Delete("ghost"); err == nil {
 		t.Fatal("deleting unknown doc succeeded")
+	}
+	if err := c.ReplaceString("ghost", orderXML(1)); err == nil {
+		t.Fatal("replacing unknown doc succeeded")
+	}
+	if err := c.InsertString("", orderXML(1)); err == nil {
+		t.Fatal("empty ID insert succeeded")
+	}
+	if got := countCorpus(t, c, "//order//item/name"); got != total || c.NumDocs() != 8 {
+		t.Fatalf("after error paths: %d matches in %d documents, want %d in 8", got, c.NumDocs(), total)
 	}
 
 	// Limit works against the mutable directory.
@@ -145,10 +192,13 @@ func mustPlanCorpus(t testing.TB, c *Corpus, src string) *Plan {
 	return res.Plan
 }
 
-func TestCorpusIngestRecovery(t *testing.T) {
+func TestCorpusIngestRecovery(t *testing.T) { testIngestRecovery(t, 3) }
+func TestIngestRecovery(t *testing.T)       { testIngestRecovery(t, 1) }
+
+func testIngestRecovery(t *testing.T, shards int) {
 	wals := newWALMap()
 	build := func() *Corpus {
-		c, err := NewCorpusBuilder(&CorpusOptions{Shards: 3, ShardWALFile: wals.file}).Build()
+		c, err := NewCorpusBuilder(&CorpusOptions{Shards: shards, ShardWALFile: wals.file}).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,24 +217,37 @@ func TestCorpusIngestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := countCorpus(t, c, "//order//item/name")
+	// A value predicate, which each segment's value index can serve: doc3's
+	// qty 5 and doc4's qty 5 and 6.
+	wantProbe := countCorpus(t, c, "//item[qty >= 5]/name")
+	if wantProbe != 3 {
+		t.Fatalf("qty >= 5: %d matches, want 3", wantProbe)
+	}
 
 	// "Crash": drop every in-memory structure and rebuild from the WALs
 	// alone. The ring is a pure function of (Shards, Replicas), so the
-	// same options route every ID to the same log.
-	rec := build()
-	if got := countCorpus(t, rec, "//order//item/name"); got != want {
-		t.Fatalf("recovered corpus: %d matches, want %d", got, want)
-	}
-	if rec.IngestStats().Docs != 5 {
-		t.Fatalf("recovered docs = %d, want 5", rec.IngestStats().Docs)
-	}
-	for _, id := range []string{"doc0", "doc1", "doc3", "doc4", "doc5"} {
-		if _, ok := rec.ShardOf(id); !ok {
-			t.Fatalf("recovered corpus lost %s", id)
+	// same options route every ID to the same log. Replay is idempotent:
+	// recover twice, and both must agree with the original.
+	var rec *Corpus
+	for round := 0; round < 2; round++ {
+		rec = build()
+		if got := countCorpus(t, rec, "//order//item/name"); got != want {
+			t.Fatalf("round %d: recovered corpus: %d matches, want %d", round, got, want)
 		}
-	}
-	if _, ok := rec.ShardOf("doc2"); ok {
-		t.Fatal("recovered corpus resurrected doc2")
+		if got := countCorpus(t, rec, "//item[qty >= 5]/name"); got != wantProbe {
+			t.Fatalf("round %d: value-probe count %d, want %d", round, got, wantProbe)
+		}
+		if rec.IngestStats().Docs != 5 {
+			t.Fatalf("round %d: recovered docs = %d, want 5", round, rec.IngestStats().Docs)
+		}
+		for _, id := range []string{"doc0", "doc1", "doc3", "doc4", "doc5"} {
+			if _, ok := rec.ShardOf(id); !ok {
+				t.Fatalf("round %d: recovered corpus lost %s", round, id)
+			}
+		}
+		if _, ok := rec.ShardOf("doc2"); ok {
+			t.Fatalf("round %d: recovered corpus resurrected doc2", round)
+		}
 	}
 	// And the recovered corpus keeps accepting writes.
 	if err := rec.InsertString("post", orderXML(4)); err != nil {
@@ -377,9 +440,14 @@ func TestCorpusIngestFollowerReplicas(t *testing.T) {
 // is poisoned and no replica is down, a plan priced on the incrementally
 // merged statistics costs what it costs after a rebuild from scratch, and
 // the corpus drains.
-func TestCorpusIngestConcurrentQueries(t *testing.T) {
+func TestCorpusIngestConcurrentQueries(t *testing.T) { testIngestConcurrentQueries(t, 3) }
+func TestIngestConcurrentReadersSeeCommittedSnapshots(t *testing.T) {
+	testIngestConcurrentQueries(t, 1)
+}
+
+func testIngestConcurrentQueries(t *testing.T, shards int) {
 	wals := newWALMap()
-	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 3, ShardWALFile: wals.file}).Build()
+	c, err := NewCorpusBuilder(&CorpusOptions{Shards: shards, ShardWALFile: wals.file}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,34 +538,70 @@ func TestCorpusIngestConcurrentQueries(t *testing.T) {
 	}
 }
 
-func TestCorpusIngestStatsRefresh(t *testing.T) {
+// TestCorpusIngestStatsRefresh: every mutation bumps the corpus statistics
+// version, so plans cached before it are re-keyed; and after a pile of
+// inserts, replaces and deletes the incrementally merged statistics price
+// plans exactly as a from-scratch RebuildStats does.
+func TestCorpusIngestStatsRefresh(t *testing.T)           { testIngestStatsRefresh(t, 2) }
+func TestIngestStatsVersionInvalidatesPlans(t *testing.T) { testIngestStatsRefresh(t, 1) }
+func TestIngestIncrementalStatsMatchRebuild(t *testing.T) { testIngestStatsRefresh(t, 3) }
+
+func testIngestStatsRefresh(t *testing.T, shards int) {
 	wals := newWALMap()
-	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 2, ShardWALFile: wals.file}).Build()
+	c, err := NewCorpusBuilder(&CorpusOptions{Shards: shards, ShardWALFile: wals.file}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v0 := c.svc.snapshot()
-	if err := c.InsertString("a", orderXML(5)); err != nil {
-		t.Fatal(err)
+	_, v := c.svc.snapshot()
+	bump := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		_, nv := c.svc.snapshot()
+		if nv <= v {
+			t.Fatalf("%s did not bump corpus stats version (%d -> %d)", what, v, nv)
+		}
+		v = nv
 	}
-	_, v1 := c.svc.snapshot()
-	if v1 <= v0 {
-		t.Fatalf("insert did not bump corpus stats version (%d -> %d)", v0, v1)
+	for i := 0; i < 8; i++ {
+		bump("insert", c.InsertString(fmt.Sprintf("d%d", i), orderXML(3+i)))
 	}
-	// Incremental corpus stats must price plans like a from-scratch
-	// rebuild.
-	pat := mustPattern(t, "//order//item/name")
-	before, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
+	bump("replace", c.ReplaceString("d0", orderXML(5)))
+	for _, id := range []string{"d1", "d4", "d6"} {
+		bump("delete", c.Delete(id))
+	}
+
+	queries := []string{
+		"//order//item/name",
+		"//order[.//qty]//item",
+		"//item[qty >= 5]/name",
+	}
+	type priced struct {
+		cost    float64
+		matches int
+	}
+	before := make(map[string]priced)
+	for _, q := range queries {
+		res, err := c.Optimize(mustPattern(t, q), MethodDPP, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[q] = priced{cost: res.Cost, matches: countCorpus(t, c, q)}
 	}
 	c.RebuildStats()
-	after, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Cost != after.Cost {
-		t.Fatalf("incremental cost %f, rebuilt cost %f", before.Cost, after.Cost)
+	bump("RebuildStats", nil)
+	for _, q := range queries {
+		res, err := c.Optimize(mustPattern(t, q), MethodDPP, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cost != before[q].cost {
+			t.Errorf("%s: incremental cost %f, rebuilt cost %f", q, before[q].cost, res.Cost)
+		}
+		if got := countCorpus(t, c, q); got != before[q].matches {
+			t.Errorf("%s: matches changed across rebuild: %d -> %d", q, before[q].matches, got)
+		}
 	}
 }
 
@@ -515,5 +619,127 @@ func TestCorpusStaticHasNoWritePath(t *testing.T) {
 	}
 	if err := c.InsertString("x", orderXML(1)); err != ErrNoWAL {
 		t.Fatalf("Insert = %v, want ErrNoWAL", err)
+	}
+	if err := c.Delete("only"); err != ErrNoWAL {
+		t.Fatalf("Delete = %v, want ErrNoWAL", err)
+	}
+}
+
+// TestIngestRecoveryAfterCompaction: a compaction re-logs the live members
+// as a fresh base snapshot, and recovery replays from it — the snapshot,
+// then the writes made after it.
+func TestIngestRecoveryAfterCompaction(t *testing.T) {
+	wal := storage.NewMemFile()
+	c, err := oneShardCorpus(wal, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct {
+		id string
+		n  int
+	}{{"a", 4}, {"b", 6}, {"c", 3}} {
+		if err := c.InsertString(d.id, orderXML(d.n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// b holds most of the store's nodes: deleting it crosses the threshold.
+	if err := c.Delete("b"); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.IngestStats(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", st.Compactions)
+	}
+	if df := c.shards[0].meta().view().store.DeadFraction(); df != 0 {
+		t.Fatalf("dead fraction %f after compaction", df)
+	}
+	// Mutate past the compaction snapshot, staying under the threshold.
+	if err := c.ReplaceString("a", orderXML(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertString("post", orderXML(5)); err != nil {
+		t.Fatal(err)
+	}
+	want := countCorpus(t, c, "//order//item/name")
+	if want != 9+3+5 || c.IngestStats().Compactions != 1 {
+		t.Fatalf("before recovery: %d matches after %d compactions, want %d after 1", want, c.IngestStats().Compactions, 9+3+5)
+	}
+	rec, err := oneShardCorpus(wal, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countCorpus(t, rec, "//order//item/name"); got != want {
+		t.Fatalf("recovered: %d matches, want %d", got, want)
+	}
+	if got := rec.IngestStats().RecoveredTxns; got != 3 {
+		t.Fatalf("recovery replayed %d transactions, want the compaction snapshot and the 2 writes after it", got)
+	}
+}
+
+func TestIngestAutoCompaction(t *testing.T) {
+	c, err := oneShardCorpus(storage.NewMemFile(), 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.InsertString(fmt.Sprintf("d%d", i), orderXML(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Delete(fmt.Sprintf("d%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	df := c.shards[0].meta().view().store.DeadFraction()
+	if c.IngestStats().Compactions == 0 {
+		t.Fatalf("no automatic compaction (dead fraction %f)", df)
+	}
+	if df >= 0.4 {
+		t.Fatalf("dead fraction %f still above threshold", df)
+	}
+	if got := countCorpus(t, c, "//order//item/name"); got != 5 {
+		t.Fatalf("%d matches, want 5", got)
+	}
+}
+
+// TestCorpusIngestDiskWAL: a one-shard corpus logging to a disk file,
+// mutated, then rebuilt over the same file reopened must recover exactly the
+// committed documents and keep accepting writes.
+func TestCorpusIngestDiskWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ingest.wal")
+	wal, err := CreatePageFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := oneShardCorpus(wal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertString("a", orderXML(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertString("b", orderXML(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := OpenPageFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := oneShardCorpus(reopened, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.DocIDs(); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("recovered documents %v, want [b]", got)
+	}
+	if n := countCorpus(t, rec, "//order//item/name"); n != 3 {
+		t.Fatalf("recovered matches = %d, want 3", n)
+	}
+	if err := rec.InsertString("c", orderXML(1)); err != nil {
+		t.Fatalf("post-recovery insert: %v", err)
 	}
 }

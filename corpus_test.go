@@ -8,8 +8,6 @@ package sjos
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -501,34 +499,6 @@ func TestCorpusSingleDocument(t *testing.T) {
 	}
 	if got.Count != len(want) || !sameCorpusMatches(got.Matches, want) {
 		t.Fatalf("one-document corpus: %d matches, standalone database %d", got.Count, len(want))
-	}
-}
-
-// TestCorpusStaticIgnoresWALOptions: Options.WALFile / WALPath configure a
-// Database's write path. A corpus takes its logs from ShardWALFile only, so
-// a static build with either set must succeed, stay read-only and touch
-// neither the file nor the path.
-func TestCorpusStaticIgnoresWALOptions(t *testing.T) {
-	ids, docs := corpusFixtureDocs(t, 4)
-	path := filepath.Join(t.TempDir(), "leak.wal")
-	wal := storage.NewMemFile()
-	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Options: Options{WALPath: path, WALFile: wal}, Shards: 2})
-	if c.IngestEnabled() {
-		t.Fatal("static corpus reports a write path")
-	}
-	if err := c.InsertString("new", `<dblp/>`); !errors.Is(err, ErrNoWAL) {
-		t.Fatalf("Insert on a static corpus = %v, want ErrNoWAL", err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("static build touched WALPath %s (stat: %v)", path, err)
-	}
-	if wal.NumPages() != 0 {
-		t.Fatalf("static build wrote %d pages to Options.WALFile", wal.NumPages())
-	}
-	pat := MustParsePattern(`//article//author`)
-	res, err := c.Query(pat.String(), MethodDPP)
-	if err != nil || !sameCorpusMatches(res.Matches, standaloneResults(t, ids, docs, pat)) {
-		t.Fatalf("static corpus with WAL options set: err=%v", err)
 	}
 }
 

@@ -41,6 +41,20 @@
 // per-document databases: Database and Corpus are two facades over the same
 // storage engine and query service.
 //
+// # Writes
+//
+// A Database is read-only — the paper's single document. Writes go through
+// a Corpus built with CorpusOptions.ShardWALFile: Insert, Replace and Delete
+// commit whole documents through each shard's write-ahead log, and building
+// the corpus again over the same logs recovers the committed state. A
+// one-shard corpus is the single writable store:
+//
+//	wal := sjos.NewMemPageFile() // or sjos.CreatePageFile / OpenPageFile
+//	c, err := sjos.NewCorpusBuilder(&sjos.CorpusOptions{
+//		Shards: 1, ShardWALFile: func(int) sjos.PageFile { return wal },
+//	}).Build()
+//	err = c.InsertString("o1", `<order><item/></order>`)
+//
 // # The six optimizers
 //
 // The paper's algorithms — plus a statistics-free extension — are selected

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"sjos/internal/exec"
 	"sjos/internal/histogram"
@@ -14,12 +13,12 @@ import (
 )
 
 // The storage engine: the one object that owns a stored document — behind a
-// Database, and behind every replica of every Corpus shard. It holds the
-// published snapshot, executes plans against a pinned snapshot, keeps the
-// histogram parts statistics are merged from, and (for a forest engine) runs
-// the commit protocol. It holds nothing a query service needs — no plan
-// cache, metrics, admission or merged statistics; those are one per facade
-// (see service).
+// Database (a static engine), and behind every replica of every Corpus shard
+// (a forest engine). It holds the published snapshot, executes plans against
+// a pinned snapshot, keeps the histogram parts statistics are merged from,
+// and (for a forest engine) runs the commit protocol. It holds nothing a
+// query service needs — no plan cache, metrics, admission or merged
+// statistics; those are one per facade (see service).
 //
 // A forest engine stores its documents as members of an appendable forest,
 // one store segment per member, and every mutation follows one commit
@@ -50,8 +49,8 @@ import (
 // A failure before the WAL commit leaves the engine unchanged and usable.
 // A failure after it (the apply could not complete, or the fsync outcome is
 // unknowable) poisons the write path — mutations fail with ErrBroken, reads
-// continue on the last published snapshot, and reopening from the WAL
-// recovers the exact committed state.
+// continue on the last published snapshot, and rebuilding the corpus from
+// its logs recovers the exact committed state.
 
 // dbSnap is one immutable (document, store) version of an engine. A static
 // engine has exactly one; a forest engine publishes a fresh snapshot per
@@ -60,9 +59,10 @@ import (
 type dbSnap struct {
 	doc   *xmltree.Document
 	store *storage.Store
-	// members lists the live member documents in node-range order, and
+	// members lists a forest's live member documents in node-range order, and
 	// memberIdx finds one by ID: the membership view consistent with exactly
-	// this store version (the corpus demux depends on that).
+	// this store version (the corpus demux depends on that). A static
+	// engine's snapshot has none.
 	members   []memberView
 	memberIdx map[string]int
 }
@@ -78,7 +78,8 @@ type memberView struct {
 // it), its node span, its segment index in the store, and its statistics
 // part. A forest engine has one per member; dead members stay in the table
 // (spans stay allocated until compaction) but leave every published view. A
-// static engine has exactly one, spanning its whole stored document.
+// static engine has exactly one, holding its whole stored document and that
+// document's statistics.
 type memberState struct {
 	id   string
 	doc  *xmltree.Document
@@ -89,7 +90,8 @@ type memberState struct {
 }
 
 // engineConfig is the construction-time settings an engine builds its
-// stores with; compaction and recovery rebuilds reuse them.
+// stores with; compaction and recovery rebuilds reuse them. compactThr is a
+// forest engine's (see CorpusOptions.CompactThreshold).
 type engineConfig struct {
 	grid       int
 	poolFrames int
@@ -99,17 +101,12 @@ type engineConfig struct {
 }
 
 func (o *Options) engineConfig() engineConfig {
-	cfg := engineConfig{
+	return engineConfig{
 		grid:       o.HistogramGrid,
 		poolFrames: o.PoolFrames,
 		sopts:      storage.StoreOptions{NoValueIndex: o.NoValueIndex},
 		retry:      o.Retry,
-		compactThr: o.CompactThreshold,
 	}
-	if cfg.compactThr == 0 {
-		cfg.compactThr = DefaultCompactThreshold
-	}
-	return cfg
 }
 
 type engine struct {
@@ -140,10 +137,8 @@ type engine struct {
 	// transactions so an image is written into memory that is already there.
 	images []byte
 	// recovered is how many logged transactions the open replayed (the last
-	// base snapshot and everything after it), recoverTook how long the open
-	// spent scanning the log and replaying them; both zero on a fresh log.
-	recovered   int
-	recoverTook time.Duration
+	// base snapshot and everything after it); zero on a fresh log.
+	recovered int
 }
 
 // view returns the current snapshot. Callers that touch both the document
@@ -158,8 +153,7 @@ type seedDoc struct {
 }
 
 // newStaticEngine stores doc on file, read-only, in the document's own node
-// numbering: its one snapshot carries doc as the single member SeedDocID, and
-// statistics are kept for doc as a whole.
+// numbering, with statistics kept for doc as a whole.
 func newStaticEngine(doc *xmltree.Document, file PageFile, cfg engineConfig) (*engine, error) {
 	store, err := storage.BuildStoreOn(file, doc, cfg.poolFrames, cfg.sopts)
 	if err != nil {
@@ -167,25 +161,20 @@ func newStaticEngine(doc *xmltree.Document, file PageFile, cfg engineConfig) (*e
 	}
 	e := &engine{engineConfig: cfg}
 	e.setRetry(store)
-	e.members = []*memberState{{
-		doc:  doc,
-		span: xmltree.DocSpan{Nodes: doc.NumNodes()},
-		part: histogram.Build(doc, cfg.grid),
-	}}
-	e.publish(doc, store, []memberView{{id: SeedDocID, span: e.members[0].span}})
+	e.members = []*memberState{{doc: doc, part: histogram.Build(doc, cfg.grid)}}
+	e.snap.Store(&dbSnap{doc: doc, store: store})
 	return e, nil
 }
 
-// newForestEngine builds a forest engine on the (fresh) store file. With an
-// empty WAL the seeds become the initial members and the log is seeded with
-// a base snapshot holding them; with a non-empty WAL the state is recovered
-// from the log instead, and seeds must be absent (the log is self-contained;
-// mixing both would be ambiguous). A nil walFile builds a log-less engine
-// over the seeds: the shard of a read-only corpus, or a corpus replica
-// follower, which applies its primary's committed mutations.
+// newForestEngine builds a corpus shard's engine on the (fresh) store file.
+// With an empty WAL the seeds become the initial members and the log is
+// seeded with a base snapshot holding them; with a non-empty WAL the state is
+// recovered from the log instead, and seeds must be absent (the log is
+// self-contained; mixing both would be ambiguous). A nil walFile builds a
+// log-less engine over the seeds: the shard of a read-only corpus, or a
+// replica follower, which applies its primary's committed mutations.
 func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) (*engine, error) {
 	e := &engine{engineConfig: cfg}
-	began := time.Now()
 	var replay []storage.WALTxn
 	if walFile != nil {
 		var err error
@@ -193,7 +182,7 @@ func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) 
 			return nil, fmt.Errorf("sjos: opening WAL: %w", err)
 		}
 		if len(replay) > 0 && len(seeds) > 0 {
-			return nil, fmt.Errorf("sjos: WAL already holds committed transactions; open without documents (OpenDatabase) to recover")
+			return nil, fmt.Errorf("sjos: WAL already holds committed transactions; build the corpus without documents to recover")
 		}
 	}
 	if file.NumPages() != 0 {
@@ -203,7 +192,7 @@ func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) 
 	var err error
 	if len(replay) > 0 {
 		store, err = e.recover(replay, file)
-		e.recovered, e.recoverTook = len(replay), time.Since(began)
+		e.recovered = len(replay)
 	} else {
 		store, err = e.bootstrap(seeds, file)
 	}
@@ -380,24 +369,18 @@ func (e *engine) recover(replay []storage.WALTxn, file PageFile) (*storage.Store
 	return store, nil
 }
 
-// publish installs a new snapshot carrying the given member table.
-func (e *engine) publish(doc *xmltree.Document, store *storage.Store, table []memberView) {
-	idx := make(map[string]int, len(table))
-	for i, m := range table {
-		idx[m.id] = i
-	}
-	e.snap.Store(&dbSnap{doc: doc, store: store, members: table, memberIdx: idx})
-}
-
-// publishLive publishes the forest with its live members as the table.
+// publishLive installs a new snapshot of the forest with its live members as
+// the member table.
 func (e *engine) publishLive(store *storage.Store) {
 	var table []memberView
+	idx := make(map[string]int, len(e.byID))
 	for _, m := range e.members {
 		if !m.dead {
+			idx[m.id] = len(table)
 			table = append(table, memberView{id: m.id, span: m.span})
 		}
 	}
-	e.publish(e.forest, store, table)
+	e.snap.Store(&dbSnap{doc: e.forest, store: store, members: table, memberIdx: idx})
 }
 
 // liveDocs returns the live members as seeds for a copy of this engine.
@@ -562,22 +545,16 @@ func (e *engine) compact() error {
 	return nil
 }
 
-// ingestStats reports the write path's state (StatsVersion is the
-// facade's to fill in).
-func (e *engine) ingestStats() IngestStats {
-	sn := e.view()
-	st := IngestStats{
-		Members:         len(sn.members),
-		DeadFraction:    sn.store.DeadFraction(),
-		Compactions:     e.compactions,
-		Broken:          e.broken != nil,
-		RecoveredTxns:   e.recovered,
-		RecoverySeconds: e.recoverTook.Seconds(),
-	}
+// addIngestStats adds the write path's counters to a corpus-wide sum.
+func (e *engine) addIngestStats(st *CorpusIngestStats) {
+	st.Compactions += e.compactions
+	st.RecoveredTxns += e.recovered
 	if e.wal != nil {
-		st.WALPages = int(e.wal.Tail())
+		st.WALPages += int(e.wal.Tail())
 	}
-	return st
+	if e.broken != nil {
+		st.BrokenShards++
+	}
 }
 
 // runOn executes a plan against one pinned snapshot: the whole run reads

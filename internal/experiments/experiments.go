@@ -111,13 +111,6 @@ func Dataset(name string, fold int) (*sjos.Database, error) {
 	return db, nil
 }
 
-// DropCaches clears the dataset cache (used by memory-sensitive tests).
-func DropCaches() {
-	dsMu.Lock()
-	defer dsMu.Unlock()
-	dsCache = map[string]*sjos.Database{}
-}
-
 // timeIt measures f with best-of-n repetition (the standard defence
 // against scheduler noise in microbenchmarks): it runs f n times and
 // returns the minimum duration.

@@ -9,8 +9,7 @@ import (
 // per member document, whichever shard holds it. It exposes the same
 // estimation surface as *Stats (tag counts, join selectivities, predicate
 // selectivities) against a union tag dictionary of its parts, so a corpus
-// (or a writable database) planner can optimize one plan against merged
-// statistics.
+// planner can optimize one plan against merged statistics.
 //
 // Because no structural relationship crosses a member document, the exact
 // collection-wide join count is the SUM of the per-member join counts — not

@@ -47,15 +47,15 @@ type Metrics struct {
 	// Replica holds the corpus replica-routing counters (all zero for a
 	// plain single-store Database).
 	Replica ReplicaMetrics
-	// Compactions and WALPages are the write path's store rewrites so far
-	// and its log length in pages, summed over a corpus's shards (zero
-	// without a write path). Per-operation mutation counts and times are
-	// in Query.Ingest.
+	// Compactions and WALPages are a corpus write path's store rewrites so
+	// far and its log length in pages, summed over its shards (zero without
+	// a write path, and for a Database). Per-operation mutation counts and
+	// times are in Query.Ingest.
 	Compactions int
 	WALPages    int
-	// RecoveredTxns and RecoverySeconds are what the last open replayed from
-	// the write-ahead log and how long that took (see IngestStats); zero
-	// when it opened on an empty log.
+	// RecoveredTxns and RecoverySeconds are what the corpus build replayed
+	// from the shards' write-ahead logs and how long that took (see
+	// CorpusIngestStats); zero when every log was empty.
 	RecoveredTxns   int
 	RecoverySeconds float64
 }
@@ -88,9 +88,6 @@ func (db *Database) Metrics() Metrics {
 		m.FaultsInjected = ff.FaultsInjected()
 	}
 	m.Content = store.ContentStats()
-	ist := db.IngestStats()
-	m.Compactions, m.WALPages = ist.Compactions, ist.WALPages
-	m.RecoveredTxns, m.RecoverySeconds = ist.RecoveredTxns, ist.RecoverySeconds
 	return m
 }
 

@@ -10,7 +10,6 @@ import (
 	"sjos/internal/admission"
 	"sjos/internal/core"
 	"sjos/internal/exec"
-	"sjos/internal/histogram"
 	"sjos/internal/metrics"
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
@@ -29,8 +28,7 @@ type CacheStats = plancache.Stats
 // and the write lock. Handles are copied by WithParallelism, so anything
 // mutable must live here, behind the shared pointer. The statistics are an
 // abstract StatsSource: a single document's positional histograms for a
-// static Database, the merged view over members for a writable one or a
-// Corpus.
+// Database, the merged view over every shard's members for a Corpus.
 type service struct {
 	mu           sync.RWMutex
 	stats        core.StatsSource
@@ -110,17 +108,11 @@ func (db *Database) RebuildStats() {
 	db.refreshStats()
 }
 
-// refreshStats installs the statistics of the engine's current parts: a
-// static database plans against its document's own histograms, a writable
-// one (an engine with a log) against the merge of its members'. Caller holds
-// the write lock (or is still constructing the database).
+// refreshStats installs the statistics of the engine's one part — the
+// document's own histograms. Caller holds the write lock (or is still
+// constructing the database).
 func (db *Database) refreshStats() {
-	parts := db.eng.parts()
-	if db.eng.wal == nil {
-		db.svc.setStats(parts[0])
-		return
-	}
-	db.svc.setStats(histogram.Merge(parts))
+	db.svc.setStats(db.eng.parts()[0])
 }
 
 // CacheStats returns a snapshot of the plan cache's counters (shared by all

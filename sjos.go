@@ -145,26 +145,6 @@ type Options struct {
 	// construction. Value predicates then always execute as scan+filter;
 	// per-query opt-out is QueryOptions.NoValueIndex.
 	NoValueIndex bool
-	// WALFile, when non-nil, enables the document-level write path (Insert,
-	// Delete, Replace, Compact) backed by a write-ahead log on this page
-	// file. Every mutation is logged as a redo transaction (begin with the
-	// document, a digest of the staged pages, commit) sealed with the store's
-	// page checksums and fsynced before it is applied, so a crash at any point leaves the
-	// database fully pre- or fully post-commit. Opening with a WAL that
-	// already holds committed transactions recovers the state from the log
-	// (see OpenDatabase); the store file is treated as a rebuildable cache
-	// and must be empty/fresh at open.
-	WALFile PageFile
-	// WALPath is the convenience form of WALFile: when non-empty (and
-	// WALFile is nil) the write-ahead log lives in a disk file at this
-	// path — opened if the file exists (recovering its committed state),
-	// created fresh otherwise.
-	WALPath string
-	// CompactThreshold is the dead-node fraction past which a Delete or
-	// Replace triggers automatic compaction of the store
-	// (0 selects DefaultCompactThreshold; negative disables auto-compaction;
-	// Compact can always be called explicitly). Ignored without WALFile.
-	CompactThreshold float64
 }
 
 func (o *Options) model() CostModel {
@@ -177,15 +157,16 @@ func (o *Options) model() CostModel {
 // CalibrateModel measures cost model factors on the current machine.
 func CalibrateModel() CostModel { return cost.Calibrate() }
 
-// Database is a loaded, indexed XML document ready for querying: a thin
-// facade over one storage engine (the stored document, its snapshots and
-// its write path) and one query service (statistics, plan cache, metrics,
-// slow-query log, admission control). Derived handles (WithParallelism)
-// share both pointers, so cached plans, statistics, metrics and admission
-// control are one per database — a derived handle differs only in its
-// execution settings. The zero parallelism (the default for every
+// Database is a loaded, indexed, read-only XML document ready for querying —
+// the paper's single-document setup: a thin facade over one storage engine
+// (the stored document) and one query service (statistics, plan cache,
+// metrics, slow-query log, admission control). Derived handles
+// (WithParallelism) share both pointers, so cached plans, statistics, metrics
+// and admission control are one per database — a derived handle differs only
+// in its execution settings. The zero parallelism (the default for every
 // constructor) executes plans serially. For many documents behind one query
-// surface, see Corpus — Database is the single-document convenience.
+// surface, or for writes, see Corpus (a one-shard corpus is the single
+// writable store).
 type Database struct {
 	eng   *engine
 	svc   *service
@@ -275,70 +256,33 @@ func storeFile(opts *Options) (PageFile, error) {
 }
 
 // NewMemPageFile returns a fresh in-memory page file — the simplest
-// Options.WALFile / CorpusOptions.ShardWALFile for tests and ephemeral
-// writable databases.
+// CorpusOptions.ShardWALFile for tests and ephemeral writable corpora.
 func NewMemPageFile() PageFile { return storage.NewMemFile() }
 
 // CreatePageFile creates (truncating if present) a disk-backed page file at
-// path, suitable for Options.PageFile, Options.WALFile or
-// CorpusOptions.ShardWALFile.
+// path, suitable for Options.PageFile or CorpusOptions.ShardWALFile.
 func CreatePageFile(path string) (PageFile, error) { return storage.CreateDiskFile(path) }
 
 // OpenPageFile opens an existing disk-backed page file at path — the
 // recovery counterpart of CreatePageFile.
 func OpenPageFile(path string) (PageFile, error) { return storage.OpenDiskFile(path) }
 
-// resolveWALFile returns the WAL page file selected by opts: WALFile wins;
-// otherwise WALPath is opened if the file exists (recovery) or created
-// fresh. nil means no write path.
-func resolveWALFile(opts *Options) (PageFile, error) {
-	if opts.WALFile != nil {
-		return opts.WALFile, nil
-	}
-	if opts.WALPath == "" {
-		return nil, nil
-	}
-	if _, err := os.Stat(opts.WALPath); err == nil {
-		return storage.OpenDiskFile(opts.WALPath)
-	}
-	return storage.CreateDiskFile(opts.WALPath)
-}
-
-// fromDocument builds a database over doc: with a WAL configured the
-// document becomes the first member of an appendable forest, under the
-// reserved seed ID (no doc: the forest starts empty, or is recovered from the
-// WAL — OpenDatabase); without one it is stored read-only.
+// fromDocument builds a read-only database over doc.
 func fromDocument(doc *xmltree.Document, opts *Options) (*Database, error) {
 	if opts == nil {
 		opts = &Options{}
-	}
-	wal, err := resolveWALFile(opts)
-	if err != nil {
-		return nil, err
 	}
 	file, err := storeFile(opts)
 	if err != nil {
 		return nil, err
 	}
-	var eng *engine
-	switch {
-	case wal == nil:
-		eng, err = newStaticEngine(doc, file, opts.engineConfig())
-	case doc == nil:
-		eng, err = newForestEngine(nil, wal, file, opts.engineConfig())
-	default:
-		eng, err = newForestEngine([]seedDoc{{id: SeedDocID, doc: doc}}, wal, file, opts.engineConfig())
-	}
+	eng, err := newStaticEngine(doc, file, opts.engineConfig())
 	if err != nil {
 		return nil, err
 	}
-	return newDatabase(eng, opts), nil
-}
-
-func newDatabase(eng *engine, opts *Options) *Database {
 	db := &Database{eng: eng, svc: newService(opts), model: opts.model()}
 	db.refreshStats()
-	return db
+	return db, nil
 }
 
 // NumNodes returns the number of element nodes in the database.

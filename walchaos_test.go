@@ -14,7 +14,7 @@ import (
 // crash (or torn write) injected at every write ordinal of the WAL file in
 // turn, then recovered from the surviving bytes. The invariant under test
 // is the write path's atomicity: whatever the kill point, the recovered
-// database equals a state of the committed history — never a torn blend —
+// corpus equals a state of the committed history — never a torn blend —
 // and every optimization method agrees on it in both execution modes.
 
 // chaosScript is the mutation history; chaosStates[i] is the expected state
@@ -42,66 +42,32 @@ var chaosStates = []struct {
 	{11, "[c b]"},
 }
 
-// chaosFacade is the write-and-count surface the matrix drives. Database
-// and Corpus commit through the same engine protocol, so both are inputs to
-// the same matrix — same ordinals, same verdicts.
-type chaosFacade interface {
-	InsertString(id, src string) error
-	ReplaceString(id, src string) error
-	Delete(id string) error
-	// count runs the probe query and returns its match count.
-	count(opts ExecOptions) (int, error)
-	// ids lists the live documents (node-range order after a recovery);
-	// broken reports a poisoned write path.
-	ids() []string
-	broken() bool
-}
-
 const chaosQuery = "//order//item/name"
 
-type chaosDatabase struct{ *Database }
-
-func (d chaosDatabase) count(opts ExecOptions) (int, error) {
-	res, err := d.QueryContext(context.Background(), chaosQuery, QueryOptions{ExecOptions: opts})
-	if err != nil {
-		return 0, err
-	}
-	return len(res.Matches), nil
-}
-func (d chaosDatabase) ids() []string { return d.MemberIDs() }
-func (d chaosDatabase) broken() bool  { return d.IngestStats().Broken }
-
-type chaosCorpus struct{ *Corpus }
-
-func (c chaosCorpus) count(opts ExecOptions) (int, error) {
+// chaosCount runs the probe query and returns its match count.
+func chaosCount(c *Corpus, opts ExecOptions) (int, error) {
 	res, err := c.QueryContext(context.Background(), chaosQuery, QueryOptions{ExecOptions: opts})
 	if err != nil {
 		return 0, err
 	}
 	return res.Count, nil
 }
-func (c chaosCorpus) ids() []string { return c.DocIDs() }
-func (c chaosCorpus) broken() bool  { return c.IngestStats().BrokenShards > 0 }
 
-// chaosOpen builds a handle logging to wal with its (primary) store on store
-// (nil: memory) — or, when wal already holds committed transactions, reopens
-// it: the recovery entry point.
-type chaosOpen func(wal, store PageFile, compactThr float64) (chaosFacade, error)
+// chaosOpen builds a corpus logging to wal with its primary store on store
+// (nil: memory) — or, when wal already holds committed transactions,
+// recovers it: the recovery entry point.
+type chaosOpen func(wal, store PageFile, compactThr float64) (*Corpus, error)
 
 // chaosFacades are the matrix inputs.
 var chaosFacades = []struct {
 	name string
 	open chaosOpen
 }{
-	{"database", func(wal, store PageFile, compactThr float64) (chaosFacade, error) {
-		db, err := OpenDatabase(&Options{WALFile: wal, PageFile: store, CompactThreshold: compactThr})
-		return chaosDatabase{db}, err
-	}},
-	// One shard, so the one WAL sees every mutation; two replicas, so the
-	// follower apply path rides along on every commit.
-	{"corpus-1x2", func(wal, store PageFile, compactThr float64) (chaosFacade, error) {
-		c, err := NewCorpusBuilder(&CorpusOptions{
-			Options:          Options{CompactThreshold: compactThr},
+	// One shard, so the one WAL sees every mutation — the single writable
+	// store; two replicas, so the follower apply path rides along on every
+	// commit.
+	{"corpus-1x2", func(wal, store PageFile, compactThr float64) (*Corpus, error) {
+		return NewCorpusBuilder(&CorpusOptions{
 			Shards:           1,
 			ReplicasPerShard: 2,
 			ShardWALFile:     func(int) PageFile { return wal },
@@ -111,14 +77,14 @@ var chaosFacades = []struct {
 				}
 				return nil
 			},
+			CompactThreshold: compactThr,
 		}).Build()
-		return chaosCorpus{c}, err
 	}},
 }
 
 // applyChaosScript runs the script until the first error, returning how
 // many mutations reported success.
-func applyChaosScript(db chaosFacade) int {
+func applyChaosScript(db *Corpus) int {
 	for i, s := range chaosScript {
 		var err error
 		switch s.op {
@@ -148,9 +114,9 @@ func chaosStateOf(count int) int {
 }
 
 // chaosStateNow reads the handle's current history state off its count.
-func chaosStateNow(t *testing.T, db chaosFacade, label string) int {
+func chaosStateNow(t *testing.T, db *Corpus, label string) int {
 	t.Helper()
-	n, err := db.count(ExecOptions{Method: MethodDPP})
+	n, err := chaosCount(db, ExecOptions{Method: MethodDPP})
 	if err != nil {
 		t.Fatalf("%s: count query: %v", label, err)
 	}
@@ -159,13 +125,13 @@ func chaosStateNow(t *testing.T, db chaosFacade, label string) int {
 
 // verifyChaosState checks the handle is exactly chaosStates[want] under all
 // five paper methods.
-func verifyChaosState(t *testing.T, db chaosFacade, want int, label string) {
+func verifyChaosState(t *testing.T, db *Corpus, want int, label string) {
 	t.Helper()
-	if got := fmt.Sprint(db.ids()); got != chaosStates[want].ids {
+	if got := fmt.Sprint(db.DocIDs()); got != chaosStates[want].ids {
 		t.Fatalf("%s: members %s, want %s", label, got, chaosStates[want].ids)
 	}
 	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP} {
-		n, err := db.count(ExecOptions{Method: m})
+		n, err := chaosCount(db, ExecOptions{Method: m})
 		if err != nil {
 			t.Fatalf("%s: %v: %v", label, m, err)
 		}
@@ -249,7 +215,7 @@ func TestWALChaosKillPointMatrix(t *testing.T) {
 			if err := rec.InsertString("fresh", orderXML(2)); err != nil {
 				t.Fatalf("%s: post-recovery insert: %v", label, err)
 			}
-			if n, err := rec.count(ExecOptions{Method: MethodDPP}); err != nil || n != chaosStates[got].count+2 {
+			if n, err := chaosCount(rec, ExecOptions{Method: MethodDPP}); err != nil || n != chaosStates[got].count+2 {
 				t.Fatalf("%s: post-recovery insert not visible (count %d, err %v)", label, n, err)
 			}
 		}
@@ -309,7 +275,7 @@ func TestWALChaosStoreCrash(t *testing.T) {
 			if committed == len(chaosScript) {
 				t.Fatalf("%s: script survived the crash", label)
 			}
-			if !db.broken() {
+			if db.IngestStats().BrokenShards == 0 {
 				t.Fatalf("%s: write path not poisoned after post-commit failure", label)
 			}
 			if err := db.InsertString("more", orderXML(1)); !errors.Is(err, ErrBroken) {

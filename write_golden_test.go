@@ -64,32 +64,25 @@ func persXML(t testing.TB, seed int64) string {
 	return s
 }
 
-// writer is the mutation surface Database and Corpus share.
-type writer interface {
-	InsertString(id, src string) error
-	ReplaceString(id, src string) error
-	Delete(id string) error
-}
-
 // replayWriteHistory runs the fixed history the golden file records: eight
 // inserts, then the repo benchmark's churn_mixed write cycle (insert an
 // extra document, replace doc-00 by another body, delete the extra, put
 // doc-00's own body back) three times over.
-func replayWriteHistory(t testing.TB, w writer) {
+func replayWriteHistory(t testing.TB, c *Corpus) {
 	t.Helper()
 	const docs = 8
 	for i := 0; i < docs; i++ {
-		if err := w.InsertString(fmt.Sprintf("doc-%02d", i), persXML(t, 1+int64(i))); err != nil {
+		if err := c.InsertString(fmt.Sprintf("doc-%02d", i), persXML(t, 1+int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	extra, other, own := persXML(t, 1+docs), persXML(t, 2+docs), persXML(t, 1)
 	for cycle := 0; cycle < 3; cycle++ {
 		for _, err := range []error{
-			w.InsertString("extra", extra),
-			w.ReplaceString("doc-00", other),
-			w.Delete("extra"),
-			w.ReplaceString("doc-00", own),
+			c.InsertString("extra", extra),
+			c.ReplaceString("doc-00", other),
+			c.Delete("extra"),
+			c.ReplaceString("doc-00", own),
 		} {
 			if err != nil {
 				t.Fatalf("cycle %d: %v", cycle, err)
@@ -98,26 +91,52 @@ func replayWriteHistory(t testing.TB, w writer) {
 	}
 }
 
+// oneShardStats is the counter set of the golden file's "Database" entry,
+// recorded when a writable Database still wrote that log; a one-shard corpus
+// writes the same bytes and fills the same fields now.
+type oneShardStats struct {
+	Members         int
+	DeadFraction    float64
+	WALPages        int
+	Compactions     int
+	StatsVersion    uint64
+	Broken          bool
+	RecoveredTxns   int
+	RecoverySeconds float64
+}
+
 // TestWriteGolden holds the write path to recorded bytes: the same history
 // must leave the same WAL files — begin records (SJDOC2 document images),
 // stage digests (so: the same staged pages) and commit records alike — and
-// the same counters, on a Database and on a 4-shard Corpus. The hashes were
-// re-recorded when the log went from page after-images to stage digests; the
-// counters other than WALPages are those of the commit before.
+// the same counters, on a one-shard Corpus (the "Database" entry, named for
+// the facade that wrote the one-shard log when it was recorded) and on a
+// 4-shard Corpus. The hashes were re-recorded when the log went from page
+// after-images to stage digests; the counters other than WALPages are those
+// of the commit before.
 func TestWriteGolden(t *testing.T) {
 	var got writeGoldenFile
 
-	dbWAL := storage.NewMemFile()
-	db, err := OpenDatabase(&Options{WALFile: dbWAL})
+	oneWAL := storage.NewMemFile()
+	one, err := oneShardCorpus(oneWAL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayWriteHistory(t, db)
-	dst := db.IngestStats()
-	if dst.Compactions == 0 {
-		t.Fatal("history ran no compaction on the database")
+	replayWriteHistory(t, one)
+	ost := one.IngestStats()
+	if ost.Compactions == 0 {
+		t.Fatal("history ran no compaction on the one-shard corpus")
 	}
-	got.Database = writeGolden{WALSHA256: []string{hashPageFile(t, dbWAL)}, Stats: dst}
+	_, version := one.svc.snapshot()
+	got.Database = writeGolden{WALSHA256: []string{hashPageFile(t, oneWAL)}, Stats: oneShardStats{
+		Members:         ost.Docs,
+		DeadFraction:    one.shards[0].meta().view().store.DeadFraction(),
+		WALPages:        ost.WALPages,
+		Compactions:     ost.Compactions,
+		StatsVersion:    version,
+		Broken:          ost.BrokenShards > 0,
+		RecoveredTxns:   ost.RecoveredTxns,
+		RecoverySeconds: ost.RecoverySeconds,
+	}}
 
 	const shards = 4
 	wals := newWALMap()
@@ -202,17 +221,13 @@ func walFixture(t testing.TB, name string) *storage.MemFile {
 }
 
 // checkParentWALState is what the parentWALDocs history leaves behind.
-func checkParentWALState(t testing.TB, db *Database) {
+func checkParentWALState(t testing.TB, c *Corpus) {
 	t.Helper()
-	if got, want := db.MemberIDs(), []string{"c", "a", "d"}; !reflect.DeepEqual(got, want) {
+	if got, want := c.DocIDs(), []string{"c", "a", "d"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered members %v, want %v", got, want)
 	}
-	res, err := db.Query(`//r/n[. = 5]`, MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 2 {
-		t.Fatalf("n = 5 matched %d nodes after recovery, want 2 (both spellings)", len(res.Matches))
+	if n := countCorpus(t, c, `//r/n[. = 5]`); n != 2 {
+		t.Fatalf("n = 5 matched %d nodes after recovery, want 2 (both spellings)", n)
 	}
 }
 
@@ -255,11 +270,11 @@ func TestRecoverParentWAL(t *testing.T) {
 	if images, digests, magics := walFormats(t, wal); images != 5 || digests != 0 || magics["SJDOC1"] != 5 || len(magics) != 1 {
 		t.Fatalf("parent log has %d page-image transactions, %d digests, documents %v: not the SJDOC1 + page-image fixture", images, digests, magics)
 	}
-	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	c, err := oneShardCorpus(wal, -1)
 	if err != nil {
 		t.Fatalf("recovering the parent commit's log: %v", err)
 	}
-	checkParentWALState(t, db)
+	checkParentWALState(t, c)
 }
 
 // TestRecoverDigestWAL replays the same history from a log recorded by the
@@ -271,11 +286,11 @@ func TestRecoverDigestWAL(t *testing.T) {
 	const name = "digest_wal.bin.gz"
 	if *updateWriteGolden {
 		wal := storage.NewMemFile()
-		db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+		c, err := oneShardCorpus(wal, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		applyParentWALDocs(t, db, parentWALDocs)
+		applyParentWALDocs(t, c, parentWALDocs)
 		var out bytes.Buffer
 		zw := gzip.NewWriter(&out)
 		var p storage.Page
@@ -297,27 +312,27 @@ func TestRecoverDigestWAL(t *testing.T) {
 	if images, digests, magics := walFormats(t, wal); images != 0 || digests != 5 || magics["SJDOC2"] != 5 || len(magics) != 1 {
 		t.Fatalf("digest log has %d page-image transactions, %d digests, documents %v: not the SJDOC2 + digest fixture", images, digests, magics)
 	}
-	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	c, err := oneShardCorpus(wal, -1)
 	if err != nil {
 		t.Fatalf("recovering the recorded digest log: %v", err)
 	}
-	checkParentWALState(t, db)
-	if st := db.IngestStats(); st.RecoveredTxns != 1+len(parentWALDocs) || st.RecoverySeconds <= 0 {
+	checkParentWALState(t, c)
+	if st := c.IngestStats(); st.RecoveredTxns != 1+len(parentWALDocs) || st.RecoverySeconds <= 0 {
 		t.Fatalf("recovery replayed %d transactions in %v s, want the snapshot and %d mutations", st.RecoveredTxns, st.RecoverySeconds, len(parentWALDocs))
 	}
 }
 
-func applyParentWALDocs(t testing.TB, db *Database, docs []struct{ op, id, xml string }) {
+func applyParentWALDocs(t testing.TB, c *Corpus, docs []struct{ op, id, xml string }) {
 	t.Helper()
 	for _, m := range docs {
 		var err error
 		switch m.op {
 		case "insert":
-			err = db.InsertString(m.id, m.xml)
+			err = c.InsertString(m.id, m.xml)
 		case "replace":
-			err = db.ReplaceString(m.id, m.xml)
+			err = c.ReplaceString(m.id, m.xml)
 		case "delete":
-			err = db.Delete(m.id)
+			err = c.Delete(m.id)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -332,11 +347,11 @@ func applyParentWALDocs(t testing.TB, db *Database, docs []struct{ op, id, xml s
 func TestUpgradeInPlace(t *testing.T) {
 	wal := walFixture(t, "parent_wal.bin.gz")
 	oldPages := wal.NumPages()
-	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	c, err := oneShardCorpus(wal, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyParentWALDocs(t, db, []struct{ op, id, xml string }{
+	applyParentWALDocs(t, c, []struct{ op, id, xml string }{
 		{"insert", "e", `<r><n>5</n><w>epsilon</w></r>`},
 		{"replace", "c", `<s><n>5.00</n></s>`},
 		{"delete", "d", ""},
@@ -359,26 +374,35 @@ func TestUpgradeInPlace(t *testing.T) {
 	}
 
 	// Crash: nothing survives but the log.
-	rec, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	rec, err := oneShardCorpus(wal, -1)
 	if err != nil {
 		t.Fatalf("recovering the upgraded log: %v", err)
 	}
-	if got, want := rec.MemberIDs(), []string{"a", "e", "c"}; !reflect.DeepEqual(got, want) {
+	if got, want := rec.DocIDs(), []string{"a", "e", "c"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered members %v, want %v", got, want)
 	}
 	for _, q := range []string{`//r/n[. = 5]`, `//s/n[. = 5]`, `//w`} {
-		want, err := db.Query(q, MethodDPP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rec.Query(q, MethodDPP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Matches, want.Matches) || len(got.Matches) == 0 {
-			t.Fatalf("%s: recovered %v, before the crash %v", q, got.Matches, want.Matches)
+		want, got := docRows(t, c, q), docRows(t, rec, q)
+		if !reflect.DeepEqual(got, want) || len(got) == 0 {
+			t.Fatalf("%s: recovered %v, before the crash %v", q, got, want)
 		}
 	}
+}
+
+// docRows runs q and renders its rows, in result order, as "docID [nodes]"
+// strings (a row's Doc is its document's directory index, which recovery
+// renumbers).
+func docRows(t testing.TB, c *Corpus, q string) []string {
+	t.Helper()
+	res, err := c.Query(q, MethodDPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]string, len(res.Matches))
+	for i, m := range res.Matches {
+		rows[i] = fmt.Sprint(m.DocID, " ", m.Nodes)
+	}
+	return rows
 }
 
 // TestRecoverDigestMismatch: a logged document that is not the document the
@@ -391,11 +415,11 @@ func TestUpgradeInPlace(t *testing.T) {
 // one value's list becoming two — as the byte compare before it did.)
 func TestRecoverDigestMismatch(t *testing.T) {
 	wal := storage.NewMemFile()
-	db, err := OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	c, err := oneShardCorpus(wal, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyParentWALDocs(t, db, parentWALDocs[:3])
+	applyParentWALDocs(t, c, parentWALDocs[:3])
 	var p storage.Page
 	flipped := false
 	for i := 0; i < wal.NumPages() && !flipped; i++ {
@@ -414,7 +438,7 @@ func TestRecoverDigestMismatch(t *testing.T) {
 	if !flipped {
 		t.Fatal("value not found in the log")
 	}
-	_, err = OpenDatabase(&Options{WALFile: wal, CompactThreshold: -1})
+	_, err = oneShardCorpus(wal, -1)
 	if !errors.Is(err, storage.ErrStageMismatch) {
 		t.Fatalf("recovering a log whose document disagrees with its digest: %v, want ErrStageMismatch", err)
 	}
