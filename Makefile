@@ -13,6 +13,7 @@
 # variants and write nothing.
 #
 # `make benchquick` smoke-runs the key benchmarks at one iteration each — the
+# ablations (Lookahead Rule, estimator, time to first results), the
 # result-path, /query-encode and plan_cold-execution layer lanes, the lanes
 # under them (Stack-Tree Desc/Anc by input shape and axis, posting-block
 # decode, numeric predicate parse), the storage lanes (buffer-pool hit and
@@ -28,7 +29,9 @@
 #
 # BENCH selects the layer lanes of `make bench` (default: the
 # partition-parallel executor, plan-cache, value-index and plan_cold
-# execution lanes; BENCH=. is the full table/figure suite — slow).
+# execution lanes; BENCH=. adds the ablations and the observability,
+# result-path, recovery and write-cycle lanes). The paper's tables and
+# figures are `go run ./cmd/xqbench all`.
 
 GO    ?= go
 BENCH ?= Parallel|PlanCache|ContentIndex|ExecPlanColdTwig
@@ -102,7 +105,7 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/

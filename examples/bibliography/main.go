@@ -1,6 +1,6 @@
 // Bibliography: querying the DBLP-like data set — shallow, wide documents
-// where parent-child joins dominate — including value predicates, ordered
-// output, and the holistic TwigStack comparison.
+// where parent-child joins dominate — including value predicates and ordered
+// output.
 package main
 
 import (
@@ -40,24 +40,7 @@ func main() {
 	fmt.Printf("\ncited inproceedings (ordered by paper): %d matches, plan:\n", len(res.Matches))
 	fmt.Println(res.PlanText)
 
-	// 3. Holistic comparison: the same twig via TwigStack (the multi-way
-	// join the paper cites as future work) must agree with the plan.
-	pat := sjos.MustParsePattern(`//article[author][cite/label]/title`)
-	planned, err := db.QueryPattern(pat, sjos.MethodDPP)
-	if err != nil {
-		log.Fatal(err)
-	}
-	holistic, err := db.TwigStack(pat)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("cited articles with authors: structural-join plan found %d, TwigStack found %d\n",
-		len(planned.Matches), len(holistic))
-	if len(planned.Matches) != len(holistic) {
-		log.Fatal("mismatch between binary joins and holistic twig join!")
-	}
-
-	// 4. Range predicate over numeric text.
+	// 3. Range predicate over numeric text.
 	res, err = db.Query(`//article[year >= 2000]/title`, sjos.MethodDPP)
 	if err != nil {
 		log.Fatal(err)

@@ -1,7 +1,6 @@
 package sjos
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -101,53 +100,4 @@ func (db *Database) TraceDPP(pat *Pattern) (string, error) {
 	sb.WriteString(core.FormatTrace(pat, events))
 	fmt.Fprintf(&sb, "chosen plan (cost %.0f):\n%s", res.Cost, res.Plan.Format(pat))
 	return sb.String(), nil
-}
-
-// Prepared is a pattern whose plan has been optimized once and can be
-// executed repeatedly — the optimizer's work is amortised across
-// executions (useful when the same query shape runs against one database
-// many times).
-type Prepared struct {
-	db   *Database
-	pat  *Pattern
-	plan *Plan
-	// EstCost is the optimizer's estimate for the prepared plan.
-	EstCost float64
-}
-
-// Prepare parses and optimizes src once, returning a reusable handle.
-func (db *Database) Prepare(src string, m Method) (*Prepared, error) {
-	pat, err := ParsePattern(src)
-	if err != nil {
-		return nil, err
-	}
-	res, err := db.Optimize(pat, m, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{db: db, pat: pat, plan: res.Plan, EstCost: res.Cost}, nil
-}
-
-// Pattern returns the prepared pattern.
-func (p *Prepared) Pattern() *Pattern { return p.pat }
-
-// Plan returns the prepared physical plan.
-func (p *Prepared) Plan() *Plan { return p.plan }
-
-// Execute runs the prepared plan, returning matches in pattern-node order.
-func (p *Prepared) Execute() ([]Match, ExecStats, error) {
-	res, err := p.db.Run(context.Background(), p.pat, p.plan, RunOptions{})
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return res.Matches, res.Stats, nil
-}
-
-// Count runs the prepared plan, returning only the match count.
-func (p *Prepared) Count() (int, ExecStats, error) {
-	res, err := p.db.Run(context.Background(), p.pat, p.plan, RunOptions{CountOnly: true})
-	if err != nil {
-		return 0, ExecStats{}, err
-	}
-	return res.Count, res.Stats, nil
 }

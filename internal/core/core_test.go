@@ -126,15 +126,15 @@ func TestDPAndDPPFindEqualOptima(t *testing.T) {
 	for pi, pat := range pats {
 		for seed := int64(0); seed < 8; seed++ {
 			est := skewedEstimator(t, pat, 100*int64(pi)+seed)
-			dp, err := DP(pat, est, testModel())
+			dp, err := Optimize(context.Background(), pat, est, testModel(), MethodDP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dpp, err := DPP(pat, est, testModel())
+			dpp, err := Optimize(context.Background(), pat, est, testModel(), MethodDPP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dppNL, err := DPPNoLookahead(pat, est, testModel())
+			dppNL, err := Optimize(context.Background(), pat, est, testModel(), MethodDPPNoLookahead, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,14 +159,14 @@ func TestFPPlansAreSortFreeAndAboveOptimal(t *testing.T) {
 	for pi, pat := range pats {
 		for seed := int64(0); seed < 10; seed++ {
 			est := skewedEstimator(t, pat, 7777+100*int64(pi)+seed)
-			fp, err := FP(pat, est, testModel())
+			fp, err := Optimize(context.Background(), pat, est, testModel(), MethodFP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !fp.Plan.FullyPipelined() {
 				t.Fatalf("pattern %d: FP produced a plan with sorts:\n%s", pi, fp.Plan.Format(pat))
 			}
-			dp, err := DP(pat, est, testModel())
+			dp, err := Optimize(context.Background(), pat, est, testModel(), MethodDP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestFPPlansAreSortFreeAndAboveOptimal(t *testing.T) {
 func TestFPOptimalAmongRandomPipelinedPlans(t *testing.T) {
 	pat := figure1Pattern()
 	est := skewedEstimator(t, pat, 42)
-	fp, err := FP(pat, est, testModel())
+	fp, err := Optimize(context.Background(), pat, est, testModel(), MethodFP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestDPAPEBLargeBoundMatchesDPP(t *testing.T) {
 	pat := figure1Pattern()
 	for seed := int64(0); seed < 6; seed++ {
 		est := skewedEstimator(t, pat, 500+seed)
-		dpp, err := DPP(pat, est, testModel())
+		dpp, err := Optimize(context.Background(), pat, est, testModel(), MethodDPP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eb, err := DPAPEB(pat, est, testModel(), 1<<20)
+		eb, err := Optimize(context.Background(), pat, est, testModel(), MethodDPAPEB, &Options{Te: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,11 +228,11 @@ func TestDPAPEBLargeBoundMatchesDPP(t *testing.T) {
 func TestDPAPEBBoundsValidated(t *testing.T) {
 	pat := figure1Pattern()
 	est := uniformEstimator(t, pat, 100, 0.01)
-	if _, err := DPAPEB(pat, est, testModel(), 0); err == nil {
+	if _, err := dpapEB(context.Background(), pat, est, testModel(), 0); err == nil {
 		t.Fatal("Te=0 accepted")
 	}
 	// Even Te=1 must return a valid plan.
-	r, err := DPAPEB(pat, est, testModel(), 1)
+	r, err := Optimize(context.Background(), pat, est, testModel(), MethodDPAPEB, &Options{Te: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +249,14 @@ func TestDPAPLDPlansAreLeftDeep(t *testing.T) {
 	for pi, pat := range pats {
 		for seed := int64(0); seed < 6; seed++ {
 			est := skewedEstimator(t, pat, 900+100*int64(pi)+seed)
-			r, err := DPAPLD(pat, est, testModel())
+			r, err := Optimize(context.Background(), pat, est, testModel(), MethodDPAPLD, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !r.Plan.LeftDeep() {
 				t.Fatalf("pattern %d: DPAP-LD produced a bushy plan:\n%s", pi, r.Plan.Format(pat))
 			}
-			dp, err := DP(pat, est, testModel())
+			dp, err := Optimize(context.Background(), pat, est, testModel(), MethodDP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestMethodParsingAndNames(t *testing.T) {
 func TestBadPlanWorseOrEqualOptimal(t *testing.T) {
 	pat := figure1Pattern()
 	est := skewedEstimator(t, pat, 17)
-	dp, err := DP(pat, est, testModel())
+	dp, err := Optimize(context.Background(), pat, est, testModel(), MethodDP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,9 +424,6 @@ func TestEstimatorClusterCard(t *testing.T) {
 	if got := est.ClusterCard(0b111); math.Abs(got-10*20*30*0.5*0.1) > 1e-9 {
 		t.Errorf("card{a,b,c} = %v", got)
 	}
-	if got := est.TotalCard(); math.Abs(got-est.ClusterCard(0b111)) > 1e-9 {
-		t.Errorf("TotalCard = %v", got)
-	}
 	// Disconnected mask multiplies only node cards (no internal edges).
 	if got := est.ClusterCard(1<<1 | 1<<2); got != 20*30 {
 		t.Errorf("card{b,c} = %v", got)
@@ -475,7 +472,7 @@ func TestOracleEstimatorExactCounts(t *testing.T) {
 		t.Errorf("sel(b/c) = %v", got)
 	}
 	// Plans from the oracle estimator must still be valid and optimal.
-	res, err := DPP(pat, est, testModel())
+	res, err := Optimize(context.Background(), pat, est, testModel(), MethodDPP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +521,7 @@ func TestPipelineOnlyDPPMatchesFP(t *testing.T) {
 				t.Fatalf("pattern %d: pipeline-only search produced sorts:\n%s",
 					pi, pipe.Plan.Format(pat))
 			}
-			fp, err := FP(pat, est, testModel())
+			fp, err := Optimize(context.Background(), pat, est, testModel(), MethodFP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -532,7 +529,7 @@ func TestPipelineOnlyDPPMatchesFP(t *testing.T) {
 				t.Errorf("pattern %d seed %d: pipeline-DPP cost %v, FP cost %v\nDPP-pipe:\n%sFP:\n%s",
 					pi, seed, pipe.Cost, fp.Cost, pipe.Plan.Format(pat), fp.Plan.Format(pat))
 			}
-			dpp, err := DPP(pat, est, testModel())
+			dpp, err := Optimize(context.Background(), pat, est, testModel(), MethodDPP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

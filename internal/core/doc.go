@@ -25,8 +25,9 @@
 //	          re-rooting the pattern and enumerating child join orders
 //	          (§3.4); guaranteed to return the cheapest non-blocking plan
 //
-// All of them produce a plan.Node tree executable by internal/exec, plus
-// search statistics (number of alternative plans considered, statuses
-// generated/expanded) matching the measurements reported in the paper's
-// Table 2.
+// Optimize runs any of them, or the statistics-free Greedy orderer, named by
+// a Method. All of them produce a plan.Node tree executable by
+// internal/exec, plus search statistics (number of alternative plans
+// considered, statuses generated/expanded) matching the measurements
+// reported in the paper's Table 2.
 package core

@@ -32,16 +32,8 @@ func (sp *space) singleNode(name string) *Result {
 	return &Result{Plan: leaf, Cost: sp.scanCost, Algorithm: name}
 }
 
-// DP optimizes pat with the exhaustive dynamic programming algorithm of
-// §3.1: statuses are developed strictly level by level; every possible move
-// from every status is considered, and for each distinct status only the
-// cheapest way of reaching it is retained.
-func DP(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
-	return dp(context.Background(), pat, est, model)
-}
-
-// dp is DP with cancellation: ctx is polled as the DP table expands (every
-// ctxCheckInterval status expansions), so runaway searches on large
+// dp is the DP search (MethodDP). ctx is polled as the DP table expands
+// (every ctxCheckInterval status expansions), so runaway searches on large
 // patterns can be abandoned mid-level.
 func dp(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
 	sp := newSpace(pat, est, model)

@@ -30,21 +30,6 @@ func (cfg *dppConfig) emit(kind TraceKind, edges, orderMask uint32, level int, c
 	}
 }
 
-// DPP optimizes pat with Dynamic Programming with Pruning (§3.2):
-// best-first expansion ordered by Cost+ubCost, pruning of statuses whose
-// Cost reaches the best complete plan found so far, and the Lookahead Rule.
-// Like DP it searches the whole space and returns an optimal plan, usually
-// at a fraction of DP's optimization cost.
-func DPP(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
-	return dppSearch(context.Background(), pat, est, model, dppConfig{name: "DPP", lookahead: true})
-}
-
-// DPPNoLookahead is DPP without the Lookahead Rule — the paper's DPP′
-// baseline used to measure the rule's effectiveness (Table 2).
-func DPPNoLookahead(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
-	return dppSearch(context.Background(), pat, est, model, dppConfig{name: "DPP'"})
-}
-
 // DPPPipelineOnly is the sorted-move ablation (DESIGN.md A2): DPP searching
 // only sort-free moves, i.e. exactly the fully-pipelined plan space. By
 // Theorem 3.1 it always succeeds, and its optimum must equal FP's — the
@@ -53,28 +38,13 @@ func DPPPipelineOnly(pat *pattern.Pattern, est *Estimator, model cost.Model) (*R
 	return dppSearch(context.Background(), pat, est, model, dppConfig{name: "DPP-pipe", lookahead: true, pipelineOnly: true})
 }
 
-// DPAPEB optimizes with Dynamic Programming with Aggressive Pruning using
-// an Expansion Bound (§3.3.1): at most te statuses are expanded per level,
-// and once a level saturates no earlier level is expanded again. te must be
-// at least 1. The returned plan can be suboptimal.
-func DPAPEB(pat *pattern.Pattern, est *Estimator, model cost.Model, te int) (*Result, error) {
-	return dpapEB(context.Background(), pat, est, model, te)
-}
-
-// dpapEB is DPAPEB with cancellation.
+// dpapEB is the DPAP-EB search with expansion bound te, which must be at
+// least 1.
 func dpapEB(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model, te int) (*Result, error) {
 	if te < 1 {
 		return nil, fmt.Errorf("core: DPAP-EB expansion bound %d, want >= 1", te)
 	}
 	return dppSearch(ctx, pat, est, model, dppConfig{name: "DPAP-EB", lookahead: true, te: te})
-}
-
-// DPAPLD optimizes with Dynamic Programming with Aggressive Pruning
-// restricted to left-deep statuses (§3.3.2): at most one cluster may hold
-// more than one pattern node (the growing node). The returned plan can be
-// suboptimal — the paper's experiments show this is the weakest heuristic.
-func DPAPLD(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
-	return dppSearch(context.Background(), pat, est, model, dppConfig{name: "DPAP-LD", lookahead: true, leftDeep: true})
 }
 
 func dppSearch(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model, cfg dppConfig) (*Result, error) {

@@ -179,11 +179,6 @@ func (e *Estimator) ClusterCard(mask uint64) float64 {
 	return card
 }
 
-// TotalCard estimates the full pattern-match cardinality.
-func (e *Estimator) TotalCard() float64 {
-	return e.ClusterCard((uint64(1) << uint(e.pat.N())) - 1)
-}
-
 // MaxPatternNodes bounds the pattern size the optimizers accept; it keeps
 // the status encodings within machine words. Patterns in XML workloads are
 // far smaller.

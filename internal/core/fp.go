@@ -8,23 +8,12 @@ import (
 	"sjos/internal/plan"
 )
 
-// FP optimizes pat with the Fully-Pipelined algorithm (§3.4): only plans
-// with no sort operators anywhere are considered. Theorem 3.1 guarantees
-// such plans exist producing output ordered by any pattern node, so FP
-// always succeeds; it returns the cheapest non-blocking plan. When the
-// query names an OrderBy node, only plans ordered by it are considered,
-// which shrinks the search further.
-//
-// The algorithm "picks the pattern up" at each candidate output node N,
-// making N the root; the best pipelined plan for each re-rooted subtree is
-// computed recursively (memoised per directed edge), and the order in which
-// the child subtrees join with N is chosen by enumerating permutations.
-func FP(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
-	return fp(context.Background(), pat, est, model)
-}
-
-// fp is FP with cancellation: the subtree recursion polls ctx, and a
-// cancelled search returns ctx's error instead of a plan.
+// fp is the FP search (MethodFP). It "picks the pattern up" at each
+// candidate output node N, making N the root; the best pipelined plan for
+// each re-rooted subtree is computed recursively (memoised per directed
+// edge), and the order in which the child subtrees join with N is chosen by
+// enumerating permutations. The subtree recursion polls ctx, and a cancelled
+// search returns ctx's error instead of a plan.
 func fp(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

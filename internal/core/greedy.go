@@ -10,7 +10,7 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// Greedy optimizes pat with a statistics-free greedy join orderer. Unlike
+// MethodGreedy plans with a statistics-free greedy join orderer. Unlike
 // the paper's five cost-based algorithms it never consults positional
 // histograms or estimated join selectivities to choose the join order:
 // joins are ranked by cheap signals that are visible in the pattern and the
@@ -44,9 +44,6 @@ import (
 // document), every intermediate containing it is empty too: the empty
 // subtree joins first and ranking terminates early — the remaining children
 // attach in pattern order, since ordering zero-row joins is pointless.
-func Greedy(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
-	return greedy(context.Background(), pat, est, model)
-}
 
 // Relative ranking factors. They express a priority order, not a
 // calibrated estimate: an index-probed predicate is assumed far more

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestGreedyPlansAreSortFreeAndAboveOptimal(t *testing.T) {
 	for pi, pat := range pats {
 		for seed := int64(0); seed < 10; seed++ {
 			est := skewedEstimator(t, pat, 555+100*int64(pi)+seed)
-			g, err := Greedy(pat, est, testModel())
+			g, err := Optimize(context.Background(), pat, est, testModel(), MethodGreedy, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,7 +34,7 @@ func TestGreedyPlansAreSortFreeAndAboveOptimal(t *testing.T) {
 			if err := g.Plan.Validate(pat, true); err != nil {
 				t.Fatalf("pattern %d: invalid plan: %v", pi, err)
 			}
-			dp, err := DP(pat, est, testModel())
+			dp, err := Optimize(context.Background(), pat, est, testModel(), MethodDP, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,14 +52,14 @@ func TestGreedySearchEffortConstant(t *testing.T) {
 	for _, src := range []string{"//a//b", "//a[.//b/c]//d", "//manager[.//employee/name]//manager/department/name"} {
 		pat := pattern.MustParse(src)
 		est := skewedEstimator(t, pat, 7)
-		g, err := Greedy(pat, est, testModel())
+		g, err := Optimize(context.Background(), pat, est, testModel(), MethodGreedy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := g.Counters.PlansConsidered, pat.NumEdges(); got != want {
 			t.Errorf("%s: PlansConsidered = %d, want %d (one join decision per edge)", src, got, want)
 		}
-		dp, err := DP(pat, est, testModel())
+		dp, err := Optimize(context.Background(), pat, est, testModel(), MethodDP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestGreedyJoinsMostSelectiveFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Greedy(pat, est, testModel())
+	g, err := Optimize(context.Background(), pat, est, testModel(), MethodGreedy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestGreedyEmptyLeafTerminatesEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Greedy(pat, est, testModel())
+	g, err := Optimize(context.Background(), pat, est, testModel(), MethodGreedy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

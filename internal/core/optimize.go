@@ -13,14 +13,42 @@ import (
 type Method int
 
 // The optimization algorithms of the paper (§3), plus the DPP′ ablation and
-// the statistics-free Greedy orderer (see greedy.go).
+// the statistics-free Greedy orderer. Optimize runs any of them.
 const (
+	// MethodDP is the exhaustive dynamic programming algorithm of §3.1:
+	// statuses are developed strictly level by level; every possible move
+	// from every status is considered, and for each distinct status only
+	// the cheapest way of reaching it is retained.
 	MethodDP Method = iota
+	// MethodDPP is Dynamic Programming with Pruning (§3.2): best-first
+	// expansion ordered by Cost+ubCost, pruning of statuses whose Cost
+	// reaches the best complete plan found so far, and the Lookahead Rule.
+	// Like DP it searches the whole space and returns an optimal plan,
+	// usually at a fraction of DP's optimization cost.
 	MethodDPP
+	// MethodDPPNoLookahead is DPP without the Lookahead Rule — the paper's
+	// DPP′ baseline used to measure the rule's effectiveness (Table 2).
 	MethodDPPNoLookahead
+	// MethodDPAPEB is Dynamic Programming with Aggressive Pruning using an
+	// Expansion Bound (§3.3.1): at most Options.Te statuses are expanded
+	// per level, and once a level saturates no earlier level is expanded
+	// again. The returned plan can be suboptimal.
 	MethodDPAPEB
+	// MethodDPAPLD is Dynamic Programming with Aggressive Pruning restricted
+	// to left-deep statuses (§3.3.2): at most one cluster may hold more than
+	// one pattern node (the growing node). The returned plan can be
+	// suboptimal — the paper's experiments show this is the weakest
+	// heuristic.
 	MethodDPAPLD
+	// MethodFP is the Fully-Pipelined algorithm (§3.4): only plans with no
+	// sort operators anywhere are considered. Theorem 3.1 guarantees such
+	// plans exist producing output ordered by any pattern node, so FP always
+	// succeeds; it returns the cheapest non-blocking plan. When the query
+	// names an OrderBy node, only plans ordered by it are considered, which
+	// shrinks the search further.
 	MethodFP
+	// MethodGreedy is the statistics-free greedy orderer of greedy.go: one
+	// pipelined plan built from pattern-visible signals, no search.
 	MethodGreedy
 )
 

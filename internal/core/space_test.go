@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -266,11 +267,11 @@ func TestLookaheadReducesGeneratedStatuses(t *testing.T) {
 	pat := figure1Pattern()
 	for seed := int64(0); seed < 5; seed++ {
 		est := skewedEstimator(t, pat, 2000+seed)
-		withLA, err := DPP(pat, est, testModel())
+		withLA, err := Optimize(context.Background(), pat, est, testModel(), MethodDPP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		withoutLA, err := DPPNoLookahead(pat, est, testModel())
+		withoutLA, err := Optimize(context.Background(), pat, est, testModel(), MethodDPPNoLookahead, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +318,7 @@ func TestFinalizeCostConsistency(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		pat := figure1Pattern()
 		est := skewedEstimator(t, pat, 5000+seed)
-		res, err := DPP(pat, est, testModel())
+		res, err := Optimize(context.Background(), pat, est, testModel(), MethodDPP, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -66,7 +67,7 @@ func TestDPPTraceReplaysFigure4Narrative(t *testing.T) {
 		t.Log("note: no dead statuses pruned after the first full plan (tiny search)")
 	}
 
-	dp, err := DP(pat, est, testModel())
+	dp, err := Optimize(context.Background(), pat, est, testModel(), MethodDP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

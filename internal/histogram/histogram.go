@@ -17,7 +17,6 @@
 package histogram
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -213,19 +212,6 @@ func (s *Stats) EstimateJoin(ta, tb xmltree.TagID, ax pattern.Axis) float64 {
 	s.memo.Store(&next)
 	s.memoMu.Unlock()
 	return v
-}
-
-// EstimateJoinName is EstimateJoin by tag names.
-func (s *Stats) EstimateJoinName(a, b string, ax pattern.Axis) (float64, error) {
-	ta, ok := s.tagByNm[a]
-	if !ok {
-		return 0, fmt.Errorf("histogram: unknown tag %q", a)
-	}
-	tb, ok := s.tagByNm[b]
-	if !ok {
-		return 0, fmt.Errorf("histogram: unknown tag %q", b)
-	}
-	return s.EstimateJoin(ta, tb, ax), nil
 }
 
 // Selectivity estimates the edge selectivity: estimated join pairs divided

@@ -150,15 +150,21 @@ func TestSelectivity(t *testing.T) {
 	}
 }
 
+// TestEstimateJoinName estimates a join by tag names: Lookup resolves each
+// name, and refuses one the document does not have.
 func TestEstimateJoinName(t *testing.T) {
 	d, _ := xmltree.ParseString(`<db><a><b/></a></db>`)
 	s := Build(d, 0)
-	if _, err := s.EstimateJoinName("a", "nosuch", pattern.Child); err == nil {
-		t.Fatal("unknown tag should error")
+	if _, ok := s.Lookup("nosuch"); ok {
+		t.Fatal("unknown tag resolved")
 	}
-	v, err := s.EstimateJoinName("a", "b", pattern.Child)
-	if err != nil || v <= 0 {
-		t.Fatalf("EstimateJoinName = %v, %v", v, err)
+	ta, okA := s.Lookup("a")
+	tb, okB := s.Lookup("b")
+	if !okA || !okB {
+		t.Fatal("document tags not resolved")
+	}
+	if v := s.EstimateJoin(ta, tb, pattern.Child); v <= 0 {
+		t.Fatalf("EstimateJoin(a, b) = %v", v)
 	}
 }
 

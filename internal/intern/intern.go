@@ -70,15 +70,6 @@ type Stats struct {
 	BytesSaved uint64
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 for an unused table.
-func (s Stats) HitRate() float64 {
-	n := s.Hits + s.Misses
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(n)
-}
-
 // Stats returns a snapshot of the table's counters.
 func (t *Table) Stats() Stats {
 	return Stats{

@@ -1,7 +1,7 @@
 package sjos
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 )
 
@@ -25,87 +25,9 @@ func resultsDB(t *testing.T) *Database {
 	return db
 }
 
-func TestFilterValueJoins(t *testing.T) {
-	db := resultsDB(t)
-	// Members who are also mentors: member/name value == mentor/name value.
-	res, err := db.Query("//db[.//member/name]//mentor/name", MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pattern nodes: db=0, member=1, name=2, mentor=3, name=4.
-	joined, err := db.FilterValueJoins(res.Matches, []ValueEq{{L: 2, R: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(joined) != 1 {
-		t.Fatalf("value join kept %d of %d matches, want 1", len(joined), len(res.Matches))
-	}
-	if db.Value(joined[0][2]) != "ann" {
-		t.Fatalf("joined member is %q", db.Value(joined[0][2]))
-	}
-	// No constraints: identity.
-	same, err := db.FilterValueJoins(res.Matches, nil)
-	if err != nil || len(same) != len(res.Matches) {
-		t.Fatalf("empty constraints changed results: %d vs %d (%v)", len(same), len(res.Matches), err)
-	}
-	// Out-of-range constraint.
-	if _, err := db.FilterValueJoins(res.Matches, []ValueEq{{L: 0, R: 99}}); err == nil {
-		t.Fatal("out-of-range constraint accepted")
-	}
-	if _, err := db.FilterValueJoins(res.Matches, []ValueEq{{L: -1, R: 0}}); err == nil {
-		t.Fatal("negative constraint accepted")
-	}
-}
-
-func TestQueryWhere(t *testing.T) {
-	db := resultsDB(t)
-	res, err := db.QueryWhere("//db[.//member/name]//mentor/name", MethodFP, []ValueEq{{L: 2, R: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 1 {
-		t.Fatalf("QueryWhere: %d matches", len(res.Matches))
-	}
-}
-
-func TestGroupByAndCountBy(t *testing.T) {
-	db := resultsDB(t)
-	res, err := db.Query("//team//member", MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := GroupBy(res.Matches, 0) // group members by team
-	if len(groups) != 2 {
-		t.Fatalf("%d groups, want 2", len(groups))
-	}
-	if len(groups[0].Matches) != 2 || len(groups[1].Matches) != 1 {
-		t.Fatalf("group sizes %d/%d, want 2/1", len(groups[0].Matches), len(groups[1].Matches))
-	}
-	// Keys are in document order: team alpha before team beta.
-	if groups[0].Key > groups[1].Key {
-		t.Fatal("groups not in document order")
-	}
-	counts := CountBy(res.Matches, 0)
-	if counts[groups[0].Key] != 2 || counts[groups[1].Key] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestAggregateNode(t *testing.T) {
-	db := resultsDB(t)
-	res, err := db.Query("//member/level", MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := db.AggregateNode(res.Matches, 1)
-	if agg.Count != 3 || agg.Numeric != 3 {
-		t.Fatalf("agg = %+v", agg)
-	}
-	if agg.Sum != 12 || agg.Min != 3 || agg.Max != 5 {
-		t.Fatalf("agg = %+v", agg)
-	}
-}
-
+// TestRenderMatch renders matches the way the CLIs print a row: one
+// AppendCell per pattern node, tag#id for a node without text and
+// tag="value" otherwise, quoted exactly as %q quotes.
 func TestRenderMatch(t *testing.T) {
 	db := resultsDB(t)
 	pat := MustParsePattern("//team[name]//member/name")
@@ -113,23 +35,50 @@ func TestRenderMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) == 0 {
-		t.Fatal("no matches")
+	if len(res.Matches) != 3 {
+		t.Fatalf("%d matches, want 3", len(res.Matches))
 	}
-	s := db.RenderMatch(pat, res.Matches[0])
-	for _, want := range []string{"team", "member", "name ="} {
-		if !strings.Contains(s, want) {
-			t.Errorf("RenderMatch missing %q:\n%s", want, s)
+	for _, m := range res.Matches {
+		var got, want []byte
+		for u, id := range m {
+			got = AppendCell(got, pat.Nodes[u].Tag, db.Value(id), id)
+			if v := db.Value(id); v != "" {
+				want = fmt.Appendf(want, "%s=%q", pat.Nodes[u].Tag, v)
+			} else {
+				want = fmt.Appendf(want, "%s#%d", pat.Nodes[u].Tag, id)
+			}
+		}
+		if string(got) != string(want) {
+			t.Errorf("row %q, want %q", got, want)
+		}
+	}
+	for _, v := range []string{"plain", `say "hi"`, `back\slash`, "tab\tnew\nline", "é", "\x7f"} {
+		if got, want := string(AppendCell(nil, "v", v, 7)), fmt.Sprintf("v=%q", v); got != want {
+			t.Errorf("AppendCell(%q) = %s, want %s", v, got, want)
 		}
 	}
 }
 
+// TestEvalPredicateFacade holds the value-predicate semantics a pattern
+// carries: a numeric comparison when both sides parse as numbers, so 9 >= 10
+// fails although it holds between strings, and a string comparison
+// otherwise, so "abc" >= "10" holds.
 func TestEvalPredicateFacade(t *testing.T) {
-	p := MustParsePattern(`//x[. >= 10]`)
-	if !EvalPredicate("11", p.Nodes[0].Op, p.Nodes[0].Value) {
-		t.Fatal("11 >= 10 should hold")
+	db, err := LoadXMLString(`<r><x>11</x><x>9</x><x>100</x><x>abc</x></r>`, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if EvalPredicate("9", p.Nodes[0].Op, p.Nodes[0].Value) {
-		t.Fatal("9 >= 10 should not hold")
+	for _, m := range []Method{MethodDPP, MethodGreedy} {
+		res, err := db.Query(`//r/x[. >= 10]`, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, match := range res.Matches {
+			got = append(got, db.Value(match[1]))
+		}
+		if fmt.Sprint(got) != "[11 100 abc]" {
+			t.Errorf("%v: x >= 10 matched %q, want [11 100 abc]", m, got)
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
 	"sjos/internal/storage"
-	"sjos/internal/twigjoin"
 	"sjos/internal/xmltree"
 )
 
@@ -382,18 +381,6 @@ func (db *Database) AdmissionStats() AdmissionStats { return db.svc.admit.Stats(
 // there is no admission barrier and Drain returns immediately; it is the
 // graceful-exit step for servers built with one (see cmd/xqserve).
 func (db *Database) Drain(ctx context.Context) error { return db.svc.admit.Drain(ctx) }
-
-// TwigStack evaluates pat with the holistic twig join (the multi-way
-// alternative of Bruno et al. that the paper cites as future work), for
-// comparison against the structural-join plans.
-func (db *Database) TwigStack(pat *Pattern) ([]Match, error) {
-	ms, _, err := twigjoin.Run(db.eng.view().doc, pat)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match(m)
-	}
-	return out, err
-}
 
 // QueryResult is the outcome of a one-shot Query call: the matches plus
 // the planned-query report (Plan, PlanText, EstCost, CachedPlan,

@@ -1,6 +1,7 @@
 package sjos
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -83,22 +84,6 @@ func TestQueryWithValuePredicate(t *testing.T) {
 	}
 	if db.Value(res.Matches[0][2]) != "bob" {
 		t.Fatalf("matched %q", db.Value(res.Matches[0][2]))
-	}
-}
-
-func TestTwigStackFacadeAgrees(t *testing.T) {
-	db := openDB(t)
-	src := "//manager[.//employee/name]//department/name"
-	qr, err := db.Query(src, MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := db.TwigStack(MustParsePattern(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tw) != len(qr.Matches) {
-		t.Fatalf("TwigStack %d matches, plans %d", len(tw), len(qr.Matches))
 	}
 }
 
@@ -254,29 +239,37 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestPreparedQueries holds the explicit form of a prepared query: a plan
+// optimized once runs repeatedly, materialising or counting, to the same
+// result.
 func TestPreparedQueries(t *testing.T) {
 	db := openDB(t)
-	p, err := db.Prepare("//manager//employee/name", MethodDPP)
+	pat, err := ParsePattern("//manager//employee/name")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.EstCost <= 0 || p.Plan() == nil || p.Pattern().N() != 3 {
-		t.Fatalf("prepared metadata: %+v", p)
+	opt, err := db.Optimize(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if opt.Cost <= 0 || opt.Plan == nil {
+		t.Fatalf("optimize result: %+v", opt)
+	}
+	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		ms, _, err := p.Execute()
+		res, err := db.Run(ctx, pat, opt.Plan, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ms) != 3 {
-			t.Fatalf("execution %d: %d matches", i, len(ms))
+		if len(res.Matches) != 3 {
+			t.Fatalf("execution %d: %d matches", i, len(res.Matches))
 		}
-		n, _, err := p.Count()
-		if err != nil || n != 3 {
-			t.Fatalf("count %d: %d, %v", i, n, err)
+		res, err = db.Run(ctx, pat, opt.Plan, RunOptions{CountOnly: true})
+		if err != nil || res.Count != 3 {
+			t.Fatalf("count %d: %d, %v", i, res.Count, err)
 		}
 	}
-	if _, err := db.Prepare("///", MethodDPP); err == nil {
+	if _, err := ParsePattern("///"); err == nil {
 		t.Fatal("bad pattern accepted")
 	}
 }
