@@ -190,40 +190,6 @@ func TestValueIndexPlanAndStats(t *testing.T) {
 	}
 }
 
-// TestNoValueIndexDatabaseOption checks the build-time escape hatch: a
-// database built with Options.NoValueIndex never probes, even when queries
-// don't ask for the per-query hatch, and still answers correctly.
-func TestNoValueIndexDatabaseOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	doc := randomValueXML(rng, 300, []string{"a", "b", "c"})
-	ref, err := LoadXMLString(doc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := LoadXMLString(doc, &Options{NoValueIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := db.ContentStats(); cs.ValueIndexed {
-		t.Fatal("NoValueIndex database built a value index")
-	}
-	pat := MustParsePattern(`//a[b < "7"]`)
-	want, err := ref.QueryPattern(pat, MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.QueryPattern(pat, MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Exec.ValueProbes != 0 {
-		t.Fatalf("unindexed database reported %d probes", got.Exec.ValueProbes)
-	}
-	if !equalStrings(canonicalize(got.Matches), canonicalize(want.Matches)) {
-		t.Fatalf("unindexed database disagrees: %d vs %d matches", len(got.Matches), len(want.Matches))
-	}
-}
-
 // allocsBudgetBatchedProbe bounds allocations per batched value-probe
 // query (optimize cached, CountOnly). Measured ~1.1k/op, against ~6.7k
 // for the same query tuple-at-a-time; the budget leaves >2x headroom for

@@ -19,17 +19,16 @@ import (
 	"sjos/internal/pattern"
 	"sjos/internal/replica"
 	"sjos/internal/shardring"
+	"sjos/internal/storage"
 	"sjos/internal/xmltree"
 )
 
 // CorpusOptions configures corpus construction. Of the embedded Options,
-// the storage settings apply per shard (pool size, histogram grid, retry
-// policy, value index) and the service settings to the corpus as a whole
-// (cost model, plan-cache capacity; MaxInFlight and QueueDepth bound
+// PoolFrames applies per replica store and the service settings to the
+// corpus as a whole (the cost model; MaxInFlight and QueueDepth bound
 // concurrent queries and writes across the whole corpus — the corpus is the
-// admission boundary). DiskPath names a path prefix from which each shard
-// derives its own image file ("<path>.shard-NNN"). Options.PageFile is
-// ignored; use ShardPageFile and ShardWALFile to inject per-shard files.
+// admission boundary). Options.PageFile is ignored; use ShardPageFile and
+// ShardWALFile to inject per-shard files.
 type CorpusOptions struct {
 	Options
 
@@ -53,9 +52,9 @@ type CorpusOptions struct {
 	// replica (<= 0 selects the internal/replica default, 500ms).
 	ReplicaProbeInterval time.Duration
 	// ShardPageFile, when non-nil, supplies the page file each replica of
-	// each shard's store is built on — the injection point for per-replica
-	// fault wrappers (chaos testing a single failing replica) and
-	// alternative backends. It takes precedence over DiskPath.
+	// each shard's store is built on (a nil file: memory) — disk files from
+	// CreatePageFile, per-replica fault wrappers (chaos testing a single
+	// failing replica) and alternative backends.
 	ShardPageFile func(shard, replica int) PageFile
 
 	// ShardWALFile, when non-nil, enables the corpus write path: every ring
@@ -219,8 +218,8 @@ func (cs *corpusState) hedgeDelay() time.Duration {
 // stores its documents as one forest (reusing the paged, checksummed
 // store and all indexes), and queries scatter across shards and gather in
 // document order. The Corpus is the primary entry point for multi-document
-// workloads and the only writable facade (CorpusOptions.ShardWALFile);
-// Database remains the read-only single-document surface.
+// workloads and the only writable facade (CorpusOptions.ShardWALFile); a
+// Database is the read-only one-document corpus of the paper's setup.
 //
 // Plans are optimized once per query against corpus-wide merged statistics
 // and executed unchanged on every shard — correct because no structural
@@ -348,8 +347,7 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		groups[s] = append(groups[s], seedDoc{id: id, doc: b.docs[gi]})
 	}
 
-	cfg := b.opts.engineConfig()
-	cfg.compactThr = b.opts.CompactThreshold
+	cfg := engineConfig{poolFrames: b.opts.PoolFrames, compactThr: b.opts.CompactThreshold}
 	if cfg.compactThr == 0 {
 		cfg.compactThr = DefaultCompactThreshold
 	}
@@ -372,9 +370,12 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		}
 		files[s] = &shardFiles{}
 		for r := 0; r < replicas; r++ {
-			file, err := b.shardFile(s, r)
-			if err != nil {
-				return nil, fmt.Errorf("sjos: building shard %d replica %d: %w", s, r, err)
+			var file PageFile
+			if b.opts.ShardPageFile != nil {
+				file = b.opts.ShardPageFile(s, r)
+			}
+			if file == nil {
+				file = storage.NewMemFile()
 			}
 			files[s].stores = append(files[s].stores, file)
 		}
@@ -383,11 +384,11 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		}
 	}
 
-	// Every shard is a forest engine, written through or not: the primary
-	// owns the shard's log when the corpus has a write path (a read-only
-	// shard has none), and a follower copies the primary's live members —
-	// which after a WAL recovery are not the builder's — without a log of its
-	// own.
+	// Every shard is one engine per replica, written through or not: the
+	// primary owns the shard's log when the corpus has a write path (a
+	// read-only shard has none), and a follower copies the primary's live
+	// members — which after a WAL recovery are not the builder's — without a
+	// log of its own.
 	buildShard := func(s int) (*corpusShard, error) {
 		sh := &corpusShard{id: s}
 		for r, file := range files[s].stores {
@@ -395,11 +396,19 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 			if r > 0 {
 				seeds, wal = sh.meta().liveDocs(), nil
 			}
-			eng, err := newForestEngine(seeds, wal, file, cfg)
+			eng, err := newEngine(seeds, wal, file, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("sjos: building shard %d replica %d: %w", s, r, err)
 			}
 			sh.replicas = append(sh.replicas, &corpusReplica{eng: eng, health: replica.NewTracker(repCfg)})
+		}
+		if !writable {
+			// Nothing will stage, log or compact a member again, and the
+			// followers have copied theirs: the forests are the only copy
+			// kept.
+			for _, rep := range sh.replicas {
+				rep.eng.release()
+			}
 		}
 		return sh, nil
 	}
@@ -456,23 +465,6 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	c := &Corpus{corpusState: cs}
 	c.refreshStats()
 	return c, nil
-}
-
-// shardFile resolves the page file one replica's store lives on: an
-// injected ShardPageFile, a disk file derived from DiskPath, or memory.
-func (b *CorpusBuilder) shardFile(s, r int) (PageFile, error) {
-	var o Options
-	if b.opts.ShardPageFile != nil {
-		o.PageFile = b.opts.ShardPageFile(s, r)
-	} else if b.opts.DiskPath != "" {
-		// Replica 0 keeps the PR 7 path layout so existing images stay
-		// addressable; extra replicas get their own files.
-		o.DiskPath = fmt.Sprintf("%s.shard-%03d", b.opts.DiskPath, s)
-		if r > 0 {
-			o.DiskPath = fmt.Sprintf("%s.r%d", o.DiskPath, r)
-		}
-	}
-	return storeFile(&o)
 }
 
 // refreshStats re-merges the corpus-wide statistics from every shard's
@@ -598,9 +590,8 @@ func (c *Corpus) Value(docID string, id NodeID) (string, bool) {
 // WithParallelism returns a derived handle whose queries execute each
 // shard's plan through the partition-parallel driver with k workers, on top
 // of the cross-shard scatter (total concurrency ≈ scatter workers × k).
-// k <= 0 selects runtime.GOMAXPROCS(0). Like Database.WithParallelism, the
-// derived handle shares all corpus state — plan cache, statistics, metrics
-// and admission control.
+// k <= 0 selects runtime.GOMAXPROCS(0). The derived handle shares all
+// corpus state — plan cache, statistics, metrics and admission control.
 func (c *Corpus) WithParallelism(k int) *Corpus {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
@@ -615,8 +606,8 @@ func (c *Corpus) Parallelism() int { return c.parallelism }
 // Optimize picks a plan for pat against the corpus-wide merged statistics
 // (summed tag counts and join estimates over all shards — exact at the
 // corpus level because joins never cross shards). The chosen plan executes
-// unchanged on every shard. Like Database.Optimize it bypasses the plan
-// cache; cached optimization is the QueryContext path.
+// unchanged on every shard. It bypasses the plan cache, so repeated calls
+// measure real search effort; cached optimization is the QueryContext path.
 func (c *Corpus) Optimize(pat *Pattern, m Method, te int) (*OptimizeResult, error) {
 	return c.OptimizeContext(context.Background(), pat, m, te)
 }
@@ -711,14 +702,26 @@ type CorpusRunResult struct {
 var errCorpusLimit = errors.New("sjos: corpus limit satisfied")
 
 // Run executes one plan on every populated shard and gathers the results
-// in document order. Like Database.Run it is the resilience boundary: the
-// service's read envelope (admission control, metrics observation, panic
-// recovery) wraps the scatter. Within the scatter, min(#populated shards,
-// GOMAXPROCS) shards execute concurrently (each serial or partition-parallel per
-// WithParallelism / opts.Workers); the first shard error cancels the rest
-// and Run returns that error with no partial results, and under
+// in document order. It is the single execution entry point: limits,
+// count-only projection, per-operator tracing and serial versus
+// partition-parallel mode are all RunOptions, and every mode observes ctx —
+// cancelling it makes Run return promptly with ctx's error (index scans,
+// buffer-pool retry waits and output loops poll it). A nil ctx is
+// context.Background(). Within the scatter, min(#populated shards,
+// GOMAXPROCS) shards execute concurrently (each serial or partition-parallel
+// per WithParallelism / opts.Workers); the first shard error cancels the
+// rest and Run returns that error with no partial results, and under
 // opts.Limit the remaining shards are cancelled as soon as a document-order
 // prefix of gathered results satisfies the limit.
+//
+// Run is also the resilience boundary. When the corpus was built with an
+// in-flight limit (Options.MaxInFlight) each call first claims an admission
+// slot, waiting in the bounded queue; past the queue it fails fast with
+// ErrOverloaded, and after Drain began with ErrShuttingDown. A panic
+// anywhere under Run is recovered into a *PanicError (stack attached,
+// counted in metrics and recorded in the slow-query ring) instead of
+// crashing the process. Every Run is observed by the metrics registry
+// (queries served, in-flight gauge, latency histogram; see Metrics).
 func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
 	res, err := c.run(ctx, pat, p, opts)
 	if err == nil && !opts.CountOnly {
@@ -728,20 +731,38 @@ func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions
 }
 
 // run is Run without the []CorpusMatch view: the scatter inside the read
-// envelope, its result carrying Segments only.
-func (c *Corpus) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
-	var res *CorpusRunResult
-	err := c.svc.read(ctx, pat, func(ctx context.Context) (*ExecStats, error) {
-		var err error
-		if res, err = c.scatter(ctx, pat, p, opts); err != nil {
-			return nil, err
-		}
-		return &res.Stats, nil
-	})
+// envelope, its result carrying Segments only. The envelope claims an
+// admission slot, observes the run in the metrics registry and recovers a
+// panic anywhere under the scatter into a *PanicError.
+func (c *Corpus) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (res *CorpusRunResult, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	s := c.svc
+	release, err := s.admit.Acquire(ctx)
 	if err != nil {
+		// Shed load before it becomes work: rejected queries never reach
+		// the metrics' served/latency counters (they have no execution to
+		// measure); admission keeps its own rejected/queued counters.
 		return nil, err
 	}
-	return res, nil
+	defer release()
+	s.metrics.QueryStarted()
+	t0 := time.Now()
+	defer func() {
+		if perr := exec.RecoverPanic(recover()); perr != nil {
+			res, err = nil, perr
+			s.recordPanic(pat, perr)
+		}
+		s.metrics.QueryFinished(time.Since(t0), err)
+		if res != nil {
+			s.metrics.ExecBatched(res.Stats.Batches, res.Stats.SkippedTuples)
+		}
+	}()
+	if hook := s.testHookRun; hook != nil {
+		hook()
+	}
+	return c.scatter(ctx, pat, p, opts)
 }
 
 // rowRange is a half-open run of rows [lo, hi) of a match set.
@@ -854,22 +875,29 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 		checkLimit()
 	}
 
-	workers := min(len(live), runtime.GOMAXPROCS(0))
-	jobs := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for si := range jobs {
-				runShard(si)
-			}
-		}()
+	if workers := min(len(live), runtime.GOMAXPROCS(0)); workers == 1 {
+		// One worker — a Database's one shard, say — runs on the calling
+		// goroutine: a hand-off would only add a scheduling hop.
+		for _, si := range live {
+			runShard(si)
+		}
+	} else {
+		jobs := make(chan int)
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for si := range jobs {
+					runShard(si)
+				}
+			}()
+		}
+		for _, si := range live {
+			jobs <- si
+		}
+		close(jobs)
+		wg.Wait()
 	}
-	for _, si := range live {
-		jobs <- si
-	}
-	close(jobs)
-	wg.Wait()
 
 	if firstErr != nil {
 		return nil, firstErr
@@ -1098,7 +1126,8 @@ func (c *Corpus) Query(src string, m Method) (*CorpusQueryResult, error) {
 
 // QueryContext parses src, optimizes it (through the corpus plan cache,
 // unless opts.NoCache) and scatter-executes the chosen plan, observing ctx
-// in both phases. Options are exactly Database.QueryContext's.
+// in both phases: cancellation aborts the optimizer search or the execution,
+// whichever is running, and QueryContext returns ctx's error.
 func (c *Corpus) QueryContext(ctx context.Context, src string, opts QueryOptions) (*CorpusQueryResult, error) {
 	pat, err := ParsePattern(src)
 	if err != nil {
@@ -1118,7 +1147,9 @@ func (c *Corpus) QuerySegments(ctx context.Context, src string, opts QueryOption
 	return c.queryPattern(ctx, pat, opts)
 }
 
-// QueryPatternContext is QueryContext for an already-built pattern.
+// QueryPatternContext is QueryContext for an already-built pattern. When a
+// slow-query log is configured the query runs with per-operator tracing so a
+// threshold-crossing entry can attribute its time.
 func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
 	res, err := c.queryPattern(ctx, pat, opts)
 	if err == nil {
@@ -1127,23 +1158,46 @@ func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts Que
 	return res, err
 }
 
-// queryPattern optimizes pat through the plan cache and scatter-executes
-// the chosen plan; the result carries Segments only.
+// queryPattern is the one planned-query core: optimize pat through the plan
+// cache, scatter-execute the chosen plan through the read envelope, then
+// apply the slow-query policy. The result carries Segments only.
 func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
-	res := &CorpusQueryResult{}
-	var err error
-	res.planned, err = c.svc.query(ctx, pat, c.model, c.probe, opts, func(p *Plan, eo ExecOptions) (int, ExecStats, *OpTrace, error) {
-		rr, err := c.run(ctx, pat, p, RunOptions{ExecOptions: eo})
-		if err != nil {
-			return 0, ExecStats{}, nil, err
-		}
-		res.Segments, res.Count, res.ShardsQueried = rr.Segments, rr.Count, rr.ShardsQueried
-		return rr.Count, rr.Stats, rr.Trace, nil
-	})
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	thr, slowFn := c.svc.slow.config()
+	t0 := time.Now()
+	res, cached, err := c.svc.optimizePattern(ctx, pat, c.model, c.probe, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	optTime := time.Since(t0)
+	t1 := time.Now()
+	ro := RunOptions{ExecOptions: opts.ExecOptions}
+	ro.Trace = opts.Trace || thr > 0
+	rr, err := c.run(ctx, pat, res.Plan, ro)
+	if err != nil {
+		return nil, fmt.Errorf("sjos: executing %v plan: %w", opts.Method, err)
+	}
+	execTime := time.Since(t1)
+	c.svc.maybeLogSlow(pat, opts.Method, thr, slowFn, optTime, execTime, rr.Count, rr.Stats, rr.Trace, cached)
+	return &CorpusQueryResult{
+		Segments:      rr.Segments,
+		Count:         rr.Count,
+		ShardsQueried: rr.ShardsQueried,
+		planned: planned{
+			Plan:            res.Plan,
+			PlanText:        res.Plan.Format(pat),
+			EstCost:         res.Cost,
+			Algorithm:       res.Algorithm,
+			CachedPlan:      cached,
+			OptimizeTime:    optTime,
+			ExecuteTime:     execTime,
+			PlansConsidered: res.Counters.PlansConsidered,
+			Exec:            rr.Stats,
+			Trace:           rr.Trace,
+		},
+	}, nil
 }
 
 // ReplicaHealth is one replica's health snapshot inside a ShardHealth.
@@ -1244,14 +1298,19 @@ func (c *Corpus) CacheStats() CacheStats { return c.svc.cache.Stats() }
 // AdmissionStats returns the corpus admission controller's counters.
 func (c *Corpus) AdmissionStats() AdmissionStats { return c.svc.admit.Stats() }
 
-// Drain flips the corpus into shutdown: queries arriving after Drain
-// begins fail fast with ErrShuttingDown, and Drain returns once every
-// in-flight query has finished (see Database.Drain).
+// Drain flips the corpus into shutdown: queries and mutations arriving
+// after Drain begins fail fast with ErrShuttingDown, and Drain returns once
+// every in-flight one has finished — or ctx's error if they have not by then
+// (calling Drain again resumes waiting). Without a configured MaxInFlight
+// there is no admission barrier and Drain returns immediately; it is the
+// graceful-exit step for servers built with one (see cmd/xqserve).
 func (c *Corpus) Drain(ctx context.Context) error { return c.svc.admit.Drain(ctx) }
 
 // RebuildStats recomputes every shard's histogram parts from their
-// documents and re-merges them into fresh corpus-wide statistics,
-// invalidating the corpus plan cache (see Database.RebuildStats).
+// documents and re-merges them into fresh corpus-wide statistics — the
+// ground truth the incrementally maintained statistics must match — and
+// invalidates the plan cache. Plans optimized before the rebuild remain
+// executable; they are simply no longer served from the cache.
 func (c *Corpus) RebuildStats() {
 	c.svc.wmu.Lock()
 	defer c.svc.wmu.Unlock()
@@ -1263,8 +1322,13 @@ func (c *Corpus) RebuildStats() {
 	c.refreshStats()
 }
 
-// SetSlowQueryLog configures the corpus's slow-query log (see
-// Database.SetSlowQueryLog).
+// SetSlowQueryLog configures the corpus's slow-query log: every
+// QueryContext / QueryPatternContext / QuerySegments call whose total latency
+// reaches threshold is recorded in an in-memory ring (see SlowQueries) and
+// reported to fn, if non-nil. While a threshold is active those queries run
+// with per-operator tracing enabled so the log can attribute the time; that
+// instrumentation costs a few percent per query. threshold <= 0 disables the
+// log.
 func (c *Corpus) SetSlowQueryLog(threshold time.Duration, fn func(SlowQueryEntry)) {
 	c.svc.slow.mu.Lock()
 	c.svc.slow.threshold = threshold
@@ -1273,7 +1337,7 @@ func (c *Corpus) SetSlowQueryLog(threshold time.Duration, fn func(SlowQueryEntry
 }
 
 // SlowQueries returns the corpus's most recent slow-query log entries,
-// oldest first.
+// oldest first (at most 32 are retained).
 func (c *Corpus) SlowQueries() []SlowQueryEntry { return c.svc.slow.entries() }
 
 // Metrics returns a corpus-level observability snapshot: query counters,

@@ -625,6 +625,55 @@ func TestCorpusStaticHasNoWritePath(t *testing.T) {
 	}
 }
 
+// TestCorpusReadOnlyReleasesMembers: after Build, no engine of a read-only
+// corpus — primary or follower — keeps a member document beside its forest,
+// while every engine of a writable corpus keeps them for staging, logging and
+// compaction. RebuildStats on the released corpus leaves the plans alone.
+func TestCorpusReadOnlyReleasesMembers(t *testing.T) {
+	docs := func(c *Corpus) (held, members int) {
+		for _, sh := range c.shards {
+			if sh == nil {
+				continue
+			}
+			for _, rep := range sh.replicas {
+				for _, m := range rep.eng.members {
+					members++
+					if m.doc != nil {
+						held++
+					}
+				}
+			}
+		}
+		return held, members
+	}
+	ids, xdocs := corpusFixtureDocs(t, 4)
+	ro := buildTestCorpus(t, ids, xdocs, &CorpusOptions{Shards: 2, ReplicasPerShard: 2})
+	if held, members := docs(ro); members != 8 || held != 0 {
+		t.Fatalf("read-only corpus holds %d of %d member documents, want 0 of 8", held, members)
+	}
+	pat := MustParsePattern(`//article//author`)
+	before, err := ro.Optimize(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.RebuildStats()
+	after, err := ro.Optimize(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Cost != before.Cost || after.Plan.Format(pat) != before.Plan.Format(pat) {
+		t.Fatalf("RebuildStats over released members moved the plan: %v -> %v", before.Cost, after.Cost)
+	}
+	rw := buildTestCorpus(t, ids, xdocs, &CorpusOptions{
+		Shards:           2,
+		ReplicasPerShard: 2,
+		ShardWALFile:     func(int) PageFile { return NewMemPageFile() },
+	})
+	if held, members := docs(rw); members != 8 || held != 8 {
+		t.Fatalf("writable corpus holds %d of %d member documents, want 8 of 8", held, members)
+	}
+}
+
 // TestIngestRecoveryAfterCompaction: a compaction re-logs the live members
 // as a fresh base snapshot, and recovery replays from it — the snapshot,
 // then the writes made after it.

@@ -9,7 +9,9 @@ package sjos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -371,16 +373,28 @@ func TestCorpusReplicaRebuildStatsRace(t *testing.T) {
 }
 
 // TestCorpusReplicaDiskPaths checks that every replica of a disk-backed
-// shard gets its own image file: replica 0 keeps the PR 7 layout, extra
-// replicas get a .rN suffix.
+// shard gets its own image file: ShardPageFile is asked once per (shard,
+// replica), and the corpus laid down on those files answers like standalone
+// databases.
 func TestCorpusReplicaDiskPaths(t *testing.T) {
 	ids, docs := corpusFixtureDocs(t, 2)
 	dir := t.TempDir()
+	calls := map[[2]int]int{}
 	c := buildTestCorpus(t, ids, docs, &CorpusOptions{
 		Shards:           1,
 		ReplicasPerShard: 2,
-		Options:          Options{DiskPath: dir + "/corpus.img"},
+		ShardPageFile: func(s, r int) PageFile {
+			calls[[2]int{s, r}]++
+			f, err := CreatePageFile(fmt.Sprintf("%s/corpus.img.shard-%03d.r%d", dir, s, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		},
 	})
+	if want := map[[2]int]int{{0, 0}: 1, {0, 1}: 1}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("ShardPageFile calls = %v, want %v", calls, want)
+	}
 	pat := MustParsePattern(`//article//author`)
 	want := standaloneResults(t, ids, docs, pat)
 	res, err := c.Query(`//article//author`, MethodDPP)
@@ -390,9 +404,10 @@ func TestCorpusReplicaDiskPaths(t *testing.T) {
 	if !sameCorpusMatches(res.Matches, want) {
 		t.Fatal("disk-backed replica corpus result differs")
 	}
-	for _, p := range []string{dir + "/corpus.img.shard-000", dir + "/corpus.img.shard-000.r1"} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("replica image %s missing: %v", p, err)
+	for r := 0; r < 2; r++ {
+		p := fmt.Sprintf("%s/corpus.img.shard-000.r%d", dir, r)
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("replica image %s missing or empty: %v", p, err)
 		}
 	}
 }

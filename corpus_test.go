@@ -483,25 +483,6 @@ func TestCorpusAccessors(t *testing.T) {
 	}
 }
 
-// TestCorpusSingleDocument: a one-document corpus answers exactly as the
-// standalone database over the same document, in its node numbering.
-func TestCorpusSingleDocument(t *testing.T) {
-	ids, docs := corpusFixtureDocs(t, 1)
-	c := buildTestCorpus(t, ids, docs, nil)
-	if c.NumDocs() != 1 || c.NumShards() != 1 {
-		t.Fatalf("docs=%d shards=%d", c.NumDocs(), c.NumShards())
-	}
-	pat := MustParsePattern(`//article//author`)
-	want := standaloneResults(t, ids, docs, pat)
-	got, err := c.Query(pat.String(), MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count != len(want) || !sameCorpusMatches(got.Matches, want) {
-		t.Fatalf("one-document corpus: %d matches, standalone database %d", got.Count, len(want))
-	}
-}
-
 func TestCorpusBuilderErrors(t *testing.T) {
 	b := NewCorpusBuilder(nil)
 	if _, err := b.Build(); err == nil {

@@ -38,8 +38,9 @@
 // them, and QuerySegments skips building it for callers that stream.
 //
 // A corpus answers exactly as the concatenation of standalone
-// per-document databases: Database and Corpus are two facades over the same
-// storage engine and query service.
+// per-document databases — and a Database is exactly that: a read-only,
+// one-shard corpus whose only member is its document, reporting rows in the
+// document's own node numbering.
 //
 // # Writes
 //

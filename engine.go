@@ -12,17 +12,15 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// The storage engine: the one object that owns a stored document — behind a
-// Database (a static engine), and behind every replica of every Corpus shard
-// (a forest engine). It holds the published snapshot, executes plans against
-// a pinned snapshot, keeps the histogram parts statistics are merged from,
-// and (for a forest engine) runs the commit protocol. It holds nothing a
-// query service needs — no plan cache, metrics, admission or merged
-// statistics; those are one per facade (see service).
+// The storage engine: the one object that owns stored documents — one per
+// replica of every Corpus shard (a Database is a one-shard corpus). It holds
+// the published snapshot, executes plans against a pinned snapshot, keeps the
+// histogram parts statistics are merged from, and runs the commit protocol.
+// It holds nothing a query service needs — no plan cache, metrics, admission
+// or merged statistics; those are one per corpus (see service).
 //
-// A forest engine stores its documents as members of an appendable forest,
-// one store segment per member, and every mutation follows one commit
-// protocol:
+// An engine stores its documents as members of an appendable forest, one
+// store segment per member, and every mutation follows one commit protocol:
 //
 //  1. Stage: the new member is serialised into sealed pages without touching
 //     the store file (deletes stage nothing — they only flip a segment dead).
@@ -52,17 +50,15 @@ import (
 // continue on the last published snapshot, and rebuilding the corpus from
 // its logs recovers the exact committed state.
 
-// dbSnap is one immutable (document, store) version of an engine. A static
-// engine has exactly one; a forest engine publishes a fresh snapshot per
-// committed mutation, and every query pins one snapshot for its whole run —
-// readers never observe a half-applied write.
+// dbSnap is one immutable (document, store) version of an engine. An engine
+// publishes a fresh snapshot per committed mutation, and every query pins one
+// snapshot for its whole run — readers never observe a half-applied write.
 type dbSnap struct {
 	doc   *xmltree.Document
 	store *storage.Store
 	// members lists a forest's live member documents in node-range order, and
 	// memberIdx finds one by ID: the membership view consistent with exactly
-	// this store version (the corpus demux depends on that). A static
-	// engine's snapshot has none.
+	// this store version (the corpus demux depends on that).
 	members   []memberView
 	memberIdx map[string]int
 }
@@ -73,13 +69,12 @@ type memberView struct {
 	span xmltree.DocSpan
 }
 
-// memberState is the engine's bookkeeping for one independently-statted
-// document: the standalone document (statistics and snapshot re-logging need
-// it), its node span, its segment index in the store, and its statistics
-// part. A forest engine has one per member; dead members stay in the table
-// (spans stay allocated until compaction) but leave every published view. A
-// static engine has exactly one, holding its whole stored document and that
-// document's statistics.
+// memberState is the engine's bookkeeping for one member document: the
+// standalone document (staging, re-logging and statistics rebuilds need it;
+// nil once a read-only corpus has released it, see release), its node span,
+// its segment index in the store, and its statistics part. Dead members stay
+// in the table (spans stay allocated until compaction) but leave every
+// published view.
 type memberState struct {
 	id   string
 	doc  *xmltree.Document
@@ -90,23 +85,11 @@ type memberState struct {
 }
 
 // engineConfig is the construction-time settings an engine builds its
-// stores with; compaction and recovery rebuilds reuse them. compactThr is a
-// forest engine's (see CorpusOptions.CompactThreshold).
+// stores with; compaction and recovery rebuilds reuse them (see
+// CorpusOptions.CompactThreshold).
 type engineConfig struct {
-	grid       int
 	poolFrames int
-	sopts      storage.StoreOptions
-	retry      RetryPolicy
 	compactThr float64
-}
-
-func (o *Options) engineConfig() engineConfig {
-	return engineConfig{
-		grid:       o.HistogramGrid,
-		poolFrames: o.PoolFrames,
-		sopts:      storage.StoreOptions{NoValueIndex: o.NoValueIndex},
-		retry:      o.Retry,
-	}
 }
 
 type engine struct {
@@ -116,13 +99,13 @@ type engine struct {
 	engineConfig
 
 	// Everything below is the write path's state. The engine does no locking
-	// of its own: the owning facade's write lock (service.wmu) guards it —
+	// of its own: the owning corpus's write lock (service.wmu) guards it —
 	// single writer; readers never touch it, they use the published snapshot.
 
 	// wal is the durable log, and an engine with one is the only kind a
-	// facade writes through. nil on static engines, on the shards of a
-	// read-only corpus, and on corpus replica followers, which apply the
-	// primary's already-committed mutations without logging.
+	// corpus writes through. nil on the shards of a read-only corpus, and on
+	// replica followers, which apply the primary's already-committed
+	// mutations without logging.
 	wal *storage.WAL
 	// forest is the appendable document mutations extend.
 	forest *xmltree.Document
@@ -146,34 +129,21 @@ type engine struct {
 // returned pair.
 func (e *engine) view() *dbSnap { return e.snap.Load() }
 
-// seedDoc is one (ID, document) pair a fresh forest engine starts with.
+// seedDoc is one (ID, document) pair a fresh engine starts with.
 type seedDoc struct {
 	id  string
 	doc *xmltree.Document
 }
 
-// newStaticEngine stores doc on file, read-only, in the document's own node
-// numbering, with statistics kept for doc as a whole.
-func newStaticEngine(doc *xmltree.Document, file PageFile, cfg engineConfig) (*engine, error) {
-	store, err := storage.BuildStoreOn(file, doc, cfg.poolFrames, cfg.sopts)
-	if err != nil {
-		return nil, err
-	}
-	e := &engine{engineConfig: cfg}
-	e.setRetry(store)
-	e.members = []*memberState{{doc: doc, part: histogram.Build(doc, cfg.grid)}}
-	e.snap.Store(&dbSnap{doc: doc, store: store})
-	return e, nil
-}
-
-// newForestEngine builds a corpus shard's engine on the (fresh) store file.
+// newEngine builds a corpus shard's engine on the (fresh) store file.
 // With an empty WAL the seeds become the initial members and the log is
 // seeded with a base snapshot holding them; with a non-empty WAL the state is
 // recovered from the log instead, and seeds must be absent (the log is
 // self-contained; mixing both would be ambiguous). A nil walFile builds a
-// log-less engine over the seeds: the shard of a read-only corpus, or a
-// replica follower, which applies its primary's committed mutations.
-func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) (*engine, error) {
+// log-less engine over the seeds: the shard of a read-only corpus (a
+// Database's among them), or a replica follower, which applies its primary's
+// committed mutations.
+func newEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) (*engine, error) {
 	e := &engine{engineConfig: cfg}
 	var replay []storage.WALTxn
 	if walFile != nil {
@@ -207,10 +177,10 @@ func newForestEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) 
 // replays: the last base snapshot and everything after it. The scan streams —
 // whatever precedes a snapshot is dropped the moment the snapshot is seen —
 // so an open holds the log's live suffix, not its history. A transient read
-// failure restarts the scan under the engine's retry policy.
+// failure restarts the scan under the buffer pool's default retry policy.
 func (e *engine) openLog(walFile PageFile) ([]storage.WALTxn, error) {
 	var replay []storage.WALTxn
-	err := e.retry.Do(context.TODO(), func() error {
+	err := storage.DefaultRetryPolicy.Do(context.TODO(), func() error {
 		replay = nil
 		var err error
 		e.wal, err = storage.ScanWAL(walFile, func(tx storage.WALTxn) error {
@@ -225,22 +195,11 @@ func (e *engine) openLog(walFile PageFile) ([]storage.WALTxn, error) {
 	return replay, err
 }
 
-func (e *engine) setRetry(store *storage.Store) {
-	if e.retry != (RetryPolicy{}) {
-		store.Pool().SetRetryPolicy(e.retry)
-	}
-}
-
 // reset points the write-path state at an empty forest laid down on file.
 func (e *engine) reset(file PageFile) (*storage.Store, error) {
 	e.forest = xmltree.NewForest()
 	e.members, e.byID = nil, make(map[string]int)
-	store, err := storage.BuildStoreOn(file, e.forest, e.poolFrames, e.sopts)
-	if err != nil {
-		return nil, err
-	}
-	e.setRetry(store)
-	return store, nil
+	return storage.BuildStoreOn(file, e.forest, e.poolFrames, storage.StoreOptions{})
 }
 
 // grow appends one member through the staging path every store build
@@ -267,7 +226,7 @@ func (e *engine) grow(store *storage.Store, id string, doc *xmltree.Document, pa
 		return nil, err
 	}
 	if part == nil {
-		part = histogram.Build(doc, e.grid)
+		part = histogram.Build(doc, 0)
 	}
 	e.forest = forest
 	e.byID[id] = len(e.members)
@@ -396,7 +355,7 @@ func (e *engine) liveDocs() []seedDoc {
 
 // parts returns the live histogram parts, the unit statistics are merged
 // from — incremental maintenance: a mutation touches only the changed
-// member's part, and the facade re-merges (per-tag estimate arithmetic, not
+// member's part, and the corpus re-merges (per-tag estimate arithmetic, not
 // a histogram rebuild).
 func (e *engine) parts() []*histogram.Stats {
 	var parts []*histogram.Stats
@@ -409,12 +368,23 @@ func (e *engine) parts() []*histogram.Stats {
 }
 
 // rebuildParts recomputes every live part from its document — the ground
-// truth the incrementally maintained parts must match.
+// truth the incrementally maintained parts must match. A released member's
+// part was built from its document and nothing has changed it since: it is
+// already exact.
 func (e *engine) rebuildParts() {
 	for _, m := range e.members {
-		if !m.dead {
-			m.part = histogram.Build(m.doc, e.grid)
+		if !m.dead && m.doc != nil {
+			m.part = histogram.Build(m.doc, 0)
 		}
+	}
+}
+
+// release drops the member documents of an engine nothing will write
+// through — a read-only corpus never stages, logs or compacts a member again
+// — so the forest the store was laid down from is the only copy kept.
+func (e *engine) release() {
+	for _, m := range e.members {
+		m.doc = nil
 	}
 }
 

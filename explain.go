@@ -1,11 +1,11 @@
 package sjos
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"sjos/internal/core"
-	"sjos/internal/exec"
 )
 
 // Explain optimizes pat with every algorithm and renders a comparison: per
@@ -39,34 +39,25 @@ func (db *Database) Explain(pat *Pattern) (string, error) {
 // trace: wall time, batches, and actual vs estimated output rows per
 // operator (est/actual drift is the optimizer's core feedback signal) —
 // the library's EXPLAIN ANALYZE. It reports total matches and the
-// execution's buffer-pool and plan-cache behaviour alongside.
+// execution's buffer-pool and plan-cache behaviour alongside. The execution
+// is a count-only traced Run, so it passes the same envelope — admission,
+// metrics, panic recovery — as any query.
 func (db *Database) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
 	res, err := db.Optimize(pat, m, 0)
 	if err != nil {
 		return "", err
 	}
-	tb, err := exec.NewTraceBuilder(pat, res.Plan)
+	before := db.PoolStats()
+	rr, err := db.Run(context.Background(), pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true})
 	if err != nil {
 		return "", err
 	}
-	op, err := tb.Build()
-	if err != nil {
-		return "", err
-	}
-	sn := db.eng.view()
-	before := sn.store.PoolStats()
-	ctx := &exec.Context{Doc: sn.doc, Store: sn.store}
-	n, err := exec.Count(ctx, op)
-	if err != nil {
-		return "", err
-	}
-	after := sn.store.PoolStats()
+	after := db.PoolStats()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pattern: %s\n%s plan, estimated cost %.0f, %d matches\n",
-		pat.String(), m, res.Cost, n)
-	trace := tb.Trace()
-	sb.WriteString(trace.Format())
-	worst, at := trace.MaxDrift()
+		pat.String(), m, res.Cost, rr.Count)
+	sb.WriteString(rr.Trace.Format())
+	worst, at := rr.Trace.MaxDrift()
 	fmt.Fprintf(&sb, "max drift: %.2fx at %s %s\n", worst, at.Op, at.Detail)
 	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 	rate := 0.0
@@ -86,12 +77,12 @@ func (db *Database) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
 // the paper's Figure 4 optimization walk-through. Intended for debugging
 // and teaching; the chosen plan is appended after the trace.
 func (db *Database) TraceDPP(pat *Pattern) (string, error) {
-	stats, _ := db.svc.snapshot()
+	stats, _ := db.c.svc.snapshot()
 	est, err := core.NewEstimator(pat, stats)
 	if err != nil {
 		return "", err
 	}
-	res, events, err := core.DPPWithTrace(pat, est, db.model)
+	res, events, err := core.DPPWithTrace(pat, est, db.c.model)
 	if err != nil {
 		return "", err
 	}

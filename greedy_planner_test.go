@@ -56,7 +56,7 @@ func TestGreedyFromStatsMatchesOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateDataset: %v", err)
 	}
-	stats, _ := db.svc.snapshot()
+	stats, _ := db.c.svc.snapshot()
 	model := db.Model()
 	for _, q := range []string{
 		"//manager[.//employee/name]//manager/department/name",

@@ -352,7 +352,7 @@ func (s *Stats) PredicateSelectivity(t xmltree.TagID, op pattern.CmpOp, value st
 	}
 	match := 0
 	for _, v := range ts.sample {
-		if EvalPredicate(v, op, value) {
+		if pattern.EvalPredicate(v, op, value) {
 			match++
 		}
 	}
@@ -361,14 +361,6 @@ func (s *Stats) PredicateSelectivity(t xmltree.TagID, op pattern.CmpOp, value st
 		sel = floor
 	}
 	return sel
-}
-
-// EvalPredicate reports whether a node text value satisfies (op, rhs). It
-// forwards to pattern.EvalPredicate, the single definition of the predicate
-// semantics shared by the estimator, the executor's filter operator and the
-// value index.
-func EvalPredicate(v string, op pattern.CmpOp, rhs string) bool {
-	return pattern.EvalPredicate(v, op, rhs)
 }
 
 // sortedLevels returns a tag's populated levels in ascending order; used by

@@ -168,7 +168,11 @@ func TestEstimateJoinName(t *testing.T) {
 	}
 }
 
+// TestEvalPredicate holds the estimator's sample evaluation to the shared
+// predicate semantics: over a tag whose every value is v, the selectivity of
+// (op, rhs) is 1 when v satisfies it and the 1/count floor when it does not.
 func TestEvalPredicate(t *testing.T) {
+	const copies = 4
 	cases := []struct {
 		v    string
 		op   pattern.CmpOp
@@ -188,8 +192,21 @@ func TestEvalPredicate(t *testing.T) {
 		{"b", pattern.CmpLe, "a", false},
 	}
 	for _, c := range cases {
-		if got := EvalPredicate(c.v, c.op, c.rhs); got != c.want {
-			t.Errorf("EvalPredicate(%q, %v, %q) = %v, want %v", c.v, c.op, c.rhs, got, c.want)
+		b := xmltree.NewBuilder()
+		b.Open("db", "")
+		for i := 0; i < copies; i++ {
+			b.Leaf("v", c.v)
+		}
+		b.Close()
+		d := b.MustFinish()
+		s := Build(d, 0)
+		tv, _ := d.LookupTag("v")
+		want := 1.0 / copies
+		if c.want {
+			want = 1
+		}
+		if got := s.PredicateSelectivity(tv, c.op, c.rhs); got != want {
+			t.Errorf("(%q, %v, %q): selectivity %v, want %v", c.v, c.op, c.rhs, got, want)
 		}
 	}
 }

@@ -65,8 +65,31 @@ func referenceEval(v string, op CmpOp, rhs string) bool {
 // TestCompiledPredicateMatchesReference holds the compiled predicate, and the
 // EvalPredicate and MatchesValue wrappers over it, to the per-evaluation
 // semantics on every operator and every pairing of numeric, non-numeric,
-// inf/nan and empty operands.
+// inf/nan and empty operands — after pinning that semantics itself on a few
+// hand-checked cases.
 func TestCompiledPredicateMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		v    string
+		op   CmpOp
+		rhs  string
+		want bool
+	}{
+		{"42", CmpEq, "42", true},
+		{"42", CmpEq, "042", true}, // numeric comparison
+		{"42", CmpNe, "41", true},
+		{"9", CmpLt, "10", true}, // numeric, not lexicographic
+		{"abc", CmpLt, "abd", true},
+		{"10", CmpGe, "10", true},
+		{"3.5", CmpGt, "3", true},
+		{"hello world", CmpContains, "lo wo", true},
+		{"hello", CmpContains, "xyz", false},
+		{"x", CmpNone, "", true},
+		{"b", CmpLe, "a", false},
+	} {
+		if got := EvalPredicate(c.v, c.op, c.rhs); got != c.want || referenceEval(c.v, c.op, c.rhs) != c.want {
+			t.Errorf("EvalPredicate(%q, %v, %q) = %v, want %v", c.v, c.op, c.rhs, got, c.want)
+		}
+	}
 	words := []string{
 		"", "0", "7", "07", "7.0", "-3", "+4", "1e3", "1000", "110000", "99999", "0x1p-2",
 		"inf", "-Inf", "+INF", "nan", "NaN", "nano", "info",

@@ -21,9 +21,9 @@ type OpTrace = exec.OpTrace
 // MetricsSnapshot is the process-wide query counters' point-in-time copy.
 type MetricsSnapshot = metrics.Snapshot
 
-// Metrics is one observability snapshot of a database: query-level
-// counters and latency quantiles, plus the plan cache's and buffer pool's
-// own counters. All parallelism views of a database share one Metrics
+// Metrics is one observability snapshot of a corpus (or a database):
+// query-level counters and latency quantiles, plus the plan cache's and
+// buffer pools' own counters. All parallelism views share one Metrics
 // source.
 type Metrics struct {
 	// Query holds queries served, errors, slow queries, the in-flight
@@ -44,12 +44,12 @@ type Metrics struct {
 	// probes served, postings blocks decoded, compressed vs raw postings
 	// footprint and the document build's string-intern behaviour.
 	Content ContentStats
-	// Replica holds the corpus replica-routing counters (all zero for a
-	// plain single-store Database).
+	// Replica holds the corpus replica-routing counters (hedges and
+	// failovers stay zero with one replica per shard, as in a Database).
 	Replica ReplicaMetrics
 	// Compactions and WALPages are a corpus write path's store rewrites so
 	// far and its log length in pages, summed over its shards (zero without
-	// a write path, and for a Database). Per-operation mutation counts and
+	// a write path, as in a Database). Per-operation mutation counts and
 	// times are in Query.Ingest.
 	Compactions int
 	WALPages    int
@@ -73,34 +73,8 @@ type ReplicaMetrics struct {
 	Suspect int
 }
 
-// Metrics returns a snapshot of the database's observability counters.
-func (db *Database) Metrics() Metrics {
-	m := Metrics{
-		Query:     db.svc.metrics.Snapshot(),
-		Cache:     db.CacheStats(),
-		Pool:      db.PoolStats(),
-		Admission: db.AdmissionStats(),
-	}
-	// A chaos-mode store reports its injected-fault count through this
-	// optional interface (satisfied by *faultfs.File).
-	store := db.eng.view().store
-	if ff, ok := store.File().(interface{ FaultsInjected() uint64 }); ok {
-		m.FaultsInjected = ff.FaultsInjected()
-	}
-	m.Content = store.ContentStats()
-	return m
-}
-
-// WriteMetrics renders the database's counters in the Prometheus text
-// exposition format (metric prefix "sjos") — the payload of xqserve's
-// /metrics endpoint and xqshell's .metrics command.
-func (db *Database) WriteMetrics(w io.Writer) {
-	writeMetricsText(w, db.Metrics())
-}
-
 // writeMetricsText renders one Metrics snapshot in the Prometheus text
-// exposition format; shared by Database.WriteMetrics and
-// Corpus.WriteMetrics (whose Pool/Content counters aggregate all shards).
+// exposition format (see Corpus.WriteMetrics).
 func writeMetricsText(w io.Writer, m Metrics) {
 	m.Query.WriteText(w, "sjos")
 	counter := func(name, help string, v uint64) {
@@ -215,28 +189,7 @@ func (l *slowLog) entries() []SlowQueryEntry {
 	return out
 }
 
-// SetSlowQueryLog configures the slow-query log shared by all parallelism
-// views of this database: every QueryContext / QueryPatternContext /
-// XQueryContext call whose total latency reaches threshold is recorded in
-// an in-memory ring (see SlowQueries) and reported to fn, if non-nil.
-// While a threshold is active those queries run with per-operator tracing
-// enabled so the log can attribute the time; that instrumentation costs a
-// few percent per query. threshold <= 0 disables the log.
-func (db *Database) SetSlowQueryLog(threshold time.Duration, fn func(SlowQueryEntry)) {
-	db.svc.slow.mu.Lock()
-	db.svc.slow.threshold = threshold
-	db.svc.slow.fn = fn
-	db.svc.slow.mu.Unlock()
-}
-
-// SlowQueries returns the most recent slow-query log entries, oldest
-// first (at most 32 are retained).
-func (db *Database) SlowQueries() []SlowQueryEntry {
-	return db.svc.slow.entries()
-}
-
-// maybeLogSlow applies the slow-query policy to one finished query, for
-// Database and Corpus alike.
+// maybeLogSlow applies the slow-query policy to one finished query.
 func (s *service) maybeLogSlow(pat *Pattern, method Method, thr time.Duration, fn func(SlowQueryEntry), optTime, execTime time.Duration, matches int, stats ExecStats, trace *OpTrace, cached bool) {
 	total := optTime + execTime
 	if thr <= 0 || total < thr {

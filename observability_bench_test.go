@@ -11,11 +11,12 @@ import (
 // costs on the BenchmarkParallelExecute workload (Q.Pers.3.d, Pers ×100,
 // count-only; EXPERIMENTS.md records the ratios):
 //
-//	raw       — the unmetered execution path (db.run), exactly what Run
-//	            did before the observability layer existed
+//	raw       — the unmetered execution path (the shard engine's runOn),
+//	            what Run executes inside its envelope
 //	disabled  — db.Run with tracing off: the metrics registry's atomic
-//	            counters, the panic-recovery defer and the (nil, no-op)
-//	            admission check are the only additions (acceptance bar:
+//	            counters, the panic-recovery defer, the (nil, no-op)
+//	            admission check and the one-shard scatter and gather are
+//	            the only additions (acceptance bar:
 //	            <5% vs raw; with page checksums it must stay <3% over the
 //	            seed's metered path)
 //	admitted  — db.Run with an uncontended admission controller installed:
@@ -34,8 +35,9 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := db.c.shards[0].meta()
 	raw := func(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
-		return db.eng.runOn(ctx, db.eng.view(), pat, p, opts)
+		return eng.runOn(ctx, eng.view(), pat, p, opts)
 	}
 	want, err := raw(context.Background(), pat, res.Plan, RunOptions{CountOnly: true})
 	if err != nil {
@@ -53,8 +55,8 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 		{"traced", RunOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true}, db.Run, nil},
 	} {
 		b.Run(v.label, func(b *testing.B) {
-			db.svc.admit = v.admit
-			defer func() { db.svc.admit = nil }()
+			db.c.svc.admit = v.admit
+			defer func() { db.c.svc.admit = nil }()
 			for i := 0; i < b.N; i++ {
 				rr, err := v.fn(context.Background(), pat, res.Plan, v.opts)
 				if err != nil {

@@ -208,7 +208,7 @@ func TestWriteMetricsIngest(t *testing.T) {
 
 // TestSlowQueryLog: a zero-distance threshold catches every query with a
 // full entry (fingerprint, timings, trace); raising the threshold stops
-// the logging; per-call overrides work without the global hook.
+// the logging, and a zero threshold turns it off.
 func TestSlowQueryLog(t *testing.T) {
 	db := openDB(t)
 	var mu sync.Mutex
@@ -261,18 +261,14 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("hour threshold logged: %d entries", len(got))
 	}
 
-	// Per-call override wins over the (disabled) global config.
+	// A zero threshold disables the log, and with it the forced tracing.
 	db.SetSlowQueryLog(0, nil)
-	var perCall int
-	if _, err := db.QueryContext(context.Background(), src, QueryOptions{
-		ExecOptions:        ExecOptions{Method: MethodDPP},
-		SlowQueryThreshold: time.Nanosecond,
-		OnSlowQuery:        func(SlowQueryEntry) { perCall++ },
-	}); err != nil {
+	res, err = db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if perCall != 1 {
-		t.Fatalf("per-call hook fired %d times, want 1", perCall)
+	if got := db.SlowQueries(); len(got) != 1 || res.Trace != nil {
+		t.Fatalf("disabled log: %d entries, trace %v", len(got), res.Trace != nil)
 	}
 }
 

@@ -46,7 +46,7 @@ func forEachFacade(t *testing.T, opts Options, fn func(t *testing.T, f envelopeF
 		}
 		p := mustPlan(t, db, pat, MethodDP)
 		fn(t, envelopeFacade{
-			svc: db.svc,
+			svc: db.c.svc,
 			run: func(ctx context.Context) error {
 				_, err := db.Run(ctx, pat, p, RunOptions{})
 				return err
@@ -308,5 +308,35 @@ func TestWriteMetricsResilienceCounters(t *testing.T) {
 	}
 	if !strings.Contains(text, "sjos_page_retries_total 1") {
 		t.Fatalf("page retries not reported:\n%s", text)
+	}
+}
+
+// TestExplainAnalyzeEnvelope: EXPLAIN ANALYZE executes through Run, so it
+// passes the read envelope like any query — it is counted, it is refused
+// once Drain has begun, and a panic under it comes back as a *PanicError.
+func TestExplainAnalyzeEnvelope(t *testing.T) {
+	db, err := LoadXMLString(facadeXML, &Options{MaxInFlight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := MustParsePattern("//manager//employee/name")
+	if _, err := db.ExplainAnalyze(pat, MethodDPP); err != nil {
+		t.Fatal(err)
+	}
+	if q := db.Metrics().Query.Queries; q != 1 {
+		t.Fatalf("ExplainAnalyze counted as %d queries, want 1", q)
+	}
+	db.c.svc.testHookRun = func() { panic("injected explain panic") }
+	_, err = db.ExplainAnalyze(pat, MethodDPP)
+	db.c.svc.testHookRun = nil
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("ExplainAnalyze under a panic = %v, want *PanicError", err)
+	}
+	if err := db.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExplainAnalyze(pat, MethodDPP); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("ExplainAnalyze after Drain = %v, want ErrShuttingDown", err)
 	}
 }

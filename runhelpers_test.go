@@ -61,7 +61,16 @@ func execParallelCount(db *Database, pat *Pattern, p *Plan, k int) (int, ExecSta
 
 // referenceMatches is the oracle of the differential suites: the brute-force
 // matcher over the handle's current document, which shares no code with the
-// planner or the executor.
+// planner or the executor. It runs on the forest the document is stored in
+// (no pattern node matches the synthetic root) and rebases every binding
+// into the document's own numbering.
 func referenceMatches(db *Database, pat *Pattern) []Match {
-	return exec.ReferenceMatches(db.eng.view().doc, pat)
+	sn, span := db.member()
+	ms := exec.ReferenceMatches(sn.doc, pat)
+	for _, m := range ms {
+		for u := range m {
+			m[u] -= span.First
+		}
+	}
+	return ms
 }

@@ -3,7 +3,6 @@ package sjos
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -20,15 +19,14 @@ import (
 // CacheStats is a snapshot of the plan cache's behaviour counters.
 type CacheStats = plancache.Stats
 
-// service is the shared query-service state behind a Database (and all of
-// its WithParallelism views) or a Corpus — exactly one per facade, never per
-// shard or replica: the statistics queries are planned against (replaceable
-// by RebuildStats, re-merged from the engines' parts after every committed
-// mutation), the plan cache, metrics, the slow-query log, admission control
-// and the write lock. Handles are copied by WithParallelism, so anything
-// mutable must live here, behind the shared pointer. The statistics are an
-// abstract StatsSource: a single document's positional histograms for a
-// Database, the merged view over every shard's members for a Corpus.
+// service is the shared query-service state behind a Corpus (and all of its
+// WithParallelism views, and a Database's) — exactly one per corpus, never
+// per shard or replica: the statistics queries are planned against (the
+// merged view over every shard's members, replaceable by RebuildStats and
+// re-merged after every committed mutation), the plan cache, metrics, the
+// slow-query log, admission control and the write lock. Handles are copied
+// by WithParallelism, so anything mutable must live here, behind the shared
+// pointer.
 type service struct {
 	mu           sync.RWMutex
 	stats        core.StatsSource
@@ -43,10 +41,10 @@ type service struct {
 	slow    slowLog
 
 	// admit bounds concurrent executions (nil = unlimited). Shared by all
-	// WithParallelism views so the limit is per database, not per view.
+	// WithParallelism views so the limit is per corpus, not per view.
 	admit *admission.Controller
 
-	// wmu is the facade's write lock: it serialises mutations, RebuildStats
+	// wmu is the corpus's write lock: it serialises mutations, RebuildStats
 	// and every other access to the write-path state of the engines under
 	// this service (queries never take it).
 	wmu sync.Mutex
@@ -66,11 +64,11 @@ type cachedPlan struct {
 	counters core.Counters
 }
 
-// newService builds a facade's service from the service-level options. The
-// facade installs the statistics (setStats) once its engines exist.
+// newService builds a corpus's service from the service-level options. The
+// corpus installs the statistics (setStats) once its engines exist.
 func newService(opts *Options) *service {
 	return &service{
-		cache: plancache.New[cachedPlan](opts.PlanCacheCapacity),
+		cache: plancache.New[cachedPlan](0),
 		admit: admission.New(opts.MaxInFlight, opts.QueueDepth),
 	}
 }
@@ -95,36 +93,8 @@ func (s *service) setStats(stats core.StatsSource) {
 	s.cache.Clear()
 }
 
-// RebuildStats recomputes the statistics from scratch and invalidates the
-// plan cache: every histogram part is rebuilt from its document (at the
-// construction-time grid resolution) and re-merged — the ground truth the
-// incrementally maintained statistics must match. Plans optimized before
-// the rebuild remain executable; they are simply no longer served from the
-// cache. Shared by all WithParallelism views.
-func (db *Database) RebuildStats() {
-	db.svc.wmu.Lock()
-	defer db.svc.wmu.Unlock()
-	db.eng.rebuildParts()
-	db.refreshStats()
-}
-
-// refreshStats installs the statistics of the engine's one part — the
-// document's own histograms. Caller holds the write lock (or is still
-// constructing the database).
-func (db *Database) refreshStats() {
-	db.svc.setStats(db.eng.parts()[0])
-}
-
-// CacheStats returns a snapshot of the plan cache's counters (shared by all
-// WithParallelism views of this database).
-func (db *Database) CacheStats() CacheStats {
-	return db.svc.cache.Stats()
-}
-
-// optimizePattern is the cached optimize step behind QueryPatternContext —
-// for both Database and Corpus, which differ only in the statistics the
-// service holds and the probe-eligibility source they pass: structurally
-// equivalent patterns (same shape, tags, axes, predicates — regardless of
+// optimizePattern is the cached optimize step behind QueryPatternContext:
+// structurally equivalent patterns (same shape, tags, axes, predicates — regardless of
 // node numbering) share one cache entry per (method, bound, statistics
 // version). Concurrent misses on the same key run the optimizer once. The
 // boolean reports whether the plan came from the cache (or from a coalesced
@@ -274,89 +244,13 @@ type RunResult struct {
 	set exec.MatchSet
 }
 
-// Run executes a plan for pat under ctx. It is the single execution entry
-// point: limits, count-only projection, per-operator tracing and serial
-// versus partition-parallel mode are all RunOptions, and every mode
-// observes ctx — cancelling it makes Run return promptly with ctx's error
-// (index scans, buffer-pool retry waits and output loops poll it; parallel
-// workers are cancelled). A nil ctx is treated as context.Background().
-// Serial and parallel modes produce the same matches in the same document
-// order. Every Run is observed by the database's metrics registry (queries
-// served, in-flight gauge, latency histogram; see Metrics).
-//
-// Run is also the resilience boundary. When the database was built with an
-// in-flight limit (Options.MaxInFlight) each call first claims an admission
-// slot, waiting in the bounded queue; past the queue it fails fast with
-// ErrOverloaded, and after Drain began with ErrShuttingDown. A panic
-// anywhere under Run — optimizer bug, corrupted operator state — is
-// recovered into a *PanicError (stack attached, counted in metrics and
-// recorded in the slow-query ring) instead of crashing the process.
-func (db *Database) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
-	if opts.Workers == 0 {
-		opts.Workers = db.parallelism
-	}
-	var res *RunResult
-	err := db.svc.read(ctx, pat, func(ctx context.Context) (*ExecStats, error) {
-		var err error
-		if res, err = db.eng.runOn(ctx, db.eng.view(), pat, p, opts); err != nil {
-			return nil, err
-		}
-		if !opts.CountOnly {
-			res.Matches = res.set.Tuples()
-		}
-		return &res.Stats, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// read is the one read envelope, the resilience boundary of both facades:
-// claim an admission slot, observe the run in the metrics registry, and
-// recover a panic anywhere under run into a *PanicError (counted, and
-// recorded with its stack in the slow-query ring). run is the facade's
-// part — one engine run for a Database, the scatter for a Corpus — and
-// reports the physical work it did. A nil ctx is context.Background().
-func (s *service) read(ctx context.Context, pat *Pattern, run func(context.Context) (*ExecStats, error)) (err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	release, aerr := s.admit.Acquire(ctx)
-	if aerr != nil {
-		// Shed load before it becomes work: rejected queries never reach
-		// the metrics' served/latency counters (they have no execution to
-		// measure); admission keeps its own rejected/queued counters.
-		return aerr
-	}
-	defer release()
-	s.metrics.QueryStarted()
-	t0 := time.Now()
-	var stats *ExecStats
-	defer func() {
-		if perr := exec.RecoverPanic(recover()); perr != nil {
-			stats, err = nil, perr
-			s.recordPanic(pat, perr)
-		}
-		s.metrics.QueryFinished(time.Since(t0), err)
-		if stats != nil {
-			s.metrics.ExecBatched(stats.Batches, stats.SkippedTuples)
-		}
-	}()
-	if hook := s.testHookRun; hook != nil {
-		hook()
-	}
-	stats, err = run(ctx)
-	return err
-}
-
 // write is the one mutation envelope. Mutations pass the same admission
 // gate as queries — MaxInFlight bounds them and Drain refuses them, so write
 // endpoints shed load and shut down exactly like the read path — then take
-// the facade's write lock. mutate runs the commit protocol on eng (nil or
+// the corpus's write lock. mutate runs the commit protocol on eng (nil or
 // without a log: there is no write path). Whenever it published a new
 // snapshot — even if it then failed, as a post-commit compaction can —
-// publish lets the facade follow it: re-merge the statistics, update its
+// publish lets the corpus follow it: re-merge the statistics, update its
 // directory. A mutation that succeeds is timed under op's name
 // (sjos_ingest_seconds).
 func (s *service) write(eng *engine, op storage.WALOp, mutate func() error, publish func()) error {
@@ -412,47 +306,6 @@ func (s *service) recordPanic(pat *Pattern, perr error) {
 // execution fields the run of the chosen plan.
 type QueryOptions struct {
 	ExecOptions
-	// SlowQueryThreshold, when > 0, overrides the handle-level slow-query
-	// threshold (SetSlowQueryLog) for this call.
-	SlowQueryThreshold time.Duration
-	// OnSlowQuery, when non-nil, is called (in addition to any
-	// handle-level hook being replaced for this call) if the query
-	// crosses the effective threshold.
-	OnSlowQuery func(SlowQueryEntry)
-}
-
-// QueryContext parses src, optimizes it (through the plan cache, unless
-// opts.NoCache) and executes the chosen plan, observing ctx in both phases:
-// cancellation aborts the optimizer search or the execution, whichever is
-// running, and QueryContext returns ctx's error. Query, QueryPattern and
-// XQuery are wrappers over this entry point.
-func (db *Database) QueryContext(ctx context.Context, src string, opts QueryOptions) (*QueryResult, error) {
-	pat, err := ParsePattern(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.QueryPatternContext(ctx, pat, opts)
-}
-
-// QueryPatternContext is QueryContext for an already-built pattern. When a
-// slow-query log is configured (SetSlowQueryLog or the per-call options)
-// the query runs with per-operator tracing so a threshold-crossing entry
-// can attribute its time.
-func (db *Database) QueryPatternContext(ctx context.Context, pat *Pattern, opts QueryOptions) (*QueryResult, error) {
-	res := &QueryResult{}
-	var err error
-	res.planned, err = db.svc.query(ctx, pat, db.model, db.eng.view().store, opts, func(p *Plan, eo ExecOptions) (int, ExecStats, *OpTrace, error) {
-		rr, err := db.Run(ctx, pat, p, RunOptions{ExecOptions: eo})
-		if err != nil {
-			return 0, ExecStats{}, nil, err
-		}
-		res.Matches = rr.Matches
-		return rr.Count, rr.Stats, rr.Trace, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // planned is what every planned query reports, whichever facade ran it.
@@ -482,48 +335,4 @@ type planned struct {
 	// Trace is the per-operator execution trace (nil unless
 	// QueryOptions.Trace was set or a slow-query log is active).
 	Trace *OpTrace
-}
-
-// query is the one planned-query core: resolve the slow-log configuration,
-// optimize pat through the plan cache against pe's probe eligibility, run
-// the chosen plan — exec is the facade's part, going through its read
-// envelope — then apply the slow-query policy.
-func (s *service) query(ctx context.Context, pat *Pattern, model CostModel, pe core.ProbeEligibility, opts QueryOptions, run func(*Plan, ExecOptions) (int, ExecStats, *OpTrace, error)) (planned, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	thr, slowFn := s.slow.config()
-	if opts.SlowQueryThreshold > 0 {
-		thr = opts.SlowQueryThreshold
-	}
-	if opts.OnSlowQuery != nil {
-		slowFn = opts.OnSlowQuery
-	}
-	t0 := time.Now()
-	res, cached, err := s.optimizePattern(ctx, pat, model, pe, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
-	if err != nil {
-		return planned{}, err
-	}
-	optTime := time.Since(t0)
-	t1 := time.Now()
-	eo := opts.ExecOptions
-	eo.Trace = opts.Trace || thr > 0
-	count, stats, trace, err := run(res.Plan, eo)
-	if err != nil {
-		return planned{}, fmt.Errorf("sjos: executing %v plan: %w", opts.Method, err)
-	}
-	execTime := time.Since(t1)
-	s.maybeLogSlow(pat, opts.Method, thr, slowFn, optTime, execTime, count, stats, trace, cached)
-	return planned{
-		Plan:            res.Plan,
-		PlanText:        res.Plan.Format(pat),
-		EstCost:         res.Cost,
-		Algorithm:       res.Algorithm,
-		CachedPlan:      cached,
-		OptimizeTime:    optTime,
-		ExecuteTime:     execTime,
-		PlansConsidered: res.Counters.PlansConsidered,
-		Exec:            stats,
-		Trace:           trace,
-	}, nil
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sjos/internal/storage"
 )
 
 // TestQueryContextCacheWarm: the second identical query is served from the
@@ -226,26 +229,27 @@ func TestQueryContextCancelled(t *testing.T) {
 	}
 }
 
-// fuelCtx has a non-nil Done channel (that never closes) and an Err that
-// flips to Canceled after a fixed number of polls — a deterministic way to
-// cancel "mid-execution" at exactly the Nth interrupt poll.
-type fuelCtx struct {
-	context.Context
-	fuel int
+// cancelOnRead is a page file that, once armed, cancels a context on its
+// next page read — a deterministic way to cancel a query mid-execution: the
+// scans read the store as they advance, and the next interrupt poll sees the
+// cancellation.
+type cancelOnRead struct {
+	PageFile
+	cancel atomic.Pointer[context.CancelFunc]
 }
 
-func (c *fuelCtx) Err() error {
-	if c.fuel > 0 {
-		c.fuel--
-		return nil
+func (f *cancelOnRead) ReadPage(id storage.PageID, dst *storage.Page) error {
+	if cancel := f.cancel.Swap(nil); cancel != nil {
+		(*cancel)()
 	}
-	return context.Canceled
+	return f.PageFile.ReadPage(id, dst)
 }
 
 // TestRunCancelMidExecution: the serial executor's interrupt polls abort an
-// in-progress Drain; the error surfaces from Run.
+// execution that has started reading the store; the error surfaces from Run.
 func TestRunCancelMidExecution(t *testing.T) {
-	db, err := GenerateDataset("pers", 1, 0, nil)
+	file := &cancelOnRead{PageFile: NewMemPageFile()}
+	db, err := GenerateDataset("pers", 1, 0, &Options{PageFile: file, PoolFrames: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +258,14 @@ func TestRunCancelMidExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, cancel := context.WithCancel(context.Background())
-	defer cancel() // keeps Done non-nil without ever closing it mid-test
-	ctx := &fuelCtx{Context: base, fuel: 3}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	file.cancel.Store(&cancel)
 	if _, err := db.Run(ctx, pat, res.Plan, RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if file.cancel.Load() != nil {
+		t.Fatal("the run read no page: the cancel did not land mid-execution")
 	}
 }
 

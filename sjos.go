@@ -4,8 +4,8 @@ import (
 	"context"
 	"io"
 	"os"
-	"runtime"
 	"strings"
+	"time"
 
 	"sjos/internal/admission"
 	"sjos/internal/core"
@@ -48,9 +48,6 @@ type (
 	// Options.PageFile injects a custom implementation (fault-injection
 	// wrappers, alternative backends).
 	PageFile = storage.PageFile
-	// RetryPolicy bounds the buffer pool's read-retry loop (attempts,
-	// exponential backoff, jitter); see Options.Retry.
-	RetryPolicy = storage.RetryPolicy
 	// CorruptPageError is the typed error a query returns when a page
 	// fails checksum or header verification on every allowed attempt.
 	CorruptPageError = storage.CorruptPageError
@@ -111,28 +108,13 @@ type Options struct {
 	// PoolFrames sizes the buffer pool (8 KB frames). 0 means the
 	// default 2048 frames = 16 MB, the paper's SHORE configuration.
 	PoolFrames int
-	// HistogramGrid is the positional histogram resolution (0 = default).
-	HistogramGrid int
 	// Model overrides the cost model. The zero value selects the built-in
 	// defaults; use sjos.CalibrateModel for machine-specific factors.
 	Model CostModel
-	// DiskPath, when non-empty, stores the paged database image in a
-	// file at this path instead of in memory, so all page access through
-	// the buffer pool becomes real file I/O.
-	DiskPath string
-	// PlanCacheCapacity bounds the plan cache (entries, LRU). 0 selects
-	// the default capacity; negative values are clamped to 1.
-	PlanCacheCapacity int
-	// PageFile, when non-nil, stores the paged database image on this
-	// file instead of memory or DiskPath — the injection point for fault
-	// wrappers (see internal/faultfs) and alternative backends. It takes
-	// precedence over DiskPath.
+	// PageFile, when non-nil, stores the paged database image on this file
+	// instead of memory — a disk file from CreatePageFile, a fault wrapper
+	// (see internal/faultfs) or another backend.
 	PageFile PageFile
-	// Retry overrides the buffer pool's read-retry policy (transient I/O
-	// failures and checksum mismatches are retried under bounded
-	// exponential backoff). The zero value keeps the default policy
-	// (4 attempts, 200µs base delay); MaxAttempts: 1 disables retries.
-	Retry RetryPolicy
 	// MaxInFlight > 0 bounds how many queries execute concurrently;
 	// arrivals past the limit wait (up to QueueDepth of them), and past
 	// that fail fast with ErrOverloaded. 0 means unlimited.
@@ -140,14 +122,10 @@ type Options struct {
 	// QueueDepth bounds how many queries may wait for an execution slot
 	// when MaxInFlight is set (0 = no waiting: the limit fails fast).
 	QueueDepth int
-	// NoValueIndex skips building the (tag, value) content index at store
-	// construction. Value predicates then always execute as scan+filter;
-	// per-query opt-out is QueryOptions.NoValueIndex.
-	NoValueIndex bool
 }
 
 func (o *Options) model() CostModel {
-	if o != nil && o.Model.Valid() {
+	if o.Model.Valid() {
 		return o.Model
 	}
 	return cost.DefaultModel()
@@ -157,24 +135,20 @@ func (o *Options) model() CostModel {
 func CalibrateModel() CostModel { return cost.Calibrate() }
 
 // Database is a loaded, indexed, read-only XML document ready for querying —
-// the paper's single-document setup: a thin facade over one storage engine
-// (the stored document) and one query service (statistics, plan cache,
-// metrics, slow-query log, admission control). Derived handles
-// (WithParallelism) share both pointers, so cached plans, statistics, metrics
-// and admission control are one per database — a derived handle differs only
-// in its execution settings. The zero parallelism (the default for every
-// constructor) executes plans serially. For many documents behind one query
-// surface, or for writes, see Corpus (a one-shard corpus is the single
-// writable store).
+// the paper's single-document setup. It is a one-shard, one-replica,
+// log-less Corpus holding the document as its only member, so a query runs
+// exactly as a corpus query does (one plan cache, statistics, metrics,
+// slow-query log and admission control) and reports its rows in the
+// document's own node numbering. Derived handles (WithParallelism) share all
+// of that state and differ only in their execution settings; the zero
+// parallelism (the default for every constructor) executes plans serially.
+// For many documents behind one query surface, or for writes, see Corpus.
 type Database struct {
-	eng   *engine
-	svc   *service
-	model CostModel
-
-	// parallelism > 0 routes Run (and therefore Query) through the
-	// partition-parallel driver with that many workers. 0 = serial.
-	parallelism int
+	c *Corpus
 }
+
+// documentID is the member ID a Database stores its document under.
+const documentID = "doc"
 
 // LoadXML parses an XML document from r and builds its store, indexes and
 // statistics.
@@ -191,27 +165,9 @@ func LoadXMLString(s string, opts *Options) (*Database, error) {
 	return LoadXML(strings.NewReader(s), opts)
 }
 
-// SaveImage writes the database's document as a binary image to w. Load it
-// back with OpenImage; indexes and statistics are rebuilt deterministically
+// OpenImage loads a database from a binary document image (xqgen -format
+// image writes them); indexes and statistics are rebuilt deterministically
 // on load.
-func (db *Database) SaveImage(w io.Writer) error {
-	return xmltree.WriteImage(db.eng.view().doc, w)
-}
-
-// SaveImageFile is SaveImage to a file path.
-func (db *Database) SaveImageFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := db.SaveImage(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// OpenImage loads a database from a binary image written by SaveImage.
 func OpenImage(r io.Reader, opts *Options) (*Database, error) {
 	doc, err := xmltree.ReadImage(r)
 	if err != nil {
@@ -242,18 +198,6 @@ func GenerateDataset(name string, scale float64, fold int, opts *Options) (*Data
 	return fromDocument(doc, opts)
 }
 
-// storeFile resolves the page file a database image lives on: an injected
-// PageFile, a fresh disk file at DiskPath, or memory.
-func storeFile(opts *Options) (PageFile, error) {
-	if opts.PageFile != nil {
-		return opts.PageFile, nil
-	}
-	if opts.DiskPath != "" {
-		return storage.CreateDiskFile(opts.DiskPath)
-	}
-	return storage.NewMemFile(), nil
-}
-
 // NewMemPageFile returns a fresh in-memory page file — the simplest
 // CorpusOptions.ShardWALFile for tests and ephemeral writable corpora.
 func NewMemPageFile() PageFile { return storage.NewMemFile() }
@@ -266,38 +210,54 @@ func CreatePageFile(path string) (PageFile, error) { return storage.CreateDiskFi
 // recovery counterpart of CreatePageFile.
 func OpenPageFile(path string) (PageFile, error) { return storage.OpenDiskFile(path) }
 
-// fromDocument builds a read-only database over doc.
+// fromDocument builds a read-only database over doc: a one-shard corpus
+// whose only member is doc, stored on opts.PageFile when one is given.
 func fromDocument(doc *xmltree.Document, opts *Options) (*Database, error) {
-	if opts == nil {
-		opts = &Options{}
+	co := CorpusOptions{Shards: 1}
+	if opts != nil {
+		co.Options = *opts
 	}
-	file, err := storeFile(opts)
+	if f := co.PageFile; f != nil {
+		co.ShardPageFile = func(int, int) PageFile { return f }
+	}
+	b := NewCorpusBuilder(&co)
+	if err := b.add(documentID, doc, nil); err != nil {
+		return nil, err
+	}
+	c, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newStaticEngine(doc, file, opts.engineConfig())
-	if err != nil {
-		return nil, err
-	}
-	db := &Database{eng: eng, svc: newService(opts), model: opts.model()}
-	db.refreshStats()
-	return db, nil
+	return &Database{c: c}, nil
+}
+
+// member returns the current snapshot of the one shard and the document's
+// span inside its forest.
+func (db *Database) member() (*dbSnap, xmltree.DocSpan) {
+	sn := db.c.shards[0].meta().view()
+	return sn, sn.members[0].span
 }
 
 // NumNodes returns the number of element nodes in the database.
-func (db *Database) NumNodes() int { return db.eng.view().doc.NumNodes() }
+func (db *Database) NumNodes() int {
+	_, span := db.member()
+	return span.Nodes
+}
 
 // TagName returns the element tag of a matched node.
 func (db *Database) TagName(id NodeID) string {
-	doc := db.eng.view().doc
-	return doc.TagName(doc.Tag(id))
+	sn, span := db.member()
+	return sn.doc.TagName(sn.doc.Tag(span.First + id))
 }
 
 // Value returns the text value of a matched node ("" if none).
-func (db *Database) Value(id NodeID) string { return db.eng.view().doc.Value(id) }
+func (db *Database) Value(id NodeID) string {
+	sn, span := db.member()
+	return sn.doc.Value(span.First + id)
+}
 
 // Model returns the database's cost model.
-func (db *Database) Model() CostModel { return db.model }
+func (db *Database) Model() CostModel { return db.c.model }
 
 // Optimize picks a plan for pat with the chosen algorithm. te is the
 // DPAP-EB expansion bound (0 = the number of pattern edges, the paper's
@@ -306,14 +266,13 @@ func (db *Database) Model() CostModel { return db.model }
 // repeated calls measure real search effort; cached optimization is the
 // QueryContext path.
 func (db *Database) Optimize(pat *Pattern, m Method, te int) (*OptimizeResult, error) {
-	return db.OptimizeContext(context.Background(), pat, m, te)
+	return db.c.OptimizeContext(context.Background(), pat, m, te)
 }
 
 // OptimizeContext is Optimize under a context: cancelling ctx aborts the
 // plan search (all algorithms poll it) and returns ctx's error.
 func (db *Database) OptimizeContext(ctx context.Context, pat *Pattern, m Method, te int) (*OptimizeResult, error) {
-	stats, _ := db.svc.snapshot()
-	return optimizeWith(ctx, pat, stats, db.model, m, te, db.eng.view().store)
+	return db.c.OptimizeContext(ctx, pat, m, te)
 }
 
 // OptimizeWithExactStats is Optimize with the oracle estimator: exact
@@ -322,22 +281,26 @@ func (db *Database) OptimizeContext(ctx context.Context, pat *Pattern, m Method,
 // effect of estimation error on plan choice (the A2 ablation in DESIGN.md)
 // and is too expensive for routine use.
 func (db *Database) OptimizeWithExactStats(pat *Pattern, m Method, te int) (*OptimizeResult, error) {
-	est, err := core.NewOracleEstimator(pat, db.eng.view().doc)
+	// The forest holds the document and nothing else a pattern node can
+	// match (its synthetic root's tag never does), so its counts are the
+	// document's.
+	sn, _ := db.member()
+	est, err := core.NewOracleEstimator(pat, sn.doc)
 	if err != nil {
 		return nil, err
 	}
-	return core.Optimize(context.Background(), pat, est, db.model, m, &core.Options{Te: te})
+	return core.Optimize(context.Background(), pat, est, db.c.model, m, &core.Options{Te: te})
 }
 
 // BadPlan returns the estimated-worst of `samples` random valid plans —
 // the paper's §4.2.1 baseline for quantifying optimizer value.
 func (db *Database) BadPlan(pat *Pattern, samples int, seed int64) (*OptimizeResult, error) {
-	stats, _ := db.svc.snapshot()
+	stats, _ := db.c.svc.snapshot()
 	est, err := core.NewEstimator(pat, stats)
 	if err != nil {
 		return nil, err
 	}
-	return core.BadPlan(pat, est, db.model, samples, seed)
+	return core.BadPlan(pat, est, db.c.model, samples, seed)
 }
 
 // WithParallelism returns a derived handle whose Run (and therefore Query)
@@ -352,35 +315,84 @@ func (db *Database) BadPlan(pat *Pattern, samples int, seed int64) (*OptimizeRes
 // through one handle is served to all, and the in-flight limit is per
 // database, not per handle. Handles are safe for concurrent use.
 func (db *Database) WithParallelism(k int) *Database {
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	return &Database{eng: db.eng, svc: db.svc, model: db.model, parallelism: k}
+	return &Database{c: db.c.WithParallelism(k)}
 }
 
 // Parallelism reports the worker count queries run with (0 = serial).
-func (db *Database) Parallelism() int { return db.parallelism }
+func (db *Database) Parallelism() int { return db.c.Parallelism() }
 
 // PoolStats returns a snapshot of the buffer pool's cumulative hit/miss
 // counters for this database's store (shared by all parallelism views).
-func (db *Database) PoolStats() PoolStats { return db.eng.view().store.PoolStats() }
+func (db *Database) PoolStats() PoolStats {
+	sn, _ := db.member()
+	return sn.store.PoolStats()
+}
 
 // ContentStats returns a snapshot of the store's content-index,
 // postings-compression and string-interning counters (shared by all
 // parallelism views).
-func (db *Database) ContentStats() ContentStats { return db.eng.view().store.ContentStats() }
+func (db *Database) ContentStats() ContentStats {
+	sn, _ := db.member()
+	return sn.store.ContentStats()
+}
 
 // AdmissionStats returns the admission controller's counters (all zero when
 // no MaxInFlight was configured). Shared by all parallelism views.
-func (db *Database) AdmissionStats() AdmissionStats { return db.svc.admit.Stats() }
+func (db *Database) AdmissionStats() AdmissionStats { return db.c.AdmissionStats() }
 
-// Drain flips the database into shutdown: queries arriving after Drain
-// begins fail fast with ErrShuttingDown, and Drain returns once every
-// in-flight query has finished — or ctx's error if they have not by then
-// (calling Drain again resumes waiting). Without a configured MaxInFlight
-// there is no admission barrier and Drain returns immediately; it is the
-// graceful-exit step for servers built with one (see cmd/xqserve).
-func (db *Database) Drain(ctx context.Context) error { return db.svc.admit.Drain(ctx) }
+// Drain flips the database into shutdown (see Corpus.Drain).
+func (db *Database) Drain(ctx context.Context) error { return db.c.Drain(ctx) }
+
+// RebuildStats recomputes the statistics and invalidates the plan cache (see
+// Corpus.RebuildStats). Shared by all parallelism views.
+func (db *Database) RebuildStats() { db.c.RebuildStats() }
+
+// CacheStats returns a snapshot of the plan cache's counters (shared by all
+// parallelism views).
+func (db *Database) CacheStats() CacheStats { return db.c.CacheStats() }
+
+// Metrics returns a snapshot of the database's observability counters.
+func (db *Database) Metrics() Metrics { return db.c.Metrics() }
+
+// WriteMetrics renders the database's counters in the Prometheus text
+// exposition format (metric prefix "sjos") — the payload of xqshell's
+// .metrics command.
+func (db *Database) WriteMetrics(w io.Writer) { db.c.WriteMetrics(w) }
+
+// SetSlowQueryLog configures the slow-query log shared by all parallelism
+// views (see Corpus.SetSlowQueryLog).
+func (db *Database) SetSlowQueryLog(threshold time.Duration, fn func(SlowQueryEntry)) {
+	db.c.SetSlowQueryLog(threshold, fn)
+}
+
+// SlowQueries returns the most recent slow-query log entries, oldest
+// first (at most 32 are retained).
+func (db *Database) SlowQueries() []SlowQueryEntry { return db.c.SlowQueries() }
+
+// matches is a one-document result as []Match: the rows of its segment, if
+// any, already in the document's own node numbering.
+func matches(segs []DocSegment) []Match {
+	if len(segs) == 0 {
+		return []Match{}
+	}
+	return segs[0].rows.Tuples()
+}
+
+// Run executes a plan for pat under ctx: Corpus.Run over the one document,
+// with the same modes, cancellation and resilience envelope (admission,
+// metrics, panic recovery). Serial and parallel modes produce the same
+// matches in the same document order.
+func (db *Database) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
+	cr, err := db.c.run(ctx, pat, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &RunResult{Count: cr.Count, Stats: cr.Stats, Trace: cr.Trace}
+	if !opts.CountOnly {
+		res.Matches = matches(cr.Segments)
+	}
+	return res, nil
+}
 
 // QueryResult is the outcome of a one-shot Query call: the matches plus
 // the planned-query report (Plan, PlanText, EstCost, CachedPlan,
@@ -401,4 +413,28 @@ func (db *Database) Query(src string, m Method) (*QueryResult, error) {
 // QueryPattern is Query for an already-built pattern.
 func (db *Database) QueryPattern(pat *Pattern, m Method) (*QueryResult, error) {
 	return db.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: m}})
+}
+
+// QueryContext parses src, optimizes it (through the plan cache, unless
+// opts.NoCache) and executes the chosen plan, observing ctx in both phases:
+// cancellation aborts the optimizer search or the execution, whichever is
+// running, and QueryContext returns ctx's error. Query, QueryPattern and
+// XQuery are wrappers over this entry point.
+func (db *Database) QueryContext(ctx context.Context, src string, opts QueryOptions) (*QueryResult, error) {
+	pat, err := ParsePattern(src)
+	if err != nil {
+		return nil, err
+	}
+	return db.QueryPatternContext(ctx, pat, opts)
+}
+
+// QueryPatternContext is QueryContext for an already-built pattern. When a
+// slow-query log is configured the query runs with per-operator tracing so
+// a threshold-crossing entry can attribute its time.
+func (db *Database) QueryPatternContext(ctx context.Context, pat *Pattern, opts QueryOptions) (*QueryResult, error) {
+	res, err := db.c.queryPattern(ctx, pat, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryResult{Matches: matches(res.Segments), planned: res.planned}, nil
 }

@@ -2,9 +2,12 @@ package sjos
 
 import (
 	"context"
+	"os"
 	"strings"
 	"sync"
 	"testing"
+
+	"sjos/internal/xmltree"
 )
 
 const facadeXML = `<db>
@@ -187,10 +190,16 @@ func TestLoadErrors(t *testing.T) {
 }
 
 func TestDiskBackedDatabase(t *testing.T) {
-	dir := t.TempDir()
-	db, err := LoadXMLString(facadeXML, &Options{DiskPath: dir + "/db.pages", PoolFrames: 4})
+	file, err := CreatePageFile(t.TempDir() + "/db.pages")
 	if err != nil {
 		t.Fatal(err)
+	}
+	db, err := LoadXMLString(facadeXML, &Options{PageFile: file, PoolFrames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if file.NumPages() == 0 {
+		t.Fatal("the store was not laid down on the page file")
 	}
 	res, err := db.Query("//manager//employee/name", MethodDPP)
 	if err != nil {
@@ -289,8 +298,19 @@ func TestTraceDPPFacade(t *testing.T) {
 
 func TestSaveAndOpenImage(t *testing.T) {
 	db := openDB(t)
+	doc, err := xmltree.ParseString(facadeXML)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := t.TempDir() + "/db.img"
-	if err := db.SaveImageFile(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xmltree.WriteImage(doc, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	db2, err := OpenImageFile(path, nil)
