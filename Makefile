@@ -14,7 +14,8 @@
 #
 # `make benchquick` smoke-runs the key benchmarks at one iteration each — the
 # ablations (Lookahead Rule, estimator, time to first results), the
-# result-path, /query-encode and plan_cold-execution layer lanes, the lanes
+# result-path, /query-encode (serial at -cpu 1, chunk-parallel at -cpu 2)
+# and plan_cold-execution layer lanes, the lanes
 # under them (Stack-Tree Desc/Anc by input shape and axis, posting-block
 # decode, numeric predicate parse), the storage lanes (buffer-pool hit and
 # miss, store build) and the write-side lanes (XML parse, document image
@@ -106,7 +107,7 @@ plannerquick:
 
 benchquick:
 	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x ./cmd/xqserve/
+	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x -cpu 1,2 ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'StackTree' -benchtime=1x ./internal/exec/

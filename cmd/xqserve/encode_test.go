@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sjos"
 )
@@ -237,43 +240,211 @@ func TestQueryBodyRendersPinnedSnapshot(t *testing.T) {
 	}
 }
 
-// TestQueryBodyConcurrentRenders shares one result (and the buffer pool)
-// between concurrent requests: every render must still be the reference.
-func TestQueryBodyConcurrentRenders(t *testing.T) {
-	c := awkwardCorpus(t, 40) // segments large enough for the pooled memo
+// withProcs runs fn with GOMAXPROCS set to n: 1 renders every body on the
+// calling goroutine, 2 renders one of two chunks or more on two workers.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// chunksOf is how many render chunks res's "matches" section is cut into.
+func chunksOf(res *sjos.CorpusQueryResult) int { return newMatchRows(res.Segments).chunks() }
+
+// itemsXML is n <item> elements whose names cycle through awkward values
+// (every escaping rule on the way to the wire), prefixed with p.
+func itemsXML(p string, n int) string {
+	names := []string{`say "hi" \ back`, `a &lt; b &amp; c &gt; d`, `col1&#9;col2`, `naïve — 東京`, "line\u2028sep", `'single' and \n literal`}
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `<item><name>%s %s-%d</name><tag/></item>`, names[i%len(names)], p, i%7)
+	}
+	return sb.String()
+}
+
+// hugeCorpus is one document of n items like itemsXML's, but every 2 000th
+// name is ~420 KB of JSON — a row that is over a quantum by itself — and
+// every 7th is ~1 KB, so a chunk's rows add up to many quanta.
+func hugeCorpus(t *testing.T, n int) *sjos.Corpus {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString(`<db>`)
+	for i := 0; i < n; i++ {
+		pad := ""
+		switch {
+		case i%2000 == 1:
+			pad = strings.Repeat(`a&lt;`, 60000)
+		case i%7 == 0:
+			pad = strings.Repeat(`"b"`, 300)
+		}
+		fmt.Fprintf(&sb, `<item><name>huge-%d %s</name><tag/></item>`, i, pad)
+	}
+	sb.WriteString(`</db>`)
+	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Shards: 1})
+	if err := b.AddXMLString("huge", sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestQueryBodyChunksMatchEncodingJSON holds results of four chunks or more
+// to the encoding/json rendering, rendered serially (GOMAXPROCS 1) and on
+// two workers (GOMAXPROCS 2): awkward values repeated through the memo, a
+// limit that ends in the middle of a chunk, many small segments (each
+// rendered directly) around one large one (rendered through the memo, its
+// chunks split between the workers, chunks spanning segment boundaries), and
+// values so large that a chunk is many quanta. Both renders must write in
+// quanta (checkQuanta), and write alike.
+func TestQueryBodyChunksMatchEncodingJSON(t *testing.T) {
+	ctx := context.Background()
+	awkward := awkwardCorpus(t, 2100)
+	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Shards: 3})
+	for i := 0; i < 61; i++ {
+		id, n := fmt.Sprintf("small-%02d", i), 1+i%3
+		if i == 30 {
+			id, n = "large", 12000
+		}
+		if err := b.AddXMLString(id, `<db>`+itemsXML(id, n)+`</db>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mixed, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perChunk := chunkCells / 3 // rows of //item[tag]/name in one chunk
+	for _, tc := range []struct {
+		name  string
+		c     *sjos.Corpus
+		src   string
+		limit int
+	}{
+		{"awkward values", awkward, `//item[tag]/name`, 0},
+		{"awkward values, two cells", awkward, `//item/name`, 0},
+		{"awkward values, root in every row", awkward, `//db//item/name`, 0},
+		{"limit mid-chunk", awkward, `//item[tag]/name`, 3*perChunk + perChunk/2},
+		{"small segments around a large one", mixed, `//item[tag]/name`, 0},
+		{"huge values", hugeCorpus(t, 4*perChunk+100), `//item[tag]/name`, 0},
+	} {
+		opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP, Limit: tc.limit}}
+		res, err := tc.c.QuerySegments(ctx, tc.src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := chunksOf(res); n < 4 {
+			t.Fatalf("%s: %d rows in %d chunks, want at least 4", tc.name, res.Count, n)
+		}
+		want := referenceBody(t, tc.c, res, true)
+		var schedules [][]int
+		for _, procs := range []int{1, 2} {
+			w := &recordWrites{}
+			withProcs(procs, func() { err = writeQueryBody(ctx, w, res, true) })
+			if err != nil {
+				t.Fatalf("%s, GOMAXPROCS %d: %v", tc.name, procs, err)
+			}
+			if got := bytes.Join(w.writes, nil); !bytes.Equal(got, want) {
+				t.Fatalf("%s, GOMAXPROCS %d: body differs from encoding/json: %d bytes, want %d", tc.name, procs, len(got), len(want))
+			}
+			schedules = append(schedules, checkQuanta(t, fmt.Sprintf("%s, GOMAXPROCS %d", tc.name, procs), w.writes))
+		}
+		if !slices.Equal(schedules[0], schedules[1]) {
+			t.Fatalf("%s: serial and parallel renders write differently:\n%v\n%v", tc.name, schedules[0], schedules[1])
+		}
+	}
+}
+
+// TestQueryBodyPartsAreBounded takes every part two render workers hand over
+// for a result whose chunks are many quanta each: a part holds rows up to
+// the one that completes a quantum, so a render buffers a few quanta and a
+// few rows however large the cells, and the parts in order are the
+// "matches" section.
+func TestQueryBodyPartsAreBounded(t *testing.T) {
+	c := hugeCorpus(t, 3*(chunkCells/3)) // three chunks of //item[tag]/name
 	res, err := c.QuerySegments(context.Background(), `//item[tag]/name`, sjos.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceBody(t, c, res, true)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				var got bytes.Buffer
-				if err := writeQueryBody(context.Background(), &got, res, true); err != nil || !bytes.Equal(got.Bytes(), want) {
-					t.Errorf("concurrent render: err %v, body %s", err, got.Bytes())
-					return
-				}
-			}
-		}()
+	m := newMatchRows(res.Segments)
+	r := startRenderers(m, 2)
+	defer r.close()
+	var got []byte
+	taken := 0
+	for j := 0; j < m.chunks(); taken++ {
+		p := r.take(j)
+		if p.last {
+			j++
+		}
+		if len(p.ends) == 0 || p.ends[len(p.ends)-1] != len(p.buf) {
+			t.Fatalf("part %d: %d bytes, rows ending at %v", taken, len(p.buf), p.ends)
+		}
+		if n := len(p.ends); n > 1 && p.ends[n-2] >= encodeFlushAt {
+			t.Fatalf("part %d: %d rows past the quantum before its last one", taken, n)
+		}
+		got = append(got, p.buf...)
+		putPart(p)
 	}
-	wg.Wait()
+	if taken < 4*m.chunks() {
+		t.Fatalf("%d chunks came in %d parts, want a chunk of this result to take several", m.chunks(), taken)
+	}
+	body := referenceBody(t, c, res, true)
+	if want := body[bytes.Index(body, []byte(`"matches":[`))+len(`"matches":[`) : bytes.Index(body, []byte(`],"docs":`))]; !bytes.Equal(got, want) {
+		t.Fatalf("parts add up to %d bytes, want the %d of \"matches\"", len(got), len(want))
+	}
 }
 
-// cancelOnWrite is a writer that records the size of every write and
-// cancels a context on the first one (a no-op cancel makes it a plain
-// recorder).
-type cancelOnWrite struct {
-	writes []int
+// TestQueryBodyConcurrentRenders shares one result (and the buffer pools)
+// between concurrent requests, on a result the memo renders serially and on
+// one of several chunks rendered in parallel: every render must still be the
+// reference. Under -race it catches a pooled buffer handed out while a
+// render still fills it.
+func TestQueryBodyConcurrentRenders(t *testing.T) {
+	for _, tc := range []struct{ repeat, renders int }{{40, 50}, {2100, 4}} {
+		c := awkwardCorpus(t, tc.repeat)
+		res, err := c.QuerySegments(context.Background(), `//item[tag]/name`, sjos.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceBody(t, c, res, true)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < tc.renders; i++ {
+					var got bytes.Buffer
+					if err := writeQueryBody(context.Background(), &got, res, true); err != nil || !bytes.Equal(got.Bytes(), want) {
+						t.Errorf("concurrent render of %d chunks: err %v, %d bytes, want %d", chunksOf(res), err, got.Len(), len(want))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// recordWrites is a writer that keeps a copy of every write, cancels a
+// context on the first one (if cancel is set) and fails the one numbered
+// failAt (from 1; 0 never fails).
+type recordWrites struct {
+	writes [][]byte
 	cancel context.CancelFunc
+	failAt int
 }
 
-func (w *cancelOnWrite) Write(p []byte) (int, error) {
-	w.writes = append(w.writes, len(p))
-	w.cancel()
+var errWriteFailed = errors.New("write failed")
+
+func (w *recordWrites) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	if w.cancel != nil {
+		w.cancel()
+	}
+	if len(w.writes) == w.failAt {
+		return 0, errWriteFailed
+	}
 	return len(p), nil
 }
 
@@ -288,28 +459,65 @@ func quantaResult(t *testing.T) *sjos.CorpusQueryResult {
 	return res
 }
 
-// TestQueryBodyWritesInQuanta checks the write schedule of a body larger
-// than the quantum: several writes, each of at least the quantum and at most
-// the quantum plus the row that crossed it; the last carries what is left
+// checkQuanta checks the write schedule of a body and returns the sizes of
+// its writes. Every write but the last is at least the quantum, and at most
+// the quantum plus the row ("matches") or the entry ("docs") that completed
+// it — and the `],"docs":` between the two; the last carries what is left
 // plus the response's tail.
-func TestQueryBodyWritesInQuanta(t *testing.T) {
-	w := &cancelOnWrite{cancel: func() {}}
-	if err := writeQueryBody(context.Background(), w, quantaResult(t), true); err != nil {
-		t.Fatal(err)
+func checkQuanta(t *testing.T, name string, writes [][]byte) []int {
+	t.Helper()
+	body := bytes.Join(writes, nil)
+	var resp queryResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	// A row of this query is three short cells; the tail carries the plan.
-	const rowSlack, tailSlack = 256, 4096
-	if len(w.writes) < 4 {
-		t.Fatalf("body written in %d writes, want several quanta", len(w.writes))
+	// The longest row or entry, with the comma that leads it.
+	longest := 0
+	for i, row := range resp.Matches {
+		r, _ := json.Marshal(row)
+		d, _ := json.Marshal(resp.Docs[i])
+		longest = max(longest, len(r)+1, len(d)+1)
 	}
-	last := len(w.writes) - 1
-	for i, n := range w.writes[:last] {
-		if n < encodeFlushAt || n > encodeFlushAt+rowSlack {
-			t.Fatalf("write %d of %d is %d bytes, want the %d-byte quantum plus at most a row", i, len(w.writes), n, encodeFlushAt)
+	longest += len(`],"docs":`)
+	// The tail follows the "docs" array's `]`, and ends in a newline.
+	tail, _ := json.Marshal(resp.queryTail)
+	var sizes []int
+	for i, p := range writes {
+		sizes = append(sizes, len(p))
+		switch {
+		case i == len(writes)-1:
+			if len(p) >= encodeFlushAt+len(tail)+2 {
+				t.Fatalf("%s: last write is %d bytes, over the quantum by more than the %d-byte tail", name, len(p), len(tail))
+			}
+		case len(p) < encodeFlushAt || len(p) >= encodeFlushAt+longest:
+			t.Fatalf("%s: write %d of %d is %d bytes, want the %d-byte quantum and less than %d bytes (a row) past it",
+				name, i, len(writes), len(p), encodeFlushAt, longest)
 		}
 	}
-	if n := w.writes[last]; n > encodeFlushAt+tailSlack {
-		t.Fatalf("last write is %d bytes, over the quantum by more than the tail", n)
+	return sizes
+}
+
+// TestQueryBodyWritesInQuanta checks the write schedule of a body of many
+// quanta and chunks, serial and parallel alike: the body is written after
+// the row or "docs" entry that completes a quantum, whichever goroutines
+// rendered the rows, so the two renders write the same sizes.
+func TestQueryBodyWritesInQuanta(t *testing.T) {
+	res := quantaResult(t)
+	var schedules [][]int
+	for _, procs := range []int{1, 2} {
+		w := &recordWrites{}
+		var err error
+		withProcs(procs, func() { err = writeQueryBody(context.Background(), w, res, true) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w.writes) < 8 || chunksOf(res) < 4 {
+			t.Fatalf("GOMAXPROCS %d: %d chunks written in %d writes, want many of each", procs, chunksOf(res), len(w.writes))
+		}
+		schedules = append(schedules, checkQuanta(t, fmt.Sprintf("GOMAXPROCS %d", procs), w.writes))
+	}
+	if !slices.Equal(schedules[0], schedules[1]) {
+		t.Fatalf("serial and parallel renders write differently:\n%v\n%v", schedules[0], schedules[1])
 	}
 }
 
@@ -319,12 +527,57 @@ func TestQueryBodyWritesInQuanta(t *testing.T) {
 func TestQueryBodyStopsWhenClientLeaves(t *testing.T) {
 	res := quantaResult(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	cut := &cancelOnWrite{cancel: cancel}
+	cut := &recordWrites{cancel: cancel}
 	if err := writeQueryBody(ctx, cut, res, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("render after cancel: err = %v, want context.Canceled", err)
 	}
 	if len(res.Segments) < 4 || len(cut.writes) != 1 {
 		t.Fatalf("cancelled render made %d writes over %d segments, want 1", len(cut.writes), len(res.Segments))
+	}
+}
+
+// TestQueryBodyStopsItsWorkers ends a parallel render early — a client that
+// leaves after the first write, a writer that fails its third — and checks
+// that writeQueryBody returns the error, writes nothing after it, and leaves
+// no render goroutine running.
+func TestQueryBodyStopsItsWorkers(t *testing.T) {
+	res := quantaResult(t)
+	if n := chunksOf(res); n < 8 {
+		t.Fatalf("%d chunks, want a render that runs well past three writes", n)
+	}
+	for _, tc := range []struct {
+		name   string
+		cancel bool
+		failAt int
+		want   error
+		writes int
+	}{
+		{"client leaves after the first write", true, 0, context.Canceled, 1},
+		{"third write fails", false, 3, errWriteFailed, 3},
+	} {
+		withProcs(2, func() {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w := &recordWrites{failAt: tc.failAt}
+			if tc.cancel {
+				w.cancel = cancel
+			}
+			if err := writeQueryBody(ctx, w, res, true); !errors.Is(err, tc.want) {
+				t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+			}
+			if len(w.writes) != tc.writes {
+				t.Fatalf("%s: %d writes, want %d", tc.name, len(w.writes), tc.writes)
+			}
+			// The workers have been waited for; a goroutine past its last
+			// deferred call may still be on its way out.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d goroutines after the render, %d before", tc.name, runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
+			}
+		})
 	}
 }
 

@@ -44,12 +44,15 @@
 // the algorithm that produced the plan; -method, or method= on a request,
 // picks another one.
 //
-// A /query body is streamed: each matched node is rendered once per document
-// and rows are assembled from the finished cells into a pooled buffer that
-// goes to the client 128 KB at a time, byte-identical to an encoding/json
-// rendering (encode.go; DESIGN.md §5i). /metrics adds what those responses
-// cost to the corpus's own counters: sjos_query_rows_total and
-// sjos_query_response_bytes_total.
+// A /query body is streamed, byte-identical to an encoding/json rendering
+// (encode.go; DESIGN.md §5i), 128 KB at a time. Its rows are cut into chunks
+// of 8 192 cells; a result of two chunks or more is rendered on up to
+// GOMAXPROCS goroutines, each a few quanta ahead of the socket at most, and
+// the handler writes the chunks in order. A matched node is
+// rendered once per document per render goroutine. count=1 answers with the
+// count alone, which the shards count without collecting a row. /metrics
+// adds what those responses cost to the corpus's own counters:
+// sjos_query_rows_total and sjos_query_response_bytes_total.
 //
 // A -slowquery threshold logs offending queries (fingerprint, method,
 // duration, per-operator trace) to stderr and retains them for /slow.
@@ -553,13 +556,14 @@ func serveQuery(w http.ResponseWriter, r *http.Request, c *collection, defaultMe
 	}
 	opts.Trace = boolParam(r, "trace")
 	opts.NoValueIndex = boolParam(r, "novidx")
+	rows := !boolParam(r, "count")
+	opts.CountOnly = !rows
 	res, err := c.QuerySegments(r.Context(), src, opts)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	rows := !boolParam(r, "count")
 	if err := writeQueryBody(r.Context(), meteredWriter{w, &c.respBytes}, res, rows); err != nil {
 		if r.Context().Err() == nil {
 			log.Printf("xqserve: writing /query response: %v", err)

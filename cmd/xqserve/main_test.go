@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,8 @@ import (
 	"time"
 
 	"sjos"
+	"sjos/internal/datagen"
+	"sjos/internal/xmltree"
 )
 
 // oneDocCorpus builds the read-only single-document collection `xqserve
@@ -525,6 +528,68 @@ func TestServeWrites(t *testing.T) {
 	getJSON(t, srv.URL+"/ingest", &ist)
 	if ist.Docs != 1 || ist.WALPages == 0 || ist.BrokenShards != 0 {
 		t.Fatalf("/ingest: %+v", ist)
+	}
+}
+
+// TestServeCountOnlyMatchesRows holds count=1, which counts on the shards
+// instead of gathering rows, to the row path on a writable 3-shard corpus:
+// after an insert, a replace and a delete (whose tombstoned segments the
+// count must not see), for the benchmark's query shapes, with and without a
+// limit.
+func TestServeCountOnlyMatchesRows(t *testing.T) {
+	cols, err := buildCollections("", "", "pers", 4, 3, 1, 0, 0, replication{perShard: 1}, writeConfig{enabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newMux(cols, sjos.MethodDPAPEB))
+	t.Cleanup(srv.Close)
+	pers := func(seed int64) string {
+		xml, err := xmltree.SerializeString(datagen.Pers(1, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xml
+	}
+	queries := []string{
+		`//manager//employee/name`,
+		`//manager[department/name]//employee/name`,
+		`//manager[.//manager//employee/name]/department/name`,
+		`//employee[salary>118000]/name`,
+		`//manager/name`,
+		`//manager[name][employee[name][salary>110000]][department[name]]//manager[name][employee[name]]/department`,
+	}
+	for _, w := range []struct{ method, id, body string }{
+		{"PUT", "extra", pers(9)},
+		{"PUT", "pers-000", pers(10)},
+		{"DELETE", "pers-001", ""},
+	} {
+		if resp := do(t, w.method, srv.URL+"/docs/"+w.id, w.body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", w.method, w.id, resp.StatusCode)
+		}
+		for _, q := range queries {
+			for _, limit := range []int{0, 10, 1000} {
+				u := fmt.Sprintf("%s/query?q=%s&limit=%d", srv.URL, url.QueryEscape(q), limit)
+				var full struct {
+					Count   int               `json:"count"`
+					Matches []json.RawMessage `json:"matches"`
+				}
+				var counted queryResponse
+				getJSON(t, u, &full)
+				getJSON(t, u+"&count=1", &counted)
+				if counted.Count != full.Count || len(full.Matches) != full.Count || counted.Matches != nil {
+					t.Fatalf("after %s %s, %s limit %d: count=1 says %d (%d rows), the rows say %d (%d rows)",
+						w.method, w.id, q, limit, counted.Count, len(counted.Matches), full.Count, len(full.Matches))
+				}
+			}
+		}
+	}
+	// In-process, count-only leaves the rows out of the result.
+	res, err := cols.def().QuerySegments(context.Background(), queries[0], sjos.QueryOptions{CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count == 0 || res.Segments != nil {
+		t.Fatalf("count-only result: count %d, %d segments", res.Count, len(res.Segments))
 	}
 }
 

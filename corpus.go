@@ -1152,7 +1152,7 @@ func (c *Corpus) QuerySegments(ctx context.Context, src string, opts QueryOption
 // threshold-crossing entry can attribute its time.
 func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
 	res, err := c.queryPattern(ctx, pat, opts)
-	if err == nil {
+	if err == nil && !opts.CountOnly {
 		res.Matches = corpusMatches(res.Segments, res.Count)
 	}
 	return res, err
@@ -1173,7 +1173,7 @@ func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptio
 	}
 	optTime := time.Since(t0)
 	t1 := time.Now()
-	ro := RunOptions{ExecOptions: opts.ExecOptions}
+	ro := RunOptions{ExecOptions: opts.ExecOptions, CountOnly: opts.CountOnly}
 	ro.Trace = opts.Trace || thr > 0
 	rr, err := c.run(ctx, pat, res.Plan, ro)
 	if err != nil {

@@ -190,6 +190,29 @@ func TestCorpusLimitAndCountOnly(t *testing.T) {
 			t.Fatalf("limit %d count-only: Count=%d, want %d", k, cres.Count, n)
 		}
 	}
+
+	// A Database's planned query has no Count: under QueryOptions.CountOnly
+	// it leaves Matches nil and reports the count as Exec.OutputTuples.
+	db, err := fromDocument(docs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 3} {
+		opts := QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP, Limit: k}}
+		rows, err := db.QueryPatternContext(context.Background(), pat, opts)
+		if err != nil {
+			t.Fatalf("database limit %d: %v", k, err)
+		}
+		opts.CountOnly = true
+		counted, err := db.QueryPatternContext(context.Background(), pat, opts)
+		if err != nil {
+			t.Fatalf("database limit %d count-only: %v", k, err)
+		}
+		if len(rows.Matches) == 0 || counted.Matches != nil || counted.Exec.OutputTuples != len(rows.Matches) {
+			t.Fatalf("database limit %d count-only: %d matches, OutputTuples %d, want nil and the %d rows of the row query",
+				k, len(counted.Matches), counted.Exec.OutputTuples, len(rows.Matches))
+		}
+	}
 }
 
 func TestCorpusQueryContext(t *testing.T) {

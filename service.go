@@ -306,6 +306,11 @@ func (s *service) recordPanic(pat *Pattern, perr error) {
 // execution fields the run of the chosen plan.
 type QueryOptions struct {
 	ExecOptions
+	// CountOnly leaves the rows out: a corpus result carries Count, Exec and
+	// Trace and no Segments or Matches (a Database's QueryResult, which has
+	// no Count, reports it as Exec.OutputTuples). Without a Limit the shards
+	// count instead of collecting, so no row is materialised or gathered.
+	CountOnly bool
 }
 
 // planned is what every planned query reports, whichever facade ran it.

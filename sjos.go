@@ -436,5 +436,9 @@ func (db *Database) QueryPatternContext(ctx context.Context, pat *Pattern, opts 
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResult{Matches: matches(res.Segments), planned: res.planned}, nil
+	qr := &QueryResult{planned: res.planned}
+	if !opts.CountOnly {
+		qr.Matches = matches(res.Segments)
+	}
+	return qr, nil
 }
