@@ -28,14 +28,13 @@
 # (read faults, dead replicas, crashes at every WAL write), all under the race
 # detector. `make loc` prints the code-size table CHANGES.md quotes.
 #
-# BENCH selects the layer lanes of `make bench` (default: the
-# partition-parallel executor, plan-cache, value-index and plan_cold
-# execution lanes; BENCH=. adds the ablations and the observability,
+# BENCH selects the layer lanes of `make bench` (default: the plan-cache,
+# value-index and plan_cold execution lanes; BENCH=. adds the ablations and the observability,
 # result-path, recovery and write-cycle lanes). The paper's tables and
 # figures are `go run ./cmd/xqbench all`.
 
 GO    ?= go
-BENCH ?= Parallel|PlanCache|ContentIndex|ExecPlanColdTwig
+BENCH ?= PlanCache|ContentIndex|ExecPlanColdTwig
 
 .PHONY: all build test test-race vet check loc chaos replicachaos walchaos bench benchquick fuzzquick loadbench loadquick plannerbench plannerquick clean
 
@@ -70,7 +69,7 @@ loc:
 # fault-free result or a typed error — never a wrong answer or a panic.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestRunRecovers|TestAdmission|TestDrain|TestQueryPath|TestWriteMetricsResilience' .
-	$(GO) test -race -run 'ParallelExecReleasesPins|ParallelExecRecoversWorkerPanics|PropagatesStorageErrors' ./internal/exec/
+	$(GO) test -race -run 'PropagatesStorageErrors' ./internal/exec/
 	$(GO) test -race ./internal/faultfs/ ./internal/admission/
 
 # Replica fault-injection suite: kill one replica of every shard, hedge,
@@ -106,7 +105,7 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x -cpu 1,2 ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/

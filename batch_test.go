@@ -6,18 +6,13 @@ import (
 )
 
 // TestBatchedTupleDifferential is the acceptance differential for the
-// executor: for every optimizer's chosen plan, serial and partition-parallel
-// execution must produce exactly the brute-force reference's multiset of
-// match tuples, and count it without materialising, on random documents and
-// patterns.
+// executor: for every optimizer's chosen plan, execution must produce exactly
+// the brute-force reference's multiset of match tuples, and count it without
+// materialising, on random documents and patterns.
 func TestBatchedTupleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	tags := []string{"a", "b", "c", "d"}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
-	lanes := []struct {
-		name    string
-		workers int
-	}{{"serial", 0}, {"parallel", 3}}
 	for trial := 0; trial < 8; trial++ {
 		doc := randomXML(rng, 40+rng.Intn(300), tags)
 		db, err := LoadXMLString(doc, nil)
@@ -32,24 +27,22 @@ func TestBatchedTupleDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}
-				for _, lane := range lanes {
-					r, err := db.Run(nil, pat, res.Plan, RunOptions{Workers: lane.workers})
-					if err != nil {
-						t.Fatalf("trial %d %v %s on %s: %v", trial, m, lane.name, pat, err)
-					}
-					if got := canonicalize(r.Matches); !equalStrings(got, want) {
-						t.Fatalf("trial %d: %v %s disagrees with the reference on %s: %d vs %d matches",
-							trial, m, lane.name, pat, len(got), len(want))
-					}
-					// CountOnly must agree without materialising.
-					rc, err := db.Run(nil, pat, res.Plan, RunOptions{CountOnly: true, Workers: lane.workers})
-					if err != nil {
-						t.Fatalf("trial %d %v %s count on %s: %v", trial, m, lane.name, pat, err)
-					}
-					if rc.Count != len(want) {
-						t.Fatalf("trial %d: %v %s CountOnly = %d, want %d",
-							trial, m, lane.name, rc.Count, len(want))
-					}
+				r, err := db.Run(nil, pat, res.Plan, RunOptions{})
+				if err != nil {
+					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
+				}
+				if got := canonicalize(r.Matches); !equalStrings(got, want) {
+					t.Fatalf("trial %d: %v disagrees with the reference on %s: %d vs %d matches",
+						trial, m, pat, len(got), len(want))
+				}
+				// CountOnly must agree without materialising.
+				rc, err := db.Run(nil, pat, res.Plan, RunOptions{CountOnly: true})
+				if err != nil {
+					t.Fatalf("trial %d %v count on %s: %v", trial, m, pat, err)
+				}
+				if rc.Count != len(want) {
+					t.Fatalf("trial %d: %v CountOnly = %d, want %d",
+						trial, m, rc.Count, len(want))
 				}
 			}
 		}

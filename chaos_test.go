@@ -2,7 +2,7 @@ package sjos
 
 // Chaos differential suite: every optimizer method's plan runs over a store
 // whose page file injects read failures and corruption at swept fault
-// points, serially and partition-parallel. The contract is differential —
+// points. The contract is differential —
 // each run must either produce exactly the brute-force reference's count or
 // return the injected (typed) error. Never a wrong
 // answer, never a panic, never a pinned frame left behind.
@@ -72,13 +72,6 @@ func TestChaosDifferential(t *testing.T) {
 	db, ff := chaosDB(t, 42, 12000) // ~10 physical reads a run
 	pat := MustParsePattern("//a//b//c")
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial", RunOptions{}},
-		{"parallel", RunOptions{Workers: 2}},
-	}
 	want := len(referenceMatches(db, pat))
 	var failFired, corruptFired, healed int
 	for _, m := range methods {
@@ -86,72 +79,70 @@ func TestChaosDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: optimize: %v", m, err)
 		}
-		for _, mode := range modes {
-			// Fault-free baseline; also measures this mode's physical read
-			// count so the fault sweep covers its real I/O schedule.
-			ff.SetPolicy(faultfs.Policy{})
-			base, err := runChaos(t, db, pat, opt.Plan, mode.opts)
+		// Fault-free baseline; also measures the run's physical read
+		// count so the fault sweep covers its real I/O schedule.
+		ff.SetPolicy(faultfs.Policy{})
+		base, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
+		if err != nil {
+			t.Fatalf("%v: baseline: %v", m, err)
+		}
+		if base.Count != want {
+			t.Fatalf("%v: baseline count = %d, reference %d", m, base.Count, want)
+		}
+		reads := int(ff.Reads())
+		for _, p := range faultPoints(reads) {
+			// Permanent read failure: correct result (fault point past
+			// this run's reads) or the injected error.
+			ff.SetPolicy(faultfs.Policy{FailNthRead: p})
+			if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+				failFired++
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("%v failNth=%d: error = %v, want injected", m, p, err)
+				}
+			} else if res.Count != want {
+				t.Fatalf("%v failNth=%d: count = %d, want %d", m, p, res.Count, want)
+			}
+
+			// Transient read failure: the pool's retry loop must heal it
+			// — the full, correct result, no error.
+			ff.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
+			res, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
 			if err != nil {
-				t.Fatalf("%v/%s: baseline: %v", m, mode.name, err)
+				t.Fatalf("%v transient failNth=%d: %v", m, p, err)
 			}
-			if base.Count != want {
-				t.Fatalf("%v/%s: baseline count = %d, reference %d", m, mode.name, base.Count, want)
+			if res.Count != want {
+				t.Fatalf("%v transient failNth=%d: count = %d, want %d", m, p, res.Count, want)
 			}
-			reads := int(ff.Reads())
-			for _, p := range faultPoints(reads) {
-				// Permanent read failure: correct result (fault point past
-				// this run's reads) or the injected error.
-				ff.SetPolicy(faultfs.Policy{FailNthRead: p})
-				if res, err := runChaos(t, db, pat, opt.Plan, mode.opts); err != nil {
-					failFired++
-					if !errors.Is(err, faultfs.ErrInjected) {
-						t.Fatalf("%v/%s failNth=%d: error = %v, want injected", m, mode.name, p, err)
-					}
-				} else if res.Count != want {
-					t.Fatalf("%v/%s failNth=%d: count = %d, want %d", m, mode.name, p, res.Count, want)
-				}
+			if ff.FaultsInjected() > 0 {
+				healed++
+			}
 
-				// Transient read failure: the pool's retry loop must heal it
-				// — the full, correct result, no error.
-				ff.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
-				res, err := runChaos(t, db, pat, opt.Plan, mode.opts)
-				if err != nil {
-					t.Fatalf("%v/%s transient failNth=%d: %v", m, mode.name, p, err)
+			// Permanent corruption: checksum verification must catch the
+			// flipped bit and surface a typed CorruptPageError.
+			ff.SetPolicy(faultfs.Policy{CorruptNthRead: p})
+			if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+				corruptFired++
+				var ce *CorruptPageError
+				if !errors.As(err, &ce) {
+					t.Fatalf("%v corruptNth=%d: error = %v, want *CorruptPageError", m, p, err)
 				}
-				if res.Count != want {
-					t.Fatalf("%v/%s transient failNth=%d: count = %d, want %d", m, mode.name, p, res.Count, want)
-				}
-				if ff.FaultsInjected() > 0 {
-					healed++
-				}
+			} else if res.Count != want {
+				t.Fatalf("%v corruptNth=%d: count = %d, want %d", m, p, res.Count, want)
+			}
 
-				// Permanent corruption: checksum verification must catch the
-				// flipped bit and surface a typed CorruptPageError.
-				ff.SetPolicy(faultfs.Policy{CorruptNthRead: p})
-				if res, err := runChaos(t, db, pat, opt.Plan, mode.opts); err != nil {
-					corruptFired++
-					var ce *CorruptPageError
-					if !errors.As(err, &ce) {
-						t.Fatalf("%v/%s corruptNth=%d: error = %v, want *CorruptPageError", m, mode.name, p, err)
-					}
-				} else if res.Count != want {
-					t.Fatalf("%v/%s corruptNth=%d: count = %d, want %d", m, mode.name, p, res.Count, want)
-				}
-
-				// Transient corruption (a torn read): one bad copy, re-read
-				// clean — must heal to the correct result.
-				ff.SetPolicy(faultfs.Policy{CorruptNthRead: p, Transient: true})
-				before := db.PoolStats().ChecksumFailures
-				res, err = runChaos(t, db, pat, opt.Plan, mode.opts)
-				if err != nil {
-					t.Fatalf("%v/%s transient corruptNth=%d: %v", m, mode.name, p, err)
-				}
-				if res.Count != want {
-					t.Fatalf("%v/%s transient corruptNth=%d: count = %d, want %d", m, mode.name, p, res.Count, want)
-				}
-				if ff.FaultsInjected() > 0 && db.PoolStats().ChecksumFailures <= before {
-					t.Fatalf("%v/%s transient corruptNth=%d: corruption injected but no checksum failure counted", m, mode.name, p)
-				}
+			// Transient corruption (a torn read): one bad copy, re-read
+			// clean — must heal to the correct result.
+			ff.SetPolicy(faultfs.Policy{CorruptNthRead: p, Transient: true})
+			before := db.PoolStats().ChecksumFailures
+			res, err = runChaos(t, db, pat, opt.Plan, RunOptions{})
+			if err != nil {
+				t.Fatalf("%v transient corruptNth=%d: %v", m, p, err)
+			}
+			if res.Count != want {
+				t.Fatalf("%v transient corruptNth=%d: count = %d, want %d", m, p, res.Count, want)
+			}
+			if ff.FaultsInjected() > 0 && db.PoolStats().ChecksumFailures <= before {
+				t.Fatalf("%v transient corruptNth=%d: corruption injected but no checksum failure counted", m, p)
 			}
 		}
 	}
@@ -177,7 +168,7 @@ func TestChaosProbabilistic(t *testing.T) {
 	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy} {
 		p := mustPlan(t, db, pat, m)
 		ff.SetPolicy(faultfs.Policy{FailProb: 0.05, Seed: int64(m) + 1, Transient: true})
-		res, err := runChaos(t, db, pat, p, RunOptions{Workers: 2})
+		res, err := runChaos(t, db, pat, p, RunOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -202,12 +193,14 @@ func mustPlan(t *testing.T, db *Database, pat *Pattern, m Method) *Plan {
 // pool, checksum and retry path as everything else, so each run must
 // return the fault-free count or a typed injected/corruption error — and
 // transient faults must heal. The scan+filter lane over the same faulty
-// store is the correctness oracle.
+// store is the correctness oracle. Postings spanning several pages behind a
+// one-frame pool keep every run reading the file, so the sweep has reads to
+// fail.
 func TestChaosValueProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	doc := randomValueXML(rng, 4000, []string{"a", "b", "c"})
+	doc := randomValueXML(rng, 40000, []string{"a", "b", "c"})
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	db, err := LoadXMLString(doc, &Options{PageFile: ff, PoolFrames: 8})
+	db, err := LoadXMLString(doc, &Options{PageFile: ff, PoolFrames: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,54 +220,45 @@ func TestChaosValueProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := len(res.Matches)
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial", RunOptions{}},
-		{"parallel", RunOptions{Workers: 2}},
-	}
 	var fired, healed int
-	for _, mode := range modes {
-		ff.SetPolicy(faultfs.Policy{})
-		base, err := runChaos(t, db, pat, opt.Plan, mode.opts)
+	ff.SetPolicy(faultfs.Policy{})
+	base, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	if base.Count != want {
+		t.Fatalf("baseline count = %d, oracle %d", base.Count, want)
+	}
+	reads := int(ff.Reads())
+	for _, p := range faultPoints(reads) {
+		ff.SetPolicy(faultfs.Policy{FailNthRead: p})
+		if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+			fired++
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("failNth=%d: error = %v, want injected", p, err)
+			}
+		} else if res.Count != want {
+			t.Fatalf("failNth=%d: count = %d, want %d", p, res.Count, want)
+		}
+		ff.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
+		res, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
 		if err != nil {
-			t.Fatalf("%s: baseline: %v", mode.name, err)
+			t.Fatalf("transient failNth=%d: %v", p, err)
 		}
-		if base.Count != want {
-			t.Fatalf("%s: baseline count = %d, oracle %d", mode.name, base.Count, want)
+		if res.Count != want {
+			t.Fatalf("transient failNth=%d: count = %d, want %d", p, res.Count, want)
 		}
-		reads := int(ff.Reads())
-		for _, p := range faultPoints(reads) {
-			ff.SetPolicy(faultfs.Policy{FailNthRead: p})
-			if res, err := runChaos(t, db, pat, opt.Plan, mode.opts); err != nil {
-				fired++
-				if !errors.Is(err, faultfs.ErrInjected) {
-					t.Fatalf("%s failNth=%d: error = %v, want injected", mode.name, p, err)
-				}
-			} else if res.Count != want {
-				t.Fatalf("%s failNth=%d: count = %d, want %d", mode.name, p, res.Count, want)
+		if ff.FaultsInjected() > 0 {
+			healed++
+		}
+		ff.SetPolicy(faultfs.Policy{CorruptNthRead: p})
+		if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+			var ce *CorruptPageError
+			if !errors.As(err, &ce) {
+				t.Fatalf("corruptNth=%d: error = %v, want *CorruptPageError", p, err)
 			}
-			ff.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
-			res, err := runChaos(t, db, pat, opt.Plan, mode.opts)
-			if err != nil {
-				t.Fatalf("%s transient failNth=%d: %v", mode.name, p, err)
-			}
-			if res.Count != want {
-				t.Fatalf("%s transient failNth=%d: count = %d, want %d", mode.name, p, res.Count, want)
-			}
-			if ff.FaultsInjected() > 0 {
-				healed++
-			}
-			ff.SetPolicy(faultfs.Policy{CorruptNthRead: p})
-			if res, err := runChaos(t, db, pat, opt.Plan, mode.opts); err != nil {
-				var ce *CorruptPageError
-				if !errors.As(err, &ce) {
-					t.Fatalf("%s corruptNth=%d: error = %v, want *CorruptPageError", mode.name, p, err)
-				}
-			} else if res.Count != want {
-				t.Fatalf("%s corruptNth=%d: count = %d, want %d", mode.name, p, res.Count, want)
-			}
+		} else if res.Count != want {
+			t.Fatalf("corruptNth=%d: count = %d, want %d", p, res.Count, want)
 		}
 	}
 	ff.SetPolicy(faultfs.Policy{})

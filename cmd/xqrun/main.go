@@ -29,7 +29,6 @@ func main() {
 	limit := flag.Int("limit", 10, "matches to print (0 = count only)")
 	explain := flag.Bool("explain", false, "compare all optimizers instead of executing")
 	trace := flag.Bool("trace", false, "print the DPP search trace instead of executing")
-	parallel := flag.Int("parallel", 0, "partition-parallel workers (0 = serial, -1 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = none)")
 	noCache := flag.Bool("nocache", false, "bypass the plan cache")
 	noVidx := flag.Bool("novidx", false, "disable value-index probes (predicated leaves scan+filter)")
@@ -51,8 +50,7 @@ func main() {
 	cfg := runCfg{
 		xmlPath: *xmlPath, dataset: *dataset, fold: *fold,
 		query: *query, method: *method, limit: *limit,
-		mode: mode, parallel: *parallel,
-		timeout: *timeout, noCache: *noCache, noVidx: *noVidx, opTrace: *opTrace,
+		mode: mode, timeout: *timeout, noCache: *noCache, noVidx: *noVidx, opTrace: *opTrace,
 	}
 	if err := runWith(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "xqrun: %v\n", err)
@@ -75,7 +73,6 @@ type runCfg struct {
 	query, method    string
 	limit            int
 	mode             mode
-	parallel         int
 	timeout          time.Duration
 	noCache          bool
 	noVidx           bool
@@ -99,10 +96,9 @@ func runMode(xmlPath, dataset string, fold int, query, method string, limit int,
 	})
 }
 
-// runWith loads the database and evaluates the query per cfg: parallel 0
-// runs serial, otherwise queries go through db.WithParallelism(parallel);
-// a non-zero timeout cancels the optimize and execute phases through the
-// query context.
+// runWith loads the database and evaluates the query per cfg; a non-zero
+// timeout cancels the optimize and execute phases through the query
+// context.
 func runWith(cfg runCfg) error {
 	var db *sjos.Database
 	var err error
@@ -119,13 +115,7 @@ func runWith(cfg runCfg) error {
 	if err != nil {
 		return err
 	}
-	if cfg.parallel != 0 {
-		db = db.WithParallelism(cfg.parallel)
-		fmt.Printf("database: %d element nodes (parallel execution, %d workers)\n",
-			db.NumNodes(), db.Parallelism())
-	} else {
-		fmt.Printf("database: %d element nodes\n", db.NumNodes())
-	}
+	fmt.Printf("database: %d element nodes\n", db.NumNodes())
 
 	pat, err := sjos.ParsePattern(cfg.query)
 	if err != nil {

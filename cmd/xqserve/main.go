@@ -5,7 +5,7 @@
 //	xqserve -dataset pers -docs 8 -shards 4 -addr :8377
 //	xqserve -dataset pers -docs 8 -shards 4 -replicas 2 -hedge 2ms
 //	xqserve -collections staff=pers:8,papers=dblp:4 -shards 4
-//	xqserve -xml file.xml -parallel 4 -slowquery 50ms
+//	xqserve -xml file.xml -slowquery 50ms
 //
 // Endpoints:
 //
@@ -96,7 +96,6 @@ func main() {
 	hedge := flag.String("hedge", "auto", "hedged reads: auto (adaptive p95 delay), off, or a fixed delay like 2ms")
 	fold := flag.Int("fold", 1, "folding factor for generated data sets")
 	method := flag.String("method", "DPAP-EB", "default optimizer for /query, run on every plan-cache miss (DP, DPP, DPAP-EB, DPAP-LD, FP, Greedy); method= on a request overrides it")
-	parallel := flag.Int("parallel", 0, "partition-parallel workers per shard (0 = serial, -1 = GOMAXPROCS)")
 	addr := flag.String("addr", ":8377", "listen address")
 	slowQuery := flag.Duration("slowquery", 0, "slow-query log threshold (0 = disabled)")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing queries per collection (0 = unlimited)")
@@ -123,9 +122,6 @@ func main() {
 	}
 	for _, name := range cols.names {
 		c := cols.byName[name]
-		if *parallel != 0 {
-			c.Corpus = c.WithParallelism(*parallel)
-		}
 		if *slowQuery > 0 {
 			name := name
 			c.SetSlowQueryLog(*slowQuery, func(e sjos.SlowQueryEntry) {

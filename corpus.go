@@ -160,9 +160,19 @@ type corpusView struct {
 	byID map[string]int // document ID → owning shard
 }
 
-// corpusState is the shared identity behind a Corpus and all of its
-// WithParallelism views.
-type corpusState struct {
+// Corpus is many documents behind one query surface: documents are
+// distributed over shards by consistent hashing of their IDs, each shard
+// stores its documents as one forest (reusing the paged, checksummed
+// store and all indexes), and queries scatter across shards and gather in
+// document order. The Corpus is the primary entry point for multi-document
+// workloads and the only writable facade (CorpusOptions.ShardWALFile); a
+// Database is the read-only one-document corpus of the paper's setup.
+//
+// Plans are optimized once per query against corpus-wide merged statistics
+// and executed unchanged on every shard — correct because no structural
+// relationship crosses a shard, so a corpus answer is exactly the
+// concatenation of per-shard answers in document order.
+type Corpus struct {
 	shards []*corpusShard // one per ring shard; nil when no document hashed there
 	ring   *shardring.Ring
 	live   atomic.Pointer[corpusView]
@@ -192,16 +202,16 @@ type corpusState struct {
 
 // view returns the current membership directory; callers pin it once per
 // operation.
-func (cs *corpusState) view() *corpusView { return cs.live.Load() }
+func (c *Corpus) view() *corpusView { return c.live.Load() }
 
 // hedgeDelay returns how long a shard query waits on its first replica
 // before hedging onto the next: the fixed override when set, otherwise the
 // observed p95 clamped to [500µs, 100ms] (2ms before any observation).
-func (cs *corpusState) hedgeDelay() time.Duration {
-	if cs.fixedHedge > 0 {
-		return cs.fixedHedge
+func (c *Corpus) hedgeDelay() time.Duration {
+	if c.fixedHedge > 0 {
+		return c.fixedHedge
 	}
-	d := cs.lat.Quantile(0.95)
+	d := c.lat.Quantile(0.95)
 	switch {
 	case d == 0:
 		return 2 * time.Millisecond
@@ -211,27 +221,6 @@ func (cs *corpusState) hedgeDelay() time.Duration {
 		return 100 * time.Millisecond
 	}
 	return d
-}
-
-// Corpus is many documents behind one query surface: documents are
-// distributed over shards by consistent hashing of their IDs, each shard
-// stores its documents as one forest (reusing the paged, checksummed
-// store and all indexes), and queries scatter across shards and gather in
-// document order. The Corpus is the primary entry point for multi-document
-// workloads and the only writable facade (CorpusOptions.ShardWALFile); a
-// Database is the read-only one-document corpus of the paper's setup.
-//
-// Plans are optimized once per query against corpus-wide merged statistics
-// and executed unchanged on every shard — correct because no structural
-// relationship crosses a shard, so a corpus answer is exactly the
-// concatenation of per-shard answers in document order.
-type Corpus struct {
-	*corpusState
-
-	// parallelism > 0 routes each shard's execution through the
-	// partition-parallel driver with that many workers (in addition to the
-	// cross-shard scatter). 0 = serial per shard.
-	parallelism int
 }
 
 // CorpusBuilder accumulates documents for one Corpus. Add documents in the
@@ -325,7 +314,7 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	}
 	ring := shardring.New(shards, 0)
 
-	cs := &corpusState{
+	c := &Corpus{
 		shards:     make([]*corpusShard, ring.Shards()),
 		ring:       ring,
 		model:      b.opts.model(),
@@ -340,7 +329,7 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	}
 	// Group documents by owning shard, preserving global insertion order
 	// within each group.
-	groups := make([][]seedDoc, len(cs.shards))
+	groups := make([][]seedDoc, len(c.shards))
 	for gi, id := range b.ids {
 		s := ring.Shard(id)
 		cv.byID[id] = s
@@ -429,7 +418,7 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		slots <- struct{}{}
 		go func() {
 			defer wg.Done()
-			cs.shards[s], errs[s] = buildShard(s)
+			c.shards[s], errs[s] = buildShard(s)
 			<-slots
 		}()
 	}
@@ -445,12 +434,12 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	// never saw; fold them into the membership directory, in shard order.
 	// Their global order is reconstructed shard-grouped (per-shard insertion
 	// order is exact; the interleaving across shards is not logged).
-	for s, sh := range cs.shards {
+	for s, sh := range c.shards {
 		if sh == nil {
 			continue
 		}
 		if sh.meta().recovered > 0 {
-			cs.recoverTook = took
+			c.recoverTook = took
 		}
 		for _, m := range sh.meta().view().members {
 			if _, seen := cv.byID[m.id]; !seen {
@@ -460,9 +449,8 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		}
 	}
 
-	cs.probe = corpusProbe{shards: cs.shards}
-	cs.live.Store(cv)
-	c := &Corpus{corpusState: cs}
+	c.probe = corpusProbe{shards: c.shards}
+	c.live.Store(cv)
 	c.refreshStats()
 	return c, nil
 }
@@ -587,22 +575,6 @@ func (c *Corpus) Value(docID string, id NodeID) (string, bool) {
 	return sn.doc.Value(gid), true
 }
 
-// WithParallelism returns a derived handle whose queries execute each
-// shard's plan through the partition-parallel driver with k workers, on top
-// of the cross-shard scatter (total concurrency ≈ scatter workers × k).
-// k <= 0 selects runtime.GOMAXPROCS(0). The derived handle shares all
-// corpus state — plan cache, statistics, metrics and admission control.
-func (c *Corpus) WithParallelism(k int) *Corpus {
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	return &Corpus{corpusState: c.corpusState, parallelism: k}
-}
-
-// Parallelism reports the per-shard worker count queries run with
-// (0 = serial within each shard).
-func (c *Corpus) Parallelism() int { return c.parallelism }
-
 // Optimize picks a plan for pat against the corpus-wide merged statistics
 // (summed tag counts and join estimates over all shards — exact at the
 // corpus level because joins never cross shards). The chosen plan executes
@@ -689,8 +661,8 @@ type CorpusRunResult struct {
 	Count int
 	// Stats merges the physical work of every shard execution.
 	Stats ExecStats
-	// Trace is the plan-shaped trace with all shards' operator clones
-	// merged (nil unless RunOptions.Trace).
+	// Trace is the plan-shaped trace with all shards' operators merged
+	// (nil unless RunOptions.Trace).
 	Trace *OpTrace
 	// ShardsQueried is the number of populated shards the query was
 	// scattered to.
@@ -703,16 +675,15 @@ var errCorpusLimit = errors.New("sjos: corpus limit satisfied")
 
 // Run executes one plan on every populated shard and gathers the results
 // in document order. It is the single execution entry point: limits,
-// count-only projection, per-operator tracing and serial versus
-// partition-parallel mode are all RunOptions, and every mode observes ctx —
-// cancelling it makes Run return promptly with ctx's error (index scans,
-// buffer-pool retry waits and output loops poll it). A nil ctx is
-// context.Background(). Within the scatter, min(#populated shards,
-// GOMAXPROCS) shards execute concurrently (each serial or partition-parallel
-// per WithParallelism / opts.Workers); the first shard error cancels the
-// rest and Run returns that error with no partial results, and under
-// opts.Limit the remaining shards are cancelled as soon as a document-order
-// prefix of gathered results satisfies the limit.
+// count-only projection and per-operator tracing are all RunOptions, and
+// every run observes ctx — cancelling it makes Run return promptly with
+// ctx's error (index scans, buffer-pool retry waits and output loops poll
+// it). A nil ctx is context.Background(). Within the scatter, min(#populated
+// shards, GOMAXPROCS) shards execute concurrently, each on one goroutine; the
+// first shard error cancels the rest and Run returns that error with no
+// partial results, and under opts.Limit the remaining shards are cancelled
+// as soon as a document-order prefix of gathered results satisfies the
+// limit.
 //
 // Run is also the resilience boundary. When the corpus was built with an
 // in-flight limit (Options.MaxInFlight) each call first claims an admission
@@ -808,9 +779,6 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 	}
 
 	shOpts := opts
-	if shOpts.Workers == 0 {
-		shOpts.Workers = c.parallelism
-	}
 	// A corpus Limit k is served by per-shard limit k: any plan's output is
 	// in document-position order and members occupy disjoint ascending
 	// ranges, so each shard's first k matches cover every possible prefix

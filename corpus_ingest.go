@@ -112,12 +112,16 @@ func (c *Corpus) mutate(op storage.WALOp, id string, r io.Reader) error {
 		cv := c.view()
 		nv := &corpusView{byID: make(map[string]int, len(cv.byID)+1)}
 		for _, d := range cv.ids {
-			if d != id || op != storage.WALDelete {
+			if d != id {
 				nv.ids = append(nv.ids, d)
 				nv.byID[d] = cv.byID[d]
 			}
 		}
-		if op == storage.WALInsert {
+		// An inserted or replaced document goes to the end of the directory,
+		// where its shard lays down the new segment: within every shard,
+		// directory order stays node order, which a Limit's per-shard prefix
+		// and a recovered shard both rely on.
+		if op != storage.WALDelete {
 			nv.ids = append(nv.ids, id)
 			nv.byID[id] = sh.id
 		}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,6 +172,74 @@ func testIngestInsertDeleteReplace(t *testing.T, shards int) {
 	}
 	if lres.Count != 3 {
 		t.Fatalf("limit run: %d matches, want 3", lres.Count)
+	}
+}
+
+// TestCorpusIngestReplaceOrder: a replaced document moves to the end of the
+// directory, where its shard lays the new version down, so after a replace a
+// limited run's rows are still a prefix of the unlimited run's — on one shard
+// and on three, with both documents on the same shard — and a recovered
+// one-shard corpus lists the documents, and their rows, in the same order.
+func TestCorpusIngestReplaceOrder(t *testing.T) {
+	const q = "//order//item/name"
+	for _, shards := range []int{1, 3} {
+		wals := newWALMap()
+		build := func() *Corpus {
+			c, err := NewCorpusBuilder(&CorpusOptions{Shards: shards, ShardWALFile: wals.file}).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		c := build()
+		other := ""
+		for _, id := range strings.Split("cbdefghijklmnopqrstuvwxyz", "") {
+			if c.ring.Shard(id) == c.ring.Shard("a") {
+				other = id
+				break
+			}
+		}
+		if other == "" {
+			t.Fatalf("%d shards: no fixture ID shares a shard with a", shards)
+		}
+		for _, step := range []func() error{
+			func() error { return c.InsertString("a", orderXML(4)) },
+			func() error { return c.InsertString(other, orderXML(3)) },
+			func() error { return c.ReplaceString("a", orderXML(5)) },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := c.DocIDs(); !reflect.DeepEqual(got, []string{other, "a"}) {
+			t.Fatalf("%d shards: directory %v, want [%s a]", shards, got, other)
+		}
+		pat, p := mustPattern(t, q), mustPlanCorpus(t, c, q)
+		full, err := c.Run(nil, pat, p, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lim, err := c.Run(nil, pat, p, RunOptions{ExecOptions: ExecOptions{Limit: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Count != 8 || !sameCorpusMatches(lim.Matches, full.Matches[:3]) {
+			t.Fatalf("%d shards: limit-3 rows are not a prefix of the %d unlimited rows", shards, full.Count)
+		}
+		if shards > 1 {
+			continue
+		}
+		rec := build()
+		if got := rec.DocIDs(); !reflect.DeepEqual(got, c.DocIDs()) {
+			t.Fatalf("recovered directory %v, live %v", got, c.DocIDs())
+		}
+		rres, err := rec.Run(nil, pat, p, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCorpusMatches(rres.Matches, full.Matches) {
+			t.Fatal("recovered corpus lists its rows in another order than the live one")
+		}
 	}
 }
 

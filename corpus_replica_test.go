@@ -67,26 +67,17 @@ func TestCorpusReplicaChaos(t *testing.T) {
 		t.Fatal("fixture ground truth is empty")
 	}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP}
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial", RunOptions{}},
-		{"parallel", RunOptions{Workers: 2}},
-	}
 	for _, m := range methods {
 		opt, err := c.Optimize(pat, m, 0)
 		if err != nil {
 			t.Fatalf("%v: optimize: %v", m, err)
 		}
-		for _, mode := range modes {
-			res, err := c.Run(context.Background(), pat, opt.Plan, mode.opts)
-			if err != nil {
-				t.Fatalf("%v/%s: dead replica leaked as error: %v", m, mode.name, err)
-			}
-			if !sameCorpusMatches(res.Matches, want) {
-				t.Fatalf("%v/%s: result differs from fault-free answer", m, mode.name)
-			}
+		res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{})
+		if err != nil {
+			t.Fatalf("%v: dead replica leaked as error: %v", m, err)
+		}
+		if !sameCorpusMatches(res.Matches, want) {
+			t.Fatalf("%v: result differs from fault-free answer", m)
 		}
 	}
 

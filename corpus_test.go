@@ -109,13 +109,6 @@ func TestCorpusDifferential(t *testing.T) {
 		t.Fatalf("shards=%d docs=%d, want 3/5", c.NumShards(), c.NumDocs())
 	}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial", RunOptions{}},
-		{"parallel", RunOptions{Workers: 2}},
-	}
 	for _, src := range []string{
 		`//article//author`,
 		`//article[year < 1980]/title`,
@@ -130,21 +123,19 @@ func TestCorpusDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: optimize: %v", src, m, err)
 			}
-			for _, mode := range modes {
-				res, err := c.Run(context.Background(), pat, opt.Plan, mode.opts)
-				if err != nil {
-					t.Fatalf("%s/%v/%s: %v", src, m, mode.name, err)
-				}
-				if !sameCorpusMatches(res.Matches, want) {
-					t.Fatalf("%s/%v/%s: corpus result (%d matches) differs from per-document concatenation (%d)",
-						src, m, mode.name, len(res.Matches), len(want))
-				}
-				if res.Count != len(want) {
-					t.Fatalf("%s/%v/%s: Count = %d, want %d", src, m, mode.name, res.Count, len(want))
-				}
-				if res.ShardsQueried != 3 {
-					t.Fatalf("%s/%v/%s: ShardsQueried = %d, want 3", src, m, mode.name, res.ShardsQueried)
-				}
+			res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", src, m, err)
+			}
+			if !sameCorpusMatches(res.Matches, want) {
+				t.Fatalf("%s/%v: corpus result (%d matches) differs from per-document concatenation (%d)",
+					src, m, len(res.Matches), len(want))
+			}
+			if res.Count != len(want) {
+				t.Fatalf("%s/%v: Count = %d, want %d", src, m, res.Count, len(want))
+			}
+			if res.ShardsQueried != 3 {
+				t.Fatalf("%s/%v: ShardsQueried = %d, want 3", src, m, res.ShardsQueried)
 			}
 		}
 	}
@@ -235,17 +226,16 @@ func TestCorpusQueryContext(t *testing.T) {
 		t.Fatal("missing plan in query result")
 	}
 
-	// Second identical query must hit the corpus plan cache — including
-	// through a derived parallel handle, which shares it.
-	res2, err := c.WithParallelism(2).QueryContext(context.Background(), `//article//author`, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	// Second identical query must hit the corpus plan cache.
+	res2, err := c.QueryContext(context.Background(), `//article//author`, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.CachedPlan {
-		t.Fatal("derived handle did not see the cached plan")
+		t.Fatal("second query did not see the cached plan")
 	}
 	if !sameCorpusMatches(res2.Matches, want) {
-		t.Fatal("parallel derived-handle result differs")
+		t.Fatal("cached-plan result differs")
 	}
 	if cs := c.CacheStats(); cs.Hits == 0 {
 		t.Fatalf("corpus cache stats show no hit: %+v", cs)
@@ -311,50 +301,44 @@ func TestCorpusChaosOneShard(t *testing.T) {
 		}
 		return res, err
 	}
-	modes := []RunOptions{
-		{},
-		{Workers: 2},
-	}
 	var fired, healed int
-	for _, mode := range modes {
-		faulty.SetPolicy(faultfs.Policy{})
-		base, err := run(mode)
-		if err != nil {
-			t.Fatalf("baseline: %v", err)
-		}
-		if !sameCorpusMatches(base.Matches, want) {
-			t.Fatal("baseline differs from per-document concatenation")
-		}
-		reads := int(faulty.Reads())
-		for _, p := range faultPoints(reads) {
-			// Permanent failure in one shard: the whole query fails with the
-			// injected error (no partial result), or the fault point was past
-			// this run's reads and the result is exact.
-			faulty.SetPolicy(faultfs.Policy{FailNthRead: p})
-			if res, err := run(mode); err != nil {
-				fired++
-				if !errors.Is(err, faultfs.ErrInjected) {
-					t.Fatalf("failNth=%d: error = %v, want injected", p, err)
-				}
-				if res != nil {
-					t.Fatalf("failNth=%d: partial result alongside error", p)
-				}
-			} else if !sameCorpusMatches(res.Matches, want) {
-				t.Fatalf("failNth=%d: result differs from fault-free answer", p)
+	faulty.SetPolicy(faultfs.Policy{})
+	base, err := run(RunOptions{})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	if !sameCorpusMatches(base.Matches, want) {
+		t.Fatal("baseline differs from per-document concatenation")
+	}
+	reads := int(faulty.Reads())
+	for _, p := range faultPoints(reads) {
+		// Permanent failure in one shard: the whole query fails with the
+		// injected error (no partial result), or the fault point was past
+		// this run's reads and the result is exact.
+		faulty.SetPolicy(faultfs.Policy{FailNthRead: p})
+		if res, err := run(RunOptions{}); err != nil {
+			fired++
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("failNth=%d: error = %v, want injected", p, err)
 			}
+			if res != nil {
+				t.Fatalf("failNth=%d: partial result alongside error", p)
+			}
+		} else if !sameCorpusMatches(res.Matches, want) {
+			t.Fatalf("failNth=%d: result differs from fault-free answer", p)
+		}
 
-			// Transient failure: the shard pool's retry loop heals it.
-			faulty.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
-			res, err := run(mode)
-			if err != nil {
-				t.Fatalf("transient failNth=%d: %v", p, err)
-			}
-			if !sameCorpusMatches(res.Matches, want) {
-				t.Fatalf("transient failNth=%d: result differs", p)
-			}
-			if faulty.FaultsInjected() > 0 {
-				healed++
-			}
+		// Transient failure: the shard pool's retry loop heals it.
+		faulty.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
+		res, err := run(RunOptions{})
+		if err != nil {
+			t.Fatalf("transient failNth=%d: %v", p, err)
+		}
+		if !sameCorpusMatches(res.Matches, want) {
+			t.Fatalf("transient failNth=%d: result differs", p)
+		}
+		if faulty.FaultsInjected() > 0 {
+			healed++
 		}
 	}
 	if fired == 0 {
@@ -379,46 +363,6 @@ func TestCorpusChaosOneShard(t *testing.T) {
 	}
 }
 
-// TestDerivedHandlesShareState pins the WithParallelism contract for both
-// facades: derived handles share the plan cache and the admission
-// controller with their parent.
-func TestDerivedHandlesShareState(t *testing.T) {
-	doc, err := datagen.Generate(datagen.Config{Name: "dblp", Scale: 0.02, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := fromDocument(doc, &Options{MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query(`//article//author`, MethodDPP); err != nil {
-		t.Fatal(err)
-	}
-	par := db.WithParallelism(2)
-	res, err := par.QueryContext(context.Background(), `//article//author`, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CachedPlan {
-		t.Fatal("derived database handle missed the shared plan cache")
-	}
-	if db.CacheStats() != par.CacheStats() {
-		t.Fatal("cache stats diverge across derived handles")
-	}
-	// Draining the parent shuts down the derived handle too (one shared
-	// admission controller), and both observe the rejection counter.
-	if err := db.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := par.Query(`//article//author`, MethodDPP); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("derived handle after parent drain: %v, want ErrShuttingDown", err)
-	}
-	if db.AdmissionStats() != par.AdmissionStats() || db.AdmissionStats().Rejected == 0 {
-		t.Fatalf("admission stats diverge or missed the rejection: %+v vs %+v",
-			db.AdmissionStats(), par.AdmissionStats())
-	}
-}
-
 func TestCorpusDrainAndAdmission(t *testing.T) {
 	ids, docs := corpusFixtureDocs(t, 2)
 	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 2, Options: Options{MaxInFlight: 2}})
@@ -434,10 +378,6 @@ func TestCorpusDrainAndAdmission(t *testing.T) {
 	}
 	if c.AdmissionStats().Rejected == 0 {
 		t.Fatal("corpus admission counters missed the rejection")
-	}
-	// Derived corpus handles share the drained controller.
-	if _, err := c.WithParallelism(2).Query(`//article//author`, MethodDPP); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("derived corpus handle after drain: %v, want ErrShuttingDown", err)
 	}
 }
 

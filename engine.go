@@ -530,39 +530,42 @@ func (e *engine) addIngestStats(st *CorpusIngestStats) {
 // runOn executes a plan against one pinned snapshot: the whole run reads
 // exactly sn's document and store, so concurrent mutations (which publish
 // new snapshots) are invisible to it. Callers pin the snapshot themselves so
-// they can attribute matches with the matching member table. opts.Workers is
-// literal here: 0 runs serially, > 0 partition-parallel with that many
-// workers, < 0 with runtime.GOMAXPROCS(0).
+// they can attribute matches with the matching member table.
 func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// With tracing on, operator trees (one per partition in parallel mode)
-	// are built through a TraceBuilder so every clone accumulates into one
-	// plan-shaped trace; with tracing off the plain compiler runs and
-	// execution carries zero instrumentation.
-	pe := &exec.ParallelExec{Workers: opts.Workers}
+	// With tracing on, the operator tree is built through a TraceBuilder and
+	// counts into a plan-shaped trace; with tracing off the plain compiler
+	// runs and execution carries zero instrumentation.
 	var tb *exec.TraceBuilder
+	var root exec.Operator
+	var err error
 	if opts.Trace {
-		var err error
-		if tb, err = exec.NewTraceBuilder(pat, p); err != nil {
-			return nil, err
+		if tb, err = exec.NewTraceBuilder(pat, p); err == nil {
+			root, err = tb.Build()
 		}
-		pe.BuildOp = tb.Build
+	} else {
+		root, err = exec.Build(pat, p)
+	}
+	if err != nil {
+		return nil, err
 	}
 	ectx := &exec.Context{Ctx: ctx, Doc: sn.doc, Store: sn.store}
+	if ctx.Done() != nil {
+		ectx.Interrupt = ctx.Err
+	}
 	res := &RunResult{}
 	// A limited count still collects its (at most Limit) rows; only an
 	// unlimited count skips materialisation altogether.
 	countOnly := opts.CountOnly && opts.Limit <= 0
-	var err error
 	switch {
 	case countOnly:
-		res.Count, err = pe.RunCount(ctx, ectx, pat, p)
+		res.Count, err = exec.Count(ectx, root)
 	case opts.Limit > 0:
-		res.set, err = pe.RunLimit(ctx, ectx, pat, p, opts.Limit)
+		res.set, err = exec.Collect(ectx, exec.NewLimit(root, opts.Limit), pat.N())
 	default:
-		res.set, err = pe.Run(ctx, ectx, pat, p)
+		res.set, err = exec.Collect(ectx, root, pat.N())
 	}
 	if err != nil {
 		return nil, err

@@ -8,9 +8,8 @@ import (
 )
 
 // TestGreedyDifferential pins the statistics-free Greedy orderer and DP to
-// the brute-force reference on the Table-3 workload shapes, across serial and
-// parallel execution. Greedy may pick a different join order, but the result
-// set must be identical; run under -race this also shakes out any sharing bug
+// the brute-force reference on the Table-3 workload shapes. Greedy may pick a
+// different join order, but the result set must be identical; run under -race this also shakes out any sharing bug
 // in the greedy builder's plans.
 func TestGreedyDifferential(t *testing.T) {
 	db, err := GenerateDataset("pers", 1, 1, nil)
@@ -26,22 +25,16 @@ func TestGreedyDifferential(t *testing.T) {
 	for _, q := range queries {
 		pat := MustParsePattern(q)
 		want := canonicalize(referenceMatches(db, pat))
-		for _, workers := range []int{0, 4} {
-			h := db
-			if workers > 0 {
-				h = db.WithParallelism(workers)
+		for _, m := range []Method{MethodDP, MethodGreedy} {
+			res, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{
+				ExecOptions: ExecOptions{Method: m, NoCache: true},
+			})
+			if err != nil {
+				t.Fatalf("%s %v: %v", q, m, err)
 			}
-			for _, m := range []Method{MethodDP, MethodGreedy} {
-				res, err := h.QueryPatternContext(context.Background(), pat, QueryOptions{
-					ExecOptions: ExecOptions{Method: m, NoCache: true},
-				})
-				if err != nil {
-					t.Fatalf("%s %v workers=%d: %v", q, m, workers, err)
-				}
-				if got := canonicalize(res.Matches); !equalStrings(got, want) {
-					t.Fatalf("%s %v workers=%d: %d matches, reference %d",
-						q, m, workers, len(got), len(want))
-				}
+			if got := canonicalize(res.Matches); !equalStrings(got, want) {
+				t.Fatalf("%s %v: %d matches, reference %d",
+					q, m, len(got), len(want))
 			}
 		}
 	}

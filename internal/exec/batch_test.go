@@ -98,13 +98,13 @@ func TestTrySeekUnwrapsAdapters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	wrapped := &traced{inner: s}
+	wrapped := &traced{inner: s, rec: &OpTrace{}}
 	nm, _ := doc.LookupTag("name")
 	names := doc.NodesWithTag(nm)
 	skipped, ok, err := trySeek(wrapped, doc.Start(names[2]))
-	if !ok || err != nil || skipped != 2 || wrapped.skipped != 2 {
+	if !ok || err != nil || skipped != 2 || wrapped.rec.Skipped != 2 {
 		t.Fatalf("trySeek through the tracer: skipped=%d (traced %d) ok=%v err=%v, want 2 postings skipped",
-			skipped, wrapped.skipped, ok, err)
+			skipped, wrapped.rec.Skipped, ok, err)
 	}
 }
 

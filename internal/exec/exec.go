@@ -74,10 +74,8 @@ type Stats struct {
 	ValueProbes   int // value-index probes opened (predicate pushdown leaves)
 }
 
-// Add accumulates o's counters into s. The partition-parallel driver uses
-// it to merge per-worker statistics into the shared totals; because the
-// partitions tile the document, the merged counters are comparable to a
-// serial execution's.
+// Add accumulates o's counters into s. The corpus gather uses it to sum the
+// shards' statistics into one query's totals.
 func (s *Stats) Add(o Stats) {
 	s.ScannedTuples += o.ScannedTuples
 	s.StackOps += o.StackOps
@@ -101,15 +99,9 @@ type Context struct {
 	// backoffs) instead of only being noticed at the next Interrupt poll.
 	Ctx context.Context
 
-	// Range, when non-nil, restricts every IndexScan to candidates whose
-	// Start position lies in [Range.Lo, Range.Hi). The partition-parallel
-	// driver runs one plan clone per disjoint range; nil (the default)
-	// scans the whole document.
-	Range *storage.Range
-
 	// Interrupt, when non-nil, is polled periodically by long-running
 	// operators; a non-nil result aborts the execution with that error.
-	// The parallel driver points it at the worker context's Err so
+	// A run under a cancellable context points it at the context's Err so
 	// cancelled queries stop scanning promptly.
 	Interrupt func() error
 

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -108,93 +107,4 @@ func TestRunSurvivesZeroFailures(t *testing.T) {
 		t.Fatalf("fault-harness store returned %d matches, want %d", len(got), len(want))
 	}
 	assertNoPins(t, st)
-}
-
-// TestParallelExecReleasesPinsOnFailure drives the partition-parallel
-// executor into a mid-query storage error and asserts full worker teardown:
-// a typed error out, no pinned frames left behind.
-func TestParallelExecReleasesPinsOnFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	doc := xmltree.RandomDocument(rng, 4000, []string{"a", "b", "c"})
-	pat := pattern.MustParse("//a//b")
-	pln := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
-	want := len(ReferenceMatches(doc, pat))
-	failed := 0
-	// A few fault points: early (during the first scans) and later
-	// (mid-join), so both open-time and next-time teardown run. A fault
-	// point past the run's physical read count legitimately never fires,
-	// so the contract is differential: correct result or the injected
-	// error.
-	for _, failNth := range []int{1, 5, 25, 100} {
-		st := faultyStore(t, doc, failNth)
-		pe := &ParallelExec{Workers: 4, Partitions: 4}
-		base := &Context{Doc: doc, Store: st}
-		out, err := tuples(pe.Run(context.Background(), base, pat, pln))
-		if err == nil {
-			if len(out) != want {
-				t.Fatalf("failNth=%d: %d matches, want %d", failNth, len(out), want)
-			}
-		} else {
-			failed++
-			if !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("failNth=%d: error = %v, want injected failure", failNth, err)
-			}
-		}
-		assertNoPins(t, st)
-	}
-	if failed == 0 {
-		t.Fatal("no fault point fired — harness not exercising error paths")
-	}
-}
-
-// panicOp panics a fixed number of NextBatch calls into the stream.
-type panicOp struct {
-	inner Operator
-	after int
-	n     int
-}
-
-func (p *panicOp) Schema() *Schema         { return p.inner.Schema() }
-func (p *panicOp) Open(ctx *Context) error { return p.inner.Open(ctx) }
-func (p *panicOp) Close() error            { return p.inner.Close() }
-func (p *panicOp) NextBatch(b *Batch) error {
-	p.n++
-	if p.n > p.after {
-		panic("injected operator panic")
-	}
-	return p.inner.NextBatch(b)
-}
-
-// TestParallelExecRecoversWorkerPanics: a panic inside a partition worker
-// must surface as a *PanicError from Run — not crash the process (the
-// facade's Run-level recover cannot see worker goroutines).
-func TestParallelExecRecoversWorkerPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	doc := xmltree.RandomDocument(rng, 3000, []string{"a", "b"})
-	st, err := storage.BuildStore(doc, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat := pattern.MustParse("//a//b")
-	pln := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
-	pe := &ParallelExec{
-		Workers:    4,
-		Partitions: 4,
-		BuildOp: func() (Operator, error) {
-			op, err := Build(pat, pln)
-			if err != nil {
-				return nil, err
-			}
-			return &panicOp{inner: op, after: 1}, nil
-		},
-	}
-	base := &Context{Doc: doc, Store: st}
-	_, err = pe.Run(context.Background(), base, pat, pln)
-	var pe2 *PanicError
-	if !errors.As(err, &pe2) {
-		t.Fatalf("worker panic surfaced as %v, want *PanicError", err)
-	}
-	if len(pe2.Stack) == 0 {
-		t.Fatal("PanicError carries no stack")
-	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 
 	"sjos/internal/pattern"
@@ -27,7 +28,7 @@ func Drain(ctx *Context, op Operator) ([]Tuple, error) {
 }
 
 // referenceRun is the in-order yardstick for tests that compare row
-// sequences (scratch reuse, the parallel driver): one execution of p on a
+// sequences (scratch reuse): one execution of p on a
 // scratch of its own that was never in the pool and never goes back. A stale
 // alias needs memory that is used twice, so a first run on private memory
 // cannot have one. The run is itself held to ReferenceMatches as a multiset
@@ -80,3 +81,41 @@ func NormalizeAll(s *Schema, n int, ts []Tuple) []Tuple {
 // tuples adapts a (MatchSet, error) result to the []Tuple form the tests
 // compare: got, err := tuples(Run(...)).
 func tuples(m MatchSet, err error) ([]Tuple, error) { return m.Tuples(), err }
+
+// shapePlans returns structurally different valid plans for the 4-node
+// pattern //a[.//b/c]//d (a=0 b=1 c=2 d=3): fully-pipelined bushy, left-deep
+// with a sort, and bushy over two composites.
+func shapePlans() []*plan.Node {
+	return []*plan.Node{
+		plan.NewJoin(
+			plan.NewJoin(plan.NewIndexScan(0),
+				plan.NewJoin(plan.NewIndexScan(1), plan.NewIndexScan(2), 1, 2, pattern.Child, plan.AlgoAnc),
+				0, 1, pattern.Descendant, plan.AlgoAnc),
+			plan.NewIndexScan(3), 0, 3, pattern.Descendant, plan.AlgoAnc),
+		plan.NewJoin(
+			plan.NewSort(
+				plan.NewJoin(
+					plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc),
+					plan.NewIndexScan(2), 1, 2, pattern.Child, plan.AlgoDesc),
+				0),
+			plan.NewIndexScan(3), 0, 3, pattern.Descendant, plan.AlgoDesc),
+		plan.NewJoin(
+			plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(3), 0, 3, pattern.Descendant, plan.AlgoAnc),
+			plan.NewJoin(plan.NewIndexScan(1), plan.NewIndexScan(2), 1, 2, pattern.Child, plan.AlgoAnc),
+			0, 1, pattern.Descendant, plan.AlgoAnc),
+	}
+}
+
+// exactEq is element-wise equality in sequence order, not just as a
+// multiset.
+func exactEq(a, b []Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}

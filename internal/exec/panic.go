@@ -6,9 +6,9 @@ import (
 )
 
 // PanicError is a panic converted into an ordinary error at a goroutine
-// boundary: parallel partition workers recover their own panics into it so
-// a bug in one partition fails the query instead of crashing the process.
-// The facade's Run-level recovery wraps the same way for the serial path.
+// boundary: a bug in one execution fails the query instead of crashing the
+// process. The facade's read envelope and every shard-replica run recover
+// into it.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any

@@ -50,11 +50,7 @@ func (s *IndexScan) Open(ctx *Context) error {
 		s.done = true // unknown tag: empty candidate stream
 		return nil
 	}
-	if r := ctx.Range; r != nil {
-		s.scan = ctx.Store.ScanTagRangeCtx(ctx.Ctx, tag, r.Lo, r.Hi)
-	} else {
-		s.scan = ctx.Store.ScanTagCtx(ctx.Ctx, tag)
-	}
+	s.scan = ctx.Store.ScanTagCtx(ctx.Ctx, tag)
 	return nil
 }
 

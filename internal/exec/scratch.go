@@ -13,7 +13,7 @@ import (
 // input), and the per-operator stacks, pair lists and sort arrays. Operators
 // borrow from it and never give anything back; the driver that took it from
 // the pool (pullBatches) returns it whole, once, after the root's Close — so
-// Limit's early upstream Close, error unwinds and cancelled partitions need no
+// Limit's early upstream Close, error unwinds and cancelled executions need no
 // per-operator bookkeeping, and an execution that panics never returns its
 // scratch at all.
 //

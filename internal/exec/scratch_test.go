@@ -31,7 +31,7 @@ func TestScratchReuseAcrossExecutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := parallelTestPlans() // Anc pipelines, Desc joins under a Sort, bushy composites
+	plans := shapePlans() // Anc pipelines, Desc joins under a Sort, bushy composites
 	want := make([][]Tuple, len(plans))
 	for i, p := range plans {
 		if want[i] = referenceRun(t, &Context{Doc: doc, Store: st}, pat, p); len(want[i]) < 2*BatchRows {

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"sjos/internal/pattern"
@@ -15,9 +14,9 @@ import (
 // tree: wall time split by iterator phase, batch and output-tuple counts,
 // and the optimizer's cardinality estimate for est-vs-actual drift analysis
 // (the paper's core feedback signal). Durations are cumulative — an
-// operator's NextBatch time includes that of its children, and under
-// partition-parallel execution the times of all clones are summed, so they
-// can exceed the query's wall-clock latency.
+// operator's NextBatch time includes that of its children, and a corpus
+// trace sums the shards' times, so they can exceed the query's wall-clock
+// latency.
 type OpTrace struct {
 	// Op names the physical operator ("IndexScan", "Sort", "STJ-Desc",
 	// "STJ-Anc"); Detail renders its arguments against the pattern.
@@ -27,17 +26,17 @@ type OpTrace struct {
 	// actual output tuple count.
 	EstRows float64 `json:"est_rows"`
 	Rows    int64   `json:"rows"`
-	// Batches counts NextBatch invocations, each clone's final empty one
+	// Batches counts NextBatch invocations, each instance's final empty one
 	// included (an early-terminating Limit saves its input that one);
 	// Skipped counts index postings the operator bypassed via skip-ahead
 	// seeks.
 	Batches int64 `json:"batches"`
 	Skipped int64 `json:"skipped,omitempty"`
 	// Clones is the number of operator instances that fed this record: 1
-	// for serial execution, one per partition for parallel runs.
+	// for one execution, one per shard in a trace Merge folded together.
 	Clones int64 `json:"clones"`
 	// OpenTime, NextTime and CloseTime are the wall time spent in each
-	// iterator phase, summed over clones.
+	// iterator phase, summed over instances.
 	OpenTime  time.Duration `json:"open_ns"`
 	NextTime  time.Duration `json:"next_ns"`
 	CloseTime time.Duration `json:"close_ns"`
@@ -136,37 +135,20 @@ func driftRatio(est float64, actual int64) string {
 	return fmt.Sprintf("%.2fx", est/float64(actual))
 }
 
-// traceAcc is the shared accumulator behind one plan node's OpTrace. Every
-// operator clone built by the owning TraceBuilder flushes its local
-// counters here (atomically, on Close), so serial and partition-parallel
-// executions feed the same plan-shaped trace.
-type traceAcc struct {
-	node        *plan.Node
-	left, right *traceAcc
-
-	rows    atomic.Int64
-	batches atomic.Int64
-	skipped atomic.Int64
-	clones  atomic.Int64
-	openNs  atomic.Int64
-	nextNs  atomic.Int64
-	closeNs atomic.Int64
-}
-
-// TraceBuilder compiles instrumented operator trees for one plan. Build may
-// be called many times (the parallel driver builds one clone per
-// partition); all clones accumulate into the same per-plan-node counters,
-// and Trace snapshots them as a plan-shaped OpTrace tree.
+// TraceBuilder compiles one instrumented operator tree for a plan: every
+// operator counts straight into its plan node's record of a plan-shaped
+// OpTrace tree. A builder serves one execution — Build once, run the tree,
+// then read Trace.
 type TraceBuilder struct {
 	pat  *pattern.Pattern
 	plan *plan.Node
-	root *traceAcc
-	accs map[*plan.Node]*traceAcc
+	root *OpTrace
+	recs map[*plan.Node]*OpTrace
 }
 
 // NewTraceBuilder prepares tracing for plan p over pat.
 func NewTraceBuilder(pat *pattern.Pattern, p *plan.Node) (*TraceBuilder, error) {
-	tb := &TraceBuilder{pat: pat, plan: p, accs: make(map[*plan.Node]*traceAcc)}
+	tb := &TraceBuilder{pat: pat, plan: p, recs: make(map[*plan.Node]*OpTrace)}
 	root, err := tb.mirror(p)
 	if err != nil {
 		return nil, err
@@ -175,66 +157,43 @@ func NewTraceBuilder(pat *pattern.Pattern, p *plan.Node) (*TraceBuilder, error) 
 	return tb, nil
 }
 
-// mirror builds the accumulator tree in the plan's shape.
-func (tb *TraceBuilder) mirror(n *plan.Node) (*traceAcc, error) {
+// mirror builds the trace tree in the plan's shape.
+func (tb *TraceBuilder) mirror(n *plan.Node) (*OpTrace, error) {
 	switch n.Op {
 	case plan.OpIndexScan, plan.OpSort, plan.OpStructuralJoin:
 	default:
 		return nil, fmt.Errorf("exec: unknown plan operator %d", n.Op)
 	}
-	a := &traceAcc{node: n}
-	var err error
-	if n.Left != nil {
-		if a.left, err = tb.mirror(n.Left); err != nil {
+	t := &OpTrace{Op: opName(n), Detail: opDetail(tb.pat, n), EstRows: n.EstCard, Clones: 1}
+	kids := []*plan.Node{n.Left}
+	if n.Op == plan.OpStructuralJoin {
+		kids = append(kids, n.Right)
+	}
+	for _, k := range kids {
+		if k == nil {
+			continue
+		}
+		c, err := tb.mirror(k)
+		if err != nil {
 			return nil, err
 		}
+		t.Children = append(t.Children, c)
 	}
-	if n.Right != nil && n.Op == plan.OpStructuralJoin {
-		if a.right, err = tb.mirror(n.Right); err != nil {
-			return nil, err
-		}
-	}
-	tb.accs[n] = a
-	return a, nil
+	tb.recs[n] = t
+	return t, nil
 }
 
-// Build compiles a fresh instrumented operator tree accumulating into this
+// Build compiles the instrumented operator tree counting into this
 // builder's trace.
 func (tb *TraceBuilder) Build() (Operator, error) {
 	return buildWrapped(tb.pat, tb.plan, func(n *plan.Node, op Operator) Operator {
-		return &traced{inner: op, acc: tb.accs[n]}
+		return &traced{inner: op, rec: tb.recs[n]}
 	})
 }
 
-// Trace snapshots the accumulated counters as a plan-shaped trace tree.
-// Valid any time; per-clone counters land when each clone is Closed.
-func (tb *TraceBuilder) Trace() *OpTrace {
-	return tb.snapshot(tb.root)
-}
-
-func (tb *TraceBuilder) snapshot(a *traceAcc) *OpTrace {
-	if a == nil {
-		return nil
-	}
-	t := &OpTrace{
-		Op:        opName(a.node),
-		Detail:    opDetail(tb.pat, a.node),
-		EstRows:   a.node.EstCard,
-		Rows:      a.rows.Load(),
-		Batches:   a.batches.Load(),
-		Skipped:   a.skipped.Load(),
-		Clones:    a.clones.Load(),
-		OpenTime:  time.Duration(a.openNs.Load()),
-		NextTime:  time.Duration(a.nextNs.Load()),
-		CloseTime: time.Duration(a.closeNs.Load()),
-	}
-	for _, c := range []*traceAcc{a.left, a.right} {
-		if s := tb.snapshot(c); s != nil {
-			t.Children = append(t.Children, s)
-		}
-	}
-	return t
-}
+// Trace returns the plan-shaped trace tree; its counters are final once the
+// built tree is Closed.
+func (tb *TraceBuilder) Trace() *OpTrace { return tb.root }
 
 // opName names a plan node's physical operator.
 func opName(n *plan.Node) string {
@@ -272,20 +231,11 @@ func opDetail(pat *pattern.Pattern, n *plan.Node) string {
 	return ""
 }
 
-// traced wraps one operator instance with phase timers and output counters.
-// Counters stay clone-local (no synchronisation on the NextBatch path) and
-// are flushed into the shared accumulator once, when the operator is Closed.
+// traced wraps one operator instance with phase timers and output counters,
+// kept in its plan node's trace record.
 type traced struct {
 	inner Operator
-	acc   *traceAcc
-
-	rows    int64
-	batches int64
-	skipped int64
-	openNs  int64
-	nextNs  int64
-	closeNs int64
-	flushed bool
+	rec   *OpTrace
 }
 
 // Schema implements Operator.
@@ -295,7 +245,7 @@ func (t *traced) Schema() *Schema { return t.inner.Schema() }
 func (t *traced) Open(ctx *Context) error {
 	start := time.Now()
 	err := t.inner.Open(ctx)
-	t.openNs += int64(time.Since(start))
+	t.rec.OpenTime += time.Since(start)
 	return err
 }
 
@@ -306,10 +256,10 @@ func (t *traced) Open(ctx *Context) error {
 func (t *traced) NextBatch(b *Batch) error {
 	start := time.Now()
 	err := t.inner.NextBatch(b)
-	t.nextNs += int64(time.Since(start))
-	t.batches++
+	t.rec.NextTime += time.Since(start)
+	t.rec.Batches++
 	if err == nil {
-		t.rows += int64(b.Len())
+		t.rec.Rows += int64(b.Len())
 	}
 	return err
 }
@@ -319,31 +269,15 @@ func (t *traced) NextBatch(b *Batch) error {
 func (t *traced) SeekGE(pos xmltree.Pos) (int, bool, error) {
 	skipped, ok, err := trySeek(t.inner, pos)
 	if ok {
-		t.skipped += int64(skipped)
+		t.rec.Skipped += int64(skipped)
 	}
 	return skipped, ok, err
 }
 
-// Close implements Operator; it flushes this clone's counters into the
-// shared trace exactly once.
+// Close implements Operator.
 func (t *traced) Close() error {
 	start := time.Now()
 	err := t.inner.Close()
-	t.closeNs += int64(time.Since(start))
-	t.flush()
+	t.rec.CloseTime += time.Since(start)
 	return err
-}
-
-func (t *traced) flush() {
-	if t.flushed || t.acc == nil {
-		return
-	}
-	t.flushed = true
-	t.acc.rows.Add(t.rows)
-	t.acc.batches.Add(t.batches)
-	t.acc.skipped.Add(t.skipped)
-	t.acc.clones.Add(1)
-	t.acc.openNs.Add(t.openNs)
-	t.acc.nextNs.Add(t.nextNs)
-	t.acc.closeNs.Add(t.closeNs)
 }

@@ -65,38 +65,6 @@ func TestTraceBuilderSerial(t *testing.T) {
 	}
 }
 
-// TestTraceBuilderMultipleClones simulates the partition-parallel driver:
-// several clones built from one TraceBuilder accumulate into a single
-// plan-shaped trace.
-func TestTraceBuilderMultipleClones(t *testing.T) {
-	doc := personnelDoc(t)
-	pat := pattern.MustParse("//manager//name")
-	p := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
-	tb, err := NewTraceBuilder(pat, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i := 0; i < 3; i++ {
-		op, err := tb.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := Count(newCtx(t, doc), op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-	}
-	tr := tb.Trace()
-	if tr.Clones != 3 {
-		t.Fatalf("clones = %d, want 3", tr.Clones)
-	}
-	if tr.Rows != int64(total) {
-		t.Fatalf("rows = %d, want %d summed over clones", tr.Rows, total)
-	}
-}
-
 func TestTraceBuilderMatchesPlainExecution(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager[.//employee]//name")
@@ -133,33 +101,6 @@ func TestTraceBuilderRejectsBadPlans(t *testing.T) {
 	}
 }
 
-func TestTracedFlushOnce(t *testing.T) {
-	in := newScriptedOp([]Tuple{{1}, {2}}, 1, -1)
-	acc := &traceAcc{node: plan.NewIndexScan(0)}
-	tr := &traced{inner: in, acc: acc}
-	if err := tr.Open(newCtx(t, personnelDoc(t))); err != nil {
-		t.Fatal(err)
-	}
-	for b := NewBatch(1); ; {
-		if err := tr.NextBatch(b); err != nil {
-			t.Fatal(err)
-		} else if b.Len() == 0 {
-			break
-		}
-	}
-	tr.Close()
-	tr.Close() // double Close must not double-count
-	if got := acc.rows.Load(); got != 2 {
-		t.Fatalf("acc rows = %d, want 2", got)
-	}
-	if got := acc.batches.Load(); got != 3 {
-		t.Fatalf("acc batches = %d, want 3 (two rows, one a batch, and the end)", got)
-	}
-	if got := acc.clones.Load(); got != 1 {
-		t.Fatalf("acc clones = %d, want 1", got)
-	}
-}
-
 // TestTracedFailedBatchIsNotRows is the regression test for the tracer's row
 // count: a NextBatch that fails has delivered nothing, whatever it left in the
 // batch (IndexScan returns the error of block k with blocks 1…k−1 still
@@ -167,16 +108,16 @@ func TestTracedFlushOnce(t *testing.T) {
 func TestTracedFailedBatchIsNotRows(t *testing.T) {
 	in := newScriptedOp([]Tuple{{1}, {2}, {3}, {4}, {5}}, 2, 1)
 	in.failRows = 1 // the second call leaves a row behind and fails
-	acc := &traceAcc{node: plan.NewIndexScan(0)}
+	rec := &OpTrace{}
 	delivered := 0
-	err := pullBatches(newCtx(t, personnelDoc(t)), &traced{inner: in, acc: acc}, func(b *Batch) { delivered += b.Len() })
+	err := pullBatches(newCtx(t, personnelDoc(t)), &traced{inner: in, rec: rec}, func(b *Batch) { delivered += b.Len() })
 	if !errors.Is(err, errScripted) {
 		t.Fatalf("err = %v, want the scripted failure", err)
 	}
-	if got := acc.rows.Load(); delivered != 2 || got != 2 {
+	if got := rec.Rows; delivered != 2 || got != 2 {
 		t.Fatalf("trace rows = %d with %d rows delivered, want 2 and 2", got, delivered)
 	}
-	if got := acc.batches.Load(); got != 2 {
+	if got := rec.Batches; got != 2 {
 		t.Fatalf("trace batches = %d, want 2 (the failed call is still a call)", got)
 	}
 }

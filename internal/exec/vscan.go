@@ -33,14 +33,7 @@ func NewValueIndexScan(pat *pattern.Pattern, u int) (*ValueIndexScan, error) {
 // the tag scan if the store declines.
 func (s *ValueIndexScan) Open(ctx *Context) error {
 	if ctx.Store != nil {
-		var vs storage.ValueScanner
-		var ok bool
-		if r := ctx.Range; r != nil {
-			vs, ok = ctx.Store.ProbeValueRangeCtx(ctx.Ctx, s.tag, s.op, s.value, r.Lo, r.Hi)
-		} else {
-			vs, ok = ctx.Store.ProbeValueCtx(ctx.Ctx, s.tag, s.op, s.value)
-		}
-		if ok {
+		if vs, ok := ctx.Store.ProbeValueCtx(ctx.Ctx, s.tag, s.op, s.value); ok {
 			s.ctx = ctx
 			s.probe = vs
 			ctx.Stats.ValueProbes++

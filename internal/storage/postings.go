@@ -188,9 +188,8 @@ func (w *postingsWriter) finish() (PageID, error) {
 }
 
 // runCursor iterates one postings run in document order through the buffer
-// pool, decoding one block at a time. It carries the optional Start-range
-// restriction of partition-parallel scans; TagScanner and the value-index
-// scanners are thin layers over it.
+// pool, decoding one block at a time; TagScanner and the value-index scanners
+// are thin layers over it.
 type runCursor struct {
 	store *Store
 	ctx   context.Context
@@ -200,11 +199,6 @@ type runCursor struct {
 	blk  int // decoded block index, -1 = none
 	bufN int
 	buf  [postingsBlockLen]xmltree.NodeID
-
-	// Range restriction (ScanTagRange and partitioned probes only).
-	bounded bool
-	lo, hi  xmltree.Pos
-	seeked  bool // initial seek to lo performed
 }
 
 func (sc *runCursor) init(store *Store, ctx context.Context, run postingsRun) {
@@ -212,10 +206,6 @@ func (sc *runCursor) init(store *Store, ctx context.Context, run postingsRun) {
 		ctx = context.Background()
 	}
 	sc.store, sc.ctx, sc.run, sc.blk = store, ctx, run, -1
-}
-
-func (sc *runCursor) restrict(lo, hi xmltree.Pos) {
-	sc.bounded, sc.lo, sc.hi = true, lo, hi
 }
 
 // loadBlock decodes block b into the cursor's buffer (one page pin).
@@ -257,12 +247,6 @@ func (sc *runCursor) blockFor(i int) int {
 	}) - 1
 }
 
-// seek positions the cursor on the first posting with Start >= lo.
-func (sc *runCursor) seek() error {
-	sc.seeked = true
-	return sc.advanceTo(sc.lo)
-}
-
 // advanceTo moves the cursor forward to the first unread posting with
 // Start >= pos. The block directory is searched in memory; at most one
 // block is decoded and binary-searched with node-record reads, so a seek
@@ -278,7 +262,7 @@ func (sc *runCursor) advanceTo(pos xmltree.Pos) error {
 		j = int(blocks[b].startIdx)
 	}
 	if b > 0 {
-		// The first in-range posting may sit inside the preceding block.
+		// The first posting at or past pos may sit inside the preceding block.
 		ref := blocks[b-1]
 		if err := sc.loadBlock(b - 1); err != nil {
 			return err
@@ -308,15 +292,8 @@ func (sc *runCursor) advanceTo(pos xmltree.Pos) error {
 
 // SeekGE skips the cursor forward to the first unread posting whose Start
 // position is >= pos; a pos at or before the current position is a no-op.
-// It returns how many postings were skipped. For a bounded cursor the
-// pending initial seek to the range's Lo runs first, so SeekGE never
-// escapes the range's lower bound.
+// It returns how many postings were skipped.
 func (sc *runCursor) SeekGE(pos xmltree.Pos) (int, error) {
-	if sc.bounded && !sc.seeked {
-		if err := sc.seek(); err != nil {
-			return 0, err
-		}
-	}
 	before := sc.i
 	if err := sc.advanceTo(pos); err != nil {
 		return 0, err
@@ -325,14 +302,8 @@ func (sc *runCursor) SeekGE(pos xmltree.Pos) (int, error) {
 }
 
 // Next returns the next (NodeID, NodeRecord) of the run. ok is false when
-// the postings (or, for a bounded cursor, the in-range postings) are
-// exhausted.
+// the postings are exhausted.
 func (sc *runCursor) Next() (xmltree.NodeID, NodeRecord, bool, error) {
-	if sc.bounded && !sc.seeked {
-		if err := sc.seek(); err != nil {
-			return 0, NodeRecord{}, false, err
-		}
-	}
 	if sc.i >= sc.run.count {
 		return 0, NodeRecord{}, false, nil
 	}
@@ -345,25 +316,14 @@ func (sc *runCursor) Next() (xmltree.NodeID, NodeRecord, bool, error) {
 	if err != nil {
 		return 0, NodeRecord{}, false, err
 	}
-	if sc.bounded && rec.Start >= sc.hi {
-		sc.i = sc.run.count // range exhausted: park at end
-		return 0, NodeRecord{}, false, nil
-	}
 	sc.i++
 	return id, rec, true, nil
 }
 
 // NextBlock fills ids with the run's next postings, returning how many were
 // produced (0 at end of stream). Each encoded block is decoded once per
-// pass (one page pin per block), and an unbounded cursor fetches no node
-// records at all; a bounded cursor clips each decoded slice against the
-// range end with one pin per node page.
+// pass (one page pin per block), and no node record is fetched at all.
 func (sc *runCursor) NextBlock(ids []xmltree.NodeID) (int, error) {
-	if sc.bounded && !sc.seeked {
-		if err := sc.seek(); err != nil {
-			return 0, err
-		}
-	}
 	n := 0
 	for n < len(ids) && sc.i < sc.run.count {
 		b := sc.blockFor(sc.i)
@@ -376,61 +336,11 @@ func (sc *runCursor) NextBlock(ids []xmltree.NodeID) (int, error) {
 			avail = want
 		}
 		copy(ids[n:n+avail], sc.buf[off:off+avail])
-		if sc.bounded {
-			kept, err := sc.clipAtRangeEnd(ids[n : n+avail])
-			if err != nil {
-				return n, err
-			}
-			n += kept
-			sc.i += kept
-			if kept < avail {
-				sc.i = sc.run.count // range exhausted: park at end
-				return n, nil
-			}
-			continue
-		}
 		n += avail
 		sc.i += avail
 	}
 	return n, nil
 }
 
-// clipAtRangeEnd returns how many leading ids (in document order) still have
-// Start < the range end, reading node records with one pin per node page.
-func (sc *runCursor) clipAtRangeEnd(ids []xmltree.NodeID) (int, error) {
-	var (
-		pg      *Page
-		curPage PageID
-	)
-	defer func() {
-		if pg != nil {
-			sc.store.pool.Unpin(curPage, false)
-		}
-	}()
-	for k, id := range ids {
-		p, off, err := sc.store.nodeSlot(id)
-		if err != nil {
-			return 0, err
-		}
-		if pg == nil || p != curPage {
-			if pg != nil {
-				sc.store.pool.Unpin(curPage, false)
-				pg = nil
-			}
-			pg, err = sc.store.pool.GetCtx(sc.ctx, p)
-			if err != nil {
-				return 0, err
-			}
-			curPage = p
-		}
-		if start := xmltree.Pos(binary.LittleEndian.Uint32(pg[off:])); start >= sc.hi {
-			return k, nil
-		}
-	}
-	return len(ids), nil
-}
-
-// Remaining returns how many postings are left to scan. For a bounded
-// cursor this is an upper bound: the tail beyond the range's end is
-// included until the cursor reaches it.
+// Remaining returns how many postings are left to scan.
 func (sc *runCursor) Remaining() int { return sc.run.count - sc.i }

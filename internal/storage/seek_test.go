@@ -45,70 +45,9 @@ func equalIDs(a, b []xmltree.NodeID) bool {
 	return true
 }
 
-// TestScanTagRangeBoundaries covers the half-open range contract on exact
-// posting positions: Lo on a posting includes it, Hi on a posting excludes
-// it, an empty range yields nothing, and a range past the last posting
-// yields nothing.
-func TestScanTagRangeBoundaries(t *testing.T) {
-	doc := buildDoc(t, 4000)
-	st, err := BuildStore(doc, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag := xmltree.TagID(0)
-	ids, starts := tagPostings(doc, tag)
-	if len(ids) < 4 {
-		t.Fatalf("need at least 4 postings, got %d", len(ids))
-	}
-	mid, last := len(ids)/2, len(ids)-1
-
-	cases := []struct {
-		name   string
-		lo, hi xmltree.Pos
-		want   []xmltree.NodeID
-	}{
-		{"lo exactly on a posting", starts[mid], starts[last] + 1, ids[mid:]},
-		{"hi exactly on a posting (excluded)", starts[0], starts[mid], ids[:mid]},
-		{"both bounds on postings", starts[1], starts[last], ids[1:last]},
-		{"empty range lo==hi", starts[mid], starts[mid], nil},
-		{"empty range between postings", starts[mid] + 1, starts[mid] + 1, nil},
-		{"range past the last posting", starts[last] + 1, starts[last] + 1000, nil},
-		{"range before the first posting", 0, starts[0], nil},
-		{"full range", 0, starts[last] + 1, ids},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := drainScanner(t, st.ScanTagRange(tag, tc.lo, tc.hi))
-			if !equalIDs(got, tc.want) {
-				t.Fatalf("got %d postings, want %d", len(got), len(tc.want))
-			}
-		})
-	}
-}
-
-// TestScanTagRangeParksAfterEnd checks that a bounded scanner that hit its
-// range end stays exhausted (repeated Next keeps returning !ok).
-func TestScanTagRangeParksAfterEnd(t *testing.T) {
-	doc := buildDoc(t, 1000)
-	st, err := BuildStore(doc, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag := xmltree.TagID(1)
-	_, starts := tagPostings(doc, tag)
-	sc := st.ScanTagRange(tag, 0, starts[len(starts)/2])
-	drainScanner(t, sc)
-	for i := 0; i < 3; i++ {
-		if _, _, ok, err := sc.Next(); ok || err != nil {
-			t.Fatalf("exhausted scanner: ok=%v err=%v", ok, err)
-		}
-	}
-}
-
 // TestSeekGE covers the skip-ahead entry points: seek before the first
 // posting, to an exact posting, between postings, past the end, repeated
-// and backwards (no-op) seeks — against both plain and range-bounded
-// scanners.
+// and backwards (no-op) seeks.
 func TestSeekGE(t *testing.T) {
 	doc := buildDoc(t, 4000)
 	st, err := BuildStore(doc, 16)
@@ -197,26 +136,10 @@ func TestSeekGE(t *testing.T) {
 			t.Fatalf("got %d postings, want %d", len(got), len(ids)-mid)
 		}
 	})
-	t.Run("bounded scanner seeks inside its range", func(t *testing.T) {
-		lo, hi := len(ids)/4, 3*len(ids)/4
-		sc := st.ScanTagRange(tag, starts[lo], starts[hi])
-		// Seeking before the range's Lo must not escape it.
-		if _, err := sc.SeekGE(0); err != nil {
-			t.Fatal(err)
-		}
-		mid := len(ids) / 2
-		if _, err := sc.SeekGE(starts[mid]); err != nil {
-			t.Fatal(err)
-		}
-		if got := drainScanner(t, sc); !equalIDs(got, ids[mid:hi]) {
-			t.Fatalf("got %d postings, want %d", len(got), hi-mid)
-		}
-	})
 }
 
 // TestNextBlockMatchesNext checks the batched read path against the
-// tuple-at-a-time scanner for plain, bounded and seek-interleaved scans,
-// across block sizes that straddle page boundaries.
+// document's postings, across block sizes that straddle page boundaries.
 func TestNextBlockMatchesNext(t *testing.T) {
 	doc := buildDoc(t, 6000)
 	st, err := BuildStore(doc, 16)
@@ -225,7 +148,7 @@ func TestNextBlockMatchesNext(t *testing.T) {
 	}
 	for tg := 0; tg < doc.NumTags(); tg++ {
 		tag := xmltree.TagID(tg)
-		ids, starts := tagPostings(doc, tag)
+		ids, _ := tagPostings(doc, tag)
 		for _, blockSize := range []int{1, 7, 256, 5000} {
 			sc := st.ScanTag(tag)
 			var got []xmltree.NodeID
@@ -243,28 +166,6 @@ func TestNextBlockMatchesNext(t *testing.T) {
 			if !equalIDs(got, ids) {
 				t.Fatalf("tag %d block %d: got %d postings, want %d", tg, blockSize, len(got), len(ids))
 			}
-		}
-		if len(ids) < 4 {
-			continue
-		}
-		// Bounded block scan agrees with the bounded tuple scan.
-		lo, hi := starts[len(ids)/4], starts[3*len(ids)/4]
-		want := drainScanner(t, st.ScanTagRange(tag, lo, hi))
-		sc := st.ScanTagRange(tag, lo, hi)
-		var got []xmltree.NodeID
-		buf := make([]xmltree.NodeID, 64)
-		for {
-			n, err := sc.NextBlock(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
-		if !equalIDs(got, want) {
-			t.Fatalf("tag %d bounded block scan: got %d postings, want %d", tg, len(got), len(want))
 		}
 	}
 }

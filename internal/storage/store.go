@@ -142,8 +142,7 @@ func (s *Store) Pool() *BufferPool { return s.pool }
 
 // PoolStats returns a snapshot of the store's buffer pool counters — the
 // page-cache hit/miss behaviour of everything executed against this store,
-// including concurrent partition-parallel scans (the pool counts under its
-// own lock).
+// including concurrent queries (the pool counts under its own lock).
 func (s *Store) PoolStats() PoolStats { return s.pool.Stats() }
 
 // File returns the underlying page file (for stats and tests).
@@ -203,11 +202,9 @@ func (s *Store) NodeCtx(ctx context.Context, id xmltree.NodeID) (NodeRecord, err
 
 // TagScanner iterates one tag's postings in document order, fetching node
 // records through the buffer pool. It is the physical realisation of the
-// paper's "index access" leaf operator. A scanner opened with ScanTagRange
-// is additionally restricted to nodes whose Start position lies inside a
-// half-open range — the partition-parallel executor's leaf access path.
-// All iteration mechanics (block decode, skip-ahead, range clipping) live
-// in the embedded runCursor, shared with the value-index scanners.
+// paper's "index access" leaf operator. All iteration mechanics (block
+// decode, skip-ahead) live in the embedded runCursor, shared with the
+// value-index scanners.
 type TagScanner struct {
 	runCursor
 }
@@ -226,23 +223,6 @@ func (s *Store) ScanTagCtx(ctx context.Context, t xmltree.TagID) *TagScanner {
 	}
 	sc := &TagScanner{}
 	sc.init(s, ctx, run)
-	return sc
-}
-
-// ScanTagRange opens a scanner over the subset of tag t's postings whose
-// Start position lies in [lo, hi). The scanner seeks to the first in-range
-// posting on the first Next call — a binary search over the in-memory
-// block directory plus one block decode (postings are in document order,
-// and document order is Start order) — so a partition pays O(log) work
-// instead of skipping every earlier posting.
-func (s *Store) ScanTagRange(t xmltree.TagID, lo, hi xmltree.Pos) *TagScanner {
-	return s.ScanTagRangeCtx(context.Background(), t, lo, hi)
-}
-
-// ScanTagRangeCtx is ScanTagRange under a context (see ScanTagCtx).
-func (s *Store) ScanTagRangeCtx(ctx context.Context, t xmltree.TagID, lo, hi xmltree.Pos) *TagScanner {
-	sc := s.ScanTagCtx(ctx, t)
-	sc.restrict(lo, hi)
 	return sc
 }
 

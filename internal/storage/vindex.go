@@ -299,7 +299,7 @@ func (s *Store) ProbeSelectivity(tag string, op pattern.CmpOp, value string) (in
 // ValueScanner streams the postings of a value-index probe in document
 // order, with the same iteration contract as TagScanner: tuple-at-a-time
 // Next, block-wise NextBlock, forward-only SeekGE skip-ahead and a
-// Remaining upper bound.
+// Remaining count.
 type ValueScanner interface {
 	Next() (xmltree.NodeID, NodeRecord, bool, error)
 	NextBlock(ids []xmltree.NodeID) (int, error)
@@ -316,16 +316,6 @@ func (s *Store) ProbeValue(tag string, op pattern.CmpOp, value string) (ValueSca
 
 // ProbeValueCtx is ProbeValue under a context (see ScanTagCtx).
 func (s *Store) ProbeValueCtx(ctx context.Context, tag string, op pattern.CmpOp, value string) (ValueScanner, bool) {
-	return s.probeValue(ctx, tag, op, value, false, 0, 0)
-}
-
-// ProbeValueRangeCtx is ProbeValueCtx restricted to nodes whose Start
-// position lies in [lo, hi) — the partition-parallel probe path.
-func (s *Store) ProbeValueRangeCtx(ctx context.Context, tag string, op pattern.CmpOp, value string, lo, hi xmltree.Pos) (ValueScanner, bool) {
-	return s.probeValue(ctx, tag, op, value, true, lo, hi)
-}
-
-func (s *Store) probeValue(ctx context.Context, tag string, op pattern.CmpOp, value string, bounded bool, lo, hi xmltree.Pos) (ValueScanner, bool) {
 	t, num, numeric, ok := s.probeKey(tag, op, value)
 	if !ok {
 		return nil, false
@@ -333,9 +323,6 @@ func (s *Store) probeValue(ctx context.Context, tag string, op pattern.CmpOp, va
 	s.shared.probes.Add(1)
 	open := func(cur *runCursor, run postingsRun) *runCursor {
 		cur.init(s, ctx, run)
-		if bounded {
-			cur.restrict(lo, hi)
-		}
 		return cur
 	}
 	// Every index answers for its own nodes. The indexes are the live
@@ -445,7 +432,7 @@ func (c *chainScanner) SeekGE(pos xmltree.Pos) (int, error) {
 	return skipped, nil
 }
 
-// Remaining implements ValueScanner (an upper bound, as for TagScanner).
+// Remaining implements ValueScanner.
 func (c *chainScanner) Remaining() int {
 	n := 0
 	for _, sc := range *c {
@@ -457,8 +444,7 @@ func (c *chainScanner) Remaining() int {
 // mergeScanner k-way merges several postings runs by NodeID (NodeIDs are
 // assigned in document order, so merging by id is merging by Start). Each
 // child refills a block-sized buffer via its cursor's NextBlock, so the
-// batched path stays block-wise: no per-posting node-record reads, and
-// range restriction is already handled inside each child.
+// batched path stays block-wise: no per-posting node-record reads.
 type mergeScanner struct {
 	store *Store
 	ctx   context.Context
@@ -589,7 +575,7 @@ func (m *mergeScanner) SeekGE(pos xmltree.Pos) (int, error) {
 	return skipped, nil
 }
 
-// Remaining implements ValueScanner (an upper bound, as for TagScanner).
+// Remaining implements ValueScanner.
 func (m *mergeScanner) Remaining() int {
 	n := 0
 	for i := range m.kids {

@@ -23,8 +23,7 @@ type MetricsSnapshot = metrics.Snapshot
 
 // Metrics is one observability snapshot of a corpus (or a database):
 // query-level counters and latency quantiles, plus the plan cache's and
-// buffer pools' own counters. All parallelism views share one Metrics
-// source.
+// buffer pools' own counters.
 type Metrics struct {
 	// Query holds queries served, errors, slow queries, the in-flight
 	// gauge and the p50/p95/p99 latency quantiles.

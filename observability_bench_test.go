@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkObservabilityOverhead quantifies what the observability layer
-// costs on the BenchmarkParallelExecute workload (Q.Pers.3.d, Pers ×100,
-// count-only; EXPERIMENTS.md records the ratios):
+// costs on Q.Pers.3.d over Pers ×100, count-only (EXPERIMENTS.md records
+// the ratios):
 //
 //	raw       — the unmetered execution path (the shard engine's runOn),
 //	            what Run executes inside its envelope

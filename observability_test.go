@@ -46,37 +46,6 @@ func TestRunTraceMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestRunTraceParallel: under partition-parallel execution the trace sums
-// the per-partition clones and the row totals still match the result.
-func TestRunTraceParallel(t *testing.T) {
-	db := openDB(t)
-	pat := MustParsePattern("//manager//employee/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := db.Run(context.Background(), pat, res.Plan, RunOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := db.Run(context.Background(), pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Trace: true}, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.Trace == nil {
-		t.Fatal("parallel traced run has no trace")
-	}
-	if !reflect.DeepEqual(traced.Matches, plain.Matches) {
-		t.Fatal("tracing changed the parallel result")
-	}
-	if traced.Trace.Rows != int64(plain.Count) {
-		t.Fatalf("trace root rows = %d, result count = %d", traced.Trace.Rows, plain.Count)
-	}
-	if traced.Trace.Clones < 1 {
-		t.Fatalf("parallel trace clones = %d", traced.Trace.Clones)
-	}
-}
-
 // TestQueryMetrics: the registry counts queries, errors, and latency.
 func TestQueryMetrics(t *testing.T) {
 	db := openDB(t)
@@ -312,13 +281,12 @@ func TestExplainAnalyzeOutput(t *testing.T) {
 	}
 }
 
-// TestObservabilityConcurrent hammers queries (traced and untraced, serial
-// and parallel) against concurrent metrics scrapes, slow-log reads and
+// TestObservabilityConcurrent hammers queries (traced and untraced) against
+// concurrent metrics scrapes, slow-log reads and
 // threshold flips — the -race correctness test for the whole layer.
 func TestObservabilityConcurrent(t *testing.T) {
 	db := openDB(t)
 	db.SetSlowQueryLog(time.Nanosecond, func(SlowQueryEntry) {})
-	par := db.WithParallelism(2)
 	src := "//manager//employee/name"
 	const goroutines = 8
 	const iters = 25
@@ -329,12 +297,8 @@ func TestObservabilityConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				d := db
-				if g%2 == 0 {
-					d = par
-				}
 				opts := QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP, Trace: i%2 == 0}}
-				if _, err := d.QueryContext(context.Background(), src, opts); err != nil {
+				if _, err := db.QueryContext(context.Background(), src, opts); err != nil {
 					errs <- err
 					return
 				}

@@ -27,14 +27,3 @@ func execLimit(db *sjos.Database, pat *sjos.Pattern, p *sjos.Plan, n int) ([]sjo
 	}
 	return res.Matches, res.Stats, nil
 }
-
-func execParallelCount(db *sjos.Database, pat *sjos.Pattern, p *sjos.Plan, k int) (int, sjos.ExecStats, error) {
-	if k <= 0 {
-		k = -1
-	}
-	res, err := db.Run(context.Background(), pat, p, sjos.RunOptions{Workers: k, CountOnly: true})
-	if err != nil {
-		return 0, sjos.ExecStats{}, err
-	}
-	return res.Count, res.Stats, nil
-}

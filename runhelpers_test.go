@@ -37,28 +37,6 @@ func execLimit(db *Database, pat *Pattern, p *Plan, n int) ([]Match, ExecStats, 
 	return res.Matches, res.Stats, nil
 }
 
-func execParallel(db *Database, pat *Pattern, p *Plan, k int) ([]Match, ExecStats, error) {
-	if k <= 0 {
-		k = -1
-	}
-	res, err := db.Run(context.Background(), pat, p, RunOptions{Workers: k})
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return res.Matches, res.Stats, nil
-}
-
-func execParallelCount(db *Database, pat *Pattern, p *Plan, k int) (int, ExecStats, error) {
-	if k <= 0 {
-		k = -1
-	}
-	res, err := db.Run(context.Background(), pat, p, RunOptions{Workers: k, CountOnly: true})
-	if err != nil {
-		return 0, ExecStats{}, err
-	}
-	return res.Count, res.Stats, nil
-}
-
 // referenceMatches is the oracle of the differential suites: the brute-force
 // matcher over the handle's current document, which shares no code with the
 // planner or the executor. It runs on the forest the document is stored in

@@ -19,14 +19,12 @@ import (
 // CacheStats is a snapshot of the plan cache's behaviour counters.
 type CacheStats = plancache.Stats
 
-// service is the shared query-service state behind a Corpus (and all of its
-// WithParallelism views, and a Database's) — exactly one per corpus, never
-// per shard or replica: the statistics queries are planned against (the
-// merged view over every shard's members, replaceable by RebuildStats and
-// re-merged after every committed mutation), the plan cache, metrics, the
-// slow-query log, admission control and the write lock. Handles are copied
-// by WithParallelism, so anything mutable must live here, behind the shared
-// pointer.
+// service is the query-service state behind a Corpus (and so a Database's)
+// — exactly one per corpus, never per shard or replica: the statistics
+// queries are planned against (the merged view over every shard's members,
+// replaceable by RebuildStats and re-merged after every committed mutation),
+// the plan cache, metrics, the slow-query log, admission control and the
+// write lock.
 type service struct {
 	mu           sync.RWMutex
 	stats        core.StatsSource
@@ -35,13 +33,11 @@ type service struct {
 	cache *plancache.Cache[cachedPlan]
 
 	// metrics accumulates process-wide query counters; slow holds the
-	// slow-query log configuration and ring buffer. Both are shared by
-	// all WithParallelism views.
+	// slow-query log configuration and ring buffer.
 	metrics metrics.Registry
 	slow    slowLog
 
-	// admit bounds concurrent executions (nil = unlimited). Shared by all
-	// WithParallelism views so the limit is per corpus, not per view.
+	// admit bounds concurrent executions (nil = unlimited), per corpus.
 	admit *admission.Controller
 
 	// wmu is the corpus's write lock: it serialises mutations, RebuildStats
@@ -210,16 +206,10 @@ type ExecOptions struct {
 }
 
 // RunOptions tunes one Run call. The zero value executes the whole plan
-// with the handle's configured parallelism and returns all matches. Of the
-// embedded ExecOptions, Run reads Limit and Trace; the optimizer fields are
-// ignored (the plan is already chosen).
+// and returns all matches. Of the embedded ExecOptions, Run reads Limit and
+// Trace; the optimizer fields are ignored (the plan is already chosen).
 type RunOptions struct {
 	ExecOptions
-	// Workers selects the execution mode: 0 uses the handle's configured
-	// parallelism (serial by default; see WithParallelism), > 0 forces the
-	// partition-parallel driver with that many workers, < 0 forces
-	// partition-parallel with runtime.GOMAXPROCS(0) workers.
-	Workers int
 	// CountOnly suppresses match materialisation; only the result's Count
 	// (and the statistics) are populated.
 	CountOnly bool
@@ -235,8 +225,7 @@ type RunResult struct {
 	// Stats reports the physical work done.
 	Stats ExecStats
 	// Trace is the per-operator execution trace (nil unless
-	// RunOptions.Trace was set). Under parallel execution the counters
-	// merge every partition clone of each operator.
+	// RunOptions.Trace was set).
 	Trace *OpTrace
 
 	// set is the flat match set the executor filled; Matches is a view

@@ -185,47 +185,25 @@ func TestNoCacheBypass(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossViews: WithParallelism views share one cache.
-func TestSharedCacheAcrossViews(t *testing.T) {
-	db := openDB(t)
-	src := "//manager//employee/name"
-	par := db.WithParallelism(2)
-	if _, err := par.Query(src, MethodDPP); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(src, MethodDPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CachedPlan {
-		t.Fatal("serial view must hit the plan cached by the parallel view")
-	}
-	if cs := db.CacheStats(); cs.Misses != 1 || cs.Hits != 1 {
-		t.Fatalf("views don't share the cache: %+v", cs)
-	}
-}
-
-// TestQueryContextCancelled: a pre-cancelled context aborts the query in
-// both serial and parallel modes, before any optimizer or executor work.
+// TestQueryContextCancelled: a pre-cancelled context aborts the query
+// before any optimizer or executor work.
 func TestQueryContextCancelled(t *testing.T) {
 	db := openDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, d := range map[string]*Database{"serial": db, "parallel": db.WithParallelism(2)} {
-		if _, err := d.QueryContext(ctx, "//manager//employee/name", QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s query: err = %v, want context.Canceled", name, err)
-		}
-		if _, err := d.OptimizeContext(ctx, MustParsePattern("//manager//employee"), MethodDP, 0); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s optimize: err = %v, want context.Canceled", name, err)
-		}
-		pat := MustParsePattern("//manager//employee")
-		plan, err := d.Optimize(pat, MethodDPP, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Run(ctx, pat, plan.Plan, RunOptions{}); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s run: err = %v, want context.Canceled", name, err)
-		}
+	if _, err := db.QueryContext(ctx, "//manager//employee/name", QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("query: err = %v, want context.Canceled", err)
+	}
+	if _, err := db.OptimizeContext(ctx, MustParsePattern("//manager//employee"), MethodDP, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("optimize: err = %v, want context.Canceled", err)
+	}
+	pat := MustParsePattern("//manager//employee")
+	plan, err := db.Optimize(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Run(ctx, pat, plan.Plan, RunOptions{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("run: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -269,9 +247,11 @@ func TestRunCancelMidExecution(t *testing.T) {
 	}
 }
 
-// TestRunCancelParallelPrompt: cancelling a parallel Run mid-flight makes
-// it return promptly with the context error.
-func TestRunCancelParallelPrompt(t *testing.T) {
+// TestRunCancelPrompt: cancelling a Run mid-flight makes it return promptly
+// with the context error. The pool is warm, so no page read waits on the
+// context: only the executor's Interrupt poll, which Run wires to ctx, can
+// stop it.
+func TestRunCancelPrompt(t *testing.T) {
 	db, err := GenerateDataset("pers", 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -281,14 +261,21 @@ func TestRunCancelParallelPrompt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := db.Run(context.Background(), pat, res.Plan, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	misses := db.PoolStats().Misses
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(500 * time.Microsecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, rerr := db.Run(ctx, pat, res.Plan, RunOptions{Workers: 4})
+	_, rerr := db.Run(ctx, pat, res.Plan, RunOptions{})
 	elapsed := time.Since(start)
+	if got := db.PoolStats().Misses; got != misses {
+		t.Fatalf("pool took %d misses on the warm run", got-misses)
+	}
 	if rerr == nil {
 		t.Skip("execution finished before the cancel landed")
 	}
@@ -322,18 +309,6 @@ func TestRunOptionsModes(t *testing.T) {
 	lim, err := db.Run(context.Background(), pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Limit: 2}})
 	if err != nil || len(lim.Matches) != 2 || !reflect.DeepEqual(lim.Matches, full.Matches[:2]) {
 		t.Fatalf("limit: %+v, %v", lim, err)
-	}
-	par, err := db.Run(context.Background(), pat, res.Plan, RunOptions{Workers: 3})
-	if err != nil || !reflect.DeepEqual(par.Matches, full.Matches) {
-		t.Fatalf("parallel run diverges: %v", err)
-	}
-	pcnt, err := db.Run(context.Background(), pat, res.Plan, RunOptions{Workers: -1, CountOnly: true})
-	if err != nil || pcnt.Count != full.Count {
-		t.Fatalf("parallel count: %+v, %v", pcnt, err)
-	}
-	plim, err := db.Run(context.Background(), pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Limit: 2}, Workers: 2})
-	if err != nil || !reflect.DeepEqual(plim.Matches, full.Matches[:2]) {
-		t.Fatalf("parallel limit: %+v, %v", plim, err)
 	}
 }
 

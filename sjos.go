@@ -139,10 +139,7 @@ func CalibrateModel() CostModel { return cost.Calibrate() }
 // log-less Corpus holding the document as its only member, so a query runs
 // exactly as a corpus query does (one plan cache, statistics, metrics,
 // slow-query log and admission control) and reports its rows in the
-// document's own node numbering. Derived handles (WithParallelism) share all
-// of that state and differ only in their execution settings; the zero
-// parallelism (the default for every constructor) executes plans serially.
-// For many documents behind one query surface, or for writes, see Corpus.
+// document's own node numbering. For many documents behind one query surface, or for writes, see Corpus.
 type Database struct {
 	c *Corpus
 }
@@ -303,52 +300,32 @@ func (db *Database) BadPlan(pat *Pattern, samples int, seed int64) (*OptimizeRes
 	return core.BadPlan(pat, est, db.c.model, samples, seed)
 }
 
-// WithParallelism returns a derived handle whose Run (and therefore Query)
-// executes plans through the partition-parallel driver with k workers: the
-// document is split into k region ranges balanced by postings weight, an
-// independent clone of the plan runs per range on a bounded worker pool,
-// and the partition outputs are concatenated in document order — the same
-// matches, in the same order, as serial execution. k <= 0 selects
-// runtime.GOMAXPROCS(0). The receiver is unchanged (and stays serial).
-// Derived handles share the database's state — store, statistics, plan
-// cache, metrics, slow-query log and admission control — so a plan cached
-// through one handle is served to all, and the in-flight limit is per
-// database, not per handle. Handles are safe for concurrent use.
-func (db *Database) WithParallelism(k int) *Database {
-	return &Database{c: db.c.WithParallelism(k)}
-}
-
-// Parallelism reports the worker count queries run with (0 = serial).
-func (db *Database) Parallelism() int { return db.c.Parallelism() }
-
 // PoolStats returns a snapshot of the buffer pool's cumulative hit/miss
-// counters for this database's store (shared by all parallelism views).
+// counters for this database's store.
 func (db *Database) PoolStats() PoolStats {
 	sn, _ := db.member()
 	return sn.store.PoolStats()
 }
 
 // ContentStats returns a snapshot of the store's content-index,
-// postings-compression and string-interning counters (shared by all
-// parallelism views).
+// postings-compression and string-interning counters.
 func (db *Database) ContentStats() ContentStats {
 	sn, _ := db.member()
 	return sn.store.ContentStats()
 }
 
 // AdmissionStats returns the admission controller's counters (all zero when
-// no MaxInFlight was configured). Shared by all parallelism views.
+// no MaxInFlight was configured).
 func (db *Database) AdmissionStats() AdmissionStats { return db.c.AdmissionStats() }
 
 // Drain flips the database into shutdown (see Corpus.Drain).
 func (db *Database) Drain(ctx context.Context) error { return db.c.Drain(ctx) }
 
 // RebuildStats recomputes the statistics and invalidates the plan cache (see
-// Corpus.RebuildStats). Shared by all parallelism views.
+// Corpus.RebuildStats).
 func (db *Database) RebuildStats() { db.c.RebuildStats() }
 
-// CacheStats returns a snapshot of the plan cache's counters (shared by all
-// parallelism views).
+// CacheStats returns a snapshot of the plan cache's counters.
 func (db *Database) CacheStats() CacheStats { return db.c.CacheStats() }
 
 // Metrics returns a snapshot of the database's observability counters.
@@ -359,8 +336,8 @@ func (db *Database) Metrics() Metrics { return db.c.Metrics() }
 // .metrics command.
 func (db *Database) WriteMetrics(w io.Writer) { db.c.WriteMetrics(w) }
 
-// SetSlowQueryLog configures the slow-query log shared by all parallelism
-// views (see Corpus.SetSlowQueryLog).
+// SetSlowQueryLog configures the database's slow-query log (see
+// Corpus.SetSlowQueryLog).
 func (db *Database) SetSlowQueryLog(threshold time.Duration, fn func(SlowQueryEntry)) {
 	db.c.SetSlowQueryLog(threshold, fn)
 }
@@ -380,8 +357,7 @@ func matches(segs []DocSegment) []Match {
 
 // Run executes a plan for pat under ctx: Corpus.Run over the one document,
 // with the same modes, cancellation and resilience envelope (admission,
-// metrics, panic recovery). Serial and parallel modes produce the same
-// matches in the same document order.
+// metrics, panic recovery).
 func (db *Database) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
 	cr, err := db.c.run(ctx, pat, p, opts)
 	if err != nil {
