@@ -212,14 +212,13 @@ func TestChaosValueProbe(t *testing.T) {
 	if !containsOp(opt.Plan.Format(pat), "ValueIndexScan") {
 		t.Fatalf("chaos fixture plan has no value probe:\n%s", opt.Plan.Format(pat))
 	}
-	// Oracle: scan+filter on the same (currently fault-free) store.
+	// Oracle: the plan's scan arm (scan+filter) on the same (currently
+	// fault-free) store.
 	ff.SetPolicy(faultfs.Policy{})
-	res, err := db.QueryPatternContext(context.Background(), pat,
-		QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP, NoValueIndex: true}})
+	want, _, err := execCount(db, pat, ScanArm(opt.Plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(res.Matches)
 	var fired, healed int
 	ff.SetPolicy(faultfs.Policy{})
 	base, err := runChaos(t, db, pat, opt.Plan, RunOptions{})

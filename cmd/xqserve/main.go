@@ -9,7 +9,7 @@
 //
 // Endpoints:
 //
-//	GET /query?q=//manager//name[&method=FP][&limit=10][&count=1][&trace=1][&novidx=1]
+//	GET /query?q=//manager//name[&method=FP][&limit=10][&count=1][&trace=1]
 //	    evaluate a tree pattern on the default (first) collection; JSON
 //	    response with matches, their documents, timings, the plan, the
 //	    algorithm that produced it, and (with trace=1) the merged
@@ -551,7 +551,6 @@ func serveQuery(w http.ResponseWriter, r *http.Request, c *collection, defaultMe
 		opts.Limit = n
 	}
 	opts.Trace = boolParam(r, "trace")
-	opts.NoValueIndex = boolParam(r, "novidx")
 	rows := !boolParam(r, "count")
 	opts.CountOnly = !rows
 	res, err := c.QuerySegments(r.Context(), src, opts)

@@ -9,12 +9,11 @@
 //
 //	//manager//employee/name          run a pattern query
 //	for $m in //manager return $m     run an XQuery query
-//	.explain <pattern>                compare all five optimizers
+//	.explain <pattern>                compare all six optimizers
 //	.analyze <pattern>                EXPLAIN ANALYZE (est vs actual)
 //	.trace <pattern>                  DPP search trace
 //	.method DPP|FP|Greedy|...         switch optimizer (bare .method lists valid names)
 //	.limit N                          rows to print (default 10)
-//	.vidx on|off                      toggle value-index probes (predicate pushdown)
 //	.cache                            plan cache statistics
 //	.metrics                          process metrics (Prometheus text)
 //	.slowlog <dur>|off                set the slow-query threshold
@@ -24,7 +23,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -90,7 +88,6 @@ type shell struct {
 	db     *sjos.Database
 	method sjos.Method
 	limit  int
-	novidx bool
 	out    io.Writer
 }
 
@@ -126,19 +123,6 @@ func (sh *shell) processLine(line string) bool {
 			return true
 		}
 		sh.limit = n
-		return true
-	case strings.HasPrefix(line, ".vidx"):
-		arg := strings.TrimSpace(strings.TrimPrefix(line, ".vidx"))
-		switch arg {
-		case "on":
-			sh.novidx = false
-		case "off":
-			sh.novidx = true
-		default:
-			fmt.Fprintln(sh.out, "error: .vidx needs 'on' or 'off'")
-			return true
-		}
-		fmt.Fprintln(sh.out, "value-index probes:", arg)
 		return true
 	case strings.HasPrefix(line, ".explain"):
 		sh.withPattern(line, ".explain", func(p *sjos.Pattern) (string, error) {
@@ -227,8 +211,7 @@ func (sh *shell) withPattern(line, cmd string, f func(*sjos.Pattern) (string, er
 }
 
 func (sh *shell) runPattern(src string) {
-	res, err := sh.db.QueryContext(context.Background(), src,
-		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sh.method, NoValueIndex: sh.novidx}})
+	res, err := sh.db.Query(src, sh.method)
 	if err != nil {
 		fmt.Fprintln(sh.out, "error:", err)
 		return

@@ -73,21 +73,14 @@ func randomValueTwig(rng *rand.Rand, tags []string, n int) *Pattern {
 }
 
 // TestValueIndexDifferential is the acceptance differential for predicate
-// pushdown: for every optimizer, the value-index lane and the NoValueIndex
-// (scan+filter) lane must produce exactly the brute-force reference's match
-// multiset on random documents and value-predicated patterns. Runs under
-// -race in CI (make check).
+// pushdown: for every optimizer, the chosen plan and its scan arm (the same
+// join order with every leaf on scan+filter) must produce exactly the
+// brute-force reference's match multiset on random documents and
+// value-predicated patterns. Runs under -race in CI (make check).
 func TestValueIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	tags := []string{"a", "b", "c", "d"}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
-	lanes := []struct {
-		name   string
-		novidx bool
-	}{
-		{"vidx", false},
-		{"novidx", true},
-	}
 	totalProbes := 0
 	for trial := 0; trial < 6; trial++ {
 		doc := randomValueXML(rng, 40+rng.Intn(260), tags)
@@ -99,16 +92,21 @@ func TestValueIndexDifferential(t *testing.T) {
 			pat := randomValueTwig(rng, tags, 2+rng.Intn(4))
 			want := canonicalize(referenceMatches(db, pat))
 			for _, m := range methods {
-				for _, lane := range lanes {
-					r, err := db.QueryPatternContext(context.Background(), pat,
-						QueryOptions{ExecOptions: ExecOptions{Method: m, NoValueIndex: lane.novidx}})
-					if err != nil {
-						t.Fatalf("trial %d %v %s on %s: %v", trial, m, lane.name, pat, err)
-					}
-					if !lane.novidx {
-						totalProbes += r.Exec.ValueProbes
-					}
-					if got := canonicalize(r.Matches); !equalStrings(got, want) {
+				r, err := db.QueryPatternContext(context.Background(), pat,
+					QueryOptions{ExecOptions: ExecOptions{Method: m}})
+				if err != nil {
+					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
+				}
+				totalProbes += r.Exec.ValueProbes
+				scan, _, err := execAll(db, pat, ScanArm(r.Plan))
+				if err != nil {
+					t.Fatalf("trial %d %v scan arm on %s: %v", trial, m, pat, err)
+				}
+				for _, lane := range []struct {
+					name string
+					ms   []Match
+				}{{"vidx", r.Matches}, {"scan", scan}} {
+					if got := canonicalize(lane.ms); !equalStrings(got, want) {
 						t.Fatalf("trial %d: %v %s disagrees with the reference on %s: %d vs %d matches",
 							trial, m, lane.name, pat, len(got), len(want))
 					}
@@ -122,8 +120,8 @@ func TestValueIndexDifferential(t *testing.T) {
 }
 
 // TestValueIndexPlanAndStats pins the end-to-end surface of the pushdown
-// on a fixed selective query: the plan print, the probe counters, the
-// scanned-tuple reduction, and the NoValueIndex escape hatch.
+// on a fixed selective query: the plan print, the probe counters, and the
+// scanned-tuple reduction against the same plan's scan arm.
 func TestValueIndexPlanAndStats(t *testing.T) {
 	db, err := GenerateDataset("dblp", 0.2, 1, nil)
 	if err != nil {
@@ -141,29 +139,29 @@ func TestValueIndexPlanAndStats(t *testing.T) {
 	if probe.Exec.ValueProbes == 0 {
 		t.Fatalf("probe lane reported no value probes: %+v", probe.Exec)
 	}
-	scan, err := db.QueryPatternContext(context.Background(), pat,
-		QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP, NoValueIndex: true}})
+	scanPlan := ScanArm(probe.Plan)
+	if text := scanPlan.Format(pat); strings.Contains(text, "ValueIndexScan") {
+		t.Fatalf("scan arm still probes:\n%s", text)
+	}
+	scan, scanStats, err := execAll(db, pat, scanPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(scan.PlanText, "ValueIndexScan") {
-		t.Fatalf("NoValueIndex plan still probes:\n%s", scan.PlanText)
+	if scanStats.ValueProbes != 0 {
+		t.Fatalf("scan arm reported %d probes", scanStats.ValueProbes)
 	}
-	if scan.Exec.ValueProbes != 0 {
-		t.Fatalf("NoValueIndex lane reported %d probes", scan.Exec.ValueProbes)
+	if len(probe.Matches) != len(scan) {
+		t.Fatalf("lanes disagree: %d vs %d matches", len(probe.Matches), len(scan))
 	}
-	if len(probe.Matches) != len(scan.Matches) {
-		t.Fatalf("lanes disagree: %d vs %d matches", len(probe.Matches), len(scan.Matches))
-	}
-	if !equalStrings(canonicalize(probe.Matches), canonicalize(scan.Matches)) {
+	if !equalStrings(canonicalize(probe.Matches), canonicalize(scan)) {
 		t.Fatal("lanes disagree on match sets")
 	}
-	if probe.Exec.ScannedTuples >= scan.Exec.ScannedTuples {
+	if probe.Exec.ScannedTuples >= scanStats.ScannedTuples {
 		t.Fatalf("pushdown did not reduce scanned tuples: probe %d, scan %d",
-			probe.Exec.ScannedTuples, scan.Exec.ScannedTuples)
+			probe.Exec.ScannedTuples, scanStats.ScannedTuples)
 	}
 	cs := db.ContentStats()
-	if !cs.ValueIndexed || cs.ValueProbes == 0 {
+	if cs.ValueProbes == 0 {
 		t.Fatalf("ContentStats = %+v after probe query", cs)
 	}
 	if cs.PostingsBytes >= cs.RawPostingsBytes {
@@ -174,7 +172,7 @@ func TestValueIndexPlanAndStats(t *testing.T) {
 	db.WriteMetrics(&sb)
 	for _, metric := range []string{
 		"sjos_value_index_probes_total", "sjos_postings_blocks_decoded_total",
-		"sjos_value_index_enabled 1", "sjos_postings_bytes", "sjos_intern_hits_total",
+		"sjos_postings_bytes", "sjos_intern_hits_total",
 	} {
 		if !strings.Contains(sb.String(), metric) {
 			t.Fatalf("metrics exposition lacks %s", metric)

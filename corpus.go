@@ -25,9 +25,9 @@ import (
 
 // CorpusOptions configures corpus construction. Of the embedded Options,
 // PoolFrames applies per replica store and the service settings to the
-// corpus as a whole (the cost model; MaxInFlight and QueueDepth bound
-// concurrent queries and writes across the whole corpus — the corpus is the
-// admission boundary). Options.PageFile is ignored; use ShardPageFile and
+// corpus as a whole (MaxInFlight and QueueDepth bound concurrent queries
+// and writes across the whole corpus — the corpus is the admission
+// boundary). Options.PageFile is ignored; use ShardPageFile and
 // ShardWALFile to inject per-shard files.
 type CorpusOptions struct {
 	Options
@@ -176,7 +176,6 @@ type Corpus struct {
 	shards []*corpusShard // one per ring shard; nil when no document hashed there
 	ring   *shardring.Ring
 	live   atomic.Pointer[corpusView]
-	model  CostModel
 	svc    *service // corpus-level: merged stats, plan cache, metrics, admission
 	probe  core.ProbeEligibility
 
@@ -317,7 +316,6 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	c := &Corpus{
 		shards:     make([]*corpusShard, ring.Shards()),
 		ring:       ring,
-		model:      b.opts.model(),
 		svc:        newService(&b.opts.Options),
 		ingest:     writable,
 		fixedHedge: b.opts.HedgeDelay,
@@ -534,9 +532,6 @@ func (c *Corpus) ShardOf(docID string) (int, bool) {
 	return s, ok
 }
 
-// Model returns the corpus's cost model.
-func (c *Corpus) Model() CostModel { return c.model }
-
 // resolve translates a (document ID, document-local node ID) pair into the
 // owning shard's current snapshot and the forest node ID.
 func (c *Corpus) resolve(docID string, id NodeID) (*dbSnap, NodeID, bool) {
@@ -587,7 +582,7 @@ func (c *Corpus) Optimize(pat *Pattern, m Method, te int) (*OptimizeResult, erro
 // OptimizeContext is Optimize under a context.
 func (c *Corpus) OptimizeContext(ctx context.Context, pat *Pattern, m Method, te int) (*OptimizeResult, error) {
 	stats, _ := c.svc.snapshot()
-	return optimizeWith(ctx, pat, stats, c.model, m, te, c.probe)
+	return optimizeWith(ctx, pat, stats, m, te, c.probe)
 }
 
 // CorpusMatch is one pattern match of a corpus query: the document it
@@ -1092,10 +1087,11 @@ func (c *Corpus) Query(src string, m Method) (*CorpusQueryResult, error) {
 	return c.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: m}})
 }
 
-// QueryContext parses src, optimizes it (through the corpus plan cache,
-// unless opts.NoCache) and scatter-executes the chosen plan, observing ctx
-// in both phases: cancellation aborts the optimizer search or the execution,
-// whichever is running, and QueryContext returns ctx's error.
+// QueryContext parses src, optimizes it through the corpus plan cache and
+// scatter-executes the chosen plan, observing ctx in both phases:
+// cancellation aborts the optimizer search or the execution, whichever is
+// running, and QueryContext returns ctx's error. OptimizeContext plus Run is
+// the same query with a fresh optimizer run instead of the cache.
 func (c *Corpus) QueryContext(ctx context.Context, src string, opts QueryOptions) (*CorpusQueryResult, error) {
 	pat, err := ParsePattern(src)
 	if err != nil {
@@ -1135,7 +1131,7 @@ func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptio
 	}
 	thr, slowFn := c.svc.slow.config()
 	t0 := time.Now()
-	res, cached, err := c.svc.optimizePattern(ctx, pat, c.model, c.probe, opts.Method, opts.Te, opts.NoCache, opts.NoValueIndex)
+	res, cached, err := c.svc.optimizePattern(ctx, pat, c.probe, opts.Method, opts.Te)
 	if err != nil {
 		return nil, err
 	}
@@ -1341,7 +1337,6 @@ func (c *Corpus) Metrics() Metrics {
 		m.Pool.Retries += h.Pool.Retries
 		m.Pool.ChecksumFailures += h.Pool.ChecksumFailures
 		m.FaultsInjected += h.FaultsInjected
-		m.Content.ValueIndexed = m.Content.ValueIndexed || h.Content.ValueIndexed
 		m.Content.ValueRuns += h.Content.ValueRuns
 		m.Content.NumericTags += h.Content.NumericTags
 		m.Content.ValueProbes += h.Content.ValueProbes

@@ -199,7 +199,7 @@ func (e *engine) openLog(walFile PageFile) ([]storage.WALTxn, error) {
 func (e *engine) reset(file PageFile) (*storage.Store, error) {
 	e.forest = xmltree.NewForest()
 	e.members, e.byID = nil, make(map[string]int)
-	return storage.BuildStoreOn(file, e.forest, e.poolFrames, storage.StoreOptions{})
+	return storage.BuildStoreOn(file, e.forest, e.poolFrames)
 }
 
 // grow appends one member through the staging path every store build

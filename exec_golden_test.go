@@ -144,26 +144,35 @@ func TestCorpusReadOnlyPlansLikeWritable(t *testing.T) {
 		t.Fatal("write paths are not what the options asked for")
 	}
 	ctx := context.Background()
+	type outcome struct {
+		plan string
+		cost float64
+		res  *sjos.CorpusRunResult
+	}
+	plan := func(c *sjos.Corpus, pat *sjos.Pattern, m sjos.Method) outcome {
+		opt, err := c.Optimize(pat, m, 0)
+		if err != nil {
+			t.Fatalf("%s %v: %v", pat, m, err)
+		}
+		res, err := c.Run(ctx, pat, opt.Plan, sjos.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s %v: %v", pat, m, err)
+		}
+		return outcome{opt.Plan.Format(pat), opt.Cost, res}
+	}
 	differ := 0
 	for _, q := range execGoldenQueries() {
+		pat := sjos.MustParsePattern(q.Source)
 		for _, m := range execGoldenMethods {
-			opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: m, NoCache: true}}
-			a, err := readOnly.QueryContext(ctx, q.Source, opts)
-			if err != nil {
-				t.Fatalf("%s %v: %v", q.ID, m, err)
-			}
-			b, err := writable.QueryContext(ctx, q.Source, opts)
-			if err != nil {
-				t.Fatalf("%s %v: %v", q.ID, m, err)
-			}
-			same := a.PlanText == b.PlanText && a.EstCost == b.EstCost && a.Exec == b.Exec && len(a.Matches) == len(b.Matches)
-			for i := 0; same && i < len(a.Matches); i++ {
-				same = a.Matches[i].DocID == b.Matches[i].DocID && slices.Equal(a.Matches[i].Nodes, b.Matches[i].Nodes)
+			a, b := plan(readOnly, pat, m), plan(writable, pat, m)
+			same := a.plan == b.plan && a.cost == b.cost && a.res.Stats == b.res.Stats && len(a.res.Matches) == len(b.res.Matches)
+			for i := 0; same && i < len(a.res.Matches); i++ {
+				same = a.res.Matches[i].DocID == b.res.Matches[i].DocID && slices.Equal(a.res.Matches[i].Nodes, b.res.Matches[i].Nodes)
 			}
 			if !same {
 				differ++
 				t.Errorf("%s %v: read-only corpus plans\n%s(cost %g, %+v, %d rows)\nwritable corpus plans\n%s(cost %g, %+v, %d rows)",
-					q.ID, m, a.PlanText, a.EstCost, a.Exec, len(a.Matches), b.PlanText, b.EstCost, b.Exec, len(b.Matches))
+					q.ID, m, a.plan, a.cost, a.res.Stats, len(a.res.Matches), b.plan, b.cost, b.res.Stats, len(b.res.Matches))
 			}
 		}
 	}

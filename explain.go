@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"sjos/internal/core"
+	"sjos/internal/cost"
 )
 
 // Explain optimizes pat with every algorithm and renders a comparison: per
@@ -82,7 +83,7 @@ func (db *Database) TraceDPP(pat *Pattern) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, events, err := core.DPPWithTrace(pat, est, db.c.model)
+	res, events, err := core.DPPWithTrace(pat, est, cost.DefaultModel())
 	if err != nil {
 		return "", err
 	}

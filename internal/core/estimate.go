@@ -62,20 +62,36 @@ func NewEstimator(pat *pattern.Pattern, stats StatsSource) (*Estimator, error) {
 	if pat.N() > MaxPatternNodes {
 		return nil, fmt.Errorf("core: pattern has %d nodes, maximum is %d", pat.N(), MaxPatternNodes)
 	}
+	n := pat.N()
+	cards := make([]float64, 3*n)
 	e := &Estimator{
 		pat:      pat,
-		nodeCard: make([]float64, pat.N()),
-		scanCard: make([]float64, pat.N()),
-		probe:    make([]bool, pat.N()),
-		edgeSel:  make([]float64, pat.N()),
+		nodeCard: cards[:n:n],
+		scanCard: cards[n : 2*n : 2*n],
+		probe:    make([]bool, n),
+		edgeSel:  cards[2*n:],
 	}
-	for u := 0; u < pat.N(); u++ {
+	// Each tag name is resolved once: patterns repeat names (self-joins,
+	// shared leaf tags), so a node reuses an earlier node's resolution, and
+	// the edge loop reuses the nodes'.
+	var tags [MaxPatternNodes]xmltree.TagID
+	var known [MaxPatternNodes]bool
+	for u := 0; u < n; u++ {
 		nd := pat.Nodes[u]
-		tag, ok := stats.Lookup(nd.Tag)
-		if !ok {
-			e.nodeCard[u] = 0
-			continue
+		tag, ok, seen := xmltree.TagID(0), false, false
+		for w := 0; w < u; w++ {
+			if pat.Nodes[w].Tag == nd.Tag {
+				tag, ok, seen = tags[w], known[w], true
+				break
+			}
 		}
+		if !seen {
+			tag, ok = stats.Lookup(nd.Tag)
+		}
+		if !ok {
+			continue // absent tag: zero cards, provably-empty leaf
+		}
+		tags[u], known[u] = tag, true
 		card := stats.TagCount(tag)
 		e.scanCard[u] = card
 		if nd.Op != pattern.CmpNone {
@@ -83,15 +99,10 @@ func NewEstimator(pat *pattern.Pattern, stats StatsSource) (*Estimator, error) {
 		}
 		e.nodeCard[u] = card
 	}
-	for v := 1; v < pat.N(); v++ {
-		u := pat.Parent[v]
-		ta, okA := stats.Lookup(pat.Nodes[u].Tag)
-		tb, okB := stats.Lookup(pat.Nodes[v].Tag)
-		if !okA || !okB {
-			e.edgeSel[v] = 0
-			continue
+	for v := 1; v < n; v++ {
+		if u := pat.Parent[v]; known[u] && known[v] {
+			e.edgeSel[v] = stats.Selectivity(tags[u], tags[v], pat.Axis[v])
 		}
-		e.edgeSel[v] = stats.Selectivity(ta, tb, pat.Axis[v])
 	}
 	return e, nil
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"sjos/internal/cost"
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
-	"sjos/internal/xmltree"
 )
 
 // MethodGreedy plans with a statistics-free greedy join orderer. Unlike
@@ -56,14 +54,12 @@ const (
 )
 
 // greedySignals is the per-pattern input of the greedy builder: ranking
-// signals plus the cardinality annotations carried onto the plan. Both
-// entry points — the Estimator-backed one used by Optimize and the direct
-// StatsSource one used by the facade's fast path — reduce to this shape, so
-// they construct identical plans from identical statistics.
+// signals plus the cardinality annotations carried onto the plan, read off
+// the estimator.
 //
 // The arrays are fixed-size (MaxPatternNodes) so the whole struct lives in
-// the caller's stack frame: an optimize call heap-allocates only the plan
-// nodes and the Result, which is what keeps the fast path sub-microsecond.
+// the caller's stack frame: the builder heap-allocates only the plan nodes
+// and the Result.
 type greedySignals struct {
 	scanCard [MaxPatternNodes]float64 // per node: tag postings length (pre-predicate)
 	nodeCard [MaxPatternNodes]float64 // per node: post-predicate candidates (annotation)
@@ -99,9 +95,9 @@ func (sig *greedySignals) finish(pat *pattern.Pattern, model cost.Model) {
 	}
 }
 
-// greedy is the Estimator-backed entry point used by Optimize: signals are
-// read off an already-built estimator. The whole construction is one pass,
-// so a single upfront ctx poll suffices.
+// greedy is MethodGreedy's entry point in Optimize: signals are read off an
+// already-built estimator. The whole construction is one pass, so a single
+// upfront ctx poll suffices.
 func greedy(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -116,72 +112,6 @@ func greedy(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cos
 	}
 	for e := 1; e < n; e++ {
 		sig.edgeSel[e] = est.EdgeSelectivity(e)
-	}
-	sig.finish(pat, model)
-	return b.build(pat, model), nil
-}
-
-// GreedyFromStats is the facade's fast path for MethodGreedy: it plans
-// straight from the statistics surface without constructing an Estimator or
-// a search space — no histogram work beyond one memoised selectivity lookup
-// per edge for the plan's cost annotations. Given the same statistics it
-// produces exactly the plan Optimize(MethodGreedy) produces.
-func GreedyFromStats(ctx context.Context, pat *pattern.Pattern, stats StatsSource, pe ProbeEligibility, model cost.Model) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !model.Valid() {
-		return nil, fmt.Errorf("core: invalid cost model %+v", model)
-	}
-	if err := pat.Validate(); err != nil {
-		return nil, err
-	}
-	n := pat.N()
-	if n > MaxPatternNodes {
-		return nil, fmt.Errorf("core: pattern has %d nodes, maximum is %d", n, MaxPatternNodes)
-	}
-	var b greedyBuilder
-	sig := &b.sig
-	var tags [MaxPatternNodes]xmltree.TagID
-	var known [MaxPatternNodes]bool
-	ps, exact := pe.(ProbeSelectivity)
-	for u := 0; u < n; u++ {
-		nd := pat.Nodes[u]
-		// Patterns repeat tag names (self-joins, shared leaf tags); reuse an
-		// earlier node's resolution instead of re-hashing the string.
-		tag, ok, seen := xmltree.TagID(0), false, false
-		for w := 0; w < u; w++ {
-			if pat.Nodes[w].Tag == nd.Tag {
-				tag, ok, seen = tags[w], known[w], true
-				break
-			}
-		}
-		if !seen {
-			tag, ok = stats.Lookup(nd.Tag)
-		}
-		if !ok {
-			continue // absent tag: zero cards, provably-empty leaf
-		}
-		tags[u], known[u] = tag, true
-		card := stats.TagCount(tag)
-		sig.scanCard[u] = card
-		if nd.Op != pattern.CmpNone {
-			card *= stats.PredicateSelectivity(tag, nd.Op, nd.Value)
-			if pe != nil && pe.ProbeEligible(nd.Tag, nd.Op, nd.Value) {
-				sig.eligible[u] = true
-				if exact {
-					if exactN, ok := ps.ProbeSelectivity(nd.Tag, nd.Op, nd.Value); ok {
-						card = float64(exactN)
-					}
-				}
-			}
-		}
-		sig.nodeCard[u] = card
-	}
-	for e := 1; e < n; e++ {
-		if known[e] && known[pat.Parent[e]] {
-			sig.edgeSel[e] = stats.Selectivity(tags[pat.Parent[e]], tags[e], pat.Axis[e])
-		}
 	}
 	sig.finish(pat, model)
 	return b.build(pat, model), nil

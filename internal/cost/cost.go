@@ -8,9 +8,9 @@
 //
 // where |A| is the cardinality of the ancestor-side input and |AB| the join
 // result cardinality. The f-factors normalise heterogeneous physical
-// operations onto one scale; each deployment has its own constants, so the
-// package ships defaults measured against this library's executor plus a
-// Calibrate helper that re-measures them on the current machine.
+// operations onto one scale. The paper notes the constants "are dependent on
+// the system implementation"; this package ships one set, DefaultModel,
+// measured against this library's executor, and every plan is priced with it.
 package cost
 
 import (
@@ -26,7 +26,7 @@ import (
 // never overturns the paper's formulas — it breaks their ties in favour of
 // smaller intermediate results, which is what the executor rewards.
 //
-// A zero Model is unusable; use DefaultModel or Calibrate.
+// A zero Model is unusable; use DefaultModel.
 type Model struct {
 	FI  float64 // per item retrieved through an index
 	FS  float64 // per item·log₂(items) sorted
@@ -37,8 +37,8 @@ type Model struct {
 }
 
 // DefaultModel returns factors measured against this library's executor on
-// commodity x86-64 (see Calibrate and the calibration test). Only ratios
-// matter for plan choice; the absolute scale approximates nanoseconds.
+// commodity x86-64. Only ratios matter for plan choice; the absolute scale
+// approximates nanoseconds.
 func DefaultModel() Model {
 	return Model{
 		FI:  60, // index access touches postings + node pages
@@ -57,8 +57,8 @@ func (m Model) IndexAccess(n float64) float64 { return m.FI * n }
 // probe. A probed posting is slightly more expensive than a tag-index
 // posting (smaller blocks decode worse, and multi-run probes pay a merge
 // step), so FV defaults above FI — the probe wins on cardinality, not on
-// per-item rate. Models predating FV (zero value) fall back to 1.25·FI so
-// hand-built Model literals in tests and calibration files keep working.
+// per-item rate. A Model literal that leaves FV zero, as the optimizer
+// tests' hand-built models do, prices a probe at 1.25·FI.
 func (m Model) ValueProbe(n float64) float64 {
 	fv := m.FV
 	if fv <= 0 {

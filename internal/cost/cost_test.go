@@ -60,16 +60,3 @@ func TestSortMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCalibrateProducesValidModel(t *testing.T) {
-	m := Calibrate()
-	if !m.Valid() {
-		t.Fatalf("Calibrate returned invalid model: %+v", m)
-	}
-	// Sanity: all factors within a plausible nanosecond range.
-	for name, f := range map[string]float64{"FI": m.FI, "FS": m.FS, "FIO": m.FIO, "FST": m.FST, "FSC": m.FSC} {
-		if f <= 0 || f > 1e6 {
-			t.Errorf("factor %s = %v out of range", name, f)
-		}
-	}
-}

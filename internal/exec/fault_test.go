@@ -21,7 +21,7 @@ import (
 func faultyStore(t *testing.T, doc *xmltree.Document, failNth int) *storage.Store {
 	t.Helper()
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	st, err := storage.BuildStoreOn(ff, doc, 1, storage.StoreOptions{})
+	st, err := storage.BuildStoreOn(ff, doc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

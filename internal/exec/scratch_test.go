@@ -73,7 +73,7 @@ func TestScratchReuseAcrossExecutions(t *testing.T) {
 			}
 		case 3: // a read error, on a store of its own; a fault point past the run's reads never fires
 			ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-			fst, err := storage.BuildStoreOn(ff, doc, 1, storage.StoreOptions{})
+			fst, err := storage.BuildStoreOn(ff, doc, 1)
 			if err != nil {
 				return err
 			}

@@ -350,9 +350,10 @@ func (s *Stats) PredicateSelectivity(t xmltree.TagID, op pattern.CmpOp, value st
 	if len(ts.sample) == 0 {
 		return 1 / float64(ts.count)
 	}
+	pred := pattern.CompilePredicate(op, value)
 	match := 0
 	for _, v := range ts.sample {
-		if pattern.EvalPredicate(v, op, value) {
+		if pred.Match(v) {
 			match++
 		}
 	}

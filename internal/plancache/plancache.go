@@ -33,10 +33,6 @@ type Key struct {
 	Method       int
 	Te           int
 	StatsVersion uint64
-	// NoVidx marks plans optimized with the value index disabled; they
-	// must not be served to (or from) value-index-enabled calls, whose
-	// leaves may differ.
-	NoVidx bool
 }
 
 // Stats is a snapshot of the cache's behaviour counters.

@@ -212,7 +212,7 @@ func TestStoreChecksumRoundTripAcrossRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := BuildStoreOn(d, doc, 8, StoreOptions{})
+	st, err := BuildStoreOn(d, doc, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ type segment struct {
 	count    int
 	nodeBase PageID        // node records occupy [nodeBase, nodeBase+nodePages)
 	dir      []postingsRun // by TagID; a tag the segment lacks has an empty run
-	vix      *valueIndex   // per-segment; nil with NoValueIndex
+	vix      *valueIndex   // per-segment
 	dead     bool
 }
 
@@ -117,7 +117,7 @@ func nodePagesFor(n int) int { return (n + nodesPerPage - 1) / nodesPerPage }
 // planSegment serialises the span of doc as a fresh segment starting at page
 // base, writing its sealed pages to dst in page order: the store's own file
 // for a build, a capture file for a stage.
-func planSegment(dst PageFile, doc *xmltree.Document, span xmltree.DocSpan, base PageID, opts StoreOptions) (*SegmentStage, error) {
+func planSegment(dst PageFile, doc *xmltree.Document, span xmltree.DocSpan, base PageID) (*SegmentStage, error) {
 	n := span.Nodes
 	nodePages := nodePagesFor(n)
 	var page Page
@@ -153,16 +153,11 @@ func planSegment(dst PageFile, doc *xmltree.Document, span xmltree.DocSpan, base
 		dir[t] = run
 		rawBytes += rawPostingSize * len(ids)
 	}
-	var vx *valueIndex
-	if !opts.NoValueIndex {
-		var vxRaw int
-		var err error
-		vx, vxRaw, err = buildValueIndexOver(w, doc, nodesOf)
-		if err != nil {
-			return nil, fmt.Errorf("storage: segment value index: %w", err)
-		}
-		rawBytes += vxRaw
+	vx, vxRaw, err := buildValueIndexOver(w, doc, nodesOf)
+	if err != nil {
+		return nil, fmt.Errorf("storage: segment value index: %w", err)
 	}
+	rawBytes += vxRaw
 	end, err := w.finish()
 	if err != nil {
 		return nil, err
@@ -190,7 +185,7 @@ func (s *Store) StageSegment(forest *xmltree.Document, span xmltree.DocSpan) (*S
 	// like any other.
 	nodePages := nodePagesFor(span.Nodes)
 	cf := &captureFile{base: s.tailPage, images: make([]WALPageImage, 0, nodePages+nodePages/2+2)}
-	st, err := planSegment(cf, forest, span, s.tailPage, s.opts)
+	st, err := planSegment(cf, forest, span, s.tailPage)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +304,7 @@ func (s *Store) rebuildVersion(forest *xmltree.Document, segs []*segment, tail P
 		tags[t] = forest.TagName(xmltree.TagID(t))
 		byName[tags[t]] = xmltree.TagID(t)
 	}
-	dir, vix := combineSegments(segs, numTags, !s.opts.NoValueIndex)
+	dir, vix := combineSegments(segs, numTags)
 	return &Store{
 		doc:              &storeMeta{NumNodes: forest.NumNodes(), NumTags: numTags, Tags: tags},
 		file:             s.file,
@@ -319,7 +314,6 @@ func (s *Store) rebuildVersion(forest *xmltree.Document, segs []*segment, tail P
 		vix:              vix,
 		segs:             segs,
 		tailPage:         tail,
-		opts:             s.opts,
 		postingsBytes:    encBytes,
 		rawPostingsBytes: rawBytes,
 		internStats:      forest.InternStats(),
@@ -344,13 +338,10 @@ func (r *postingsRun) append(run postingsRun) {
 // in segment (= NodeID) order: one joined postings run per tag, and the list
 // of the segments' value indexes. All work is over in-memory block
 // directories, one pass to size each tag's directory and one to fill it.
-func combineSegments(segs []*segment, numTags int, withVidx bool) ([]postingsRun, []*valueIndex) {
+func combineSegments(segs []*segment, numTags int) ([]postingsRun, []*valueIndex) {
 	dir := make([]postingsRun, numTags)
 	nblocks := make([]int, numTags)
-	var vix []*valueIndex
-	if withVidx {
-		vix = make([]*valueIndex, 0, len(segs))
-	}
+	vix := make([]*valueIndex, 0, len(segs))
 	for _, sg := range segs {
 		if sg.dead {
 			continue
@@ -358,9 +349,7 @@ func combineSegments(segs []*segment, numTags int, withVidx bool) ([]postingsRun
 		for t, run := range sg.dir {
 			nblocks[t] += len(run.blocks)
 		}
-		if withVidx {
-			vix = append(vix, sg.vix)
-		}
+		vix = append(vix, sg.vix)
 	}
 	for _, sg := range segs {
 		if sg.dead {

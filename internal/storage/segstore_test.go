@@ -17,7 +17,7 @@ import (
 func buildForest(tb testing.TB, docs []*xmltree.Document, poolFrames int) (*xmltree.Document, []xmltree.DocSpan, *Store) {
 	tb.Helper()
 	forest := xmltree.NewForest()
-	st, err := BuildStoreOn(NewMemFile(), forest, poolFrames, StoreOptions{})
+	st, err := BuildStoreOn(NewMemFile(), forest, poolFrames)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestForestStoreStageAdopt(t *testing.T) {
 
 	forest := xmltree.NewForest()
 	file := NewMemFile()
-	st, err := BuildStoreOn(file, forest, 64, StoreOptions{})
+	st, err := BuildStoreOn(file, forest, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

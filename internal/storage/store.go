@@ -47,8 +47,7 @@ type Store struct {
 	tagByName map[string]xmltree.TagID
 
 	// vix is the (tag, value) content index: the live segments' own indexes
-	// in segment order — a probe asks each in turn (see probeValue). nil
-	// when the store was built with StoreOptions.NoValueIndex.
+	// in segment order — a probe asks each in turn (see probeValue).
 	vix []*valueIndex
 
 	// segs lists the store's segments, one per contiguous NodeID slice, in
@@ -59,7 +58,6 @@ type Store struct {
 	// concurrent readers.
 	segs     []*segment
 	tailPage PageID // next free page
-	opts     StoreOptions
 
 	// Compression and probe accounting (see ContentStats).
 	postingsBytes    int
@@ -84,18 +82,11 @@ type storeMeta struct {
 	Tags     []string
 }
 
-// StoreOptions tunes store construction.
-type StoreOptions struct {
-	// NoValueIndex skips building the (tag, value) content index; value
-	// predicates then always run as scan+filter.
-	NoValueIndex bool
-}
-
 // BuildStore serialises doc into a fresh MemFile and returns a Store reading
 // through a buffer pool with the given number of frames (DefaultPoolFrames
 // if <= 0).
 func BuildStore(doc *xmltree.Document, poolFrames int) (*Store, error) {
-	return BuildStoreOn(NewMemFile(), doc, poolFrames, StoreOptions{})
+	return BuildStoreOn(NewMemFile(), doc, poolFrames)
 }
 
 // BuildStoreOn lays doc down as segment 0 of the given (empty) page file —
@@ -104,15 +95,15 @@ func BuildStore(doc *xmltree.Document, poolFrames int) (*Store, error) {
 // with the given number of frames. A fresh forest (xmltree.NewForest) is a
 // one-node document like any other: its store holds the synthetic root, and
 // members are appended with StageSegment / CommitStage.
-func BuildStoreOn(file PageFile, doc *xmltree.Document, poolFrames int, opts StoreOptions) (*Store, error) {
+func BuildStoreOn(file PageFile, doc *xmltree.Document, poolFrames int) (*Store, error) {
 	if file.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: BuildStoreOn needs an empty file, got %d pages", file.NumPages())
 	}
-	st, err := planSegment(file, doc, xmltree.DocSpan{Nodes: doc.NumNodes()}, 0, opts)
+	st, err := planSegment(file, doc, xmltree.DocSpan{Nodes: doc.NumNodes()}, 0)
 	if err != nil {
 		return nil, err
 	}
-	empty := Store{file: file, pool: NewBufferPool(file, poolFrames), opts: opts, shared: &storeCounters{}}
+	empty := Store{file: file, pool: NewBufferPool(file, poolFrames), shared: &storeCounters{}}
 	return empty.AdoptStage(st), nil
 }
 
@@ -231,8 +222,6 @@ func (s *Store) ScanTagCtx(ctx context.Context, t xmltree.TagID) *TagScanner {
 // compressed versus raw postings footprint, and the document build's
 // intern-table behaviour.
 type ContentStats struct {
-	// ValueIndexed reports whether the (tag, value) index was built.
-	ValueIndexed bool
 	// ValueRuns is the number of (tag, value) postings lists persisted.
 	ValueRuns int
 	// NumericTags is the number of tags with a numeric-range index.
@@ -254,7 +243,6 @@ type ContentStats struct {
 // ContentStats returns a snapshot of the store's content-index counters.
 func (s *Store) ContentStats() ContentStats {
 	cs := ContentStats{
-		ValueIndexed:     s.vix != nil,
 		ValueProbes:      s.shared.probes.Load(),
 		BlocksDecoded:    s.shared.blocksDecoded.Load(),
 		PostingsBytes:    s.postingsBytes,

@@ -227,9 +227,6 @@ func (vx *valueIndex) lookup(t xmltree.TagID, op pattern.CmpOp, value string, nu
 	return nil
 }
 
-// HasValueIndex reports whether the store carries a content index.
-func (s *Store) HasValueIndex() bool { return s.vix != nil }
-
 // rangeProbeable reports whether every node of tag t in the store has a
 // non-empty numeric value — the condition under which the numeric directory
 // reproduces a range predicate (see the case analysis above).
@@ -261,9 +258,6 @@ func (s *Store) ProbeEligible(tag string, op pattern.CmpOp, value string) bool {
 // every index is asked: the tag's ID and the value as a number when the
 // probe is numeric.
 func (s *Store) probeKey(tag string, op pattern.CmpOp, value string) (t xmltree.TagID, num float64, numeric, ok bool) {
-	if s.vix == nil {
-		return 0, 0, false, false
-	}
 	if t, ok = s.tagByName[tag]; !ok {
 		return 0, 0, false, false
 	}

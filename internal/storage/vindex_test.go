@@ -103,9 +103,6 @@ func TestValueProbeMatchesScanFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.HasValueIndex() {
-		t.Fatal("store built without value index")
-	}
 	ops := []pattern.CmpOp{pattern.CmpEq, pattern.CmpLt, pattern.CmpLe, pattern.CmpGt, pattern.CmpGe}
 	rhss := []string{"0", "3", "7", "7.0", "07", "11", "11.5", "-1", "99", "w3", "w9", ""}
 	eligible := 0
@@ -281,9 +278,6 @@ func TestValueIndexCompressionAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := st.ContentStats()
-	if !cs.ValueIndexed {
-		t.Fatal("ContentStats.ValueIndexed = false")
-	}
 	if cs.ValueRuns == 0 || cs.NumericTags == 0 {
 		t.Fatalf("ContentStats runs/numeric = %d/%d, want > 0", cs.ValueRuns, cs.NumericTags)
 	}
@@ -304,37 +298,5 @@ func TestValueIndexCompressionAndStats(t *testing.T) {
 	}
 	if cs.BlocksDecoded == 0 {
 		t.Fatal("BlocksDecoded = 0 after draining a probe")
-	}
-}
-
-// TestNoValueIndexOption checks the escape hatch at the storage layer: a
-// store built with NoValueIndex declines every probe and reports itself
-// unindexed, while tag scans still work.
-func TestNoValueIndexOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	doc := valueDoc(t, rng, 1000)
-	st, err := BuildStoreOn(NewMemFile(), doc, 32, StoreOptions{NoValueIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.HasValueIndex() {
-		t.Fatal("NoValueIndex store reports a value index")
-	}
-	if st.ProbeEligible("num", pattern.CmpEq, "3") {
-		t.Fatal("NoValueIndex store claims probe eligibility")
-	}
-	if _, ok := st.ProbeValue("num", pattern.CmpEq, "3"); ok {
-		t.Fatal("NoValueIndex store served a probe")
-	}
-	cs := st.ContentStats()
-	if cs.ValueIndexed || cs.ValueRuns != 0 {
-		t.Fatalf("ContentStats = %+v for NoValueIndex store", cs)
-	}
-	tid, ok := doc.LookupTag("num")
-	if !ok {
-		t.Fatal("num tag missing")
-	}
-	if got, want := st.TagCount(tid), doc.TagCount(tid); got != want {
-		t.Fatalf("TagCount = %d, want %d", got, want)
 	}
 }

@@ -84,6 +84,7 @@ func writeMetricsText(w io.Writer, m Metrics) {
 	counter("plancache_misses_total", "Plan cache misses.", uint64(m.Cache.Misses))
 	counter("plancache_coalesced_total", "Optimizations coalesced onto an in-flight run.", uint64(m.Cache.Coalesced))
 	counter("plancache_evictions_total", "Plan cache LRU evictions.", uint64(m.Cache.Evictions))
+	counter("plancache_invalidations_total", "Cached plans dropped because the statistics changed (a committed write or RebuildStats).", uint64(m.Cache.Invalidations))
 	fmt.Fprintf(w, "# HELP sjos_plancache_entries Plans currently cached.\n# TYPE sjos_plancache_entries gauge\nsjos_plancache_entries %d\n", m.Cache.Entries)
 	counter("pool_hits_total", "Buffer pool page hits.", m.Pool.Hits)
 	counter("pool_misses_total", "Buffer pool page misses.", m.Pool.Misses)
@@ -103,15 +104,10 @@ func writeMetricsText(w io.Writer, m Metrics) {
 		fmt.Fprintf(w, "# HELP sjos_%s %s\n# TYPE sjos_%s gauge\nsjos_%s %d\n",
 			name, help, name, name, v)
 	}
-	vidx := int64(0)
-	if m.Content.ValueIndexed {
-		vidx = 1
-	}
 	counter("compactions_total", "Store rewrites that dropped dead segments (explicit and automatic).", uint64(m.Compactions))
 	gauge("wal_pages", "Write-ahead log length in pages, all shards.", int64(m.WALPages))
 	gauge("recovered_transactions", "Logged transactions the last open replayed (from the last base snapshot on), all shards.", int64(m.RecoveredTxns))
 	fmt.Fprintf(w, "# HELP sjos_recovery_seconds Time the last open spent reading the write-ahead log and replaying it.\n# TYPE sjos_recovery_seconds gauge\nsjos_recovery_seconds %g\n", m.RecoverySeconds)
-	gauge("value_index_enabled", "Whether the (tag, value) content index was built.", vidx)
 	gauge("postings_bytes", "Encoded size of all postings (tag and value index).", int64(m.Content.PostingsBytes))
 	gauge("postings_raw_bytes", "Size the same postings would occupy uncompressed.", int64(m.Content.RawPostingsBytes))
 	counter("intern_hits_total", "Value intern-table hits during document build.", m.Content.Intern.Hits)

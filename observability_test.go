@@ -175,6 +175,29 @@ func TestWriteMetricsIngest(t *testing.T) {
 	}
 }
 
+// TestWriteMetricsInvalidations: a committed write drops the cached plans
+// its statistics change made stale, and /metrics counts them.
+func TestWriteMetricsInvalidations(t *testing.T) {
+	c, err := NewCorpusBuilder(&CorpusOptions{Shards: 1, ShardWALFile: newWALMap().file}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertString("a", orderXML(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query("//order/item", MethodDPP); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertString("b", orderXML(3)); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	c.WriteMetrics(&b)
+	if want := "sjos_plancache_invalidations_total 1\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("WriteMetrics missing %q\n%s", want, b.String())
+	}
+}
+
 // TestSlowQueryLog: a zero-distance threshold catches every query with a
 // full entry (fingerprint, timings, trace); raising the threshold stops
 // the logging, and a zero threshold turns it off.

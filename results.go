@@ -4,8 +4,8 @@ import "strconv"
 
 // AppendCell appends the display form of one matched node to dst — tag="value"
 // (Go-quoted, as %q prints it) when the node has text, tag#id otherwise — and
-// returns the extended slice. It is the one cell format xqrun, xqshell and
-// xqserve print.
+// returns the extended slice. It is the one cell format xqshell and xqserve
+// print.
 func AppendCell(dst []byte, tag, value string, id NodeID) []byte {
 	dst = append(dst, tag...)
 	if value == "" {

@@ -37,6 +37,19 @@ func execLimit(db *Database, pat *Pattern, p *Plan, n int) ([]Match, ExecStats, 
 	return res.Matches, res.Stats, nil
 }
 
+// ScanArm returns a copy of p with every value-index probe leaf turned back
+// into a tag scan + filter: the same join order, only the access path
+// differs. Exported for the black-box benchmarks.
+func ScanArm(p *Plan) *Plan {
+	if p == nil {
+		return nil
+	}
+	cp := *p
+	cp.ValueIndex = false
+	cp.Left, cp.Right = ScanArm(p.Left), ScanArm(p.Right)
+	return &cp
+}
+
 // referenceMatches is the oracle of the differential suites: the brute-force
 // matcher over the handle's current document, which shares no code with the
 // planner or the executor. It runs on the forest the document is stored in

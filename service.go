@@ -8,6 +8,7 @@ import (
 
 	"sjos/internal/admission"
 	"sjos/internal/core"
+	"sjos/internal/cost"
 	"sjos/internal/exec"
 	"sjos/internal/metrics"
 	"sjos/internal/pattern"
@@ -95,18 +96,8 @@ func (s *service) setStats(stats core.StatsSource) {
 // version). Concurrent misses on the same key run the optimizer once. The
 // boolean reports whether the plan came from the cache (or from a coalesced
 // in-flight optimization) rather than a fresh optimizer run.
-func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostModel, pe core.ProbeEligibility, m Method, te int, noCache, noVidx bool) (*OptimizeResult, bool, error) {
+func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.ProbeEligibility, m Method, te int) (*OptimizeResult, bool, error) {
 	stats, ver := s.snapshot()
-	// Predicate pushdown: unless disabled for this call, the optimizer may
-	// choose value-index probes for eligible predicated leaves. The store's
-	// eligibility is part of the plan, so the cache key carries the flag.
-	if noVidx {
-		pe = nil
-	}
-	if noCache {
-		res, err := s.search(ctx, pat, stats, model, m, te, pe)
-		return res, false, err
-	}
 	fp, canon := pattern.Fingerprint(pat)
 	keyTe := 0
 	if m == MethodDPAPEB {
@@ -118,9 +109,9 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostM
 			keyTe = pat.NumEdges()
 		}
 	}
-	k := plancache.Key{Fingerprint: fp, Method: int(m), Te: keyTe, StatsVersion: ver, NoVidx: noVidx}
+	k := plancache.Key{Fingerprint: fp, Method: int(m), Te: keyTe, StatsVersion: ver}
 	cp, cached, err := s.cache.GetOrCompute(ctx, k, func() (cachedPlan, error) {
-		res, err := s.search(ctx, pat, stats, model, m, te, pe)
+		res, err := s.search(ctx, pat, stats, m, te, pe)
 		if err != nil {
 			return cachedPlan{}, err
 		}
@@ -146,41 +137,35 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, model CostM
 }
 
 // search is the metered optimizer run behind optimizePattern: only the
-// leader of a cache miss (or an uncached call) gets here, so the planning
-// series count searches done, not queries served.
-func (s *service) search(ctx context.Context, pat *Pattern, stats core.StatsSource, model CostModel, m Method, te int, pe core.ProbeEligibility) (*OptimizeResult, error) {
+// leader of a cache miss gets here, so the planning series count searches
+// done, not queries served.
+func (s *service) search(ctx context.Context, pat *Pattern, stats core.StatsSource, m Method, te int, pe core.ProbeEligibility) (*OptimizeResult, error) {
 	t0 := time.Now()
-	res, err := optimizeWith(ctx, pat, stats, model, m, te, pe)
+	res, err := optimizeWith(ctx, pat, stats, m, te, pe)
 	if err == nil {
 		s.metrics.Optimized(time.Since(t0), res.Counters.PlansConsidered)
 	}
 	return res, err
 }
 
-// optimizeWith runs one optimizer pass against an explicit statistics
-// snapshot. pe, when non-nil, lets the estimator offer value-index probes
-// for eligible predicated leaves (nil keeps every leaf on scan+filter).
-func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, model CostModel, m Method, te int, pe core.ProbeEligibility) (*OptimizeResult, error) {
-	if m == MethodGreedy {
-		// The statistics-free orderer plans straight from the stats surface:
-		// no estimator, no search space — planning stays sub-microsecond.
-		return core.GreedyFromStats(ctx, pat, stats, pe, model)
-	}
+// optimizeWith is where every plan comes from: one optimizer pass against an
+// explicit statistics snapshot, priced with the one cost model. pe lets the
+// estimator offer value-index probes for eligible predicated leaves.
+func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, m Method, te int, pe core.ProbeEligibility) (*OptimizeResult, error) {
 	est, err := core.NewEstimator(pat, stats)
 	if err != nil {
 		return nil, err
 	}
 	est.EnableValueIndex(pe)
-	return core.Optimize(ctx, pat, est, model, m, &core.Options{Te: te})
+	return core.Optimize(ctx, pat, est, cost.DefaultModel(), m, &core.Options{Te: te})
 }
 
 // ExecOptions is the execution-tuning surface shared by every query entry
 // point — Database and Corpus take identical option shapes: RunOptions and
 // QueryOptions both embed it. Plan-execution entry points (Run) read Limit
-// and Trace and ignore the optimizer fields (Method, Te, NoCache,
-// NoValueIndex), which only apply where a plan is being chosen
-// (QueryContext and friends). The zero value optimizes with DP, executes
-// without a limit, uses the plan cache and the value index.
+// and Trace and ignore the optimizer fields (Method, Te), which only apply
+// where a plan is being chosen (QueryContext and friends). The zero value
+// optimizes with DP and executes without a limit.
 type ExecOptions struct {
 	// Method selects the optimization algorithm (zero value: MethodDP).
 	// Ignored by Run, which executes an already-chosen plan.
@@ -196,13 +181,6 @@ type ExecOptions struct {
 	// clock reads per operator per batch of up to 1024 rows; disabled
 	// tracing adds no per-operator work at all.
 	Trace bool
-	// NoCache bypasses the plan cache (no lookup, no insertion) — used by
-	// benchmarks that must measure a cold optimizer run. Ignored by Run.
-	NoCache bool
-	// NoValueIndex keeps the optimizer from choosing value-index probes:
-	// every predicated leaf scans its tag and filters. Escape hatch for
-	// debugging and A/B measurement. Ignored by Run.
-	NoValueIndex bool
 }
 
 // RunOptions tunes one Run call. The zero value executes the whole plan

@@ -30,8 +30,6 @@ type (
 	// OptimizeResult is an optimizer outcome (plan, estimated cost,
 	// search counters).
 	OptimizeResult = core.Result
-	// CostModel carries the cost model's normalisation factors.
-	CostModel = cost.Model
 	// Match is one pattern match: slot u holds the document node bound
 	// to pattern node u.
 	Match = exec.Tuple
@@ -108,9 +106,6 @@ type Options struct {
 	// PoolFrames sizes the buffer pool (8 KB frames). 0 means the
 	// default 2048 frames = 16 MB, the paper's SHORE configuration.
 	PoolFrames int
-	// Model overrides the cost model. The zero value selects the built-in
-	// defaults; use sjos.CalibrateModel for machine-specific factors.
-	Model CostModel
 	// PageFile, when non-nil, stores the paged database image on this file
 	// instead of memory — a disk file from CreatePageFile, a fault wrapper
 	// (see internal/faultfs) or another backend.
@@ -123,16 +118,6 @@ type Options struct {
 	// when MaxInFlight is set (0 = no waiting: the limit fails fast).
 	QueueDepth int
 }
-
-func (o *Options) model() CostModel {
-	if o.Model.Valid() {
-		return o.Model
-	}
-	return cost.DefaultModel()
-}
-
-// CalibrateModel measures cost model factors on the current machine.
-func CalibrateModel() CostModel { return cost.Calibrate() }
 
 // Database is a loaded, indexed, read-only XML document ready for querying —
 // the paper's single-document setup. It is a one-shard, one-replica,
@@ -253,9 +238,6 @@ func (db *Database) Value(id NodeID) string {
 	return sn.doc.Value(span.First + id)
 }
 
-// Model returns the database's cost model.
-func (db *Database) Model() CostModel { return db.c.model }
-
 // Optimize picks a plan for pat with the chosen algorithm. te is the
 // DPAP-EB expansion bound (0 = the number of pattern edges, the paper's
 // Table 1 setting); it is ignored by other methods. Optimize always runs
@@ -286,7 +268,7 @@ func (db *Database) OptimizeWithExactStats(pat *Pattern, m Method, te int) (*Opt
 	if err != nil {
 		return nil, err
 	}
-	return core.Optimize(context.Background(), pat, est, db.c.model, m, &core.Options{Te: te})
+	return core.Optimize(context.Background(), pat, est, cost.DefaultModel(), m, &core.Options{Te: te})
 }
 
 // BadPlan returns the estimated-worst of `samples` random valid plans —
@@ -297,7 +279,7 @@ func (db *Database) BadPlan(pat *Pattern, samples int, seed int64) (*OptimizeRes
 	if err != nil {
 		return nil, err
 	}
-	return core.BadPlan(pat, est, db.c.model, samples, seed)
+	return core.BadPlan(pat, est, cost.DefaultModel(), samples, seed)
 }
 
 // PoolStats returns a snapshot of the buffer pool's cumulative hit/miss
@@ -391,11 +373,11 @@ func (db *Database) QueryPattern(pat *Pattern, m Method) (*QueryResult, error) {
 	return db.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: m}})
 }
 
-// QueryContext parses src, optimizes it (through the plan cache, unless
-// opts.NoCache) and executes the chosen plan, observing ctx in both phases:
-// cancellation aborts the optimizer search or the execution, whichever is
-// running, and QueryContext returns ctx's error. Query, QueryPattern and
-// XQuery are wrappers over this entry point.
+// QueryContext parses src, optimizes it through the plan cache and executes
+// the chosen plan, observing ctx in both phases: cancellation aborts the
+// optimizer search or the execution, whichever is running, and QueryContext
+// returns ctx's error. Query, QueryPattern and XQuery are wrappers over this
+// entry point; Optimize plus Run is the same query without the cache.
 func (db *Database) QueryContext(ctx context.Context, src string, opts QueryOptions) (*QueryResult, error) {
 	pat, err := ParsePattern(src)
 	if err != nil {

@@ -174,12 +174,6 @@ func TestParseMethodFacade(t *testing.T) {
 	}
 }
 
-func TestCalibrateModelFacade(t *testing.T) {
-	if m := CalibrateModel(); !m.Valid() {
-		t.Fatal("calibrated model invalid")
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
 	if _, err := LoadXMLString("not xml", nil); err == nil {
 		t.Fatal("garbage accepted")

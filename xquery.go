@@ -43,9 +43,8 @@ func (db *Database) XQuery(src string, m Method) (*XQueryResult, error) {
 
 // XQueryContext is XQuery under a context and explicit query options:
 // cancelling ctx aborts the optimization or execution of the compiled
-// pattern, and the plan cache serves recurring query shapes (unless
-// opts.NoCache). opts.Limit caps the underlying pattern matches, not the
-// deduplicated rows.
+// pattern, and the plan cache serves recurring query shapes. opts.Limit caps
+// the underlying pattern matches, not the deduplicated rows.
 func (db *Database) XQueryContext(ctx context.Context, src string, opts QueryOptions) (*XQueryResult, error) {
 	c, err := xquery.Compile(src)
 	if err != nil {
