@@ -72,9 +72,10 @@ chaos:
 	$(GO) test -race -run 'PropagatesStorageErrors' ./internal/exec/
 	$(GO) test -race ./internal/faultfs/ ./internal/admission/
 
-# Replica fault-injection suite: kill one replica of every shard, hedge,
-# fail over, recover through probation probes — all under the race detector,
-# with results compared byte-for-byte against a fault-free corpus.
+# Replica fault-injection suite: kill one replica of every shard, serve
+# through a slow one, fail over, recover through probation probes — all under
+# the race detector, with results compared byte-for-byte against a fault-free
+# corpus.
 replicachaos:
 	$(GO) test -race -count=1 -run 'TestCorpusReplica|TestCorpusLimitErrorRace' .
 	$(GO) test -race -count=1 ./internal/replica/
@@ -133,11 +134,11 @@ fuzzquick:
 
 # Open-loop load lane: Poisson arrivals against a sharded corpus at each rate
 # of a fixed ladder, latency measured from arrival and split into queue wait
-# and service time, for a healthy arm and two with one slow replica a shard
-# (unhedged, hedged); every step and each arm's knee go into BENCH_load.json.
-# loadquick is the CI smoke variant: a 2-document corpus, two half-second
-# steps, still failing on zero completions, a query error, an unclean drain or
-# an arm that hedged when it should not have (or did not when it should).
+# and service time, for a healthy arm and one with a slow replica a shard;
+# every step and each arm's knee go into BENCH_load.json. loadquick is the CI
+# smoke variant: a 2-document corpus, two half-second steps, still failing on
+# zero completions, a query error, an unclean drain, or a slow-replica step
+# whose slowed files were never read (or a healthy step where some were).
 loadbench:
 	$(GO) run -buildvcs=true ./cmd/xqbench load -out BENCH_load.json
 

@@ -77,7 +77,7 @@ func lanes() []lane {
 			}
 			return res, experiments.RenderPlannerBench(res), nil
 		}},
-		{"load", "open-loop rate ladder: healthy, slow replica unhedged, slow replica hedged (-quick: two short steps)", func(c config) (any, string, error) {
+		{"load", "open-loop rate ladder: healthy, one slow replica a shard (-quick: two short steps)", func(c config) (any, string, error) {
 			res, err := experiments.Load(c.quick)
 			if err != nil {
 				return nil, "", err

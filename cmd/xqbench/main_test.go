@@ -99,7 +99,7 @@ func TestLoadWritesOnlyWhereTold(t *testing.T) {
 		t.Fatalf("envelope not filled: %+v", env)
 	}
 	var res experiments.LoadResult
-	if err := json.Unmarshal(result, &res); err != nil || len(res.Arms) != 3 {
+	if err := json.Unmarshal(result, &res); err != nil || len(res.Arms) != 2 {
 		t.Fatalf("result does not decode into the lane's struct (%v): %s", err, result)
 	}
 }

@@ -3,7 +3,7 @@
 // many documents sharded by consistent hashing, queried with scatter-gather.
 //
 //	xqserve -dataset pers -docs 8 -shards 4 -addr :8377
-//	xqserve -dataset pers -docs 8 -shards 4 -replicas 2 -hedge 2ms
+//	xqserve -dataset pers -docs 8 -shards 4 -replicas 2
 //	xqserve -collections staff=pers:8,papers=dblp:4 -shards 4
 //	xqserve -xml file.xml -slowquery 50ms
 //
@@ -92,8 +92,7 @@ func main() {
 	collections := flag.String("collections", "", "comma-separated name=dataset[:docs] collection specs (overrides -xml/-dataset)")
 	docs := flag.Int("docs", 1, "documents per collection for -dataset (distinct generator seeds)")
 	shards := flag.Int("shards", 0, "shards per collection (0 = one per document, capped at GOMAXPROCS)")
-	replicas := flag.Int("replicas", 1, "store replicas per shard (>1 enables health-aware routing and hedged reads)")
-	hedge := flag.String("hedge", "auto", "hedged reads: auto (adaptive p95 delay), off, or a fixed delay like 2ms")
+	replicas := flag.Int("replicas", 1, "store replicas per shard (>1 enables health-aware routing and failover)")
 	fold := flag.Int("fold", 1, "folding factor for generated data sets")
 	method := flag.String("method", "DPAP-EB", "default optimizer for /query, run on every plan-cache miss (DP, DPP, DPAP-EB, DPAP-LD, FP, Greedy); method= on a request overrides it")
 	addr := flag.String("addr", ":8377", "listen address")
@@ -105,13 +104,8 @@ func main() {
 	walDir := flag.String("waldir", "", "enable the write endpoints with durable per-shard WALs under this directory (recovers committed state on restart)")
 	flag.Parse()
 
-	rep, err := parseHedge(*replicas, *hedge)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xqserve: %v\n", err)
-		os.Exit(2)
-	}
 	wr := writeConfig{enabled: *writable || *walDir != "", dir: *walDir}
-	cols, err := buildCollections(*collections, *xmlPath, *dataset, *docs, *shards, *fold, *maxInFlight, *queueDepth, rep, wr)
+	cols, err := buildCollections(*collections, *xmlPath, *dataset, *docs, *shards, *replicas, *fold, *maxInFlight, *queueDepth, wr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xqserve: %v\n", err)
 		os.Exit(2)
@@ -130,7 +124,7 @@ func main() {
 			})
 		}
 		log.Printf("xqserve: collection %q: %d documents over %d shards (%d replicas/shard)",
-			name, c.NumDocs(), c.NumShards(), rep.perShard)
+			name, c.NumDocs(), c.NumShards(), *replicas)
 	}
 	log.Printf("xqserve: optimizer %s; listening on %s", m, *addr)
 	srv := &http.Server{Addr: *addr, Handler: newMux(cols, m)}
@@ -199,35 +193,6 @@ func (m meteredWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// replication carries the -replicas / -hedge flag settings into corpus
-// construction.
-type replication struct {
-	perShard   int
-	hedgeDelay time.Duration
-	hedgeOff   bool
-}
-
-// parseHedge validates the -replicas count and the -hedge mode: "auto"
-// (adaptive p95 delay), "off", or a fixed duration such as "2ms".
-func parseHedge(replicas int, hedge string) (replication, error) {
-	if replicas < 1 {
-		return replication{}, fmt.Errorf("-replicas must be at least 1 (got %d)", replicas)
-	}
-	r := replication{perShard: replicas}
-	switch hedge {
-	case "auto", "":
-	case "off":
-		r.hedgeOff = true
-	default:
-		d, err := time.ParseDuration(hedge)
-		if err != nil || d <= 0 {
-			return replication{}, fmt.Errorf("-hedge must be auto, off, or a positive duration (got %q)", hedge)
-		}
-		r.hedgeDelay = d
-	}
-	return r, nil
-}
-
 // writeConfig carries the -writable / -waldir settings: whether collections
 // get a write path, and where its per-shard WALs live (empty = in memory).
 type writeConfig struct {
@@ -270,7 +235,10 @@ func (wr writeConfig) walFileFunc(name string) (func(int) sjos.PageFile, error) 
 // buildCollections assembles the serving set from the flag spec: either
 // explicit -collections entries, or the legacy single -xml / -dataset
 // source as the collection "default".
-func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFlight, queueDepth int, rep replication, wr writeConfig) (*collections, error) {
+func buildCollections(spec, xmlPath, dataset string, docs, shards, replicas, fold, maxInFlight, queueDepth int, wr writeConfig) (*collections, error) {
+	if replicas < 1 {
+		return nil, fmt.Errorf("-replicas must be at least 1 (got %d)", replicas)
+	}
 	opts := sjos.Options{MaxInFlight: maxInFlight, QueueDepth: queueDepth}
 	cols := &collections{}
 	if spec != "" {
@@ -287,7 +255,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFl
 				}
 				ds, cnt = d, v
 			}
-			c, err := buildDatasetCorpus(name, ds, cnt, shards, fold, opts, rep, wr)
+			c, err := buildDatasetCorpus(name, ds, cnt, shards, replicas, fold, opts, wr)
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +271,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFl
 			return nil, errors.New("need one of -xml / -dataset / -collections (or -writable / -waldir for an empty writable collection)")
 		}
 		// A writable server may start empty and be populated over HTTP.
-		c, err := buildDatasetCorpus("default", "", 0, shards, fold, opts, rep, wr)
+		c, err := buildDatasetCorpus("default", "", 0, shards, replicas, fold, opts, wr)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +284,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFl
 			return nil, err
 		}
 		defer f.Close()
-		c, err := buildCorpus("default", shards, opts, rep, wr, func(b *sjos.CorpusBuilder) error {
+		c, err := buildCorpus("default", shards, replicas, opts, wr, func(b *sjos.CorpusBuilder) error {
 			return b.AddXML(xmlPath, f)
 		})
 		if err != nil {
@@ -325,7 +293,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFl
 		cols.add("default", c)
 		return cols, nil
 	}
-	c, err := buildDatasetCorpus("default", dataset, docs, shards, fold, opts, rep, wr)
+	c, err := buildDatasetCorpus("default", dataset, docs, shards, replicas, fold, opts, wr)
 	if err != nil {
 		return nil, err
 	}
@@ -335,11 +303,11 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, fold, maxInFl
 
 // buildDatasetCorpus builds one collection of docs generated documents
 // (distinct seeds); a writable collection may start with none.
-func buildDatasetCorpus(name, dataset string, docs, shards, fold int, opts sjos.Options, rep replication, wr writeConfig) (*sjos.Corpus, error) {
+func buildDatasetCorpus(name, dataset string, docs, shards, replicas, fold int, opts sjos.Options, wr writeConfig) (*sjos.Corpus, error) {
 	if docs < 1 && !wr.enabled {
 		docs = 1
 	}
-	return buildCorpus(name, shards, opts, rep, wr, func(b *sjos.CorpusBuilder) error {
+	return buildCorpus(name, shards, replicas, opts, wr, func(b *sjos.CorpusBuilder) error {
 		for i := 0; i < docs; i++ {
 			id := fmt.Sprintf("%s-%03d", dataset, i)
 			if err := b.AddDataset(id, dataset, 1, fold, int64(1+i)); err != nil {
@@ -352,7 +320,7 @@ func buildDatasetCorpus(name, dataset string, docs, shards, fold int, opts sjos.
 
 // buildCorpus builds one collection from the flag settings; fill adds its
 // initial documents.
-func buildCorpus(name string, shards int, opts sjos.Options, rep replication, wr writeConfig, fill func(*sjos.CorpusBuilder) error) (*sjos.Corpus, error) {
+func buildCorpus(name string, shards, replicas int, opts sjos.Options, wr writeConfig, fill func(*sjos.CorpusBuilder) error) (*sjos.Corpus, error) {
 	walFile, err := wr.walFileFunc(name)
 	if err != nil {
 		return nil, fmt.Errorf("collection %q: %w", name, err)
@@ -360,9 +328,7 @@ func buildCorpus(name string, shards int, opts sjos.Options, rep replication, wr
 	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{
 		Options:          opts,
 		Shards:           shards,
-		ReplicasPerShard: rep.perShard,
-		HedgeDelay:       rep.hedgeDelay,
-		DisableHedging:   rep.hedgeOff,
+		ReplicasPerShard: replicas,
 		ShardWALFile:     walFile,
 	})
 	if err := fill(b); err != nil {

@@ -380,18 +380,17 @@ func TestServeShedsLoad(t *testing.T) {
 }
 
 func TestBuildCollectionsSpecErrors(t *testing.T) {
-	rep := replication{perShard: 1}
 	for _, spec := range []string{"noequals", "=pers", "a=pers:0", "a=pers:x"} {
-		if _, err := buildCollections(spec, "", "", 1, 0, 1, 0, 0, rep, writeConfig{}); err == nil {
+		if _, err := buildCollections(spec, "", "", 1, 0, 1, 1, 0, 0, writeConfig{}); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
-	if _, err := buildCollections("", "", "", 1, 0, 1, 0, 0, rep, writeConfig{}); err == nil {
+	if _, err := buildCollections("", "", "", 1, 0, 1, 1, 0, 0, writeConfig{}); err == nil {
 		t.Error("empty read-only source accepted")
 	}
 	// A writable server may start with no source at all: it serves an empty
 	// default collection that is populated over HTTP.
-	cols, err := buildCollections("", "", "", 1, 0, 1, 0, 0, rep, writeConfig{enabled: true})
+	cols, err := buildCollections("", "", "", 1, 0, 1, 1, 0, 0, writeConfig{enabled: true})
 	if err != nil {
 		t.Fatalf("empty writable source rejected: %v", err)
 	}
@@ -400,35 +399,12 @@ func TestBuildCollectionsSpecErrors(t *testing.T) {
 	}
 }
 
-func TestParseHedge(t *testing.T) {
-	cases := []struct {
-		replicas int
-		hedge    string
-		want     replication
-		wantErr  bool
-	}{
-		{1, "auto", replication{perShard: 1}, false},
-		{2, "", replication{perShard: 2}, false},
-		{2, "off", replication{perShard: 2, hedgeOff: true}, false},
-		{3, "2ms", replication{perShard: 3, hedgeDelay: 2 * time.Millisecond}, false},
-		{0, "auto", replication{}, true},
-		{2, "bogus", replication{}, true},
-		{2, "-1ms", replication{}, true},
-	}
-	for _, tc := range cases {
-		got, err := parseHedge(tc.replicas, tc.hedge)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("parseHedge(%d, %q): accepted, want error", tc.replicas, tc.hedge)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseHedge(%d, %q): %v", tc.replicas, tc.hedge, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parseHedge(%d, %q) = %+v, want %+v", tc.replicas, tc.hedge, got, tc.want)
+// TestBuildCollectionsRejectsNoReplicas: a collection needs at least one
+// store copy per shard.
+func TestBuildCollectionsRejectsNoReplicas(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if _, err := buildCollections("", "", "pers", 1, 0, n, 1, 0, 0, writeConfig{}); err == nil {
+			t.Errorf("-replicas %d accepted", n)
 		}
 	}
 }
@@ -471,8 +447,7 @@ func (e endless) Read(p []byte) (int, error) {
 // newWritableServer serves one empty writable collection over in-memory WALs.
 func newWritableServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	cols, err := buildCollections("", "", "", 1, 2, 1, 0, 0,
-		replication{perShard: 1}, writeConfig{enabled: true})
+	cols, err := buildCollections("", "", "", 1, 2, 1, 1, 0, 0, writeConfig{enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +512,7 @@ func TestServeWrites(t *testing.T) {
 // count must not see), for the benchmark's query shapes, with and without a
 // limit.
 func TestServeCountOnlyMatchesRows(t *testing.T) {
-	cols, err := buildCollections("", "", "pers", 4, 3, 1, 0, 0, replication{perShard: 1}, writeConfig{enabled: true})
+	cols, err := buildCollections("", "", "pers", 4, 3, 1, 1, 0, 0, writeConfig{enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +616,7 @@ func TestServeXMLWritable(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`<r><x/></r>`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cols, err := buildCollections("", path, "", 1, 0, 1, 0, 0, replication{perShard: 1}, writeConfig{enabled: true})
+	cols, err := buildCollections("", path, "", 1, 0, 1, 1, 0, 0, writeConfig{enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +639,7 @@ func TestServeWriteRecovery(t *testing.T) {
 	dir := t.TempDir()
 	wr := writeConfig{enabled: true, dir: dir}
 	boot := func() *httptest.Server {
-		cols, err := buildCollections("", "", "", 1, 2, 1, 0, 0, replication{perShard: 1}, wr)
+		cols, err := buildCollections("", "", "", 1, 2, 1, 1, 0, 0, wr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -702,7 +677,7 @@ func TestServeRestartOnFragmentedLog(t *testing.T) {
 	dir := t.TempDir()
 	wr := writeConfig{enabled: true, dir: dir}
 	boot := func() *httptest.Server {
-		cols, err := buildCollections("", "", "", 1, 2, 1, 0, 0, replication{perShard: 1}, wr)
+		cols, err := buildCollections("", "", "", 1, 2, 1, 1, 0, 0, wr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -761,10 +736,9 @@ func TestServeRestartOnFragmentedLog(t *testing.T) {
 
 // TestHealthzReplicas exercises the serving path against a replicated
 // collection: /healthz must expose every replica's routing state, and
-// queries must still produce correct results through hedged routing.
+// queries must still produce correct results through replica routing.
 func TestHealthzReplicas(t *testing.T) {
-	c, err := buildDatasetCorpus("default", "pers", 2, 2, 1, sjos.Options{},
-		replication{perShard: 2, hedgeDelay: time.Millisecond}, writeConfig{})
+	c, err := buildDatasetCorpus("default", "pers", 2, 2, 2, 1, sjos.Options{}, writeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,16 +38,9 @@ type CorpusOptions struct {
 	// ReplicasPerShard is the number of independent store copies built per
 	// shard (<= 0 selects 1). Replicas hold the same members and share the
 	// shard's statistics, but each has its own forest, page file and buffer
-	// pool; queries route to the healthiest replica, fail over on error, and
-	// hedge onto the next replica when the first is slow.
+	// pool; queries route to the healthiest replica and fail over to the
+	// next on error.
 	ReplicasPerShard int
-	// HedgeDelay fixes the hedged-read delay: how long a shard query waits
-	// on its first replica before re-issuing on the next. 0 (the default)
-	// adapts the delay to the observed p95 of shard executions.
-	HedgeDelay time.Duration
-	// DisableHedging turns hedged reads off; failover on error still
-	// happens.
-	DisableHedging bool
 	// ReplicaProbeInterval spaces the half-open probes of a probation
 	// replica (<= 0 selects the internal/replica default, 500ms).
 	ReplicaProbeInterval time.Duration
@@ -185,42 +178,14 @@ type Corpus struct {
 	ingest      bool
 	recoverTook time.Duration
 
-	// lat observes successful shard-replica execution latencies; its p95 is
-	// the adaptive hedged-read delay.
-	lat replica.Latency
-	// hedged / failovers count hedge launches and error failovers across
-	// all shards (the sjos_hedged_requests_total /
-	// sjos_replica_failovers_total series).
-	hedged    atomic.Uint64
+	// failovers counts shard queries re-issued on another replica after an
+	// error, across all shards (the sjos_replica_failovers_total series).
 	failovers atomic.Uint64
-	// fixedHedge pins the hedge delay (0 = adaptive); hedgeOff disables
-	// hedging entirely (failover on error still happens).
-	fixedHedge time.Duration
-	hedgeOff   bool
 }
 
 // view returns the current membership directory; callers pin it once per
 // operation.
 func (c *Corpus) view() *corpusView { return c.live.Load() }
-
-// hedgeDelay returns how long a shard query waits on its first replica
-// before hedging onto the next: the fixed override when set, otherwise the
-// observed p95 clamped to [500µs, 100ms] (2ms before any observation).
-func (c *Corpus) hedgeDelay() time.Duration {
-	if c.fixedHedge > 0 {
-		return c.fixedHedge
-	}
-	d := c.lat.Quantile(0.95)
-	switch {
-	case d == 0:
-		return 2 * time.Millisecond
-	case d < 500*time.Microsecond:
-		return 500 * time.Microsecond
-	case d > 100*time.Millisecond:
-		return 100 * time.Millisecond
-	}
-	return d
-}
 
 // CorpusBuilder accumulates documents for one Corpus. Add documents in the
 // order results should be reported in, then call Build.
@@ -314,12 +279,10 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	ring := shardring.New(shards, 0)
 
 	c := &Corpus{
-		shards:     make([]*corpusShard, ring.Shards()),
-		ring:       ring,
-		svc:        newService(&b.opts.Options),
-		ingest:     writable,
-		fixedHedge: b.opts.HedgeDelay,
-		hedgeOff:   b.opts.DisableHedging,
+		shards: make([]*corpusShard, ring.Shards()),
+		ring:   ring,
+		svc:    newService(&b.opts.Options),
+		ingest: writable,
 	}
 	cv := &corpusView{
 		ids:  append([]string(nil), b.ids...),
@@ -915,15 +878,10 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 	return out, nil
 }
 
-// errHedgeLoser marks the cancellation of a hedged replica attempt whose
-// sibling already produced the shard's result — a routing decision, not a
-// failure, so losers never feed the health trackers.
-var errHedgeLoser = errors.New("sjos: hedged read superseded")
-
-// runReplicaOnce executes the shard plan on one replica. Replica attempts
-// run on their own goroutines, outside Run's recovery scope — recover here
-// so a panicking replica surfaces as that attempt's typed error (and a
-// failover opportunity), not a process crash.
+// runReplicaOnce executes the shard plan on one replica. A scatter runs
+// shards on worker goroutines, outside Run's recovery scope — recover here
+// so a panicking replica surfaces as a typed error (and a failover
+// opportunity), not a process crash.
 func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Plan, opts RunOptions) (r *RunResult, sn *dbSnap, err error) {
 	defer func() {
 		if perr := exec.RecoverPanic(recover()); perr != nil {
@@ -938,102 +896,31 @@ func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Pl
 	return r, sn, err
 }
 
-// replicaAttempt is one replica execution's outcome, tagged with its
-// position in the route order.
-type replicaAttempt struct {
-	idx     int
-	res     *RunResult
-	snap    *dbSnap
-	err     error
-	elapsed time.Duration
-}
-
 // runShardReplicated serves one shard's slice of a scatter from its replica
-// set: the query goes to the best replica per routeOrder, fails over to the
-// next on a genuine error, and (unless hedging is off) is re-issued on the
-// next replica after hedgeDelay when the current attempts are still
-// running — first success wins and the losers are cancelled with
-// errHedgeLoser. Health is recorded only for attempts that ran to their own
-// conclusion: a success resets the replica, a genuine failure advances its
-// state machine, and attempts cut short by the scatter's own cancellation
-// (limit satisfied, caller gone, hedge already won) leave health untouched.
+// set: it tries the replicas in routeOrder, one at a time, and the first
+// success serves the shard. A success resets that replica's health; an error
+// advances its state machine and fails over to the next. An error after the
+// scatter itself was cancelled (limit satisfied, caller gone) is not the
+// replica's fault: it returns at once and leaves health untouched.
 func (c *Corpus) runShardReplicated(ctx context.Context, sh *corpusShard, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, *dbSnap, error) {
-	order := sh.routeOrder(time.Now())
-	if len(order) == 1 {
-		rep := order[0]
-		t0 := time.Now()
-		r, sn, err := runReplicaOnce(ctx, rep, pat, p, opts)
-		if err == nil {
+	// routeOrder always holds the primary, so err is set when the loop ends.
+	var err error
+	for _, rep := range sh.routeOrder(time.Now()) {
+		if err != nil {
+			c.failovers.Add(1)
+		}
+		var r *RunResult
+		var sn *dbSnap
+		if r, sn, err = runReplicaOnce(ctx, rep, pat, p, opts); err == nil {
 			rep.health.RecordSuccess()
-			c.lat.Observe(time.Since(t0))
-		} else if ctx.Err() == nil {
-			rep.health.RecordFailure()
+			return r, sn, nil
 		}
-		return r, sn, err
-	}
-
-	runCtx, cancel := context.WithCancelCause(ctx)
-	defer cancel(errHedgeLoser)
-	// Buffered to the full route: losers deposit their outcome and exit
-	// without anyone reading it.
-	attempts := make(chan replicaAttempt, len(order))
-	launch := func(i int) {
-		go func() {
-			t0 := time.Now()
-			r, sn, err := runReplicaOnce(runCtx, order[i], pat, p, opts)
-			attempts <- replicaAttempt{idx: i, res: r, snap: sn, err: err, elapsed: time.Since(t0)}
-		}()
-	}
-	next := 0
-	launch(next)
-	next++
-	inFlight := 1
-
-	var timerC <-chan time.Time
-	if !c.hedgeOff && next < len(order) {
-		timer := time.NewTimer(c.hedgeDelay())
-		defer timer.Stop()
-		timerC = timer.C
-	}
-
-	var lastErr error
-	for {
-		select {
-		case <-timerC:
-			// One hedge per shard query: the slow path gets exactly one
-			// extra chance, bounding the amplification at 2× per shard.
-			timerC = nil
-			if next < len(order) {
-				c.hedged.Add(1)
-				launch(next)
-				next++
-				inFlight++
-			}
-		case at := <-attempts:
-			inFlight--
-			rep := order[at.idx]
-			if at.err == nil {
-				rep.health.RecordSuccess()
-				c.lat.Observe(at.elapsed)
-				return at.res, at.snap, nil
-			}
-			if ctx.Err() != nil {
-				// The scatter itself was cancelled (limit satisfied or the
-				// caller gave up) — not this replica's fault.
-				return nil, nil, at.err
-			}
-			rep.health.RecordFailure()
-			lastErr = at.err
-			if next < len(order) {
-				c.failovers.Add(1)
-				launch(next)
-				next++
-				inFlight++
-			} else if inFlight == 0 {
-				return nil, nil, lastErr
-			}
+		if ctx.Err() != nil {
+			return nil, nil, err
 		}
+		rep.health.RecordFailure()
 	}
+	return nil, nil, err
 }
 
 // demux splits one shard's match set by member document and rebases every
@@ -1313,7 +1200,6 @@ func (c *Corpus) Metrics() Metrics {
 		Cache:     c.CacheStats(),
 		Admission: c.AdmissionStats(),
 	}
-	m.Replica.HedgedRequests = c.hedged.Load()
 	m.Replica.Failovers = c.failovers.Load()
 	ist := c.IngestStats()
 	m.Compactions, m.WALPages = ist.Compactions, ist.WALPages

@@ -270,11 +270,12 @@ func TestFoldingScalesAllQueries(t *testing.T) {
 	}
 }
 
-// TestLoadSmoke runs the load lane at its CI size — all three arms up a
-// two-step ladder — and holds it to the lane's own pass conditions: queries
-// completed on every step, none failed (a slow replica must not fail
-// queries), every corpus drained, the hedged arm hedged and the others did
-// not. Each step's accounting adds up and its latency split is reported.
+// TestLoadSmoke runs the load lane at its CI size — both arms up a two-step
+// ladder — and holds it to the lane's own pass conditions: queries completed
+// on every step, none failed (a slow replica must not fail queries), every
+// corpus drained, and page reads reached the slow replica in every step of
+// the slow arm and in none of the healthy one. Each step's accounting adds
+// up and its latency split is reported.
 func TestLoadSmoke(t *testing.T) {
 	res, err := Load(true)
 	if err != nil {
@@ -283,8 +284,8 @@ func TestLoadSmoke(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatalf("%v\n%s", err, RenderLoad(res))
 	}
-	if len(res.Arms) != 3 || res.Nodes == 0 {
-		t.Fatalf("%d arms over %d nodes", len(res.Arms), res.Nodes)
+	if len(res.Arms) != 2 || res.Nodes == 0 || res.Serving != res.Shards {
+		t.Fatalf("%d arms over %d nodes, %d of %d shards serving", len(res.Arms), res.Nodes, res.Serving, res.Shards)
 	}
 	for _, arm := range res.Arms {
 		if len(arm.Steps) != 2 {
@@ -306,7 +307,21 @@ func TestLoadSmoke(t *testing.T) {
 			t.Errorf("%s: knee %v, steps say %v", arm.Name, arm.Knee, knee)
 		}
 	}
-	if out := RenderLoad(res); !strings.Contains(out, "slow-replica/hedged") || !strings.Contains(out, "wait p99") {
+	// Verify catches a fault that never fired and one that fired unarmed.
+	for i, arm := range res.Arms {
+		bad := *res
+		bad.Arms = append([]LoadArm(nil), res.Arms...)
+		bad.Arms[i].Steps = append([]LoadStep(nil), arm.Steps...)
+		step := &bad.Arms[i].Steps[0]
+		if step.SlowReads = 0; arm.Replicas == 1 {
+			step.SlowReads = 1
+		}
+		if bad.Verify() == nil {
+			t.Errorf("%s: Verify accepted %d slow reads in its first step", arm.Name, step.SlowReads)
+		}
+	}
+	if out := RenderLoad(res); !strings.Contains(out, "slow-replica (2 replica(s)") || !strings.Contains(out, "wait p99") ||
+		!strings.Contains(out, "slow reads") || !strings.Contains(out, "1 serving") {
 		t.Fatalf("render missing fields:\n%s", out)
 	}
 }

@@ -5,11 +5,6 @@
 // request per ProbeInterval is let through to discover recovery (or, for a
 // suspect replica, to keep its state machine decaying toward probation),
 // everything else routes around it.
-//
-// The package also provides a lock-free latency Tracker the corpus uses to
-// derive its hedged-read delay from observed shard latencies (percentile
-// based, so the hedge fires only when a request is already slower than its
-// peers).
 package replica
 
 import (
@@ -24,7 +19,7 @@ const (
 	// Healthy replicas take traffic in rotation.
 	Healthy State = iota
 	// Suspect replicas (a few consecutive failures) are deprioritised:
-	// they serve only as failover or hedge targets behind healthy ones.
+	// they serve only as failover targets behind healthy ones.
 	Suspect
 	// Probation replicas (sustained consecutive failures) are routed
 	// around entirely, except for one half-open probe per ProbeInterval.

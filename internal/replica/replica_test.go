@@ -80,23 +80,3 @@ func TestTrackerDefaultsAndConcurrency(t *testing.T) {
 		t.Fatalf("lost events: %+v", s)
 	}
 }
-
-func TestLatencyQuantile(t *testing.T) {
-	var l Latency
-	if l.Quantile(0.95) != 0 {
-		t.Fatal("empty tracker reported a quantile")
-	}
-	// 90 fast observations, 10 slow ones: p50 stays fast, p95+ sees slow.
-	for i := 0; i < 90; i++ {
-		l.Observe(100 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		l.Observe(40 * time.Millisecond)
-	}
-	if p50 := l.Quantile(0.50); p50 > time.Millisecond {
-		t.Fatalf("p50 = %v, want fast-bucket bound", p50)
-	}
-	if p99 := l.Quantile(0.99); p99 < 40*time.Millisecond {
-		t.Fatalf("p99 = %v, want >= 40ms", p99)
-	}
-}

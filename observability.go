@@ -43,8 +43,8 @@ type Metrics struct {
 	// probes served, postings blocks decoded, compressed vs raw postings
 	// footprint and the document build's string-intern behaviour.
 	Content ContentStats
-	// Replica holds the corpus replica-routing counters (hedges and
-	// failovers stay zero with one replica per shard, as in a Database).
+	// Replica holds the corpus replica-routing counters (failovers stay
+	// zero with one replica per shard, as in a Database).
 	Replica ReplicaMetrics
 	// Compactions and WALPages are a corpus write path's store rewrites so
 	// far and its log length in pages, summed over its shards (zero without
@@ -61,9 +61,6 @@ type Metrics struct {
 
 // ReplicaMetrics is the corpus's replica-routing counters.
 type ReplicaMetrics struct {
-	// HedgedRequests counts shard queries re-issued on a second replica
-	// because the first was slower than the hedge delay.
-	HedgedRequests uint64
 	// Failovers counts shard queries re-issued on another replica because
 	// the previous one returned an error.
 	Failovers uint64
@@ -97,7 +94,6 @@ func writeMetricsText(w io.Writer, m Metrics) {
 	counter("faults_injected_total", "Faults injected by the page file (chaos mode; 0 in production).", m.FaultsInjected)
 	counter("value_index_probes_total", "Value predicates served by content-index probes instead of scan+filter.", m.Content.ValueProbes)
 	counter("postings_blocks_decoded_total", "Compressed postings blocks decoded (tag and value index).", m.Content.BlocksDecoded)
-	counter("hedged_requests_total", "Shard queries re-issued on a second replica after the hedge delay.", m.Replica.HedgedRequests)
 	counter("replica_failovers_total", "Shard queries failed over to another replica after an error.", m.Replica.Failovers)
 	fmt.Fprintf(w, "# HELP sjos_replicas_suspect Replicas currently in a degraded routing state (suspect or probation).\n# TYPE sjos_replicas_suspect gauge\nsjos_replicas_suspect %d\n", m.Replica.Suspect)
 	gauge := func(name, help string, v int64) {
