@@ -26,7 +26,8 @@
 # counts. `make fuzzquick` runs the seven Fuzz* targets for ten seconds each.
 # `make chaos`, `replicachaos` and `walchaos` are the fault-injection suites
 # (read faults, dead replicas, crashes at every WAL write), all under the race
-# detector. `make loc` prints the code-size table CHANGES.md quotes.
+# detector. `make loc` prints the code-size table CHANGES.md quotes, and
+# `make examples` runs the six example programs.
 #
 # BENCH selects the layer lanes of `make bench` (default: the plan-cache,
 # value-index and plan_cold execution lanes; BENCH=. adds the ablations and the observability,
@@ -36,7 +37,7 @@
 GO    ?= go
 BENCH ?= PlanCache|ContentIndex|ExecPlanColdTwig
 
-.PHONY: all build test test-race vet check loc chaos replicachaos walchaos bench benchquick fuzzquick loadbench loadquick plannerbench plannerquick clean
+.PHONY: all build test test-race vet check loc examples chaos replicachaos walchaos bench benchquick fuzzquick loadbench loadquick plannerbench plannerquick clean
 
 all: build test
 
@@ -63,6 +64,15 @@ loc:
 		printf '%-17s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
 	done
 	@printf '%-17s %s\n' total $$(cat $$(ls *.go internal/*/*.go cmd/*/*.go | grep -v _test.go) | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)
+
+# Every example program, run end to end: no test executes them, and each
+# drives the library facade the way a user would. A non-zero exit fails the
+# target.
+examples:
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # Fault-injection differential suite under the race detector: every
 # optimizer method over an injected-fault store must return the exact

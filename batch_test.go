@@ -15,10 +15,7 @@ func TestBatchedTupleDifferential(t *testing.T) {
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
 	for trial := 0; trial < 8; trial++ {
 		doc := randomXML(rng, 40+rng.Intn(300), tags)
-		db, err := LoadXMLString(doc, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		db := xmlCorpus(t, doc, nil)
 		for q := 0; q < 4; q++ {
 			pat := randomTwig(rng, tags, 2+rng.Intn(4))
 			want := canonicalize(referenceMatches(db, pat))
@@ -31,7 +28,7 @@ func TestBatchedTupleDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}
-				if got := canonicalize(r.Matches); !equalStrings(got, want) {
+				if got := canonicalize(rowsOf(r.Segments)); !equalStrings(got, want) {
 					t.Fatalf("trial %d: %v disagrees with the reference on %s: %d vs %d matches",
 						trial, m, pat, len(got), len(want))
 				}
@@ -50,12 +47,9 @@ func TestBatchedTupleDifferential(t *testing.T) {
 }
 
 // TestBatchedLimitAndStats checks the Limit run mode and that an execution
-// reports its root batches through RunResult.Stats.
+// reports its root batches through CorpusRunResult.Stats.
 func TestBatchedLimitAndStats(t *testing.T) {
-	db, err := GenerateDataset("pers", 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "pers", 1, 1, nil)
 	pat := MustParsePattern("//manager//employee/name")
 	res, err := db.Optimize(pat, MethodDPP, 0)
 	if err != nil {
@@ -90,10 +84,7 @@ func TestBatchedLimitAndStats(t *testing.T) {
 // per-operator batch counters in the trace, and counts what the brute-force
 // reference counts.
 func TestBatchedTraceReportsBatches(t *testing.T) {
-	db, err := GenerateDataset("pers", 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "pers", 1, 1, nil)
 	pat := MustParsePattern("//manager//employee/name")
 	res, err := db.Optimize(pat, MethodDPP, 0)
 	if err != nil {
@@ -131,10 +122,7 @@ func TestBatchedTraceReportsBatches(t *testing.T) {
 // TestMetricsCountBatches checks executions fold their batch and skip
 // counters into the process metrics registry.
 func TestMetricsCountBatches(t *testing.T) {
-	db, err := GenerateDataset("pers", 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "pers", 1, 1, nil)
 	if _, err := db.Query("//manager//employee/name", MethodDPP); err != nil {
 		t.Fatal(err)
 	}

@@ -19,35 +19,31 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// chaosDB builds a database whose pages live on a fault-injecting file
+// chaosDB builds a one-document corpus whose pages live on a fault-injecting file
 // (initially fault-free) with a one-frame buffer pool, so queries perform
 // physical reads that the policy can intercept: a scan reads posting pages
 // only, each holding thousands of compressed postings, and a join that
 // alternates between its inputs' pages re-reads them only if the pool cannot
 // hold both.
-func chaosDB(t *testing.T, seed int64, n int) (*Database, *faultfs.File) {
+func chaosDB(t *testing.T, seed int64, n int) (*Corpus, *faultfs.File) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	doc := xmltree.RandomDocument(rng, n, []string{"a", "b", "c"})
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	db, err := fromDocument(doc, &Options{PageFile: ff, PoolFrames: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db, ff
+	return docCorpus(t, doc, &CorpusOptions{PoolFrames: 1, ShardPageFile: storeOn(ff)}), ff
 }
 
 // runChaos executes one plan under the current fault policy and enforces the
 // invariants that hold regardless of outcome: no panic-typed error, no
 // leaked pins.
-func runChaos(t *testing.T, db *Database, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
+func runChaos(t *testing.T, db *Corpus, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
 	t.Helper()
 	res, err := db.Run(context.Background(), pat, p, opts)
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		t.Fatalf("panic escaped as error: %v\n%s", pe, pe.Stack)
 	}
-	if pinned := db.PoolStats().Pinned; pinned != 0 {
+	if pinned := db.Metrics().Pool.Pinned; pinned != 0 {
 		t.Fatalf("pin leak: %d frames still pinned", pinned)
 	}
 	return res, err
@@ -133,7 +129,7 @@ func TestChaosDifferential(t *testing.T) {
 			// Transient corruption (a torn read): one bad copy, re-read
 			// clean — must heal to the correct result.
 			ff.SetPolicy(faultfs.Policy{CorruptNthRead: p, Transient: true})
-			before := db.PoolStats().ChecksumFailures
+			before := db.Metrics().Pool.ChecksumFailures
 			res, err = runChaos(t, db, pat, opt.Plan, RunOptions{})
 			if err != nil {
 				t.Fatalf("%v transient corruptNth=%d: %v", m, p, err)
@@ -141,7 +137,7 @@ func TestChaosDifferential(t *testing.T) {
 			if res.Count != want {
 				t.Fatalf("%v transient corruptNth=%d: count = %d, want %d", m, p, res.Count, want)
 			}
-			if ff.FaultsInjected() > 0 && db.PoolStats().ChecksumFailures <= before {
+			if ff.FaultsInjected() > 0 && db.Metrics().Pool.ChecksumFailures <= before {
 				t.Fatalf("%v transient corruptNth=%d: corruption injected but no checksum failure counted", m, p)
 			}
 		}
@@ -179,7 +175,7 @@ func TestChaosProbabilistic(t *testing.T) {
 	ff.SetPolicy(faultfs.Policy{})
 }
 
-func mustPlan(t *testing.T, db *Database, pat *Pattern, m Method) *Plan {
+func mustPlan(t *testing.T, db *Corpus, pat *Pattern, m Method) *Plan {
 	t.Helper()
 	res, err := db.Optimize(pat, m, 0)
 	if err != nil {
@@ -200,10 +196,7 @@ func TestChaosValueProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	doc := randomValueXML(rng, 40000, []string{"a", "b", "c"})
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	db, err := LoadXMLString(doc, &Options{PageFile: ff, PoolFrames: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := xmlCorpus(t, doc, &CorpusOptions{PoolFrames: 1, ShardPageFile: storeOn(ff)})
 	pat := MustParsePattern(`//a[b = "w2"]`)
 	opt, err := db.Optimize(pat, MethodDPP, 0)
 	if err != nil {

@@ -23,7 +23,7 @@ func main() {
 	scale := flag.Float64("scale", 1, "size multiplier")
 	fold := flag.Int("fold", 1, "folding factor")
 	seed := flag.Int64("seed", 0, "generator seed")
-	format := flag.String("format", "xml", "output format: xml or image (binary, for sjos.OpenImage)")
+	format := flag.String("format", "xml", "output format: xml or image (binary, for sjos.CorpusBuilder.AddImage)")
 	flag.Parse()
 	if *dataset == "" {
 		flag.Usage()

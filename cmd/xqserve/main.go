@@ -239,7 +239,12 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, replicas, fol
 	if replicas < 1 {
 		return nil, fmt.Errorf("-replicas must be at least 1 (got %d)", replicas)
 	}
-	opts := sjos.Options{MaxInFlight: maxInFlight, QueueDepth: queueDepth}
+	opts := sjos.CorpusOptions{
+		Shards:           shards,
+		ReplicasPerShard: replicas,
+		MaxInFlight:      maxInFlight,
+		QueueDepth:       queueDepth,
+	}
 	cols := &collections{}
 	if spec != "" {
 		for _, entry := range strings.Split(spec, ",") {
@@ -255,7 +260,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, replicas, fol
 				}
 				ds, cnt = d, v
 			}
-			c, err := buildDatasetCorpus(name, ds, cnt, shards, replicas, fold, opts, wr)
+			c, err := buildDatasetCorpus(name, ds, cnt, fold, opts, wr)
 			if err != nil {
 				return nil, err
 			}
@@ -271,7 +276,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, replicas, fol
 			return nil, errors.New("need one of -xml / -dataset / -collections (or -writable / -waldir for an empty writable collection)")
 		}
 		// A writable server may start empty and be populated over HTTP.
-		c, err := buildDatasetCorpus("default", "", 0, shards, replicas, fold, opts, wr)
+		c, err := buildDatasetCorpus("default", "", 0, fold, opts, wr)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +289,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, replicas, fol
 			return nil, err
 		}
 		defer f.Close()
-		c, err := buildCorpus("default", shards, replicas, opts, wr, func(b *sjos.CorpusBuilder) error {
+		c, err := buildCorpus("default", opts, wr, func(b *sjos.CorpusBuilder) error {
 			return b.AddXML(xmlPath, f)
 		})
 		if err != nil {
@@ -293,7 +298,7 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, replicas, fol
 		cols.add("default", c)
 		return cols, nil
 	}
-	c, err := buildDatasetCorpus("default", dataset, docs, shards, replicas, fold, opts, wr)
+	c, err := buildDatasetCorpus("default", dataset, docs, fold, opts, wr)
 	if err != nil {
 		return nil, err
 	}
@@ -303,11 +308,11 @@ func buildCollections(spec, xmlPath, dataset string, docs, shards, replicas, fol
 
 // buildDatasetCorpus builds one collection of docs generated documents
 // (distinct seeds); a writable collection may start with none.
-func buildDatasetCorpus(name, dataset string, docs, shards, replicas, fold int, opts sjos.Options, wr writeConfig) (*sjos.Corpus, error) {
+func buildDatasetCorpus(name, dataset string, docs, fold int, opts sjos.CorpusOptions, wr writeConfig) (*sjos.Corpus, error) {
 	if docs < 1 && !wr.enabled {
 		docs = 1
 	}
-	return buildCorpus(name, shards, replicas, opts, wr, func(b *sjos.CorpusBuilder) error {
+	return buildCorpus(name, opts, wr, func(b *sjos.CorpusBuilder) error {
 		for i := 0; i < docs; i++ {
 			id := fmt.Sprintf("%s-%03d", dataset, i)
 			if err := b.AddDataset(id, dataset, 1, fold, int64(1+i)); err != nil {
@@ -318,19 +323,15 @@ func buildDatasetCorpus(name, dataset string, docs, shards, replicas, fold int, 
 	})
 }
 
-// buildCorpus builds one collection from the flag settings; fill adds its
-// initial documents.
-func buildCorpus(name string, shards, replicas int, opts sjos.Options, wr writeConfig, fill func(*sjos.CorpusBuilder) error) (*sjos.Corpus, error) {
+// buildCorpus builds one collection from the flag settings (opts, plus the
+// collection's log files from wr); fill adds its initial documents.
+func buildCorpus(name string, opts sjos.CorpusOptions, wr writeConfig, fill func(*sjos.CorpusBuilder) error) (*sjos.Corpus, error) {
 	walFile, err := wr.walFileFunc(name)
 	if err != nil {
 		return nil, fmt.Errorf("collection %q: %w", name, err)
 	}
-	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{
-		Options:          opts,
-		Shards:           shards,
-		ReplicasPerShard: replicas,
-		ShardWALFile:     walFile,
-	})
+	opts.ShardWALFile = walFile
+	b := sjos.NewCorpusBuilder(&opts)
 	if err := fill(b); err != nil {
 		return nil, fmt.Errorf("collection %q: %w", name, err)
 	}

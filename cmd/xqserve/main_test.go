@@ -23,9 +23,9 @@ import (
 
 // oneDocCorpus builds the read-only single-document collection `xqserve
 // -xml` serves.
-func oneDocCorpus(t *testing.T, id, src string, opts sjos.Options) *sjos.Corpus {
+func oneDocCorpus(t *testing.T, id, src string, opts sjos.CorpusOptions) *sjos.Corpus {
 	t.Helper()
-	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Options: opts})
+	b := sjos.NewCorpusBuilder(&opts)
 	if err := b.AddXMLString(id, src); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func newServer(t *testing.T) (*sjos.Corpus, *httptest.Server) {
 	c := oneDocCorpus(t, "staff.xml", `<db>
 	  <manager><name>alice</name><employee><name>bob</name></employee></manager>
 	  <manager><name>carol</name><department><name>ops</name></department></manager>
-	</db>`, sjos.Options{})
+	</db>`, sjos.CorpusOptions{})
 	cols := &collections{}
 	cols.add("default", c)
 	srv := httptest.NewServer(newMux(cols, sjos.MethodDPP))
@@ -139,7 +139,7 @@ func TestServeQuery(t *testing.T) {
 // the plan — the server's default, or the one the request asked for, which
 // is planned and cached apart from it; the body still starts {"count":N.
 func TestServeQueryAlgorithm(t *testing.T) {
-	c := oneDocCorpus(t, "staff.xml", `<db><manager><name>alice</name><employee><name>bob</name></employee></manager></db>`, sjos.Options{})
+	c := oneDocCorpus(t, "staff.xml", `<db><manager><name>alice</name><employee><name>bob</name></employee></manager></db>`, sjos.CorpusOptions{})
 	cols := &collections{}
 	cols.add("default", c)
 	srv := httptest.NewServer(newMux(cols, sjos.MethodDPAPEB))
@@ -356,7 +356,7 @@ func TestServeSlow(t *testing.T) {
 
 // TestServeShedsLoad: admission errors surface as 503 + Retry-After, not 400.
 func TestServeShedsLoad(t *testing.T) {
-	c := oneDocCorpus(t, "solo", `<db><manager><name>alice</name></manager></db>`, sjos.Options{MaxInFlight: 1})
+	c := oneDocCorpus(t, "solo", `<db><manager><name>alice</name></manager></db>`, sjos.CorpusOptions{MaxInFlight: 1})
 	cols := &collections{}
 	cols.add("default", c)
 	srv := httptest.NewServer(newMux(cols, sjos.MethodDPP))
@@ -600,7 +600,7 @@ func TestServeWriteErrors(t *testing.T) {
 
 	// A read-only collection refuses the method entirely.
 	cols := &collections{}
-	cols.add("default", oneDocCorpus(t, "ro", `<db><a/></db>`, sjos.Options{}))
+	cols.add("default", oneDocCorpus(t, "ro", `<db><a/></db>`, sjos.CorpusOptions{}))
 	ro := httptest.NewServer(newMux(cols, sjos.MethodDPP))
 	t.Cleanup(ro.Close)
 	if resp := do(t, "PUT", ro.URL+"/docs/x", `<db><a/></db>`, nil); resp.StatusCode != http.StatusMethodNotAllowed {
@@ -738,7 +738,7 @@ func TestServeRestartOnFragmentedLog(t *testing.T) {
 // collection: /healthz must expose every replica's routing state, and
 // queries must still produce correct results through replica routing.
 func TestHealthzReplicas(t *testing.T) {
-	c, err := buildDatasetCorpus("default", "pers", 2, 2, 2, 1, sjos.Options{}, writeConfig{})
+	c, err := buildDatasetCorpus("default", "pers", 2, 1, sjos.CorpusOptions{Shards: 2, ReplicasPerShard: 2}, writeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Command xqshell is an interactive shell over a loaded database: type a
+// Command xqshell is an interactive shell over one loaded document: type a
 // tree pattern (XPath-like twig syntax) or an XQuery FLWOR expression and
 // see results; prefix commands inspect the optimizer.
 //
@@ -23,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -44,19 +45,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xqshell: need exactly one of -xml / -dataset")
 		os.Exit(2)
 	}
-	var db *sjos.Database
-	var err error
+	b := sjos.NewCorpusBuilder(nil)
 	if *xmlPath != "" {
-		f, ferr := os.Open(*xmlPath)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "xqshell:", ferr)
+		f, err := os.Open(*xmlPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "xqshell:", err)
 			os.Exit(1)
 		}
-		db, err = sjos.LoadXML(f, nil)
+		b.AddXML(*xmlPath, f)
 		f.Close()
 	} else {
-		db, err = sjos.GenerateDataset(*dataset, 1, *fold, nil)
+		b.AddDataset(*dataset, *dataset, 1, *fold, 0)
 	}
+	c, err := b.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xqshell:", err)
 		os.Exit(1)
@@ -66,9 +67,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xqshell:", err)
 		os.Exit(1)
 	}
-	sh := &shell{db: db, method: m, limit: 10, out: os.Stdout}
+	sh := &shell{c: c, method: m, limit: 10, out: os.Stdout}
+	nodes := 0
+	for _, h := range c.Health() {
+		nodes += h.Nodes
+	}
 	fmt.Printf("xqshell: %d element nodes loaded; optimizer %s. '.quit' exits.\n",
-		db.NumNodes(), m)
+		nodes, m)
 	sc := bufio.NewScanner(os.Stdin)
 	for {
 		fmt.Print("sjos> ")
@@ -85,7 +90,7 @@ func main() {
 // shell holds the interactive session state; processLine is the unit the
 // tests drive.
 type shell struct {
-	db     *sjos.Database
+	c      *sjos.Corpus
 	method sjos.Method
 	limit  int
 	out    io.Writer
@@ -126,31 +131,31 @@ func (sh *shell) processLine(line string) bool {
 		return true
 	case strings.HasPrefix(line, ".explain"):
 		sh.withPattern(line, ".explain", func(p *sjos.Pattern) (string, error) {
-			return sh.db.Explain(p)
+			return sh.c.Explain(p)
 		})
 		return true
 	case strings.HasPrefix(line, ".analyze"):
 		sh.withPattern(line, ".analyze", func(p *sjos.Pattern) (string, error) {
-			return sh.db.ExplainAnalyze(p, sh.method)
+			return sh.c.ExplainAnalyze(p, sh.method)
 		})
 		return true
 	case strings.HasPrefix(line, ".trace"):
 		sh.withPattern(line, ".trace", func(p *sjos.Pattern) (string, error) {
-			return sh.db.TraceDPP(p)
+			return sh.c.TraceDPP(p)
 		})
 		return true
 	case line == ".cache":
-		cs := sh.db.CacheStats()
+		cs := sh.c.CacheStats()
 		fmt.Fprintf(sh.out, "plan cache: %d/%d entries, %d hits, %d misses, %d coalesced, %d evicted, %d invalidated\n",
 			cs.Entries, cs.Capacity, cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.Invalidations)
 		return true
 	case line == ".metrics":
-		sh.db.WriteMetrics(sh.out)
+		sh.c.WriteMetrics(sh.out)
 		return true
 	case strings.HasPrefix(line, ".slowlog"):
 		arg := strings.TrimSpace(strings.TrimPrefix(line, ".slowlog"))
 		if arg == "off" || arg == "0" {
-			sh.db.SetSlowQueryLog(0, nil)
+			sh.c.SetSlowQueryLog(0, nil)
 			fmt.Fprintln(sh.out, "slow-query log: off")
 			return true
 		}
@@ -159,11 +164,11 @@ func (sh *shell) processLine(line string) bool {
 			fmt.Fprintln(sh.out, "error: .slowlog needs a positive duration (e.g. 100ms) or 'off'")
 			return true
 		}
-		sh.db.SetSlowQueryLog(d, nil)
+		sh.c.SetSlowQueryLog(d, nil)
 		fmt.Fprintf(sh.out, "slow-query log: threshold %v\n", d)
 		return true
 	case line == ".slow":
-		entries := sh.db.SlowQueries()
+		entries := sh.c.SlowQueries()
 		if len(entries) == 0 {
 			fmt.Fprintln(sh.out, "slow-query log: empty")
 			return true
@@ -211,7 +216,8 @@ func (sh *shell) withPattern(line, cmd string, f func(*sjos.Pattern) (string, er
 }
 
 func (sh *shell) runPattern(src string) {
-	res, err := sh.db.Query(src, sh.method)
+	res, err := sh.c.QuerySegments(context.Background(), src,
+		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sh.method}})
 	if err != nil {
 		fmt.Fprintln(sh.out, "error:", err)
 		return
@@ -221,25 +227,29 @@ func (sh *shell) runPattern(src string) {
 		cached = ", cached plan"
 	}
 	fmt.Fprintf(sh.out, "%d matches (optimize %v, execute %v%s)\n",
-		len(res.Matches), res.OptimizeTime, res.ExecuteTime, cached)
-	for i, m := range res.Matches {
-		if i >= sh.limit {
-			fmt.Fprintf(sh.out, "... and %d more\n", len(res.Matches)-sh.limit)
-			break
-		}
-		var row []byte
-		for u, id := range m {
-			if u > 0 {
-				row = append(row, ", "...)
+		res.Count, res.OptimizeTime, res.ExecuteTime, cached)
+	printed := 0
+	for _, seg := range res.Segments {
+		for r := 0; r < seg.Len(); r++ {
+			if printed >= sh.limit {
+				fmt.Fprintf(sh.out, "... and %d more\n", res.Count-sh.limit)
+				return
 			}
-			row = sjos.AppendCell(row, sh.db.TagName(id), sh.db.Value(id), id)
+			var row []byte
+			for u, id := range seg.Row(r) {
+				if u > 0 {
+					row = append(row, ", "...)
+				}
+				row = sjos.AppendCell(row, seg.TagName(id), seg.Value(id), id)
+			}
+			fmt.Fprintf(sh.out, "  (%s)\n", row)
+			printed++
 		}
-		fmt.Fprintf(sh.out, "  (%s)\n", row)
 	}
 }
 
 func (sh *shell) runXQuery(src string) {
-	res, err := sh.db.XQuery(src, sh.method)
+	res, err := sh.c.XQuery(src, sh.method)
 	if err != nil {
 		fmt.Fprintln(sh.out, "error:", err)
 		return
@@ -251,12 +261,15 @@ func (sh *shell) runXQuery(src string) {
 			fmt.Fprintf(sh.out, "... and %d more\n", len(res.Rows)-sh.limit)
 			break
 		}
-		parts := make([]string, len(row))
-		for j, id := range row {
-			if v := sh.db.Value(id); v != "" {
+		parts := make([]string, len(row.Nodes))
+		for j, id := range row.Nodes {
+			// The corpus is read-only: its current version is the one the
+			// query ran on.
+			if v, _ := sh.c.Value(row.DocID, id); v != "" {
 				parts[j] = fmt.Sprintf("%q", v)
 			} else {
-				parts[j] = fmt.Sprintf("%s#%d", sh.db.TagName(id), id)
+				tag, _ := sh.c.TagName(row.DocID, id)
+				parts[j] = fmt.Sprintf("%s#%d", tag, id)
 			}
 		}
 		fmt.Fprintf(sh.out, "  [%s]\n", strings.Join(parts, ", "))

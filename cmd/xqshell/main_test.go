@@ -9,15 +9,17 @@ import (
 
 func newShell(t *testing.T) (*shell, *strings.Builder) {
 	t.Helper()
-	db, err := sjos.LoadXMLString(`<db>
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddXMLString("doc", `<db>
 	  <manager><name>alice</name><employee><name>bob</name></employee></manager>
 	  <manager><name>carol</name><department><name>ops</name></department></manager>
-	</db>`, nil)
+	</db>`)
+	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	return &shell{db: db, method: sjos.MethodDPP, limit: 10, out: &out}, &out
+	return &shell{c: c, method: sjos.MethodDPP, limit: 10, out: &out}, &out
 }
 
 func TestShellPatternQuery(t *testing.T) {

@@ -1,6 +1,7 @@
 package sjos
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -19,19 +20,16 @@ func TestGrandConsistency(t *testing.T) {
 	methods := []Method{MethodDP, MethodDPP, MethodDPPNoLookahead, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
 	for trial := 0; trial < 12; trial++ {
 		doc := randomXML(rng, 30+rng.Intn(250), tags)
-		db, err := LoadXMLString(doc, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		db := xmlCorpus(t, doc, nil)
 		for q := 0; q < 6; q++ {
 			pat := randomTwig(rng, tags, 2+rng.Intn(4))
 			want := canonicalize(referenceMatches(db, pat))
 			for _, m := range methods {
-				res, err := db.QueryPattern(pat, m)
+				res, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: m}})
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}
-				if got := canonicalize(res.Matches); !equalStrings(got, want) {
+				if got := canonicalize(rowsOf(res.Segments)); !equalStrings(got, want) {
 					t.Fatalf("trial %d: %v disagrees with the reference on %s: %d vs %d matches",
 						trial, m, pat, len(got), len(want))
 				}

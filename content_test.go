@@ -84,10 +84,7 @@ func TestValueIndexDifferential(t *testing.T) {
 	totalProbes := 0
 	for trial := 0; trial < 6; trial++ {
 		doc := randomValueXML(rng, 40+rng.Intn(260), tags)
-		db, err := LoadXMLString(doc, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		db := xmlCorpus(t, doc, nil)
 		for q := 0; q < 3; q++ {
 			pat := randomValueTwig(rng, tags, 2+rng.Intn(4))
 			want := canonicalize(referenceMatches(db, pat))
@@ -105,7 +102,7 @@ func TestValueIndexDifferential(t *testing.T) {
 				for _, lane := range []struct {
 					name string
 					ms   []Match
-				}{{"vidx", r.Matches}, {"scan", scan}} {
+				}{{"vidx", rowsOf(r.Segments)}, {"scan", scan}} {
 					if got := canonicalize(lane.ms); !equalStrings(got, want) {
 						t.Fatalf("trial %d: %v %s disagrees with the reference on %s: %d vs %d matches",
 							trial, m, lane.name, pat, len(got), len(want))
@@ -123,10 +120,7 @@ func TestValueIndexDifferential(t *testing.T) {
 // on a fixed selective query: the plan print, the probe counters, and the
 // scanned-tuple reduction against the same plan's scan arm.
 func TestValueIndexPlanAndStats(t *testing.T) {
-	db, err := GenerateDataset("dblp", 0.2, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "dblp", 0.2, 1, nil)
 	pat := MustParsePattern(`//article[year < 1980]/title`)
 	probe, err := db.QueryPatternContext(context.Background(), pat,
 		QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
@@ -153,14 +147,14 @@ func TestValueIndexPlanAndStats(t *testing.T) {
 	if len(probe.Matches) != len(scan) {
 		t.Fatalf("lanes disagree: %d vs %d matches", len(probe.Matches), len(scan))
 	}
-	if !equalStrings(canonicalize(probe.Matches), canonicalize(scan)) {
+	if !equalStrings(canonicalize(rowsOf(probe.Segments)), canonicalize(scan)) {
 		t.Fatal("lanes disagree on match sets")
 	}
 	if probe.Exec.ScannedTuples >= scanStats.ScannedTuples {
 		t.Fatalf("pushdown did not reduce scanned tuples: probe %d, scan %d",
 			probe.Exec.ScannedTuples, scanStats.ScannedTuples)
 	}
-	cs := db.ContentStats()
+	cs := db.Metrics().Content
 	if cs.ValueProbes == 0 {
 		t.Fatalf("ContentStats = %+v after probe query", cs)
 	}
@@ -194,10 +188,7 @@ func TestBatchedProbeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short harnesses")
 	}
-	db, err := GenerateDataset("dblp", 0.2, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "dblp", 0.2, 1, nil)
 	pat := MustParsePattern(`//article[year < 1980]/title`)
 	res, err := db.Optimize(pat, MethodDPP, 0)
 	if err != nil {

@@ -23,14 +23,22 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// CorpusOptions configures corpus construction. Of the embedded Options,
-// PoolFrames applies per replica store and the service settings to the
-// corpus as a whole (MaxInFlight and QueueDepth bound concurrent queries
-// and writes across the whole corpus — the corpus is the admission
-// boundary). Options.PageFile is ignored; use ShardPageFile and
-// ShardWALFile to inject per-shard files.
+// CorpusOptions configures corpus construction. The zero value (or a nil
+// *CorpusOptions) builds a read-only corpus in memory, one shard per
+// document up to GOMAXPROCS — one shard for the paper's single document.
 type CorpusOptions struct {
-	Options
+	// PoolFrames sizes each replica store's buffer pool (8 KB frames). 0
+	// means the default 2048 frames = 16 MB, the paper's SHORE
+	// configuration.
+	PoolFrames int
+	// MaxInFlight > 0 bounds how many queries and writes execute
+	// concurrently across the whole corpus — the corpus is the admission
+	// boundary; arrivals past the limit wait (up to QueueDepth of them), and
+	// past that fail fast with ErrOverloaded. 0 means unlimited.
+	MaxInFlight int
+	// QueueDepth bounds how many arrivals may wait for an execution slot
+	// when MaxInFlight is set (0 = no waiting: the limit fails fast).
+	QueueDepth int
 
 	// Shards is the number of shards documents are distributed over by
 	// consistent hashing of their IDs. <= 0 selects min(#docs, GOMAXPROCS).
@@ -157,9 +165,9 @@ type corpusView struct {
 // distributed over shards by consistent hashing of their IDs, each shard
 // stores its documents as one forest (reusing the paged, checksummed
 // store and all indexes), and queries scatter across shards and gather in
-// document order. The Corpus is the primary entry point for multi-document
-// workloads and the only writable facade (CorpusOptions.ShardWALFile); a
-// Database is the read-only one-document corpus of the paper's setup.
+// document order. The Corpus is the library's one facade: the paper's
+// single document is a one-document corpus (one shard by default), and a
+// corpus built with CorpusOptions.ShardWALFile is writable.
 //
 // Plans are optimized once per query against corpus-wide merged statistics
 // and executed unchanged on every shard — correct because no structural
@@ -188,7 +196,8 @@ type Corpus struct {
 func (c *Corpus) view() *corpusView { return c.live.Load() }
 
 // CorpusBuilder accumulates documents for one Corpus. Add documents in the
-// order results should be reported in, then call Build.
+// order results should be reported in, then call Build. The first failed Add
+// also fails Build, so checking Build's error covers every Add.
 type CorpusBuilder struct {
 	opts CorpusOptions
 	ids  []string
@@ -243,6 +252,16 @@ func (b *CorpusBuilder) AddXMLString(id, src string) error {
 	return b.AddXML(id, strings.NewReader(src))
 }
 
+// AddImage reads a binary document image (xqgen -format image writes them)
+// and adds it under id; indexes and statistics are rebuilt on Build.
+func (b *CorpusBuilder) AddImage(id string, r io.Reader) error {
+	if b.err != nil {
+		return b.err
+	}
+	doc, err := xmltree.ReadImage(r)
+	return b.add(id, doc, err)
+}
+
 // AddDataset generates one of the synthetic benchmark data sets ("mbench",
 // "dblp", "pers") at the given scale and folding factor with the given PRNG
 // seed, and adds it under id. Distinct seeds produce distinct documents —
@@ -281,7 +300,7 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 	c := &Corpus{
 		shards: make([]*corpusShard, ring.Shards()),
 		ring:   ring,
-		svc:    newService(&b.opts.Options),
+		svc:    newService(b.opts.MaxInFlight, b.opts.QueueDepth),
 		ingest: writable,
 	}
 	cv := &corpusView{
@@ -550,7 +569,7 @@ func (c *Corpus) OptimizeContext(ctx context.Context, pat *Pattern, m Method, te
 
 // CorpusMatch is one pattern match of a corpus query: the document it
 // occurred in and the per-pattern-node bindings in that document's own
-// node numbering — exactly the IDs a standalone Database over the same
+// node numbering — exactly the IDs a one-document corpus over the same
 // document would report.
 type CorpusMatch struct {
 	// DocID and Doc identify the document (ID and insertion index).
@@ -702,7 +721,7 @@ type rowRange struct{ lo, hi int }
 // result's match set (indexed like snap.members — member indices are only
 // stable within the pinned snapshot; nil under pushed-down CountOnly).
 type shardOut struct {
-	res  *RunResult
+	res  *shardResult
 	snap *dbSnap
 	rows []rowRange
 }
@@ -802,7 +821,7 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 	}
 
 	if workers := min(len(live), runtime.GOMAXPROCS(0)); workers == 1 {
-		// One worker — a Database's one shard, say — runs on the calling
+		// One worker — a one-shard corpus's, say — runs on the calling
 		// goroutine: a hand-off would only add a scheduling hop.
 		for _, si := range live {
 			runShard(si)
@@ -882,7 +901,7 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 // shards on worker goroutines, outside Run's recovery scope — recover here
 // so a panicking replica surfaces as a typed error (and a failover
 // opportunity), not a process crash.
-func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Plan, opts RunOptions) (r *RunResult, sn *dbSnap, err error) {
+func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Plan, opts RunOptions) (r *shardResult, sn *dbSnap, err error) {
 	defer func() {
 		if perr := exec.RecoverPanic(recover()); perr != nil {
 			r, err = nil, perr
@@ -902,14 +921,14 @@ func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Pl
 // advances its state machine and fails over to the next. An error after the
 // scatter itself was cancelled (limit satisfied, caller gone) is not the
 // replica's fault: it returns at once and leaves health untouched.
-func (c *Corpus) runShardReplicated(ctx context.Context, sh *corpusShard, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, *dbSnap, error) {
+func (c *Corpus) runShardReplicated(ctx context.Context, sh *corpusShard, pat *Pattern, p *Plan, opts RunOptions) (*shardResult, *dbSnap, error) {
 	// routeOrder always holds the primary, so err is set when the loop ends.
 	var err error
 	for _, rep := range sh.routeOrder(time.Now()) {
 		if err != nil {
 			c.failovers.Add(1)
 		}
-		var r *RunResult
+		var r *shardResult
 		var sn *dbSnap
 		if r, sn, err = runReplicaOnce(ctx, rep, pat, p, opts); err == nil {
 			rep.health.RecordSuccess()

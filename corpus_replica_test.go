@@ -51,7 +51,7 @@ func TestCorpusReplicaChaos(t *testing.T) {
 	c, files := buildReplicaCorpus(t, ids, docs, CorpusOptions{
 		Shards:           2,
 		ReplicasPerShard: 2,
-		Options:          Options{PoolFrames: 8},
+		PoolFrames:       8,
 	})
 	for s, reps := range files {
 		if len(reps) != 2 {
@@ -221,8 +221,8 @@ func TestCorpusReplicaProbeRecovery(t *testing.T) {
 func TestCorpusLimitErrorRace(t *testing.T) {
 	ids, docs := corpusFixtureDocsScale(t, 4, 0.5)
 	c, files := buildReplicaCorpus(t, ids, docs, CorpusOptions{
-		Shards:  2,
-		Options: Options{PoolFrames: 8},
+		Shards:     2,
+		PoolFrames: 8,
 	})
 	pat := MustParsePattern(`//article//author`)
 	want := standaloneResults(t, ids, docs, pat)
@@ -256,21 +256,27 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		return res, err
 	}
 
-	// Baseline under the limit, faults disarmed: establishes the exact
-	// prefix and how many physical reads the racing shard performs.
+	// Faults disarmed, an unlimited run sizes the fault sweep: how many
+	// physical reads the racing shard performs on a cold pool. A limited run
+	// cannot size it, since the satisfied limit may cancel the racing shard
+	// before it reads a page.
 	for _, f := range files[otherShard] {
 		f.SetPolicy(faultfs.Policy{})
 	}
+	if _, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{CountOnly: true}); err != nil {
+		t.Fatalf("unlimited baseline: %v", err)
+	}
+	reads := int(files[otherShard][0].Reads())
+	if reads == 0 {
+		t.Fatal("unlimited run performed no physical reads on the racing shard — fixture too small for the pool")
+	}
+	// Baseline under the limit: establishes the exact prefix.
 	base, err := run()
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	if !sameCorpusMatches(base.Matches, want[:1]) {
 		t.Fatal("baseline limit prefix differs")
-	}
-	reads := int(files[otherShard][0].Reads())
-	if reads == 0 {
-		t.Fatal("limited run performed no physical reads on the racing shard — fixture too small for the pool")
 	}
 
 	// Case A: the failing shard owns no document of the limit prefix. The
@@ -304,8 +310,8 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 	// surface. A fresh corpus keeps the shard's buffer pool cold, so the
 	// very first read hits the dead store.
 	c2, files2 := buildReplicaCorpus(t, ids, docs, CorpusOptions{
-		Shards:  2,
-		Options: Options{PoolFrames: 8},
+		Shards:     2,
+		PoolFrames: 8,
 	})
 	opt2, err := c2.Optimize(pat, MethodDPP, 0)
 	if err != nil {
@@ -373,8 +379,8 @@ func TestCorpusReplicaRebuildStatsRace(t *testing.T) {
 
 // TestCorpusReplicaDiskPaths checks that every replica of a disk-backed
 // shard gets its own image file: ShardPageFile is asked once per (shard,
-// replica), and the corpus laid down on those files answers like standalone
-// databases.
+// replica), and the corpus laid down on those files answers like
+// one-document corpora.
 func TestCorpusReplicaDiskPaths(t *testing.T) {
 	ids, docs := corpusFixtureDocs(t, 2)
 	dir := t.TempDir()

@@ -1,17 +1,19 @@
 package sjos
 
 // Corpus differential suite: a corpus over N documents must answer exactly
-// as the concatenation of N standalone single-document databases, for every
+// as the concatenation of N one-document corpora, for every
 // optimizer method and every execution mode — plus first-k, count-only,
 // shared derived handles, and a chaos run with one failing shard.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sjos/internal/datagen"
+	"sjos/internal/exec"
 	"sjos/internal/faultfs"
 	"sjos/internal/storage"
 	"sjos/internal/xmltree"
@@ -38,7 +40,7 @@ func corpusFixtureDocsScale(t *testing.T, n int, scale float64) ([]string, []*xm
 }
 
 // buildTestCorpus assembles the documents into a corpus (white-box: adds
-// pre-built documents directly, so standalone databases over the very same
+// pre-built documents directly, so one-document corpora over the very same
 // documents are the ground truth).
 func buildTestCorpus(t *testing.T, ids []string, docs []*xmltree.Document, opts *CorpusOptions) *Corpus {
 	t.Helper()
@@ -56,7 +58,7 @@ func buildTestCorpus(t *testing.T, ids []string, docs []*xmltree.Document, opts 
 }
 
 // standaloneResults computes the ground truth: each document queried alone,
-// results concatenated in document order. Each document's rows are first held
+// as a one-document corpus, results concatenated in document order. Each document's rows are first held
 // to the brute-force reference as a multiset, so the in-order yardstick every
 // corpus matrix compares against is itself checked by code that shares
 // nothing with the executor.
@@ -64,18 +66,15 @@ func standaloneResults(t *testing.T, ids []string, docs []*xmltree.Document, pat
 	t.Helper()
 	var want []CorpusMatch
 	for gi, doc := range docs {
-		db, err := fromDocument(doc, nil)
+		res, err := docCorpus(t, doc, nil).Query(pat.String(), MethodDPP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Query(pat.String(), MethodDPP)
-		if err != nil {
-			t.Fatal(err)
+		rows := rowsOf(res.Segments)
+		if ref := exec.ReferenceMatches(doc, pat); !equalStrings(canonicalize(rows), canonicalize(ref)) {
+			t.Fatalf("document %s: %d matches, brute force %d", ids[gi], len(rows), len(ref))
 		}
-		if ref := referenceMatches(db, pat); !equalStrings(canonicalize(res.Matches), canonicalize(ref)) {
-			t.Fatalf("document %s: %d matches, brute force %d", ids[gi], len(res.Matches), len(ref))
-		}
-		for _, m := range res.Matches {
+		for _, m := range rows {
 			want = append(want, CorpusMatch{DocID: ids[gi], Doc: gi, Nodes: m})
 		}
 	}
@@ -182,12 +181,10 @@ func TestCorpusLimitAndCountOnly(t *testing.T) {
 		}
 	}
 
-	// A Database's planned query has no Count: under QueryOptions.CountOnly
-	// it leaves Matches nil and reports the count as Exec.OutputTuples.
-	db, err := fromDocument(docs[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A one-document corpus's planned query under QueryOptions.CountOnly
+	// leaves Matches nil and reports the rows of the row query as Count and
+	// as Exec.OutputTuples.
+	db := docCorpus(t, docs[0], nil)
 	for _, k := range []int{0, 1, 3} {
 		opts := QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP, Limit: k}}
 		rows, err := db.QueryPatternContext(context.Background(), pat, opts)
@@ -199,9 +196,9 @@ func TestCorpusLimitAndCountOnly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("database limit %d count-only: %v", k, err)
 		}
-		if len(rows.Matches) == 0 || counted.Matches != nil || counted.Exec.OutputTuples != len(rows.Matches) {
-			t.Fatalf("database limit %d count-only: %d matches, OutputTuples %d, want nil and the %d rows of the row query",
-				k, len(counted.Matches), counted.Exec.OutputTuples, len(rows.Matches))
+		if n := len(rows.Matches); n == 0 || counted.Matches != nil || counted.Count != n || counted.Exec.OutputTuples != n {
+			t.Fatalf("database limit %d count-only: %d matches, Count %d, OutputTuples %d, want nil and the %d rows of the row query",
+				k, len(counted.Matches), counted.Count, counted.Exec.OutputTuples, n)
 		}
 	}
 }
@@ -273,8 +270,8 @@ func TestCorpusChaosOneShard(t *testing.T) {
 	ids, docs := corpusFixtureDocsScale(t, 4, 0.5)
 	var faulty *faultfs.File
 	c := buildTestCorpus(t, ids, docs, &CorpusOptions{
-		Shards:  2,
-		Options: Options{PoolFrames: 8},
+		Shards:     2,
+		PoolFrames: 8,
 		ShardPageFile: func(shard, replica int) PageFile {
 			f := storage.NewMemFile()
 			if shard != 1 {
@@ -365,7 +362,7 @@ func TestCorpusChaosOneShard(t *testing.T) {
 
 func TestCorpusDrainAndAdmission(t *testing.T) {
 	ids, docs := corpusFixtureDocs(t, 2)
-	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 2, Options: Options{MaxInFlight: 2}})
+	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 2, MaxInFlight: 2})
 	if _, err := c.Query(`//article//author`, MethodDPP); err != nil {
 		t.Fatal(err)
 	}
@@ -492,5 +489,72 @@ func TestCorpusFromXML(t *testing.T) {
 	// Document order: all of "one"'s matches before "two"'s.
 	if res.Matches[0].DocID != "one" || res.Matches[1].DocID != "two" || res.Matches[2].DocID != "two" {
 		t.Fatalf("match order: %v", res.Matches)
+	}
+}
+
+// TestCorpusExplainAnalyzeCounts: EXPLAIN ANALYZE over a three-shard corpus
+// reports the count Run reports, beside its buffer-pool line.
+func TestCorpusExplainAnalyzeCounts(t *testing.T) {
+	ids, docs := corpusFixtureDocs(t, 6)
+	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 3})
+	pat := MustParsePattern(`//article[author]/title`)
+	opt, err := c.Optimize(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ShardsQueried != 3 || res.Count == 0 {
+		t.Fatalf("fixture: %d shards queried, %d matches; want 3 and some", res.ShardsQueried, res.Count)
+	}
+	s, err := c.ExplainAnalyze(pat, MethodDPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(", %d matches\n", res.Count); !strings.Contains(s, want) {
+		t.Fatalf("ExplainAnalyze does not report Run's %d matches:\n%s", res.Count, s)
+	}
+	if !strings.Contains(s, "buffer pool: ") {
+		t.Fatalf("ExplainAnalyze has no buffer-pool line:\n%s", s)
+	}
+}
+
+// TestOptimizeWithExactStatsShards: the oracle estimator reads one forest,
+// so it serves a corpus with one populated shard — however many documents
+// that shard holds — and rejects one with more, naming the count.
+func TestOptimizeWithExactStatsShards(t *testing.T) {
+	ids, docs := corpusFixtureDocs(t, 4)
+	pat := MustParsePattern(`//article[author]/title`)
+	one := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 1})
+	exact, err := one.OptimizeWithExactStats(pat, MethodDPP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := execCount(one, pat, exact.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := one.Query(pat.String(), MethodDPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != len(res.Matches) {
+		t.Fatalf("exact-stats plan counts %d matches, the histogram plan %d", got, len(res.Matches))
+	}
+	many := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 3})
+	populated := 0
+	for _, h := range many.Health() {
+		if h.Docs > 0 {
+			populated++
+		}
+	}
+	if populated < 2 {
+		t.Fatalf("fixture populated %d of 3 shards, want at least 2", populated)
+	}
+	_, err = many.OptimizeWithExactStats(pat, MethodDPP, 0)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d populated shards", populated)) {
+		t.Fatalf("OptimizeWithExactStats over %d populated shards = %v, want an error naming them", populated, err)
 	}
 }

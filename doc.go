@@ -9,20 +9,28 @@
 //
 // # Quick start
 //
-//	db, err := sjos.LoadXMLString(`<db><a><b/></a></db>`, nil)
+// The library has one facade, the Corpus. The paper's single document is a
+// one-document corpus — one shard, read-only — reporting rows in the
+// document's own node numbering:
+//
+//	b := sjos.NewCorpusBuilder(nil)
+//	b.AddXMLString("doc", `<db><a><b/></a></db>`)
+//	c, err := b.Build()
 //	if err != nil { ... }
-//	res, err := db.Query("//a//b", sjos.MethodDPP)
+//	res, err := c.Query("//a//b", sjos.MethodDPP)
 //	if err != nil { ... }
 //	fmt.Println(len(res.Matches), "matches via plan:\n", res.PlanText)
 //
+// AddXML, AddImage (a binary image from xqgen -format image) and AddDataset
+// (a synthetic benchmark data set) add documents the other ways.
+//
 // # Corpora
 //
-// Multi-document workloads use the Corpus, the collection-first entry
-// point: documents are distributed over shards by consistent hashing of
-// their IDs, each shard stores its members as one forest over the same
-// paged store, and queries are planned once against corpus-wide
-// merged statistics, executed on every shard, and gathered in document
-// order with document-local node IDs:
+// Many documents go behind the same surface: documents are distributed over
+// shards by consistent hashing of their IDs, each shard stores its members
+// as one forest over the same paged store, and queries are planned once
+// against corpus-wide merged statistics, executed on every shard, and
+// gathered in document order with document-local node IDs:
 //
 //	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Shards: 4})
 //	b.AddXMLString("inventory", `<db><a><b/></a></db>`)
@@ -37,18 +45,16 @@
 // the query ran on (seg.TagName, seg.Value); Matches is a per-row view over
 // them, and QuerySegments skips building it for callers that stream.
 //
-// A corpus answers exactly as the concatenation of standalone
-// per-document databases — and a Database is exactly that: a read-only,
-// one-shard corpus whose only member is its document, reporting rows in the
-// document's own node numbering.
+// A corpus answers exactly as the concatenation of one-document corpora over
+// its members, each in its own document's numbering.
 //
 // # Writes
 //
-// A Database is read-only — the paper's single document. Writes go through
-// a Corpus built with CorpusOptions.ShardWALFile: Insert, Replace and Delete
-// commit whole documents through each shard's write-ahead log, and building
-// the corpus again over the same logs recovers the committed state. A
-// one-shard corpus is the single writable store:
+// A corpus built without CorpusOptions.ShardWALFile is read-only. With it,
+// Insert, Replace and Delete commit whole documents through each shard's
+// write-ahead log, and building the corpus again over the same logs
+// recovers the committed state. A one-shard corpus is the single writable
+// store:
 //
 //	wal := sjos.NewMemPageFile() // or sjos.CreatePageFile / OpenPageFile
 //	c, err := sjos.NewCorpusBuilder(&sjos.CorpusOptions{

@@ -13,9 +13,9 @@ import (
 )
 
 // The storage engine: the one object that owns stored documents — one per
-// replica of every Corpus shard (a Database is a one-shard corpus). It holds
-// the published snapshot, executes plans against a pinned snapshot, keeps the
-// histogram parts statistics are merged from, and runs the commit protocol.
+// replica of every Corpus shard. It holds the published snapshot, executes
+// plans against a pinned snapshot, keeps the histogram parts statistics are
+// merged from, and runs the commit protocol.
 // It holds nothing a query service needs — no plan cache, metrics, admission
 // or merged statistics; those are one per corpus (see service).
 //
@@ -140,9 +140,8 @@ type seedDoc struct {
 // seeded with a base snapshot holding them; with a non-empty WAL the state is
 // recovered from the log instead, and seeds must be absent (the log is
 // self-contained; mixing both would be ambiguous). A nil walFile builds a
-// log-less engine over the seeds: the shard of a read-only corpus (a
-// Database's among them), or a replica follower, which applies its primary's
-// committed mutations.
+// log-less engine over the seeds: the shard of a read-only corpus, or a
+// replica follower, which applies its primary's committed mutations.
 func newEngine(seeds []seedDoc, walFile, file PageFile, cfg engineConfig) (*engine, error) {
 	e := &engine{engineConfig: cfg}
 	var replay []storage.WALTxn
@@ -527,11 +526,26 @@ func (e *engine) addIngestStats(st *CorpusIngestStats) {
 	}
 }
 
+// shardResult is one shard execution's outcome, before the scatter gathers
+// it into a CorpusRunResult.
+type shardResult struct {
+	// Count is the number of matches produced.
+	Count int
+	// Stats reports the physical work done.
+	Stats ExecStats
+	// Trace is the per-operator execution trace (nil unless
+	// RunOptions.Trace was set).
+	Trace *OpTrace
+	// set is the flat match set the executor filled (empty under an
+	// unlimited count).
+	set exec.MatchSet
+}
+
 // runOn executes a plan against one pinned snapshot: the whole run reads
 // exactly sn's document and store, so concurrent mutations (which publish
 // new snapshots) are invisible to it. Callers pin the snapshot themselves so
 // they can attribute matches with the matching member table.
-func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
+func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, opts RunOptions) (*shardResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -555,7 +569,7 @@ func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, o
 	if ctx.Done() != nil {
 		ectx.Interrupt = ctx.Err
 	}
-	res := &RunResult{}
+	res := &shardResult{}
 	// A limited count still collects its (at most Limit) rows; only an
 	// unlimited count skips materialisation altogether.
 	countOnly := opts.CountOnly && opts.Limit <= 0

@@ -11,14 +11,17 @@ import (
 )
 
 func main() {
-	db, err := sjos.GenerateDataset("dblp", 1, 1, nil)
+	// One document: a one-shard corpus, the paper's single database.
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddDataset("dblp", "dblp", 1, 1, 0)
+	c, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("DBLP-like data set: %d element nodes\n\n", db.NumNodes())
+	fmt.Printf("DBLP-like data set: %d element nodes\n\n", c.Health()[0].Nodes)
 
 	// 1. Selective lookup with value predicates.
-	res, err := db.Query(`//article[author = "author-7"]/title`, sjos.MethodDPP)
+	res, err := c.Query(`//article[author = "author-7"]/title`, sjos.MethodDPP)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,12 +31,13 @@ func main() {
 			fmt.Println("  ...")
 			break
 		}
-		fmt.Printf("  %s\n", db.Value(m[2]))
+		v, _ := c.Value(m.DocID, m.Nodes[2])
+		fmt.Printf("  %s\n", v)
 	}
 
 	// 2. Ordered output: '#' requests the result sorted by that node.
 	// FP guarantees a sort-free plan producing exactly this order.
-	res, err = db.Query(`//inproceedings#[author]/cite/label`, sjos.MethodFP)
+	res, err = c.Query(`//inproceedings#[author]/cite/label`, sjos.MethodFP)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +45,7 @@ func main() {
 	fmt.Println(res.PlanText)
 
 	// 3. Range predicate over numeric text.
-	res, err = db.Query(`//article[year >= 2000]/title`, sjos.MethodDPP)
+	res, err = c.Query(`//article[year >= 2000]/title`, sjos.MethodDPP)
 	if err != nil {
 		log.Fatal(err)
 	}

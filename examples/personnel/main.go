@@ -15,11 +15,14 @@ import (
 )
 
 func main() {
-	db, err := sjos.GenerateDataset("pers", 1, 1, nil)
+	// One document: a one-shard corpus, the paper's single database.
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddDataset("pers", "pers", 1, 1, 0)
+	c, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Pers data set: %d element nodes\n\n", db.NumNodes())
+	fmt.Printf("Pers data set: %d element nodes\n\n", c.Health()[0].Nodes)
 
 	// The Figure 1 pattern: A=manager, B=employee, C=name, D=manager,
 	// E=department, F=name; A-B and A-D are "//" edges, the rest "/".
@@ -31,13 +34,13 @@ func main() {
 		sjos.MethodDP, sjos.MethodDPP, sjos.MethodDPAPEB, sjos.MethodDPAPLD, sjos.MethodFP,
 	} {
 		t0 := time.Now()
-		res, err := db.Optimize(pat, m, 0)
+		res, err := c.Optimize(pat, m, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opt := time.Since(t0)
 		t1 := time.Now()
-		rr, err := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true})
+		rr, err := c.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,19 +59,19 @@ func main() {
 	}
 
 	// And the cautionary tale: a randomly chosen bad plan.
-	bad, err := db.BadPlan(pat, 40, 1)
+	bad, err := c.BadPlan(pat, 40, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	if _, err := db.Run(context.Background(), pat, bad.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
+	if _, err := c.Run(context.Background(), pat, bad.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-8s  opt %-10s eval %-10v %s cost≈%.0f\n",
 		"bad", "-", time.Since(t0).Round(time.Microsecond), "                      ", bad.Cost)
 
 	fmt.Println("\nThe DPP plan in full:")
-	res, err := db.Optimize(pat, sjos.MethodDPP, 0)
+	res, err := c.Optimize(pat, sjos.MethodDPP, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

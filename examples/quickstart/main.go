@@ -22,16 +22,19 @@ const doc = `
 </library>`
 
 func main() {
-	db, err := sjos.LoadXMLString(doc, nil)
+	// One document is a one-document corpus: one shard, read-only.
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddXMLString("library", doc)
+	c, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %d element nodes\n\n", db.NumNodes())
+	fmt.Printf("loaded %d element nodes\n\n", c.Health()[0].Nodes)
 
 	// "//" is ancestor-descendant, "/" parent-child, "[...]" a branch.
 	// The Misplaced Volume in the box matches too: shelf//book is an
 	// ancestor-descendant edge.
-	res, err := db.Query(`//shelf[@floor = "2"]//book[author = "Ada"]/title`, sjos.MethodDPP)
+	res, err := c.Query(`//shelf[@floor = "2"]//book[author = "Ada"]/title`, sjos.MethodDPP)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,8 +43,12 @@ func main() {
 	fmt.Println(res.PlanText)
 	fmt.Printf("%d match(es) in %v (optimization took %v):\n",
 		len(res.Matches), res.ExecuteTime, res.OptimizeTime)
-	for _, m := range res.Matches {
-		// Slots follow pattern-node order: shelf, @floor, book, author, title.
-		fmt.Printf("  title %q (author %q)\n", db.Value(m[4]), db.Value(m[3]))
+	// A segment holds one document's rows and labels their nodes.
+	for _, seg := range res.Segments {
+		for r := 0; r < seg.Len(); r++ {
+			// Slots follow pattern-node order: shelf, @floor, book, author, title.
+			m := seg.Row(r)
+			fmt.Printf("  title %q (author %q)\n", seg.Value(m[4]), seg.Value(m[3]))
+		}
 	}
 }

@@ -17,15 +17,18 @@ import (
 func main() {
 	// Folded Pers: the full result has ~2M tuples, so "compute
 	// everything, then show the first page" hurts.
-	db, err := sjos.GenerateDataset("pers", 1, 20, nil)
+	// One document: a one-shard corpus, the paper's single database.
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddDataset("pers", "pers", 1, 20, 0)
+	c, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
 	pat := sjos.MustParsePattern("//manager[.//employee/name]//manager/department/name")
-	fmt.Printf("Pers ×20 (%d nodes); query: first 10 of many matches\n\n", db.NumNodes())
+	fmt.Printf("Pers ×20 (%d nodes); query: first 10 of many matches\n\n", c.Health()[0].Nodes)
 
 	// The fully-pipelined plan from FP.
-	fp, err := db.Optimize(pat, sjos.MethodFP, 0)
+	fp, err := c.Optimize(pat, sjos.MethodFP, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +38,7 @@ func main() {
 	var blocking *sjos.Plan
 	cost := 0.0
 	for seed := int64(0); seed < 60; seed++ {
-		r, err := db.BadPlan(pat, 1, seed)
+		r, err := c.BadPlan(pat, 1, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,14 +52,14 @@ func main() {
 
 	measure := func(label string, p *sjos.Plan) {
 		t0 := time.Now()
-		fr, err := db.Run(context.Background(), pat, p, sjos.RunOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
+		fr, err := c.Run(context.Background(), pat, p, sjos.RunOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		first := fr.Matches
 		firstLatency := time.Since(t0)
 		t0 = time.Now()
-		tr, err := db.Run(context.Background(), pat, p, sjos.RunOptions{CountOnly: true})
+		tr, err := c.Run(context.Background(), pat, p, sjos.RunOptions{CountOnly: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,24 +17,27 @@ import (
 func main() {
 	// Folding the data set ×20 makes execution time matter relative to
 	// optimization time (§4.3: bigger data justifies costlier optimizers).
-	db, err := sjos.GenerateDataset("pers", 1, 20, nil)
+	// One document: a one-shard corpus, the paper's single database.
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddDataset("pers", "pers", 1, 20, 0)
+	c, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
 	pat := sjos.MustParsePattern("//manager[.//employee/name]//manager/department/name")
-	fmt.Printf("Pers ×20: %d element nodes\n\n", db.NumNodes())
+	fmt.Printf("Pers ×20: %d element nodes\n\n", c.Health()[0].Nodes)
 
 	fmt.Println("DPAP-EB sweep over the expansion bound Te:")
 	fmt.Printf("%-6s %-12s %-12s %-12s %s\n", "Te", "optimize", "execute", "total", "est. cost")
 	for te := 1; te <= pat.N(); te++ {
 		t0 := time.Now()
-		res, err := db.Optimize(pat, sjos.MethodDPAPEB, te)
+		res, err := c.Optimize(pat, sjos.MethodDPAPEB, te)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opt := time.Since(t0)
 		t1 := time.Now()
-		if _, err := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
+		if _, err := c.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
 			log.Fatal(err)
 		}
 		eval := time.Since(t1)
@@ -46,13 +49,13 @@ func main() {
 	fmt.Println("\nReference points:")
 	for _, m := range []sjos.Method{sjos.MethodDPP, sjos.MethodFP} {
 		t0 := time.Now()
-		res, err := db.Optimize(pat, m, 0)
+		res, err := c.Optimize(pat, m, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opt := time.Since(t0)
 		t1 := time.Now()
-		if _, err := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
+		if _, err := c.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
 			log.Fatal(err)
 		}
 		eval := time.Since(t1)

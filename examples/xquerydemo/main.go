@@ -11,16 +11,19 @@ import (
 )
 
 func main() {
-	db, err := sjos.GenerateDataset("pers", 1, 1, nil)
+	// One document: a one-shard corpus, the paper's single database.
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddDataset("pers", "pers", 1, 1, 0)
+	c, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Pers data set: %d element nodes\n\n", db.NumNodes())
+	fmt.Printf("Pers data set: %d element nodes\n\n", c.Health()[0].Nodes)
 
 	// The paper's Example 2.2 as FLWOR: for each manager A, the names of
 	// supervised employees and of departments directly run by subordinate
 	// managers.
-	res, err := db.XQuery(`
+	res, err := c.XQuery(`
 		for $a in //manager, $d in $a//manager
 		where $a//employee/name and $d/department/name
 		return $a/name, $d/department/name`, sjos.MethodDPP)
@@ -34,12 +37,13 @@ func main() {
 			fmt.Println("  ...")
 			break
 		}
-		fmt.Printf("  manager %-8q runs department %q (via a subordinate)\n",
-			db.Value(row[0]), db.Value(row[1]))
+		manager, _ := c.Value(row.DocID, row.Nodes[0])
+		dept, _ := c.Value(row.DocID, row.Nodes[1])
+		fmt.Printf("  manager %-8q runs department %q (via a subordinate)\n", manager, dept)
 	}
 
 	// Value predicates and ordered output.
-	res, err = db.XQuery(`
+	res, err = c.XQuery(`
 		for $e in //employee
 		where $e/salary >= 100000
 		order by $e
@@ -53,7 +57,9 @@ func main() {
 			fmt.Println("  ...")
 			break
 		}
-		fmt.Printf("  %s earns %s\n", db.Value(row[0]), db.Value(row[1]))
+		name, _ := c.Value(row.DocID, row.Nodes[0])
+		salary, _ := c.Value(row.DocID, row.Nodes[1])
+		fmt.Printf("  %s earns %s\n", name, salary)
 	}
 
 	// Show the plan the optimizer chose for the compiled pattern.

@@ -79,7 +79,7 @@ func TestExecGolden(t *testing.T) {
 			h := fnv.New64a()
 			var b [4]byte
 			for _, row := range res.Matches {
-				for _, id := range row {
+				for _, id := range row.Nodes {
 					binary.LittleEndian.PutUint32(b[:], uint32(id))
 					h.Write(b[:])
 				}

@@ -7,10 +7,7 @@ import "testing"
 // different join order, but the result set must be identical; run under -race this also shakes out any sharing bug
 // in the greedy builder's plans.
 func TestGreedyDifferential(t *testing.T) {
-	db, err := GenerateDataset("pers", 1, 1, nil)
-	if err != nil {
-		t.Fatalf("GenerateDataset: %v", err)
-	}
+	db := datasetCorpus(t, "pers", 1, 1, nil)
 	queries := []string{
 		"//manager[.//employee/name]//manager/department/name",
 		"//manager//manager//manager//manager//manager/department/name",

@@ -83,17 +83,18 @@ func MethodsTable2() []sjos.Method {
 	}
 }
 
-// datasets caches built databases per (name, fold): dataset construction
+// datasets caches built one-document corpora per (name, fold): dataset construction
 // (including histogram builds) dominates otherwise when many experiments
 // run in one process.
 var (
 	dsMu    sync.Mutex
-	dsCache = map[string]*sjos.Database{}
+	dsCache = map[string]*sjos.Corpus{}
 )
 
 // Dataset returns the named data set at the given folding factor, built at
-// the base scales documented in DESIGN.md. Results are cached per process.
-func Dataset(name string, fold int) (*sjos.Database, error) {
+// the base scales documented in DESIGN.md, as a one-document (so one-shard)
+// corpus — the paper's single database. Results are cached per process.
+func Dataset(name string, fold int) (*sjos.Corpus, error) {
 	if fold < 1 {
 		fold = 1
 	}
@@ -103,7 +104,9 @@ func Dataset(name string, fold int) (*sjos.Database, error) {
 	if db, ok := dsCache[key]; ok {
 		return db, nil
 	}
-	db, err := sjos.GenerateDataset(name, 1, fold, nil)
+	b := sjos.NewCorpusBuilder(nil)
+	b.AddDataset(name, name, 1, fold, 0)
+	db, err := b.Build()
 	if err != nil {
 		return nil, err
 	}

@@ -156,7 +156,7 @@ func (g loadGeometry) serve(arm LoadArm, rate float64, mix []string) (LoadStep, 
 	var mu sync.Mutex
 	var slow []*faultfs.File
 	b := sjos.NewCorpusBuilder(&sjos.CorpusOptions{
-		Options:          sjos.Options{PoolFrames: loadPoolFrames},
+		PoolFrames:       loadPoolFrames,
 		Shards:           g.shards,
 		ReplicasPerShard: arm.Replicas,
 		ShardPageFile: func(shard, replica int) sjos.PageFile {

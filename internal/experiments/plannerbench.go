@@ -207,7 +207,7 @@ type evaluated struct {
 // whether the best of a few hundred runs ever escapes a concurrent mark
 // phase differed from process to process, by up to 2× and not equally for
 // every plan.
-func evalInterleaved(db *sjos.Database, pat *sjos.Pattern, plans map[string]*sjos.Plan, budget time.Duration) (map[string]evaluated, error) {
+func evalInterleaved(db *sjos.Corpus, pat *sjos.Pattern, plans map[string]*sjos.Plan, budget time.Duration) (map[string]evaluated, error) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	out := make(map[string]evaluated, len(plans))
 	var spent time.Duration

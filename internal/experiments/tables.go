@@ -27,7 +27,7 @@ type Table1Row struct {
 
 // RunQuery measures one (query, method) cell: optimization time and the
 // chosen plan's execution time.
-func RunQuery(db *sjos.Database, q Query, m sjos.Method) (Cell, error) {
+func RunQuery(db *sjos.Corpus, q Query, m sjos.Method) (Cell, error) {
 	pat, err := sjos.ParsePattern(q.Source)
 	if err != nil {
 		return Cell{}, fmt.Errorf("%s: %w", q.ID, err)
@@ -56,7 +56,7 @@ func RunQuery(db *sjos.Database, q Query, m sjos.Method) (Cell, error) {
 }
 
 // RunBadPlan measures the bad-plan baseline for a query.
-func RunBadPlan(db *sjos.Database, q Query) (time.Duration, float64, error) {
+func RunBadPlan(db *sjos.Corpus, q Query) (time.Duration, float64, error) {
 	pat, err := sjos.ParsePattern(q.Source)
 	if err != nil {
 		return 0, 0, err

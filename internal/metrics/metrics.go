@@ -1,5 +1,5 @@
-// Package metrics is the process-wide observability registry behind
-// sjos.Database.Metrics(): lock-free counters for queries served, errors,
+// Package metrics is the observability registry behind sjos.Corpus.Metrics()
+// (one per corpus): lock-free counters for queries served, errors,
 // slow queries and in-flight executions, plus a fixed-bucket exponential
 // latency histogram giving p50/p95/p99 without allocation on the hot path.
 //

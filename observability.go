@@ -21,7 +21,7 @@ type OpTrace = exec.OpTrace
 // MetricsSnapshot is the process-wide query counters' point-in-time copy.
 type MetricsSnapshot = metrics.Snapshot
 
-// Metrics is one observability snapshot of a corpus (or a database):
+// Metrics is one observability snapshot of a corpus:
 // query-level counters and latency quantiles, plus the plan cache's and
 // buffer pools' own counters.
 type Metrics struct {
@@ -44,11 +44,11 @@ type Metrics struct {
 	// footprint and the document build's string-intern behaviour.
 	Content ContentStats
 	// Replica holds the corpus replica-routing counters (failovers stay
-	// zero with one replica per shard, as in a Database).
+	// zero with one replica per shard).
 	Replica ReplicaMetrics
 	// Compactions and WALPages are a corpus write path's store rewrites so
 	// far and its log length in pages, summed over its shards (zero without
-	// a write path, as in a Database). Per-operation mutation counts and
+	// a write path). Per-operation mutation counts and
 	// times are in Query.Ingest.
 	Compactions int
 	WALPages    int

@@ -26,18 +26,26 @@ import (
 // A white-box benchmark (package sjos) so the raw lane can bypass the
 // metering wrapper and the admitted lane can install a controller.
 func BenchmarkObservabilityOverhead(b *testing.B) {
-	db, err := GenerateDataset("pers", 1, 100, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	db := datasetCorpus(b, "pers", 1, 100, nil)
 	pat := MustParsePattern("//manager[.//employee/name]//manager/department/name")
 	res, err := db.Optimize(pat, MethodDPP, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := db.c.shards[0].meta()
-	raw := func(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*RunResult, error) {
-		return eng.runOn(ctx, eng.view(), pat, p, opts)
+	eng := db.shards[0].meta()
+	raw := func(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (int, error) {
+		r, err := eng.runOn(ctx, eng.view(), pat, p, opts)
+		if err != nil {
+			return 0, err
+		}
+		return r.Count, nil
+	}
+	run := func(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (int, error) {
+		r, err := db.Run(ctx, pat, p, opts)
+		if err != nil {
+			return 0, err
+		}
+		return r.Count, nil
 	}
 	want, err := raw(context.Background(), pat, res.Plan, RunOptions{CountOnly: true})
 	if err != nil {
@@ -46,24 +54,24 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	for _, v := range []struct {
 		label string
 		opts  RunOptions
-		fn    func(context.Context, *Pattern, *Plan, RunOptions) (*RunResult, error)
+		fn    func(context.Context, *Pattern, *Plan, RunOptions) (int, error)
 		admit *admission.Controller
 	}{
 		{"raw", RunOptions{CountOnly: true}, raw, nil},
-		{"disabled", RunOptions{CountOnly: true}, db.Run, nil},
-		{"admitted", RunOptions{CountOnly: true}, db.Run, admission.New(64, 64)},
-		{"traced", RunOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true}, db.Run, nil},
+		{"disabled", RunOptions{CountOnly: true}, run, nil},
+		{"admitted", RunOptions{CountOnly: true}, run, admission.New(64, 64)},
+		{"traced", RunOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true}, run, nil},
 	} {
 		b.Run(v.label, func(b *testing.B) {
-			db.c.svc.admit = v.admit
-			defer func() { db.c.svc.admit = nil }()
+			db.svc.admit = v.admit
+			defer func() { db.svc.admit = nil }()
 			for i := 0; i < b.N; i++ {
-				rr, err := v.fn(context.Background(), pat, res.Plan, v.opts)
+				n, err := v.fn(context.Background(), pat, res.Plan, v.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rr.Count != want.Count {
-					b.Fatalf("count %d, want %d", rr.Count, want.Count)
+				if n != want {
+					b.Fatalf("count %d, want %d", n, want)
 				}
 			}
 		})

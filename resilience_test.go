@@ -14,24 +14,33 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// envelopeFacade is the surface Database and Corpus share, as the envelope
-// tests drive it: both facades put the same service envelopes around their
-// own execution, so every case below runs against both and must observe
-// the same behaviour.
-type envelopeFacade struct {
-	svc       *service
-	run       func(context.Context) error // Run of a planned //a//b
-	query     func(context.Context) error // QueryPatternContext of //a//b
-	insert    func() error                // nil: the facade has no write path
-	drain     func(context.Context) error
-	metrics   func() Metrics
-	slow      func() []SlowQueryEntry
-	admission func() AdmissionStats
+// envelope is one corpus shape the envelope tests drive: a planned //a//b
+// to run, and the write path when the corpus has one. Every case below runs
+// against both shapes and must observe the same behaviour.
+type envelope struct {
+	c        *Corpus
+	pat      *Pattern
+	plan     *Plan
+	writable bool
 }
 
-// forEachFacade runs fn against a read-only Database and a writable 2-shard
-// Corpus built with the given service options.
-func forEachFacade(t *testing.T, opts Options, fn func(t *testing.T, f envelopeFacade)) {
+// run is Run of the planned //a//b.
+func (e envelope) run(ctx context.Context) error {
+	_, err := e.c.Run(ctx, e.pat, e.plan, RunOptions{})
+	return err
+}
+
+// query is QueryPatternContext of //a//b.
+func (e envelope) query(ctx context.Context) error {
+	_, err := e.c.QueryPatternContext(ctx, e.pat, QueryOptions{})
+	return err
+}
+
+// forEachFacade runs fn against the two corpus shapes that put the envelope
+// around different scatters: the paper's read-only one-document database
+// (one shard, run on the calling goroutine) and a writable 2-shard corpus
+// (worker goroutines), both built with the given service options.
+func forEachFacade(t *testing.T, opts CorpusOptions, fn func(t *testing.T, e envelope)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	docs := []*xmltree.Document{
@@ -40,53 +49,15 @@ func forEachFacade(t *testing.T, opts Options, fn func(t *testing.T, f envelopeF
 	}
 	pat := MustParsePattern("//a//b")
 	t.Run("database", func(t *testing.T) {
-		db, err := fromDocument(docs[0], &opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := mustPlan(t, db, pat, MethodDP)
-		fn(t, envelopeFacade{
-			svc: db.c.svc,
-			run: func(ctx context.Context) error {
-				_, err := db.Run(ctx, pat, p, RunOptions{})
-				return err
-			},
-			query: func(ctx context.Context) error {
-				_, err := db.QueryPatternContext(ctx, pat, QueryOptions{})
-				return err
-			},
-			drain:     db.Drain,
-			metrics:   db.Metrics,
-			slow:      db.SlowQueries,
-			admission: db.AdmissionStats,
-		})
+		c := docCorpus(t, docs[0], &opts)
+		fn(t, envelope{c: c, pat: pat, plan: mustPlan(t, c, pat, MethodDP)})
 	})
 	t.Run("corpus", func(t *testing.T) {
-		c := buildTestCorpus(t, []string{"d0", "d1"}, docs, &CorpusOptions{
-			Options:      opts,
-			Shards:       2,
-			ShardWALFile: func(int) PageFile { return NewMemPageFile() },
-		})
-		res, err := c.Optimize(pat, MethodDP, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(t, envelopeFacade{
-			svc: c.svc,
-			run: func(ctx context.Context) error {
-				_, err := c.Run(ctx, pat, res.Plan, RunOptions{})
-				return err
-			},
-			query: func(ctx context.Context) error {
-				_, err := c.QueryPatternContext(ctx, pat, QueryOptions{})
-				return err
-			},
-			insert:    func() error { return c.InsertString("new", "<a><b/></a>") },
-			drain:     c.Drain,
-			metrics:   c.Metrics,
-			slow:      c.SlowQueries,
-			admission: c.AdmissionStats,
-		})
+		wopts := opts
+		wopts.Shards = 2
+		wopts.ShardWALFile = func(int) PageFile { return NewMemPageFile() }
+		c := buildTestCorpus(t, []string{"d0", "d1"}, docs, &wopts)
+		fn(t, envelope{c: c, pat: pat, plan: mustPlan(t, c, pat, MethodDP), writable: true})
 	})
 }
 
@@ -94,10 +65,10 @@ func forEachFacade(t *testing.T, opts Options, fn func(t *testing.T, f envelopeF
 // counted in metrics, recorded with its stack in the slow-query ring — and
 // leave the facade fully usable.
 func TestRunRecoversPanics(t *testing.T) {
-	forEachFacade(t, Options{}, func(t *testing.T, f envelopeFacade) {
-		f.svc.testHookRun = func() { panic("injected facade panic") }
+	forEachFacade(t, CorpusOptions{}, func(t *testing.T, f envelope) {
+		f.c.svc.testHookRun = func() { panic("injected facade panic") }
 		err := f.run(context.Background())
-		f.svc.testHookRun = nil
+		f.c.svc.testHookRun = nil
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("Run returned %v, want *PanicError", err)
@@ -105,16 +76,16 @@ func TestRunRecoversPanics(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Fatal("PanicError carries no stack")
 		}
-		if m := f.metrics().Query; m.RecoveredPanics != 1 || m.Errors != 1 || m.Queries != 1 || m.InFlight != 0 {
+		if m := f.c.Metrics().Query; m.RecoveredPanics != 1 || m.Errors != 1 || m.Queries != 1 || m.InFlight != 0 {
 			t.Fatalf("after recovery: panics=%d errors=%d queries=%d inflight=%d, want 1/1/1/0",
 				m.RecoveredPanics, m.Errors, m.Queries, m.InFlight)
 		}
 		var buf bytes.Buffer
-		writeMetricsText(&buf, f.metrics())
+		writeMetricsText(&buf, f.c.Metrics())
 		if !strings.Contains(buf.String(), "sjos_recovered_panics_total 1") {
 			t.Fatalf("exposition does not count the recovered panic:\n%s", buf.String())
 		}
-		entries := f.slow()
+		entries := f.c.SlowQueries()
 		if len(entries) == 0 {
 			t.Fatal("no slow-query entry for the recovered panic")
 		}
@@ -131,7 +102,7 @@ func TestRunRecoversPanics(t *testing.T) {
 		if err := f.run(context.Background()); err != nil {
 			t.Fatalf("query after recovered panic: %v", err)
 		}
-		if m := f.metrics().Query; m.Queries != 2 || m.Errors != 1 || m.InFlight != 0 || m.TotalTime <= 0 || m.P50 <= 0 {
+		if m := f.c.Metrics().Query; m.Queries != 2 || m.Errors != 1 || m.InFlight != 0 || m.TotalTime <= 0 || m.P50 <= 0 {
 			t.Fatalf("after the next query: queries=%d errors=%d inflight=%d total=%v p50=%v",
 				m.Queries, m.Errors, m.InFlight, m.TotalTime, m.P50)
 		}
@@ -140,10 +111,10 @@ func TestRunRecoversPanics(t *testing.T) {
 
 // blockRuns installs a read-envelope hook that parks queries on a channel,
 // so tests can hold execution slots open deterministically.
-func blockRuns(f envelopeFacade) (entered chan struct{}, unblock chan struct{}) {
+func blockRuns(f envelope) (entered chan struct{}, unblock chan struct{}) {
 	entered = make(chan struct{}, 16)
 	unblock = make(chan struct{})
-	f.svc.testHookRun = func() {
+	f.c.svc.testHookRun = func() {
 		entered <- struct{}{}
 		<-unblock
 	}
@@ -165,17 +136,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestAdmissionOverloadAndQueue: with MaxInFlight 1 and QueueDepth 1, the
 // second query waits its turn and the third is shed with ErrOverloaded.
 func TestAdmissionOverloadAndQueue(t *testing.T) {
-	forEachFacade(t, Options{MaxInFlight: 1, QueueDepth: 1}, func(t *testing.T, f envelopeFacade) {
+	forEachFacade(t, CorpusOptions{MaxInFlight: 1, QueueDepth: 1}, func(t *testing.T, f envelope) {
 		entered, unblock := blockRuns(f)
 		first := make(chan error, 1)
 		go func() { first <- f.run(context.Background()) }()
 		<-entered // first query holds the only slot
-		if m := f.metrics().Query; m.InFlight != 1 {
+		if m := f.c.Metrics().Query; m.InFlight != 1 {
 			t.Fatalf("InFlight = %d with one query running, want 1", m.InFlight)
 		}
 		second := make(chan error, 1)
 		go func() { second <- f.run(context.Background()) }()
-		waitFor(t, "second query to queue", func() bool { return f.admission().Waiting == 1 })
+		waitFor(t, "second query to queue", func() bool { return f.c.AdmissionStats().Waiting == 1 })
 		// Queue full: the third arrival is shed immediately.
 		if err := f.run(context.Background()); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("third query error = %v, want ErrOverloaded", err)
@@ -187,13 +158,13 @@ func TestAdmissionOverloadAndQueue(t *testing.T) {
 		if err := <-second; err != nil {
 			t.Fatalf("queued query: %v", err)
 		}
-		st := f.admission()
+		st := f.c.AdmissionStats()
 		if st.Queued < 1 || st.Rejected < 1 {
 			t.Fatalf("stats = %+v, want Queued >= 1 and Rejected >= 1", st)
 		}
-		waitFor(t, "slots to release", func() bool { return f.admission().InFlight == 0 })
+		waitFor(t, "slots to release", func() bool { return f.c.AdmissionStats().InFlight == 0 })
 		// Shed queries never reach the served counters.
-		if m := f.metrics().Query; m.Queries != 2 || m.Errors != 0 {
+		if m := f.c.Metrics().Query; m.Queries != 2 || m.Errors != 0 {
 			t.Fatalf("queries=%d errors=%d, want 2/0 (the shed one is not counted)", m.Queries, m.Errors)
 		}
 	})
@@ -202,7 +173,7 @@ func TestAdmissionOverloadAndQueue(t *testing.T) {
 // TestAdmissionHonorsCancellation: a caller waiting for a slot gives up when
 // its context expires.
 func TestAdmissionHonorsCancellation(t *testing.T) {
-	forEachFacade(t, Options{MaxInFlight: 1, QueueDepth: 4}, func(t *testing.T, f envelopeFacade) {
+	forEachFacade(t, CorpusOptions{MaxInFlight: 1, QueueDepth: 4}, func(t *testing.T, f envelope) {
 		entered, unblock := blockRuns(f)
 		defer close(unblock)
 		go f.run(context.Background())
@@ -219,7 +190,7 @@ func TestAdmissionHonorsCancellation(t *testing.T) {
 // alike fail with ErrShuttingDown — waits for in-flight queries, honours its
 // context deadline, and is resumable.
 func TestDrainGraceful(t *testing.T) {
-	forEachFacade(t, Options{MaxInFlight: 2}, func(t *testing.T, f envelopeFacade) {
+	forEachFacade(t, CorpusOptions{MaxInFlight: 2}, func(t *testing.T, f envelope) {
 		entered, unblock := blockRuns(f)
 		running := make(chan error, 1)
 		go func() { running <- f.run(context.Background()) }()
@@ -227,15 +198,15 @@ func TestDrainGraceful(t *testing.T) {
 		// A query is still in flight: a bounded Drain times out...
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		defer cancel()
-		if err := f.drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		if err := f.c.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("bounded Drain = %v, want DeadlineExceeded", err)
 		}
 		// ...and new arrivals are already refused, on both envelopes.
 		if err := f.run(context.Background()); !errors.Is(err, ErrShuttingDown) {
 			t.Fatalf("query during drain = %v, want ErrShuttingDown", err)
 		}
-		if f.insert != nil {
-			if err := f.insert(); !errors.Is(err, ErrShuttingDown) {
+		if f.writable {
+			if err := f.c.InsertString("new", "<a><b/></a>"); !errors.Is(err, ErrShuttingDown) {
 				t.Fatalf("Insert during drain = %v, want ErrShuttingDown", err)
 			}
 		}
@@ -244,10 +215,10 @@ func TestDrainGraceful(t *testing.T) {
 			t.Fatalf("in-flight query: %v", err)
 		}
 		// The retried Drain resumes and completes; repeating it is a no-op.
-		if err := f.drain(context.Background()); err != nil {
+		if err := f.c.Drain(context.Background()); err != nil {
 			t.Fatalf("Drain after queries finished: %v", err)
 		}
-		if err := f.drain(context.Background()); err != nil {
+		if err := f.c.Drain(context.Background()); err != nil {
 			t.Fatalf("repeated Drain: %v", err)
 		}
 	})
@@ -256,7 +227,7 @@ func TestDrainGraceful(t *testing.T) {
 // TestQueryPathRespectsAdmission: the high-level Query entry points flow
 // through Run, so admission errors surface there too.
 func TestQueryPathRespectsAdmission(t *testing.T) {
-	forEachFacade(t, Options{MaxInFlight: 1}, func(t *testing.T, f envelopeFacade) {
+	forEachFacade(t, CorpusOptions{MaxInFlight: 1}, func(t *testing.T, f envelope) {
 		entered, unblock := blockRuns(f)
 		go f.query(context.Background())
 		<-entered
@@ -264,7 +235,7 @@ func TestQueryPathRespectsAdmission(t *testing.T) {
 			t.Fatalf("query error = %v, want ErrOverloaded", err)
 		}
 		close(unblock)
-		waitFor(t, "slot release", func() bool { return f.admission().InFlight == 0 })
+		waitFor(t, "slot release", func() bool { return f.c.AdmissionStats().InFlight == 0 })
 	})
 }
 
@@ -275,10 +246,7 @@ func TestWriteMetricsResilienceCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	doc := xmltree.RandomDocument(rng, 800, []string{"a", "b"})
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	db, err := fromDocument(doc, &Options{PageFile: ff, PoolFrames: 4, MaxInFlight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := docCorpus(t, doc, &CorpusOptions{PoolFrames: 4, MaxInFlight: 4, ShardPageFile: storeOn(ff)})
 	ff.SetPolicy(faultfs.Policy{FailNthRead: 1, Transient: true})
 	pat := MustParsePattern("//a//b")
 	if _, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{}); err != nil {
@@ -315,10 +283,7 @@ func TestWriteMetricsResilienceCounters(t *testing.T) {
 // passes the read envelope like any query — it is counted, it is refused
 // once Drain has begun, and a panic under it comes back as a *PanicError.
 func TestExplainAnalyzeEnvelope(t *testing.T) {
-	db, err := LoadXMLString(facadeXML, &Options{MaxInFlight: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := xmlCorpus(t, facadeXML, &CorpusOptions{MaxInFlight: 2})
 	pat := MustParsePattern("//manager//employee/name")
 	if _, err := db.ExplainAnalyze(pat, MethodDPP); err != nil {
 		t.Fatal(err)
@@ -326,9 +291,9 @@ func TestExplainAnalyzeEnvelope(t *testing.T) {
 	if q := db.Metrics().Query.Queries; q != 1 {
 		t.Fatalf("ExplainAnalyze counted as %d queries, want 1", q)
 	}
-	db.c.svc.testHookRun = func() { panic("injected explain panic") }
-	_, err = db.ExplainAnalyze(pat, MethodDPP)
-	db.c.svc.testHookRun = nil
+	db.svc.testHookRun = func() { panic("injected explain panic") }
+	_, err := db.ExplainAnalyze(pat, MethodDPP)
+	db.svc.testHookRun = nil
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("ExplainAnalyze under a panic = %v, want *PanicError", err)

@@ -1,6 +1,7 @@
 package sjos
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -16,22 +17,13 @@ const resultsXML = `<db>
   <mentor><name>ann</name></mentor>
 </db>`
 
-func resultsDB(t *testing.T) *Database {
-	t.Helper()
-	db, err := LoadXMLString(resultsXML, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
-
 // TestRenderMatch renders matches the way the CLIs print a row: one
 // AppendCell per pattern node, tag#id for a node without text and
 // tag="value" otherwise, quoted exactly as %q quotes.
 func TestRenderMatch(t *testing.T) {
-	db := resultsDB(t)
+	c := xmlCorpus(t, resultsXML, nil)
 	pat := MustParsePattern("//team[name]//member/name")
-	res, err := db.QueryPattern(pat, MethodDPP)
+	res, err := c.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +32,9 @@ func TestRenderMatch(t *testing.T) {
 	}
 	for _, m := range res.Matches {
 		var got, want []byte
-		for u, id := range m {
-			got = AppendCell(got, pat.Nodes[u].Tag, db.Value(id), id)
-			if v := db.Value(id); v != "" {
+		for u, id := range m.Nodes {
+			got = AppendCell(got, pat.Nodes[u].Tag, docValue(c, id), id)
+			if v := docValue(c, id); v != "" {
 				want = fmt.Appendf(want, "%s=%q", pat.Nodes[u].Tag, v)
 			} else {
 				want = fmt.Appendf(want, "%s#%d", pat.Nodes[u].Tag, id)
@@ -64,18 +56,15 @@ func TestRenderMatch(t *testing.T) {
 // fails although it holds between strings, and a string comparison
 // otherwise, so "abc" >= "10" holds.
 func TestEvalPredicateFacade(t *testing.T) {
-	db, err := LoadXMLString(`<r><x>11</x><x>9</x><x>100</x><x>abc</x></r>`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := xmlCorpus(t, `<r><x>11</x><x>9</x><x>100</x><x>abc</x></r>`, nil)
 	for _, m := range []Method{MethodDPP, MethodGreedy} {
-		res, err := db.Query(`//r/x[. >= 10]`, m)
+		res, err := c.Query(`//r/x[. >= 10]`, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []string
 		for _, match := range res.Matches {
-			got = append(got, db.Value(match[1]))
+			got = append(got, docValue(c, match.Nodes[1]))
 		}
 		if fmt.Sprint(got) != "[11 100 abc]" {
 			t.Errorf("%v: x >= 10 matched %q, want [11 100 abc]", m, got)

@@ -20,12 +20,11 @@ import (
 // CacheStats is a snapshot of the plan cache's behaviour counters.
 type CacheStats = plancache.Stats
 
-// service is the query-service state behind a Corpus (and so a Database's)
-// — exactly one per corpus, never per shard or replica: the statistics
-// queries are planned against (the merged view over every shard's members,
-// replaceable by RebuildStats and re-merged after every committed mutation),
-// the plan cache, metrics, the slow-query log, admission control and the
-// write lock.
+// service is the query-service state behind a Corpus — exactly one per
+// corpus, never per shard or replica: the statistics queries are planned
+// against (the merged view over every shard's members, replaceable by
+// RebuildStats and re-merged after every committed mutation), the plan
+// cache, metrics, the slow-query log, admission control and the write lock.
 type service struct {
 	mu           sync.RWMutex
 	stats        core.StatsSource
@@ -61,12 +60,13 @@ type cachedPlan struct {
 	counters core.Counters
 }
 
-// newService builds a corpus's service from the service-level options. The
-// corpus installs the statistics (setStats) once its engines exist.
-func newService(opts *Options) *service {
+// newService builds a corpus's service around an admission controller of
+// the given bounds. The corpus installs the statistics (setStats) once its
+// engines exist.
+func newService(maxInFlight, queueDepth int) *service {
 	return &service{
 		cache: plancache.New[cachedPlan](0),
-		admit: admission.New(opts.MaxInFlight, opts.QueueDepth),
+		admit: admission.New(maxInFlight, queueDepth),
 	}
 }
 
@@ -161,11 +161,10 @@ func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, m M
 }
 
 // ExecOptions is the execution-tuning surface shared by every query entry
-// point — Database and Corpus take identical option shapes: RunOptions and
-// QueryOptions both embed it. Plan-execution entry points (Run) read Limit
-// and Trace and ignore the optimizer fields (Method, Te), which only apply
-// where a plan is being chosen (QueryContext and friends). The zero value
-// optimizes with DP and executes without a limit.
+// point: RunOptions and QueryOptions both embed it. Plan-execution entry
+// points (Run) read Limit and Trace and ignore the optimizer fields (Method,
+// Te), which only apply where a plan is being chosen (QueryContext and
+// friends). The zero value optimizes with DP and executes without a limit.
 type ExecOptions struct {
 	// Method selects the optimization algorithm (zero value: MethodDP).
 	// Ignored by Run, which executes an already-chosen plan.
@@ -191,24 +190,6 @@ type RunOptions struct {
 	// CountOnly suppresses match materialisation; only the result's Count
 	// (and the statistics) are populated.
 	CountOnly bool
-}
-
-// RunResult is the outcome of one Run call.
-type RunResult struct {
-	// Matches holds the matches in pattern-node order (nil if CountOnly).
-	Matches []Match
-	// Count is the number of matches produced (len(Matches) unless
-	// CountOnly).
-	Count int
-	// Stats reports the physical work done.
-	Stats ExecStats
-	// Trace is the per-operator execution trace (nil unless
-	// RunOptions.Trace was set).
-	Trace *OpTrace
-
-	// set is the flat match set the executor filled; Matches is a view
-	// whose rows alias it (see DESIGN.md, result path).
-	set exec.MatchSet
 }
 
 // write is the one mutation envelope. Mutations pass the same admission
@@ -273,14 +254,13 @@ func (s *service) recordPanic(pat *Pattern, perr error) {
 // execution fields the run of the chosen plan.
 type QueryOptions struct {
 	ExecOptions
-	// CountOnly leaves the rows out: a corpus result carries Count, Exec and
-	// Trace and no Segments or Matches (a Database's QueryResult, which has
-	// no Count, reports it as Exec.OutputTuples). Without a Limit the shards
-	// count instead of collecting, so no row is materialised or gathered.
+	// CountOnly leaves the rows out: the result carries Count, Exec and
+	// Trace and no Segments or Matches. Without a Limit the shards count
+	// instead of collecting, so no row is materialised or gathered.
 	CountOnly bool
 }
 
-// planned is what every planned query reports, whichever facade ran it.
+// planned is what every planned query reports.
 type planned struct {
 	// Plan is the executed plan (one plan, every shard of a corpus);
 	// PlanText its rendering.

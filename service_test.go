@@ -94,8 +94,8 @@ func TestPlanCacheRenumberingInvariance(t *testing.T) {
 	// Same bindings, modulo the node renumbering: compare the manager
 	// bindings (node 0 in both) as multisets via sorted order.
 	for i := range ra.Matches {
-		if ra.Matches[i][0] != rb.Matches[i][0] {
-			t.Fatalf("match %d: manager binding %v vs %v", i, ra.Matches[i][0], rb.Matches[i][0])
+		if ra.Matches[i].Nodes[0] != rb.Matches[i].Nodes[0] {
+			t.Fatalf("match %d: manager binding %v vs %v", i, ra.Matches[i].Nodes[0], rb.Matches[i].Nodes[0])
 		}
 	}
 	if cs := db.CacheStats(); cs.Misses != 1 || cs.Hits != 1 {
@@ -109,7 +109,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	db := openDB(t)
 	src := "//manager[.//employee/name]//department/name"
 	const n = 16
-	results := make([]*QueryResult, n)
+	results := make([]*CorpusQueryResult, n)
 	errs := make([]error, n)
 	done := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -208,10 +208,7 @@ func (f *cancelOnRead) ReadPage(id storage.PageID, dst *storage.Page) error {
 // execution that has started reading the store; the error surfaces from Run.
 func TestRunCancelMidExecution(t *testing.T) {
 	file := &cancelOnRead{PageFile: NewMemPageFile()}
-	db, err := GenerateDataset("pers", 1, 0, &Options{PageFile: file, PoolFrames: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "pers", 1, 0, &CorpusOptions{PoolFrames: 16, ShardPageFile: storeOn(file)})
 	pat := MustParsePattern("//manager//employee/name")
 	res, err := db.Optimize(pat, MethodDPP, 0)
 	if err != nil {
@@ -233,10 +230,7 @@ func TestRunCancelMidExecution(t *testing.T) {
 // context: only the executor's Interrupt poll, which Run wires to ctx, can
 // stop it.
 func TestRunCancelPrompt(t *testing.T) {
-	db, err := GenerateDataset("pers", 4, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "pers", 4, 0, nil)
 	pat := MustParsePattern("//manager//manager//employee/name")
 	res, err := db.Optimize(pat, MethodDPP, 0)
 	if err != nil {
@@ -245,7 +239,7 @@ func TestRunCancelPrompt(t *testing.T) {
 	if _, err := db.Run(context.Background(), pat, res.Plan, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	misses := db.PoolStats().Misses
+	misses := db.Metrics().Pool.Misses
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(500 * time.Microsecond)
@@ -254,7 +248,7 @@ func TestRunCancelPrompt(t *testing.T) {
 	start := time.Now()
 	_, rerr := db.Run(ctx, pat, res.Plan, RunOptions{})
 	elapsed := time.Since(start)
-	if got := db.PoolStats().Misses; got != misses {
+	if got := db.Metrics().Pool.Misses; got != misses {
 		t.Fatalf("pool took %d misses on the warm run", got-misses)
 	}
 	if rerr == nil {
@@ -324,7 +318,7 @@ func TestWarmCacheOptimizeSpeedup(t *testing.T) {
 		t.Fatal(err) // populate the cache
 	}
 	warm := time.Duration(1<<63 - 1)
-	var warmRes *QueryResult
+	var warmRes *CorpusQueryResult
 	for i := 0; i < 3; i++ {
 		r, err := db.QueryContext(context.Background(), src, opts)
 		if err != nil {
@@ -337,7 +331,7 @@ func TestWarmCacheOptimizeSpeedup(t *testing.T) {
 			warm, warmRes = r.OptimizeTime, r
 		}
 	}
-	if !reflect.DeepEqual(coldMatches, warmRes.Matches) {
+	if !reflect.DeepEqual(coldMatches, rowsOf(warmRes.Segments)) {
 		t.Fatal("warm matches differ from cold matches")
 	}
 	if cold < 50*time.Microsecond {

@@ -21,18 +21,15 @@ const facadeXML = `<db>
   <manager><name>dan</name><department><name>ops</name></department></manager>
 </db>`
 
-func openDB(t testing.TB) *Database {
+// openDB builds the paper's setup over facadeXML: a one-document corpus.
+func openDB(t testing.TB) *Corpus {
 	t.Helper()
-	db, err := LoadXMLString(facadeXML, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return xmlCorpus(t, facadeXML, nil)
 }
 
 func TestLoadAndQuery(t *testing.T) {
 	db := openDB(t)
-	if db.NumNodes() == 0 {
+	if docNodes(db) == 0 {
 		t.Fatal("empty database")
 	}
 	res, err := db.Query("//manager//employee/name", MethodDPP)
@@ -45,7 +42,7 @@ func TestLoadAndQuery(t *testing.T) {
 		t.Fatalf("got %d matches, want 3", len(res.Matches))
 	}
 	for _, m := range res.Matches {
-		if db.TagName(m[0]) != "manager" || db.TagName(m[2]) != "name" {
+		if m.DocID != docID || docTag(db, m.Nodes[0]) != "manager" || docTag(db, m.Nodes[2]) != "name" {
 			t.Fatalf("match binds wrong tags: %v", m)
 		}
 	}
@@ -85,8 +82,8 @@ func TestQueryWithValuePredicate(t *testing.T) {
 	if len(res.Matches) != 1 {
 		t.Fatalf("got %d matches, want 1", len(res.Matches))
 	}
-	if db.Value(res.Matches[0][2]) != "bob" {
-		t.Fatalf("matched %q", db.Value(res.Matches[0][2]))
+	if v := docValue(db, res.Matches[0].Nodes[2]); v != "bob" {
+		t.Fatalf("matched %q", v)
 	}
 }
 
@@ -131,36 +128,30 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestGenerateDatasetFacade holds AddDataset: every data set builds, an
+// unknown name fails the build, and folding multiplies matches.
 func TestGenerateDatasetFacade(t *testing.T) {
 	for _, name := range []string{"mbench", "dblp", "pers"} {
-		db, err := GenerateDataset(name, 0.05, 1, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if db.NumNodes() == 0 {
+		if docNodes(datasetCorpus(t, name, 0.05, 1, nil)) == 0 {
 			t.Fatalf("%s: empty", name)
 		}
 	}
-	if _, err := GenerateDataset("nope", 1, 1, nil); err == nil {
+	b := NewCorpusBuilder(nil)
+	b.AddDataset(docID, "nope", 1, 1, 0)
+	if _, err := b.Build(); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 	// Folding multiplies matches.
-	base, err := GenerateDataset("pers", 0.05, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded, err := GenerateDataset("pers", 0.05, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := datasetCorpus(t, "pers", 0.05, 1, nil)
+	folded := datasetCorpus(t, "pers", 0.05, 4, nil)
 	pat := MustParsePattern("//manager/employee")
-	b, errB := base.Query("//manager/employee", MethodFP)
-	f, errF := folded.QueryPattern(pat, MethodFP)
+	bq, errB := base.Query("//manager/employee", MethodFP)
+	f, errF := folded.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodFP}})
 	if errB != nil || errF != nil {
 		t.Fatal(errB, errF)
 	}
-	if len(f.Matches) != 4*len(b.Matches) {
-		t.Fatalf("folding x4: %d matches, base %d", len(f.Matches), len(b.Matches))
+	if len(f.Matches) != 4*len(bq.Matches) {
+		t.Fatalf("folding x4: %d matches, base %d", len(f.Matches), len(bq.Matches))
 	}
 }
 
@@ -175,11 +166,14 @@ func TestParseMethodFacade(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := LoadXMLString("not xml", nil); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadXMLString("", nil); err == nil {
-		t.Fatal("empty input accepted")
+	for _, src := range []string{"not xml", ""} {
+		b := NewCorpusBuilder(nil)
+		if err := b.AddXMLString(docID, src); err == nil {
+			t.Fatalf("AddXMLString(%q) accepted", src)
+		}
+		if _, err := b.Build(); err == nil {
+			t.Fatalf("Build after AddXMLString(%q) succeeded", src)
+		}
 	}
 }
 
@@ -188,10 +182,7 @@ func TestDiskBackedDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadXMLString(facadeXML, &Options{PageFile: file, PoolFrames: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := xmlCorpus(t, facadeXML, &CorpusOptions{PoolFrames: 4, ShardPageFile: storeOn(file)})
 	if file.NumPages() == 0 {
 		t.Fatal("the store was not laid down on the page file")
 	}
@@ -214,11 +205,12 @@ func TestMinimizePatternFacade(t *testing.T) {
 		t.Fatalf("mapping = %v", mapping)
 	}
 	db := openDB(t)
-	a, err := db.QueryPattern(p, MethodDPP)
+	opts := QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}
+	a, err := db.QueryPatternContext(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.QueryPattern(m, MethodDPP)
+	b, err := db.QueryPatternContext(context.Background(), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +282,7 @@ func TestTraceDPPFacade(t *testing.T) {
 	}
 }
 
-func TestSaveAndOpenImage(t *testing.T) {
+func TestSaveAndAddImage(t *testing.T) {
 	db := openDB(t)
 	doc, err := xmltree.ParseString(facadeXML)
 	if err != nil {
@@ -307,12 +299,21 @@ func TestSaveAndOpenImage(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := OpenImageFile(path, nil)
+	img, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.NumNodes() != db.NumNodes() {
-		t.Fatalf("reloaded %d nodes, want %d", db2.NumNodes(), db.NumNodes())
+	defer img.Close()
+	ib := NewCorpusBuilder(nil)
+	if err := ib.AddImage(docID, img); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := ib.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if docNodes(db2) != docNodes(db) {
+		t.Fatalf("reloaded %d nodes, want %d", docNodes(db2), docNodes(db))
 	}
 	a, err := db.Query("//manager//employee/name", MethodDPP)
 	if err != nil {
@@ -325,19 +326,16 @@ func TestSaveAndOpenImage(t *testing.T) {
 	if len(a.Matches) != len(b.Matches) {
 		t.Fatalf("image query: %d matches, original %d", len(b.Matches), len(a.Matches))
 	}
-	if _, err := OpenImageFile(t.TempDir()+"/missing.img", nil); err == nil {
-		t.Fatal("missing image accepted")
+	if err := NewCorpusBuilder(nil).AddImage(docID, strings.NewReader("not an image")); err == nil {
+		t.Fatal("garbage image accepted")
 	}
 }
 
-// TestConcurrentQueries validates that one Database serves parallel query
-// traffic (immutable document, internally locked buffer pool). Run with
-// -race.
+// TestConcurrentQueries validates that one read-only one-document corpus
+// serves parallel query traffic (immutable document, internally locked
+// buffer pool). Run with -race.
 func TestConcurrentQueries(t *testing.T) {
-	db, err := GenerateDataset("pers", 0.5, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := datasetCorpus(t, "pers", 0.5, 1, nil)
 	queries := []string{
 		"//manager//employee/name",
 		"//manager[department]//employee",

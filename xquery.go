@@ -12,8 +12,9 @@ import (
 // XQueryResult is the outcome of an XQuery-subset evaluation.
 type XQueryResult struct {
 	// Rows holds one row per distinct binding of the query's variables
-	// and return paths; row slots follow the RETURN clause order.
-	Rows [][]NodeID
+	// and return paths, in document order: DocID and Doc name the document,
+	// and Nodes holds the RETURN slots, in the RETURN clause's order.
+	Rows []CorpusMatch
 	// Pattern is the tree pattern the query compiled to.
 	Pattern *Pattern
 	// Vars maps variable names to pattern nodes.
@@ -31,26 +32,26 @@ type XQueryResult struct {
 // paper's §2.1 translation), optimizes the resulting pattern with method m
 // and evaluates it. FLWOR semantics: WHERE branches are existential, so
 // rows are deduplicated over the bindings of the FOR variables and RETURN
-// paths.
+// paths, within each document.
 //
-//	rows, err := db.XQuery(`
+//	res, err := c.XQuery(`
 //	    for $m in //manager, $e in $m//employee
 //	    where $e/salary >= 50000
 //	    return $m/name, $e/name`, sjos.MethodDPP)
-func (db *Database) XQuery(src string, m Method) (*XQueryResult, error) {
-	return db.XQueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: m}})
+func (c *Corpus) XQuery(src string, m Method) (*XQueryResult, error) {
+	return c.XQueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: m}})
 }
 
 // XQueryContext is XQuery under a context and explicit query options:
 // cancelling ctx aborts the optimization or execution of the compiled
 // pattern, and the plan cache serves recurring query shapes. opts.Limit caps
 // the underlying pattern matches, not the deduplicated rows.
-func (db *Database) XQueryContext(ctx context.Context, src string, opts QueryOptions) (*XQueryResult, error) {
-	c, err := xquery.Compile(src)
+func (c *Corpus) XQueryContext(ctx context.Context, src string, opts QueryOptions) (*XQueryResult, error) {
+	q, err := xquery.Compile(src)
 	if err != nil {
 		return nil, err
 	}
-	qr, err := db.QueryPatternContext(ctx, c.Pattern, opts)
+	qr, err := c.queryPattern(ctx, q.Pattern, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sjos: evaluating compiled xquery pattern: %w", err)
 	}
@@ -59,39 +60,45 @@ func (db *Database) XQueryContext(ctx context.Context, src string, opts QueryOpt
 	// variable nodes are sorted into pattern-node order so the dedup key
 	// is canonical rather than dependent on Go's randomised map iteration
 	// order.
-	keyNodes := make([]int, 0, len(c.Vars))
-	for _, v := range c.Vars {
+	keyNodes := make([]int, 0, len(q.Vars))
+	for _, v := range q.Vars {
 		keyNodes = append(keyNodes, v)
 	}
 	sort.Ints(keyNodes)
-	seen := make(map[string]bool, len(qr.Matches))
+	seen := make(map[string]bool)
 	res := &XQueryResult{
-		Pattern:      c.Pattern,
-		Vars:         c.Vars,
-		ReturnNodes:  c.Return,
+		Pattern:      q.Pattern,
+		Vars:         q.Vars,
+		ReturnNodes:  q.Return,
 		PlanText:     qr.PlanText,
 		OptimizeTime: qr.OptimizeTime,
 		ExecuteTime:  qr.ExecuteTime,
 	}
 	keyBuf := make([]byte, 0, 64)
-	for _, match := range qr.Matches {
-		keyBuf = keyBuf[:0]
-		for _, u := range keyNodes {
-			keyBuf = fmt.Appendf(keyBuf, "%d,", match[u])
+	for i := range qr.Segments {
+		seg := &qr.Segments[i]
+		// Node IDs are document-local: two documents' rows never merge.
+		clear(seen)
+		for r, n := 0, seg.Len(); r < n; r++ {
+			match := seg.Row(r)
+			keyBuf = keyBuf[:0]
+			for _, u := range keyNodes {
+				keyBuf = fmt.Appendf(keyBuf, "%d,", match[u])
+			}
+			for _, u := range q.Return {
+				keyBuf = fmt.Appendf(keyBuf, "%d,", match[u])
+			}
+			k := string(keyBuf)
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			row := make(Match, len(q.Return))
+			for j, u := range q.Return {
+				row[j] = match[u]
+			}
+			res.Rows = append(res.Rows, CorpusMatch{DocID: seg.DocID, Doc: seg.Doc, Nodes: row})
 		}
-		for _, u := range c.Return {
-			keyBuf = fmt.Appendf(keyBuf, "%d,", match[u])
-		}
-		k := string(keyBuf)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		row := make([]NodeID, len(c.Return))
-		for i, u := range c.Return {
-			row[i] = match[u]
-		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

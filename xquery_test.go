@@ -1,19 +1,20 @@
 package sjos
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
 
 func TestXQueryBasic(t *testing.T) {
-	db := openDB(t)
-	res, err := db.XQuery(`for $m in //manager return $m/name`, MethodDPP)
+	c := openDB(t)
+	res, err := c.XQuery(`for $m in //manager return $m/name`, MethodDPP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var names []string
 	for _, row := range res.Rows {
-		names = append(names, db.Value(row[0]))
+		names = append(names, docValue(c, row.Nodes[0]))
 	}
 	sort.Strings(names)
 	want := []string{"alice", "carol", "dan"}
@@ -26,10 +27,10 @@ func TestXQueryBasic(t *testing.T) {
 }
 
 func TestXQueryWhereIsExistential(t *testing.T) {
-	db := openDB(t)
+	c := openDB(t)
 	// alice has two employees; FLWOR semantics must still return her
 	// name once.
-	res, err := db.XQuery(`for $m in //manager where $m//employee return $m/name`, MethodFP)
+	res, err := c.XQuery(`for $m in //manager where $m//employee return $m/name`, MethodFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +40,8 @@ func TestXQueryWhereIsExistential(t *testing.T) {
 }
 
 func TestXQueryTwoVariables(t *testing.T) {
-	db := openDB(t)
-	res, err := db.XQuery(`
+	c := openDB(t)
+	res, err := c.XQuery(`
 		for $m in //manager, $e in $m//employee
 		return $m/name, $e/name`, MethodDPP)
 	if err != nil {
@@ -51,36 +52,36 @@ func TestXQueryTwoVariables(t *testing.T) {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if len(row) != 2 {
-			t.Fatalf("row width %d", len(row))
+		if len(row.Nodes) != 2 {
+			t.Fatalf("row width %d", len(row.Nodes))
 		}
 	}
 }
 
 func TestXQueryValuePredicate(t *testing.T) {
-	db := openDB(t)
-	res, err := db.XQuery(`
+	c := openDB(t)
+	res, err := c.XQuery(`
 		for $e in //employee
 		where $e/salary >= 40000
 		return $e/name`, MethodDPP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || db.Value(res.Rows[0][0]) != "bob" {
+	if len(res.Rows) != 1 || docValue(c, res.Rows[0].Nodes[0]) != "bob" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
 func TestXQueryOrderBy(t *testing.T) {
-	db := openDB(t)
-	res, err := db.XQuery(`for $m in //manager order by $m return $m/name`, MethodFP)
+	c := openDB(t)
+	res, err := c.XQuery(`for $m in //manager order by $m return $m/name`, MethodFP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Document order of managers: alice, carol, dan.
 	got := []string{}
 	for _, row := range res.Rows {
-		got = append(got, db.Value(row[0]))
+		got = append(got, docValue(c, row.Nodes[0]))
 	}
 	if len(got) != 3 || got[0] != "alice" || got[1] != "carol" || got[2] != "dan" {
 		t.Fatalf("ordered names = %v", got)
@@ -88,14 +89,56 @@ func TestXQueryOrderBy(t *testing.T) {
 }
 
 func TestXQueryErrors(t *testing.T) {
-	db := openDB(t)
+	c := openDB(t)
 	for _, src := range []string{
 		``,
 		`for $m in //manager`,
 		`for $m in //manager return $x`,
 	} {
-		if _, err := db.XQuery(src, MethodDPP); err == nil {
+		if _, err := c.XQuery(src, MethodDPP); err == nil {
 			t.Errorf("XQuery(%q) succeeded", src)
+		}
+	}
+}
+
+// TestXQueryKeepsDocuments: over two identical documents every row comes
+// back twice, once per document, each carrying its DocID — node IDs are
+// document-local, so a dedup key of node IDs alone would merge them. It holds
+// whether both documents share a shard's forest or not.
+func TestXQueryKeepsDocuments(t *testing.T) {
+	const q = `for $m in //manager, $e in $m//employee return $m/name, $e/name`
+	one, err := openDB(t).XQuery(q, MethodDPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Rows) == 0 {
+		t.Fatal("fixture query has no rows")
+	}
+	for _, shards := range []int{1, 2} {
+		b := NewCorpusBuilder(&CorpusOptions{Shards: shards})
+		b.AddXMLString("first", facadeXML)
+		b.AddXMLString("second", facadeXML)
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.XQuery(q, MethodDPP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(one.Rows)
+		if len(res.Rows) != 2*n {
+			t.Fatalf("%d shards: %d rows, want %d (the rows of both documents)", shards, len(res.Rows), 2*n)
+		}
+		for i, row := range res.Rows {
+			wantID, wantDoc := "first", 0
+			if i >= n {
+				wantID, wantDoc = "second", 1
+			}
+			if row.DocID != wantID || row.Doc != wantDoc || !slices.Equal(row.Nodes, one.Rows[i%n].Nodes) {
+				t.Fatalf("%d shards: row %d = %s/%d %v, want %s/%d %v",
+					shards, i, row.DocID, row.Doc, row.Nodes, wantID, wantDoc, one.Rows[i%n].Nodes)
+			}
 		}
 	}
 }
