@@ -14,8 +14,8 @@
 #
 # `make benchquick` smoke-runs the key benchmarks at one iteration each — the
 # ablations (Lookahead Rule, estimator, time to first results), the
-# result-path, /query-encode (serial at -cpu 1, chunk-parallel at -cpu 2)
-# and plan_cold-execution layer lanes, the lanes
+# result-path, /query-encode (serial at -cpu 1, chunk-parallel at -cpu 2),
+# plan_cold-execution and first-k-execution layer lanes, the lanes
 # under them (Stack-Tree Desc/Anc by input shape and axis, posting-block
 # decode, numeric predicate parse), the storage lanes (buffer-pool hit and
 # miss, store build) and the write-side lanes (XML parse, document image
@@ -30,12 +30,12 @@
 # `make examples` runs the six example programs.
 #
 # BENCH selects the layer lanes of `make bench` (default: the plan-cache,
-# value-index and plan_cold execution lanes; BENCH=. adds the ablations and the observability,
+# value-index, plan_cold execution and first-k execution lanes; BENCH=. adds the ablations and the observability,
 # result-path, recovery and write-cycle lanes). The paper's tables and
 # figures are `go run ./cmd/xqbench all`.
 
 GO    ?= go
-BENCH ?= PlanCache|ContentIndex|ExecPlanColdTwig
+BENCH ?= PlanCache|ContentIndex|ExecPlanColdTwig|ExecFirstK
 
 .PHONY: all build test test-race vet check loc examples chaos replicachaos walchaos bench benchquick fuzzquick loadbench loadquick plannerbench plannerquick clean
 
@@ -116,7 +116,7 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|ExecFirstK|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x -cpu 1,2 ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/

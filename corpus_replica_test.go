@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -247,8 +248,8 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		t.Fatal("fixture hashed every document to one shard")
 	}
 
-	run := func() (*CorpusRunResult, error) {
-		res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{ExecOptions: ExecOptions{Limit: 1}})
+	run := func(c *Corpus, p *Plan) (*CorpusRunResult, error) {
+		res, err := c.Run(context.Background(), pat, p, RunOptions{ExecOptions: ExecOptions{Limit: 1}})
 		var pe *PanicError
 		if errors.As(err, &pe) {
 			t.Fatalf("panic escaped as error: %v\n%s", pe, pe.Stack)
@@ -271,7 +272,7 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		t.Fatal("unlimited run performed no physical reads on the racing shard — fixture too small for the pool")
 	}
 	// Baseline under the limit: establishes the exact prefix.
-	base, err := run()
+	base, err := run(c, opt.Plan)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -282,11 +283,23 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 	// Case A: the failing shard owns no document of the limit prefix. The
 	// limit cancellation and the shard's failure race; whichever wins, the
 	// outcome must be the exact prefix or the injected error — at every
-	// fault point, repeatedly, under -race.
+	// fault point, repeatedly, under -race. Each fault point gets a fresh
+	// corpus: on a warm pool the racing shard reads no page, and no fault
+	// would ever fire.
+	var injected uint64
 	for _, p := range faultPoints(reads) {
+		ca, filesA := buildReplicaCorpus(t, ids, docs, CorpusOptions{
+			Shards:     2,
+			PoolFrames: 8,
+		})
+		optA, err := ca.Optimize(pat, MethodDPP, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		racing := filesA[otherShard][0]
+		racing.SetPolicy(faultfs.Policy{FailNthRead: p})
 		for i := 0; i < 3; i++ {
-			files[otherShard][0].SetPolicy(faultfs.Policy{FailNthRead: p})
-			res, err := run()
+			res, err := run(ca, optA.Plan)
 			if err != nil {
 				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("failNth=%d: error = %v, want injected", p, err)
@@ -300,10 +313,15 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 				t.Fatalf("failNth=%d: swallowed fault produced a wrong prefix", p)
 			}
 		}
+		injected += racing.FaultsInjected()
 	}
-	for _, f := range files[otherShard] {
-		f.SetPolicy(faultfs.Policy{})
+	// One scatter worker runs the shards in order; the racing shard then
+	// reads nothing whenever the prefix shard runs first and satisfies the
+	// limit.
+	if injected == 0 && (runtime.GOMAXPROCS(0) > 1 || otherShard < firstShard) {
+		t.Fatal("Case A injected no fault: the racing shard never read a page")
 	}
+	t.Logf("Case A: %d faults injected", injected)
 
 	// Case B: the failing shard owns the prefix's first document, so the
 	// limit can never be satisfied without it — the injected error must

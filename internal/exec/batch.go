@@ -12,31 +12,44 @@ import (
 // the L2 cache.
 const BatchRows = 1024
 
+// minRefill is the smallest first refill a reader under a demand asks for:
+// a limit of one or two rows still gets a useful block.
+const minRefill = 16
+
 // Batch is a reusable block of tuples with one flat backing array: row i is
 // the width-sized slice at offset i*width. Rows handed out by Row alias the
 // backing array, so they are valid only until the batch is reset or
 // refilled — consumers that retain tuples must copy them. The caller owns
-// the batch it passes to NextBatch; operators own the batches they use to
-// read their children.
+// the batch it passes to NextBatch, and with it the batch's row cap: an
+// operator fills at most that many rows. Operators own the batches they use
+// to read their children.
 type Batch struct {
-	width int
-	rows  int
-	buf   []xmltree.NodeID
+	width  int
+	rows   int
+	rowCap int // Full at this many rows: BatchRows unless the owner capped it
+	buf    []xmltree.NodeID
 }
 
 // NewBatch returns an empty batch for tuples of the given width.
 func NewBatch(width int) *Batch {
-	return &Batch{width: width, buf: make([]xmltree.NodeID, 0, width*BatchRows)}
+	return &Batch{width: width, rowCap: BatchRows, buf: make([]xmltree.NodeID, 0, width*BatchRows)}
 }
 
-// Reset empties the batch, keeping the backing array.
+// Reset empties the batch, keeping the backing array and the row cap.
 func (b *Batch) Reset() { b.rows, b.buf = 0, b.buf[:0] }
+
+// SetCap caps the rows the next fills may put in the batch at n (at most
+// BatchRows); it holds until the next SetCap.
+func (b *Batch) SetCap(n int) { b.rowCap = min(n, BatchRows) }
 
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int { return b.rows }
 
-// Full reports whether the batch is at capacity.
-func (b *Batch) Full() bool { return b.rows >= BatchRows }
+// Full reports whether the batch is at its row cap.
+func (b *Batch) Full() bool { return b.rows >= b.rowCap }
+
+// Room returns how many more rows the batch takes before it is full.
+func (b *Batch) Room() int { return b.rowCap - b.rows }
 
 // Width returns the tuple width.
 func (b *Batch) Width() int { return b.width }
@@ -102,16 +115,39 @@ func trySeek(op Operator, pos xmltree.Pos) (int, bool, error) {
 // virtual call per tuple. The row returned by next is valid until the reader
 // refills, which happens only on the next-after-last row — so the consumer
 // may hold the current row across arbitrarily many of its own emissions.
+//
+// Under a demand (a Limit at the root) the first refill asks for that many
+// rows, at least minRefill, and each later one for twice the last, up to
+// BatchRows: a first-k execution reads about what its k rows need, and one
+// that needs more reaches full batches after a handful of refills.
+// Without a demand every refill is a full batch.
 type batchReader struct {
 	op    Operator
 	batch *Batch
+	rows  int // the next refill's row cap
 	i     int
 	eof   bool
 }
 
-// init binds the reader to op.
-func (r *batchReader) init(sc *scratch, op Operator) {
-	*r = batchReader{op: op, batch: sc.batch(op.Schema().Width())}
+// init binds the reader to op, sizing its first refill by ctx's demand.
+func (r *batchReader) init(ctx *Context, op Operator) {
+	rows := BatchRows
+	if ctx.demand > 0 {
+		rows = min(max(ctx.demand, minRefill), BatchRows)
+	}
+	*r = batchReader{op: op, batch: ctx.scratch.batch(op.Schema().Width()), rows: rows}
+}
+
+// pull refills the batch at the current size and doubles the next one.
+func (r *batchReader) pull() error {
+	r.batch.SetCap(r.rows)
+	r.rows = min(2*r.rows, BatchRows)
+	r.i = 0
+	if err := r.op.NextBatch(r.batch); err != nil {
+		return err
+	}
+	r.eof = r.batch.Len() == 0
+	return nil
 }
 
 // next returns the next row of the stream.
@@ -129,13 +165,8 @@ func (r *batchReader) refill() (Tuple, bool, error) {
 	if r.eof {
 		return nil, false, nil
 	}
-	if err := r.op.NextBatch(r.batch); err != nil {
+	if err := r.pull(); err != nil || r.eof {
 		return nil, false, err
-	}
-	r.i = 0
-	if r.batch.Len() == 0 {
-		r.eof = true
-		return nil, false, nil
 	}
 	r.i = 1
 	return r.batch.Row(0), true, nil
@@ -163,7 +194,7 @@ func (r *batchReader) skipDead(pos xmltree.Pos, doc *xmltree.Document, col int) 
 // ordered by col's Start), and once the buffer is exhausted the underlying
 // operator is seeked through the Seeker interface if it supports it —
 // otherwise whole batches are drained, which is still one virtual call per
-// BatchRows rows rather than per row.
+// batch rather than per row.
 func (r *batchReader) seekGE(pos xmltree.Pos, doc *xmltree.Document, col int) (Tuple, bool, error) {
 	for {
 		if r.i < r.batch.Len() {
@@ -185,13 +216,8 @@ func (r *batchReader) seekGE(pos xmltree.Pos, doc *xmltree.Document, col int) (T
 		}
 		// Refill regardless of seek support; unsupported seeks fall back to
 		// discarding batch-wise in the loop above.
-		if err := r.op.NextBatch(r.batch); err != nil {
+		if err := r.pull(); err != nil || r.eof {
 			return nil, false, err
-		}
-		r.i = 0
-		if r.batch.Len() == 0 {
-			r.eof = true
-			return nil, false, nil
 		}
 	}
 }

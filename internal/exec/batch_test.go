@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -318,7 +319,7 @@ func TestBatchReaderSeekWithinBuffer(t *testing.T) {
 	}
 	defer s.Close()
 	var r batchReader
-	r.init(ctx.scratch, s)
+	r.init(ctx, s)
 	first, ok, err := r.next()
 	if err != nil || !ok {
 		t.Fatalf("empty name scan: ok=%v err=%v", ok, err)
@@ -344,6 +345,56 @@ func TestBatchReaderSeekWithinBuffer(t *testing.T) {
 	// And fully past the end: stream must terminate cleanly.
 	if _, ok, err := r.seekGE(xmltree.Pos(1<<30), doc, 0); ok || err != nil {
 		t.Fatalf("seekGE past end: ok=%v err=%v, want end of stream", ok, err)
+	}
+}
+
+// TestBatchReaderDemandRamp checks how a reader sizes its refills: under a
+// demand the first asks for the demand (at least minRefill) and each later
+// one for twice the last, up to BatchRows; without one every refill is full.
+func TestBatchReaderDemandRamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	doc := xmltree.RandomDocument(rng, 6000, []string{"a"})
+	pat := pattern.MustParse("//a")
+	for _, tc := range []struct {
+		demand int
+		want   []int
+	}{
+		{0, []int{1024, 1024}},
+		{3, []int{16, 32, 64, 128, 256, 512, 1024, 1024}},
+		{40, []int{40, 80, 160, 320, 640, 1024, 1024}},
+		{5000, []int{1024, 1024}},
+	} {
+		ctx := newCtx(t, doc)
+		ctx.demand = tc.demand
+		s := NewIndexScan(pat, 0)
+		if err := s.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var r batchReader
+		r.init(ctx, s)
+		var got []int
+		for len(got) < len(tc.want) {
+			if _, ok, err := r.refill(); err != nil || !ok {
+				t.Fatalf("demand %d: refill %d: ok=%v err=%v", tc.demand, len(got), ok, err)
+			}
+			got = append(got, r.batch.Len())
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("demand %d: refills of %v rows, want %v", tc.demand, got, tc.want)
+		}
+		s.Close()
+	}
+}
+
+// TestScratchBatchUncapped checks that a batch borrowed again from a
+// recycled scratch has lost the cap its last borrower set.
+func TestScratchBatchUncapped(t *testing.T) {
+	sc := new(scratch)
+	b := sc.batch(2)
+	b.SetCap(7)
+	clear(sc.batchUsed) // what release does before pooling the scratch
+	if again := sc.batch(2); again != b || again.Room() != BatchRows {
+		t.Fatalf("re-borrowed batch has room for %d rows, want %d", again.Room(), BatchRows)
 	}
 }
 

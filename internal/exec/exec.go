@@ -108,6 +108,11 @@ type Context struct {
 	// scratch is the execution's working memory (see scratch), attached by
 	// pullBatches for the span of one execution.
 	scratch *scratch
+
+	// demand is the number of rows the execution is asked for, set by a
+	// Limit at the root when it opens (0: all of them); batch readers size
+	// their first refills by it.
+	demand int
 }
 
 // Operator is the iterator contract. Usage: Open, repeated NextBatch until
@@ -117,9 +122,9 @@ type Operator interface {
 	Schema() *Schema
 	// Open prepares the operator (and its subtree) for iteration.
 	Open(ctx *Context) error
-	// NextBatch resets b and fills it with the next rows of the stream; an
-	// empty batch marks the end of the stream. The caller owns b; on error
-	// its contents are undefined.
+	// NextBatch resets b and fills it with the next rows of the stream, at
+	// most b's row cap of them; an empty batch marks the end of the stream.
+	// The caller owns b; on error its contents are undefined.
 	NextBatch(b *Batch) error
 	// Close releases resources; must be called exactly once after Open.
 	Close() error

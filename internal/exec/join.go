@@ -189,8 +189,8 @@ func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	b.Reset()
 	if !j.started {
 		j.started = true
-		j.lr.init(j.sc, j.left)
-		j.rr.init(j.sc, j.right)
+		j.lr.init(j.ctx, j.left)
+		j.rr.init(j.ctx, j.right)
 		var err error
 		if j.lTuple, j.lOK, err = j.lr.next(); err != nil {
 			return err

@@ -1,12 +1,15 @@
 package exec
 
-// Limit caps an operator's output at n tuples and genuinely closes early:
-// the moment the n-th tuple is delivered the upstream subtree is Closed, so
-// its resources (sort buffers, stacks, scan cursors) are released before
-// the caller finishes consuming the stream. Combined with fully-pipelined
-// plans it delivers the paper's §3.4 motivation measurably: non-blocking
-// plans produce their first results long before the full result is
-// computed, which blocking (sort-containing) plans cannot do.
+// Limit caps an operator's output at n tuples and does only the work those
+// n need: it puts n on the context as the execution's demand, so every batch
+// reader below starts with a batch of about n rows, and it caps each batch
+// it asks its input for at the rows it still owes. The moment the n-th tuple
+// is delivered the upstream subtree is Closed, so its resources (sort
+// buffers, stacks, scan cursors) are released before the caller finishes
+// consuming the stream. Combined with fully-pipelined plans it delivers the
+// paper's §3.4 motivation measurably: non-blocking plans produce their first
+// results long before the full result is computed, which blocking
+// (sort-containing) plans cannot do.
 type Limit struct {
 	input     Operator
 	n         int
@@ -27,12 +30,15 @@ func NewLimit(input Operator, n int) *Limit {
 // Schema implements Operator.
 func (l *Limit) Schema() *Schema { return l.input.Schema() }
 
-// Open implements Operator.
-func (l *Limit) Open(ctx *Context) error { return l.input.Open(ctx) }
+// Open implements Operator: n becomes the execution's demand.
+func (l *Limit) Open(ctx *Context) error {
+	ctx.demand = l.n
+	return l.input.Open(ctx)
+}
 
-// NextBatch implements Operator: whole batches are pulled until the cap, the
-// final batch is truncated to it, and the upstream subtree is closed the
-// moment the cap is reached.
+// NextBatch implements Operator: each pull is capped at the rows still owed
+// (an input that overfills is truncated all the same), and the upstream
+// subtree is closed the moment the cap is reached.
 func (l *Limit) NextBatch(b *Batch) error {
 	b.Reset()
 	if l.done >= l.n || l.exhausted {
@@ -40,6 +46,7 @@ func (l *Limit) NextBatch(b *Batch) error {
 		// the cap was reached, otherwise plain end-of-stream.
 		return l.closeErr
 	}
+	b.SetCap(l.n - l.done)
 	if err := l.input.NextBatch(b); err != nil {
 		return err
 	}

@@ -74,7 +74,7 @@ func (s *IndexScan) NextBatch(b *Batch) error {
 				return err
 			}
 		}
-		n, err := s.scan.NextBlock(s.blk[:BatchRows-b.Len()])
+		n, err := s.scan.NextBlock(s.blk[:b.Room()])
 		if err != nil {
 			return fmt.Errorf("exec: index scan of %q: %w", s.tag, err)
 		}

@@ -99,7 +99,8 @@ func (s *scratch) ids(n int) []xmltree.NodeID {
 	return b
 }
 
-// batch borrows an empty batch of the given width.
+// batch borrows an empty batch of the given width, capped at BatchRows: a
+// pooled batch may still carry a limited execution's cap.
 func (s *scratch) batch(width int) *Batch {
 	for len(s.batches) <= width {
 		s.batches = append(s.batches, nil)
@@ -111,6 +112,7 @@ func (s *scratch) batch(width int) *Batch {
 	b := s.batches[width][s.batchUsed[width]]
 	s.batchUsed[width]++
 	b.Reset()
+	b.SetCap(BatchRows)
 	return b
 }
 

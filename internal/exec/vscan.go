@@ -63,7 +63,7 @@ func (s *ValueIndexScan) NextBatch(b *Batch) error {
 				return err
 			}
 		}
-		n, err := s.probe.NextBlock(s.blk[:BatchRows-b.Len()])
+		n, err := s.probe.NextBlock(s.blk[:b.Room()])
 		if err != nil {
 			return fmt.Errorf("exec: value-index scan of %q: %w", s.tag, err)
 		}
