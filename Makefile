@@ -16,14 +16,15 @@
 # ablations (Lookahead Rule, estimator, time to first results), the
 # result-path, /query-encode (serial at -cpu 1, chunk-parallel at -cpu 2),
 # plan_cold-execution and first-k-execution layer lanes, the lanes
-# under them (Stack-Tree Desc/Anc by input shape and axis, posting-block
-# decode, numeric predicate parse), the storage lanes (buffer-pool hit and
+# under them (value range probe against scan+filter, Stack-Tree Desc/Anc by
+# input shape and axis, posting-block decode, numeric predicate parse), the
+# storage lanes (buffer-pool hit and
 # miss, store build) and the write-side lanes (XML parse, document image
 # encode and decode, segment staging, store version assembly,
 # value probes at 2 and 256 segments, the four-write corpus cycle and a
 # four-shard recovery on disk WALs) included — plus the allocation regression
 # guards: a CI-friendly check that they still build, run and validate their
-# counts. `make fuzzquick` runs the seven Fuzz* targets for ten seconds each.
+# counts. `make fuzzquick` runs the eight Fuzz* targets for ten seconds each.
 # `make chaos`, `replicachaos` and `walchaos` are the fault-injection suites
 # (read faults, dead replicas, crashes at every WAL write), all under the race
 # detector. `make loc` prints the code-size table CHANGES.md quotes, and
@@ -116,7 +117,7 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|ExecFirstK|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|ExecFirstK|ValueRangeProbe|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x -cpu 1,2 ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/
@@ -130,7 +131,9 @@ benchquick:
 # forms) on arbitrary bytes, posting-block decode against a plain
 # binary.Uvarint loop, the pattern parser (what parses re-parses from
 # String() to the same Fingerprint), numeric predicate values against
-# strconv.ParseFloat bit for bit, and the XQuery compiler. The WAL target's
+# strconv.ParseFloat bit for bit, the XQuery compiler, and the Stack-Tree
+# join (both algorithms and axes, scan or join-output left input, capped
+# output batches) against its nested-loop order. The WAL target's
 # inputs run to a page-image record of 8 KB, and the default minute spent
 # minimising each new one would be its whole budget: it gets a second.
 fuzzquick:
@@ -141,6 +144,7 @@ fuzzquick:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime=10s ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNumeric$$' -fuzztime=10s ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseXQuery$$' -fuzztime=10s ./internal/xquery/
+	$(GO) test -run '^$$' -fuzz '^FuzzStackTreeJoin$$' -fuzztime=10s ./internal/exec/
 
 # Open-loop load lane: Poisson arrivals against a sharded corpus at each rate
 # of a fixed ladder, latency measured from arrival and split into queue wait

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sort"
-
-	"sjos/internal/xmltree"
-)
+import "sjos/internal/xmltree"
 
 // BatchRows is the number of tuples one Batch holds: large enough to
 // amortise the per-call virtual dispatch of the iterator contract over ~1K
@@ -66,13 +62,6 @@ func (b *Batch) AppendRow(t Tuple) {
 	b.rows++
 }
 
-// AppendPair copies a join output (left tuple then right tuple) into the
-// batch without materialising the concatenation anywhere else.
-func (b *Batch) AppendPair(l, r Tuple) {
-	b.buf = append(append(b.buf, l...), r...)
-	b.rows++
-}
-
 // AppendID copies a single-column row into the batch (the scan fast path).
 func (b *Batch) AppendID(id xmltree.NodeID) {
 	b.buf = append(b.buf, id)
@@ -94,27 +83,28 @@ func (b *Batch) Truncate(n int) {
 }
 
 // Seeker is the skip-ahead contract: SeekGE discards every pending output
-// row whose join-column Start position is below pos, without producing it.
-// ok is false when the operator cannot seek (then nothing was consumed);
-// skipped counts the index postings bypassed. Only operators whose output
-// is ordered by the sought column's Start position may implement it.
+// row whose join column holds a NodeID below id, without producing it. ok is
+// false when the operator cannot seek (then nothing was consumed); skipped
+// counts the index postings bypassed. Only operators whose output is ordered
+// by the sought column may implement it; NodeIDs are assigned in document
+// order, so that is the column's Start order.
 type Seeker interface {
-	SeekGE(pos xmltree.Pos) (skipped int, ok bool, err error)
+	SeekGE(id xmltree.NodeID) (skipped int, ok bool, err error)
 }
 
 // trySeek seeks op if it supports skip-ahead.
-func trySeek(op Operator, pos xmltree.Pos) (int, bool, error) {
+func trySeek(op Operator, id xmltree.NodeID) (int, bool, error) {
 	if s, ok := op.(Seeker); ok {
-		return s.SeekGE(pos)
+		return s.SeekGE(id)
 	}
 	return 0, false, nil
 }
 
 // batchReader pulls one operator's output through a batch borrowed from the
-// execution's scratch, serving rows with plain slice indexing instead of a
-// virtual call per tuple. The row returned by next is valid until the reader
-// refills, which happens only on the next-after-last row — so the consumer
-// may hold the current row across arbitrarily many of its own emissions.
+// execution's scratch and holds a current row, which the join drivers read
+// in place: column c of it is buf[i+c], i counting node IDs, not rows. The
+// row stays valid until the reader moves past it; moving past a batch's last
+// row refills.
 //
 // Under a demand (a Limit at the root) the first refill asks for that many
 // rows, at least minRefill, and each later one for twice the last, up to
@@ -124,100 +114,117 @@ func trySeek(op Operator, pos xmltree.Pos) (int, bool, error) {
 type batchReader struct {
 	op    Operator
 	batch *Batch
-	rows  int // the next refill's row cap
-	i     int
+	rows  int              // the next refill's row cap
+	buf   []xmltree.NodeID // the batch's rows, flat
+	w     int              // row width
+	i, n  int              // the current row's offset in buf, and len(buf): i < n while there is one
 	eof   bool
 }
 
-// init binds the reader to op, sizing its first refill by ctx's demand.
+// init binds the reader to op, sizing its first refill by ctx's demand; the
+// first row arrives with the first pull.
 func (r *batchReader) init(ctx *Context, op Operator) {
 	rows := BatchRows
 	if ctx.demand > 0 {
 		rows = min(max(ctx.demand, minRefill), BatchRows)
 	}
-	*r = batchReader{op: op, batch: ctx.scratch.batch(op.Schema().Width()), rows: rows}
+	w := op.Schema().Width()
+	*r = batchReader{op: op, batch: ctx.scratch.batch(w), rows: rows, w: w}
 }
 
-// pull refills the batch at the current size and doubles the next one.
+// pull refills the batch at the current size, doubles the next one, and
+// makes the batch's first row current.
 func (r *batchReader) pull() error {
 	r.batch.SetCap(r.rows)
 	r.rows = min(2*r.rows, BatchRows)
-	r.i = 0
+	r.i, r.n = 0, 0
 	if err := r.op.NextBatch(r.batch); err != nil {
 		return err
 	}
-	r.eof = r.batch.Len() == 0
+	r.buf, r.n = r.batch.buf, len(r.batch.buf)
+	r.eof = r.n == 0
 	return nil
 }
 
-// next returns the next row of the stream.
-func (r *batchReader) next() (Tuple, bool, error) {
-	if r.i < r.batch.Len() {
-		t := r.batch.Row(r.i)
-		r.i++
-		return t, true, nil
+// ok reports whether the reader holds a current row.
+func (r *batchReader) ok() bool { return r.i < r.n }
+
+// id returns column col of the current row.
+func (r *batchReader) id(col int) xmltree.NodeID { return r.buf[r.i+col] }
+
+// row returns the current row, a view valid until the reader moves past it.
+func (r *batchReader) row() Tuple { return r.buf[r.i : r.i+r.w : r.i+r.w] }
+
+// advance moves to the next row, refilling past the batch's last.
+func (r *batchReader) advance() error {
+	if r.i += r.w; r.i < r.n || r.eof {
+		return nil
 	}
-	return r.refill()
+	return r.pull()
 }
 
-// refill fetches the next batch and serves its first row.
-func (r *batchReader) refill() (Tuple, bool, error) {
-	if r.eof {
-		return nil, false, nil
-	}
-	if err := r.pull(); err != nil || r.eof {
-		return nil, false, err
-	}
-	r.i = 1
-	return r.batch.Row(0), true, nil
-}
+// stop ends the stream without reading the rest of it.
+func (r *batchReader) stop() { r.i, r.n, r.eof = 0, 0, true }
 
-// skipDead passes over the current row and the run of rows after it whose
-// col region ends before pos, and returns the first row that does not: the
-// join's dead ancestors, dismissed with one End lookup each.
-func (r *batchReader) skipDead(pos xmltree.Pos, doc *xmltree.Document, col int) (Tuple, bool, error) {
-	for {
-		buf, w := r.batch.buf, r.batch.width
-		for ; r.i < r.batch.rows; r.i++ {
-			if doc.End(buf[r.i*w+col]) >= pos {
-				return r.next()
+// skipDead moves past the current row and the run after it whose col region
+// ends before pos: the join's dead ancestors, dismissed with one End lookup
+// each.
+func (r *batchReader) skipDead(end []xmltree.Pos, pos xmltree.Pos, col int) error {
+	for r.i += r.w; ; {
+		for ; r.i < r.n; r.i += r.w {
+			if end[r.buf[r.i+col]] >= pos {
+				return nil
 			}
-		}
-		if t, ok, err := r.refill(); !ok || err != nil || doc.End(t[col]) >= pos {
-			return t, ok, err
-		}
-	}
-}
-
-// seekGE advances the reader to the first row whose col Start position is
-// >= pos: buffered rows are skipped with a binary search (the stream is
-// ordered by col's Start), and once the buffer is exhausted the underlying
-// operator is seeked through the Seeker interface if it supports it —
-// otherwise whole batches are drained, which is still one virtual call per
-// batch rather than per row.
-func (r *batchReader) seekGE(pos xmltree.Pos, doc *xmltree.Document, col int) (Tuple, bool, error) {
-	for {
-		if r.i < r.batch.Len() {
-			n := r.batch.Len()
-			j := r.i + sort.Search(n-r.i, func(k int) bool {
-				return doc.Start(r.batch.Row(r.i + k)[col]) >= pos
-			})
-			if j < n {
-				r.i = j + 1
-				return r.batch.Row(j), true, nil
-			}
-			r.i = n
 		}
 		if r.eof {
-			return nil, false, nil
+			return nil
 		}
-		if _, _, err := trySeek(r.op, pos); err != nil {
-			return nil, false, err
+		if err := r.pull(); err != nil {
+			return err
 		}
-		// Refill regardless of seek support; unsupported seeks fall back to
-		// discarding batch-wise in the loop above.
-		if err := r.pull(); err != nil || r.eof {
-			return nil, false, err
+	}
+}
+
+// seek moves to the first row, from the current one on, whose col holds an
+// id >= id. The stream is ordered by col, and a gap is usually a few rows, so
+// buffered rows are galloped over: probes at doubling distances, then a
+// binary search inside the last step. Once the buffer is exhausted the
+// operator is seeked through Seeker if it supports it, and refilled either
+// way — an operator that cannot seek is drained a batch at a time by the
+// same loop.
+func (r *batchReader) seek(id xmltree.NodeID, col int) error {
+	for {
+		buf, w, n := r.buf, r.w, r.n
+		if lo := r.i; lo < n {
+			if buf[lo+col] >= id {
+				return nil
+			}
+			// Keep buf[lo] < id, and hi at n or at a row >= id.
+			hi, step := lo+w, w
+			for hi < n && buf[hi+col] < id {
+				lo, step = hi, 2*step
+				hi = min(lo+step, n)
+			}
+			for lo+w < hi {
+				mid := lo + (hi-lo)/(2*w)*w
+				if buf[mid+col] < id {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			if r.i = hi; hi < n {
+				return nil
+			}
+		}
+		if r.eof {
+			return nil
+		}
+		if _, _, err := trySeek(r.op, id); err != nil {
+			return err
+		}
+		if err := r.pull(); err != nil {
+			return err
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -302,27 +303,6 @@ func checkJoin(t *testing.T, doc *xmltree.Document, pat *pattern.Pattern, mk fun
 	ls, rs := drain(l), drain(r)
 	lCol, _ := l.Schema().Col(anc)
 	rCol, _ := r.Schema().Col(desc)
-	pair := func(out []Tuple, lt, rt Tuple) []Tuple {
-		rel := doc.IsAncestor
-		if ax == pattern.Child {
-			rel = doc.IsParent
-		}
-		if rel(lt[lCol], rt[rCol]) {
-			out = append(out, append(append(Tuple(nil), lt...), rt...))
-		}
-		return out
-	}
-	want := map[plan.Algo][]Tuple{}
-	for _, lt := range ls {
-		for _, rt := range rs {
-			want[plan.AlgoAnc] = pair(want[plan.AlgoAnc], lt, rt)
-		}
-	}
-	for _, rt := range rs {
-		for _, lt := range ls {
-			want[plan.AlgoDesc] = pair(want[plan.AlgoDesc], lt, rt)
-		}
-	}
 	ref := ReferenceMatches(doc, pat)
 	stats := map[plan.Algo]Stats{}
 	for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
@@ -340,18 +320,53 @@ func checkJoin(t *testing.T, doc *xmltree.Document, pat *pattern.Pattern, mk fun
 		if norm := NormalizeAll(j.Schema(), pat.N(), got); !sortedEq(norm, append([]Tuple(nil), ref...)) {
 			t.Errorf("%s via %v: %d rows, brute force %d", pat, algo, len(got), len(ref))
 		}
-		if len(got) != len(want[algo]) {
-			t.Errorf("%s via %v: %d rows, nested loop %d", pat, algo, len(got), len(want[algo]))
-			continue
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[algo][i]) {
-				t.Errorf("%s via %v: row %d is %v, want %v", pat, algo, i, got[i], want[algo][i])
-				break
-			}
-		}
+		checkNestedLoop(t, fmt.Sprintf("%s via %v", pat, algo), got, nestedLoop(doc, ls, rs, lCol, rCol, ax, algo))
 	}
 	return stats
+}
+
+// nestedLoop is the row sequence a Stack-Tree variant promises over the
+// input streams ls and rs: left-major for Anc, right-major for Desc.
+func nestedLoop(doc *xmltree.Document, ls, rs []Tuple, lCol, rCol int, ax pattern.Axis, algo plan.Algo) []Tuple {
+	rel := doc.IsAncestor
+	if ax == pattern.Child {
+		rel = doc.IsParent
+	}
+	var out []Tuple
+	pair := func(lt, rt Tuple) {
+		if rel(lt[lCol], rt[rCol]) {
+			out = append(out, append(append(Tuple(nil), lt...), rt...))
+		}
+	}
+	if algo == plan.AlgoAnc {
+		for _, lt := range ls {
+			for _, rt := range rs {
+				pair(lt, rt)
+			}
+		}
+		return out
+	}
+	for _, rt := range rs {
+		for _, lt := range ls {
+			pair(lt, rt)
+		}
+	}
+	return out
+}
+
+// checkNestedLoop holds a join's rows to the nested loop's, row for row.
+func checkNestedLoop(t testing.TB, what string, got, want []Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d rows, nested loop %d", what, len(got), len(want))
+		return
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: row %d is %v, want %v", what, i, got[i], want[i])
+			return
+		}
+	}
 }
 
 // checkEdge is checkJoin for "//anc//desc" and "//anc/desc" over two index
@@ -445,4 +460,114 @@ func TestAncBatchFillsExactly(t *testing.T) {
 			t.Errorf("n=%d: %d batches, %d pairs formed; want %d full-to-the-row batches and %d pairs", n, st.Batches, st.BufferedPairs, want, 2*n)
 		}
 	}
+}
+
+// FuzzStackTreeJoin joins small nested documents read from the input — up
+// to 64 elements over two or three tags — on either axis with either
+// algorithm, over a left input of width 1 (a scan) or 2 (an Anc join
+// ordered by the ancestor, repeating it), draining the join through output
+// batches capped at a row count taken from the input, so emission resumes
+// mid-batch. Rows and their order must be the nested loop's.
+func FuzzStackTreeJoin(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 4, 1, 5, 3, 2, 3, 3, 1, 3})
+	f.Add([]byte{1, 7, 2, 0, 0, 0, 1, 3, 1, 3, 3, 2, 3, 3, 0, 1, 1, 3})
+	f.Add([]byte{0, 2, 0, 0, 4, 8, 12, 1, 5, 3, 3, 3, 3, 2, 6, 10})
+	f.Add([]byte("01000011"))                            // a batch fills mid-emission under three nested ancestors
+	f.Add([]byte("\x07\x07\x01aacbbacb\x0c\x0cab\x0cc")) // a wide Anc left input on a descendant edge
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		tags := []string{"a", "b", "c"}[:2+int(in[0]&1)]
+		ax := pattern.Axis(in[1] & 1)
+		algo := []plan.Algo{plan.AlgoDesc, plan.AlgoAnc}[in[1]>>1&1]
+		wide := in[1]>>2&1 == 1
+		rowCap := 1 + int(in[2]%9)
+		// Each byte opens an element (a tag from its low bits) or, when its
+		// high bits say so, closes the innermost open one.
+		var sb strings.Builder
+		sb.WriteString("<r>")
+		var open []string
+		nodes := 0
+		for _, c := range in[3:] {
+			if c>>2&3 == 3 && len(open) > 0 {
+				sb.WriteString("</" + open[len(open)-1] + ">")
+				open = open[:len(open)-1]
+			} else if nodes < 64 {
+				tag := tags[int(c)%len(tags)]
+				sb.WriteString("<" + tag + ">")
+				open = append(open, tag)
+				nodes++
+			}
+		}
+		for len(open) > 0 {
+			sb.WriteString("</" + open[len(open)-1] + ">")
+			open = open[:len(open)-1]
+		}
+		sb.WriteString("</r>")
+		doc := mustParseDoc(t, sb.String())
+
+		anc, desc, other := tags[0], tags[1], tags[len(tags)-1]
+		var pat *pattern.Pattern
+		var mk func() (Operator, Operator)
+		descNode := 1
+		if !wide {
+			pat = edgePattern(anc, desc, ax)
+			mk = func() (Operator, Operator) { return NewIndexScan(pat, 0), NewIndexScan(pat, 1) }
+		} else {
+			step := "//"
+			if ax == pattern.Child {
+				step = "/"
+			}
+			pat = pattern.MustParse("//" + anc + "[.//" + other + "]" + step + desc)
+			descNode = 2
+			mk = func() (Operator, Operator) {
+				l, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pattern.Descendant, plan.AlgoAnc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return l, NewIndexScan(pat, 2)
+			}
+		}
+		l, r := mk()
+		ls, err := Drain(newCtx(t, doc), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := Drain(newCtx(t, doc), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lCol, _ := l.Schema().Col(0)
+		rCol, _ := r.Schema().Col(descNode)
+		want := nestedLoop(doc, ls, rs, lCol, rCol, ax, algo)
+
+		l, r = mk()
+		j, err := NewStackTreeJoin(l, r, 0, descNode, ax, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Open(newCtx(t, doc)); err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		b := NewBatch(j.Schema().Width())
+		var got []Tuple
+		for {
+			b.SetCap(rowCap)
+			if err := j.NextBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() == 0 {
+				break
+			}
+			if b.Len() > rowCap {
+				t.Fatalf("batch of %d rows over a cap of %d", b.Len(), rowCap)
+			}
+			for i := 0; i < b.Len(); i++ {
+				got = append(got, append(Tuple(nil), b.Row(i)...))
+			}
+		}
+		checkNestedLoop(t, fmt.Sprintf("%s via %v over %s", pat, algo, sb.String()), got, want)
+	})
 }

@@ -97,14 +97,13 @@ func (s *IndexScan) NextBatch(b *Batch) error {
 	return nil
 }
 
-// SeekGE implements Seeker: the scan jumps over every posting whose Start
-// position is below pos with a binary search in the index instead of
-// reading them.
-func (s *IndexScan) SeekGE(pos xmltree.Pos) (int, bool, error) {
+// SeekGE implements Seeker: the scan jumps over every posting below id with
+// a search in the index instead of reading them.
+func (s *IndexScan) SeekGE(id xmltree.NodeID) (int, bool, error) {
 	if s.done {
 		return 0, true, nil
 	}
-	skipped, err := s.scan.SeekGE(pos)
+	skipped, err := s.scan.SeekGE(id)
 	if err != nil {
 		return 0, false, fmt.Errorf("exec: index scan of %q: %w", s.tag, err)
 	}

@@ -80,13 +80,6 @@ func (s *scratch) keep(t Tuple) int32 {
 	return h
 }
 
-// keepPair copies the concatenation of l and r into the slab.
-func (s *scratch) keepPair(l, r Tuple) int32 {
-	h, dst := s.alloc(len(l) + len(r))
-	copy(dst[copy(dst, l):], r)
-	return h
-}
-
 // tuple returns the n-wide tuple alloc handed out as h.
 func (s *scratch) tuple(h int32, n int) Tuple {
 	off := int(h) & (slabChunk - 1)

@@ -266,8 +266,8 @@ func (t *traced) NextBatch(b *Batch) error {
 
 // SeekGE implements Seeker by delegating to the wrapped operator (if it can
 // seek), recording the skipped postings in the trace.
-func (t *traced) SeekGE(pos xmltree.Pos) (int, bool, error) {
-	skipped, ok, err := trySeek(t.inner, pos)
+func (t *traced) SeekGE(id xmltree.NodeID) (int, bool, error) {
+	skipped, ok, err := trySeek(t.inner, id)
 	if ok {
 		t.rec.Skipped += int64(skipped)
 	}

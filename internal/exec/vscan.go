@@ -78,14 +78,14 @@ func (s *ValueIndexScan) NextBatch(b *Batch) error {
 }
 
 // SeekGE implements Seeker on the probe path (the fallback delegates).
-func (s *ValueIndexScan) SeekGE(pos xmltree.Pos) (int, bool, error) {
+func (s *ValueIndexScan) SeekGE(id xmltree.NodeID) (int, bool, error) {
 	if s.probe == nil {
-		return s.IndexScan.SeekGE(pos)
+		return s.IndexScan.SeekGE(id)
 	}
 	if s.done {
 		return 0, true, nil
 	}
-	skipped, err := s.probe.SeekGE(pos)
+	skipped, err := s.probe.SeekGE(id)
 	if err != nil {
 		return 0, false, fmt.Errorf("exec: value-index scan of %q: %w", s.tag, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sjos/internal/xmltree"
@@ -15,11 +16,11 @@ import (
 // delta+varint encoded blocks of at most postingsBlockLen NodeIDs. Blocks
 // never cross a page boundary, so one block decode pins exactly one page,
 // and the per-run block directory (kept in memory, like the tag directory
-// itself) carries each block's first NodeID and first Start position. That
-// directory makes SeekGE a binary search over in-memory block headers plus
-// at most one in-block search, and NextBlock a straight block-by-block
-// decode — the skip-ahead and batch contracts of the uncompressed format,
-// at a fraction of the on-disk size.
+// itself) carries each block's first NodeID. NodeIDs are assigned in
+// document order, so that directory makes SeekGE a binary search over
+// in-memory block headers plus at most one search of a decoded block, and
+// NextBlock a straight block-by-block decode — the skip-ahead and batch
+// contracts of the uncompressed format, at a fraction of the on-disk size.
 //
 // Block wire format (within a page payload):
 //
@@ -33,15 +34,14 @@ const postingsBlockLen = 128
 const maxBlockBytes = 2*binary.MaxVarintLen32 + (postingsBlockLen-1)*binary.MaxVarintLen32
 
 // blockRef locates one encoded block and summarises its content. The
-// directory entry is what makes block-wise skip-ahead cheap: firstStart is
+// directory entry is what makes block-wise skip-ahead cheap: firstID is
 // consulted without touching the page.
 type blockRef struct {
-	page       PageID
-	off        uint16 // byte offset within the page payload
-	n          uint16 // postings in the block
-	startIdx   int32  // index of the block's first posting within its run
-	firstID    xmltree.NodeID
-	firstStart xmltree.Pos
+	page     PageID
+	off      uint16 // byte offset within the page payload
+	n        uint16 // postings in the block
+	startIdx int32  // index of the block's first posting within its run
+	firstID  xmltree.NodeID
 }
 
 // postingsRun is one postings list: its length and the in-memory directory
@@ -126,10 +126,8 @@ func newPostingsWriter(file PageFile, first PageID) *postingsWriter {
 }
 
 // writeRun encodes ids as blocks, appending to the current page and
-// advancing to fresh pages as needed; start resolves a NodeID to its Start
-// position for the directory (document order is Start order, so a block's
-// firstStart orders the whole run).
-func (w *postingsWriter) writeRun(ids []xmltree.NodeID, start func(xmltree.NodeID) xmltree.Pos) (postingsRun, error) {
+// advancing to fresh pages as needed.
+func (w *postingsWriter) writeRun(ids []xmltree.NodeID) (postingsRun, error) {
 	nblocks := (len(ids) + postingsBlockLen - 1) / postingsBlockLen
 	if nblocks > cap(w.refs)-len(w.refs) {
 		w.refs = make([]blockRef, 0, max(nblocks, 512))
@@ -149,12 +147,11 @@ func (w *postingsWriter) writeRun(ids []xmltree.NodeID, start func(xmltree.NodeI
 		}
 		copy(w.page[PageHeaderSize+w.off:], w.scratch[:enc])
 		run.blocks = append(run.blocks, blockRef{
-			page:       w.cur,
-			off:        uint16(w.off),
-			n:          uint16(len(blk)),
-			startIdx:   int32(i),
-			firstID:    blk[0],
-			firstStart: start(blk[0]),
+			page:     w.cur,
+			off:      uint16(w.off),
+			n:        uint16(len(blk)),
+			startIdx: int32(i),
+			firstID:  blk[0],
 		})
 		w.off += enc
 		w.bytes += enc
@@ -247,57 +244,31 @@ func (sc *runCursor) blockFor(i int) int {
 	}) - 1
 }
 
-// advanceTo moves the cursor forward to the first unread posting with
-// Start >= pos. The block directory is searched in memory; at most one
-// block is decoded and binary-searched with node-record reads, so a seek
-// costs O(log blocks) memory work plus O(log blockLen) page reads — the
-// index skip-ahead behind SeekGE.
-func (sc *runCursor) advanceTo(pos xmltree.Pos) error {
+// SeekGE skips the cursor forward to the first unread posting >= id; an id
+// at or before the current position is a no-op. The block directory is
+// searched in memory and at most one block is decoded and searched, so a
+// seek costs O(log blocks) memory work plus one page read — the index
+// skip-ahead behind the executor's seeks. It returns how many postings were
+// skipped.
+func (sc *runCursor) SeekGE(id xmltree.NodeID) (int, error) {
 	blocks := sc.run.blocks
-	b := sort.Search(len(blocks), func(k int) bool {
-		return blocks[k].firstStart >= pos
-	})
+	b := sort.Search(len(blocks), func(k int) bool { return blocks[k].firstID >= id })
 	j := sc.run.count
 	if b < len(blocks) {
 		j = int(blocks[b].startIdx)
 	}
-	if b > 0 {
-		// The first posting at or past pos may sit inside the preceding block.
-		ref := blocks[b-1]
+	if b > 0 && j > sc.i {
+		// The first posting >= id may sit inside the preceding block.
 		if err := sc.loadBlock(b - 1); err != nil {
-			return err
+			return 0, err
 		}
-		lo, hi := 0, int(ref.n)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			rec, err := sc.store.NodeCtx(sc.ctx, sc.buf[mid])
-			if err != nil {
-				return err
-			}
-			if rec.Start < pos {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < int(ref.n) {
-			j = int(ref.startIdx) + lo
+		ids := sc.buf[:sc.bufN]
+		if k, _ := slices.BinarySearch(ids, id); k < len(ids) {
+			j = int(blocks[b-1].startIdx) + k
 		}
 	}
-	if j > sc.i {
-		sc.i = j
-	}
-	return nil
-}
-
-// SeekGE skips the cursor forward to the first unread posting whose Start
-// position is >= pos; a pos at or before the current position is a no-op.
-// It returns how many postings were skipped.
-func (sc *runCursor) SeekGE(pos xmltree.Pos) (int, error) {
 	before := sc.i
-	if err := sc.advanceTo(pos); err != nil {
-		return 0, err
-	}
+	sc.i = max(sc.i, j)
 	return sc.i - before, nil
 }
 

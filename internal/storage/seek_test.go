@@ -6,17 +6,6 @@ import (
 	"sjos/internal/xmltree"
 )
 
-// tagPostings returns the document's postings for tag, in document order,
-// as (id, start) pairs — the oracle for the scanner tests below.
-func tagPostings(doc *xmltree.Document, tag xmltree.TagID) ([]xmltree.NodeID, []xmltree.Pos) {
-	ids := doc.NodesWithTag(tag)
-	starts := make([]xmltree.Pos, len(ids))
-	for i, id := range ids {
-		starts[i] = doc.Start(id)
-	}
-	return ids, starts
-}
-
 // drainScanner collects every remaining posting of sc.
 func drainScanner(t *testing.T, sc *TagScanner) []xmltree.NodeID {
 	t.Helper()
@@ -55,7 +44,7 @@ func TestSeekGE(t *testing.T) {
 		t.Fatal(err)
 	}
 	tag := xmltree.TagID(2)
-	ids, starts := tagPostings(doc, tag)
+	ids := doc.NodesWithTag(tag)
 	if len(ids) < 8 {
 		t.Fatalf("need at least 8 postings, got %d", len(ids))
 	}
@@ -74,7 +63,7 @@ func TestSeekGE(t *testing.T) {
 	t.Run("exactly on a posting", func(t *testing.T) {
 		sc := st.ScanTag(tag)
 		mid := len(ids) / 2
-		skipped, err := sc.SeekGE(starts[mid])
+		skipped, err := sc.SeekGE(ids[mid])
 		if err != nil || skipped != mid {
 			t.Fatalf("skipped=%d err=%v, want %d, nil", skipped, err, mid)
 		}
@@ -85,12 +74,12 @@ func TestSeekGE(t *testing.T) {
 	t.Run("between postings", func(t *testing.T) {
 		sc := st.ScanTag(tag)
 		mid := len(ids) / 2
-		// A position strictly between posting mid-1 and mid lands on mid.
-		pos := starts[mid-1] + 1
-		if pos > starts[mid] {
+		// An id strictly between posting mid-1 and mid lands on mid.
+		id := ids[mid-1] + 1
+		if id > ids[mid] {
 			t.Skip("adjacent postings")
 		}
-		if _, err := sc.SeekGE(pos); err != nil {
+		if _, err := sc.SeekGE(id); err != nil {
 			t.Fatal(err)
 		}
 		if got := drainScanner(t, sc); !equalIDs(got, ids[mid:]) {
@@ -99,7 +88,7 @@ func TestSeekGE(t *testing.T) {
 	})
 	t.Run("past the end", func(t *testing.T) {
 		sc := st.ScanTag(tag)
-		skipped, err := sc.SeekGE(starts[last] + 1)
+		skipped, err := sc.SeekGE(ids[last] + 1)
 		if err != nil || skipped != len(ids) {
 			t.Fatalf("skipped=%d err=%v, want %d, nil", skipped, err, len(ids))
 		}
@@ -110,11 +99,11 @@ func TestSeekGE(t *testing.T) {
 	t.Run("repeated seeks are monotone", func(t *testing.T) {
 		sc := st.ScanTag(tag)
 		q1, q3 := len(ids)/4, 3*len(ids)/4
-		if _, err := sc.SeekGE(starts[q3]); err != nil {
+		if _, err := sc.SeekGE(ids[q3]); err != nil {
 			t.Fatal(err)
 		}
 		// A backwards seek must not rewind.
-		if skipped, err := sc.SeekGE(starts[q1]); err != nil || skipped != 0 {
+		if skipped, err := sc.SeekGE(ids[q1]); err != nil || skipped != 0 {
 			t.Fatalf("backwards seek: skipped=%d err=%v", skipped, err)
 		}
 		if got := drainScanner(t, sc); !equalIDs(got, ids[q3:]) {
@@ -129,7 +118,7 @@ func TestSeekGE(t *testing.T) {
 			}
 		}
 		mid := len(ids) / 2
-		if _, err := sc.SeekGE(starts[mid]); err != nil {
+		if _, err := sc.SeekGE(ids[mid]); err != nil {
 			t.Fatal(err)
 		}
 		if got := drainScanner(t, sc); !equalIDs(got, ids[mid:]) {
@@ -148,7 +137,7 @@ func TestNextBlockMatchesNext(t *testing.T) {
 	}
 	for tg := 0; tg < doc.NumTags(); tg++ {
 		tag := xmltree.TagID(tg)
-		ids, _ := tagPostings(doc, tag)
+		ids := doc.NodesWithTag(tag)
 		for _, blockSize := range []int{1, 7, 256, 5000} {
 			sc := st.ScanTag(tag)
 			var got []xmltree.NodeID

@@ -146,7 +146,7 @@ func planSegment(dst PageFile, doc *xmltree.Document, span xmltree.DocSpan, base
 		if len(ids) == 0 {
 			continue
 		}
-		run, err := w.writeRun(ids, doc.Start)
+		run, err := w.writeRun(ids)
 		if err != nil {
 			return nil, fmt.Errorf("storage: segment postings: %w", err)
 		}

@@ -190,19 +190,19 @@ func TestForestStoreValueProbes(t *testing.T) {
 						}
 						// Seek to each live segment's first node and one past it.
 						for _, sp := range liveSpans {
-							for _, pos := range []xmltree.Pos{forest.Start(sp.First), forest.Start(sp.First) + 1} {
+							for _, id := range []xmltree.NodeID{sp.First, sp.First + 1} {
 								vs, _ := st.ProbeValue(tag, op, rhs)
-								skipped, err := vs.SeekGE(pos)
+								skipped, err := vs.SeekGE(id)
 								if err != nil {
 									t.Fatal(err)
 								}
 								from := 0
-								for from < len(want) && forest.Start(want[from]) < pos {
+								for from < len(want) && want[from] < id {
 									from++
 								}
 								if got := drainProbe(t, vs); skipped != from || !slices.Equal(got, want[from:]) {
 									t.Fatalf("live=%d %s %v %q seek %d: skipped %d and got %v, want %d and %v",
-										live, tag, op, rhs, pos, skipped, got, from, want[from:])
+										live, tag, op, rhs, id, skipped, got, from, want[from:])
 								}
 							}
 						}

@@ -104,7 +104,7 @@ func buildValueIndexOver(w *postingsWriter, doc *xmltree.Document, nodesOf func(
 	writeRun := func(ids []xmltree.NodeID) (postingsRun, error) {
 		vx.runs++
 		rawBytes += rawPostingSize * len(ids)
-		return w.writeRun(ids, doc.Start)
+		return w.writeRun(ids)
 	}
 	for t := range vx.tags {
 		nodes := nodesOf(xmltree.TagID(t))
@@ -297,7 +297,7 @@ func (s *Store) ProbeSelectivity(tag string, op pattern.CmpOp, value string) (in
 type ValueScanner interface {
 	Next() (xmltree.NodeID, NodeRecord, bool, error)
 	NextBlock(ids []xmltree.NodeID) (int, error)
-	SeekGE(pos xmltree.Pos) (int, error)
+	SeekGE(id xmltree.NodeID) (int, error)
 	Remaining() int
 }
 
@@ -315,266 +315,135 @@ func (s *Store) ProbeValueCtx(ctx context.Context, tag string, op pattern.CmpOp,
 		return nil, false
 	}
 	s.shared.probes.Add(1)
-	open := func(cur *runCursor, run postingsRun) *runCursor {
-		cur.init(s, ctx, run)
-		return cur
-	}
 	// Every index answers for its own nodes. The indexes are the live
 	// segments' in segment order, segments are contiguous NodeID ranges, and
-	// NodeIDs are assigned in document order: the per-index answers, one
-	// after another, are the answer in document order.
-	var hits [][]postingsRun
+	// NodeIDs are assigned in document order: one run an index (an equality
+	// probe), the runs joined one after another are the answer in document
+	// order. No hit at all is the empty probe of a value the store lacks.
+	var runs []postingsRun
 	merges := false
 	for _, vx := range s.vix {
-		if runs := vx.lookup(t, op, value, num, numeric); len(runs) > 0 {
-			hits = append(hits, runs)
-			merges = merges || len(runs) > 1
-		}
+		hit := vx.lookup(t, op, value, num, numeric)
+		runs = append(runs, hit...)
+		merges = merges || len(hit) > 1
 	}
-	if !merges {
-		// One run an index (an equality probe): joined, they are one run.
-		// No hit at all is the empty probe of a value the store lacks.
-		var run postingsRun
-		if len(hits) == 1 {
-			run = hits[0][0]
-		} else {
-			nblocks := 0
-			for _, h := range hits {
-				nblocks += len(h[0].blocks)
-			}
-			run.blocks = make([]blockRef, 0, nblocks)
-			for _, h := range hits {
-				run.append(h[0])
-			}
-		}
-		return open(&runCursor{}, run), true
+	if merges {
+		return &sortedScanner{store: s, ctx: ctx, runs: runs}, true
 	}
-	parts := make(chainScanner, len(hits))
-	for i, runs := range hits {
-		if len(runs) == 1 {
-			parts[i] = open(&runCursor{}, runs[0])
-			continue
-		}
-		// A range probe merges one run per distinct number in every segment
-		// — hundreds over a shard of many members, most of a few postings —
-		// so the children's cursors and buffers are cut from one allocation
-		// each, a buffer no longer than its run.
-		m := &mergeScanner{store: s, ctx: ctx, kids: make([]mergeKid, len(runs))}
-		curs := make([]runCursor, len(runs))
-		total := 0
+	var run postingsRun
+	if len(runs) == 1 {
+		run = runs[0]
+	} else {
+		nblocks := 0
 		for _, r := range runs {
-			total += min(r.count, postingsBlockLen)
+			nblocks += len(r.blocks)
 		}
-		bufs := make([]xmltree.NodeID, total)
-		for k, r := range runs {
-			n := min(r.count, postingsBlockLen)
-			m.kids[k] = mergeKid{cur: open(&curs[k], r), buf: bufs[:n:n]}
-			bufs = bufs[n:]
+		run.blocks = make([]blockRef, 0, nblocks)
+		for _, r := range runs {
+			run.append(r)
 		}
-		parts[i] = m
 	}
-	if len(parts) == 1 {
-		return parts[0], true
-	}
-	return &parts, true
+	cur := &runCursor{}
+	cur.init(s, ctx, run)
+	return cur, true
 }
 
-// chainScanner runs several scanners one after another; every posting of
-// one precedes, in document order, every posting of the next. Exhausted
-// scanners are dropped from the front.
-type chainScanner []ValueScanner
-
-// Next implements ValueScanner.
-func (c *chainScanner) Next() (xmltree.NodeID, NodeRecord, bool, error) {
-	for len(*c) > 0 {
-		if id, rec, ok, err := (*c)[0].Next(); ok || err != nil {
-			return id, rec, ok, err
-		}
-		*c = (*c)[1:]
-	}
-	return 0, NodeRecord{}, false, nil
-}
-
-// NextBlock implements ValueScanner.
-func (c *chainScanner) NextBlock(ids []xmltree.NodeID) (int, error) {
-	n := 0
-	for n < len(ids) && len(*c) > 0 {
-		k, err := (*c)[0].NextBlock(ids[n:])
-		n += k
-		if err != nil {
-			return n, err
-		}
-		if k == 0 {
-			*c = (*c)[1:]
-		}
-	}
-	return n, nil
-}
-
-// SeekGE implements ValueScanner: a scanner the seek leaves empty lay wholly
-// before pos, so the seek carries on into the next one.
-func (c *chainScanner) SeekGE(pos xmltree.Pos) (int, error) {
-	skipped := 0
-	for len(*c) > 0 {
-		k, err := (*c)[0].SeekGE(pos)
-		skipped += k
-		if err != nil || (*c)[0].Remaining() > 0 {
-			return skipped, err
-		}
-		*c = (*c)[1:]
-	}
-	return skipped, nil
-}
-
-// Remaining implements ValueScanner.
-func (c *chainScanner) Remaining() int {
-	n := 0
-	for _, sc := range *c {
-		n += sc.Remaining()
-	}
-	return n
-}
-
-// mergeScanner k-way merges several postings runs by NodeID (NodeIDs are
-// assigned in document order, so merging by id is merging by Start). Each
-// child refills a block-sized buffer via its cursor's NextBlock, so the
-// batched path stays block-wise: no per-posting node-record reads.
-type mergeScanner struct {
+// sortedScanner serves a range probe, which reads one run per distinct
+// number in every segment: on first use it decodes every run's blocks into
+// one slice and sorts it by NodeID (document order), so a posting costs a
+// copy and its share of one sort, whatever the number of runs, and a seek is
+// a binary search with no node-record reads. The runs of neighbouring
+// numbers share pages, so a page stays pinned across the blocks it holds.
+type sortedScanner struct {
 	store *Store
 	ctx   context.Context
-	kids  []mergeKid
+	runs  []postingsRun // until loaded
+	ids   []xmltree.NodeID
+	i     int
 }
 
-type mergeKid struct {
-	cur  *runCursor
-	buf  []xmltree.NodeID
-	pos  int
-	n    int
-	done bool
-}
-
-// fill tops up one child's buffer if it is empty.
-func (m *mergeScanner) fill(k *mergeKid) error {
-	if k.done || k.pos < k.n {
+// load reads and sorts the runs once.
+func (m *sortedScanner) load() error {
+	if m.runs == nil {
 		return nil
 	}
-	n, err := k.cur.NextBlock(k.buf)
-	if err != nil {
-		return err
+	total := 0
+	for _, r := range m.runs {
+		total += r.count
 	}
-	if n == 0 {
-		k.done = true
-		return nil
+	ids := make([]xmltree.NodeID, total)
+	n, blocks := 0, 0
+	pool := m.store.pool
+	var pg *Page
+	var pinned PageID
+	for _, r := range m.runs {
+		for _, ref := range r.blocks {
+			if pg == nil || ref.page != pinned {
+				if pg != nil {
+					pool.Unpin(pinned, false)
+				}
+				var err error
+				if pg, err = pool.GetCtx(m.ctx, ref.page); err != nil {
+					return err
+				}
+				pinned = ref.page
+			}
+			if err := decodeBlock(pg[PageHeaderSize:], ref, ids[n:]); err != nil {
+				pool.Unpin(pinned, false)
+				return err
+			}
+			n += int(ref.n)
+			blocks++
+		}
 	}
-	k.pos, k.n = 0, n
+	if pg != nil {
+		pool.Unpin(pinned, false)
+	}
+	m.store.shared.blocksDecoded.Add(uint64(blocks))
+	slices.Sort(ids)
+	m.ids, m.runs = ids, nil
 	return nil
 }
 
-// minKid returns the child holding the smallest buffered id (-1 when all
-// children are exhausted). The child count is the number of merged value
-// groups — small — so a linear min is cheaper than heap bookkeeping.
-func (m *mergeScanner) minKid() (int, error) {
-	best := -1
-	var bestID xmltree.NodeID
-	for i := range m.kids {
-		k := &m.kids[i]
-		if err := m.fill(k); err != nil {
-			return 0, err
-		}
-		if k.done {
-			continue
-		}
-		if id := k.buf[k.pos]; best < 0 || id < bestID {
-			best, bestID = i, id
-		}
-	}
-	return best, nil
-}
-
 // Next implements ValueScanner.
-func (m *mergeScanner) Next() (xmltree.NodeID, NodeRecord, bool, error) {
-	i, err := m.minKid()
-	if err != nil {
+func (m *sortedScanner) Next() (xmltree.NodeID, NodeRecord, bool, error) {
+	if err := m.load(); err != nil || m.i == len(m.ids) {
 		return 0, NodeRecord{}, false, err
 	}
-	if i < 0 {
-		return 0, NodeRecord{}, false, nil
-	}
-	k := &m.kids[i]
-	id := k.buf[k.pos]
-	k.pos++
+	id := m.ids[m.i]
 	rec, err := m.store.NodeCtx(m.ctx, id)
 	if err != nil {
 		return 0, NodeRecord{}, false, err
 	}
+	m.i++
 	return id, rec, true, nil
 }
 
-// NextBlock implements ValueScanner: the merge happens over in-memory
-// buffers, so no node records are read at all.
-func (m *mergeScanner) NextBlock(ids []xmltree.NodeID) (int, error) {
-	n := 0
-	for n < len(ids) {
-		i, err := m.minKid()
-		if err != nil {
-			return n, err
-		}
-		if i < 0 {
-			break
-		}
-		k := &m.kids[i]
-		ids[n] = k.buf[k.pos]
-		k.pos++
-		n++
+// NextBlock implements ValueScanner.
+func (m *sortedScanner) NextBlock(ids []xmltree.NodeID) (int, error) {
+	if err := m.load(); err != nil {
+		return 0, err
 	}
+	n := copy(ids, m.ids[m.i:])
+	m.i += n
 	return n, nil
 }
 
-// SeekGE implements ValueScanner: each child first drops buffered postings
-// below pos (binary search with node-record reads), then delegates the
-// remainder of the skip to its cursor.
-func (m *mergeScanner) SeekGE(pos xmltree.Pos) (int, error) {
-	skipped := 0
-	for i := range m.kids {
-		k := &m.kids[i]
-		if k.pos < k.n {
-			lo, hi := k.pos, k.n
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				rec, err := m.store.NodeCtx(m.ctx, k.buf[mid])
-				if err != nil {
-					return skipped, err
-				}
-				if rec.Start < pos {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			skipped += lo - k.pos
-			k.pos = lo
-			if k.pos < k.n {
-				continue // target position is inside the buffer
-			}
-		}
-		if k.done {
-			continue
-		}
-		sk, err := k.cur.SeekGE(pos)
-		if err != nil {
-			return skipped, err
-		}
-		skipped += sk
+// SeekGE implements ValueScanner.
+func (m *sortedScanner) SeekGE(id xmltree.NodeID) (int, error) {
+	if err := m.load(); err != nil {
+		return 0, err
 	}
-	return skipped, nil
+	k, _ := slices.BinarySearch(m.ids[m.i:], id)
+	m.i += k
+	return k, nil
 }
 
 // Remaining implements ValueScanner.
-func (m *mergeScanner) Remaining() int {
-	n := 0
-	for i := range m.kids {
-		k := &m.kids[i]
-		n += (k.n - k.pos) + k.cur.Remaining()
+func (m *sortedScanner) Remaining() int {
+	n := len(m.ids) - m.i
+	for _, r := range m.runs {
+		n += r.count
 	}
 	return n
 }

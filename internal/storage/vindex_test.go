@@ -235,12 +235,11 @@ func TestValueProbeSeekGEBlockBoundaries(t *testing.T) {
 		}
 		targets = append(targets, 0, len(all)-1)
 		for _, ti := range targets {
-			pos := doc.Start(all[ti])
 			vs, ok := st.ProbeValue("num", probe.op, probe.rhs)
 			if !ok {
 				t.Fatalf("%v %q: probe declined", probe.op, probe.rhs)
 			}
-			if _, err := vs.SeekGE(pos); err != nil {
+			if _, err := vs.SeekGE(all[ti]); err != nil {
 				t.Fatal(err)
 			}
 			got := drainProbe(t, vs)
@@ -258,7 +257,7 @@ func TestValueProbeSeekGEBlockBoundaries(t *testing.T) {
 		}
 		// Seeking past the last posting exhausts the probe.
 		vs, _ := st.ProbeValue("num", probe.op, probe.rhs)
-		if _, err := vs.SeekGE(doc.Start(all[len(all)-1]) + 1); err != nil {
+		if _, err := vs.SeekGE(all[len(all)-1] + 1); err != nil {
 			t.Fatal(err)
 		}
 		if got := drainProbe(t, vs); len(got) != 0 {

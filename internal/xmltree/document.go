@@ -67,6 +67,13 @@ func (d *Document) End(n NodeID) Pos { return d.end[n] }
 // Level returns the depth of n; the document root has level 0.
 func (d *Document) Level(n NodeID) uint16 { return d.level[n] }
 
+// Regions returns the start, end and level columns, indexed by NodeID, for
+// loops that would otherwise pay a method call per lookup. They are the
+// document's own slices: callers must not write to them.
+func (d *Document) Regions() (start, end []Pos, level []uint16) {
+	return d.start, d.end, d.level
+}
+
 // Tag returns the dictionary-encoded tag of n.
 func (d *Document) Tag(n NodeID) TagID { return d.tag[n] }
 
