@@ -1,6 +1,7 @@
 package sjos
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -20,11 +21,11 @@ func TestBatchedTupleDifferential(t *testing.T) {
 			pat := randomTwig(rng, tags, 2+rng.Intn(4))
 			want := canonicalize(referenceMatches(db, pat))
 			for _, m := range methods {
-				res, err := db.Optimize(pat, m, 0)
+				res, err := db.OptimizeContext(context.Background(), pat, m, 0)
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}
-				r, err := db.Run(nil, pat, res.Plan, RunOptions{})
+				r, err := db.Run(nil, pat, res.Plan, QueryOptions{})
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}
@@ -33,7 +34,7 @@ func TestBatchedTupleDifferential(t *testing.T) {
 						trial, m, pat, len(got), len(want))
 				}
 				// CountOnly must agree without materialising.
-				rc, err := db.Run(nil, pat, res.Plan, RunOptions{CountOnly: true})
+				rc, err := db.Run(nil, pat, res.Plan, QueryOptions{CountOnly: true})
 				if err != nil {
 					t.Fatalf("trial %d %v count on %s: %v", trial, m, pat, err)
 				}
@@ -51,11 +52,8 @@ func TestBatchedTupleDifferential(t *testing.T) {
 func TestBatchedLimitAndStats(t *testing.T) {
 	db := datasetCorpus(t, "pers", 1, 1, nil)
 	pat := MustParsePattern("//manager//employee/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := db.Run(nil, pat, res.Plan, RunOptions{})
+	res := mustOptimize(t, db, pat, MethodDPP)
+	full, err := db.Run(nil, pat, res.Plan, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestBatchedLimitAndStats(t *testing.T) {
 		t.Fatalf("fixture too small: %d matches", full.Count)
 	}
 	for _, lim := range []int{1, 2, full.Count + 10} {
-		r, err := db.Run(nil, pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Limit: lim}})
+		r, err := db.Run(nil, pat, res.Plan, QueryOptions{ExecOptions: ExecOptions{Limit: lim}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +84,8 @@ func TestBatchedLimitAndStats(t *testing.T) {
 func TestBatchedTraceReportsBatches(t *testing.T) {
 	db := datasetCorpus(t, "pers", 1, 1, nil)
 	pat := MustParsePattern("//manager//employee/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := db.Run(nil, pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Trace: true}})
+	res := mustOptimize(t, db, pat, MethodDPP)
+	r, err := db.Run(nil, pat, res.Plan, QueryOptions{ExecOptions: ExecOptions{Trace: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +118,7 @@ func TestBatchedTraceReportsBatches(t *testing.T) {
 // counters into the process metrics registry.
 func TestMetricsCountBatches(t *testing.T) {
 	db := datasetCorpus(t, "pers", 1, 1, nil)
-	if _, err := db.Query("//manager//employee/name", MethodDPP); err != nil {
+	if _, err := db.QueryContext(context.Background(), "//manager//employee/name", methodOpts(MethodDPP)); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Metrics().Query.Batches; got == 0 {

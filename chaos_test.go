@@ -36,7 +36,7 @@ func chaosDB(t *testing.T, seed int64, n int) (*Corpus, *faultfs.File) {
 // runChaos executes one plan under the current fault policy and enforces the
 // invariants that hold regardless of outcome: no panic-typed error, no
 // leaked pins.
-func runChaos(t *testing.T, db *Corpus, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
+func runChaos(t *testing.T, db *Corpus, pat *Pattern, p *Plan, opts QueryOptions) (*CorpusRunResult, error) {
 	t.Helper()
 	res, err := db.Run(context.Background(), pat, p, opts)
 	var pe *PanicError
@@ -71,14 +71,14 @@ func TestChaosDifferential(t *testing.T) {
 	want := len(referenceMatches(db, pat))
 	var failFired, corruptFired, healed int
 	for _, m := range methods {
-		opt, err := db.Optimize(pat, m, 0)
+		opt, err := db.OptimizeContext(context.Background(), pat, m, 0)
 		if err != nil {
 			t.Fatalf("%v: optimize: %v", m, err)
 		}
 		// Fault-free baseline; also measures the run's physical read
 		// count so the fault sweep covers its real I/O schedule.
 		ff.SetPolicy(faultfs.Policy{})
-		base, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
+		base, err := runChaos(t, db, pat, opt.Plan, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%v: baseline: %v", m, err)
 		}
@@ -90,7 +90,7 @@ func TestChaosDifferential(t *testing.T) {
 			// Permanent read failure: correct result (fault point past
 			// this run's reads) or the injected error.
 			ff.SetPolicy(faultfs.Policy{FailNthRead: p})
-			if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+			if res, err := runChaos(t, db, pat, opt.Plan, QueryOptions{}); err != nil {
 				failFired++
 				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("%v failNth=%d: error = %v, want injected", m, p, err)
@@ -102,7 +102,7 @@ func TestChaosDifferential(t *testing.T) {
 			// Transient read failure: the pool's retry loop must heal it
 			// — the full, correct result, no error.
 			ff.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
-			res, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
+			res, err := runChaos(t, db, pat, opt.Plan, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%v transient failNth=%d: %v", m, p, err)
 			}
@@ -116,7 +116,7 @@ func TestChaosDifferential(t *testing.T) {
 			// Permanent corruption: checksum verification must catch the
 			// flipped bit and surface a typed CorruptPageError.
 			ff.SetPolicy(faultfs.Policy{CorruptNthRead: p})
-			if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+			if res, err := runChaos(t, db, pat, opt.Plan, QueryOptions{}); err != nil {
 				corruptFired++
 				var ce *CorruptPageError
 				if !errors.As(err, &ce) {
@@ -130,7 +130,7 @@ func TestChaosDifferential(t *testing.T) {
 			// clean — must heal to the correct result.
 			ff.SetPolicy(faultfs.Policy{CorruptNthRead: p, Transient: true})
 			before := db.Metrics().Pool.ChecksumFailures
-			res, err = runChaos(t, db, pat, opt.Plan, RunOptions{})
+			res, err = runChaos(t, db, pat, opt.Plan, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%v transient corruptNth=%d: %v", m, p, err)
 			}
@@ -157,14 +157,14 @@ func TestChaosDifferential(t *testing.T) {
 func TestChaosProbabilistic(t *testing.T) {
 	db, ff := chaosDB(t, 43, 4000)
 	pat := MustParsePattern("//a//b")
-	base, err := db.Run(context.Background(), pat, mustPlan(t, db, pat, MethodDP), RunOptions{})
+	base, err := db.Run(context.Background(), pat, mustOptimize(t, db, pat, MethodDP).Plan, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy} {
-		p := mustPlan(t, db, pat, m)
+		p := mustOptimize(t, db, pat, m).Plan
 		ff.SetPolicy(faultfs.Policy{FailProb: 0.05, Seed: int64(m) + 1, Transient: true})
-		res, err := runChaos(t, db, pat, p, RunOptions{})
+		res, err := runChaos(t, db, pat, p, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -173,15 +173,6 @@ func TestChaosProbabilistic(t *testing.T) {
 		}
 	}
 	ff.SetPolicy(faultfs.Policy{})
-}
-
-func mustPlan(t *testing.T, db *Corpus, pat *Pattern, m Method) *Plan {
-	t.Helper()
-	res, err := db.Optimize(pat, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Plan
 }
 
 // TestChaosValueProbe sweeps fault injection over a value-index probe
@@ -198,10 +189,7 @@ func TestChaosValueProbe(t *testing.T) {
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
 	db := xmlCorpus(t, doc, &CorpusOptions{PoolFrames: 1, ShardPageFile: storeOn(ff)})
 	pat := MustParsePattern(`//a[b = "w2"]`)
-	opt, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := mustOptimize(t, db, pat, MethodDPP)
 	if !containsOp(opt.Plan.Format(pat), "ValueIndexScan") {
 		t.Fatalf("chaos fixture plan has no value probe:\n%s", opt.Plan.Format(pat))
 	}
@@ -214,7 +202,7 @@ func TestChaosValueProbe(t *testing.T) {
 	}
 	var fired, healed int
 	ff.SetPolicy(faultfs.Policy{})
-	base, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
+	base, err := runChaos(t, db, pat, opt.Plan, QueryOptions{})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -224,7 +212,7 @@ func TestChaosValueProbe(t *testing.T) {
 	reads := int(ff.Reads())
 	for _, p := range faultPoints(reads) {
 		ff.SetPolicy(faultfs.Policy{FailNthRead: p})
-		if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+		if res, err := runChaos(t, db, pat, opt.Plan, QueryOptions{}); err != nil {
 			fired++
 			if !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("failNth=%d: error = %v, want injected", p, err)
@@ -233,7 +221,7 @@ func TestChaosValueProbe(t *testing.T) {
 			t.Fatalf("failNth=%d: count = %d, want %d", p, res.Count, want)
 		}
 		ff.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
-		res, err := runChaos(t, db, pat, opt.Plan, RunOptions{})
+		res, err := runChaos(t, db, pat, opt.Plan, QueryOptions{})
 		if err != nil {
 			t.Fatalf("transient failNth=%d: %v", p, err)
 		}
@@ -244,7 +232,7 @@ func TestChaosValueProbe(t *testing.T) {
 			healed++
 		}
 		ff.SetPolicy(faultfs.Policy{CorruptNthRead: p})
-		if res, err := runChaos(t, db, pat, opt.Plan, RunOptions{}); err != nil {
+		if res, err := runChaos(t, db, pat, opt.Plan, QueryOptions{}); err != nil {
 			var ce *CorruptPageError
 			if !errors.As(err, &ce) {
 				t.Fatalf("corruptNth=%d: error = %v, want *CorruptPageError", p, err)

@@ -133,7 +133,7 @@ func TestQueryBodyMatchesEncodingJSON(t *testing.T) {
 		} {
 			name := fmt.Sprintf("%s x%d", tc.name, repeat)
 			opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP, Limit: tc.limit, Trace: tc.trace}}
-			res, err := c.QuerySegments(ctx, tc.src, opts)
+			res, err := c.QueryContext(ctx, tc.src, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -185,7 +185,7 @@ func TestQueryBodyMemoResetsPerSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	res, err := c.QuerySegments(ctx, `//manager[name]//employee/name`, sjos.QueryOptions{})
+	res, err := c.QueryContext(ctx, `//manager[name]//employee/name`, sjos.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestQueryBodyRendersPinnedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	res, err := c.QuerySegments(ctx, `//emp/name`, sjos.QueryOptions{})
+	res, err := c.QueryContext(ctx, `//emp/name`, sjos.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestQueryBodyChunksMatchEncodingJSON(t *testing.T) {
 		{"huge values", hugeCorpus(t, 4*perChunk+100), `//item[tag]/name`, 0},
 	} {
 		opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP, Limit: tc.limit}}
-		res, err := tc.c.QuerySegments(ctx, tc.src, opts)
+		res, err := tc.c.QueryContext(ctx, tc.src, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -363,7 +363,7 @@ func TestQueryBodyChunksMatchEncodingJSON(t *testing.T) {
 // "matches" section.
 func TestQueryBodyPartsAreBounded(t *testing.T) {
 	c := hugeCorpus(t, 3*(chunkCells/3)) // three chunks of //item[tag]/name
-	res, err := c.QuerySegments(context.Background(), `//item[tag]/name`, sjos.QueryOptions{})
+	res, err := c.QueryContext(context.Background(), `//item[tag]/name`, sjos.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestQueryBodyPartsAreBounded(t *testing.T) {
 func TestQueryBodyConcurrentRenders(t *testing.T) {
 	for _, tc := range []struct{ repeat, renders int }{{40, 50}, {2100, 4}} {
 		c := awkwardCorpus(t, tc.repeat)
-		res, err := c.QuerySegments(context.Background(), `//item[tag]/name`, sjos.QueryOptions{})
+		res, err := c.QueryContext(context.Background(), `//item[tag]/name`, sjos.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +452,7 @@ func (w *recordWrites) Write(p []byte) (int, error) {
 // documents.
 func quantaResult(t *testing.T) *sjos.CorpusQueryResult {
 	t.Helper()
-	res, err := benchCorpus(t, 4).QuerySegments(context.Background(), `//manager//employee/name`, sjos.QueryOptions{})
+	res, err := benchCorpus(t, 4).QueryContext(context.Background(), `//manager//employee/name`, sjos.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func BenchmarkServeQueryEncode(b *testing.B) {
 		{"Q.Pers.4.d", `//manager[.//manager//employee/name]/department/name`},
 	} {
 		b.Run(q.name, func(b *testing.B) {
-			res, err := c.QuerySegments(context.Background(), q.src, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP}})
+			res, err := c.QueryContext(context.Background(), q.src, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP}})
 			if err != nil {
 				b.Fatal(err)
 			}

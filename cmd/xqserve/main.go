@@ -520,7 +520,7 @@ func serveQuery(w http.ResponseWriter, r *http.Request, c *collection, defaultMe
 	opts.Trace = boolParam(r, "trace")
 	rows := !boolParam(r, "count")
 	opts.CountOnly = !rows
-	res, err := c.QuerySegments(r.Context(), src, opts)
+	res, err := c.QueryContext(r.Context(), src, opts)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return

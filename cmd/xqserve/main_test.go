@@ -559,7 +559,7 @@ func TestServeCountOnlyMatchesRows(t *testing.T) {
 		}
 	}
 	// In-process, count-only leaves the rows out of the result.
-	res, err := cols.def().QuerySegments(context.Background(), queries[0], sjos.QueryOptions{CountOnly: true})
+	res, err := cols.def().QueryContext(context.Background(), queries[0], sjos.QueryOptions{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

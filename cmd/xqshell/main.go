@@ -145,7 +145,7 @@ func (sh *shell) processLine(line string) bool {
 		})
 		return true
 	case line == ".cache":
-		cs := sh.c.CacheStats()
+		cs := sh.c.Metrics().Cache
 		fmt.Fprintf(sh.out, "plan cache: %d/%d entries, %d hits, %d misses, %d coalesced, %d evicted, %d invalidated\n",
 			cs.Entries, cs.Capacity, cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.Invalidations)
 		return true
@@ -216,7 +216,7 @@ func (sh *shell) withPattern(line, cmd string, f func(*sjos.Pattern) (string, er
 }
 
 func (sh *shell) runPattern(src string) {
-	res, err := sh.c.QuerySegments(context.Background(), src,
+	res, err := sh.c.QueryContext(context.Background(), src,
 		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sh.method}})
 	if err != nil {
 		fmt.Fprintln(sh.out, "error:", err)
@@ -249,7 +249,8 @@ func (sh *shell) runPattern(src string) {
 }
 
 func (sh *shell) runXQuery(src string) {
-	res, err := sh.c.XQuery(src, sh.method)
+	res, err := sh.c.XQueryContext(context.Background(), src,
+		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sh.method}})
 	if err != nil {
 		fmt.Fprintln(sh.out, "error:", err)
 		return

@@ -25,7 +25,7 @@ func TestGrandConsistency(t *testing.T) {
 			pat := randomTwig(rng, tags, 2+rng.Intn(4))
 			want := canonicalize(referenceMatches(db, pat))
 			for _, m := range methods {
-				res, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: m}})
+				res, err := db.queryPattern(context.Background(), pat, methodOpts(m))
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}

@@ -89,8 +89,7 @@ func TestValueIndexDifferential(t *testing.T) {
 			pat := randomValueTwig(rng, tags, 2+rng.Intn(4))
 			want := canonicalize(referenceMatches(db, pat))
 			for _, m := range methods {
-				r, err := db.QueryPatternContext(context.Background(), pat,
-					QueryOptions{ExecOptions: ExecOptions{Method: m}})
+				r, err := db.queryPattern(context.Background(), pat, methodOpts(m))
 				if err != nil {
 					t.Fatalf("trial %d %v on %s: %v", trial, m, pat, err)
 				}
@@ -122,8 +121,7 @@ func TestValueIndexDifferential(t *testing.T) {
 func TestValueIndexPlanAndStats(t *testing.T) {
 	db := datasetCorpus(t, "dblp", 0.2, 1, nil)
 	pat := MustParsePattern(`//article[year < 1980]/title`)
-	probe, err := db.QueryPatternContext(context.Background(), pat,
-		QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	probe, err := db.queryPattern(context.Background(), pat, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +142,8 @@ func TestValueIndexPlanAndStats(t *testing.T) {
 	if scanStats.ValueProbes != 0 {
 		t.Fatalf("scan arm reported %d probes", scanStats.ValueProbes)
 	}
-	if len(probe.Matches) != len(scan) {
-		t.Fatalf("lanes disagree: %d vs %d matches", len(probe.Matches), len(scan))
+	if probe.Count != len(scan) {
+		t.Fatalf("lanes disagree: %d vs %d matches", probe.Count, len(scan))
 	}
 	if !equalStrings(canonicalize(rowsOf(probe.Segments)), canonicalize(scan)) {
 		t.Fatal("lanes disagree on match sets")
@@ -190,15 +188,12 @@ func TestBatchedProbeAllocs(t *testing.T) {
 	}
 	db := datasetCorpus(t, "dblp", 0.2, 1, nil)
 	pat := MustParsePattern(`//article[year < 1980]/title`)
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustOptimize(t, db, pat, MethodDPP)
 	if !strings.Contains(res.Plan.Format(pat), "ValueIndexScan") {
 		t.Fatalf("plan lacks ValueIndexScan:\n%s", res.Plan.Format(pat))
 	}
 	run := func() {
-		if _, err := db.Run(context.Background(), pat, res.Plan, RunOptions{CountOnly: true}); err != nil {
+		if _, err := db.Run(context.Background(), pat, res.Plan, QueryOptions{CountOnly: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

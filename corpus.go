@@ -552,16 +552,12 @@ func (c *Corpus) Value(docID string, id NodeID) (string, bool) {
 	return sn.doc.Value(gid), true
 }
 
-// Optimize picks a plan for pat against the corpus-wide merged statistics
-// (summed tag counts and join estimates over all shards — exact at the
-// corpus level because joins never cross shards). The chosen plan executes
-// unchanged on every shard. It bypasses the plan cache, so repeated calls
-// measure real search effort; cached optimization is the QueryContext path.
-func (c *Corpus) Optimize(pat *Pattern, m Method, te int) (*OptimizeResult, error) {
-	return c.OptimizeContext(context.Background(), pat, m, te)
-}
-
-// OptimizeContext is Optimize under a context.
+// OptimizeContext picks a plan for pat against the corpus-wide merged
+// statistics (summed tag counts and join estimates over all shards — exact
+// at the corpus level because joins never cross shards), observing ctx in
+// the search. The chosen plan executes unchanged on every shard (Run). It
+// bypasses the plan cache, so repeated calls measure real search effort;
+// cached optimization is the QueryContext path.
 func (c *Corpus) OptimizeContext(ctx context.Context, pat *Pattern, m Method, te int) (*OptimizeResult, error) {
 	stats, _ := c.svc.snapshot()
 	return optimizeWith(ctx, pat, stats, m, te, c.probe)
@@ -639,7 +635,7 @@ type CorpusRunResult struct {
 	// Stats merges the physical work of every shard execution.
 	Stats ExecStats
 	// Trace is the plan-shaped trace with all shards' operators merged
-	// (nil unless RunOptions.Trace).
+	// (nil unless QueryOptions.Trace).
 	Trace *OpTrace
 	// ShardsQueried is the number of populated shards the query was
 	// scattered to.
@@ -652,7 +648,7 @@ var errCorpusLimit = errors.New("sjos: corpus limit satisfied")
 
 // Run executes one plan on every populated shard and gathers the results
 // in document order. It is the single execution entry point: limits,
-// count-only projection and per-operator tracing are all RunOptions, and
+// count-only projection and per-operator tracing are all QueryOptions, and
 // every run observes ctx — cancelling it makes Run return promptly with
 // ctx's error (index scans, buffer-pool retry waits and output loops poll
 // it). A nil ctx is context.Background(). Within the scatter, min(#populated
@@ -670,7 +666,7 @@ var errCorpusLimit = errors.New("sjos: corpus limit satisfied")
 // counted in metrics and recorded in the slow-query ring) instead of
 // crashing the process. Every Run is observed by the metrics registry
 // (queries served, in-flight gauge, latency histogram; see Metrics).
-func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
+func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts QueryOptions) (*CorpusRunResult, error) {
 	res, err := c.run(ctx, pat, p, opts)
 	if err == nil && !opts.CountOnly {
 		res.Matches = corpusMatches(res.Segments, res.Count)
@@ -682,7 +678,7 @@ func (c *Corpus) Run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions
 // envelope, its result carrying Segments only. The envelope claims an
 // admission slot, observes the run in the metrics registry and recovers a
 // panic anywhere under the scatter into a *PanicError.
-func (c *Corpus) run(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (res *CorpusRunResult, err error) {
+func (c *Corpus) run(ctx context.Context, pat *Pattern, p *Plan, opts QueryOptions) (res *CorpusRunResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -739,7 +735,7 @@ func (so *shardOut) segment(id string, gi int) DocSegment {
 }
 
 // scatter is Run without the admission/metrics/recovery envelope.
-func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (*CorpusRunResult, error) {
+func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts QueryOptions) (*CorpusRunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -901,7 +897,7 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts RunOpt
 // shards on worker goroutines, outside Run's recovery scope — recover here
 // so a panicking replica surfaces as a typed error (and a failover
 // opportunity), not a process crash.
-func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Plan, opts RunOptions) (r *shardResult, sn *dbSnap, err error) {
+func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Plan, opts QueryOptions) (r *shardResult, sn *dbSnap, err error) {
 	defer func() {
 		if perr := exec.RecoverPanic(recover()); perr != nil {
 			r, err = nil, perr
@@ -921,7 +917,7 @@ func runReplicaOnce(ctx context.Context, rep *corpusReplica, pat *Pattern, p *Pl
 // advances its state machine and fails over to the next. An error after the
 // scatter itself was cancelled (limit satisfied, caller gone) is not the
 // replica's fault: it returns at once and leaves health untouched.
-func (c *Corpus) runShardReplicated(ctx context.Context, sh *corpusShard, pat *Pattern, p *Plan, opts RunOptions) (*shardResult, *dbSnap, error) {
+func (c *Corpus) runShardReplicated(ctx context.Context, sh *corpusShard, pat *Pattern, p *Plan, opts QueryOptions) (*shardResult, *dbSnap, error) {
 	// routeOrder always holds the primary, so err is set when the loop ends.
 	var err error
 	for _, rep := range sh.routeOrder(time.Now()) {
@@ -968,18 +964,14 @@ func demux(members []memberView, set exec.MatchSet) []rowRange {
 	return out
 }
 
-// CorpusQueryResult is the outcome of a corpus Query/QueryContext call: the
-// matches plus the planned-query report (Plan, PlanText, EstCost,
-// CachedPlan, OptimizeTime, ExecuteTime, PlansConsidered, Exec, Trace — one
-// plan, optimized against the corpus-wide statistics, executed on every
-// shard).
+// CorpusQueryResult is the outcome of a QueryContext call: the matches
+// plus the planned-query report (Plan, PlanText, EstCost, CachedPlan,
+// OptimizeTime, ExecuteTime, PlansConsidered, Exec, Trace — one plan,
+// optimized against the corpus-wide statistics, executed on every shard).
 type CorpusQueryResult struct {
 	// Segments holds the matches as one entry per document that has any,
 	// in insertion order (see CorpusRunResult.Segments).
 	Segments []DocSegment
-	// Matches holds the matches grouped by document in insertion order — a
-	// per-row view over Segments, nil from QuerySegments.
-	Matches []CorpusMatch
 	// Count is the number of matches produced.
 	Count int
 	planned
@@ -987,29 +979,13 @@ type CorpusQueryResult struct {
 	ShardsQueried int
 }
 
-// Query parses src, optimizes it once against the corpus-wide statistics
-// with method m, and executes the chosen plan on every shard.
-func (c *Corpus) Query(src string, m Method) (*CorpusQueryResult, error) {
-	return c.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: m}})
-}
-
 // QueryContext parses src, optimizes it through the corpus plan cache and
 // scatter-executes the chosen plan, observing ctx in both phases:
 // cancellation aborts the optimizer search or the execution, whichever is
-// running, and QueryContext returns ctx's error. OptimizeContext plus Run is
-// the same query with a fresh optimizer run instead of the cache.
+// running, and QueryContext returns ctx's error. The rows are read from the
+// result's Segments; OptimizeContext plus Run is the same query with a fresh
+// optimizer run instead of the cache.
 func (c *Corpus) QueryContext(ctx context.Context, src string, opts QueryOptions) (*CorpusQueryResult, error) {
-	pat, err := ParsePattern(src)
-	if err != nil {
-		return nil, err
-	}
-	return c.QueryPatternContext(ctx, pat, opts)
-}
-
-// QuerySegments is QueryContext without the per-row []CorpusMatch view: the
-// result's Matches is nil and its rows are read from Segments. It is the
-// entry point for callers that stream a large result (xqserve's /query).
-func (c *Corpus) QuerySegments(ctx context.Context, src string, opts QueryOptions) (*CorpusQueryResult, error) {
 	pat, err := ParsePattern(src)
 	if err != nil {
 		return nil, err
@@ -1017,20 +993,11 @@ func (c *Corpus) QuerySegments(ctx context.Context, src string, opts QueryOption
 	return c.queryPattern(ctx, pat, opts)
 }
 
-// QueryPatternContext is QueryContext for an already-built pattern. When a
-// slow-query log is configured the query runs with per-operator tracing so a
-// threshold-crossing entry can attribute its time.
-func (c *Corpus) QueryPatternContext(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
-	res, err := c.queryPattern(ctx, pat, opts)
-	if err == nil && !opts.CountOnly {
-		res.Matches = corpusMatches(res.Segments, res.Count)
-	}
-	return res, err
-}
-
 // queryPattern is the one planned-query core: optimize pat through the plan
 // cache, scatter-execute the chosen plan through the read envelope, then
-// apply the slow-query policy. The result carries Segments only.
+// apply the slow-query policy. When a slow-query log is configured the query
+// runs with per-operator tracing so a threshold-crossing entry can attribute
+// its time.
 func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptions) (*CorpusQueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1043,9 +1010,8 @@ func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptio
 	}
 	optTime := time.Since(t0)
 	t1 := time.Now()
-	ro := RunOptions{ExecOptions: opts.ExecOptions, CountOnly: opts.CountOnly}
-	ro.Trace = opts.Trace || thr > 0
-	rr, err := c.run(ctx, pat, res.Plan, ro)
+	opts.Trace = opts.Trace || thr > 0
+	rr, err := c.run(ctx, pat, res.Plan, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sjos: executing %v plan: %w", opts.Method, err)
 	}
@@ -1162,12 +1128,6 @@ func (c *Corpus) Health() []ShardHealth {
 	return out
 }
 
-// CacheStats returns the corpus plan cache's counters.
-func (c *Corpus) CacheStats() CacheStats { return c.svc.cache.Stats() }
-
-// AdmissionStats returns the corpus admission controller's counters.
-func (c *Corpus) AdmissionStats() AdmissionStats { return c.svc.admit.Stats() }
-
 // Drain flips the corpus into shutdown: queries and mutations arriving
 // after Drain begins fail fast with ErrShuttingDown, and Drain returns once
 // every in-flight one has finished — or ctx's error if they have not by then
@@ -1193,7 +1153,7 @@ func (c *Corpus) RebuildStats() {
 }
 
 // SetSlowQueryLog configures the corpus's slow-query log: every
-// QueryContext / QueryPatternContext / QuerySegments call whose total latency
+// QueryContext / XQueryContext call whose total latency
 // reaches threshold is recorded in an in-memory ring (see SlowQueries) and
 // reported to fn, if non-nil. While a threshold is active those queries run
 // with per-operator tracing enabled so the log can attribute the time; that
@@ -1216,8 +1176,8 @@ func (c *Corpus) SlowQueries() []SlowQueryEntry { return c.svc.slow.entries() }
 func (c *Corpus) Metrics() Metrics {
 	m := Metrics{
 		Query:     c.svc.metrics.Snapshot(),
-		Cache:     c.CacheStats(),
-		Admission: c.AdmissionStats(),
+		Cache:     c.svc.cache.Stats(),
+		Admission: c.svc.admit.Stats(),
 	}
 	m.Replica.Failovers = c.failovers.Load()
 	ist := c.IngestStats()

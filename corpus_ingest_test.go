@@ -60,7 +60,7 @@ func orderXML(n int) string {
 
 func countCorpus(t testing.TB, c *Corpus, q string) int {
 	t.Helper()
-	res, err := c.Query(q, MethodDPP)
+	res, err := c.QueryContext(context.Background(), q, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatalf("query %s: %v", q, err)
 	}
@@ -102,12 +102,12 @@ func testIngestInsertDeleteReplace(t *testing.T, shards int) {
 	}
 
 	// Document attribution and local numbering survive the scatter.
-	res, err := c.Query("//order//item/name", MethodDPP)
+	res, err := c.QueryContext(context.Background(), "//order//item/name", methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	perDoc := map[string]int{}
-	for _, m := range res.Matches {
+	for _, m := range corpusMatches(res.Segments, res.Count) {
 		perDoc[m.DocID]++
 		if tag, ok := c.TagName(m.DocID, m.Nodes[len(m.Nodes)-1]); !ok || tag != "name" {
 			t.Fatalf("TagName(%s, %d) = %q, %v", m.DocID, m.Nodes[len(m.Nodes)-1], tag, ok)
@@ -166,7 +166,7 @@ func testIngestInsertDeleteReplace(t *testing.T, shards int) {
 	}
 
 	// Limit works against the mutable directory.
-	lres, err := c.Run(nil, mustPattern(t, "//order//item/name"), mustPlanCorpus(t, c, "//order//item/name"), RunOptions{ExecOptions: ExecOptions{Limit: 3}})
+	lres, err := c.Run(nil, mustPattern(t, "//order//item/name"), mustOptimize(t, c, mustPattern(t, "//order//item/name"), MethodDPP).Plan, QueryOptions{ExecOptions: ExecOptions{Limit: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +214,12 @@ func TestCorpusIngestReplaceOrder(t *testing.T) {
 		if got := c.DocIDs(); !reflect.DeepEqual(got, []string{other, "a"}) {
 			t.Fatalf("%d shards: directory %v, want [%s a]", shards, got, other)
 		}
-		pat, p := mustPattern(t, q), mustPlanCorpus(t, c, q)
-		full, err := c.Run(nil, pat, p, RunOptions{})
+		pat, p := mustPattern(t, q), mustOptimize(t, c, mustPattern(t, q), MethodDPP).Plan
+		full, err := c.Run(nil, pat, p, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lim, err := c.Run(nil, pat, p, RunOptions{ExecOptions: ExecOptions{Limit: 3}})
+		lim, err := c.Run(nil, pat, p, QueryOptions{ExecOptions: ExecOptions{Limit: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestCorpusIngestReplaceOrder(t *testing.T) {
 		if got := rec.DocIDs(); !reflect.DeepEqual(got, c.DocIDs()) {
 			t.Fatalf("recovered directory %v, live %v", got, c.DocIDs())
 		}
-		rres, err := rec.Run(nil, pat, p, RunOptions{})
+		rres, err := rec.Run(nil, pat, p, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,15 +250,6 @@ func mustPattern(t testing.TB, src string) *Pattern {
 		t.Fatal(err)
 	}
 	return pat
-}
-
-func mustPlanCorpus(t testing.TB, c *Corpus, src string) *Plan {
-	t.Helper()
-	res, err := c.Optimize(mustPattern(t, src), MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Plan
 }
 
 func TestCorpusIngestRecovery(t *testing.T) { testIngestRecovery(t, 3) }
@@ -534,7 +525,7 @@ func testIngestConcurrentQueries(t *testing.T, shards int) {
 					return
 				default:
 				}
-				res, err := c.Query("//order//item/name", MethodDPP)
+				res, err := c.QueryContext(context.Background(), "//order//item/name", methodOpts(MethodDPP))
 				if err != nil {
 					errs <- err
 					return
@@ -587,15 +578,9 @@ func testIngestConcurrentQueries(t *testing.T, shards int) {
 		t.Errorf("end state: %+v", st)
 	}
 	pat := mustPattern(t, "//order//item/name")
-	before, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := mustOptimize(t, c, pat, MethodDPP)
 	c.RebuildStats()
-	after, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := mustOptimize(t, c, pat, MethodDPP)
 	if before.Cost != after.Cost || before.Plan.Format(pat) != after.Plan.Format(pat) {
 		t.Errorf("incremental statistics plan\n%s at %f, rebuilt ones\n%s at %f",
 			before.Plan.Format(pat), before.Cost, after.Plan.Format(pat), after.Cost)
@@ -652,19 +637,13 @@ func testIngestStatsRefresh(t *testing.T, shards int) {
 	}
 	before := make(map[string]priced)
 	for _, q := range queries {
-		res, err := c.Optimize(mustPattern(t, q), MethodDPP, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustOptimize(t, c, mustPattern(t, q), MethodDPP)
 		before[q] = priced{cost: res.Cost, matches: countCorpus(t, c, q)}
 	}
 	c.RebuildStats()
 	bump("RebuildStats", nil)
 	for _, q := range queries {
-		res, err := c.Optimize(mustPattern(t, q), MethodDPP, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustOptimize(t, c, mustPattern(t, q), MethodDPP)
 		if res.Cost != before[q].cost {
 			t.Errorf("%s: incremental cost %f, rebuilt cost %f", q, before[q].cost, res.Cost)
 		}
@@ -721,15 +700,9 @@ func TestCorpusReadOnlyReleasesMembers(t *testing.T) {
 		t.Fatalf("read-only corpus holds %d of %d member documents, want 0 of 8", held, members)
 	}
 	pat := MustParsePattern(`//article//author`)
-	before, err := ro.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := mustOptimize(t, ro, pat, MethodDPP)
 	ro.RebuildStats()
-	after, err := ro.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := mustOptimize(t, ro, pat, MethodDPP)
 	if after.Cost != before.Cost || after.Plan.Format(pat) != before.Plan.Format(pat) {
 		t.Fatalf("RebuildStats over released members moved the plan: %v -> %v", before.Cost, after.Cost)
 	}

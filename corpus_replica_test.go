@@ -70,11 +70,11 @@ func TestCorpusReplicaChaos(t *testing.T) {
 	}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP}
 	for _, m := range methods {
-		opt, err := c.Optimize(pat, m, 0)
+		opt, err := c.OptimizeContext(context.Background(), pat, m, 0)
 		if err != nil {
 			t.Fatalf("%v: optimize: %v", m, err)
 		}
-		res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{})
+		res, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%v: dead replica leaked as error: %v", m, err)
 		}
@@ -132,14 +132,11 @@ func TestCorpusReplicaSlowFirst(t *testing.T) {
 
 	pat := MustParsePattern(`//article//author`)
 	want := standaloneResults(t, ids, docs, pat)
-	opt, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := mustOptimize(t, c, pat, MethodDPP)
 	// Rotation alternates which healthy replica goes first, so the slow one
 	// leads half of these queries.
 	for i := 0; i < 4; i++ {
-		res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{})
+		res, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -174,13 +171,10 @@ func TestCorpusReplicaProbeRecovery(t *testing.T) {
 
 	pat := MustParsePattern(`//article//author`)
 	want := standaloneResults(t, ids, docs, pat)
-	opt, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := mustOptimize(t, c, pat, MethodDPP)
 	run := func() {
 		t.Helper()
-		res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{})
+		res, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,10 +224,7 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 	if len(want) == 0 || want[0].Doc != 0 {
 		t.Fatal("fixture's first document has no matches — prefix test needs one")
 	}
-	opt, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := mustOptimize(t, c, pat, MethodDPP)
 	firstShard, ok := c.ShardOf(ids[0])
 	if !ok {
 		t.Fatal("first document not placed")
@@ -249,7 +240,7 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 	}
 
 	run := func(c *Corpus, p *Plan) (*CorpusRunResult, error) {
-		res, err := c.Run(context.Background(), pat, p, RunOptions{ExecOptions: ExecOptions{Limit: 1}})
+		res, err := c.Run(context.Background(), pat, p, QueryOptions{ExecOptions: ExecOptions{Limit: 1}})
 		var pe *PanicError
 		if errors.As(err, &pe) {
 			t.Fatalf("panic escaped as error: %v\n%s", pe, pe.Stack)
@@ -264,7 +255,7 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 	for _, f := range files[otherShard] {
 		f.SetPolicy(faultfs.Policy{})
 	}
-	if _, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{CountOnly: true}); err != nil {
+	if _, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{CountOnly: true}); err != nil {
 		t.Fatalf("unlimited baseline: %v", err)
 	}
 	reads := int(files[otherShard][0].Reads())
@@ -292,10 +283,7 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 			Shards:     2,
 			PoolFrames: 8,
 		})
-		optA, err := ca.Optimize(pat, MethodDPP, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		optA := mustOptimize(t, ca, pat, MethodDPP)
 		racing := filesA[otherShard][0]
 		racing.SetPolicy(faultfs.Policy{FailNthRead: p})
 		for i := 0; i < 3; i++ {
@@ -331,12 +319,9 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		Shards:     2,
 		PoolFrames: 8,
 	})
-	opt2, err := c2.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt2 := mustOptimize(t, c2, pat, MethodDPP)
 	files2[firstShard][0].SetPolicy(faultfs.Policy{FailNthRead: 1})
-	res, err := c2.Run(context.Background(), pat, opt2.Plan, RunOptions{ExecOptions: ExecOptions{Limit: 1}})
+	res, err := c2.Run(context.Background(), pat, opt2.Plan, QueryOptions{ExecOptions: ExecOptions{Limit: 1}})
 	if err == nil {
 		t.Fatal("prefix shard's injected error was swallowed by the limit")
 	}
@@ -361,7 +346,7 @@ func TestCorpusReplicaRebuildStatsRace(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := buildTestCorpus(t, ids, docs, opts)
 			query := func() {
-				res, err := c.Query(`//article//author`, MethodDPP)
+				res, err := c.QueryContext(context.Background(), `//article//author`, methodOpts(MethodDPP))
 				if err != nil || res.Count == 0 {
 					t.Errorf("query in rebuild storm: res=%v err=%v", res, err)
 				}
@@ -420,11 +405,11 @@ func TestCorpusReplicaDiskPaths(t *testing.T) {
 	}
 	pat := MustParsePattern(`//article//author`)
 	want := standaloneResults(t, ids, docs, pat)
-	res, err := c.Query(`//article//author`, MethodDPP)
+	res, err := c.QueryContext(context.Background(), `//article//author`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameCorpusMatches(res.Matches, want) {
+	if !sameCorpusMatches(corpusMatches(res.Segments, res.Count), want) {
 		t.Fatal("disk-backed replica corpus result differs")
 	}
 	for r := 0; r < 2; r++ {

@@ -66,7 +66,7 @@ func standaloneResults(t *testing.T, ids []string, docs []*xmltree.Document, pat
 	t.Helper()
 	var want []CorpusMatch
 	for gi, doc := range docs {
-		res, err := docCorpus(t, doc, nil).Query(pat.String(), MethodDPP)
+		res, err := docCorpus(t, doc, nil).QueryContext(context.Background(), pat.String(), methodOpts(MethodDPP))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +118,11 @@ func TestCorpusDifferential(t *testing.T) {
 			t.Fatalf("%s: ground truth is empty — fixture too small", src)
 		}
 		for _, m := range methods {
-			opt, err := c.Optimize(pat, m, 0)
+			opt, err := c.OptimizeContext(context.Background(), pat, m, 0)
 			if err != nil {
 				t.Fatalf("%s/%v: optimize: %v", src, m, err)
 			}
-			res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{})
+			res, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", src, m, err)
 			}
@@ -149,12 +149,9 @@ func TestCorpusLimitAndCountOnly(t *testing.T) {
 	if total < 4 {
 		t.Fatalf("fixture too small: %d matches", total)
 	}
-	opt, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := mustOptimize(t, c, pat, MethodDPP)
 
-	full, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{CountOnly: true})
+	full, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +160,7 @@ func TestCorpusLimitAndCountOnly(t *testing.T) {
 	}
 
 	for _, k := range []int{1, 2, total - 1, total, total + 7} {
-		res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{ExecOptions: ExecOptions{Limit: k}})
+		res, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{ExecOptions: ExecOptions{Limit: k}})
 		if err != nil {
 			t.Fatalf("limit %d: %v", k, err)
 		}
@@ -172,7 +169,7 @@ func TestCorpusLimitAndCountOnly(t *testing.T) {
 			t.Fatalf("limit %d: got %d matches, want the first %d of the concatenation", k, len(res.Matches), n)
 		}
 		// Limit composes with CountOnly: count the limited prefix.
-		cres, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{ExecOptions: ExecOptions{Limit: k}, CountOnly: true})
+		cres, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{ExecOptions: ExecOptions{Limit: k}, CountOnly: true})
 		if err != nil {
 			t.Fatalf("limit %d count-only: %v", k, err)
 		}
@@ -187,18 +184,18 @@ func TestCorpusLimitAndCountOnly(t *testing.T) {
 	db := docCorpus(t, docs[0], nil)
 	for _, k := range []int{0, 1, 3} {
 		opts := QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP, Limit: k}}
-		rows, err := db.QueryPatternContext(context.Background(), pat, opts)
+		rows, err := db.queryPattern(context.Background(), pat, opts)
 		if err != nil {
 			t.Fatalf("database limit %d: %v", k, err)
 		}
 		opts.CountOnly = true
-		counted, err := db.QueryPatternContext(context.Background(), pat, opts)
+		counted, err := db.queryPattern(context.Background(), pat, opts)
 		if err != nil {
 			t.Fatalf("database limit %d count-only: %v", k, err)
 		}
-		if n := len(rows.Matches); n == 0 || counted.Matches != nil || counted.Count != n || counted.Exec.OutputTuples != n {
-			t.Fatalf("database limit %d count-only: %d matches, Count %d, OutputTuples %d, want nil and the %d rows of the row query",
-				k, len(counted.Matches), counted.Count, counted.Exec.OutputTuples, n)
+		if n := rows.Count; n == 0 || counted.Segments != nil || counted.Count != n || counted.Exec.OutputTuples != n {
+			t.Fatalf("database limit %d count-only: %d segments, Count %d, OutputTuples %d, want nil and the %d rows of the row query",
+				k, len(counted.Segments), counted.Count, counted.Exec.OutputTuples, n)
 		}
 	}
 }
@@ -209,11 +206,11 @@ func TestCorpusQueryContext(t *testing.T) {
 	pat := MustParsePattern(`//article//author`)
 	want := standaloneResults(t, ids, docs, pat)
 
-	res, err := c.Query(`//article//author`, MethodDPP)
+	res, err := c.QueryContext(context.Background(), `//article//author`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameCorpusMatches(res.Matches, want) {
+	if !sameCorpusMatches(corpusMatches(res.Segments, res.Count), want) {
 		t.Fatalf("QueryContext result differs from per-document concatenation")
 	}
 	if res.CachedPlan {
@@ -224,17 +221,17 @@ func TestCorpusQueryContext(t *testing.T) {
 	}
 
 	// Second identical query must hit the corpus plan cache.
-	res2, err := c.QueryContext(context.Background(), `//article//author`, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	res2, err := c.QueryContext(context.Background(), `//article//author`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.CachedPlan {
 		t.Fatal("second query did not see the cached plan")
 	}
-	if !sameCorpusMatches(res2.Matches, want) {
+	if !sameCorpusMatches(corpusMatches(res2.Segments, res2.Count), want) {
 		t.Fatal("cached-plan result differs")
 	}
-	if cs := c.CacheStats(); cs.Hits == 0 {
+	if cs := c.Metrics().Cache; cs.Hits == 0 {
 		t.Fatalf("corpus cache stats show no hit: %+v", cs)
 	}
 
@@ -249,14 +246,14 @@ func TestCorpusQueryContext(t *testing.T) {
 
 	// RebuildStats bumps the stats version: cached plans are invalidated.
 	c.RebuildStats()
-	res4, err := c.QueryContext(context.Background(), `//article//author`, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	res4, err := c.QueryContext(context.Background(), `//article//author`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res4.CachedPlan {
 		t.Fatal("plan survived a stats rebuild")
 	}
-	if !sameCorpusMatches(res4.Matches, want) {
+	if !sameCorpusMatches(corpusMatches(res4.Segments, res4.Count), want) {
 		t.Fatal("post-rebuild result differs")
 	}
 }
@@ -286,11 +283,8 @@ func TestCorpusChaosOneShard(t *testing.T) {
 	}
 	pat := MustParsePattern(`//article//author`)
 	want := standaloneResults(t, ids, docs, pat)
-	opt, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(opts RunOptions) (*CorpusRunResult, error) {
+	opt := mustOptimize(t, c, pat, MethodDPP)
+	run := func(opts QueryOptions) (*CorpusRunResult, error) {
 		res, err := c.Run(context.Background(), pat, opt.Plan, opts)
 		var pe *PanicError
 		if errors.As(err, &pe) {
@@ -300,7 +294,7 @@ func TestCorpusChaosOneShard(t *testing.T) {
 	}
 	var fired, healed int
 	faulty.SetPolicy(faultfs.Policy{})
-	base, err := run(RunOptions{})
+	base, err := run(QueryOptions{})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -313,7 +307,7 @@ func TestCorpusChaosOneShard(t *testing.T) {
 		// injected error (no partial result), or the fault point was past
 		// this run's reads and the result is exact.
 		faulty.SetPolicy(faultfs.Policy{FailNthRead: p})
-		if res, err := run(RunOptions{}); err != nil {
+		if res, err := run(QueryOptions{}); err != nil {
 			fired++
 			if !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("failNth=%d: error = %v, want injected", p, err)
@@ -327,7 +321,7 @@ func TestCorpusChaosOneShard(t *testing.T) {
 
 		// Transient failure: the shard pool's retry loop heals it.
 		faulty.SetPolicy(faultfs.Policy{FailNthRead: p, Transient: true})
-		res, err := run(RunOptions{})
+		res, err := run(QueryOptions{})
 		if err != nil {
 			t.Fatalf("transient failNth=%d: %v", p, err)
 		}
@@ -348,7 +342,7 @@ func TestCorpusChaosOneShard(t *testing.T) {
 	// and aggregated metrics (counters reset on SetPolicy, so force one
 	// fresh fault and read them while it is live).
 	faulty.SetPolicy(faultfs.Policy{FailNthRead: 1, Transient: true, MaxFaults: 1})
-	if _, err := run(RunOptions{}); err != nil {
+	if _, err := run(QueryOptions{}); err != nil {
 		t.Fatalf("transient warm-up: %v", err)
 	}
 	var health uint64
@@ -363,17 +357,17 @@ func TestCorpusChaosOneShard(t *testing.T) {
 func TestCorpusDrainAndAdmission(t *testing.T) {
 	ids, docs := corpusFixtureDocs(t, 2)
 	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 2, MaxInFlight: 2})
-	if _, err := c.Query(`//article//author`, MethodDPP); err != nil {
+	if _, err := c.QueryContext(context.Background(), `//article//author`, methodOpts(MethodDPP)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Query(`//article//author`, MethodDPP)
+	_, err := c.QueryContext(context.Background(), `//article//author`, methodOpts(MethodDPP))
 	if !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-drain corpus query: %v, want ErrShuttingDown", err)
 	}
-	if c.AdmissionStats().Rejected == 0 {
+	if c.Metrics().Admission.Rejected == 0 {
 		t.Fatal("corpus admission counters missed the rejection")
 	}
 }
@@ -397,14 +391,15 @@ func TestCorpusAccessors(t *testing.T) {
 	// Per-document node accessors agree with the standalone document.
 	pat := MustParsePattern(`//article/title`)
 	want := standaloneResults(t, ids, docs, pat)
-	res, err := c.Query(`//article/title`, MethodDPP)
+	res, err := c.QueryContext(context.Background(), `//article/title`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameCorpusMatches(res.Matches, want) {
+	got := corpusMatches(res.Segments, res.Count)
+	if !sameCorpusMatches(got, want) {
 		t.Fatal("accessor fixture query differs")
 	}
-	m := res.Matches[0]
+	m := got[0]
 	gi := m.Doc
 	for u, id := range m.Nodes {
 		wantTag := docs[gi].TagName(docs[gi].Tag(id))
@@ -479,7 +474,7 @@ func TestCorpusFromXML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(`//book//author`, MethodDPP)
+	res, err := c.QueryContext(context.Background(), `//book//author`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,8 +482,8 @@ func TestCorpusFromXML(t *testing.T) {
 		t.Fatalf("Count = %d, want 3", res.Count)
 	}
 	// Document order: all of "one"'s matches before "two"'s.
-	if res.Matches[0].DocID != "one" || res.Matches[1].DocID != "two" || res.Matches[2].DocID != "two" {
-		t.Fatalf("match order: %v", res.Matches)
+	if got := corpusMatches(res.Segments, res.Count); got[0].DocID != "one" || got[1].DocID != "two" || got[2].DocID != "two" {
+		t.Fatalf("match order: %v", got)
 	}
 }
 
@@ -498,11 +493,8 @@ func TestCorpusExplainAnalyzeCounts(t *testing.T) {
 	ids, docs := corpusFixtureDocs(t, 6)
 	c := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 3})
 	pat := MustParsePattern(`//article[author]/title`)
-	opt, err := c.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(context.Background(), pat, opt.Plan, RunOptions{CountOnly: true})
+	opt := mustOptimize(t, c, pat, MethodDPP)
+	res, err := c.Run(context.Background(), pat, opt.Plan, QueryOptions{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,12 +528,12 @@ func TestOptimizeWithExactStatsShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := one.Query(pat.String(), MethodDPP)
+	res, err := one.QueryContext(context.Background(), pat.String(), methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != len(res.Matches) {
-		t.Fatalf("exact-stats plan counts %d matches, the histogram plan %d", got, len(res.Matches))
+	if got != res.Count {
+		t.Fatalf("exact-stats plan counts %d matches, the histogram plan %d", got, res.Count)
 	}
 	many := buildTestCorpus(t, ids, docs, &CorpusOptions{Shards: 3})
 	populated := 0

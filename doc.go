@@ -17,12 +17,20 @@
 //	b.AddXMLString("doc", `<db><a><b/></a></db>`)
 //	c, err := b.Build()
 //	if err != nil { ... }
-//	res, err := c.Query("//a//b", sjos.MethodDPP)
+//	ctx := context.Background()
+//	opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP}}
+//	res, err := c.QueryContext(ctx, "//a//b", opts)
 //	if err != nil { ... }
-//	fmt.Println(len(res.Matches), "matches via plan:\n", res.PlanText)
+//	fmt.Println(res.Count, "matches via plan:\n", res.PlanText)
 //
 // AddXML, AddImage (a binary image from xqgen -format image) and AddDataset
 // (a synthetic benchmark data set) add documents the other ways.
+//
+// Four calls ask a corpus a question. QueryContext plans a pattern through
+// the plan cache and runs it; XQueryContext does the same for a FLWOR-subset
+// query. OptimizeContext and Run are the paper's two phases apart: choose a
+// plan with a given method (no cache), then execute it. All four observe ctx,
+// and QueryOptions tunes the three that execute.
 //
 // # Corpora
 //
@@ -37,13 +45,14 @@
 //	b.AddXMLString("archive", `<db><a><b/><b/></a></db>`)
 //	c, err := b.Build()
 //	if err != nil { ... }
-//	res, err := c.Query("//a//b", sjos.MethodDPP)
-//	for _, m := range res.Matches { fmt.Println(m.DocID, m.Nodes) }
+//	res, err := c.QueryContext(ctx, "//a//b", opts)
+//	for _, seg := range res.Segments {
+//		for r := 0; r < seg.Len(); r++ { fmt.Println(seg.DocID, seg.Row(r)) }
+//	}
 //
-// The rows themselves live in res.Segments — one DocSegment per document,
-// re-slicing the shards' flat match sets and pinned to the document version
-// the query ran on (seg.TagName, seg.Value); Matches is a per-row view over
-// them, and QuerySegments skips building it for callers that stream.
+// The rows live in res.Segments — one DocSegment per document, re-slicing
+// the shards' flat match sets and pinned to the document version the query
+// ran on (seg.TagName, seg.Value).
 //
 // A corpus answers exactly as the concatenation of one-document corpora over
 // its members, each in its own document's numbering.

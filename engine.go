@@ -534,7 +534,7 @@ type shardResult struct {
 	// Stats reports the physical work done.
 	Stats ExecStats
 	// Trace is the per-operator execution trace (nil unless
-	// RunOptions.Trace was set).
+	// QueryOptions.Trace was set).
 	Trace *OpTrace
 	// set is the flat match set the executor filled (empty under an
 	// unlimited count).
@@ -545,7 +545,7 @@ type shardResult struct {
 // exactly sn's document and store, so concurrent mutations (which publish
 // new snapshots) are invisible to it. Callers pin the snapshot themselves so
 // they can attribute matches with the matching member table.
-func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, opts RunOptions) (*shardResult, error) {
+func (e *engine) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan, opts QueryOptions) (*shardResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,34 +21,39 @@ func main() {
 	}
 	fmt.Printf("DBLP-like data set: %d element nodes\n\n", c.Health()[0].Nodes)
 
+	ctx := context.Background()
+	dpp := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP}}
+
 	// 1. Selective lookup with value predicates.
-	res, err := c.Query(`//article[author = "author-7"]/title`, sjos.MethodDPP)
+	res, err := c.QueryContext(ctx, `//article[author = "author-7"]/title`, dpp)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("articles by author-7: %d\n", len(res.Matches))
-	for i, m := range res.Matches {
-		if i == 3 {
-			fmt.Println("  ...")
-			break
+	fmt.Printf("articles by author-7: %d\n", res.Count)
+	// One document, so at most one segment; slot 2 is the title.
+	for _, seg := range res.Segments {
+		for r := 0; r < min(seg.Len(), 3); r++ {
+			fmt.Printf("  %s\n", seg.Value(seg.Row(r)[2]))
 		}
-		v, _ := c.Value(m.DocID, m.Nodes[2])
-		fmt.Printf("  %s\n", v)
+	}
+	if res.Count > 3 {
+		fmt.Println("  ...")
 	}
 
 	// 2. Ordered output: '#' requests the result sorted by that node.
 	// FP guarantees a sort-free plan producing exactly this order.
-	res, err = c.Query(`//inproceedings#[author]/cite/label`, sjos.MethodFP)
+	fp := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodFP}}
+	res, err = c.QueryContext(ctx, `//inproceedings#[author]/cite/label`, fp)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncited inproceedings (ordered by paper): %d matches, plan:\n", len(res.Matches))
+	fmt.Printf("\ncited inproceedings (ordered by paper): %d matches, plan:\n", res.Count)
 	fmt.Println(res.PlanText)
 
 	// 3. Range predicate over numeric text.
-	res, err = c.Query(`//article[year >= 2000]/title`, sjos.MethodDPP)
+	res, err = c.QueryContext(ctx, `//article[year >= 2000]/title`, dpp)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("articles from 2000 on: %d\n", len(res.Matches))
+	fmt.Printf("articles from 2000 on: %d\n", res.Count)
 }

@@ -27,6 +27,7 @@ func main() {
 	// The Figure 1 pattern: A=manager, B=employee, C=name, D=manager,
 	// E=department, F=name; A-B and A-D are "//" edges, the rest "/".
 	pat := sjos.MustParsePattern("//manager[.//employee/name]//manager/department/name")
+	ctx := context.Background()
 
 	fmt.Println("How each algorithm evaluates the Figure 1 pattern:")
 	fmt.Println()
@@ -34,13 +35,13 @@ func main() {
 		sjos.MethodDP, sjos.MethodDPP, sjos.MethodDPAPEB, sjos.MethodDPAPLD, sjos.MethodFP,
 	} {
 		t0 := time.Now()
-		res, err := c.Optimize(pat, m, 0)
+		res, err := c.OptimizeContext(ctx, pat, m, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opt := time.Since(t0)
 		t1 := time.Now()
-		rr, err := c.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true})
+		rr, err := c.Run(ctx, pat, res.Plan, sjos.QueryOptions{CountOnly: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,14 +65,14 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	if _, err := c.Run(context.Background(), pat, bad.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
+	if _, err := c.Run(ctx, pat, bad.Plan, sjos.QueryOptions{CountOnly: true}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-8s  opt %-10s eval %-10v %s cost≈%.0f\n",
 		"bad", "-", time.Since(t0).Round(time.Microsecond), "                      ", bad.Cost)
 
 	fmt.Println("\nThe DPP plan in full:")
-	res, err := c.Optimize(pat, sjos.MethodDPP, 0)
+	res, err := c.OptimizeContext(ctx, pat, sjos.MethodDPP, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

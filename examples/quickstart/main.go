@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,8 @@ func main() {
 	// "//" is ancestor-descendant, "/" parent-child, "[...]" a branch.
 	// The Misplaced Volume in the box matches too: shelf//book is an
 	// ancestor-descendant edge.
-	res, err := c.Query(`//shelf[@floor = "2"]//book[author = "Ada"]/title`, sjos.MethodDPP)
+	res, err := c.QueryContext(context.Background(), `//shelf[@floor = "2"]//book[author = "Ada"]/title`,
+		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 	fmt.Println("chosen plan (DPP — optimal):")
 	fmt.Println(res.PlanText)
 	fmt.Printf("%d match(es) in %v (optimization took %v):\n",
-		len(res.Matches), res.ExecuteTime, res.OptimizeTime)
+		res.Count, res.ExecuteTime, res.OptimizeTime)
 	// A segment holds one document's rows and labels their nodes.
 	for _, seg := range res.Segments {
 		for r := 0; r < seg.Len(); r++ {

@@ -25,10 +25,11 @@ func main() {
 		log.Fatal(err)
 	}
 	pat := sjos.MustParsePattern("//manager[.//employee/name]//manager/department/name")
+	ctx := context.Background()
 	fmt.Printf("Pers ×20 (%d nodes); query: first 10 of many matches\n\n", c.Health()[0].Nodes)
 
 	// The fully-pipelined plan from FP.
-	fp, err := c.Optimize(pat, sjos.MethodFP, 0)
+	fp, err := c.OptimizeContext(ctx, pat, sjos.MethodFP, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,21 +53,20 @@ func main() {
 
 	measure := func(label string, p *sjos.Plan) {
 		t0 := time.Now()
-		fr, err := c.Run(context.Background(), pat, p, sjos.RunOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
+		fr, err := c.Run(ctx, pat, p, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		first := fr.Matches
 		firstLatency := time.Since(t0)
 		t0 = time.Now()
-		tr, err := c.Run(context.Background(), pat, p, sjos.RunOptions{CountOnly: true})
+		tr, err := c.Run(ctx, pat, p, sjos.QueryOptions{CountOnly: true})
 		if err != nil {
 			log.Fatal(err)
 		}
 		total := tr.Count
 		fullLatency := time.Since(t0)
 		fmt.Printf("%-22s first %d results in %-12v full %d results in %v\n",
-			label, len(first), firstLatency.Round(time.Microsecond), total, fullLatency.Round(time.Millisecond))
+			label, fr.Count, firstLatency.Round(time.Microsecond), total, fullLatency.Round(time.Millisecond))
 	}
 	measure("FP (pipelined):", fp.Plan)
 	measure("blocking (with sorts):", blocking)

@@ -25,19 +25,20 @@ func main() {
 		log.Fatal(err)
 	}
 	pat := sjos.MustParsePattern("//manager[.//employee/name]//manager/department/name")
+	ctx := context.Background()
 	fmt.Printf("Pers ×20: %d element nodes\n\n", c.Health()[0].Nodes)
 
 	fmt.Println("DPAP-EB sweep over the expansion bound Te:")
 	fmt.Printf("%-6s %-12s %-12s %-12s %s\n", "Te", "optimize", "execute", "total", "est. cost")
 	for te := 1; te <= pat.N(); te++ {
 		t0 := time.Now()
-		res, err := c.Optimize(pat, sjos.MethodDPAPEB, te)
+		res, err := c.OptimizeContext(ctx, pat, sjos.MethodDPAPEB, te)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opt := time.Since(t0)
 		t1 := time.Now()
-		if _, err := c.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
+		if _, err := c.Run(ctx, pat, res.Plan, sjos.QueryOptions{CountOnly: true}); err != nil {
 			log.Fatal(err)
 		}
 		eval := time.Since(t1)
@@ -49,13 +50,13 @@ func main() {
 	fmt.Println("\nReference points:")
 	for _, m := range []sjos.Method{sjos.MethodDPP, sjos.MethodFP} {
 		t0 := time.Now()
-		res, err := c.Optimize(pat, m, 0)
+		res, err := c.OptimizeContext(ctx, pat, m, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opt := time.Since(t0)
 		t1 := time.Now()
-		if _, err := c.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true}); err != nil {
+		if _, err := c.Run(ctx, pat, res.Plan, sjos.QueryOptions{CountOnly: true}); err != nil {
 			log.Fatal(err)
 		}
 		eval := time.Since(t1)

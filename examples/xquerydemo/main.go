@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,10 +24,12 @@ func main() {
 	// The paper's Example 2.2 as FLWOR: for each manager A, the names of
 	// supervised employees and of departments directly run by subordinate
 	// managers.
-	res, err := c.XQuery(`
+	ctx := context.Background()
+	res, err := c.XQueryContext(ctx, `
 		for $a in //manager, $d in $a//manager
 		where $a//employee/name and $d/department/name
-		return $a/name, $d/department/name`, sjos.MethodDPP)
+		return $a/name, $d/department/name`,
+		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,11 +46,12 @@ func main() {
 	}
 
 	// Value predicates and ordered output.
-	res, err = c.XQuery(`
+	res, err = c.XQueryContext(ctx, `
 		for $e in //employee
 		where $e/salary >= 100000
 		order by $e
-		return $e/name, $e/salary`, sjos.MethodFP)
+		return $e/name, $e/salary`,
+		sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodFP}})
 	if err != nil {
 		log.Fatal(err)
 	}

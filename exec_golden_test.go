@@ -68,11 +68,11 @@ func TestExecGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range execGoldenMethods {
-			opt, err := db.Optimize(pat, m, 0)
+			opt, err := db.OptimizeContext(context.Background(), pat, m, 0)
 			if err != nil {
 				t.Fatalf("%s %v: %v", q.ID, m, err)
 			}
-			res, err := db.Run(context.Background(), pat, opt.Plan, sjos.RunOptions{})
+			res, err := db.Run(context.Background(), pat, opt.Plan, sjos.QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s %v: %v", q.ID, m, err)
 			}
@@ -150,11 +150,11 @@ func TestCorpusReadOnlyPlansLikeWritable(t *testing.T) {
 		res  *sjos.CorpusRunResult
 	}
 	plan := func(c *sjos.Corpus, pat *sjos.Pattern, m sjos.Method) outcome {
-		opt, err := c.Optimize(pat, m, 0)
+		opt, err := c.OptimizeContext(context.Background(), pat, m, 0)
 		if err != nil {
 			t.Fatalf("%s %v: %v", pat, m, err)
 		}
-		res, err := c.Run(ctx, pat, opt.Plan, sjos.RunOptions{})
+		res, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s %v: %v", pat, m, err)
 		}

@@ -16,7 +16,7 @@ func (c *Corpus) Explain(pat *Pattern) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pattern: %s\n", pat.String())
 	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy} {
-		res, err := c.Optimize(pat, m, 0)
+		res, err := c.OptimizeContext(context.Background(), pat, m, 0)
 		if err != nil {
 			return "", fmt.Errorf("sjos: explain %v: %w", m, err)
 		}
@@ -45,12 +45,12 @@ func (c *Corpus) Explain(pat *Pattern) (string, error) {
 // passes the same envelope — admission, metrics, panic recovery — as any
 // query.
 func (c *Corpus) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
-	res, err := c.Optimize(pat, m, 0)
+	res, err := c.OptimizeContext(context.Background(), pat, m, 0)
 	if err != nil {
 		return "", err
 	}
 	before := c.Metrics().Pool
-	rr, err := c.run(context.Background(), pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true})
+	rr, err := c.run(context.Background(), pat, res.Plan, QueryOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true})
 	if err != nil {
 		return "", err
 	}
@@ -68,7 +68,7 @@ func (c *Corpus) ExplainAnalyze(pat *Pattern, m Method) (string, error) {
 	}
 	fmt.Fprintf(&sb, "buffer pool: %d hits, %d misses (%.1f%% hit rate)\n",
 		hits, misses, rate)
-	cs := c.CacheStats()
+	cs := c.svc.cache.Stats()
 	fmt.Fprintf(&sb, "plan cache: %d/%d entries, %d hits, %d misses, %d coalesced, %d evicted\n",
 		cs.Entries, cs.Capacity, cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions)
 	return sb.String(), nil
@@ -106,7 +106,7 @@ func (c *Corpus) BadPlan(pat *Pattern, samples int, seed int64) (*OptimizeResult
 	return core.BadPlan(pat, est, cost.DefaultModel(), samples, seed)
 }
 
-// OptimizeWithExactStats is Optimize with the oracle estimator: exact
+// OptimizeWithExactStats is OptimizeContext with the oracle estimator: exact
 // per-node candidate counts and per-edge join selectivities computed from
 // the documents, instead of positional-histogram estimates. It isolates the
 // effect of estimation error on plan choice (the A2 ablation in DESIGN.md)

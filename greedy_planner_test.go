@@ -1,6 +1,9 @@
 package sjos
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestGreedyDifferential pins the statistics-free Greedy orderer and DP to
 // the brute-force reference on the Table-3 workload shapes. Greedy may pick a
@@ -18,7 +21,7 @@ func TestGreedyDifferential(t *testing.T) {
 		pat := MustParsePattern(q)
 		want := canonicalize(referenceMatches(db, pat))
 		for _, m := range []Method{MethodDP, MethodGreedy} {
-			opt, err := db.Optimize(pat, m, 0)
+			opt, err := db.OptimizeContext(context.Background(), pat, m, 0)
 			if err != nil {
 				t.Fatalf("%s %v: %v", q, m, err)
 			}

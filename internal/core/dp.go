@@ -25,10 +25,8 @@ var errNoPlan = errors.New("core: search completed without finding a plan")
 // singleNode handles the degenerate one-node pattern shared by all
 // algorithms: the plan is a bare index scan.
 func (sp *space) singleNode(name string) *Result {
-	leaf := plan.NewIndexScan(0)
-	leaf.ValueIndex = sp.leafProbe[0]
-	leaf.EstCard = sp.est.NodeCard(0)
-	leaf.EstCost = sp.scanCost
+	leaf := &plan.Node{}
+	sp.leaf(leaf, 0)
 	return &Result{Plan: leaf, Cost: sp.scanCost, Algorithm: name}
 }
 

@@ -72,8 +72,8 @@ type greedySignals struct {
 
 // finish computes each node's ranking score and leaf access path from the
 // already-filled cardinalities. sig.eligible marks nodes whose predicate
-// the content index can serve; the probe is chosen when it is also
-// estimated cheaper than the scan (the same rule newSpace applies).
+// the content index can serve; the access path is leafAccess's, the rule
+// newSpace applies.
 func (sig *greedySignals) finish(pat *pattern.Pattern, model cost.Model) {
 	for u := 0; u < pat.N(); u++ {
 		s := sig.scanCard[u]
@@ -84,14 +84,7 @@ func (sig *greedySignals) finish(pat *pattern.Pattern, model cost.Model) {
 			s /= greedyPredBoost
 		}
 		sig.score[u] = s
-		c := model.IndexAccess(sig.scanCard[u])
-		if sig.eligible[u] {
-			if probe := model.ValueProbe(sig.nodeCard[u]); probe < c {
-				c = probe
-				sig.probe[u] = true
-			}
-		}
-		sig.leafCost[u] = c
+		sig.leafCost[u], sig.probe[u] = leafAccess(model, sig.scanCard[u], sig.nodeCard[u], sig.eligible[u])
 	}
 }
 
@@ -222,16 +215,8 @@ func (b *greedyBuilder) addSub(v, c int) {
 func (b *greedyBuilder) subtree(v, from int, out *gplan) {
 	pat, sig := b.pat, &b.sig
 	b.counters.StatusesGenerated++
-	// The backing slice is freshly zeroed, so nodes are written field by
-	// field rather than via whole-struct literals (which would re-copy the
-	// zero fields).
 	leaf := b.alloc()
-	leaf.Op = plan.OpIndexScan
-	leaf.PatternNode = v
-	leaf.OrderedBy = v
-	leaf.ValueIndex = sig.probe[v]
-	leaf.EstCard = sig.nodeCard[v]
-	leaf.EstCost = sig.leafCost[v]
+	setLeaf(leaf, v, sig.probe[v], sig.nodeCard[v], sig.leafCost[v])
 	*out = gplan{
 		node:  leaf,
 		cost:  leaf.EstCost,

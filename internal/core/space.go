@@ -21,10 +21,11 @@ type space struct {
 	allEdges uint32  // bit e set for every edge id e (1..n-1)
 	scanCost float64 // Σ leaf access cost; paid by every plan
 
-	// Per-node leaf access path, chosen once in newSpace: a value-index
-	// probe of the predicate's postings, or a tag scan (+ filter). Leaf
-	// cost is paid by every plan, so the choice never changes the join
-	// order — but it changes the leaf operators and absolute plan cost.
+	// Per-node leaf access path, chosen once in newSpace by leafAccess: a
+	// value-index probe of the predicate's postings, or a tag scan (+
+	// filter). Leaf cost is paid by every plan, so the choice never changes
+	// the join order — but it changes the leaf operators and absolute plan
+	// cost.
 	leafCost  [MaxPatternNodes]float64
 	leafProbe [MaxPatternNodes]bool
 
@@ -49,23 +50,44 @@ func newSpace(pat *pattern.Pattern, est *Estimator, model cost.Model) *space {
 		sp.incident[e] |= 1 << uint(e)
 		sp.incident[pat.Parent[e]] |= 1 << uint(e)
 	}
-	// Leaf access-path selection (predicate pushdown). A node without a
-	// predicate scans its tag postings. A predicated node compares the full
-	// scan-and-filter (every tag posting passes through the index) with a
-	// value-index probe that retrieves only the NodeCard(u) matching
-	// postings, when the store offers one with identical semantics.
 	for u := 0; u < sp.n; u++ {
-		c := model.IndexAccess(est.ScanCard(u))
-		if est.ProbeOK(u) {
-			if probe := model.ValueProbe(est.NodeCard(u)); probe < c {
-				c = probe
-				sp.leafProbe[u] = true
-			}
-		}
-		sp.leafCost[u] = c
-		sp.scanCost += c
+		sp.leafCost[u], sp.leafProbe[u] = leafAccess(model, est.ScanCard(u), est.NodeCard(u), est.ProbeOK(u))
+		sp.scanCost += sp.leafCost[u]
 	}
 	return sp
+}
+
+// leafAccess is the one leaf access-path rule (predicate pushdown), shared
+// by the searches and Greedy. A node without a predicate scans its scanCard
+// tag postings. A predicated node compares the full scan-and-filter (every
+// tag posting passes through the index) with a value-index probe that
+// retrieves only its nodeCard matching postings, when the store offers one
+// with identical semantics (probeOK). It returns the chosen access's cost
+// and whether it is the probe.
+func leafAccess(model cost.Model, scanCard, nodeCard float64, probeOK bool) (float64, bool) {
+	c := model.IndexAccess(scanCard)
+	if probeOK {
+		if probe := model.ValueProbe(nodeCard); probe < c {
+			return probe, true
+		}
+	}
+	return c, false
+}
+
+// setLeaf makes the zero node nd pattern node u's index-scan leaf: a
+// value-index probe or a tag scan, annotated with its estimated output and
+// access cost. Fields are written one by one, so a leaf in a zeroed slab
+// (Greedy's) is not copied over whole.
+func setLeaf(nd *plan.Node, u int, probe bool, estCard, estCost float64) {
+	nd.Op = plan.OpIndexScan
+	nd.PatternNode, nd.OrderedBy = u, u
+	nd.ValueIndex = probe
+	nd.EstCard, nd.EstCost = estCard, estCost
+}
+
+// leaf writes node u's leaf into nd with the access path newSpace chose.
+func (sp *space) leaf(nd *plan.Node, u int) {
+	setLeaf(nd, u, sp.leafProbe[u], sp.est.NodeCard(u), sp.leafCost[u])
 }
 
 // start empties the kernel and returns the index of the start status S₀: no
@@ -345,11 +367,8 @@ func (sp *space) finalize(final int32) *plan.Node {
 	}
 	var plans [MaxPatternNodes]*plan.Node // indexed by cluster root
 	for i := 0; i < n; i++ {
-		leaf := keep(plan.NewIndexScan(i))
-		leaf.ValueIndex = sp.leafProbe[i]
-		leaf.EstCard = sp.est.NodeCard(i)
-		leaf.EstCost = sp.leafCost[i]
-		plans[i] = leaf
+		plans[i] = keep(&plan.Node{})
+		sp.leaf(plans[i], i)
 	}
 	for d := depth - 1; d >= 0; d-- {
 		st := sp.at(chain[d])

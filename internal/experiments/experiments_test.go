@@ -35,11 +35,11 @@ func TestQueriesHaveMatchesOnTheirDatasets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Query(q.Source, sjos.MethodFP)
+		res, err := db.QueryContext(context.Background(), q.Source, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodFP}})
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
-		if len(res.Matches) == 0 {
+		if res.Count == 0 {
 			t.Errorf("%s: zero matches — the benchmark query is vacuous", q.ID)
 		}
 	}
@@ -245,20 +245,20 @@ func TestFoldingScalesAllQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range Methods() {
-			rb, err := base.Optimize(pat, m, 0)
+			rb, err := base.OptimizeContext(context.Background(), pat, m, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rbase, err := base.Run(context.Background(), pat, rb.Plan, sjos.RunOptions{CountOnly: true})
+			rbase, err := base.Run(context.Background(), pat, rb.Plan, sjos.QueryOptions{CountOnly: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			nb := rbase.Count
-			rf, err := folded.Optimize(pat, m, 0)
+			rf, err := folded.OptimizeContext(context.Background(), pat, m, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rfold, err := folded.Run(context.Background(), pat, rf.Plan, sjos.RunOptions{CountOnly: true})
+			rfold, err := folded.Run(context.Background(), pat, rf.Plan, sjos.QueryOptions{CountOnly: true})
 			if err != nil {
 				t.Fatal(err)
 			}

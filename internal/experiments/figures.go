@@ -49,7 +49,7 @@ func Figure78(fold int) ([]FigureBar, error) {
 			return err
 		}
 		eval, err := timeIt(evalRepeat, func() error {
-			_, e := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true})
+			_, e := db.Run(context.Background(), pat, res.Plan, sjos.QueryOptions{CountOnly: true})
 			return e
 		})
 		if err != nil {
@@ -62,7 +62,7 @@ func Figure78(fold int) ([]FigureBar, error) {
 	for _, m := range []sjos.Method{sjos.MethodDP, sjos.MethodDPP} {
 		m := m
 		if err := measure(m.String(), func() (*sjos.OptimizeResult, error) {
-			return db.Optimize(pat, m, 0)
+			return db.OptimizeContext(context.Background(), pat, m, 0)
 		}); err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ func Figure78(fold int) ([]FigureBar, error) {
 		te := te
 		label := "DPAP-EB(" + strconv.Itoa(te) + ")"
 		if err := measure(label, func() (*sjos.OptimizeResult, error) {
-			return db.Optimize(pat, sjos.MethodDPAPEB, te)
+			return db.OptimizeContext(context.Background(), pat, sjos.MethodDPAPEB, te)
 		}); err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func Figure78(fold int) ([]FigureBar, error) {
 	for _, m := range []sjos.Method{sjos.MethodDPAPLD, sjos.MethodFP} {
 		m := m
 		if err := measure(m.String(), func() (*sjos.OptimizeResult, error) {
-			return db.Optimize(pat, m, 0)
+			return db.OptimizeContext(context.Background(), pat, m, 0)
 		}); err != nil {
 			return nil, err
 		}

@@ -215,7 +215,7 @@ func evalInterleaved(db *sjos.Corpus, pat *sjos.Pattern, plans map[string]*sjos.
 		for text, p := range plans {
 			runtime.GC()
 			t0 := time.Now()
-			r, err := db.Run(context.Background(), pat, p, sjos.RunOptions{CountOnly: true})
+			r, err := db.Run(context.Background(), pat, p, sjos.QueryOptions{CountOnly: true})
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +290,7 @@ func PlannerBench(cfg PlannerConfig) (*PlannerResult, error) {
 			var opt *sjos.OptimizeResult
 			optT, err := timeItBudget(optBudget, plannerOptMaxN, func() error {
 				var e error
-				opt, e = db.Optimize(pat, m, 0)
+				opt, e = db.OptimizeContext(context.Background(), pat, m, 0)
 				return e
 			})
 			if err != nil {

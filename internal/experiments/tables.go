@@ -35,7 +35,7 @@ func RunQuery(db *sjos.Corpus, q Query, m sjos.Method) (Cell, error) {
 	var res *sjos.OptimizeResult
 	opt, err := timeIt(optRepeat, func() error {
 		var e error
-		res, e = db.Optimize(pat, m, 0)
+		res, e = db.OptimizeContext(context.Background(), pat, m, 0)
 		return e
 	})
 	if err != nil {
@@ -43,7 +43,7 @@ func RunQuery(db *sjos.Corpus, q Query, m sjos.Method) (Cell, error) {
 	}
 	var n int
 	eval, err := timeIt(evalRepeat, func() error {
-		r, e := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true})
+		r, e := db.Run(context.Background(), pat, res.Plan, sjos.QueryOptions{CountOnly: true})
 		if e == nil {
 			n = r.Count
 		}
@@ -69,7 +69,7 @@ func RunBadPlan(db *sjos.Corpus, q Query) (time.Duration, float64, error) {
 	// scheduler noise is irrelevant and repetition would dominate the
 	// whole table's wall time at large folds.
 	eval, err := timeIt(1, func() error {
-		_, e := db.Run(context.Background(), pat, bad.Plan, sjos.RunOptions{CountOnly: true})
+		_, e := db.Run(context.Background(), pat, bad.Plan, sjos.QueryOptions{CountOnly: true})
 		return e
 	})
 	return eval, bad.Cost, err
@@ -136,7 +136,7 @@ func Table2(queryID string) ([]Table2Col, error) {
 		var res *sjos.OptimizeResult
 		opt, err := timeIt(optRepeat, func() error {
 			var e error
-			res, e = db.Optimize(pat, m, 0)
+			res, e = db.OptimizeContext(context.Background(), pat, m, 0)
 			return e
 		})
 		if err != nil {
@@ -183,13 +183,13 @@ func Table3(folds []int) ([]Table3Row, error) {
 			// Optimize on the folded data (statistics change with
 			// fold, which is exactly the paper's point: larger data
 			// flips the optimal plan from left-deep to bushy).
-			res, err := db.Optimize(pat, m, 0)
+			res, err := db.OptimizeContext(context.Background(), pat, m, 0)
 			if err != nil {
 				return nil, err
 			}
 			eval, err := timeIt(evalRepeat, func() error {
 				_, e := db.Run(context.Background(), pat, res.Plan,
-					sjos.RunOptions{CountOnly: true})
+					sjos.QueryOptions{CountOnly: true})
 				return e
 			})
 			if err != nil {

@@ -51,12 +51,12 @@ func TestLimitPrefixRamp(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: optimize: %v", q.ID, m, err)
 			}
-			full, err := c.Run(ctx, pat, opt.Plan, sjos.RunOptions{})
+			full, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", q.ID, m, err)
 			}
 			for _, k := range limits {
-				res, err := c.Run(ctx, pat, opt.Plan, sjos.RunOptions{ExecOptions: sjos.ExecOptions{Limit: k}})
+				res, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: k}})
 				if err != nil {
 					t.Fatalf("%s/%v limit %d: %v", q.ID, m, k, err)
 				}
@@ -68,7 +68,7 @@ func TestLimitPrefixRamp(t *testing.T) {
 			}
 			// Where the result has more than 4 096 rows, the last limit ended on a
 			// one-row root batch.
-			again, err := c.Run(ctx, pat, opt.Plan, sjos.RunOptions{})
+			again, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v after the limits: %v", q.ID, m, err)
 			}
@@ -111,7 +111,7 @@ func TestLimitWorkBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.Run(ctx, pat, opt.Plan, sjos.RunOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
+			res, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
 			if err != nil {
 				t.Fatal(err)
 			}

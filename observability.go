@@ -14,8 +14,8 @@ import (
 // OpTrace is a plan-shaped per-operator execution trace: wall time per
 // iterator phase, Next calls, and actual vs estimated output rows for
 // every operator of the executed plan. Produced by Run/QueryContext when
-// tracing is enabled (RunOptions.Trace / QueryOptions.Trace, or a
-// configured slow-query log).
+// tracing is enabled (QueryOptions.Trace, or a configured slow-query
+// log).
 type OpTrace = exec.OpTrace
 
 // MetricsSnapshot is the process-wide query counters' point-in-time copy.

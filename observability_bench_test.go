@@ -28,39 +28,39 @@ import (
 func BenchmarkObservabilityOverhead(b *testing.B) {
 	db := datasetCorpus(b, "pers", 1, 100, nil)
 	pat := MustParsePattern("//manager[.//employee/name]//manager/department/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
+	res, err := db.OptimizeContext(context.Background(), pat, MethodDPP, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	eng := db.shards[0].meta()
-	raw := func(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (int, error) {
+	raw := func(ctx context.Context, pat *Pattern, p *Plan, opts QueryOptions) (int, error) {
 		r, err := eng.runOn(ctx, eng.view(), pat, p, opts)
 		if err != nil {
 			return 0, err
 		}
 		return r.Count, nil
 	}
-	run := func(ctx context.Context, pat *Pattern, p *Plan, opts RunOptions) (int, error) {
+	run := func(ctx context.Context, pat *Pattern, p *Plan, opts QueryOptions) (int, error) {
 		r, err := db.Run(ctx, pat, p, opts)
 		if err != nil {
 			return 0, err
 		}
 		return r.Count, nil
 	}
-	want, err := raw(context.Background(), pat, res.Plan, RunOptions{CountOnly: true})
+	want, err := raw(context.Background(), pat, res.Plan, QueryOptions{CountOnly: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, v := range []struct {
 		label string
-		opts  RunOptions
-		fn    func(context.Context, *Pattern, *Plan, RunOptions) (int, error)
+		opts  QueryOptions
+		fn    func(context.Context, *Pattern, *Plan, QueryOptions) (int, error)
 		admit *admission.Controller
 	}{
-		{"raw", RunOptions{CountOnly: true}, raw, nil},
-		{"disabled", RunOptions{CountOnly: true}, run, nil},
-		{"admitted", RunOptions{CountOnly: true}, run, admission.New(64, 64)},
-		{"traced", RunOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true}, run, nil},
+		{"raw", QueryOptions{CountOnly: true}, raw, nil},
+		{"disabled", QueryOptions{CountOnly: true}, run, nil},
+		{"admitted", QueryOptions{CountOnly: true}, run, admission.New(64, 64)},
+		{"traced", QueryOptions{ExecOptions: ExecOptions{Trace: true}, CountOnly: true}, run, nil},
 	} {
 		b.Run(v.label, func(b *testing.B) {
 			db.svc.admit = v.admit

@@ -17,18 +17,15 @@ import (
 func TestRunTraceMatchesPlain(t *testing.T) {
 	db := openDB(t)
 	pat := MustParsePattern("//manager//employee/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := db.Run(context.Background(), pat, res.Plan, RunOptions{})
+	res := mustOptimize(t, db, pat, MethodDPP)
+	plain, err := db.Run(context.Background(), pat, res.Plan, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Trace != nil {
 		t.Fatal("untraced run carries a trace")
 	}
-	traced, err := db.Run(context.Background(), pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Trace: true}})
+	traced, err := db.Run(context.Background(), pat, res.Plan, QueryOptions{ExecOptions: ExecOptions{Trace: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +50,7 @@ func TestQueryMetrics(t *testing.T) {
 		t.Fatalf("fresh database metrics: %+v", m.Query)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := db.QueryContext(context.Background(), "//manager//employee/name", QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}); err != nil {
+		if _, err := db.QueryContext(context.Background(), "//manager//employee/name", methodOpts(MethodDPP)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,13 +71,10 @@ func TestQueryMetrics(t *testing.T) {
 	// Failed executions count as errors. Run with a cancelled context so
 	// the failure happens inside Run (the metered section).
 	pat := MustParsePattern("//manager//employee")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustOptimize(t, db, pat, MethodDPP)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.Run(ctx, pat, res.Plan, RunOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := db.Run(ctx, pat, res.Plan, QueryOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	m = db.Metrics()
@@ -93,7 +87,7 @@ func TestQueryMetrics(t *testing.T) {
 // plan-cache and buffer-pool families.
 func TestWriteMetricsText(t *testing.T) {
 	db := openDB(t)
-	if _, err := db.Query("//manager//employee/name", MethodDPP); err != nil {
+	if _, err := db.QueryContext(context.Background(), "//manager//employee/name", methodOpts(MethodDPP)); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -185,7 +179,7 @@ func TestWriteMetricsInvalidations(t *testing.T) {
 	if err := c.InsertString("a", orderXML(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query("//order/item", MethodDPP); err != nil {
+	if _, err := c.QueryContext(context.Background(), "//order/item", methodOpts(MethodDPP)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InsertString("b", orderXML(3)); err != nil {
@@ -211,7 +205,7 @@ func TestSlowQueryLog(t *testing.T) {
 		mu.Unlock()
 	})
 	src := "//manager//employee/name"
-	res, err := db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	res, err := db.QueryContext(context.Background(), src, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +219,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if e.Pattern == "" || e.Fingerprint == "" {
 		t.Fatalf("entry missing identity: %+v", e)
 	}
-	if e.Method != MethodDPP || e.Matches != len(res.Matches) {
+	if e.Method != MethodDPP || e.Matches != res.Count {
 		t.Fatalf("entry: %+v", e)
 	}
 	if e.Duration < e.OptimizeTime || e.Duration < e.ExecuteTime {
@@ -246,7 +240,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// An unreachable threshold logs nothing.
 	db.SetSlowQueryLog(time.Hour, nil)
-	if _, err := db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}); err != nil {
+	if _, err := db.QueryContext(context.Background(), src, methodOpts(MethodDPP)); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.SlowQueries(); len(got) != 1 {
@@ -255,7 +249,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// A zero threshold disables the log, and with it the forced tracing.
 	db.SetSlowQueryLog(0, nil)
-	res, err = db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	res, err = db.QueryContext(context.Background(), src, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +265,7 @@ func TestSlowQueryRingBounded(t *testing.T) {
 	db.SetSlowQueryLog(time.Nanosecond, nil)
 	src := "//manager//employee/name"
 	for i := 0; i < 40; i++ {
-		if _, err := db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}); err != nil {
+		if _, err := db.QueryContext(context.Background(), src, methodOpts(MethodDPP)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,13 +26,13 @@ type envelope struct {
 
 // run is Run of the planned //a//b.
 func (e envelope) run(ctx context.Context) error {
-	_, err := e.c.Run(ctx, e.pat, e.plan, RunOptions{})
+	_, err := e.c.Run(ctx, e.pat, e.plan, QueryOptions{})
 	return err
 }
 
-// query is QueryPatternContext of //a//b.
+// query is QueryContext of //a//b.
 func (e envelope) query(ctx context.Context) error {
-	_, err := e.c.QueryPatternContext(ctx, e.pat, QueryOptions{})
+	_, err := e.c.queryPattern(ctx, e.pat, QueryOptions{})
 	return err
 }
 
@@ -50,14 +50,14 @@ func forEachFacade(t *testing.T, opts CorpusOptions, fn func(t *testing.T, e env
 	pat := MustParsePattern("//a//b")
 	t.Run("database", func(t *testing.T) {
 		c := docCorpus(t, docs[0], &opts)
-		fn(t, envelope{c: c, pat: pat, plan: mustPlan(t, c, pat, MethodDP)})
+		fn(t, envelope{c: c, pat: pat, plan: mustOptimize(t, c, pat, MethodDP).Plan})
 	})
 	t.Run("corpus", func(t *testing.T) {
 		wopts := opts
 		wopts.Shards = 2
 		wopts.ShardWALFile = func(int) PageFile { return NewMemPageFile() }
 		c := buildTestCorpus(t, []string{"d0", "d1"}, docs, &wopts)
-		fn(t, envelope{c: c, pat: pat, plan: mustPlan(t, c, pat, MethodDP), writable: true})
+		fn(t, envelope{c: c, pat: pat, plan: mustOptimize(t, c, pat, MethodDP).Plan, writable: true})
 	})
 }
 
@@ -146,7 +146,7 @@ func TestAdmissionOverloadAndQueue(t *testing.T) {
 		}
 		second := make(chan error, 1)
 		go func() { second <- f.run(context.Background()) }()
-		waitFor(t, "second query to queue", func() bool { return f.c.AdmissionStats().Waiting == 1 })
+		waitFor(t, "second query to queue", func() bool { return f.c.Metrics().Admission.Waiting == 1 })
 		// Queue full: the third arrival is shed immediately.
 		if err := f.run(context.Background()); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("third query error = %v, want ErrOverloaded", err)
@@ -158,11 +158,11 @@ func TestAdmissionOverloadAndQueue(t *testing.T) {
 		if err := <-second; err != nil {
 			t.Fatalf("queued query: %v", err)
 		}
-		st := f.c.AdmissionStats()
+		st := f.c.Metrics().Admission
 		if st.Queued < 1 || st.Rejected < 1 {
 			t.Fatalf("stats = %+v, want Queued >= 1 and Rejected >= 1", st)
 		}
-		waitFor(t, "slots to release", func() bool { return f.c.AdmissionStats().InFlight == 0 })
+		waitFor(t, "slots to release", func() bool { return f.c.Metrics().Admission.InFlight == 0 })
 		// Shed queries never reach the served counters.
 		if m := f.c.Metrics().Query; m.Queries != 2 || m.Errors != 0 {
 			t.Fatalf("queries=%d errors=%d, want 2/0 (the shed one is not counted)", m.Queries, m.Errors)
@@ -224,7 +224,7 @@ func TestDrainGraceful(t *testing.T) {
 	})
 }
 
-// TestQueryPathRespectsAdmission: the high-level Query entry points flow
+// TestQueryPathRespectsAdmission: the planned-query entry points flow
 // through Run, so admission errors surface there too.
 func TestQueryPathRespectsAdmission(t *testing.T) {
 	forEachFacade(t, CorpusOptions{MaxInFlight: 1}, func(t *testing.T, f envelope) {
@@ -235,7 +235,7 @@ func TestQueryPathRespectsAdmission(t *testing.T) {
 			t.Fatalf("query error = %v, want ErrOverloaded", err)
 		}
 		close(unblock)
-		waitFor(t, "slot release", func() bool { return f.c.AdmissionStats().InFlight == 0 })
+		waitFor(t, "slot release", func() bool { return f.c.Metrics().Admission.InFlight == 0 })
 	})
 }
 
@@ -249,7 +249,7 @@ func TestWriteMetricsResilienceCounters(t *testing.T) {
 	db := docCorpus(t, doc, &CorpusOptions{PoolFrames: 4, MaxInFlight: 4, ShardPageFile: storeOn(ff)})
 	ff.SetPolicy(faultfs.Policy{FailNthRead: 1, Transient: true})
 	pat := MustParsePattern("//a//b")
-	if _, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{}); err != nil {
+	if _, err := db.queryPattern(context.Background(), pat, QueryOptions{}); err != nil {
 		t.Fatalf("query over transient fault: %v", err)
 	}
 	m := db.Metrics()

@@ -37,7 +37,7 @@ const (
 func plannedOn(tb testing.TB, c *Corpus, src string) (*Pattern, *Plan) {
 	tb.Helper()
 	pat := MustParsePattern(src)
-	opt, err := c.Optimize(pat, MethodDPP, 0)
+	opt, err := c.OptimizeContext(context.Background(), pat, MethodDPP, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestResultPathAllocs(t *testing.T) {
 	pat, plan := plannedOn(t, c, qPers1a)
 	rows := 0
 	run := func() {
-		res, err := c.Run(context.Background(), pat, plan, RunOptions{})
+		res, err := c.Run(context.Background(), pat, plan, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkCorpusResultPath(b *testing.B) {
 			ctx := context.Background()
 			t0 := time.Now()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(ctx, pat, plan, RunOptions{CountOnly: true}); err != nil {
+				if _, err := c.Run(ctx, pat, plan, QueryOptions{CountOnly: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -91,7 +91,7 @@ func BenchmarkCorpusResultPath(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := c.Run(ctx, pat, plan, RunOptions{})
+				res, err := c.Run(ctx, pat, plan, QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestDemuxRangeSplit(t *testing.T) {
 	sh := c.shards[0]
 	sn := sh.meta().view()
 	pat, plan := plannedOn(t, c, `//emp/name`)
-	rr, err := sh.meta().runOn(context.Background(), sn, pat, plan, RunOptions{})
+	rr, err := sh.meta().runOn(context.Background(), sn, pat, plan, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestDemuxRangeSplit(t *testing.T) {
 	// attribution of the shard's own limit-k output in document order.
 	ids := c.DocIDs()
 	for limit := 0; limit <= rr.Count+1; limit++ {
-		lr, err := sh.meta().runOn(context.Background(), sn, pat, plan, RunOptions{ExecOptions: ExecOptions{Limit: limit}})
+		lr, err := sh.meta().runOn(context.Background(), sn, pat, plan, QueryOptions{ExecOptions: ExecOptions{Limit: limit}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestDemuxRangeSplit(t *testing.T) {
 				}
 			}
 		}
-		res, err := c.Run(context.Background(), pat, plan, RunOptions{ExecOptions: ExecOptions{Limit: limit}})
+		res, err := c.Run(context.Background(), pat, plan, QueryOptions{ExecOptions: ExecOptions{Limit: limit}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestSegmentsPinSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(`//emp/name`, MethodDPP)
+	res, err := c.QueryContext(context.Background(), `//emp/name`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,14 @@ const resultsXML = `<db>
 func TestRenderMatch(t *testing.T) {
 	c := xmlCorpus(t, resultsXML, nil)
 	pat := MustParsePattern("//team[name]//member/name")
-	res, err := c.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	res, err := c.queryPattern(context.Background(), pat, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) != 3 {
-		t.Fatalf("%d matches, want 3", len(res.Matches))
+	if res.Count != 3 {
+		t.Fatalf("%d matches, want 3", res.Count)
 	}
-	for _, m := range res.Matches {
+	for _, m := range corpusMatches(res.Segments, res.Count) {
 		var got, want []byte
 		for u, id := range m.Nodes {
 			got = AppendCell(got, pat.Nodes[u].Tag, docValue(c, id), id)
@@ -58,12 +58,12 @@ func TestRenderMatch(t *testing.T) {
 func TestEvalPredicateFacade(t *testing.T) {
 	c := xmlCorpus(t, `<r><x>11</x><x>9</x><x>100</x><x>abc</x></r>`, nil)
 	for _, m := range []Method{MethodDPP, MethodGreedy} {
-		res, err := c.Query(`//r/x[. >= 10]`, m)
+		res, err := c.QueryContext(context.Background(), `//r/x[. >= 10]`, methodOpts(m))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []string
-		for _, match := range res.Matches {
+		for _, match := range corpusMatches(res.Segments, res.Count) {
 			got = append(got, docValue(c, match.Nodes[1]))
 		}
 		if fmt.Sprint(got) != "[11 100 abc]" {

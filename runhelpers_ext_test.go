@@ -10,7 +10,7 @@ import (
 // runhelpers_test.go).
 
 func execCount(c *sjos.Corpus, pat *sjos.Pattern, p *sjos.Plan) (int, sjos.ExecStats, error) {
-	res, err := c.Run(context.Background(), pat, p, sjos.RunOptions{CountOnly: true})
+	res, err := c.Run(context.Background(), pat, p, sjos.QueryOptions{CountOnly: true})
 	if err != nil {
 		return 0, sjos.ExecStats{}, err
 	}
@@ -21,7 +21,7 @@ func execLimit(c *sjos.Corpus, pat *sjos.Pattern, p *sjos.Plan, n int) ([]sjos.C
 	if n <= 0 {
 		return []sjos.CorpusMatch{}, sjos.ExecStats{}, nil
 	}
-	res, err := c.Run(context.Background(), pat, p, sjos.RunOptions{ExecOptions: sjos.ExecOptions{Limit: n}})
+	res, err := c.Run(context.Background(), pat, p, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: n}})
 	if err != nil {
 		return nil, sjos.ExecStats{}, err
 	}

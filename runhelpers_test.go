@@ -52,6 +52,20 @@ func datasetCorpus(t testing.TB, name string, scale float64, fold int, opts *Cor
 	return c
 }
 
+// mustOptimize plans pat with m against c's statistics, failing the test on
+// an error.
+func mustOptimize(t testing.TB, c *Corpus, pat *Pattern, m Method) *OptimizeResult {
+	t.Helper()
+	res, err := c.OptimizeContext(context.Background(), pat, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// methodOpts is the QueryOptions that plan with m and change nothing else.
+func methodOpts(m Method) QueryOptions { return QueryOptions{ExecOptions: ExecOptions{Method: m}} }
+
 // storeOn puts every replica store of a corpus on f.
 func storeOn(f PageFile) func(shard, replica int) PageFile {
 	return func(int, int) PageFile { return f }
@@ -91,7 +105,7 @@ func docValue(c *Corpus, id NodeID) string {
 }
 
 func execAll(c *Corpus, pat *Pattern, p *Plan) ([]Match, ExecStats, error) {
-	res, err := c.Run(context.Background(), pat, p, RunOptions{})
+	res, err := c.Run(context.Background(), pat, p, QueryOptions{})
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
@@ -99,7 +113,7 @@ func execAll(c *Corpus, pat *Pattern, p *Plan) ([]Match, ExecStats, error) {
 }
 
 func execCount(c *Corpus, pat *Pattern, p *Plan) (int, ExecStats, error) {
-	res, err := c.Run(context.Background(), pat, p, RunOptions{CountOnly: true})
+	res, err := c.Run(context.Background(), pat, p, QueryOptions{CountOnly: true})
 	if err != nil {
 		return 0, ExecStats{}, err
 	}

@@ -90,12 +90,13 @@ func (s *service) setStats(stats core.StatsSource) {
 	s.cache.Clear()
 }
 
-// optimizePattern is the cached optimize step behind QueryPatternContext:
-// structurally equivalent patterns (same shape, tags, axes, predicates — regardless of
-// node numbering) share one cache entry per (method, bound, statistics
-// version). Concurrent misses on the same key run the optimizer once. The
-// boolean reports whether the plan came from the cache (or from a coalesced
-// in-flight optimization) rather than a fresh optimizer run.
+// optimizePattern is the cached optimize step behind QueryContext and
+// XQueryContext: structurally equivalent patterns (same shape, tags, axes,
+// predicates — regardless of node numbering) share one cache entry per
+// (method, bound, statistics version). Concurrent misses on the same key run
+// the optimizer once. The boolean reports whether the plan came from the
+// cache (or from a coalesced in-flight optimization) rather than a fresh
+// optimizer run.
 func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.ProbeEligibility, m Method, te int) (*OptimizeResult, bool, error) {
 	stats, ver := s.snapshot()
 	fp, canon := pattern.Fingerprint(pat)
@@ -160,11 +161,11 @@ func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, m M
 	return core.Optimize(ctx, pat, est, cost.DefaultModel(), m, &core.Options{Te: te})
 }
 
-// ExecOptions is the execution-tuning surface shared by every query entry
-// point: RunOptions and QueryOptions both embed it. Plan-execution entry
-// points (Run) read Limit and Trace and ignore the optimizer fields (Method,
-// Te), which only apply where a plan is being chosen (QueryContext and
-// friends). The zero value optimizes with DP and executes without a limit.
+// ExecOptions is the execution-tuning surface of QueryOptions. Run, which
+// executes an already-chosen plan, reads Limit and Trace and ignores the
+// optimizer fields (Method, Te); they only apply where a plan is being chosen
+// (QueryContext and XQueryContext). The zero value optimizes with DP and
+// executes without a limit.
 type ExecOptions struct {
 	// Method selects the optimization algorithm (zero value: MethodDP).
 	// Ignored by Run, which executes an already-chosen plan.
@@ -180,16 +181,6 @@ type ExecOptions struct {
 	// clock reads per operator per batch of up to 1024 rows; disabled
 	// tracing adds no per-operator work at all.
 	Trace bool
-}
-
-// RunOptions tunes one Run call. The zero value executes the whole plan
-// and returns all matches. Of the embedded ExecOptions, Run reads Limit and
-// Trace; the optimizer fields are ignored (the plan is already chosen).
-type RunOptions struct {
-	ExecOptions
-	// CountOnly suppresses match materialisation; only the result's Count
-	// (and the statistics) are populated.
-	CountOnly bool
 }
 
 // write is the one mutation envelope. Mutations pass the same admission
@@ -248,17 +239,25 @@ func (s *service) recordPanic(pat *Pattern, perr error) {
 	s.slow.record(e)
 }
 
-// QueryOptions tunes one QueryContext call. The zero value optimizes with
-// DP, executes without a limit, and uses the plan cache. All ExecOptions
-// fields apply: the optimizer fields steer the (cached) plan search, the
-// execution fields the run of the chosen plan.
+// QueryOptions tunes one QueryContext, XQueryContext or Run call. The zero
+// value optimizes with DP, executes without a limit, and uses the plan
+// cache. All ExecOptions fields apply to a query: the optimizer fields steer
+// the (cached) plan search, the execution fields the run of the chosen plan.
+// Run executes a plan it is given, so it ignores Method and Te.
 type QueryOptions struct {
 	ExecOptions
-	// CountOnly leaves the rows out: the result carries Count, Exec and
-	// Trace and no Segments or Matches. Without a Limit the shards count
-	// instead of collecting, so no row is materialised or gathered.
+	// CountOnly leaves the rows out: the result carries Count and the
+	// statistics and trace, and no Segments or Matches. Without a Limit the
+	// shards count instead of collecting, so no row is materialised or
+	// gathered. XQueryContext rejects it.
 	CountOnly bool
 }
+
+// RunOptions is QueryOptions under the name Run's options went by when they
+// were a type of their own.
+//
+// Deprecated: use QueryOptions.
+type RunOptions = QueryOptions
 
 // planned is what every planned query reports.
 type planned struct {

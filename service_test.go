@@ -16,27 +16,27 @@ import (
 func TestQueryContextCacheWarm(t *testing.T) {
 	db := openDB(t)
 	src := "//manager//employee/name"
-	cold, err := db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	cold, err := db.QueryContext(context.Background(), src, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.CachedPlan {
 		t.Fatal("first query cannot be a cache hit")
 	}
-	warm, err := db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	warm, err := db.QueryContext(context.Background(), src, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !warm.CachedPlan {
 		t.Fatal("second identical query must hit the plan cache")
 	}
-	if !reflect.DeepEqual(cold.Matches, warm.Matches) {
+	if !reflect.DeepEqual(corpusMatches(cold.Segments, cold.Count), corpusMatches(warm.Segments, warm.Count)) {
 		t.Fatal("cached plan produced different matches")
 	}
 	if warm.PlanText != cold.PlanText || warm.EstCost != cold.EstCost {
 		t.Fatalf("cached plan metadata diverged: %q vs %q", warm.PlanText, cold.PlanText)
 	}
-	cs := db.CacheStats()
+	cs := db.Metrics().Cache
 	if cs.Misses != 1 || cs.Hits != 1 || cs.Entries != 1 {
 		t.Fatalf("cache stats: %+v", cs)
 	}
@@ -48,19 +48,19 @@ func TestPlanCacheMethodsDistinct(t *testing.T) {
 	db := openDB(t)
 	src := "//manager//employee/name"
 	for _, m := range []Method{MethodDPP, MethodFP} {
-		if _, err := db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: m}}); err != nil {
+		if _, err := db.QueryContext(context.Background(), src, methodOpts(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cs := db.CacheStats(); cs.Misses != 2 || cs.Entries != 2 {
+	if cs := db.Metrics().Cache; cs.Misses != 2 || cs.Entries != 2 {
 		t.Fatalf("methods must not share entries: %+v", cs)
 	}
 	pat := MustParsePattern(src)
 	// te=0 defaults to NumEdges: the explicit equivalent must hit.
-	if _, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPAPEB}}); err != nil {
+	if _, err := db.queryPattern(context.Background(), pat, methodOpts(MethodDPAPEB)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPAPEB, Te: pat.NumEdges()}})
+	res, err := db.queryPattern(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPAPEB, Te: pat.NumEdges()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,28 +77,29 @@ func TestPlanCacheRenumberingInvariance(t *testing.T) {
 	db := openDB(t)
 	a := "//manager[.//employee/name][.//department/name]"
 	b := "//manager[.//department/name][.//employee/name]"
-	ra, err := db.QueryContext(context.Background(), a, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	ra, err := db.QueryContext(context.Background(), a, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := db.QueryContext(context.Background(), b, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+	rb, err := db.QueryContext(context.Background(), b, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rb.CachedPlan {
 		t.Fatal("structurally equivalent query must hit the cache")
 	}
-	if len(ra.Matches) != len(rb.Matches) {
-		t.Fatalf("match counts diverge: %d vs %d", len(ra.Matches), len(rb.Matches))
+	if ra.Count != rb.Count {
+		t.Fatalf("match counts diverge: %d vs %d", ra.Count, rb.Count)
 	}
 	// Same bindings, modulo the node renumbering: compare the manager
 	// bindings (node 0 in both) as multisets via sorted order.
-	for i := range ra.Matches {
-		if ra.Matches[i].Nodes[0] != rb.Matches[i].Nodes[0] {
-			t.Fatalf("match %d: manager binding %v vs %v", i, ra.Matches[i].Nodes[0], rb.Matches[i].Nodes[0])
+	ma, mb := rowsOf(ra.Segments), rowsOf(rb.Segments)
+	for i := range ma {
+		if ma[i][0] != mb[i][0] {
+			t.Fatalf("match %d: manager binding %v vs %v", i, ma[i][0], mb[i][0])
 		}
 	}
-	if cs := db.CacheStats(); cs.Misses != 1 || cs.Hits != 1 {
+	if cs := db.Metrics().Cache; cs.Misses != 1 || cs.Hits != 1 {
 		t.Fatalf("cache stats: %+v", cs)
 	}
 }
@@ -114,7 +115,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	done := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			results[i], errs[i] = db.QueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}})
+			results[i], errs[i] = db.QueryContext(context.Background(), src, methodOpts(MethodDPP))
 			done <- i
 		}(i)
 	}
@@ -125,11 +126,11 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		if !reflect.DeepEqual(results[i].Matches, results[0].Matches) {
+		if !reflect.DeepEqual(rowsOf(results[i].Segments), rowsOf(results[0].Segments)) {
 			t.Fatalf("goroutine %d: divergent matches", i)
 		}
 	}
-	cs := db.CacheStats()
+	cs := db.Metrics().Cache
 	if cs.Misses != 1 {
 		t.Fatalf("optimizer ran %d times for one query shape: %+v", cs.Misses, cs)
 	}
@@ -143,26 +144,26 @@ func TestPlanCacheConcurrent(t *testing.T) {
 func TestRebuildStatsInvalidates(t *testing.T) {
 	db := openDB(t)
 	src := "//manager//employee/name"
-	if _, err := db.Query(src, MethodDPP); err != nil {
+	if _, err := db.QueryContext(context.Background(), src, methodOpts(MethodDPP)); err != nil {
 		t.Fatal(err)
 	}
-	if cs := db.CacheStats(); cs.Entries != 1 {
+	if cs := db.Metrics().Cache; cs.Entries != 1 {
 		t.Fatalf("expected one cached entry: %+v", cs)
 	}
 	db.RebuildStats()
-	cs := db.CacheStats()
+	cs := db.Metrics().Cache
 	if cs.Entries != 0 || cs.Invalidations != 1 {
 		t.Fatalf("rebuild must clear the cache: %+v", cs)
 	}
-	res, err := db.Query(src, MethodDPP)
+	res, err := db.QueryContext(context.Background(), src, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CachedPlan {
 		t.Fatal("post-rebuild query must re-optimize")
 	}
-	if db.CacheStats().Misses != 2 {
-		t.Fatalf("stats: %+v", db.CacheStats())
+	if db.Metrics().Cache.Misses != 2 {
+		t.Fatalf("stats: %+v", db.Metrics().Cache)
 	}
 }
 
@@ -172,18 +173,15 @@ func TestQueryContextCancelled(t *testing.T) {
 	db := openDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.QueryContext(ctx, "//manager//employee/name", QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}); !errors.Is(err, context.Canceled) {
+	if _, err := db.QueryContext(ctx, "//manager//employee/name", methodOpts(MethodDPP)); !errors.Is(err, context.Canceled) {
 		t.Errorf("query: err = %v, want context.Canceled", err)
 	}
 	if _, err := db.OptimizeContext(ctx, MustParsePattern("//manager//employee"), MethodDP, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("optimize: err = %v, want context.Canceled", err)
 	}
 	pat := MustParsePattern("//manager//employee")
-	plan, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Run(ctx, pat, plan.Plan, RunOptions{}); !errors.Is(err, context.Canceled) {
+	plan := mustOptimize(t, db, pat, MethodDPP)
+	if _, err := db.Run(ctx, pat, plan.Plan, QueryOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("run: err = %v, want context.Canceled", err)
 	}
 }
@@ -210,14 +208,11 @@ func TestRunCancelMidExecution(t *testing.T) {
 	file := &cancelOnRead{PageFile: NewMemPageFile()}
 	db := datasetCorpus(t, "pers", 1, 0, &CorpusOptions{PoolFrames: 16, ShardPageFile: storeOn(file)})
 	pat := MustParsePattern("//manager//employee/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustOptimize(t, db, pat, MethodDPP)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	file.cancel.Store(&cancel)
-	if _, err := db.Run(ctx, pat, res.Plan, RunOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := db.Run(ctx, pat, res.Plan, QueryOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if file.cancel.Load() != nil {
@@ -232,11 +227,8 @@ func TestRunCancelMidExecution(t *testing.T) {
 func TestRunCancelPrompt(t *testing.T) {
 	db := datasetCorpus(t, "pers", 4, 0, nil)
 	pat := MustParsePattern("//manager//manager//employee/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Run(context.Background(), pat, res.Plan, RunOptions{}); err != nil {
+	res := mustOptimize(t, db, pat, MethodDPP)
+	if _, err := db.Run(context.Background(), pat, res.Plan, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	misses := db.Metrics().Pool.Misses
@@ -246,7 +238,7 @@ func TestRunCancelPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, rerr := db.Run(ctx, pat, res.Plan, RunOptions{})
+	_, rerr := db.Run(ctx, pat, res.Plan, QueryOptions{})
 	elapsed := time.Since(start)
 	if got := db.Metrics().Pool.Misses; got != misses {
 		t.Fatalf("pool took %d misses on the warm run", got-misses)
@@ -266,22 +258,19 @@ func TestRunCancelPrompt(t *testing.T) {
 func TestRunOptionsModes(t *testing.T) {
 	db := openDB(t)
 	pat := MustParsePattern("//manager//employee/name")
-	res, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := db.Run(context.Background(), pat, res.Plan, RunOptions{})
+	res := mustOptimize(t, db, pat, MethodDPP)
+	full, err := db.Run(context.Background(), pat, res.Plan, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Count != len(full.Matches) || full.Count == 0 {
 		t.Fatalf("full run: %+v", full)
 	}
-	cnt, err := db.Run(context.Background(), pat, res.Plan, RunOptions{CountOnly: true})
+	cnt, err := db.Run(context.Background(), pat, res.Plan, QueryOptions{CountOnly: true})
 	if err != nil || cnt.Count != full.Count || cnt.Matches != nil {
 		t.Fatalf("count-only: %+v, %v", cnt, err)
 	}
-	lim, err := db.Run(context.Background(), pat, res.Plan, RunOptions{ExecOptions: ExecOptions{Limit: 2}})
+	lim, err := db.Run(context.Background(), pat, res.Plan, QueryOptions{ExecOptions: ExecOptions{Limit: 2}})
 	if err != nil || len(lim.Matches) != 2 || !reflect.DeepEqual(lim.Matches, full.Matches[:2]) {
 		t.Fatalf("limit: %+v, %v", lim, err)
 	}
@@ -294,14 +283,14 @@ func TestRunOptionsModes(t *testing.T) {
 func TestWarmCacheOptimizeSpeedup(t *testing.T) {
 	db := openDB(t)
 	src := "//manager[.//employee/name][.//department/name]//employee/name"
-	opts := QueryOptions{ExecOptions: ExecOptions{Method: MethodDP}}
+	opts := methodOpts(MethodDP)
 
 	pat := MustParsePattern(src)
 	cold := time.Duration(1<<63 - 1)
 	var coldPlan *Plan
 	for i := 0; i < 3; i++ {
 		t0 := time.Now()
-		r, err := db.Optimize(pat, MethodDP, 0)
+		r, err := db.OptimizeContext(context.Background(), pat, MethodDP, 0)
 		d := time.Since(t0)
 		if err != nil {
 			t.Fatal(err)

@@ -48,10 +48,10 @@ type (
 	AdmissionStats = admission.Stats
 )
 
-// Admission-control errors, returned by Run (and Query*) without executing
-// anything: ErrOverloaded when the bounded wait queue is full,
-// ErrShuttingDown once Drain has begun. Both are fast-fail signals a server
-// should map to a retryable status (HTTP 503).
+// Admission-control errors, returned by Run, QueryContext and XQueryContext
+// without executing anything: ErrOverloaded when the bounded wait queue is
+// full, ErrShuttingDown once Drain has begun. Both are fast-fail signals a
+// server should map to a retryable status (HTTP 503).
 var (
 	ErrOverloaded   = admission.ErrOverloaded
 	ErrShuttingDown = admission.ErrShuttingDown
@@ -70,15 +70,6 @@ const (
 
 // ParsePattern parses the XPath-like twig syntax (see the package docs).
 func ParsePattern(src string) (*Pattern, error) { return pattern.Parse(src) }
-
-// MinimizePattern removes redundant branches from a pattern before
-// optimization — the schema-free tree-pattern minimisation of Amer-Yahia
-// et al. (SIGMOD 2001), which the paper cites as the rewrite step
-// complementary to cost-based join ordering. It returns the reduced
-// pattern and a mapping from original node indexes to new ones (-1 for
-// removed nodes); the match set, projected onto retained nodes, is
-// unchanged.
-func MinimizePattern(p *Pattern) (*Pattern, []int) { return pattern.Minimize(p) }
 
 // MustParsePattern is ParsePattern that panics on error.
 func MustParsePattern(src string) *Pattern { return pattern.MustParse(src) }

@@ -3,6 +3,8 @@ package sjos
 import (
 	"context"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,16 +34,16 @@ func TestLoadAndQuery(t *testing.T) {
 	if docNodes(db) == 0 {
 		t.Fatal("empty database")
 	}
-	res, err := db.Query("//manager//employee/name", MethodDPP)
+	res, err := db.QueryContext(context.Background(), "//manager//employee/name", methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// employee names under managers: bob (x1 under alice), eve under
 	// carol and alice -> bob, eve, eve: alice-bob, alice-eve, carol-eve.
-	if len(res.Matches) != 3 {
-		t.Fatalf("got %d matches, want 3", len(res.Matches))
+	if res.Count != 3 {
+		t.Fatalf("got %d matches, want 3", res.Count)
 	}
-	for _, m := range res.Matches {
+	for _, m := range corpusMatches(res.Segments, res.Count) {
 		if m.DocID != docID || docTag(db, m.Nodes[0]) != "manager" || docTag(db, m.Nodes[2]) != "name" {
 			t.Fatalf("match binds wrong tags: %v", m)
 		}
@@ -56,33 +58,33 @@ func TestQueryAllMethodsAgree(t *testing.T) {
 	src := "//manager[.//employee/name]//department/name"
 	var want int
 	for i, m := range []Method{MethodDP, MethodDPP, MethodDPPNoLookahead, MethodDPAPEB, MethodDPAPLD, MethodFP} {
-		res, err := db.Query(src, m)
+		res, err := db.QueryContext(context.Background(), src, methodOpts(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		if i == 0 {
-			want = len(res.Matches)
+			want = res.Count
 			if want == 0 {
 				t.Fatal("expected matches")
 			}
 			continue
 		}
-		if len(res.Matches) != want {
-			t.Errorf("%v: %d matches, want %d", m, len(res.Matches), want)
+		if res.Count != want {
+			t.Errorf("%v: %d matches, want %d", m, res.Count, want)
 		}
 	}
 }
 
 func TestQueryWithValuePredicate(t *testing.T) {
 	db := openDB(t)
-	res, err := db.Query(`//employee[salary >= 40000]/name`, MethodFP)
+	res, err := db.QueryContext(context.Background(), `//employee[salary >= 40000]/name`, methodOpts(MethodFP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) != 1 {
-		t.Fatalf("got %d matches, want 1", len(res.Matches))
+	if res.Count != 1 {
+		t.Fatalf("got %d matches, want 1", res.Count)
 	}
-	if v := docValue(db, res.Matches[0].Nodes[2]); v != "bob" {
+	if v := docValue(db, rowsOf(res.Segments)[0][2]); v != "bob" {
 		t.Fatalf("matched %q", v)
 	}
 }
@@ -94,10 +96,7 @@ func TestBadPlanFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := mustOptimize(t, db, pat, MethodDPP)
 	if bad.Cost < good.Cost {
 		t.Fatalf("bad plan cost %v < optimal %v", bad.Cost, good.Cost)
 	}
@@ -145,13 +144,13 @@ func TestGenerateDatasetFacade(t *testing.T) {
 	base := datasetCorpus(t, "pers", 0.05, 1, nil)
 	folded := datasetCorpus(t, "pers", 0.05, 4, nil)
 	pat := MustParsePattern("//manager/employee")
-	bq, errB := base.Query("//manager/employee", MethodFP)
-	f, errF := folded.QueryPatternContext(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodFP}})
+	bq, errB := base.QueryContext(context.Background(), "//manager/employee", methodOpts(MethodFP))
+	f, errF := folded.queryPattern(context.Background(), pat, methodOpts(MethodFP))
 	if errB != nil || errF != nil {
 		t.Fatal(errB, errF)
 	}
-	if len(f.Matches) != 4*len(bq.Matches) {
-		t.Fatalf("folding x4: %d matches, base %d", len(f.Matches), len(bq.Matches))
+	if f.Count != 4*bq.Count {
+		t.Fatalf("folding x4: %d matches, base %d", f.Count, bq.Count)
 	}
 }
 
@@ -186,38 +185,33 @@ func TestDiskBackedDatabase(t *testing.T) {
 	if file.NumPages() == 0 {
 		t.Fatal("the store was not laid down on the page file")
 	}
-	res, err := db.Query("//manager//employee/name", MethodDPP)
+	res, err := db.QueryContext(context.Background(), "//manager//employee/name", methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) != 3 {
-		t.Fatalf("disk-backed query: %d matches, want 3", len(res.Matches))
+	if res.Count != 3 {
+		t.Fatalf("disk-backed query: %d matches, want 3", res.Count)
 	}
 }
 
-func TestMinimizePatternFacade(t *testing.T) {
-	p := MustParsePattern("//manager[employee][employee]")
-	m, mapping := MinimizePattern(p)
-	if m.N() != 2 {
-		t.Fatalf("minimized to %d nodes", m.N())
+// TestCorpusMethodSet pins the facade: the exported methods of *Corpus are
+// exactly these. A change that adds or drops one edits this list.
+func TestCorpusMethodSet(t *testing.T) {
+	want := []string{
+		"BadPlan", "Delete", "DocIDs", "Drain", "Explain", "ExplainAnalyze",
+		"Health", "IngestEnabled", "IngestStats", "Insert", "InsertString",
+		"Metrics", "NumDocs", "NumShards", "OptimizeContext",
+		"OptimizeWithExactStats", "QueryContext", "RebuildStats", "Replace",
+		"ReplaceString", "Run", "SetSlowQueryLog", "ShardOf", "SlowQueries",
+		"TagName", "TraceDPP", "Value", "WriteMetrics", "XQueryContext",
 	}
-	if len(mapping) != 3 {
-		t.Fatalf("mapping = %v", mapping)
+	typ := reflect.TypeFor[*Corpus]()
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
 	}
-	db := openDB(t)
-	opts := QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP}}
-	a, err := db.QueryPatternContext(context.Background(), p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.QueryPatternContext(context.Background(), m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distinct projected matches agree (minimization collapses duplicate
-	// branch bindings).
-	if len(b.Matches) == 0 || len(b.Matches) > len(a.Matches) {
-		t.Fatalf("original %d matches, minimized %d", len(a.Matches), len(b.Matches))
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Corpus has %d exported methods:\n%v\nwant %d:\n%v", len(got), got, len(want), want)
 	}
 }
 
@@ -243,23 +237,20 @@ func TestPreparedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := db.Optimize(pat, MethodDPP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := mustOptimize(t, db, pat, MethodDPP)
 	if opt.Cost <= 0 || opt.Plan == nil {
 		t.Fatalf("optimize result: %+v", opt)
 	}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		res, err := db.Run(ctx, pat, opt.Plan, RunOptions{})
+		res, err := db.Run(ctx, pat, opt.Plan, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Matches) != 3 {
 			t.Fatalf("execution %d: %d matches", i, len(res.Matches))
 		}
-		res, err = db.Run(ctx, pat, opt.Plan, RunOptions{CountOnly: true})
+		res, err = db.Run(ctx, pat, opt.Plan, QueryOptions{CountOnly: true})
 		if err != nil || res.Count != 3 {
 			t.Fatalf("count %d: %d, %v", i, res.Count, err)
 		}
@@ -315,16 +306,16 @@ func TestSaveAndAddImage(t *testing.T) {
 	if docNodes(db2) != docNodes(db) {
 		t.Fatalf("reloaded %d nodes, want %d", docNodes(db2), docNodes(db))
 	}
-	a, err := db.Query("//manager//employee/name", MethodDPP)
+	a, err := db.QueryContext(context.Background(), "//manager//employee/name", methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db2.Query("//manager//employee/name", MethodDPP)
+	b, err := db2.QueryContext(context.Background(), "//manager//employee/name", methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Matches) != len(b.Matches) {
-		t.Fatalf("image query: %d matches, original %d", len(b.Matches), len(a.Matches))
+	if a.Count != b.Count {
+		t.Fatalf("image query: %d matches, original %d", b.Count, a.Count)
 	}
 	if err := NewCorpusBuilder(nil).AddImage(docID, strings.NewReader("not an image")); err == nil {
 		t.Fatal("garbage image accepted")
@@ -351,15 +342,15 @@ func TestConcurrentQueries(t *testing.T) {
 			want := -1
 			for i := 0; i < 10; i++ {
 				src := queries[g%len(queries)]
-				res, err := db.Query(src, methods[(g+i)%len(methods)])
+				res, err := db.QueryContext(context.Background(), src, methodOpts(methods[(g+i)%len(methods)]))
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
 				if want == -1 {
-					want = len(res.Matches)
-				} else if len(res.Matches) != want {
-					t.Errorf("goroutine %d: count changed %d -> %d", g, want, len(res.Matches))
+					want = res.Count
+				} else if res.Count != want {
+					t.Errorf("goroutine %d: count changed %d -> %d", g, want, res.Count)
 					return
 				}
 			}

@@ -3,6 +3,7 @@ package sjos
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -394,12 +395,12 @@ func TestUpgradeInPlace(t *testing.T) {
 // renumbers).
 func docRows(t testing.TB, c *Corpus, q string) []string {
 	t.Helper()
-	res, err := c.Query(q, MethodDPP)
+	res, err := c.QueryContext(context.Background(), q, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]string, len(res.Matches))
-	for i, m := range res.Matches {
+	rows := make([]string, res.Count)
+	for i, m := range corpusMatches(res.Segments, res.Count) {
 		rows[i] = fmt.Sprint(m.DocID, " ", m.Nodes)
 	}
 	return rows

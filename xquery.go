@@ -2,6 +2,7 @@ package sjos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -13,7 +14,9 @@ import (
 type XQueryResult struct {
 	// Rows holds one row per distinct binding of the query's variables
 	// and return paths, in document order: DocID and Doc name the document,
-	// and Nodes holds the RETURN slots, in the RETURN clause's order.
+	// and Nodes holds the RETURN slots, in the RETURN clause's order. They
+	// are deduplicated from the pattern's matches, so there is no count-only
+	// XQuery: XQueryContext rejects QueryOptions.CountOnly.
 	Rows []CorpusMatch
 	// Pattern is the tree pattern the query compiled to.
 	Pattern *Pattern
@@ -28,25 +31,24 @@ type XQueryResult struct {
 	ExecuteTime  time.Duration
 }
 
-// XQuery compiles a FLWOR-subset query (see internal/xquery's docs; the
-// paper's §2.1 translation), optimizes the resulting pattern with method m
-// and evaluates it. FLWOR semantics: WHERE branches are existential, so
-// rows are deduplicated over the bindings of the FOR variables and RETURN
-// paths, within each document.
+// XQueryContext compiles a FLWOR-subset query (see internal/xquery's docs;
+// the paper's §2.1 translation), optimizes the resulting pattern through the
+// plan cache with opts.Method and evaluates it; cancelling ctx aborts the
+// optimization or the execution. FLWOR semantics: WHERE branches are
+// existential, so rows are deduplicated over the bindings of the FOR
+// variables and RETURN paths, within each document. opts.Limit caps the
+// underlying pattern matches, not the deduplicated rows. The rows are the
+// result, so opts.CountOnly is an error.
 //
-//	res, err := c.XQuery(`
+//	res, err := c.XQueryContext(ctx, `
 //	    for $m in //manager, $e in $m//employee
 //	    where $e/salary >= 50000
-//	    return $m/name, $e/name`, sjos.MethodDPP)
-func (c *Corpus) XQuery(src string, m Method) (*XQueryResult, error) {
-	return c.XQueryContext(context.Background(), src, QueryOptions{ExecOptions: ExecOptions{Method: m}})
-}
-
-// XQueryContext is XQuery under a context and explicit query options:
-// cancelling ctx aborts the optimization or execution of the compiled
-// pattern, and the plan cache serves recurring query shapes. opts.Limit caps
-// the underlying pattern matches, not the deduplicated rows.
+//	    return $m/name, $e/name`,
+//	    sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPP}})
 func (c *Corpus) XQueryContext(ctx context.Context, src string, opts QueryOptions) (*XQueryResult, error) {
+	if opts.CountOnly {
+		return nil, errors.New("sjos: XQueryContext does not take QueryOptions.CountOnly: its rows are deduplicated from the matches")
+	}
 	q, err := xquery.Compile(src)
 	if err != nil {
 		return nil, err

@@ -1,14 +1,16 @@
 package sjos
 
 import (
+	"context"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
 func TestXQueryBasic(t *testing.T) {
 	c := openDB(t)
-	res, err := c.XQuery(`for $m in //manager return $m/name`, MethodDPP)
+	res, err := c.XQueryContext(context.Background(), `for $m in //manager return $m/name`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +28,23 @@ func TestXQueryBasic(t *testing.T) {
 	}
 }
 
+// TestXQueryRejectsCountOnly: an XQuery's rows are deduplicated from the
+// pattern's matches, and a count-only run gathers none. It must fail naming
+// the option, not answer zero rows (the query has three).
+func TestXQueryRejectsCountOnly(t *testing.T) {
+	opts := methodOpts(MethodDPP)
+	opts.CountOnly = true
+	_, err := openDB(t).XQueryContext(context.Background(), `for $m in //manager, $e in $m//employee return $e/name`, opts)
+	if err == nil || !strings.Contains(err.Error(), "CountOnly") {
+		t.Fatalf("count-only XQuery: err = %v, want an error naming CountOnly", err)
+	}
+}
+
 func TestXQueryWhereIsExistential(t *testing.T) {
 	c := openDB(t)
 	// alice has two employees; FLWOR semantics must still return her
 	// name once.
-	res, err := c.XQuery(`for $m in //manager where $m//employee return $m/name`, MethodFP)
+	res, err := c.XQueryContext(context.Background(), `for $m in //manager where $m//employee return $m/name`, methodOpts(MethodFP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +55,9 @@ func TestXQueryWhereIsExistential(t *testing.T) {
 
 func TestXQueryTwoVariables(t *testing.T) {
 	c := openDB(t)
-	res, err := c.XQuery(`
+	res, err := c.XQueryContext(context.Background(), `
 		for $m in //manager, $e in $m//employee
-		return $m/name, $e/name`, MethodDPP)
+		return $m/name, $e/name`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +74,10 @@ func TestXQueryTwoVariables(t *testing.T) {
 
 func TestXQueryValuePredicate(t *testing.T) {
 	c := openDB(t)
-	res, err := c.XQuery(`
+	res, err := c.XQueryContext(context.Background(), `
 		for $e in //employee
 		where $e/salary >= 40000
-		return $e/name`, MethodDPP)
+		return $e/name`, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +88,7 @@ func TestXQueryValuePredicate(t *testing.T) {
 
 func TestXQueryOrderBy(t *testing.T) {
 	c := openDB(t)
-	res, err := c.XQuery(`for $m in //manager order by $m return $m/name`, MethodFP)
+	res, err := c.XQueryContext(context.Background(), `for $m in //manager order by $m return $m/name`, methodOpts(MethodFP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +109,7 @@ func TestXQueryErrors(t *testing.T) {
 		`for $m in //manager`,
 		`for $m in //manager return $x`,
 	} {
-		if _, err := c.XQuery(src, MethodDPP); err == nil {
+		if _, err := c.XQueryContext(context.Background(), src, methodOpts(MethodDPP)); err == nil {
 			t.Errorf("XQuery(%q) succeeded", src)
 		}
 	}
@@ -107,7 +121,7 @@ func TestXQueryErrors(t *testing.T) {
 // whether both documents share a shard's forest or not.
 func TestXQueryKeepsDocuments(t *testing.T) {
 	const q = `for $m in //manager, $e in $m//employee return $m/name, $e/name`
-	one, err := openDB(t).XQuery(q, MethodDPP)
+	one, err := openDB(t).XQueryContext(context.Background(), q, methodOpts(MethodDPP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +136,7 @@ func TestXQueryKeepsDocuments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.XQuery(q, MethodDPP)
+		res, err := c.XQueryContext(context.Background(), q, methodOpts(MethodDPP))
 		if err != nil {
 			t.Fatal(err)
 		}
