@@ -182,23 +182,6 @@ func BenchmarkPlanCacheWarmOptimize(b *testing.B) {
 	b.ReportMetric(float64(opt.Nanoseconds())/float64(b.N), "optimize-ns/op")
 }
 
-// planColdCorpus is the repository benchmark's corpus shape: eight pers
-// documents on four shards.
-func planColdCorpus(tb testing.TB) *sjos.Corpus {
-	tb.Helper()
-	cb := sjos.NewCorpusBuilder(&sjos.CorpusOptions{Shards: 4})
-	for i := 0; i < 8; i++ {
-		if err := cb.AddDataset(fmt.Sprintf("pers-%03d", i), "pers", 1, 1, int64(1+i)); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	c, err := cb.Build()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return c
-}
-
 // planColdRun executes one plan_cold twig's DPAP-EB plan (what xqserve runs
 // on a plan-cache miss) once, count-only, over the benchmark-shaped corpus.
 type planColdRun struct {
@@ -210,7 +193,7 @@ type planColdRun struct {
 // execution's count against the first.
 func planColdRuns(tb testing.TB) []planColdRun {
 	tb.Helper()
-	c := planColdCorpus(tb)
+	c := sjos.ServingCorpus(tb)
 	ctx := context.Background()
 	var runs []planColdRun
 	for _, q := range experiments.PlanColdQueries() {
@@ -264,7 +247,7 @@ func BenchmarkExecPlanColdTwig(b *testing.B) {
 // scan at any of them. The limit=10 arms read the first ten rows instead: a
 // range probe sorts all of its hits before it serves one, a scan does not.
 func BenchmarkValueRangeProbe(b *testing.B) {
-	c := planColdCorpus(b)
+	c := sjos.ServingCorpus(b)
 	ctx := context.Background()
 	for _, bound := range []int{105300, 115300, 118000} {
 		pat := sjos.MustParsePattern(fmt.Sprintf("//salary[. > %d]", bound))
@@ -310,7 +293,7 @@ func BenchmarkValueRangeProbe(b *testing.B) {
 // DPAP-EB plan over the benchmark-shaped corpus, the plan built once outside
 // the timer. postings/op is the index postings the op scanned.
 func BenchmarkExecFirstK(b *testing.B) {
-	c := planColdCorpus(b)
+	c := sjos.ServingCorpus(b)
 	ctx := context.Background()
 	opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: 10}}
 	for _, q := range firstKQueries(b) {

@@ -572,12 +572,12 @@ type CorpusMatch struct {
 	DocID string
 	Doc   int
 	// Nodes holds the matched document nodes, slot u = pattern node u. It
-	// aliases the result's flat backing array.
+	// aliases the result's rows.
 	Nodes Match
 }
 
 // DocSegment is one document's run of matches in a corpus result. Its rows
-// are a sub-slice of the owning shard's flat match set, rebased to the
+// are a window onto the owning shard's match set, rebased to the
 // document's own node numbering, and it pins the shard snapshot the query
 // ran on: TagName and Value describe exactly the version the rows were
 // matched against, whatever Replace or Delete has committed since (and that
@@ -596,7 +596,7 @@ type DocSegment struct {
 func (s *DocSegment) Len() int { return s.rows.Len() }
 
 // Row returns match i: slot u holds the node bound to pattern node u. The
-// slice aliases the result's backing array.
+// slice aliases the result's rows.
 func (s *DocSegment) Row(i int) Match { return s.rows.Row(i) }
 
 // TagName returns the element tag of a node of one of the segment's rows.
@@ -609,7 +609,7 @@ func (s *DocSegment) TagName(id NodeID) string {
 func (s *DocSegment) Value(id NodeID) string { return s.snap.doc.Value(s.first + id) }
 
 // corpusMatches builds the []CorpusMatch compatibility view of a segment
-// table: one header slice whose Nodes alias the segments' backing arrays.
+// table: one header slice whose Nodes alias the segments' rows.
 func corpusMatches(segs []DocSegment, count int) []CorpusMatch {
 	out := make([]CorpusMatch, 0, count)
 	for i := range segs {
@@ -946,10 +946,10 @@ func (c *Corpus) runShardReplicated(ctx context.Context, sh *corpusShard, pat *P
 // search on the root column per member boundary finds them. Rows no member
 // owns (the synthetic forest root) fall between runs and are left out.
 func demux(members []memberView, set exec.MatchSet) []rowRange {
-	n, w := set.Len(), set.Width
+	n := set.Len()
 	// from returns the first row at or after lo whose root node is >= id.
 	from := func(lo int, id NodeID) int {
-		return lo + sort.Search(n-lo, func(k int) bool { return set.Nodes[(lo+k)*w] >= id })
+		return lo + sort.Search(n-lo, func(k int) bool { return set.Row(lo + k)[0] >= id })
 	}
 	out := make([]rowRange, len(members))
 	hi := 0
@@ -957,8 +957,11 @@ func demux(members []memberView, set exec.MatchSet) []rowRange {
 		lo := from(hi, mv.span.First)
 		hi = from(lo, mv.span.First+NodeID(mv.span.Nodes))
 		out[m] = rowRange{lo, hi}
-		for i := lo * w; i < hi*w; i++ {
-			set.Nodes[i] -= mv.span.First
+		for i := lo; i < hi; i++ {
+			row := set.Row(i)
+			for u := range row {
+				row[u] -= mv.span.First
+			}
 		}
 	}
 	return out

@@ -51,7 +51,7 @@
 //	}
 //
 // The rows live in res.Segments — one DocSegment per document, re-slicing
-// the shards' flat match sets and pinned to the document version the query
+// the shards' match sets and pinned to the document version the query
 // ran on (seg.TagName, seg.Value).
 //
 // A corpus answers exactly as the concatenation of one-document corpora over

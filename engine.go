@@ -536,7 +536,7 @@ type shardResult struct {
 	// Trace is the per-operator execution trace (nil unless
 	// QueryOptions.Trace was set).
 	Trace *OpTrace
-	// set is the flat match set the executor filled (empty under an
+	// set is the match set the executor filled (empty under an
 	// unlimited count).
 	set exec.MatchSet
 }

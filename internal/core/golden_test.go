@@ -355,3 +355,78 @@ func TestSearchGolden(t *testing.T) {
 		}
 	}
 }
+
+// formatRef is plan.Node.Format as it was written with fmt, kept as the
+// reference for the strconv rendering.
+func formatRef(n *plan.Node, pat *pattern.Pattern, sb *strings.Builder, depth int) {
+	indent := strings.Repeat("  ", depth)
+	tag := func(u int) string {
+		if u >= 0 && u < pat.N() {
+			return fmt.Sprintf("%s($%d)", pat.Nodes[u].Tag, u)
+		}
+		return fmt.Sprintf("$%d", u)
+	}
+	switch n.Op {
+	case plan.OpIndexScan:
+		name := "IndexScan"
+		if n.ValueIndex {
+			name = "ValueIndexScan"
+		}
+		fmt.Fprintf(sb, "%s%s %s", indent, name, tag(n.PatternNode))
+	case plan.OpSort:
+		fmt.Fprintf(sb, "%sSort by %s", indent, tag(n.SortBy))
+	case plan.OpStructuralJoin:
+		fmt.Fprintf(sb, "%s%s %s %s %s", indent, n.Algo, tag(n.AncNode), n.Axis, tag(n.DescNode))
+	}
+	if n.EstCard > 0 || n.EstCost > 0 {
+		fmt.Fprintf(sb, "  [card≈%.0f cost≈%.0f]", n.EstCard, n.EstCost)
+	}
+	sb.WriteString("\n")
+	if n.Left != nil {
+		formatRef(n.Left, pat, sb, depth+1)
+	}
+	if n.Right != nil {
+		formatRef(n.Right, pat, sb, depth+1)
+	}
+}
+
+// TestPlanFormatMatchesFmt holds plan.Node.Format byte for byte to
+// formatRef on every plan of every method over the golden corpus, and on
+// hand-made plans with no estimates, large, fractional and non-finite ones,
+// and pattern nodes the pattern does not have.
+func TestPlanFormatMatchesFmt(t *testing.T) {
+	check := func(name string, p *plan.Node, pat *pattern.Pattern) {
+		t.Helper()
+		var want strings.Builder
+		formatRef(p, pat, &want, 0)
+		if got := p.Format(pat); got != want.String() {
+			t.Fatalf("%s: Format\n%s\nwant\n%s", name, got, want.String())
+		}
+	}
+	plans := 0
+	for _, c := range goldenCorpus(t) {
+		for _, m := range parseableMethods {
+			res, err := Optimize(context.Background(), c.pat, c.est, c.model, m, nil)
+			if err != nil {
+				t.Fatalf("%s %v: %v", c.name, m, err)
+			}
+			check(fmt.Sprintf("%s %v", c.name, m), res.Plan, c.pat)
+			plans++
+		}
+	}
+	pat, err := pattern.Parse(`//a[b>3]//c`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := plan.NewIndexScan(1)
+	scan.ValueIndex = true
+	join := plan.NewJoin(plan.NewIndexScan(0), scan, 0, 1, pattern.Child, plan.AlgoDesc)
+	hand := plan.NewJoin(plan.NewSort(join, 1), plan.NewIndexScan(7), -1, 12, pattern.Descendant, plan.AlgoAnc)
+	for _, ests := range [][2]float64{{0, 0}, {0, 2.5}, {0.49, 0}, {1e21, 123456789.5}, {math.Inf(1), math.NaN()}} {
+		for _, n := range []*plan.Node{hand, hand.Left, join, scan} {
+			n.EstCard, n.EstCost = ests[0], ests[1]
+		}
+		check(fmt.Sprint("hand-made ", ests), hand, pat)
+	}
+	t.Logf("%d optimized plans and 5 hand-made ones render as with fmt", plans)
+}

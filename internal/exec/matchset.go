@@ -1,41 +1,49 @@
 package exec
 
 import (
-	"slices"
+	"fmt"
+	"math/bits"
 
 	"sjos/internal/xmltree"
 )
 
-// MatchSet is a query result in flat form: row i is
-// Nodes[i*Width:(i+1)*Width], with slot u holding the node bound to pattern
-// node u. It is the one representation a match has between the root
-// operator and the caller: Collect fills it straight from operator output,
-// and everything above re-slices it instead of copying rows.
+// MatchSet is a query result: Len rows of Width nodes, slot u of a row
+// holding the node bound to pattern node u. It is the one representation a
+// match has between the root operator and the caller: Collect fills it
+// straight from operator output, and everything above re-slices it instead
+// of copying rows.
+//
+// The rows lie in row-aligned chunks: chunk k holds rows [k·BatchRows,
+// (k+1)·BatchRows) of the collected result, so no row straddles two chunks
+// and row i is found by a shift and a mask. A set is a window [lo, hi) onto
+// those rows; Slice narrows the window and shares the chunks.
 type MatchSet struct {
-	Width int
-	Nodes []xmltree.NodeID
+	Width  int
+	chunks [][]xmltree.NodeID
+	lo, hi int
 }
 
 // Len returns the number of rows.
-func (m MatchSet) Len() int {
-	if m.Width == 0 {
-		return 0
-	}
-	return len(m.Nodes) / m.Width
-}
+func (m MatchSet) Len() int { return m.hi - m.lo }
 
-// Row returns row i as a view into the backing array.
+// Row returns row i (0 <= i < Len) as a view into its chunk.
 func (m MatchSet) Row(i int) Tuple {
-	return Tuple(m.Nodes[i*m.Width : (i+1)*m.Width : (i+1)*m.Width])
+	j := uint(m.lo + i)
+	c, k := m.chunks[j/BatchRows], int(j%BatchRows)*m.Width
+	return Tuple(c[k : k+m.Width : k+m.Width])
 }
 
-// Slice returns rows [lo, hi) as a match set sharing m's backing array.
+// Slice returns rows [lo, hi) as a match set sharing m's chunks.
 func (m MatchSet) Slice(lo, hi int) MatchSet {
-	return MatchSet{Width: m.Width, Nodes: m.Nodes[lo*m.Width : hi*m.Width : hi*m.Width]}
+	if lo < 0 || lo > hi || hi > m.Len() {
+		panic(fmt.Sprintf("exec: MatchSet.Slice(%d, %d) of %d rows", lo, hi, m.Len()))
+	}
+	m.lo, m.hi = m.lo+lo, m.lo+hi
+	return m
 }
 
 // Tuples returns the rows as a []Tuple: one header slice whose elements
-// alias the backing array (the compatibility view of the pre-flat API).
+// alias the chunks (the compatibility view of the pre-flat API).
 func (m MatchSet) Tuples() []Tuple {
 	out := make([]Tuple, m.Len())
 	for i := range out {
@@ -47,8 +55,15 @@ func (m MatchSet) Tuples() []Tuple {
 // collector fills a MatchSet from root-operator output, moving every value
 // from its schema slot to its pattern-node slot on the way in — the single
 // copy a result row gets.
+//
+// A result is allocated about once, at its size, and never copied to grow
+// past BatchRows rows: the first chunk follows the first batch (at least
+// minRefill rows, rounded up to a power of two) and doubles until it holds
+// BatchRows, and every later chunk is allocated full size. At most the last
+// chunk is partly empty.
 type collector struct {
 	set      MatchSet
+	room     int   // rows the last chunk still has space for
 	perm     []int // schema slot -> pattern node
 	identity bool  // perm is 0..Width-1: rows can be copied in bulk
 }
@@ -61,30 +76,52 @@ func newCollector(s *Schema, n int) *collector {
 	return c
 }
 
-// extend makes room for rows more rows and returns their (zeroed) storage.
-// Capacity at least doubles on growth, so a result is allocated O(log n)
-// times and at most ~3x its final size in total.
-func (c *collector) extend(rows int) []xmltree.NodeID {
-	base, n := len(c.set.Nodes), rows*c.set.Width
-	if base+n > cap(c.set.Nodes) {
-		c.set.Nodes = slices.Grow(c.set.Nodes, max(n, base))
+// extend appends up to rows (> 0) zeroed rows to the set and returns their
+// storage and count: fewer than asked when the last chunk fills, the rest
+// going to the next call.
+func (c *collector) extend(rows int) ([]xmltree.NodeID, int) {
+	w, n := c.set.Width, c.set.hi
+	switch {
+	case n+c.room < BatchRows && c.room < rows:
+		// The first chunk, smaller than BatchRows and too small: move its
+		// n rows to one the size of the demand.
+		size := min(BatchRows, 1<<bits.Len(uint(max(n+rows, minRefill)-1)))
+		chunk := make([]xmltree.NodeID, n*w, size*w)
+		if n == 0 {
+			c.set.chunks = append(c.set.chunks, chunk)
+		} else {
+			copy(chunk, c.set.chunks[0])
+			c.set.chunks[0] = chunk
+		}
+		c.room = size - n
+	case c.room == 0:
+		c.set.chunks = append(c.set.chunks, make([]xmltree.NodeID, 0, BatchRows*w))
+		c.room = BatchRows
 	}
-	c.set.Nodes = c.set.Nodes[:base+n]
-	return c.set.Nodes[base:]
+	fit := min(rows, c.room)
+	last := &c.set.chunks[len(c.set.chunks)-1]
+	base := len(*last)
+	*last = (*last)[:base+fit*w]
+	c.set.hi += fit
+	c.room -= fit
+	return (*last)[base:], fit
 }
 
 func (c *collector) appendBatch(b *Batch) {
-	dst := c.extend(b.Len())
-	if c.identity {
-		copy(dst, b.buf)
-		return
-	}
 	w := c.set.Width
-	for i, n := 0, b.Len(); i < n; i++ {
-		row, out := b.Row(i), dst[i*w:(i+1)*w]
-		for slot, pn := range c.perm {
-			out[pn] = row[slot]
+	for i, n := 0, b.Len(); i < n; {
+		dst, fit := c.extend(n - i)
+		if c.identity {
+			copy(dst, b.buf[i*w:(i+fit)*w])
+		} else {
+			for r := 0; r < fit; r++ {
+				row, out := b.Row(i+r), dst[r*w:(r+1)*w]
+				for slot, pn := range c.perm {
+					out[pn] = row[slot]
+				}
+			}
 		}
+		i += fit
 	}
 }
 
@@ -127,7 +164,7 @@ func runBatches(ctx *Context, op Operator, sink func(*Batch)) error {
 
 // Collect runs op to completion and returns its output as a match set over
 // n pattern nodes, in pattern-node order. A row is copied exactly once, from
-// operator output into the set's backing array.
+// operator output into its chunk.
 func Collect(ctx *Context, op Operator, n int) (MatchSet, error) {
 	c := newCollector(op.Schema(), n)
 	if err := pullBatches(ctx, op, c.appendBatch); err != nil {

@@ -20,8 +20,8 @@ import (
 // Everything in it is pointer-free: a retained tuple is an int32 handle into
 // the slab (chunk index × slabChunk + offset), not a slice, so pooled memory
 // is never scanned and a push or a buffered pair raises no write barrier.
-// Results are not scratch: a MatchSet's backing array outlives the execution
-// and is never pooled.
+// Results are not scratch: a MatchSet's chunks outlive the execution and are
+// never pooled.
 type scratch struct {
 	chunks [][]xmltree.NodeID // the tuple slab, slabChunk IDs each
 	used   int                // chunks in use; the last one is being filled

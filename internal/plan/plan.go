@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sjos/internal/pattern"
@@ -276,33 +277,56 @@ func (n *Node) Format(pat *pattern.Pattern) string {
 }
 
 func (n *Node) format(pat *pattern.Pattern, sb *strings.Builder, depth int) {
-	indent := strings.Repeat("  ", depth)
-	tag := func(u int) string {
-		if u >= 0 && u < pat.N() {
-			return fmt.Sprintf("%s($%d)", pat.Nodes[u].Tag, u)
-		}
-		return fmt.Sprintf("$%d", u)
+	for i := 0; i < depth; i++ {
+		sb.WriteString("  ")
 	}
 	switch n.Op {
 	case OpIndexScan:
-		name := "IndexScan"
 		if n.ValueIndex {
-			name = "ValueIndexScan"
+			sb.WriteString("ValueIndexScan ")
+		} else {
+			sb.WriteString("IndexScan ")
 		}
-		fmt.Fprintf(sb, "%s%s %s", indent, name, tag(n.PatternNode))
+		writeTag(sb, pat, n.PatternNode)
 	case OpSort:
-		fmt.Fprintf(sb, "%sSort by %s", indent, tag(n.SortBy))
+		sb.WriteString("Sort by ")
+		writeTag(sb, pat, n.SortBy)
 	case OpStructuralJoin:
-		fmt.Fprintf(sb, "%s%s %s %s %s", indent, n.Algo, tag(n.AncNode), n.Axis, tag(n.DescNode))
+		sb.WriteString(n.Algo.String())
+		sb.WriteByte(' ')
+		writeTag(sb, pat, n.AncNode)
+		sb.WriteByte(' ')
+		sb.WriteString(n.Axis.String())
+		sb.WriteByte(' ')
+		writeTag(sb, pat, n.DescNode)
 	}
 	if n.EstCard > 0 || n.EstCost > 0 {
-		fmt.Fprintf(sb, "  [card≈%.0f cost≈%.0f]", n.EstCard, n.EstCost)
+		var num [32]byte
+		sb.WriteString("  [card≈")
+		sb.Write(strconv.AppendFloat(num[:0], n.EstCard, 'f', 0, 64))
+		sb.WriteString(" cost≈")
+		sb.Write(strconv.AppendFloat(num[:0], n.EstCost, 'f', 0, 64))
+		sb.WriteByte(']')
 	}
-	sb.WriteString("\n")
+	sb.WriteByte('\n')
 	if n.Left != nil {
 		n.Left.format(pat, sb, depth+1)
 	}
 	if n.Right != nil {
 		n.Right.format(pat, sb, depth+1)
 	}
+}
+
+// writeTag writes pattern node u as tag($u), or as $u when the pattern has
+// no node u.
+func writeTag(sb *strings.Builder, pat *pattern.Pattern, u int) {
+	if u >= 0 && u < pat.N() {
+		sb.WriteString(pat.Nodes[u].Tag)
+		sb.WriteString("($")
+		sb.WriteString(strconv.Itoa(u))
+		sb.WriteByte(')')
+		return
+	}
+	sb.WriteByte('$')
+	sb.WriteString(strconv.Itoa(u))
 }

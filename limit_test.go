@@ -39,7 +39,7 @@ func firstKQueries(tb testing.TB) []experiments.Query {
 // pool, must report the same counters as the first unlimited run: a capped
 // batch must not leak through the pool.
 func TestLimitPrefixRamp(t *testing.T) {
-	c := planColdCorpus(t)
+	c := sjos.ServingCorpus(t)
 	ctx := context.Background()
 	queries := append(firstKQueries(t), experiments.PlanColdQueries()...)
 	methods := []sjos.Method{sjos.MethodDP, sjos.MethodDPP, sjos.MethodDPAPEB, sjos.MethodDPAPLD, sjos.MethodFP, sjos.MethodGreedy}
@@ -102,7 +102,7 @@ const limitWorkBudget = 4096
 // reaches it adds its work too (up to 4 640 postings here).
 func TestLimitWorkBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	c := planColdCorpus(t)
+	c := sjos.ServingCorpus(t)
 	ctx := context.Background()
 	for _, q := range firstKQueries(t) {
 		pat := sjos.MustParsePattern(q.Source)

@@ -6,19 +6,23 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"sjos/internal/exec"
+	"sjos/internal/shardring"
 )
 
-// servingCorpus is the geometry the repository benchmark serves: 8 pers
-// documents over 4 write-enabled shards.
+// servingCorpus is the corpus the repository benchmark serves: eight pers
+// documents, doc-00 … doc-07 at generator seeds 1 … 8, over four
+// write-enabled shards. The names place the documents on the shards as the
+// benchmark's server does (2/3/2/1 a shard).
 func servingCorpus(tb testing.TB) *Corpus {
 	tb.Helper()
 	b := NewCorpusBuilder(&CorpusOptions{Shards: 4, ShardWALFile: func(int) PageFile { return NewMemPageFile() }})
 	for i := 0; i < 8; i++ {
-		if err := b.AddDataset(fmt.Sprintf("pers-%03d", i), "pers", 1, 1, int64(1+i)); err != nil {
+		if err := b.AddDataset(fmt.Sprintf("doc-%02d", i), "pers", 1, 1, int64(1+i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -170,8 +174,9 @@ func TestDemuxRangeSplit(t *testing.T) {
 	if len(members) != 5 || members[0].span.First == 0 {
 		t.Fatalf("fixture lost its gaps: %+v", members)
 	}
-	raw := exec.MatchSet{Width: rr.set.Width, Nodes: append([]NodeID(nil), rr.set.Nodes...)}
-	want := demuxPerMatch(members, raw.Tuples())
+	// demuxPerMatch copies what it attributes, so the reference is built
+	// before demux rebases the set in place.
+	want := demuxPerMatch(members, rr.set.Tuples())
 	ranges := demux(members, rr.set)
 	for mi, mv := range members {
 		var got []Match
@@ -220,6 +225,111 @@ func TestDemuxRangeSplit(t *testing.T) {
 		}
 		if rows != res.Count {
 			t.Fatalf("limit %d: segments hold %d rows, count %d", limit, rows, res.Count)
+		}
+	}
+}
+
+// empDoc returns a document of pad <pad/> elements and then n
+// <emp><name/></emp> pairs: n matches of //emp/name, whose node numbers the
+// padding shifts.
+func empDoc(pad, n int) string {
+	return "<db>" + strings.Repeat("<pad/>", pad) + strings.Repeat("<emp><name>x</name></emp>", n) + "</db>"
+}
+
+// TestDemuxAcrossChunks holds the range-split demux to the per-match
+// attribution over a shard result of several chunks: member a's rows end
+// exactly on the first chunk boundary (row 1024), b's run lies inside the
+// second chunk, c's crosses the second boundary (row 2048) and ends inside
+// the third, and an empty member sits between them.
+func TestDemuxAcrossChunks(t *testing.T) {
+	b := NewCorpusBuilder(&CorpusOptions{Shards: 1, ShardWALFile: func(int) PageFile { return NewMemPageFile() }})
+	for _, d := range []struct {
+		id string
+		n  int
+	}{{"a", exec.BatchRows}, {"b", 700}, {"none", 0}, {"c", 1000}} {
+		if err := b.AddXMLString(d.id, empDoc(0, d.n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := c.shards[0]
+	sn := sh.meta().view()
+	pat, plan := plannedOn(t, c, `//emp/name`)
+	rr, err := sh.meta().runOn(context.Background(), sn, pat, plan, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.set.Len() != 2724 {
+		t.Fatalf("fixture has %d rows, want 2724", rr.set.Len())
+	}
+	want := demuxPerMatch(sn.members, rr.set.Tuples())
+	ranges := demux(sn.members, rr.set)
+	wantRanges := map[string]rowRange{"a": {0, 1024}, "b": {1024, 1724}, "c": {1724, 2724}}
+	for mi, mv := range sn.members {
+		r := ranges[mi]
+		if w, ok := wantRanges[mv.id]; (ok && r != w) || (!ok && r.hi != r.lo) {
+			t.Fatalf("member %q owns rows %v, want %v", mv.id, r, w)
+		}
+		var got []Match
+		if r.hi > r.lo {
+			got = rr.set.Slice(r.lo, r.hi).Tuples()
+		}
+		if !reflect.DeepEqual(got, want[mv.id]) {
+			t.Fatalf("member %q: range split differs from the per-match attribution", mv.id)
+		}
+	}
+}
+
+// TestLimitCutsLaterChunk cuts a corpus result inside a chunk past a shard's
+// first: documents d1 and d3 share a shard and d2 lies on the other, so under
+// a limit the gather keeps all of d1 and d2 and cuts d3's segment, whose
+// rows start at the shard's row 1500. A cut at 2 000 rows falls in the
+// shard's second chunk and one at 3 000 in its third; each limited answer
+// must be the unlimited answer's prefix. Padding gives each document its
+// own node numbers, so a cut that read d1's rows for d3's would show.
+func TestLimitCutsLaterChunk(t *testing.T) {
+	ring := shardring.New(2, 0)
+	var ids []string
+	for i := 0; len(ids) < 3; i++ {
+		id := fmt.Sprintf("d%d", i)
+		if len(ids) == 0 || (ring.Shard(id) == ring.Shard(ids[0])) == (len(ids) == 2) {
+			ids = append(ids, id)
+		}
+	}
+	b := NewCorpusBuilder(&CorpusOptions{Shards: 2})
+	for i, n := range []int{1500, 100, 1500} {
+		if err := b.AddXMLString(ids[i], empDoc(i, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on := c.view().byID; on[ids[0]] != on[ids[2]] || on[ids[0]] == on[ids[1]] {
+		t.Fatalf("placement %v: want %s and %s on one shard, %s on the other", on, ids[0], ids[2], ids[1])
+	}
+	pat, plan := plannedOn(t, c, `//emp/name`)
+	full, err := c.Run(context.Background(), pat, plan, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Count != 3100 {
+		t.Fatalf("fixture has %d rows, want 3100", full.Count)
+	}
+	for _, limit := range []int{2000, 3000} {
+		res, err := c.Run(context.Background(), pat, plan, QueryOptions{ExecOptions: ExecOptions{Limit: limit}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Segments) != 3 || res.Segments[2].Len() != limit-1600 {
+			t.Fatalf("limit %d: %d segments, the last of %d rows; want 3, the last cut to %d", limit, len(res.Segments), res.Segments[len(res.Segments)-1].Len(), limit-1600)
+		}
+		if res.Count != limit || !sameCorpusMatches(res.Matches, full.Matches[:limit]) {
+			t.Fatalf("limit %d: %d rows, not the unlimited answer's prefix", limit, res.Count)
 		}
 	}
 }
