@@ -123,7 +123,7 @@ benchquick:
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'StackTree' -benchtime=1x ./internal/exec/
 	$(GO) test -run '^$$' -bench 'ParseNumeric' -benchtime=1x ./internal/pattern/
-	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs|TestResultPathBytes|TestExecScratchAllocs' -v .
+	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs|TestResultPathBytes|TestExecScratchAllocs|TestPointShardAllocs' -v .
 
 # Every fuzz target for ten seconds each (go test takes one -fuzz target and
 # one package a run): the XML parser against its encoding/xml oracle, the

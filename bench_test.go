@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -408,5 +409,105 @@ func BenchmarkContentIndex(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// spreadValues picks n values of a `//x/name` path spread over its value
+// range, ranked by how many rows hold each value and then by value: the
+// middle of each of n equal slots — the benchmark's point_cached picks,
+// without their seeded jitter.
+func spreadValues(tb testing.TB, c *sjos.Corpus, path string, n int) []string {
+	tb.Helper()
+	tally := sjos.TallyValues(tb, c, path)
+	ranked := make([]string, 0, len(tally))
+	for v := range tally {
+		ranked = append(ranked, v)
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if tally[ranked[i]].Rows != tally[ranked[j]].Rows {
+			return tally[ranked[i]].Rows < tally[ranked[j]].Rows
+		}
+		return ranked[i] < ranked[j]
+	})
+	slot := len(ranked) / n
+	out := make([]string, n)
+	for k := range out {
+		out[k] = ranked[k*slot+slot/2]
+	}
+	return out
+}
+
+// BenchmarkPointCachedMix is point_cached in process: one op is one
+// QueryContext of a request of the benchmark's 32-request mix (DPAP-EB, the
+// plan cached) over the benchmark-shaped corpus, cycling through one class
+// of it or through the whole mix. pruned/op is the shards it skipped.
+func BenchmarkPointCachedMix(b *testing.B) {
+	c := sjos.ServingCorpus(b)
+	ctx := context.Background()
+	type request struct {
+		src  string
+		opts sjos.QueryOptions
+	}
+	dpapeb := sjos.ExecOptions{Method: sjos.MethodDPAPEB}
+	classes := map[string][]request{}
+	for _, class := range []struct {
+		name, path, probe string
+		n                 int
+	}{
+		{"employee", `//employee/name`, `//employee[name=%q]`, 9},
+		{"department", `//department/name`, `//department[name=%q]`, 9},
+		{"manager", `//manager/name`, `//manager[name=%q]//employee/name`, 8},
+	} {
+		for _, v := range spreadValues(b, c, class.path, class.n) {
+			classes[class.name] = append(classes[class.name], request{fmt.Sprintf(class.probe, v), sjos.QueryOptions{ExecOptions: dpapeb}})
+		}
+	}
+	classes["range"] = []request{{`//employee[salary>118000]/name`, sjos.QueryOptions{ExecOptions: dpapeb}}}
+	limited := dpapeb
+	limited.Limit = 10
+	for _, q := range firstKQueries(b) {
+		classes["firstk"] = append(classes["firstk"], request{q.Source, sjos.QueryOptions{ExecOptions: limited}})
+	}
+	classes["count"] = []request{{`//manager/name`, sjos.QueryOptions{ExecOptions: dpapeb, CountOnly: true}}}
+	var mix []request
+	for _, name := range []string{"employee", "department", "manager", "range", "firstk", "count"} {
+		mix = append(mix, classes[name]...)
+	}
+	classes["mix"] = mix
+	for _, r := range mix { // plans cached, pages resident
+		if _, err := c.QueryContext(ctx, r.src, r.opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, name := range []string{"employee", "department", "manager", "range", "firstk", "count", "mix"} {
+		reqs := classes[name]
+		b.Run("class="+name, func(b *testing.B) {
+			b.ReportAllocs()
+			before := c.Metrics().Replica.ShardsPruned
+			for i := 0; i < b.N; i++ {
+				r := reqs[i%len(reqs)]
+				if _, err := c.QueryContext(ctx, r.src, r.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(c.Metrics().Replica.ShardsPruned-before)/float64(b.N), "pruned/op")
+		})
+	}
+}
+
+// BenchmarkShardPruneCheck is the cost the pruning check adds to a
+// plan_cold twig: one op decides every populated shard of the
+// benchmark-shaped corpus for one of the eight twigs, as the scatter does
+// before dispatch. Compare with BenchmarkExecPlanColdTwig.
+func BenchmarkShardPruneCheck(b *testing.B) {
+	c := sjos.ServingCorpus(b)
+	for _, q := range experiments.PlanColdQueries() {
+		pat := sjos.MustParsePattern(q.Source)
+		b.Run(q.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sjos.PrunedShards(c, pat)
+			}
+		})
 	}
 }

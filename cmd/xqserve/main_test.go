@@ -185,6 +185,30 @@ func TestServeQueryOptions(t *testing.T) {
 	}
 }
 
+// TestServeTraceWhenNoShardRuns: trace=1 on a query no shard can answer
+// still carries the plan-shaped trace, with zero actuals.
+func TestServeTraceWhenNoShardRuns(t *testing.T) {
+	_, srv := newServer(t)
+	for _, q := range []string{`//department[name="nope"]`, `//nosuchtag`} {
+		resp, err := http.Get(srv.URL + "/query?trace=1&q=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r queryResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatalf("%s: %v in %s", q, err, body)
+		}
+		if r.Count != 0 || !bytes.Contains(body, []byte(`"trace":{"op":`)) || r.Trace == nil || r.Trace.Rows != 0 {
+			t.Fatalf("%s: trace=1 body %s", q, body)
+		}
+	}
+}
+
 func TestServeQueryErrors(t *testing.T) {
 	_, srv := newServer(t)
 	for path, want := range map[string]int{

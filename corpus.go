@@ -159,6 +159,30 @@ func (sh *corpusShard) routeOrder(now time.Time) []*corpusReplica {
 type corpusView struct {
 	ids  []string       // global document insertion order
 	byID map[string]int // document ID → owning shard
+	// byFirstDoc is every populated shard ranked by the directory position
+	// of its first document (shards holding none last): under a limit the
+	// scatter hands shards out in this order, so the shard holding the first
+	// documents starts first and its prefix can cancel the rest.
+	byFirstDoc []int
+}
+
+// newCorpusView builds a directory over ids (byID maps each to its shard)
+// and ranks the shards for a limited scatter.
+func newCorpusView(ids []string, byID map[string]int, shards []*corpusShard) *corpusView {
+	cv := &corpusView{ids: ids, byID: byID}
+	seen := make([]bool, len(shards))
+	for _, id := range ids {
+		if s := byID[id]; !seen[s] {
+			seen[s] = true
+			cv.byFirstDoc = append(cv.byFirstDoc, s)
+		}
+	}
+	for s, sh := range shards {
+		if sh != nil && !seen[s] {
+			cv.byFirstDoc = append(cv.byFirstDoc, s)
+		}
+	}
+	return cv
 }
 
 // Corpus is many documents behind one query surface: documents are
@@ -187,8 +211,11 @@ type Corpus struct {
 	recoverTook time.Duration
 
 	// failovers counts shard queries re-issued on another replica after an
-	// error, across all shards (the sjos_replica_failovers_total series).
+	// error, across all shards (the sjos_replica_failovers_total series);
+	// pruned counts shards a scatter skipped because they cannot answer
+	// (sjos_shards_pruned_total).
 	failovers atomic.Uint64
+	pruned    atomic.Uint64
 }
 
 // view returns the current membership directory; callers pin it once per
@@ -303,16 +330,14 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 		svc:    newService(b.opts.MaxInFlight, b.opts.QueueDepth),
 		ingest: writable,
 	}
-	cv := &corpusView{
-		ids:  append([]string(nil), b.ids...),
-		byID: make(map[string]int, len(b.ids)),
-	}
+	ids := append([]string(nil), b.ids...)
+	byID := make(map[string]int, len(b.ids))
 	// Group documents by owning shard, preserving global insertion order
 	// within each group.
 	groups := make([][]seedDoc, len(c.shards))
 	for gi, id := range b.ids {
 		s := ring.Shard(id)
-		cv.byID[id] = s
+		byID[id] = s
 		groups[s] = append(groups[s], seedDoc{id: id, doc: b.docs[gi]})
 	}
 
@@ -422,15 +447,15 @@ func (b *CorpusBuilder) Build() (*Corpus, error) {
 			c.recoverTook = took
 		}
 		for _, m := range sh.meta().view().members {
-			if _, seen := cv.byID[m.id]; !seen {
-				cv.ids = append(cv.ids, m.id)
-				cv.byID[m.id] = s
+			if _, seen := byID[m.id]; !seen {
+				ids = append(ids, m.id)
+				byID[m.id] = s
 			}
 		}
 	}
 
 	c.probe = corpusProbe{shards: c.shards}
-	c.live.Store(cv)
+	c.live.Store(newCorpusView(ids, byID, c.shards))
 	c.refreshStats()
 	return c, nil
 }
@@ -638,7 +663,7 @@ type CorpusRunResult struct {
 	// (nil unless QueryOptions.Trace).
 	Trace *OpTrace
 	// ShardsQueried is the number of populated shards the query was
-	// scattered to.
+	// scattered to, the ones pruned before dispatch included.
 	ShardsQueried int
 }
 
@@ -734,22 +759,68 @@ func (so *shardOut) segment(id string, gi int) DocSegment {
 	return seg
 }
 
+// cannotMatch reports whether pat has no match on the snapshot: some pattern
+// node's tag has no postings in it, or the node's value predicate is served
+// by an index probe with no hits there. It reads the in-memory tag and value
+// directories only — no page, no I/O.
+//
+// Pruning a shard on it is exact. Every plan is a tree of inner structural
+// joins with one scan per pattern node, so a node without candidates empties
+// the shard's answer whatever the plan; an eligible probe returns exactly the
+// nodes scan+filter keeps, so one with no hits is such a node. The snapshot
+// checked is the primary's current one, so "empty" is the shard's answer on a
+// committed version, as a routed execution's is on the version its replica
+// pins; and the gather already tolerates skew between the directory and the
+// shards' snapshots.
+func cannotMatch(sn *dbSnap, pat *Pattern) bool {
+	for _, nd := range pat.Nodes {
+		t, ok := sn.doc.LookupTag(nd.Tag)
+		if !ok || sn.store.TagCount(t) == 0 {
+			return true
+		}
+		if nd.Op != pattern.CmpNone {
+			if n, ok := sn.store.ProbeSelectivity(nd.Tag, nd.Op, nd.Value); ok && n == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// prune is the scatter's check before dispatch: every shard of order where
+// pat cannotMatch on the primary's current snapshot is marked done, with no
+// rows, and the rest are returned in order. It reads in-memory directories
+// only: it neither routes nor touches replica health.
+func (c *Corpus) prune(order []int, pat *Pattern, done []bool) []int {
+	run := make([]int, 0, len(order))
+	for _, si := range order {
+		if cannotMatch(c.shards[si].meta().view(), pat) {
+			done[si] = true
+		} else {
+			run = append(run, si)
+		}
+	}
+	return run
+}
+
 // scatter is Run without the admission/metrics/recovery envelope.
 func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts QueryOptions) (*CorpusRunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cv := c.view()
-	var live []int
-	for i, sh := range c.shards {
-		if sh != nil {
-			live = append(live, i)
+	// Without a limit every shard runs to its end and the order only splits
+	// the work over the workers: shard-index order.
+	order := cv.byFirstDoc
+	if opts.Limit <= 0 {
+		order = make([]int, 0, len(c.shards))
+		for i, sh := range c.shards {
+			if sh != nil {
+				order = append(order, i)
+			}
 		}
 	}
-	out := &CorpusRunResult{ShardsQueried: len(live)}
-	if len(live) == 0 {
-		return out, nil
-	}
+	out := &CorpusRunResult{ShardsQueried: len(order)}
 
 	shOpts := opts
 	// A corpus Limit k is served by per-shard limit k: any plan's output is
@@ -770,6 +841,10 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts QueryO
 		results  = make([]*shardOut, len(c.shards))
 		done     = make([]bool, len(c.shards))
 	)
+	run := c.prune(order, pat, done)
+	if n := len(order) - len(run); n > 0 {
+		c.pruned.Add(uint64(n))
+	}
 	// checkLimit (mu held): walk documents in global order while their
 	// shard has finished, accumulating gathered matches; once a prefix
 	// satisfies the limit the still-running shards can only contribute
@@ -816,29 +891,26 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts QueryO
 		checkLimit()
 	}
 
-	if workers := min(len(live), runtime.GOMAXPROCS(0)); workers == 1 {
-		// One worker — a one-shard corpus's, say — runs on the calling
-		// goroutine: a hand-off would only add a scheduling hop.
-		for _, si := range live {
-			runShard(si)
+	// The workers take the surviving shards off one cursor in dispatch
+	// order. The calling goroutine is one of them: a lone surviving shard,
+	// or every shard under GOMAXPROCS 1, runs on it with no goroutine
+	// started.
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(run)); i = next.Add(1) - 1 {
+			runShard(run[i])
 		}
-	} else {
-		jobs := make(chan int)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for si := range jobs {
-					runShard(si)
-				}
-			}()
-		}
-		for _, si := range live {
-			jobs <- si
-		}
-		close(jobs)
-		wg.Wait()
 	}
+	workers := min(len(run), runtime.GOMAXPROCS(0))
+	wg.Add(max(workers-1, 0))
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 
 	if firstErr != nil {
 		return nil, firstErr
@@ -848,7 +920,7 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts QueryO
 	// segments by walking documents in global insertion order — each
 	// document's rows come whole from its shard, already in standalone
 	// order, and are referenced where they lie, not copied.
-	for _, si := range live {
+	for _, si := range run {
 		so := results[si]
 		if so == nil {
 			continue // cancelled by the satisfied limit; not part of the prefix
@@ -864,6 +936,14 @@ func (c *Corpus) scatter(ctx context.Context, pat *Pattern, p *Plan, opts QueryO
 		if shOpts.CountOnly {
 			out.Count += so.res.Count
 		}
+	}
+	if opts.Trace && out.Trace == nil {
+		// No shard ran: the trace is the plan's shape with zero actuals.
+		tr, err := exec.PlanTrace(pat, p)
+		if err != nil {
+			return nil, err
+		}
+		out.Trace = tr
 	}
 	if shOpts.CountOnly {
 		return out, nil
@@ -978,7 +1058,8 @@ type CorpusQueryResult struct {
 	// Count is the number of matches produced.
 	Count int
 	planned
-	// ShardsQueried is the number of populated shards scattered to.
+	// ShardsQueried is the number of populated shards scattered to, the
+	// ones pruned before dispatch included.
 	ShardsQueried int
 }
 
@@ -1007,7 +1088,7 @@ func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptio
 	}
 	thr, slowFn := c.svc.slow.config()
 	t0 := time.Now()
-	res, cached, err := c.svc.optimizePattern(ctx, pat, c.probe, opts.Method, opts.Te)
+	res, text, cached, err := c.svc.optimizePattern(ctx, pat, c.probe, opts.Method, opts.Te)
 	if err != nil {
 		return nil, err
 	}
@@ -1026,7 +1107,7 @@ func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptio
 		ShardsQueried: rr.ShardsQueried,
 		planned: planned{
 			Plan:            res.Plan,
-			PlanText:        res.Plan.Format(pat),
+			PlanText:        text,
 			EstCost:         res.Cost,
 			Algorithm:       res.Algorithm,
 			CachedPlan:      cached,
@@ -1183,6 +1264,7 @@ func (c *Corpus) Metrics() Metrics {
 		Admission: c.svc.admit.Stats(),
 	}
 	m.Replica.Failovers = c.failovers.Load()
+	m.Replica.ShardsPruned = c.pruned.Load()
 	ist := c.IngestStats()
 	m.Compactions, m.WALPages = ist.Compactions, ist.WALPages
 	m.RecoveredTxns, m.RecoverySeconds = ist.RecoveredTxns, ist.RecoverySeconds

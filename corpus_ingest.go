@@ -110,11 +110,11 @@ func (c *Corpus) mutate(op storage.WALOp, id string, r io.Reader) error {
 		// working: their per-shard snapshots were published by the replica
 		// mutations above, and the gather tolerates directory/snapshot skew.
 		cv := c.view()
-		nv := &corpusView{byID: make(map[string]int, len(cv.byID)+1)}
+		ids, byID := make([]string, 0, len(cv.ids)+1), make(map[string]int, len(cv.byID)+1)
 		for _, d := range cv.ids {
 			if d != id {
-				nv.ids = append(nv.ids, d)
-				nv.byID[d] = cv.byID[d]
+				ids = append(ids, d)
+				byID[d] = cv.byID[d]
 			}
 		}
 		// An inserted or replaced document goes to the end of the directory,
@@ -122,10 +122,10 @@ func (c *Corpus) mutate(op storage.WALOp, id string, r io.Reader) error {
 		// directory order stays node order, which a Limit's per-shard prefix
 		// and a recovered shard both rely on.
 		if op != storage.WALDelete {
-			nv.ids = append(nv.ids, id)
-			nv.byID[id] = sh.id
+			ids = append(ids, id)
+			byID[id] = sh.id
 		}
-		c.live.Store(nv)
+		c.live.Store(newCorpusView(ids, byID, c.shards))
 		c.refreshStats()
 	})
 }

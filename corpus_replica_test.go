@@ -239,8 +239,8 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		t.Fatal("fixture hashed every document to one shard")
 	}
 
-	run := func(c *Corpus, p *Plan) (*CorpusRunResult, error) {
-		res, err := c.Run(context.Background(), pat, p, QueryOptions{ExecOptions: ExecOptions{Limit: 1}})
+	run := func(c *Corpus, p *Plan, limit int) (*CorpusRunResult, error) {
+		res, err := c.Run(context.Background(), pat, p, QueryOptions{ExecOptions: ExecOptions{Limit: limit}})
 		var pe *PanicError
 		if errors.As(err, &pe) {
 			t.Fatalf("panic escaped as error: %v\n%s", pe, pe.Stack)
@@ -263,7 +263,7 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		t.Fatal("unlimited run performed no physical reads on the racing shard — fixture too small for the pool")
 	}
 	// Baseline under the limit: establishes the exact prefix.
-	base, err := run(c, opt.Plan)
+	base, err := run(c, opt.Plan, 1)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -271,12 +271,28 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		t.Fatal("baseline limit prefix differs")
 	}
 
+	// onFirst is how many matches precede the racing shard's first
+	// document: a limit of onFirst is the prefix shard's alone, one more
+	// takes a match of the racing shard's.
+	onFirst := 0
+	for _, m := range want {
+		if s, _ := c.ShardOf(ids[m.Doc]); s != firstShard {
+			break
+		}
+		onFirst++
+	}
+	if onFirst == len(want) {
+		t.Fatal("the racing shard holds no match — the fixture needs one")
+	}
+
 	// Case A: the failing shard owns no document of the limit prefix. The
 	// limit cancellation and the shard's failure race; whichever wins, the
 	// outcome must be the exact prefix or the injected error — at every
 	// fault point, repeatedly, under -race. Each fault point gets a fresh
 	// corpus: on a warm pool the racing shard reads no page, and no fault
-	// would ever fire.
+	// would ever fire. The limit takes every match before the racing shard's
+	// first document, so the prefix shard, handed out first, reads long
+	// enough for the racing shard to read on another worker.
 	var injected uint64
 	for _, p := range faultPoints(reads) {
 		ca, filesA := buildReplicaCorpus(t, ids, docs, CorpusOptions{
@@ -287,7 +303,7 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 		racing := filesA[otherShard][0]
 		racing.SetPolicy(faultfs.Policy{FailNthRead: p})
 		for i := 0; i < 3; i++ {
-			res, err := run(ca, optA.Plan)
+			res, err := run(ca, optA.Plan, onFirst)
 			if err != nil {
 				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("failNth=%d: error = %v, want injected", p, err)
@@ -297,19 +313,61 @@ func TestCorpusLimitErrorRace(t *testing.T) {
 				}
 				continue
 			}
-			if !sameCorpusMatches(res.Matches, want[:1]) {
+			if !sameCorpusMatches(res.Matches, want[:onFirst]) {
 				t.Fatalf("failNth=%d: swallowed fault produced a wrong prefix", p)
 			}
 		}
 		injected += racing.FaultsInjected()
 	}
-	// One scatter worker runs the shards in order; the racing shard then
-	// reads nothing whenever the prefix shard runs first and satisfies the
-	// limit.
-	if injected == 0 && (runtime.GOMAXPROCS(0) > 1 || otherShard < firstShard) {
+	// Under a limit the scatter hands shards out in document order: with
+	// more than one worker the racing shard reads while the prefix shard
+	// does; with one the prefix shard satisfies the limit first and the
+	// racing shard is cancelled before it reads a page.
+	if workers := runtime.GOMAXPROCS(0); workers > 1 && injected == 0 {
 		t.Fatal("Case A injected no fault: the racing shard never read a page")
+	} else if workers == 1 && injected != 0 {
+		t.Fatalf("Case A injected %d faults on one worker: the racing shard read before the prefix shard satisfied the limit", injected)
 	}
 	t.Logf("Case A: %d faults injected", injected)
+
+	// Case C: the failing shard owns a later document of the prefix, so the
+	// limit cannot be met before it finishes, at any worker count: a fault
+	// that fires must surface, and a run no fault reaches returns the exact
+	// prefix.
+	injected = 0
+	for _, p := range faultPoints(reads) {
+		cc, filesC := buildReplicaCorpus(t, ids, docs, CorpusOptions{
+			Shards:     2,
+			PoolFrames: 8,
+		})
+		optC := mustOptimize(t, cc, pat, MethodDPP)
+		racing := filesC[otherShard][0]
+		racing.SetPolicy(faultfs.Policy{FailNthRead: p})
+		for i := 0; i < 3; i++ {
+			before := racing.FaultsInjected()
+			res, err := run(cc, optC.Plan, onFirst+1)
+			if racing.FaultsInjected() > before {
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("failNth=%d: fault on a prefix shard gave error %v, want injected", p, err)
+				}
+				if res != nil {
+					t.Fatalf("failNth=%d: partial result alongside error", p)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("failNth=%d: no fault fired, error %v", p, err)
+			}
+			if !sameCorpusMatches(res.Matches, want[:onFirst+1]) {
+				t.Fatalf("failNth=%d: limit prefix differs", p)
+			}
+		}
+		injected += racing.FaultsInjected()
+	}
+	if injected == 0 {
+		t.Fatal("Case C injected no fault: the racing shard never read a page")
+	}
+	t.Logf("Case C: %d faults injected", injected)
 
 	// Case B: the failing shard owns the prefix's first document, so the
 	// limit can never be satisfied without it — the injected error must

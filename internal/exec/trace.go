@@ -157,6 +157,20 @@ func NewTraceBuilder(pat *pattern.Pattern, p *plan.Node) (*TraceBuilder, error) 
 	return tb, nil
 }
 
+// PlanTrace returns the trace of plan p over pat as it reads when no
+// instance ran anywhere: the plan's shape and estimates, every actual zero
+// and no clones. A corpus reports it when every shard was pruned.
+func PlanTrace(pat *pattern.Pattern, p *plan.Node) (*OpTrace, error) {
+	tb, err := NewTraceBuilder(pat, p)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tb.recs {
+		t.Clones = 0
+	}
+	return tb.root, nil
+}
+
 // mirror builds the trace tree in the plan's shape.
 func (tb *TraceBuilder) mirror(n *plan.Node) (*OpTrace, error) {
 	switch n.Op {

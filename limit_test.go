@@ -96,32 +96,42 @@ const limitWorkBudget = 4096
 
 // TestLimitWorkBudget is the regression guard for demand-sized batches: a
 // first-k query scans postings in proportion to k, not to BatchRows. It
-// runs on one scatter worker, which executes the shards in order and
-// cancels the rest once the prefix is in, so the count is exact. With
+// runs on one scatter worker, which executes the shards in document order
+// and cancels the rest once the prefix is in, so the count is exact. With
 // shards running at once, a shard that finishes before the cancellation
-// reaches it adds its work too (up to 4 640 postings here).
+// reaches it adds its work too (up to 4 640 postings here). The budget holds
+// at two placements of the first document: on shard 1, as the benchmark's
+// server places doc-00, and on shard 0.
 func TestLimitWorkBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	c := sjos.ServingCorpus(t)
 	ctx := context.Background()
-	for _, q := range firstKQueries(t) {
-		pat := sjos.MustParsePattern(q.Source)
-		for _, m := range []sjos.Method{sjos.MethodDPAPEB, sjos.MethodFP} {
-			opt, err := c.OptimizeContext(ctx, pat, m, 0)
-			if err != nil {
-				t.Fatal(err)
+	for _, placement := range []struct {
+		prefix string
+		shard  int
+	}{{"doc-", 1}, {"m-", 0}} {
+		c := sjos.ServingCorpusOn(t, placement.prefix, 4, 1)
+		if s, _ := c.ShardOf(placement.prefix + "00"); s != placement.shard {
+			t.Fatalf("%s00 is on shard %d, want %d", placement.prefix, s, placement.shard)
+		}
+		for _, q := range firstKQueries(t) {
+			pat := sjos.MustParsePattern(q.Source)
+			for _, m := range []sjos.Method{sjos.MethodDPAPEB, sjos.MethodFP} {
+				opt, err := c.OptimizeContext(ctx, pat, m, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Count != 10 {
+					t.Fatalf("%s on shard %d, %s/%v: %d rows, want 10", placement.prefix, placement.shard, q.ID, m, res.Count)
+				}
+				if n := res.Stats.ScannedTuples; n > limitWorkBudget {
+					t.Errorf("%s on shard %d, %s/%v: limit 10 scanned %d postings, budget %d", placement.prefix, placement.shard, q.ID, m, n, limitWorkBudget)
+				}
+				t.Logf("first document on shard %d, %s/%v: limit 10 scanned %d postings", placement.shard, q.ID, m, res.Stats.ScannedTuples)
 			}
-			res, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: 10}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Count != 10 {
-				t.Fatalf("%s/%v: %d rows, want 10", q.ID, m, res.Count)
-			}
-			if n := res.Stats.ScannedTuples; n > limitWorkBudget {
-				t.Errorf("%s/%v: limit 10 scanned %d postings, budget %d", q.ID, m, n, limitWorkBudget)
-			}
-			t.Logf("%s/%v: limit 10 scanned %d postings", q.ID, m, res.Stats.ScannedTuples)
 		}
 	}
 }

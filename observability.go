@@ -43,8 +43,8 @@ type Metrics struct {
 	// probes served, postings blocks decoded, compressed vs raw postings
 	// footprint and the document build's string-intern behaviour.
 	Content ContentStats
-	// Replica holds the corpus replica-routing counters (failovers stay
-	// zero with one replica per shard).
+	// Replica holds the corpus's shard- and replica-routing counters
+	// (failovers stay zero with one replica per shard).
 	Replica ReplicaMetrics
 	// Compactions and WALPages are a corpus write path's store rewrites so
 	// far and its log length in pages, summed over its shards (zero without
@@ -59,11 +59,14 @@ type Metrics struct {
 	RecoverySeconds float64
 }
 
-// ReplicaMetrics is the corpus's replica-routing counters.
+// ReplicaMetrics is the corpus's shard- and replica-routing counters.
 type ReplicaMetrics struct {
 	// Failovers counts shard queries re-issued on another replica because
 	// the previous one returned an error.
 	Failovers uint64
+	// ShardsPruned counts shards a query skipped before dispatch because a
+	// pattern node has no candidates there.
+	ShardsPruned uint64
 	// Suspect is the number of replicas currently in a degraded routing
 	// state (suspect or probation).
 	Suspect int
@@ -95,6 +98,7 @@ func writeMetricsText(w io.Writer, m Metrics) {
 	counter("value_index_probes_total", "Value predicates served by content-index probes instead of scan+filter.", m.Content.ValueProbes)
 	counter("postings_blocks_decoded_total", "Compressed postings blocks decoded (tag and value index).", m.Content.BlocksDecoded)
 	counter("replica_failovers_total", "Shard queries failed over to another replica after an error.", m.Replica.Failovers)
+	counter("shards_pruned_total", "Shards a query skipped before dispatch because a pattern node has no candidates there.", m.Replica.ShardsPruned)
 	fmt.Fprintf(w, "# HELP sjos_replicas_suspect Replicas currently in a degraded routing state (suspect or probation).\n# TYPE sjos_replicas_suspect gauge\nsjos_replicas_suspect %d\n", m.Replica.Suspect)
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP sjos_%s %s\n# TYPE sjos_%s gauge\nsjos_%s %d\n",

@@ -20,9 +20,17 @@ import (
 // benchmark's server does (2/3/2/1 a shard).
 func servingCorpus(tb testing.TB) *Corpus {
 	tb.Helper()
-	b := NewCorpusBuilder(&CorpusOptions{Shards: 4, ShardWALFile: func(int) PageFile { return NewMemPageFile() }})
+	return servingCorpusOn(tb, "doc-", 4, 1)
+}
+
+// servingCorpusOn is servingCorpus's eight documents named prefix00 …
+// prefix07 — the names decide the placement — over the given shards and
+// replicas a shard.
+func servingCorpusOn(tb testing.TB, prefix string, shards, replicas int) *Corpus {
+	tb.Helper()
+	b := NewCorpusBuilder(&CorpusOptions{Shards: shards, ReplicasPerShard: replicas, ShardWALFile: func(int) PageFile { return NewMemPageFile() }})
 	for i := 0; i < 8; i++ {
-		if err := b.AddDataset(fmt.Sprintf("doc-%02d", i), "pers", 1, 1, int64(1+i)); err != nil {
+		if err := b.AddDataset(fmt.Sprintf("%s%02d", prefix, i), "pers", 1, 1, int64(1+i)); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package sjos
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,12 +53,17 @@ type service struct {
 
 // cachedPlan is one cache entry. The plan is stored in the fingerprint's
 // canonical node numbering so one entry serves every renumbering of the
-// same query shape; hits remap it back into the caller's numbering.
+// same query shape; hits remap it back into the caller's numbering. text is
+// the plan rendered for the numbering whose canonical renumbering is canon
+// (the query that computed the entry): tags and predicates are in the
+// fingerprint, so a hit with the same canon would render the same bytes.
 type cachedPlan struct {
 	plan     *plan.Node
 	cost     float64
 	algo     string
 	counters core.Counters
+	text     string
+	canon    []int
 }
 
 // newService builds a corpus's service around an admission controller of
@@ -94,10 +100,11 @@ func (s *service) setStats(stats core.StatsSource) {
 // XQueryContext: structurally equivalent patterns (same shape, tags, axes,
 // predicates — regardless of node numbering) share one cache entry per
 // (method, bound, statistics version). Concurrent misses on the same key run
-// the optimizer once. The boolean reports whether the plan came from the
-// cache (or from a coalesced in-flight optimization) rather than a fresh
-// optimizer run.
-func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.ProbeEligibility, m Method, te int) (*OptimizeResult, bool, error) {
+// the optimizer once. It also returns the plan's text (Plan.Format against
+// pat), rendered once per entry and numbering. The boolean reports whether
+// the plan came from the cache (or from a coalesced in-flight optimization)
+// rather than a fresh optimizer run.
+func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.ProbeEligibility, m Method, te int) (*OptimizeResult, string, bool, error) {
 	stats, ver := s.snapshot()
 	fp, canon := pattern.Fingerprint(pat)
 	keyTe := 0
@@ -121,20 +128,27 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.Pro
 			cost:     res.Cost,
 			algo:     res.Algorithm,
 			counters: res.Counters,
+			text:     res.Plan.Format(pat),
+			canon:    canon,
 		}, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, "", false, err
 	}
 	// Remap the canonical plan into this caller's node numbering. The
 	// remap deep-copies, so cached plans are never shared mutably.
 	inv := pattern.InversePermutation(canon)
-	return &OptimizeResult{
+	res := &OptimizeResult{
 		Plan:      plan.Remap(cp.plan, inv),
 		Cost:      cp.cost,
 		Algorithm: cp.algo,
 		Counters:  cp.counters,
-	}, cached, nil
+	}
+	text := cp.text
+	if !slices.Equal(canon, cp.canon) {
+		text = res.Plan.Format(pat)
+	}
+	return res, text, cached, nil
 }
 
 // search is the metered optimizer run behind optimizePattern: only the
