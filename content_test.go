@@ -4,8 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"sjos/internal/pattern"
+	"sjos/internal/plan"
 )
 
 // randomValueXML generates a document whose leaves carry a mix of numeric
@@ -203,4 +207,91 @@ func TestBatchedProbeAllocs(t *testing.T) {
 		t.Fatalf("batched probe query allocates %.0f/op, budget %d", allocs, allocsBudgetBatchedProbe)
 	}
 	t.Logf("batched probe query: %.0f allocs/op (budget %d)", allocs, allocsBudgetBatchedProbe)
+}
+
+// probeArm returns a copy of p with every leaf of a predicated pattern node
+// marked for a value-index probe, eligible or not: the plan a caller may
+// hand Run without planning it.
+func probeArm(p *Plan, pat *Pattern) *Plan {
+	if p == nil {
+		return nil
+	}
+	cp := *p
+	if p.Op == plan.OpIndexScan && pat.Nodes[p.PatternNode].Op != pattern.CmpNone {
+		cp.ValueIndex = true
+	}
+	cp.Left, cp.Right = probeArm(p.Left, pat), probeArm(p.Right, pat)
+	return &cp
+}
+
+// TestValueIndexLeafFallsBackToScan runs caller-built plans that mark an
+// ineligible predicate for a probe (inequality, a range with a non-numeric
+// bound, containment): the store declines every probe, and the leaf must
+// answer by scan+filter, with the reference's rows and no probe opened.
+func TestValueIndexLeafFallsBackToScan(t *testing.T) {
+	c := datasetCorpus(t, "pers", 1, 1, nil)
+	for _, src := range []string{
+		`//employee[salary != "50000"]/name`,
+		`//employee[salary < "a"]/name`,
+		`//manager[name ~ "mgr-1"]/department/name`,
+	} {
+		pat := MustParsePattern(src)
+		p := probeArm(mustOptimize(t, c, pat, MethodDP).Plan, pat)
+		if !strings.Contains(p.Format(pat), "ValueIndexScan") {
+			t.Fatalf("%s: no leaf marked for a probe:\n%s", src, p.Format(pat))
+		}
+		rows, st, err := execAll(c, pat, p)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if st.ValueProbes != 0 {
+			t.Fatalf("%s: %d value probes opened on an ineligible predicate", src, st.ValueProbes)
+		}
+		want := referenceMatches(c, pat)
+		if len(want) == 0 {
+			t.Fatalf("%s: empty reference", src)
+		}
+		if !equalStrings(canonicalize(rows), canonicalize(want)) {
+			t.Fatalf("%s: %d rows, reference %d", src, len(rows), len(want))
+		}
+	}
+}
+
+// TestValueIndexLeafFallsBackPerShard plans a range probe on a writable
+// corpus, then writes a non-numeric value of the probed tag onto one shard,
+// which makes that shard's store decline the range probe. The old plan must
+// probe on every other shard, scan+filter on that one, and still return the
+// reference's rows, the new document's row included.
+func TestValueIndexLeafFallsBackPerShard(t *testing.T) {
+	c := servingCorpus(t)
+	pat := MustParsePattern(`//employee[salary > 100000]/name`)
+	p := mustOptimize(t, c, pat, MethodDP).Plan
+	if !strings.Contains(p.Format(pat), "ValueIndexScan") {
+		t.Fatalf("plan does not probe:\n%s", p.Format(pat))
+	}
+	run := func() *CorpusRunResult {
+		t.Helper()
+		res, err := c.Run(context.Background(), pat, p, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := resultRows(t, res.Segments); !reflect.DeepEqual(got, referenceRows(c, pat)) {
+			t.Fatalf("rows differ from the reference on %d documents", len(got))
+		}
+		return res
+	}
+	before := run()
+	if before.Stats.ValueProbes != c.NumShards() {
+		t.Fatalf("%d value probes on %d shards", before.Stats.ValueProbes, c.NumShards())
+	}
+	if err := c.InsertString("odd", `<db><employee><name>x</name><salary>lots</salary></employee></db>`); err != nil {
+		t.Fatal(err)
+	}
+	after := run()
+	if after.Stats.ValueProbes != c.NumShards()-1 {
+		t.Fatalf("%d value probes after the write, want %d (one shard scans)", after.Stats.ValueProbes, c.NumShards()-1)
+	}
+	if got, _ := resultRows(t, after.Segments); got["odd"] == nil {
+		t.Fatal("the non-numeric salary's row is missing")
+	}
 }

@@ -513,7 +513,8 @@ func TestPipelineOnlyDPPMatchesFP(t *testing.T) {
 	for pi, pat := range pats {
 		for seed := int64(0); seed < 10; seed++ {
 			est := skewedEstimator(t, pat, 31337+100*int64(pi)+seed)
-			pipe, err := DPPPipelineOnly(pat, est, testModel())
+			pipe, err := dppSearch(context.Background(), pat, est, testModel(),
+				dppConfig{name: "DPP-pipe", lookahead: true, pipelineOnly: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,14 +30,6 @@ func (cfg *dppConfig) emit(kind TraceKind, edges, orderMask uint32, level int, c
 	}
 }
 
-// DPPPipelineOnly is the sorted-move ablation (DESIGN.md A2): DPP searching
-// only sort-free moves, i.e. exactly the fully-pipelined plan space. By
-// Theorem 3.1 it always succeeds, and its optimum must equal FP's — the
-// test suite uses this as an independent check of the FP algorithm.
-func DPPPipelineOnly(pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
-	return dppSearch(context.Background(), pat, est, model, dppConfig{name: "DPP-pipe", lookahead: true, pipelineOnly: true})
-}
-
 // dpapEB is the DPAP-EB search with expansion bound te, which must be at
 // least 1.
 func dpapEB(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model, te int) (*Result, error) {

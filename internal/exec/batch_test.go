@@ -432,12 +432,16 @@ func TestBatchVsTupleBuiltPlans(t *testing.T) {
 		if !sortedEq(got, want) {
 			t.Fatalf("%s: %d matches, reference %d", tc.src, len(got), len(want))
 		}
-		n, err := RunCount(newCtx(t, doc), pat, tc.p)
+		op, err := Build(pat, tc.p)
+		if err != nil {
+			t.Fatalf("%s build: %v", tc.src, err)
+		}
+		n, err := Count(newCtx(t, doc), op)
 		if err != nil {
 			t.Fatalf("%s count: %v", tc.src, err)
 		}
 		if n != len(want) {
-			t.Fatalf("%s: RunCount = %d, want %d", tc.src, n, len(want))
+			t.Fatalf("%s: Count = %d, want %d", tc.src, n, len(want))
 		}
 	}
 }

@@ -74,15 +74,6 @@ func Run(ctx *Context, pat *pattern.Pattern, p *plan.Node) (MatchSet, error) {
 	return Collect(ctx, op, pat.N())
 }
 
-// RunCount compiles and executes a plan, returning only the match count.
-func RunCount(ctx *Context, pat *pattern.Pattern, p *plan.Node) (int, error) {
-	op, err := Build(pat, p)
-	if err != nil {
-		return 0, err
-	}
-	return Count(ctx, op)
-}
-
 // SortCanonical orders normalised tuples lexicographically — a canonical
 // multiset representation for comparing the results of different plans.
 func SortCanonical(ts []Tuple) {

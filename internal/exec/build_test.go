@@ -84,12 +84,16 @@ func TestBuildAndRunFullPlan(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("test should produce matches")
 	}
-	n, err := RunCount(newCtx(t, doc), pat, full)
+	op, err := Build(pat, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Count(newCtx(t, doc), op)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(want) {
-		t.Fatalf("RunCount = %d, want %d", n, len(want))
+		t.Fatalf("Count = %d, want %d", n, len(want))
 	}
 }
 
@@ -104,6 +108,11 @@ func TestBuildRejectsBadPlans(t *testing.T) {
 	bad := plan.NewSort(plan.NewIndexScan(0), 1) // sort by column not present
 	if _, err := Build(pat, bad); err == nil {
 		t.Fatal("sort by absent column accepted")
+	}
+	probe := plan.NewIndexScan(0)
+	probe.ValueIndex = true // //a has no predicate to probe with
+	if _, err := Build(pat, probe); err == nil {
+		t.Fatal("value-index scan of a predicate-free node accepted")
 	}
 }
 

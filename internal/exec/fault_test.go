@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sjos/internal/faultfs"
@@ -49,6 +50,42 @@ func TestScanPropagatesStorageErrors(t *testing.T) {
 		t.Fatalf("scan error = %v, want injected failure", err)
 	}
 	assertNoPins(t, st)
+}
+
+// TestScanErrorsNameAccessPath fails a leaf's reads mid-stream on each
+// access path: the error wraps the injected fault and names the path the
+// leaf read and its tag.
+func TestScanErrorsNameAccessPath(t *testing.T) {
+	doc, err := xmltree.Parse(strings.NewReader("<r>" + strings.Repeat("<a>1</a>", 60000) + "</r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := pattern.MustParse(`//a[. = "1"]`)
+	for _, tc := range []struct {
+		valueIndex bool
+		probes     int
+		want       string
+	}{
+		{false, 0, `exec: index scan of "a": `},
+		{true, 1, `exec: value-index scan of "a": `},
+	} {
+		st := faultyStore(t, doc, 3)
+		leaf := plan.NewIndexScan(0)
+		leaf.ValueIndex = tc.valueIndex
+		op, err := Build(pat, leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Context{Doc: doc, Store: st}
+		_, err = Drain(ctx, op)
+		if !errors.Is(err, faultfs.ErrInjected) || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Fatalf("ValueIndex=%v: error %v, want %q wrapping the injected failure", tc.valueIndex, err, tc.want)
+		}
+		if ctx.Stats.ValueProbes != tc.probes {
+			t.Fatalf("ValueIndex=%v: %d value probes, want %d", tc.valueIndex, ctx.Stats.ValueProbes, tc.probes)
+		}
+		assertNoPins(t, st)
+	}
 }
 
 func TestJoinPropagatesStorageErrors(t *testing.T) {

@@ -70,7 +70,11 @@ func TestTraceBuilderMatchesPlainExecution(t *testing.T) {
 	pat := pattern.MustParse("//manager[.//employee]//name")
 	me := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoAnc)
 	men := plan.NewJoin(me, plan.NewIndexScan(2), 0, 2, pattern.Descendant, plan.AlgoAnc)
-	plain, err := RunCount(newCtx(t, doc), pat, men)
+	op, err := Build(pat, men)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Count(newCtx(t, doc), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestTraceBuilderMatchesPlainExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := tb.Build()
+	op, err = tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

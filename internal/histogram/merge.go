@@ -65,9 +65,6 @@ func Merge(parts []*Stats) *Multi {
 	return m
 }
 
-// Parts returns the number of merged per-member statistics.
-func (m *Multi) Parts() int { return len(m.parts) }
-
 // Lookup resolves a tag name in the union dictionary.
 func (m *Multi) Lookup(name string) (xmltree.TagID, bool) {
 	t, ok := m.byName[name]

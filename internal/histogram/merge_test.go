@@ -45,8 +45,8 @@ func twoParts(t *testing.T) (*Stats, *Stats) {
 func TestMultiTagCounts(t *testing.T) {
 	s1, s2 := twoParts(t)
 	m := Merge([]*Stats{s1, s2})
-	if m.Parts() != 2 {
-		t.Fatalf("Parts() = %d, want 2", m.Parts())
+	if len(m.parts) != 2 {
+		t.Fatalf("parts = %d, want 2", len(m.parts))
 	}
 	for _, tc := range []struct {
 		name string
@@ -148,8 +148,8 @@ func TestMultiDeterministicTagIDs(t *testing.T) {
 func TestMergeSkipsNilParts(t *testing.T) {
 	s1, s2 := twoParts(t)
 	m := Merge([]*Stats{s1, nil, s2, nil})
-	if m.Parts() != 2 {
-		t.Fatalf("Parts() = %d, want 2 (nil parts skipped)", m.Parts())
+	if len(m.parts) != 2 {
+		t.Fatalf("parts = %d, want 2 (nil parts skipped)", len(m.parts))
 	}
 	ref := Merge([]*Stats{s1, s2})
 	for _, name := range []string{"a", "b", "c"} {
@@ -162,7 +162,7 @@ func TestMergeSkipsNilParts(t *testing.T) {
 			t.Errorf("TagCount(%q) = %g, want %g", name, got, want)
 		}
 	}
-	if allNil := Merge([]*Stats{nil, nil}); allNil.Parts() != 0 {
-		t.Fatalf("all-nil merge Parts() = %d, want 0", allNil.Parts())
+	if allNil := Merge([]*Stats{nil, nil}); len(allNil.parts) != 0 {
+		t.Fatalf("all-nil merge parts = %d, want 0", len(allNil.parts))
 	}
 }

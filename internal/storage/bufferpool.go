@@ -284,9 +284,6 @@ func (bp *BufferPool) Stats() PoolStats {
 	return s
 }
 
-// Frames returns the pool capacity in frames.
-func (bp *BufferPool) Frames() int { return bp.frames }
-
 func (bp *BufferPool) pinLocked(fr *frame) {
 	if fr.inLRU {
 		bp.lru.remove(fr)

@@ -188,8 +188,8 @@ func TestBufferPoolUnpinPanics(t *testing.T) {
 
 func TestBufferPoolDefaultFrames(t *testing.T) {
 	bp := NewBufferPool(NewMemFile(), 0)
-	if bp.Frames() != DefaultPoolFrames {
-		t.Fatalf("Frames = %d, want %d", bp.Frames(), DefaultPoolFrames)
+	if bp.frames != DefaultPoolFrames {
+		t.Fatalf("frames = %d, want %d", bp.frames, DefaultPoolFrames)
 	}
 }
 

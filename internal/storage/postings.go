@@ -312,6 +312,3 @@ func (sc *runCursor) NextBlock(ids []xmltree.NodeID) (int, error) {
 	}
 	return n, nil
 }
-
-// Remaining returns how many postings are left to scan.
-func (sc *runCursor) Remaining() int { return sc.run.count - sc.i }

@@ -48,9 +48,6 @@ func TestTagScannerMatchesDocument(t *testing.T) {
 			t.Fatalf("tag %d: TagCount = %d, want %d", tg, st.TagCount(tag), len(want))
 		}
 		sc := st.ScanTag(tag)
-		if sc.Remaining() != len(want) {
-			t.Fatalf("tag %d: Remaining = %d, want %d", tg, sc.Remaining(), len(want))
-		}
 		var prev xmltree.Pos
 		for i := 0; ; i++ {
 			id, rec, ok, err := sc.Next()

@@ -248,7 +248,7 @@ func (s *Store) rangeProbeable(t xmltree.TagID) bool {
 // given tag can be served by an index probe with semantics identical to
 // scan+filter (see the package comment above for the case analysis). The
 // optimizer consults this through the estimator; the executor re-checks it
-// when opening a ValueIndexScan.
+// when it opens a probe leaf.
 func (s *Store) ProbeEligible(tag string, op pattern.CmpOp, value string) bool {
 	_, _, _, ok := s.probeKey(tag, op, value)
 	return ok
@@ -291,14 +291,13 @@ func (s *Store) ProbeSelectivity(tag string, op pattern.CmpOp, value string) (in
 }
 
 // ValueScanner streams the postings of a value-index probe in document
-// order, with the same iteration contract as TagScanner: tuple-at-a-time
-// Next, block-wise NextBlock, forward-only SeekGE skip-ahead and a
-// Remaining count.
+// order, with the same iteration contract as TagScanner (which satisfies
+// it): tuple-at-a-time Next, block-wise NextBlock and forward-only SeekGE
+// skip-ahead.
 type ValueScanner interface {
 	Next() (xmltree.NodeID, NodeRecord, bool, error)
 	NextBlock(ids []xmltree.NodeID) (int, error)
 	SeekGE(id xmltree.NodeID) (int, error)
-	Remaining() int
 }
 
 // ProbeValue opens a probe scanner for (tag, op, value). ok is false when
@@ -437,13 +436,4 @@ func (m *sortedScanner) SeekGE(id xmltree.NodeID) (int, error) {
 	k, _ := slices.BinarySearch(m.ids[m.i:], id)
 	m.i += k
 	return k, nil
-}
-
-// Remaining implements ValueScanner.
-func (m *sortedScanner) Remaining() int {
-	n := len(m.ids) - m.i
-	for _, r := range m.runs {
-		n += r.count
-	}
-	return n
 }

@@ -32,9 +32,6 @@ type DocSpan struct {
 	Nodes int
 }
 
-// Local converts a forest node ID into the member's standalone numbering.
-func (s DocSpan) Local(id NodeID) NodeID { return id - s.First }
-
 // Contains reports whether the forest node ID belongs to this member.
 func (s DocSpan) Contains(id NodeID) bool {
 	return id >= s.First && int(id-s.First) < s.Nodes

@@ -56,7 +56,7 @@ func TestMergeDocumentsStructure(t *testing.T) {
 		}
 		for j := 0; j < d.NumNodes(); j++ {
 			local, id := NodeID(j), sp.First+NodeID(j)
-			if !sp.Contains(id) || sp.Local(id) != local {
+			if !sp.Contains(id) || id-sp.First != local {
 				t.Fatalf("member %d node %d: span arithmetic broken", i, j)
 			}
 			if f.TagName(f.Tag(id)) != d.TagName(d.Tag(local)) {

@@ -20,8 +20,7 @@
 //	  - RETURN lists the projected paths.
 //
 // Identical steps are shared, so the compiled pattern is naturally
-// minimal with respect to the query's own redundancy; pattern.Minimize can
-// still be applied afterwards (the projection map is maintained).
+// minimal with respect to the query's own redundancy.
 package xquery
 
 import (

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"sjos/internal/exec"
+	"sjos/internal/pattern"
+	"sjos/internal/plancache"
 	"sjos/internal/replica"
 )
 
@@ -473,4 +475,74 @@ func TestPlanTextOncePerEntry(t *testing.T) {
 	if n := c.Metrics().Cache.Entries; n != 1 {
 		t.Fatalf("%d cache entries, want 1", n)
 	}
+}
+
+// TestPlanTextOnlyOnHitEntries: a plan-cache miss renders the plan's text for
+// its own response only, so a stream of misses leaves every entry without
+// text; the entry's first hit stores it.
+func TestPlanTextOnlyOnHitEntries(t *testing.T) {
+	c := xmlCorpus(t, `<r><a><b>1</b><c/></a></r>`, nil)
+	ctx := context.Background()
+	srcs := []string{`//a/b`, `//a[b][c]`, `//r//a/c`, `//a[b > 0]/c`}
+	stored := func(src string) *planText {
+		t.Helper()
+		fp, _ := pattern.Fingerprint(MustParsePattern(src))
+		_, ver := c.svc.snapshot()
+		cp, ok := c.svc.cache.Get(plancache.Key{Fingerprint: fp, Method: int(MethodDP), StatsVersion: ver})
+		if !ok {
+			t.Fatalf("%s: no cache entry", src)
+		}
+		return cp.text.Load()
+	}
+	query := func(src string, cached bool) string {
+		t.Helper()
+		res, err := c.QueryContext(ctx, src, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CachedPlan != cached {
+			t.Fatalf("%s: cached = %v, want %v", src, res.CachedPlan, cached)
+		}
+		if want := res.Plan.Format(MustParsePattern(src)); res.PlanText != want {
+			t.Fatalf("%s: plan text\n%s\nwant\n%s", src, res.PlanText, want)
+		}
+		return res.PlanText
+	}
+	for _, src := range srcs {
+		query(src, false)
+	}
+	for _, src := range srcs {
+		if pt := stored(src); pt != nil {
+			t.Fatalf("%s: an entry no query hit holds its plan text", src)
+		}
+	}
+	text := query(srcs[0], true)
+	if pt := stored(srcs[0]); pt == nil || pt.text != text {
+		t.Fatalf("%s: the first hit did not store the plan text", srcs[0])
+	}
+	if pt := stored(srcs[1]); pt != nil {
+		t.Fatalf("%s: an entry no query hit holds its plan text", srcs[1])
+	}
+
+	// Concurrent first hits in two numberings race to store the text; each
+	// must still get its own numbering's rendering.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(src string) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				res, err := c.QueryContext(ctx, src, QueryOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := res.Plan.Format(MustParsePattern(src)); !res.CachedPlan || res.PlanText != want {
+					t.Errorf("%s: cached = %v, plan text\n%s\nwant\n%s", src, res.CachedPlan, res.PlanText, want)
+					return
+				}
+			}
+		}([]string{`//a[b][c]`, `//a[c][b]`}[g%2])
+	}
+	wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sjos/internal/admission"
@@ -54,16 +55,24 @@ type service struct {
 // cachedPlan is one cache entry. The plan is stored in the fingerprint's
 // canonical node numbering so one entry serves every renumbering of the
 // same query shape; hits remap it back into the caller's numbering. text is
-// the plan rendered for the numbering whose canonical renumbering is canon
-// (the query that computed the entry): tags and predicates are in the
-// fingerprint, so a hit with the same canon would render the same bytes.
+// stored by the entry's first hit: a miss renders the plan for its own
+// response only, so an entry that no query reuses keeps no text. Entries
+// are copied out of the cache and read concurrently, hence the shared
+// atomic pointer.
 type cachedPlan struct {
 	plan     *plan.Node
 	cost     float64
 	algo     string
 	counters core.Counters
-	text     string
-	canon    []int
+	text     *atomic.Pointer[planText]
+}
+
+// planText is a plan rendered for the numbering whose canonical renumbering
+// is canon: tags and predicates are in the fingerprint, so a hit with the
+// same canon would render the same bytes.
+type planText struct {
+	text  string
+	canon []int
 }
 
 // newService builds a corpus's service around an admission controller of
@@ -101,9 +110,9 @@ func (s *service) setStats(stats core.StatsSource) {
 // predicates — regardless of node numbering) share one cache entry per
 // (method, bound, statistics version). Concurrent misses on the same key run
 // the optimizer once. It also returns the plan's text (Plan.Format against
-// pat), rendered once per entry and numbering. The boolean reports whether
-// the plan came from the cache (or from a coalesced in-flight optimization)
-// rather than a fresh optimizer run.
+// pat), which a hit in the numbering of the entry's first hit reuses. The
+// boolean reports whether the plan came from the cache (or from a coalesced
+// in-flight optimization) rather than a fresh optimizer run.
 func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.ProbeEligibility, m Method, te int) (*OptimizeResult, string, bool, error) {
 	stats, ver := s.snapshot()
 	fp, canon := pattern.Fingerprint(pat)
@@ -128,8 +137,7 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.Pro
 			cost:     res.Cost,
 			algo:     res.Algorithm,
 			counters: res.Counters,
-			text:     res.Plan.Format(pat),
-			canon:    canon,
+			text:     new(atomic.Pointer[planText]),
 		}, nil
 	})
 	if err != nil {
@@ -144,11 +152,18 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.Pro
 		Algorithm: cp.algo,
 		Counters:  cp.counters,
 	}
-	text := cp.text
-	if !slices.Equal(canon, cp.canon) {
-		text = res.Plan.Format(pat)
+	if !cached {
+		return res, res.Plan.Format(pat), false, nil
 	}
-	return res, text, cached, nil
+	pt := cp.text.Load()
+	if pt != nil && slices.Equal(canon, pt.canon) {
+		return res, pt.text, true, nil
+	}
+	text := res.Plan.Format(pat)
+	if pt == nil {
+		cp.text.CompareAndSwap(nil, &planText{text: text, canon: canon})
+	}
+	return res, text, true, nil
 }
 
 // search is the metered optimizer run behind optimizePattern: only the
