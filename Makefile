@@ -15,7 +15,7 @@
 # `make benchquick` smoke-runs the key benchmarks at one iteration each — the
 # ablations (Lookahead Rule, estimator, time to first results), the
 # result-path, /query-encode (serial at -cpu 1, chunk-parallel at -cpu 2),
-# plan_cold-execution and first-k-execution layer lanes, the lanes
+# plan_cold-execution, first-k-execution and point_cached-mix layer lanes, the lanes
 # under them (value range probe against scan+filter, Stack-Tree Desc/Anc by
 # input shape and axis, posting-block decode, numeric predicate parse), the
 # storage lanes (buffer-pool hit and
@@ -23,8 +23,8 @@
 # encode and decode, segment staging, store version assembly,
 # value probes at 2 and 256 segments, the four-write corpus cycle and a
 # four-shard recovery on disk WALs) included — plus the allocation regression
-# guards: a CI-friendly check that they still build, run and validate their
-# counts. `make fuzzquick` runs the eight Fuzz* targets for ten seconds each.
+# guards and the point-probe postings budget: a CI-friendly check that they
+# still build, run and validate their counts. `make fuzzquick` runs the eight Fuzz* targets for ten seconds each.
 # `make chaos`, `replicachaos` and `walchaos` are the fault-injection suites
 # (read faults, dead replicas, crashes at every WAL write), all under the race
 # detector. `make loc` prints the code-size table CHANGES.md quotes, and
@@ -117,13 +117,13 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|ExecFirstK|ValueRangeProbe|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|ExecFirstK|PointCachedMix|ValueRangeProbe|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x -cpu 1,2 ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/
 	$(GO) test -run '^$$' -bench 'StackTree' -benchtime=1x ./internal/exec/
 	$(GO) test -run '^$$' -bench 'ParseNumeric' -benchtime=1x ./internal/pattern/
-	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs|TestResultPathBytes|TestExecScratchAllocs|TestPointShardAllocs' -v .
+	$(GO) test -run 'TestBatchedProbeAllocs|TestResultPathAllocs|TestResultPathBytes|TestExecScratchAllocs|TestPointShardAllocs|TestPointWorkBudget' -v .
 
 # Every fuzz target for ten seconds each (go test takes one -fuzz target and
 # one package a run): the XML parser against its encoding/xml oracle, the

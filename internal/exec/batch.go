@@ -8,8 +8,9 @@ import "sjos/internal/xmltree"
 // the L2 cache.
 const BatchRows = 1024
 
-// minRefill is the smallest first refill a reader under a demand asks for:
-// a limit of one or two rows still gets a useful block.
+// minRefill is the smallest first refill a reader asks for: a limit of one
+// or two rows, or a join whose other side is a single probe hit, still gets
+// a useful block.
 const minRefill = 16
 
 // Batch is a reusable block of tuples with one flat backing array: row i is
@@ -83,21 +84,25 @@ func (b *Batch) Truncate(n int) {
 }
 
 // Seeker is the skip-ahead contract: SeekGE discards every pending output
-// row whose join column holds a NodeID below id, without producing it. ok is
-// false when the operator cannot seek (then nothing was consumed); skipped
-// counts the index postings bypassed. Only operators whose output is ordered
+// row whose join column holds a NodeID below id, without producing it, and
+// returns the index postings bypassed. Only operators whose output is ordered
 // by the sought column may implement it; NodeIDs are assigned in document
 // order, so that is the column's Start order.
 type Seeker interface {
-	SeekGE(id xmltree.NodeID) (skipped int, ok bool, err error)
+	SeekGE(id xmltree.NodeID) (skipped int, err error)
 }
 
-// trySeek seeks op if it supports skip-ahead.
-func trySeek(op Operator, id xmltree.NodeID) (int, bool, error) {
-	if s, ok := op.(Seeker); ok {
-		return s.SeekGE(id)
+// seekerOf returns op's skip-ahead, or nil if op cannot seek. A traced
+// operator seeks exactly when the operator it wraps does, so a traced
+// execution takes the path an untraced one takes.
+func seekerOf(op Operator) Seeker {
+	if t, ok := op.(*traced); ok {
+		if _, ok := t.inner.(Seeker); !ok {
+			return nil
+		}
 	}
-	return 0, false, nil
+	s, _ := op.(Seeker)
+	return s
 }
 
 // batchReader pulls one operator's output through a batch borrowed from the
@@ -106,30 +111,29 @@ func trySeek(op Operator, id xmltree.NodeID) (int, bool, error) {
 // row stays valid until the reader moves past it; moving past a batch's last
 // row refills.
 //
-// Under a demand (a Limit at the root) the first refill asks for that many
-// rows, at least minRefill, and each later one for twice the last, up to
-// BatchRows: a first-k execution reads about what its k rows need, and one
-// that needs more reaches full batches after a handful of refills.
-// Without a demand every refill is a full batch.
+// The first refill asks for the execution's demand (a Limit at the root), at
+// least minRefill rows, and each later one for twice the last, up to
+// BatchRows. A first-k execution reads about what its k rows need, a join
+// that seeks an input after a few rows has not read a full batch of it
+// first, and a reader that needs more reaches full batches after a handful
+// of refills.
 type batchReader struct {
-	op    Operator
-	batch *Batch
-	rows  int              // the next refill's row cap
-	buf   []xmltree.NodeID // the batch's rows, flat
-	w     int              // row width
-	i, n  int              // the current row's offset in buf, and len(buf): i < n while there is one
-	eof   bool
+	op     Operator
+	seeker Seeker // op's skip-ahead; nil if it cannot seek
+	batch  *Batch
+	rows   int              // the next refill's row cap
+	buf    []xmltree.NodeID // the batch's rows, flat
+	w      int              // row width
+	i, n   int              // the current row's offset in buf, and len(buf): i < n while there is one
+	eof    bool
 }
 
 // init binds the reader to op, sizing its first refill by ctx's demand; the
 // first row arrives with the first pull.
 func (r *batchReader) init(ctx *Context, op Operator) {
-	rows := BatchRows
-	if ctx.demand > 0 {
-		rows = min(max(ctx.demand, minRefill), BatchRows)
-	}
 	w := op.Schema().Width()
-	*r = batchReader{op: op, batch: ctx.scratch.batch(w), rows: rows, w: w}
+	rows := min(max(ctx.demand, minRefill), BatchRows)
+	*r = batchReader{op: op, seeker: seekerOf(op), batch: ctx.scratch.batch(w), rows: rows, w: w}
 }
 
 // pull refills the batch at the current size, doubles the next one, and
@@ -168,30 +172,43 @@ func (r *batchReader) stop() { r.i, r.n, r.eof = 0, 0, true }
 
 // skipDead moves past the current row and the run after it whose col region
 // ends before pos: the join's dead ancestors, dismissed with one End lookup
-// each.
-func (r *batchReader) skipDead(end []xmltree.Pos, pos xmltree.Pos, col int) error {
+// each. On a reader that can seek, a run that reaches the end of the buffer
+// stops there and reports it, the last row passed still in buf, for the
+// caller to seek past the rest (skipTo); elsewhere it runs on into refills.
+func (r *batchReader) skipDead(end []xmltree.Pos, pos xmltree.Pos, col int) (ranOff bool, err error) {
 	for r.i += r.w; ; {
 		for ; r.i < r.n; r.i += r.w {
 			if end[r.buf[r.i+col]] >= pos {
-				return nil
+				return false, nil
 			}
 		}
-		if r.eof {
-			return nil
+		if r.eof || r.seeker != nil {
+			return !r.eof, nil
 		}
 		if err := r.pull(); err != nil {
-			return err
+			return false, err
 		}
 	}
+}
+
+// last returns column col of the buffer's last row.
+func (r *batchReader) last(col int) xmltree.NodeID { return r.buf[r.n-r.w+col] }
+
+// skipTo drops the buffered rows, seeks the operator to id and refills; only
+// a reader that can seek calls it.
+func (r *batchReader) skipTo(id xmltree.NodeID) error {
+	if _, err := r.seeker.SeekGE(id); err != nil {
+		return err
+	}
+	return r.pull()
 }
 
 // seek moves to the first row, from the current one on, whose col holds an
 // id >= id. The stream is ordered by col, and a gap is usually a few rows, so
 // buffered rows are galloped over: probes at doubling distances, then a
 // binary search inside the last step. Once the buffer is exhausted the
-// operator is seeked through Seeker if it supports it, and refilled either
-// way — an operator that cannot seek is drained a batch at a time by the
-// same loop.
+// operator is seeked if it can seek, and refilled either way — an operator
+// that cannot seek is drained a batch at a time by the same loop.
 func (r *batchReader) seek(id xmltree.NodeID, col int) error {
 	for {
 		buf, w, n := r.buf, r.w, r.n
@@ -220,8 +237,10 @@ func (r *batchReader) seek(id xmltree.NodeID, col int) error {
 		if r.eof {
 			return nil
 		}
-		if _, _, err := trySeek(r.op, id); err != nil {
-			return err
+		if r.seeker != nil {
+			if _, err := r.seeker.SeekGE(id); err != nil {
+				return err
+			}
 		}
 		if err := r.pull(); err != nil {
 			return err

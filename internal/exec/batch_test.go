@@ -24,11 +24,11 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager[.//employee]//name")
 	build := func() Operator {
-		me, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pattern.Descendant, plan.AlgoAnc)
+		me, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoAnc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		men, err := NewStackTreeJoin(me, NewIndexScan(pat, 2), 0, 2, pattern.Descendant, plan.AlgoAnc)
+		men, err := NewStackTreeJoin(me, NewIndexScan(pat, 2), 0, 2, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoAnc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,14 +83,16 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 func TestBatchLimitNotSeekable(t *testing.T) {
 	pat := pattern.MustParse("//a//b")
 	l := NewLimit(NewIndexScan(pat, 0), 1)
-	if _, ok, _ := trySeek(l, 10); ok {
-		t.Fatal("trySeek reached through a Limit; seeks would bypass the row cap")
+	if seekerOf(l) != nil {
+		t.Fatal("seekerOf reached through a Limit; seeks would bypass the row cap")
 	}
 }
 
 // TestTrySeekUnwrapsAdapters checks the seek probe reaches the scan through
 // the one wrapper a plan operator can sit under — the tracer — and that the
-// tracer records what the seek bypassed.
+// tracer records what the seek bypassed; and that the tracer over an
+// operator that cannot seek cannot seek either, so tracing never changes
+// the path an execution takes.
 func TestTrySeekUnwrapsAdapters(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
@@ -102,10 +104,23 @@ func TestTrySeekUnwrapsAdapters(t *testing.T) {
 	wrapped := &traced{inner: s, rec: &OpTrace{}}
 	nm, _ := doc.LookupTag("name")
 	names := doc.NodesWithTag(nm)
-	skipped, ok, err := trySeek(wrapped, names[2])
-	if !ok || err != nil || skipped != 2 || wrapped.rec.Skipped != 2 {
-		t.Fatalf("trySeek through the tracer: skipped=%d (traced %d) ok=%v err=%v, want 2 postings skipped",
-			skipped, wrapped.rec.Skipped, ok, err)
+	sk := seekerOf(wrapped)
+	if sk == nil {
+		t.Fatal("a traced scan cannot seek")
+	}
+	skipped, err := sk.SeekGE(names[2])
+	if err != nil || skipped != 2 || wrapped.rec.Skipped != 2 {
+		t.Fatalf("seek through the tracer: skipped=%d (traced %d) err=%v, want 2 postings skipped",
+			skipped, wrapped.rec.Skipped, err)
+	}
+	j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Operator{j, NewLimit(s, 1), &traced{inner: j, rec: &OpTrace{}}} {
+		if seekerOf(op) != nil {
+			t.Errorf("%T can seek", op)
+		}
 	}
 }
 
@@ -133,9 +148,9 @@ func TestIndexScanSkipAhead(t *testing.T) {
 	defer s.Close()
 	aTag, _ := doc.LookupTag("a")
 	aID := doc.NodesWithTag(aTag)[0]
-	skipped, ok, err := s.SeekGE(aID)
-	if err != nil || !ok {
-		t.Fatalf("SeekGE: ok=%v err=%v", ok, err)
+	skipped, err := s.SeekGE(aID)
+	if err != nil {
+		t.Fatalf("SeekGE: %v", err)
 	}
 	if skipped != 40 {
 		t.Fatalf("SeekGE skipped %d postings, want 40", skipped)
@@ -180,7 +195,7 @@ func TestJoinSkipAheadEndToEnd(t *testing.T) {
 	}
 	for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
 		pat := pattern.MustParse("//a//b")
-		j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pattern.Descendant, algo)
+		j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pat.Nodes[0].Tag, pattern.Descendant, algo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,9 +362,9 @@ func TestBatchReaderSeekWithinBuffer(t *testing.T) {
 	}
 }
 
-// TestBatchReaderDemandRamp checks how a reader sizes its refills: under a
-// demand the first asks for the demand (at least minRefill) and each later
-// one for twice the last, up to BatchRows; without one every refill is full.
+// TestBatchReaderDemandRamp checks how a reader sizes its refills: the first
+// asks for the demand (at least minRefill, no demand included) and each
+// later one for twice the last, up to BatchRows.
 func TestBatchReaderDemandRamp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	doc := xmltree.RandomDocument(rng, 6000, []string{"a"})
@@ -358,7 +373,7 @@ func TestBatchReaderDemandRamp(t *testing.T) {
 		demand int
 		want   []int
 	}{
-		{0, []int{1024, 1024}},
+		{0, []int{16, 32, 64, 128, 256, 512, 1024, 1024}},
 		{3, []int{16, 32, 64, 128, 256, 512, 1024, 1024}},
 		{40, []int{40, 80, 160, 320, 640, 1024, 1024}},
 		{5000, []int{1024, 1024}},
@@ -473,12 +488,12 @@ type seekRowsOp struct {
 	col int
 }
 
-func (o *seekRowsOp) SeekGE(id xmltree.NodeID) (int, bool, error) {
+func (o *seekRowsOp) SeekGE(id xmltree.NodeID) (int, error) {
 	from := o.pos
 	for o.pos < len(o.rows) && o.rows[o.pos][o.col] < id {
 		o.pos++
 	}
-	return o.pos - from, true, nil
+	return o.pos - from, nil
 }
 
 // TestBatchSeekByNodeID holds the reader's galloping seek to a linear lower

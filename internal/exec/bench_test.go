@@ -74,7 +74,7 @@ func benchStackTree(b *testing.B, algo plan.Algo) {
 			}
 			b.Run(fmt.Sprintf("shape=%s/axis=%s", sh.name, axis), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, ax, algo)
+					j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pat.Nodes[0].Tag, ax, algo)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -104,7 +104,7 @@ func BenchmarkSortOperator(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
-					0, 1, pattern.Descendant, plan.AlgoDesc)
+					0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoDesc)
 				s, err := NewSort(j, 0)
 				if err != nil {
 					b.Fatal(err)

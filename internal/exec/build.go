@@ -50,7 +50,11 @@ func buildWrapped(pat *pattern.Pattern, n *plan.Node, wrap wrapFn) (Operator, er
 		if err != nil {
 			return nil, err
 		}
-		op, err = NewStackTreeJoin(left, right, n.AncNode, n.DescNode, n.Axis, n.Algo)
+		var tag string
+		if n.AncNode >= 0 && n.AncNode < pat.N() {
+			tag = pat.Nodes[n.AncNode].Tag
+		}
+		op, err = NewStackTreeJoin(left, right, n.AncNode, n.DescNode, tag, n.Axis, n.Algo)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,7 @@ func TestSortOperator(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
 	// Desc join output is ordered by name; sorting by manager re-orders.
-	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pattern.Descendant, plan.AlgoDesc)
+	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoDesc)
 	s, err := NewSort(j, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestSchemaBasics(t *testing.T) {
 func TestLimitOperator(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
-	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pattern.Descendant, plan.AlgoDesc)
+	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoDesc)
 	full, err := Drain(newCtx(t, doc), j)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestLimitOperator(t *testing.T) {
 		t.Fatalf("need >= 3 matches, have %d", len(full))
 	}
 	for _, n := range []int{0, 1, 3, len(full), len(full) + 5, -2} {
-		j2, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pattern.Descendant, plan.AlgoDesc)
+		j2, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoDesc)
 		got, err := Drain(newCtx(t, doc), NewLimit(j2, n))
 		if err != nil {
 			t.Fatal(err)

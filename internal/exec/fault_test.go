@@ -95,7 +95,7 @@ func TestJoinPropagatesStorageErrors(t *testing.T) {
 	for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
 		st := faultyStore(t, doc, 11)
 		j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
-			0, 1, pattern.Descendant, algo)
+			0, 1, pat.Nodes[0].Tag, pattern.Descendant, algo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestSortPropagatesStorageErrors(t *testing.T) {
 	st := faultyStore(t, doc, 6)
 	pat := pattern.MustParse("//a//b")
 	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
-		0, 1, pattern.Descendant, plan.AlgoDesc)
+		0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoDesc)
 	s, err := NewSort(j, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRunSurvivesZeroFailures(t *testing.T) {
 	st := faultyStore(t, doc, 0)
 	pat := pattern.MustParse("//a//b")
 	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
-		0, 1, pattern.Descendant, plan.AlgoDesc)
+		0, 1, pat.Nodes[0].Tag, pattern.Descendant, plan.AlgoDesc)
 	ctx := &Context{Doc: doc, Store: st}
 	got, err := Drain(ctx, j)
 	if err != nil {

@@ -26,29 +26,43 @@ import (
 // in pre-order (xmltree.Document.Validate checks it, AppendMember keeps it in
 // a forest), so Start(a) < Start(d) is a < d. They read the current rows in
 // place from the inputs' batch buffers, and the region columns from the
-// document's arrays. Both skip ahead: whenever the stack is empty and the
-// next ancestor comes after the current descendant, every right tuple before
-// that ancestor is provably dead, so the right input is seeked to the
-// ancestor's NodeID (Seeker) rather than drained. And both touch only left
-// tuples that can still join: one whose region ends before the current right
-// tuple starts ends before every later one too, and is passed over
-// (skipDead), never pushed; on a `/` edge only the top of the stack is probed
-// (firstMatch).
+// document's arrays. Both skip ahead on both inputs:
+//
+//   - The right input is read first, and the left one not at all if the
+//     right is empty. Whenever the stack is empty and the next ancestor comes
+//     after the current descendant, every right tuple before that ancestor is
+//     provably dead, so the right input is seeked to the ancestor's NodeID
+//     (Seeker) rather than drained.
+//   - Both touch only left tuples that can still join: one whose region ends
+//     before the current right tuple d starts ends before every later one
+//     too, and is passed over (skipDead), never pushed. A left input that
+//     can seek is not read up to d at all: every left tuple before d that is
+//     not an ancestor of d is dead, and d's ancestors that can be in the left
+//     input are those carrying the ancestor pattern node's tag, found by
+//     walking d's parent column (liveFrom). So the input is seeked to the
+//     outermost of them when it opens, and again, past the rows already
+//     passed, wherever a dead run reaches the end of its buffer.
+//   - On a `/` edge only the top of the stack is probed (firstMatch).
 type StackTreeJoin struct {
 	algo    plan.Algo
 	axis    pattern.Axis
 	left    Operator
 	right   Operator
-	lCol    int // ancestor column in left schema
-	lw      int // left schema width
-	rCol    int // descendant column in right schema
+	lCol    int    // ancestor column in left schema
+	lw      int    // left schema width
+	rCol    int    // descendant column in right schema
+	ancTag  string // the ancestor pattern node's tag: every left row's lCol carries it
 	schema  *Schema
 	ctx     *Context
 	started bool
 
-	// The document's region columns, indexed by NodeID.
+	// The document's region columns, indexed by NodeID, and the parent and
+	// tag columns liveFrom walks.
 	start, end []xmltree.Pos
 	level      []uint16
+	parent     []xmltree.NodeID
+	tag        []xmltree.TagID
+	lTag       xmltree.TagID // ancTag's TagID
 
 	// Desc emission state: the right tuple in emitRBuf still has to be
 	// paired with stack[emitIdx:emitEnd] (bottom..top). It is set only when
@@ -147,8 +161,10 @@ func (j *StackTreeJoin) concat(dst *pairList, src pairList) {
 
 // NewStackTreeJoin joins left (ordered by pattern node anc) with right
 // (ordered by pattern node desc) on an edge with the given axis, using the
-// chosen algorithm variant.
-func NewStackTreeJoin(left, right Operator, anc, desc int, ax pattern.Axis, algo plan.Algo) (*StackTreeJoin, error) {
+// chosen algorithm variant. ancTag is pattern node anc's tag, which every
+// left row's anc column carries; the join seeks a left input that can seek
+// by it, and "" reads the left input in full.
+func NewStackTreeJoin(left, right Operator, anc, desc int, ancTag string, ax pattern.Axis, algo plan.Algo) (*StackTreeJoin, error) {
 	lCol, ok := left.Schema().Col(anc)
 	if !ok {
 		return nil, errColumn(anc)
@@ -165,6 +181,7 @@ func NewStackTreeJoin(left, right Operator, anc, desc int, ax pattern.Axis, algo
 		lCol:   lCol,
 		lw:     left.Schema().Width(),
 		rCol:   rCol,
+		ancTag: ancTag,
 		schema: left.Schema().Concat(right.Schema()),
 	}, nil
 }
@@ -176,6 +193,7 @@ func (j *StackTreeJoin) Schema() *Schema { return j.schema }
 func (j *StackTreeJoin) Open(ctx *Context) error {
 	j.ctx = ctx
 	j.start, j.end, j.level = ctx.Doc.Regions()
+	j.parent, j.tag = ctx.Doc.Links()
 	j.sc = ctx.scratch
 	j.joinState = j.sc.join()
 	j.stack, j.pairs = j.joinState.stack, j.joinState.pairs
@@ -203,19 +221,13 @@ func (j *StackTreeJoin) Close() error {
 
 // NextBatch implements Operator: the Stack-Tree drivers consume the inputs
 // through block readers and produce whole batches, with skip-ahead over dead
-// regions of the right input. The drivers count stack operations and
-// buffered pairs in locals; they reach the execution's Stats here, once a
-// batch.
+// regions of both inputs. The drivers count stack operations and buffered
+// pairs in locals; they reach the execution's Stats here, once a batch.
 func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	b.Reset()
 	if !j.started {
 		j.started = true
-		j.lr.init(j.ctx, j.left)
-		j.rr.init(j.ctx, j.right)
-		if err := j.lr.pull(); err != nil {
-			return err
-		}
-		if err := j.rr.pull(); err != nil {
+		if err := j.openReaders(); err != nil {
 			return err
 		}
 	}
@@ -229,6 +241,52 @@ func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	j.ctx.Stats.StackOps += ops
 	j.ctx.Stats.BufferedPairs += buffered
 	return err
+}
+
+// openReaders opens the readers, right first: an empty right input leaves the
+// left one unread, and a left input that can seek starts at the first row
+// that can be live for the first right row.
+func (j *StackTreeJoin) openReaders() error {
+	j.lr.init(j.ctx, j.left)
+	j.rr.init(j.ctx, j.right)
+	if t, ok := j.ctx.Doc.LookupTag(j.ancTag); ok {
+		j.lTag = t
+	} else {
+		j.lr.seeker = nil
+	}
+	if err := j.rr.pull(); err != nil || !j.rr.ok() {
+		return err
+	}
+	if j.lr.seeker == nil {
+		return j.lr.pull()
+	}
+	return j.lr.skipTo(j.liveFrom(j.rr.id(j.rCol), 0))
+}
+
+// liveFrom returns the outermost proper ancestor of d, from node from on,
+// that carries the ancestor pattern node's tag, or d if none does. No left
+// row before it can join d or any later right row: a left row before d that
+// is not d's ancestor ends before d starts.
+func (j *StackTreeJoin) liveFrom(d, from xmltree.NodeID) xmltree.NodeID {
+	live := d
+	for p := j.parent[d]; p != xmltree.InvalidNode && p >= from; p = j.parent[p] {
+		if j.tag[p] == j.lTag {
+			live = p
+		}
+	}
+	return live
+}
+
+// skipDead passes over the left reader's dead run before the right node d.
+// Where the run reaches the end of a left buffer that can seek, the rest of
+// it is sought over: the next row that can be live is d's outermost tagged
+// ancestor after the last row passed.
+func (j *StackTreeJoin) skipDead(d xmltree.NodeID) error {
+	ranOff, err := j.lr.skipDead(j.end, j.start[d], j.lCol)
+	if !ranOff || err != nil {
+		return err
+	}
+	return j.lr.skipTo(j.liveFrom(d, j.lr.last(j.lCol)+1))
 }
 
 // leftOf returns the left tuple a stack entry was pushed with; a width-1
@@ -316,7 +374,7 @@ scan:
 				break
 			}
 			if end[a] < start[d] {
-				err = lr.skipDead(end, start[d], lCol)
+				err = j.skipDead(d)
 			} else {
 				ops += j.expireTo(start[a]) + 1
 				j.push(a)
@@ -397,7 +455,7 @@ scan:
 				break
 			}
 			if end[a] < start[d] {
-				err = lr.skipDead(end, start[d], lCol)
+				err = j.skipDead(d)
 			} else {
 				for n := j.openAt(start[a]); len(j.stack) > n; ops++ {
 					j.pop()

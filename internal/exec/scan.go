@@ -127,16 +127,16 @@ func (s *IndexScan) NextBatch(b *Batch) error {
 
 // SeekGE implements Seeker: the scan jumps over every posting below id with
 // a search in the index instead of reading them.
-func (s *IndexScan) SeekGE(id xmltree.NodeID) (int, bool, error) {
+func (s *IndexScan) SeekGE(id xmltree.NodeID) (int, error) {
 	if s.done {
-		return 0, true, nil
+		return 0, nil
 	}
 	skipped, err := s.scan.SeekGE(id)
 	if err != nil {
-		return 0, false, s.scanErr(err)
+		return 0, s.scanErr(err)
 	}
 	s.ctx.Stats.SkippedTuples += skipped
-	return skipped, true, nil
+	return skipped, nil
 }
 
 // scanErr names the access path and the tag of a failed read.

@@ -278,14 +278,13 @@ func (t *traced) NextBatch(b *Batch) error {
 	return err
 }
 
-// SeekGE implements Seeker by delegating to the wrapped operator (if it can
-// seek), recording the skipped postings in the trace.
-func (t *traced) SeekGE(id xmltree.NodeID) (int, bool, error) {
-	skipped, ok, err := trySeek(t.inner, id)
-	if ok {
-		t.rec.Skipped += int64(skipped)
-	}
-	return skipped, ok, err
+// SeekGE implements Seeker by delegating to the wrapped operator, recording
+// the skipped postings in the trace; seekerOf offers it only over an
+// operator that can seek.
+func (t *traced) SeekGE(id xmltree.NodeID) (int, error) {
+	skipped, err := t.inner.(Seeker).SeekGE(id)
+	t.rec.Skipped += int64(skipped)
+	return skipped, err
 }
 
 // Close implements Operator.

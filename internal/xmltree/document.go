@@ -74,6 +74,13 @@ func (d *Document) Regions() (start, end []Pos, level []uint16) {
 	return d.start, d.end, d.level
 }
 
+// Links returns the parent and tag columns, indexed by NodeID, for loops
+// that walk up the tree; as with Regions, they are the document's own
+// slices and callers must not write to them.
+func (d *Document) Links() (parent []NodeID, tag []TagID) {
+	return d.parent, d.tag
+}
+
 // Tag returns the dictionary-encoded tag of n.
 func (d *Document) Tag(n NodeID) TagID { return d.tag[n] }
 

@@ -135,3 +135,97 @@ func TestLimitWorkBudget(t *testing.T) {
 		}
 	}
 }
+
+// pointWorkBudget bounds the index postings one equality probe of
+// point_cached reads on the benchmark corpus. With the ancestor input read
+// up to each hit they read 2 257-14 453; positioned from the hit's
+// ancestry, at most a few hundred.
+const pointWorkBudget = 1024
+
+// TestPointWorkBudget is the regression guard for the join's left-side
+// seeks: a point probe reads postings in proportion to its hits, not to the
+// ancestor tag's posting list. Every equality-probe shape of point_cached
+// (DPAP-EB plans, as the server plans them), at the two placements of
+// TestLimitWorkBudget.
+func TestPointWorkBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPAPEB}}
+	for _, placement := range []struct {
+		prefix string
+		shard  int
+	}{{"doc-", 1}, {"m-", 0}} {
+		c := sjos.ServingCorpusOn(t, placement.prefix, 4, 1)
+		if s, _ := c.ShardOf(placement.prefix + "00"); s != placement.shard {
+			t.Fatalf("%s00 is on shard %d, want %d", placement.prefix, s, placement.shard)
+		}
+		for k := range pointClasses {
+			for _, src := range pointProbes(t, c, k) {
+				res, err := c.QueryContext(ctx, src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Count == 0 {
+					t.Fatalf("%s: no rows", src)
+				}
+				if n := res.Exec.ScannedTuples; n > pointWorkBudget {
+					t.Errorf("first document on shard %d, %s: %d rows scanned %d postings, budget %d", placement.shard, src, res.Count, n, pointWorkBudget)
+				}
+				t.Logf("first document on shard %d, %s: %d rows, %d postings scanned, %d skipped", placement.shard, src, res.Count, res.Exec.ScannedTuples, res.Exec.SkippedTuples)
+			}
+		}
+	}
+}
+
+// TestTracedRunReadsLikeUntraced holds a traced execution (ExplainAnalyze's
+// count-only run) to the path an untraced one takes: on every shape of
+// point_cached the two scan and skip the same postings, and the trace's
+// per-operator skips add up to the execution's.
+func TestTracedRunReadsLikeUntraced(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	c := sjos.ServingCorpus(t)
+	type shape struct {
+		src   string
+		limit int
+	}
+	shapes := []shape{{`//employee[salary>118000]/name`, 0}, {`//manager/name`, 0}}
+	for k := range pointClasses {
+		for _, src := range pointProbes(t, c, k) {
+			shapes = append(shapes, shape{src, 0})
+		}
+	}
+	for _, q := range firstKQueries(t) {
+		shapes = append(shapes, shape{q.Source, 10})
+	}
+	var skipped func(tr *sjos.OpTrace) int64
+	skipped = func(tr *sjos.OpTrace) int64 {
+		n := tr.Skipped
+		for _, c := range tr.Children {
+			n += skipped(c)
+		}
+		return n
+	}
+	for _, s := range shapes {
+		pat := sjos.MustParsePattern(s.src)
+		opt, err := c.OptimizeContext(ctx, pat, sjos.MethodDPAPEB, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(trace bool) *sjos.CorpusRunResult {
+			res, err := c.Run(ctx, pat, opt.Plan, sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Limit: s.limit, Trace: trace}, CountOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		plain, traced := run(false), run(true)
+		if plain.Stats.ScannedTuples != traced.Stats.ScannedTuples || plain.Stats.SkippedTuples != traced.Stats.SkippedTuples {
+			t.Errorf("%s: untraced scanned %d and skipped %d postings, traced %d and %d", s.src,
+				plain.Stats.ScannedTuples, plain.Stats.SkippedTuples, traced.Stats.ScannedTuples, traced.Stats.SkippedTuples)
+		}
+		if n := skipped(traced.Trace); n != int64(traced.Stats.SkippedTuples) {
+			t.Errorf("%s: the trace's operators skipped %d postings, the execution %d", s.src, n, traced.Stats.SkippedTuples)
+		}
+	}
+}
