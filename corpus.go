@@ -1088,7 +1088,7 @@ func (c *Corpus) queryPattern(ctx context.Context, pat *Pattern, opts QueryOptio
 	}
 	thr, slowFn := c.svc.slow.config()
 	t0 := time.Now()
-	res, text, cached, err := c.svc.optimizePattern(ctx, pat, c.probe, opts.Method, opts.Te)
+	res, text, cached, err := c.svc.optimizePattern(ctx, pat, c.probe, opts.Method)
 	if err != nil {
 		return nil, err
 	}

@@ -1,5 +1,11 @@
 package sjos
 
+import (
+	"testing"
+
+	"sjos/internal/core"
+)
+
 // Test fixtures of package sjos that the black-box tests of package
 // sjos_test share.
 
@@ -26,3 +32,17 @@ var (
 	TallyValues   = tallyValues
 	ValueOnShards = valueOnShards
 )
+
+// PlanEstimator is the estimator OptimizeContext prices pat with on c: the
+// corpus's statistics, with value probes offered where every populated
+// shard can serve them.
+func PlanEstimator(tb testing.TB, c *Corpus, pat *Pattern) *core.Estimator {
+	tb.Helper()
+	stats, _ := c.svc.snapshot()
+	est, err := core.NewEstimator(pat, stats)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	est.EnableValueIndex(c.probe)
+	return est
+}

@@ -92,7 +92,7 @@ func BenchmarkSearchPlanCold(b *testing.B) {
 		name string
 		twig int
 	}{{"chain", 0}, {"fanout", 3}, {"bushy", 6}}
-	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD} {
+	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy} {
 		for _, sh := range shapes {
 			pat := planColdTwig(b, sh.twig, 110000)
 			est := persEstimator(b, pat)

@@ -26,7 +26,9 @@
 //	          (§3.4); guaranteed to return the cheapest non-blocking plan
 //
 // Optimize runs any of them, or the statistics-free Greedy orderer, named by
-// a Method. All of them produce a plan.Node tree executable by
+// a Method. All of them build their leaves and price their joins through one
+// space: the statuses' moves for the DP family, rooted subtrees for FP and
+// Greedy. All of them produce a plan.Node tree executable by
 // internal/exec, plus search statistics (number of alternative plans
 // considered, statuses generated/expanded) matching the measurements
 // reported in the paper's Table 2.

@@ -146,7 +146,7 @@ func dppSearch(ctx context.Context, pat *pattern.Pattern, est *Estimator, model 
 			// deadends-at-depth before any full plan is reached. Fall
 			// back to the (cheap, always-successful) FP algorithm so
 			// DPAP-EB keeps its "always returns a plan" contract.
-			fp, err := fp(ctx, pat, est, model)
+			fp, err := sp.fp(ctx)
 			if err != nil {
 				return nil, err
 			}

@@ -3,33 +3,31 @@ package core
 import (
 	"context"
 
-	"sjos/internal/cost"
 	"sjos/internal/pattern"
-	"sjos/internal/plan"
 )
 
-// fp is the FP search (MethodFP). It "picks the pattern up" at each
-// candidate output node N, making N the root; the best pipelined plan for
-// each re-rooted subtree is computed recursively (memoised per directed
-// edge), and the order in which the child subtrees join with N is chosen by
+// fp is the FP search (MethodFP), on sp's leaves and joins; DPAP-EB falls
+// back to it on its own space. It "picks the pattern up" at each candidate
+// output node N, making N the root; the best pipelined plan for each
+// re-rooted subtree is computed recursively (memoised per directed edge),
+// and the order in which the child subtrees join with N is chosen by
 // enumerating permutations. The subtree recursion polls ctx, and a cancelled
 // search returns ctx's error instead of a plan.
-func fp(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
+func (sp *space) fp(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := newSpace(pat, est, model)
 	if sp.numEdges == 0 {
 		return sp.singleNode("FP"), nil
 	}
-	f := &fpSearch{sp: sp, memo: make(map[[2]int]*fpPlan), ctx: ctx}
-	var best *fpPlan
-	if r := pat.OrderBy; r != pattern.NoNode {
+	f := &fpSearch{sp: sp, memo: make(map[[2]int]rooted), ctx: ctx}
+	var best rooted
+	if r := sp.pat.OrderBy; r != pattern.NoNode {
 		best = f.subtree(r, pattern.NoNode)
 	} else {
-		for r := 0; r < pat.N(); r++ {
+		for r := 0; r < sp.n; r++ {
 			cand := f.subtree(r, pattern.NoNode)
-			if best == nil || cand.cost < best.cost {
+			if best.node == nil || cand.cost < best.cost {
 				best = cand
 			}
 		}
@@ -45,18 +43,9 @@ func fp(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Mo
 	}, nil
 }
 
-// fpPlan is a memoised sub-result: the best fully-pipelined plan for one
-// directed subtree, with its output ordered by the subtree root.
-type fpPlan struct {
-	node *plan.Node
-	cost float64 // cumulative: index accesses + joins of the subtree
-	mask uint64  // pattern nodes covered
-	card float64 // ClusterCard(mask)
-}
-
 type fpSearch struct {
 	sp       *space
-	memo     map[[2]int]*fpPlan // (root, excludedNeighbor) -> best plan
+	memo     map[[2]int]rooted // (root, excludedNeighbor) -> best plan
 	counters Counters
 
 	ctx       context.Context
@@ -67,7 +56,8 @@ type fpSearch struct {
 // subtree returns the best pipelined plan for the sub-pattern reachable
 // from v without crossing the neighbor `from` (pattern.NoNode for the whole
 // pattern), producing output ordered by v.
-func (f *fpSearch) subtree(v, from int) *fpPlan {
+func (f *fpSearch) subtree(v, from int) rooted {
+	sp := f.sp
 	if !f.cancelled {
 		f.calls++
 		if f.calls%ctxCheckInterval == 0 && f.ctx.Err() != nil {
@@ -77,17 +67,13 @@ func (f *fpSearch) subtree(v, from int) *fpPlan {
 	if f.cancelled {
 		// Unwind with an unmemoised stub; fp discards it and returns the
 		// context's error.
-		return &fpPlan{node: plan.NewIndexScan(v), mask: 1 << uint(v)}
+		return sp.rootLeaf(v)
 	}
 	key := [2]int{v, from}
 	if p, ok := f.memo[key]; ok {
 		return p
 	}
-	sp := f.sp
-	leaf := plan.NewIndexScan(v)
-	leaf.EstCard = sp.est.NodeCard(v)
-	leaf.EstCost = sp.model.IndexAccess(leaf.EstCard)
-
+	leaf := sp.rootLeaf(v)
 	var kids []int
 	for _, nb := range sp.pat.Neighbors(v) {
 		if nb != from {
@@ -95,48 +81,23 @@ func (f *fpSearch) subtree(v, from int) *fpPlan {
 		}
 	}
 	if len(kids) == 0 {
-		p := &fpPlan{node: leaf, cost: leaf.EstCost, mask: 1 << uint(v), card: leaf.EstCard}
-		f.memo[key] = p
+		f.memo[key] = leaf
 		f.counters.StatusesGenerated++
-		return p
+		return leaf
 	}
-	subs := make([]*fpPlan, len(kids))
+	subs := make([]rooted, len(kids))
 	for i, c := range kids {
 		subs[i] = f.subtree(c, v)
 	}
-	var best *fpPlan
+	var best rooted
 	permute(len(kids), func(order []int) {
 		f.counters.PlansConsidered++
 		acc := leaf
-		accMask, accCard := uint64(1)<<uint(v), leaf.EstCard
-		total := leaf.EstCost
 		for _, idx := range order {
-			c := kids[idx]
-			sub := subs[idx]
-			total += sub.cost
-			var j *plan.Node
-			var joinCost float64
-			// One estimate per join: its inputs' cardinalities are the
-			// previous join's output and the memoised subtree's.
-			accMask |= sub.mask
-			cardAB := sp.est.ClusterCard(accMask)
-			if e, _ := sp.pat.EdgeBetween(v, c); sp.pat.Parent[e] == v {
-				// v is the ancestor: Anc keeps the result ordered by v.
-				joinCost = sp.model.StackTreeAnc(accCard, sub.card, cardAB)
-				j = plan.NewJoin(acc, sub.node, v, c, sp.pat.Axis[e], plan.AlgoAnc)
-			} else {
-				// c is the ancestor: Desc output is ordered by the
-				// descendant v.
-				joinCost = sp.model.StackTreeDesc(sub.card, accCard, cardAB)
-				j = plan.NewJoin(sub.node, acc, c, v, sp.pat.Axis[v], plan.AlgoDesc)
-			}
-			total += joinCost
-			j.EstCard = cardAB
-			j.EstCost = total
-			acc, accCard = j, cardAB
+			acc = sp.attach(acc, v, subs[idx], false)
 		}
-		if best == nil || total < best.cost {
-			best = &fpPlan{node: acc, cost: total, mask: accMask, card: accCard}
+		if best.node == nil || acc.cost < best.cost {
+			best = acc
 		}
 	})
 	f.counters.StatusesGenerated++

@@ -11,12 +11,14 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"sjos/internal/cost"
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
+	"sjos/internal/xmltree"
 )
 
 // updateGolden rewrites testdata/search_golden.json from the current
@@ -105,8 +107,41 @@ func persEstimator(tb testing.TB, pat *pattern.Pattern) *Estimator {
 	return est
 }
 
-// everyOtherProbe serves value-index probes for predicates whose constant
-// has an even last digit, so the golden corpus holds both leaf access paths.
+// persTags numbers the pers vocabulary for persStats.
+var persTags = []string{"personnel", "manager", "department", "name", "employee", "salary"}
+
+// persStats serves the tables above as document statistics with the same
+// salary>C selectivity as persEstimator. An estimator built on it keeps a
+// predicated leaf's unfiltered tag count as its ScanCard, which
+// NewManualEstimator cannot: there a scan reads only NodeCard postings, and
+// a probe never costs less.
+type persStats struct{}
+
+func (persStats) Lookup(name string) (xmltree.TagID, bool) {
+	i := slices.Index(persTags, name)
+	return xmltree.TagID(i), i >= 0
+}
+
+func (persStats) TagCount(t xmltree.TagID) float64 { return persTagCard[persTags[t]] }
+
+func (persStats) PredicateSelectivity(_ xmltree.TagID, _ pattern.CmpOp, value string) float64 {
+	c, _ := pattern.ParseNumeric(value)
+	return (120000 - c) / 90000
+}
+
+func (persStats) Selectivity(ta, tb xmltree.TagID, ax pattern.Axis) float64 {
+	return persEdgeSel[persTags[ta]+ax.String()+persTags[tb]]
+}
+
+// anyProbe serves a value-index probe for every predicate.
+type anyProbe struct{}
+
+func (anyProbe) ProbeEligible(string, pattern.CmpOp, string) bool { return true }
+
+// everyOtherProbe marks predicates whose constant has an even last digit as
+// probe-eligible. Every estimator it is given comes from NewManualEstimator,
+// whose ScanCard is NodeCard, so the probe never wins: the random cases all
+// scan, and only the plancold-probe cases hold value-index leaves.
 type everyOtherProbe struct{}
 
 func (everyOtherProbe) ProbeEligible(_ string, _ pattern.CmpOp, value string) bool {
@@ -124,7 +159,8 @@ type goldenCase struct {
 // goldenCorpus builds the corpus: 200 seeded random patterns of 2–14 nodes
 // (mostly up to 11, so the exhaustive methods stay quick; random tree shapes, mixed axes, repeated tags, predicates, half with an
 // OrderBy node; skewed, uniform — tie-heavy — and partly-zero statistics;
-// both cost models) plus the eight plan_cold twigs.
+// both cost models) plus the eight plan_cold twigs, first on manual
+// statistics and then on persStats with every predicate probe-eligible.
 func goldenCorpus(t *testing.T) []goldenCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20030305))
@@ -195,6 +231,15 @@ func goldenCorpus(t *testing.T) []goldenCase {
 	for i := range planColdTwigs {
 		pat := planColdTwig(t, i, 105000+1250*i)
 		cases = append(cases, goldenCase{fmt.Sprintf("plancold-%d", i), pat, persEstimator(t, pat), cost.DefaultModel()})
+	}
+	for i := range planColdTwigs {
+		pat := planColdTwig(t, i, 105000+1250*i)
+		est, err := NewEstimator(pat, persStats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est.EnableValueIndex(anyProbe{})
+		cases = append(cases, goldenCase{fmt.Sprintf("plancold-probe-%d", i), pat, est, cost.DefaultModel()})
 	}
 	return cases
 }

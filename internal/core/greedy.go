@@ -53,105 +53,26 @@ const (
 	greedyDescPenalty = 2  // "//" binds looser than "/"
 )
 
-// greedySignals is the per-pattern input of the greedy builder: ranking
-// signals plus the cardinality annotations carried onto the plan, read off
-// the estimator.
-//
-// The arrays are fixed-size (MaxPatternNodes) so the whole struct lives in
-// the caller's stack frame: the builder heap-allocates only the plan nodes
-// and the Result.
-type greedySignals struct {
-	scanCard [MaxPatternNodes]float64 // per node: tag postings length (pre-predicate)
-	nodeCard [MaxPatternNodes]float64 // per node: post-predicate candidates (annotation)
-	edgeSel  [MaxPatternNodes]float64 // per edge id (annotation); [0] unused
-	leafCost [MaxPatternNodes]float64 // per node: chosen access-path cost
-	score    [MaxPatternNodes]float64 // per node: ranking signal, lower binds tighter
-	probe    [MaxPatternNodes]bool    // per node: leaf runs as a value-index probe
-	eligible [MaxPatternNodes]bool    // per node: content index can serve the predicate
-}
-
-// finish computes each node's ranking score and leaf access path from the
-// already-filled cardinalities. sig.eligible marks nodes whose predicate
-// the content index can serve; the access path is leafAccess's, the rule
-// newSpace applies.
-func (sig *greedySignals) finish(pat *pattern.Pattern, model cost.Model) {
-	for u := 0; u < pat.N(); u++ {
-		s := sig.scanCard[u]
-		switch {
-		case sig.eligible[u]:
-			s /= greedyProbeBoost
-		case pat.Nodes[u].Op != pattern.CmpNone:
-			s /= greedyPredBoost
-		}
-		sig.score[u] = s
-		sig.leafCost[u], sig.probe[u] = leafAccess(model, sig.scanCard[u], sig.nodeCard[u], sig.eligible[u])
-	}
-}
-
-// greedy is MethodGreedy's entry point in Optimize: signals are read off an
-// already-built estimator. The whole construction is one pass, so a single
+// greedy is MethodGreedy's entry point in Optimize: leaves and joins are
+// the search space's, the ranking is read off the estimator's tag counts and
+// probe eligibility. The whole construction is one pass, so a single
 // upfront ctx poll suffices.
 func greedy(ctx context.Context, pat *pattern.Pattern, est *Estimator, model cost.Model) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := pat.N()
-	var b greedyBuilder
-	sig := &b.sig
-	for u := 0; u < n; u++ {
-		sig.scanCard[u] = est.ScanCard(u)
-		sig.nodeCard[u] = est.NodeCard(u)
-		sig.eligible[u] = est.ProbeOK(u)
+	b := greedyBuilder{sp: newSpace(pat, est, model)}
+	b.sp.nodes = make([]plan.Node, 0, 2*pat.N()-1)
+	for u := 0; u < pat.N(); u++ {
+		s := est.ScanCard(u)
+		switch {
+		case est.ProbeOK(u):
+			s /= greedyProbeBoost
+		case pat.Nodes[u].Op != pattern.CmpNone:
+			s /= greedyPredBoost
+		}
+		b.score[u] = s
 	}
-	for e := 1; e < n; e++ {
-		sig.edgeSel[e] = est.EdgeSelectivity(e)
-	}
-	sig.finish(pat, model)
-	return b.build(pat, model), nil
-}
-
-// gplan is one assembled subtree during greedy construction: a pipelined
-// plan ordered by its subtree root. card is the intermediate's estimated
-// cardinality, maintained incrementally — under the estimator's
-// independence model, joining disjoint clusters A and B over edge e gives
-// |A ⋈ B| = |A| · |B| · sel(e), so no cluster-mask memo is needed.
-type gplan struct {
-	node  *plan.Node
-	cost  float64 // cumulative estimated cost (annotation only)
-	card  float64 // estimated intermediate cardinality
-	score float64 // min node score in the subtree: its selectivity promise
-	empty bool    // subtree contains a provably-empty leaf
-}
-
-// greedyBuilder threads the shared state through the subtree recursion. The
-// nodes slice is the single backing allocation for every plan operator
-// (2n-1 of them: n leaves, n-1 joins). pool/keys/taken are bump-allocated
-// ranking scratch shared by all recursion frames — a frame's children
-// occupy [base, top), the recursion below uses slots above, and the frame
-// releases its range on return, so total usage never exceeds the edge
-// count. The signals are embedded by value and the scratch is fixed-size,
-// so the whole builder lives in the entry point's stack frame — the only
-// pointers reachable from the returned Result are the pattern and the heap
-// nodes slice.
-type greedyBuilder struct {
-	sig      greedySignals
-	pat      *pattern.Pattern
-	model    cost.Model
-	nodes    []plan.Node
-	pool     [MaxPatternNodes]gplan
-	keys     [MaxPatternNodes]float64
-	taken    [MaxPatternNodes]bool
-	top      int
-	counters Counters
-}
-
-// build assembles the greedy plan from the filled signals: rooted at the
-// pattern's output node (OrderBy, else the heuristic root below), child
-// subtrees attach in ranking order.
-func (b *greedyBuilder) build(pat *pattern.Pattern, model cost.Model) *Result {
-	b.pat = pat
-	b.model = model
-	b.nodes = make([]plan.Node, 0, 2*pat.N()-1)
 	root := pat.OrderBy
 	if root == pattern.NoNode {
 		// Free output order: root at the ancestor endpoint of the deepest
@@ -182,13 +103,30 @@ func (b *greedyBuilder) build(pat *pattern.Pattern, model cost.Model) *Result {
 		Cost:      pl.cost,
 		Algorithm: "Greedy",
 		Counters:  b.counters,
-	}
+	}, nil
 }
 
-// alloc hands out one operator from the backing slice.
-func (b *greedyBuilder) alloc() *plan.Node {
-	b.nodes = b.nodes[:len(b.nodes)+1]
-	return &b.nodes[len(b.nodes)-1]
+// gplan is one assembled subtree during greedy construction: a pipelined
+// plan ordered by its subtree root, and what ranks it.
+type gplan struct {
+	rooted
+	score float64 // min node score in the subtree: its selectivity promise
+	empty bool    // subtree contains a provably-empty leaf
+}
+
+// greedyBuilder threads the shared state through the subtree recursion.
+// pool/keys/taken are bump-allocated ranking scratch shared by all recursion
+// frames — a frame's children occupy [base, top), the recursion below uses
+// slots above, and the frame releases its range on return, so total usage
+// never exceeds the edge count.
+type greedyBuilder struct {
+	sp       *space
+	score    [MaxPatternNodes]float64 // per node: ranking signal, lower binds tighter
+	pool     [MaxPatternNodes]gplan
+	keys     [MaxPatternNodes]float64
+	taken    [MaxPatternNodes]bool
+	top      int
+	counters Counters
 }
 
 // addSub builds the subtree entered from v through c and files it in the
@@ -199,10 +137,10 @@ func (b *greedyBuilder) addSub(v, c int) {
 	b.subtree(c, v, &b.pool[slot]) // uses slots above the reservation
 	key := b.pool[slot].score
 	e := c
-	if v != 0 && b.pat.Parent[v] == c {
+	if v != 0 && b.sp.pat.Parent[v] == c {
 		e = v
 	}
-	if b.pat.Axis[e] == pattern.Descendant {
+	if b.sp.pat.Axis[e] == pattern.Descendant {
 		key *= greedyDescPenalty
 	}
 	b.keys[slot], b.taken[slot] = key, false
@@ -210,20 +148,13 @@ func (b *greedyBuilder) addSub(v, c int) {
 
 // subtree assembles the greedy plan for the sub-pattern reachable from v
 // without crossing `from`, producing output ordered by v and written into
-// *out (pointer discipline keeps 48-byte gplan copies off the hot path).
-// Each directed edge is visited exactly once, so no memoisation is needed.
+// *out. Each directed edge is visited exactly once, so no memoisation is
+// needed.
 func (b *greedyBuilder) subtree(v, from int, out *gplan) {
-	pat, sig := b.pat, &b.sig
+	sp := b.sp
+	pat := sp.pat
 	b.counters.StatusesGenerated++
-	leaf := b.alloc()
-	setLeaf(leaf, v, sig.probe[v], sig.nodeCard[v], sig.leafCost[v])
-	*out = gplan{
-		node:  leaf,
-		cost:  leaf.EstCost,
-		card:  leaf.EstCard,
-		score: sig.score[v],
-		empty: sig.scanCard[v] == 0,
-	}
+	*out = gplan{rooted: sp.rootLeaf(v), score: b.score[v], empty: sp.est.ScanCard(v) == 0}
 
 	// Build each adjacent subtree (parent first, then children — pattern
 	// order) and its ranking key.
@@ -267,69 +198,10 @@ func (b *greedyBuilder) subtree(v, from int, out *gplan) {
 		}
 		b.taken[pick] = true
 		b.counters.PlansConsidered++
-		b.join(v, out, &b.pool[pick], free && k == b.top-1)
+		sub := &b.pool[pick]
+		out.rooted = sp.attach(out.rooted, v, sub.rooted, free && k == b.top-1)
+		out.score = min(out.score, sub.score)
+		out.empty = out.empty || sub.empty
 	}
 	b.top = base
-}
-
-// join attaches one child subtree to the accumulator, keeping the output
-// ordered by v: Stack-Tree-Anc when v is the edge's ancestor endpoint,
-// Stack-Tree-Desc when it is the descendant (exactly FP's move set). A
-// flexible join — the root frame's last join on a free-order pattern — is
-// released from the ordered-by-v obligation and takes whichever orientation
-// the cost model prefers.
-func (b *greedyBuilder) join(v int, acc, sub *gplan, flexible bool) {
-	pat, model := b.pat, b.model
-	c := sub.node.OrderedBy
-	// Edge ids are the lower endpoint: edge v when c is v's parent, edge c
-	// when v is c's.
-	e := c
-	if v != 0 && pat.Parent[v] == c {
-		e = v
-	}
-	// Orient the inputs: anc/desc are the ancestor- and descendant-side
-	// subtrees of the edge, regardless of which one holds the accumulator.
-	anc, desc, ancID, descID := acc, sub, v, c
-	if e != c {
-		anc, desc, ancID, descID = sub, acc, c, v
-	}
-	cardAB := anc.card * desc.card * b.sig.edgeSel[e]
-	var stepCost float64
-	useDesc := descID == v
-	if flexible {
-		ac := model.StackTreeAnc(anc.card, desc.card, cardAB)
-		dc := model.StackTreeDesc(anc.card, desc.card, cardAB)
-		useDesc, stepCost = dc < ac, ac
-		if useDesc {
-			stepCost = dc
-		}
-	} else if useDesc {
-		stepCost = model.StackTreeDesc(anc.card, desc.card, cardAB)
-	} else {
-		stepCost = model.StackTreeAnc(anc.card, desc.card, cardAB)
-	}
-	total := acc.cost + sub.cost + stepCost
-	algo, ordered := plan.AlgoAnc, ancID
-	if useDesc {
-		algo, ordered = plan.AlgoDesc, descID
-	}
-	j := b.alloc()
-	j.Op = plan.OpStructuralJoin
-	j.Left = anc.node
-	j.Right = desc.node
-	j.AncNode = ancID
-	j.DescNode = descID
-	j.Axis = pat.Axis[e]
-	j.Algo = algo
-	j.OrderedBy = ordered
-	j.EstCard = cardAB
-	j.EstCost = total
-	// Fold the joined subtree back into the accumulator in place.
-	acc.node = j
-	acc.cost = total
-	acc.card = cardAB
-	if sub.score < acc.score {
-		acc.score = sub.score
-	}
-	acc.empty = acc.empty || sub.empty
 }

@@ -156,7 +156,7 @@ func Optimize(ctx context.Context, pat *pattern.Pattern, est *Estimator, model c
 	case MethodDPAPLD:
 		return dppSearch(ctx, pat, est, model, dppConfig{name: "DPAP-LD", lookahead: true, leftDeep: true})
 	case MethodFP:
-		return fp(ctx, pat, est, model)
+		return newSpace(pat, est, model).fp(ctx)
 	case MethodGreedy:
 		return greedy(ctx, pat, est, model)
 	default:

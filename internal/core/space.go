@@ -33,6 +33,10 @@ type space struct {
 	// children of x (an edge's id is its lower endpoint) and x itself.
 	incident [MaxPatternNodes]uint32
 
+	// nodes is the slab newNode hands plan operators out of; Greedy, which
+	// builds each of its 2n-1 operators exactly once, sizes it.
+	nodes []plan.Node
+
 	kernel // empty until start; FP and Greedy never need one
 }
 
@@ -57,13 +61,12 @@ func newSpace(pat *pattern.Pattern, est *Estimator, model cost.Model) *space {
 	return sp
 }
 
-// leafAccess is the one leaf access-path rule (predicate pushdown), shared
-// by the searches and Greedy. A node without a predicate scans its scanCard
-// tag postings. A predicated node compares the full scan-and-filter (every
-// tag posting passes through the index) with a value-index probe that
-// retrieves only its nodeCard matching postings, when the store offers one
-// with identical semantics (probeOK). It returns the chosen access's cost
-// and whether it is the probe.
+// leafAccess is the one leaf access-path rule (predicate pushdown). A node
+// without a predicate scans its scanCard tag postings. A predicated node
+// compares the full scan-and-filter (every tag posting passes through the
+// index) with a value-index probe that retrieves only its nodeCard matching
+// postings, when the store offers one with identical semantics (probeOK). It
+// returns the chosen access's cost and whether it is the probe.
 func leafAccess(model cost.Model, scanCard, nodeCard float64, probeOK bool) (float64, bool) {
 	c := model.IndexAccess(scanCard)
 	if probeOK {
@@ -74,20 +77,71 @@ func leafAccess(model cost.Model, scanCard, nodeCard float64, probeOK bool) (flo
 	return c, false
 }
 
-// setLeaf makes the zero node nd pattern node u's index-scan leaf: a
-// value-index probe or a tag scan, annotated with its estimated output and
-// access cost. Fields are written one by one, so a leaf in a zeroed slab
-// (Greedy's) is not copied over whole.
-func setLeaf(nd *plan.Node, u int, probe bool, estCard, estCost float64) {
+// leaf makes the zero node nd pattern node u's index-scan leaf, with the
+// access path newSpace chose, annotated with its estimated output and access
+// cost. Every plan leaf of every method is written here.
+func (sp *space) leaf(nd *plan.Node, u int) {
 	nd.Op = plan.OpIndexScan
 	nd.PatternNode, nd.OrderedBy = u, u
-	nd.ValueIndex = probe
-	nd.EstCard, nd.EstCost = estCard, estCost
+	nd.ValueIndex = sp.leafProbe[u]
+	nd.EstCard, nd.EstCost = sp.est.NodeCard(u), sp.leafCost[u]
 }
 
-// leaf writes node u's leaf into nd with the access path newSpace chose.
-func (sp *space) leaf(nd *plan.Node, u int) {
-	setLeaf(nd, u, sp.leafProbe[u], sp.est.NodeCard(u), sp.leafCost[u])
+// rooted is a plan for a connected sub-pattern whose output is ordered by
+// one of its nodes, the root: what FP and Greedy build when they pick the
+// pattern up at a node (§3.4) and join its neighbours' subtrees onto it.
+type rooted struct {
+	node *plan.Node
+	cost float64 // cumulative: leaf accesses and joins
+	mask uint64  // pattern nodes covered
+	card float64 // ClusterCard(mask)
+}
+
+// newNode hands out a zero plan operator: from sp.nodes while it has room,
+// else from the heap.
+func (sp *space) newNode() *plan.Node {
+	if len(sp.nodes) == cap(sp.nodes) {
+		return new(plan.Node)
+	}
+	sp.nodes = sp.nodes[:len(sp.nodes)+1]
+	return &sp.nodes[len(sp.nodes)-1]
+}
+
+// rootLeaf returns node v's leaf as a one-node plan rooted at v.
+func (sp *space) rootLeaf(v int) rooted {
+	nd := sp.newNode()
+	sp.leaf(nd, v)
+	return rooted{node: nd, cost: nd.EstCost, mask: 1 << uint(v), card: nd.EstCard}
+}
+
+// attach joins sub, the subtree of a neighbour of v and ordered by that
+// neighbour, onto acc, a plan rooted at v. The join keeps the output ordered
+// by v: Stack-Tree-Anc when v is the edge's ancestor, Stack-Tree-Desc when it
+// is the descendant. free releases a join whose output order nothing
+// consumes from that obligation: it takes whichever variant is cheaper. The
+// join's cardinality and cost come from ClusterCard and the cost model, as a
+// move's do in record.
+func (sp *space) attach(acc rooted, v int, sub rooted, free bool) rooted {
+	c := sub.node.OrderedBy
+	// An edge's id is its lower endpoint: v when c is v's parent, else c.
+	e, anc, desc := c, acc, sub
+	if v != 0 && sp.pat.Parent[v] == c {
+		e, anc, desc = v, sub, acc
+	}
+	mask := acc.mask | sub.mask
+	card := sp.est.ClusterCard(mask)
+	algo, ord := plan.AlgoAnc, sp.pat.Parent[e]
+	join := sp.model.StackTreeAnc(anc.card, desc.card, card)
+	if d := sp.model.StackTreeDesc(anc.card, desc.card, card); free && d < join || !free && e == v {
+		algo, ord, join = plan.AlgoDesc, e, d
+	}
+	j := sp.newNode()
+	*j = plan.Node{
+		Op: plan.OpStructuralJoin, Left: anc.node, Right: desc.node,
+		AncNode: sp.pat.Parent[e], DescNode: e, Axis: sp.pat.Axis[e], Algo: algo, OrderedBy: ord,
+		EstCard: card, EstCost: acc.cost + sub.cost + join,
+	}
+	return rooted{node: j, cost: j.EstCost, mask: mask, card: card}
 }
 
 // start empties the kernel and returns the index of the start status S₀: no

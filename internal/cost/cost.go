@@ -41,7 +41,7 @@ type Model struct {
 // approximates nanoseconds.
 func DefaultModel() Model {
 	return Model{
-		FI:  60, // index access touches postings + node pages
+		FI:  60, // tag-index posting: block decode; regions come from memory, no node page is read
 		FS:  25, // comparison sort per item·log₂n
 		FIO: 45, // buffered pair written + read back
 		FST: 30, // push+pop bookkeeping per input tuple

@@ -24,14 +24,13 @@ import (
 	"sync"
 )
 
-// Key identifies one cached plan. Method and Te are opaque to the cache
-// (the facade passes core.Method and the effective DPAP-EB bound);
+// Key identifies one cached plan. Method is opaque to the cache (the
+// facade passes core.Method);
 // StatsVersion changes whenever the statistics are rebuilt, so stale plans
 // are unreachable immediately even before they fall off the LRU list.
 type Key struct {
 	Fingerprint  string
 	Method       int
-	Te           int
 	StatsVersion uint64
 }
 

@@ -34,12 +34,11 @@ func TestGetPutLRU(t *testing.T) {
 
 func TestKeyFieldsDistinguish(t *testing.T) {
 	c := New[int](8)
-	base := Key{Fingerprint: "fp", Method: 1, Te: 0, StatsVersion: 0}
+	base := Key{Fingerprint: "fp", Method: 1, StatsVersion: 0}
 	c.Put(base, 1)
 	for i, k := range []Key{
 		{Fingerprint: "fp2", Method: 1},
 		{Fingerprint: "fp", Method: 2},
-		{Fingerprint: "fp", Method: 1, Te: 3},
 		{Fingerprint: "fp", Method: 1, StatsVersion: 1},
 	} {
 		if _, ok := c.Get(k); ok {

@@ -108,27 +108,17 @@ func (s *service) setStats(stats core.StatsSource) {
 // optimizePattern is the cached optimize step behind QueryContext and
 // XQueryContext: structurally equivalent patterns (same shape, tags, axes,
 // predicates — regardless of node numbering) share one cache entry per
-// (method, bound, statistics version). Concurrent misses on the same key run
+// (method, statistics version). Concurrent misses on the same key run
 // the optimizer once. It also returns the plan's text (Plan.Format against
 // pat), which a hit in the numbering of the entry's first hit reuses. The
 // boolean reports whether the plan came from the cache (or from a coalesced
 // in-flight optimization) rather than a fresh optimizer run.
-func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.ProbeEligibility, m Method, te int) (*OptimizeResult, string, bool, error) {
+func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.ProbeEligibility, m Method) (*OptimizeResult, string, bool, error) {
 	stats, ver := s.snapshot()
 	fp, canon := pattern.Fingerprint(pat)
-	keyTe := 0
-	if m == MethodDPAPEB {
-		// Normalise the bound the way core.Optimize resolves it, so te=0
-		// and te=NumEdges share an entry while other methods ignore te
-		// entirely instead of fragmenting the cache.
-		keyTe = te
-		if keyTe == 0 {
-			keyTe = pat.NumEdges()
-		}
-	}
-	k := plancache.Key{Fingerprint: fp, Method: int(m), Te: keyTe, StatsVersion: ver}
+	k := plancache.Key{Fingerprint: fp, Method: int(m), StatsVersion: ver}
 	cp, cached, err := s.cache.GetOrCompute(ctx, k, func() (cachedPlan, error) {
-		res, err := s.search(ctx, pat, stats, m, te, pe)
+		res, err := s.search(ctx, pat, stats, m, pe)
 		if err != nil {
 			return cachedPlan{}, err
 		}
@@ -169,9 +159,9 @@ func (s *service) optimizePattern(ctx context.Context, pat *Pattern, pe core.Pro
 // search is the metered optimizer run behind optimizePattern: only the
 // leader of a cache miss gets here, so the planning series count searches
 // done, not queries served.
-func (s *service) search(ctx context.Context, pat *Pattern, stats core.StatsSource, m Method, te int, pe core.ProbeEligibility) (*OptimizeResult, error) {
+func (s *service) search(ctx context.Context, pat *Pattern, stats core.StatsSource, m Method, pe core.ProbeEligibility) (*OptimizeResult, error) {
 	t0 := time.Now()
-	res, err := optimizeWith(ctx, pat, stats, m, te, pe)
+	res, err := optimizeWith(ctx, pat, stats, m, 0, pe)
 	if err == nil {
 		s.metrics.Optimized(time.Since(t0), res.Counters.PlansConsidered)
 	}
@@ -191,17 +181,15 @@ func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, m M
 }
 
 // ExecOptions is the execution-tuning surface of QueryOptions. Run, which
-// executes an already-chosen plan, reads Limit and Trace and ignores the
-// optimizer fields (Method, Te); they only apply where a plan is being chosen
-// (QueryContext and XQueryContext). The zero value optimizes with DP and
-// executes without a limit.
+// executes an already-chosen plan, reads Limit and Trace and ignores Method,
+// which only applies where a plan is being chosen (QueryContext and
+// XQueryContext; DPAP-EB there runs at its default bound, the number of
+// pattern edges). The zero value optimizes with DP and executes without a
+// limit.
 type ExecOptions struct {
 	// Method selects the optimization algorithm (zero value: MethodDP).
 	// Ignored by Run, which executes an already-chosen plan.
 	Method Method
-	// Te is the DPAP-EB expansion bound (0 = number of pattern edges);
-	// other methods — and Run — ignore it.
-	Te int
 	// Limit > 0 stops execution after that many matches — the online
 	// querying mode motivating the FP algorithm (§3.4). 0 means all.
 	Limit int
@@ -272,7 +260,7 @@ func (s *service) recordPanic(pat *Pattern, perr error) {
 // value optimizes with DP, executes without a limit, and uses the plan
 // cache. All ExecOptions fields apply to a query: the optimizer fields steer
 // the (cached) plan search, the execution fields the run of the chosen plan.
-// Run executes a plan it is given, so it ignores Method and Te.
+// Run executes a plan it is given, so it ignores Method.
 type QueryOptions struct {
 	ExecOptions
 	// CountOnly leaves the rows out: the result carries Count and the

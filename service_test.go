@@ -42,8 +42,8 @@ func TestQueryContextCacheWarm(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMethodsDistinct: different methods (and DPAP-EB bounds) get
-// separate entries, while te=0 and te=NumEdges share one.
+// TestPlanCacheMethodsDistinct: different methods get separate entries, and
+// a repeat under one method hits its entry.
 func TestPlanCacheMethodsDistinct(t *testing.T) {
 	db := openDB(t)
 	src := "//manager//employee/name"
@@ -56,16 +56,18 @@ func TestPlanCacheMethodsDistinct(t *testing.T) {
 		t.Fatalf("methods must not share entries: %+v", cs)
 	}
 	pat := MustParsePattern(src)
-	// te=0 defaults to NumEdges: the explicit equivalent must hit.
 	if _, err := db.queryPattern(context.Background(), pat, methodOpts(MethodDPAPEB)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.queryPattern(context.Background(), pat, QueryOptions{ExecOptions: ExecOptions{Method: MethodDPAPEB, Te: pat.NumEdges()}})
+	res, err := db.queryPattern(context.Background(), pat, methodOpts(MethodDPAPEB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.CachedPlan {
-		t.Fatal("te=0 and te=NumEdges must share a cache entry")
+		t.Fatal("a repeated DPAP-EB query must hit its cache entry")
+	}
+	if cs := db.Metrics().Cache; cs.Misses != 3 || cs.Entries != 3 {
+		t.Fatalf("DPAP-EB must have its own entry: %+v", cs)
 	}
 }
 
