@@ -15,6 +15,7 @@
 # `make benchquick` smoke-runs the key benchmarks at one iteration each — the
 # ablations (Lookahead Rule, estimator, time to first results), the
 # result-path, /query-encode (serial at -cpu 1, chunk-parallel at -cpu 2),
+# plan_cold-planning (estimator and search, serving method against DPAP-EB),
 # plan_cold-execution, first-k-execution and point_cached-mix layer lanes, the lanes
 # under them (value range probe against scan+filter, Stack-Tree Desc/Anc by
 # input shape and axis, posting-block decode, numeric predicate parse), the
@@ -117,7 +118,7 @@ plannerquick:
 	$(GO) test -run '^$$' -bench 'SearchPlanCold' -benchtime=1x ./internal/core/
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|ExecPlanColdTwig|ExecFirstK|PointCachedMix|ValueRangeProbe|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'AblationLookahead|AblationEstimator|TimeToFirstResults|PlanCache|ContentIndex|ObservabilityOverhead|CorpusResultPath|PlanColdMiss|ExecPlanColdTwig|ExecFirstK|PointCachedMix|ValueRangeProbe|CorpusWriteCycle|CorpusRecover' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'ServeQueryEncode' -benchtime=1x -cpu 1,2 ./cmd/xqserve/
 	$(GO) test -run '^$$' -bench 'Parse$$|Image' -benchtime=1x ./internal/xmltree/
 	$(GO) test -run '^$$' -bench 'BufferPool|BuildStore$$|StageSegment|StoreVersion|ForestProbe|DecodeBlock' -benchtime=1x ./internal/storage/

@@ -36,13 +36,15 @@
 // Mutations pass the same admission gate as queries: -maxinflight bounds
 // them and shutdown drains refuse them with 503.
 //
-// A query shape the plan cache has not seen is planned with DPAP-EB by
-// default (-method): near-optimal at a fraction of DPP's search, which on a
-// 12-13-node twig costs several executions of the plan it finds (DESIGN.md
-// §5a has the measurement that chose it, and the background re-planning that
-// was measured against it and not shipped). "algorithm" in the response names
-// the algorithm that produced the plan; -method, or method= on a request,
-// picks another one.
+// A query shape the plan cache has not seen is planned with FP by default
+// (-method): the cheapest fully-pipelined plan, found in tens of
+// microseconds on a 12-13-node twig, where DPP's search costs several
+// executions of the plan it finds and DPAP-EB's bounded search strands and
+// serves FP's plan, or a costlier one, after two to three times FP's planning
+// (DESIGN.md §5a has the measurements that chose it, and the background
+// re-planning that was measured and not shipped). "algorithm" in the response
+// names the algorithm that produced the plan; -method, or method= on a
+// request, picks another one.
 //
 // A /query body is streamed, byte-identical to an encoding/json rendering
 // (encode.go; DESIGN.md §5i), 128 KB at a time. Its rows are cut into chunks
@@ -83,6 +85,7 @@ import (
 	"time"
 
 	"sjos"
+	"sjos/internal/core"
 	"sjos/internal/storage"
 )
 
@@ -94,7 +97,7 @@ func main() {
 	shards := flag.Int("shards", 0, "shards per collection (0 = one per document, capped at GOMAXPROCS)")
 	replicas := flag.Int("replicas", 1, "store replicas per shard (>1 enables health-aware routing and failover)")
 	fold := flag.Int("fold", 1, "folding factor for generated data sets")
-	method := flag.String("method", "DPAP-EB", "default optimizer for /query, run on every plan-cache miss (DP, DPP, DPAP-EB, DPAP-LD, FP, Greedy); method= on a request overrides it")
+	method := flag.String("method", core.ServeMethod.String(), "default optimizer for /query, run on every plan-cache miss (DP, DPP, DPAP-EB, DPAP-LD, FP, Greedy; FP plans a 12-13-node twig in tens of microseconds); method= on a request overrides it")
 	addr := flag.String("addr", ":8377", "listen address")
 	slowQuery := flag.Duration("slowquery", 0, "slow-query log threshold (0 = disabled)")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing queries per collection (0 = unlimited)")

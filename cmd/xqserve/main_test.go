@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sjos"
+	"sjos/internal/core"
 	"sjos/internal/datagen"
 	"sjos/internal/xmltree"
 )
@@ -142,13 +143,13 @@ func TestServeQueryAlgorithm(t *testing.T) {
 	c := oneDocCorpus(t, "staff.xml", `<db><manager><name>alice</name><employee><name>bob</name></employee></manager></db>`, sjos.CorpusOptions{})
 	cols := &collections{}
 	cols.add("default", c)
-	srv := httptest.NewServer(newMux(cols, sjos.MethodDPAPEB))
+	srv := httptest.NewServer(newMux(cols, core.ServeMethod))
 	t.Cleanup(srv.Close)
 	url := srv.URL + "/query?q=//manager[name]/employee/name"
 
 	var r queryResponse
 	getJSON(t, url, &r)
-	if r.Count != 1 || r.Cached || r.Algorithm != "DPAP-EB" {
+	if r.Count != 1 || r.Cached || r.Algorithm != core.ServeMethod.String() {
 		t.Fatalf("default method: %+v", r)
 	}
 	getJSON(t, url+"&method=DPP", &r)
@@ -164,7 +165,7 @@ func TestServeQueryAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(body, []byte(`{"count":1,`)) || !bytes.Contains(body, []byte(`"cached_plan":true,"algorithm":"DPAP-EB",`)) {
+	if !bytes.HasPrefix(body, []byte(`{"count":1,`)) || !bytes.Contains(body, []byte(`"cached_plan":true,"algorithm":"`+core.ServeMethod.String()+`",`)) {
 		t.Fatalf("body: %s", body)
 	}
 }
@@ -540,7 +541,7 @@ func TestServeCountOnlyMatchesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newMux(cols, sjos.MethodDPAPEB))
+	srv := httptest.NewServer(newMux(cols, core.ServeMethod))
 	t.Cleanup(srv.Close)
 	pers := func(seed int64) string {
 		xml, err := xmltree.SerializeString(datagen.Pers(1, seed))

@@ -33,16 +33,21 @@ var (
 	ValueOnShards = valueOnShards
 )
 
-// PlanEstimator is the estimator OptimizeContext prices pat with on c: the
-// corpus's statistics, with value probes offered where every populated
-// shard can serve them.
+// PlanInputs are what OptimizeContext prices a pattern with on c: the
+// corpus's statistics, and value probes offered where every populated shard
+// can serve them.
+func PlanInputs(c *Corpus) (core.StatsSource, core.ProbeEligibility) {
+	stats, _ := c.svc.snapshot()
+	return stats, c.probe
+}
+
+// PlanEstimator is the estimator OptimizeContext prices pat with on c.
 func PlanEstimator(tb testing.TB, c *Corpus, pat *Pattern) *core.Estimator {
 	tb.Helper()
-	stats, _ := c.svc.snapshot()
-	est, err := core.NewEstimator(pat, stats)
+	stats, pe := PlanInputs(c)
+	est, err := core.NewIndexedEstimator(pat, stats, pe)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	est.EnableValueIndex(c.probe)
 	return est
 }

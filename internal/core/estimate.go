@@ -54,8 +54,17 @@ type StatsSource interface {
 }
 
 // NewEstimator derives an estimator for pat from document (or corpus)
-// statistics.
+// statistics, every leaf on the scan+filter path.
 func NewEstimator(pat *pattern.Pattern, stats StatsSource) (*Estimator, error) {
+	return NewIndexedEstimator(pat, stats, nil)
+}
+
+// NewIndexedEstimator is NewEstimator with the value-index probes pe offers
+// (see EnableValueIndex), in one pass: its estimates are those of
+// NewEstimator followed by EnableValueIndex(pe), bit for bit, but the
+// statistics' value sample is read only for predicated nodes that get no
+// exact probe count. A nil pe is NewEstimator.
+func NewIndexedEstimator(pat *pattern.Pattern, stats StatsSource, pe ProbeEligibility) (*Estimator, error) {
 	if err := pat.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,6 +87,11 @@ func NewEstimator(pat *pattern.Pattern, stats StatsSource) (*Estimator, error) {
 	var known [MaxPatternNodes]bool
 	for u := 0; u < n; u++ {
 		nd := pat.Nodes[u]
+		probe, count, exact := e.probeCount(pe, u)
+		e.probe[u] = probe
+		if exact {
+			e.nodeCard[u] = float64(count)
+		}
 		tag, ok, seen := xmltree.TagID(0), false, false
 		for w := 0; w < u; w++ {
 			if pat.Nodes[w].Tag == nd.Tag {
@@ -89,11 +103,14 @@ func NewEstimator(pat *pattern.Pattern, stats StatsSource) (*Estimator, error) {
 			tag, ok = stats.Lookup(nd.Tag)
 		}
 		if !ok {
-			continue // absent tag: zero cards, provably-empty leaf
+			continue // absent tag: zero scan, provably-empty leaf
 		}
 		tags[u], known[u] = tag, true
 		card := stats.TagCount(tag)
 		e.scanCard[u] = card
+		if exact {
+			continue
+		}
 		if nd.Op != pattern.CmpNone {
 			card *= stats.PredicateSelectivity(tag, nd.Op, nd.Value)
 		}
@@ -136,24 +153,32 @@ func NewManualEstimator(pat *pattern.Pattern, nodeCard, edgeSel []float64) (*Est
 // leaves. When pe also implements ProbeSelectivity, the indexed leaf's
 // cardinality estimate is replaced by the exact probe result count (the
 // index knows precisely how many postings it will return). Not calling
-// this — or passing nil — leaves every leaf on the scan+filter path.
+// this — or passing nil — leaves every leaf on the scan+filter path. The
+// planner's estimators come from NewIndexedEstimator, which does the same
+// without estimating the overwritten cardinalities first.
 func (e *Estimator) EnableValueIndex(pe ProbeEligibility) {
-	if pe == nil {
-		return
-	}
-	ps, exact := pe.(ProbeSelectivity)
 	for u := 0; u < e.pat.N(); u++ {
-		nd := e.pat.Nodes[u]
-		if nd.Op == pattern.CmpNone || !pe.ProbeEligible(nd.Tag, nd.Op, nd.Value) {
-			continue
-		}
-		e.probe[u] = true
-		if exact {
-			if n, ok := ps.ProbeSelectivity(nd.Tag, nd.Op, nd.Value); ok {
-				e.nodeCard[u] = float64(n)
+		if probe, count, exact := e.probeCount(pe, u); probe {
+			e.probe[u] = true
+			if exact {
+				e.nodeCard[u] = float64(count)
 			}
 		}
 	}
+}
+
+// probeCount is the one value-index question per pattern node: whether pe
+// can serve node u's predicate by a probe and, when pe also implements
+// ProbeSelectivity, the probe's exact result count (exact).
+func (e *Estimator) probeCount(pe ProbeEligibility, u int) (probe bool, count int, exact bool) {
+	nd := e.pat.Nodes[u]
+	if pe == nil || nd.Op == pattern.CmpNone || !pe.ProbeEligible(nd.Tag, nd.Op, nd.Value) {
+		return false, 0, false
+	}
+	if ps, ok := pe.(ProbeSelectivity); ok {
+		count, exact = ps.ProbeSelectivity(nd.Tag, nd.Op, nd.Value)
+	}
+	return true, count, exact
 }
 
 // NodeCard returns the estimated candidate count for pattern node u.
@@ -165,7 +190,7 @@ func (e *Estimator) NodeCard(u int) float64 { return e.nodeCard[u] }
 func (e *Estimator) ScanCard(u int) float64 { return e.scanCard[u] }
 
 // ProbeOK reports whether pattern node u's predicate can be served by a
-// value-index probe (see EnableValueIndex).
+// value-index probe (see NewIndexedEstimator).
 func (e *Estimator) ProbeOK(u int) bool { return e.probe[u] }
 
 // EdgeSelectivity returns the estimated selectivity of edge v.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"math/bits"
 
 	"sjos/internal/pattern"
+	"sjos/internal/plan"
 )
 
 // fp is the FP search (MethodFP), on sp's leaves and joins; DPAP-EB falls
@@ -11,8 +13,10 @@ import (
 // output node N, making N the root; the best pipelined plan for each
 // re-rooted subtree is computed recursively (memoised per directed edge),
 // and the order in which the child subtrees join with N is chosen by
-// enumerating permutations. The subtree recursion polls ctx, and a cancelled
-// search returns ctx's error instead of a plan.
+// enumerating permutations. A permutation is priced without building it:
+// only each memoised subtree's winning order becomes plan operators. The
+// subtree recursion polls ctx, and a cancelled search returns ctx's error
+// instead of a plan.
 func (sp *space) fp(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -20,7 +24,16 @@ func (sp *space) fp(ctx context.Context) (*Result, error) {
 	if sp.numEdges == 0 {
 		return sp.singleNode("FP"), nil
 	}
-	f := &fpSearch{sp: sp, memo: make(map[[2]int]rooted), ctx: ctx}
+	// A subtree entered at v is built at most once per excluded neighbour
+	// and once whole: deg(v)+1 leaves, and deg(v) joins per memo entry but
+	// one fewer where a neighbour is excluded — deg(v)² joins in all.
+	size := 0
+	for v := 0; v < sp.n; v++ {
+		d := bits.OnesCount32(sp.incident[v])
+		size += d*d + d + 1
+	}
+	sp.nodes = make([]plan.Node, 0, size)
+	f := fpSearch{sp: sp, ctx: ctx}
 	var best rooted
 	if r := sp.pat.OrderBy; r != pattern.NoNode {
 		best = f.subtree(r, pattern.NoNode)
@@ -43,9 +56,17 @@ func (sp *space) fp(ctx context.Context) (*Result, error) {
 	}, nil
 }
 
+// fpSearch is one FP search. memo holds the best plan of the sub-pattern
+// entered at v without crossing the neighbour from: at v for the whole
+// pattern, at n+v when from is v's parent, at 2n+from when from is a child
+// of v. subs is bump-allocated like greedyBuilder's pool: a frame's
+// neighbour subtrees occupy [base, top), the recursion below uses the slots
+// above, and no more than n-1 are ever held.
 type fpSearch struct {
 	sp       *space
-	memo     map[[2]int]rooted // (root, excludedNeighbor) -> best plan
+	memo     [3 * MaxPatternNodes]rooted
+	subs     [MaxPatternNodes]rooted
+	top      int
 	counters Counters
 
 	ctx       context.Context
@@ -69,64 +90,95 @@ func (f *fpSearch) subtree(v, from int) rooted {
 		// context's error.
 		return sp.rootLeaf(v)
 	}
-	key := [2]int{v, from}
-	if p, ok := f.memo[key]; ok {
+	slot := v
+	switch {
+	case from == pattern.NoNode:
+	case v != 0 && sp.pat.Parent[v] == from:
+		slot += sp.n
+	default:
+		slot = 2*sp.n + from
+	}
+	if p := f.memo[slot]; p.node != nil {
 		return p
 	}
 	leaf := sp.rootLeaf(v)
-	var kids []int
-	for _, nb := range sp.pat.Neighbors(v) {
-		if nb != from {
-			kids = append(kids, nb)
+	// The neighbours' subtrees, parent first and then children: pattern
+	// order, which fixes the order the permutations come in.
+	base := f.top
+	if v != 0 && sp.pat.Parent[v] != from {
+		f.addSub(sp.pat.Parent[v], v)
+	}
+	for c := v + 1; c < sp.n; c++ {
+		if sp.pat.Parent[c] == v && c != from {
+			f.addSub(c, v)
 		}
 	}
-	if len(kids) == 0 {
-		f.memo[key] = leaf
-		f.counters.StatusesGenerated++
+	subs := f.subs[base:f.top]
+	f.top = base
+	f.counters.StatusesGenerated++
+	if len(subs) == 0 {
+		f.memo[slot] = leaf
 		return leaf
 	}
-	subs := make([]rooted, len(kids))
-	for i, c := range kids {
-		subs[i] = f.subtree(c, v)
+	o := fpOrders{sp: sp, v: v, leaf: leaf, subs: subs}
+	for i := range subs {
+		o.order[i] = int8(i)
 	}
-	var best rooted
-	permute(len(kids), func(order []int) {
-		f.counters.PlansConsidered++
-		acc := leaf
-		for _, idx := range order {
-			acc = sp.attach(acc, v, subs[idx], false)
-		}
-		if best.node == nil || acc.cost < best.cost {
-			best = acc
-		}
-	})
-	f.counters.StatusesGenerated++
+	o.permute(len(subs))
+	f.counters.PlansConsidered += o.considered
 	f.counters.StatusesExpanded++
-	f.memo[key] = best
+	best := leaf
+	for _, i := range o.best[:len(subs)] {
+		best = sp.attach(best, v, subs[i], false)
+	}
+	f.memo[slot] = best
 	return best
 }
 
-// permute enumerates all permutations of 0..n-1 (Heap's algorithm),
-// invoking yield with each ordering. The slice passed to yield is reused.
-func permute(n int, yield func([]int)) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// addSub computes the subtree entered at c from v into the next free slot.
+func (f *fpSearch) addSub(c, v int) {
+	slot := f.top
+	f.top++
+	f.subs[slot] = f.subtree(c, v) // uses slots above the reservation
+}
+
+// fpOrders is one subtree's permutation search: every order in which subs
+// can join leaf, priced, and the first cheapest one kept.
+type fpOrders struct {
+	sp         *space
+	v          int
+	leaf       rooted
+	subs       []rooted
+	order      [MaxPatternNodes]int8 // the permutation being visited
+	best       [MaxPatternNodes]int8 // the cheapest one so far
+	bestCost   float64
+	considered int
+}
+
+// permute visits every permutation of order[:k] (Heap's algorithm).
+func (o *fpOrders) permute(k int) {
+	if k == 1 {
+		o.visit()
+		return
 	}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == 1 {
-			yield(idx)
-			return
-		}
-		for i := 0; i < k; i++ {
-			rec(k - 1)
-			if k%2 == 0 {
-				idx[i], idx[k-1] = idx[k-1], idx[i]
-			} else {
-				idx[0], idx[k-1] = idx[k-1], idx[0]
-			}
+	for i := 0; i < k; i++ {
+		o.permute(k - 1)
+		if k%2 == 0 {
+			o.order[i], o.order[k-1] = o.order[k-1], o.order[i]
+		} else {
+			o.order[0], o.order[k-1] = o.order[k-1], o.order[0]
 		}
 	}
-	rec(n)
+}
+
+// visit prices the current permutation.
+func (o *fpOrders) visit() {
+	o.considered++
+	acc := o.leaf
+	for _, i := range o.order[:len(o.subs)] {
+		acc, _, _ = o.sp.price(acc, o.v, o.subs[i], false)
+	}
+	if o.considered == 1 || acc.cost < o.bestCost {
+		o.best, o.bestCost = o.order, acc.cost
+	}
 }

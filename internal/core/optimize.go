@@ -52,6 +52,14 @@ const (
 	MethodGreedy
 )
 
+// ServeMethod is the method a server plans a plan-cache miss with: xqserve's
+// -method default, and what the load lane and the in-process stand-ins for
+// the server plan with. FP: on the plan_cold twigs of the four-shard serving
+// corpus DPAP-EB's bounded search strands and returns FP's plan, or a costlier
+// one, after two to three times FP's planning (EXPERIMENTS.md "The serving
+// method").
+const ServeMethod = MethodFP
+
 // String names the method as in the paper.
 func (m Method) String() string {
 	switch m {

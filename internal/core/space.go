@@ -33,8 +33,9 @@ type space struct {
 	// children of x (an edge's id is its lower endpoint) and x itself.
 	incident [MaxPatternNodes]uint32
 
-	// nodes is the slab newNode hands plan operators out of; Greedy, which
-	// builds each of its 2n-1 operators exactly once, sizes it.
+	// nodes is the slab newNode hands plan operators out of. Greedy, which
+	// builds each of its 2n-1 operators exactly once, and FP, which builds
+	// only its memo entries' winning orders, size it.
 	nodes []plan.Node
 
 	kernel // empty until start; FP and Greedy never need one
@@ -114,34 +115,50 @@ func (sp *space) rootLeaf(v int) rooted {
 	return rooted{node: nd, cost: nd.EstCost, mask: 1 << uint(v), card: nd.EstCard}
 }
 
+// price is attach without the operator: the joined plan's cost, node mask and
+// cardinality (its node is nil), the id e of the edge it joins and the
+// Stack-Tree variant. acc's node is not read, so a search can price a chain
+// of joins before it builds any of them.
+func (sp *space) price(acc rooted, v int, sub rooted, free bool) (out rooted, e int, algo plan.Algo) {
+	c := sub.node.OrderedBy
+	// An edge's id is its lower endpoint: v when c is v's parent, else c.
+	e, ancCard, descCard := c, acc.card, sub.card
+	if v != 0 && sp.pat.Parent[v] == c {
+		e, ancCard, descCard = v, sub.card, acc.card
+	}
+	mask := acc.mask | sub.mask
+	card := sp.est.ClusterCard(mask)
+	algo = plan.AlgoAnc
+	join := sp.model.StackTreeAnc(ancCard, descCard, card)
+	if d := sp.model.StackTreeDesc(ancCard, descCard, card); free && d < join || !free && e == v {
+		algo, join = plan.AlgoDesc, d
+	}
+	return rooted{cost: acc.cost + sub.cost + join, mask: mask, card: card}, e, algo
+}
+
 // attach joins sub, the subtree of a neighbour of v and ordered by that
 // neighbour, onto acc, a plan rooted at v. The join keeps the output ordered
 // by v: Stack-Tree-Anc when v is the edge's ancestor, Stack-Tree-Desc when it
 // is the descendant. free releases a join whose output order nothing
 // consumes from that obligation: it takes whichever variant is cheaper. The
-// join's cardinality and cost come from ClusterCard and the cost model, as a
-// move's do in record.
+// join's cardinality and cost come from ClusterCard and the cost model (see
+// price), as a move's do in record.
 func (sp *space) attach(acc rooted, v int, sub rooted, free bool) rooted {
-	c := sub.node.OrderedBy
-	// An edge's id is its lower endpoint: v when c is v's parent, else c.
-	e, anc, desc := c, acc, sub
-	if v != 0 && sp.pat.Parent[v] == c {
-		e, anc, desc = v, sub, acc
+	out, e, algo := sp.price(acc, v, sub, free)
+	anc, desc, ord := acc.node, sub.node, sp.pat.Parent[e]
+	if e == v {
+		anc, desc = desc, anc
 	}
-	mask := acc.mask | sub.mask
-	card := sp.est.ClusterCard(mask)
-	algo, ord := plan.AlgoAnc, sp.pat.Parent[e]
-	join := sp.model.StackTreeAnc(anc.card, desc.card, card)
-	if d := sp.model.StackTreeDesc(anc.card, desc.card, card); free && d < join || !free && e == v {
-		algo, ord, join = plan.AlgoDesc, e, d
+	if algo == plan.AlgoDesc {
+		ord = e
 	}
-	j := sp.newNode()
-	*j = plan.Node{
-		Op: plan.OpStructuralJoin, Left: anc.node, Right: desc.node,
+	out.node = sp.newNode()
+	*out.node = plan.Node{
+		Op: plan.OpStructuralJoin, Left: anc, Right: desc,
 		AncNode: sp.pat.Parent[e], DescNode: e, Axis: sp.pat.Axis[e], Algo: algo, OrderedBy: ord,
-		EstCard: card, EstCost: acc.cost + sub.cost + join,
+		EstCard: out.card, EstCost: out.cost,
 	}
-	return rooted{node: j, cost: j.EstCost, mask: mask, card: card}
+	return out
 }
 
 // start empties the kernel and returns the index of the start status S₀: no

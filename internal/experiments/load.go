@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sjos"
+	"sjos/internal/core"
 	"sjos/internal/faultfs"
 	"sjos/internal/loadgen"
 	"sjos/internal/storage"
@@ -17,7 +18,7 @@ import (
 
 // loadMethod is the optimizer every lane query runs with: what xqserve plans
 // a plan-cache miss with.
-const loadMethod = sjos.MethodDPAPEB
+const loadMethod = core.ServeMethod
 
 // loadPoolFrames is every arm's buffer pool, per replica store. It is far
 // smaller than a populated lane shard's page file (30 to 58 pages), so a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"time"
 
@@ -41,8 +42,8 @@ type PlannerWorkload struct {
 
 // planColdTemplates are the eight 12-13-node twigs of the repository
 // benchmark's plan_cold workload (benchmark/inputs.go; $C is a salary bound)
-// — the shapes xqserve's default method (DPAP-EB) was chosen on, and so the
-// ones its regret must be measured on.
+// — the shapes xqserve's default method (core.ServeMethod) was chosen on, and
+// so the ones its regret must be measured on.
 var planColdTemplates = [...]string{
 	`//personnel//manager[department/name]//manager//manager[department/name]/manager[name]/employee[salary>$C]/name`,
 	`//manager[name]//manager[department/name][employee/name]//manager[employee[salary>$C]/name]/department/name`,
@@ -56,7 +57,7 @@ var planColdTemplates = [...]string{
 
 // planColdBound is the one salary bound the lane fixes each template at: the
 // middle of the range the benchmark draws its bounds from.
-const planColdBound = "110000"
+const planColdBound = 110000
 
 // plannerWorkloads returns the lane's workload list: Q.Pers.3.d at each
 // fold (the Table-3 configuration), a deep-chain and a wide-fanout stress
@@ -101,13 +102,17 @@ func plannerWorkloads(folds []int) ([]PlannerWorkload, error) {
 // PlanColdQueries returns the eight plan_cold twigs at planColdBound, named
 // plan-cold-1 … plan-cold-8: the shapes the planner lane, the executor golden
 // and the executor layer lane all run.
-func PlanColdQueries() []Query {
+func PlanColdQueries() []Query { return PlanColdAt(planColdBound) }
+
+// PlanColdAt returns the eight plan_cold twigs at salary bound c, named as
+// PlanColdQueries names them.
+func PlanColdAt(c int) []Query {
 	qs := make([]Query, len(planColdTemplates))
 	for i, tmpl := range planColdTemplates {
 		qs[i] = Query{
 			ID:      fmt.Sprintf("plan-cold-%d", i+1),
 			Dataset: "pers",
-			Source:  strings.ReplaceAll(tmpl, "$C", planColdBound),
+			Source:  strings.ReplaceAll(tmpl, "$C", strconv.Itoa(c)),
 		}
 	}
 	return qs

@@ -5,8 +5,8 @@
 // enough to be worth doing well (its Table 2 counts plans considered; DP
 // blows up past 8 pattern nodes), while production workloads re-issue a
 // small set of structurally recurring query shapes. Keying the cache by the
-// canonical pattern fingerprint (internal/pattern), the chosen method, the
-// DPAP-EB bound and the statistics version makes one optimizer run serve
+// canonical pattern fingerprint (internal/pattern), the chosen method and
+// the statistics version makes one optimizer run serve
 // every structurally equivalent query until the statistics change.
 //
 // Single-flight semantics: when N goroutines miss on the same key

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sjos"
+	"sjos/internal/core"
 	"sjos/internal/experiments"
 )
 
@@ -145,12 +146,12 @@ const pointWorkBudget = 1024
 // TestPointWorkBudget is the regression guard for the join's left-side
 // seeks: a point probe reads postings in proportion to its hits, not to the
 // ancestor tag's posting list. Every equality-probe shape of point_cached
-// (DPAP-EB plans, as the server plans them), at the two placements of
-// TestLimitWorkBudget.
+// (core.ServeMethod's plans, as the server plans them), at the two
+// placements of TestLimitWorkBudget.
 func TestPointWorkBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
-	opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPAPEB}}
+	opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: core.ServeMethod}}
 	for _, placement := range []struct {
 		prefix string
 		shard  int
@@ -208,7 +209,7 @@ func TestTracedRunReadsLikeUntraced(t *testing.T) {
 	}
 	for _, s := range shapes {
 		pat := sjos.MustParsePattern(s.src)
-		opt, err := c.OptimizeContext(ctx, pat, sjos.MethodDPAPEB, 0)
+		opt, err := c.OptimizeContext(ctx, pat, core.ServeMethod, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

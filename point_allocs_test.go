@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sjos"
+	"sjos/internal/core"
 )
 
 // TestPointShardAllocs is the allocation guard of a point probe: a
@@ -22,7 +23,7 @@ func TestPointShardAllocs(t *testing.T) {
 	four := sjos.ServingCorpus(t)
 	one := sjos.ServingCorpusOn(t, "doc-", 1, 1)
 	src := fmt.Sprintf(`//department[name=%q]`, sjos.ValueOnShards(sjos.TallyValues(t, four, `//department/name`), 1))
-	opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: sjos.MethodDPAPEB}}
+	opts := sjos.QueryOptions{ExecOptions: sjos.ExecOptions{Method: core.ServeMethod}}
 	allocs := func(c *sjos.Corpus) float64 {
 		return testing.AllocsPerRun(200, func() {
 			res, err := c.QueryContext(context.Background(), src, opts)

@@ -172,11 +172,10 @@ func (s *service) search(ctx context.Context, pat *Pattern, stats core.StatsSour
 // explicit statistics snapshot, priced with the one cost model. pe lets the
 // estimator offer value-index probes for eligible predicated leaves.
 func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, m Method, te int, pe core.ProbeEligibility) (*OptimizeResult, error) {
-	est, err := core.NewEstimator(pat, stats)
+	est, err := core.NewIndexedEstimator(pat, stats, pe)
 	if err != nil {
 		return nil, err
 	}
-	est.EnableValueIndex(pe)
 	return core.Optimize(ctx, pat, est, cost.DefaultModel(), m, &core.Options{Te: te})
 }
 
